@@ -20,13 +20,14 @@
 // cmd/bnsgcn's -rank/-world/-rendezvous flags, examples/multiproc, and the
 // transport section of PERFORMANCE.md.
 //
-// The per-epoch protocol itself runs as a pipelined stage schedule by
-// default (internal/core/pipeline.go): halo sends and receives are posted
+// The per-epoch protocol itself runs as a short sequence of named stages
+// (internal/core/pipeline.go): halo sends and receives are posted
 // asynchronously, rows whose aggregation needs no boundary data compute
 // while the exchange is in flight, and each peer's boundary-dependent rows
-// complete in arrival order — whichever peer's payload lands first, via the
-// transports' completion notifications — bit-identical to the serialized
-// schedule (-overlap=false) and to the rank-order drain (-drain=rank).
-// EpochStats reports communication as raw span vs exposed (unoverlapped)
-// time; see PERFORMANCE.md "Overlapped halo exchange".
+// complete as that peer's payload lands, via the transports' completion
+// notifications. The serialized schedule (-overlap=false) runs the same
+// stages with every halo wait hoisted ahead of compute, bit-identical and
+// hiding nothing — the measurement baseline. EpochStats reports
+// communication as raw span vs exposed (unoverlapped) time; see
+// PERFORMANCE.md "Overlapped halo exchange".
 package repro

@@ -18,7 +18,7 @@ func TestTCPTrainEpochSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc budgets only hold without -race")
 	}
-	for _, sched := range []Schedule{ScheduleSerialized, ScheduleOverlapRank, ScheduleOverlap} {
+	for _, sched := range []Schedule{ScheduleSerialized, ScheduleOverlap} {
 		ds := testDataset(t, 55)
 		const k = 2
 		topo := testTopology(t, ds, k)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
+	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/partition"
 )
@@ -215,6 +216,7 @@ func TestEvalAgreesWithManualForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	clone.CopyWeightsFrom(par.Models[0])
+	clone.SetAgg(graph.NewAggIndex(ds.G))
 	ft := &FullTrainer{DS: ds, Model: clone, invDeg: nn.InvDegrees(ds.G)}
 	want := ft.Evaluate(ds.TestMask)
 	if got != want {

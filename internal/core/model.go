@@ -72,7 +72,8 @@ type GraphLayer interface {
 	// transposed index plus edge-balanced chunk boundaries) the layer's
 	// passes run over. The plan must be built from the same graph the
 	// passes receive; trainers rebuild it whenever the epoch graph changes.
-	// nil reverts to the layers' serial fallback with identical bits.
+	// SAGE requires one; layers reject a plan that does not match the graph
+	// a pass is handed.
 	SetAgg(ai *graph.AggIndex)
 
 	// ForwardBegin prepares a chunked pass and returns the output matrix the
@@ -81,8 +82,8 @@ type GraphLayer interface {
 	// ForwardPrep runs per-node precomputations for feature rows [r0, r1)
 	// (a no-op for SAGE; Wh and attention scores for GAT).
 	ForwardPrep(r0, r1 int)
-	// ForwardPrepRows is ForwardPrep for an explicit row list — the
-	// arrival-order drain preps one peer's halo slots as they land.
+	// ForwardPrepRows is ForwardPrep for an explicit row list — the epoch
+	// drain preps one peer's halo slots as they land.
 	ForwardPrepRows(rows []int32)
 	// ForwardRows computes the listed output rows; each row of [0, nOut)
 	// must be covered exactly once per pass.

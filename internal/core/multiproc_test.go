@@ -119,13 +119,9 @@ func TestMultiProcessHelper(t *testing.T) {
 func TestMultiProcessLoopback(t *testing.T) { mpRun(t, ScheduleSerialized) }
 
 // TestMultiProcessLoopbackOverlap runs the same smoke test with the default
-// pipelined schedule in every rank process — the arrival-order halo drain
+// overlapped schedule in every rank process — the arrival-order halo drain
 // over real sockets must still reproduce the in-process run bit for bit.
 func TestMultiProcessLoopbackOverlap(t *testing.T) { mpRun(t, ScheduleOverlap) }
-
-// TestMultiProcessLoopbackOverlapRank covers the rank-order pipelined drain
-// across processes.
-func TestMultiProcessLoopbackOverlapRank(t *testing.T) { mpRun(t, ScheduleOverlapRank) }
 
 func mpRun(t *testing.T, sched Schedule) {
 	if os.Getenv(mpEnvRank) != "" {

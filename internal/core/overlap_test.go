@@ -7,14 +7,14 @@ import (
 	"repro/internal/comm"
 )
 
-// TestOverlapBitIdentical is the pipelined engine's equivalence proof: the
-// same seeded dataset trained with the pipelined schedules — rank-order
-// drain and arrival-order drain — must produce, epoch for epoch,
-// bit-identical losses, bit-identical weights on every rank, and identical
-// per-rank payload byte/message counts as the serialized schedule — over
-// both transports, for k ∈ {2, 4}, for both architectures, with dropout on
-// (the mask RNG stream order is part of the contract) and p < 1 (so
-// sampling, the row split, and the halo exchange all vary by epoch).
+// TestOverlapBitIdentical is the epoch engine's schedule-equivalence proof:
+// the same seeded dataset trained with the overlapped schedule must produce,
+// epoch for epoch, bit-identical losses, bit-identical weights on every
+// rank, and identical per-rank payload byte/message counts as the serialized
+// schedule — over both transports, for k ∈ {2, 4}, for both architectures,
+// with dropout on (the mask RNG stream order is part of the contract) and
+// p < 1 (so sampling, the row split, and the halo exchange all vary by
+// epoch).
 func TestOverlapBitIdentical(t *testing.T) {
 	for _, arch := range []Arch{ArchSAGE, ArchGAT} {
 		for _, k := range []int{2, 4} {
@@ -22,10 +22,8 @@ func TestOverlapBitIdentical(t *testing.T) {
 			topo := testTopology(t, ds, k)
 			mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
 			base := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 17, Schedule: ScheduleSerialized}
-			rankOrder := base
-			rankOrder.Schedule = ScheduleOverlapRank
-			arrivalOrder := base
-			arrivalOrder.Schedule = ScheduleOverlap
+			overlap := base
+			overlap.Schedule = ScheduleOverlap
 
 			type run struct {
 				name string
@@ -47,11 +45,9 @@ func TestOverlapBitIdentical(t *testing.T) {
 			}
 			runs := []run{
 				mk("chan/serialized", base, nil),
-				mk("chan/overlap-rank", rankOrder, nil),
-				mk("chan/overlap-arrival", arrivalOrder, nil),
+				mk("chan/overlap", overlap, nil),
 				mk("tcp/serialized", base, tcpLoopbackGroup(t, k)),
-				mk("tcp/overlap-rank", rankOrder, tcpLoopbackGroup(t, k)),
-				mk("tcp/overlap-arrival", arrivalOrder, tcpLoopbackGroup(t, k)),
+				mk("tcp/overlap", overlap, tcpLoopbackGroup(t, k)),
 			}
 
 			const epochs = 4
@@ -88,12 +84,11 @@ func TestOverlapBitIdentical(t *testing.T) {
 
 // TestOverlapArrivalSkewedLinksBitIdentical forces peer completion order to
 // invert — a skewed comm.WithLinkModel makes the lowest-rank peer's payloads
-// the slowest, so the arrival-order drain consumes peers in descending rank
-// order while the rank-order drain head-of-line blocks — and requires the
-// results to stay bit-identical to the un-modeled serialized schedule for
-// both architectures and both pipelined drains. This is the determinism
-// argument under real out-of-order completion, not just under loopback's
-// near-FIFO timing.
+// the slowest, so the drain consumes peers in descending rank order — and
+// requires the results of both schedules over the skewed links to stay
+// bit-identical to the un-modeled serialized schedule. This is the
+// determinism argument under real out-of-order completion, not just under
+// loopback's near-FIFO timing.
 func TestOverlapArrivalSkewedLinksBitIdentical(t *testing.T) {
 	for _, k := range []int{2, 4} {
 		ds := testDataset(t, uint64(90+k))
@@ -124,7 +119,7 @@ func TestOverlapArrivalSkewedLinksBitIdentical(t *testing.T) {
 			tr   *ParallelTrainer
 		}
 		var runs []skewed
-		for _, sched := range []Schedule{ScheduleOverlapRank, ScheduleOverlap} {
+		for _, sched := range []Schedule{ScheduleSerialized, ScheduleOverlap} {
 			cfg := base
 			cfg.Schedule = sched
 			tr, err := NewParallelTrainerOver(ds, topo, cfg, comm.WithLinkModel(comm.New(k, 0), model))
@@ -156,7 +151,7 @@ func TestOverlapArrivalSkewedLinksBitIdentical(t *testing.T) {
 // TestOverlapWorstCaseAllBoundaryDependent pins the degenerate schedule: at
 // p=1 on a topology where every inner node of every partition has a remote
 // neighbor, the halo-free chunk can be empty (zero overlap available) and
-// both pipelined schedules must still be exactly equivalent.
+// the two schedules must still be exactly equivalent.
 func TestOverlapWorstCaseAllBoundaryDependent(t *testing.T) {
 	ds := testDataset(t, 31)
 	const k = 2
@@ -164,26 +159,66 @@ func TestOverlapWorstCaseAllBoundaryDependent(t *testing.T) {
 	mc := ModelConfig{Arch: ArchSAGE, Layers: 2, Hidden: 16, Dropout: 0.5, LR: 0.01, Seed: 3}
 	base := ParallelConfig{Model: mc, P: 1, SampleSeed: 13, Schedule: ScheduleSerialized}
 
-	for _, sched := range []Schedule{ScheduleOverlapRank, ScheduleOverlap} {
-		cfg := base
-		cfg.Schedule = sched
-		b, err := NewParallelTrainer(ds, topo, cfg)
-		if err != nil {
-			t.Fatal(err)
+	cfg := base
+	cfg.Schedule = ScheduleOverlap
+	b, err := NewParallelTrainer(ds, topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewParallelTrainer(ds, topo, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < 3; e++ {
+		sa, sb := a.TrainEpoch(), b.TrainEpoch()
+		if sa.Loss != sb.Loss {
+			t.Fatalf("epoch %d: loss diverged %.17g vs %.17g", e, sa.Loss, sb.Loss)
 		}
-		aCopy, err := NewParallelTrainer(ds, topo, base)
-		if err != nil {
-			t.Fatal(err)
+	}
+	for r := 0; r < k; r++ {
+		if d := MaxParamDiff(a.Models[r], b.Models[r]); d != 0 {
+			t.Fatalf("rank %d diverged by %v", r, d)
 		}
-		for e := 0; e < 3; e++ {
-			sa, sb := aCopy.TrainEpoch(), b.TrainEpoch()
-			if sa.Loss != sb.Loss {
-				t.Fatalf("%s epoch %d: loss diverged %.17g vs %.17g", sched, e, sa.Loss, sb.Loss)
-			}
-		}
-		for r := 0; r < k; r++ {
-			if d := MaxParamDiff(aCopy.Models[r], b.Models[r]); d != 0 {
-				t.Fatalf("%s rank %d diverged by %v", sched, r, d)
+	}
+}
+
+// TestCommAccountingInvariants pins the documented relation between the two
+// comm counters (see EpochStats) on every rank, not just the straggler:
+// under ScheduleSerialized nothing is hidden, so the raw span equals the
+// exposed time exactly; under ScheduleOverlap every exposed interval lies
+// inside its exchange's raw span, so exposed never exceeds raw. Over both
+// transports, k ∈ {2, 4}.
+func TestCommAccountingInvariants(t *testing.T) {
+	for _, backend := range []string{"chan", "tcp"} {
+		for _, k := range []int{2, 4} {
+			for _, sched := range []Schedule{ScheduleSerialized, ScheduleOverlap} {
+				ds := testDataset(t, uint64(60+k))
+				topo := testTopology(t, ds, k)
+				cfg := ParallelConfig{Model: testModelConfig(), P: 0.5, SampleSeed: 11, Schedule: sched}
+				g := comm.New(k, 0)
+				if backend == "tcp" {
+					g = tcpLoopbackGroup(t, k)
+				}
+				tr, err := NewParallelTrainerOver(ds, topo, cfg, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for e := 0; e < 3; e++ {
+					tr.TrainEpoch()
+					for r, st := range tr.statsBuf {
+						if st.Comm <= 0 {
+							t.Fatalf("%s k=%d %s epoch %d rank %d: no comm span recorded", backend, k, sched, e, r)
+						}
+						if sched == ScheduleSerialized && st.CommExposed != st.Comm {
+							t.Fatalf("%s k=%d serialized epoch %d rank %d: exposed %v != raw %v",
+								backend, k, e, r, st.CommExposed, st.Comm)
+						}
+						if st.CommExposed > st.Comm {
+							t.Fatalf("%s k=%d %s epoch %d rank %d: exposed %v exceeds raw %v",
+								backend, k, sched, e, r, st.CommExposed, st.Comm)
+						}
+					}
+				}
 			}
 		}
 	}
@@ -191,19 +226,26 @@ func TestOverlapWorstCaseAllBoundaryDependent(t *testing.T) {
 
 // TestSplitRowsPartition checks the per-epoch row split invariants the
 // engine relies on: haloFree ∪ haloDep = [0, NIn) ascending and disjoint,
-// haloSlots exactly the sampled boundary slots, and — for the default
-// arrival-order schedule — the per-peer buckets: every halo-dependent row
-// appears once in the bucket of each peer it awaits, every bucket row has an
-// active neighbor owned by that peer, and the drain's countdown consumed
-// every wait (rowWait back at zero).
+// haloSlots exactly the sampled boundary slots, and the per-peer buckets:
+// every halo-dependent row appears once in the bucket of each peer it
+// awaits, every bucket row has an active neighbor owned by that peer, and
+// the drain's countdown consumed every wait (rowWait back at zero) — under
+// either schedule, since both run the same split and the same drain.
 func TestSplitRowsPartition(t *testing.T) {
-	ds := testDataset(t, 8)
-	topo := testTopology(t, ds, 3)
-	tr, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: testModelConfig(), P: 0.3, SampleSeed: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, sched := range []Schedule{ScheduleOverlap, ScheduleSerialized} {
+		ds := testDataset(t, 8)
+		topo := testTopology(t, ds, 3)
+		tr, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: testModelConfig(), P: 0.3, SampleSeed: 2, Schedule: sched})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr.TrainEpoch()
+		checkSplitRows(t, tr)
 	}
-	tr.TrainEpoch()
+}
+
+func checkSplitRows(t *testing.T, tr *ParallelTrainer) {
+	t.Helper()
 	for r, lp := range tr.Locals {
 		seen := make([]int, lp.NIn)
 		last := int32(-1)
@@ -232,7 +274,7 @@ func TestSplitRowsPartition(t *testing.T) {
 			t.Fatalf("rank %d: %d halo slots listed, %d active", r, len(lp.haloSlots), nSlots)
 		}
 
-		// Bucket invariants (arrival-order schedule is the default).
+		// Bucket invariants.
 		bucketed := make([]int, lp.NIn)
 		for j, rows := range lp.peerRows {
 			lastRow := int32(-1)

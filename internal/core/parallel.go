@@ -89,15 +89,14 @@ type LocalPartition struct {
 	lossMask []bool
 	skipRows []int32
 
-	// Arrival-order drain state (ScheduleOverlap, see pipeline.go): the
-	// owner rank of every boundary slot (static), and the per-epoch row
-	// buckets splitRows derives from it — peerRows[j] lists (ascending) the
-	// halo-dependent rows with at least one active neighbor owned by j,
-	// rowWaitInit[v] the number of distinct peers row v awaits (rowWait is
-	// the per-layer working countdown, re-armed from rowWaitInit at the
-	// start of every layer's drain), readyRows the scratch for rows
-	// unlocked by one peer's arrival, peerMark the dedup marker used while
-	// bucketing.
+	// Drain state (see pipeline.go): the owner rank of every boundary slot
+	// (static), and the per-epoch row buckets splitRows derives from it —
+	// peerRows[j] lists (ascending) the halo-dependent rows with at least one
+	// active neighbor owned by j, rowWaitInit[v] the number of distinct peers
+	// row v awaits (rowWait is the per-layer working countdown, re-armed from
+	// rowWaitInit at the start of every layer's drain), readyRows the scratch
+	// for rows unlocked by one peer's arrival, peerMark the dedup marker used
+	// while bucketing.
 	slotOwner   []int32
 	peerRows    [][]int32
 	rowWaitInit []int32
@@ -227,12 +226,10 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 // collects the active halo slots. All three lists are ascending, which the
 // staged backward relies on for bit-identical accumulation order.
 //
-// With buckets set (the arrival-order drain) it additionally buckets the
-// halo-dependent rows by awaited peer: peerRows[j] lists every row with an
-// active neighbor owned by rank j, and rowWait[v] counts row v's distinct
-// awaited peers — the countdown that unlocks a row the moment its last
-// peer's payload lands. Bucketing needs the full neighbor scan, so the
-// rank-order schedules skip it and keep the early-out row scan.
+// The halo-dependent rows are also bucketed by awaited peer: peerRows[j]
+// lists every row with an active neighbor owned by rank j, and
+// rowWaitInit[v] counts row v's distinct awaited peers — the countdown that
+// unlocks a row the moment its last peer's payload lands.
 //
 // With restrict set (a row-dropping strategy under SAGE), inner rows with
 // lp.active[v] false are excluded from both compute lists and collected in
@@ -243,97 +240,38 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 // row is listed (an inactive row under GAT computes as an isolated node:
 // its epoch-graph edges are gone, so it lands in the halo-free list, costs
 // one self-attention, and contributes exactly zero gradient).
-func (lp *LocalPartition) splitRows(eg *graph.Graph, buckets, restrict bool) {
-	free, dep := lp.haloFree[:0], lp.haloDep[:0]
-	skip := lp.skipRows[:0]
+func (lp *LocalPartition) splitRows(eg *graph.Graph, restrict bool) {
+	free, dep, skip := lp.haloFree[:0], lp.haloDep[:0], lp.skipRows[:0]
+	for j := range lp.peerRows {
+		lp.peerRows[j] = lp.peerRows[j][:0]
+		lp.peerMark[j] = -1
+	}
 	nIn := int32(lp.NIn)
-	if restrict {
-		if buckets {
-			for j := range lp.peerRows {
-				lp.peerRows[j] = lp.peerRows[j][:0]
-				lp.peerMark[j] = -1
-			}
+	for v := int32(0); v < nIn; v++ {
+		if restrict && !lp.active[v] {
+			skip = append(skip, v)
+			lp.rowWaitInit[v] = 0
+			continue
 		}
-		for v := int32(0); v < nIn; v++ {
-			if !lp.active[v] {
-				skip = append(skip, v)
-				lp.rowWaitInit[v] = 0
-				continue
-			}
-			waits := int32(0)
-			for _, u := range eg.Neighbors(v) {
-				if u >= nIn {
-					if !buckets {
-						waits = 1
-						break
-					}
-					o := lp.slotOwner[u-nIn]
-					if lp.peerMark[o] != v {
-						lp.peerMark[o] = v
-						lp.peerRows[o] = append(lp.peerRows[o], v)
-						waits++
-					}
+		waits := int32(0)
+		for _, u := range eg.Neighbors(v) {
+			if u >= nIn {
+				o := lp.slotOwner[u-nIn]
+				if lp.peerMark[o] != v {
+					lp.peerMark[o] = v
+					lp.peerRows[o] = append(lp.peerRows[o], v)
+					waits++
 				}
 			}
-			lp.rowWaitInit[v] = waits
-			if waits > 0 {
-				dep = append(dep, v)
-			} else {
-				free = append(free, v)
-			}
 		}
-		lp.haloFree, lp.haloDep, lp.skipRows = free, dep, skip
-		slots := lp.haloSlots[:0]
-		for s := lp.NIn; s < lp.NIn+lp.NBd; s++ {
-			if lp.active[s] {
-				slots = append(slots, int32(s))
-			}
-		}
-		lp.haloSlots = slots
-		return
-	}
-	lp.skipRows = skip
-	if buckets {
-		for j := range lp.peerRows {
-			lp.peerRows[j] = lp.peerRows[j][:0]
-			lp.peerMark[j] = -1
-		}
-		for v := int32(0); v < nIn; v++ {
-			waits := int32(0)
-			for _, u := range eg.Neighbors(v) {
-				if u >= nIn {
-					o := lp.slotOwner[u-nIn]
-					if lp.peerMark[o] != v {
-						lp.peerMark[o] = v
-						lp.peerRows[o] = append(lp.peerRows[o], v)
-						waits++
-					}
-				}
-			}
-			lp.rowWaitInit[v] = waits
-			if waits > 0 {
-				dep = append(dep, v)
-			} else {
-				free = append(free, v)
-			}
-		}
-	} else {
-		for v := int32(0); v < nIn; v++ {
-			needsHalo := false
-			for _, u := range eg.Neighbors(v) {
-				if u >= nIn {
-					needsHalo = true
-					break
-				}
-			}
-			if needsHalo {
-				dep = append(dep, v)
-			} else {
-				free = append(free, v)
-			}
+		lp.rowWaitInit[v] = waits
+		if waits > 0 {
+			dep = append(dep, v)
+		} else {
+			free = append(free, v)
 		}
 	}
-	lp.haloFree, lp.haloDep = free, dep
+	lp.haloFree, lp.haloDep, lp.skipRows = free, dep, skip
 	slots := lp.haloSlots[:0]
 	for s := lp.NIn; s < lp.NIn+lp.NBd; s++ {
 		if lp.active[s] {
@@ -394,43 +332,29 @@ const (
 	EstimatorHT
 )
 
-// Schedule selects the epoch engine's stage schedule (see pipeline.go). All
-// three schedules are bit-identical — same weights, losses, and per-rank
-// payload bytes over every backend; the overlap equivalence tests pin this —
-// they differ only in where the waits sit and in what order peer payloads
-// are consumed, never in the arithmetic.
+// Schedule selects the epoch engine's stage order (see pipeline.go). The two
+// schedules are bit-identical — same weights, losses, and per-rank payload
+// bytes over every backend; the overlap equivalence tests pin this — they
+// differ only in where the halo wait sits, never in the arithmetic.
 type Schedule int
 
 const (
-	// ScheduleOverlap — the default — is the pipelined schedule with the
-	// arrival-order drain: halo sends/receives are posted first, halo-free
-	// rows compute while boundary data is in flight, and each peer's
-	// halo-dependent rows complete the moment that peer's payload lands
-	// (whichever peer that is), so one slow peer no longer stalls rows whose
-	// data already arrived.
+	// ScheduleOverlap — the default — posts the halo sends/receives first,
+	// computes the halo-free rows while boundary data is in flight, and
+	// completes each peer's halo-dependent rows the moment that peer's
+	// payload lands (whichever peer that is), so one slow peer stalls only
+	// the rows that need it.
 	ScheduleOverlap Schedule = iota
-	// ScheduleOverlapRank is the pipelined schedule draining peers in
-	// ascending rank order — the straggler-sensitive baseline the
-	// arrival-order drain is measured against.
-	ScheduleOverlapRank
-	// ScheduleSerialized is the historical baseline: every wait up front,
-	// then all compute.
+	// ScheduleSerialized is the baseline that hides nothing: the same
+	// stages, with the wait for every payload hoisted ahead of all compute.
 	ScheduleSerialized
 )
-
-// overlapped reports whether the schedule pipelines comm with compute.
-func (s Schedule) overlapped() bool { return s != ScheduleSerialized }
-
-// arrival reports whether the schedule drains peers in arrival order.
-func (s Schedule) arrival() bool { return s == ScheduleOverlap }
 
 // String names the schedule for logs and experiment tables.
 func (s Schedule) String() string {
 	switch s {
 	case ScheduleOverlap:
-		return "overlap/arrival"
-	case ScheduleOverlapRank:
-		return "overlap/rank"
+		return "overlap"
 	case ScheduleSerialized:
 		return "serialized"
 	}
@@ -447,9 +371,8 @@ type ParallelConfig struct {
 	SampleSeed uint64
 	// Estimator selects the sampled-aggregation normalizer (SAGE only).
 	Estimator Estimator
-	// Schedule selects the epoch stage schedule. The zero value is
-	// ScheduleOverlap: the pipelined engine with arrival-order draining is
-	// the default, and ScheduleSerialized is the escape hatch
+	// Schedule selects the epoch stage order. The zero value is
+	// ScheduleOverlap; ScheduleSerialized is the measurement baseline
 	// (cmd/bnsgcn -overlap=false).
 	Schedule Schedule
 	// Strategy, when non-nil, builds each rank's epoch-sampling strategy
@@ -469,18 +392,17 @@ type EpochStats struct {
 	SampleTime  time.Duration
 	ComputeTime time.Duration
 	// CommTime is the raw halo-exchange span: payload gather/serialize plus
-	// the full post-to-consumed window of every exchange. Under the
-	// pipelined schedules (ParallelConfig.Schedule = ScheduleOverlap or
-	// ScheduleOverlapRank) that window runs concurrently with ComputeTime,
-	// so the two overlap and must not be summed — use ExposedCommTime for
+	// the full post-to-consumed window of every exchange. Under
+	// ScheduleOverlap that window runs concurrently with ComputeTime, so the
+	// two overlap and must not be summed — use ExposedCommTime for
 	// critical-path accounting.
 	CommTime time.Duration
 	// ExposedCommTime is the unoverlapped portion of comm: gather/serialize
 	// work plus the time actually spent blocked waiting for boundary data
 	// after overlappable compute has run. Serialized schedule: equals
-	// CommTime (nothing is hidden). Pipelined schedule: the paper's
-	// boundary-communication cost appears here only to the extent it could
-	// not be hidden behind inner-node compute.
+	// CommTime on every rank (nothing is hidden). Overlapped: at most
+	// CommTime — the paper's boundary-communication cost appears here only
+	// to the extent it could not be hidden behind inner-node compute.
 	ExposedCommTime time.Duration
 	ReduceTime      time.Duration
 	CommBytes       int64 // boundary feature + gradient traffic
@@ -521,13 +443,15 @@ type RankTrainer struct {
 	epoch            int
 	evalModel        *Model
 	evalTrainer      *FullTrainer
-	flatGrad         []float32 // reusable gradient AllReduce buffer
-	// arrCh is the completion queue of the arrival-order drain: every
-	// notify-posted halo receive delivers its peer's rank here when the
-	// payload becomes consumable. Capacity K covers the at most K−1
-	// notifications outstanding per phase, so the transport never blocks
-	// delivering a token.
-	arrCh chan int
+	flatGrad         []float32  // reusable gradient AllReduce buffer
+	ep               epochState // the running epoch's shared stage state
+	// arrCh is the halo completion queue: every posted halo receive
+	// delivers its peer's rank here when the payload becomes consumable.
+	// Capacity K covers the at most K−1 notifications outstanding per phase,
+	// so the transport never blocks delivering a token. landed is the
+	// serialized schedule's scratch for the tokens it waits out up front.
+	arrCh  chan int
+	landed []int
 }
 
 // NewRankTrainer builds the local state for one rank of a k-way training
@@ -545,14 +469,15 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 		return nil, err
 	}
 	rt := &RankTrainer{
-		DS:    ds,
-		Topo:  topo,
-		Cfg:   cfg,
-		Rank:  rank,
-		LP:    NewLocalPartition(ds, topo, rank),
-		Model: model,
-		opt:   optim.NewAdam(cfg.Model.LR),
-		arrCh: make(chan int, topo.K),
+		DS:     ds,
+		Topo:   topo,
+		Cfg:    cfg,
+		Rank:   rank,
+		LP:     NewLocalPartition(ds, topo, rank),
+		Model:  model,
+		opt:    optim.NewAdam(cfg.Model.LR),
+		arrCh:  make(chan int, topo.K),
+		landed: make([]int, topo.K),
 	}
 	// The epoch-sampling strategy: BNS by default, or whatever the config's
 	// factory builds. It samples against the static partition view and fills

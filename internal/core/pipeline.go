@@ -5,93 +5,182 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-// This file is the pipelined epoch engine: Algorithm 1's loop body from one
-// partition's view, executed as a per-layer stage schedule instead of the
-// old strictly serialized sample → exchange → compute phases.
+// This file is the epoch engine: Algorithm 1's loop body from one
+// partition's view, executed as a short sequence of named per-layer stages.
+//
+//	plan          sample, exchange positions, build the epoch graph + row split
+//	per layer, forward:
+//	  post          gather + send boundary rows, post the halo receives
+//	  compute-free  rows whose aggregation reads no sampled boundary slot
+//	  drain         consume peers as they land; compute the rows each unlocks
+//	loss
+//	per layer, backward:
+//	  backward-halo   halo rows of the input gradient (what the peers await)
+//	  post-grad       send them, post the peer-gradient receives
+//	  backward-finish parameter gradients + inner rows
+//	  fold            stage peer gradients as they land, fold in rank order
+//	reduce        gradient AllReduce + optimizer step
 //
 // Every layer pass runs in compute chunks over a per-epoch row partition
-// (LocalPartition.splitRows): the halo-free rows, whose aggregation reads no
-// sampled boundary slot, and the halo-dependent remainder. The row buckets
-// drive the sparse SpMM engine (tensor.SpMMRows and friends, over the
-// aggregation plan LocalPartition rebuilds with each epoch graph): the
-// chunked row passes, the one-shot passes, and the engine's edge-blocked
-// kernels are all bit-identical per row, so the schedule equivalences below
-// hold unchanged on top of it. Halo sends and
-// receives are posted asynchronously (comm.Worker.ISendF32/IRecvF32) before
-// any chunk runs. The three schedules differ only in where the waits sit and
-// in what order peer payloads are consumed:
+// (LocalPartition.splitRows): the halo-free rows and the halo-dependent
+// remainder, the latter bucketed by the peers each row awaits. The chunked
+// row passes are bit-identical per row to the one-shot layer passes (see
+// nn's layer tests), whatever order the chunks run in.
 //
-//	ScheduleSerialized:   post → wait+consume (rank order) → chunk1 → chunk2
-//	ScheduleOverlapRank:  post → chunk1 → wait+consume (rank order) → chunk2
-//	ScheduleOverlap:      post → chunk1 → consume peers in ARRIVAL order,
-//	                      computing each peer's dependent rows as its
-//	                      payload lands (drainForwardArrival)
-//
-// The arrival-order drain is the default. It rides on the transports'
-// completion notifications (comm.Transport.IRecvF32Notify): every posted
-// halo receive reports its peer on RankTrainer.arrCh the moment the payload
-// is consumable, and the drain consumes whichever lands first — so one slow
-// peer no longer stalls rows whose data already arrived. Determinism
-// survives the nondeterministic consumption order because nothing in it is
-// order-sensitive:
+// Halo receives are always posted with a completion notification
+// (comm.Transport.IRecvF32Notify): every posted receive reports its peer on
+// RankTrainer.arrCh the moment the payload is consumable, and the drain
+// consumes whichever lands first — so one slow peer stalls only the rows
+// that genuinely need it. Determinism survives the nondeterministic
+// consumption order because nothing in it is order-sensitive:
 //
 //   - the forward scatter writes each peer's rows into disjoint halo slots;
 //   - dropout masks for the whole halo range are drawn up front in ascending
-//     element order (nn.Dropout.MaskRows — the RNG stream order of the
-//     rank-order schedules) and only *applied* per peer on arrival;
+//     element order (nn.Dropout.MaskRows) and only *applied* per peer on
+//     arrival;
 //   - a halo-dependent row is computed exactly once, when its last awaited
-//     peer lands (splitRows' per-peer buckets + rowWait countdown), and the
-//     chunked row passes are bit-identical per row in any order;
+//     peer lands (splitRows' per-peer buckets + rowWait countdown);
 //   - backward peer gradients, whose += folds into shared rows ARE
 //     order-sensitive, are only staged per peer on arrival and folded in
 //     canonical ascending rank order once all are in.
 //
-// All schedules therefore issue the same messages and the same per-row
-// arithmetic with the same RNG consumption order, and are bit-identical by
-// construction: weights, losses, and per-rank payload bytes match exactly on
-// every backend (the overlap equivalence tests pin this, including a skewed
-// comm.WithLinkModel case that inverts peer completion order). The chunked
-// passes themselves are bit-identical to the one-shot layer passes (see nn's
-// chunked-pass property tests), so the engine also reproduces the historical
-// serialized implementation bit for bit.
-//
-// Backward is staged the same way per layer: BackwardBegin + BackwardHalo
-// complete the halo rows of the input gradient first, their 1/p-scaled
-// payloads are posted, and the parameter gradients plus inner rows
-// (BackwardFinish) overlap the exchange before the peer gradients are folded
-// into the next layer's output gradient.
+// There are two schedules and they share every stage body. ScheduleOverlap
+// (the default) runs the stages in the order above, so the exchange is in
+// flight during compute-free and backward-finish. ScheduleSerialized hoists
+// the wait: right after each post it blocks until every payload has landed
+// (awaitHalo) and only then runs the same stages, none of which can block
+// any more — the baseline that hides nothing. Both issue the same messages
+// and the same per-row arithmetic with the same RNG consumption order, and
+// are bit-identical by construction: weights, losses, and per-rank payload
+// bytes match exactly on every backend (the overlap equivalence tests pin
+// this, including a skewed comm.WithLinkModel case that inverts peer
+// completion order).
 //
 // Timing is split into two comm counters (see EpochStats): CommExposed is
 // the critical-path portion (payload gather/serialize plus actual blocked
-// waits and halo fills), Comm the raw span from post to last consumption —
-// which under overlap runs concurrently with Compute and measures what the
-// exchange would cost if nothing hid it. The arrival-order drain attributes
-// the row compute it interleaves between waits to Compute, not CommExposed,
-// so the exposed figure stays comparable across schedules.
+// waits and halo fills), Comm the raw span of each exchange from post to
+// last consumption — which under overlap runs concurrently with Compute and
+// measures what the exchange would cost if nothing hid it, and under the
+// serialized schedule is exactly CommExposed. The drain attributes the row
+// compute it interleaves between waits to Compute, not CommExposed, so the
+// exposed figure stays comparable across schedules.
+
+// epochState is what one epoch's plan stage decides and the per-layer stages
+// share. It lives inside the RankTrainer and is reset per epoch, so the
+// stages are plain methods: no closures, no per-epoch allocation.
+type epochState struct {
+	w  *comm.Worker
+	st RankStats
+
+	eg     *graph.Graph // the epoch subgraph
+	invDeg []float32    // mean-aggregation normalizer per inner row
+	// invP / haloScale: the receive rescale of halo features (uniform, or
+	// per slot when haloScale is non-nil), and by the chain rule of the halo
+	// gradients sent back.
+	invP      float32
+	haloScale []float32
+	lossMask  []bool
+	// exchanging: does this epoch move any halo traffic at all? (False for
+	// k=1, p=0, or an epoch that sampled nothing.) Gates the raw comm-span
+	// accounting so halo-free compute is not misreported as comm span when
+	// there is no exchange in flight.
+	exchanging bool
+}
+
+// commSpan marks one posted exchange: when its flight began, and the exposed
+// comm total at that moment.
+type commSpan struct {
+	start   time.Time
+	exposed time.Duration
+}
+
+func (rt *RankTrainer) openSpan() commSpan {
+	return commSpan{start: time.Now(), exposed: rt.ep.st.CommExposed}
+}
+
+// closeSpan adds one exchange's raw span to Comm. Overlapped, that is the
+// wall-clock window from flight start to end (the last consumption),
+// whatever compute ran inside it. Serialized — or with nothing in flight —
+// nothing was hidden, so the span is exactly the exposed time the stages
+// since the post accumulated.
+func (rt *RankTrainer) closeSpan(s commSpan, end time.Time) {
+	st := &rt.ep.st
+	if rt.ep.exchanging && rt.Cfg.Schedule == ScheduleOverlap {
+		if end.After(s.start) { // a zero end: nothing was pending
+			st.Comm += end.Sub(s.start)
+		}
+	} else {
+		st.Comm += st.CommExposed - s.exposed
+	}
+}
 
 // runEpoch executes one epoch of strategy-sampled partition-parallel
 // training for this rank over the worker's transport.
 func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
-	var ws RankStats
-	rank := rt.Rank
-	lp := rt.LP
-	model := rt.Model
-	k := rt.Topo.K
-	overlap := rt.Cfg.Schedule.overlapped()
-	arrival := rt.Cfg.Schedule.arrival()
+	rt.ep = epochState{w: w}
+	layers := rt.Model.LayersL
+	serialized := rt.Cfg.Schedule == ScheduleSerialized
 
-	// --- Sampling phase (lines 4–7): the strategy decides the epoch ---
+	rt.planEpoch()
+
+	// --- Forward (lines 8–11) ---
+	h := rt.LP.Features // inner activations entering the current layer
+	for l := range layers {
+		x := rt.layerInput(l, h)
+		nPend := rt.postForward(l, h)
+		span := rt.openSpan()
+		if serialized {
+			rt.awaitHalo(nPend)
+		}
+		h = rt.forwardFree(l, x)
+		rt.closeSpan(span, rt.drainForward(l, x, nPend))
+	}
+
+	// --- Loss (line 12) ---
+	d := rt.lossGrad(h)
+
+	// --- Backward (line 13) ---
+	for l := len(layers) - 1; l > 0; l-- {
+		dxm := rt.backwardHalo(l, d)
+		nPend := rt.postGrad(l, dxm)
+		span := rt.openSpan()
+		if serialized {
+			rt.awaitHalo(nPend)
+		}
+		rt.backwardFinish(l)
+		d = rt.foldGrad(dxm, nPend)
+		rt.closeSpan(span, time.Now())
+	}
+	rt.backwardInput(d)
+
+	// --- Gradient AllReduce + update (lines 14–15) ---
+	rt.reduce()
+
+	// Everything drawn from the epoch workspace is dead now; recycle it.
+	rt.LP.ws.Reset()
+	return rt.ep.st
+}
+
+// planEpoch is the sampling phase (lines 4–7): the strategy decides the
+// epoch, ranks exchange their selections, and everything derivable from the
+// local sample — the epoch subgraph and its aggregation plan, the
+// effective-degree normalizer, the row split, the send/receive row lists —
+// is built for the layer stages.
+func (rt *RankTrainer) planEpoch() {
 	start := time.Now()
+	ep := &rt.ep
+	rank, lp, k, w := rt.Rank, rt.LP, rt.Topo.K, rt.ep.w
 	plan := &rt.plan
 	rt.strat.PlanEpoch(plan)
 	myPos := plan.Positions // aliases lp.myPos: positions I sampled, per owner
 	for j := 0; j < k; j++ {
 		if j != rank {
-			ws.SampledBd += len(myPos[j])
+			ep.st.SampledBd += len(myPos[j])
 		}
 	}
 	// The strategy's 1/p rescaling of received features (Section 3.2 for BNS)
@@ -99,26 +188,23 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 	// normalize per-neighborhood via softmax, so the rescale would only
 	// distort the attention logits — GAT runs unscaled whatever the strategy
 	// reports, matching the official code.
-	invP := plan.InvP
-	if invP <= 0 {
-		invP = 1
-	}
-	var haloScale []float32 // per-slot receive rescale; nil = uniform invP
+	ep.invP = 1
 	if rt.Cfg.Model.Arch == ArchSAGE {
-		haloScale = plan.HaloScale
-	} else {
-		invP = 1
+		ep.haloScale = plan.HaloScale
+		if plan.InvP > 0 {
+			ep.invP = plan.InvP
+		}
 	}
 	// A row-dropping strategy shrinks the loss to the inner rows it kept; the
 	// mask is captured now, before peer demand promotes extra rows back into
 	// compute. The normalizer stays the global train count — a property of
 	// the dataset alone — so the sampled loss is a fixed-expected-fraction
 	// estimate of the full one and ranks need no extra agreement round.
-	lossMask := lp.TrainMask
+	ep.lossMask = lp.TrainMask
 	if plan.DropsInner {
-		lossMask = lp.lossMask
+		ep.lossMask = lp.lossMask
 		for v := 0; v < lp.NIn; v++ {
-			lossMask[v] = lp.TrainMask[v] && lp.active[v]
+			lp.lossMask[v] = lp.TrainMask[v] && lp.active[v]
 		}
 	}
 	// Broadcast selections. The sent position slices alias lp.myPos scratch:
@@ -135,57 +221,11 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 	}
 	// Everything derivable from the local sample runs between the position
 	// sends and receives, overlapping the peers' sampling even in the
-	// serialized schedule: the epoch subgraph, the effective-degree
-	// normalizer, the halo-free/halo-dependent row split, and the receive
-	// slot lists.
-	eg := lp.epochGraph()
-	// Self-normalized mean estimator: sampled remote neighbors carry the
-	// strategy's receive rescale in the numerator (the received features
-	// arrive pre-scaled), and the normalizer is the matching effective
-	// degree. For BNS that is |local| + (1/p)·|sampled remote| — at p=1
-	// exactly the full degree; for p<1 the estimate is a convex combination
-	// of neighbor features, so sampling noise cannot blow up activations the
-	// way the unnormalized 1/p estimator does on low-degree nodes. Plans with
-	// per-slot scales or dropped inner rows take the generic per-edge walk;
-	// the BNS-shaped plan keeps the historical closed-form expression, whose
-	// float evaluation order the bit-identity goldens pin.
-	invDeg := lp.InvDeg // EstimatorHT: normalize by the full global degree
-	if rt.Cfg.Estimator == EstimatorSelfNorm {
-		invDeg = lp.epochInvDeg
-		if haloScale == nil && !plan.DropsInner {
-			for v := 0; v < lp.NIn; v++ {
-				row := eg.Neighbors(int32(v))
-				remote := float32(len(row) - int(lp.localNbrs[v]))
-				eff := float32(lp.localNbrs[v]) + invP*remote
-				if eff > 0 {
-					invDeg[v] = 1 / eff
-				} else {
-					invDeg[v] = 0 // scratch is reused; clear stale entries
-				}
-			}
-		} else {
-			for v := 0; v < lp.NIn; v++ {
-				var eff float32
-				for _, u := range eg.Neighbors(int32(v)) {
-					switch {
-					case int(u) < lp.NIn:
-						eff++
-					case haloScale != nil:
-						eff += haloScale[int(u)-lp.NIn]
-					default:
-						eff += invP
-					}
-				}
-				if eff > 0 {
-					invDeg[v] = 1 / eff
-				} else {
-					invDeg[v] = 0 // dropped or isolated row
-				}
-			}
-		}
-	}
+	// serialized schedule.
+	ep.eg = lp.epochGraph()
+	ep.invDeg = rt.epochInvDeg(plan)
 	if !plan.DropsInner {
-		lp.splitRows(eg, arrival, false)
+		lp.splitRows(ep.eg, false)
 	}
 	recvSlots := lp.recvSlots // halo local ids I fill from j
 	for j := 0; j < k; j++ {
@@ -236,367 +276,204 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 				lp.active[row] = true
 			}
 		}
-		lp.splitRows(eg, arrival, rt.Cfg.Model.Arch == ArchSAGE)
+		lp.splitRows(ep.eg, rt.Cfg.Model.Arch == ArchSAGE)
 	}
-	ws.Sample = time.Since(start)
-	// exchanging: does this epoch move any halo traffic at all? (False for
-	// k=1, p=0, or an epoch that sampled nothing.) Gates the raw comm-span
-	// accounting so halo-free compute is not misreported as comm span when
-	// there is no exchange in flight.
-	exchanging := false
+	ep.st.Sample = time.Since(start)
 	for j := 0; j < k; j++ {
 		if j != rank && (len(sendRows[j]) > 0 || len(recvSlots[j]) > 0) {
-			exchanging = true
+			ep.exchanging = true
 		}
 	}
-
-	// --- Forward (lines 8–11) ---
-	nLocal := lp.NIn + lp.NBd
-	hInner := lp.Features // inner activations entering the current layer
-	for l, layer := range model.LayersL {
-		dim := layer.InputDim()
-		drop := model.Dropouts[l]
-		// x comes from the epoch workspace with undefined contents: inner
-		// rows are overwritten below, sampled halo slots by the drain, and
-		// unsampled halo slots are never read because epochGraph dropped
-		// every edge into them.
-		x := lp.ws.Get(nLocal, dim)
-		copy(x.Data[:lp.NIn*dim], hInner.Data[:lp.NIn*dim])
-		// Rows the restricted split excluded from compute carry stale
-		// scratch in hInner; zero them so the SAGE parameter-gradient
-		// kernels — which read every row — see exact zeros.
-		for _, v := range lp.skipRows {
-			clear(x.Row(int(v)))
-		}
-
-		// Post the halo exchange. Payload buffers alias the epoch
-		// workspace; receivers consume them within this epoch.
-		cs := time.Now()
-		for j := 0; j < k; j++ {
-			if j == rank || len(sendRows[j]) == 0 {
-				continue
-			}
-			payload := lp.ws.GetF32(len(sendRows[j]) * dim)
-			for x2, row := range sendRows[j] {
-				copy(payload[x2*dim:(x2+1)*dim], hInner.Row(int(row)))
-			}
-			w.ISendF32(j, tagForward+l, payload)
-			ws.CommBytes += int64(4 * len(payload))
-		}
-		nPend := 0
-		for j := 0; j < k; j++ {
-			if j == rank || len(recvSlots[j]) == 0 {
-				continue
-			}
-			if arrival {
-				lp.pendRecv[j] = w.IRecvF32Notify(j, tagForward+l, rt.arrCh, j)
-			} else {
-				lp.pendRecv[j] = w.IRecvF32(j, tagForward+l)
-			}
-			nPend++
-		}
-		post := time.Since(cs)
-		ws.CommExposed += post
-		ws.Comm += post
-		flightStart := time.Now()
-
-		switch {
-		case arrival:
-			// Chunk 1 — halo-free rows — while boundary rows are in flight.
-			// The halo range's dropout masks are drawn here (ascending, the
-			// exact RNG stream position of the other schedules' chunk 2) so
-			// the drain can apply them per peer in any arrival order.
-			ps := time.Now()
-			xd := drop.ForwardBegin(x, true)
-			drop.ForwardRows(0, lp.NIn)
-			hInner = layer.ForwardBegin(eg, xd, lp.NIn, invDeg)
-			layer.ForwardPrep(0, lp.NIn)
-			drop.MaskRows(lp.NIn, nLocal)
-			layer.ForwardRows(lp.haloFree)
-			ws.Compute += time.Since(ps)
-
-			lastConsume := rt.drainForwardArrival(w, x, l, dim, invP, haloScale, drop, layer, nPend, &ws)
-			if exchanging {
-				// Raw comm span ends at the last consumption, not after the
-				// trailing row compute the drain interleaves — keeping
-				// comm(raw) comparable with the rank-order schedule.
-				if lastConsume.IsZero() {
-					lastConsume = flightStart
-				}
-				ws.Comm += lastConsume.Sub(flightStart)
-			}
-		case overlap:
-			// Rank-order drain: chunk 1 overlaps the flight, then all peers
-			// complete in ascending rank order before chunk 2.
-			ps := time.Now()
-			xd := drop.ForwardBegin(x, true)
-			drop.ForwardRows(0, lp.NIn)
-			hInner = layer.ForwardBegin(eg, xd, lp.NIn, invDeg)
-			layer.ForwardPrep(0, lp.NIn)
-			layer.ForwardRows(lp.haloFree)
-			ws.Compute += time.Since(ps)
-
-			ds := time.Now()
-			rt.drainForward(w, x, l, dim, invP, haloScale)
-			wd := time.Since(ds)
-			ws.CommExposed += wd
-			if exchanging {
-				ws.Comm += time.Since(flightStart)
-			} else {
-				ws.Comm += wd
-			}
-
-			// Chunk 2 — halo-dependent rows — on arrival.
-			ps = time.Now()
-			drop.ForwardRows(lp.NIn, nLocal)
-			layer.ForwardPrep(lp.NIn, nLocal)
-			layer.ForwardRows(lp.haloDep)
-			ws.Compute += time.Since(ps)
-		default:
-			// Serialized baseline: identical calls, waits moved up front.
-			ds := time.Now()
-			rt.drainForward(w, x, l, dim, invP, haloScale)
-			d := time.Since(ds)
-			ws.CommExposed += d
-			ws.Comm += d
-
-			ps := time.Now()
-			xd := drop.ForwardBegin(x, true)
-			drop.ForwardRows(0, lp.NIn)
-			hInner = layer.ForwardBegin(eg, xd, lp.NIn, invDeg)
-			layer.ForwardPrep(0, lp.NIn)
-			layer.ForwardRows(lp.haloFree)
-			drop.ForwardRows(lp.NIn, nLocal)
-			layer.ForwardPrep(lp.NIn, nLocal)
-			layer.ForwardRows(lp.haloDep)
-			ws.Compute += time.Since(ps)
-		}
-	}
-
-	// --- Loss (line 12) ---
-	ls := time.Now()
-	d := lp.ws.Get(hInner.Rows, hInner.Cols)
-	ws.Loss = LossInto(d, rt.DS, hInner, lp.Labels, lp.LabelMatrix, lossMask, rt.globalTrainCount)
-	model.ZeroGrad()
-	ws.Compute += time.Since(ls)
-
-	// --- Backward (line 13) ---
-	for l := len(model.LayersL) - 1; l >= 0; l-- {
-		layer := model.LayersL[l]
-		drop := model.Dropouts[l]
-		if l == 0 {
-			// Input features need no gradient: no halo exchange, and the
-			// dropout backward's output is unused — only the parameter
-			// gradients matter, which the one-shot backward accumulates.
-			bs := time.Now()
-			layer.Backward(d)
-			ws.Compute += time.Since(bs)
-			break
-		}
-		dim := layer.InputDim()
-
-		// Stage A: pre-activation grads, then the halo rows of the input
-		// gradient — the only rows the peers are waiting for.
-		bs := time.Now()
-		layer.BackwardBegin(d)
-		dH := layer.BackwardHalo(lp.haloDep, lp.haloSlots, lp.NIn)
-		dxm := drop.BackwardBegin(dH)
-		drop.BackwardRows(lp.NIn, nLocal)
-		ws.Compute += time.Since(bs)
-
-		// Post the gradient exchange.
-		cs := time.Now()
-		for j := 0; j < k; j++ {
-			if j == rank || len(recvSlots[j]) == 0 {
-				continue
-			}
-			payload := lp.ws.GetF32(len(recvSlots[j]) * dim)
-			for x2, slot := range recvSlots[j] {
-				src := dxm.Row(int(slot))
-				dst := payload[x2*dim : (x2+1)*dim]
-				s := invP // chain rule through the receive rescale
-				if haloScale != nil {
-					s = haloScale[int(slot)-lp.NIn]
-				}
-				for c, v := range src {
-					dst[c] = v * s
-				}
-			}
-			w.ISendF32(j, tagBackward+l, payload)
-			ws.CommBytes += int64(4 * len(payload))
-		}
-		nPend := 0
-		for j := 0; j < k; j++ {
-			if j == rank || len(sendRows[j]) == 0 {
-				continue
-			}
-			if arrival {
-				lp.pendRecv[j] = w.IRecvF32Notify(j, tagBackward+l, rt.arrCh, j)
-			} else {
-				lp.pendRecv[j] = w.IRecvF32(j, tagBackward+l)
-			}
-			nPend++
-		}
-		post := time.Since(cs)
-		ws.CommExposed += post
-		ws.Comm += post
-		flightStart := time.Now()
-
-		if !overlap {
-			// Serialized baseline: block for the peer gradients up front.
-			ds := time.Now()
-			for j := 0; j < k; j++ {
-				if j == rank || len(sendRows[j]) == 0 {
-					continue
-				}
-				lp.recvData[j] = lp.pendRecv[j].Wait()
-			}
-			wd := time.Since(ds)
-			ws.CommExposed += wd
-			ws.Comm += wd
-		}
-
-		// Stage B: parameter gradients + inner rows, overlapping the
-		// exchange when the pipelined schedule is on.
-		ps := time.Now()
-		layer.BackwardFinish(lp.haloFree, lp.NIn)
-		drop.BackwardRows(0, lp.NIn)
-		ws.Compute += time.Since(ps)
-
-		// Assemble the next output gradient: my inner rows plus the halo
-		// gradients the peers computed for them. Peer gradients += into
-		// shared destination rows, so the fold itself must stay in ascending
-		// rank order (the accumulation order is part of bit-identity) — the
-		// arrival-order schedule therefore only *stages* each peer's payload
-		// as it lands (the receive, and under a modeled link its latency,
-		// completes in arrival order) and folds once all are in.
-		as := time.Now()
-		if arrival {
-			for i := 0; i < nPend; i++ {
-				j := <-rt.arrCh
-				lp.recvData[j] = lp.pendRecv[j].Wait()
-			}
-		}
-		dNext := lp.ws.Get(lp.NIn, dim)
-		copy(dNext.Data, dxm.Data[:lp.NIn*dim])
-		// Skipped rows' input-gradient rows are stale scratch (no split
-		// write covers them, and no gather reaches an edgeless row); the
-		// layer below multiplies its parameter grads by these rows' dPre,
-		// so they must be exact zeros.
-		for _, v := range lp.skipRows {
-			clear(dNext.Row(int(v)))
-		}
-		for j := 0; j < k; j++ {
-			if j == rank || len(sendRows[j]) == 0 {
-				continue
-			}
-			data := lp.recvData[j]
-			if data != nil {
-				lp.recvData[j] = nil
-			} else {
-				data = lp.pendRecv[j].Wait()
-			}
-			for x2, row := range sendRows[j] {
-				tensor.AddTo(dNext.Row(int(row)), data[x2*dim:(x2+1)*dim])
-			}
-			w.RecycleF32(data)
-		}
-		ad := time.Since(as)
-		ws.CommExposed += ad
-		if overlap && exchanging {
-			ws.Comm += time.Since(flightStart)
-		} else {
-			ws.Comm += ad
-		}
-		d = dNext
-	}
-
-	// --- Gradient AllReduce + update (lines 14–15) ---
-	rs := time.Now()
-	flat := nn.FlattenMats(model.Grads(), rt.flatGrad)
-	rt.flatGrad = flat
-	w.AllReduceSum(flat, tagReduce)
-	nn.UnflattenMats(model.Grads(), flat)
-	ws.ReduceBytes = int64(4 * len(flat))
-	rt.opt.Step(model.Params(), model.Grads())
-	ws.Reduce = time.Since(rs)
-
-	// Everything drawn from the epoch workspace is dead now; recycle it.
-	lp.ws.Reset()
-	return ws
 }
 
-// drainForward waits for this layer's boundary feature rows in ascending
-// peer order, writes them into the halo slots of x with the strategy's
-// receive rescale (the unbiased 1/p of Section 3.2 for BNS), and recycles
-// the payload buffers. Callers time the whole call and attribute it to the
-// comm counters themselves.
-func (rt *RankTrainer) drainForward(w *comm.Worker, x *tensor.Matrix, l, dim int, invP float32, haloScale []float32) {
-	for j := 0; j < rt.Topo.K; j++ {
-		if j == rt.Rank || len(rt.LP.recvSlots[j]) == 0 {
+// epochInvDeg returns the mean-aggregation normalizer for the epoch graph.
+// EstimatorHT keeps the full global degree. The self-normalized estimator
+// pairs the receive rescale in the numerator (received features arrive
+// pre-scaled) with the matching effective degree: for BNS
+// |local| + (1/p)·|sampled remote| — at p=1 exactly the full degree; for p<1
+// the estimate is a convex combination of neighbor features, so sampling
+// noise cannot blow up activations the way the unnormalized 1/p estimator
+// does on low-degree nodes. Plans with per-slot scales or dropped inner rows
+// take the generic per-edge walk; the BNS-shaped plan keeps the historical
+// closed-form expression, whose float evaluation order the bit-identity
+// goldens pin.
+func (rt *RankTrainer) epochInvDeg(plan *Plan) []float32 {
+	lp, eg := rt.LP, rt.ep.eg
+	invP, haloScale := rt.ep.invP, rt.ep.haloScale
+	if rt.Cfg.Estimator != EstimatorSelfNorm {
+		return lp.InvDeg
+	}
+	invDeg := lp.epochInvDeg
+	if haloScale == nil && !plan.DropsInner {
+		for v := 0; v < lp.NIn; v++ {
+			row := eg.Neighbors(int32(v))
+			remote := float32(len(row) - int(lp.localNbrs[v]))
+			eff := float32(lp.localNbrs[v]) + invP*remote
+			if eff > 0 {
+				invDeg[v] = 1 / eff
+			} else {
+				invDeg[v] = 0 // scratch is reused; clear stale entries
+			}
+		}
+		return invDeg
+	}
+	for v := 0; v < lp.NIn; v++ {
+		var eff float32
+		for _, u := range eg.Neighbors(int32(v)) {
+			switch {
+			case int(u) < lp.NIn:
+				eff++
+			case haloScale != nil:
+				eff += haloScale[int(u)-lp.NIn]
+			default:
+				eff += invP
+			}
+		}
+		if eff > 0 {
+			invDeg[v] = 1 / eff
+		} else {
+			invDeg[v] = 0 // dropped or isolated row
+		}
+	}
+	return invDeg
+}
+
+// haloRescale is the receive rescale of one halo slot.
+func (rt *RankTrainer) haloRescale(slot int32) float32 {
+	if hs := rt.ep.haloScale; hs != nil {
+		return hs[int(slot)-rt.LP.NIn]
+	}
+	return rt.ep.invP
+}
+
+// layerInput assembles layer l's input over the local node space from the
+// inner activations h. x comes from the epoch workspace with undefined
+// contents: inner rows are overwritten here, sampled halo slots by the
+// drain, and unsampled halo slots are never read because epochGraph dropped
+// every edge into them.
+func (rt *RankTrainer) layerInput(l int, h *tensor.Matrix) *tensor.Matrix {
+	lp := rt.LP
+	dim := rt.Model.LayersL[l].InputDim()
+	x := lp.ws.Get(lp.NIn+lp.NBd, dim)
+	copy(x.Data[:lp.NIn*dim], h.Data[:lp.NIn*dim])
+	// Rows the restricted split excluded from compute carry stale scratch in
+	// h; zero them so the SAGE parameter-gradient kernels — which read every
+	// row — see exact zeros.
+	for _, v := range lp.skipRows {
+		clear(x.Row(int(v)))
+	}
+	return x
+}
+
+// postForward posts layer l's halo exchange — the boundary rows of h each
+// peer sampled, and one notify-receive per peer I sampled from — and returns
+// the number of receives pending. Payload buffers alias the epoch workspace;
+// receivers consume them within this epoch.
+func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) (nPend int) {
+	cs := time.Now()
+	lp, st, w := rt.LP, &rt.ep.st, rt.ep.w
+	dim := h.Cols
+	for j, rows := range lp.sendRows {
+		if len(rows) == 0 {
 			continue
 		}
-		rt.consumeForward(w, x, j, l, dim, invP, haloScale)
+		payload := lp.ws.GetF32(len(rows) * dim)
+		for x, row := range rows {
+			copy(payload[x*dim:(x+1)*dim], h.Row(int(row)))
+		}
+		w.ISendF32(j, tagForward+l, payload)
+		st.CommBytes += int64(4 * len(payload))
 	}
+	for j, slots := range lp.recvSlots {
+		if len(slots) == 0 {
+			continue
+		}
+		lp.pendRecv[j] = w.IRecvF32Notify(j, tagForward+l, rt.arrCh, j)
+		nPend++
+	}
+	post := time.Since(cs)
+	st.CommExposed += post
+	st.Comm += post
+	return nPend
 }
 
-// consumeForward waits for peer j's boundary feature rows for this layer,
-// scatters them into j's halo slots of x with the strategy's receive rescale
-// (uniform invP, or the plan's per-slot importance weights), and recycles
-// the payload buffer. The slots of different peers are disjoint, so both
-// drains — rank order and arrival order — go through this one path and
-// cannot diverge.
-func (rt *RankTrainer) consumeForward(w *comm.Worker, x *tensor.Matrix, j, l, dim int, invP float32, haloScale []float32) {
-	lp := rt.LP
-	data := lp.pendRecv[j].Wait()
-	if len(data) != len(lp.recvSlots[j])*dim {
-		panic(fmt.Sprintf("core: rank %d layer %d: got %d floats from %d, want %d",
-			rt.Rank, l, len(data), j, len(lp.recvSlots[j])*dim))
+// awaitHalo is the serialized schedule's hoisted wait: it blocks until all
+// nPend posted receives have landed, then puts their completion tokens back
+// (arrCh's capacity covers a full phase), so the consuming stage that
+// follows finds every peer ready and never blocks.
+func (rt *RankTrainer) awaitHalo(nPend int) {
+	ds := time.Now()
+	for i := 0; i < nPend; i++ {
+		rt.landed[i] = <-rt.arrCh
 	}
-	for x2, slot := range lp.recvSlots[j] {
-		dst := x.Row(int(slot))
-		src := data[x2*dim : (x2+1)*dim]
-		s := invP
-		if haloScale != nil {
-			s = haloScale[int(slot)-lp.NIn]
-		}
-		for c, v := range src {
-			dst[c] = v * s
-		}
+	for _, j := range rt.landed[:nPend] {
+		rt.arrCh <- j
 	}
-	w.RecycleF32(data)
+	rt.ep.st.CommExposed += time.Since(ds)
 }
 
-// drainForwardArrival consumes this layer's boundary feature rows in
-// peer-arrival order: it blocks on the completion queue, and whichever
-// peer's payload becomes consumable first is scattered into that peer's halo
-// slots (disjoint per peer, so arrival order cannot change the bits), the
-// slots get their pre-drawn dropout masks applied and their per-node
-// precomputations run, and every halo-dependent row whose last awaited peer
-// just landed is computed immediately (splitRows' rowWait countdown). Rows
-// unlocked by one peer are ascending (peerRows is built by an ascending row
-// scan) and each row runs exactly once, with per-row arithmetic identical to
-// the rank-order chunk 2 — so the result is bit-identical while a slow peer
-// stalls only the rows that genuinely need it.
+// forwardFree begins layer l's pass over x and computes the halo-free rows —
+// everything that needs no boundary data. The halo range's dropout masks are
+// drawn here too (ascending, right after the inner rows': the RNG stream
+// order of a single full pass) so the drain can apply them per peer in any
+// arrival order. Returns the layer's output matrix; its halo-dependent rows
+// are valid after the drain.
+func (rt *RankTrainer) forwardFree(l int, x *tensor.Matrix) *tensor.Matrix {
+	ps := time.Now()
+	lp, ep := rt.LP, &rt.ep
+	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
+	xd := drop.ForwardBegin(x, true)
+	drop.ForwardRows(0, lp.NIn)
+	out := layer.ForwardBegin(ep.eg, xd, lp.NIn, ep.invDeg)
+	layer.ForwardPrep(0, lp.NIn)
+	drop.MaskRows(lp.NIn, lp.NIn+lp.NBd)
+	layer.ForwardRows(lp.haloFree)
+	ep.st.Compute += time.Since(ps)
+	return out
+}
+
+// drainForward consumes layer l's boundary feature rows in peer-arrival
+// order: it blocks on the completion queue, and whichever peer's payload
+// becomes consumable first is scattered into that peer's halo slots of x
+// with the strategy's receive rescale (the unbiased 1/p of Section 3.2 for
+// BNS; slots are disjoint per peer, so arrival order cannot change the
+// bits), the slots get their pre-drawn dropout masks applied and their
+// per-node precomputations run, and every halo-dependent row whose last
+// awaited peer just landed is computed immediately (splitRows' rowWait
+// countdown). Rows unlocked by one peer are ascending (peerRows is built by
+// an ascending row scan) and each row runs exactly once.
 //
 // Blocked waits and halo fills are attributed to CommExposed, the unlocked
-// row compute to Compute, keeping the exposed-comm figure comparable with
-// the other schedules; the returned time of the last consumption lets the
-// caller end the raw comm span there (zero when nothing was pending).
-func (rt *RankTrainer) drainForwardArrival(w *comm.Worker, x *tensor.Matrix, l, dim int, invP float32,
-	haloScale []float32, drop *nn.Dropout, layer GraphLayer, nPend int, ws *RankStats) (lastConsume time.Time) {
-	lp := rt.LP
+// row compute to Compute; the returned time of the last consumption ends the
+// exchange's raw span (zero when nothing was pending).
+func (rt *RankTrainer) drainForward(l int, x *tensor.Matrix, nPend int) (lastConsume time.Time) {
+	lp, ep := rt.LP, &rt.ep
+	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
+	dim := x.Cols
 	copy(lp.rowWait, lp.rowWaitInit) // re-arm the countdown for this layer's drain
 	for i := 0; i < nPend; i++ {
 		cs := time.Now()
 		j := <-rt.arrCh
-		rt.consumeForward(w, x, j, l, dim, invP, haloScale)
+		slots := lp.recvSlots[j]
+		data := lp.pendRecv[j].Wait()
+		if len(data) != len(slots)*dim {
+			panic(fmt.Sprintf("core: rank %d layer %d: got %d floats from %d, want %d",
+				rt.Rank, l, len(data), j, len(slots)*dim))
+		}
+		for r, slot := range slots {
+			dst := x.Row(int(slot))
+			s := rt.haloRescale(slot)
+			for c, v := range data[r*dim : (r+1)*dim] {
+				dst[c] = v * s
+			}
+		}
+		ep.w.RecycleF32(data)
 		lastConsume = time.Now()
-		ws.CommExposed += lastConsume.Sub(cs)
+		ep.st.CommExposed += lastConsume.Sub(cs)
 
 		ps := time.Now()
-		drop.ApplyMaskedRows(lp.recvSlots[j])
-		layer.ForwardPrepRows(lp.recvSlots[j])
+		drop.ApplyMaskedRows(slots)
+		layer.ForwardPrepRows(slots)
 		ready := lp.readyRows[:0]
 		for _, v := range lp.peerRows[j] {
 			lp.rowWait[v]--
@@ -606,7 +483,144 @@ func (rt *RankTrainer) drainForwardArrival(w *comm.Worker, x *tensor.Matrix, l, 
 		}
 		lp.readyRows = ready
 		layer.ForwardRows(ready)
-		ws.Compute += time.Since(ps)
+		ep.st.Compute += time.Since(ps)
 	}
 	return lastConsume
+}
+
+// lossGrad computes this rank's loss contribution (line 12) and returns the
+// logit gradient the backward stages start from.
+func (rt *RankTrainer) lossGrad(logits *tensor.Matrix) *tensor.Matrix {
+	ls := time.Now()
+	lp, st := rt.LP, &rt.ep.st
+	d := lp.ws.Get(logits.Rows, logits.Cols)
+	st.Loss = LossInto(d, rt.DS, logits, lp.Labels, lp.LabelMatrix, rt.ep.lossMask, rt.globalTrainCount)
+	rt.Model.ZeroGrad()
+	st.Compute += time.Since(ls)
+	return d
+}
+
+// backwardHalo starts layer l's backward from the output gradient d and
+// completes the halo rows of the input gradient — the only rows the peers
+// are waiting for. Returns the input gradient after dropout; its inner rows
+// are valid after backwardFinish.
+func (rt *RankTrainer) backwardHalo(l int, d *tensor.Matrix) *tensor.Matrix {
+	bs := time.Now()
+	lp := rt.LP
+	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
+	layer.BackwardBegin(d)
+	dH := layer.BackwardHalo(lp.haloDep, lp.haloSlots, lp.NIn)
+	dxm := drop.BackwardBegin(dH)
+	drop.BackwardRows(lp.NIn, lp.NIn+lp.NBd)
+	rt.ep.st.Compute += time.Since(bs)
+	return dxm
+}
+
+// postGrad posts layer l's gradient exchange: the halo rows of dxm go back
+// to the peers that own them, scaled by the chain rule through the receive
+// rescale, and one notify-receive is posted per peer I sent features to.
+func (rt *RankTrainer) postGrad(l int, dxm *tensor.Matrix) (nPend int) {
+	cs := time.Now()
+	lp, ep := rt.LP, &rt.ep
+	dim := dxm.Cols
+	for j, slots := range lp.recvSlots {
+		if len(slots) == 0 {
+			continue
+		}
+		payload := lp.ws.GetF32(len(slots) * dim)
+		for x, slot := range slots {
+			dst := payload[x*dim : (x+1)*dim]
+			s := rt.haloRescale(slot)
+			for c, v := range dxm.Row(int(slot)) {
+				dst[c] = v * s
+			}
+		}
+		ep.w.ISendF32(j, tagBackward+l, payload)
+		ep.st.CommBytes += int64(4 * len(payload))
+	}
+	for j, rows := range lp.sendRows {
+		if len(rows) == 0 {
+			continue
+		}
+		lp.pendRecv[j] = ep.w.IRecvF32Notify(j, tagBackward+l, rt.arrCh, j)
+		nPend++
+	}
+	post := time.Since(cs)
+	ep.st.CommExposed += post
+	ep.st.Comm += post
+	return nPend
+}
+
+// backwardFinish accumulates layer l's parameter gradients and completes the
+// inner rows of its input gradient — under overlap, while the gradient
+// exchange is in flight.
+func (rt *RankTrainer) backwardFinish(l int) {
+	ps := time.Now()
+	lp := rt.LP
+	rt.Model.LayersL[l].BackwardFinish(lp.haloFree, lp.NIn)
+	rt.Model.Dropouts[l].BackwardRows(0, lp.NIn)
+	rt.ep.st.Compute += time.Since(ps)
+}
+
+// foldGrad assembles the next layer down's output gradient: my inner rows of dxm
+// plus the halo gradients the peers computed for them. Peer gradients +=
+// into shared destination rows, so the fold itself must stay in ascending
+// rank order (the accumulation order is part of bit-identity) — each peer's
+// payload is therefore only *staged* as it lands (the receive, and under a
+// modeled link its latency, completes in arrival order) and folded once all
+// are in.
+func (rt *RankTrainer) foldGrad(dxm *tensor.Matrix, nPend int) *tensor.Matrix {
+	as := time.Now()
+	lp := rt.LP
+	dim := dxm.Cols
+	for i := 0; i < nPend; i++ {
+		j := <-rt.arrCh
+		lp.recvData[j] = lp.pendRecv[j].Wait()
+	}
+	dNext := lp.ws.Get(lp.NIn, dim)
+	copy(dNext.Data, dxm.Data[:lp.NIn*dim])
+	// Skipped rows' input-gradient rows are stale scratch (no split write
+	// covers them, and no gather reaches an edgeless row); the layer below
+	// multiplies its parameter grads by these rows' dPre, so they must be
+	// exact zeros.
+	for _, v := range lp.skipRows {
+		clear(dNext.Row(int(v)))
+	}
+	for j, rows := range lp.sendRows {
+		if len(rows) == 0 {
+			continue
+		}
+		data := lp.recvData[j]
+		lp.recvData[j] = nil
+		for x, row := range rows {
+			tensor.AddTo(dNext.Row(int(row)), data[x*dim:(x+1)*dim])
+		}
+		rt.ep.w.RecycleF32(data)
+	}
+	rt.ep.st.CommExposed += time.Since(as)
+	return dNext
+}
+
+// backwardInput runs the first layer's backward. Input features need no
+// gradient: no halo exchange, and the dropout backward's output is unused —
+// only the parameter gradients matter, which the one-shot backward
+// accumulates.
+func (rt *RankTrainer) backwardInput(d *tensor.Matrix) {
+	bs := time.Now()
+	rt.Model.LayersL[0].Backward(d)
+	rt.ep.st.Compute += time.Since(bs)
+}
+
+// reduce sums the weight gradients across ranks and applies the optimizer
+// step (lines 14–15).
+func (rt *RankTrainer) reduce() {
+	rs := time.Now()
+	model, st := rt.Model, &rt.ep.st
+	flat := nn.FlattenMats(model.Grads(), rt.flatGrad)
+	rt.flatGrad = flat
+	rt.ep.w.AllReduceSum(flat, tagReduce)
+	nn.UnflattenMats(model.Grads(), flat)
+	st.ReduceBytes = int64(4 * len(flat))
+	rt.opt.Step(model.Params(), model.Grads())
+	st.Reduce = time.Since(rs)
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -121,7 +120,7 @@ func knockGrow(t *testing.T, addr string, slot int) string {
 // the grow knock has fired, a member knock is a survivor's re-rendezvous
 // probe racing the watcher's shutdown and is parked with ERETRY instead.
 func TestGrowWatcherAdmitsOnceAndRejectsImpostors(t *testing.T) {
-	before := runtime.NumGoroutine()
+	before := goroutineStacks()
 	addr := freeCandidates(t, 1)[0]
 	var mu sync.Mutex
 	var grew []int
@@ -191,7 +190,7 @@ type coreDataset struct {
 // repartition, and the resumed RNG streams are all deterministic.
 func TestRunnerResizeShrinkDeterminism(t *testing.T) {
 	const world, epochs, every, stopAfter = 3, 8, 2, 3
-	before := runtime.NumGoroutine()
+	before := goroutineStacks()
 
 	run := func() (hashes [2]string, reps [2]Report) {
 		ds, parts, topo, cfg := testFixtureParts(t, world)
@@ -256,7 +255,7 @@ func TestRunnerResizeShrinkDeterminism(t *testing.T) {
 // back, and finish — all three ranks with identical replicas.
 func TestRunnerResizeGrowBack(t *testing.T) {
 	const world, epochs, every, stopAfter, holdEpoch = 3, 8, 2, 3, 5
-	before := runtime.NumGoroutine()
+	before := goroutineStacks()
 	ds, parts, topo, cfg := testFixtureParts(t, world)
 	fx := &coreDataset{factory: memberFactory(ds, parts, topo, cfg, world)}
 	dir := t.TempDir()
@@ -359,12 +358,12 @@ func TestRunnerResizeGrowBack(t *testing.T) {
 }
 
 // TestRunnerResizeDoubleDeathShrinksToTwo: world 4 loses ranks 2 AND 3 at the
-// same epoch — the second death lands during the survivors' re-rendezvous.
+// same epoch boundary.
 // The stable roster is the two survivors, who must shrink straight to k'=2
 // (the multi-dead repartition path) and finish in agreement.
 func TestRunnerResizeDoubleDeathShrinksToTwo(t *testing.T) {
 	const world, epochs, every, stopAfter = 4, 8, 2, 3
-	before := runtime.NumGoroutine()
+	before := goroutineStacks()
 	ds, parts, topo, cfg := testFixtureParts(t, world)
 	fx := &coreDataset{factory: memberFactory(ds, parts, topo, cfg, world)}
 	dir := t.TempDir()
@@ -383,15 +382,23 @@ func TestRunnerResizeDoubleDeathShrinksToTwo(t *testing.T) {
 			done[r] <- result{rt, rep, err}
 		}(r)
 	}
+	// Both victims finish their last epoch before either tears its transport
+	// down: killed from independent goroutines, the faster victim's death
+	// would land inside the slower one's final AllReduce and the victim
+	// itself would report a lost peer.
 	var vwg sync.WaitGroup
+	var victims [2]*comm.TCPTransport
 	for v := 2; v < 4; v++ {
 		vwg.Add(1)
 		go func(v int) {
 			defer vwg.Done()
-			runVictim(t, ds, topo, cfg, v, world, cands, dir, every, stopAfter)
+			victims[v-2] = trainVictim(t, ds, topo, cfg, v, world, cands, dir, every, stopAfter)
 		}(v)
 	}
 	vwg.Wait()
+	for _, tp := range victims {
+		killVictim(tp)
+	}
 
 	var hashes [2]string
 	for r := 0; r < 2; r++ {
@@ -418,7 +425,7 @@ func TestRunnerResizeDoubleDeathShrinksToTwo(t *testing.T) {
 // it times out with the lone-survivor error, goroutine-clean.
 func TestRunnerResizeLoneSurvivorFailsPointedly(t *testing.T) {
 	const world, epochs, every, stopAfter = 2, 8, 2, 3
-	before := runtime.NumGoroutine()
+	before := goroutineStacks()
 	ds, parts, topo, cfg := testFixtureParts(t, world)
 	fx := &coreDataset{factory: memberFactory(ds, parts, topo, cfg, world)}
 	dir := t.TempDir()
@@ -531,7 +538,7 @@ func TestSupervisorResizeShrinkGrowMatrix(t *testing.T) {
 
 	for _, k := range []int{3, 4} {
 		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := goroutineStacks()
 			chan1 := runScript(t, "chan", k)
 			chan2 := runScript(t, "chan", k)
 			tcp1 := runScript(t, "tcp", k)
@@ -596,7 +603,7 @@ func TestSupervisorResizeDoubleFault(t *testing.T) {
 	const k, epochs, every = 4, 8, 2
 	for _, backend := range []string{"chan", "tcp"} {
 		t.Run(backend, func(t *testing.T) {
-			before := runtime.NumGoroutine()
+			before := goroutineStacks()
 			ds, parts, topo, cfg := testFixtureParts(t, k)
 			members := map[int][]int{1: {0, 1, 2}, 2: {0, 1}}
 			sup := &Supervisor{

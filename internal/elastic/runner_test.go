@@ -2,7 +2,6 @@ package elastic
 
 import (
 	"net"
-	"runtime"
 	"testing"
 	"time"
 
@@ -11,17 +10,16 @@ import (
 	"repro/internal/datagen"
 )
 
-// runVictim joins the cohort like a real rank, trains until stopAfter
-// epochs are complete, then abandons the cohort without ceremony — the
-// in-process stand-in for SIGKILL. Abort poisons the peers exactly the way
-// a dead process's closed sockets would; the extra Close only reaps this
-// process's goroutines so the leak check stays meaningful.
-func runVictim(t *testing.T, ds *datagen.Dataset, topo *core.Topology, cfg core.ParallelConfig,
-	rank, world int, cands []string, dir string, every, stopAfter int) {
+// trainVictim joins the cohort like a real rank, trains until stopAfter
+// epochs are complete, and returns its still-open transport (nil if it
+// failed before getting one). The caller kills it.
+func trainVictim(t *testing.T, ds *datagen.Dataset, topo *core.Topology, cfg core.ParallelConfig,
+	rank, world int, cands []string, dir string, every, stopAfter int) *comm.TCPTransport {
 	t.Helper()
 	dataLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return nil
 	}
 	tbl, err := bootstrap(bootConfig{
 		rank: rank, world: world, cands: cands, dataAddr: dataLn.Addr().String(),
@@ -29,20 +27,23 @@ func runVictim(t *testing.T, ds *datagen.Dataset, topo *core.Topology, cfg core.
 	})
 	if err != nil {
 		dataLn.Close()
-		t.Fatalf("victim bootstrap: %v", err)
+		t.Errorf("victim bootstrap: %v", err)
+		return nil
 	}
 	tp, err := comm.DialTCPMesh(comm.TCPConfig{
 		Rank: indexOf(tbl.members, rank), World: len(tbl.members), ListenHost: "127.0.0.1", Timeout: 30 * time.Second,
 	}, dataLn, tbl.addrs)
 	if err != nil {
-		t.Fatalf("victim mesh: %v", err)
+		t.Errorf("victim mesh: %v", err)
+		return nil
 	}
 	rt, err := core.NewRankTrainer(ds, topo, cfg, rank)
-	if err != nil {
-		t.Fatal(err)
+	if err == nil {
+		err = LoadGeneration(dir, tbl.startGen, rt)
 	}
-	if err := LoadGeneration(dir, tbl.startGen, rt); err != nil {
-		t.Fatal(err)
+	if err != nil {
+		t.Error(err)
+		return tp
 	}
 	w := comm.NewWorker(tp)
 	for rt.Epoch() < stopAfter {
@@ -56,8 +57,25 @@ func runVictim(t *testing.T, ds *datagen.Dataset, topo *core.Topology, cfg core.
 			}
 		}
 	}
-	tp.Abort()
-	tp.Close()
+	return tp
+}
+
+// killVictim abandons the cohort without ceremony — the in-process stand-in
+// for SIGKILL. Abort poisons the peers exactly the way a dead process's
+// closed sockets would; the extra Close only reaps this process's goroutines
+// so the leak check stays meaningful.
+func killVictim(tp *comm.TCPTransport) {
+	if tp != nil {
+		tp.Abort()
+		tp.Close()
+	}
+}
+
+// runVictim is one rank's whole life: join, train stopAfter epochs, die.
+func runVictim(t *testing.T, ds *datagen.Dataset, topo *core.Topology, cfg core.ParallelConfig,
+	rank, world int, cands []string, dir string, every, stopAfter int) {
+	t.Helper()
+	killVictim(trainVictim(t, ds, topo, cfg, rank, world, cands, dir, every, stopAfter))
 }
 
 // TestRunnerRecoversAndReadmitsReplacement exercises the full per-process
@@ -70,7 +88,7 @@ func runVictim(t *testing.T, ds *datagen.Dataset, topo *core.Topology, cfg core.
 // bit.
 func TestRunnerRecoversAndReadmitsReplacement(t *testing.T) {
 	const world, epochs, every, stopAfter = 2, 8, 2, 3
-	before := runtime.NumGoroutine()
+	before := goroutineStacks()
 	ds, topo, cfg := testFixture(t, world)
 	dir := t.TempDir()
 	cands := freeCandidates(t, world)

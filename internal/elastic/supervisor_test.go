@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -132,14 +133,61 @@ func tcpGroup(t testing.TB, k int) (*comm.Group, error) {
 	return comm.NewGroup(ts), nil
 }
 
-func waitNoLeaks(t *testing.T, before int) {
+// persistentPools names the goroutines that, once started, live for the
+// process: whenever one first starts, it is not a leak. Matched against the
+// goroutine's stack.
+var persistentPools = []string{
+	// The tensor kernel worker pool: started lazily by the first parallel
+	// kernel call, so only when GOMAXPROCS > 1.
+	"repro/internal/tensor.startWorkers",
+}
+
+// goroutineStacks snapshots the live goroutines: id → stack.
+func goroutineStacks() map[string]string {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	stacks := map[string]string{}
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		id, _, _ := strings.Cut(strings.TrimPrefix(g, "goroutine "), " ")
+		stacks[id] = g
+	}
+	return stacks
+}
+
+// waitNoLeaks waits for every goroutine started since the before snapshot to
+// exit, the persistent pools excepted, and fails with the stacks of those
+// that outlive the deadline. Diffing stacks rather than counting goroutines
+// keeps the check exact at every GOMAXPROCS.
+func waitNoLeaks(t *testing.T, before map[string]string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before+1 && time.Now().Before(deadline) {
+	for {
+		var leaked []string
+	scan:
+		for id, stack := range goroutineStacks() {
+			if _, ok := before[id]; ok {
+				continue
+			}
+			for _, pool := range persistentPools {
+				if strings.Contains(stack, pool) {
+					continue scan
+				}
+			}
+			leaked = append(leaked, stack)
+		}
+		if len(leaked) == 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine leak: %d goroutines outlived the run:\n\n%s", len(leaked), strings.Join(leaked, "\n\n"))
+		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if after := runtime.NumGoroutine(); after > before+1 {
-		t.Fatalf("goroutine leak: %d before, %d after recovery run", before, after)
 	}
 }
 
@@ -162,7 +210,7 @@ func TestSupervisorBitExactRecovery(t *testing.T) {
 				{"lastrank-mid-epoch", comm.KillAtMessage(0, 0)}, // placeholder, fixed below
 			} {
 				t.Run(backend+"/k"+string(rune('0'+k))+"/"+kill.name, func(t *testing.T) {
-					before := runtime.NumGoroutine()
+					before := goroutineStacks()
 					ds, topo, cfg := testFixture(t, k)
 					if kill.name == "lastrank-mid-epoch" {
 						// Aim the kill at the middle of epoch 2: measure one

@@ -17,7 +17,7 @@ import (
 )
 
 func init() {
-	register("overlap", "Pipelined epoch engine: exposed comm time by schedule, plus skewed-link arrival-order drain", runOverlap)
+	register("overlap", "Epoch engine: exposed comm time, serialized vs overlapped schedule, on bare, delayed and skewed links", runOverlap)
 }
 
 // overlapResult is one (transport, schedule) measurement, averaged per
@@ -38,7 +38,7 @@ type overlapResult struct {
 	WeightHash string  `json:"weight_hash,omitempty"`
 }
 
-// overlapReport is the BENCH_overlap.json shape.
+// overlapReport is the shape -out writes.
 type overlapReport struct {
 	Workload  string          `json:"workload"`
 	K         int             `json:"k"`
@@ -48,22 +48,17 @@ type overlapReport struct {
 	Epochs    int             `json:"epochs"`
 	GoMaxProc int             `json:"gomaxprocs"`
 	Results   []overlapResult `json:"results"`
-	// ExposedReduction is 1 − exposed(overlap/arrival)/exposed(serialized)
-	// per transport — the fraction of exposed communication time the
-	// pipelined schedule hides behind inner-node compute.
+	// ExposedReduction is 1 − exposed(overlap)/exposed(serialized) per link
+	// configuration — the fraction of exposed communication time the
+	// overlapped schedule hides behind halo-free compute.
 	ExposedReduction map[string]float64 `json:"exposed_comm_reduction"`
 
-	// Skewed-link section: k ranks over per-link latencies chosen so the
-	// lowest-rank peer is always the slowest — the adversarial case for the
-	// rank-order drain, whose head-of-line wait the arrival-order drain
-	// sidesteps by completing whichever peer lands first.
-	SkewedK         int             `json:"skewed_k"`
-	SkewedLatencies []string        `json:"skewed_link_latencies"`
-	Skewed          []overlapResult `json:"skewed_link_results"`
-	// SkewedArrivalVsRank is 1 − exposed(arrival)/exposed(rank) per
-	// transport: the share of the rank-order drain's exposed comm the
-	// arrival-order drain reclaims under skewed links.
-	SkewedArrivalVsRank map[string]float64 `json:"skewed_exposed_reduction_arrival_vs_rank"`
+	// The "+skew" rows run SkewedK ranks over per-link latencies chosen so
+	// the lowest-rank peer is always the slowest: the drain completes
+	// whichever peer lands first, so the fast peers' dependent rows compute
+	// while the slow link is still in flight.
+	SkewedK         int      `json:"skewed_k"`
+	SkewedLatencies []string `json:"skewed_link_latencies"`
 }
 
 // tcpLoopback bootstraps k TCP transports over 127.0.0.1 — the same mesh the
@@ -161,20 +156,18 @@ type dsHandle struct {
 	model core.ModelConfig
 }
 
-// runOverlap trains the bundled synthetic Reddit workload with all three
-// epoch schedules — serialized, pipelined with rank-order drain, pipelined
-// with arrival-order drain — over both transports, reporting the per-epoch
-// time breakdown with comm split into raw vs exposed. All runs are
-// bit-identical by construction (the overlap equivalence tests pin this);
-// the experiment's point is the wall-clock split: how much of the
-// boundary-communication cost the stage schedule hides behind halo-free
-// compute, and — in the skewed-link section — how much of the rank-order
-// drain's head-of-line blocking the arrival-order drain reclaims when the
-// lowest-rank peer is the slowest link.
+// runOverlap trains the bundled synthetic Reddit workload with both epoch
+// schedules — serialized and overlapped — over both transports, reporting
+// the per-epoch time breakdown with comm split into raw vs exposed. All runs
+// are bit-identical by construction (the overlap equivalence tests pin
+// this); the experiment's point is the wall-clock split: how much of the
+// boundary-communication cost the stage order hides behind halo-free
+// compute, on bare loopback, behind a uniform link delay, and over skewed
+// links where every rank's lowest-ranked peer is its slowest.
 func runOverlap(w io.Writer, o Options) error {
 	o = o.withDefaults()
 	spec := redditSpec()
-	k := 2
+	const k, kS = 2, 4
 	p := 0.1
 	epochs := o.epochs(40)
 	warmup := 3
@@ -186,58 +179,74 @@ func runOverlap(w io.Writer, o Options) error {
 	if err != nil {
 		return err
 	}
-	topo, err := topology(ds, k, "metis", o.Seed)
-	if err != nil {
-		return err
+	handles := map[int]dsHandle{}
+	for _, kk := range []int{k, kS} {
+		topo, err := topology(ds, kk, "metis", o.Seed)
+		if err != nil {
+			return err
+		}
+		handles[kk] = dsHandle{ds: ds, topo: topo, model: spec.model}
 	}
-	h := dsHandle{ds: ds, topo: topo, model: spec.model}
 
 	report := overlapReport{
 		Workload: ds.Name, K: k, P: p,
 		Layers: spec.model.Layers, Hidden: spec.model.Hidden,
 		Epochs: epochs, GoMaxProc: runtime.GOMAXPROCS(0),
-		ExposedReduction:    map[string]float64{},
-		SkewedArrivalVsRank: map[string]float64{},
+		ExposedReduction: map[string]float64{},
+		SkewedK:          kS,
 	}
-
-	fmt.Fprintf(w, "workload %s: %d nodes, k=%d, p=%.2g, %d layers × %d hidden, %d epochs (+%d warm-up)\n\n",
-		ds.Name, ds.G.N, k, p, spec.model.Layers, spec.model.Hidden, epochs, warmup)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "transport\tschedule\tsample\tcompute\tcomm(raw)\tcomm(exposed)\treduce\ttotal/epoch")
 
 	// The bare rows measure loopback as-is: on a box with enough cores per
 	// rank, their exposed-comm delta is the overlap win. On a box where the
 	// co-scheduled ranks serialize on few cores, loopback "comm waits" are
 	// really CPU time spent running the peers, which no schedule can
-	// reclaim — so the +link rows route the same traffic through
+	// reclaim — so the +2ms rows route the same traffic through
 	// comm.WithLatency, modelling a link whose propagation delay sleeps
 	// instead of burning cycles. The delay must exceed the CPU-contention
 	// floor (the peers' per-phase compute) to be visible at all; 2ms does on
-	// this k=2 workload, and the overlapped schedules then hide a large
+	// this k=2 workload, and the overlapped schedule then hides a large
 	// share of it behind halo-free compute.
 	const linkLatency = 2 * time.Millisecond
-	schedules := []core.Schedule{core.ScheduleSerialized, core.ScheduleOverlapRank, core.ScheduleOverlap}
-	type linkCfg struct {
-		name    string
-		backend string
-		latency time.Duration
+	withLatency := func(g *comm.Group) *comm.Group { return comm.WithLatency(g, linkLatency) }
+	// The +skew rows: k=4 over a modeled WAN whose per-link latency falls
+	// with the source rank. They get a longer warm-up for the TCP
+	// demux/writer goroutines.
+	skewBase := []time.Duration{4 * time.Millisecond, 2 * time.Millisecond, time.Millisecond, 500 * time.Microsecond}
+	model := comm.LinkModel{PerLink: map[comm.Link]time.Duration{}, Jitter: 50 * time.Microsecond, Seed: o.Seed}
+	for s := 0; s < kS; s++ {
+		for d := 0; d < kS; d++ {
+			if s != d {
+				model.PerLink[comm.Link{Src: s, Dst: d}] = skewBase[s]
+			}
+		}
+		report.SkewedLatencies = append(report.SkewedLatencies, fmt.Sprintf("src %d: %s", s, skewBase[s]))
 	}
-	links := []linkCfg{
-		{"chan", "chan", 0},
-		{"tcp", "tcp", 0},
-		{"chan+2ms", "chan", linkLatency},
-		{"tcp+2ms", "tcp", linkLatency},
+	withSkew := func(g *comm.Group) *comm.Group { return comm.WithLinkModel(g, model) }
+
+	links := []struct {
+		name, backend string
+		k             int
+		wrap          func(*comm.Group) *comm.Group
+		latency       time.Duration
+		warmup        int
+	}{
+		{"chan", "chan", k, nil, 0, warmup},
+		{"tcp", "tcp", k, nil, 0, warmup},
+		{"chan+2ms", "chan", k, withLatency, linkLatency, warmup},
+		{"tcp+2ms", "tcp", k, withLatency, linkLatency, warmup},
+		{"chan+skew", "chan", kS, withSkew, skewBase[0], warmup + 2},
+		{"tcp+skew", "tcp", kS, withSkew, skewBase[0], warmup + 2},
 	}
+
+	fmt.Fprintf(w, "workload %s: %d nodes, p=%.2g, %d layers × %d hidden, %d epochs (+%d warm-up); k=%d, +skew rows k=%d with per-source latency %v..%v, jitter ≤%v\n\n",
+		ds.Name, ds.G.N, p, spec.model.Layers, spec.model.Hidden, epochs, warmup, k, kS, skewBase[0], skewBase[kS-1], model.Jitter)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "transport\tschedule\tsample\tcompute\tcomm(raw)\tcomm(exposed)\treduce\ttotal/epoch")
 	for _, link := range links {
 		exposed := map[core.Schedule]float64{}
-		for _, sched := range schedules {
-			var wrap func(*comm.Group) *comm.Group
-			if link.latency > 0 {
-				d := link.latency
-				wrap = func(g *comm.Group) *comm.Group { return comm.WithLatency(g, d) }
-			}
-			res, err := measureSchedule(h, k, p, sched, link.backend, wrap,
-				int(link.latency/time.Microsecond), epochs, warmup, o.Seed)
+		for _, sched := range []core.Schedule{core.ScheduleSerialized, core.ScheduleOverlap} {
+			res, err := measureSchedule(handles[link.k], link.k, p, sched, link.backend, link.wrap,
+				int(link.latency/time.Microsecond), epochs, link.warmup, o.Seed)
 			if err != nil {
 				return err
 			}
@@ -253,74 +262,8 @@ func runOverlap(w io.Writer, o Options) error {
 	}
 	tw.Flush()
 	for _, link := range links {
-		fmt.Fprintf(w, "\n%s: arrival-order overlap hides %.0f%% of the serialized schedule's exposed comm",
+		fmt.Fprintf(w, "\n%s: overlap hides %.0f%% of the serialized schedule's exposed comm",
 			link.name, 100*report.ExposedReduction[link.name])
-	}
-	fmt.Fprintln(w)
-
-	// --- Skewed links: the arrival-order drain's reason to exist ---
-	//
-	// k=4 over a modeled WAN whose per-link latency falls with the source
-	// rank: every rank's slowest peer is its lowest-ranked one, which is
-	// exactly the peer the rank-order drain insists on completing first.
-	// The arrival-order drain consumes the fast peers' payloads (and
-	// computes their dependent rows) while the slow link is still in
-	// flight, so its exposed comm must come in at or below the rank-order
-	// drain's.
-	kS := 4
-	topoS, err := topology(ds, kS, "metis", o.Seed)
-	if err != nil {
-		return err
-	}
-	hS := dsHandle{ds: ds, topo: topoS, model: spec.model}
-	skewBase := []time.Duration{4 * time.Millisecond, 2 * time.Millisecond, time.Millisecond, 500 * time.Microsecond}
-	model := comm.LinkModel{PerLink: map[comm.Link]time.Duration{}, Jitter: 50 * time.Microsecond, Seed: o.Seed}
-	for s := 0; s < kS; s++ {
-		for d := 0; d < kS; d++ {
-			if s != d {
-				model.PerLink[comm.Link{Src: s, Dst: d}] = skewBase[s]
-			}
-		}
-	}
-	report.SkewedK = kS
-	for s, b := range skewBase {
-		report.SkewedLatencies = append(report.SkewedLatencies, fmt.Sprintf("src %d: %s", s, b))
-	}
-	// The per-epoch arrival-vs-rank gap is the fast peers' dependent-row
-	// compute — a millisecond-scale signal against ~30ms of modeled link
-	// wait — so the skewed section needs the full epoch budget (and a
-	// longer warm-up for the TCP demux/writer goroutines) to average
-	// scheduler noise below it on small boxes.
-	epochsS := epochs
-	warmupS := warmup + 2
-	fmt.Fprintf(w, "\nskewed links (k=%d, per-source latency %v..%v, jitter ≤%v): rank-order vs arrival-order drain\n\n",
-		kS, skewBase[0], skewBase[kS-1], model.Jitter)
-	tw = tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "transport\tschedule\tsample\tcompute\tcomm(raw)\tcomm(exposed)\treduce\ttotal/epoch")
-	for _, backend := range []string{"chan", "tcp"} {
-		exposed := map[core.Schedule]float64{}
-		for _, sched := range schedules {
-			m := model
-			wrap := func(g *comm.Group) *comm.Group { return comm.WithLinkModel(g, m) }
-			res, err := measureSchedule(hS, kS, p, sched, backend, wrap,
-				int(skewBase[0]/time.Microsecond), epochsS, warmupS, o.Seed)
-			if err != nil {
-				return err
-			}
-			res.Transport = backend + "+skew"
-			exposed[sched] = res.ExposedMS
-			report.Skewed = append(report.Skewed, res)
-			fmt.Fprintf(tw, "%s\t%s\t%.2fms\t%.2fms\t%.2fms\t%.2fms\t%.2fms\t%.2fms\n",
-				res.Transport, res.Schedule, res.SampleMS, res.ComputeMS, res.CommMS, res.ExposedMS, res.ReduceMS, res.TotalMS)
-		}
-		if exposed[core.ScheduleOverlapRank] > 0 {
-			report.SkewedArrivalVsRank[backend] = 1 - exposed[core.ScheduleOverlap]/exposed[core.ScheduleOverlapRank]
-		}
-	}
-	tw.Flush()
-	for _, backend := range []string{"chan", "tcp"} {
-		fmt.Fprintf(w, "\n%s+skew: arrival-order drain reclaims %.0f%% of the rank-order drain's exposed comm",
-			backend, 100*report.SkewedArrivalVsRank[backend])
 	}
 	fmt.Fprintln(w)
 

@@ -83,8 +83,11 @@ func (l *GATConv) Grads() []*tensor.Matrix { return []*tensor.Matrix{l.DW, l.DA1
 // ZeroGrad implements Layer.
 func (l *GATConv) ZeroGrad() { zeroGradAll(l.Grads()) }
 
-// SetAgg installs the aggregation plan for subsequent passes (GAT uses only
-// its chunk index; nil reverts to the serial sweep with identical bits).
+// SetAgg installs the aggregation plan for subsequent passes. GAT uses only
+// its chunk index, to run the one-shot Forward chunk-parallel when
+// tensor.Parallelism() > 1, so the plan is optional (nil keeps the serial
+// sweep, identical bits) — but an installed plan must match the graph each
+// pass is handed, or the pass panics at entry.
 func (l *GATConv) SetAgg(ai *graph.AggIndex) { l.agg = ai }
 
 // Forward computes attention outputs for the first nOut rows of h. With an
@@ -128,22 +131,25 @@ func (l *GATConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int) *tens
 	if g.N != h.Rows || nOut > h.Rows {
 		panic(fmt.Sprintf("nn: GATConv graph %d nodes, features %d rows, nOut %d", g.N, h.Rows, nOut))
 	}
+	if l.agg != nil {
+		checkPlan("GATConv", l.agg, g)
+	}
 	l.g, l.nOut, l.nAll, l.h = g, nOut, h.Rows, h
-	ensureMat(&l.wh, h.Rows, l.OutDim)
-	ensureF32(&l.s1, h.Rows)
-	ensureF32(&l.s2, h.Rows)
+	tensor.EnsureMat(&l.wh, h.Rows, l.OutDim)
+	tensor.EnsureF32(&l.s1, h.Rows)
+	tensor.EnsureF32(&l.s2, h.Rows)
 	// One attention entry per (node, self∪neighbor) pair, packed flat.
 	total := nOut + int(g.Indptr[nOut]-g.Indptr[0])
-	ensureF32(&l.alphaBuf, total)
-	ensureF32(&l.rawBuf, total)
+	tensor.EnsureF32(&l.alphaBuf, total)
+	tensor.EnsureF32(&l.rawBuf, total)
 	if cap(l.alpha) < nOut {
 		l.alpha = make([][]float32, nOut)
 		l.eRaw = make([][]float32, nOut)
 	}
 	l.alpha = l.alpha[:nOut]
 	l.eRaw = l.eRaw[:nOut]
-	ensureMat(&l.pre, nOut, l.OutDim)
-	return ensureMat(&l.out, nOut, l.OutDim)
+	tensor.EnsureMat(&l.pre, nOut, l.OutDim)
+	return tensor.EnsureMat(&l.out, nOut, l.OutDim)
 }
 
 // ForwardPrep computes Wh and the attention scores s1/s2 for feature rows
@@ -159,11 +165,11 @@ func (l *GATConv) ForwardPrep(r0, r1 int) {
 	}
 }
 
-// ForwardPrepRows is ForwardPrep for an explicit row list: the arrival-order
-// drain preps exactly one peer's halo slots the moment that peer's payload
-// lands. Per row it runs the same kernels as the range form
-// (tensor.MatMulRows reproduces MatMulRange row for row), so any
-// duplicate-free cover of the rows a pass reads is bit-identical.
+// ForwardPrepRows is ForwardPrep for an explicit row list: the epoch drain
+// preps exactly one peer's halo slots the moment that peer's payload lands.
+// Per row it runs the same kernels as the range form (tensor.MatMulRows
+// reproduces MatMulRange row for row), so any duplicate-free cover of the
+// rows a pass reads is bit-identical.
 func (l *GATConv) ForwardPrepRows(rows []int32) {
 	tensor.MatMulRows(l.wh, l.h, l.W, rows)
 	a1 := l.A1.Row(0)
@@ -287,18 +293,18 @@ func (l *GATConv) BackwardBegin(dOut *tensor.Matrix) {
 	if dOut.Rows != l.nOut || dOut.Cols != l.OutDim {
 		panic(fmt.Sprintf("nn: GATConv backward shape %dx%d, want %dx%d", dOut.Rows, dOut.Cols, l.nOut, l.OutDim))
 	}
-	dPre := ensureMat(&l.dPre, dOut.Rows, dOut.Cols)
+	dPre := tensor.EnsureMat(&l.dPre, dOut.Rows, dOut.Cols)
 	copy(dPre.Data, dOut.Data)
 	activationGrad(l.Act, dPre, l.pre)
-	dWh := ensureMat(&l.dWh, l.nAll, l.OutDim)
+	dWh := tensor.EnsureMat(&l.dWh, l.nAll, l.OutDim)
 	dWh.Zero()
-	da1 := ensureF32(&l.da1, l.OutDim)
-	da2 := ensureF32(&l.da2, l.OutDim)
+	da1 := tensor.EnsureF32(&l.da1, l.OutDim)
+	da2 := tensor.EnsureF32(&l.da2, l.OutDim)
 	for j := range da1 {
 		da1[j] = 0
 		da2[j] = 0
 	}
-	ensureMat(&l.dH, l.nAll, l.InDim) // rows computed stage by stage
+	tensor.EnsureMat(&l.dH, l.nAll, l.InDim) // rows computed stage by stage
 }
 
 // BackwardHalo completes the listed halo rows of the input gradient so they
@@ -347,7 +353,7 @@ func (l *GATConv) backwardNode(v, destLo, destHi int, accumA bool) {
 
 	// dα_i = dz · Wh_{u_i} (self first), then dWh_{u_i} += α_i dz in the
 	// same self-then-ascending-i order as the fused sweep it replaces.
-	dAlpha := ensureF32(&l.dAlpha, k)
+	dAlpha := tensor.EnsureF32(&l.dAlpha, k)
 	dAlpha[0] = tensor.Dot(dz, l.wh.Row(v))
 	tensor.GatherDots(dAlpha[1:], dz, l.wh, nbrs)
 	if v >= destLo && v < destHi {
@@ -396,7 +402,7 @@ func (l *GATConv) backwardParams() {
 		l.DA1.Data[j] += l.da1[j]
 		l.DA2.Data[j] += l.da2[j]
 	}
-	dW := ensureMat(&l.dWScratch, l.InDim, l.OutDim)
+	dW := tensor.EnsureMat(&l.dWScratch, l.InDim, l.OutDim)
 	tensor.MatMulTransA(dW, l.h, l.dWh)
 	l.DW.Add(dW)
 }

@@ -29,62 +29,7 @@ const (
 	ReLUAct
 )
 
-func applyActivation(a Activation, pre *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(pre.Rows, pre.Cols)
-	applyActivationInto(out, a, pre)
-	return out
-}
-
-// applyActivationInto writes act(pre) into dst, overwriting every element.
-func applyActivationInto(dst *tensor.Matrix, a Activation, pre *tensor.Matrix) {
-	switch a {
-	case NoAct:
-		copy(dst.Data, pre.Data)
-	case ReLUAct:
-		for i, v := range pre.Data {
-			if v < 0 {
-				dst.Data[i] = 0
-			} else {
-				dst.Data[i] = v
-			}
-		}
-	default:
-		panic(fmt.Sprintf("nn: unknown activation %d", a))
-	}
-}
-
-// ensureMat returns a rows×cols matrix stored at *buf, reusing the existing
-// storage when its capacity suffices. Contents are UNDEFINED; callers must
-// fully overwrite or explicitly zero. This is how layers keep per-call
-// scratch out of the allocator: shapes are stable across epochs, so after
-// warm-up every call reuses the same backing arrays.
-func ensureMat(buf **tensor.Matrix, rows, cols int) *tensor.Matrix {
-	m := *buf
-	n := rows * cols
-	if m == nil || cap(m.Data) < n {
-		m = tensor.New(rows, cols)
-		*buf = m
-		return m
-	}
-	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
-	return m
-}
-
-// ensureF32 returns a length-n float32 slice stored at *buf with undefined
-// contents, reusing capacity when possible.
-func ensureF32(buf *[]float32, n int) []float32 {
-	s := *buf
-	if cap(s) < n {
-		s = make([]float32, n)
-	} else {
-		s = s[:n]
-	}
-	*buf = s
-	return s
-}
-
-// activationRow writes act(pre) into one row slice; elementwise, so
-// bit-identical to applyActivationInto restricted to that row.
+// activationRow writes act(pre) into one row slice.
 func activationRow(dst []float32, a Activation, pre []float32) {
 	switch a {
 	case NoAct:
@@ -95,31 +40,6 @@ func activationRow(dst []float32, a Activation, pre []float32) {
 				dst[j] = 0
 			} else {
 				dst[j] = x
-			}
-		}
-	default:
-		panic(fmt.Sprintf("nn: unknown activation %d", a))
-	}
-}
-
-// activationRows writes act(pre) into dst for the given rows only. The
-// activations are elementwise, so per-row application is bit-identical to
-// applyActivationInto restricted to those rows.
-func activationRows(dst *tensor.Matrix, a Activation, pre *tensor.Matrix, rows []int32) {
-	switch a {
-	case NoAct:
-		for _, v := range rows {
-			copy(dst.Row(int(v)), pre.Row(int(v)))
-		}
-	case ReLUAct:
-		for _, v := range rows {
-			drow := dst.Row(int(v))
-			for j, x := range pre.Row(int(v)) {
-				if x < 0 {
-					drow[j] = 0
-				} else {
-					drow[j] = x
-				}
 			}
 		}
 	default:
@@ -277,8 +197,8 @@ func (d *Dropout) ForwardBegin(x *tensor.Matrix, train bool) *tensor.Matrix {
 		return x
 	}
 	d.fwdSrc = x
-	d.mask = ensureMat(&d.maskBuf, x.Rows, x.Cols)
-	return ensureMat(&d.outBuf, x.Rows, x.Cols)
+	d.mask = tensor.EnsureMat(&d.maskBuf, x.Rows, x.Cols)
+	return tensor.EnsureMat(&d.outBuf, x.Rows, x.Cols)
 }
 
 // ForwardRows draws masks for rows [r0, r1) and writes the matching output
@@ -305,8 +225,8 @@ func (d *Dropout) ForwardRows(r0, r1 int) {
 // MaskRows draws the dropout masks for rows [r0, r1) without producing
 // output, consuming the RNG stream exactly as ForwardRows would. This
 // decouples the stream-ordered mask draw from the value-dependent output
-// write: the arrival-order epoch drain draws the halo rows' masks in
-// ascending row order while the row values are still in flight, then fills
+// write: the epoch engine draws the halo rows' masks in ascending row order
+// while the row values are still in flight, then its drain fills
 // each peer's rows with ApplyMaskedRows as they land — bit-identical to a
 // single ascending ForwardRows pass over the same range. A no-op when the
 // pass is identity.
@@ -371,7 +291,7 @@ func (d *Dropout) BackwardBegin(dOut *tensor.Matrix) *tensor.Matrix {
 		return dOut
 	}
 	d.bwdSrc = dOut
-	return ensureMat(&d.dxBuf, dOut.Rows, dOut.Cols)
+	return tensor.EnsureMat(&d.dxBuf, dOut.Rows, dOut.Cols)
 }
 
 // BackwardRows applies the mask to gradient rows [r0, r1). A no-op when the

@@ -27,7 +27,8 @@ func randGraph(rng *tensor.RNG, n, edges int) *graph.Graph {
 
 func TestReLUForwardBackward(t *testing.T) {
 	pre := tensor.NewFrom(1, 4, []float32{-1, 0, 2, -3})
-	out := applyActivation(ReLUAct, pre)
+	out := tensor.New(1, 4)
+	activationRow(out.Data, ReLUAct, pre.Data)
 	want := []float32{0, 0, 2, 0}
 	for i, w := range want {
 		if out.Data[i] != w {
@@ -186,12 +187,12 @@ func sageLoss(l *SAGEConv, g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []
 
 func TestSAGEConvGradientCheck(t *testing.T) {
 	rng := tensor.NewRNG(5)
-	g := randGraph(rng, 8, 16)
+	nOut := 6 // rows 6,7 are halo rows: read by the aggregation, no edges of their own
+	g := localGraph(rng, nOut, 2, 3, 0.3)
 	h := tensor.New(8, 3)
 	tensor.GaussianInit(h, 1, rng)
-	l := NewSAGEConv(3, 4, ReLUAct, rng)
+	l := newSAGE(g, 3, 4, ReLUAct, rng)
 	invDeg := InvDegrees(g)
-	nOut := 6 // rows 6,7 act as halo rows
 	labels := []int32{0, 1, 2, 3, 0, 1}
 	mask := []bool{true, true, true, false, true, true}
 
@@ -222,14 +223,12 @@ func TestSAGEConvGradientCheck(t *testing.T) {
 
 func TestSAGEConvHaloRowsGetGradient(t *testing.T) {
 	rng := tensor.NewRNG(6)
-	// Node 0's only neighbor is halo node 2 -> halo must receive gradient.
-	b := graph.NewBuilder(3)
-	b.AddEdge(0, 2)
-	b.AddEdge(0, 1)
-	g := b.Build()
+	// Inner node 0 aggregates halo node 2 -> halo must receive gradient.
+	// Partition-shaped: the halo row is read, but has no edges of its own.
+	g := &graph.Graph{N: 3, Indptr: []int64{0, 2, 3, 3}, Indices: []int32{1, 2, 0}}
 	h := tensor.New(3, 2)
 	tensor.GaussianInit(h, 1, rng)
-	l := NewSAGEConv(2, 2, NoAct, rng)
+	l := newSAGE(g, 2, 2, NoAct, rng)
 	out := l.Forward(g, h, 2, InvDegrees(g))
 	if out.Rows != 2 {
 		t.Fatalf("out rows %d", out.Rows)
@@ -260,7 +259,7 @@ func TestSAGEConvMeanAggregation(t *testing.T) {
 		h.Set(v, 0, float32(v))
 		h.Set(v, 1, 1)
 	}
-	l := NewSAGEConv(2, 2, NoAct, rng)
+	l := newSAGE(g, 2, 2, NoAct, rng)
 	l.W.Zero()
 	l.B.Zero()
 	l.W.Set(0, 0, 1) // z[0] -> out[0]
@@ -281,7 +280,7 @@ func TestSAGEConvIsolatedNodeZeroAggregate(t *testing.T) {
 	g := graph.NewBuilder(2).Build() // no edges
 	h := tensor.New(2, 2)
 	h.Fill(3)
-	l := NewSAGEConv(2, 2, NoAct, rng)
+	l := newSAGE(g, 2, 2, NoAct, rng)
 	l.W.Zero()
 	l.W.Set(0, 0, 1)
 	out := l.Forward(g, h, 2, InvDegrees(g))

@@ -28,15 +28,15 @@ import (
 // the backward's dW) is kept. The backward is fused symmetrically: one sweep
 // produces the aggregation gradient dz AND writes the self term straight
 // into the input-gradient rows, and dW reads [z|h] in place. The backward
-// gather runs over the TRANSPOSED index, so everything parallelizes over
-// edge-balanced chunks with no scatter races; chunk weights include the
-// per-row projection cost (graph.AggIndex.ChunksFor) so wide layers stay
-// balanced. The per-destination accumulation order is fixed by construction:
-// the self term first (an overwrite), then the incoming neighbor
-// contributions in ascending source order — exactly what the scalar
-// fallback below produces over its explicit concat, so engine and fallback
-// are bit-identical (the aggregation property tests and the fused kernel
-// tests pin this).
+// gather runs over the TRANSPOSED index of the aggregation plan (SetAgg —
+// mandatory), so everything parallelizes over edge-balanced chunks with no
+// scatter races; chunk weights include the per-row projection cost
+// (graph.AggIndex.ChunksFor) so wide layers stay balanced. The
+// per-destination accumulation order is fixed by construction: the self term
+// first (an overwrite), then the incoming neighbor contributions in
+// ascending source order — exactly what the textbook formulation over an
+// explicit concat produces, which the layer tests keep as a straight-line
+// reference and pin every pass shape against bit for bit.
 type SAGEConv struct {
 	InDim, OutDim int
 	Act           Activation
@@ -46,9 +46,9 @@ type SAGEConv struct {
 	DW *tensor.Matrix
 	DB *tensor.Matrix
 
-	// agg, when set, is the aggregation plan (transposed index +
-	// edge-balanced chunks) for the graph the passes run over; nil falls
-	// back to serial per-edge walks with identical bits.
+	// agg is the aggregation plan (transposed index + edge-balanced chunks)
+	// of the graph the passes run over. Every pass checks it against the
+	// graph it is handed.
 	agg *graph.AggIndex
 
 	// Forward caches for backward.
@@ -56,16 +56,13 @@ type SAGEConv struct {
 	nOut   int
 	nAll   int
 	invDeg []float32
-	hIn    *tensor.Matrix // input features of the in-progress chunked pass
-	z      *tensor.Matrix // nOut × InDim aggregated half (fused engine path)
-	concat *tensor.Matrix // nOut × 2*InDim (scalar fallback path only)
+	hIn    *tensor.Matrix // input features of the pass
+	z      *tensor.Matrix // nOut × InDim aggregated half
 	pre    *tensor.Matrix // nOut × OutDim
 
 	// Layer-owned scratch, reused across calls so steady-state training
 	// allocates nothing. All are fully rewritten (or zeroed) before use.
-	// dz is the fused path's aggregation gradient; dConcat only backs the
-	// scalar fallback.
-	out, dPre, dz, dConcat, dH, dWScratch *tensor.Matrix
+	out, dPre, dz, dH, dWScratch *tensor.Matrix
 }
 
 // NewSAGEConv creates a SAGE layer with Xavier-initialized weights.
@@ -93,14 +90,36 @@ func (l *SAGEConv) Grads() []*tensor.Matrix { return []*tensor.Matrix{l.DW, l.DB
 func (l *SAGEConv) ZeroGrad() { zeroGradAll(l.Grads()) }
 
 // SetAgg installs the aggregation plan for subsequent passes. ai must be
-// built from the same graph the passes receive (trainers rebuild the plan
-// whenever the epoch graph changes); nil reverts to the scalar fallback.
-// Engine and fallback are bit-identical, so flipping this never changes
-// results — only how the edge walks are blocked and parallelized.
+// built from the same graph the passes receive: trainers whose graph changes
+// (per epoch, per batch) rebuild the plan in place with it. A layer without
+// a plan, or with one whose size does not match the pass's graph, panics at
+// pass entry.
 func (l *SAGEConv) SetAgg(ai *graph.AggIndex) { l.agg = ai }
 
-// checkForward validates the shared Forward/ForwardBegin contract.
-func (l *SAGEConv) checkForward(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32) {
+// checkPlan rejects a missing aggregation plan, and one that was not built
+// from g: a stale plan would gather over the wrong transposed index and
+// silently corrupt gradients. Node and edge counts are an O(1) proxy that
+// catches the real failure modes (a plan never rebuilt for this epoch's or
+// batch's graph).
+func checkPlan(layer string, ai *graph.AggIndex, g *graph.Graph) {
+	if ai == nil {
+		panic(fmt.Sprintf("nn: %s has no aggregation plan for the pass graph (%d nodes / %d edges): SetAgg one built from it",
+			layer, g.N, len(g.Indices)))
+	}
+	if n, e := len(ai.IncIndptr)-1, len(ai.IncSrc); n != g.N || e != len(g.Indices) {
+		panic(fmt.Sprintf("nn: %s aggregation plan covers %d nodes / %d edges, the pass graph has %d nodes / %d edges (stale plan: rebuild it with the graph)",
+			layer, n, e, g.N, len(g.Indices)))
+	}
+}
+
+// ForwardBegin starts a forward pass: it validates shapes and the plan,
+// installs the backward caches, and returns the output matrix whose rows
+// ForwardRows will fill. Chunking cannot change results — every output row
+// is computed with exactly the same per-row arithmetic whichever call covers
+// it (see tensor.SpMMMatMulRows) and rows are independent — so any
+// duplicate-free partition of [0, nOut) reproduces Forward bit for bit; the
+// layer tests pin this.
+func (l *SAGEConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32) *tensor.Matrix {
 	if h.Cols != l.InDim {
 		panic(fmt.Sprintf("nn: SAGEConv input dim %d, want %d", h.Cols, l.InDim))
 	}
@@ -110,77 +129,41 @@ func (l *SAGEConv) checkForward(g *graph.Graph, h *tensor.Matrix, nOut int, invD
 	if nOut > h.Rows || len(invDeg) < nOut {
 		panic(fmt.Sprintf("nn: SAGEConv nOut=%d rows=%d invDeg=%d", nOut, h.Rows, len(invDeg)))
 	}
-}
-
-// fusedChunks returns the edge-balanced chunk list for the fused forward,
-// weighted with the per-row projection cost: one edge gather is an
-// InDim-wide add, the projection is 2·InDim·OutDim FLOPs per row, so a row
-// weighs ≈ 2·OutDim extra edge-equivalents on top of its degree.
-func (l *SAGEConv) fusedChunks() []int32 {
-	return l.agg.ChunksFor(int64(2 * l.OutDim))
+	checkPlan("SAGEConv", l.agg, g)
+	if int(g.Indptr[nOut]) != len(g.Indices) {
+		// The backward gathers dz rows through the transposed index, and dz
+		// has only nOut rows: a source beyond them has no gradient to give.
+		panic(fmt.Sprintf("nn: SAGEConv rows [%d,%d) are inputs only but have %d outgoing edges",
+			nOut, g.N, len(g.Indices)-int(g.Indptr[nOut])))
+	}
+	l.g, l.nOut, l.nAll, l.invDeg, l.hIn = g, nOut, h.Rows, invDeg, h
+	tensor.EnsureMat(&l.z, nOut, l.InDim)
+	tensor.EnsureMat(&l.pre, nOut, l.OutDim)
+	return tensor.EnsureMat(&l.out, nOut, l.OutDim)
 }
 
 // Forward computes outputs for the first nOut rows of h, aggregating over g
 // (whose node space matches h's rows). invDeg[v] is the normalizer for node
-// v's neighbor sum; len(invDeg) >= nOut.
+// v's neighbor sum; len(invDeg) >= nOut. It is ForwardBegin plus one
+// full-range sweep over the plan's projection-weighted chunks.
 func (l *SAGEConv) Forward(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32) *tensor.Matrix {
-	l.checkForward(g, h, nOut, invDeg)
-	l.g, l.nOut, l.nAll, l.invDeg, l.hIn = g, nOut, h.Rows, invDeg, h
-
-	in := l.InDim
-	pre := ensureMat(&l.pre, nOut, l.OutDim)
-	if l.agg != nil {
-		// Fused path: pre = [diag(invDeg)·A·h | h]·W with no concat matrix;
-		// z_v = invDeg[v]·Σ_{u∈N(v)} h_u is kept for the backward's dW.
-		z := ensureMat(&l.z, nOut, in)
-		tensor.SpMMMatMul(pre, z, h, l.W, g.Indptr, g.Indices, invDeg, l.fusedChunks())
-	} else {
-		// Scalar fallback: aggregate into the left half of the concat
-		// buffer, place h_v in the right half, project. Bit-identical to
-		// the fused path (the fused kernel tests pin this).
-		concat := ensureMat(&l.concat, nOut, 2*in)
-		tensor.SpMM(concat, h, g.Indptr, g.Indices, invDeg, nil)
-		for v := 0; v < nOut; v++ {
-			copy(concat.Row(v)[in:], h.Row(v))
-		}
-		tensor.MatMul(pre, concat, l.W)
-	}
+	out := l.ForwardBegin(g, h, nOut, invDeg)
+	// One edge gather is an InDim-wide add and the projection 2·InDim·OutDim
+	// FLOPs per row, so a row weighs ≈ 2·OutDim edge-equivalents on top of
+	// its degree.
+	tensor.SpMMMatMul(l.pre, l.z, h, l.W, g.Indptr, g.Indices, invDeg, l.agg.ChunksFor(int64(2*l.OutDim)))
 	for v := 0; v < nOut; v++ {
-		row := pre.Row(v)
-		for j, b := range l.B.Row(0) {
-			row[j] += b
-		}
+		l.finishRow(v)
 	}
-	out := ensureMat(&l.out, nOut, l.OutDim)
-	applyActivationInto(out, l.Act, pre)
 	return out
-}
-
-// ForwardBegin starts a chunked forward pass: it validates shapes, installs
-// the backward caches, and returns the output matrix whose rows ForwardRows
-// will fill. Chunking cannot change results — every output row is computed
-// with exactly the per-row arithmetic of the one-shot Forward (see
-// tensor.SpMMRows/MatMulRows) and rows are independent — so any
-// duplicate-free partition of [0, nOut) reproduces Forward bit for bit; the
-// chunked-pass property tests pin this.
-func (l *SAGEConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32) *tensor.Matrix {
-	l.checkForward(g, h, nOut, invDeg)
-	l.g, l.nOut, l.nAll, l.invDeg, l.hIn = g, nOut, h.Rows, invDeg, h
-	if l.agg != nil {
-		ensureMat(&l.z, nOut, l.InDim)
-	} else {
-		ensureMat(&l.concat, nOut, 2*l.InDim)
-	}
-	ensureMat(&l.pre, nOut, l.OutDim)
-	return ensureMat(&l.out, nOut, l.OutDim)
 }
 
 // ForwardPrep computes per-node precomputations for feature rows [r0, r1).
 // SAGE has none; GAT uses it for Wh and the attention scores.
 func (l *SAGEConv) ForwardPrep(r0, r1 int) {}
 
-// ForwardPrepRows is ForwardPrep for an explicit row list (the arrival-order
-// drain preps one peer's halo slots as they land). SAGE has none.
+// ForwardPrepRows is ForwardPrep for an explicit row list (the epoch drain
+// preps one peer's halo slots as they land). SAGE has none.
 func (l *SAGEConv) ForwardPrepRows(rows []int32) {}
 
 // ForwardRows computes the output rows listed in rows (each row of [0, nOut)
@@ -189,134 +172,77 @@ func (l *SAGEConv) ForwardPrepRows(rows []int32) {}
 // pipelined engine runs halo-independent rows while boundary features are
 // still in flight.
 func (l *SAGEConv) ForwardRows(rows []int32) {
-	in := l.InDim
-	h := l.hIn
-	if l.agg != nil {
-		tensor.SpMMMatMulRows(l.pre, l.z, h, l.W, l.g.Indptr, l.g.Indices, l.invDeg, rows)
-	} else {
-		tensor.SpMMRows(l.concat, h, l.g.Indptr, l.g.Indices, l.invDeg, rows)
-		for _, v32 := range rows {
-			v := int(v32)
-			copy(l.concat.Row(v)[in:], h.Row(v))
-		}
-		tensor.MatMulRows(l.pre, l.concat, l.W, rows)
+	tensor.SpMMMatMulRows(l.pre, l.z, l.hIn, l.W, l.g.Indptr, l.g.Indices, l.invDeg, rows)
+	for _, v := range rows {
+		l.finishRow(int(v))
 	}
-	for _, v32 := range rows {
-		row := l.pre.Row(int(v32))
-		for j, b := range l.B.Row(0) {
-			row[j] += b
-		}
+}
+
+// finishRow turns row v's projection into its output: pre_v += b, then
+// out_v = σ(pre_v).
+func (l *SAGEConv) finishRow(v int) {
+	row := l.pre.Row(v)
+	for j, b := range l.B.Row(0) {
+		row[j] += b
 	}
-	activationRows(l.out, l.Act, l.pre, rows)
+	activationRow(l.out.Row(v), l.Act, row)
 }
 
 // addNeighborGrads accumulates the neighbor term of the input gradient for
 // every destination row in [destLo, destHi): dH.Row(u) += Σ invDeg[v]·dz_v
-// over the sources v with u ∈ N(v), in ascending source order. With an
-// aggregation plan this is a parallel gather over the transposed index;
-// without one it is the equivalent serial scatter — destinations still
-// receive contributions in ascending v because the sweep itself ascends.
+// over the sources v with u ∈ N(v), in ascending source order — a parallel
+// gather over the plan's transposed index.
 func (l *SAGEConv) addNeighborGrads(destLo, destHi int) {
-	in := l.InDim
-	if l.agg != nil {
-		tensor.SpMMTransRange(l.dH, l.dz, l.agg.IncIndptr, l.agg.IncSrc, l.invDeg, l.agg.IncChunks, destLo, destHi)
-		return
-	}
-	for v := 0; v < l.nOut; v++ {
-		s := l.invDeg[v]
-		dz := l.dConcat.Row(v)[:in]
-		for _, u := range l.g.Neighbors(int32(v)) {
-			if int(u) >= destLo && int(u) < destHi {
-				tensor.Axpy(l.dH.Data[int(u)*in:int(u)*in+in], dz, s)
-			}
-		}
-	}
+	tensor.SpMMTransRange(l.dH, l.dz, l.agg.IncIndptr, l.agg.IncSrc, l.invDeg, l.agg.IncChunks, destLo, destHi)
 }
 
 // Backward consumes dOut (nOut × OutDim), accumulates DW/DB, and returns the
 // gradient with respect to the full input feature matrix (nAll × InDim),
 // including halo rows. The returned matrix is layer-owned scratch, valid
-// until the next Backward.
+// until the next Backward. It is BackwardBegin plus the full-range form of
+// the staged sweeps.
 func (l *SAGEConv) Backward(dOut *tensor.Matrix) *tensor.Matrix {
-	if dOut.Rows != l.nOut || dOut.Cols != l.OutDim {
-		panic(fmt.Sprintf("nn: SAGEConv backward shape %dx%d, want %dx%d", dOut.Rows, dOut.Cols, l.nOut, l.OutDim))
-	}
-	dPre := ensureMat(&l.dPre, dOut.Rows, dOut.Cols)
-	copy(dPre.Data, dOut.Data)
-	activationGrad(l.Act, dPre, l.pre)
-
-	// Parameter gradients. The fused path reads the concat operand's halves
-	// in place ([z|h]) — bit-identical to MatMulTransA over the explicit
-	// concat the fallback keeps.
-	dW := ensureMat(&l.dWScratch, 2*l.InDim, l.OutDim)
-	if l.agg != nil {
-		tensor.MatMulTransASplit(dW, l.z, l.hIn, dPre)
-	} else {
-		tensor.MatMulTransA(dW, l.concat, dPre)
-	}
-	l.DW.Add(dW)
-	for v := 0; v < l.nOut; v++ {
-		tensor.AddTo(l.DB.Row(0), dPre.Row(v))
-	}
-
-	// Input gradients: self terms first (an overwrite of the accumulator
-	// row), then the neighbor gather in ascending source order.
-	in := l.InDim
-	dH := ensureMat(&l.dH, l.nAll, in)
-	if l.agg != nil {
-		// Fused sweep: dz and the self terms in one pass, no dConcat. Every
-		// row < nOut is fully overwritten by the split writes, so only the
-		// remaining rows need zeroing before the gather accumulates.
-		dz := ensureMat(&l.dz, l.nOut, in)
-		l.zeroDHTail()
-		tensor.MatMulTransBSplit(dz, dH, dPre, l.W)
-	} else {
-		dConcat := ensureMat(&l.dConcat, l.nOut, 2*in)
-		tensor.MatMulTransB(dConcat, dPre, l.W)
-		dH.Zero()
-		for v := 0; v < l.nOut; v++ {
-			copy(dH.Row(v), dConcat.Row(v)[in:])
-		}
-	}
+	l.BackwardBegin(dOut)
+	l.backwardParams()
+	// dz and the self terms for every output row in one sweep, then the
+	// neighbor gather in ascending source order.
+	tensor.MatMulTransBSplit(l.dz, l.dH, l.dPre, l.W)
 	l.addNeighborGrads(0, l.nAll)
-	return dH
+	return l.dH
 }
 
-// zeroDHTail zeroes the input-gradient rows the fused backward sweep does not
-// overwrite: [nOut, nAll) — halo rows and any non-output inner rows — which
-// only ever receive gather accumulations.
-func (l *SAGEConv) zeroDHTail() {
-	tail := l.dH.Data[l.nOut*l.InDim:]
-	for i := range tail {
-		tail[i] = 0
-	}
-}
-
-// BackwardBegin starts a staged backward pass: it computes the
-// pre-activation gradient for every output row and zeroes the input-gradient
-// accumulator. The staged schedule (BackwardBegin → BackwardHalo →
-// BackwardFinish) reproduces the one-shot Backward bit for bit: a halo row
-// of the input gradient receives contributions only from outputs with a halo
-// neighbor (ascending, like the full gather), and an inner row only from the
-// finish sweep (self copy, then ascending sources), so every accumulation
+// BackwardBegin starts a backward pass: it computes the pre-activation
+// gradient for every output row and prepares the input-gradient accumulator.
+// The staged schedule (BackwardBegin → BackwardHalo → BackwardFinish)
+// reproduces the one-shot Backward bit for bit: a halo row of the input
+// gradient receives contributions only from outputs with a halo neighbor
+// (ascending, like the full gather), and an inner row only from the finish
+// sweep (self overwrite, then ascending sources), so every accumulation
 // lands on each destination row in exactly the order of the unsplit pass.
 func (l *SAGEConv) BackwardBegin(dOut *tensor.Matrix) {
 	if dOut.Rows != l.nOut || dOut.Cols != l.OutDim {
 		panic(fmt.Sprintf("nn: SAGEConv backward shape %dx%d, want %dx%d", dOut.Rows, dOut.Cols, l.nOut, l.OutDim))
 	}
-	dPre := ensureMat(&l.dPre, dOut.Rows, dOut.Cols)
+	dPre := tensor.EnsureMat(&l.dPre, dOut.Rows, dOut.Cols)
 	copy(dPre.Data, dOut.Data)
 	activationGrad(l.Act, dPre, l.pre)
-	ensureMat(&l.dH, l.nAll, l.InDim)
-	if l.agg != nil {
-		ensureMat(&l.dz, l.nOut, l.InDim) // rows filled stage by stage
-		// The halo/finish split writes overwrite every dH row < nOut
-		// exactly once (haloSrc ∪ freeSrc covers [0,nOut)) before any
-		// gather lands on it, so only the tail rows need zeroing.
-		l.zeroDHTail()
-	} else {
-		ensureMat(&l.dConcat, l.nOut, 2*l.InDim) // rows filled stage by stage
-		l.dH.Zero()
+	tensor.EnsureMat(&l.dz, l.nOut, l.InDim) // rows filled sweep by sweep
+	// The split sweeps overwrite every dH row < nOut exactly once before any
+	// gather lands on it, so only the tail rows [nOut, nAll) — halo rows and
+	// any non-output inner rows, which only ever receive gather
+	// accumulations — need zeroing.
+	dH := tensor.EnsureMat(&l.dH, l.nAll, l.InDim)
+	clear(dH.Data[l.nOut*l.InDim:])
+}
+
+// backwardParams accumulates DW/DB from the pass's dPre. dW reads the concat
+// operand's halves in place ([z|h]).
+func (l *SAGEConv) backwardParams() {
+	dW := tensor.EnsureMat(&l.dWScratch, 2*l.InDim, l.OutDim)
+	tensor.MatMulTransASplit(dW, l.z, l.hIn, l.dPre)
+	l.DW.Add(dW)
+	for v := 0; v < l.nOut; v++ {
+		tensor.AddTo(l.DB.Row(0), l.dPre.Row(v))
 	}
 }
 
@@ -327,28 +253,13 @@ func (l *SAGEConv) BackwardBegin(dOut *tensor.Matrix) {
 // needed. The returned matrix is the shared input-gradient accumulator: its
 // rows ≥ nIn are final, rows < nIn complete only after BackwardFinish.
 func (l *SAGEConv) BackwardHalo(haloSrc, haloSlots []int32, nIn int) *tensor.Matrix {
-	in := l.InDim
-	if l.agg != nil {
-		// Fused sweep over the halo sources: each dz row and its self term
-		// (overwriting its dH row, before any gather reaches it) land in one
-		// pass. Every source of a halo destination has a halo neighbor, i.e.
-		// is in haloSrc — its dz row was just computed — so the row gather
-		// over the transposed index is complete and in ascending order.
-		tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dPre, l.W, haloSrc)
-		tensor.SpMMTransRows(l.dH, l.dz, l.agg.IncIndptr, l.agg.IncSrc, l.invDeg, haloSlots)
-		return l.dH
-	}
-	tensor.MatMulTransBRows(l.dConcat, l.dPre, l.W, haloSrc)
-	for _, v32 := range haloSrc {
-		v := int(v32)
-		s := l.invDeg[v]
-		dz := l.dConcat.Row(v)[:in]
-		for _, u := range l.g.Neighbors(v32) {
-			if int(u) >= nIn {
-				tensor.Axpy(l.dH.Data[int(u)*in:int(u)*in+in], dz, s)
-			}
-		}
-	}
+	// Each halo source's dz row and self term (overwriting its dH row, before
+	// any gather reaches it) land in one sweep. Every source of a halo
+	// destination has a halo neighbor, i.e. is in haloSrc — its dz row was
+	// just computed — so the row gather over the transposed index is
+	// complete and in ascending order.
+	tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dPre, l.W, haloSrc)
+	tensor.SpMMTransRows(l.dH, l.dz, l.agg.IncIndptr, l.agg.IncSrc, l.invDeg, haloSlots)
 	return l.dH
 }
 
@@ -356,29 +267,8 @@ func (l *SAGEConv) BackwardHalo(haloSrc, haloSlots []int32, nIn int) *tensor.Mat
 // the input gradient. freeSrc must list, ascending, every output row not in
 // BackwardHalo's haloSrc; together they cover [0, nOut) exactly once.
 func (l *SAGEConv) BackwardFinish(freeSrc []int32, nIn int) *tensor.Matrix {
-	dW := ensureMat(&l.dWScratch, 2*l.InDim, l.OutDim)
-	if l.agg != nil {
-		tensor.MatMulTransASplit(dW, l.z, l.hIn, l.dPre)
-	} else {
-		tensor.MatMulTransA(dW, l.concat, l.dPre)
-	}
-	l.DW.Add(dW)
-	for v := 0; v < l.nOut; v++ {
-		tensor.AddTo(l.DB.Row(0), l.dPre.Row(v))
-	}
-	if l.agg != nil {
-		// The halo stage already wrote haloSrc's dz rows and self terms;
-		// this sweep covers the rest, completing [0, nOut) exactly once
-		// before the inner-row gather accumulates.
-		tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dPre, l.W, freeSrc)
-		l.addNeighborGrads(0, nIn)
-		return l.dH
-	}
-	tensor.MatMulTransBRows(l.dConcat, l.dPre, l.W, freeSrc)
-	in := l.InDim
-	for v := 0; v < l.nOut; v++ {
-		copy(l.dH.Row(v), l.dConcat.Row(v)[in:]) // self term (v < nIn by construction)
-	}
+	l.backwardParams()
+	tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dPre, l.W, freeSrc)
 	l.addNeighborGrads(0, nIn)
 	return l.dH
 }

@@ -24,8 +24,8 @@ func TestTwoLayerStackGradientCheck(t *testing.T) {
 	g := randGraph(rng, 9, 20)
 	h := tensor.New(9, 3)
 	tensor.GaussianInit(h, 1, rng)
-	l1 := NewSAGEConv(3, 5, ReLUAct, rng)
-	l2 := NewSAGEConv(5, 4, NoAct, rng)
+	l1 := newSAGE(g, 3, 5, ReLUAct, rng)
+	l2 := newSAGE(g, 5, 4, NoAct, rng)
 	labels := []int32{0, 1, 2, 3, 0, 1, 2, 3, 0}
 	mask := make([]bool, 9)
 	for i := range mask {
@@ -68,7 +68,7 @@ func TestGradAccumulationAcrossBackwardCalls(t *testing.T) {
 	g := randGraph(rng, 6, 12)
 	h := tensor.New(6, 3)
 	tensor.GaussianInit(h, 1, rng)
-	l := NewSAGEConv(3, 2, NoAct, rng)
+	l := newSAGE(g, 3, 2, NoAct, rng)
 	out := l.Forward(g, h, 6, InvDegrees(g))
 	dOut := tensor.New(out.Rows, out.Cols)
 	dOut.Fill(1)
@@ -111,12 +111,13 @@ func TestNewDropoutRejectsBadRate(t *testing.T) {
 func TestSAGEConvRejectsBadShapes(t *testing.T) {
 	rng := tensor.NewRNG(25)
 	g := randGraph(rng, 4, 6)
-	l := NewSAGEConv(3, 2, NoAct, rng)
+	l := newSAGE(g, 3, 2, NoAct, rng)
 	cases := []func(){
 		func() { l.Forward(g, tensor.New(4, 5), 4, make([]float32, 4)) }, // wrong dim
 		func() { l.Forward(g, tensor.New(5, 3), 5, make([]float32, 5)) }, // rows != g.N
 		func() { l.Forward(g, tensor.New(4, 3), 5, make([]float32, 5)) }, // nOut > rows
 		func() { l.Forward(g, tensor.New(4, 3), 4, make([]float32, 2)) }, // short invDeg
+		func() { l.Forward(g, tensor.New(4, 3), 2, make([]float32, 4)) }, // input-only rows with edges
 	}
 	for i, fn := range cases {
 		func() {

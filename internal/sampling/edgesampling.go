@@ -48,6 +48,8 @@ type EdgeDropTrainer struct {
 
 	SampleTime  time.Duration
 	ComputeTime time.Duration
+	agg         graph.AggIndex // the epoch graph's aggregation plan
+	eval        fullEval
 
 	// LastCommVolume is the boundary-node communication volume implied by
 	// the surviving cross-partition edges of the last sampled epoch graph.
@@ -117,6 +119,8 @@ func (t *EdgeDropTrainer) TrainEpoch() float64 {
 	defer func() { t.ComputeTime += time.Since(cs) }()
 
 	invDeg := nn.InvDegrees(g)
+	t.agg.Build(g)
+	t.Model.SetAgg(&t.agg)
 	h := t.DS.Features
 	for l, layer := range t.Model.LayersL {
 		h = t.Model.Dropouts[l].Forward(h, true)
@@ -134,12 +138,7 @@ func (t *EdgeDropTrainer) TrainEpoch() float64 {
 
 // Evaluate scores the model with exact full-graph inference.
 func (t *EdgeDropTrainer) Evaluate(mask []bool) float64 {
-	invDeg := nn.InvDegrees(t.DS.G)
-	h := t.DS.Features
-	for _, layer := range t.Model.LayersL {
-		h = layer.Forward(t.DS.G, h, t.DS.G.N, invDeg)
-	}
-	return core.Score(t.DS, h, mask)
+	return t.eval.score(t.DS, t.Model, mask)
 }
 
 // BNSDroppedEdges returns the expected number of undirected cross-partition

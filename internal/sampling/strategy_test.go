@@ -82,9 +82,9 @@ func stratSignature(t *testing.T, tr *core.ParallelTrainer, epochs int) (uint64,
 // TestStrategiesDeterministicAcrossSchedulesAndTransports is the new
 // strategies' end-to-end determinism proof, mirroring the engine's BNS
 // equivalence matrix: for LADIES and SAINT, the same seed must produce
-// bit-identical losses, weights, and traffic under all three schedules over
-// the channel transport and under the pipelined arrival drain over TCP — and
-// a different seed must not.
+// bit-identical losses, weights, and traffic under both schedules over the
+// channel transport and under the overlapped schedule over TCP — and a
+// different seed must not.
 func TestStrategiesDeterministicAcrossSchedulesAndTransports(t *testing.T) {
 	for name, factory := range stratFactories(21) {
 		for _, arch := range []core.Arch{core.ArchSAGE, core.ArchGAT} {
@@ -113,9 +113,8 @@ func TestStrategiesDeterministicAcrossSchedulesAndTransports(t *testing.T) {
 			const epochs = 4
 			refHash, refBytes := stratSignature(t, mk(core.ScheduleSerialized, nil), epochs)
 			runs := map[string]*core.ParallelTrainer{
-				"chan/overlap-rank":    mk(core.ScheduleOverlapRank, nil),
-				"chan/overlap-arrival": mk(core.ScheduleOverlap, nil),
-				"tcp/overlap-arrival":  mk(core.ScheduleOverlap, tcpGroup(t, 3)),
+				"chan/overlap": mk(core.ScheduleOverlap, nil),
+				"tcp/overlap":  mk(core.ScheduleOverlap, tcpGroup(t, 3)),
 			}
 			for rn, tr := range runs {
 				h, b := stratSignature(t, tr, epochs)

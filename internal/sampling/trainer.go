@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/tensor"
@@ -23,55 +24,19 @@ type MinibatchTrainer struct {
 
 	SampleTime  time.Duration
 	ComputeTime time.Duration
-	evalTrainer *core.FullTrainer
+	eval        fullEval
 
 	// Trainer-owned batch scratch, sized to the largest batch seen and
 	// reused — the same layer-owned-scratch discipline RankTrainer's epoch
 	// engine runs with, so a steady-state TrainStep's only allocations are
-	// the sampler's own batch assembly.
+	// the sampler's own batch assembly. agg is the batch graph's aggregation
+	// plan, rebuilt in place per batch.
+	agg         graph.AggIndex
 	featsBuf    *tensor.Matrix
 	labelMatBuf *tensor.Matrix
 	gradBuf     *tensor.Matrix
 	labelsBuf   []int32
 	invDegBuf   []float32
-}
-
-// ensureMat returns a rows × cols matrix stored at *buf with undefined
-// contents, reallocating only on capacity growth (nn's layer-scratch idiom).
-func ensureMat(buf **tensor.Matrix, rows, cols int) *tensor.Matrix {
-	m := *buf
-	n := rows * cols
-	if m == nil || cap(m.Data) < n {
-		m = tensor.New(rows, cols)
-		*buf = m
-		return m
-	}
-	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
-	return m
-}
-
-// ensureI32 returns a length-n int32 slice stored at *buf, contents undefined.
-func ensureI32(buf *[]int32, n int) []int32 {
-	s := *buf
-	if cap(s) < n {
-		s = make([]int32, n)
-	} else {
-		s = s[:n]
-	}
-	*buf = s
-	return s
-}
-
-// ensureF32 returns a length-n float32 slice stored at *buf, contents undefined.
-func ensureF32(buf *[]float32, n int) []float32 {
-	s := *buf
-	if cap(s) < n {
-		s = make([]float32, n)
-	} else {
-		s = s[:n]
-	}
-	*buf = s
-	return s
 }
 
 // NewMinibatchTrainer builds a trainer around the given sampler.
@@ -98,27 +63,29 @@ func (t *MinibatchTrainer) TrainStep() float64 {
 	cs := time.Now()
 	defer func() { t.ComputeTime += time.Since(cs) }()
 
-	feats := ensureMat(&t.featsBuf, len(batch.Nodes), t.DS.Features.Cols)
+	feats := tensor.EnsureMat(&t.featsBuf, len(batch.Nodes), t.DS.Features.Cols)
 	tensor.GatherRowsInto(feats, t.DS.Features, batch.Nodes)
 	var labels []int32
 	var labelMatrix *tensor.Matrix
 	if t.DS.MultiLabel {
-		labelMatrix = ensureMat(&t.labelMatBuf, len(batch.Nodes), t.DS.LabelMatrix.Cols)
+		labelMatrix = tensor.EnsureMat(&t.labelMatBuf, len(batch.Nodes), t.DS.LabelMatrix.Cols)
 		tensor.GatherRowsInto(labelMatrix, t.DS.LabelMatrix, batch.Nodes)
 	} else {
-		labels = ensureI32(&t.labelsBuf, len(batch.Nodes))
+		labels = tensor.EnsureI32(&t.labelsBuf, len(batch.Nodes))
 		for i, v := range batch.Nodes {
 			labels[i] = t.DS.Labels[v]
 		}
 	}
-	invDeg := nn.InvDegreesInto(ensureF32(&t.invDegBuf, batch.G.N), batch.G)
+	invDeg := nn.InvDegreesInto(tensor.EnsureF32(&t.invDegBuf, batch.G.N), batch.G)
+	t.agg.Build(batch.G)
+	t.Model.SetAgg(&t.agg)
 
 	h := feats
 	for l, layer := range t.Model.LayersL {
 		h = t.Model.Dropouts[l].Forward(h, true)
 		h = layer.Forward(batch.G, h, batch.G.N, invDeg)
 	}
-	d := ensureMat(&t.gradBuf, h.Rows, h.Cols)
+	d := tensor.EnsureMat(&t.gradBuf, h.Rows, h.Cols)
 	loss := core.LossInto(d, t.DS, h, labels, labelMatrix, batch.TargetMask, 0)
 	t.Model.ZeroGrad()
 	for l := len(t.Model.LayersL) - 1; l >= 0; l-- {
@@ -141,20 +108,30 @@ func (t *MinibatchTrainer) TrainEpoch() float64 {
 
 // Evaluate scores the model with exact full-graph inference on mask.
 func (t *MinibatchTrainer) Evaluate(mask []bool) float64 {
-	if t.evalTrainer == nil {
-		t.evalTrainer = &core.FullTrainer{DS: t.DS, Model: t.Model}
-	}
-	logits := t.fullForward()
-	return core.Score(t.DS, logits, mask)
+	return t.eval.score(t.DS, t.Model, mask)
 }
 
-func (t *MinibatchTrainer) fullForward() *tensor.Matrix {
-	invDeg := nn.InvDegrees(t.DS.G)
-	h := t.DS.Features
-	for _, layer := range t.Model.LayersL {
-		h = layer.Forward(t.DS.G, h, t.DS.G.N, invDeg)
+// fullEval is exact full-graph inference for a model that trains on
+// per-batch (or per-epoch) graphs: the full graph is static, so its
+// aggregation plan and normalizer are built once, on first use, and swapped
+// in for the pass. The trainers install their own plan again at the start of
+// every training step.
+type fullEval struct {
+	agg    *graph.AggIndex
+	invDeg []float32
+}
+
+func (e *fullEval) score(ds *datagen.Dataset, m *core.Model, mask []bool) float64 {
+	if e.agg == nil {
+		e.agg = graph.NewAggIndex(ds.G)
+		e.invDeg = nn.InvDegrees(ds.G)
 	}
-	return h
+	m.SetAgg(e.agg)
+	h := ds.Features
+	for _, layer := range m.LayersL {
+		h = layer.Forward(ds.G, h, ds.G.N, e.invDeg)
+	}
+	return core.Score(ds, h, mask)
 }
 
 // OverheadFraction returns sampling time / (sampling + compute) time, the

@@ -303,7 +303,7 @@ func checkSpMMTrans(name string, dst, src *Matrix, indptr []int64) {
 // list of source rows (graph.AggIndex.IncIndptr/IncSrc) — so destination
 // rows are independent and the scatter race of the naive formulation never
 // exists. scale indexes SOURCE rows; nil skips the scaling. src.Cols may
-// exceed dst.Cols (the SAGE layer reads the dz half of its dConcat rows).
+// exceed dst.Cols (only the first dst.Cols entries of each source row are read).
 // dst is accumulated into, not zeroed: the caller initializes rows (zero, or
 // the layer's self term). chunks is the edge-balanced boundary list over the
 // transposed index (graph.AggIndex.IncChunks), nil for dynamic row claiming.

@@ -128,3 +128,45 @@ func (w *Workspace) Reset() {
 	}
 	w.usedSlices = w.usedSlices[:0]
 }
+
+// EnsureMat returns a rows×cols matrix stored at *buf, reusing the existing
+// storage when its capacity suffices. Contents are UNDEFINED; callers must
+// fully overwrite or explicitly zero. This is how layers and trainers keep
+// owner-held scratch out of the allocator: shapes are stable across epochs,
+// so after warm-up every call reuses the same backing arrays.
+func EnsureMat(buf **Matrix, rows, cols int) *Matrix {
+	m := *buf
+	n := rows * cols
+	if m == nil || cap(m.Data) < n {
+		m = New(rows, cols)
+		*buf = m
+		return m
+	}
+	m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
+	return m
+}
+
+// EnsureF32 returns a length-n float32 slice stored at *buf with undefined
+// contents, reusing capacity when possible.
+func EnsureF32(buf *[]float32, n int) []float32 {
+	s := *buf
+	if cap(s) < n {
+		s = make([]float32, n)
+	} else {
+		s = s[:n]
+	}
+	*buf = s
+	return s
+}
+
+// EnsureI32 is EnsureF32 for int32 slices.
+func EnsureI32(buf *[]int32, n int) []int32 {
+	s := *buf
+	if cap(s) < n {
+		s = make([]int32, n)
+	} else {
+		s = s[:n]
+	}
+	*buf = s
+	return s
+}
