@@ -4,9 +4,8 @@
 # kernels are CPUID-gated either way, but v3 lets the compiler use AVX/BMI
 # and fused multiply-adds in the scalar tails and the rest of the runtime.
 # CI proves the whole suite under both v1 and v3 (the bit-identity
-# equivalence tests are within-build, so either mode is self-consistent);
-# BENCH_hotpath.json records the measured v1→v3 delta. Override for baseline
-# hardware with `make GOAMD64=v1 <target>`.
+# equivalence tests are within-build, so either mode is self-consistent).
+# Override for baseline hardware with `make GOAMD64=v1 <target>`.
 GOAMD64 ?= v3
 export GOAMD64
 
@@ -26,7 +25,7 @@ test:
 race:
 	$(GO) test -race ./internal/tensor/ ./internal/comm/ ./internal/core/ ./internal/nn/ ./internal/graph/
 
-# The kernel + aggregation benchmark set behind BENCH_hotpath.json.
+# Kernel + aggregation microbenchmarks.
 bench-spmm:
 	$(GO) test -run=xxx -bench='BenchmarkSpMM|BenchmarkMatMul$$' -benchtime=2s ./internal/tensor/
 

@@ -3,8 +3,7 @@ package repro
 // One testing.B benchmark per table and figure of the paper's evaluation
 // section. Each bench drives the same code path as `bnsbench -exp <id>` in
 // quick mode (a few epochs), so `go test -bench=.` exercises every
-// experiment end to end; full-size numbers come from cmd/bnsbench and are
-// recorded in EXPERIMENTS.md.
+// experiment end to end; full-size numbers come from cmd/bnsbench.
 
 import (
 	"io"

@@ -112,24 +112,15 @@ func main() {
 	)
 	flag.Parse()
 
+	if err := checkModeFlags(*rank, *world, *spawn, *join, *rdv, *ckptDir); err != nil {
+		fatal(err)
+	}
 	elasticMode := *ckptDir != ""
-	if *join && !elasticMode {
-		fatal(fmt.Errorf("-join requires -checkpoint-dir: a replacement resumes from the cohort's shared checkpoints"))
-	}
-	if elasticMode && *rdv != "" {
-		fatal(fmt.Errorf("-checkpoint-dir and -rendezvous are mutually exclusive: elastic runs use the per-rank candidate rendezvous (-hosts), which survives rank 0's death"))
-	}
 	distributed := *rdv != "" || elasticMode
 	if distributed {
-		if *world < 1 {
-			fatal(fmt.Errorf("multi-process training requires -world >= 1, got %d", *world))
-		}
 		*k = *world // one partition per process
 		if *spawn {
 			os.Exit(spawnWorkers(*world))
-		}
-		if *rank < 0 || *rank >= *world {
-			fatal(fmt.Errorf("-rank %d outside [0,%d); pass -spawn to launch all ranks", *rank, *world))
 		}
 	}
 	var cands []string
@@ -260,6 +251,44 @@ func main() {
 		}
 	}
 	fmt.Printf("\nfinal: val %.4f  test %.4f\n", tr.Evaluate(ds.ValMask), tr.Evaluate(ds.TestMask))
+}
+
+// checkModeFlags validates the flags that choose between in-process training
+// (-k partitions over the channel transport) and a multi-process run (-world
+// ranks over TCP, selected by -rendezvous, or elastic, selected by
+// -checkpoint-dir). A multi-process flag without its selector is rejected
+// rather than ignored: `bnsgcn -world 8` would otherwise train in-process at
+// the -k default.
+func checkModeFlags(rank, world int, spawn, join bool, rdv, ckptDir string) error {
+	elasticMode := ckptDir != ""
+	if join && !elasticMode {
+		return fmt.Errorf("-join requires -checkpoint-dir: a replacement resumes from the cohort's shared checkpoints")
+	}
+	if elasticMode && rdv != "" {
+		return fmt.Errorf("-checkpoint-dir and -rendezvous are mutually exclusive: elastic runs use the per-rank candidate rendezvous (-hosts), which survives rank 0's death")
+	}
+	if !elasticMode && rdv == "" {
+		given := ""
+		switch {
+		case world != 0:
+			given = fmt.Sprintf("-world %d", world)
+		case rank != -1:
+			given = fmt.Sprintf("-rank %d", rank)
+		case spawn:
+			given = "-spawn"
+		}
+		if given != "" {
+			return fmt.Errorf("%s selects a multi-process run but neither -rendezvous (TCP) nor -checkpoint-dir (elastic) is set, so it would be ignored and training would run in-process at -k partitions: add one of them, or use -k for in-process partitions", given)
+		}
+		return nil
+	}
+	if world < 1 {
+		return fmt.Errorf("multi-process training requires -world >= 1, got %d", world)
+	}
+	if !spawn && (rank < 0 || rank >= world) {
+		return fmt.Errorf("-rank %d outside [0,%d); pass -spawn to launch all ranks", rank, world)
+	}
+	return nil
 }
 
 // rendezvousCandidates builds the per-rank elastic rendezvous candidate

@@ -110,3 +110,46 @@ func TestRendezvousCandidatesSelfConflictLineNumbers(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckModeFlags(t *testing.T) {
+	cases := []struct {
+		name        string
+		rank, world int
+		spawn, join bool
+		rdv, ckpt   string
+		want        []string // substrings of the error; nil = accepted
+	}{
+		{name: "in-process", rank: -1},
+		{name: "tcp rank", rank: 1, world: 4, rdv: "h:1"},
+		{name: "tcp spawn", rank: -1, world: 4, spawn: true, rdv: "h:1"},
+		{name: "elastic join", rank: 2, world: 4, join: true, ckpt: "/c"},
+		// Multi-process flags without a selector used to be ignored silently.
+		{name: "bare world", rank: -1, world: 8, want: []string{"-world 8", "-rendezvous", "-checkpoint-dir"}},
+		{name: "bare rank", rank: 0, want: []string{"-rank 0", "-rendezvous", "-checkpoint-dir"}},
+		{name: "bare spawn", rank: -1, spawn: true, want: []string{"-spawn", "-rendezvous", "-checkpoint-dir"}},
+		{name: "join without dir", rank: 2, world: 4, join: true, rdv: "h:1", want: []string{"-join requires -checkpoint-dir"}},
+		{name: "both selectors", rank: 0, world: 2, rdv: "h:1", ckpt: "/c", want: []string{"mutually exclusive"}},
+		{name: "no world", rank: 0, rdv: "h:1", want: []string{"-world >= 1"}},
+		{name: "rank out of range", rank: 4, world: 4, ckpt: "/c", want: []string{"-rank 4 outside [0,4)"}},
+		{name: "rank missing", rank: -1, world: 4, rdv: "h:1", want: []string{"-rank -1 outside", "-spawn"}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := checkModeFlags(tc.rank, tc.world, tc.spawn, tc.join, tc.rdv, tc.ckpt)
+			if tc.want == nil {
+				if err != nil {
+					t.Fatalf("valid flags rejected: %v", err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("invalid flags accepted")
+			}
+			for _, w := range tc.want {
+				if !strings.Contains(err.Error(), w) {
+					t.Fatalf("error %q does not mention %q", err, w)
+				}
+			}
+		})
+	}
+}

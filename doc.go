@@ -2,11 +2,12 @@
 // Full-Graph Training of Graph Convolutional Networks with
 // Partition-Parallelism and Random Boundary Node Sampling" (MLSys 2022).
 //
-// See README.md for the architecture overview, DESIGN.md for the system
-// inventory and per-experiment index, and EXPERIMENTS.md for paper-vs-
-// measured results. The benchmarks in bench_test.go regenerate every table
-// and figure of the paper's evaluation in quick mode; cmd/bnsbench runs them
-// at full size.
+// See ROADMAP.md for the north star and open items, PERFORMANCE.md for how
+// the epoch hot path, the transports, elastic training and serving are
+// built, bench/README.md for the benchmark every change is judged by, and
+// cmd/bnsgcn/README.md and cmd/bnsserve/README.md for the CLIs. The
+// benchmarks in bench_test.go regenerate every table and figure of the
+// paper's evaluation in quick mode; cmd/bnsbench runs them at full size.
 //
 // # Communication transports
 //

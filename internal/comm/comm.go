@@ -157,17 +157,12 @@ func (t *ChanTransport) ISendF32(dst, tag int, data []float32) PendingSend {
 	return PendingSend{}
 }
 
-// IRecvF32 posts a nonblocking receive. The fabric is push-based (the sender
-// enqueues directly into the per-pair channel), so the message makes
-// progress regardless of when Wait runs.
-func (t *ChanTransport) IRecvF32(src, tag int) PendingRecvF32 {
-	return PendingRecvF32{t: t, src: src, tag: tag}
-}
-
 // IRecvF32Notify posts a nonblocking receive with a completion
-// notification; see Transport.IRecvF32Notify. Senders stamp the
-// destination's ledger before enqueuing, so the token fires no earlier than
-// the send that satisfies it.
+// notification; see Transport.IRecvF32Notify. The fabric is push-based (the
+// sender enqueues directly into the per-pair channel), so the message makes
+// progress regardless of when Wait runs; senders stamp the destination's
+// ledger before enqueuing, so the token fires no earlier than the send that
+// satisfies it.
 func (t *ChanTransport) IRecvF32Notify(src, tag int, notify chan<- int, token int) PendingRecvF32 {
 	t.s.regs[t.rank].register(src, tag, notify, token)
 	return PendingRecvF32{t: t, src: src, tag: tag}

@@ -38,11 +38,13 @@ func TestISendIRecvRoundTrip(t *testing.T) {
 			} else {
 				// Post all receives first, then wait in order — the demux
 				// progresses regardless of when Wait runs.
+				arrived := make(chan int, msgs)
 				var handles []PendingRecvF32
 				for i := 0; i < msgs; i++ {
-					handles = append(handles, w.IRecvF32(0, tag))
+					handles = append(handles, w.IRecvF32Notify(0, tag, arrived, i))
 				}
 				for i, h := range handles {
+					<-arrived
 					got := h.Wait()
 					if len(got) != 2 || got[0] != float32(i) || got[1] != float32(2*i) {
 						t.Errorf("%s: message %d = %v, want [%d %d]", b.name, i, got, i, 2*i)

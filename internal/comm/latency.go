@@ -256,12 +256,6 @@ func (t *latencyTransport) RecvI32(src, tag int) []int32 {
 	return out
 }
 
-// IRecvF32 re-points the handle at the wrapper so Wait applies the link
-// delay.
-func (t *latencyTransport) IRecvF32(src, tag int) PendingRecvF32 {
-	return PendingRecvF32{t: t, src: src, tag: tag}
-}
-
 // IRecvF32Notify interposes a forwarder between the backend's notification
 // and the caller's channel: the forwarder waits for the backend arrival,
 // serves the modeled delay (prepaying it so the matching receive does not

@@ -833,17 +833,11 @@ func (t *TCPTransport) ISendF32(dst, tag int, data []float32) PendingSend {
 	})
 }
 
-// IRecvF32 posts a nonblocking receive; the demux goroutine drains the
-// socket in the background, so the frame makes progress while the caller
-// computes and Wait only dequeues it.
-func (t *TCPTransport) IRecvF32(src, tag int) PendingRecvF32 {
-	return PendingRecvF32{t: t, src: src, tag: tag}
-}
-
 // IRecvF32Notify posts a nonblocking receive with a completion
-// notification; see Transport.IRecvF32Notify. The demux goroutines stamp
-// the ledger as they route f32 frames, so the token fires when the frame is
-// (about to be) queued for consumption.
+// notification; see Transport.IRecvF32Notify. The demux goroutines drain the
+// sockets in the background, so the frame makes progress while the caller
+// computes, and stamp the ledger as they route f32 frames, so the token
+// fires when the frame is (about to be) queued for consumption.
 func (t *TCPTransport) IRecvF32Notify(src, tag int, notify chan<- int, token int) PendingRecvF32 {
 	checkAppTag(tag)
 	t.peer(src) // validate src early, like recv would

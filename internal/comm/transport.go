@@ -46,18 +46,15 @@ type Transport interface {
 	// serializes before returning, so the caller's slice is free immediately;
 	// the channel backend holds the slice until delivery.
 	ISendF32(dst, tag int, data []float32) PendingSend
-	// IRecvF32 posts a nonblocking receive for the next float32 message with
-	// the given tag from src. Both backends progress in the background — the
-	// channel fabric is push-based and the TCP demux goroutines drain the
-	// sockets — so the payload can arrive while the caller computes; Wait
-	// only dequeues it (or blocks until arrival). Wait exactly once.
-	IRecvF32(src, tag int) PendingRecvF32
-	// IRecvF32Notify posts a nonblocking receive like IRecvF32 and
-	// additionally arranges for token to be sent on notify exactly once when
-	// the matching message becomes consumable — the select-any primitive: a
-	// caller with several posted receives blocks on one channel and consumes
-	// whichever peer's payload lands first. The handle's Wait then returns
-	// (almost) immediately.
+	// IRecvF32Notify posts a nonblocking receive for the next float32
+	// message with the given tag from src, and arranges for token to be sent
+	// on notify exactly once when that message becomes consumable — the
+	// select-any primitive: a caller with several posted receives blocks on
+	// one channel and consumes whichever peer's payload lands first. Both
+	// backends progress in the background — the channel fabric is push-based
+	// and the TCP demux goroutines drain the sockets — so the payload arrives
+	// while the caller computes; the handle's Wait only dequeues it (or
+	// blocks until arrival). Wait exactly once.
 	//
 	// notify must have spare capacity for every outstanding notification
 	// posted on it (the transport sends without selecting). If the transport
@@ -67,7 +64,7 @@ type Transport interface {
 	//
 	// Within a transport's lifetime a given (src, tag) stream must be
 	// consumed either always through notify-posted receives or always
-	// through plain ones; mixing strands arrival credits (see notifyReg).
+	// through RecvF32; mixing strands arrival credits (see notifyReg).
 	IRecvF32Notify(src, tag int, notify chan<- int, token int) PendingRecvF32
 	// RecycleF32 hands a slice previously returned by RecvF32 (or a recv
 	// handle's Wait) back to the transport for reuse. Optional, and a no-op
@@ -178,9 +175,6 @@ func (w *Worker) RecvI32(src, tag int) []int32 { return w.t.RecvI32(src, tag) }
 func (w *Worker) ISendF32(dst, tag int, data []float32) PendingSend {
 	return w.t.ISendF32(dst, tag, data)
 }
-
-// IRecvF32 posts a nonblocking receive; see Transport.IRecvF32.
-func (w *Worker) IRecvF32(src, tag int) PendingRecvF32 { return w.t.IRecvF32(src, tag) }
 
 // IRecvF32Notify posts a nonblocking receive with a completion
 // notification; see Transport.IRecvF32Notify.

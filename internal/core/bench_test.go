@@ -112,8 +112,8 @@ func benchHighDegTrainer(b *testing.B, p float64, k int) *ParallelTrainer {
 	return tr
 }
 
-// BenchmarkEpochHighDegK1 and K4 are the aggregation-dominated epoch rows of
-// BENCH_hotpath.json's aggregation section (k = partition count).
+// BenchmarkEpochHighDegK1 and K4 are aggregation-dominated epochs (k =
+// partition count).
 func BenchmarkEpochHighDegK1(b *testing.B) {
 	tr := benchHighDegTrainer(b, 1.0, 1)
 	b.ResetTimer()

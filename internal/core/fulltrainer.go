@@ -39,22 +39,7 @@ func NewFullTrainer(ds *datagen.Dataset, cfg ModelConfig) (*FullTrainer, error) 
 // Forward runs the model over the full graph and returns logits for every
 // node. train enables dropout.
 func (t *FullTrainer) Forward(train bool) *tensor.Matrix {
-	h := t.DS.Features
-	for l, layer := range t.Model.LayersL {
-		h = t.Model.Dropouts[l].Forward(h, train)
-		h = layer.Forward(t.DS.G, h, t.DS.G.N, t.invDeg)
-	}
-	return h
-}
-
-// backwardFrom propagates dLogits through the model, accumulating parameter
-// gradients.
-func (t *FullTrainer) backwardFrom(dLogits *tensor.Matrix) {
-	d := dLogits
-	for l := len(t.Model.LayersL) - 1; l >= 0; l-- {
-		d = t.Model.LayersL[l].Backward(d)
-		d = t.Model.Dropouts[l].Backward(d)
-	}
+	return t.Model.Forward(t.DS.G, t.DS.Features, t.DS.G.N, t.invDeg, train)
 }
 
 // TrainEpoch runs one full-graph training step and returns the train loss.
@@ -62,7 +47,7 @@ func (t *FullTrainer) TrainEpoch() float64 {
 	logits := t.Forward(true)
 	loss, dLogits := Loss(t.DS, logits, t.DS.Labels, t.DS.LabelMatrix, t.DS.TrainMask, 0)
 	t.Model.ZeroGrad()
-	t.backwardFrom(dLogits)
+	t.Model.Backward(dLogits)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
 	return loss
 }

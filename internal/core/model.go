@@ -51,9 +51,10 @@ func (c *ModelConfig) Validate() error {
 // a local node space producing outputs for the first nOut rows, backward
 // returning input gradients for all rows.
 //
-// Besides the one-shot Forward/Backward (what the full-graph trainers use),
-// every layer exposes the chunked passes the pipelined epoch engine runs so
-// halo exchange can overlap with halo-independent compute:
+// Besides the one-shot Forward/Backward (what Model.Forward/Backward, the
+// single-process trainers' walk of the stack, call), every layer exposes the
+// chunked passes the pipelined epoch engine runs so halo exchange can overlap
+// with halo-independent compute:
 //
 //   - ForwardBegin → ForwardPrep/ForwardRows: rows whose aggregation reads no
 //     halo slot can run while boundary features are in flight; the remaining
@@ -72,8 +73,8 @@ type GraphLayer interface {
 	// transposed index plus edge-balanced chunk boundaries) the layer's
 	// passes run over. The plan must be built from the same graph the
 	// passes receive; trainers rebuild it whenever the epoch graph changes.
-	// SAGE requires one; layers reject a plan that does not match the graph
-	// a pass is handed.
+	// SAGE requires one and rejects a plan that does not match the graph a
+	// pass is handed; attention needs none and ignores it.
 	SetAgg(ai *graph.AggIndex)
 
 	// ForwardBegin prepares a chunked pass and returns the output matrix the
@@ -184,6 +185,31 @@ func (m *Model) Layers() []nn.Layer { return m.layersCache }
 func (m *Model) SetAgg(ai *graph.AggIndex) {
 	for _, l := range m.LayersL {
 		l.SetAgg(ai)
+	}
+}
+
+// Forward runs the whole stack one-shot — dropout, then the layer, per layer
+// — over the local graph g and input x, and returns the last layer's output
+// for rows [0, nOut). train enables dropout; invDeg is the mean-aggregation
+// normalizer (unused by attention). This and Backward are the only one-shot
+// walks of the layer stack: every single-process trainer and evaluator calls
+// them, and the partition-parallel engine (pipeline.go) runs the same layers
+// stage by stage instead.
+func (m *Model) Forward(g *graph.Graph, x *tensor.Matrix, nOut int, invDeg []float32, train bool) *tensor.Matrix {
+	h := x
+	for l, layer := range m.LayersL {
+		h = m.Dropouts[l].Forward(h, train)
+		h = layer.Forward(g, h, nOut, invDeg)
+	}
+	return h
+}
+
+// Backward propagates d, the gradient of the last Forward's output, down the
+// stack, accumulating every layer's parameter gradients.
+func (m *Model) Backward(d *tensor.Matrix) {
+	for l := len(m.LayersL) - 1; l >= 0; l-- {
+		d = m.LayersL[l].Backward(d)
+		d = m.Dropouts[l].Backward(d)
 	}
 }
 

@@ -323,7 +323,7 @@ const (
 	// EstimatorSelfNorm (default) pairs the 1/p feature rescale with the
 	// matching effective-degree normalizer |local| + (1/p)·|sampled remote|.
 	// The estimate is a convex combination of neighbor features — bounded —
-	// and equals the exact mean at p=1. See DESIGN.md §6.
+	// and equals the exact mean at p=1. See RankTrainer.epochInvDeg.
 	EstimatorSelfNorm Estimator = iota
 	// EstimatorHT is the paper's literal form: 1/p rescale normalized by the
 	// full global degree (Horvitz–Thompson). Unbiased, but on low-degree

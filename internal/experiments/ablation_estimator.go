@@ -13,9 +13,9 @@ func init() {
 
 // runAblation1 is an extension beyond the paper: it quantifies why this
 // reproduction normalizes sampled aggregations by the effective degree
-// (DESIGN.md §6). On the paper's dense datasets the two estimators behave
-// alike; on CPU-sized sparse graphs the raw 1/p form destabilizes low-p
-// training while the self-normalized form tracks p=1.
+// (core.EstimatorSelfNorm). On the paper's dense datasets the two estimators
+// behave alike; on CPU-sized sparse graphs the raw 1/p form destabilizes
+// low-p training while the self-normalized form tracks p=1.
 func runAblation1(w io.Writer, o Options) error {
 	o = o.withDefaults()
 	spec := productsSpec()

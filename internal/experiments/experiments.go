@@ -20,7 +20,7 @@ import (
 )
 
 // Options control experiment size so the same code serves quick benchmark
-// runs and the full EXPERIMENTS.md regeneration.
+// runs and cmd/bnsbench's full-size ones.
 type Options struct {
 	// Scale multiplies dataset node counts (presets are sized for a 2-core
 	// CPU budget at Scale=1).

@@ -162,7 +162,7 @@ func ChunkTargetCost(indptr []int64, workers int, rowCost int64) int64 {
 	total := indptr[n] - indptr[0] + int64(n)*rowCost
 	if workers <= 1 {
 		// One worker claims everything anyway: a single chunk skips the
-		// whole claim machinery (and its escaping closures) on 1-CPU hosts.
+		// whole claim machinery on 1-CPU hosts.
 		return total + minChunkWeight
 	}
 	over := int64(4)

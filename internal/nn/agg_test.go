@@ -190,44 +190,6 @@ func TestSAGERejectsMissingOrStalePlan(t *testing.T) {
 	l.Forward(g, h, g.N, invDeg) // the matching plan passes
 }
 
-// TestGATRejectsStalePlan: GAT's plan is optional, but an installed one must
-// match the pass graph.
-func TestGATRejectsStalePlan(t *testing.T) {
-	g, other, h, sizes := stalePlanFixture(t)
-	l := NewGATConv(3, 2, NoAct, tensor.NewRNG(43))
-	l.Forward(g, h, g.N) // no plan: serial sweep
-	l.SetAgg(graph.NewAggIndex(other))
-	panicsWith(t, "one-shot", "GATConv aggregation plan "+sizes, func() { l.Forward(g, h, g.N) })
-	panicsWith(t, "chunked", "GATConv aggregation plan "+sizes, func() { l.ForwardBegin(g, h, g.N) })
-	l.SetAgg(graph.NewAggIndex(g))
-	l.Forward(g, h, g.N)
-}
-
-// TestGATAggEngineMatchesFallback: the chunk-parallel attention sweep must
-// reproduce the serial sweep bit for bit.
-func TestGATAggEngineMatchesFallback(t *testing.T) {
-	for _, tc := range aggCases {
-		rng := tensor.NewRNG(302)
-		g := localGraph(rng, tc.nIn, tc.nBd, tc.deg, tc.haloP)
-		h := randMat(rng, g.N, tc.inDim)
-		dOut := randMat(rng, tc.nIn, tc.outDim)
-
-		ref := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
-		eng := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
-		eng.SetAgg(graph.NewAggIndex(g))
-
-		wantOut := ref.Forward(g, h, tc.nIn)
-		wantDH := ref.Backward(dOut)
-		gotOut := eng.Forward(g, h, tc.nIn)
-		gotDH := eng.Backward(dOut)
-		sameBits(t, tc.name+"/forward", gotOut.Data, wantOut.Data)
-		sameBits(t, tc.name+"/backward", gotDH.Data, wantDH.Data)
-		sameBits(t, tc.name+"/DW", eng.DW.Data, ref.DW.Data)
-		sameBits(t, tc.name+"/DA1", eng.DA1.Data, ref.DA1.Data)
-		sameBits(t, tc.name+"/DA2", eng.DA2.Data, ref.DA2.Data)
-	}
-}
-
 // isolatedGraph builds a local graph where nodes isoA (inner) and the last
 // halo row are completely isolated, the other inner rows draw deg neighbors.
 func isolatedGraph(rng *tensor.RNG, nIn, nBd, deg int, isolated map[int]bool) *graph.Graph {
@@ -351,7 +313,7 @@ func TestSAGEZeroDegreeNodesFullPass(t *testing.T) {
 
 // TestGATZeroDegreeNodesFullPass: isolated nodes attend only to themselves
 // (α = 1), so out = σ(W·h_v), and the full forward+backward stays finite
-// and passes a finite-difference probe — with and without the plan.
+// and passes a finite-difference probe.
 func TestGATZeroDegreeNodesFullPass(t *testing.T) {
 	const nIn, nBd, deg, inDim, outDim = 9, 3, 3, 4, 3
 	iso := map[int]bool{0: true, 5: true}
@@ -365,63 +327,58 @@ func TestGATZeroDegreeNodesFullPass(t *testing.T) {
 		mask[v] = true
 	}
 
-	for _, withAgg := range []bool{false, true} {
-		l := NewGATConv(inDim, outDim, ReLUAct, tensor.NewRNG(11))
-		if withAgg {
-			l.SetAgg(graph.NewAggIndex(g))
-		}
-		out := l.Forward(g, h, nIn)
-		for _, v := range []int{0, 5} {
-			for j := 0; j < outDim; j++ {
-				var s float32
-				for c := 0; c < inDim; c++ {
-					s += h.At(v, c) * l.W.At(c, j)
-				}
-				if s < 0 {
-					s = 0
-				}
-				if math.Abs(float64(out.At(v, j)-s)) > 1e-5 {
-					t.Fatalf("agg=%v isolated node %d col %d: out %v, want self-attention %v", withAgg, v, j, out.At(v, j), s)
-				}
+	l := NewGATConv(inDim, outDim, ReLUAct, tensor.NewRNG(11))
+	out := l.Forward(g, h, nIn)
+	for _, v := range []int{0, 5} {
+		for j := 0; j < outDim; j++ {
+			var s float32
+			for c := 0; c < inDim; c++ {
+				s += h.At(v, c) * l.W.At(c, j)
+			}
+			if s < 0 {
+				s = 0
+			}
+			if math.Abs(float64(out.At(v, j)-s)) > 1e-5 {
+				t.Fatalf("isolated node %d col %d: out %v, want self-attention %v", v, j, out.At(v, j), s)
 			}
 		}
+	}
 
-		loss := func() float64 {
-			o := l.Forward(g, h, nIn)
-			ls, _ := SoftmaxCrossEntropy(o, labels, mask)
-			return ls
+	loss := func() float64 {
+		o := l.Forward(g, h, nIn)
+		ls, _ := SoftmaxCrossEntropy(o, labels, mask)
+		return ls
+	}
+	l.ZeroGrad()
+	out = l.Forward(g, h, nIn)
+	_, dOut := SoftmaxCrossEntropy(out, labels, mask)
+	dH := l.Backward(dOut)
+	const eps = 1e-3
+	for _, probe := range []struct {
+		name  string
+		param []float32
+		grad  []float32
+		idx   int
+	}{
+		{"W", l.W.Data, l.DW.Data, 1},
+		{"A1", l.A1.Data, l.DA1.Data, 0},
+		{"A2", l.A2.Data, l.DA2.Data, 2},
+		{"h", h.Data, dH.Data, 0}, // input row of isolated node 0
+	} {
+		old := probe.param[probe.idx]
+		probe.param[probe.idx] = old + eps
+		up := loss()
+		probe.param[probe.idx] = old - eps
+		down := loss()
+		probe.param[probe.idx] = old
+		fd := (up - down) / (2 * eps)
+		if diff := math.Abs(fd - float64(probe.grad[probe.idx])); diff > 2e-3*(1+math.Abs(fd)) {
+			t.Fatalf("%s[%d]: analytic %v vs fd %v", probe.name, probe.idx, probe.grad[probe.idx], fd)
 		}
-		l.ZeroGrad()
-		out = l.Forward(g, h, nIn)
-		_, dOut := SoftmaxCrossEntropy(out, labels, mask)
-		dH := l.Backward(dOut)
-		const eps = 1e-3
-		for _, probe := range []struct {
-			name  string
-			param []float32
-			grad  []float32
-			idx   int
-		}{
-			{"W", l.W.Data, l.DW.Data, 1},
-			{"A1", l.A1.Data, l.DA1.Data, 0},
-			{"A2", l.A2.Data, l.DA2.Data, 2},
-			{"h", h.Data, dH.Data, 0}, // input row of isolated node 0
-		} {
-			old := probe.param[probe.idx]
-			probe.param[probe.idx] = old + eps
-			up := loss()
-			probe.param[probe.idx] = old - eps
-			down := loss()
-			probe.param[probe.idx] = old
-			fd := (up - down) / (2 * eps)
-			if diff := math.Abs(fd - float64(probe.grad[probe.idx])); diff > 2e-3*(1+math.Abs(fd)) {
-				t.Fatalf("agg=%v %s[%d]: analytic %v vs fd %v", withAgg, probe.name, probe.idx, probe.grad[probe.idx], fd)
-			}
-		}
-		for _, x := range dH.Data {
-			if math.IsNaN(float64(x)) {
-				t.Fatalf("agg=%v: NaN in input gradient", withAgg)
-			}
+	}
+	for _, x := range dH.Data {
+		if math.IsNaN(float64(x)) {
+			t.Fatalf("NaN in input gradient")
 		}
 	}
 }

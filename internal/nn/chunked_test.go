@@ -120,13 +120,16 @@ var chunkedCases = []chunkedCase{
 	{"all-halo-dep", 17, 5, 4, 7, 5, 1.0},
 	{"no-halo", 19, 0, 4, 5, 2, 0},
 	{"wide", 31, 11, 6, 23, 13, 0.3},
+	{"multi-block", 150, 40, 5, 9, 4, 0.3},
 }
 
 // TestGATChunkedMatchesOneShot: ForwardBegin/ForwardRows over the halo split
 // and the staged backward must reproduce Forward/Backward exactly for the
 // attention layer, whose backward sweeps are destination-filtered rather
 // than source-split. (SAGE's same contract is pinned against the concat
-// reference in TestSAGEFusedMatchesConcatReference.)
+// reference in TestSAGEFusedMatchesConcatReference.) The one-shot pass also
+// runs with the kernel pool forced wide — no plan installed, its sweep
+// claimed block by block — and must match the inline pass bit for bit.
 func TestGATChunkedMatchesOneShot(t *testing.T) {
 	for _, tc := range chunkedCases {
 		rng := tensor.NewRNG(202)
@@ -160,6 +163,15 @@ func TestGATChunkedMatchesOneShot(t *testing.T) {
 		sameBits(t, tc.name+"/DW", chk.DW.Data, ref.DW.Data)
 		sameBits(t, tc.name+"/DA1", chk.DA1.Data, ref.DA1.Data)
 		sameBits(t, tc.name+"/DA2", chk.DA2.Data, ref.DA2.Data)
+
+		par := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
+		restore := tensor.ForceParallelism(4)
+		parOut := par.Forward(g, h, tc.nIn)
+		parDH := par.Backward(dOut)
+		restore()
+		sameBits(t, tc.name+"/parallel-forward", parOut.Data, wantOut.Data)
+		sameBits(t, tc.name+"/parallel-backward", parDH.Data, wantDH.Data)
+		sameBits(t, tc.name+"/parallel-DW", par.DW.Data, ref.DW.Data)
 	}
 }
 

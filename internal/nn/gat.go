@@ -29,13 +29,6 @@ type GATConv struct {
 	DA1 *tensor.Matrix
 	DA2 *tensor.Matrix
 
-	// agg, when set, provides the edge-balanced chunk index the one-shot
-	// Forward parallelizes its per-node attention sweep over (output rows
-	// are fully independent, so chunk scheduling cannot change bits). The
-	// backward keeps its node-serial sweep: its dWh/da1/da2 accumulations
-	// are order-sensitive across nodes.
-	agg *graph.AggIndex
-
 	// Caches.
 	g     *graph.Graph
 	nOut  int
@@ -52,6 +45,10 @@ type GATConv struct {
 	// to the largest epoch subgraph seen.
 	alphaBuf, rawBuf, s1, s2, dAlpha, da1, da2 []float32
 	out, dPre, dWh, dWScratch, dH              *tensor.Matrix
+
+	// sweep is forwardBlock bound once at construction: binding it per pass
+	// would allocate a closure per call.
+	sweep func(rows []int32)
 }
 
 // NewGATConv creates a single-head GAT layer with Xavier initialization.
@@ -71,6 +68,7 @@ func NewGATConv(inDim, outDim int, act Activation, rng *tensor.RNG) *GATConv {
 	tensor.XavierInit(l.W, inDim, outDim, rng)
 	tensor.XavierInit(l.A1, outDim, 1, rng)
 	tensor.XavierInit(l.A2, outDim, 1, rng)
+	l.sweep = l.forwardBlock
 	return l
 }
 
@@ -83,37 +81,18 @@ func (l *GATConv) Grads() []*tensor.Matrix { return []*tensor.Matrix{l.DW, l.DA1
 // ZeroGrad implements Layer.
 func (l *GATConv) ZeroGrad() { zeroGradAll(l.Grads()) }
 
-// SetAgg installs the aggregation plan for subsequent passes. GAT uses only
-// its chunk index, to run the one-shot Forward chunk-parallel when
-// tensor.Parallelism() > 1, so the plan is optional (nil keeps the serial
-// sweep, identical bits) — but an installed plan must match the graph each
-// pass is handed, or the pass panics at entry.
-func (l *GATConv) SetAgg(ai *graph.AggIndex) { l.agg = ai }
+// SetAgg implements the trainers' layer interface. Attention needs no
+// aggregation plan — its forward sweep claims fixed-size row blocks and its
+// backward is node-serial — so the plan is ignored.
+func (l *GATConv) SetAgg(*graph.AggIndex) {}
 
-// Forward computes attention outputs for the first nOut rows of h. With an
-// aggregation plan the per-node sweep runs chunk-parallel: forwardNode
-// writes only node-owned state (the node's flat alpha/raw segment and its
-// pre/out rows) and reads only the shared prep arrays, so any chunk
-// schedule produces the serial sweep's bits.
+// Forward computes attention outputs for the first nOut rows of h: the
+// chunked pass (ForwardBegin, ForwardPrep, ForwardRows) run over every row
+// at once.
 func (l *GATConv) Forward(g *graph.Graph, h *tensor.Matrix, nOut int) *tensor.Matrix {
 	out := l.ForwardBegin(g, h, nOut)
 	l.ForwardPrep(0, h.Rows)
-	if l.agg != nil && len(l.agg.Chunks) > 2 && tensor.Parallelism() > 1 {
-		chunks := l.agg.Chunks
-		tensor.ParallelChunks(len(chunks)-1, func(c int) {
-			lo, hi := int(chunks[c]), int(chunks[c+1])
-			if hi > nOut {
-				hi = nOut
-			}
-			for v := lo; v < hi; v++ {
-				l.forwardNode(v)
-			}
-		})
-		return out
-	}
-	for v := 0; v < nOut; v++ {
-		l.forwardNode(v)
-	}
+	tensor.ForRange(0, nOut, l.sweep)
 	return out
 }
 
@@ -130,9 +109,6 @@ func (l *GATConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int) *tens
 	}
 	if g.N != h.Rows || nOut > h.Rows {
 		panic(fmt.Sprintf("nn: GATConv graph %d nodes, features %d rows, nOut %d", g.N, h.Rows, nOut))
-	}
-	if l.agg != nil {
-		checkPlan("GATConv", l.agg, g)
 	}
 	l.g, l.nOut, l.nAll, l.h = g, nOut, h.Rows, h
 	tensor.EnsureMat(&l.wh, h.Rows, l.OutDim)
@@ -157,56 +133,42 @@ func (l *GATConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int) *tens
 // must be covered exactly once per pass.
 func (l *GATConv) ForwardPrep(r0, r1 int) {
 	tensor.MatMulRange(l.wh, l.h, l.W, r0, r1)
-	a1 := l.A1.Row(0)
-	a2 := l.A2.Row(0)
 	for u := r0; u < r1; u++ {
-		l.s1[u] = tensor.Dot(a1, l.wh.Row(u))
-		l.s2[u] = tensor.Dot(a2, l.wh.Row(u))
+		l.scoreRow(u)
 	}
 }
 
 // ForwardPrepRows is ForwardPrep for an explicit row list: the epoch drain
 // preps exactly one peer's halo slots the moment that peer's payload lands.
-// Per row it runs the same kernels as the range form (tensor.MatMulRows
-// reproduces MatMulRange row for row), so any duplicate-free cover of the
-// rows a pass reads is bit-identical.
+// Per row both forms run the same kernel body and the same scoreRow, so any
+// duplicate-free cover of the rows a pass reads is bit-identical.
 func (l *GATConv) ForwardPrepRows(rows []int32) {
 	tensor.MatMulRows(l.wh, l.h, l.W, rows)
-	a1 := l.A1.Row(0)
-	a2 := l.A2.Row(0)
-	for _, u32 := range rows {
-		u := int(u32)
-		l.s1[u] = tensor.Dot(a1, l.wh.Row(u))
-		l.s2[u] = tensor.Dot(a2, l.wh.Row(u))
+	for _, u := range rows {
+		l.scoreRow(int(u))
 	}
 }
 
-// forwardRowsSeg is the segment size ForwardRows hands to pool workers.
-// Any list longer than one segment parallelizes — typically the halo-free
-// bucket, but also a large per-peer drain bucket; both are safe because
-// every input row a listed output row reads is in place before the call
-// and rows write disjoint state.
-const forwardRowsSeg = 64
+// scoreRow computes node u's attention scores from its Wh row.
+func (l *GATConv) scoreRow(u int) {
+	whu := l.wh.Row(u)
+	l.s1[u] = tensor.Dot(l.A1.Row(0), whu)
+	l.s2[u] = tensor.Dot(l.A2.Row(0), whu)
+}
 
 // ForwardRows computes the output rows listed in rows (each row of [0, nOut)
-// must appear exactly once across all calls of one pass). Rows are
-// independent (see Forward), so large lists — the pipelined engine's
-// halo-free bucket — run segment-parallel with unchanged bits.
+// must appear exactly once across all calls of one pass), in blocks claimed
+// from the kernel worker pool. Every input row a listed output row reads
+// must be in place before the call.
 func (l *GATConv) ForwardRows(rows []int32) {
-	if len(rows) > forwardRowsSeg && tensor.Parallelism() > 1 {
-		nSeg := (len(rows) + forwardRowsSeg - 1) / forwardRowsSeg
-		tensor.ParallelChunks(nSeg, func(c int) {
-			lo := c * forwardRowsSeg
-			hi := lo + forwardRowsSeg
-			if hi > len(rows) {
-				hi = len(rows)
-			}
-			for _, v := range rows[lo:hi] {
-				l.forwardNode(int(v))
-			}
-		})
-		return
-	}
+	tensor.ForRows(rows, l.sweep)
+}
+
+// forwardBlock is the forward sweep's body. forwardNode writes only
+// node-owned state (the node's flat alpha/raw segment and its pre/out rows)
+// and reads only the shared prep arrays, so blocks may run concurrently and
+// in any order without changing a bit.
+func (l *GATConv) forwardBlock(rows []int32) {
 	for _, v := range rows {
 		l.forwardNode(int(v))
 	}

@@ -10,6 +10,14 @@
 // nodes), rows [nOut, H.Rows) are halo rows (boundary-node features received
 // from other partitions). The adjacency used for aggregation is over this
 // local space. In single-process full-graph training nOut == H.Rows.
+//
+// Each graph layer has one forward sweep and one staged backward: the
+// chunked passes (ForwardBegin, ForwardPrep/ForwardPrepRows, ForwardRows;
+// BackwardBegin, BackwardHalo, BackwardFinish) the partition-parallel engine
+// runs piece by piece, and the one-shot Forward/Backward, which are the same
+// pieces run over every row at once. Rows are computed by the same tensor
+// kernel bodies whichever pass covers them, so every pass shape produces the
+// same bits.
 package nn
 
 import (

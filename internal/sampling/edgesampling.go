@@ -121,17 +121,10 @@ func (t *EdgeDropTrainer) TrainEpoch() float64 {
 	invDeg := nn.InvDegrees(g)
 	t.agg.Build(g)
 	t.Model.SetAgg(&t.agg)
-	h := t.DS.Features
-	for l, layer := range t.Model.LayersL {
-		h = t.Model.Dropouts[l].Forward(h, true)
-		h = layer.Forward(g, h, g.N, invDeg)
-	}
+	h := t.Model.Forward(g, t.DS.Features, g.N, invDeg, true)
 	loss, d := core.Loss(t.DS, h, t.DS.Labels, t.DS.LabelMatrix, t.DS.TrainMask, 0)
 	t.Model.ZeroGrad()
-	for l := len(t.Model.LayersL) - 1; l >= 0; l-- {
-		d = t.Model.LayersL[l].Backward(d)
-		d = t.Model.Dropouts[l].Backward(d)
-	}
+	t.Model.Backward(d)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
 	return loss
 }

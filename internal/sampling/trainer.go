@@ -80,18 +80,11 @@ func (t *MinibatchTrainer) TrainStep() float64 {
 	t.agg.Build(batch.G)
 	t.Model.SetAgg(&t.agg)
 
-	h := feats
-	for l, layer := range t.Model.LayersL {
-		h = t.Model.Dropouts[l].Forward(h, true)
-		h = layer.Forward(batch.G, h, batch.G.N, invDeg)
-	}
+	h := t.Model.Forward(batch.G, feats, batch.G.N, invDeg, true)
 	d := tensor.EnsureMat(&t.gradBuf, h.Rows, h.Cols)
 	loss := core.LossInto(d, t.DS, h, labels, labelMatrix, batch.TargetMask, 0)
 	t.Model.ZeroGrad()
-	for l := len(t.Model.LayersL) - 1; l >= 0; l-- {
-		d = t.Model.LayersL[l].Backward(d)
-		d = t.Model.Dropouts[l].Backward(d)
-	}
+	t.Model.Backward(d)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
 	return loss
 }
@@ -127,11 +120,7 @@ func (e *fullEval) score(ds *datagen.Dataset, m *core.Model, mask []bool) float6
 		e.invDeg = nn.InvDegrees(ds.G)
 	}
 	m.SetAgg(e.agg)
-	h := ds.Features
-	for _, layer := range m.LayersL {
-		h = layer.Forward(ds.G, h, ds.G.N, e.invDeg)
-	}
-	return core.Score(ds, h, mask)
+	return core.Score(ds, m.Forward(ds.G, ds.Features, ds.G.N, e.invDeg, false), mask)
 }
 
 // OverheadFraction returns sampling time / (sampling + compute) time, the

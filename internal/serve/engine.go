@@ -4,8 +4,8 @@
 // against a mostly-static graph — so the engine precomputes every hidden
 // layer once at startup, keeps the final layer's chunked pass permanently
 // open, and answers each query batch with one row-subset pass over exactly
-// the requested logit rows, riding the same tensor.MatMulRows/SpMMRows
-// kernels the pipelined trainer uses. Because those row passes are pinned
+// the requested logit rows, riding the same row-list kernels
+// (tensor.SpMMMatMulRows, MatMulRows) the pipelined trainer uses. Because those row passes are pinned
 // bit-identical to the one-shot Forward, a served logit row equals the
 // FullTrainer.Forward(false) row for the same checkpoint, bit for bit.
 //

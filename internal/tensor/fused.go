@@ -20,11 +20,11 @@ import (
 // and its copy pass disappear entirely.
 //
 // Bit-identity. Per output row the projection performs the EXACT operation
-// sequence of matMulTile over the virtual concat row [z_v | h_v]: the same
+// sequence of matMulBlock over the virtual concat row [z_v | h_v]: the same
 // kk-panel walk over the full 2·in width — panels are never restarted at the
 // z/h boundary, so axpy4 groupings are unchanged even when in % 4 != 0 — the
 // same all-four-zero coefficient skip, and the same scalar-tail Axpy with
-// zero skip. The aggregation into z is spmmRow itself. Rows are independent,
+// zero skip. The aggregation into z is spmmBlock itself. Rows are independent,
 // so every partition of the row space (chunks, grains, row lists) is
 // bit-identical in any execution order, exactly like SpMM/MatMul. The fused
 // property tests pin fused ≡ SpMM+copy+MatMul bitwise on odd/prime widths,
@@ -37,12 +37,6 @@ import (
 //	                     into the input-gradient rows, one sweep, no dConcat.
 //	MatMulTransASplit  — dW = [z|h]ᵀ·dPre reading the two operand halves in
 //	                     place.
-
-// fusedRowBlock is the gather/project interleave depth: within one claim the
-// kernel aggregates this many z rows, then projects them while they are still
-// cache-hot, reusing each four-row w panel across the whole block (the same
-// panel-reuse tiling as matMulTile's rowBlock).
-const fusedRowBlock = rowBlock
 
 // checkFused validates the shared fused-forward contract: z as wide as h,
 // w stacking an aggregation half on a self half, one CSR row per output row.
@@ -80,165 +74,42 @@ func checkFused(name string, pre, z, h, w *Matrix, indptr []int64, scale []float
 // Bit-identical per row to SpMM + self-copy + MatMul over the concat.
 func SpMMMatMul(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, chunks []int32) {
 	checkFused("SpMMMatMul", pre, z, h, w, indptr, scale)
-	if chunks == nil || maxProcs == 1 {
-		spmmMatMulRange(pre, z, h, w, indptr, indices, scale, 0, pre.Rows)
-		return
-	}
-	nr := pre.Rows
-	ParallelChunks(len(chunks)-1, func(c int) {
-		lo, hi := int(chunks[c]), int(chunks[c+1])
-		if hi > nr {
-			hi = nr
-		}
-		if lo < hi {
-			spmmMatMulSeg(pre, z, h, w, indptr, indices, scale, lo, hi)
-		}
-	})
-}
-
-// SpMMMatMulRange computes rows [lo,hi) of SpMMMatMul, leaving all other rows
-// of pre and z untouched.
-func SpMMMatMulRange(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, lo, hi int) {
-	checkFused("SpMMMatMulRange", pre, z, h, w, indptr, scale)
-	if lo < 0 || hi < lo || hi > pre.Rows {
-		panic(fmt.Sprintf("tensor: SpMMMatMulRange rows [%d,%d) outside [0,%d)", lo, hi, pre.Rows))
-	}
-	spmmMatMulRange(pre, z, h, w, indptr, indices, scale, lo, hi)
-}
-
-func spmmMatMulRange(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, lo, hi int) {
-	if hi-lo <= spmmGrain || maxProcs == 1 { // skip the closure: it would escape
-		spmmMatMulSeg(pre, z, h, w, indptr, indices, scale, lo, hi)
-		return
-	}
-	parallelGrain(hi-lo, spmmGrain, func(l, r int) {
-		spmmMatMulSeg(pre, z, h, w, indptr, indices, scale, lo+l, lo+r)
-	})
-}
-
-// spmmMatMulSeg runs the fused pass over the contiguous rows [lo,hi):
-// fusedRowBlock rows are aggregated into z, then projected while hot.
-func spmmMatMulSeg(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, lo, hi int) {
-	for b := lo; b < hi; b += fusedRowBlock {
-		bh := b + fusedRowBlock
-		if bh > hi {
-			bh = hi
-		}
-		for r := b; r < bh; r++ {
-			spmmRow(z, h, indptr, indices, scale, r)
-		}
-		fusedProjectRange(pre, z, h, w, b, bh)
-	}
+	dispatch(rowCall{kernel: kernelSpMMMatMul, out: pre, out2: z, a: h, b: w, indptr: indptr, indices: indices, scale: scale},
+		rowRange(0, pre.Rows), spmmGrain, chunks)
 }
 
 // SpMMMatMulRows computes the listed rows of SpMMMatMul, leaving all other
 // rows untouched. rows must be in-range and duplicate-free; order is
 // irrelevant. This is the row-subset entry the pipelined epoch engine's
-// halo-free and per-peer buckets drive (mirroring SpMMRows/MatMulRows).
+// halo-free and per-peer buckets drive.
 func SpMMMatMulRows(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
 	checkFused("SpMMMatMulRows", pre, z, h, w, indptr, scale)
-	if len(rows) <= spmmGrain || maxProcs == 1 { // skip the closure: it would escape
-		spmmMatMulRowsSeg(pre, z, h, w, indptr, indices, scale, rows)
-		return
-	}
-	parallelGrain(len(rows), spmmGrain, func(l, r int) {
-		spmmMatMulRowsSeg(pre, z, h, w, indptr, indices, scale, rows[l:r])
-	})
+	dispatch(rowCall{kernel: kernelSpMMMatMul, out: pre, out2: z, a: h, b: w, indptr: indptr, indices: indices, scale: scale},
+		rows, spmmGrain, nil)
 }
 
-func spmmMatMulRowsSeg(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
-	for s := 0; s < len(rows); s += fusedRowBlock {
-		e := s + fusedRowBlock
-		if e > len(rows) {
-			e = len(rows)
-		}
-		sub := rows[s:e]
-		for _, r := range sub {
-			spmmRow(z, h, indptr, indices, scale, int(r))
-		}
-		fusedProjectRows(pre, z, h, w, sub)
-	}
+// spmmMatMulBlock runs the fused pass over the listed rows (at most
+// rowBlock): they are aggregated into z, then projected while still
+// cache-hot, reusing each four-row w panel across the whole block.
+func spmmMatMulBlock(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
+	spmmBlock(z, h, indptr, indices, scale, rows)
+	fusedProject(pre, z, h, w, rows)
 }
 
-// fusedProjectRange computes pre rows [lo,hi) over the virtual concat [z|h]
-// with matMulTile's exact per-row operation sequence: kk panels of four over
+// fusedProject computes the listed pre rows over the virtual concat [z|h]
+// with matMulBlock's exact per-row operation sequence: kk panels of four over
 // the FULL 2·in width (never restarted at the z/h boundary), the identical
 // all-four-zero skip, and the identical scalar tail. Coefficient kk of row i
-// reads z when kk < in, h when kk ≥ in.
-func fusedProjectRange(pre, z, h, w *Matrix, lo, hi int) {
-	in := z.Cols
-	k, m := 2*in, w.Cols
-	wd, zd, hd := w.Data, z.Data, h.Data
-	pd := pre.Data
-	for i := lo; i < hi; i++ {
-		orow := pd[i*m : i*m+m]
-		for j := range orow {
-			orow[j] = 0
-		}
-	}
-	kk := 0
-	for ; kk+4 <= k; kk += 4 {
-		b0 := wd[kk*m : kk*m+m]
-		b1 := wd[(kk+1)*m : (kk+1)*m+m]
-		b2 := wd[(kk+2)*m : (kk+2)*m+m]
-		b3 := wd[(kk+3)*m : (kk+3)*m+m]
-		switch {
-		case kk+4 <= in: // aggregation-half panel: coefficients from z
-			for i := lo; i < hi; i++ {
-				arow := zd[i*in+kk : i*in+kk+4]
-				a0, a1, a2, a3 := arow[0], arow[1], arow[2], arow[3]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue // zero-degree row panel
-				}
-				axpy4(pd[i*m:i*m+m], b0, b1, b2, b3, a0, a1, a2, a3)
-			}
-		case kk >= in: // self-half panel: coefficients from h
-			off := kk - in
-			for i := lo; i < hi; i++ {
-				arow := hd[i*in+off : i*in+off+4]
-				a0, a1, a2, a3 := arow[0], arow[1], arow[2], arow[3]
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue // dropout-sparse input panel
-				}
-				axpy4(pd[i*m:i*m+m], b0, b1, b2, b3, a0, a1, a2, a3)
-			}
-		default: // panel straddles the boundary (in % 4 != 0)
-			for i := lo; i < hi; i++ {
-				a0 := concatCoef(zd, hd, in, i, kk)
-				a1 := concatCoef(zd, hd, in, i, kk+1)
-				a2 := concatCoef(zd, hd, in, i, kk+2)
-				a3 := concatCoef(zd, hd, in, i, kk+3)
-				if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-					continue
-				}
-				axpy4(pd[i*m:i*m+m], b0, b1, b2, b3, a0, a1, a2, a3)
-			}
-		}
-	}
-	for ; kk < k; kk++ {
-		brow := wd[kk*m : kk*m+m]
-		for i := lo; i < hi; i++ {
-			av := concatCoef(zd, hd, in, i, kk)
-			if av == 0 {
-				continue
-			}
-			Axpy(pd[i*m:i*m+m], brow, av)
-		}
-	}
-}
-
-// fusedProjectRows is fusedProjectRange iterating an explicit row list
-// (matMulRowsSeg's shape); the w-panel reuse across the row set is preserved.
-func fusedProjectRows(pre, z, h, w *Matrix, rows []int32) {
+// reads z when kk < in, h when kk ≥ in; the choice is made once per panel, not
+// per coefficient, except for the one panel that straddles the boundary when
+// in % 4 != 0.
+func fusedProject(pre, z, h, w *Matrix, rows []int32) {
 	in := z.Cols
 	k, m := 2*in, w.Cols
 	wd, zd, hd := w.Data, z.Data, h.Data
 	pd := pre.Data
 	for _, v := range rows {
-		orow := pd[int(v)*m : int(v)*m+m]
-		for j := range orow {
-			orow[j] = 0
-		}
+		clear(pd[int(v)*m : int(v)*m+m])
 	}
 	kk := 0
 	for ; kk+4 <= k; kk += 4 {
@@ -246,14 +117,27 @@ func fusedProjectRows(pre, z, h, w *Matrix, rows []int32) {
 		b1 := wd[(kk+1)*m : (kk+1)*m+m]
 		b2 := wd[(kk+2)*m : (kk+2)*m+m]
 		b3 := wd[(kk+3)*m : (kk+3)*m+m]
+		// The panel's coefficients are four consecutive floats of z (the
+		// aggregation half) or of h (the self half).
+		cd, off := zd, kk
+		if kk >= in {
+			cd, off = hd, kk-in
+		}
+		straddles := kk < in && kk+4 > in
 		for _, v := range rows {
 			i := int(v)
-			a0 := concatCoef(zd, hd, in, i, kk)
-			a1 := concatCoef(zd, hd, in, i, kk+1)
-			a2 := concatCoef(zd, hd, in, i, kk+2)
-			a3 := concatCoef(zd, hd, in, i, kk+3)
+			var a0, a1, a2, a3 float32
+			if straddles {
+				a0 = concatCoef(zd, hd, in, i, kk)
+				a1 = concatCoef(zd, hd, in, i, kk+1)
+				a2 = concatCoef(zd, hd, in, i, kk+2)
+				a3 = concatCoef(zd, hd, in, i, kk+3)
+			} else {
+				arow := cd[i*in+off : i*in+off+4]
+				a0, a1, a2, a3 = arow[0], arow[1], arow[2], arow[3]
+			}
 			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue
+				continue // zero-degree row or dropout-sparse input panel
 			}
 			axpy4(pd[i*m:i*m+m], b0, b1, b2, b3, a0, a1, a2, a3)
 		}
@@ -301,41 +185,11 @@ func checkSplitB(name string, dz, dSelf, dPre, w *Matrix) {
 // straight into dSelf.Row(v), which it OVERWRITES. One sweep replaces the
 // unfused MatMulTransB-into-dConcat plus the self-copy pass; the j-blocked
 // dot4 walk runs over the full 2·in width so every dot is grouped exactly as
-// matMulTransBTile groups it — bit-identical to computing the dConcat row and
+// matMulTransBBlock groups it — bit-identical to computing the dConcat row and
 // splitting it afterwards. Rows are independent.
 func MatMulTransBSplit(dz, dSelf, dPre, w *Matrix) {
 	checkSplitB("MatMulTransBSplit", dz, dSelf, dPre, w)
-	if dPre.Rows <= rowBlock || maxProcs == 1 {
-		matMulTransBSplitTile(dz, dSelf, dPre, w, 0, dPre.Rows)
-		return
-	}
-	parallelRows(dPre.Rows, func(lo, hi int) {
-		matMulTransBSplitTile(dz, dSelf, dPre, w, lo, hi)
-	})
-}
-
-func matMulTransBSplitTile(dz, dSelf, dPre, w *Matrix, lo, hi int) {
-	in := dz.Cols
-	k, m := dPre.Cols, w.Rows
-	wd := w.Data
-	j := 0
-	for ; j+4 <= m; j += 4 {
-		b0 := wd[j*k : j*k+k]
-		b1 := wd[(j+1)*k : (j+1)*k+k]
-		b2 := wd[(j+2)*k : (j+2)*k+k]
-		b3 := wd[(j+3)*k : (j+3)*k+k]
-		for i := lo; i < hi; i++ {
-			arow := dPre.Data[i*k : i*k+k]
-			s0, s1, s2, s3 := dot4(arow, b0, b1, b2, b3)
-			splitWrite4(dz, dSelf, in, i, j, s0, s1, s2, s3)
-		}
-	}
-	for ; j < m; j++ {
-		brow := wd[j*k : j*k+k]
-		for i := lo; i < hi; i++ {
-			splitWrite(dz, dSelf, in, i, j, Dot(dPre.Data[i*k:i*k+k], brow))
-		}
-	}
+	dispatch(rowCall{kernel: kernelMatMulTransBSplit, out: dz, out2: dSelf, a: dPre, b: w}, rowRange(0, dPre.Rows), rowBlock, nil)
 }
 
 // MatMulTransBSplitRows is MatMulTransBSplit for an explicit row list — the
@@ -343,16 +197,11 @@ func matMulTransBSplitTile(dz, dSelf, dPre, w *Matrix, lo, hi int) {
 // Bit-identical per row to MatMulTransBSplit.
 func MatMulTransBSplitRows(dz, dSelf, dPre, w *Matrix, rows []int32) {
 	checkSplitB("MatMulTransBSplitRows", dz, dSelf, dPre, w)
-	if len(rows) <= rowBlock || maxProcs == 1 {
-		matMulTransBSplitRowsSeg(dz, dSelf, dPre, w, rows)
-		return
-	}
-	parallelRows(len(rows), func(lo, hi int) {
-		matMulTransBSplitRowsSeg(dz, dSelf, dPre, w, rows[lo:hi])
-	})
+	dispatch(rowCall{kernel: kernelMatMulTransBSplit, out: dz, out2: dSelf, a: dPre, b: w}, rows, rowBlock, nil)
 }
 
-func matMulTransBSplitRowsSeg(dz, dSelf, dPre, w *Matrix, rows []int32) {
+// matMulTransBSplitBlock computes the listed rows of MatMulTransBSplit.
+func matMulTransBSplitBlock(dz, dSelf, dPre, w *Matrix, rows []int32) {
 	in := dz.Cols
 	k, m := dPre.Cols, w.Rows
 	wd := w.Data
@@ -364,8 +213,7 @@ func matMulTransBSplitRowsSeg(dz, dSelf, dPre, w *Matrix, rows []int32) {
 		b3 := wd[(j+3)*k : (j+3)*k+k]
 		for _, v := range rows {
 			i := int(v)
-			arow := dPre.Data[i*k : i*k+k]
-			s0, s1, s2, s3 := dot4(arow, b0, b1, b2, b3)
+			s0, s1, s2, s3 := dot4(dPre.Data[i*k:i*k+k], b0, b1, b2, b3)
 			splitWrite4(dz, dSelf, in, i, j, s0, s1, s2, s3)
 		}
 	}

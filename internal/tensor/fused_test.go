@@ -28,7 +28,7 @@ var fusedOutDims = []int{1, 5, 8, 19}
 // TestSpMMMatMulMatchesUnfused pins the fused forward against
 // SpMM+copy+MatMul, bit for bit, across awkward input/output widths
 // (including in % 4 != 0, which makes kk panels straddle the z/h boundary),
-// zero-degree rows, chunk layouts, and the Rows/Range entry points.
+// zero-degree rows, chunk layouts, and the Rows entry point.
 func TestSpMMMatMulMatchesUnfused(t *testing.T) {
 	rng := NewRNG(501)
 	const n, nSrc = 53, 61
@@ -65,21 +65,13 @@ func TestSpMMMatMulMatchesUnfused(t *testing.T) {
 				sameBitsF32(t, "pre/chunks", pre.Data, want.Data)
 			}
 
-			// Random duplicate-free row partition through Rows + Range.
+			// Random duplicate-free row partition through Rows.
 			pre.Zero()
 			z.Zero()
-			var a, b []int32
-			for v := 0; v < 20; v++ {
-				if rng.Float32() < 0.5 {
-					a = append(a, int32(v))
-				} else {
-					b = append(b, int32(v))
-				}
-			}
+			a, b := randomSplit(rng, n)
 			SpMMMatMulRows(pre, z, h, w, indptr, indices, scale, a)
 			SpMMMatMulRows(pre, z, h, w, indptr, indices, scale, b)
-			SpMMMatMulRange(pre, z, h, w, indptr, indices, scale, 20, n)
-			sameBitsF32(t, "pre/rows+range", pre.Data, want.Data)
+			sameBitsF32(t, "pre/rows", pre.Data, want.Data)
 
 			// Unscaled form.
 			want, _ = refFusedForward(h, w, indptr, indices, nil, n)

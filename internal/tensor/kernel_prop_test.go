@@ -210,35 +210,126 @@ func TestWorkspaceZeroSizes(t *testing.T) {
 	if len(s) != 0 {
 		t.Fatal("zero-length slice malformed")
 	}
-	ws.PutF32(s)
 	ws.Put(m)
 	ws.Reset()
-	z := ws.GetZeroed(4, 4)
-	for _, v := range z.Data {
-		if v != 0 {
-			t.Fatal("GetZeroed returned non-zero data")
+}
+
+// forcePool sets the kernel pool width for one test.
+func forcePool(t *testing.T, width int) {
+	t.Cleanup(ForceParallelism(width))
+}
+
+// TestDispatchCoversAllRows drives the dispatcher directly, inline (pool
+// width 1) and pooled, over ranges, scattered lists and clamped chunk lists:
+// every row must reach the body exactly once, in pieces of at most rowBlock.
+func TestDispatchCoversAllRows(t *testing.T) {
+	for _, width := range []int{1, 4} {
+		forcePool(t, width)
+		for _, n := range []int{0, 1, rowBlock, rowBlock + 1, 10*rowBlock + 3} {
+			counts := make([]int32, n+5)
+			body := func(rows []int32) {
+				if len(rows) == 0 || len(rows) > rowBlock {
+					t.Errorf("width %d: body handed %d rows", width, len(rows))
+				}
+				for _, r := range rows {
+					atomic.AddInt32(&counts[r], 1)
+				}
+			}
+			check := func(name string, lo, hi int) {
+				t.Helper()
+				for i := range counts {
+					want := int32(0)
+					if i >= lo && i < hi {
+						want = 1
+					}
+					if c := atomic.SwapInt32(&counts[i], 0); c != want {
+						t.Fatalf("width %d n=%d %s: row %d covered %d times, want %d", width, n, name, i, c, want)
+					}
+				}
+			}
+			ForRange(0, n, body)
+			check("range", 0, n)
+			ForRange(n/3, n, body)
+			check("subrange", n/3, n)
+			reversed := make([]int32, n)
+			for i := range reversed {
+				reversed[i] = int32(n - 1 - i)
+			}
+			ForRows(reversed, body)
+			check("list", 0, n)
+			// Chunk lists: single-row chunks, a boundary past the range (the
+			// clamped tail), and a range that starts inside a chunk.
+			chunks := []int32{0, int32(min(1, n)), int32(min(2, n)), int32(max(n/2, min(2, n))), int32(n + 5)}
+			call := rowCall{kernel: kernelFunc, fn: body}
+			dispatch(call, rowRange(0, n), spmmGrain, chunks)
+			check("chunks", 0, n)
+			dispatch(call, rowRange(n/3, n), spmmGrain, chunks)
+			check("chunks/subrange", n/3, n)
 		}
 	}
 }
 
-// TestParallelRowsCoversAllRows drives the pooled worker path directly
-// (it is inline on single-CPU machines) to check the atomic cursor hands
-// out every chunk exactly once.
-func TestParallelRowsCoversAllRows(t *testing.T) {
-	for _, rows := range []int{1, rowBlock, rowBlock + 1, 10*rowBlock + 3} {
-		counts := make([]int32, rows)
-		parallelRows(rows, func(lo, hi int) {
-			if lo < 0 || hi > rows || lo >= hi {
-				t.Errorf("bad chunk [%d,%d) for %d rows", lo, hi, rows)
-			}
-			for i := lo; i < hi; i++ {
-				atomic.AddInt32(&counts[i], 1)
-			}
-		})
-		for i := range counts {
-			if c := atomic.LoadInt32(&counts[i]); c != 1 {
-				t.Fatalf("rows=%d: row %d covered %d times", rows, i, c)
-			}
-		}
+// TestContiguousCallsWalkBlocksInline pins the path a contiguous call of
+// more than rowBlock rows takes at pool width 1: the whole range runs
+// inline, one rowBlock-sized block of the shared ascending row table at a
+// time. Every kernel must reproduce, bit for bit, what it computes one row
+// per call.
+func TestContiguousCallsWalkBlocksInline(t *testing.T) {
+	forcePool(t, 1)
+	rng := NewRNG(107)
+	const n, in, out = 2*rowBlock + 37, 9, 13
+	one := func(r int) []int32 { return []int32{int32(r)} }
+
+	a := randomMatrix(rng, n, in)
+	b := randomMatrix(rng, in, out)
+	got, want := New(n, out), New(n, out)
+	MatMul(got, a, b)
+	for r := 0; r < n; r++ {
+		MatMulRows(want, a, b, one(r))
 	}
+	sameBitsF32(t, "MatMul", got.Data, want.Data)
+
+	bt := randomMatrix(rng, out, in)
+	MatMulTransB(got, a, bt)
+	for r := 0; r < n; r++ {
+		MatMulTransBRows(want, a, bt, one(r))
+	}
+	sameBitsF32(t, "MatMulTransB", got.Data, want.Data)
+
+	dPre := randomMatrix(rng, n, out)
+	w := randomMatrix(rng, 2*in, out)
+	dz, dSelf := New(n, in), New(n, in)
+	wantZ, wantSelf := New(n, in), New(n, in)
+	MatMulTransBSplit(dz, dSelf, dPre, w)
+	for r := 0; r < n; r++ {
+		MatMulTransBSplitRows(wantZ, wantSelf, dPre, w, one(r))
+	}
+	sameBitsF32(t, "MatMulTransBSplit/dz", dz.Data, wantZ.Data)
+	sameBitsF32(t, "MatMulTransBSplit/dSelf", dSelf.Data, wantSelf.Data)
+
+	indptr, indices := randCSR(rng, n, n, 11)
+	scale := make([]float32, n)
+	for i := range scale {
+		scale[i] = rng.Float32()
+	}
+	h := randomMatrix(rng, n, in)
+	agg, wantAgg := New(n, in), New(n, in)
+	SpMM(agg, h, indptr, indices, scale, nil)
+	refSpMM(wantAgg, h, indptr, indices, scale)
+	sameBitsF32(t, "SpMM", agg.Data, wantAgg.Data)
+
+	tIndptr, tSrc := transposeCSR(n, indptr, indices, n)
+	dst, wantDst := New(n, in), New(n, in)
+	SpMMTrans(dst, h, tIndptr, tSrc, scale, nil)
+	refSpMMTrans(wantDst, h, indptr, indices, scale, n)
+	sameBitsF32(t, "SpMMTrans", dst.Data, wantDst.Data)
+
+	pre, z := New(n, out), New(n, in)
+	wantPre, wantZed := New(n, out), New(n, in)
+	SpMMMatMul(pre, z, h, w, indptr, indices, scale, nil)
+	for r := 0; r < n; r++ {
+		SpMMMatMulRows(wantPre, wantZed, h, w, indptr, indices, scale, one(r))
+	}
+	sameBitsF32(t, "SpMMMatMul/pre", pre.Data, wantPre.Data)
+	sameBitsF32(t, "SpMMMatMul/z", z.Data, wantZed.Data)
 }

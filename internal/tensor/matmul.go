@@ -7,39 +7,171 @@ import (
 	"sync/atomic"
 )
 
-// rowBlock is the number of output rows each parallel task handles. It is
-// also the kernel's row-tile height: a four-row b-panel (the L1-resident
-// operand) is reused across all rows of one tile before the next panel loads.
+// Row-kernel dispatch. Every row-independent kernel of the package (MatMul,
+// MatMulTransB, MatMulTransBSplit, SpMM, SpMMTrans, SpMMMatMul, and the
+// caller-supplied body of ForRows) is one body that computes a list of rows,
+// and one dispatcher — dispatch — that cuts the call's row set into units,
+// hands the units to the worker pool, and walks each unit in rowBlock-sized
+// blocks. A contiguous range is just another row list (rowRange), so the
+// full, Range and Rows entry points of a kernel differ only in the list they
+// pass. Rows are independent and every row is computed by the same body with
+// the same per-row arithmetic, so every cut and every claim order is
+// bit-identical; the kernel property tests pin full ≡ Range ≡ Rows per row.
+
+// rowBlock is the most rows a kernel body is handed at once, and the dense
+// kernels' claim size. It is the row-tile height: a four-row b-panel (the
+// L1-resident operand) is reused across all rows of one block before the
+// next panel loads, while the block's output rows stay in L2.
 const rowBlock = 64
+
+// spmmGrain is the claim size (in rows) of the sparse kernels when the
+// caller supplies no chunk list: small enough that degree skew between
+// claims stays bounded, large enough that the atomic cursor is not
+// contended.
+const spmmGrain = 8
 
 // maxProcs caps the number of worker goroutines used by parallel kernels.
 var maxProcs = runtime.GOMAXPROCS(0)
 
-// rowTask is one parallelGrain invocation: workers claim contiguous chunks
-// of [0,rows), grain units at a time, by advancing the atomic cursor, so
-// there is no per-chunk lock. Dense kernels use rowBlock-unit grains; the
-// sparse-aggregation drivers claim single edge-balanced chunks (grain 1).
+// Parallelism reports the kernel worker-pool width (GOMAXPROCS at init).
+func Parallelism() int { return maxProcs }
+
+// ForceParallelism sets the pool width dispatch sees and returns a function
+// that restores it. It is a test hook — the width is otherwise fixed at
+// init, and a single-CPU host would never run the pooled path of a layer
+// built on these kernels — and must not be called while a kernel runs.
+func ForceParallelism(width int) (restore func()) {
+	saved := maxProcs
+	maxProcs = width
+	return func() { maxProcs = saved }
+}
+
+// identity is the shared read-only table 0, 1, 2, …: the contiguous rows
+// [lo,hi) are the row list identity[lo:hi]. It is replaced by a longer copy
+// when a call outgrows it and never written after publication, so slices of
+// a superseded table stay valid.
+var (
+	identity   atomic.Pointer[[]int32]
+	identityMu sync.Mutex
+)
+
+// rowRange returns the ascending row list lo, lo+1, …, hi−1. The slice
+// aliases the shared table: callers must not write to it.
+func rowRange(lo, hi int) []int32 {
+	if t := identity.Load(); t != nil && len(*t) >= hi {
+		return (*t)[lo:hi]
+	}
+	identityMu.Lock()
+	defer identityMu.Unlock()
+	if t := identity.Load(); t != nil && len(*t) >= hi {
+		return (*t)[lo:hi]
+	}
+	n := 1024
+	for n < hi {
+		n *= 2
+	}
+	t := make([]int32, n)
+	for i := range t {
+		t[i] = int32(i)
+	}
+	identity.Store(&t)
+	return t[lo:hi]
+}
+
+// checkRange rejects a row range outside [0,n).
+func checkRange(name string, lo, hi, n int) {
+	if lo < 0 || hi < lo || hi > n {
+		panic(fmt.Sprintf("tensor: %s rows [%d,%d) outside [0,%d)", name, lo, hi, n))
+	}
+}
+
+// rowKernel names a kernel body (see rowCall.block).
+type rowKernel uint8
+
+const (
+	kernelFunc rowKernel = iota
+	kernelMatMul
+	kernelMatMulTransB
+	kernelMatMulTransBSplit
+	kernelSpMM
+	kernelSpMMTrans
+	kernelSpMMMatMul
+)
+
+// rowCall is one kernel invocation: which body, and its operands. The public
+// kernels build one by value and pass it to dispatch; it reaches the pool
+// workers inside the pooled task. No call builds a closure over its operands
+// — one would escape to the heap on every call, parallel or not.
+type rowCall struct {
+	kernel rowKernel
+	// Operands, by role: out (and out2, the fused kernels' second output: z
+	// for SpMMMatMul, dSelf for MatMulTransBSplit) are written, a and b read.
+	out, out2, a, b *Matrix
+	indptr          []int64
+	indices         []int32
+	scale           []float32
+	fn              func(rows []int32) // kernelFunc's body
+}
+
+// block runs the call's body over at most rowBlock rows.
+func (c *rowCall) block(rows []int32) {
+	switch c.kernel {
+	case kernelFunc:
+		c.fn(rows)
+	case kernelMatMul:
+		matMulBlock(c.out, c.a, c.b, rows)
+	case kernelMatMulTransB:
+		matMulTransBBlock(c.out, c.a, c.b, rows)
+	case kernelMatMulTransBSplit:
+		matMulTransBSplitBlock(c.out, c.out2, c.a, c.b, rows)
+	case kernelSpMM:
+		spmmBlock(c.out, c.a, c.indptr, c.indices, c.scale, rows)
+	case kernelSpMMTrans:
+		spmmTransBlock(c.out, c.a, c.indptr, c.indices, c.scale, rows)
+	case kernelSpMMMatMul:
+		spmmMatMulBlock(c.out, c.out2, c.a, c.b, c.indptr, c.indices, c.scale, rows)
+	}
+}
+
+// walk runs the body over rows, one rowBlock-sized block at a time.
+func (c *rowCall) walk(rows []int32) {
+	for len(rows) > rowBlock {
+		c.block(rows[:rowBlock])
+		rows = rows[rowBlock:]
+	}
+	if len(rows) > 0 {
+		c.block(rows)
+	}
+}
+
+// rowTask is one parallel dispatch: workers claim units of the row set by
+// advancing the atomic cursor, so there is no per-unit lock. A unit is
+// `grain` consecutive entries of rows, or — when the caller supplied chunk
+// boundaries — one chunk.
 type rowTask struct {
-	fn    func(lo, hi int)
-	rows  int
-	grain int64
-	next  atomic.Int64
-	wg    sync.WaitGroup
+	rowCall
+	rows   []int32
+	grain  int
+	chunks []int32 // boundaries in row-id space; rows is rowRange(base, …)
+	base   int     // rows[0] when chunks != nil
+	units  int
+	next   atomic.Int64
+	wg     sync.WaitGroup
 }
 
 func (t *rowTask) run() {
-	rows := t.rows
-	g := int(t.grain)
 	for {
-		hi := int(t.next.Add(t.grain))
-		lo := hi - g
-		if lo >= rows {
+		u := int(t.next.Add(1)) - 1
+		if u >= t.units {
 			return
 		}
-		if hi > rows {
-			hi = rows
+		lo, hi := u*t.grain, (u+1)*t.grain
+		if t.chunks != nil {
+			lo, hi = max(int(t.chunks[u])-t.base, 0), int(t.chunks[u+1])-t.base
 		}
-		t.fn(lo, hi)
+		if hi = min(hi, len(t.rows)); lo < hi {
+			t.walk(t.rows[lo:hi])
+		}
 	}
 }
 
@@ -64,63 +196,56 @@ func startWorkers() {
 	}
 }
 
-// parallelRows runs fn over [0,rows) in rowBlock chunks claimed from an
-// atomic cursor. The caller participates, so progress never depends on a
-// pool worker being free; helpers that arrive after the cursor is exhausted
-// return immediately. For tiny inputs or single-CPU processes it runs inline.
-func parallelRows(rows int, fn func(lo, hi int)) {
-	parallelGrain(rows, rowBlock, fn)
-}
-
-// parallelGrain runs fn over [0,units) in grain-unit chunks claimed from an
-// atomic cursor on the persistent worker pool. Every unit is handed out
-// exactly once, so a kernel whose chunks write disjoint output rows is
-// deterministic regardless of which worker claims what.
-func parallelGrain(units, grain int, fn func(lo, hi int)) {
-	if units <= grain || maxProcs == 1 {
-		fn(0, units)
+// dispatch runs call over rows. With chunks == nil the units of work are
+// grain-row pieces of the list. Otherwise rows must be a rowRange and chunks
+// an ascending boundary list over row ids (graph.AggIndex's edge-balanced
+// lists; boundaries outside the range are clamped to it): each chunk is one
+// unit, claimed whole, so a mega-degree row isolated in its own chunk
+// occupies one worker instead of serializing that worker's share.
+//
+// Units are claimed from an atomic cursor by the pool workers and by the
+// caller itself, so progress never depends on a worker being free and every
+// unit runs exactly once. A single unit, or a single-CPU process, runs
+// inline.
+func dispatch(call rowCall, rows []int32, grain int, chunks []int32) {
+	units := (len(rows) + grain - 1) / grain
+	if chunks != nil {
+		units = len(chunks) - 1
+	}
+	if units <= 1 || maxProcs == 1 {
+		call.walk(rows)
 		return
 	}
 	workerOnce.Do(startWorkers)
-	helpers := (units+grain-1)/grain - 1
-	if helpers > maxProcs-1 {
-		helpers = maxProcs - 1
-	}
 	t := taskPool.Get().(*rowTask)
-	t.fn, t.rows, t.grain = fn, units, int64(grain)
+	t.rowCall, t.rows, t.grain, t.chunks, t.units = call, rows, grain, chunks, units
+	if t.base = 0; chunks != nil && len(rows) > 0 {
+		t.base = int(rows[0])
+	}
 	t.next.Store(0)
+	helpers := min(units, maxProcs) - 1
 	t.wg.Add(helpers)
 	for i := 0; i < helpers; i++ {
 		workQueue <- t
 	}
 	t.run()
 	t.wg.Wait()
-	t.fn = nil
+	t.rowCall, t.rows, t.chunks = rowCall{}, nil, nil
 	taskPool.Put(t)
 }
 
-// Parallelism reports the kernel worker-pool width (GOMAXPROCS at init).
-// Callers use it to skip building parallel closures — which escape to the
-// heap — when the kernels would run inline anyway.
-func Parallelism() int { return maxProcs }
+// ForRows runs fn over rows in pieces of at most rowBlock rows on the kernel
+// worker pool — the dispatcher the package's own kernels run on, for
+// per-row sweeps that live outside it (the GAT attention pass). Pieces run
+// concurrently, so fn must write only state owned by the rows it is handed,
+// and it must not modify or retain the slice.
+func ForRows(rows []int32, fn func(rows []int32)) {
+	dispatch(rowCall{kernel: kernelFunc, fn: fn}, rows, rowBlock, nil)
+}
 
-// ParallelChunks runs fn(c) for every chunk index c in [0,n) on the shared
-// persistent kernel worker pool, one chunk claimed per cursor advance. The
-// caller's chunks must write disjoint outputs; then results are independent
-// of scheduling. Used by the graph layers to drive per-node sweeps over
-// edge-balanced chunk indexes (see SpMM for the matrix-level drivers).
-func ParallelChunks(n int, fn func(c int)) {
-	if n <= 1 || maxProcs == 1 {
-		for c := 0; c < n; c++ {
-			fn(c)
-		}
-		return
-	}
-	parallelGrain(n, 1, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			fn(c)
-		}
-	})
+// ForRange is ForRows over the contiguous rows [lo,hi).
+func ForRange(lo, hi int, fn func(rows []int32)) {
+	ForRows(rowRange(lo, hi), fn)
 }
 
 // ---- vector primitives ----
@@ -224,35 +349,49 @@ func dot4(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 
 // ---- matrix kernels ----
 
-// MatMul computes out = a·b where a is n×k and b is k×m. out must be n×m and
-// is overwritten. Row tiles of rowBlock rows are distributed across workers;
-// within a tile the kernel walks four-row b panels so each panel stays hot in
-// L1 while the tile of out accumulates in L2.
-func MatMul(out, a, b *Matrix) {
+// checkMatMul validates out = a·b shapes.
+func checkMatMul(name string, out, a, b *Matrix) {
 	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul inner dim mismatch %d vs %d", a.Cols, b.Rows))
+		panic(fmt.Sprintf("tensor: %s inner dim mismatch %d vs %d", name, a.Cols, b.Rows))
 	}
 	if out.Rows != a.Rows || out.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMul out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Cols))
+		panic(fmt.Sprintf("tensor: %s out shape %dx%d, want %dx%d", name, out.Rows, out.Cols, a.Rows, b.Cols))
 	}
-	if a.Rows <= rowBlock || maxProcs == 1 {
-		matMulTile(out, a, b, 0, a.Rows) // skip the closure: it would escape
-		return
-	}
-	parallelRows(a.Rows, func(lo, hi int) {
-		matMulTile(out, a, b, lo, hi)
-	})
 }
 
-// matMulTile computes rows [lo,hi) of out = a·b.
-func matMulTile(out, a, b *Matrix, lo, hi int) {
+// MatMul computes out = a·b where a is n×k and b is k×m. out must be n×m and
+// is overwritten. Row blocks of rowBlock rows are distributed across workers;
+// within a block the kernel walks four-row b panels so each panel stays hot in
+// L1 while the block of out accumulates in L2.
+func MatMul(out, a, b *Matrix) {
+	checkMatMul("MatMul", out, a, b)
+	dispatch(rowCall{kernel: kernelMatMul, out: out, a: a, b: b}, rowRange(0, a.Rows), rowBlock, nil)
+}
+
+// MatMulRange computes rows [lo,hi) of out = a·b, leaving all other rows of
+// out untouched. Bit-identical per row to MatMul.
+func MatMulRange(out, a, b *Matrix, lo, hi int) {
+	checkMatMul("MatMulRange", out, a, b)
+	checkRange("MatMulRange", lo, hi, a.Rows)
+	dispatch(rowCall{kernel: kernelMatMul, out: out, a: a, b: b}, rowRange(lo, hi), rowBlock, nil)
+}
+
+// MatMulRows computes out.Row(v) = a.Row(v)·b for every v in rows, leaving
+// all other rows of out untouched. rows must be in-range and duplicate-free
+// (order is irrelevant: rows are independent). Bit-identical per row to
+// MatMul — the pipelined epoch engine runs a layer pass in row chunks only
+// because chunking cannot change a single output bit.
+func MatMulRows(out, a, b *Matrix, rows []int32) {
+	checkMatMul("MatMulRows", out, a, b)
+	dispatch(rowCall{kernel: kernelMatMul, out: out, a: a, b: b}, rows, rowBlock, nil)
+}
+
+// matMulBlock computes the listed rows of out = a·b.
+func matMulBlock(out, a, b *Matrix, rows []int32) {
 	k, m := a.Cols, b.Cols
 	bd := b.Data
-	for i := lo; i < hi; i++ {
-		orow := out.Data[i*m : i*m+m]
-		for j := range orow {
-			orow[j] = 0
-		}
+	for _, v := range rows {
+		clear(out.Data[int(v)*m : int(v)*m+m])
 	}
 	kk := 0
 	for ; kk+4 <= k; kk += 4 {
@@ -260,7 +399,8 @@ func matMulTile(out, a, b *Matrix, lo, hi int) {
 		b1 := bd[(kk+1)*m : (kk+1)*m+m]
 		b2 := bd[(kk+2)*m : (kk+2)*m+m]
 		b3 := bd[(kk+3)*m : (kk+3)*m+m]
-		for i := lo; i < hi; i++ {
+		for _, v := range rows {
+			i := int(v)
 			arow := a.Data[i*k : i*k+k]
 			a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
 			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
@@ -271,7 +411,8 @@ func matMulTile(out, a, b *Matrix, lo, hi int) {
 	}
 	for ; kk < k; kk++ {
 		brow := bd[kk*m : kk*m+m]
-		for i := lo; i < hi; i++ {
+		for _, v := range rows {
+			i := int(v)
 			av := a.Data[i*k+kk]
 			if av == 0 {
 				continue
@@ -281,27 +422,43 @@ func matMulTile(out, a, b *Matrix, lo, hi int) {
 	}
 }
 
+// checkMatMulTransB validates out = a·bᵀ shapes.
+func checkMatMulTransB(name string, out, a, b *Matrix) {
+	if a.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: %s inner dim mismatch %d vs %d", name, a.Cols, b.Cols))
+	}
+	if out.Rows != a.Rows || out.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: %s out shape %dx%d, want %dx%d", name, out.Rows, out.Cols, a.Rows, b.Rows))
+	}
+}
+
 // MatMulTransB computes out = a·bᵀ where a is n×k and b is m×k. out must be
 // n×m and is overwritten. Both operands are walked along contiguous rows;
 // four b rows are dotted against each a row at once so the 4×k b panel is
-// reused across the whole row tile.
+// reused across the whole row block.
 func MatMulTransB(out, a, b *Matrix) {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTransB inner dim mismatch %d vs %d", a.Cols, b.Cols))
-	}
-	if out.Rows != a.Rows || out.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTransB out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Rows))
-	}
-	if a.Rows <= rowBlock || maxProcs == 1 {
-		matMulTransBTile(out, a, b, 0, a.Rows)
-		return
-	}
-	parallelRows(a.Rows, func(lo, hi int) {
-		matMulTransBTile(out, a, b, lo, hi)
-	})
+	checkMatMulTransB("MatMulTransB", out, a, b)
+	dispatch(rowCall{kernel: kernelMatMulTransB, out: out, a: a, b: b}, rowRange(0, a.Rows), rowBlock, nil)
 }
 
-func matMulTransBTile(out, a, b *Matrix, lo, hi int) {
+// MatMulTransBRange computes rows [lo,hi) of out = a·bᵀ, leaving all other
+// rows of out untouched. Bit-identical per row to MatMulTransB.
+func MatMulTransBRange(out, a, b *Matrix, lo, hi int) {
+	checkMatMulTransB("MatMulTransBRange", out, a, b)
+	checkRange("MatMulTransBRange", lo, hi, a.Rows)
+	dispatch(rowCall{kernel: kernelMatMulTransB, out: out, a: a, b: b}, rowRange(lo, hi), rowBlock, nil)
+}
+
+// MatMulTransBRows computes out.Row(v) = a.Row(v)·bᵀ for every v in rows,
+// leaving all other rows of out untouched. Bit-identical per row to
+// MatMulTransB.
+func MatMulTransBRows(out, a, b *Matrix, rows []int32) {
+	checkMatMulTransB("MatMulTransBRows", out, a, b)
+	dispatch(rowCall{kernel: kernelMatMulTransB, out: out, a: a, b: b}, rows, rowBlock, nil)
+}
+
+// matMulTransBBlock computes the listed rows of out = a·bᵀ.
+func matMulTransBBlock(out, a, b *Matrix, rows []int32) {
 	k, m := a.Cols, b.Rows
 	bd := b.Data
 	j := 0
@@ -310,16 +467,17 @@ func matMulTransBTile(out, a, b *Matrix, lo, hi int) {
 		b1 := bd[(j+1)*k : (j+1)*k+k]
 		b2 := bd[(j+2)*k : (j+2)*k+k]
 		b3 := bd[(j+3)*k : (j+3)*k+k]
-		for i := lo; i < hi; i++ {
-			arow := a.Data[i*k : i*k+k]
-			s0, s1, s2, s3 := dot4(arow, b0, b1, b2, b3)
+		for _, v := range rows {
+			i := int(v)
+			s0, s1, s2, s3 := dot4(a.Data[i*k:i*k+k], b0, b1, b2, b3)
 			o := out.Data[i*m+j : i*m+j+4]
 			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
 		}
 	}
 	for ; j < m; j++ {
 		brow := bd[j*k : j*k+k]
-		for i := lo; i < hi; i++ {
+		for _, v := range rows {
+			i := int(v)
 			out.Data[i*m+j] = Dot(a.Data[i*k:i*k+k], brow)
 		}
 	}

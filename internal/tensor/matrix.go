@@ -1,6 +1,14 @@
 // Package tensor provides dense row-major float32 matrices and the small set
-// of linear-algebra kernels needed for GCN training: parallel blocked matrix
-// multiplication, row gather/scatter, and elementwise operations.
+// of linear-algebra kernels needed for GCN training: blocked matrix
+// multiplication, CSR sparse aggregation (SpMM), the fused aggregate-project
+// kernels of the SAGE layer, row gathers, and elementwise operations.
+//
+// Every row-independent kernel is one body that computes a list of rows,
+// and all of them run on one dispatcher (matmul.go) that hands row sets —
+// explicit lists or contiguous ranges, cut by grain or by a caller's
+// edge-balanced chunk list — to a persistent worker pool. Which entry point
+// (full, Range, Rows) and which worker computes a row never changes its
+// bits.
 //
 // It is the stand-in for the GPU tensor library used by the paper's PyTorch
 // implementation; the numerics are identical, only absolute speed differs.
@@ -109,16 +117,6 @@ func (m *Matrix) Sub(other *Matrix) {
 	}
 }
 
-// Hadamard multiplies m by other elementwise.
-func (m *Matrix) Hadamard(other *Matrix) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic(fmt.Sprintf("tensor: Hadamard shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-	for i, v := range other.Data {
-		m.Data[i] *= v
-	}
-}
-
 // FrobeniusNorm returns the Frobenius norm of m, accumulated in float64.
 func (m *Matrix) FrobeniusNorm() float64 {
 	var s float64
@@ -170,35 +168,6 @@ func (m *Matrix) Equal(other *Matrix, tol float32) bool {
 	return true
 }
 
-// HStackRows returns a new matrix whose rows are the concatenation of the
-// corresponding rows of a and b: out is a.Rows × (a.Cols+b.Cols).
-func HStackRows(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: HStackRows row mismatch %d vs %d", a.Rows, b.Rows))
-	}
-	out := New(a.Rows, a.Cols+b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.Row(i)[:a.Cols], a.Row(i))
-		copy(out.Row(i)[a.Cols:], b.Row(i))
-	}
-	return out
-}
-
-// SplitCols splits m into two matrices along columns at index c:
-// left is m.Rows×c, right is m.Rows×(m.Cols-c).
-func SplitCols(m *Matrix, c int) (left, right *Matrix) {
-	if c < 0 || c > m.Cols {
-		panic(fmt.Sprintf("tensor: SplitCols bad index %d for %d cols", c, m.Cols))
-	}
-	left = New(m.Rows, c)
-	right = New(m.Rows, m.Cols-c)
-	for i := 0; i < m.Rows; i++ {
-		copy(left.Row(i), m.Row(i)[:c])
-		copy(right.Row(i), m.Row(i)[c:])
-	}
-	return left, right
-}
-
 // GatherRows returns a new matrix whose i-th row is src.Row(idx[i]).
 func GatherRows(src *Matrix, idx []int32) *Matrix {
 	out := New(len(idx), src.Cols)
@@ -214,32 +183,5 @@ func GatherRowsInto(out, src *Matrix, idx []int32) {
 	}
 	for i, r := range idx {
 		copy(out.Row(i), src.Row(int(r)))
-	}
-}
-
-// ScatterAddRows adds src.Row(i) into dst.Row(idx[i]) for each i.
-func ScatterAddRows(dst, src *Matrix, idx []int32) {
-	if src.Rows != len(idx) {
-		panic(fmt.Sprintf("tensor: ScatterAddRows src rows %d != len(idx) %d", src.Rows, len(idx)))
-	}
-	if dst.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: ScatterAddRows col mismatch %d vs %d", dst.Cols, src.Cols))
-	}
-	for i, r := range idx {
-		d := dst.Row(int(r))
-		s := src.Row(i)
-		for j, v := range s {
-			d[j] += v
-		}
-	}
-}
-
-// ScatterRows copies src.Row(i) into dst.Row(idx[i]) for each i.
-func ScatterRows(dst, src *Matrix, idx []int32) {
-	if src.Rows != len(idx) {
-		panic(fmt.Sprintf("tensor: ScatterRows src rows %d != len(idx) %d", src.Rows, len(idx)))
-	}
-	for i, r := range idx {
-		copy(dst.Row(int(r)), src.Row(i))
 	}
 }

@@ -93,10 +93,6 @@ func TestElementwiseOps(t *testing.T) {
 	if a.At(0, 0) != 2+5 {
 		t.Fatalf("AddScaled: %v", a.At(0, 0))
 	}
-	a.Hadamard(b)
-	if a.At(0, 0) != 70 {
-		t.Fatalf("Hadamard: %v", a.At(0, 0))
-	}
 }
 
 func TestAddShapeMismatchPanics(t *testing.T) {
@@ -122,23 +118,7 @@ func TestNorms(t *testing.T) {
 	}
 }
 
-func TestHStackAndSplit(t *testing.T) {
-	a := NewFrom(2, 2, []float32{1, 2, 3, 4})
-	b := NewFrom(2, 1, []float32{5, 6})
-	h := HStackRows(a, b)
-	if h.Rows != 2 || h.Cols != 3 {
-		t.Fatalf("HStack shape %dx%d", h.Rows, h.Cols)
-	}
-	if h.At(0, 2) != 5 || h.At(1, 2) != 6 || h.At(1, 1) != 4 {
-		t.Fatalf("HStack contents wrong: %v", h.Data)
-	}
-	l, r := SplitCols(h, 2)
-	if !l.Equal(a, 0) || !r.Equal(b, 0) {
-		t.Fatal("SplitCols must invert HStackRows")
-	}
-}
-
-func TestGatherScatterRows(t *testing.T) {
+func TestGatherRows(t *testing.T) {
 	src := NewFrom(3, 2, []float32{1, 1, 2, 2, 3, 3})
 	g := GatherRows(src, []int32{2, 0, 2})
 	want := []float32{3, 3, 1, 1, 3, 3}
@@ -146,16 +126,6 @@ func TestGatherScatterRows(t *testing.T) {
 		if g.Data[i] != w {
 			t.Fatalf("Gather[%d] = %v want %v", i, g.Data[i], w)
 		}
-	}
-	dst := New(3, 2)
-	ScatterAddRows(dst, g, []int32{0, 0, 1})
-	if dst.At(0, 0) != 4 || dst.At(1, 0) != 3 || dst.At(2, 0) != 0 {
-		t.Fatalf("ScatterAdd wrong: %v", dst.Data)
-	}
-	dst2 := New(3, 2)
-	ScatterRows(dst2, g, []int32{1, 2, 0})
-	if dst2.At(1, 0) != 3 || dst2.At(2, 0) != 1 || dst2.At(0, 0) != 3 {
-		t.Fatalf("ScatterRows wrong: %v", dst2.Data)
 	}
 }
 

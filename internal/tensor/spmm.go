@@ -27,18 +27,14 @@ import "fmt"
 //
 // Parallelism. Rows are fully independent (each output row reads only its
 // own CSR segment and writes only itself), so any duplicate-free partition of
-// the row space is bit-identical in any execution order. The full-pass
-// drivers take an optional edge-balanced chunk index (prefix-summed over
-// indptr by graph.AggIndex so one mega-degree row lands in its own chunk
-// instead of serializing a worker's whole share) and claim chunks dynamically
-// from the persistent worker pool; with chunks == nil they fall back to
-// dynamic spmmGrain-row claiming, which load-balances everything except a
-// single mega row.
-
-// spmmGrain is the dynamic claim size (in rows) of the chunkless sparse
-// drivers: small enough that degree skew between claims stays bounded,
-// large enough that the atomic cursor is not contended.
-const spmmGrain = 8
+// the row space is bit-identical in any execution order. Every entry point
+// runs the kernel's one per-row body through dispatch (matmul.go). The
+// full-pass entries take an optional edge-balanced chunk index (prefix-summed
+// over indptr by graph.AggIndex so one mega-degree row lands in its own chunk
+// instead of serializing a worker's whole share), each chunk claimed whole;
+// with chunks == nil, and for explicit row lists, rows are claimed
+// spmmGrain at a time, which load-balances everything except a single mega
+// row.
 
 // unitCoef feeds axpy4AVX2 for the unscaled gather: fma(1,x,acc) ≡ acc+x
 // bitwise, so the blocked sum reproduces sequential AddTo exactly.
@@ -157,7 +153,7 @@ func GatherDots(out []float32, a []float32, x *Matrix, nbrs []int32) {
 
 // checkSpMM validates the shared SpMM shape contract: one CSR row per output
 // row, destination at least as wide as the gathered width.
-func checkSpMM(name string, out, x *Matrix, indptr []int64, indices []int32, scale []float32) {
+func checkSpMM(name string, out, x *Matrix, indptr []int64, scale []float32) {
 	if out.Cols < x.Cols {
 		panic(fmt.Sprintf("tensor: %s out width %d < x width %d", name, out.Cols, x.Cols))
 	}
@@ -167,21 +163,6 @@ func checkSpMM(name string, out, x *Matrix, indptr []int64, indices []int32, sca
 	if scale != nil && len(scale) < out.Rows {
 		panic(fmt.Sprintf("tensor: %s scale len %d, need %d", name, len(scale), out.Rows))
 	}
-	_ = indices
-}
-
-// spmmRow computes one output row: dst[:w] = scale·Σ x.Row(u) over the CSR
-// row's edges, in edge order.
-func spmmRow(out, x *Matrix, indptr []int64, indices []int32, scale []float32, r int) {
-	w := x.Cols
-	dst := out.Data[r*out.Cols : r*out.Cols+w]
-	GatherSum(dst, x, indices[indptr[r]:indptr[r+1]])
-	if scale != nil {
-		s := scale[r]
-		for j := range dst {
-			dst[j] *= s
-		}
-	}
 }
 
 // SpMM computes, for every row r in [0, out.Rows):
@@ -190,96 +171,32 @@ func spmmRow(out, x *Matrix, indptr []int64, indices []int32, scale []float32, r
 //
 // i.e. out = diag(scale)·A·x over the CSR adjacency (indptr, indices). scale
 // == nil skips the rescale. out.Cols may exceed x.Cols: only the first
-// x.Cols entries of each row are written (the SAGE layer aggregates into the
-// left half of its concat buffer). chunks, when non-nil, is an edge-balanced
-// row-chunk boundary list (graph.AggIndex.Chunks): ascending, chunks[0] = 0,
-// boundaries clamped to out.Rows, each chunk claimed whole by one worker.
-// Rows are independent, so every execution strategy is bit-identical.
+// x.Cols entries of each row are written (the layer tests' concat reference
+// aggregates into the left half of its concat buffer). chunks, when non-nil,
+// is an edge-balanced row-chunk boundary list (graph.AggIndex.Chunks):
+// ascending, chunks[0] = 0, boundaries clamped to out.Rows, each chunk claimed
+// whole by one worker. Rows are independent, so every execution strategy is
+// bit-identical.
 func SpMM(out, x *Matrix, indptr []int64, indices []int32, scale []float32, chunks []int32) {
-	checkSpMM("SpMM", out, x, indptr, indices, scale)
-	if chunks == nil || maxProcs == 1 {
-		spmmRange(out, x, indptr, indices, scale, 0, out.Rows)
-		return
-	}
-	nr := out.Rows
-	ParallelChunks(len(chunks)-1, func(c int) {
-		lo, hi := int(chunks[c]), int(chunks[c+1])
-		if hi > nr {
-			hi = nr
-		}
-		for r := lo; r < hi; r++ {
-			spmmRow(out, x, indptr, indices, scale, r)
-		}
-	})
+	checkSpMM("SpMM", out, x, indptr, scale)
+	dispatch(rowCall{kernel: kernelSpMM, out: out, a: x, indptr: indptr, indices: indices, scale: scale},
+		rowRange(0, out.Rows), spmmGrain, chunks)
 }
 
-// SpMMRange computes rows [lo,hi) of SpMM, leaving all other rows untouched.
-func SpMMRange(out, x *Matrix, indptr []int64, indices []int32, scale []float32, lo, hi int) {
-	checkSpMM("SpMMRange", out, x, indptr, indices, scale)
-	if lo < 0 || hi < lo || hi > out.Rows {
-		panic(fmt.Sprintf("tensor: SpMMRange rows [%d,%d) outside [0,%d)", lo, hi, out.Rows))
-	}
-	spmmRange(out, x, indptr, indices, scale, lo, hi)
-}
-
-func spmmRange(out, x *Matrix, indptr []int64, indices []int32, scale []float32, lo, hi int) {
-	if hi-lo <= spmmGrain || maxProcs == 1 { // skip the closure: it would escape
-		for r := lo; r < hi; r++ {
-			spmmRow(out, x, indptr, indices, scale, r)
+// spmmBlock computes the listed rows of SpMM: per row, dst[:w] = scale·Σ
+// x.Row(u) over the CSR row's edges, in edge order.
+func spmmBlock(out, x *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
+	w := x.Cols
+	for _, v := range rows {
+		r := int(v)
+		dst := out.Data[r*out.Cols : r*out.Cols+w]
+		GatherSum(dst, x, indices[indptr[r]:indptr[r+1]])
+		if scale != nil {
+			s := scale[r]
+			for j := range dst {
+				dst[j] *= s
+			}
 		}
-		return
-	}
-	parallelGrain(hi-lo, spmmGrain, func(l, h int) {
-		for r := lo + l; r < lo+h; r++ {
-			spmmRow(out, x, indptr, indices, scale, r)
-		}
-	})
-}
-
-// SpMMRows computes the listed rows of SpMM, leaving all other rows
-// untouched. rows must be in-range and duplicate-free; order is irrelevant.
-// This is the row-subset entry the pipelined epoch engine's halo-free and
-// per-peer row buckets drive (mirroring MatMulRows).
-func SpMMRows(out, x *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
-	checkSpMM("SpMMRows", out, x, indptr, indices, scale)
-	if len(rows) <= spmmGrain || maxProcs == 1 { // skip the closure: it would escape
-		for _, r := range rows {
-			spmmRow(out, x, indptr, indices, scale, int(r))
-		}
-		return
-	}
-	parallelGrain(len(rows), spmmGrain, func(l, h int) {
-		for _, r := range rows[l:h] {
-			spmmRow(out, x, indptr, indices, scale, int(r))
-		}
-	})
-}
-
-// spmmTransRow accumulates one destination row of the transposed product:
-// dst.Row(r) += Σ scale[v]·src.Row(v)[:w] over the transposed CSR row's
-// sources, in stored (ascending-source) order. The caller owns dst's
-// initialization.
-func spmmTransRow(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, r int) {
-	w := dst.Cols
-	drow := dst.Data[r*w : r*w+w]
-	srcs := indices[indptr[r]:indptr[r+1]]
-	sd := src.Data
-	sw := src.Cols
-	if scale == nil {
-		GatherAdd(drow, src, srcs)
-		return
-	}
-	i := 0
-	for ; i+4 <= len(srcs); i += 4 {
-		v0, v1, v2, v3 := srcs[i], srcs[i+1], srcs[i+2], srcs[i+3]
-		axpySeq4(drow,
-			sd[int(v0)*sw:int(v0)*sw+w], sd[int(v1)*sw:int(v1)*sw+w],
-			sd[int(v2)*sw:int(v2)*sw+w], sd[int(v3)*sw:int(v3)*sw+w],
-			scale[v0], scale[v1], scale[v2], scale[v3])
-	}
-	for ; i < len(srcs); i++ {
-		v := srcs[i]
-		Axpy(drow, sd[int(v)*sw:int(v)*sw+w], scale[v])
 	}
 }
 
@@ -308,21 +225,7 @@ func checkSpMMTrans(name string, dst, src *Matrix, indptr []int64) {
 // the layer's self term). chunks is the edge-balanced boundary list over the
 // transposed index (graph.AggIndex.IncChunks), nil for dynamic row claiming.
 func SpMMTrans(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, chunks []int32) {
-	checkSpMMTrans("SpMMTrans", dst, src, indptr)
-	if chunks == nil || maxProcs == 1 {
-		spmmTransRange(dst, src, indptr, indices, scale, 0, dst.Rows)
-		return
-	}
-	nr := dst.Rows
-	ParallelChunks(len(chunks)-1, func(c int) {
-		lo, hi := int(chunks[c]), int(chunks[c+1])
-		if hi > nr {
-			hi = nr
-		}
-		for r := lo; r < hi; r++ {
-			spmmTransRow(dst, src, indptr, indices, scale, r)
-		}
-	})
+	SpMMTransRange(dst, src, indptr, indices, scale, chunks, 0, dst.Rows)
 }
 
 // SpMMTransRange computes destination rows [lo,hi) of SpMMTrans. chunks (may
@@ -331,39 +234,9 @@ func SpMMTrans(dst, src *Matrix, indptr []int64, indices []int32, scale []float3
 // already in flight.
 func SpMMTransRange(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, chunks []int32, lo, hi int) {
 	checkSpMMTrans("SpMMTransRange", dst, src, indptr)
-	if lo < 0 || hi < lo || hi > dst.Rows {
-		panic(fmt.Sprintf("tensor: SpMMTransRange rows [%d,%d) outside [0,%d)", lo, hi, dst.Rows))
-	}
-	if chunks == nil || maxProcs == 1 {
-		spmmTransRange(dst, src, indptr, indices, scale, lo, hi)
-		return
-	}
-	ParallelChunks(len(chunks)-1, func(c int) {
-		l, h := int(chunks[c]), int(chunks[c+1])
-		if l < lo {
-			l = lo
-		}
-		if h > hi {
-			h = hi
-		}
-		for r := l; r < h; r++ {
-			spmmTransRow(dst, src, indptr, indices, scale, r)
-		}
-	})
-}
-
-func spmmTransRange(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, lo, hi int) {
-	if hi-lo <= spmmGrain || maxProcs == 1 { // skip the closure: it would escape
-		for r := lo; r < hi; r++ {
-			spmmTransRow(dst, src, indptr, indices, scale, r)
-		}
-		return
-	}
-	parallelGrain(hi-lo, spmmGrain, func(l, h int) {
-		for r := lo + l; r < lo+h; r++ {
-			spmmTransRow(dst, src, indptr, indices, scale, r)
-		}
-	})
+	checkRange("SpMMTransRange", lo, hi, dst.Rows)
+	dispatch(rowCall{kernel: kernelSpMMTrans, out: dst, a: src, indptr: indptr, indices: indices, scale: scale},
+		rowRange(lo, hi), spmmGrain, chunks)
 }
 
 // SpMMTransRows accumulates the listed destination rows of SpMMTrans,
@@ -371,15 +244,36 @@ func spmmTransRange(dst, src *Matrix, indptr []int64, indices []int32, scale []f
 // completes exactly the sampled boundary slots this way.
 func SpMMTransRows(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
 	checkSpMMTrans("SpMMTransRows", dst, src, indptr)
-	if len(rows) <= spmmGrain || maxProcs == 1 { // skip the closure: it would escape
-		for _, r := range rows {
-			spmmTransRow(dst, src, indptr, indices, scale, int(r))
+	dispatch(rowCall{kernel: kernelSpMMTrans, out: dst, a: src, indptr: indptr, indices: indices, scale: scale},
+		rows, spmmGrain, nil)
+}
+
+// spmmTransBlock accumulates the listed destination rows of the transposed
+// product: dst.Row(r) += Σ scale[v]·src.Row(v)[:w] over the transposed CSR
+// row's sources, in stored (ascending-source) order. The caller owns dst's
+// initialization.
+func spmmTransBlock(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
+	w := dst.Cols
+	sd := src.Data
+	sw := src.Cols
+	for _, r := range rows {
+		drow := dst.Data[int(r)*w : int(r)*w+w]
+		srcs := indices[indptr[r]:indptr[r+1]]
+		if scale == nil {
+			GatherAdd(drow, src, srcs)
+			continue
 		}
-		return
+		i := 0
+		for ; i+4 <= len(srcs); i += 4 {
+			v0, v1, v2, v3 := srcs[i], srcs[i+1], srcs[i+2], srcs[i+3]
+			axpySeq4(drow,
+				sd[int(v0)*sw:int(v0)*sw+w], sd[int(v1)*sw:int(v1)*sw+w],
+				sd[int(v2)*sw:int(v2)*sw+w], sd[int(v3)*sw:int(v3)*sw+w],
+				scale[v0], scale[v1], scale[v2], scale[v3])
+		}
+		for ; i < len(srcs); i++ {
+			v := srcs[i]
+			Axpy(drow, sd[int(v)*sw:int(v)*sw+w], scale[v])
+		}
 	}
-	parallelGrain(len(rows), spmmGrain, func(l, h int) {
-		for _, r := range rows[l:h] {
-			spmmTransRow(dst, src, indptr, indices, scale, int(r))
-		}
-	})
 }

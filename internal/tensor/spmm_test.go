@@ -110,8 +110,8 @@ func sameBitsF32(t *testing.T, name string, got, want []float32) {
 var spmmDims = []int{1, 3, 7, 8, 9, 17, 65}
 
 // TestSpMMMatchesScalarReference pins the engine's forward kernel against
-// the sequential per-edge reference, bit for bit, across feature widths,
-// chunk layouts, and row-subset entry points.
+// the sequential per-edge reference, bit for bit, across feature widths and
+// chunk layouts.
 func TestSpMMMatchesScalarReference(t *testing.T) {
 	rng := NewRNG(401)
 	const n, nSrc = 53, 61
@@ -139,21 +139,6 @@ func TestSpMMMatchesScalarReference(t *testing.T) {
 			SpMM(got, x, indptr, indices, scale, chunks)
 			sameBitsF32(t, "SpMM/chunks", got.Data, want.Data)
 		}
-
-		// Random duplicate-free row partition through SpMMRows + a range.
-		got.Zero()
-		var a, b []int32
-		for v := 0; v < 20; v++ {
-			if rng.Float32() < 0.5 {
-				a = append(a, int32(v))
-			} else {
-				b = append(b, int32(v))
-			}
-		}
-		SpMMRows(got, x, indptr, indices, scale, a)
-		SpMMRows(got, x, indptr, indices, scale, b)
-		SpMMRange(got, x, indptr, indices, scale, 20, n)
-		sameBitsF32(t, "SpMMRows+Range", got.Data, want.Data)
 
 		// Unscaled form.
 		refSpMM(want, x, indptr, indices, nil)
@@ -347,13 +332,6 @@ func TestSpMMParallelPathMatchesSerial(t *testing.T) {
 	got.Zero()
 	SpMM(got, x, indptr, indices, scale, nil)
 	sameBitsF32(t, "parallel/grain", got.Data, want.Data)
-	got.Zero()
-	rows := make([]int32, n)
-	for i := range rows {
-		rows[i] = int32(i)
-	}
-	SpMMRows(got, x, indptr, indices, scale, rows)
-	sameBitsF32(t, "parallel/rows", got.Data, want.Data)
 
 	tIndptr, tSrc := transposeCSR(n, indptr, indices, nSrc)
 	src := randomMatrix(rng, n, dim)

@@ -8,9 +8,9 @@ import "math/bits"
 // served from a free list and allocates nothing.
 //
 // Ownership rules: a buffer returned by Get/GetF32 belongs to the caller
-// until it is handed back, either individually via Put/PutF32 or wholesale
-// via Reset. Get returns buffers with UNDEFINED contents (use GetZeroed when
-// the caller accumulates into the buffer). A Workspace is NOT safe for
+// until it is handed back, either individually via Put or wholesale via
+// Reset. Get returns buffers with UNDEFINED contents (zero them when the
+// caller accumulates into the buffer). A Workspace is NOT safe for
 // concurrent use; each owner — one trainer worker, one partition — keeps its
 // own.
 type Workspace struct {
@@ -45,13 +45,6 @@ func (w *Workspace) Get(rows, cols int) *Matrix {
 		m = &Matrix{Rows: rows, Cols: cols, Data: make([]float32, n, 1<<c)}
 	}
 	w.usedMats = append(w.usedMats, m)
-	return m
-}
-
-// GetZeroed returns a zeroed rows×cols matrix.
-func (w *Workspace) GetZeroed(rows, cols int) *Matrix {
-	m := w.Get(rows, cols)
-	m.Zero()
 	return m
 }
 
@@ -90,23 +83,6 @@ func (w *Workspace) Put(m *Matrix) {
 	if c := putClass(cap(m.Data)); c >= 0 {
 		w.mats[c] = append(w.mats[c], m)
 	}
-}
-
-// PutF32 returns s (a slice obtained from GetF32) to the free lists ahead of
-// the next Reset.
-func (w *Workspace) PutF32(s []float32) {
-	if cap(s) == 0 {
-		return // zero-capacity slices stay tracked until Reset
-	}
-	s = s[:cap(s)]
-	for i := len(w.usedSlices) - 1; i >= 0; i-- {
-		u := w.usedSlices[i]
-		if cap(u) > 0 && &u[:1][0] == &s[0] {
-			w.usedSlices = append(w.usedSlices[:i], w.usedSlices[i+1:]...)
-			break
-		}
-	}
-	w.slices[putClass(cap(s))] = append(w.slices[putClass(cap(s))], s)
 }
 
 // Reset returns every outstanding buffer to the free lists. All matrices and
