@@ -35,17 +35,16 @@ func TestTCPTrainEpochSteadyStateAllocs(t *testing.T) {
 		// the position exchanges and scheduler churn of the four demux/writer
 		// goroutines. The important property is that the budget is
 		// independent of payload sizes and layer count × message volume.
-		budget := float64(80)
+		budget := uint64(80)
 		if procs := runtime.GOMAXPROCS(0); procs > 1 {
-			budget += 50 * float64(procs)
+			budget += 50 * uint64(procs)
 		}
-		allocs := testing.AllocsPerRun(10, func() {
-			tr.TrainEpoch()
-		})
+		allocs, bytes := maxEpochAllocs(func() { tr.TrainEpoch() })
 		if allocs > budget {
-			t.Errorf("%s: steady-state TCP TrainEpoch allocates %.0f objects/epoch, budget %.0f",
+			t.Errorf("%s: a steady-state TCP TrainEpoch allocates %d objects, budget %d",
 				sched, allocs, budget)
 		}
-		t.Logf("%s: steady-state TCP allocs/epoch = %.0f", sched, allocs)
+		checkSteadyBytes(t, sched.String(), bytes)
+		t.Logf("%s: steady-state TCP max allocs/epoch = %d (%d bytes)", sched, allocs, bytes)
 	}
 }

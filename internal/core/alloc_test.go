@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
 	"repro/internal/datagen"
 	"repro/internal/partition"
+	"repro/internal/tensor"
 )
 
 // allocTrainer builds a small 4-partition trainer for allocation tests.
@@ -36,13 +38,54 @@ func allocTrainer(t testing.TB, arch Arch, p float64) *ParallelTrainer {
 	return tr
 }
 
+// steadyEpochs is the allocation gates' measurement window. At p<1 the epoch
+// node space follows the sample, so scratch sized by an early epoch meets a
+// new maximum of the sampled count every so often (the running maximum of n
+// draws is beaten about ln n times); thirty epochs measured one by one put
+// such a late regrow in front of the gate, where ten averaged ones hid it.
+const steadyEpochs = 30
+
+// maxEpochAllocs runs steadyEpochs epochs and returns the most heap objects
+// and the most bytes any single one of them allocated, process-wide. Like
+// testing.AllocsPerRun it measures at GOMAXPROCS 1, so the runtime's own
+// background workers stay out of the count; the kernel pool keeps the width
+// it was started with.
+func maxEpochAllocs(epoch func()) (objs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	for i := 0; i < steadyEpochs; i++ {
+		runtime.ReadMemStats(&before)
+		epoch()
+		runtime.ReadMemStats(&after)
+		objs = max(objs, after.Mallocs-before.Mallocs)
+		bytes = max(bytes, after.TotalAlloc-before.TotalAlloc)
+	}
+	return objs, bytes
+}
+
+// steadyBytes bounds what one steady-state epoch may allocate where the
+// kernels run inline (pool width 1; wider, the pooled dW partials come and go
+// by kilobytes): the per-epoch fan-out, stats and position messages are a few
+// hundred bytes, the smallest epoch-sized scratch of these fixtures (the
+// aggregation plan's per-node arrays) several kilobytes and a layer or
+// dropout matrix tens, so a single scratch regrow inside the window fails.
+const steadyBytes = 4 << 10
+
+func checkSteadyBytes(t *testing.T, name string, bytes uint64) {
+	t.Helper()
+	if tensor.Parallelism() == 1 && bytes > steadyBytes {
+		t.Errorf("%s: an epoch of the steady-state window allocated %d bytes (budget %d): scratch regrew after warm-up", name, bytes, steadyBytes)
+	}
+}
+
 // TestTrainEpochSteadyStateAllocs pins the zero-allocation hot path: after
 // warm-up, one BNS-GCN epoch must allocate only the small fixed overhead of
 // the per-epoch goroutine fan-out (Cluster.Run) and the returned stats — far
-// below the per-epoch matrices the seed implementation churned through.
+// below the per-epoch matrices the seed implementation churned through — in
+// every epoch of the window, not on average.
 func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 	for _, arch := range []Arch{ArchSAGE, ArchGAT} {
-		for _, p := range []float64{1.0, 0.1} {
+		for _, p := range []float64{1.0, 0.1, 0.5, 0.02} {
 			tr := allocTrainer(t, arch, p)
 			for i := 0; i < 3; i++ {
 				tr.TrainEpoch() // warm up layer scratch and epoch workspaces
@@ -52,17 +95,16 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 			// dispatcher builds no closures, so more procs add only the
 			// pooled partial hand-off and goroutine spawns of the dW
 			// reductions: SAGE 54 / 57 and GAT 54 / 59 at GOMAXPROCS=2.
-			budget := float64(40)
+			budget := uint64(40)
 			if procs := runtime.GOMAXPROCS(0); procs > 1 {
-				budget += 50 * float64(procs)
+				budget += 50 * uint64(procs)
 			}
-			allocs := testing.AllocsPerRun(10, func() {
-				tr.TrainEpoch()
-			})
+			allocs, bytes := maxEpochAllocs(func() { tr.TrainEpoch() })
 			if allocs > budget {
-				t.Errorf("%s p=%v: steady-state TrainEpoch allocates %.0f objects/epoch, budget %.0f", arch, p, allocs, budget)
+				t.Errorf("%s p=%v: a steady-state TrainEpoch allocates %d objects, budget %d", arch, p, allocs, budget)
 			}
-			t.Logf("%s p=%v: steady-state allocs/epoch = %.0f", arch, p, allocs)
+			checkSteadyBytes(t, fmt.Sprintf("%s p=%v", arch, p), bytes)
+			t.Logf("%s p=%v: steady-state max allocs/epoch = %d (%d bytes)", arch, p, allocs, bytes)
 		}
 	}
 }

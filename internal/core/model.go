@@ -76,6 +76,13 @@ type GraphLayer interface {
 	// SAGE requires one and rejects a plan that does not match the graph a
 	// pass is handed; attention needs none and ignores it.
 	SetAgg(ai *graph.AggIndex)
+	// SetHaloLayout places the trailing len(at) input rows of the passes that
+	// follow in the dense block of n rows they were selected from (the epoch
+	// space's halo rows among the partition's boundary slots), for a layer
+	// that reduces over its input rows: attention's dW keeps the summation
+	// order of the dense block. SAGE reduces over output rows only and
+	// ignores it.
+	SetHaloLayout(at []int32, n int)
 
 	// ForwardBegin prepares a chunked pass and returns the output matrix the
 	// ForwardRows calls will fill.
@@ -93,11 +100,10 @@ type GraphLayer interface {
 	// BackwardBegin computes the pre-activation gradients for dOut and
 	// resets the pass accumulators.
 	BackwardBegin(dOut *tensor.Matrix)
-	// BackwardHalo completes the halo rows of the input gradient: haloSrc
-	// lists (ascending) every output row with a neighbor ≥ nIn, haloSlots
-	// the halo rows whose gradients are needed. Rows < nIn of the returned
-	// matrix are valid only after BackwardFinish.
-	BackwardHalo(haloSrc, haloSlots []int32, nIn int) *tensor.Matrix
+	// BackwardHalo completes the halo rows [nIn, g.N) of the input gradient:
+	// haloSrc lists (ascending) every output row with a neighbor ≥ nIn.
+	// Rows < nIn of the returned matrix are valid only after BackwardFinish.
+	BackwardHalo(haloSrc []int32, nIn int) *tensor.Matrix
 	// BackwardFinish accumulates parameter gradients and completes rows
 	// [0, nIn); freeSrc lists (ascending) the output rows not in haloSrc.
 	BackwardFinish(freeSrc []int32, nIn int) *tensor.Matrix
@@ -109,8 +115,9 @@ type GraphLayer interface {
 // sageLayer adapts nn.SAGEConv to GraphLayer.
 type sageLayer struct{ *nn.SAGEConv }
 
-func (l sageLayer) InputDim() int  { return l.SAGEConv.InDim }
-func (l sageLayer) OutputDim() int { return l.SAGEConv.OutDim }
+func (l sageLayer) SetHaloLayout([]int32, int) {}
+func (l sageLayer) InputDim() int              { return l.SAGEConv.InDim }
+func (l sageLayer) OutputDim() int             { return l.SAGEConv.OutDim }
 
 // gatLayer adapts nn.GATConv to GraphLayer (invDeg is unused by attention).
 type gatLayer struct{ *nn.GATConv }

@@ -224,91 +224,48 @@ func TestCommAccountingInvariants(t *testing.T) {
 	}
 }
 
-// TestSplitRowsPartition checks the per-epoch row split invariants the
-// engine relies on: haloFree ∪ haloDep = [0, NIn) ascending and disjoint,
-// haloSlots exactly the sampled boundary slots, and the per-peer buckets:
-// every halo-dependent row appears once in the bucket of each peer it
-// awaits, every bucket row has an active neighbor owned by that peer, and
-// the drain's countdown consumed every wait (rowWait back at zero) — under
-// either schedule, since both run the same split and the same drain.
-func TestSplitRowsPartition(t *testing.T) {
-	for _, sched := range []Schedule{ScheduleOverlap, ScheduleSerialized} {
-		ds := testDataset(t, 8)
-		topo := testTopology(t, ds, 3)
-		tr, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: testModelConfig(), P: 0.3, SampleSeed: 2, Schedule: sched})
+// rowDroppingBNS is BNS at p=1 that reports DropsInner: the same active set
+// every epoch, under a plan shape the engine must never keep.
+type rowDroppingBNS struct{ Strategy }
+
+func (s rowDroppingBNS) PlanEpoch(p *Plan) {
+	s.Strategy.PlanEpoch(p)
+	p.DropsInner = true
+}
+
+// TestPlanKeptWhileActiveSetRepeats: an epoch that plans exactly the active
+// set of the one before (p=1, p=0) keeps the plan products — the slot map,
+// epoch graph, aggregation plan, row split and receive lists — and an epoch
+// that plans anything else, or a row-dropping plan, rebuilds them. The probe
+// is a sentinel in the slot map, which only a rebuild writes and only a
+// rebuild reads.
+func TestPlanKeptWhileActiveSetRepeats(t *testing.T) {
+	ds := testDataset(t, 8)
+	topo := testTopology(t, ds, 3)
+	for _, tc := range []struct {
+		name     string
+		p        float64
+		strategy StrategyFactory
+		kept     bool
+	}{
+		{"p=1", 1, nil, true},
+		{"p=0", 0, nil, true},
+		{"p=0.5", 0.5, nil, false},
+		{"p=1 row-dropping", 1, func(rank int) Strategy { return rowDroppingBNS{NewBNSStrategy(1, 2, rank)} }, false},
+	} {
+		tr, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: testModelConfig(), P: tc.p, SampleSeed: 2, Strategy: tc.strategy})
 		if err != nil {
 			t.Fatal(err)
 		}
 		tr.TrainEpoch()
-		checkSplitRows(t, tr)
-	}
-}
-
-func checkSplitRows(t *testing.T, tr *ParallelTrainer) {
-	t.Helper()
-	for r, lp := range tr.Locals {
-		seen := make([]int, lp.NIn)
-		last := int32(-1)
-		for _, v := range lp.haloFree {
-			seen[v]++
+		const sentinel = -7
+		for _, lp := range tr.Locals {
+			lp.slotRow[0] = sentinel
 		}
-		for _, v := range lp.haloDep {
-			seen[v]++
-			if v <= last {
-				t.Fatalf("rank %d: haloDep not ascending", r)
-			}
-			last = v
-		}
-		for v, c := range seen {
-			if c != 1 {
-				t.Fatalf("rank %d: inner row %d covered %d times", r, v, c)
-			}
-		}
-		nSlots := 0
-		for s := lp.NIn; s < lp.NIn+lp.NBd; s++ {
-			if lp.active[s] {
-				nSlots++
-			}
-		}
-		if len(lp.haloSlots) != nSlots {
-			t.Fatalf("rank %d: %d halo slots listed, %d active", r, len(lp.haloSlots), nSlots)
-		}
-
-		// Bucket invariants.
-		bucketed := make([]int, lp.NIn)
-		for j, rows := range lp.peerRows {
-			lastRow := int32(-1)
-			for _, v := range rows {
-				if v <= lastRow {
-					t.Fatalf("rank %d: peerRows[%d] not ascending", r, j)
-				}
-				lastRow = v
-				bucketed[v]++
-				found := false
-				for _, u := range lp.eg.Neighbors(v) {
-					if int(u) >= lp.NIn && lp.slotOwner[int(u)-lp.NIn] == int32(j) {
-						found = true
-						break
-					}
-				}
-				if !found {
-					t.Fatalf("rank %d: row %d bucketed under peer %d without an active neighbor there", r, v, j)
-				}
-			}
-		}
-		isDep := make([]bool, lp.NIn)
-		for _, v := range lp.haloDep {
-			isDep[v] = true
-		}
-		for v := 0; v < lp.NIn; v++ {
-			if isDep[v] && bucketed[v] == 0 {
-				t.Fatalf("rank %d: halo-dependent row %d awaits no peer", r, v)
-			}
-			if !isDep[v] && bucketed[v] != 0 {
-				t.Fatalf("rank %d: halo-free row %d bucketed %d times", r, v, bucketed[v])
-			}
-			if lp.rowWait[v] != 0 {
-				t.Fatalf("rank %d: rowWait[%d]=%d after the drain, want 0", r, v, lp.rowWait[v])
+		tr.TrainEpoch()
+		for r, lp := range tr.Locals {
+			if kept := lp.slotRow[0] == sentinel; kept != tc.kept {
+				t.Errorf("%s rank %d: plan kept = %v, want %v", tc.name, r, kept, tc.kept)
 			}
 		}
 	}

@@ -23,18 +23,27 @@ const (
 )
 
 // LocalPartition holds everything one worker owns: its inner slice of the
-// dataset, the local adjacency over inner+halo node space, and reusable
-// per-epoch scratch buffers.
+// dataset, the static local adjacency over the inner + boundary-slot space,
+// and the per-epoch node space and scratch the engine trains on.
+//
+// Two node spaces meet here. The static one — what the partition is, and
+// what a Strategy samples against — has NIn inner rows and NBd boundary
+// slots, slot s sitting at id NIn+s. The epoch one — what the layers, the
+// dropout buffers and every per-epoch list below see — keeps the inner rows
+// at [0, NIn) and gives only the slots sampled this epoch a row, renumbered
+// NIn, NIn+1, … in ascending slot order (slotRow/rowSlot translate). The
+// rename is monotone, so each row's neighbor order is the static one with
+// the unsampled slots struck out.
 type LocalPartition struct {
 	ID  int
-	NIn int // inner nodes (local ids [0, NIn))
-	NBd int // boundary/halo slots (local ids [NIn, NIn+NBd))
+	NIn int // inner nodes (static and epoch ids [0, NIn))
+	NBd int // boundary slots (static ids [NIn, NIn+NBd)); an epoch samples some
 
 	GlobalInner    []int32
 	GlobalBoundary []int32
 
-	// Full local adjacency at p=1: only inner rows have neighbors; halo rows
-	// are empty (their aggregations are never computed locally).
+	// Full local adjacency in static ids, the p=1 graph: only inner rows
+	// have neighbors; slots are inputs only.
 	fullIndptr  []int64
 	fullIndices []int32
 
@@ -58,26 +67,36 @@ type LocalPartition struct {
 	// across epochs).
 	epochIndptr  []int64
 	epochIndices []int32
-	active       []bool
-	eg           graph.Graph     // epoch subgraph header, rebuilt in place
+	active       []bool          // the plan's active set, static ids (Plan.Active)
+	eg           graph.Graph     // epoch subgraph header (epoch ids), rebuilt in place
 	agg          *graph.AggIndex // epoch aggregation plan, rebuilt with eg
 	ws           *tensor.Workspace
 	myPos        [][]int32 // per peer: positions I sampled (cap: full recv list)
 	theirPos     [][]int32 // per peer: received position slices (epoch-lived)
 	sendRows     [][]int32 // per peer: inner rows to send (cap: full send list)
-	recvSlots    [][]int32 // per peer: halo slots I fill (cap: full recv list)
+	recvSlots    [][]int32 // per peer: epoch halo rows I fill (cap: full recv list)
 	epochInvDeg  []float32 // effective-degree normalizer (EstimatorSelfNorm)
+
+	// The epoch node space (epochGraph): slotRow[s] is the epoch row of
+	// boundary slot s, -1 when the epoch did not sample it; rowSlot[r-NIn] is
+	// the slot behind epoch halo row r, ascending — so the epoch has
+	// NIn+len(rowSlot) rows.
+	// planActive is the active set the plan products in place (eg, agg, the
+	// row split, recvSlots) were built from, planned whether it may be
+	// trusted: an epoch that plans the same set again keeps them.
+	slotRow    []int32
+	rowSlot    []int32
+	planActive []bool
+	planned    bool
 
 	// Per-epoch row partition for the pipelined engine (see pipeline.go):
 	// haloFree lists the inner rows whose epoch-graph neighbors are all
 	// inner (computable before boundary features arrive), haloDep the rows
-	// with at least one sampled halo neighbor, haloSlots the active halo
-	// slots — all ascending, recomputed alongside sampling.
-	haloFree  []int32
-	haloDep   []int32
-	haloSlots []int32
-	pendRecv  []comm.PendingRecvF32 // per peer: posted halo receives
-	recvData  [][]float32           // per peer: drained payloads (staged fold)
+	// with at least one halo neighbor — both ascending.
+	haloFree []int32
+	haloDep  []int32
+	pendRecv []comm.PendingRecvF32 // per peer: posted halo receives
+	recvData [][]float32           // per peer: drained payloads (staged fold)
 
 	// Strategy-mode scratch (see strategy.go): lossMask is the per-epoch
 	// intersection of TrainMask with the strategy's active inner rows, and
@@ -90,9 +109,9 @@ type LocalPartition struct {
 	skipRows []int32
 
 	// Drain state (see pipeline.go): the owner rank of every boundary slot
-	// (static), and the per-epoch row buckets splitRows derives from it —
-	// peerRows[j] lists (ascending) the halo-dependent rows with at least one
-	// active neighbor owned by j, rowWaitInit[v] the number of distinct peers
+	// (static, by slot), and the per-epoch row buckets splitRows derives from
+	// it — peerRows[j] lists (ascending) the halo-dependent rows with at least
+	// one halo neighbor owned by j, rowWaitInit[v] the number of distinct peers
 	// row v awaits (rowWait is the per-layer working countdown, re-armed from
 	// rowWaitInit at the start of every layer's drain), readyRows the scratch
 	// for rows unlocked by one peer's arrival, peerMark the dedup marker used
@@ -205,7 +224,9 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 	lp.skipRows = make([]int32, 0, lp.NIn)
 	lp.haloFree = make([]int32, 0, lp.NIn)
 	lp.haloDep = make([]int32, 0, lp.NIn)
-	lp.haloSlots = make([]int32, 0, lp.NBd)
+	lp.slotRow = make([]int32, lp.NBd)
+	lp.rowSlot = make([]int32, 0, lp.NBd)
+	lp.planActive = make([]bool, n)
 	lp.pendRecv = make([]comm.PendingRecvF32, k)
 	lp.recvData = make([][]float32, k)
 	lp.slotOwner = make([]int32, lp.NBd)
@@ -221,13 +242,13 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 }
 
 // splitRows partitions the inner rows of the epoch subgraph into the
-// halo-free set (no sampled boundary neighbor — their aggregation can run
-// while halo features are in flight) and the halo-dependent remainder, and
-// collects the active halo slots. All three lists are ascending, which the
-// staged backward relies on for bit-identical accumulation order.
+// halo-free set (no halo neighbor — their aggregation can run while halo
+// features are in flight) and the halo-dependent remainder. Both lists are
+// ascending, which the staged backward relies on for bit-identical
+// accumulation order.
 //
 // The halo-dependent rows are also bucketed by awaited peer: peerRows[j]
-// lists every row with an active neighbor owned by rank j, and
+// lists every row with a halo neighbor owned by rank j, and
 // rowWaitInit[v] counts row v's distinct awaited peers — the countdown that
 // unlocks a row the moment its last peer's payload lands.
 //
@@ -256,7 +277,7 @@ func (lp *LocalPartition) splitRows(eg *graph.Graph, restrict bool) {
 		waits := int32(0)
 		for _, u := range eg.Neighbors(v) {
 			if u >= nIn {
-				o := lp.slotOwner[u-nIn]
+				o := lp.slotOwner[lp.rowSlot[u-nIn]]
 				if lp.peerMark[o] != v {
 					lp.peerMark[o] = v
 					lp.peerRows[o] = append(lp.peerRows[o], v)
@@ -272,21 +293,17 @@ func (lp *LocalPartition) splitRows(eg *graph.Graph, restrict bool) {
 		}
 	}
 	lp.haloFree, lp.haloDep, lp.skipRows = free, dep, skip
-	slots := lp.haloSlots[:0]
-	for s := lp.NIn; s < lp.NIn+lp.NBd; s++ {
-		if lp.active[s] {
-			slots = append(slots, int32(s))
-		}
-	}
-	lp.haloSlots = slots
 }
 
-// epochGraph rebuilds the node-induced local subgraph on the plan's active
-// rows (Algorithm 1 line 5 for BNS): edges into inactive rows are dropped,
-// and an inactive inner row also drops its outgoing edges — node-induced
-// semantics, which row-dropping strategies rely on so no kernel ever reads
-// or gathers through an uncomputed row. Under BNS every inner row is active
-// and this reduces to the historical boundary-edge filter.
+// epochGraph rebuilds the epoch node space and the node-induced local
+// subgraph on the plan's active rows (Algorithm 1 line 5 for BNS). The active
+// boundary slots are given epoch rows NIn, NIn+1, … in ascending slot order;
+// edges into inactive rows are dropped, and an inactive inner row also drops
+// its outgoing edges — node-induced semantics, which row-dropping strategies
+// rely on so no kernel ever reads or gathers through an uncomputed row. The
+// graph has NIn + (sampled slots) nodes, so everything sized from it — layer
+// inputs, dropout buffers, the layers' input gradients, the aggregation plan
+// — holds no row for a slot the epoch did not sample.
 // The aggregation plan (lp.agg — the SpMM engine's transposed index and
 // edge-balanced chunks, which the model's layers hold a pointer to) is
 // rebuilt in the same breath, so the layers always aggregate over the plan
@@ -294,7 +311,17 @@ func (lp *LocalPartition) splitRows(eg *graph.Graph, restrict bool) {
 // buffers — valid until the next call; the rebuild allocates nothing once
 // capacities have warmed up.
 func (lp *LocalPartition) epochGraph() *graph.Graph {
-	n := lp.NIn + lp.NBd
+	nIn := int32(lp.NIn)
+	rowSlot := lp.rowSlot[:0]
+	for s, on := range lp.active[lp.NIn:] {
+		lp.slotRow[s] = -1
+		if on {
+			lp.slotRow[s] = nIn + int32(len(rowSlot))
+			rowSlot = append(rowSlot, int32(s))
+		}
+	}
+	lp.rowSlot = rowSlot
+	n := lp.NIn + len(rowSlot)
 	pos := int64(0)
 	for v := 0; v < lp.NIn; v++ {
 		lp.epochIndptr[v] = pos
@@ -302,7 +329,12 @@ func (lp *LocalPartition) epochGraph() *graph.Graph {
 			continue // inactive inner row: node-induced drop of all its edges
 		}
 		for _, u := range lp.fullIndices[lp.fullIndptr[v]:lp.fullIndptr[v+1]] {
-			if lp.active[u] {
+			if u >= nIn {
+				u = lp.slotRow[u-nIn]
+			} else if !lp.active[u] {
+				u = -1
+			}
+			if u >= 0 {
 				lp.epochIndices[pos] = u
 				pos++
 			}
@@ -311,7 +343,7 @@ func (lp *LocalPartition) epochGraph() *graph.Graph {
 	for v := lp.NIn; v <= n; v++ {
 		lp.epochIndptr[v] = pos
 	}
-	lp.eg = graph.Graph{N: n, Indptr: lp.epochIndptr, Indices: lp.epochIndices[:pos]}
+	lp.eg = graph.Graph{N: n, Indptr: lp.epochIndptr[:n+1], Indices: lp.epochIndices[:pos]}
 	lp.agg.Build(&lp.eg)
 	return &lp.eg
 }

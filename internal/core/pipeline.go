@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/comm"
@@ -13,7 +14,8 @@ import (
 // This file is the epoch engine: Algorithm 1's loop body from one
 // partition's view, executed as a short sequence of named per-layer stages.
 //
-//	plan          sample, exchange positions, build the epoch graph + row split
+//	plan          sample, exchange positions, build the epoch node space,
+//	              its graph and the row split
 //	per layer, forward:
 //	  post          gather + send boundary rows, post the halo receives
 //	  compute-free  rows whose aggregation reads no sampled boundary slot
@@ -25,6 +27,20 @@ import (
 //	  backward-finish parameter gradients + inner rows
 //	  fold            stage peer gradients as they land, fold in rank order
 //	reduce        gradient AllReduce + optimizer step
+//
+// The epoch trains on the sampled subgraph (Section 3.2): its node space is
+// the NIn inner rows followed by one row per boundary slot the plan sampled,
+// in ascending slot order (LocalPartition.epochGraph), and every stage below
+// — layer inputs, dropout masks, the layers' activations and input
+// gradients, the halo scatter and gather lists — is sized and swept by that
+// space, NIn + p·NBd rows in expectation, never by the partition's full
+// boundary. The rename of sampled slots is monotone, so each row's neighbor
+// order, and with it every per-row float accumulation order, is what
+// training over the full slot range with the unsampled slots' edges dropped
+// would give. The one reduction ACROSS input rows — attention's dW — is told
+// where the halo rows stand among all NBd slots (GraphLayer.SetHaloLayout)
+// and sums them as it would there, so no bit of an epoch depends on the
+// space having been packed.
 //
 // Every layer pass runs in compute chunks over a per-epoch row partition
 // (LocalPartition.splitRows): the halo-free rows and the halo-dependent
@@ -39,10 +55,10 @@ import (
 // that genuinely need it. Determinism survives the nondeterministic
 // consumption order because nothing in it is order-sensitive:
 //
-//   - the forward scatter writes each peer's rows into disjoint halo slots;
-//   - dropout masks for the whole halo range are drawn up front in ascending
-//     element order (nn.Dropout.MaskRows) and only *applied* per peer on
-//     arrival;
+//   - the forward scatter writes each peer's rows into disjoint halo rows;
+//   - dropout masks for all halo rows are drawn up front, each from the
+//     stream offset its slot has in a pass over every boundary slot
+//     (nn.Dropout.MaskRowsAt), and only *applied* per peer on arrival;
 //   - a halo-dependent row is computed exactly once, when its last awaited
 //     peer lands (splitRows' per-peer buckets + rowWait countdown);
 //   - backward peer gradients, whose += folds into shared rows ARE
@@ -168,9 +184,12 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 
 // planEpoch is the sampling phase (lines 4–7): the strategy decides the
 // epoch, ranks exchange their selections, and everything derivable from the
-// local sample — the epoch subgraph and its aggregation plan, the
+// local sample — the epoch node space, its subgraph and aggregation plan, the
 // effective-degree normalizer, the row split, the send/receive row lists —
-// is built for the layer stages.
+// is built for the layer stages. An epoch whose plan activates exactly the
+// rows the last one did (every epoch at k=1, p=1 or p=0) keeps the products
+// in place instead of rebuilding identical ones; what the strategy draws and
+// what the ranks exchange is the same either way.
 func (rt *RankTrainer) planEpoch() {
 	start := time.Now()
 	ep := &rt.ep
@@ -221,24 +240,36 @@ func (rt *RankTrainer) planEpoch() {
 	}
 	// Everything derivable from the local sample runs between the position
 	// sends and receives, overlapping the peers' sampling even in the
-	// serialized schedule.
-	ep.eg = lp.epochGraph()
+	// serialized schedule. An active set that repeats keeps the products
+	// built for it; a row-dropping plan never does — its row split depends
+	// on what the peers request this epoch.
+	ep.eg = &lp.eg
+	recvSlots := lp.recvSlots // epoch halo rows I fill from j
+	if plan.DropsInner || !lp.planned || !slices.Equal(plan.Active, lp.planActive) {
+		copy(lp.planActive, plan.Active)
+		lp.planned = !plan.DropsInner
+		lp.epochGraph()
+		if !plan.DropsInner {
+			lp.splitRows(ep.eg, false)
+		}
+		for j := 0; j < k; j++ {
+			if j == rank {
+				continue
+			}
+			full := rt.Topo.Recv[rank][j]
+			slots := recvSlots[j][:len(myPos[j])]
+			for x, posIdx := range myPos[j] {
+				slots[x] = lp.slotRow[full[posIdx]]
+			}
+			recvSlots[j] = slots
+		}
+	}
+	// A layer that reduces over its input rows sums them where they stand
+	// among all NBd slots, not where the epoch space packed them.
+	for _, layer := range rt.Model.LayersL {
+		layer.SetHaloLayout(lp.rowSlot, lp.NBd)
+	}
 	ep.invDeg = rt.epochInvDeg(plan)
-	if !plan.DropsInner {
-		lp.splitRows(ep.eg, false)
-	}
-	recvSlots := lp.recvSlots // halo local ids I fill from j
-	for j := 0; j < k; j++ {
-		if j == rank {
-			continue
-		}
-		full := rt.Topo.Recv[rank][j]
-		slots := recvSlots[j][:len(myPos[j])]
-		for x, posIdx := range myPos[j] {
-			slots[x] = int32(lp.NIn) + full[posIdx]
-		}
-		recvSlots[j] = slots
-	}
 	if k > 1 {
 		for j := 0; j < k; j++ {
 			if j != rank {
@@ -324,7 +355,7 @@ func (rt *RankTrainer) epochInvDeg(plan *Plan) []float32 {
 			case int(u) < lp.NIn:
 				eff++
 			case haloScale != nil:
-				eff += haloScale[int(u)-lp.NIn]
+				eff += haloScale[lp.rowSlot[int(u)-lp.NIn]]
 			default:
 				eff += invP
 			}
@@ -338,23 +369,23 @@ func (rt *RankTrainer) epochInvDeg(plan *Plan) []float32 {
 	return invDeg
 }
 
-// haloRescale is the receive rescale of one halo slot.
-func (rt *RankTrainer) haloRescale(slot int32) float32 {
+// haloRescale is the receive rescale of one epoch halo row.
+func (rt *RankTrainer) haloRescale(row int32) float32 {
 	if hs := rt.ep.haloScale; hs != nil {
-		return hs[int(slot)-rt.LP.NIn]
+		return hs[rt.LP.rowSlot[int(row)-rt.LP.NIn]]
 	}
 	return rt.ep.invP
 }
 
-// layerInput assembles layer l's input over the local node space from the
+// layerInput assembles layer l's input over the epoch node space from the
 // inner activations h. x comes from the epoch workspace with undefined
-// contents: inner rows are overwritten here, sampled halo slots by the
-// drain, and unsampled halo slots are never read because epochGraph dropped
-// every edge into them.
+// contents: inner rows are overwritten here and every halo row by the drain
+// — the epoch space has a row only for a sampled slot, and each of those is
+// in exactly one peer's receive list.
 func (rt *RankTrainer) layerInput(l int, h *tensor.Matrix) *tensor.Matrix {
 	lp := rt.LP
 	dim := rt.Model.LayersL[l].InputDim()
-	x := lp.ws.Get(lp.NIn+lp.NBd, dim)
+	x := lp.ws.Get(rt.ep.eg.N, dim)
 	copy(x.Data[:lp.NIn*dim], h.Data[:lp.NIn*dim])
 	// Rows the restricted split excluded from compute carry stale scratch in
 	// h; zero them so the SAGE parameter-gradient kernels — which read every
@@ -374,10 +405,12 @@ func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) (nPend int) {
 	lp, st, w := rt.LP, &rt.ep.st, rt.ep.w
 	dim := h.Cols
 	for j, rows := range lp.sendRows {
+		// The workspace hands out buffers by position: every peer draws its
+		// payload, rows or none, so the epoch's draw sequence never shifts.
+		payload := lp.ws.Get(len(rows), dim).Data
 		if len(rows) == 0 {
 			continue
 		}
-		payload := lp.ws.GetF32(len(rows) * dim)
 		for x, row := range rows {
 			copy(payload[x*dim:(x+1)*dim], h.Row(int(row)))
 		}
@@ -413,11 +446,14 @@ func (rt *RankTrainer) awaitHalo(nPend int) {
 }
 
 // forwardFree begins layer l's pass over x and computes the halo-free rows —
-// everything that needs no boundary data. The halo range's dropout masks are
-// drawn here too (ascending, right after the inner rows': the RNG stream
-// order of a single full pass) so the drain can apply them per peer in any
-// arrival order. Returns the layer's output matrix; its halo-dependent rows
-// are valid after the drain.
+// everything that needs no boundary data. The halo rows' dropout masks are
+// drawn here too, right after the inner rows', so the drain can apply them
+// per peer in any arrival order: each sampled slot draws at the stream
+// offset it has in a single pass over the inner rows and then all NBd slots,
+// and the stream is left where that pass ends — the masks and the
+// checkpointed stream position do not depend on which other slots an epoch
+// sampled. Returns the layer's output matrix; its halo-dependent rows are
+// valid after the drain.
 func (rt *RankTrainer) forwardFree(l int, x *tensor.Matrix) *tensor.Matrix {
 	ps := time.Now()
 	lp, ep := rt.LP, &rt.ep
@@ -426,7 +462,7 @@ func (rt *RankTrainer) forwardFree(l int, x *tensor.Matrix) *tensor.Matrix {
 	drop.ForwardRows(0, lp.NIn)
 	out := layer.ForwardBegin(ep.eg, xd, lp.NIn, ep.invDeg)
 	layer.ForwardPrep(0, lp.NIn)
-	drop.MaskRows(lp.NIn, lp.NIn+lp.NBd)
+	drop.MaskRowsAt(lp.NIn, lp.rowSlot, lp.NBd)
 	layer.ForwardRows(lp.haloFree)
 	ep.st.Compute += time.Since(ps)
 	return out
@@ -434,10 +470,10 @@ func (rt *RankTrainer) forwardFree(l int, x *tensor.Matrix) *tensor.Matrix {
 
 // drainForward consumes layer l's boundary feature rows in peer-arrival
 // order: it blocks on the completion queue, and whichever peer's payload
-// becomes consumable first is scattered into that peer's halo slots of x
+// becomes consumable first is scattered into that peer's halo rows of x
 // with the strategy's receive rescale (the unbiased 1/p of Section 3.2 for
-// BNS; slots are disjoint per peer, so arrival order cannot change the
-// bits), the slots get their pre-drawn dropout masks applied and their
+// BNS; rows are disjoint per peer, so arrival order cannot change the
+// bits), the rows get their pre-drawn dropout masks applied and their
 // per-node precomputations run, and every halo-dependent row whose last
 // awaited peer just landed is computed immediately (splitRows' rowWait
 // countdown). Rows unlocked by one peer are ascending (peerRows is built by
@@ -509,9 +545,9 @@ func (rt *RankTrainer) backwardHalo(l int, d *tensor.Matrix) *tensor.Matrix {
 	lp := rt.LP
 	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
 	layer.BackwardBegin(d)
-	dH := layer.BackwardHalo(lp.haloDep, lp.haloSlots, lp.NIn)
+	dH := layer.BackwardHalo(lp.haloDep, lp.NIn)
 	dxm := drop.BackwardBegin(dH)
-	drop.BackwardRows(lp.NIn, lp.NIn+lp.NBd)
+	drop.BackwardRows(lp.NIn, rt.ep.eg.N)
 	rt.ep.st.Compute += time.Since(bs)
 	return dxm
 }
@@ -524,10 +560,10 @@ func (rt *RankTrainer) postGrad(l int, dxm *tensor.Matrix) (nPend int) {
 	lp, ep := rt.LP, &rt.ep
 	dim := dxm.Cols
 	for j, slots := range lp.recvSlots {
+		payload := lp.ws.Get(len(slots), dim).Data // drawn even when empty: see postForward
 		if len(slots) == 0 {
 			continue
 		}
-		payload := lp.ws.GetF32(len(slots) * dim)
 		for x, slot := range slots {
 			dst := payload[x*dim : (x+1)*dim]
 			s := rt.haloRescale(slot)

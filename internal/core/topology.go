@@ -123,10 +123,19 @@ func (t *Topology) BoundaryRatios() []float64 {
 // MemoryCost returns the paper's Eq. 4 for one partition in bytes: each
 // GraphSAGE layer with input dimension d stores 3·nIn + nBd feature rows
 // (input features of inner+boundary nodes, aggregated features, and the
-// concat half kept for backward), 4 bytes per float32. The fused
-// aggregate-project engine actually stores less — it keeps only the
-// aggregated half z instead of the full concat, 2·nIn + nBd rows — but the
-// partitioner keeps the paper's accounting as a conservative bound.
+// concat half kept for backward), 4 bytes per float32.
+//
+// It is the paper's accounting, which the partitioner and the cost model
+// rank partitions by, not this runtime's footprint. Per layer the epoch
+// engine holds five d-wide matrices with a row per inner node and per
+// *sampled* boundary node — the layer input, dropout's mask, output and
+// input gradient, and the layer's input gradient — plus three with a row per
+// inner node only (the aggregated half z, its gradient, the folded
+// gradient handed to the layer below) and three as wide as the layer's
+// output (pre-activation, output, output gradient): about 8·nIn + 5·nBd
+// rows where Eq. 4 counts 3·nIn + nBd. With nBd the boundary sampled at
+// rate p, both shrink with p; the runtime's boundary term weighs more, so its
+// measured reduction (bnsbench -exp fig6) runs above Eq. 4's.
 func MemoryCost(nIn, nBd int, layerInputDims []int) int64 {
 	var floats int64
 	for _, d := range layerInputDims {

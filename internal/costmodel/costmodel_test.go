@@ -127,15 +127,15 @@ func TestMultiMachineMoreCommBound(t *testing.T) {
 
 func TestMemoryReduction(t *testing.T) {
 	w := testWorkload(t)
-	r01 := MemoryReduction(w, 0.1, 0.3)
-	r05 := MemoryReduction(w, 0.5, 0.3)
+	r01 := MemoryReduction(w, 0.1)
+	r05 := MemoryReduction(w, 0.5)
 	if !(r01 > r05 && r05 > 0) {
 		t.Fatalf("memory reductions not ordered: p=0.1 %v, p=0.5 %v", r01, r05)
 	}
 	if r01 >= 1 {
 		t.Fatalf("reduction %v impossible", r01)
 	}
-	if MemoryReduction(w, 1.0, 0.3) != 0 {
+	if MemoryReduction(w, 1.0) != 0 {
 		t.Fatal("p=1 must give zero reduction")
 	}
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"runtime"
 
 	"repro/internal/core"
 	"repro/internal/costmodel"
@@ -112,15 +113,24 @@ func runFig5(w io.Writer, o Options) error {
 	return tw.Flush()
 }
 
-// runFig6 reproduces Figure 6: straggler memory reduction (Eq. 4) against
-// unsampled training, per partition count and sampling rate.
+// runFig6 reproduces Figure 6: memory reduction against unsampled training,
+// per partition count and sampling rate — Eq. 4's projection for the
+// straggler partition, and beside it what this runtime measures: the live
+// heap the k rank trainers hold at rate p against the same trainers at p=1.
+// The two differ both ways, so no overhead constant stands between them: the
+// measurement includes what Eq. 4 leaves out and p cannot shrink (features,
+// adjacency, weights, optimizer state), which pulls it down, and this runtime
+// keeps five boundary-proportional matrices per layer where Eq. 4 counts one
+// (see core.MemoryCost), which pushes it up.
 func runFig6(w io.Writer, o Options) error {
 	o = o.withDefaults()
-	// Fixed non-tensor overhead (activations caches, optimizer state) makes
-	// the reduction sublinear in p, as the paper observes.
-	const overheadFrac = 0.3
+	rates := []float64{0.5, 0.1, 0.01}
 	tw := newTabWriter(w)
-	fmt.Fprintf(tw, "dataset\tm\tp=0.5\tp=0.1\tp=0.01\n")
+	fmt.Fprintf(tw, "dataset\tm")
+	for _, p := range rates {
+		fmt.Fprintf(tw, "\tp=%.2g Eq.4\tp=%.2g measured", p, p)
+	}
+	fmt.Fprintf(tw, "\n")
 	for _, spec := range []dataSpec{redditSpec(), productsSpec()} {
 		ds, err := dataset(spec, o)
 		if err != nil {
@@ -135,13 +145,44 @@ func runFig6(w io.Writer, o Options) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t%s\n", ds.Name, k,
-				pct(costmodel.MemoryReduction(wl, 0.5, overheadFrac)),
-				pct(costmodel.MemoryReduction(wl, 0.1, overheadFrac)),
-				pct(costmodel.MemoryReduction(wl, 0.01, overheadFrac)))
+			full, err := trainerHeap(ds, topo, spec.model, 1, o.Seed)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(tw, "%s\t%d", ds.Name, k)
+			for _, p := range rates {
+				sampled, err := trainerHeap(ds, topo, spec.model, p, o.Seed)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintf(tw, "\t%s\t%s", pct(costmodel.MemoryReduction(wl, p)), pct(1-sampled/full))
+			}
+			fmt.Fprintf(tw, "\n")
 		}
 	}
 	return tw.Flush()
+}
+
+// trainerHeap builds the k rank trainers at sampling rate p, trains the few
+// epochs it takes every scratch buffer to exist and reach its working size,
+// and returns the heap they hold: live bytes after a collection, less what
+// was live before they were built.
+func trainerHeap(ds *datagen.Dataset, topo *core.Topology, model core.ModelConfig, p float64, seed uint64) (float64, error) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	model.Seed = seed
+	tr, err := core.NewParallelTrainer(ds, topo, core.ParallelConfig{Model: model, P: p, SampleSeed: seed + 1})
+	if err != nil {
+		return 0, err
+	}
+	for e := 0; e < 3; e++ {
+		tr.TrainEpoch()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tr)
+	return float64(after.HeapAlloc) - float64(before.HeapAlloc), nil
 }
 
 // runTable6 reproduces Table 6: the epoch-time breakdown of the hyper-scale

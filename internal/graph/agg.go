@@ -3,6 +3,8 @@ package graph
 import (
 	"math/bits"
 	"runtime"
+
+	"repro/internal/tensor"
 )
 
 // AggIndex is the aggregation plan the sparse SpMM engine runs over one
@@ -62,9 +64,11 @@ func (ai *AggIndex) Build(g *Graph) {
 	e := len(g.Indices)
 
 	// Transposed index: count incoming edges, prefix-sum, fill ascending.
-	ai.IncIndptr = ensureI64(ai.IncIndptr, n+1)
-	ai.fill = ensureI64(ai.fill, n)
-	cnt := ai.fill
+	// The plan's arrays are grow-only with headroom (tensor.EnsureLen): the
+	// epoch subgraph's node and edge counts follow the epoch's sample, and a
+	// slightly larger epoch must not mean a reallocation.
+	tensor.EnsureLen(&ai.IncIndptr, n+1)
+	cnt := tensor.EnsureLen(&ai.fill, n)
 	for i := range cnt {
 		cnt[i] = 0
 	}
@@ -76,7 +80,7 @@ func (ai *AggIndex) Build(g *Graph) {
 		ai.IncIndptr[u+1] = ai.IncIndptr[u] + cnt[u]
 		cnt[u] = 0
 	}
-	ai.IncSrc = ensureI32(ai.IncSrc, e)
+	tensor.EnsureLen(&ai.IncSrc, e)
 	for v := 0; v < n; v++ {
 		for _, u := range g.Indices[g.Indptr[v]:g.Indptr[v+1]] {
 			ai.IncSrc[ai.IncIndptr[u]+cnt[u]] = int32(v)
@@ -238,18 +242,4 @@ func DegreeSkewHistogramFromIndptr(indptr []int64) [32]int {
 		h[bits.Len(uint(indptr[v+1]-indptr[v]))]++
 	}
 	return h
-}
-
-func ensureI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
-func ensureI32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
 }

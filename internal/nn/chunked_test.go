@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -93,18 +94,6 @@ func sameBits(t *testing.T, name string, a, b []float32) {
 	}
 }
 
-func sameRowsBits(t *testing.T, name string, a, b *tensor.Matrix, rows []int32) {
-	t.Helper()
-	for _, v := range rows {
-		ra, rb := a.Row(int(v)), b.Row(int(v))
-		for j := range ra {
-			if ra[j] != rb[j] {
-				t.Fatalf("%s: row %d col %d = %v, want %v", name, v, j, ra[j], rb[j])
-			}
-		}
-	}
-}
-
 // chunkedCase is one graph/dimension configuration; haloP=1 with nBd>0 makes
 // every inner row halo-dependent, nBd=0 makes every row halo-free.
 type chunkedCase struct {
@@ -134,7 +123,7 @@ func TestGATChunkedMatchesOneShot(t *testing.T) {
 	for _, tc := range chunkedCases {
 		rng := tensor.NewRNG(202)
 		g := localGraph(rng, tc.nIn, tc.nBd, tc.deg, tc.haloP)
-		free, dep, slots := splitHalo(g, tc.nIn)
+		free, dep, _ := splitHalo(g, tc.nIn)
 		h := randMat(rng, g.N, tc.inDim)
 		dOut := randMat(rng, tc.nIn, tc.outDim)
 
@@ -152,14 +141,9 @@ func TestGATChunkedMatchesOneShot(t *testing.T) {
 		sameBits(t, tc.name+"/forward", gotOut.Data, wantOut.Data)
 
 		chk.BackwardBegin(dOut)
-		gotDH := chk.BackwardHalo(dep, slots, tc.nIn)
+		gotDH := chk.BackwardHalo(dep, tc.nIn)
 		chk.BackwardFinish(free, tc.nIn)
-		inner := make([]int32, tc.nIn)
-		for v := range inner {
-			inner[v] = int32(v)
-		}
-		sameRowsBits(t, tc.name+"/backward-inner", gotDH, wantDH, inner)
-		sameRowsBits(t, tc.name+"/backward-halo", gotDH, wantDH, slots)
+		sameBits(t, tc.name+"/backward", gotDH.Data, wantDH.Data)
 		sameBits(t, tc.name+"/DW", chk.DW.Data, ref.DW.Data)
 		sameBits(t, tc.name+"/DA1", chk.DA1.Data, ref.DA1.Data)
 		sameBits(t, tc.name+"/DA2", chk.DA2.Data, ref.DA2.Data)
@@ -243,6 +227,149 @@ func TestDropoutMaskApplySplitMatchesForwardRows(t *testing.T) {
 	}
 	chk.MaskRows(0, rows)
 	chk.ApplyMaskedRows([]int32{0, 1})
+}
+
+// TestDropoutMaskRowsAtMatchesDenseDraw: the seeking draw over an ascending
+// selection of a dense block's rows must give each selected row the masks one
+// dense MaskRows sweep over the whole block gives it, and leave the stream
+// where that sweep ends — for no rows, one row, runs of adjacent rows, a
+// random selection and every row. This is what lets the epoch engine hold
+// rows only for the boundary slots it sampled without moving a mask or a
+// checkpointed stream position.
+func TestDropoutMaskRowsAtMatchesDenseDraw(t *testing.T) {
+	const nIn, n, cols = 5, 40, 7
+	rng := tensor.NewRNG(12)
+	var random, all []int32
+	for r := int32(0); r < n; r++ {
+		all = append(all, r)
+		if rng.Float32() < 0.3 {
+			random = append(random, r)
+		}
+	}
+	for name, at := range map[string][]int32{
+		"none":   nil,
+		"first":  {0},
+		"single": {17},
+		"last":   {n - 1},
+		"runs":   {2, 3, 4, 9, 20, 21, 38, 39},
+		"random": random,
+		"all":    all,
+	} {
+		dense := NewDropout(0.4, tensor.NewRNG(9))
+		dense.ForwardBegin(randMat(rng, nIn+n, cols), true)
+		dense.ForwardRows(0, nIn)
+		dense.MaskRows(nIn, nIn+n)
+
+		sparse := NewDropout(0.4, tensor.NewRNG(9))
+		sparse.ForwardBegin(randMat(rng, nIn+len(at), cols), true)
+		sparse.ForwardRows(0, nIn)
+		sparse.MaskRowsAt(nIn, at, n)
+
+		for i, r := range at {
+			sameBits(t, "dropout/seek/"+name, sparse.mask.Row(nIn+i), dense.mask.Row(nIn+int(r)))
+		}
+		if sparse.RNGState() != dense.RNGState() {
+			t.Fatalf("%s: stream at %#x after the seeking draw, %#x after the dense one", name, sparse.RNGState(), dense.RNGState())
+		}
+	}
+
+	// Identity pass: no masks, no stream movement.
+	d := NewDropout(0.4, tensor.NewRNG(9))
+	before := d.RNGState()
+	d.ForwardBegin(randMat(rng, nIn+2, cols), false)
+	d.MaskRowsAt(nIn, []int32{1, 5}, n)
+	if d.RNGState() != before {
+		t.Fatal("identity pass moved the mask stream")
+	}
+}
+
+// TestGATHaloLayoutMatchesDenseSpace: a layer trained on a compacted node
+// space — only some halo rows kept, renumbered in order, the dropped ones
+// edgeless — and told where the kept rows stood (SetHaloLayout) reproduces,
+// bit for bit, the layer trained on the dense space with arbitrary values in
+// the dropped rows: outputs, input gradients of the kept rows, and the
+// parameter gradients, dW's reduction over all rows included. One-shot and
+// staged, inline and with the kernel pool forced wide (the reduction's worker
+// split), on widths with a scalar tail.
+func TestGATHaloLayoutMatchesDenseSpace(t *testing.T) {
+	for _, width := range []int{1, 4} {
+		for _, tc := range []chunkedCase{
+			{"small", 13, 9, 3, 5, 3, 0.4},
+			{"none-kept", 21, 8, 4, 6, 5, 0},
+			{"split", 200, 120, 5, 9, 7, 0.3},
+		} {
+			rng := tensor.NewRNG(404)
+			dense := localGraph(rng, tc.nIn, tc.nBd, tc.deg, tc.haloP)
+			_, _, used := splitHalo(dense, tc.nIn)
+			// Keep every referenced halo row and every fifth other one.
+			rowOf := make([]int32, dense.N)
+			var at, kept []int32
+			for v := range rowOf {
+				rowOf[v] = int32(v)
+			}
+			for s := tc.nIn; s < dense.N; s++ {
+				rowOf[s] = -1
+				if (len(used) > 0 && used[0] == int32(s)) || s%5 == 0 {
+					rowOf[s] = int32(tc.nIn + len(at))
+					at = append(at, int32(s-tc.nIn))
+					kept = append(kept, int32(s))
+				}
+				if len(used) > 0 && used[0] == int32(s) {
+					used = used[1:]
+				}
+			}
+			compact := &graph.Graph{N: tc.nIn + len(at), Indptr: dense.Indptr[:tc.nIn+len(at)+1], Indices: make([]int32, len(dense.Indices))}
+			for e, u := range dense.Indices {
+				compact.Indices[e] = rowOf[u]
+			}
+			hDense := randMat(rng, dense.N, tc.inDim)
+			hCompact := tensor.New(compact.N, tc.inDim)
+			for v, r := range rowOf {
+				if r >= 0 {
+					copy(hCompact.Row(int(r)), hDense.Row(v))
+				}
+			}
+			dOut := randMat(rng, tc.nIn, tc.outDim)
+			free, dep, _ := splitHalo(compact, tc.nIn)
+
+			restore := tensor.ForceParallelism(width)
+			ref := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
+			wantOut := ref.Forward(dense, hDense, tc.nIn)
+			wantDH := ref.Backward(dOut)
+
+			one := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
+			one.SetHaloLayout(at, tc.nBd)
+			oneOut := one.Forward(compact, hCompact, tc.nIn)
+			oneDH := one.Backward(dOut)
+
+			stg := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
+			stg.SetHaloLayout(at, tc.nBd)
+			stgOut := stg.ForwardBegin(compact, hCompact, tc.nIn)
+			stg.ForwardPrep(0, compact.N)
+			stg.ForwardRows(free)
+			stg.ForwardRows(dep)
+			stg.BackwardBegin(dOut)
+			stgDH := stg.BackwardHalo(dep, tc.nIn)
+			stg.BackwardFinish(free, tc.nIn)
+			restore()
+
+			for _, got := range []struct {
+				name    string
+				l       *GATConv
+				out, dH *tensor.Matrix
+			}{{"one-shot", one, oneOut, oneDH}, {"staged", stg, stgOut, stgDH}} {
+				name := fmt.Sprintf("width %d/%s/%s", width, tc.name, got.name)
+				sameBits(t, name+"/forward", got.out.Data, wantOut.Data)
+				sameBits(t, name+"/backward-inner", got.dH.Data[:tc.nIn*tc.inDim], wantDH.Data[:tc.nIn*tc.inDim])
+				for i, s := range kept {
+					sameBits(t, name+"/backward-halo", got.dH.Row(tc.nIn+i), wantDH.Row(int(s)))
+				}
+				sameBits(t, name+"/DW", got.l.DW.Data, ref.DW.Data)
+				sameBits(t, name+"/DA1", got.l.DA1.Data, ref.DA1.Data)
+				sameBits(t, name+"/DA2", got.l.DA2.Data, ref.DA2.Data)
+			}
+		}
+	}
 }
 
 // TestGATForwardPrepRowsMatchesRange: per-row-list prep must reproduce the

@@ -46,6 +46,11 @@ type GATConv struct {
 	alphaBuf, rawBuf, s1, s2, dAlpha, da1, da2 []float32
 	out, dPre, dWh, dWScratch, dH              *tensor.Matrix
 
+	// haloAt/haloN place the pass's trailing input rows in a dense block of
+	// haloN rows (SetHaloLayout); nil/0 means the input is dense as it is.
+	haloAt []int32
+	haloN  int
+
 	// sweep is forwardBlock bound once at construction: binding it per pass
 	// would allocate a closure per call.
 	sweep func(rows []int32)
@@ -85,6 +90,18 @@ func (l *GATConv) ZeroGrad() { zeroGradAll(l.Grads()) }
 // aggregation plan — its forward sweep claims fixed-size row blocks and its
 // backward is node-serial — so the plan is ignored.
 func (l *GATConv) SetAgg(*graph.AggIndex) {}
+
+// SetHaloLayout tells the layer that the last len(at) input rows of its
+// passes are a selection from a dense block of n rows — input row
+// h.Rows−len(at)+i stands at row at[i] of the block (at ascending) and the
+// block's other rows, which the pass never sees, are rows without edges. The
+// epoch engine's node space is such a selection of the partition's boundary
+// slots. Everything the layer computes per row is indifferent to it; dW, a
+// reduction over all input rows, is summed in the order the dense input
+// would be (tensor.MatMulTransAAt), so its bits do not depend on which rows
+// were selected. at is kept, not copied, and holds until the next call;
+// (nil, 0), the initial state, is a dense input.
+func (l *GATConv) SetHaloLayout(at []int32, n int) { l.haloAt, l.haloN = at, n }
 
 // Forward computes attention outputs for the first nOut rows of h: the
 // chunked pass (ForwardBegin, ForwardPrep, ForwardRows) run over every row
@@ -269,18 +286,16 @@ func (l *GATConv) BackwardBegin(dOut *tensor.Matrix) {
 	tensor.EnsureMat(&l.dH, l.nAll, l.InDim) // rows computed stage by stage
 }
 
-// BackwardHalo completes the listed halo rows of the input gradient so they
-// can be sent while the rest of the backward pass runs. haloSrc must list,
-// in ascending order, every output row with at least one neighbor ≥ nIn;
-// haloSlots lists the halo rows whose gradients are needed (the sampled
-// boundary slots). The returned matrix is the shared input-gradient
-// accumulator: the haloSlots rows are final, rows < nIn complete only after
-// BackwardFinish, and unlisted halo rows stay undefined.
-func (l *GATConv) BackwardHalo(haloSrc, haloSlots []int32, nIn int) *tensor.Matrix {
+// BackwardHalo completes the halo rows [nIn, nAll) of the input gradient so
+// they can be sent while the rest of the backward pass runs. haloSrc must
+// list, in ascending order, every output row with at least one neighbor
+// ≥ nIn. The returned matrix is the shared input-gradient accumulator: its
+// rows ≥ nIn are final, rows < nIn complete only after BackwardFinish.
+func (l *GATConv) BackwardHalo(haloSrc []int32, nIn int) *tensor.Matrix {
 	for _, v := range haloSrc {
 		l.backwardNode(int(v), nIn, l.nAll, false)
 	}
-	tensor.MatMulTransBRows(l.dH, l.dWh, l.W, haloSlots)
+	tensor.MatMulTransBRange(l.dH, l.dWh, l.W, nIn, l.nAll)
 	return l.dH
 }
 
@@ -365,6 +380,6 @@ func (l *GATConv) backwardParams() {
 		l.DA2.Data[j] += l.da2[j]
 	}
 	dW := tensor.EnsureMat(&l.dWScratch, l.InDim, l.OutDim)
-	tensor.MatMulTransA(dW, l.h, l.dWh)
+	tensor.MatMulTransAAt(dW, l.h, l.dWh, l.haloAt, l.haloN)
 	l.DW.Add(dW)
 }

@@ -234,10 +234,10 @@ func (d *Dropout) ForwardRows(r0, r1 int) {
 // output, consuming the RNG stream exactly as ForwardRows would. This
 // decouples the stream-ordered mask draw from the value-dependent output
 // write: the epoch engine draws the halo rows' masks in ascending row order
-// while the row values are still in flight, then its drain fills
-// each peer's rows with ApplyMaskedRows as they land — bit-identical to a
-// single ascending ForwardRows pass over the same range. A no-op when the
-// pass is identity.
+// while the row values are still in flight (through MaskRowsAt), then its
+// drain fills each peer's rows with ApplyMaskedRows as they land —
+// bit-identical to a single ascending ForwardRows pass over the same range.
+// A no-op when the pass is identity.
 func (d *Dropout) MaskRows(r0, r1 int) {
 	if d.mask == nil {
 		return
@@ -245,14 +245,47 @@ func (d *Dropout) MaskRows(r0, r1 int) {
 	keep := 1 - d.Rate
 	scale := 1 / keep
 	lo, hi := r0*d.fwdSrc.Cols, r1*d.fwdSrc.Cols
-	mask := d.mask.Data
-	for i := lo; i < hi; i++ {
-		if d.rng.Float32() < keep {
+	mask := d.mask.Data[lo:hi]
+	rng := *d.rng // the stream state stays in a register across the run
+	for i := range mask {
+		if rng.Float32() < keep {
 			mask[i] = scale
 		} else {
 			mask[i] = 0
 		}
 	}
+	*d.rng = rng
+}
+
+// MaskRowsAt draws the masks of rows [r0, r0+len(at)) of the pass as a
+// selection from a dense block of n virtual rows: row r0+i takes exactly the
+// masks row at[i] of that block would draw in one ascending MaskRows sweep
+// over all n (at ascending, within [0, n)), and the stream ends where that
+// sweep would end. The unselected rows' draws are skipped, not made — the
+// stream is a counter (tensor.RNG.Skip) — and consecutive selections are
+// drawn as one run, so selecting every row is the dense sweep itself.
+//
+// The epoch engine draws its halo masks this way: its node space holds only
+// the sampled boundary slots, and each keeps the masks (and the layer's
+// stream keeps the position) that training over every slot would give it.
+// A no-op when the pass is identity.
+func (d *Dropout) MaskRowsAt(r0 int, at []int32, n int) {
+	if d.mask == nil {
+		return
+	}
+	cols := uint64(d.fwdSrc.Cols)
+	next := 0 // first virtual row not yet drawn or skipped
+	for i := 0; i < len(at); {
+		j := i + 1
+		for j < len(at) && at[j] == at[j-1]+1 {
+			j++
+		}
+		d.rng.Skip(uint64(int(at[i])-next) * cols)
+		d.MaskRows(r0+i, r0+j)
+		next = int(at[j-1]) + 1
+		i = j
+	}
+	d.rng.Skip(uint64(n-next) * cols)
 }
 
 // ApplyMaskedRows writes the output rows listed in rows from the current

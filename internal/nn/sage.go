@@ -249,17 +249,16 @@ func (l *SAGEConv) backwardParams() {
 // BackwardHalo completes the halo rows [nIn, nAll) of the input gradient so
 // they can be sent while the rest of the backward pass runs. haloSrc must
 // list, in ascending order, every output row with at least one neighbor
-// ≥ nIn; haloSlots is the ascending list of halo rows whose gradients are
-// needed. The returned matrix is the shared input-gradient accumulator: its
+// ≥ nIn. The returned matrix is the shared input-gradient accumulator: its
 // rows ≥ nIn are final, rows < nIn complete only after BackwardFinish.
-func (l *SAGEConv) BackwardHalo(haloSrc, haloSlots []int32, nIn int) *tensor.Matrix {
+func (l *SAGEConv) BackwardHalo(haloSrc []int32, nIn int) *tensor.Matrix {
 	// Each halo source's dz row and self term (overwriting its dH row, before
 	// any gather reaches it) land in one sweep. Every source of a halo
 	// destination has a halo neighbor, i.e. is in haloSrc — its dz row was
 	// just computed — so the row gather over the transposed index is
 	// complete and in ascending order.
 	tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dPre, l.W, haloSrc)
-	tensor.SpMMTransRows(l.dH, l.dz, l.agg.IncIndptr, l.agg.IncSrc, l.invDeg, haloSlots)
+	l.addNeighborGrads(nIn, l.nAll)
 	return l.dH
 }
 

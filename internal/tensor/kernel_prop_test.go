@@ -169,31 +169,27 @@ func TestTransposeIntoRejectsBadShape(t *testing.T) {
 func TestWorkspaceReusesSteadyState(t *testing.T) {
 	ws := NewWorkspace()
 	m1 := ws.Get(33, 17)
-	s1 := ws.GetF32(100)
-	p1, q1 := &m1.Data[0], &s1[0]
+	p1 := &m1.Data[0]
 	ws.Reset()
 	m2 := ws.Get(33, 17)
-	s2 := ws.GetF32(100)
-	if &m2.Data[0] != p1 || &s2[0] != q1 {
-		t.Fatal("workspace did not reuse buffers after Reset")
+	if &m2.Data[0] != p1 {
+		t.Fatal("workspace did not reuse the buffer after Reset")
 	}
 	// Distinctness within one cycle.
 	m3 := ws.Get(33, 17)
 	if &m3.Data[0] == &m2.Data[0] {
 		t.Fatal("workspace handed out the same buffer twice without Reset")
 	}
-	// Put returns a buffer for immediate reuse.
-	ws.Put(m3)
-	m4 := ws.Get(30, 18) // same size class
-	if &m4.Data[0] != &m3.Data[0] {
-		t.Fatal("Put buffer was not reused by the next same-class Get")
-	}
 	ws.Reset()
+	// Shapes may move from pass to pass: a position keeps the capacity of
+	// the largest shape it has held (plus headroom), so a pass that asks for
+	// less, or for a little more, allocates nothing.
+	rows := 33
 	allocs := testing.AllocsPerRun(10, func() {
+		ws.Get(rows, 17)
 		ws.Get(33, 17)
-		ws.Get(33, 17)
-		ws.GetF32(100)
 		ws.Reset()
+		rows = 30 + (rows+1)%6 // 30..35, inside 33 rows' headroom
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state workspace cycle allocates %v objects", allocs)
@@ -206,11 +202,6 @@ func TestWorkspaceZeroSizes(t *testing.T) {
 	if m.Rows != 0 || len(m.Data) != 0 {
 		t.Fatal("zero-row matrix malformed")
 	}
-	s := ws.GetF32(0)
-	if len(s) != 0 {
-		t.Fatal("zero-length slice malformed")
-	}
-	ws.Put(m)
 	ws.Reset()
 }
 
@@ -292,7 +283,7 @@ func TestContiguousCallsWalkBlocksInline(t *testing.T) {
 	bt := randomMatrix(rng, out, in)
 	MatMulTransB(got, a, bt)
 	for r := 0; r < n; r++ {
-		MatMulTransBRows(want, a, bt, one(r))
+		MatMulTransBRange(want, a, bt, r, r+1)
 	}
 	sameBitsF32(t, "MatMulTransB", got.Data, want.Data)
 

@@ -3,6 +3,7 @@ package tensor
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -449,14 +450,6 @@ func MatMulTransBRange(out, a, b *Matrix, lo, hi int) {
 	dispatch(rowCall{kernel: kernelMatMulTransB, out: out, a: a, b: b}, rowRange(lo, hi), rowBlock, nil)
 }
 
-// MatMulTransBRows computes out.Row(v) = a.Row(v)·bᵀ for every v in rows,
-// leaving all other rows of out untouched. Bit-identical per row to
-// MatMulTransB.
-func MatMulTransBRows(out, a, b *Matrix, rows []int32) {
-	checkMatMulTransB("MatMulTransBRows", out, a, b)
-	dispatch(rowCall{kernel: kernelMatMulTransB, out: out, a: a, b: b}, rows, rowBlock, nil)
-}
-
 // matMulTransBBlock computes the listed rows of out = a·bᵀ.
 func matMulTransBBlock(out, a, b *Matrix, rows []int32) {
 	k, m := a.Cols, b.Rows
@@ -503,18 +496,36 @@ func getPartial(rows, cols int) *Matrix {
 // MatMulTransA computes out = aᵀ·b where a is k×n and b is k×m. out must be
 // n×m and is overwritten. The reduction over k is split across workers with
 // pooled per-worker accumulators to avoid write contention.
-func MatMulTransA(out, a, b *Matrix) {
+func MatMulTransA(out, a, b *Matrix) { MatMulTransAAt(out, a, b, nil, 0) }
+
+// MatMulTransAAt is MatMulTransA over operands whose last len(at) rows are a
+// selection from a dense block of n virtual rows: with r0 = a.Rows−len(at),
+// stored row r0+i of a and b stands at row r0+at[i] (at ascending, within
+// [0, n)) of the (r0+n)-row operands whose unselected rows are zero. out is
+// reduced in exactly the order MatMulTransA reduces those operands — the
+// same worker split of the r0+n rows, the same blocks of four rows — so the
+// result has their bits, and the cost that of the stored rows.
+//
+// A reduction over rows is the one kernel whose float grouping depends on
+// where its rows sit. The epoch engine's node space holds only the sampled
+// boundary slots; attention's dW reduces over that space as a selection of
+// the partition's full slot range, so its bits do not depend on which other
+// slots an epoch sampled (or on the space having been compacted at all).
+func MatMulTransAAt(out, a, b *Matrix, at []int32, n int) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransA inner dim mismatch %d vs %d", a.Rows, b.Rows))
 	}
 	if out.Rows != a.Cols || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransA out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, b.Cols))
 	}
-	k, n, m := a.Rows, a.Cols, b.Cols
+	if len(at) > a.Rows || len(at) > n || (len(at) > 0 && int(at[len(at)-1]) >= n) {
+		panic(fmt.Sprintf("tensor: MatMulTransAAt selects %d of %d virtual rows over %d stored", len(at), n, a.Rows))
+	}
+	k := a.Rows - len(at) + n // virtual rows
 	workers := maxProcs
 	if k < 256 || workers == 1 {
 		out.Zero()
-		accumTransA(out, a, b, 0, k)
+		accumTransA(out, a, b, at, 0, k)
 		return
 	}
 	if workers > 8 {
@@ -532,11 +543,11 @@ func MatMulTransA(out, a, b *Matrix) {
 		if lo >= hi {
 			break
 		}
-		partials[w] = getPartial(n, m)
+		partials[w] = getPartial(a.Cols, b.Cols)
 		wg.Add(1)
 		go func(p *Matrix, lo, hi int) {
 			defer wg.Done()
-			accumTransA(p, a, b, lo, hi)
+			accumTransA(p, a, b, at, lo, hi)
 		}(partials[w], lo, hi)
 	}
 	wg.Wait()
@@ -549,37 +560,76 @@ func MatMulTransA(out, a, b *Matrix) {
 	}
 }
 
-// accumTransA accumulates aᵀ·b over rows [lo,hi) of a and b into out, four
-// rows of a and b per pass.
-func accumTransA(out, a, b *Matrix, lo, hi int) {
+// accumTransA accumulates aᵀ·b over the virtual rows [lo,hi) of a and b (see
+// MatMulTransAAt; at == nil means every row is stored) into out, four
+// virtual rows per pass from lo and the remainder row by row. A virtual row
+// that is not stored is a zero row: it takes its lane of a block with a zero
+// coefficient, and a block or tail row with nothing stored is skipped.
+func accumTransA(out, a, b *Matrix, at []int32, lo, hi int) {
 	n, m := a.Cols, b.Cols
 	ad, bd := a.Data, b.Data
-	kk := lo
-	for ; kk+4 <= hi; kk += 4 {
-		a0 := ad[kk*n : kk*n+n]
-		a1 := ad[(kk+1)*n : (kk+1)*n+n]
-		a2 := ad[(kk+2)*n : (kk+2)*n+n]
-		a3 := ad[(kk+3)*n : (kk+3)*n+n]
-		b0 := bd[kk*m : kk*m+m]
-		b1 := bd[(kk+1)*m : (kk+1)*m+m]
-		b2 := bd[(kk+2)*m : (kk+2)*m+m]
-		b3 := bd[(kk+3)*m : (kk+3)*m+m]
-		for i := 0; i < n; i++ {
-			v0, v1, v2, v3 := a0[i], a1[i], a2[i], a3[i]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
+	r0 := a.Rows - len(at)
+	virt := func(i int) int { // the virtual row of stored row i
+		if i < r0 {
+			return i
+		}
+		return r0 + int(at[i-r0])
+	}
+	stored := func(v int) int { // the first stored row at or after virtual row v
+		if v <= r0 {
+			return v
+		}
+		return r0 + sort.Search(len(at), func(x int) bool { return int(at[x]) >= v-r0 })
+	}
+	i, end := stored(lo), stored(hi)
+	tail := lo + (hi-lo)/4*4 // virtual rows from here on are reduced one by one
+	for i < end && virt(i) < tail {
+		kk := lo + (virt(i)-lo)/4*4
+		if i+4 <= end && virt(i+3) == kk+3 { // all four rows stored
+			a0, a1, a2, a3 := ad[i*n:i*n+n], ad[(i+1)*n:(i+1)*n+n], ad[(i+2)*n:(i+2)*n+n], ad[(i+3)*n:(i+3)*n+n]
+			b0, b1, b2, b3 := bd[i*m:i*m+m], bd[(i+1)*m:(i+1)*m+m], bd[(i+2)*m:(i+2)*m+m], bd[(i+3)*m:(i+3)*m+m]
+			for c := 0; c < n; c++ {
+				v0, v1, v2, v3 := a0[c], a1[c], a2[c], a3[c]
+				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
+					continue
+				}
+				axpy4(out.Data[c*m:c*m+m], b0, b1, b2, b3, v0, v1, v2, v3)
+			}
+			i += 4
+			continue
+		}
+		// A block with gaps: a lane whose row is not stored reads a stored
+		// row's b under a zero coefficient.
+		var al, bl [4][]float32
+		first := i
+		for t := range al {
+			bl[t] = bd[first*m : first*m+m]
+			if i < end && virt(i) == kk+t {
+				al[t], bl[t] = ad[i*n:i*n+n], bd[i*m:i*m+m]
+				i++
+			}
+		}
+		for c := 0; c < n; c++ {
+			var v [4]float32
+			for t, row := range al {
+				if row != nil {
+					v[t] = row[c]
+				}
+			}
+			if v[0] == 0 && v[1] == 0 && v[2] == 0 && v[3] == 0 {
 				continue
 			}
-			axpy4(out.Data[i*m:i*m+m], b0, b1, b2, b3, v0, v1, v2, v3)
+			axpy4(out.Data[c*m:c*m+m], bl[0], bl[1], bl[2], bl[3], v[0], v[1], v[2], v[3])
 		}
 	}
-	for ; kk < hi; kk++ {
-		arow := ad[kk*n : kk*n+n]
-		brow := bd[kk*m : kk*m+m]
-		for i, av := range arow {
+	for ; i < end; i++ {
+		arow := ad[i*n : i*n+n]
+		brow := bd[i*m : i*m+m]
+		for c, av := range arow {
 			if av == 0 {
 				continue
 			}
-			Axpy(out.Data[i*m:i*m+m], brow, av)
+			Axpy(out.Data[c*m:c*m+m], brow, av)
 		}
 	}
 }

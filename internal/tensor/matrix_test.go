@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -207,6 +208,68 @@ func TestMatMulTransA(t *testing.T) {
 	}
 }
 
+// TestMatMulTransAAtMatchesDenseOperands: reducing a selection of a dense
+// block's rows gives the bits MatMulTransA gives on the dense operands whose
+// unselected rows are zero (in b alone, or in both) — at every selection
+// shape, on the serial and the worker-split reduction, at widths with and
+// without a scalar tail.
+func TestMatMulTransAAtMatchesDenseOperands(t *testing.T) {
+	rng := NewRNG(15)
+	for _, width := range []int{1, 2, 4} {
+		restore := ForceParallelism(width)
+		for _, tc := range []struct{ r0, n, cols, m int }{
+			{0, 9, 3, 5}, {7, 30, 5, 13}, {40, 300, 6, 7}, {301, 900, 9, 16}, {130, 131, 4, 33},
+		} {
+			for _, sel := range []string{"none", "first", "last", "one", "tenth", "half", "runs", "all"} {
+				var at []int32
+				for v := 0; v < tc.n; v++ {
+					var on bool
+					switch sel {
+					case "first":
+						on = v == 0
+					case "last":
+						on = v == tc.n-1
+					case "one":
+						on = v == tc.n/2
+					case "tenth":
+						on = rng.Float32() < 0.1
+					case "half":
+						on = rng.Float32() < 0.5
+					case "runs":
+						on = v/5%2 == 0
+					case "all":
+						on = true
+					}
+					if on {
+						at = append(at, int32(v))
+					}
+				}
+				rows := tc.r0 + len(at)
+				a, b := randomMatrix(rng, rows, tc.cols), randomMatrix(rng, rows, tc.m)
+				// The dense operands: b zero where unselected; a zero there
+				// in one reference and arbitrary in the other.
+				da, dz, db := randomMatrix(rng, tc.r0+tc.n, tc.cols), New(tc.r0+tc.n, tc.cols), New(tc.r0+tc.n, tc.m)
+				for i := 0; i < rows; i++ {
+					v := i
+					if i >= tc.r0 {
+						v = tc.r0 + int(at[i-tc.r0])
+					}
+					copy(da.Row(v), a.Row(i))
+					copy(dz.Row(v), a.Row(i))
+					copy(db.Row(v), b.Row(i))
+				}
+				got, want := New(tc.cols, tc.m), New(tc.cols, tc.m)
+				MatMulTransAAt(got, a, b, at, tc.n)
+				for _, dense := range []*Matrix{dz, da} {
+					MatMulTransA(want, dense, db)
+					sameBitsF32(t, fmt.Sprintf("width %d %+v %s", width, tc, sel), got.Data, want.Data)
+				}
+			}
+		}
+		restore()
+	}
+}
+
 func TestTransposeInvolution(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := NewRNG(seed)
@@ -236,6 +299,41 @@ func TestRNGDeterminism(t *testing.T) {
 	}
 	if NewRNG(1).Uint64() == NewRNG(2).Uint64() {
 		t.Fatal("different seeds should diverge")
+	}
+}
+
+// TestRNGSkipEqualsDiscardedDraws: Skip(n) leaves the generator exactly
+// where n discarded Uint64 draws do — same State(), same next values. 2⁴⁰
+// cannot be drawn out, so it is checked as 2²⁰ skips of 2²⁰, each of which
+// is checked against real draws.
+func TestRNGSkipEqualsDiscardedDraws(t *testing.T) {
+	const cols = 64
+	for _, seed := range []uint64{0, 1, 0xdeadbeefcafe} {
+		for _, n := range []uint64{0, 1, cols, 1 << 20} {
+			skipped, drawn := NewRNG(seed), NewRNG(seed)
+			skipped.Uint64() // start mid-stream
+			drawn.Uint64()
+			skipped.Skip(n)
+			for i := uint64(0); i < n; i++ {
+				drawn.Uint64()
+			}
+			if skipped.State() != drawn.State() {
+				t.Fatalf("seed %d: Skip(%d) state %#x, %d draws leave %#x", seed, n, skipped.State(), n, drawn.State())
+			}
+			for i := 0; i < 4; i++ {
+				if a, b := skipped.Float32(), drawn.Float32(); a != b {
+					t.Fatalf("seed %d: draw %d after Skip(%d) = %v, after %d draws = %v", seed, i, n, a, n, b)
+				}
+			}
+		}
+		far, stepped := NewRNG(seed), NewRNG(seed)
+		far.Skip(1 << 40)
+		for i := 0; i < 1<<20; i++ {
+			stepped.Skip(1 << 20)
+		}
+		if far.State() != stepped.State() || far.Uint64() != stepped.Uint64() {
+			t.Fatalf("seed %d: Skip(2^40) differs from 2^20 skips of 2^20", seed)
+		}
 	}
 }
 

@@ -29,6 +29,11 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
+// Skip advances the stream past the next n Uint64 draws without computing
+// them: splitmix64's state is a counter, so n discarded draws are one
+// multiply-add. Every Float32/Float64/Intn draw consumes exactly one Uint64.
+func (r *RNG) Skip(n uint64) { r.state += n * 0x9e3779b97f4a7c15 }
+
 // Intn returns a uniform int in [0, n). n must be positive.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {

@@ -239,15 +239,6 @@ func SpMMTransRange(dst, src *Matrix, indptr []int64, indices []int32, scale []f
 		rowRange(lo, hi), spmmGrain, chunks)
 }
 
-// SpMMTransRows accumulates the listed destination rows of SpMMTrans,
-// leaving all other rows untouched — the staged backward's halo stage
-// completes exactly the sampled boundary slots this way.
-func SpMMTransRows(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
-	checkSpMMTrans("SpMMTransRows", dst, src, indptr)
-	dispatch(rowCall{kernel: kernelSpMMTrans, out: dst, a: src, indptr: indptr, indices: indices, scale: scale},
-		rows, spmmGrain, nil)
-}
-
 // spmmTransBlock accumulates the listed destination rows of the transposed
 // product: dst.Row(r) += Σ scale[v]·src.Row(v)[:w] over the transposed CSR
 // row's sources, in stored (ascending-source) order. The caller owns dst's
