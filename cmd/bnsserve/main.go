@@ -2,8 +2,8 @@
 // BNS-GCN checkpoint over HTTP: the online-inference leg of the system the
 // training commands produce checkpoints for.
 //
-// At startup it loads the model (either checkpoint format; a trainer
-// checkpoint's optimizer state is verified and discarded), regenerates the
+// At startup it loads the model (either checkpoint kind — one CRC'd
+// container; a trainer checkpoint's resume section is ignored), regenerates the
 // dataset from the shared seed exactly like the training commands do — no
 // feature files need distributing — precomputes all hidden-layer embeddings,
 // and then answers queries with row-subset passes over just the requested
@@ -56,7 +56,7 @@ func main() {
 		scale  = flag.Int("scale", 1, "dataset scale multiplier")
 		seed   = flag.Uint64("seed", 1, "master seed (must match the training run's)")
 
-		ckpt      = flag.String("checkpoint", "", "checkpoint to serve (weights-only .bnsc or trainer .bnst; empty = fresh deterministic weights for smoke and load tests)")
+		ckpt      = flag.String("checkpoint", "", "checkpoint to serve (weights-only or trainer; empty = fresh deterministic weights for smoke and load tests)")
 		graphPath = flag.String("graph", "", "binary CSR graph file (bnspart -save) to serve instead of the generated dataset's adjacency; node count must match")
 		arch      = flag.String("arch", "sage", "model when no checkpoint is given: sage or gat")
 		layers    = flag.Int("layers", 0, "model depth when no checkpoint is given (0 = paper default for dataset)")

@@ -31,4 +31,14 @@
 // hiding nothing — the measurement baseline. EpochStats reports
 // communication as raw span vs exposed (unoverlapped) time; see
 // PERFORMANCE.md "Overlapped halo exchange".
+//
+// # Checkpoints
+//
+// Durable state is one container (internal/core/checkpoint.go: magic,
+// version, kind, model section, optional resume section, trailing CRC-32),
+// written by one encoder and read by one decoder that checks the frame
+// before it parses and bounds every length by the bytes that remain.
+// Bit-exact trainer resume, elastic recovery with donor hydration
+// (internal/elastic) and bnsserve's model hydration all start from that
+// decoder's result.
 package repro

@@ -1,761 +1,493 @@
 package core
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
-	"path/filepath"
-	"syscall"
 
-	"repro/internal/optim"
 	"repro/internal/tensor"
 )
 
-// Checkpoint formats, both little-endian and versioned by magic:
+// The checkpoint container. Every checkpoint this repo writes — a model's
+// weights, or one rank's full resumable trainer state — is one little-endian
+// layout, written by Checkpoint.Encode and read by DecodeCheckpoint only:
 //
-//   - Model checkpoint ("BNSC", SaveCheckpoint/LoadCheckpoint): config
-//     header, then each parameter matrix as (rows, cols, float32 data).
-//     Weights only — the right artifact for inference and evaluation.
-//   - Trainer checkpoint ("BNST" + format version,
-//     SaveTrainerCheckpoint/LoadTrainerCheckpoint): the model section plus
-//     everything a bit-exact resume needs — Adam's step count and moment
-//     matrices, the epoch-sampling strategy's identity and RNG position,
-//     every dropout layer's mask RNG position, and the epoch counter. A
-//     weights-only checkpoint silently resets the optimizer moments and the
-//     RNG streams, so a resumed run diverges from an uninterrupted one; the
-//     trainer format exists so that train(N) ≡ train(k) + save + load +
-//     train(N−k), bit for bit (the resume-equivalence test pins this).
-//     Version 2 appended a CRC-32 (IEEE) of every preceding byte, so a torn
-//     or bit-rotted file is rejected outright and an elastic recovery falls
-//     back a generation instead of resuming from garbage. Version 3
-//     replaced the bare sampling-RNG word with the strategy name plus its
-//     RNG state: resuming under a different strategy than the one that
-//     produced the checkpoint would silently train a different estimator,
-//     so a name mismatch is rejected with both names spelled out.
+//	frame    magic "BNST" u32 · version u32 · kind u32 (1 model, 2 trainer)
+//	model    arch str · layers, hidden, inDim, outDim u64 · nParams u64 ·
+//	         nParams × mat
+//	resume   (kind 2 only) epoch u64 · strategy str · strategy RNG state u64 ·
+//	         nDropouts u64 · nDropouts × mask RNG state u64 · Adam step u64 ·
+//	         nParams × mat (first moments) · nParams × mat (second moments)
+//	trailer  CRC-32 (IEEE) u32 of every preceding byte
 //
-// The architecture and every matrix shape are stored so a mismatched load
-// fails loudly instead of silently misassigning state.
+// with str = length u64 (≤ 64) · bytes and mat = rows u64 · cols u64 ·
+// rows·cols float32. The resume section is what a bit-exact resume needs
+// beyond the weights (a weights-only reload resets Adam and rewinds the
+// sampling and dropout streams, so the run diverges — the resume-equivalence
+// test pins both directions), and it names the sampling strategy, because
+// resuming under another one would silently train a different estimator.
+//
+// CRC first: the frame — magic, version, checksum of the whole file — is
+// checked before a single length word is believed, so a torn or bit-rotted
+// file makes elastic recovery fall back a generation (or to a donor's shard)
+// and stops the server at startup, rather than either acting on garbage. A
+// CRC only catches accidents, so the parse trusts nothing either: every
+// count, string length and matrix size is bounded by the bytes that remain
+// before anything is allocated, and the model the header describes must fit
+// in the file — decoding, and building that model, allocate O(len(file)).
+//
+// In memory: a shard is ~110 KB, the CRC has to see every byte before any is
+// used, and a decoded Checkpoint that is not yet live state is what lets a
+// load validate everything against the trainer and only then commit. The
+// io.Reader and io.Writer entry points read and write that one buffer.
 
 const (
-	ckptMagic        = uint32(0x424E5343) // "BNSC": model weights only
-	ckptTrainerMagic = uint32(0x424E5354) // "BNST": full resumable trainer state
-	ckptTrainerVer   = uint32(3)
-	optKindAdam      = uint32(1)
+	ckptMagic   = uint32(0x424E5354) // "BNST"
+	ckptVersion = uint32(4)
+	kindModel   = uint32(1)
+	kindTrainer = uint32(2)
+
+	// Bounds on what a header may claim. They keep every product the decoder
+	// forms inside a uint64; the real limit is always the bytes that remain.
+	maxCkptName   = 64
+	maxCkptLayers = 1 << 10
+	maxCkptDim    = 1 << 24 // hidden, inDim, outDim
+	maxCkptMatDim = 1 << 30 // rows or cols of one stored matrix
 )
 
-// crcWriter hashes everything written through it. It sits ABOVE the
-// buffered writer so the checksum covers exactly the bytes the format
-// defines, and the trailing CRC itself is written to the underlying writer
-// unhashed.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
+var le = binary.LittleEndian
+
+// Checkpoint is a decoded (or about-to-be-encoded) container: the model
+// header and parameters, plus the resume section when it is a trainer's.
+type Checkpoint struct {
+	Arch                          Arch
+	Layers, Hidden, InDim, OutDim int
+	Params                        []*tensor.Matrix
+	Resume                        *ResumeState // nil in a weights-only checkpoint
 }
 
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, crc32.IEEETable, p[:n])
-	return n, err
+// ResumeState is everything beyond the weights that train(N) ≡ train(k) +
+// save + load + train(N−k) needs, bit for bit. It differs per rank: sampling
+// streams are rank-seeded, dropout streams advance with local row counts.
+type ResumeState struct {
+	Epoch         int
+	Strategy      string
+	StrategyState uint64
+	Dropouts      []uint64 // per layer: mask RNG position
+	AdamStep      int
+	AdamM, AdamV  []*tensor.Matrix // aligned with Params
 }
 
-// crcReader hashes everything read through it. It must wrap the
-// bufio.Reader (not the raw file): hashing below the buffer would fold the
-// read-ahead — including the stored CRC bytes themselves — into the sum.
-type crcReader struct {
-	r   io.Reader
-	crc uint32
+// snapshotModel describes m as a weights-only checkpoint. The parameters are
+// aliased, not copied: encode before training on.
+func snapshotModel(m *Model) *Checkpoint {
+	return &Checkpoint{
+		Arch: m.Config.Arch, Layers: m.Config.Layers, Hidden: m.Config.Hidden,
+		InDim: m.InDim, OutDim: m.OutDim, Params: m.Params(),
+	}
 }
 
-func (cr *crcReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.crc = crc32.Update(cr.crc, crc32.IEEETable, p[:n])
-	return n, err
+// snapshotTrainer describes rank rt's full resumable state, aliased likewise.
+func snapshotTrainer(rt *RankTrainer) *Checkpoint {
+	c := snapshotModel(rt.Model)
+	rs := &ResumeState{
+		Epoch:         rt.epoch,
+		Strategy:      rt.strat.Name(),
+		StrategyState: rt.strat.State(),
+		AdamStep:      rt.opt.StepCount(),
+	}
+	for _, d := range rt.Model.Dropouts {
+		rs.Dropouts = append(rs.Dropouts, d.RNGState())
+	}
+	rs.AdamM, rs.AdamV = rt.opt.Moments(c.Params)
+	c.Resume = rs
+	return c
 }
 
-// SaveCheckpoint writes the model's configuration and parameters to w.
-func SaveCheckpoint(w io.Writer, m *Model) error {
-	bw := bufio.NewWriter(w)
-	if err := binary.Write(bw, binary.LittleEndian, ckptMagic); err != nil {
-		return fmt.Errorf("core: checkpoint magic: %w", err)
+// Encode serializes c. It is the one writer of the container layout.
+func (c *Checkpoint) Encode() []byte {
+	var b []byte
+	u64 := func(v int) { b = le.AppendUint64(b, uint64(v)) }
+	str := func(s string) {
+		u64(len(s))
+		b = append(b, s...)
 	}
-	if err := writeModelSection(bw, m); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// LoadCheckpoint reads parameters written by SaveCheckpoint into m, which
-// must have the same architecture and dimensions.
-func LoadCheckpoint(r io.Reader, m *Model) error {
-	br := bufio.NewReader(r)
-	var magic uint32
-	if err := binary.Read(br, binary.LittleEndian, &magic); err != nil {
-		return fmt.Errorf("core: checkpoint magic: %w", err)
-	}
-	if magic == ckptTrainerMagic {
-		return fmt.Errorf("core: this is a trainer checkpoint; load it with LoadTrainerCheckpoint")
-	}
-	if magic != ckptMagic {
-		return fmt.Errorf("core: bad checkpoint magic %#x", magic)
-	}
-	return readModelSection(br, m)
-}
-
-// writeModelSection writes the config header, arch string, and parameter
-// matrices — the section both checkpoint formats share. It takes a plain
-// io.Writer so the trainer format can thread a crcWriter through it.
-func writeModelSection(bw io.Writer, m *Model) error {
-	header := []int64{
-		int64(len(m.Config.Arch)),
-		int64(m.Config.Layers),
-		int64(m.Config.Hidden),
-		int64(m.InDim),
-		int64(m.OutDim),
-	}
-	if err := binary.Write(bw, binary.LittleEndian, header); err != nil {
-		return fmt.Errorf("core: checkpoint header: %w", err)
-	}
-	if _, err := io.WriteString(bw, string(m.Config.Arch)); err != nil {
-		return err
-	}
-	params := m.Params()
-	if err := binary.Write(bw, binary.LittleEndian, int64(len(params))); err != nil {
-		return err
-	}
-	return writeMats(bw, params, "param")
-}
-
-// readModelSection validates the config header against m and reads the
-// parameter matrices into it.
-func readModelSection(br io.Reader, m *Model) error {
-	if err := readModelHeader(br, m); err != nil {
-		return err
-	}
-	return readMats(br, m.Params(), "param")
-}
-
-// ckptHeader is the decoded config header of a model section: everything
-// needed to rebuild the model architecture without a pre-built Model.
-type ckptHeader struct {
-	arch           Arch
-	layers, hidden int
-	inDim, outDim  int
-	nParams        int
-}
-
-// readHeaderRaw decodes the config header without validating it against any
-// model, so a checkpoint can describe the model to build (LoadModelFromCheckpoint)
-// as well as be checked against an existing one (readModelHeader).
-func readHeaderRaw(br io.Reader) (ckptHeader, error) {
-	var h ckptHeader
-	header := make([]int64, 5)
-	if err := binary.Read(br, binary.LittleEndian, header); err != nil {
-		return h, fmt.Errorf("core: checkpoint header: %w", err)
-	}
-	if header[0] < 0 || header[0] > 64 {
-		return h, fmt.Errorf("core: checkpoint arch name length %d", header[0])
-	}
-	archBytes := make([]byte, header[0])
-	if _, err := io.ReadFull(br, archBytes); err != nil {
-		return h, fmt.Errorf("core: checkpoint arch: %w", err)
-	}
-	h.arch = Arch(archBytes)
-	h.layers, h.hidden = int(header[1]), int(header[2])
-	h.inDim, h.outDim = int(header[3]), int(header[4])
-	var nParams int64
-	if err := binary.Read(br, binary.LittleEndian, &nParams); err != nil {
-		return h, err
-	}
-	if nParams < 0 || nParams > 1<<20 {
-		return h, fmt.Errorf("core: checkpoint parameter count %d", nParams)
-	}
-	h.nParams = int(nParams)
-	return h, nil
-}
-
-// readModelHeader validates the config header and parameter count against m
-// without touching any weights.
-func readModelHeader(br io.Reader, m *Model) error {
-	h, err := readHeaderRaw(br)
-	if err != nil {
-		return err
-	}
-	if h.arch != m.Config.Arch || h.layers != m.Config.Layers ||
-		h.hidden != m.Config.Hidden || h.inDim != m.InDim || h.outDim != m.OutDim {
-		return fmt.Errorf("core: checkpoint is %s/%d layers/%d hidden/%d->%d, model is %s/%d/%d/%d->%d",
-			h.arch, h.layers, h.hidden, h.inDim, h.outDim,
-			m.Config.Arch, m.Config.Layers, m.Config.Hidden, m.InDim, m.OutDim)
-	}
-	if h.nParams != len(m.Params()) {
-		return fmt.Errorf("core: checkpoint has %d params, model has %d", h.nParams, len(m.Params()))
-	}
-	return nil
-}
-
-// modelFromHeader builds a freshly initialized model with the architecture a
-// checkpoint header describes. Dropout is zero and the learning rate a
-// placeholder: the hydrated model is for inference, not training.
-func modelFromHeader(h ckptHeader) (*Model, error) {
-	cfg := ModelConfig{Arch: h.arch, Layers: h.layers, Hidden: h.hidden, LR: 0.01, Seed: 0}
-	m, err := NewModel(cfg, h.inDim, h.outDim)
-	if err != nil {
-		return nil, fmt.Errorf("core: checkpoint header describes an unbuildable model: %w", err)
-	}
-	if h.nParams != len(m.Params()) {
-		return nil, fmt.Errorf("core: checkpoint has %d params, %s/%d layers model has %d",
-			h.nParams, h.arch, h.layers, len(m.Params()))
-	}
-	return m, nil
-}
-
-// writeMats writes each matrix as (rows, cols, data).
-func writeMats(bw io.Writer, mats []*tensor.Matrix, what string) error {
-	for i, p := range mats {
-		if err := binary.Write(bw, binary.LittleEndian, int64(p.Rows)); err != nil {
-			return fmt.Errorf("core: checkpoint %s %d: %w", what, i, err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, int64(p.Cols)); err != nil {
-			return fmt.Errorf("core: checkpoint %s %d: %w", what, i, err)
-		}
-		if err := binary.Write(bw, binary.LittleEndian, p.Data); err != nil {
-			return fmt.Errorf("core: checkpoint %s %d: %w", what, i, err)
+	mats := func(ms []*tensor.Matrix) {
+		for _, m := range ms {
+			u64(m.Rows)
+			u64(m.Cols)
+			off := len(b)
+			b = append(b, make([]byte, 4*len(m.Data))...)
+			for i, f := range m.Data {
+				le.PutUint32(b[off+4*i:], math.Float32bits(f))
+			}
 		}
 	}
-	return nil
+
+	kind := kindModel
+	if c.Resume != nil {
+		kind = kindTrainer
+	}
+	b = le.AppendUint32(b, ckptMagic)
+	b = le.AppendUint32(b, ckptVersion)
+	b = le.AppendUint32(b, kind)
+	str(string(c.Arch))
+	u64(c.Layers)
+	u64(c.Hidden)
+	u64(c.InDim)
+	u64(c.OutDim)
+	u64(len(c.Params))
+	mats(c.Params)
+	if rs := c.Resume; rs != nil {
+		u64(rs.Epoch)
+		str(rs.Strategy)
+		b = le.AppendUint64(b, rs.StrategyState)
+		u64(len(rs.Dropouts))
+		for _, d := range rs.Dropouts {
+			b = le.AppendUint64(b, d)
+		}
+		u64(rs.AdamStep)
+		mats(rs.AdamM)
+		mats(rs.AdamV)
+	}
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
-// readMats reads matrices written by writeMats into mats, validating shapes.
-func readMats(br io.Reader, mats []*tensor.Matrix, what string) error {
-	for i, p := range mats {
-		var rows, cols int64
-		if err := binary.Read(br, binary.LittleEndian, &rows); err != nil {
-			return fmt.Errorf("core: checkpoint %s %d: %w", what, i, err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &cols); err != nil {
-			return fmt.Errorf("core: checkpoint %s %d: %w", what, i, err)
-		}
-		if int(rows) != p.Rows || int(cols) != p.Cols {
-			return fmt.Errorf("core: checkpoint %s %d is %dx%d, model expects %dx%d", what, i, rows, cols, p.Rows, p.Cols)
-		}
-		if err := binary.Read(br, binary.LittleEndian, p.Data); err != nil {
-			return fmt.Errorf("core: checkpoint %s %d: %w", what, i, err)
-		}
+// checkFrame is the first thing done with checkpoint bytes from outside the
+// program: right magic, a version this build reads, a trailing CRC matching
+// everything before it. It returns the kind and the sections in between.
+func checkFrame(b []byte) (kind uint32, body []byte, err error) {
+	if len(b) < 16 {
+		return 0, nil, fmt.Errorf("core: %d bytes is too short to be a checkpoint", len(b))
 	}
-	return nil
+	if magic := le.Uint32(b); magic != ckptMagic {
+		return 0, nil, fmt.Errorf("core: bad checkpoint magic %#x", magic)
+	}
+	if ver := le.Uint32(b[4:]); ver != ckptVersion {
+		return 0, nil, fmt.Errorf("core: checkpoint version %d, this build reads %d", ver, ckptVersion)
+	}
+	end := len(b) - 4
+	if stored, sum := le.Uint32(b[end:]), crc32.ChecksumIEEE(b[:end]); stored != sum {
+		return 0, nil, fmt.Errorf("core: checkpoint checksum mismatch (stored %#x, computed %#x): truncated or corrupted file", stored, sum)
+	}
+	return le.Uint32(b[8:]), b[12:end], nil
 }
 
-// SaveTrainerCheckpoint writes rank rt's full resumable training state: the
-// model section plus the optimizer moments and step count, the epoch-sampling
-// strategy's name and RNG position, each dropout layer's mask RNG position,
-// and the completed-epoch counter. In a k-rank run every rank saves its own
-// checkpoint (states differ per rank: sampling streams are rank-seeded and
-// dropout streams advance with local row counts).
-func SaveTrainerCheckpoint(w io.Writer, rt *RankTrainer) error {
-	adam, ok := rt.opt.(*optim.Adam)
-	if !ok {
-		return fmt.Errorf("core: trainer checkpoint supports Adam, trainer uses %T", rt.opt)
+// cursor reads the sections of a frame-checked checkpoint. The first failure
+// sticks and later reads return zero values, so the decoder reads straight
+// through and checks err once. Nothing it returns outsizes the bytes it had.
+type cursor struct {
+	b   []byte
+	err error
+}
+
+func (c *cursor) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("core: checkpoint "+format, args...)
 	}
-	bw := bufio.NewWriter(w)
-	cw := &crcWriter{w: bw}
-	if err := binary.Write(cw, binary.LittleEndian, ckptTrainerMagic); err != nil {
-		return fmt.Errorf("core: trainer checkpoint magic: %w", err)
+}
+
+// take consumes the next n bytes.
+func (c *cursor) take(n uint64, what string) []byte {
+	if c.err == nil && n > uint64(len(c.b)) {
+		c.fail("%s needs %d bytes, %d remain", what, n, len(c.b))
 	}
-	if err := binary.Write(cw, binary.LittleEndian, ckptTrainerVer); err != nil {
-		return fmt.Errorf("core: trainer checkpoint version: %w", err)
+	if c.err != nil {
+		return nil
 	}
-	if err := writeModelSection(cw, rt.Model); err != nil {
-		return err
+	out := c.b[:n]
+	c.b = c.b[n:]
+	return out
+}
+
+func (c *cursor) u64(what string) uint64 {
+	if p := c.take(8, what); p != nil {
+		return le.Uint64(p)
 	}
-	if err := binary.Write(cw, binary.LittleEndian, int64(rt.epoch)); err != nil {
-		return err
+	return 0
+}
+
+// count reads a word that must not exceed limit.
+func (c *cursor) count(what string, limit uint64) int {
+	n := c.u64(what)
+	if n > limit {
+		c.fail("%s %d exceeds %d", what, n, limit)
+		return 0
 	}
-	name := rt.strat.Name()
-	if err := binary.Write(cw, binary.LittleEndian, int64(len(name))); err != nil {
-		return err
-	}
-	if _, err := io.WriteString(cw, name); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, rt.strat.State()); err != nil {
-		return err
-	}
-	drops := rt.Model.Dropouts
-	if err := binary.Write(cw, binary.LittleEndian, int64(len(drops))); err != nil {
-		return err
-	}
-	for _, d := range drops {
-		if err := binary.Write(cw, binary.LittleEndian, d.RNGState()); err != nil {
-			return err
+	return int(n)
+}
+
+func (c *cursor) str(what string) string {
+	return string(c.take(uint64(c.count(what+" length", maxCkptName)), what))
+}
+
+// mats reads n matrices; the caller has bounded n by the bytes remaining.
+func (c *cursor) mats(n int, what string) []*tensor.Matrix {
+	out := make([]*tensor.Matrix, 0, n)
+	for i := 0; i < n && c.err == nil; i++ {
+		rows, cols := c.count(what+" rows", maxCkptMatDim), c.count(what+" cols", maxCkptMatDim)
+		raw := c.take(4*uint64(rows)*uint64(cols), what)
+		m := &tensor.Matrix{Rows: rows, Cols: cols, Data: make([]float32, len(raw)/4)}
+		for j := range m.Data {
+			m.Data[j] = math.Float32frombits(le.Uint32(raw[4*j:]))
 		}
-	}
-	if err := binary.Write(cw, binary.LittleEndian, optKindAdam); err != nil {
-		return err
-	}
-	if err := binary.Write(cw, binary.LittleEndian, int64(adam.StepCount())); err != nil {
-		return err
-	}
-	m, v := adam.Moments(rt.Model.Params())
-	if err := writeMats(cw, m, "adam.m"); err != nil {
-		return err
-	}
-	if err := writeMats(cw, v, "adam.v"); err != nil {
-		return err
-	}
-	// Trailing checksum of everything above, written unhashed.
-	if err := binary.Write(bw, binary.LittleEndian, cw.crc); err != nil {
-		return fmt.Errorf("core: trainer checkpoint checksum: %w", err)
-	}
-	return bw.Flush()
-}
-
-// LoadTrainerCheckpoint restores state written by SaveTrainerCheckpoint
-// into rt, which must have the same architecture, dimensions, and
-// optimizer kind. After a successful load the trainer continues exactly
-// where the saved one stopped: train(N) ≡ train(k) + save/load + train(N−k).
-func LoadTrainerCheckpoint(r io.Reader, rt *RankTrainer) error {
-	adam, ok := rt.opt.(*optim.Adam)
-	if !ok {
-		return fmt.Errorf("core: trainer checkpoint supports Adam, trainer uses %T", rt.opt)
-	}
-	br := bufio.NewReader(r)
-	cr := &crcReader{r: br}
-	var magic, ver uint32
-	if err := binary.Read(cr, binary.LittleEndian, &magic); err != nil {
-		return fmt.Errorf("core: trainer checkpoint magic: %w", err)
-	}
-	if magic == ckptMagic {
-		return fmt.Errorf("core: this is a weights-only checkpoint; it cannot resume training (no optimizer or RNG state) — load it with LoadCheckpoint")
-	}
-	if magic != ckptTrainerMagic {
-		return fmt.Errorf("core: bad trainer checkpoint magic %#x", magic)
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &ver); err != nil {
-		return fmt.Errorf("core: trainer checkpoint version: %w", err)
-	}
-	if ver != ckptTrainerVer {
-		return fmt.Errorf("core: trainer checkpoint version %d, this build reads %d", ver, ckptTrainerVer)
-	}
-	// Stage every matrix read so a truncated or corrupt file cannot leave a
-	// half-restored trainer: the live weights and moments are only written
-	// after the whole stream has been read, checksummed, and validated.
-	params := rt.Model.Params()
-	if err := readModelHeader(cr, rt.Model); err != nil {
-		return err
-	}
-	stageParams := stageLike(params)
-	if err := readMats(cr, stageParams, "param"); err != nil {
-		return err
-	}
-	var epoch int64
-	if err := binary.Read(cr, binary.LittleEndian, &epoch); err != nil {
-		return err
-	}
-	stratName, err := readStrategyName(cr)
-	if err != nil {
-		return err
-	}
-	if stratName != rt.strat.Name() {
-		return fmt.Errorf("core: trainer checkpoint was written by sampling strategy %q, this trainer runs %q — resuming would silently switch estimators; restart with the original strategy (or train fresh)", stratName, rt.strat.Name())
-	}
-	var stratState uint64
-	if err := binary.Read(cr, binary.LittleEndian, &stratState); err != nil {
-		return err
-	}
-	var nDrops int64
-	if err := binary.Read(cr, binary.LittleEndian, &nDrops); err != nil {
-		return err
-	}
-	drops := rt.Model.Dropouts
-	if int(nDrops) != len(drops) {
-		return fmt.Errorf("core: trainer checkpoint has %d dropout streams, model has %d", nDrops, len(drops))
-	}
-	dropStates := make([]uint64, nDrops)
-	if err := binary.Read(cr, binary.LittleEndian, dropStates); err != nil {
-		return err
-	}
-	var optKind uint32
-	if err := binary.Read(cr, binary.LittleEndian, &optKind); err != nil {
-		return err
-	}
-	if optKind != optKindAdam {
-		return fmt.Errorf("core: trainer checkpoint optimizer kind %d, trainer uses Adam (%d)", optKind, optKindAdam)
-	}
-	var stepCount int64
-	if err := binary.Read(cr, binary.LittleEndian, &stepCount); err != nil {
-		return err
-	}
-	stageM := stageLike(params)
-	stageV := stageLike(params)
-	if err := readMats(cr, stageM, "adam.m"); err != nil {
-		return err
-	}
-	if err := readMats(cr, stageV, "adam.v"); err != nil {
-		return err
-	}
-	// The stored CRC is read from the buffered reader directly — it is not
-	// part of its own sum. Any truncation, bit flip, or torn write between
-	// the magic and here lands in this comparison.
-	var storedCRC uint32
-	if err := binary.Read(br, binary.LittleEndian, &storedCRC); err != nil {
-		return fmt.Errorf("core: trainer checkpoint checksum: %w (truncated file?)", err)
-	}
-	if storedCRC != cr.crc {
-		return fmt.Errorf("core: trainer checkpoint checksum mismatch (stored %#x, computed %#x): truncated or corrupted file", storedCRC, cr.crc)
-	}
-
-	// Every read succeeded; commit the whole state at once.
-	for i, p := range params {
-		copy(p.Data, stageParams[i].Data)
-	}
-	m, v := adam.Moments(params)
-	for i := range m {
-		copy(m[i].Data, stageM[i].Data)
-		copy(v[i].Data, stageV[i].Data)
-	}
-	rt.epoch = int(epoch)
-	rt.strat.SetState(stratState)
-	for i, d := range drops {
-		d.SetRNGState(dropStates[i])
-	}
-	adam.SetStepCount(int(stepCount))
-	return nil
-}
-
-// readStrategyName decodes the length-prefixed strategy name of the v3
-// trainer format, bounding the length so a corrupt word cannot trigger a
-// giant allocation before the CRC check is even reached.
-func readStrategyName(r io.Reader) (string, error) {
-	var n int64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", fmt.Errorf("core: trainer checkpoint strategy name: %w", err)
-	}
-	if n < 0 || n > 64 {
-		return "", fmt.Errorf("core: trainer checkpoint strategy name length %d", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("core: trainer checkpoint strategy name: %w", err)
-	}
-	return string(buf), nil
-}
-
-// stageLike returns scratch matrices shaped like mats, used to stage
-// checkpoint reads before committing them to live state.
-func stageLike(mats []*tensor.Matrix) []*tensor.Matrix {
-	out := make([]*tensor.Matrix, len(mats))
-	for i, p := range mats {
-		out[i] = tensor.New(p.Rows, p.Cols)
+		out = append(out, m)
 	}
 	return out
 }
 
-// LoadModelFromCheckpoint builds a model directly from a checkpoint stream,
-// reading the architecture from the config header instead of requiring a
-// pre-built model — what an inference server needs to hydrate weights from
-// disk without a dataset, optimizer, or live transport. Both formats load:
-// a weights-only checkpoint ("BNSC") as-is, and a trainer checkpoint
-// ("BNST") by taking its model section, draining the resume-only state
-// (optimizer moments, RNG positions), and verifying the trailing CRC so a
-// torn or bit-rotted file is rejected rather than served.
-func LoadModelFromCheckpoint(r io.Reader) (*Model, error) {
-	br := bufio.NewReader(r)
-	cr := &crcReader{r: br}
-	var magic uint32
-	if err := binary.Read(cr, binary.LittleEndian, &magic); err != nil {
-		return nil, fmt.Errorf("core: checkpoint magic: %w", err)
-	}
-	switch magic {
-	case ckptMagic:
-		h, err := readHeaderRaw(cr)
-		if err != nil {
-			return nil, err
-		}
-		m, err := modelFromHeader(h)
-		if err != nil {
-			return nil, err
-		}
-		if err := readMats(cr, m.Params(), "param"); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case ckptTrainerMagic:
-		var ver uint32
-		if err := binary.Read(cr, binary.LittleEndian, &ver); err != nil {
-			return nil, fmt.Errorf("core: trainer checkpoint version: %w", err)
-		}
-		if ver != ckptTrainerVer {
-			return nil, fmt.Errorf("core: trainer checkpoint version %d, this build reads %d", ver, ckptTrainerVer)
-		}
-		h, err := readHeaderRaw(cr)
-		if err != nil {
-			return nil, err
-		}
-		m, err := modelFromHeader(h)
-		if err != nil {
-			return nil, err
-		}
-		if err := readMats(cr, m.Params(), "param"); err != nil {
-			return nil, err
-		}
-		// Drain the resume-only state so the checksum covers the whole
-		// stream: a server must not trust weights out of a corrupt file just
-		// because the damage sits in the optimizer section.
-		var epoch int64
-		var stratState uint64
-		var nDrops int64
-		if err := binary.Read(cr, binary.LittleEndian, &epoch); err != nil {
-			return nil, err
-		}
-		if _, err := readStrategyName(cr); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(cr, binary.LittleEndian, &stratState); err != nil {
-			return nil, err
-		}
-		if err := binary.Read(cr, binary.LittleEndian, &nDrops); err != nil {
-			return nil, err
-		}
-		if int(nDrops) != len(m.Dropouts) {
-			return nil, fmt.Errorf("core: trainer checkpoint has %d dropout streams, %d-layer model implies %d", nDrops, h.layers, len(m.Dropouts))
-		}
-		dropStates := make([]uint64, nDrops)
-		if err := binary.Read(cr, binary.LittleEndian, dropStates); err != nil {
-			return nil, err
-		}
-		var optKind uint32
-		if err := binary.Read(cr, binary.LittleEndian, &optKind); err != nil {
-			return nil, err
-		}
-		if optKind != optKindAdam {
-			return nil, fmt.Errorf("core: trainer checkpoint optimizer kind %d, want Adam (%d)", optKind, optKindAdam)
-		}
-		var stepCount int64
-		if err := binary.Read(cr, binary.LittleEndian, &stepCount); err != nil {
-			return nil, err
-		}
-		discard := stageLike(m.Params())
-		if err := readMats(cr, discard, "adam.m"); err != nil {
-			return nil, err
-		}
-		if err := readMats(cr, discard, "adam.v"); err != nil {
-			return nil, err
-		}
-		var storedCRC uint32
-		if err := binary.Read(br, binary.LittleEndian, &storedCRC); err != nil {
-			return nil, fmt.Errorf("core: trainer checkpoint checksum: %w (truncated file?)", err)
-		}
-		if storedCRC != cr.crc {
-			return nil, fmt.Errorf("core: trainer checkpoint checksum mismatch (stored %#x, computed %#x): truncated or corrupted file", storedCRC, cr.crc)
-		}
-		return m, nil
-	}
-	return nil, fmt.Errorf("core: bad checkpoint magic %#x", magic)
-}
-
-// LoadModelFile hydrates a model from a checkpoint file of either format.
-func LoadModelFile(path string) (*Model, error) {
-	f, err := os.Open(path)
+// DecodeCheckpoint is the one reader of the container layout: trainer resume,
+// model hydration and the elastic shard checks all start from its result.
+func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
+	kind, body, err := checkFrame(b)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	m, err := LoadModelFromCheckpoint(f)
+	if kind != kindModel && kind != kindTrainer {
+		return nil, fmt.Errorf("core: checkpoint kind %d", kind)
+	}
+	c := &cursor{b: body}
+	ck := &Checkpoint{Arch: Arch(c.str("arch"))}
+	ck.Layers = c.count("layers", maxCkptLayers)
+	ck.Hidden = c.count("hidden", maxCkptDim)
+	ck.InDim = c.count("input dim", maxCkptDim)
+	ck.OutDim = c.count("output dim", maxCkptDim)
+	// Whatever the architecture, layer l projects in_l × out_l, so the header
+	// implies at least this many parameter floats; a header whose model cannot
+	// fit in the file is forged, and building it would allocate on its word.
+	var implied uint64
+	for l := 0; l < ck.Layers; l++ {
+		in, out := layerDims(l, ck.Layers, ck.Hidden, ck.InDim, ck.OutDim)
+		implied += uint64(in) * uint64(out)
+	}
+	if 4*implied > uint64(len(c.b)) {
+		c.fail("header implies at least %d parameter bytes, %d remain", 4*implied, len(c.b))
+	}
+	ck.Params = c.mats(c.count("parameter count", uint64(len(c.b))/16), "param")
+	if kind == kindTrainer {
+		rs := &ResumeState{}
+		rs.Epoch = c.count("epoch", math.MaxInt32)
+		rs.Strategy = c.str("strategy name")
+		rs.StrategyState = c.u64("strategy state")
+		rs.Dropouts = make([]uint64, c.count("dropout stream count", uint64(len(c.b))/8))
+		for i := range rs.Dropouts {
+			rs.Dropouts[i] = c.u64("dropout stream")
+		}
+		rs.AdamStep = c.count("adam step", math.MaxInt32)
+		rs.AdamM = c.mats(len(ck.Params), "adam.m")
+		rs.AdamV = c.mats(len(ck.Params), "adam.v")
+		ck.Resume = rs
+	}
+	if c.err == nil && len(c.b) != 0 {
+		c.fail("has %d bytes after its last section", len(c.b))
+	}
+	if c.err != nil {
+		return nil, c.err
+	}
+	return ck, nil
+}
+
+// sameShapes checks a checkpoint's matrices against the live ones they are
+// about to be copied into.
+func sameShapes(got, want []*tensor.Matrix, what string) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("core: checkpoint has %d %s matrices, model has %d", len(got), what, len(want))
+	}
+	for i, w := range want {
+		if got[i].Rows != w.Rows || got[i].Cols != w.Cols {
+			return fmt.Errorf("core: checkpoint %s %d is %dx%d, model expects %dx%d", what, i, got[i].Rows, got[i].Cols, w.Rows, w.Cols)
+		}
+	}
+	return nil
+}
+
+func copyMats(dst, src []*tensor.Matrix) {
+	for i := range dst {
+		dst[i].CopyFrom(src[i])
+	}
+}
+
+// matches checks the checkpoint's header and every parameter shape against
+// m, so a mismatched load fails loudly instead of misassigning state.
+func (c *Checkpoint) matches(m *Model) error {
+	if c.Arch != m.Config.Arch || c.Layers != m.Config.Layers ||
+		c.Hidden != m.Config.Hidden || c.InDim != m.InDim || c.OutDim != m.OutDim {
+		return fmt.Errorf("core: checkpoint is %s/%d layers/%d hidden/%d->%d, model is %s/%d/%d/%d->%d",
+			c.Arch, c.Layers, c.Hidden, c.InDim, c.OutDim,
+			m.Config.Arch, m.Config.Layers, m.Config.Hidden, m.InDim, m.OutDim)
+	}
+	return sameShapes(c.Params, m.Params(), "param")
+}
+
+// LoadWeights copies the checkpoint's parameters into m, which must have the
+// same architecture and dimensions.
+func (c *Checkpoint) LoadWeights(m *Model) error {
+	if err := c.matches(m); err != nil {
+		return err
+	}
+	copyMats(m.Params(), c.Params)
+	return nil
+}
+
+// MaxParamDiff returns the largest absolute elementwise difference between
+// the checkpoint's parameters and m's; an error if they are different models.
+func (c *Checkpoint) MaxParamDiff(m *Model) (float32, error) {
+	if err := c.matches(m); err != nil {
+		return 0, err
+	}
+	return maxMatDiff(c.Params, m.Params()), nil
+}
+
+// Model builds the model the header describes and adopts the checkpoint's
+// weights — how an inference server hydrates without a dataset, optimizer or
+// transport. Dropout is zero and the learning rate a placeholder.
+func (c *Checkpoint) Model() (*Model, error) {
+	m, err := NewModel(ModelConfig{Arch: c.Arch, Layers: c.Layers, Hidden: c.Hidden, LR: 0.01}, c.InDim, c.OutDim)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("core: checkpoint header describes an unbuildable model: %w", err)
+	}
+	if err := c.LoadWeights(m); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// fsyncHook, when non-nil, observes the durability-critical steps of an
-// atomic checkpoint save in order ("sync-file", "rename", "sync-dir") — a
-// test seam pinning that the parent directory is synced AFTER the rename,
-// without which a crash between rename and the directory flush can lose the
-// newest generation entirely.
-var fsyncHook func(step, path string)
-
-// syncDir fsyncs a directory so a just-renamed entry survives a crash. The
-// rename itself only orders the file's data (synced before rename) against
-// the directory entry; the entry reaches disk only when the directory inode
-// does. Filesystems that cannot fsync a directory report EINVAL/ENOTSUP,
-// which is tolerated — there is nothing more userspace can do there.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
+// Restore puts rt exactly where the trainer that wrote the checkpoint
+// stopped. Everything is validated against rt before anything is written, so
+// a rejected checkpoint leaves the trainer untouched.
+func (c *Checkpoint) Restore(rt *RankTrainer) error {
+	rs := c.Resume
+	if rs == nil {
+		return fmt.Errorf("core: this is a weights-only checkpoint; it cannot resume training (no optimizer or RNG state)")
+	}
+	if err := c.matches(rt.Model); err != nil {
 		return err
 	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
+	if rs.Strategy != rt.strat.Name() {
+		return fmt.Errorf("core: trainer checkpoint was written by sampling strategy %q, this trainer runs %q — resuming would silently switch estimators; restart with the original strategy (or train fresh)", rs.Strategy, rt.strat.Name())
 	}
-	if err != nil && (errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP)) {
-		return nil
+	drops := rt.Model.Dropouts
+	if len(rs.Dropouts) != len(drops) {
+		return fmt.Errorf("core: trainer checkpoint has %d dropout streams, model has %d", len(rs.Dropouts), len(drops))
 	}
+	params := rt.Model.Params()
+	m, v := rt.opt.Moments(params)
+	if err := sameShapes(rs.AdamM, m, "adam.m"); err != nil {
+		return err
+	}
+	if err := sameShapes(rs.AdamV, v, "adam.v"); err != nil {
+		return err
+	}
+
+	copyMats(params, c.Params)
+	copyMats(m, rs.AdamM)
+	copyMats(v, rs.AdamV)
+	rt.epoch = rs.Epoch
+	rt.strat.SetState(rs.StrategyState)
+	for i, d := range drops {
+		d.SetRNGState(rs.Dropouts[i])
+	}
+	rt.opt.SetStepCount(rs.AdamStep)
+	return nil
+}
+
+// readCheckpoint decodes a checkpoint from r.
+func readCheckpoint(r io.Reader) (*Checkpoint, error) {
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("core: read checkpoint: %w", err)
+	}
+	return DecodeCheckpoint(b)
+}
+
+// SaveCheckpoint writes m's configuration and parameters to w: weights only,
+// the artifact for inference and evaluation.
+func SaveCheckpoint(w io.Writer, m *Model) error {
+	_, err := w.Write(snapshotModel(m).Encode())
 	return err
 }
 
-// atomicWriteFile writes a file durably and atomically: the bytes land in
-// path+".tmp", are fsynced, are renamed into place only once complete, and
-// the parent directory is fsynced so the rename itself survives a crash. A
-// crash at any point leaves either the previous file intact or a stray .tmp
-// — never a torn file under the final name.
-func atomicWriteFile(path string, write func(io.Writer) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+// LoadCheckpoint reads the weights of a checkpoint of either kind into m,
+// which must have the same architecture and dimensions.
+func LoadCheckpoint(r io.Reader, m *Model) error {
+	c, err := readCheckpoint(r)
 	if err != nil {
 		return err
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	return c.LoadWeights(m)
+}
+
+// SaveTrainerCheckpoint writes rank rt's full resumable training state. In a
+// k-rank run every rank saves its own.
+func SaveTrainerCheckpoint(w io.Writer, rt *RankTrainer) error {
+	_, err := w.Write(snapshotTrainer(rt).Encode())
+	return err
+}
+
+// LoadTrainerCheckpoint restores state written by SaveTrainerCheckpoint into
+// rt: decode, validate against rt, commit (see Checkpoint.Restore).
+func LoadTrainerCheckpoint(r io.Reader, rt *RankTrainer) error {
+	c, err := readCheckpoint(r)
+	if err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
+	return c.Restore(rt)
+}
+
+// ReadCheckpointFile decodes the checkpoint at path, reading the file once.
+func ReadCheckpointFile(path string) (*Checkpoint, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	c, err := DecodeCheckpoint(b)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return c, nil
+}
+
+// LoadModelFile hydrates a model from a checkpoint file of either kind (see
+// Checkpoint.Model). The CRC covers a trainer checkpoint's resume section
+// too, so a server never trusts weights out of a file damaged anywhere.
+func LoadModelFile(path string) (*Model, error) {
+	c, err := ReadCheckpointFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return c.Model()
+}
+
+// VerifyTrainerCheckpointFile checks that path holds a complete, intact
+// trainer checkpoint — the frame check alone, no parse. The elastic recovery
+// scan uses it to find the newest generation worth loading.
+func VerifyTrainerCheckpointFile(path string) error {
+	b, err := os.ReadFile(path)
+	if err != nil {
 		return err
 	}
-	if fsyncHook != nil {
-		fsyncHook("sync-file", tmp)
+	kind, _, err := checkFrame(b)
+	if err == nil && kind != kindTrainer {
+		err = fmt.Errorf("core: checkpoint kind %d is not a trainer checkpoint", kind)
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if fsyncHook != nil {
-		fsyncHook("rename", path)
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return fmt.Errorf("core: sync checkpoint dir after rename: %w", err)
-	}
-	if fsyncHook != nil {
-		fsyncHook("sync-dir", filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	return nil
 }
 
 // SaveTrainerCheckpointFile writes a trainer checkpoint to path atomically
-// and durably (see atomicWriteFile) — which is what lets elastic recovery,
-// and the inference server, trust the newest generation found on disk even
-// across a crash right after the save returned.
+// and durably (see atomicWriteFile), which is what lets elastic recovery and
+// the server trust the newest generation on disk even across a crash.
 func SaveTrainerCheckpointFile(path string, rt *RankTrainer) error {
-	return atomicWriteFile(path, func(w io.Writer) error {
-		return SaveTrainerCheckpoint(w, rt)
-	})
+	return atomicWriteFile(path, snapshotTrainer(rt).Encode())
 }
 
-// VerifyTrainerCheckpointFile checks that path holds a complete, intact
-// trainer checkpoint — right magic and version, and the trailing CRC
-// matches the contents — without needing a model to load into. The elastic
-// recovery scan uses it to pick the newest generation that is actually
-// loadable, skipping torn or corrupt files.
-func VerifyTrainerCheckpointFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return err
-	}
-	// Minimum: magic + version + trailing CRC.
-	if st.Size() < 12 {
-		return fmt.Errorf("core: %s: %d bytes is too short to be a trainer checkpoint", path, st.Size())
-	}
-	br := bufio.NewReader(f)
-	cr := &crcReader{r: br}
-	var magic, ver uint32
-	if err := binary.Read(cr, binary.LittleEndian, &magic); err != nil {
-		return err
-	}
-	if magic != ckptTrainerMagic {
-		return fmt.Errorf("core: %s: bad trainer checkpoint magic %#x", path, magic)
-	}
-	if err := binary.Read(cr, binary.LittleEndian, &ver); err != nil {
-		return err
-	}
-	if ver != ckptTrainerVer {
-		return fmt.Errorf("core: %s: trainer checkpoint version %d, this build reads %d", path, ver, ckptTrainerVer)
-	}
-	if _, err := io.CopyN(io.Discard, cr, st.Size()-12); err != nil {
-		return fmt.Errorf("core: %s: %w", path, err)
-	}
-	var storedCRC uint32
-	if err := binary.Read(br, binary.LittleEndian, &storedCRC); err != nil {
-		return fmt.Errorf("core: %s: checksum: %w", path, err)
-	}
-	if storedCRC != cr.crc {
-		return fmt.Errorf("core: %s: checksum mismatch (stored %#x, computed %#x): truncated or corrupted file", path, storedCRC, cr.crc)
-	}
-	return nil
-}
-
-// LoadTrainerCheckpointFile loads a trainer checkpoint from path into rt.
-func LoadTrainerCheckpointFile(path string, rt *RankTrainer) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return LoadTrainerCheckpoint(f, rt)
-}
-
-// SaveCheckpointFile writes a weights-only checkpoint to path via the same
-// durable tmp-fsync-rename-fsync dance as SaveTrainerCheckpointFile. (It
-// previously skipped both the file and the directory fsync — a crash after
-// return could lose the file or leave it torn under the final name.)
+// SaveCheckpointFile writes a weights-only checkpoint to path, as durably as
+// SaveTrainerCheckpointFile.
 func SaveCheckpointFile(path string, m *Model) error {
-	return atomicWriteFile(path, func(w io.Writer) error {
-		return SaveCheckpoint(w, m)
-	})
-}
-
-// LoadCheckpointFile loads a checkpoint from path into m.
-func LoadCheckpointFile(path string, m *Model) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return LoadCheckpoint(f, m)
-}
-
-// ParamVector flattens all parameters into one float32 slice (a copy),
-// useful for comparing replicas in tests and tools.
-func (m *Model) ParamVector() []float32 {
-	var out []float32
-	for _, p := range m.Params() {
-		out = append(out, p.Data...)
-	}
-	return out
-}
-
-// MaxParamDiff returns the largest absolute elementwise difference between
-// the parameters of two same-shaped models.
-func MaxParamDiff(a, b *Model) float32 {
-	pa, pb := a.Params(), b.Params()
-	if len(pa) != len(pb) {
-		panic("core: MaxParamDiff across different architectures")
-	}
-	var mx float32
-	for i := range pa {
-		for j := range pa[i].Data {
-			d := pa[i].Data[j] - pb[i].Data[j]
-			if d < 0 {
-				d = -d
-			}
-			if d > mx {
-				mx = d
-			}
-		}
-	}
-	return mx
+	return atomicWriteFile(path, snapshotModel(m).Encode())
 }

@@ -2,8 +2,17 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
 	"os"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+
+	"repro/internal/datagen"
+	"repro/internal/tensor"
 )
 
 func TestCheckpointRoundTrip(t *testing.T) {
@@ -74,7 +83,11 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 	for _, p := range m2.Params() {
 		p.Zero()
 	}
-	if err := LoadCheckpointFile(path, m2); err != nil {
+	c, err := ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.LoadWeights(m2); err != nil {
 		t.Fatal(err)
 	}
 	if MaxParamDiff(m1, m2) != 0 {
@@ -219,8 +232,8 @@ func TestTrainerCheckpointResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestTrainerCheckpointRejects pins the failure modes: weights-only files,
-// trainer files fed to the model loader, wrong architecture, and garbage.
+// TestTrainerCheckpointRejects pins the failure modes: weights-only files
+// fed to the trainer loader, wrong architecture, and garbage.
 func TestTrainerCheckpointRejects(t *testing.T) {
 	ds := testDataset(t, 78)
 	topo := testTopology(t, ds, 2)
@@ -234,8 +247,18 @@ func TestTrainerCheckpointRejects(t *testing.T) {
 	if err := SaveTrainerCheckpoint(&trainerBuf, rt); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadCheckpoint(bytes.NewReader(trainerBuf.Bytes()), rt.Model); err == nil {
-		t.Fatal("model loader must reject a trainer checkpoint")
+	// One container: the model loader takes the weights out of either kind.
+	cfg2 := cfg.Model
+	cfg2.Seed = 999
+	m2, err := NewModel(cfg2, rt.Model.InDim, rt.Model.OutDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadCheckpoint(bytes.NewReader(trainerBuf.Bytes()), m2); err != nil {
+		t.Fatalf("model loader rejected a trainer checkpoint's weights: %v", err)
+	}
+	if d := MaxParamDiff(rt.Model, m2); d != 0 {
+		t.Fatalf("weights loaded from a trainer checkpoint differ by %v", d)
 	}
 
 	var modelBuf bytes.Buffer
@@ -260,24 +283,55 @@ func TestTrainerCheckpointRejects(t *testing.T) {
 		t.Fatal("trainer loader must reject garbage")
 	}
 
-	// A truncated file must fail WITHOUT touching live state: every matrix
-	// read is staged, so a half-readable checkpoint cannot leave the
-	// trainer half-restored.
-	before := rt.Model.ParamVector()
-	rngBefore := rt.strat.State()
-	truncated := trainerBuf.Bytes()[:trainerBuf.Len()-7]
-	if err := LoadTrainerCheckpoint(bytes.NewReader(truncated), rt); err == nil {
-		t.Fatal("trainer loader must reject a truncated checkpoint")
+	// A rejected file must fail WITHOUT touching live state — whether it is
+	// stopped at the frame (truncated) or only by the very last validation
+	// against the trainer (intact, other weights, but the last second-moment
+	// matrix is transposed): decoded state is never live state.
+	otherCfg := cfg
+	otherCfg.Model.Seed = 4242
+	other, err := NewRankTrainer(ds, topo, otherCfg, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	after := rt.Model.ParamVector()
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("truncated load mutated weight %d: %v -> %v", i, before[i], after[i])
+	skewed := snapshotTrainer(other)
+	skewed.Resume.StrategyState = 12345
+	v := append([]*tensor.Matrix(nil), skewed.Resume.AdamV...)
+	last := v[len(v)-1]
+	v[len(v)-1] = &tensor.Matrix{Rows: last.Cols, Cols: last.Rows, Data: last.Data}
+	skewed.Resume.AdamV = v
+	if _, err := DecodeCheckpoint(skewed.Encode()); err != nil {
+		t.Fatalf("the skewed checkpoint must get past the decoder: %v", err)
+	}
+	rejected := map[string][]byte{
+		"truncated":                  trainerBuf.Bytes()[:trainerBuf.Len()-7],
+		"transposed last adam.v mat": skewed.Encode(),
+	}
+	for what, b := range rejected {
+		before := rt.Model.ParamVector()
+		rngBefore := rt.strat.State()
+		if err := LoadTrainerCheckpoint(bytes.NewReader(b), rt); err == nil {
+			t.Fatalf("trainer loader must reject a %s checkpoint", what)
+		}
+		after := rt.Model.ParamVector()
+		for i := range before {
+			if before[i] != after[i] {
+				t.Fatalf("%s load mutated weight %d: %v -> %v", what, i, before[i], after[i])
+			}
+		}
+		if rt.strat.State() != rngBefore {
+			t.Fatalf("%s load mutated the sampler RNG state", what)
 		}
 	}
-	if rt.strat.State() != rngBefore {
-		t.Fatal("truncated load mutated the sampler RNG state")
+}
+
+// restoreFile is the file form of LoadTrainerCheckpoint, spelled the way
+// elastic.LoadGenerationAs spells it: one read, decode, restore.
+func restoreFile(path string, rt *RankTrainer) error {
+	c, err := ReadCheckpointFile(path)
+	if err != nil {
+		return err
 	}
+	return c.Restore(rt)
 }
 
 // TestTrainerCheckpointFileRoundTrip covers the file variants.
@@ -298,7 +352,7 @@ func TestTrainerCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt2.strat.SetState(999)
-	if err := LoadTrainerCheckpointFile(path, rt2); err != nil {
+	if err := restoreFile(path, rt2); err != nil {
 		t.Fatal(err)
 	}
 	if rt2.strat.State() != rt.strat.State() {
@@ -311,79 +365,93 @@ func TestTrainerCheckpointFileRoundTrip(t *testing.T) {
 
 // TestTrainerCheckpointCorruptionRejected pins the three on-disk failure
 // modes a crash mid-save can leave behind — a truncated file, a bit-flipped
-// file, and a half-renamed save (only the .tmp exists) — and demands the
-// loader and the verify scan reject all of them so recovery falls back a
-// generation instead of resuming from garbage.
+// file, and a half-renamed save (only the .tmp exists) — for both kinds of
+// checkpoint, and demands every loader and the verify scan reject all of
+// them, so recovery falls back a generation and the server refuses to start
+// instead of either acting on garbage.
 func TestTrainerCheckpointCorruptionRejected(t *testing.T) {
 	ds := testDataset(t, 80)
 	topo := testTopology(t, ds, 2)
 	cfg := ParallelConfig{Model: testModelConfig(), P: 0.5, SampleSeed: 3}
-	rt, err := NewRankTrainer(ds, topo, cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	good := dir + "/good.bnst"
-	if err := SaveTrainerCheckpointFile(good, rt); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyTrainerCheckpointFile(good); err != nil {
-		t.Fatalf("intact checkpoint failed verification: %v", err)
-	}
-	raw, err := os.ReadFile(good)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	fresh := func() *RankTrainer {
 		t.Helper()
-		rt2, err := NewRankTrainer(ds, topo, cfg, 0)
+		rt, err := NewRankTrainer(ds, topo, cfg, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rt2
+		return rt
 	}
-
-	// Truncated mid-stream: cut deep inside the Adam moments, far from any
-	// length-prefixed boundary a shape check would catch.
-	trunc := dir + "/trunc.bnst"
-	if err := os.WriteFile(trunc, raw[:len(raw)-100], 0o644); err != nil {
+	rt := fresh()
+	kinds := []struct {
+		name string
+		save func(path string) error
+		// loaders that must accept the intact file and reject every damaged one
+		loaders map[string]func(path string) error
+	}{
+		{"trainer", func(p string) error { return SaveTrainerCheckpointFile(p, rt) }, map[string]func(string) error{
+			"verify":  VerifyTrainerCheckpointFile,
+			"restore": func(p string) error { return restoreFile(p, fresh()) },
+			"hydrate": func(p string) error { _, err := LoadModelFile(p); return err },
+		}},
+		{"weights-only", func(p string) error { return SaveCheckpointFile(p, rt.Model) }, map[string]func(string) error{
+			"hydrate": func(p string) error { _, err := LoadModelFile(p); return err },
+			"load": func(p string) error {
+				f, err := os.Open(p)
+				if err != nil {
+					return err
+				}
+				defer f.Close()
+				return LoadCheckpoint(f, fresh().Model)
+			},
+		}},
+	}
+	for _, kind := range kinds {
+		t.Run(kind.name, func(t *testing.T) {
+			dir := t.TempDir()
+			good := dir + "/good.bnst"
+			if err := kind.save(good); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Single bit flip in the middle of the weight data: every shape and
+			// length still parses, only the checksum can catch it.
+			flipped := append([]byte(nil), raw...)
+			flipped[len(flipped)/2] ^= 0x10
+			damaged := map[string][]byte{
+				// Cut deep inside the last matrix, far from any length word.
+				"truncated":   raw[:len(raw)-100],
+				"bit-flipped": flipped,
+				// The crash happened between writing the .tmp and the rename, so
+				// the final name never appeared; nothing may see the orphan.
+				"half-renamed.tmp": raw,
+			}
+			for what, data := range damaged {
+				if err := os.WriteFile(dir+"/"+what, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, load := range kind.loaders {
+				if err := load(good); err != nil {
+					t.Fatalf("%s rejected the intact checkpoint: %v", name, err)
+				}
+				for _, what := range []string{"truncated", "bit-flipped", "half-renamed"} {
+					if err := load(dir + "/" + what); err == nil {
+						t.Fatalf("%s accepted a %s checkpoint", name, what)
+					}
+				}
+			}
+		})
+	}
+	// The generation scan must not mistake a weights-only file for a shard.
+	weights := t.TempDir() + "/w.bnst"
+	if err := SaveCheckpointFile(weights, rt.Model); err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyTrainerCheckpointFile(trunc); err == nil {
-		t.Fatal("verify accepted a truncated checkpoint")
-	}
-	if err := LoadTrainerCheckpointFile(trunc, fresh()); err == nil {
-		t.Fatal("loader accepted a truncated checkpoint")
-	}
-
-	// Single bit flip in the middle of the weight data: every shape and
-	// length still parses, only the checksum can catch it.
-	flipped := append([]byte(nil), raw...)
-	flipped[len(flipped)/2] ^= 0x10
-	flip := dir + "/flip.bnst"
-	if err := os.WriteFile(flip, flipped, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyTrainerCheckpointFile(flip); err == nil {
-		t.Fatal("verify accepted a bit-flipped checkpoint")
-	}
-	if err := LoadTrainerCheckpointFile(flip, fresh()); err == nil {
-		t.Fatal("loader accepted a bit-flipped checkpoint")
-	}
-
-	// Half-renamed save: the crash happened between writing the .tmp and the
-	// rename, so the final name never appeared. The generation scan must not
-	// see the orphan .tmp as a checkpoint.
-	half := dir + "/half.bnst"
-	if err := os.WriteFile(half+".tmp", raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := VerifyTrainerCheckpointFile(half); err == nil {
-		t.Fatal("verify accepted a checkpoint that was never renamed into place")
-	}
-	if err := LoadTrainerCheckpointFile(half, fresh()); err == nil {
-		t.Fatal("loader accepted a checkpoint that was never renamed into place")
+	if err := VerifyTrainerCheckpointFile(weights); err == nil {
+		t.Fatal("verify accepted a weights-only file as a trainer checkpoint")
 	}
 }
 
@@ -427,7 +495,7 @@ func TestTrainerCheckpointSaveIsAtomic(t *testing.T) {
 }
 
 // TestModelHydrationFromCheckpoints pins the serving-side loader: a model
-// rebuilt from either checkpoint format's header alone — no pre-built model,
+// rebuilt from either checkpoint kind's header alone — no pre-built model,
 // dataset, or optimizer — must carry bit-identical weights to the source.
 func TestModelHydrationFromCheckpoints(t *testing.T) {
 	ds := testDataset(t, 82)
@@ -562,4 +630,271 @@ func TestCheckpointSaveSyncsDirAfterRename(t *testing.T) {
 			t.Fatalf("model save durability steps = %v, want %v", steps, want)
 		}
 	}
+}
+
+// reseal recomputes the trailing CRC over body (a checkpoint without its
+// last four bytes), so a damaged header reaches the parser instead of being
+// stopped by the frame check — what a forger, not an accident, produces.
+func reseal(body []byte) []byte {
+	out := append([]byte(nil), body...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// patchWord overwrites the u64 at off and reseals.
+func patchWord(raw []byte, off int, v uint64) []byte {
+	body := append([]byte(nil), raw[:len(raw)-4]...)
+	binary.LittleEndian.PutUint64(body[off:], v)
+	return reseal(body)
+}
+
+// Header word offsets of a checkpoint whose arch is "sage" or "gat ": 12
+// frame bytes, the arch string (8 + len), then layers and hidden.
+func layersOff(arch Arch) int { return 12 + 8 + len(arch) }
+func hiddenOff(arch Arch) int { return layersOff(arch) + 8 }
+
+// allocatedBy reports the heap bytes fn allocated (live or not).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestCheckpointRejectsForgedHeader: a header is believed only as far as the
+// bytes behind it. At the parent commit the first two cases sent model
+// hydration into a 2^40-iteration allocation loop, resp. a 2^40-float
+// make(), because layers/hidden went straight from the file to NewModel; and
+// the weights-only format had no CRC, so the bit flip of the last case was
+// served.
+func TestCheckpointRejectsForgedHeader(t *testing.T) {
+	ds := testDataset(t, 85)
+	topo := testTopology(t, ds, 2)
+	rt, err := NewRankTrainer(ds, topo, ParallelConfig{Model: testModelConfig(), P: 0.5, SampleSeed: 3}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch := rt.Model.Config.Arch
+	kinds := map[string][]byte{
+		"weights-only": snapshotModel(rt.Model).Encode(),
+		"trainer":      snapshotTrainer(rt).Encode(),
+	}
+	for kind, raw := range kinds {
+		forged := map[string][]byte{
+			"layers=2^40+3":          patchWord(raw, layersOff(arch), 1<<40+3),
+			"hidden=2^40":            patchWord(raw, hiddenOff(arch), 1<<40),
+			"layers=1024 (in range)": patchWord(raw, layersOff(arch), maxCkptLayers),
+			"hidden=2^24 (in range)": patchWord(raw, hiddenOff(arch), maxCkptDim),
+			"layers=1 (fits, wrong)": patchWord(raw, layersOff(arch), 1),
+		}
+		for name, b := range forged {
+			if _, _, err := checkFrame(b); err != nil {
+				t.Fatalf("%s %s: forged file should pass the frame check: %v", kind, name, err)
+			}
+			var m *Model
+			var err error
+			grew := allocatedBy(func() {
+				var c *Checkpoint
+				if c, err = DecodeCheckpoint(b); err == nil {
+					m, err = c.Model()
+				}
+			})
+			if err == nil {
+				t.Fatalf("%s %s: hydration built a %d-layer model from a forged header", kind, name, m.Config.Layers)
+			}
+			// Nothing may scale with what the header claims.
+			if limit := uint64(16*len(b) + 64<<10); grew > limit {
+				t.Fatalf("%s %s: rejecting a %d-byte file allocated %d bytes (limit %d)", kind, name, len(b), grew, limit)
+			}
+			if kind == "trainer" {
+				if err := LoadTrainerCheckpoint(bytes.NewReader(b), rt); err == nil {
+					t.Fatalf("%s: resume accepted a forged header", name)
+				}
+			}
+		}
+	}
+
+	// An accident, not a forgery: one flipped bit in the layers word of a
+	// weights-only file, CRC left alone.
+	flipped := append([]byte(nil), kinds["weights-only"]...)
+	flipped[layersOff(arch)+5] ^= 0x01 // layers += 2^40
+	path := t.TempDir() + "/flipped.bnsc"
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadModelFile(path); err == nil {
+		t.Fatal("LoadModelFile accepted a weights-only file with a flipped header bit")
+	}
+}
+
+// fuzzSeeds builds the seed inputs of FuzzCheckpointDecode (the committed
+// corpus under testdata/fuzz/FuzzCheckpointDecode is this map written out):
+// valid SAGE and GAT trainer files, a valid weights-only file, every one of
+// them cut at each section boundary and resealed so the parser — not the
+// frame check — meets the truncation, and the forged headers above. The
+// models are tiny (3→2→2) to keep the corpus small.
+func fuzzSeeds() map[string][]byte {
+	seeds := map[string][]byte{}
+	for _, arch := range []Arch{ArchSAGE, ArchGAT} {
+		m, err := NewModel(ModelConfig{Arch: arch, Layers: 2, Hidden: 2, Dropout: 0.3, LR: 0.01, Seed: 9}, 3, 2)
+		if err != nil {
+			panic(err)
+		}
+		trainer := snapshotModel(m)
+		trainer.Resume = &ResumeState{
+			Epoch: 3, Strategy: "bns", StrategyState: 0x9e3779b97f4a7c15,
+			Dropouts: []uint64{11, 12}, AdamStep: 3,
+			AdamM: m.Grads(), AdamV: m.Params(), // any matrices of the right shapes
+		}
+		valid := map[string]*Checkpoint{string(arch) + "-trainer": trainer}
+		if arch == ArchSAGE {
+			valid["sage-weights"] = snapshotModel(m)
+		}
+		for name, c := range valid {
+			raw := c.Encode()
+			seeds[name] = raw
+			for i, end := range sectionEnds(c) {
+				seeds[fmt.Sprintf("%s-cut%02d", name, i)] = reseal(raw[:end])
+			}
+			seeds[name+"-layers-2p40"] = patchWord(raw, layersOff(arch), 1<<40+3)
+			seeds[name+"-hidden-2p40"] = patchWord(raw, hiddenOff(arch), 1<<40)
+			seeds[name+"-layers-1"] = patchWord(raw, layersOff(arch), 1)
+		}
+	}
+	return seeds
+}
+
+// sectionEnds restates the container layout independently of Encode: the
+// offset at which each field or matrix of c's encoding ends, short of the
+// last (which is the whole body).
+func sectionEnds(c *Checkpoint) []int {
+	off := 12 // magic, version, kind
+	ends := []int{off}
+	add := func(n int) {
+		off += n
+		ends = append(ends, off)
+	}
+	mats := func(ms []*tensor.Matrix) {
+		for _, m := range ms {
+			add(16 + 4*len(m.Data))
+		}
+	}
+	add(8 + len(c.Arch))
+	add(4 * 8) // layers, hidden, inDim, outDim
+	add(8)     // nParams
+	mats(c.Params)
+	if rs := c.Resume; rs != nil {
+		add(8) // epoch
+		add(8 + len(rs.Strategy))
+		add(8) // strategy state
+		add(8 + 8*len(rs.Dropouts))
+		add(8) // adam step
+		mats(rs.AdamM)
+		mats(rs.AdamV)
+	}
+	return ends[:len(ends)-1]
+}
+
+// FuzzCheckpointDecode: whatever the bytes, decoding never panics and never
+// allocates beyond a small multiple of the input; bytes that decode are the
+// canonical encoding of what they decode to (so decode∘encode is the
+// identity on checkpoints); and building the model a decoded header
+// describes never panics either, at a cost linear in the input — a layer's
+// ~1.2 KB of bookkeeping against the ≥ 4 file bytes the decoder made the
+// header pay for it.
+func FuzzCheckpointDecode(f *testing.F) {
+	for _, b := range fuzzSeeds() {
+		f.Add(b)
+	}
+	check := func(t *testing.T, b []byte) {
+		var c *Checkpoint
+		var err error
+		if grew, limit := allocatedBy(func() { c, err = DecodeCheckpoint(b) }), uint64(8*len(b)+64<<10); grew > limit {
+			t.Fatalf("decoding %d bytes allocated %d (limit %d)", len(b), grew, limit)
+		}
+		if err != nil {
+			return
+		}
+		if again := c.Encode(); !bytes.Equal(again, b) {
+			t.Fatalf("decoded checkpoint re-encodes to %d different bytes (input %d)", len(again), len(b))
+		}
+		if grew, limit := allocatedBy(func() { c.Model() }), uint64(512*len(b)+1<<20); grew > limit {
+			t.Fatalf("building the model of a %d-byte checkpoint allocated %d (limit %d)", len(b), grew, limit)
+		}
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		check(t, b) // as found: an accident, which the frame check stops
+		if len(b) >= 4 {
+			check(t, reseal(b[:len(b)-4])) // resealed: a forgery, which reaches the parser
+		}
+	})
+}
+
+// TestCheckpointEncodeDecodeIdentity runs the fuzz seeds' valid files through
+// the round trip field by field, so the property does not rest on Encode
+// being its own judge.
+func TestCheckpointEncodeDecodeIdentity(t *testing.T) {
+	for name, b := range fuzzSeeds() {
+		c, err := DecodeCheckpoint(b)
+		if strings.Contains(name, "-cut") || strings.Contains(name, "2p40") {
+			if err == nil {
+				t.Fatalf("%s decoded", name)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		back, err := DecodeCheckpoint(c.Encode())
+		if err != nil {
+			t.Fatalf("%s: re-decode: %v", name, err)
+		}
+		if !reflect.DeepEqual(c, back) {
+			t.Fatalf("%s: decode(encode(c)) != c", name)
+		}
+	}
+}
+
+// BenchmarkCheckpoint measures what PERFORMANCE.md's elastic section quotes:
+// one rank's shard at reddit-sim scale (4x32 SAGE), saved durably, loaded
+// into a fresh trainer, and frame-verified.
+func BenchmarkCheckpoint(b *testing.B) {
+	ds, err := datagen.Generate(datagen.RedditSim(2, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	topo := testTopology(b, ds, 4)
+	cfg := ParallelConfig{Model: ModelConfig{Arch: ArchSAGE, Layers: 4, Hidden: 32, Dropout: 0.5, LR: 0.01, Seed: 1}, P: 0.1, SampleSeed: 1}
+	rt, err := NewRankTrainer(ds, topo, cfg, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := b.TempDir() + "/shard.bnst"
+	if err := SaveTrainerCheckpointFile(path, rt); err != nil {
+		b.Fatal(err)
+	}
+	if st, err := os.Stat(path); err == nil {
+		b.Logf("shard is %d bytes", st.Size())
+	}
+	b.Run("save", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := SaveTrainerCheckpointFile(path, rt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("load", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := restoreFile(path, rt); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("verify", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := VerifyTrainerCheckpointFile(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -156,14 +156,9 @@ func NewModel(cfg ModelConfig, inDim, outDim int) (*Model, error) {
 	rng := tensor.NewRNG(cfg.Seed)
 	m := &Model{Config: cfg, InDim: inDim, OutDim: outDim}
 	for l := 0; l < cfg.Layers; l++ {
-		in := cfg.Hidden
-		out := cfg.Hidden
+		in, out := layerDims(l, cfg.Layers, cfg.Hidden, inDim, outDim)
 		act := nn.ReLUAct
-		if l == 0 {
-			in = inDim
-		}
 		if l == cfg.Layers-1 {
-			out = outDim
 			act = nn.NoAct
 		}
 		switch cfg.Arch {
@@ -180,6 +175,19 @@ func NewModel(cfg ModelConfig, inDim, outDim int) (*Model, error) {
 		m.gradsCache = append(m.gradsCache, l.Grads()...)
 	}
 	return m, nil
+}
+
+// layerDims returns the input and output width of layer l in a stack of
+// layers: inDim into the first, outDim out of the last, hidden in between.
+func layerDims(l, layers, hidden, inDim, outDim int) (in, out int) {
+	in, out = hidden, hidden
+	if l == 0 {
+		in = inDim
+	}
+	if l == layers-1 {
+		out = outDim
+	}
+	return in, out
 }
 
 // Layers returns the stack as nn.Layer values for optimizers and grad
@@ -255,6 +263,42 @@ func (m *Model) CopyWeightsFrom(src *Model) {
 	for i := range dp {
 		dp[i].CopyFrom(sp[i])
 	}
+}
+
+// ParamVector flattens all parameters into one float32 slice (a copy),
+// useful for comparing replicas in tests and tools.
+func (m *Model) ParamVector() []float32 {
+	var out []float32
+	for _, p := range m.Params() {
+		out = append(out, p.Data...)
+	}
+	return out
+}
+
+// MaxParamDiff returns the largest absolute elementwise difference between
+// the parameters of two same-shaped models.
+func MaxParamDiff(a, b *Model) float32 {
+	if len(a.Params()) != len(b.Params()) {
+		panic("core: MaxParamDiff across different architectures")
+	}
+	return maxMatDiff(a.Params(), b.Params())
+}
+
+// maxMatDiff is MaxParamDiff over two aligned, same-shaped matrix lists.
+func maxMatDiff(pa, pb []*tensor.Matrix) float32 {
+	var mx float32
+	for i := range pa {
+		for j := range pa[i].Data {
+			d := pa[i].Data[j] - pb[i].Data[j]
+			if d < 0 {
+				d = -d
+			}
+			if d > mx {
+				mx = d
+			}
+		}
+	}
+	return mx
 }
 
 // Loss computes the dataset-appropriate loss and logit gradient over masked

@@ -466,7 +466,7 @@ type RankTrainer struct {
 	LP    *LocalPartition
 	Model *Model
 
-	opt   optim.Optimizer
+	opt   *optim.Adam
 	strat Strategy
 	view  PartitionView
 	plan  Plan
@@ -613,16 +613,12 @@ type ParallelTrainer struct {
 	Cluster *comm.Cluster
 	Models  []*Model // aliases Ranks[i].Model
 
-	epoch    int
 	statsBuf []RankStats
 }
 
 // NewParallelTrainer builds local partitions, one model replica per worker
 // (identically initialized), and an in-process channel cluster.
 func NewParallelTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig) (*ParallelTrainer, error) {
-	if cfg.P < 0 || cfg.P > 1 {
-		return nil, fmt.Errorf("core: sampling rate p=%v outside [0,1]", cfg.P)
-	}
 	return NewParallelTrainerOver(ds, topo, cfg, comm.New(topo.K, 0))
 }
 
@@ -668,27 +664,20 @@ type RankStats struct {
 }
 
 // TrainEpoch runs one synchronized BNS-GCN epoch across all partitions and
-// returns aggregate statistics.
+// returns aggregate statistics. A rank whose epoch fails (protocol bug, NaN
+// guard, model error, dead peer) has already aborted the transport, so the
+// others fail fast instead of blocking on messages that will never arrive;
+// its error is re-raised as a panic through Run.
 func (t *ParallelTrainer) TrainEpoch() *EpochStats {
 	k := t.Topo.K
 	stats := t.statsBuf
 	t.Cluster.Run(func(w *comm.Worker) {
-		// A panic on one rank (protocol bug, NaN guard, model error) aborts
-		// the transport so the other ranks fail fast instead of blocking on
-		// messages that will never arrive; the panic still propagates
-		// through Run.
-		defer func() {
-			if r := recover(); r != nil {
-				w.Transport().Abort()
-				panic(r)
-			}
-		}()
-		stats[w.Rank()] = t.Ranks[w.Rank()].runEpoch(w)
+		st, err := t.Ranks[w.Rank()].TrainEpoch(w)
+		if err != nil {
+			panic(err)
+		}
+		stats[w.Rank()] = st
 	})
-	t.epoch++
-	for _, rt := range t.Ranks {
-		rt.epoch++
-	}
 
 	agg := &EpochStats{SampledBd: make([]int, k)}
 	for i, s := range stats {
@@ -722,4 +711,4 @@ func (t *ParallelTrainer) Evaluate(mask []bool) float64 {
 }
 
 // Epoch returns the number of completed training epochs.
-func (t *ParallelTrainer) Epoch() int { return t.epoch }
+func (t *ParallelTrainer) Epoch() int { return t.Ranks[0].epoch }

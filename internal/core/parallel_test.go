@@ -9,7 +9,7 @@ import (
 )
 
 // testDataset is a small community graph used across core tests.
-func testDataset(t *testing.T, seed uint64) *datagen.Dataset {
+func testDataset(t testing.TB, seed uint64) *datagen.Dataset {
 	t.Helper()
 	ds, err := datagen.Generate(datagen.Config{
 		Name: "core-test", Nodes: 600, Communities: 6, AvgDegree: 10,
@@ -23,7 +23,7 @@ func testDataset(t *testing.T, seed uint64) *datagen.Dataset {
 	return ds
 }
 
-func testTopology(t *testing.T, ds *datagen.Dataset, k int) *Topology {
+func testTopology(t testing.TB, ds *datagen.Dataset, k int) *Topology {
 	t.Helper()
 	parts, err := (&partition.Metis{Seed: 1}).Partition(ds.G, k)
 	if err != nil {

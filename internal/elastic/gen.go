@@ -39,11 +39,6 @@ func CheckpointPath(dir string, rank, gen int) string {
 	return filepath.Join(dir, fmt.Sprintf("ckpt-r%03d-g%08d.bnst", rank, gen))
 }
 
-// SaveGeneration atomically writes rank rt.Rank's checkpoint for gen.
-func SaveGeneration(dir string, gen int, rt *core.RankTrainer) error {
-	return SaveGenerationAs(dir, gen, rt.Rank, rt)
-}
-
 // SaveGenerationAs atomically writes the checkpoint for gen under slot's
 // file name. The slot is a rank's PERMANENT identity — its launch-time rank.
 // On a full-strength world slot == rt.Rank; after a world shrink the
@@ -155,15 +150,6 @@ func PruneGenerations(dir string, rank, keep, floor int) (int, error) {
 	return removed, nil
 }
 
-// LoadGeneration restores generation gen into rt (a no-op for gen 0). After
-// a successful load rt sits exactly at epoch gen*every.
-func LoadGeneration(dir string, gen int, rt *core.RankTrainer) error {
-	if gen == 0 {
-		return nil
-	}
-	return core.LoadTrainerCheckpointFile(CheckpointPath(dir, rt.Rank, gen), rt)
-}
-
 // scanSlots returns the distinct slots with at least one checkpoint file in
 // dir, ascending.
 func scanSlots(dir string) []int {
@@ -214,31 +200,29 @@ func LatestValidGenAny(dir string) int {
 }
 
 // LoadGenerationAs restores generation gen into rt from slot's own shard
-// or, when that shard is missing or fails verification, from the lowest
-// slot whose shard of gen does verify — the donor. Donor hydration is how a
-// re-admitted replacement (or a survivor absorbing a dead slot's rows)
-// catches up past its own stale files: the model and Adam state in every
-// shard of a generation are replica-identical, and the donor's sampling/
-// dropout RNG positions are adopted wholesale, which keeps the resumed run
-// deterministic (the streams are applied to this rank's own partition, so
-// the draws decorrelate immediately). Returns the slot actually loaded —
-// slot itself on the normal path, -1 for gen 0.
+// or, when that shard is missing or does not decode, from the lowest slot
+// whose shard of gen does — the donor. Each candidate is read from disk once,
+// and a shard that fails to decode has touched nothing in rt. Donor hydration
+// is how a re-admitted replacement (or a survivor absorbing a dead slot's
+// rows) catches up past its own stale files: the model and Adam state in
+// every shard of a generation are replica-identical, and the donor's
+// sampling/dropout RNG positions are adopted wholesale, which keeps the
+// resumed run deterministic (the streams are applied to this rank's own
+// partition, so the draws decorrelate immediately). Returns the slot actually
+// loaded — slot itself on the normal path, -1 for gen 0.
 func LoadGenerationAs(dir string, gen, slot int, rt *core.RankTrainer) (int, error) {
 	if gen == 0 {
 		return -1, nil
 	}
-	own := CheckpointPath(dir, slot, gen)
-	if core.VerifyTrainerCheckpointFile(own) == nil {
-		return slot, core.LoadTrainerCheckpointFile(own, rt)
-	}
-	for _, d := range scanSlots(dir) {
-		if d == slot {
+	for i, d := range append([]int{slot}, scanSlots(dir)...) {
+		if i > 0 && d == slot {
+			continue // own shard already tried
+		}
+		ck, err := core.ReadCheckpointFile(CheckpointPath(dir, d, gen))
+		if err != nil {
 			continue
 		}
-		p := CheckpointPath(dir, d, gen)
-		if core.VerifyTrainerCheckpointFile(p) == nil {
-			return d, core.LoadTrainerCheckpointFile(p, rt)
-		}
+		return d, ck.Restore(rt)
 	}
-	return -1, fmt.Errorf("elastic: no shard of generation %d verifies in %s (slot %d needs one to resume)", gen, dir, slot)
+	return -1, fmt.Errorf("elastic: no shard of generation %d decodes in %s (slot %d needs one to resume)", gen, dir, slot)
 }

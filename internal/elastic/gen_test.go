@@ -72,7 +72,7 @@ func TestPruneGenerations(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for g := 1; g <= 6; g++ {
-		if err := SaveGeneration(dir, g, rt); err != nil {
+		if err := SaveGenerationAs(dir, g, rt.Rank, rt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func TestPruneGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for g := 1; g <= 4; g++ {
-		if err := SaveGeneration(dir, g, rt1); err != nil {
+		if err := SaveGenerationAs(dir, g, rt1.Rank, rt1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,7 +136,7 @@ func TestSupervisorBoundsCheckpointGrowth(t *testing.T) {
 	}
 	sup := &Supervisor{
 		Cfg: Config{Dir: dir, Every: every, Epochs: epochs, MaxRecoveries: 1, KeepGenerations: keep},
-		NewTrainer: func(rank int) (*core.RankTrainer, error) {
+		NewTrainer: func(_ []int, rank int) (*core.RankTrainer, error) {
 			return core.NewRankTrainer(ds, topo, cfg, rank)
 		},
 		NewGroup: func(gen int) (*comm.Group, error) {

@@ -485,7 +485,7 @@ func TestSupervisorResizeShrinkGrowMatrix(t *testing.T) {
 				}
 				return nil
 			},
-			NewTrainerAt: memberFactory(ds, parts, topo, cfg, k),
+			NewTrainer: memberFactory(ds, parts, topo, cfg, k),
 			NewGroup: func(gen int) (*comm.Group, error) {
 				size := k
 				if gen == 1 {
@@ -617,7 +617,7 @@ func TestSupervisorResizeDoubleFault(t *testing.T) {
 					}
 					return nil
 				},
-				NewTrainerAt: memberFactory(ds, parts, topo, cfg, k),
+				NewTrainer: memberFactory(ds, parts, topo, cfg, k),
 				NewGroup: func(gen int) (*comm.Group, error) {
 					size := k
 					if m, ok := members[gen]; ok {

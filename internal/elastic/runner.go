@@ -78,20 +78,14 @@ func Run(cfg RunnerConfig) (*core.RankTrainer, Report, error) {
 		if members != nil {
 			rep.Worlds = append(rep.Worlds, members)
 		}
-		if err == nil {
-			rep.StartGens = append(rep.StartGens, startGen)
-			return rt, rep, nil
-		}
 		if startGen >= 0 {
 			rep.StartGens = append(rep.StartGens, startGen)
 		}
-		if !recoverable(err) {
-			return nil, rep, err
+		if err == nil {
+			return rt, rep, nil
 		}
-		rep.Recoveries++
-		rep.Failures = append(rep.Failures, err)
-		if rep.Recoveries > cfg.MaxRecoveries {
-			return nil, rep, fmt.Errorf("elastic: rank %d: giving up after %d recoveries: %w", cfg.Rank, rep.Recoveries-1, err)
+		if err := rep.absorb(err, cfg.MaxRecoveries, fmt.Sprintf("elastic: rank %d", cfg.Rank)); err != nil {
+			return nil, rep, err
 		}
 	}
 }
@@ -158,38 +152,18 @@ func runGeneration(cfg *RunnerConfig) (*core.RankTrainer, int, []int, error) {
 		return nil, tbl.startGen, tbl.members, meshError(cfg.Rank, fmt.Errorf("mesh dial failed: %w", err))
 	}
 
-	rt, err := cfg.NewTrainer(tbl.members, cfg.Rank)
-	if err != nil {
-		tp.Close()
-		return nil, tbl.startGen, tbl.members, err
-	}
-	donor, err := LoadGenerationAs(cfg.Dir, tbl.startGen, cfg.Rank, rt)
-	if err != nil {
-		tp.Close()
-		return nil, tbl.startGen, tbl.members, fmt.Errorf("elastic: rank %d: load gen %d: %w", cfg.Rank, tbl.startGen, err)
-	}
-	if donor >= 0 && donor != cfg.Rank {
-		debugf("rank %d: hydrated gen %d from slot %d's shard", cfg.Rank, tbl.startGen, donor)
-	}
-	if len(tbl.members) < cfg.World && tbl.startGen > 0 {
+	// Bootstrap-time GC is scoped to this rank's own files: peers share the
+	// directory and may not have torn down yet.
+	rt, err := resume(&cfg.Config, cfg.NewTrainer, tbl.members, cfg.Rank, tbl.startGen, cfg.Rank)
+	if err == nil && len(tbl.members) < cfg.World && tbl.startGen > 0 {
 		// Shrunken resume: before training on rows absorbed from the dead
 		// slots, cross-check the replica invariant against whatever final
 		// shards the dead slots left behind.
-		if err := verifyDeadShards(cfg, tbl.members, tbl.startGen, rt); err != nil {
-			tp.Close()
-			return nil, tbl.startGen, tbl.members, err
-		}
+		err = verifyDeadShards(cfg, tbl.members, tbl.startGen, rt)
 	}
-	// Bootstrap-time GC, scoped to this rank's own files: peers share the
-	// directory and may not have torn down yet, so only our .tmp residue and
-	// our generations older than the agreed consensus are swept.
-	if _, err := CleanupTmp(cfg.Dir, cfg.Rank); err != nil {
+	if err != nil {
 		tp.Close()
-		return nil, tbl.startGen, tbl.members, fmt.Errorf("elastic: rank %d: tmp cleanup: %w", cfg.Rank, err)
-	}
-	if _, err := PruneGenerations(cfg.Dir, cfg.Rank, cfg.KeepGenerations, tbl.startGen); err != nil {
-		tp.Close()
-		return nil, tbl.startGen, tbl.members, fmt.Errorf("elastic: rank %d: checkpoint GC: %w", cfg.Rank, err)
+		return nil, tbl.startGen, tbl.members, err
 	}
 
 	// While the world is shrunken, the lowest live slot keeps the door open
@@ -231,24 +205,22 @@ func runGeneration(cfg *RunnerConfig) (*core.RankTrainer, int, []int, error) {
 // A mismatch means the shared checkpoint directory is skewed (mixed runs,
 // partial copies) and training on it would silently diverge — a hard error,
 // not a recovery. Dead slots that never wrote a verifying shard of this
-// generation are skipped; there is nothing to check against.
+// generation are skipped; there is nothing to check against. Each shard is
+// decoded once and compared in place.
 func verifyDeadShards(cfg *RunnerConfig, members []int, gen int, rt *core.RankTrainer) error {
 	for slot := 0; slot < cfg.World; slot++ {
 		if indexOf(members, slot) >= 0 {
 			continue
 		}
-		p := CheckpointPath(cfg.Dir, slot, gen)
-		if core.VerifyTrainerCheckpointFile(p) != nil {
-			continue
-		}
-		m, err := core.LoadModelFile(p)
+		ck, err := core.ReadCheckpointFile(CheckpointPath(cfg.Dir, slot, gen))
 		if err != nil {
 			continue
 		}
-		if len(m.ParamVector()) != len(rt.Model.ParamVector()) {
-			return fmt.Errorf("elastic: rank %d: dead slot %d's shard of generation %d has a different model shape: checkpoint directory %s mixes runs; refusing to train on absorbed rows", cfg.Rank, slot, gen, cfg.Dir)
+		d, err := ck.MaxParamDiff(rt.Model)
+		if err != nil {
+			return fmt.Errorf("elastic: rank %d: dead slot %d's shard of generation %d has a different model shape (%v): checkpoint directory %s mixes runs; refusing to train on absorbed rows", cfg.Rank, slot, gen, err, cfg.Dir)
 		}
-		if d := core.MaxParamDiff(m, rt.Model); d != 0 {
+		if d != 0 {
 			return fmt.Errorf("elastic: rank %d: dead slot %d's shard of generation %d disagrees with the cohort's weights (max param diff %g): checkpoint directory %s is skewed; refusing to train on absorbed rows", cfg.Rank, slot, gen, d, cfg.Dir)
 		}
 	}

@@ -39,7 +39,7 @@ func trainVictim(t *testing.T, ds *datagen.Dataset, topo *core.Topology, cfg cor
 	}
 	rt, err := core.NewRankTrainer(ds, topo, cfg, rank)
 	if err == nil {
-		err = LoadGeneration(dir, tbl.startGen, rt)
+		_, err = LoadGenerationAs(dir, tbl.startGen, rank, rt)
 	}
 	if err != nil {
 		t.Error(err)
@@ -52,7 +52,7 @@ func trainVictim(t *testing.T, ds *datagen.Dataset, topo *core.Topology, cfg cor
 			break
 		}
 		if rt.Epoch()%every == 0 {
-			if err := SaveGeneration(dir, rt.Epoch()/every, rt); err != nil {
+			if err := SaveGenerationAs(dir, rt.Epoch()/every, rt.Rank, rt); err != nil {
 				t.Error(err)
 			}
 		}

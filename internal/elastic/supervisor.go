@@ -128,6 +128,50 @@ func trainRank(cfg *Config, rt *core.RankTrainer, w *comm.Worker, startGen, slot
 	return nil
 }
 
+// resume builds slot's trainer for the agreed member set and brings it to
+// the agreed generation: load startGen (from slot's own shard, or a donor's),
+// sweep the .tmp residue of crashed saves, and prune generations older than
+// the consensus. It runs at bootstrap only, before any rank trains — a live
+// save's .tmp must not be swept. tmpScope is CleanupTmp's rank argument: the
+// Supervisor owns the whole directory (-1); a multi-process rank shares it
+// with peers that may not have torn down yet and sweeps only its own files.
+func resume(cfg *Config, newTrainer func(members []int, slot int) (*core.RankTrainer, error),
+	members []int, slot, startGen, tmpScope int) (*core.RankTrainer, error) {
+	rt, err := newTrainer(members, slot)
+	if err != nil {
+		return nil, fmt.Errorf("elastic: rank %d: trainer: %w", slot, err)
+	}
+	donor, err := LoadGenerationAs(cfg.Dir, startGen, slot, rt)
+	if err != nil {
+		return nil, fmt.Errorf("elastic: rank %d: load gen %d: %w", slot, startGen, err)
+	}
+	if donor >= 0 && donor != slot {
+		debugf("rank %d: hydrated gen %d from slot %d's shard", slot, startGen, donor)
+	}
+	if _, err := CleanupTmp(cfg.Dir, tmpScope); err != nil {
+		return nil, fmt.Errorf("elastic: rank %d: tmp cleanup: %w", slot, err)
+	}
+	if _, err := PruneGenerations(cfg.Dir, slot, cfg.KeepGenerations, startGen); err != nil {
+		return nil, fmt.Errorf("elastic: rank %d: checkpoint GC: %w", slot, err)
+	}
+	return rt, nil
+}
+
+// absorb books a failed generation: a peer or transport death within the
+// recovery budget returns nil — go round again — and anything else returns
+// the error the loop gives up with. who prefixes the give-up message.
+func (rep *Report) absorb(failed error, maxRecoveries int, who string) error {
+	if !recoverable(failed) {
+		return failed
+	}
+	rep.Recoveries++
+	rep.Failures = append(rep.Failures, failed)
+	if rep.Recoveries > maxRecoveries {
+		return fmt.Errorf("%s: giving up after %d recoveries: %w", who, rep.Recoveries-1, failed)
+	}
+	return nil
+}
+
 // Supervisor drives all k ranks of an elastic training run inside one
 // process: the in-process twin of the multi-process Run loop, and the
 // harness the recovery bit-exactness tests are built on. It owns the full
@@ -136,10 +180,12 @@ func trainRank(cfg *Config, rt *core.RankTrainer, w *comm.Worker, startGen, slot
 // every rank holds, reload, and resume.
 type Supervisor struct {
 	Cfg Config
-	// NewTrainer constructs rank r's trainer from scratch. It is called
+	// NewTrainer constructs slot's trainer within the given member set
+	// (compact rank = index of slot in members, k' = len(members); on a
+	// full-strength world members is [0, k) and slot the rank). It is called
 	// afresh on every bootstrap — recovery never reuses a trainer that
 	// observed the failure, exactly like a restarted process wouldn't.
-	NewTrainer func(rank int) (*core.RankTrainer, error)
+	NewTrainer func(members []int, slot int) (*core.RankTrainer, error)
 	// NewGroup builds the communication fabric for rendezvous generation
 	// gen (0 for the initial bootstrap, bumped on every recovery). Tests
 	// inject faults by wrapping the returned group in comm.WithFaults for
@@ -151,12 +197,7 @@ type Supervisor struct {
 	// of rendezvous generation gen (nil means the full world). This is the
 	// in-process stand-in for the rendezvous shrink election — the resize
 	// chaos tests use it to pin exactly which generations run shrunken.
-	// Requires NewTrainerAt.
 	Members func(gen int) []int
-	// NewTrainerAt, when set, replaces NewTrainer with a members-aware
-	// factory: it builds the trainer for slot within the given member set
-	// (compact rank = index of slot in members, k' = len(members)).
-	NewTrainerAt func(members []int, slot int) (*core.RankTrainer, error)
 	// OnEpoch, when set, observes every completed epoch on every rank.
 	OnEpoch func(rt *core.RankTrainer, st core.RankStats)
 }
@@ -174,115 +215,90 @@ func (s *Supervisor) Run() ([]*core.RankTrainer, Report, error) {
 		if err != nil {
 			return nil, rep, fmt.Errorf("elastic: generation %d: group: %w", gen, err)
 		}
-		k := g.Size()
-		members := fullMembers(k)
-		if s.Members != nil {
-			if m := s.Members(gen); m != nil {
-				members = m
-			}
-			if s.NewTrainerAt == nil {
-				g.Close()
-				return nil, rep, fmt.Errorf("elastic: Members requires NewTrainerAt: a resized world needs a members-aware trainer factory")
-			}
-			if len(members) != k {
-				g.Close()
-				return nil, rep, fmt.Errorf("elastic: generation %d: Members lists %d slots but the group has %d endpoints", gen, len(members), k)
-			}
-		}
-		rep.Worlds = append(rep.Worlds, append([]int(nil), members...))
-		trainers := make([]*core.RankTrainer, k)
-		for r := range trainers {
-			if s.NewTrainerAt != nil {
-				trainers[r], err = s.NewTrainerAt(members, members[r])
-			} else {
-				trainers[r], err = s.NewTrainer(members[r])
-			}
-			if err != nil {
-				g.Close()
-				return nil, rep, fmt.Errorf("elastic: generation %d: trainer %d: %w", gen, members[r], err)
-			}
-		}
-		// Generation consensus, the in-process degenerate case: every rank's
-		// scan is a local directory read, the agreement is a plain min. The
-		// multi-process loop exchanges the same numbers through the elastic
-		// rendezvous (see bootstrap.go). A slot re-admitted after sitting a
-		// generation out (a -join replacement in the multi-process world)
-		// reports the newest generation held by ANY slot: its own files are
-		// stale, and donor hydration below covers the gap, so its staleness
-		// must not drag the whole cohort back.
-		start := 0
-		for i, slot := range members {
-			lg := LatestValidGen(s.Cfg.Dir, slot)
-			if gen > 0 && prev != nil && indexOf(prev, slot) < 0 {
-				if a := LatestValidGenAny(s.Cfg.Dir); a > lg {
-					lg = a
-				}
-			}
-			if i == 0 || lg < start {
-				start = lg
-			}
-		}
-		rep.StartGens = append(rep.StartGens, start)
-		for r := range trainers {
-			if _, err := LoadGenerationAs(s.Cfg.Dir, start, members[r], trainers[r]); err != nil {
-				g.Close()
-				return nil, rep, fmt.Errorf("elastic: generation %d: load gen %d: %w", gen, start, err)
-			}
-		}
-		// Bootstrap-time GC: sweep .tmp residue of crashed saves (all ranks —
-		// the Supervisor owns the directory, nothing else is saving) and prune
-		// generations older than the consensus everyone just agreed to.
-		if _, err := CleanupTmp(s.Cfg.Dir, -1); err != nil {
-			g.Close()
-			return nil, rep, fmt.Errorf("elastic: generation %d: tmp cleanup: %w", gen, err)
-		}
-		for _, slot := range members {
-			if _, err := PruneGenerations(s.Cfg.Dir, slot, s.Cfg.KeepGenerations, start); err != nil {
-				g.Close()
-				return nil, rep, fmt.Errorf("elastic: generation %d: checkpoint GC: %w", gen, err)
-			}
-		}
-
-		errs := make([]error, k)
-		var wg sync.WaitGroup
-		for r := 0; r < k; r++ {
-			wg.Add(1)
-			go func(r int) {
-				defer wg.Done()
-				errs[r] = trainRank(&s.Cfg, trainers[r], g.Worker(r), start, members[r], s.OnEpoch)
-			}(r)
-		}
-		wg.Wait()
+		trainers, members, err := s.generation(gen, g, prev, &rep)
 		g.Close()
-		prev = members
-
-		// Pick the most informative failure for the report: the victim's own
-		// error names the root cause (e.g. an injected fault), while the
-		// survivors only see "transport aborted by rank r".
-		var failed error
-		for _, err := range errs {
-			if err == nil {
-				continue
-			}
-			if failed == nil {
-				failed = err
-			}
-			var inj *comm.InjectedFault
-			if errors.As(err, &inj) {
-				failed = err
-				break
-			}
-		}
-		if failed == nil {
+		if err == nil {
 			return trainers, rep, nil
 		}
-		if !recoverable(failed) {
-			return nil, rep, failed
+		if err := rep.absorb(err, s.Cfg.MaxRecoveries, "elastic"); err != nil {
+			return nil, rep, err
 		}
-		rep.Recoveries++
-		rep.Failures = append(rep.Failures, failed)
-		if rep.Recoveries > s.Cfg.MaxRecoveries {
-			return nil, rep, fmt.Errorf("elastic: giving up after %d recoveries: %w", rep.Recoveries-1, failed)
+		prev = members
+	}
+}
+
+// generation runs one bootstrap-train cycle over g: agree on the member set
+// and the resume generation, resume every slot, train to Cfg.Epochs. prev is
+// the member set of the generation before. The error is the bootstrap's, or
+// the most informative of the ranks' training failures.
+func (s *Supervisor) generation(gen int, g *comm.Group, prev []int, rep *Report) ([]*core.RankTrainer, []int, error) {
+	k := g.Size()
+	members := fullMembers(k)
+	if s.Members != nil {
+		if m := s.Members(gen); m != nil {
+			members = m
+		}
+		if len(members) != k {
+			return nil, nil, fmt.Errorf("elastic: generation %d: Members lists %d slots but the group has %d endpoints", gen, len(members), k)
 		}
 	}
+	rep.Worlds = append(rep.Worlds, append([]int(nil), members...))
+	// Generation consensus, the in-process degenerate case: every rank's
+	// scan is a local directory read, the agreement is a plain min. The
+	// multi-process loop exchanges the same numbers through the elastic
+	// rendezvous (see bootstrap.go). A slot re-admitted after sitting a
+	// generation out (a -join replacement in the multi-process world)
+	// reports the newest generation held by ANY slot: its own files are
+	// stale, and donor hydration covers the gap, so its staleness must not
+	// drag the whole cohort back.
+	start := 0
+	for i, slot := range members {
+		lg := LatestValidGen(s.Cfg.Dir, slot)
+		if gen > 0 && prev != nil && indexOf(prev, slot) < 0 {
+			if a := LatestValidGenAny(s.Cfg.Dir); a > lg {
+				lg = a
+			}
+		}
+		if i == 0 || lg < start {
+			start = lg
+		}
+	}
+	rep.StartGens = append(rep.StartGens, start)
+	trainers := make([]*core.RankTrainer, k)
+	for r, slot := range members {
+		var err error
+		if trainers[r], err = resume(&s.Cfg, s.NewTrainer, members, slot, start, -1); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for r := 0; r < k; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			errs[r] = trainRank(&s.Cfg, trainers[r], g.Worker(r), start, members[r], s.OnEpoch)
+		}(r)
+	}
+	wg.Wait()
+
+	// Pick the most informative failure for the report: the victim's own
+	// error names the root cause (e.g. an injected fault), while the
+	// survivors only see "transport aborted by rank r".
+	var failed error
+	for _, err := range errs {
+		if err == nil {
+			continue
+		}
+		if failed == nil {
+			failed = err
+		}
+		var inj *comm.InjectedFault
+		if errors.As(err, &inj) {
+			failed = err
+			break
+		}
+	}
+	return trainers, members, failed
 }

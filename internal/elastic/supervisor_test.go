@@ -227,7 +227,7 @@ func TestSupervisorBitExactRecovery(t *testing.T) {
 					dir := t.TempDir()
 					sup := &Supervisor{
 						Cfg: Config{Dir: dir, Every: every, Epochs: epochs, MaxRecoveries: 1},
-						NewTrainer: func(rank int) (*core.RankTrainer, error) {
+						NewTrainer: func(_ []int, rank int) (*core.RankTrainer, error) {
 							return core.NewRankTrainer(ds, topo, cfg, rank)
 						},
 						NewGroup: func(gen int) (*comm.Group, error) {
@@ -291,7 +291,7 @@ func TestSupervisorSurvivesRandomSeededKills(t *testing.T) {
 		ds, topo, cfg := testFixture(t, k)
 		sup := &Supervisor{
 			Cfg: Config{Dir: t.TempDir(), Every: every, Epochs: epochs, MaxRecoveries: 1},
-			NewTrainer: func(rank int) (*core.RankTrainer, error) {
+			NewTrainer: func(_ []int, rank int) (*core.RankTrainer, error) {
 				return core.NewRankTrainer(ds, topo, cfg, rank)
 			},
 			NewGroup: func(gen int) (*comm.Group, error) {
@@ -324,7 +324,7 @@ func TestSupervisorGivesUpAfterMaxRecoveries(t *testing.T) {
 	ds, topo, cfg := testFixture(t, 2)
 	sup := &Supervisor{
 		Cfg: Config{Dir: t.TempDir(), Every: 2, Epochs: 6, MaxRecoveries: 2},
-		NewTrainer: func(rank int) (*core.RankTrainer, error) {
+		NewTrainer: func(_ []int, rank int) (*core.RankTrainer, error) {
 			return core.NewRankTrainer(ds, topo, cfg, rank)
 		},
 		NewGroup: func(gen int) (*comm.Group, error) {
@@ -359,7 +359,7 @@ func TestLatestValidGenFallsBack(t *testing.T) {
 		t.Fatalf("empty dir scanned to gen %d", got)
 	}
 	for g := 1; g <= 3; g++ {
-		if err := SaveGeneration(dir, g, rt); err != nil {
+		if err := SaveGenerationAs(dir, g, rt.Rank, rt); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -98,9 +99,10 @@ func TestPredictMatchesFullTrainer(t *testing.T) {
 	}
 }
 
-// TestEngineFromHydratedCheckpoint pins the full serving path: trainer
-// checkpoint on disk → weights-only hydration → engine → bit-identical
-// logits. This is exactly what cmd/bnsserve does at startup.
+// TestEngineFromHydratedCheckpoint pins the full serving path: weights-only
+// checkpoint on disk → hydration → engine → bit-identical logits. This is
+// exactly what cmd/bnsserve does at startup — including refusing a file with
+// a flipped bit in its weights, which only the container's CRC can notice.
 func TestEngineFromHydratedCheckpoint(t *testing.T) {
 	ds := testDataset(t, 12)
 	ft, ref := trainedModel(t, ds, core.ArchSAGE, 2)
@@ -128,6 +130,18 @@ func TestEngineFromHydratedCheckpoint(t *testing.T) {
 		if !rowsEqual(rows[i], ref.Row(int(v))) {
 			t.Fatalf("node %d: hydrated-checkpoint logits differ from the training model's", v)
 		}
+	}
+
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x04
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.LoadModelFile(path); err == nil {
+		t.Fatal("a bit-flipped weights-only checkpoint would have been served")
 	}
 }
 
