@@ -1,8 +1,9 @@
 package core
 
 import (
-	"runtime"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // TestTCPTrainEpochSteadyStateAllocs pins the recv-buffer pooling on the TCP
@@ -34,17 +35,26 @@ func TestTCPTrainEpochSteadyStateAllocs(t *testing.T) {
 		// TestTrainEpochSteadyStateAllocs, plus a small per-message term for
 		// the position exchanges and scheduler churn of the four demux/writer
 		// goroutines. The important property is that the budget is
-		// independent of payload sizes and layer count × message volume.
-		budget := uint64(80)
-		if procs := runtime.GOMAXPROCS(0); procs > 1 {
-			budget += 50 * uint64(procs)
-		}
+		// independent of payload sizes, of layer count × message volume and
+		// of the kernel pool width: measured 25 allocs/epoch at GOMAXPROCS 1,
+		// 25–31 at 2, 25–28 at 4 (before the dW reductions moved onto the
+		// dispatcher: 25 / 46–51 / 66–68).
+		const budget = 80
 		allocs, bytes := maxEpochAllocs(func() { tr.TrainEpoch() })
 		if allocs > budget {
 			t.Errorf("%s: a steady-state TCP TrainEpoch allocates %d objects, budget %d",
 				sched, allocs, budget)
 		}
-		checkSteadyBytes(t, sched.String(), bytes)
+		// The byte bound is asserted where the kernels run inline. With pool
+		// workers the rank goroutines interleave with the transport's writer
+		// and demux goroutines differently from run to run, and an epoch
+		// with one more frame in flight than any before it makes
+		// comm.bufPool.get (under isend and readFramePooled) allocate one
+		// more 8 KB frame buffer, which the free list then keeps: about one
+		// run in three at GOMAXPROCS 2 and 4 has such an epoch in its window.
+		if tensor.Parallelism() == 1 {
+			checkSteadyBytes(t, sched.String(), bytes)
+		}
 		t.Logf("%s: steady-state TCP max allocs/epoch = %d (%d bytes)", sched, allocs, bytes)
 	}
 }

@@ -163,42 +163,62 @@ func TestTrainerCheckpointResumeEquivalence(t *testing.T) {
 
 	// Interrupted run: k epochs, save every rank, resume into fresh
 	// trainers (fresh workspaces, fresh transports — only the checkpoint
-	// carries state across).
-	interrupted, err := NewParallelTrainer(ds, topo, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// carries state across). Once with both halves at the reference's
+	// kernel pool width, and once with the first half at width 1 and the
+	// second at 4: a checkpoint written on one box resumes to the same bits
+	// on a box with another core count. Every rank's dW reduces over more
+	// than 256 rows, past where a reduction was always summed serially.
+	atWidth := func(width int, epochs func()) {
+		defer tensor.ForceParallelism(width)()
+		epochs()
 	}
-	for e := 0; e < pre; e++ {
-		if got := interrupted.TrainEpoch().Loss; got != refLoss[e] {
-			t.Fatalf("pre-save epoch %d: loss %.17g != reference %.17g", e, got, refLoss[e])
-		}
-	}
-	bufs := make([]bytes.Buffer, k)
-	for r := 0; r < k; r++ {
-		if err := SaveTrainerCheckpoint(&bufs[r], interrupted.Ranks[r]); err != nil {
+	var interrupted *ParallelTrainer
+	for _, widths := range [][2]int{{tensor.Parallelism(), tensor.Parallelism()}, {1, 4}} {
+		var err error
+		if interrupted, err = NewParallelTrainer(ds, topo, cfg); err != nil {
 			t.Fatal(err)
 		}
-	}
-	resumed, err := NewParallelTrainer(ds, topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r := 0; r < k; r++ {
-		if err := LoadTrainerCheckpoint(&bufs[r], resumed.Ranks[r]); err != nil {
+		for _, lp := range interrupted.Locals {
+			if lp.NIn <= 256 {
+				t.Fatalf("fixture has a rank of only %d inner rows", lp.NIn)
+			}
+		}
+		atWidth(widths[0], func() {
+			for e := 0; e < pre; e++ {
+				if got := interrupted.TrainEpoch().Loss; got != refLoss[e] {
+					t.Fatalf("widths %v, pre-save epoch %d: loss %.17g != reference %.17g", widths, e, got, refLoss[e])
+				}
+			}
+		})
+		bufs := make([]bytes.Buffer, k)
+		for r := 0; r < k; r++ {
+			if err := SaveTrainerCheckpoint(&bufs[r], interrupted.Ranks[r]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resumed, err := NewParallelTrainer(ds, topo, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if got := resumed.Ranks[r].Epoch(); got != pre {
-			t.Fatalf("rank %d resumed at epoch %d, want %d", r, got, pre)
+		for r := 0; r < k; r++ {
+			if err := LoadTrainerCheckpoint(&bufs[r], resumed.Ranks[r]); err != nil {
+				t.Fatal(err)
+			}
+			if got := resumed.Ranks[r].Epoch(); got != pre {
+				t.Fatalf("rank %d resumed at epoch %d, want %d", r, got, pre)
+			}
 		}
-	}
-	for e := pre; e < total; e++ {
-		if got := resumed.TrainEpoch().Loss; got != refLoss[e] {
-			t.Fatalf("resumed epoch %d: loss %.17g != reference %.17g", e, got, refLoss[e])
-		}
-	}
-	for r := 0; r < k; r++ {
-		if d := MaxParamDiff(ref.Models[r], resumed.Models[r]); d != 0 {
-			t.Fatalf("rank %d: resumed weights diverged by %v", r, d)
+		atWidth(widths[1], func() {
+			for e := pre; e < total; e++ {
+				if got := resumed.TrainEpoch().Loss; got != refLoss[e] {
+					t.Fatalf("widths %v, resumed epoch %d: loss %.17g != reference %.17g", widths, e, got, refLoss[e])
+				}
+			}
+		})
+		for r := 0; r < k; r++ {
+			if d := MaxParamDiff(ref.Models[r], resumed.Models[r]); d != 0 {
+				t.Fatalf("widths %v, rank %d: resumed weights diverged by %v", widths, r, d)
+			}
 		}
 	}
 

@@ -39,13 +39,6 @@ func trainingSignature(t *testing.T, tr *ParallelTrainer) (uint64, int64) {
 // refactor's bit-identity proof: if the Strategy extraction ever perturbs the
 // RNG stream, the estimator arithmetic, or the wire protocol, this fails.
 // They must only be re-captured for an intentional numerics change.
-//
-// The comm-byte counts are pure functions of the sampling RNG stream and
-// hold on any box. The weight hashes additionally encode float summation
-// order, which varies with the kernel worker-pool width — they are asserted
-// only when the pool matches the capture width (GOMAXPROCS=1); the
-// schedule/transport equivalence matrix carries the within-width proof
-// elsewhere.
 func TestBNSStrategyGolden(t *testing.T) {
 	golden := map[Arch]map[int]struct {
 		hash      uint64
@@ -72,15 +65,48 @@ func TestBNSStrategyGolden(t *testing.T) {
 			}
 			hash, bytes := trainingSignature(t, tr)
 			want := golden[arch][k]
-			if tensor.Parallelism() == 1 {
-				if hash != want.hash {
-					t.Errorf("%s k=%d: signature %#x, want pre-refactor %#x", arch, k, hash, want.hash)
-				}
-			} else {
-				t.Logf("%s k=%d: kernel pool width %d != capture width 1, weight-hash check skipped", arch, k, tensor.Parallelism())
+			if hash != want.hash {
+				t.Errorf("%s k=%d: signature %#x, want pre-refactor %#x", arch, k, hash, want.hash)
 			}
 			if bytes != want.commBytes {
 				t.Errorf("%s k=%d: comm bytes %d, want pre-refactor %d", arch, k, bytes, want.commBytes)
+			}
+		}
+	}
+}
+
+// TestWeightsIndependentOfPoolWidth: a run's losses and trained weights are
+// the same bits at every kernel pool width. dW is the one sum a replica makes
+// over its own rows before the gradient AllReduce, and it is reduced per
+// output row in the serial order whatever the width. Both architectures,
+// k ∈ {1, 2}, boundary sampling and dropout on, and more than 256 rows per
+// rank — reductions shorter than that were always summed serially.
+func TestWeightsIndependentOfPoolWidth(t *testing.T) {
+	ds := testDataset(t, 91)
+	for _, arch := range []Arch{ArchSAGE, ArchGAT} {
+		for _, k := range []int{1, 2} {
+			topo := testTopology(t, ds, k)
+			mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
+			cfg := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 17}
+			signature := func(width int) uint64 {
+				defer tensor.ForceParallelism(width)()
+				tr, err := NewParallelTrainer(ds, topo, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, lp := range tr.Locals {
+					if lp.NIn <= 256 {
+						t.Fatalf("fixture has a rank of only %d inner rows", lp.NIn)
+					}
+				}
+				hash, _ := trainingSignature(t, tr)
+				return hash
+			}
+			want := signature(1)
+			for _, width := range []int{2, 3, 8} {
+				if got := signature(width); got != want {
+					t.Errorf("%s k=%d: signature %#x at pool width %d, %#x at width 1", arch, k, got, width, want)
+				}
 			}
 		}
 	}

@@ -3,5 +3,5 @@
 package core
 
 // raceEnabled reports whether the race detector is compiled in; allocation
-// regression tests skip under -race, whose instrumentation allocates.
+// gates skip or keep a per-core bound under -race, whose runtime allocates.
 const raceEnabled = false

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/bits"
-	"runtime"
 
 	"repro/internal/tensor"
 )
@@ -88,7 +87,7 @@ func (ai *AggIndex) Build(g *Graph) {
 		}
 	}
 
-	target := ChunkTarget(g.Indptr, runtime.GOMAXPROCS(0))
+	target := ChunkTarget(g.Indptr, tensor.Parallelism())
 	ai.Chunks = EdgeChunks(g.Indptr, target, ai.Chunks[:0])
 	ai.IncChunks = EdgeChunks(ai.IncIndptr, target, ai.IncChunks[:0])
 
@@ -131,7 +130,7 @@ func (ai *AggIndex) ChunksFor(extraRowCost int64) []int32 {
 
 func (ai *AggIndex) fillCostChunks(e *costChunks) {
 	rowCost := chunkRowCost + e.extraRowCost
-	target := ChunkTargetCost(ai.outIndptr, runtime.GOMAXPROCS(0), rowCost)
+	target := ChunkTargetCost(ai.outIndptr, tensor.Parallelism(), rowCost)
 	e.chunks = EdgeChunksCost(ai.outIndptr, target, rowCost, e.chunks[:0])
 	e.gen = ai.gen
 }

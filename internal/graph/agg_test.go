@@ -2,8 +2,9 @@ package graph
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
+
+	"repro/internal/tensor"
 )
 
 // randAggGraph builds a small random symmetric graph with some isolated
@@ -208,7 +209,7 @@ func TestAggIndexChunksFor(t *testing.T) {
 
 	const extra = 512
 	c1 := ai.ChunksFor(extra)
-	checkChunksCost(t, big.Indptr, c1, ChunkTargetCost(big.Indptr, runtime.GOMAXPROCS(0), chunkRowCost+extra), chunkRowCost+extra)
+	checkChunksCost(t, big.Indptr, c1, ChunkTargetCost(big.Indptr, tensor.Parallelism(), chunkRowCost+extra), chunkRowCost+extra)
 
 	// Zero extra cost must reproduce the edge-balanced Chunks list.
 	c0 := ai.ChunksFor(0)

@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // Fused aggregate-then-project kernels for the SAGE layer's hot path:
 //
@@ -256,11 +253,9 @@ func splitWrite(dz, dSelf *Matrix, in, i, j int, s float32) {
 // MatMulTransASplit computes out = [z|h]ᵀ·dPre where z is n×in, h's first n
 // rows are the self half, and dPre is n×m; out must be 2·in × m and is
 // overwritten. This is MatMulTransA over the virtual concat with the operand
-// halves read in place: per four-row pass the column loop runs [0,in) against
-// z and [in,2·in) against h with accumTransA's exact per-column operations
-// (same zero skip, same axpy4), so the result is bit-identical to
-// MatMulTransA(out, concat, dPre) — including the parallel reduction, which
-// mirrors MatMulTransA's worker split and in-order fold.
+// halves read in place: an output row is the sum over one column of z or of
+// h, reduced by matMulTransABlock itself, so the result is bit-identical to
+// MatMulTransA(out, concat, dPre) at every pool width.
 func MatMulTransASplit(out, z, h, dPre *Matrix) {
 	if z.Cols != h.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransASplit z width %d != h width %d", z.Cols, h.Cols))
@@ -271,98 +266,19 @@ func MatMulTransASplit(out, z, h, dPre *Matrix) {
 	if out.Rows != 2*z.Cols || out.Cols != dPre.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransASplit out shape %dx%d, want %dx%d", out.Rows, out.Cols, 2*z.Cols, dPre.Cols))
 	}
-	k, n, m := dPre.Rows, out.Rows, out.Cols
-	workers := maxProcs
-	if k < 256 || workers == 1 {
-		out.Zero()
-		accumTransASplit(out, z, h, dPre, 0, k)
-		return
-	}
-	if workers > 8 {
-		workers = 8 // diminishing returns; keeps partial buffers small
-	}
-	var partials [8]*Matrix
-	var wg sync.WaitGroup
-	chunk := (k + workers - 1) / workers
-	for wi := 0; wi < workers; wi++ {
-		lo := wi * chunk
-		hi := lo + chunk
-		if hi > k {
-			hi = k
-		}
-		if lo >= hi {
-			break
-		}
-		partials[wi] = getPartial(n, m)
-		wg.Add(1)
-		go func(p *Matrix, lo, hi int) {
-			defer wg.Done()
-			accumTransASplit(p, z, h, dPre, lo, hi)
-		}(partials[wi], lo, hi)
-	}
-	wg.Wait()
-	out.Zero()
-	for _, p := range partials[:workers] {
-		if p != nil {
-			out.Add(p)
-			transAScratch.Put(p)
-		}
-	}
+	dispatch(rowCall{kernel: kernelMatMulTransASplit, out: out, a: z, a2: h, b: dPre},
+		rowRange(0, out.Rows), reduceGrain(out.Rows), nil)
 }
 
-// accumTransASplit accumulates [z|h]ᵀ·b over rows [lo,hi) into out, four
-// rows per pass, reading the virtual concat's halves in place.
-func accumTransASplit(out, z, h, b *Matrix, lo, hi int) {
+// matMulTransASplitBlock computes rows [c0,c1) of MatMulTransASplit: the
+// part below in reduces columns of z, the part from in on columns of h into
+// the lower half of out.
+func matMulTransASplitBlock(out, z, h, dPre *Matrix, c0, c1 int) {
 	in := z.Cols
-	n, m := 2*in, b.Cols
-	zd, hd, bd := z.Data, h.Data, b.Data
-	hw := h.Cols
-	od := out.Data
-	kk := lo
-	for ; kk+4 <= hi; kk += 4 {
-		z0 := zd[kk*in : kk*in+in]
-		z1 := zd[(kk+1)*in : (kk+1)*in+in]
-		z2 := zd[(kk+2)*in : (kk+2)*in+in]
-		z3 := zd[(kk+3)*in : (kk+3)*in+in]
-		h0 := hd[kk*hw : kk*hw+in]
-		h1 := hd[(kk+1)*hw : (kk+1)*hw+in]
-		h2 := hd[(kk+2)*hw : (kk+2)*hw+in]
-		h3 := hd[(kk+3)*hw : (kk+3)*hw+in]
-		b0 := bd[kk*m : kk*m+m]
-		b1 := bd[(kk+1)*m : (kk+1)*m+m]
-		b2 := bd[(kk+2)*m : (kk+2)*m+m]
-		b3 := bd[(kk+3)*m : (kk+3)*m+m]
-		for i := 0; i < in; i++ {
-			v0, v1, v2, v3 := z0[i], z1[i], z2[i], z3[i]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			axpy4(od[i*m:i*m+m], b0, b1, b2, b3, v0, v1, v2, v3)
-		}
-		for i := in; i < n; i++ {
-			c := i - in
-			v0, v1, v2, v3 := h0[c], h1[c], h2[c], h3[c]
-			if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-				continue
-			}
-			axpy4(od[i*m:i*m+m], b0, b1, b2, b3, v0, v1, v2, v3)
-		}
+	if c0 < in {
+		matMulTransABlock(out.Data, z, dPre, nil, 0, c0, min(c1, in))
 	}
-	for ; kk < hi; kk++ {
-		zrow := zd[kk*in : kk*in+in]
-		hrow := hd[kk*hw : kk*hw+in]
-		brow := bd[kk*m : kk*m+m]
-		for i, av := range zrow {
-			if av == 0 {
-				continue
-			}
-			Axpy(od[i*m:i*m+m], brow, av)
-		}
-		for c, av := range hrow {
-			if av == 0 {
-				continue
-			}
-			Axpy(od[(in+c)*m:(in+c)*m+m], brow, av)
-		}
+	if c1 > in {
+		matMulTransABlock(out.Data[in*out.Cols:], h, dPre, nil, 0, max(c0, in)-in, c1-in)
 	}
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -227,11 +228,11 @@ func TestMatMulTransBSplitParallel(t *testing.T) {
 }
 
 // TestMatMulTransASplitMatchesUnfused pins the fused dW accumulation against
-// MatMulTransA over a materialized concat — including the k >= 256 parallel
-// reduction, whose worker split and in-order fold must match exactly.
+// MatMulTransA over a materialized concat, at reduction lengths with and
+// without a four-row tail.
 func TestMatMulTransASplitMatchesUnfused(t *testing.T) {
 	rng := NewRNG(506)
-	for _, k := range []int{1, 3, 64, 300} { // 300 crosses the parallel threshold
+	for _, k := range []int{1, 3, 64, 300} {
 		for _, in := range []int{1, 7, 8, 17} {
 			const out = 11
 			z := randomMatrix(rng, k, in)
@@ -253,30 +254,37 @@ func TestMatMulTransASplitMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestMatMulTransASplitParallel forces the worker-pool reduction and checks
-// the in-order partial fold reproduces the serial bits.
+// TestMatMulTransASplitParallel: the reduction is cut by output row, so the
+// pooled result at every width is the width-1 result bit for bit — with the
+// 2·in output rows fewer than, equal to and not divisible by the width, and
+// (the last shape) with a unit's piece of out above reduceTile at the narrow
+// widths, where it is summed in place, and below it at the wide ones.
 func TestMatMulTransASplitParallel(t *testing.T) {
-	saved := maxProcs
-	maxProcs = 4
-	defer func() { maxProcs = saved }()
-
 	rng := NewRNG(507)
-	const k, in, out = 513, 9, 13
-	z := randomMatrix(rng, k, in)
-	h := randomMatrix(rng, k, in)
-	dPre := randomMatrix(rng, k, out)
+	for _, sh := range []struct{ k, in, out int }{{513, 9, 13}, {300, 1, 5}, {258, 4, 16}, {1030, 17, 8}, {261, 40, 120}} {
+		k, in, out := sh.k, sh.in, sh.out
+		z := randomMatrix(rng, k, in)
+		h := randomMatrix(rng, k, in)
+		dPre := randomMatrix(rng, k, out)
 
-	concat := New(k, 2*in)
-	for r := 0; r < k; r++ {
-		copy(concat.Row(r)[:in], z.Row(r))
-		copy(concat.Row(r)[in:], h.Row(r))
+		concat := New(k, 2*in)
+		for r := 0; r < k; r++ {
+			copy(concat.Row(r)[:in], z.Row(r))
+			copy(concat.Row(r)[in:], h.Row(r))
+		}
+		want := New(2*in, out)
+		restore := ForceParallelism(1)
+		MatMulTransA(want, concat, dPre)
+		restore()
+
+		for _, width := range []int{1, 2, 3, 4, 8} {
+			got := New(2*in, out)
+			restore := ForceParallelism(width)
+			MatMulTransASplit(got, z, h, dPre)
+			restore()
+			sameBitsF32(t, fmt.Sprintf("dW %+v width %d", sh, width), got.Data, want.Data)
+		}
 	}
-	want := New(2*in, out)
-	MatMulTransA(want, concat, dPre)
-
-	got := New(2*in, out)
-	MatMulTransASplit(got, z, h, dPre)
-	sameBitsF32(t, "dW/parallel", got.Data, want.Data)
 }
 
 // TestDotMatchesFloat64 sanity-checks the SIMD Dot against a float64

@@ -3,26 +3,34 @@ package tensor
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// Row-kernel dispatch. Every row-independent kernel of the package (MatMul,
-// MatMulTransB, MatMulTransBSplit, SpMM, SpMMTrans, SpMMMatMul, and the
-// caller-supplied body of ForRows) is one body that computes a list of rows,
-// and one dispatcher — dispatch — that cuts the call's row set into units,
-// hands the units to the worker pool, and walks each unit in rowBlock-sized
-// blocks. A contiguous range is just another row list (rowRange), so the
-// full, Range and Rows entry points of a kernel differ only in the list they
-// pass. Rows are independent and every row is computed by the same body with
-// the same per-row arithmetic, so every cut and every claim order is
-// bit-identical; the kernel property tests pin full ≡ Range ≡ Rows per row.
+// Row-kernel dispatch. Every kernel of the package (MatMul, MatMulTransB,
+// MatMulTransBSplit, SpMM, SpMMTrans, SpMMMatMul, the dW reductions
+// MatMulTransAAt and MatMulTransASplit, and the caller-supplied body of
+// ForRows) is one body that computes a list of output rows, and one
+// dispatcher — dispatch — that cuts the call's row set into units, hands the
+// units to the worker pool, and walks each unit in blocks of rowBlock rows,
+// or of the call's grain where that is larger (a reduction's whole unit). A
+// contiguous range is just another row list (rowRange), so the full, Range
+// and Rows entry points of a kernel differ only in the list they pass. Rows
+// are independent and every row is computed by the same body with the same
+// per-row arithmetic, so every cut and every claim order is bit-identical;
+// the kernel property tests pin full ≡ Range ≡ Rows per row.
+//
+// That holds for the reductions too, because they are cut by OUTPUT row: row
+// c of out = aᵀ·b is the sum over a's column c alone, and the unit that owns
+// it walks every reduction row in order. No two units write one row and each
+// row is summed in the serial order, so there are no per-worker partial sums
+// to fold and the result does not depend on the pool width.
 
-// rowBlock is the most rows a kernel body is handed at once, and the dense
-// kernels' claim size. It is the row-tile height: a four-row b-panel (the
-// L1-resident operand) is reused across all rows of one block before the
-// next panel loads, while the block's output rows stay in L2.
+// rowBlock is the most rows a row-independent kernel body is handed at once,
+// and the dense kernels' claim size. It is the row-tile height: a four-row
+// b-panel (the L1-resident operand) is reused across all rows of one block
+// before the next panel loads, while the block's output rows stay in L2.
 const rowBlock = 64
 
 // spmmGrain is the claim size (in rows) of the sparse kernels when the
@@ -97,6 +105,8 @@ const (
 	kernelSpMM
 	kernelSpMMTrans
 	kernelSpMMMatMul
+	kernelMatMulTransA
+	kernelMatMulTransASplit
 )
 
 // rowCall is one kernel invocation: which body, and its operands. The public
@@ -106,15 +116,17 @@ const (
 type rowCall struct {
 	kernel rowKernel
 	// Operands, by role: out (and out2, the fused kernels' second output: z
-	// for SpMMMatMul, dSelf for MatMulTransBSplit) are written, a and b read.
-	out, out2, a, b *Matrix
-	indptr          []int64
-	indices         []int32
-	scale           []float32
-	fn              func(rows []int32) // kernelFunc's body
+	// for SpMMMatMul, dSelf for MatMulTransBSplit) are written, a (and a2,
+	// the self half of MatMulTransASplit's left operand) and b read.
+	out, out2, a, a2, b *Matrix
+	indptr              []int64
+	indices             []int32 // CSR columns; MatMulTransAAt's row selection
+	scale               []float32
+	virt                int                // MatMulTransAAt's virtual block height
+	fn                  func(rows []int32) // kernelFunc's body
 }
 
-// block runs the call's body over at most rowBlock rows.
+// block runs the call's body over one block of rows (see walk).
 func (c *rowCall) block(rows []int32) {
 	switch c.kernel {
 	case kernelFunc:
@@ -131,14 +143,30 @@ func (c *rowCall) block(rows []int32) {
 		spmmTransBlock(c.out, c.a, c.indptr, c.indices, c.scale, rows)
 	case kernelSpMMMatMul:
 		spmmMatMulBlock(c.out, c.out2, c.a, c.b, c.indptr, c.indices, c.scale, rows)
+	case kernelMatMulTransA:
+		c0, c1 := span(rows)
+		matMulTransABlock(c.out.Data, c.a, c.b, c.indices, c.virt, c0, c1)
+	case kernelMatMulTransASplit:
+		c0, c1 := span(rows)
+		matMulTransASplitBlock(c.out, c.a, c.a2, c.b, c0, c1)
 	}
 }
 
-// walk runs the body over rows, one rowBlock-sized block at a time.
-func (c *rowCall) walk(rows []int32) {
-	for len(rows) > rowBlock {
-		c.block(rows[:rowBlock])
-		rows = rows[rowBlock:]
+// span returns the bounds [lo,hi) of a piece of a rowRange, the only row
+// list the reductions' bodies take, and rejects any other list.
+func span(rows []int32) (lo, hi int) {
+	lo, hi = int(rows[0]), int(rows[0])+len(rows)
+	if int(rows[len(rows)-1]) != hi-1 {
+		panic("tensor: reduction over a row list that is not a range")
+	}
+	return lo, hi
+}
+
+// walk runs the body over rows, one block of at most height rows at a time.
+func (c *rowCall) walk(rows []int32, height int) {
+	for len(rows) > height {
+		c.block(rows[:height])
+		rows = rows[height:]
 	}
 	if len(rows) > 0 {
 		c.block(rows)
@@ -171,7 +199,7 @@ func (t *rowTask) run() {
 			lo, hi = max(int(t.chunks[u])-t.base, 0), int(t.chunks[u+1])-t.base
 		}
 		if hi = min(hi, len(t.rows)); lo < hi {
-			t.walk(t.rows[lo:hi])
+			t.walk(t.rows[lo:hi], max(t.grain, rowBlock))
 		}
 	}
 }
@@ -202,7 +230,10 @@ func startWorkers() {
 // an ascending boundary list over row ids (graph.AggIndex's edge-balanced
 // lists; boundaries outside the range are clamped to it): each chunk is one
 // unit, claimed whole, so a mega-degree row isolated in its own chunk
-// occupies one worker instead of serializing that worker's share.
+// occupies one worker instead of serializing that worker's share. The body
+// is handed at most max(grain, rowBlock) rows at a time: rowBlock is the tile
+// height the row kernels are blocked for, and a call that claims more than
+// that per unit gets its units in one piece.
 //
 // Units are claimed from an atomic cursor by the pool workers and by the
 // caller itself, so progress never depends on a worker being free and every
@@ -214,7 +245,7 @@ func dispatch(call rowCall, rows []int32, grain int, chunks []int32) {
 		units = len(chunks) - 1
 	}
 	if units <= 1 || maxProcs == 1 {
-		call.walk(rows)
+		call.walk(rows, max(grain, rowBlock))
 		return
 	}
 	workerOnce.Do(startWorkers)
@@ -476,26 +507,19 @@ func matMulTransBBlock(out, a, b *Matrix, rows []int32) {
 	}
 }
 
-// transAScratch pools the per-worker partial matrices of MatMulTransA so the
-// parallel reduction allocates nothing in steady state.
-var transAScratch sync.Pool
-
-func getPartial(rows, cols int) *Matrix {
-	n := rows * cols
-	if v := transAScratch.Get(); v != nil {
-		m := v.(*Matrix)
-		if cap(m.Data) >= n {
-			m.Rows, m.Cols, m.Data = rows, cols, m.Data[:n]
-			m.Zero()
-			return m
-		}
-	}
-	return New(rows, cols)
+// reduceGrain is the claim size of a dW reduction over outRows output rows:
+// one unit per pool worker, which the body takes in one piece (see dispatch).
+// A unit walks every reduction row, so a finer cut or rowBlock pieces would
+// only stream a and b more often; and since no cut can change a bit, this
+// one may follow the width.
+func reduceGrain(outRows int) int {
+	return max((outRows+maxProcs-1)/maxProcs, 1)
 }
 
 // MatMulTransA computes out = aᵀ·b where a is k×n and b is k×m. out must be
-// n×m and is overwritten. The reduction over k is split across workers with
-// pooled per-worker accumulators to avoid write contention.
+// n×m and is overwritten. The work is cut by output row — a column of a — and
+// every output row reduces over k in order, so the result is the same bits
+// at every pool width.
 func MatMulTransA(out, a, b *Matrix) { MatMulTransAAt(out, a, b, nil, 0) }
 
 // MatMulTransAAt is MatMulTransA over operands whose last len(at) rows are a
@@ -503,8 +527,8 @@ func MatMulTransA(out, a, b *Matrix) { MatMulTransAAt(out, a, b, nil, 0) }
 // stored row r0+i of a and b stands at row r0+at[i] (at ascending, within
 // [0, n)) of the (r0+n)-row operands whose unselected rows are zero. out is
 // reduced in exactly the order MatMulTransA reduces those operands — the
-// same worker split of the r0+n rows, the same blocks of four rows — so the
-// result has their bits, and the cost that of the stored rows.
+// same blocks of four rows, aligned to virtual row 0 — so the result has
+// their bits, and the cost that of the stored rows.
 //
 // A reduction over rows is the one kernel whose float grouping depends on
 // where its rows sit. The epoch engine's node space holds only the sampled
@@ -521,79 +545,63 @@ func MatMulTransAAt(out, a, b *Matrix, at []int32, n int) {
 	if len(at) > a.Rows || len(at) > n || (len(at) > 0 && int(at[len(at)-1]) >= n) {
 		panic(fmt.Sprintf("tensor: MatMulTransAAt selects %d of %d virtual rows over %d stored", len(at), n, a.Rows))
 	}
-	k := a.Rows - len(at) + n // virtual rows
-	workers := maxProcs
-	if k < 256 || workers == 1 {
-		out.Zero()
-		accumTransA(out, a, b, at, 0, k)
-		return
-	}
-	if workers > 8 {
-		workers = 8 // diminishing returns; keeps partial buffers small
-	}
-	var partials [8]*Matrix
-	var wg sync.WaitGroup
-	chunk := (k + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > k {
-			hi = k
-		}
-		if lo >= hi {
-			break
-		}
-		partials[w] = getPartial(a.Cols, b.Cols)
-		wg.Add(1)
-		go func(p *Matrix, lo, hi int) {
-			defer wg.Done()
-			accumTransA(p, a, b, at, lo, hi)
-		}(partials[w], lo, hi)
-	}
-	wg.Wait()
-	out.Zero()
-	for _, p := range partials[:workers] {
-		if p != nil {
-			out.Add(p)
-			transAScratch.Put(p)
-		}
-	}
+	dispatch(rowCall{kernel: kernelMatMulTransA, out: out, a: a, b: b, indices: at, virt: n},
+		rowRange(0, out.Rows), reduceGrain(out.Rows), nil)
 }
 
-// accumTransA accumulates aᵀ·b over the virtual rows [lo,hi) of a and b (see
-// MatMulTransAAt; at == nil means every row is stored) into out, four
-// virtual rows per pass from lo and the remainder row by row. A virtual row
-// that is not stored is a zero row: it takes its lane of a block with a zero
-// coefficient, and a block or tail row with nothing stored is skipped.
-func accumTransA(out, a, b *Matrix, at []int32, lo, hi int) {
-	n, m := a.Cols, b.Cols
+// reduceTile is the largest piece of out, in floats, that a reduction sums
+// on its stack before storing it (see matMulTransABlock): 16 KB, a unit of
+// 64 output rows by 64 columns.
+const reduceTile = 4096
+
+// matMulTransABlock computes rows [c0,c1) of aᵀ·b — the sums over columns
+// [c0,c1) of a — into od, whose row c holds m = b.Cols floats at c·m. The
+// reduction runs over b's rows (a may be taller) placed at their virtual
+// rows (see MatMulTransAAt; at == nil means every row is stored), four
+// virtual rows per pass from row 0 and the remainder row by row. A virtual
+// row that is not stored is a zero row: it takes its lane of a block with a
+// zero coefficient, and a block or tail row with nothing stored is skipped.
+//
+// A piece of at most reduceTile floats is summed in a local tile and stored
+// once at the end. Neighbouring units' pieces are adjacent in od and every
+// pass sweeps a piece from end to end; summed in place, two cores on two 8 KB
+// pieces took 1.35× the time they take with 8 KB or more between the pieces
+// (1.15× with 64 B to 4 KB between them), as if each core's prefetchers ran
+// past the end of its piece into the lines the other is writing. A larger
+// piece amortises that over its longer sweep. The tile starts on a cache
+// line, as the allocator starts a Matrix: from an unaligned one every other
+// 32-byte access of axpy4 straddles two lines, which cost 8 % at one core.
+func matMulTransABlock(od []float32, a, b *Matrix, at []int32, n, c0, c1 int) {
+	w, m := a.Cols, b.Cols
 	ad, bd := a.Data, b.Data
-	r0 := a.Rows - len(at)
+	end := b.Rows
+	r0 := end - len(at)
 	virt := func(i int) int { // the virtual row of stored row i
 		if i < r0 {
 			return i
 		}
 		return r0 + int(at[i-r0])
 	}
-	stored := func(v int) int { // the first stored row at or after virtual row v
-		if v <= r0 {
-			return v
-		}
-		return r0 + sort.Search(len(at), func(x int) bool { return int(at[x]) >= v-r0 })
+	var tile [reduceTile + 15]float32
+	acc := od[c0*m : c1*m] // row c of the piece at (c−c0)·m
+	if len(acc) <= reduceTile {
+		off := int(-uintptr(unsafe.Pointer(&tile))/4) & 15 // floats up to the next 64-byte line
+		acc = tile[off : off+len(acc)]
 	}
-	i, end := stored(lo), stored(hi)
-	tail := lo + (hi-lo)/4*4 // virtual rows from here on are reduced one by one
+	clear(acc)
+	tail := (r0 + n) / 4 * 4 // virtual rows from here on are reduced one by one
+	i := 0
 	for i < end && virt(i) < tail {
-		kk := lo + (virt(i)-lo)/4*4
+		kk := virt(i) / 4 * 4
 		if i+4 <= end && virt(i+3) == kk+3 { // all four rows stored
-			a0, a1, a2, a3 := ad[i*n:i*n+n], ad[(i+1)*n:(i+1)*n+n], ad[(i+2)*n:(i+2)*n+n], ad[(i+3)*n:(i+3)*n+n]
+			a0, a1, a2, a3 := ad[i*w+c0:i*w+c1], ad[(i+1)*w+c0:(i+1)*w+c1], ad[(i+2)*w+c0:(i+2)*w+c1], ad[(i+3)*w+c0:(i+3)*w+c1]
 			b0, b1, b2, b3 := bd[i*m:i*m+m], bd[(i+1)*m:(i+1)*m+m], bd[(i+2)*m:(i+2)*m+m], bd[(i+3)*m:(i+3)*m+m]
-			for c := 0; c < n; c++ {
-				v0, v1, v2, v3 := a0[c], a1[c], a2[c], a3[c]
+			for c, v0 := range a0 {
+				v1, v2, v3 := a1[c], a2[c], a3[c]
 				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
 					continue
 				}
-				axpy4(out.Data[c*m:c*m+m], b0, b1, b2, b3, v0, v1, v2, v3)
+				axpy4(acc[c*m:c*m+m], b0, b1, b2, b3, v0, v1, v2, v3)
 			}
 			i += 4
 			continue
@@ -605,11 +613,11 @@ func accumTransA(out, a, b *Matrix, at []int32, lo, hi int) {
 		for t := range al {
 			bl[t] = bd[first*m : first*m+m]
 			if i < end && virt(i) == kk+t {
-				al[t], bl[t] = ad[i*n:i*n+n], bd[i*m:i*m+m]
+				al[t], bl[t] = ad[i*w+c0:i*w+c1], bd[i*m:i*m+m]
 				i++
 			}
 		}
-		for c := 0; c < n; c++ {
+		for c := 0; c < c1-c0; c++ {
 			var v [4]float32
 			for t, row := range al {
 				if row != nil {
@@ -619,19 +627,19 @@ func accumTransA(out, a, b *Matrix, at []int32, lo, hi int) {
 			if v[0] == 0 && v[1] == 0 && v[2] == 0 && v[3] == 0 {
 				continue
 			}
-			axpy4(out.Data[c*m:c*m+m], bl[0], bl[1], bl[2], bl[3], v[0], v[1], v[2], v[3])
+			axpy4(acc[c*m:c*m+m], bl[0], bl[1], bl[2], bl[3], v[0], v[1], v[2], v[3])
 		}
 	}
 	for ; i < end; i++ {
-		arow := ad[i*n : i*n+n]
 		brow := bd[i*m : i*m+m]
-		for c, av := range arow {
+		for c, av := range ad[i*w+c0 : i*w+c1] {
 			if av == 0 {
 				continue
 			}
-			Axpy(out.Data[c*m:c*m+m], brow, av)
+			Axpy(acc[c*m:c*m+m], brow, av)
 		}
 	}
+	copy(od[c0*m:c1*m], acc)
 }
 
 // transposeBlock is the square tile edge for the blocked transpose; a

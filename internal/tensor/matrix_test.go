@@ -209,64 +209,68 @@ func TestMatMulTransA(t *testing.T) {
 }
 
 // TestMatMulTransAAtMatchesDenseOperands: reducing a selection of a dense
-// block's rows gives the bits MatMulTransA gives on the dense operands whose
-// unselected rows are zero (in b alone, or in both) — at every selection
-// shape, on the serial and the worker-split reduction, at widths with and
-// without a scalar tail.
+// block's rows gives the bits MatMulTransA gives at pool width 1 on the dense
+// operands whose unselected rows are zero (in b alone, or in both) — at every
+// selection shape, at every pool width (the output rows fewer than, equal to
+// and not divisible by it), at widths with and without a scalar tail.
 func TestMatMulTransAAtMatchesDenseOperands(t *testing.T) {
 	rng := NewRNG(15)
-	for _, width := range []int{1, 2, 4} {
-		restore := ForceParallelism(width)
-		for _, tc := range []struct{ r0, n, cols, m int }{
-			{0, 9, 3, 5}, {7, 30, 5, 13}, {40, 300, 6, 7}, {301, 900, 9, 16}, {130, 131, 4, 33},
-		} {
-			for _, sel := range []string{"none", "first", "last", "one", "tenth", "half", "runs", "all"} {
-				var at []int32
-				for v := 0; v < tc.n; v++ {
-					var on bool
-					switch sel {
-					case "first":
-						on = v == 0
-					case "last":
-						on = v == tc.n-1
-					case "one":
-						on = v == tc.n/2
-					case "tenth":
-						on = rng.Float32() < 0.1
-					case "half":
-						on = rng.Float32() < 0.5
-					case "runs":
-						on = v/5%2 == 0
-					case "all":
-						on = true
-					}
-					if on {
-						at = append(at, int32(v))
-					}
+	for _, tc := range []struct{ r0, n, cols, m int }{
+		{0, 9, 3, 5}, {7, 30, 5, 13}, {40, 300, 6, 7}, {301, 900, 9, 16}, {130, 131, 4, 33},
+	} {
+		for _, sel := range []string{"none", "first", "last", "one", "tenth", "half", "runs", "all"} {
+			var at []int32
+			for v := 0; v < tc.n; v++ {
+				var on bool
+				switch sel {
+				case "first":
+					on = v == 0
+				case "last":
+					on = v == tc.n-1
+				case "one":
+					on = v == tc.n/2
+				case "tenth":
+					on = rng.Float32() < 0.1
+				case "half":
+					on = rng.Float32() < 0.5
+				case "runs":
+					on = v/5%2 == 0
+				case "all":
+					on = true
 				}
-				rows := tc.r0 + len(at)
-				a, b := randomMatrix(rng, rows, tc.cols), randomMatrix(rng, rows, tc.m)
-				// The dense operands: b zero where unselected; a zero there
-				// in one reference and arbitrary in the other.
-				da, dz, db := randomMatrix(rng, tc.r0+tc.n, tc.cols), New(tc.r0+tc.n, tc.cols), New(tc.r0+tc.n, tc.m)
-				for i := 0; i < rows; i++ {
-					v := i
-					if i >= tc.r0 {
-						v = tc.r0 + int(at[i-tc.r0])
-					}
-					copy(da.Row(v), a.Row(i))
-					copy(dz.Row(v), a.Row(i))
-					copy(db.Row(v), b.Row(i))
+				if on {
+					at = append(at, int32(v))
 				}
-				got, want := New(tc.cols, tc.m), New(tc.cols, tc.m)
+			}
+			rows := tc.r0 + len(at)
+			a, b := randomMatrix(rng, rows, tc.cols), randomMatrix(rng, rows, tc.m)
+			// The dense operands: b zero where unselected; a zero there
+			// in one reference and arbitrary in the other.
+			da, dz, db := randomMatrix(rng, tc.r0+tc.n, tc.cols), New(tc.r0+tc.n, tc.cols), New(tc.r0+tc.n, tc.m)
+			for i := 0; i < rows; i++ {
+				v := i
+				if i >= tc.r0 {
+					v = tc.r0 + int(at[i-tc.r0])
+				}
+				copy(da.Row(v), a.Row(i))
+				copy(dz.Row(v), a.Row(i))
+				copy(db.Row(v), b.Row(i))
+			}
+			wantZ, wantA := New(tc.cols, tc.m), New(tc.cols, tc.m)
+			restore := ForceParallelism(1)
+			MatMulTransA(wantZ, dz, db)
+			MatMulTransA(wantA, da, db)
+			restore()
+			for _, width := range []int{1, 2, 3, 4, 8} {
+				got := New(tc.cols, tc.m)
+				restore := ForceParallelism(width)
 				MatMulTransAAt(got, a, b, at, tc.n)
-				for _, dense := range []*Matrix{dz, da} {
-					MatMulTransA(want, dense, db)
+				restore()
+				for _, want := range []*Matrix{wantZ, wantA} {
 					sameBitsF32(t, fmt.Sprintf("width %d %+v %s", width, tc, sel), got.Data, want.Data)
 				}
 			}
 		}
-		restore()
 	}
 }
 
@@ -288,6 +292,18 @@ func TestMatMulShapePanics(t *testing.T) {
 		}
 	}()
 	MatMul(New(2, 2), New(2, 3), New(4, 2))
+}
+
+// A reduction's body takes its rows as bounds, so dispatch must never be
+// handed anything but a range for one.
+func TestReductionRejectsRowList(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	call := rowCall{kernel: kernelMatMulTransA, out: New(3, 2), a: New(4, 3), b: New(4, 2)}
+	dispatch(call, []int32{0, 2}, 2, nil)
 }
 
 func TestRNGDeterminism(t *testing.T) {
