@@ -3,6 +3,7 @@ package comm
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Workspace-style free lists for the TCP transport's steady-state buffers
@@ -21,6 +22,21 @@ import (
 // Unlike tensor.Workspace these pools are mutex-guarded: the demux goroutine
 // of every peer and the rank goroutine share them. Buffers lost at teardown
 // (frames never consumed after a failure) are simply garbage collected.
+//
+// How many buffers of one size are out at once is not the protocol's to say:
+// it is one or two per peer, and now and then three, by how far the writer
+// and demux goroutines run ahead of the rank's. A free list that grew one
+// buffer per miss would therefore still allocate in whichever late epoch
+// first has one more frame in flight than any before it. So a miss on a small
+// size class (buffers up to spareMaxBytes) pre-sizes the class instead: it
+// makes minSmallBufs buffers the first time and doubles the class after
+// that, which the first epoch's traffic settles for good. Larger classes —
+// the halo payloads of a big partition, where four spares would cost
+// megabytes of resident memory per peer — keep growing one buffer per miss.
+const (
+	spareMaxBytes = 64 << 10
+	minSmallBufs  = 4
+)
 
 // poolGetClass returns the bucket whose buffers have capacity 1<<c ≥ n.
 func poolGetClass(n int) int {
@@ -40,6 +56,7 @@ func poolPutClass(capacity int) int {
 type bufPool[E any] struct {
 	mu   sync.Mutex
 	free [33][][]E
+	made [33]int // buffers of each class allocated so far
 }
 
 // get returns a length-n buffer with undefined contents.
@@ -51,6 +68,16 @@ func (p *bufPool[E]) get(n int) []E {
 		p.free[c] = bucket[:len(bucket)-1]
 		p.mu.Unlock()
 		return buf[:n]
+	}
+	// A miss: one buffer for the caller, and for a small class the spares
+	// that bring it to minSmallBufs or twice its size.
+	spares := 0
+	if (1<<c)*int(unsafe.Sizeof(*new(E))) <= spareMaxBytes {
+		spares = max(minSmallBufs, 2*p.made[c]) - p.made[c] - 1
+	}
+	p.made[c] += 1 + spares
+	for ; spares > 0; spares-- {
+		p.free[c] = append(p.free[c], make([]E, 1<<c))
 	}
 	p.mu.Unlock()
 	return make([]E, n, 1<<c)

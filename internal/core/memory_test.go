@@ -8,6 +8,9 @@ import (
 	"repro/internal/partition"
 )
 
+// memModel is the memory gates' model: the benchmark workloads' SAGE 3×64.
+var memModel = ModelConfig{Arch: ArchSAGE, Layers: 3, Hidden: 64, Dropout: 0.2, LR: 0.01, Seed: 7}
+
 // trainerHeap builds a trainer at sampling rate p, trains a few epochs so
 // every scratch buffer exists, and returns the heap it holds: live bytes
 // after a collection, less what was live before it was built.
@@ -16,8 +19,7 @@ func trainerHeap(t *testing.T, ds *datagen.Dataset, topo *Topology, p float64) f
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	cfg := ModelConfig{Arch: ArchSAGE, Layers: 3, Hidden: 64, Dropout: 0.2, LR: 0.01, Seed: 7}
-	tr, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: cfg, P: p, SampleSeed: 7})
+	tr, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: memModel, P: p, SampleSeed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +32,37 @@ func trainerHeap(t *testing.T, ds *datagen.Dataset, topo *Topology, p float64) f
 	return float64(after.HeapAlloc) - float64(before.HeapAlloc)
 }
 
+// memGates bound the heap the trainers of TestTrainerMemoryScalesWithP hold,
+// as a multiple of what Eq. 4 (MemoryCost, summed over the partitions) counts
+// for the same model at the same p. The engine measures 3.45 at p=1 and 3.21
+// at p=0.1, the same at GOMAXPROCS 1, 2 and 4: Eq. 4's own rows, the output-wide and gradient matrices it leaves
+// out, and the partition's static arrays (PERFORMANCE.md, "What scales with
+// p", has the table).
+var memGates = []struct {
+	p    float64
+	gate float64
+}{
+	{1, 3.8},
+	{0.1, 3.5},
+}
+
 // TestTrainerMemoryScalesWithP is Figure 6 as a gate: on a boundary-heavy
-// partition (a random 4-way split, ≈3 boundary nodes per inner node — the
-// regime the paper samples in), the trainers at p=0.1 must hold at most 0.6
-// of the heap the trainers at p=1 hold. The engine measures 0.50 here (see
-// PERFORMANCE.md, "What scales with p"); one whose per-layer buffers keep a
-// row for every boundary slot, sampled or not, measures 0.83 and fails.
+// partition (a random 4-way split, ≈2.4 boundary nodes per inner node — the
+// regime the paper samples in), the heap the trainers hold stays within a
+// fixed multiple of Eq. 4 at p=1 and at p=0.1.
+//
+// The gate used to be the ratio of the two heaps (≤ 0.6). A ratio rewards
+// waste in its denominator: dropout's float32 mask, output copy and gradient
+// copy were boundary-proportional, the p=1 heap lost more of them than the
+// p=0.1 heap did, and the ratio rose 0.50 → 0.56 while both heaps fell by a
+// third. Each gate here is absolute, and the engine that held those three
+// matrices fails both (5.52 and 4.59). What the ratio was for still holds at
+// p=0.1: a buffer per layer that keeps a row for every boundary slot, sampled
+// or not, adds 0.6 or more there and fails.
 func TestTrainerMemoryScalesWithP(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates the heap; the gates hold without -race")
+	}
 	ds, err := datagen.Generate(datagen.Config{
 		Name: "mem", Nodes: 4000, Communities: 8, AvgDegree: 24,
 		IntraFrac: 0.65, DegreeSkew: 2.0, FeatureDim: 48,
@@ -60,11 +86,20 @@ func TestTrainerMemoryScalesWithP(t *testing.T) {
 			t.Fatalf("partition %d: boundary/inner = %.2f, the fixture is meant to be boundary-heavy (≥ 2)", i, r)
 		}
 	}
-	full := trainerHeap(t, ds, topo, 1)
-	sampled := trainerHeap(t, ds, topo, 0.1)
-	ratio := sampled / full
-	t.Logf("trainer heap: %.1f MB at p=0.1, %.1f MB at p=1, ratio %.2f", sampled/(1<<20), full/(1<<20), ratio)
-	if ratio > 0.6 {
-		t.Errorf("trainers at p=0.1 hold %.2f of the heap of trainers at p=1, want at most 0.6", ratio)
+	model, err := NewModel(memModel, ds.FeatureDim(), ds.NumClasses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range memGates {
+		var eq4 float64
+		for _, c := range topo.MemoryCosts(model.LayerInputDims(), g.p) {
+			eq4 += float64(c)
+		}
+		heap := trainerHeap(t, ds, topo, g.p)
+		t.Logf("p=%v: trainer heap %.1f MB, Eq. 4 %.1f MB, %.2f× (gate %.2f×)", g.p, heap/(1<<20), eq4/(1<<20), heap/eq4, g.gate)
+		if heap/eq4 > g.gate {
+			t.Errorf("p=%v: the trainers hold %.2f× what Eq. 4 counts (%.1f of %.1f MB), want at most %.2f×",
+				g.p, heap/eq4, heap/(1<<20), eq4/(1<<20), g.gate)
+		}
 	}
 }

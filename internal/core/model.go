@@ -49,7 +49,8 @@ func (c *ModelConfig) Validate() error {
 
 // GraphLayer is the uniform layer interface the trainers drive: forward over
 // a local node space producing outputs for the first nOut rows, backward
-// returning input gradients for all rows.
+// returning input gradients for all rows — or, for the first layer of a
+// stack, whose input is data, the parameter gradients alone.
 //
 // Besides the one-shot Forward/Backward (what Model.Forward/Backward, the
 // single-process trainers' walk of the stack, call), every layer exposes the
@@ -68,6 +69,10 @@ type GraphLayer interface {
 	nn.Layer
 	Forward(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []float32) *tensor.Matrix
 	Backward(dOut *tensor.Matrix) *tensor.Matrix
+	// BackwardParams is Backward without the input gradient: it accumulates
+	// the same parameter-gradient bits and neither computes nor allocates
+	// anything sized by the input rows that only the input gradient needs.
+	BackwardParams(dOut *tensor.Matrix)
 
 	// SetAgg installs the sparse-aggregation plan (graph.AggIndex: the
 	// transposed index plus edge-balanced chunk boundaries) the layer's
@@ -167,7 +172,9 @@ func NewModel(cfg ModelConfig, inDim, outDim int) (*Model, error) {
 		case ArchGAT:
 			m.LayersL = append(m.LayersL, gatLayer{nn.NewGATConv(in, out, act, rng)})
 		}
-		m.Dropouts = append(m.Dropouts, nn.NewDropout(cfg.Dropout, rng))
+		drop := nn.NewDropout(cfg.Dropout, rng)
+		drop.Layer = l
+		m.Dropouts = append(m.Dropouts, drop)
 	}
 	for _, l := range m.LayersL {
 		m.layersCache = append(m.layersCache, l)
@@ -220,12 +227,14 @@ func (m *Model) Forward(g *graph.Graph, x *tensor.Matrix, nOut int, invDeg []flo
 }
 
 // Backward propagates d, the gradient of the last Forward's output, down the
-// stack, accumulating every layer's parameter gradients.
+// stack, accumulating every layer's parameter gradients. The first layer's
+// input is data: it gets no input gradient, and its dropout no backward.
 func (m *Model) Backward(d *tensor.Matrix) {
-	for l := len(m.LayersL) - 1; l >= 0; l-- {
+	for l := len(m.LayersL) - 1; l > 0; l-- {
 		d = m.LayersL[l].Backward(d)
 		d = m.Dropouts[l].Backward(d)
 	}
+	m.LayersL[0].BackwardParams(d)
 }
 
 // LayerInputDims returns the input feature dimension of every layer, the d^(ℓ)

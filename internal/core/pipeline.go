@@ -147,13 +147,13 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 	// --- Forward (lines 8–11) ---
 	h := rt.LP.Features // inner activations entering the current layer
 	for l := range layers {
-		x := rt.layerInput(l, h)
 		nPend := rt.postForward(l, h)
 		span := rt.openSpan()
 		if serialized {
 			rt.awaitHalo(nPend)
 		}
-		h = rt.forwardFree(l, x)
+		x := rt.LP.ws.Get(rt.ep.eg.N, layers[l].InputDim())
+		h = rt.forwardFree(l, x, h)
 		rt.closeSpan(span, rt.drainForward(l, x, nPend))
 	}
 
@@ -162,14 +162,14 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 
 	// --- Backward (line 13) ---
 	for l := len(layers) - 1; l > 0; l-- {
-		dxm := rt.backwardHalo(l, d)
-		nPend := rt.postGrad(l, dxm)
+		dH := rt.backwardHalo(l, d)
+		nPend := rt.postGrad(l, dH)
 		span := rt.openSpan()
 		if serialized {
 			rt.awaitHalo(nPend)
 		}
 		rt.backwardFinish(l)
-		d = rt.foldGrad(dxm, nPend)
+		d = rt.foldGrad(dH, nPend)
 		rt.closeSpan(span, time.Now())
 	}
 	rt.backwardInput(d)
@@ -377,25 +377,6 @@ func (rt *RankTrainer) haloRescale(row int32) float32 {
 	return rt.ep.invP
 }
 
-// layerInput assembles layer l's input over the epoch node space from the
-// inner activations h. x comes from the epoch workspace with undefined
-// contents: inner rows are overwritten here and every halo row by the drain
-// — the epoch space has a row only for a sampled slot, and each of those is
-// in exactly one peer's receive list.
-func (rt *RankTrainer) layerInput(l int, h *tensor.Matrix) *tensor.Matrix {
-	lp := rt.LP
-	dim := rt.Model.LayersL[l].InputDim()
-	x := lp.ws.Get(rt.ep.eg.N, dim)
-	copy(x.Data[:lp.NIn*dim], h.Data[:lp.NIn*dim])
-	// Rows the restricted split excluded from compute carry stale scratch in
-	// h; zero them so the SAGE parameter-gradient kernels — which read every
-	// row — see exact zeros.
-	for _, v := range lp.skipRows {
-		clear(x.Row(int(v)))
-	}
-	return x
-}
-
 // postForward posts layer l's halo exchange — the boundary rows of h each
 // peer sampled, and one notify-receive per peer I sampled from — and returns
 // the number of receives pending. Payload buffers alias the epoch workspace;
@@ -445,22 +426,33 @@ func (rt *RankTrainer) awaitHalo(nPend int) {
 	rt.ep.st.CommExposed += time.Since(ds)
 }
 
-// forwardFree begins layer l's pass over x and computes the halo-free rows —
-// everything that needs no boundary data. The halo rows' dropout masks are
-// drawn here too, right after the inner rows', so the drain can apply them
-// per peer in any arrival order: each sampled slot draws at the stream
-// offset it has in a single pass over the inner rows and then all NBd slots,
-// and the stream is left where that pass ends — the masks and the
-// checkpointed stream position do not depend on which other slots an epoch
-// sampled. Returns the layer's output matrix; its halo-dependent rows are
-// valid after the drain.
-func (rt *RankTrainer) forwardFree(l int, x *tensor.Matrix) *tensor.Matrix {
+// forwardFree begins layer l's pass over its input x, a matrix over the epoch
+// node space, and computes the halo-free rows — everything that needs no
+// boundary data. x comes from the epoch workspace with undefined contents:
+// the dropout pass that fills its inner rows from the inner activations h is
+// the only copy of them made, and the drain writes and masks every halo row
+// in place
+// — the epoch space has a row only for a sampled slot, and each of those is
+// in exactly one peer's receive list. The halo rows' dropout masks are drawn
+// here, right after the inner rows', so the drain can apply them per peer in
+// any arrival order: each sampled slot draws at the stream offset it has in
+// a single pass over the inner rows and then all NBd slots, and the stream is
+// left where that pass ends — the masks and the checkpointed stream position
+// do not depend on which other slots an epoch sampled. Returns the layer's
+// output matrix; its halo-dependent rows are valid after the drain.
+func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
 	ps := time.Now()
 	lp, ep := rt.LP, &rt.ep
 	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
-	xd := drop.ForwardBegin(x, true)
+	drop.ForwardBegin(x, h, true)
 	drop.ForwardRows(0, lp.NIn)
-	out := layer.ForwardBegin(ep.eg, xd, lp.NIn, ep.invDeg)
+	// Rows the restricted split excluded from compute carry stale scratch in
+	// h; zero them so the SAGE parameter-gradient kernels — which read every
+	// row — see exact zeros.
+	for _, v := range lp.skipRows {
+		clear(x.Row(int(v)))
+	}
+	out := layer.ForwardBegin(ep.eg, x, lp.NIn, ep.invDeg)
 	layer.ForwardPrep(0, lp.NIn)
 	drop.MaskRowsAt(lp.NIn, lp.rowSlot, lp.NBd)
 	layer.ForwardRows(lp.haloFree)
@@ -473,8 +465,8 @@ func (rt *RankTrainer) forwardFree(l int, x *tensor.Matrix) *tensor.Matrix {
 // becomes consumable first is scattered into that peer's halo rows of x
 // with the strategy's receive rescale (the unbiased 1/p of Section 3.2 for
 // BNS; rows are disjoint per peer, so arrival order cannot change the
-// bits), the rows get their pre-drawn dropout masks applied and their
-// per-node precomputations run, and every halo-dependent row whose last
+// bits), the rows are masked in place with their pre-drawn dropout masks and
+// their per-node precomputations run, and every halo-dependent row whose last
 // awaited peer just landed is computed immediately (splitRows' rowWait
 // countdown). Rows unlocked by one peer are ascending (peerRows is built by
 // an ascending row scan) and each row runs exactly once.
@@ -538,27 +530,26 @@ func (rt *RankTrainer) lossGrad(logits *tensor.Matrix) *tensor.Matrix {
 
 // backwardHalo starts layer l's backward from the output gradient d and
 // completes the halo rows of the input gradient — the only rows the peers
-// are waiting for. Returns the input gradient after dropout; its inner rows
-// are valid after backwardFinish.
+// are waiting for — through the layer and, in place, its dropout. Returns the
+// layer's input gradient; its inner rows are valid after backwardFinish.
 func (rt *RankTrainer) backwardHalo(l int, d *tensor.Matrix) *tensor.Matrix {
 	bs := time.Now()
 	lp := rt.LP
-	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
+	layer := rt.Model.LayersL[l]
 	layer.BackwardBegin(d)
 	dH := layer.BackwardHalo(lp.haloDep, lp.NIn)
-	dxm := drop.BackwardBegin(dH)
-	drop.BackwardRows(lp.NIn, rt.ep.eg.N)
+	rt.Model.Dropouts[l].BackwardRows(dH, lp.NIn, rt.ep.eg.N)
 	rt.ep.st.Compute += time.Since(bs)
-	return dxm
+	return dH
 }
 
-// postGrad posts layer l's gradient exchange: the halo rows of dxm go back
+// postGrad posts layer l's gradient exchange: the halo rows of dH go back
 // to the peers that own them, scaled by the chain rule through the receive
 // rescale, and one notify-receive is posted per peer I sent features to.
-func (rt *RankTrainer) postGrad(l int, dxm *tensor.Matrix) (nPend int) {
+func (rt *RankTrainer) postGrad(l int, dH *tensor.Matrix) (nPend int) {
 	cs := time.Now()
 	lp, ep := rt.LP, &rt.ep
-	dim := dxm.Cols
+	dim := dH.Cols
 	for j, slots := range lp.recvSlots {
 		payload := lp.ws.Get(len(slots), dim).Data // drawn even when empty: see postForward
 		if len(slots) == 0 {
@@ -567,7 +558,7 @@ func (rt *RankTrainer) postGrad(l int, dxm *tensor.Matrix) (nPend int) {
 		for x, slot := range slots {
 			dst := payload[x*dim : (x+1)*dim]
 			s := rt.haloRescale(slot)
-			for c, v := range dxm.Row(int(slot)) {
+			for c, v := range dH.Row(int(slot)) {
 				dst[c] = v * s
 			}
 		}
@@ -593,28 +584,28 @@ func (rt *RankTrainer) postGrad(l int, dxm *tensor.Matrix) (nPend int) {
 func (rt *RankTrainer) backwardFinish(l int) {
 	ps := time.Now()
 	lp := rt.LP
-	rt.Model.LayersL[l].BackwardFinish(lp.haloFree, lp.NIn)
-	rt.Model.Dropouts[l].BackwardRows(0, lp.NIn)
+	dH := rt.Model.LayersL[l].BackwardFinish(lp.haloFree, lp.NIn)
+	rt.Model.Dropouts[l].BackwardRows(dH, 0, lp.NIn)
 	rt.ep.st.Compute += time.Since(ps)
 }
 
-// foldGrad assembles the next layer down's output gradient: my inner rows of dxm
+// foldGrad assembles the next layer down's output gradient: my inner rows of dH
 // plus the halo gradients the peers computed for them. Peer gradients +=
 // into shared destination rows, so the fold itself must stay in ascending
 // rank order (the accumulation order is part of bit-identity) — each peer's
 // payload is therefore only *staged* as it lands (the receive, and under a
 // modeled link its latency, completes in arrival order) and folded once all
 // are in.
-func (rt *RankTrainer) foldGrad(dxm *tensor.Matrix, nPend int) *tensor.Matrix {
+func (rt *RankTrainer) foldGrad(dH *tensor.Matrix, nPend int) *tensor.Matrix {
 	as := time.Now()
 	lp := rt.LP
-	dim := dxm.Cols
+	dim := dH.Cols
 	for i := 0; i < nPend; i++ {
 		j := <-rt.arrCh
 		lp.recvData[j] = lp.pendRecv[j].Wait()
 	}
 	dNext := lp.ws.Get(lp.NIn, dim)
-	copy(dNext.Data, dxm.Data[:lp.NIn*dim])
+	copy(dNext.Data, dH.Data[:lp.NIn*dim])
 	// Skipped rows' input-gradient rows are stale scratch (no split write
 	// covers them, and no gather reaches an edgeless row); the layer below
 	// multiplies its parameter grads by these rows' dPre, so they must be
@@ -638,12 +629,11 @@ func (rt *RankTrainer) foldGrad(dxm *tensor.Matrix, nPend int) *tensor.Matrix {
 }
 
 // backwardInput runs the first layer's backward. Input features need no
-// gradient: no halo exchange, and the dropout backward's output is unused —
-// only the parameter gradients matter, which the one-shot backward
-// accumulates.
+// gradient: no halo exchange, no dropout backward, no input-gradient matrix
+// — only the parameter gradients.
 func (rt *RankTrainer) backwardInput(d *tensor.Matrix) {
 	bs := time.Now()
-	rt.Model.LayersL[0].Backward(d)
+	rt.Model.LayersL[0].BackwardParams(d)
 	rt.ep.st.Compute += time.Since(bs)
 }
 

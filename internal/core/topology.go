@@ -126,16 +126,30 @@ func (t *Topology) BoundaryRatios() []float64 {
 // concat half kept for backward), 4 bytes per float32.
 //
 // It is the paper's accounting, which the partitioner and the cost model
-// rank partitions by, not this runtime's footprint. Per layer the epoch
-// engine holds five d-wide matrices with a row per inner node and per
-// *sampled* boundary node — the layer input, dropout's mask, output and
-// input gradient, and the layer's input gradient — plus three with a row per
-// inner node only (the aggregated half z, its gradient, the folded
-// gradient handed to the layer below) and three as wide as the layer's
-// output (pre-activation, output, output gradient): about 8·nIn + 5·nBd
-// rows where Eq. 4 counts 3·nIn + nBd. With nBd the boundary sampled at
-// rate p, both shrink with p; the runtime's boundary term weighs more, so its
-// measured reduction (bnsbench -exp fig6) runs above Eq. 4's.
+// rank partitions by, not this runtime's footprint. Per SAGE layer of input
+// width d the epoch engine holds
+//
+//   - with a row per inner node and per *sampled* boundary node, d wide: the
+//     layer input x and, for every layer but the first (whose input is data
+//     and gets no gradient), the input gradient dH. Dropout writes x in
+//     place and keeps one bit per element, 1/32 of x;
+//   - with a row per inner node, d wide: the aggregated half z and, for the
+//     layers above the first, its gradient dz and the folded gradient handed
+//     to the layer below;
+//   - with a row per inner node, as wide as the layer's output: the
+//     pre-activation, the output and the output gradient.
+//
+// That is 5·nIn + 2·nBd input-wide rows (2·nIn + nBd for the first layer)
+// and 3·nIn output-wide ones where Eq. 4 counts 3·nIn + nBd. (Attention also
+// keeps Wh and its gradient, a row per inner and sampled boundary node and
+// as wide as the output.) The halo payloads staged for the wire — a row per
+// boundary node received, and per inner node sent — and the partition's
+// static arrays come on top: measured, the trainers' heap is 3.2–3.5× Eq. 4
+// on a boundary-heavy partition between p=0.1 and p=1, which
+// TestTrainerMemoryScalesWithP gates and bnsbench -exp fig6 prints. With nBd
+// the boundary sampled at rate p both shrink with p, the runtime's boundary
+// term weighing twice Eq. 4's against a larger inner term, so the measured
+// reduction lands within a few points of Eq. 4's either side.
 func MemoryCost(nIn, nBd int, layerInputDims []int) int64 {
 	var floats int64
 	for _, d := range layerInputDims {

@@ -88,8 +88,8 @@ func sameBits(t *testing.T, name string, a, b []float32) {
 		t.Fatalf("%s: length %d vs %d", name, len(a), len(b))
 	}
 	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("%s: element %d = %v, want %v", name, i, a[i], b[i])
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			t.Fatalf("%s: element %d = %v (%#x), want %v (%#x)", name, i, a[i], math.Float32bits(a[i]), b[i], math.Float32bits(b[i]))
 		}
 	}
 }
@@ -171,26 +171,29 @@ func TestDropoutChunkedMatchesOneShot(t *testing.T) {
 	chk := NewDropout(0.4, tensor.NewRNG(9))
 
 	want := ref.Forward(x, true)
-	got := chk.ForwardBegin(x, true)
+	got := tensor.New(rows, cols)
+	chk.ForwardBegin(got, x, true)
 	chk.ForwardRows(0, cut)
 	chk.ForwardRows(cut, rows)
 	sameBits(t, "dropout/forward", got.Data, want.Data)
 
-	wantDX := ref.Backward(dOut)
-	gotDX := chk.BackwardBegin(dOut)
-	chk.BackwardRows(cut, rows) // backward chunks may run in any order
-	chk.BackwardRows(0, cut)
+	wantDX := ref.Backward(dOut.Clone())
+	gotDX := dOut.Clone()
+	chk.BackwardRows(gotDX, cut, rows) // backward chunks may run in any order
+	chk.BackwardRows(gotDX, 0, cut)
 	sameBits(t, "dropout/backward", gotDX.Data, wantDX.Data)
 
-	// Identity pass: chunk calls are no-ops and the inputs pass through.
-	if out := chk.ForwardBegin(x, false); out != x {
-		t.Fatal("identity ForwardBegin must return x")
-	}
+	// Identity pass: the rows pass through unchanged, nothing is drawn, and
+	// the backward leaves the gradient alone.
+	before := chk.RNGState()
+	chk.ForwardBegin(got, x, false)
 	chk.ForwardRows(0, rows)
-	if dx := chk.BackwardBegin(dOut); dx != dOut {
-		t.Fatal("identity BackwardBegin must return dOut")
+	sameBits(t, "dropout/identity-forward", got.Data, x.Data)
+	chk.BackwardRows(gotDX, 0, rows)
+	sameBits(t, "dropout/identity-backward", gotDX.Data, wantDX.Data)
+	if chk.RNGState() != before {
+		t.Fatal("identity pass moved the mask stream")
 	}
-	chk.BackwardRows(0, rows)
 }
 
 // TestDropoutMaskApplySplitMatchesForwardRows: drawing all masks up front
@@ -208,11 +211,14 @@ func TestDropoutMaskApplySplitMatchesForwardRows(t *testing.T) {
 	ref := NewDropout(0.4, tensor.NewRNG(9))
 	chk := NewDropout(0.4, tensor.NewRNG(9))
 
-	want := ref.ForwardBegin(x, true)
+	want := tensor.New(rows, cols)
+	ref.ForwardBegin(want, x, true)
 	ref.ForwardRows(0, cut)
 	ref.ForwardRows(cut, rows)
 
-	got := chk.ForwardBegin(x, true)
+	// The late rows land in the destination itself, as a peer's payload does.
+	got := x.Clone()
+	chk.ForwardBegin(got, x, true)
 	chk.ForwardRows(0, cut)
 	chk.MaskRows(cut, rows)
 	// Apply in out-of-order, disjoint batches, as peers landing would.
@@ -222,11 +228,11 @@ func TestDropoutMaskApplySplitMatchesForwardRows(t *testing.T) {
 	sameBits(t, "dropout/mask-apply", got.Data, want.Data)
 
 	// Identity pass: both halves are no-ops.
-	if out := chk.ForwardBegin(x, false); out != x {
-		t.Fatal("identity ForwardBegin must return x")
-	}
+	got = x.Clone()
+	chk.ForwardBegin(got, x, false)
 	chk.MaskRows(0, rows)
 	chk.ApplyMaskedRows([]int32{0, 1})
+	sameBits(t, "dropout/identity-mask-apply", got.Data, x.Data)
 }
 
 // TestDropoutMaskRowsAtMatchesDenseDraw: the seeking draw over an ascending
@@ -235,9 +241,10 @@ func TestDropoutMaskApplySplitMatchesForwardRows(t *testing.T) {
 // where that sweep ends — for no rows, one row, runs of adjacent rows, a
 // random selection and every row. This is what lets the epoch engine hold
 // rows only for the boundary slots it sampled without moving a mask or a
-// checkpointed stream position.
+// checkpointed stream position. The masks are read back by masking a matrix
+// of ones: 1/(1−rate) where the bit is set, 0 where it is clear.
 func TestDropoutMaskRowsAtMatchesDenseDraw(t *testing.T) {
-	const nIn, n, cols = 5, 40, 7
+	const nIn, n = 5, 40
 	rng := tensor.NewRNG(12)
 	var random, all []int32
 	for r := int32(0); r < n; r++ {
@@ -246,41 +253,62 @@ func TestDropoutMaskRowsAtMatchesDenseDraw(t *testing.T) {
 			random = append(random, r)
 		}
 	}
-	for name, at := range map[string][]int32{
-		"none":   nil,
-		"first":  {0},
-		"single": {17},
-		"last":   {n - 1},
-		"runs":   {2, 3, 4, 9, 20, 21, 38, 39},
-		"random": random,
-		"all":    all,
-	} {
-		dense := NewDropout(0.4, tensor.NewRNG(9))
-		dense.ForwardBegin(randMat(rng, nIn+n, cols), true)
-		dense.ForwardRows(0, nIn)
-		dense.MaskRows(nIn, nIn+n)
+	ones := func(rows, cols int) *tensor.Matrix {
+		m := tensor.New(rows, cols)
+		m.Fill(1)
+		return m
+	}
+	for _, cols := range []int{7, 48, 41, 1} { // words straddle rows
+		for name, at := range map[string][]int32{
+			"none":   nil,
+			"first":  {0},
+			"single": {17},
+			"last":   {n - 1},
+			"runs":   {2, 3, 4, 9, 20, 21, 38, 39},
+			"random": random,
+			"all":    all,
+		} {
+			dense := NewDropout(0.4, tensor.NewRNG(9))
+			dm := ones(nIn+n, cols)
+			dense.ForwardBegin(dm, dm, true)
+			dense.ForwardRows(0, nIn)
+			dense.MaskRows(nIn, nIn+n)
+			dense.ApplyMaskedRows(rowList(nIn, nIn+n))
 
-		sparse := NewDropout(0.4, tensor.NewRNG(9))
-		sparse.ForwardBegin(randMat(rng, nIn+len(at), cols), true)
-		sparse.ForwardRows(0, nIn)
-		sparse.MaskRowsAt(nIn, at, n)
+			sparse := NewDropout(0.4, tensor.NewRNG(9))
+			sm := ones(nIn+len(at), cols)
+			sparse.ForwardBegin(sm, sm, true)
+			sparse.ForwardRows(0, nIn)
+			sparse.MaskRowsAt(nIn, at, n)
+			sparse.ApplyMaskedRows(rowList(nIn, nIn+len(at)))
 
-		for i, r := range at {
-			sameBits(t, "dropout/seek/"+name, sparse.mask.Row(nIn+i), dense.mask.Row(nIn+int(r)))
-		}
-		if sparse.RNGState() != dense.RNGState() {
-			t.Fatalf("%s: stream at %#x after the seeking draw, %#x after the dense one", name, sparse.RNGState(), dense.RNGState())
+			for i, r := range at {
+				sameBits(t, fmt.Sprintf("dropout/seek/%s/cols=%d", name, cols), sm.Row(nIn+i), dm.Row(nIn+int(r)))
+			}
+			if sparse.RNGState() != dense.RNGState() {
+				t.Fatalf("%s: stream at %#x after the seeking draw, %#x after the dense one", name, sparse.RNGState(), dense.RNGState())
+			}
 		}
 	}
 
 	// Identity pass: no masks, no stream movement.
 	d := NewDropout(0.4, tensor.NewRNG(9))
 	before := d.RNGState()
-	d.ForwardBegin(randMat(rng, nIn+2, cols), false)
+	m := randMat(rng, nIn+2, 7)
+	d.ForwardBegin(m, m, false)
 	d.MaskRowsAt(nIn, []int32{1, 5}, n)
 	if d.RNGState() != before {
 		t.Fatal("identity pass moved the mask stream")
 	}
+}
+
+// rowList lists the rows [r0, r1).
+func rowList(r0, r1 int) []int32 {
+	rows := make([]int32, 0, r1-r0)
+	for r := r0; r < r1; r++ {
+		rows = append(rows, int32(r))
+	}
+	return rows
 }
 
 // TestGATHaloLayoutMatchesDenseSpace: a layer trained on a compacted node

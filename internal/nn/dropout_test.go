@@ -1,0 +1,283 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/tensor"
+)
+
+// refDropout is dropout as it stood before the mask became a bitset, kept
+// straight-line as the reference the bit mask is pinned against: a float32
+// mask holding scale or 0 per element, an output written beside the input, a
+// gradient written beside the output gradient.
+type refDropout struct {
+	rate float32
+	rng  *tensor.RNG
+	mask []float32
+}
+
+func newRefDropout(rate float32, rng *tensor.RNG, elems int) *refDropout {
+	return &refDropout{rate: rate, rng: rng.Split(), mask: make([]float32, elems)}
+}
+
+// forward draws masks for elements [lo, hi) and writes their outputs.
+func (r *refDropout) forward(out, src []float32, lo, hi int) {
+	r.draw(lo, hi)
+	r.apply(out, src, lo, hi)
+}
+
+// draw draws masks for elements [lo, hi) without output.
+func (r *refDropout) draw(lo, hi int) {
+	keep := 1 - r.rate
+	scale := 1 / keep
+	for i := lo; i < hi; i++ {
+		if r.rng.Float32() < keep {
+			r.mask[i] = scale
+		} else {
+			r.mask[i] = 0
+		}
+	}
+}
+
+// apply writes the outputs of elements [lo, hi) from masks drawn earlier.
+func (r *refDropout) apply(out, src []float32, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if m := r.mask[i]; m != 0 {
+			out[i] = src[i] * m
+		} else {
+			out[i] = 0
+		}
+	}
+}
+
+// backward returns dOut routed through the mask.
+func (r *refDropout) backward(dOut []float32) []float32 {
+	dx := make([]float32, len(dOut))
+	for i, v := range dOut {
+		dx[i] = v * r.mask[i]
+	}
+	return dx
+}
+
+// specialMat is a random matrix with every float32 special sprinkled through
+// it, so kept and dropped elements both meet each of them.
+func specialMat(rng *tensor.RNG, rows, cols int) *tensor.Matrix {
+	specials := []float32{
+		0, float32(math.Copysign(0, -1)), float32(math.NaN()),
+		float32(math.Inf(1)), float32(math.Inf(-1)), -1, math.MaxFloat32, math.SmallestNonzeroFloat32,
+	}
+	m := randMat(rng, rows, cols)
+	for i := range m.Data {
+		if rng.Float32() < 0.4 {
+			m.Data[i] = specials[rng.Intn(len(specials))]
+		}
+	}
+	return m
+}
+
+// TestDropoutBitMaskMatchesReference: the in-place and the
+// destination-beside-source passes over a packed bit mask produce, bit for
+// bit, what the float32-mask dropout did — forward (one range, chunks, and
+// the draw-now-apply-later split the halo drain uses) and backward — on
+// inputs holding ±0, NaN and ±Inf, with column counts that let a mask word
+// straddle rows, and on a bitset reused from a larger pass (stale bits).
+func TestDropoutBitMaskMatchesReference(t *testing.T) {
+	const rows, cut = 23, 9
+	for _, cols := range []int{48, 41, 1, 7, 64} {
+		for _, inPlace := range []bool{false, true} {
+			name := fmt.Sprintf("cols=%d/inplace=%v", cols, inPlace)
+			rng := tensor.NewRNG(uint64(31 + cols))
+			d := NewDropout(0.4, tensor.NewRNG(9))
+			ref := newRefDropout(0.4, tensor.NewRNG(9), rows*cols)
+
+			// A larger warm-up pass leaves set bits all over the bitset; the
+			// reference skips the draws it made.
+			d.Forward(randMat(rng, rows+5, cols), true)
+			ref.rng.Skip(uint64((rows + 5) * cols))
+
+			for pass := 0; pass < 2; pass++ {
+				x := specialMat(rng, rows, cols)
+				g := specialMat(rng, rows, cols)
+				want := make([]float32, rows*cols)
+				ref.forward(want, x.Data, 0, cut*cols)
+				ref.draw(cut*cols, rows*cols)
+				ref.apply(want, x.Data, cut*cols, rows*cols)
+				wantDX := ref.backward(g.Data)
+
+				dst, src := tensor.New(rows, cols), x.Clone()
+				if inPlace {
+					dst = src
+				}
+				d.ForwardBegin(dst, src, true)
+				d.ForwardRows(0, cut)
+				d.MaskRows(cut, cut+3)
+				d.MaskRows(cut+3, rows)
+				if !inPlace {
+					// The late rows land in the destination, as halo rows do.
+					copy(dst.Data[cut*cols:], x.Data[cut*cols:])
+				}
+				d.ApplyMaskedRows([]int32{21, 22, 10, 15})
+				d.ApplyMaskedRows([]int32{9, 20, 11})
+				d.ApplyMaskedRows([]int32{14, 12, 13, 16, 17, 18, 19})
+				sameBits(t, name+"/forward", dst.Data, want)
+				if !inPlace {
+					sameBits(t, name+"/source untouched", src.Data, x.Data)
+				}
+
+				d.BackwardRows(g, cut, rows)
+				d.BackwardRows(g, 0, cut)
+				sameBits(t, name+"/backward", g.Data, wantDX)
+			}
+			if d.RNGState() != ref.rng.State() {
+				t.Fatalf("%s: stream at %#x, the reference's at %#x", name, d.RNGState(), ref.rng.State())
+			}
+		}
+	}
+}
+
+// TestDropoutOneShotLeavesSourceAlone: the one-shot Forward is handed the
+// dataset's features; it must not write them, and its Backward masks the
+// gradient it is given in place.
+func TestDropoutOneShotLeavesSourceAlone(t *testing.T) {
+	x := specialMat(tensor.NewRNG(5), 12, 41)
+	keepX := x.Clone()
+	d := NewDropout(0.4, tensor.NewRNG(9))
+	ref := newRefDropout(0.4, tensor.NewRNG(9), len(x.Data))
+	want := make([]float32, len(x.Data))
+	ref.forward(want, x.Data, 0, len(x.Data))
+
+	out := d.Forward(x, true)
+	if out == x {
+		t.Fatal("a training pass returned its source")
+	}
+	sameBits(t, "forward", out.Data, want)
+	sameBits(t, "source", x.Data, keepX.Data)
+
+	g := specialMat(tensor.NewRNG(6), 12, 41)
+	wantDX := ref.backward(g.Data)
+	if back := d.Backward(g); back != g {
+		t.Fatal("Backward must mask its argument in place")
+	}
+	sameBits(t, "backward", g.Data, wantDX)
+}
+
+// TestDropoutRejectsContractViolations: the stream-order contract, the
+// destination's extent and the backward's shape are checked, and the panic
+// names the layer, the rows asked and the rows expected.
+func TestDropoutRejectsContractViolations(t *testing.T) {
+	begin := func() (*Dropout, *tensor.Matrix) {
+		d := NewDropout(0.4, tensor.NewRNG(9))
+		d.Layer = 2
+		x := randMat(tensor.NewRNG(1), 10, 5)
+		d.ForwardBegin(x, x, true)
+		return d, x
+	}
+	for _, tc := range []struct {
+		name, want string
+		pass       func(d *Dropout, x *tensor.Matrix)
+	}{
+		{"overlap", "dropout layer 2: forward rows [3,6) asked, rows from 4 on expected",
+			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(0, 4); d.ForwardRows(3, 6) }},
+		{"backwards", "dropout layer 2: forward rows [0,2) asked, rows from 8 on expected",
+			func(d *Dropout, _ *tensor.Matrix) { d.MaskRows(4, 8); d.MaskRows(0, 2) }},
+		{"inverted", "dropout layer 2: forward rows [5,3) asked, rows from 0 on expected",
+			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(5, 3) }},
+		{"seek after sweep", "dropout layer 2: forward rows [4,5) asked, rows from 6 on expected",
+			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(0, 6); d.MaskRowsAt(4, []int32{1, 3}, 8) }},
+		{"past destination", "dropout layer 2: forward rows [8,11) asked, the destination has 10 rows",
+			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(8, 11) }},
+		{"short destination", "dropout layer 2: forward rows [0,10) asked, the destination has 6 rows",
+			func(d *Dropout, x *tensor.Matrix) { d.ForwardBegin(tensor.New(6, 5), x, true); d.ForwardRows(0, 10) }},
+		{"short source", "dropout layer 2: forward rows [0,10) asked, the source has 6 rows",
+			func(d *Dropout, x *tensor.Matrix) { d.ForwardBegin(x, tensor.New(6, 5), true); d.ForwardRows(0, 10) }},
+		{"column mismatch", "dropout layer 2: destination has 5 columns, source 4",
+			func(d *Dropout, x *tensor.Matrix) { d.ForwardBegin(x, tensor.New(10, 4), true) }},
+		{"backward rows", "dropout layer 2: backward over a 9x5 gradient, the forward pass drew a 10x5 mask",
+			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(0, 10); d.BackwardRows(tensor.New(9, 5), 0, 9) }},
+		{"backward cols", "dropout layer 2: backward over a 10x4 gradient, the forward pass drew a 10x5 mask",
+			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(0, 10); d.Backward(tensor.New(10, 4)) }},
+	} {
+		d, x := begin()
+		panicsWith(t, tc.name, tc.want, func() { tc.pass(d, x) })
+	}
+	// The order contract holds for an identity pass too: a schedule bug must
+	// not wait for training mode to show.
+	d, x := begin()
+	d.ForwardBegin(x, x, false)
+	panicsWith(t, "identity overlap", "rows from 4 on expected", func() { d.ForwardRows(0, 4); d.MaskRows(2, 5) })
+}
+
+// paramsOnlyGraph is a partition-shaped graph with halo rows and a
+// zero-degree inner row.
+func paramsOnlyGraph(rng *tensor.RNG, nIn, nBd int) *graph.Graph {
+	g := localGraph(rng, nIn, nBd, 4, 0.4)
+	// Strike out row 3's edges: the rows after it keep theirs.
+	lo, hi := g.Indptr[3], g.Indptr[4]
+	g.Indices = append(g.Indices[:lo:lo], g.Indices[hi:]...)
+	for v := 4; v <= g.N; v++ {
+		g.Indptr[v] -= hi - lo
+	}
+	return g
+}
+
+// TestSAGEBackwardParamsMatchesBackward: the parameters-only backward
+// accumulates into DW and DB the bits the full Backward does — twice over, so
+// the accumulation into a non-zero gradient is covered — allocates no dz and
+// no dH, and rejects a dOut of the wrong shape the way BackwardBegin does.
+func TestSAGEBackwardParamsMatchesBackward(t *testing.T) {
+	const nIn, nBd, inDim, outDim = 37, 11, 9, 5
+	rng := tensor.NewRNG(77)
+	g := paramsOnlyGraph(rng, nIn, nBd)
+	if g.Degree(3) != 0 {
+		t.Fatal("fixture: row 3 must have no edges")
+	}
+	h := randMat(rng, g.N, inDim)
+	invDeg := InvDegrees(g)
+	full := newSAGE(g, inDim, outDim, ReLUAct, tensor.NewRNG(6))
+	only := newSAGE(g, inDim, outDim, ReLUAct, tensor.NewRNG(6))
+	for pass := 0; pass < 2; pass++ {
+		dOut := randMat(rng, nIn, outDim)
+		full.Forward(g, h, nIn, invDeg)
+		full.Backward(dOut)
+		only.Forward(g, h, nIn, invDeg)
+		only.BackwardParams(dOut)
+		sameBits(t, "sage/DW", only.DW.Data, full.DW.Data)
+		sameBits(t, "sage/DB", only.DB.Data, full.DB.Data)
+	}
+	if only.dz != nil || only.dH != nil {
+		t.Fatal("the parameters-only backward allocated an input-gradient matrix")
+	}
+	panicsWith(t, "sage/shape", fmt.Sprintf("SAGEConv backward shape %dx%d, want %dx%d", nIn-1, outDim, nIn, outDim),
+		func() { only.BackwardParams(tensor.New(nIn-1, outDim)) })
+	panicsWith(t, "sage/shape", fmt.Sprintf("SAGEConv backward shape %dx%d, want %dx%d", nIn, outDim+1, nIn, outDim),
+		func() { only.BackwardParams(tensor.New(nIn, outDim+1)) })
+}
+
+// TestGATBackwardParamsMatchesBackward is the same pin for attention: DW, DA1
+// and DA2, no dH, the shape check.
+func TestGATBackwardParamsMatchesBackward(t *testing.T) {
+	const nIn, nBd, inDim, outDim = 37, 11, 9, 5
+	rng := tensor.NewRNG(78)
+	g := paramsOnlyGraph(rng, nIn, nBd)
+	h := randMat(rng, g.N, inDim)
+	full := NewGATConv(inDim, outDim, ReLUAct, tensor.NewRNG(6))
+	only := NewGATConv(inDim, outDim, ReLUAct, tensor.NewRNG(6))
+	for pass := 0; pass < 2; pass++ {
+		dOut := randMat(rng, nIn, outDim)
+		full.Forward(g, h, nIn)
+		full.Backward(dOut)
+		only.Forward(g, h, nIn)
+		only.BackwardParams(dOut)
+		sameBits(t, "gat/DW", only.DW.Data, full.DW.Data)
+		sameBits(t, "gat/DA1", only.DA1.Data, full.DA1.Data)
+		sameBits(t, "gat/DA2", only.DA2.Data, full.DA2.Data)
+	}
+	if only.dH != nil {
+		t.Fatal("the parameters-only backward allocated an input-gradient matrix")
+	}
+	panicsWith(t, "gat/shape", fmt.Sprintf("GATConv backward shape %dx%d, want %dx%d", nIn-1, outDim, nIn, outDim),
+		func() { only.BackwardParams(tensor.New(nIn-1, outDim)) })
+}

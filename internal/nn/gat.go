@@ -250,25 +250,27 @@ func (l *GATConv) forwardNode(v int) {
 // Backward accumulates parameter gradients and returns the gradient with
 // respect to the full input matrix (nAll × InDim).
 func (l *GATConv) Backward(dOut *tensor.Matrix) *tensor.Matrix {
-	l.BackwardBegin(dOut)
-	for v := 0; v < l.nOut; v++ {
-		l.backwardNode(v, 0, l.nAll, true)
-	}
-	l.backwardParams()
-	dH := l.dH
+	l.BackwardParams(dOut)
+	dH := tensor.EnsureMat(&l.dH, l.nAll, l.InDim)
 	tensor.MatMulTransB(dH, l.dWh, l.W)
 	return dH
 }
 
-// BackwardBegin starts a staged backward pass: it computes the
-// pre-activation gradient for every output row and zeroes the Wh-gradient
-// and attention-vector accumulators. The staged schedule (BackwardBegin →
-// BackwardHalo → BackwardFinish) reproduces the one-shot Backward bit for
-// bit: halo rows of dWh receive contributions only from outputs with a halo
-// neighbor, sweeps are destination-filtered so every += lands on each
-// destination row (and on da1/da2) in exactly the order of the unsplit
-// sweep, and the dH matmuls are per-row stable.
-func (l *GATConv) BackwardBegin(dOut *tensor.Matrix) {
+// BackwardParams is the backward of a layer whose input needs no gradient —
+// the first of a stack, fed the dataset's features: the node sweep and the
+// fold into DW/DA1/DA2, the bits Backward accumulates, without the input
+// gradient dWh·Wᵀ (which it never allocates).
+func (l *GATConv) BackwardParams(dOut *tensor.Matrix) {
+	l.preGrad(dOut)
+	for v := 0; v < l.nOut; v++ {
+		l.backwardNode(v, 0, l.nAll, true)
+	}
+	l.backwardParams()
+}
+
+// preGrad checks dOut's shape, computes the pre-activation gradient for every
+// output row and zeroes the Wh-gradient and attention-vector accumulators.
+func (l *GATConv) preGrad(dOut *tensor.Matrix) {
 	if dOut.Rows != l.nOut || dOut.Cols != l.OutDim {
 		panic(fmt.Sprintf("nn: GATConv backward shape %dx%d, want %dx%d", dOut.Rows, dOut.Cols, l.nOut, l.OutDim))
 	}
@@ -283,6 +285,17 @@ func (l *GATConv) BackwardBegin(dOut *tensor.Matrix) {
 		da1[j] = 0
 		da2[j] = 0
 	}
+}
+
+// BackwardBegin starts a staged backward pass: the pre-activation gradient,
+// cleared accumulators, and the input-gradient matrix. The staged schedule
+// (BackwardBegin → BackwardHalo → BackwardFinish) reproduces the one-shot
+// Backward bit for bit: halo rows of dWh receive contributions only from
+// outputs with a halo neighbor, sweeps are destination-filtered so every +=
+// lands on each destination row (and on da1/da2) in exactly the order of the
+// unsplit sweep, and the dH matmuls are per-row stable.
+func (l *GATConv) BackwardBegin(dOut *tensor.Matrix) {
+	l.preGrad(dOut)
 	tensor.EnsureMat(&l.dH, l.nAll, l.InDim) // rows computed stage by stage
 }
 

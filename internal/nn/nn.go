@@ -153,21 +153,38 @@ func consumeMats(mats []*tensor.Matrix, flat []float32, i int) int {
 // Dropout zeroes each element with probability Rate during training and
 // scales survivors by 1/(1-Rate) (inverted dropout).
 //
-// Both passes can run in row chunks (ForwardBegin/ForwardRows and
-// BackwardBegin/BackwardRows) so the pipelined epoch engine can drop a
-// partition's inner rows while halo rows are still in flight. The mask RNG
-// stream is consumed in element order, so forward chunks must be ascending,
-// disjoint ranges covering [0, Rows) — then chunking draws exactly the masks
-// a single full pass would, and results are bit-identical.
+// A pass writes where its caller already has a matrix and remembers one bit
+// per element. The forward takes a destination and a source (the same matrix
+// for an in-place pass): a kept element becomes v·scale, a dropped one a
+// literal +0 whatever v was. The backward multiplies a gradient of the
+// destination's shape in place: by scale where the element was kept, by 0
+// where it was dropped (so a dropped −1 is −0 and a dropped NaN stays NaN).
+//
+// Both passes run in row chunks so the pipelined epoch engine can drop a
+// partition's inner rows while halo rows are still in flight. The mask
+// stream is consumed in element order, so the forward's drawing calls
+// (ForwardRows, MaskRows, MaskRowsAt) must cover ascending, disjoint row
+// ranges — then chunking draws exactly the masks a single full pass would,
+// and results are bit-identical. A range that goes backwards panics.
 type Dropout struct {
 	Rate float32
-	rng  *tensor.RNG
-	mask *tensor.Matrix // nil when the last Forward was identity
+	// Layer is the layer's index in its stack, named in panic messages.
+	Layer int
+	rng   *tensor.RNG
 
-	fwdSrc *tensor.Matrix // input of the in-progress chunked forward
-	bwdSrc *tensor.Matrix // dOut of the in-progress chunked backward
+	// The pass in progress, or the last one run: dst (rows×cols) is written,
+	// src read (src needs only the rows ForwardRows covers); active is false
+	// for an identity pass (inference, or Rate 0); next is the first row no
+	// drawing call has reached. bits is the keep mask of an active pass, one
+	// bit per element of dst in element order, packed 64 to a word — a word
+	// may straddle rows.
+	dst, src   *tensor.Matrix
+	rows, cols int
+	active     bool
+	next       int
+	bits       []uint64
 
-	maskBuf, outBuf, dxBuf *tensor.Matrix
+	outBuf *tensor.Matrix // the one-shot Forward's destination
 }
 
 // NewDropout returns a dropout layer with its own RNG stream.
@@ -186,47 +203,62 @@ func (d *Dropout) RNGState() uint64 { return d.rng.State() }
 // SetRNGState repositions the mask RNG stream (checkpoint restore).
 func (d *Dropout) SetRNGState(s uint64) { d.rng.SetState(s) }
 
-// Forward applies dropout when train is true; at inference it is identity.
-// The returned matrix is layer-owned scratch, valid until the next Forward.
+// Forward applies dropout when train is true; at inference it is identity
+// and returns x itself. x is never written — callers hand it the dataset's
+// features — so a training pass fills layer-owned scratch, valid until the
+// next Forward.
 func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := d.ForwardBegin(x, train)
+	out := x
+	if train && d.Rate != 0 {
+		out = tensor.EnsureMat(&d.outBuf, x.Rows, x.Cols)
+	}
+	d.ForwardBegin(out, x, train)
 	d.ForwardRows(0, x.Rows)
 	return out
 }
 
-// ForwardBegin starts a chunked training-mode pass over x and returns the
-// output matrix the chunks will fill (x itself when the pass is identity).
-// ForwardRows must then be called with ascending, disjoint row ranges
-// covering [0, x.Rows); a row's output is valid once its range has run.
-func (d *Dropout) ForwardBegin(x *tensor.Matrix, train bool) *tensor.Matrix {
-	if !train || d.Rate == 0 {
-		d.mask = nil
-		d.fwdSrc = nil
-		return x
+// ForwardBegin starts a chunked pass that fills dst: rows from src through
+// ForwardRows, rows the caller writes into dst itself through MaskRows or
+// MaskRowsAt and then ApplyMaskedRows. dst and src may be one matrix. A row
+// of dst is valid once its range, or its apply, has run.
+func (d *Dropout) ForwardBegin(dst, src *tensor.Matrix, train bool) {
+	if dst.Cols != src.Cols {
+		panic(fmt.Sprintf("nn: dropout layer %d: destination has %d columns, source %d", d.Layer, dst.Cols, src.Cols))
 	}
-	d.fwdSrc = x
-	d.mask = tensor.EnsureMat(&d.maskBuf, x.Rows, x.Cols)
-	return tensor.EnsureMat(&d.outBuf, x.Rows, x.Cols)
+	d.dst, d.src, d.rows, d.cols, d.next = dst, src, dst.Rows, dst.Cols, 0
+	d.active = train && d.Rate != 0
+	if d.active {
+		tensor.EnsureBits(&d.bits, d.rows, d.cols)
+	}
 }
 
-// ForwardRows draws masks for rows [r0, r1) and writes the matching output
-// rows. A no-op when the pass is identity.
-func (d *Dropout) ForwardRows(r0, r1 int) {
-	if d.mask == nil {
-		return
+// claim checks that [r0, r1) continues the pass's ascending row order inside
+// the destination, and moves the pass past it.
+func (d *Dropout) claim(r0, r1 int) {
+	if r0 < d.next || r1 < r0 {
+		panic(fmt.Sprintf("nn: dropout layer %d: forward rows [%d,%d) asked, rows from %d on expected: the mask stream is drawn in row order, so forward ranges must be ascending and disjoint",
+			d.Layer, r0, r1, d.next))
 	}
-	keep := 1 - d.Rate
-	scale := 1 / keep
-	lo, hi := r0*d.fwdSrc.Cols, r1*d.fwdSrc.Cols
-	mask, out := d.mask.Data, d.outBuf.Data
-	for i, v := range d.fwdSrc.Data[lo:hi] {
-		if d.rng.Float32() < keep {
-			mask[lo+i] = scale
-			out[lo+i] = v * scale
-		} else {
-			mask[lo+i] = 0
-			out[lo+i] = 0
-		}
+	if r1 > d.rows {
+		panic(fmt.Sprintf("nn: dropout layer %d: forward rows [%d,%d) asked, the destination has %d rows", d.Layer, r0, r1, d.rows))
+	}
+	d.next = r1
+}
+
+// ForwardRows draws masks for rows [r0, r1) and writes those rows of the
+// destination from the source's. An identity pass copies them (nothing, when
+// the pass is in place).
+func (d *Dropout) ForwardRows(r0, r1 int) {
+	d.claim(r0, r1)
+	if r1 > d.src.Rows {
+		panic(fmt.Sprintf("nn: dropout layer %d: forward rows [%d,%d) asked, the source has %d rows", d.Layer, r0, r1, d.src.Rows))
+	}
+	lo, hi := r0*d.cols, r1*d.cols
+	if d.active {
+		d.draw(lo, hi)
+		d.apply(d.src.Data, lo, hi)
+	} else if d.dst != d.src {
+		copy(d.dst.Data[lo:hi], d.src.Data[lo:hi])
 	}
 }
 
@@ -235,26 +267,54 @@ func (d *Dropout) ForwardRows(r0, r1 int) {
 // decouples the stream-ordered mask draw from the value-dependent output
 // write: the epoch engine draws the halo rows' masks in ascending row order
 // while the row values are still in flight (through MaskRowsAt), then its
-// drain fills each peer's rows with ApplyMaskedRows as they land —
+// drain masks each peer's rows with ApplyMaskedRows as they land —
 // bit-identical to a single ascending ForwardRows pass over the same range.
-// A no-op when the pass is identity.
+// Draws nothing when the pass is identity.
 func (d *Dropout) MaskRows(r0, r1 int) {
-	if d.mask == nil {
-		return
+	d.claim(r0, r1)
+	if d.active {
+		d.draw(r0*d.cols, r1*d.cols)
 	}
+}
+
+// draw is the one mask-drawing loop: it draws the keep bits of elements
+// [lo, hi) from the stream, in order. lo's word keeps the bits below lo —
+// drawn earlier in this pass — and hi's word is cleared above hi: those
+// elements belong to rows the ascending pass has not reached.
+func (d *Dropout) draw(lo, hi int) {
 	keep := 1 - d.Rate
-	scale := 1 / keep
-	lo, hi := r0*d.fwdSrc.Cols, r1*d.fwdSrc.Cols
-	mask := d.mask.Data[lo:hi]
 	rng := *d.rng // the stream state stays in a register across the run
-	for i := range mask {
-		if rng.Float32() < keep {
-			mask[i] = scale
-		} else {
-			mask[i] = 0
+	for i := lo; i < hi; {
+		end := min(hi, i|63+1) // one mask word at a time
+		b := uint(i) & 63
+		word := d.bits[i>>6] & (1<<b - 1)
+		for j := b; j < b+uint(end-i); j++ {
+			if rng.Float32() < keep {
+				word |= 1 << j
+			}
 		}
+		d.bits[i>>6] = word
+		i = end
 	}
 	*d.rng = rng
+}
+
+// apply writes elements [lo, hi) of the destination from the same elements of
+// src: v·scale where the keep bit is set, a literal +0 where it is clear —
+// the product's bits ANDed with all ones or none, so no branch follows the
+// random bit.
+func (d *Dropout) apply(src []float32, lo, hi int) {
+	scale := 1 / (1 - d.Rate)
+	for i := lo; i < hi; {
+		end := min(hi, i|63+1) // one mask word at a time
+		word := d.bits[i>>6] >> (uint(i) & 63)
+		out := d.dst.Data[i:end]
+		for j, v := range src[i:end] {
+			out[j] = math.Float32frombits(math.Float32bits(v*scale) & -uint32(word&1))
+			word >>= 1
+		}
+		i = end
+	}
 }
 
 // MaskRowsAt draws the masks of rows [r0, r0+len(at)) of the pass as a
@@ -268,12 +328,13 @@ func (d *Dropout) MaskRows(r0, r1 int) {
 // The epoch engine draws its halo masks this way: its node space holds only
 // the sampled boundary slots, and each keeps the masks (and the layer's
 // stream keeps the position) that training over every slot would give it.
-// A no-op when the pass is identity.
+// Draws and skips nothing when the pass is identity.
 func (d *Dropout) MaskRowsAt(r0 int, at []int32, n int) {
-	if d.mask == nil {
+	if !d.active {
+		d.claim(r0, r0+len(at))
 		return
 	}
-	cols := uint64(d.fwdSrc.Cols)
+	cols := uint64(d.cols)
 	next := 0 // first virtual row not yet drawn or skipped
 	for i := 0; i < len(at); {
 		j := i + 1
@@ -288,63 +349,50 @@ func (d *Dropout) MaskRowsAt(r0 int, at []int32, n int) {
 	d.rng.Skip(uint64(n-next) * cols)
 }
 
-// ApplyMaskedRows writes the output rows listed in rows from the current
-// input and the masks drawn by MaskRows. Elementwise (no RNG), so rows may
-// be applied in any order; each row exactly once per pass, after its input
-// values are in place. Writes v*scale for kept elements and 0 for dropped
-// ones — exactly what ForwardRows writes — so the split pass is
-// bit-identical. A no-op when the pass is identity.
+// ApplyMaskedRows masks the listed rows of the destination in place, with
+// the masks MaskRows drew for them. Elementwise (no RNG), so rows may be
+// applied in any order; each row exactly once per pass, after its values are
+// in place. Writes v·scale for kept elements and 0 for dropped ones — exactly
+// what ForwardRows writes — so the split pass is bit-identical. A no-op when
+// the pass is identity.
 func (d *Dropout) ApplyMaskedRows(rows []int32) {
-	if d.mask == nil {
+	if !d.active {
 		return
 	}
-	cols := d.fwdSrc.Cols
-	src, mask, out := d.fwdSrc.Data, d.mask.Data, d.outBuf.Data
 	for _, r := range rows {
-		lo := int(r) * cols
-		for c := 0; c < cols; c++ {
-			// Branch like ForwardRows does: a literal 0 for dropped
-			// elements, not src*0 (which differs on ±0/NaN inputs).
-			if m := mask[lo+c]; m != 0 {
-				out[lo+c] = src[lo+c] * m
-			} else {
-				out[lo+c] = 0
-			}
-		}
+		d.apply(d.dst.Data, int(r)*d.cols, (int(r)+1)*d.cols)
 	}
 }
 
-// Backward routes gradients through the last Forward's mask. The returned
-// matrix is layer-owned scratch, valid until the next Backward.
-func (d *Dropout) Backward(dOut *tensor.Matrix) *tensor.Matrix {
-	dx := d.BackwardBegin(dOut)
-	d.BackwardRows(0, dOut.Rows)
-	return dx
+// Backward routes the gradient g of the last Forward's output through its
+// mask, in place, and returns g.
+func (d *Dropout) Backward(g *tensor.Matrix) *tensor.Matrix {
+	d.BackwardRows(g, 0, g.Rows)
+	return g
 }
 
-// BackwardBegin starts a chunked backward pass and returns the gradient
-// matrix the chunks will fill (dOut itself when the last Forward was
-// identity). The mask application is elementwise — no RNG — so backward
-// chunks may run in any order; each row must be covered exactly once.
-func (d *Dropout) BackwardBegin(dOut *tensor.Matrix) *tensor.Matrix {
-	if d.mask == nil {
-		d.bwdSrc = nil
-		return dOut
-	}
-	d.bwdSrc = dOut
-	return tensor.EnsureMat(&d.dxBuf, dOut.Rows, dOut.Cols)
-}
-
-// BackwardRows applies the mask to gradient rows [r0, r1). A no-op when the
-// pass is identity.
-func (d *Dropout) BackwardRows(r0, r1 int) {
-	if d.bwdSrc == nil {
+// BackwardRows multiplies rows [r0, r1) of g, the gradient of the last
+// forward pass's destination, by that pass's mask in place. Elementwise — no
+// RNG — so backward chunks may run in any order; each row must be covered
+// exactly once. A no-op when the pass was identity.
+func (d *Dropout) BackwardRows(g *tensor.Matrix, r0, r1 int) {
+	if !d.active {
 		return
 	}
-	lo, hi := r0*d.bwdSrc.Cols, r1*d.bwdSrc.Cols
-	dx, mask := d.dxBuf.Data, d.mask.Data
-	for i, v := range d.bwdSrc.Data[lo:hi] {
-		dx[lo+i] = v * mask[lo+i]
+	if g.Rows != d.rows || g.Cols != d.cols {
+		panic(fmt.Sprintf("nn: dropout layer %d: backward over a %dx%d gradient, the forward pass drew a %dx%d mask",
+			d.Layer, g.Rows, g.Cols, d.rows, d.cols))
+	}
+	mul := [2]float32{0, 1 / (1 - d.Rate)}
+	for i, hi := r0*g.Cols, r1*g.Cols; i < hi; {
+		end := min(hi, i|63+1) // one mask word at a time
+		word := d.bits[i>>6] >> (uint(i) & 63)
+		row := g.Data[i:end]
+		for j := range row {
+			row[j] *= mul[word&1]
+			word >>= 1
+		}
+		i = end
 	}
 }
 

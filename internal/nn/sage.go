@@ -211,6 +211,26 @@ func (l *SAGEConv) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 	return l.dH
 }
 
+// BackwardParams is the backward of a layer whose input needs no gradient —
+// the first of a stack, fed the dataset's features: it consumes dOut and
+// accumulates DW/DB, the bits Backward accumulates, and computes no dz and no
+// input gradient (and never allocates them).
+func (l *SAGEConv) BackwardParams(dOut *tensor.Matrix) {
+	l.preGrad(dOut)
+	l.backwardParams()
+}
+
+// preGrad checks dOut's shape and computes the pre-activation gradient for
+// every output row.
+func (l *SAGEConv) preGrad(dOut *tensor.Matrix) {
+	if dOut.Rows != l.nOut || dOut.Cols != l.OutDim {
+		panic(fmt.Sprintf("nn: SAGEConv backward shape %dx%d, want %dx%d", dOut.Rows, dOut.Cols, l.nOut, l.OutDim))
+	}
+	dPre := tensor.EnsureMat(&l.dPre, dOut.Rows, dOut.Cols)
+	copy(dPre.Data, dOut.Data)
+	activationGrad(l.Act, dPre, l.pre)
+}
+
 // BackwardBegin starts a backward pass: it computes the pre-activation
 // gradient for every output row and prepares the input-gradient accumulator.
 // The staged schedule (BackwardBegin → BackwardHalo → BackwardFinish)
@@ -220,12 +240,7 @@ func (l *SAGEConv) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 // sweep (self overwrite, then ascending sources), so every accumulation
 // lands on each destination row in exactly the order of the unsplit pass.
 func (l *SAGEConv) BackwardBegin(dOut *tensor.Matrix) {
-	if dOut.Rows != l.nOut || dOut.Cols != l.OutDim {
-		panic(fmt.Sprintf("nn: SAGEConv backward shape %dx%d, want %dx%d", dOut.Rows, dOut.Cols, l.nOut, l.OutDim))
-	}
-	dPre := tensor.EnsureMat(&l.dPre, dOut.Rows, dOut.Cols)
-	copy(dPre.Data, dOut.Data)
-	activationGrad(l.Act, dPre, l.pre)
+	l.preGrad(dOut)
 	tensor.EnsureMat(&l.dz, l.nOut, l.InDim) // rows filled sweep by sweep
 	// The split sweeps overwrite every dH row < nOut exactly once before any
 	// gather lands on it, so only the tail rows [nOut, nAll) — halo rows and

@@ -70,6 +70,20 @@ func EnsureMat(buf **Matrix, rows, cols int) *Matrix {
 	return m
 }
 
+// EnsureBits returns a bitset of rows·cols bits stored at *buf — one bit per
+// element of a rows×cols matrix, packed in element order — with the row
+// headroom EnsureMat gives that matrix, so a bitset kept beside an epoch-sized
+// matrix regrows when the matrix would and not before. Contents are
+// UNDEFINED.
+func EnsureBits(buf *[]uint64, rows, cols int) []uint64 {
+	n := (rows*cols + 63) / 64
+	if cap(*buf) < n {
+		*buf = make([]uint64, n, (growRows(rows)*cols+63)/64)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
 // EnsureLen returns a length-n slice stored at *buf with undefined contents,
 // reusing capacity when possible (grow-only, with an eighth of headroom).
 func EnsureLen[T any](buf *[]T, n int) []T {
