@@ -66,7 +66,6 @@ import (
 	"repro/internal/datagen"
 	"repro/internal/elastic"
 	"repro/internal/partition"
-	"repro/internal/sampling"
 )
 
 // tagLoss is the AllReduce tag the CLI uses to aggregate the display loss
@@ -113,6 +112,15 @@ func main() {
 	flag.Parse()
 
 	if err := checkModeFlags(*rank, *world, *spawn, *join, *rdv, *ckptDir); err != nil {
+		fatal(err)
+	}
+	// The strategy is rebuilt from flags on every process, so distributed and
+	// elastic ranks (including -join replacements) agree on it by
+	// construction, exactly like the dataset and partitioning.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	strategy, samplerDesc, err := samplerFromFlags(*samplerName, set, *p, *samplerBudget, *samplerFrac, *seed+1)
+	if err != nil {
 		fatal(err)
 	}
 	elasticMode := *ckptDir != ""
@@ -194,30 +202,15 @@ func main() {
 	if !*overlap {
 		sched = core.ScheduleSerialized
 	}
-	pcfg := core.ParallelConfig{Model: mc, P: *p, SampleSeed: *seed + 1, Schedule: sched}
-	// The strategy is rebuilt from flags on every process, so distributed and
-	// elastic ranks (including -join replacements) agree on it by
-	// construction, exactly like the dataset and partitioning.
-	switch *samplerName {
-	case "bns":
-		// Engine default; leave pcfg.Strategy nil.
-	case "ladies":
-		pcfg.Strategy = sampling.NewLADIESFactory(*samplerBudget, *seed+1)
-		logf("sampler: partition-local LADIES, expected budget %d boundary slots per rank\n", *samplerBudget)
-	case "saint":
-		pcfg.Strategy = sampling.NewSAINTFactory(*samplerFrac, *seed+1)
-		logf("sampler: GraphSAINT-style subgraphs, expected inner fraction %.2g per rank\n", *samplerFrac)
-	default:
-		fatal(fmt.Errorf("unknown -sampler %q (want bns, ladies, or saint)", *samplerName))
-	}
+	pcfg := core.ParallelConfig{Model: mc, P: *p, SampleSeed: *seed + 1, Schedule: sched, Strategy: strategy}
 
 	if distributed {
 		if elasticMode {
 			if *join {
 				fmt.Printf("rank %d rejoining elastic cohort from %s\n", *rank, *ckptDir)
 			}
-			logf("training %s (%d layers, %d hidden) for %d epochs at p=%.2g on %d elastic processes over TCP (checkpoints every %d epochs in %s)\n\n",
-				*arch, *layers, *hidden, *epochs, *p, *world, *ckptEvery, *ckptDir)
+			logf("training %s (%d layers, %d hidden) for %d epochs %s on %d elastic processes over TCP (checkpoints every %d epochs in %s)\n\n",
+				*arch, *layers, *hidden, *epochs, samplerDesc, *world, *ckptEvery, *ckptDir)
 			trainElastic(ds, parts, topo, pcfg, elastic.RunnerConfig{
 				Config: elastic.Config{
 					Dir: *ckptDir, Every: *ckptEvery, Epochs: *epochs, MaxRecoveries: *maxRecover,
@@ -229,8 +222,8 @@ func main() {
 			}, *every)
 			return
 		}
-		logf("training %s (%d layers, %d hidden) for %d epochs at p=%.2g on %d processes over TCP\n\n",
-			*arch, *layers, *hidden, *epochs, *p, *world)
+		logf("training %s (%d layers, %d hidden) for %d epochs %s on %d processes over TCP\n\n",
+			*arch, *layers, *hidden, *epochs, samplerDesc, *world)
 		trainDistributed(ds, topo, pcfg, *rank, *world, *rdv, *listenHost, *epochs, *every)
 		return
 	}
@@ -239,8 +232,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	logf("training %s (%d layers, %d hidden) for %d epochs at p=%.2g on %d workers\n\n",
-		*arch, *layers, *hidden, *epochs, *p, *k)
+	logf("training %s (%d layers, %d hidden) for %d epochs %s on %d workers\n\n",
+		*arch, *layers, *hidden, *epochs, samplerDesc, *k)
 	for e := 1; e <= *epochs; e++ {
 		st := tr.TrainEpoch()
 		if *every > 0 && e%*every == 0 {
@@ -289,6 +282,39 @@ func checkModeFlags(rank, world int, spawn, join bool, rdv, ckptDir string) erro
 		return fmt.Errorf("-rank %d outside [0,%d); pass -spawn to launch all ranks", rank, world)
 	}
 	return nil
+}
+
+// samplerFromFlags maps -sampler and the parameter flags to the engine's
+// strategy factory (nil: the engine's default, BNS at rate -p) and the banner's
+// description of what runs. Each sampler reads exactly one of -p,
+// -sampler-budget and -sampler-frac; one of the other two given explicitly
+// (set holds the flags the command line named) is rejected rather than
+// ignored, and the sampler's own parameter must be in range.
+func samplerFromFlags(name string, set map[string]bool, p float64, budget int, frac float64, seed uint64) (core.StrategyFactory, string, error) {
+	params := map[string]string{"bns": "p", "ladies": "sampler-budget", "saint": "sampler-frac"}
+	own, ok := params[name]
+	if !ok {
+		return nil, "", fmt.Errorf("unknown -sampler %q (want bns, ladies, or saint)", name)
+	}
+	for _, sampler := range []string{"bns", "ladies", "saint"} {
+		if other := params[sampler]; other != own && set[other] {
+			return nil, "", fmt.Errorf("-%s is set but -sampler %s never reads it, so it would be ignored: %s is parameterised by -%s; drop -%s, or run the sampler it belongs to (-sampler %s)",
+				other, name, name, own, other, sampler)
+		}
+	}
+	switch name {
+	case "ladies":
+		if budget < 0 {
+			return nil, "", fmt.Errorf("-sampler-budget %d is negative: give the expected number of boundary slots kept per rank per epoch (0 keeps all)", budget)
+		}
+		return core.NewLADIESFactory(budget, seed), fmt.Sprintf("under partition-local LADIES at an expected budget of %d boundary slots per rank", budget), nil
+	case "saint":
+		if !(frac > 0 && frac <= 1) {
+			return nil, "", fmt.Errorf("-sampler-frac %v outside (0,1]: give the expected fraction of each rank's inner nodes kept per epoch (1 keeps all)", frac)
+		}
+		return core.NewSAINTFactory(frac, seed), fmt.Sprintf("on GraphSAINT-style subgraphs of an expected %.2g of each rank's inner nodes", frac), nil
+	}
+	return nil, fmt.Sprintf("at p=%.2g", p), nil
 }
 
 // rendezvousCandidates builds the per-rank elastic rendezvous candidate

@@ -75,6 +75,43 @@ func TestBNSStrategyGolden(t *testing.T) {
 	}
 }
 
+// TestLADIESAndSAINTStrategyGolden gives the two other hosted strategies the
+// absolute pin BNS has above: signatures captured at commit d1685e5, when each
+// strategy still wrote its own per-peer position lists, so a change of draw
+// order, inclusion probability or derived halo demand fails here and not only
+// against itself. Re-capture only for an intentional numerics change.
+func TestLADIESAndSAINTStrategyGolden(t *testing.T) {
+	golden := map[string]map[Arch]struct {
+		hash      uint64
+		commBytes int64
+	}{
+		"ladies": {
+			ArchSAGE: {hash: 0xc32c1f2279cd8c0, commBytes: 34320},
+			ArchGAT:  {hash: 0x405147d46083d744, commBytes: 34320},
+		},
+		"saint": {
+			ArchSAGE: {hash: 0x937c90c051e8c10a, commBytes: 385616},
+			ArchGAT:  {hash: 0x1a04b6b6d5def383, commBytes: 385616},
+		},
+	}
+	ds := testDataset(t, 74)
+	topo := testTopology(t, ds, 4)
+	for name, factory := range stratFactories(17) {
+		for _, arch := range []Arch{ArchSAGE, ArchGAT} {
+			mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
+			cfg := ParallelConfig{Model: mc, P: 1, SampleSeed: 17, Schedule: ScheduleSerialized, Strategy: factory}
+			tr, err := NewParallelTrainer(ds, topo, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash, bytes := trainingSignature(t, tr)
+			if want := golden[name][arch]; hash != want.hash || bytes != want.commBytes {
+				t.Errorf("%s %s: signature (%#x, %d bytes), want (%#x, %d bytes)", name, arch, hash, bytes, want.hash, want.commBytes)
+			}
+		}
+	}
+}
+
 // TestWeightsIndependentOfPoolWidth: a run's losses and trained weights are
 // the same bits at every kernel pool width. dW is the one sum a replica makes
 // over its own rows before the gradient AllReduce, and it is reduced per

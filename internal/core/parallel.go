@@ -513,8 +513,8 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 	}
 	// The epoch-sampling strategy: BNS by default, or whatever the config's
 	// factory builds. It samples against the static partition view and fills
-	// the per-epoch plan, whose Active/Positions slices alias the partition
-	// scratch the engine already owns — planning an epoch allocates nothing.
+	// the per-epoch plan, whose Active slice aliases the partition scratch the
+	// engine already owns — planning an epoch allocates nothing.
 	if cfg.Strategy != nil {
 		rt.strat = cfg.Strategy(rank)
 	} else {
@@ -524,10 +524,8 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 	rt.view = PartitionView{
 		Rank: rank, K: topo.K, NIn: lp.NIn, NBd: lp.NBd,
 		RecvLists: topo.Recv[rank],
-		SlotOwner: lp.slotOwner,
 		Indptr:    lp.fullIndptr,
 		Indices:   lp.fullIndices,
-		TrainMask: lp.TrainMask,
 		InnerDeg:  make([]int32, lp.NIn),
 		SlotDeg:   make([]int32, lp.NBd),
 	}
@@ -538,7 +536,7 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 		rt.view.SlotDeg[si] = int32(topo.G.Degree(u))
 	}
 	rt.strat.Bind(&rt.view)
-	rt.plan = Plan{Active: lp.active, Positions: lp.myPos}
+	rt.plan = Plan{Active: lp.active}
 	// The layers aggregate over the per-epoch subgraph; install its plan
 	// once — the pointer is stable, epochGraph rebuilds the contents (and
 	// bumps the plan generation, so the fused kernels' FLOP-weighted chunk

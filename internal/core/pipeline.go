@@ -196,11 +196,20 @@ func (rt *RankTrainer) planEpoch() {
 	rank, lp, k, w := rt.Rank, rt.LP, rt.Topo.K, rt.ep.w
 	plan := &rt.plan
 	rt.strat.PlanEpoch(plan)
-	myPos := plan.Positions // aliases lp.myPos: positions I sampled, per owner
-	for j := 0; j < k; j++ {
-		if j != rank {
-			ep.st.SampledBd += len(myPos[j])
+	rt.checkPlan(plan)
+	// What to request of each peer follows from the active set alone: every
+	// boundary slot sits in exactly one peer's receive list, so the active
+	// positions of list j, ascending, are this epoch's demand on j.
+	myPos := lp.myPos
+	for j, full := range rt.Topo.Recv[rank] {
+		pos := myPos[j][:0]
+		for x, slot := range full {
+			if plan.Active[lp.NIn+int(slot)] {
+				pos = append(pos, int32(x))
+			}
 		}
+		myPos[j] = pos
+		ep.st.SampledBd += len(pos)
 	}
 	// The strategy's 1/p rescaling of received features (Section 3.2 for BNS)
 	// makes the *mean aggregator's* neighbor sum unbiased. Attention models
@@ -314,6 +323,21 @@ func (rt *RankTrainer) planEpoch() {
 		if j != rank && (len(sendRows[j]) > 0 || len(recvSlots[j]) > 0) {
 			ep.exchanging = true
 		}
+	}
+}
+
+// checkPlan stops a malformed plan where it was made, naming its strategy: a
+// per-slot scale of the wrong length would otherwise index out of range
+// inside the drain, and an inner row left inactive without DropsInner would
+// silently stay in the loss.
+func (rt *RankTrainer) checkPlan(plan *Plan) {
+	if plan.HaloScale != nil && len(plan.HaloScale) != rt.LP.NBd {
+		panic(fmt.Sprintf("core: rank %d: strategy %q planned %d halo scales for %d boundary slots",
+			rt.Rank, rt.strat.Name(), len(plan.HaloScale), rt.LP.NBd))
+	}
+	if v := slices.Index(plan.Active[:rt.LP.NIn], false); v >= 0 && !plan.DropsInner {
+		panic(fmt.Sprintf("core: rank %d: strategy %q left inner row %d inactive without DropsInner",
+			rt.Rank, rt.strat.Name(), v))
 	}
 }
 

@@ -2,19 +2,16 @@ package core
 
 import "repro/internal/tensor"
 
-// This file defines the pluggable epoch-sampling contract: boundary-node
-// sampling (the paper's Algorithm 1) is one policy for shrinking the
-// per-epoch subgraph each partition trains on, and the engine only ever
-// needed three things from it — which rows participate, which halo slots to
-// request from each peer, and how received features are rescaled. Strategy
-// captures exactly that, so LADIES-style layer-wise importance sampling and
-// GraphSAINT-style subgraph sampling (internal/sampling) ride the same
-// pipelined halo overlap, fused kernels, and checkpoint/resume as BNS.
-//
-// The interface lives in core rather than internal/sampling because the
-// sampling package already imports core (its MinibatchTrainer drives
-// core.Model); sampling re-exports the names as type aliases so
-// `sampling.Strategy` remains the canonical spelling for implementations.
+// This file is the partition-parallel half of the repo's one sampler
+// vocabulary: a Strategy decides which local rows an epoch trains on and how
+// received halo features are rescaled, and the engine derives everything else
+// — which positions to request from each peer, the epoch node space, the row
+// split. Boundary-node sampling (the paper's Algorithm 1) is one such policy;
+// LADIES-style layer-wise importance sampling and GraphSAINT-style subgraph
+// sampling are the other two, so all three ride the same pipelined halo
+// overlap, fused kernels and checkpoint/resume and a comparison between them
+// measures the samplers, not the plumbing. Their single-machine minibatch
+// cousins (internal/sampling) feed the same Model through MinibatchTrainer.
 
 // PartitionView is the static, read-only description of one rank's
 // partition that a Strategy samples against. All slices alias trainer
@@ -29,14 +26,10 @@ type PartitionView struct {
 	// into [0, NBd)) this rank would receive from j at p=1, in the canonical
 	// position order the wire protocol aligns on. RecvLists[Rank] is nil.
 	RecvLists [][]int32
-	// SlotOwner[s] is the rank owning boundary slot s.
-	SlotOwner []int32
 	// Indptr/Indices are the full local adjacency over inner ∪ boundary
 	// rows (only inner rows have neighbors), the p=1 epoch graph.
 	Indptr  []int64
 	Indices []int32
-	// TrainMask marks the inner rows that carry training loss.
-	TrainMask []bool
 	// InnerDeg and SlotDeg are global degrees — the importance weights
 	// degree-proportional strategies sample with.
 	InnerDeg []int32
@@ -50,13 +43,9 @@ type Plan struct {
 	// Active[v] marks the local rows (inner and boundary-slot space,
 	// length NIn+NBd) participating in this epoch's subgraph. Edges into
 	// inactive rows are dropped; inactive inner rows also drop their
-	// outgoing edges and leave the loss.
+	// outgoing edges and leave the loss. The engine requests from each peer
+	// exactly the active slots of that peer's receive list.
 	Active []bool
-	// Positions[j] holds the positions (indices into RecvLists[j]) whose
-	// boundary features this rank requests from peer j, ascending. Must be
-	// consistent with Active: position x of peer j is listed iff
-	// Active[NIn+RecvLists[j][x]].
-	Positions [][]int32
 	// InvP is the uniform Horvitz–Thompson rescale applied to every
 	// received boundary feature (and the matching backward payloads).
 	// BNS sets 1/p; strategies without a uniform inclusion probability set
@@ -100,6 +89,48 @@ type Strategy interface {
 // rank-seeded stream.
 type StrategyFactory func(rank int) Strategy
 
+// stratBase is what every strategy here carries: the sampling stream and the
+// partition it samples against. Each rank draws from its own stream of the one
+// configured seed, and that stream's position is the whole resumable state —
+// the single word a trainer checkpoint stores beside the strategy's name.
+type stratBase struct {
+	rng  *tensor.RNG
+	view *PartitionView
+}
+
+func newStratBase(seed uint64, rank int) stratBase {
+	return stratBase{rng: tensor.NewRNG(seed + uint64(rank)*0x9e3779b9)}
+}
+
+// Bind implements Strategy.
+func (b *stratBase) Bind(view *PartitionView) { b.view = view }
+
+// State implements Strategy.
+func (b *stratBase) State() uint64 { return b.rng.State() }
+
+// SetState implements Strategy.
+func (b *stratBase) SetState(st uint64) { b.rng.SetState(st) }
+
+// inclusionProbs returns degree-proportional inclusion probabilities
+// (weight degree+1, each capped at 1) scaled to an expected `expected` kept
+// nodes, and their inverses — the Horvitz–Thompson rescale of a kept node.
+// expected <= 0 keeps every node.
+func inclusionProbs(deg []int32, expected float64) (prob, inv []float32) {
+	prob, inv = make([]float32, len(deg)), make([]float32, len(deg))
+	var sum float64
+	for _, d := range deg {
+		sum += float64(d) + 1
+	}
+	for i, d := range deg {
+		p := 1.0
+		if expected > 0 && sum > 0 {
+			p = min(1, expected*(float64(d)+1)/sum)
+		}
+		prob[i], inv[i] = float32(p), float32(1/p)
+	}
+	return prob, inv
+}
+
 // bnsStrategy is the default Strategy: the paper's random boundary-node
 // sampling, bit-identical to the engine's historically baked-in path — the
 // RNG stream (one Float32 per full-list position, peers in ascending rank
@@ -107,67 +138,33 @@ type StrategyFactory func(rank int) Strategy
 // Plan reproduce the legacy epoch exactly, which the golden-signature test
 // pins.
 type bnsStrategy struct {
-	p    float64
-	seed uint64
-	rng  *tensor.RNG
-	view *PartitionView
+	stratBase
+	p float64
 }
 
 // NewBNSStrategy returns the boundary-node sampling strategy at rate p for
 // one rank, seeded exactly as the legacy engine seeded its sampling stream.
 func NewBNSStrategy(p float64, sampleSeed uint64, rank int) Strategy {
-	return &bnsStrategy{p: p, seed: sampleSeed + uint64(rank)*0x9e3779b9}
+	return &bnsStrategy{stratBase: newStratBase(sampleSeed, rank), p: p}
 }
 
 // Name implements Strategy.
 func (s *bnsStrategy) Name() string { return "bns" }
 
-// Bind implements Strategy.
-func (s *bnsStrategy) Bind(view *PartitionView) {
-	s.view = view
-	s.rng = tensor.NewRNG(s.seed)
-}
-
-// State implements Strategy.
-func (s *bnsStrategy) State() uint64 { return s.rng.State() }
-
-// SetState implements Strategy.
-func (s *bnsStrategy) SetState(st uint64) { s.rng.SetState(st) }
-
 // PlanEpoch implements Strategy: Algorithm 1 lines 4–6. Every inner row is
 // active; each boundary position is kept independently with probability p,
 // drawing one Float32 per position with peers visited in ascending rank
-// order — the exact RNG consumption order of the legacy engine.
+// order — the exact RNG consumption order of the legacy engine, which drew
+// nothing at p=1 and p=0.
 func (s *bnsStrategy) PlanEpoch(plan *Plan) {
 	v := s.view
 	p32 := float32(s.p)
 	for i := range plan.Active {
 		plan.Active[i] = i < v.NIn
 	}
-	for j := 0; j < v.K; j++ {
-		if j == v.Rank {
-			continue
-		}
-		full := v.RecvLists[j]
-		pos := plan.Positions[j][:0]
-		switch {
-		case s.p >= 1:
-			pos = pos[:len(full)]
-			for x := range pos {
-				pos[x] = int32(x)
-			}
-		case s.p <= 0:
-			// nothing sampled
-		default:
-			for x := range full {
-				if s.rng.Float32() < p32 {
-					pos = append(pos, int32(x))
-				}
-			}
-		}
-		plan.Positions[j] = pos
-		for _, x := range pos {
-			plan.Active[v.NIn+int(full[x])] = true
+	for _, full := range v.RecvLists {
+		for _, slot := range full {
+			plan.Active[v.NIn+int(slot)] = s.p >= 1 || (s.p > 0 && s.rng.Float32() < p32)
 		}
 	}
 	plan.InvP = 1
@@ -176,4 +173,128 @@ func (s *bnsStrategy) PlanEpoch(plan *Plan) {
 	}
 	plan.HaloScale = nil
 	plan.DropsInner = false
+}
+
+// LADIES and GraphSAINT below are partition-local adaptations: each rank
+// samples against its own boundary set (LADIES) or inner set (SAINT), and the
+// engine's position exchange reconciles the demands exactly as it does for
+// BNS, with no engine-side special case beyond what the Plan expresses
+// (per-slot receive scales, dropped inner rows).
+
+// ladiesStrategy is partition-local LADIES-style layer-wise importance
+// sampling (Zou et al., 2019) hosted on the partition-parallel engine: the
+// candidate layer is this rank's boundary set, each slot is kept with a
+// static degree-proportional inclusion probability scaled to an expected
+// Budget slots per epoch, and kept features arrive rescaled by the inverse
+// inclusion probability (per-slot Horvitz–Thompson, Plan.HaloScale) so the
+// mean aggregation stays unbiased. Inner rows always participate — like
+// BNS, the strategy only modulates the halo, so the loss and the compute
+// row set match the full partition every epoch.
+type ladiesStrategy struct {
+	stratBase
+	budget int
+	prob   []float32 // per-slot inclusion probability
+	scale  []float32 // per-slot 1/prob (the HT receive rescale)
+}
+
+// NewLADIESFactory returns a factory for partition-local LADIES-style
+// boundary sampling with an expected budget of kept boundary slots per rank
+// per epoch. budget <= 0 keeps every slot (inclusion probability 1).
+func NewLADIESFactory(budget int, seed uint64) StrategyFactory {
+	return func(rank int) Strategy {
+		return &ladiesStrategy{stratBase: newStratBase(seed, rank), budget: budget}
+	}
+}
+
+// Name implements Strategy.
+func (s *ladiesStrategy) Name() string { return "ladies" }
+
+// Bind implements Strategy: the inclusion probabilities are a static
+// function of the partition's boundary degrees, computed once.
+func (s *ladiesStrategy) Bind(view *PartitionView) {
+	s.view = view
+	s.prob, s.scale = inclusionProbs(view.SlotDeg, float64(s.budget))
+}
+
+// PlanEpoch implements Strategy: one draw per boundary slot in ascending
+// slot order — a peer-structure-independent RNG stream, so the plan is a
+// pure function of (seed, epoch) regardless of schedule or transport.
+func (s *ladiesStrategy) PlanEpoch(plan *Plan) {
+	nIn := s.view.NIn
+	for i := range plan.Active[:nIn] {
+		plan.Active[i] = true
+	}
+	for si, p := range s.prob {
+		plan.Active[nIn+si] = s.rng.Float32() < p
+	}
+	plan.InvP = 1
+	plan.HaloScale = s.scale
+	plan.DropsInner = false
+}
+
+// saintStrategy is GraphSAINT-style subgraph sampling (Zeng et al., 2020)
+// hosted on the partition-parallel engine: each epoch every rank keeps a
+// degree-proportional random subset of its inner nodes (expected fraction
+// Frac) and trains on the node-induced subgraph over the kept rows plus the
+// halo slots they touch. Dropped rows leave the compute lists (SAGE) or
+// become isolated zero-gradient nodes (GAT), and leave the loss either way;
+// rows a peer still requests are promoted back to compute with an empty
+// neighborhood (they self-project), so the wire protocol never ships stale
+// features. Aggregations renormalize over the present neighbors (the
+// self-normalized estimator's generic walk), so no receive rescale applies.
+type saintStrategy struct {
+	stratBase
+	frac float64
+	prob []float32 // per-inner-row keep probability
+}
+
+// NewSAINTFactory returns a factory for GraphSAINT-style node-budget
+// subgraph sampling keeping an expected frac of each rank's inner nodes per
+// epoch. frac >= 1 (or <= 0) keeps every node.
+func NewSAINTFactory(frac float64, seed uint64) StrategyFactory {
+	return func(rank int) Strategy {
+		return &saintStrategy{stratBase: newStratBase(seed, rank), frac: frac}
+	}
+}
+
+// Name implements Strategy.
+func (s *saintStrategy) Name() string { return "saint" }
+
+// Bind implements Strategy: per-row keep probabilities proportional to
+// degree+1, normalized so the expected kept count is frac·NIn (capped at 1
+// per row, which skews mass toward low-degree rows exactly like GraphSAINT's
+// clipped node sampler).
+func (s *saintStrategy) Bind(view *PartitionView) {
+	s.view = view
+	expected := 0.0 // keep all, as does a frac <= 0
+	if s.frac < 1 {
+		expected = s.frac * float64(view.NIn)
+	}
+	s.prob, _ = inclusionProbs(view.InnerDeg, expected)
+}
+
+// PlanEpoch implements Strategy: one draw per inner row in ascending row
+// order, then the halo demand is exactly the set of slots adjacent to a
+// kept row — nothing else is requested, so comm volume shrinks with the
+// subgraph.
+func (s *saintStrategy) PlanEpoch(plan *Plan) {
+	v := s.view
+	clear(plan.Active[v.NIn:])
+	for r, p := range s.prob {
+		plan.Active[r] = s.rng.Float32() < p
+	}
+	nIn := int32(v.NIn)
+	for r := 0; r < v.NIn; r++ {
+		if !plan.Active[r] {
+			continue
+		}
+		for _, u := range v.Indices[v.Indptr[r]:v.Indptr[r+1]] {
+			if u >= nIn {
+				plan.Active[u] = true
+			}
+		}
+	}
+	plan.InvP = 1
+	plan.HaloScale = nil
+	plan.DropsInner = true
 }

@@ -9,7 +9,6 @@ import (
 	"text/tabwriter"
 
 	"repro/internal/core"
-	"repro/internal/sampling"
 )
 
 func init() {
@@ -93,8 +92,8 @@ func runSamplers(w io.Writer, o Options) error {
 		factory core.StrategyFactory
 	}{
 		{"bns", nil}, // engine default: boundary-node sampling at rate p
-		{"ladies", sampling.NewLADIESFactory(budget, o.Seed+1)},
-		{"saint", sampling.NewSAINTFactory(frac, o.Seed+1)},
+		{"ladies", core.NewLADIESFactory(budget, o.Seed+1)},
+		{"saint", core.NewSAINTFactory(frac, o.Seed+1)},
 	}
 
 	fmt.Fprintf(w, "workload %s: %d nodes, %d layers × %d hidden, %d epochs (+%d warm-up)\n",

@@ -1,14 +1,19 @@
-// Package sampling implements the sampling-based GCN training baselines the
-// paper compares against (Tables 4, 5, 9, 11, 12): GraphSAGE neighbor
-// sampling, FastGCN and LADIES layer sampling, ClusterGCN and GraphSAINT
-// subgraph sampling, plus the edge-sampling ablations DropEdge and Boundary
-// Edge Sampling (BES).
+// Package sampling is the single-machine minibatch half of the repo's one
+// sampler vocabulary: the sampling-based GCN training baselines the paper
+// compares against (Tables 4, 5, 9, 11, 12) — GraphSAGE neighbor sampling,
+// FastGCN and LADIES layer sampling, ClusterGCN and GraphSAINT subgraph
+// sampling — plus the edge-sampling ablations DropEdge and Boundary Edge
+// Sampling (BES). The partition-parallel half, the BNS, LADIES and GraphSAINT
+// epoch strategies hosted on the engine, is core.Strategy.
 //
 // All subgraph-producing samplers share the Batch abstraction: a set of
 // global nodes, the induced subgraph over them, and a target mask marking
 // the rows where loss is computed. A MinibatchTrainer runs any such sampler
-// through the same nn stack used by BNS-GCN, so timing and accuracy
-// comparisons are apples-to-apples.
+// through the same core.Model the engine trains, so timing and accuracy
+// comparisons are apples-to-apples. What the samplers have in common exists
+// once: epochOrder is the per-epoch shuffle of the train nodes with its
+// resumable cursor, degreePrefix the degree-proportional draw; a sampler is
+// its constructor, its name and the body of Sample that is its algorithm.
 package sampling
 
 import (
@@ -65,6 +70,15 @@ func trainNodeList(mask []bool) []int32 {
 	return out
 }
 
+// allNodes lists every node id of g.
+func allNodes(g *graph.Graph) []int32 {
+	nodes := make([]int32, g.N)
+	for v := range nodes {
+		nodes[v] = int32(v)
+	}
+	return nodes
+}
+
 // induceBatch builds a Batch from a target set and an extra context set.
 func induceBatch(g *graph.Graph, targets []int32, context map[int32]bool) *Batch {
 	nodes := make([]int32, 0, len(targets)+len(context))
@@ -89,74 +103,108 @@ func induceBatch(g *graph.Graph, targets []int32, context map[int32]bool) *Batch
 	return &Batch{Nodes: nodes, G: sub, TargetMask: mask}
 }
 
-// NeighborSampler is GraphSAGE-style node sampling (Hamilton et al., 2017):
-// a batch of train nodes is expanded layer by layer, keeping at most Fanout
-// random neighbors per node per hop.
-type NeighborSampler struct {
-	G        *graph.Graph
+// epochOrder walks the train nodes in a fresh random order every epoch, one
+// batch at a time, and is the resumable position of the samplers that embed
+// it.
+type epochOrder struct {
 	Train    []int32
 	Batch    int
-	Fanout   int
-	Hops     int
 	rng      *tensor.RNG
 	epochRNG uint64 // rng position the running epoch's shuffle was drawn from
 	cursor   int
 	order    []int32
 }
 
-// NewNeighborSampler builds the sampler over the train mask.
-func NewNeighborSampler(g *graph.Graph, trainMask []bool, batch, fanout, hops int, seed uint64) *NeighborSampler {
-	s := &NeighborSampler{
-		G: g, Train: trainNodeList(trainMask), Batch: batch,
-		Fanout: fanout, Hops: hops, rng: tensor.NewRNG(seed),
-	}
-	s.reshuffle()
-	return s
+func newEpochOrder(trainMask []bool, batch int, seed uint64) epochOrder {
+	o := epochOrder{Train: trainNodeList(trainMask), Batch: batch, rng: tensor.NewRNG(seed)}
+	o.reshuffle()
+	return o
 }
 
-func (s *NeighborSampler) reshuffle() {
-	s.epochRNG = s.rng.State()
-	perm := s.rng.Perm(len(s.Train))
-	s.order = make([]int32, len(s.Train))
+func (o *epochOrder) reshuffle() {
+	o.epochRNG = o.rng.State()
+	perm := o.rng.Perm(len(o.Train))
+	o.order = make([]int32, len(o.Train))
 	for i, p := range perm {
-		s.order[i] = s.Train[p]
+		o.order[i] = o.Train[p]
 	}
-	s.cursor = 0
+	o.cursor = 0
+}
+
+// next returns the next batch of targets, reshuffling first when the epoch is
+// spent; the last batch of an epoch may be short.
+func (o *epochOrder) next() []int32 {
+	if o.cursor >= len(o.order) {
+		o.reshuffle()
+	}
+	end := min(o.cursor+o.Batch, len(o.order))
+	targets := o.order[o.cursor:end]
+	o.cursor = end
+	return targets
+}
+
+// State implements Sampler.
+func (o *epochOrder) State() SamplerState {
+	return SamplerState{RNG: o.rng.State(), EpochRNG: o.epochRNG, Cursor: o.cursor}
+}
+
+// SetState implements Sampler.
+func (o *epochOrder) SetState(st SamplerState) {
+	o.rng.SetState(st.EpochRNG)
+	o.reshuffle()
+	o.cursor = st.Cursor
+	o.rng.SetState(st.RNG)
+}
+
+// BatchesPerEpoch implements Sampler.
+func (o *epochOrder) BatchesPerEpoch() int {
+	return (len(o.Train) + o.Batch - 1) / o.Batch
+}
+
+// degreePrefix draws from a node list with probability proportional to
+// degree+1 (the importance distribution FastGCN, LADIES and GraphSAINT's node
+// sampler share), by binary search over the cumulative weights.
+type degreePrefix []float64
+
+func newDegreePrefix(g *graph.Graph, nodes []int32) degreePrefix {
+	prefix := make(degreePrefix, len(nodes)+1)
+	for i, v := range nodes {
+		prefix[i+1] = prefix[i] + float64(g.Degree(v)+1)
+	}
+	return prefix
+}
+
+// draw returns an index into the node list, consuming one Float64.
+func (p degreePrefix) draw(rng *tensor.RNG) int {
+	x := rng.Float64() * p[len(p)-1]
+	i := sort.SearchFloat64s(p, x)
+	if i > 0 {
+		i--
+	}
+	return min(i, len(p)-2)
+}
+
+// NeighborSampler is GraphSAGE-style node sampling (Hamilton et al., 2017):
+// a batch of train nodes is expanded layer by layer, keeping at most Fanout
+// random neighbors per node per hop.
+type NeighborSampler struct {
+	epochOrder
+	G      *graph.Graph
+	Fanout int
+	Hops   int
+}
+
+// NewNeighborSampler builds the sampler over the train mask.
+func NewNeighborSampler(g *graph.Graph, trainMask []bool, batch, fanout, hops int, seed uint64) *NeighborSampler {
+	return &NeighborSampler{epochOrder: newEpochOrder(trainMask, batch, seed), G: g, Fanout: fanout, Hops: hops}
 }
 
 // Name implements Sampler.
 func (s *NeighborSampler) Name() string { return "NeighborSampling" }
 
-// State implements Sampler.
-func (s *NeighborSampler) State() SamplerState {
-	return SamplerState{RNG: s.rng.State(), EpochRNG: s.epochRNG, Cursor: s.cursor}
-}
-
-// SetState implements Sampler.
-func (s *NeighborSampler) SetState(st SamplerState) {
-	s.rng.SetState(st.EpochRNG)
-	s.reshuffle()
-	s.cursor = st.Cursor
-	s.rng.SetState(st.RNG)
-}
-
-// BatchesPerEpoch implements Sampler.
-func (s *NeighborSampler) BatchesPerEpoch() int {
-	return (len(s.Train) + s.Batch - 1) / s.Batch
-}
-
 // Sample implements Sampler.
 func (s *NeighborSampler) Sample() *Batch {
-	if s.cursor >= len(s.order) {
-		s.reshuffle()
-	}
-	end := s.cursor + s.Batch
-	if end > len(s.order) {
-		end = len(s.order)
-	}
-	targets := s.order[s.cursor:end]
-	s.cursor = end
-
+	targets := s.next()
 	context := make(map[int32]bool)
 	frontier := targets
 	for hop := 0; hop < s.Hops; hop++ {
@@ -189,86 +237,29 @@ func (s *NeighborSampler) Sample() *Batch {
 // proposal (Chen et al., 2018a): each batch pairs seed train nodes with
 // LayerSize importance-sampled context nodes drawn from the whole graph.
 type FastGCNSampler struct {
+	epochOrder
 	G         *graph.Graph
-	Train     []int32
-	Batch     int
 	LayerSize int
-	rng       *tensor.RNG
-	epochRNG  uint64    // rng position the running epoch's shuffle was drawn from
-	prefix    []float64 // degree-cumulative for importance sampling
-	cursor    int
-	order     []int32
+	prefix    degreePrefix // over every node of G
 }
 
 // NewFastGCNSampler builds the sampler.
 func NewFastGCNSampler(g *graph.Graph, trainMask []bool, batch, layerSize int, seed uint64) *FastGCNSampler {
-	s := &FastGCNSampler{
-		G: g, Train: trainNodeList(trainMask), Batch: batch,
-		LayerSize: layerSize, rng: tensor.NewRNG(seed),
+	return &FastGCNSampler{
+		epochOrder: newEpochOrder(trainMask, batch, seed), G: g,
+		LayerSize: layerSize, prefix: newDegreePrefix(g, allNodes(g)),
 	}
-	s.prefix = make([]float64, g.N+1)
-	for v := 0; v < g.N; v++ {
-		s.prefix[v+1] = s.prefix[v] + float64(g.Degree(int32(v))+1)
-	}
-	s.reshuffle()
-	return s
-}
-
-func (s *FastGCNSampler) reshuffle() {
-	s.epochRNG = s.rng.State()
-	perm := s.rng.Perm(len(s.Train))
-	s.order = make([]int32, len(s.Train))
-	for i, p := range perm {
-		s.order[i] = s.Train[p]
-	}
-	s.cursor = 0
 }
 
 // Name implements Sampler.
 func (s *FastGCNSampler) Name() string { return "FastGCN" }
 
-// State implements Sampler.
-func (s *FastGCNSampler) State() SamplerState {
-	return SamplerState{RNG: s.rng.State(), EpochRNG: s.epochRNG, Cursor: s.cursor}
-}
-
-// SetState implements Sampler.
-func (s *FastGCNSampler) SetState(st SamplerState) {
-	s.rng.SetState(st.EpochRNG)
-	s.reshuffle()
-	s.cursor = st.Cursor
-	s.rng.SetState(st.RNG)
-}
-
-// BatchesPerEpoch implements Sampler.
-func (s *FastGCNSampler) BatchesPerEpoch() int {
-	return (len(s.Train) + s.Batch - 1) / s.Batch
-}
-
 // Sample implements Sampler.
 func (s *FastGCNSampler) Sample() *Batch {
-	if s.cursor >= len(s.order) {
-		s.reshuffle()
-	}
-	end := s.cursor + s.Batch
-	if end > len(s.order) {
-		end = len(s.order)
-	}
-	targets := s.order[s.cursor:end]
-	s.cursor = end
-
+	targets := s.next()
 	context := make(map[int32]bool)
-	total := s.prefix[len(s.prefix)-1]
 	for i := 0; i < s.LayerSize; i++ {
-		x := s.rng.Float64() * total
-		v := sort.SearchFloat64s(s.prefix, x)
-		if v > 0 {
-			v--
-		}
-		if v >= s.G.N {
-			v = s.G.N - 1
-		}
-		context[int32(v)] = true
+		context[int32(s.prefix.draw(s.rng))] = true
 	}
 	return induceBatch(s.G, targets, context)
 }
@@ -277,70 +268,23 @@ func (s *FastGCNSampler) Sample() *Batch {
 // context nodes are drawn only from the neighborhood of the current batch,
 // degree-proportionally, which keeps the sampled layers connected.
 type LADIESSampler struct {
+	epochOrder
 	G         *graph.Graph
-	Train     []int32
-	Batch     int
 	LayerSize int
 	Hops      int
-	rng       *tensor.RNG
-	epochRNG  uint64 // rng position the running epoch's shuffle was drawn from
-	cursor    int
-	order     []int32
 }
 
 // NewLADIESSampler builds the sampler.
 func NewLADIESSampler(g *graph.Graph, trainMask []bool, batch, layerSize, hops int, seed uint64) *LADIESSampler {
-	s := &LADIESSampler{
-		G: g, Train: trainNodeList(trainMask), Batch: batch,
-		LayerSize: layerSize, Hops: hops, rng: tensor.NewRNG(seed),
-	}
-	s.reshuffle()
-	return s
-}
-
-func (s *LADIESSampler) reshuffle() {
-	s.epochRNG = s.rng.State()
-	perm := s.rng.Perm(len(s.Train))
-	s.order = make([]int32, len(s.Train))
-	for i, p := range perm {
-		s.order[i] = s.Train[p]
-	}
-	s.cursor = 0
+	return &LADIESSampler{epochOrder: newEpochOrder(trainMask, batch, seed), G: g, LayerSize: layerSize, Hops: hops}
 }
 
 // Name implements Sampler.
 func (s *LADIESSampler) Name() string { return "LADIES" }
 
-// State implements Sampler.
-func (s *LADIESSampler) State() SamplerState {
-	return SamplerState{RNG: s.rng.State(), EpochRNG: s.epochRNG, Cursor: s.cursor}
-}
-
-// SetState implements Sampler.
-func (s *LADIESSampler) SetState(st SamplerState) {
-	s.rng.SetState(st.EpochRNG)
-	s.reshuffle()
-	s.cursor = st.Cursor
-	s.rng.SetState(st.RNG)
-}
-
-// BatchesPerEpoch implements Sampler.
-func (s *LADIESSampler) BatchesPerEpoch() int {
-	return (len(s.Train) + s.Batch - 1) / s.Batch
-}
-
 // Sample implements Sampler.
 func (s *LADIESSampler) Sample() *Batch {
-	if s.cursor >= len(s.order) {
-		s.reshuffle()
-	}
-	end := s.cursor + s.Batch
-	if end > len(s.order) {
-		end = len(s.order)
-	}
-	targets := s.order[s.cursor:end]
-	s.cursor = end
-
+	targets := s.next()
 	context := make(map[int32]bool)
 	current := targets
 	for hop := 0; hop < s.Hops; hop++ {
@@ -359,21 +303,10 @@ func (s *LADIESSampler) Sample() *Batch {
 			break
 		}
 		// Degree-proportional draw of LayerSize nodes from the pool.
-		prefix := make([]float64, len(pool)+1)
-		for i, u := range pool {
-			prefix[i+1] = prefix[i] + float64(s.G.Degree(u)+1)
-		}
+		prefix := newDegreePrefix(s.G, pool)
 		var next []int32
 		for i := 0; i < s.LayerSize; i++ {
-			x := s.rng.Float64() * prefix[len(prefix)-1]
-			j := sort.SearchFloat64s(prefix, x)
-			if j > 0 {
-				j--
-			}
-			if j >= len(pool) {
-				j = len(pool) - 1
-			}
-			u := pool[j]
+			u := pool[prefix.draw(s.rng)]
 			if !context[u] {
 				context[u] = true
 				next = append(next, u)
@@ -492,20 +425,15 @@ type GraphSAINTSampler struct {
 	Budget     int // nodes (node/walk modes) or edges (edge mode)
 	WalkLength int
 	rng        *tensor.RNG
-	prefix     []float64
+	prefix     degreePrefix // over every node of G (node mode's proposal)
 }
 
 // NewGraphSAINTSampler builds the sampler.
 func NewGraphSAINTSampler(g *graph.Graph, trainMask []bool, mode SAINTMode, budget, walkLength int, seed uint64) *GraphSAINTSampler {
-	s := &GraphSAINTSampler{
+	return &GraphSAINTSampler{
 		G: g, trainMask: trainMask, Mode: mode, Budget: budget,
-		WalkLength: walkLength, rng: tensor.NewRNG(seed),
+		WalkLength: walkLength, rng: tensor.NewRNG(seed), prefix: newDegreePrefix(g, allNodes(g)),
 	}
-	s.prefix = make([]float64, g.N+1)
-	for v := 0; v < g.N; v++ {
-		s.prefix[v+1] = s.prefix[v] + float64(g.Degree(int32(v))+1)
-	}
-	return s
 }
 
 // Name implements Sampler.
@@ -533,17 +461,8 @@ func (s *GraphSAINTSampler) Sample() *Batch {
 	picked := make(map[int32]bool)
 	switch s.Mode {
 	case SAINTNode:
-		total := s.prefix[len(s.prefix)-1]
 		for len(picked) < s.Budget {
-			x := s.rng.Float64() * total
-			v := sort.SearchFloat64s(s.prefix, x)
-			if v > 0 {
-				v--
-			}
-			if v >= s.G.N {
-				v = s.G.N - 1
-			}
-			picked[int32(v)] = true
+			picked[int32(s.prefix.draw(s.rng))] = true
 		}
 	case SAINTEdge:
 		for i := 0; i < s.Budget; i++ {
