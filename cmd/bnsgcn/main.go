@@ -205,6 +205,7 @@ func main() {
 	pcfg := core.ParallelConfig{Model: mc, P: *p, SampleSeed: *seed + 1, Schedule: sched, Strategy: strategy}
 
 	if distributed {
+		prog := progress{rank: *rank, every: *every, epochs: *epochs, valMask: ds.ValMask, testMask: ds.TestMask}
 		if elasticMode {
 			if *join {
 				fmt.Printf("rank %d rejoining elastic cohort from %s\n", *rank, *ckptDir)
@@ -219,12 +220,12 @@ func main() {
 				Rank: *rank, World: *world, Candidates: cands, ListenHost: *listenHost,
 				HeartbeatInterval: *hbEvery, HeartbeatTimeout: *hbTimeout,
 				Rejoin: *join,
-			}, *every)
+			}, prog)
 			return
 		}
 		logf("training %s (%d layers, %d hidden) for %d epochs %s on %d processes over TCP\n\n",
 			*arch, *layers, *hidden, *epochs, samplerDesc, *world)
-		trainDistributed(ds, topo, pcfg, *rank, *world, *rdv, *listenHost, *epochs, *every)
+		trainDistributed(ds, topo, pcfg, *world, *rdv, *listenHost, prog)
 		return
 	}
 
@@ -237,13 +238,72 @@ func main() {
 	for e := 1; e <= *epochs; e++ {
 		st := tr.TrainEpoch()
 		if *every > 0 && e%*every == 0 {
-			fmt.Printf("epoch %4d  loss %.4f  epoch time %8s  (sample %s, comm %s exposed %s, reduce %s)  test %.4f\n",
-				e, st.Loss, st.TotalTime().Round(1e5), st.SampleTime.Round(1e5),
-				st.CommTime.Round(1e5), st.ExposedCommTime.Round(1e5),
-				st.ReduceTime.Round(1e5), tr.Evaluate(ds.TestMask))
+			epochLine(e, st.Loss, st.TotalTime(), st.SampleTime, st.CommTime, st.ExposedCommTime, st.ReduceTime,
+				tr.Evaluate(ds.TestMask))
 		}
 	}
 	fmt.Printf("\nfinal: val %.4f  test %.4f\n", tr.Evaluate(ds.ValMask), tr.Evaluate(ds.TestMask))
+}
+
+// epochLine prints the progress line of all three modes. In-process the times
+// are the slowest rank's; in a multi-process run, where no process sees
+// another's clock, they are rank 0's own. The loss and the test score are
+// global either way.
+func epochLine(e int, loss float64, total, sample, comm, exposed, reduce time.Duration, test float64) {
+	fmt.Printf("epoch %4d  loss %.4f  epoch time %8s  (sample %s, comm %s exposed %s, reduce %s)  test %.4f\n",
+		e, loss, total.Round(1e5), sample.Round(1e5), comm.Round(1e5), exposed.Round(1e5), reduce.Round(1e5), test)
+}
+
+// progress is what every rank of a multi-process run does between epochs:
+// evaluation and the display loss are collectives, so all ranks take part at
+// the -eval-every cadence and after the last epoch, while the transport is
+// still up, and rank 0 prints. It holds the two masks and not the dataset.
+type progress struct {
+	rank, every, epochs int
+	valMask, testMask   []bool
+	scored              bool // the last epoch's hook ran and set val and test
+	val, test           float64
+}
+
+// afterEpoch is the hook, in the shape elastic.EpochHook wants.
+func (p *progress) afterEpoch(rt *core.RankTrainer, w *comm.Worker, st core.RankStats) error {
+	e := rt.Epoch()
+	atCadence, last := p.every > 0 && e%p.every == 0, e == p.epochs
+	if !atCadence && !last {
+		return nil
+	}
+	test, err := rt.Evaluate(w, p.testMask)
+	if err != nil {
+		return err
+	}
+	if atCadence {
+		// Each rank has its share of the loss; sum them for display.
+		loss := []float32{float32(st.Loss)}
+		w.AllReduceSum(loss, tagLoss)
+		if p.rank == 0 {
+			epochLine(e, float64(loss[0]), st.Sample+st.Compute+st.CommExposed+st.Reduce,
+				st.Sample, st.Comm, st.CommExposed, st.Reduce, test)
+		}
+	}
+	if last {
+		p.test = test
+		if p.val, err = rt.Evaluate(w, p.valMask); err != nil {
+			return err
+		}
+		p.scored = true
+	}
+	return nil
+}
+
+// printFinal is rank 0's last line.
+func (p *progress) printFinal() {
+	switch {
+	case p.rank != 0:
+	case p.scored:
+		fmt.Printf("\nfinal: val %.4f  test %.4f\n", p.val, p.test)
+	default: // -epochs 0, or an elastic process that joined a finished cohort
+		fmt.Println("\nfinal: no epoch ran in this process, so nothing was scored")
+	}
 }
 
 // checkModeFlags validates the flags that choose between in-process training
@@ -379,20 +439,11 @@ func rendezvousCandidates(hostsFile string, world int) ([]string, error) {
 // among the members; a -join replacement later grows the world back and the
 // same factory sheds the absorbed rows to their original owners.
 func trainElastic(ds *datagen.Dataset, parts []int32, topo *core.Topology, pcfg core.ParallelConfig,
-	rc elastic.RunnerConfig, every int) {
+	rc elastic.RunnerConfig, prog progress) {
 	rank := rc.Rank
 	rc.NewTrainer = memberTrainerFactory(ds, parts, topo, pcfg, rc.World)
-	// The display loss here is this rank's share (the elastic loop owns the
-	// transport, so the CLI cannot piggyback a display AllReduce); the test
-	// score is global — replicas are identical after each epoch's reduce.
-	rc.OnEpoch = func(rt *core.RankTrainer, st core.RankStats) {
-		if rank == 0 && every > 0 && rt.Epoch()%every == 0 {
-			fmt.Printf("epoch %4d  loss(rank 0 share) %.4f  (sample %s, comm %s exposed %s, reduce %s)  test %.4f\n",
-				rt.Epoch(), st.Loss, st.Sample.Round(1e5), st.Comm.Round(1e5), st.CommExposed.Round(1e5),
-				st.Reduce.Round(1e5), rt.Evaluate(ds.TestMask))
-		}
-	}
-	rt, rep, err := elastic.Run(rc)
+	rc.OnEpoch = prog.afterEpoch
+	_, rep, err := elastic.Run(rc)
 	if err != nil {
 		fatal(err)
 	}
@@ -405,9 +456,7 @@ func trainElastic(ds *datagen.Dataset, parts []int32, topo *core.Topology, pcfg 
 			fmt.Printf("rank %d trained part of the run on a shrunken world of %d (members %v)\n", rank, len(m), m)
 		}
 	}
-	if rank == 0 {
-		fmt.Printf("\nfinal: val %.4f  test %.4f\n", rt.Evaluate(ds.ValMask), rt.Evaluate(ds.TestMask))
-	}
+	prog.printFinal()
 }
 
 // memberTrainerFactory builds the per-generation trainer factory for the
@@ -458,8 +507,11 @@ func memberTrainerFactory(ds *datagen.Dataset, parts []int32, topo *core.Topolog
 }
 
 // trainDistributed runs this process's single rank over the TCP transport.
+// Once the trainer is built nothing here refers to the dataset or the
+// topology: the process holds its partition and prog's two masks.
 func trainDistributed(ds *datagen.Dataset, topo *core.Topology, pcfg core.ParallelConfig,
-	rank, world int, rdv, listenHost string, epochs, every int) {
+	world int, rdv, listenHost string, prog progress) {
+	rank := prog.rank
 	rt, err := core.NewRankTrainer(ds, topo, pcfg, rank)
 	if err != nil {
 		fatal(err)
@@ -469,27 +521,19 @@ func trainDistributed(ds *datagen.Dataset, topo *core.Topology, pcfg core.Parall
 		fatal(err)
 	}
 	w := comm.NewWorker(tp)
-	loss := make([]float32, 1)
-	for e := 1; e <= epochs; e++ {
+	for e := 1; e <= prog.epochs; e++ {
 		st, err := rt.TrainEpoch(w)
+		if err == nil {
+			err = prog.afterEpoch(rt, w, st)
+		}
 		if err != nil {
 			fatal(err)
 		}
-		// Aggregate the scalar training loss for display; everything else
-		// the trainer needs is already exchanged inside the epoch.
-		loss[0] = float32(st.Loss)
-		w.AllReduceSum(loss, tagLoss)
-		// Only rank 0 evaluates: replicas are identical, and full-graph
-		// inference on every rank would be wasted work.
-		if rank == 0 && every > 0 && e%every == 0 {
-			fmt.Printf("epoch %4d  loss %.4f  (rank %d: sample %s, comm %s exposed %s, reduce %s)  test %.4f\n",
-				e, loss[0], rank, st.Sample.Round(1e5), st.Comm.Round(1e5), st.CommExposed.Round(1e5),
-				st.Reduce.Round(1e5), rt.Evaluate(ds.TestMask))
-		}
 	}
 	w.Barrier()
+	prog.printFinal()
 	if rank == 0 {
-		fmt.Printf("\nfinal: val %.4f  test %.4f\n", rt.Evaluate(ds.ValMask), rt.Evaluate(ds.TestMask))
+		// Payload bytes count every halo row moved, the evaluations' too.
 		fmt.Printf("rank %d sent %d payload bytes in %d messages (%d bytes on the wire)\n",
 			rank, tp.BytesSent(), tp.MessagesSent(), tp.WireBytesSent())
 	}

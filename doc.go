@@ -32,6 +32,16 @@
 // communication as raw span vs exposed (unoverlapped) time; see
 // PERFORMANCE.md "Overlapped halo exchange".
 //
+// A rank (core.RankTrainer) holds its partition — local adjacency, the
+// features, labels and train mask of its inner rows, its send and receive
+// lists — and nothing global: the dataset and the topology it is cut from are
+// read at construction and not kept. Full-graph scores therefore come from a
+// collective, RankTrainer.Evaluate: the epoch's own plan and forward stages
+// over every row at rate 1 with dropout off, each rank scoring its inner rows
+// and the ranks exchanging integer counts. The logits are bit for bit
+// core.FullTrainer's, which stays as the k=1 baseline and the reference the
+// tests compare against.
+//
 // # Checkpoints
 //
 // Durable state is one container (internal/core/checkpoint.go: magic,

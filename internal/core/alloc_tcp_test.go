@@ -27,6 +27,7 @@ func TestTCPTrainEpochSteadyStateAllocs(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			tr.TrainEpoch() // warm up layer scratch, workspaces, and transport pools
 		}
+		tr.Evaluate(ds.TestMask) // as in TestTrainEpochSteadyStateAllocs
 		// The fixed overhead mirrors the channel-backend budget in
 		// TestTrainEpochSteadyStateAllocs, plus a small per-message term for
 		// the position exchanges and scheduler churn of the four demux/writer

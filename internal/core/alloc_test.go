@@ -93,6 +93,10 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				tr.TrainEpoch() // warm up layer scratch and epoch workspaces
 			}
+			// An evaluation between epochs (its own allocations are not the
+			// gate's: it runs at the -eval-every cadence, not per epoch) leaves
+			// nothing for the epochs after it to regrow or rebuild.
+			tr.Evaluate(tr.DS.TestMask)
 			// Measured steady state over the four p: 14–22 allocs/epoch at
 			// GOMAXPROCS=1, 14–26 at 2, 14–24 at 4 (seed: ~380). Every
 			// kernel, the dW reductions included, runs on the one dispatcher,

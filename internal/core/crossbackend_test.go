@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -189,6 +190,78 @@ func TestEpochFailureSurfacesAsError(t *testing.T) {
 		}
 		if got == nil {
 			t.Fatalf("%s: rank 0 trained through a dead peer without error", backend.name)
+		}
+	}
+}
+
+// TestEvaluateFailureSurfacesAsError: evaluation is a collective over the
+// same transport as an epoch and must fail like one. A rank killed between
+// two of the halo sends of an evaluation gets the injected fault back as an
+// error, and every survivor an error carrying a *comm.TransportError — the
+// type the elastic loop keys recovery on — instead of a deadlock or a panic,
+// on both backends.
+func TestEvaluateFailureSurfacesAsError(t *testing.T) {
+	ds := testDataset(t, 98)
+	const k, epochs, victim = 3, 2, 2
+	topo := testTopology(t, ds, k)
+	cfg := ParallelConfig{Model: testModelConfig(), P: 0.5, SampleSeed: 1}
+
+	// Where the victim's sends of the evaluation lie in its send sequence:
+	// the protocol's sends are in program order and the same on every backend.
+	probe, err := NewParallelTrainer(ds, topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < epochs; e++ {
+		probe.TrainEpoch()
+	}
+	before := probe.Cluster.MessagesSent(victim)
+	probe.Evaluate(ds.TestMask)
+	killAt := int(before + (probe.Cluster.MessagesSent(victim)-before)/2)
+
+	for _, backend := range []struct {
+		name  string
+		group func() *comm.Group
+	}{
+		{"chan", func() *comm.Group { return comm.New(k, 0) }},
+		{"tcp", func() *comm.Group { return tcpLoopbackGroup(t, k) }},
+	} {
+		ranks := make([]*RankTrainer, k)
+		for r := range ranks {
+			if ranks[r], err = NewRankTrainer(ds, topo, cfg, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		g := comm.WithFaults(backend.group(), comm.KillAtMessage(victim, killAt))
+		errs := make([]error, k)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			g.Run(func(w *comm.Worker) {
+				rt := ranks[w.Rank()]
+				for e := 0; e < epochs; e++ {
+					if _, err := rt.TrainEpoch(w); err != nil {
+						t.Errorf("%s: rank %d died in epoch %d, before the evaluation: %v", backend.name, w.Rank(), e, err)
+						return
+					}
+				}
+				_, errs[w.Rank()] = rt.Evaluate(w, ds.TestMask)
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(20 * time.Second):
+			t.Fatalf("%s: the survivors deadlocked on the peer killed mid-evaluation", backend.name)
+		}
+		for r, err := range errs {
+			var te *comm.TransportError
+			if !errors.As(err, &te) {
+				t.Errorf("%s: rank %d: evaluation through a dead peer returned %v, want an error carrying *comm.TransportError", backend.name, r, err)
+			}
+		}
+		var inj *comm.InjectedFault
+		if !errors.As(errs[victim], &inj) || inj.Message != killAt {
+			t.Errorf("%s: the victim's error %v does not carry the fault injected at message %d", backend.name, errs[victim], killAt)
 		}
 	}
 }

@@ -45,7 +45,7 @@ func (t *FullTrainer) Forward(train bool) *tensor.Matrix {
 // TrainEpoch runs one full-graph training step and returns the train loss.
 func (t *FullTrainer) TrainEpoch() float64 {
 	logits := t.Forward(true)
-	loss, dLogits := Loss(t.DS, logits, t.DS.Labels, t.DS.LabelMatrix, t.DS.TrainMask, 0)
+	loss, dLogits := Loss(t.DS.MultiLabel, logits, t.DS.Labels, t.DS.LabelMatrix, t.DS.TrainMask, 0)
 	t.Model.ZeroGrad()
 	t.Model.Backward(dLogits)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
@@ -61,8 +61,27 @@ func (t *FullTrainer) Evaluate(mask []bool) float64 {
 
 // Score computes the dataset-appropriate metric over masked rows of logits.
 func Score(ds *datagen.Dataset, logits *tensor.Matrix, mask []bool) float64 {
-	if ds.MultiLabel {
-		return metrics.MicroF1(logits, ds.LabelMatrix, mask)
+	return scoreOf(ds.MultiLabel, scoreCounts(ds.MultiLabel, logits, ds.Labels, ds.LabelMatrix, mask))
+}
+
+// scoreCounts returns the integer sums the metric is a ratio of, over the
+// masked rows of logits: {correct, total} for accuracy, {TP, FP, FN} for a
+// multi-label dataset's micro-F1. They add over disjoint row blocks, so the
+// sum of every rank's counts over its inner rows, through scoreOf, is exactly
+// the full graph's score.
+func scoreCounts(multiLabel bool, logits *tensor.Matrix, labels []int32, labelMatrix *tensor.Matrix, mask []bool) (c [3]int64) {
+	if multiLabel {
+		c[0], c[1], c[2] = metrics.MicroF1Counts(logits, labelMatrix, mask)
+	} else {
+		c[0], c[1] = metrics.AccuracyCounts(logits, labels, mask)
 	}
-	return metrics.Accuracy(logits, ds.Labels, mask)
+	return c
+}
+
+// scoreOf is the score scoreCounts' sums stand for.
+func scoreOf(multiLabel bool, c [3]int64) float64 {
+	if multiLabel {
+		return metrics.MicroF1Of(c[0], c[1], c[2])
+	}
+	return metrics.AccuracyOf(c[0], c[1])
 }

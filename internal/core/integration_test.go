@@ -145,9 +145,9 @@ func TestGATSmallPStable(t *testing.T) {
 	}
 }
 
-// TestMultiLabelParallelTraining exercises the BCE path end to end under
-// partitioning and sampling.
-func TestMultiLabelParallelTraining(t *testing.T) {
+// multiLabelDataset is the BCE / micro-F1 fixture.
+func multiLabelDataset(t testing.TB) *datagen.Dataset {
+	t.Helper()
 	ds, err := datagen.Generate(datagen.Config{
 		Name: "ml", Nodes: 600, Communities: 8, AvgDegree: 14,
 		IntraFrac: 0.75, DegreeSkew: 1.8, FeatureDim: 16,
@@ -158,6 +158,13 @@ func TestMultiLabelParallelTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ds
+}
+
+// TestMultiLabelParallelTraining exercises the BCE path end to end under
+// partitioning and sampling.
+func TestMultiLabelParallelTraining(t *testing.T) {
+	ds := multiLabelDataset(t)
 	parts, err := (&partition.Metis{Seed: 1}).Partition(ds.G, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -211,17 +218,23 @@ func TestEvalAgreesWithManualForward(t *testing.T) {
 	}
 	got := par.Evaluate(ds.TestMask)
 
-	clone, err := NewModel(testModelConfig(), ds.FeatureDim(), ds.NumClasses)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone.CopyWeightsFrom(par.Models[0])
-	clone.SetAgg(graph.NewAggIndex(ds.G))
-	ft := &FullTrainer{DS: ds, Model: clone, invDeg: nn.InvDegrees(ds.G)}
-	want := ft.Evaluate(ds.TestMask)
+	want := fullGraphReference(t, ds, par.Models[0]).Evaluate(ds.TestMask)
 	if got != want {
 		t.Fatalf("Evaluate %v != manual %v", got, want)
 	}
+}
+
+// fullGraphReference is the single-process full-graph trainer holding a copy
+// of weights: what partition-parallel evaluation must reproduce.
+func fullGraphReference(t testing.TB, ds *datagen.Dataset, weights *Model) *FullTrainer {
+	t.Helper()
+	clone, err := NewModel(weights.Config, ds.FeatureDim(), ds.NumClasses)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone.CopyWeightsFrom(weights)
+	clone.SetAgg(graph.NewAggIndex(ds.G))
+	return &FullTrainer{DS: ds, Model: clone, invDeg: nn.InvDegrees(ds.G)}
 }
 
 // TestEstimatorsCoincideAtP1: Horvitz–Thompson and self-normalized

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/datagen"
 	"repro/internal/graph"
 	"repro/internal/nn"
 	"repro/internal/tensor"
@@ -216,7 +215,7 @@ func (m *Model) SetAgg(ai *graph.AggIndex) {
 // normalizer (unused by attention). This and Backward are the only one-shot
 // walks of the layer stack: every single-process trainer and evaluator calls
 // them, and the partition-parallel engine (pipeline.go) runs the same layers
-// stage by stage instead.
+// stage by stage instead, for training and for evaluation alike.
 func (m *Model) Forward(g *graph.Graph, x *tensor.Matrix, nOut int, invDeg []float32, train bool) *tensor.Matrix {
 	h := x
 	for l, layer := range m.LayersL {
@@ -310,20 +309,21 @@ func maxMatDiff(pa, pb []*tensor.Matrix) float32 {
 	return mx
 }
 
-// Loss computes the dataset-appropriate loss and logit gradient over masked
-// rows, rescaled so that summing across partitions yields the global mean
+// Loss computes the loss — sigmoid BCE against labelMatrix for a multi-label
+// dataset, softmax cross-entropy against labels otherwise — and logit
+// gradient over masked rows, rescaled so that summing across partitions yields the global mean
 // loss: both loss and gradient are multiplied by (local masked count /
 // denom). Pass denom == global masked count; for single-process training use
 // the local count itself.
-func Loss(ds *datagen.Dataset, logits *tensor.Matrix, labels []int32, labelMatrix *tensor.Matrix, mask []bool, denom int) (float64, *tensor.Matrix) {
+func Loss(multiLabel bool, logits *tensor.Matrix, labels []int32, labelMatrix *tensor.Matrix, mask []bool, denom int) (float64, *tensor.Matrix) {
 	grad := tensor.New(logits.Rows, logits.Cols)
-	loss := LossInto(grad, ds, logits, labels, labelMatrix, mask, denom)
+	loss := LossInto(grad, multiLabel, logits, labels, labelMatrix, mask, denom)
 	return loss, grad
 }
 
 // LossInto is Loss writing the gradient into a caller-owned matrix
 // (overwritten), for allocation-free training loops.
-func LossInto(grad *tensor.Matrix, ds *datagen.Dataset, logits *tensor.Matrix, labels []int32, labelMatrix *tensor.Matrix, mask []bool, denom int) float64 {
+func LossInto(grad *tensor.Matrix, multiLabel bool, logits *tensor.Matrix, labels []int32, labelMatrix *tensor.Matrix, mask []bool, denom int) float64 {
 	local := 0
 	for i := 0; i < logits.Rows; i++ {
 		if mask[i] {
@@ -331,7 +331,7 @@ func LossInto(grad *tensor.Matrix, ds *datagen.Dataset, logits *tensor.Matrix, l
 		}
 	}
 	var loss float64
-	if ds.MultiLabel {
+	if multiLabel {
 		loss = nn.SigmoidBCEInto(grad, logits, labelMatrix, mask)
 	} else {
 		loss = nn.SoftmaxCrossEntropyInto(grad, logits, labels, mask)

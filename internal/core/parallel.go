@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -17,6 +18,7 @@ import (
 // the protocol is fully ordered, so constant per-phase tags suffice.
 const (
 	tagPositions = 1   // sampled boundary positions (Algorithm 1 line 6)
+	tagEval      = 2   // evaluation's score counts (RankTrainer.Evaluate)
 	tagForward   = 10  // + layer index: feature rows (line 9)
 	tagBackward  = 200 // + layer index: feature gradient rows (line 13)
 	tagReduce    = 900 // AllReduce of weight gradients (line 14)
@@ -53,9 +55,6 @@ type LocalPartition struct {
 	Labels      []int32
 	LabelMatrix *tensor.Matrix
 	TrainMask   []bool
-	ValMask     []bool
-	TestMask    []bool
-	TrainCount  int
 
 	// Per-epoch scratch, reused to avoid allocation churn. The fixed-shape
 	// buffers are allocated once in NewLocalPartition; the model-dimension-
@@ -190,15 +189,8 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 		lp.LabelMatrix = tensor.GatherRows(ds.LabelMatrix, inner)
 	}
 	lp.TrainMask = make([]bool, lp.NIn)
-	lp.ValMask = make([]bool, lp.NIn)
-	lp.TestMask = make([]bool, lp.NIn)
 	for li, v := range inner {
 		lp.TrainMask[li] = ds.TrainMask[v]
-		lp.ValMask[li] = ds.ValMask[v]
-		lp.TestMask[li] = ds.TestMask[v]
-		if ds.TrainMask[v] {
-			lp.TrainCount++
-		}
 	}
 
 	lp.epochIndptr = make([]int64, n+1)
@@ -451,16 +443,22 @@ func (s *EpochStats) TotalTime() time.Duration {
 }
 
 // RankTrainer owns everything one rank needs to participate in BNS-GCN
-// training: its local partition, its model replica, optimizer and sampling
-// stream, and the per-epoch protocol. It is the unit of distribution — the
-// in-process ParallelTrainer drives k of them on goroutines over a channel
-// cluster, while a multi-process deployment runs exactly one per OS process
-// over a TCP transport (see cmd/bnsgcn's -rank/-world/-rendezvous flags).
-// Construction is deterministic given (dataset, topology, config, rank), so
-// independently bootstrapped processes hold bit-identical replicas.
+// training and evaluation: its local partition, its model replica, optimizer
+// and sampling stream, and the per-epoch protocol. It is the unit of
+// distribution — the in-process ParallelTrainer drives k of them on
+// goroutines over a channel cluster, while a multi-process deployment runs
+// exactly one per OS process over a TCP transport (see cmd/bnsgcn's
+// -rank/-world/-rendezvous flags). Construction is deterministic given
+// (dataset, topology, config, rank), so independently bootstrapped processes
+// hold bit-identical replicas.
+//
+// A rank holds its row block and nothing global (the distributed-memory
+// contract): the partition's local adjacency, the features, labels and train
+// mask of its inner rows, the global ids of its inner and boundary nodes, its
+// own send and receive lists, and three numbers about the whole — world size,
+// node count, train count. The dataset and the topology are read during
+// construction and not kept; full-graph scores come from Evaluate.
 type RankTrainer struct {
-	DS    *datagen.Dataset
-	Topo  *Topology
 	Cfg   ParallelConfig
 	Rank  int
 	LP    *LocalPartition
@@ -471,12 +469,18 @@ type RankTrainer struct {
 	view  PartitionView
 	plan  Plan
 
+	// This rank's slice of the topology: the world size and its own
+	// Topology.Recv[rank] and Topology.Send[rank], per peer.
+	k    int
+	recv [][]int32
+	send [][]int32
+
+	multiLabel       bool // BCE and micro-F1 against LP.LabelMatrix, not softmax and accuracy
+	globalNodes      int  // nodes in the whole graph: the length of an evaluation mask
 	globalTrainCount int
 	epoch            int
-	evalModel        *Model
-	evalTrainer      *FullTrainer
 	flatGrad         []float32  // reusable gradient AllReduce buffer
-	ep               epochState // the running epoch's shared stage state
+	ep               epochState // the running pass's shared stage state
 	// arrCh is the halo completion queue: every posted halo receive
 	// delivers its peer's rank here when the payload becomes consumable.
 	// Capacity K covers the at most K−1 notifications outstanding per phase,
@@ -488,7 +492,9 @@ type RankTrainer struct {
 
 // NewRankTrainer builds the local state for one rank of a k-way training
 // run. Every rank must be constructed with the same dataset, topology, and
-// config for the replicas to stay consistent.
+// config for the replicas to stay consistent. The trainer copies what it
+// needs: nothing reachable from it refers to ds, topo.G or topo.Parts once
+// this returns.
 func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, rank int) (*RankTrainer, error) {
 	if cfg.P < 0 || cfg.P > 1 {
 		return nil, fmt.Errorf("core: sampling rate p=%v outside [0,1]", cfg.P)
@@ -496,20 +502,27 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 	if rank < 0 || rank >= topo.K {
 		return nil, fmt.Errorf("core: rank %d out of [0,%d)", rank, topo.K)
 	}
+	// The partition is cut out of ds by the topology's global ids.
+	if ds.G.N != topo.G.N {
+		return nil, fmt.Errorf("core: dataset has %d nodes, topology %d", ds.G.N, topo.G.N)
+	}
 	model, err := NewModel(cfg.Model, ds.FeatureDim(), ds.NumClasses)
 	if err != nil {
 		return nil, err
 	}
 	rt := &RankTrainer{
-		DS:     ds,
-		Topo:   topo,
-		Cfg:    cfg,
-		Rank:   rank,
-		LP:     NewLocalPartition(ds, topo, rank),
-		Model:  model,
-		opt:    optim.NewAdam(cfg.Model.LR),
-		arrCh:  make(chan int, topo.K),
-		landed: make([]int, topo.K),
+		Cfg:         cfg,
+		Rank:        rank,
+		LP:          NewLocalPartition(ds, topo, rank),
+		Model:       model,
+		opt:         optim.NewAdam(cfg.Model.LR),
+		k:           topo.K,
+		recv:        topo.Recv[rank],
+		send:        topo.Send[rank],
+		multiLabel:  ds.MultiLabel,
+		globalNodes: ds.G.N,
+		arrCh:       make(chan int, topo.K),
+		landed:      make([]int, topo.K),
 	}
 	// The epoch-sampling strategy: BNS by default, or whatever the config's
 	// factory builds. It samples against the static partition view and fills
@@ -522,8 +535,8 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 	}
 	lp := rt.LP
 	rt.view = PartitionView{
-		Rank: rank, K: topo.K, NIn: lp.NIn, NBd: lp.NBd,
-		RecvLists: topo.Recv[rank],
+		NIn: lp.NIn, NBd: lp.NBd,
+		RecvLists: rt.recv,
 		Indptr:    lp.fullIndptr,
 		Indices:   lp.fullIndices,
 		InnerDeg:  make([]int32, lp.NIn),
@@ -544,11 +557,7 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 	rt.Model.SetAgg(rt.LP.agg)
 	// The loss normalizer is the global number of training nodes, which is a
 	// property of the dataset alone — no cross-rank exchange needed.
-	for _, m := range ds.TrainMask {
-		if m {
-			rt.globalTrainCount++
-		}
-	}
+	rt.globalTrainCount = datagen.CountMask(ds.TrainMask)
 	rt.flatGrad = make([]float32, 0, nn.ParamCount(model.Layers()))
 	return rt, nil
 }
@@ -563,40 +572,81 @@ func (rt *RankTrainer) Epoch() int { return rt.epoch }
 // connection error promptly instead of deadlocking on messages that will
 // never arrive.
 func (rt *RankTrainer) TrainEpoch(w *comm.Worker) (st RankStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			w.Transport().Abort()
-			// Wrap error panic values so callers can dispatch on the cause
-			// with errors.As — the elastic supervisor keys recovery on
-			// finding a *comm.TransportError in this chain.
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("core: rank %d: epoch %d failed: %w", rt.Rank, rt.epoch, e)
-			} else {
-				err = fmt.Errorf("core: rank %d: epoch %d failed: %v", rt.Rank, rt.epoch, r)
-			}
-		}
-	}()
+	defer rt.failPass(w, "epoch", &err)
 	st = rt.runEpoch(w)
 	rt.epoch++
 	return st, nil
 }
 
-// Evaluate scores this rank's model replica on the given global mask with
-// exact full-graph inference (the paper reports full-graph test accuracy).
-// Replicas are bit-identical across ranks, so any rank's answer is the
-// global answer.
-func (rt *RankTrainer) Evaluate(mask []bool) float64 {
-	if rt.evalTrainer == nil {
-		model, err := NewModel(rt.Cfg.Model, rt.DS.FeatureDim(), rt.DS.NumClasses)
-		if err != nil {
-			panic(err)
-		}
-		model.SetAgg(graph.NewAggIndex(rt.DS.G))
-		rt.evalModel = model
-		rt.evalTrainer = &FullTrainer{DS: rt.DS, Model: model, invDeg: nn.InvDegrees(rt.DS.G)}
+// failPass is the deferred recover of the two collectives, TrainEpoch and
+// Evaluate: a panic inside the pass becomes *err, and the transport is
+// aborted so the peers fail too.
+func (rt *RankTrainer) failPass(w *comm.Worker, what string, err *error) {
+	r := recover()
+	if r == nil {
+		return
 	}
-	rt.evalModel.CopyWeightsFrom(rt.Model)
-	return rt.evalTrainer.Evaluate(mask)
+	w.Transport().Abort()
+	// Wrap error panic values so callers can dispatch on the cause with
+	// errors.As — the elastic supervisor keys recovery on finding a
+	// *comm.TransportError in this chain.
+	if e, ok := r.(error); ok {
+		*err = fmt.Errorf("core: rank %d: %s %d failed: %w", rt.Rank, what, rt.epoch, e)
+	} else {
+		*err = fmt.Errorf("core: rank %d: %s %d failed: %v", rt.Rank, what, rt.epoch, r)
+	}
+}
+
+// Evaluate scores the model on the given global mask with exact full-graph
+// inference (the paper reports full-graph test accuracy). It is a collective:
+// every rank calls it with the same mask between the same two epochs and gets
+// the same score. Each runs the epoch's own plan and forward stages over the
+// plan the engine fills for inference — every row active, nothing rescaled,
+// dropout an identity pass — so the logits of its inner rows are, bit for
+// bit, the single-process full-graph forward's; it scores those rows and the
+// ranks exchange the integer counts behind the metric. No strategy or dropout
+// stream is drawn from: a run that evaluates trains exactly as one that does
+// not.
+//
+// The halo rows an evaluation moves are real traffic, every boundary row once
+// per layer whatever rate the run trains at: they show in the transport's
+// counters (comm.Group.BytesSent) and in no RankStats or EpochStats, which
+// account training epochs only. A failure — a dead peer included — comes back
+// as an error and aborts the transport, as in TrainEpoch.
+func (rt *RankTrainer) Evaluate(w *comm.Worker, mask []bool) (score float64, err error) {
+	if len(mask) != rt.globalNodes {
+		return 0, fmt.Errorf("core: evaluation mask has %d entries, the graph %d nodes", len(mask), rt.globalNodes)
+	}
+	defer rt.failPass(w, "evaluation after epoch", &err)
+	lp := rt.LP
+	logits := rt.infer(w)
+	// lossMask is free scratch here: an epoch that reads it rewrites it first.
+	for li, v := range lp.GlobalInner {
+		lp.lossMask[li] = mask[v]
+	}
+	local := scoreCounts(rt.multiLabel, logits, lp.Labels, lp.LabelMatrix, lp.lossMask)
+	var wire [len(local)]int32
+	for i, c := range local {
+		if c > math.MaxInt32 {
+			panic(fmt.Sprintf("core: rank %d: evaluation count %d overflows the int32 exchange", rt.Rank, c))
+		}
+		wire[i] = int32(c)
+	}
+	var sum [len(local)]int64
+	for _, counts := range w.AllGatherI32(wire[:], tagEval) {
+		for i, c := range counts {
+			sum[i] += int64(c)
+		}
+	}
+	return scoreOf(rt.multiLabel, sum), nil
+}
+
+// infer is Evaluate's forward pass: the logits of the inner rows, valid until
+// this rank's next pass.
+func (rt *RankTrainer) infer(w *comm.Worker) *tensor.Matrix {
+	rt.ep = epochState{w: w, eval: true}
+	rt.planEpoch()
+	return rt.forward()
 }
 
 // ParallelTrainer trains one model replica per partition with boundary node
@@ -703,9 +753,21 @@ func (t *ParallelTrainer) TrainEpoch() *EpochStats {
 }
 
 // Evaluate scores the trained model on the given global mask with exact
-// full-graph inference (the paper reports full-graph test accuracy).
+// full-graph inference (the paper reports full-graph test accuracy): every
+// rank runs RankTrainer.Evaluate, and a failure on any is re-raised as a
+// panic, as in TrainEpoch.
 func (t *ParallelTrainer) Evaluate(mask []bool) float64 {
-	return t.Ranks[0].Evaluate(mask)
+	var score float64
+	t.Cluster.Run(func(w *comm.Worker) {
+		s, err := t.Ranks[w.Rank()].Evaluate(w, mask)
+		if err != nil {
+			panic(err)
+		}
+		if w.Rank() == 0 {
+			score = s // every rank's is the same number
+		}
+	})
+	return score
 }
 
 // Epoch returns the number of completed training epochs.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/datagen"
 	"repro/internal/partition"
 )
@@ -264,6 +265,48 @@ func TestParallelRejectsBadP(t *testing.T) {
 		t.Fatal("p<0 must be rejected")
 	}
 }
+
+// TestParallelRejectsMismatchedInputs: a dataset that is not the one the
+// topology was cut from, and an evaluation mask that is not the graph's, are
+// named errors where they are handed in — not an index out of range inside
+// the partition gather or the scoring loop.
+func TestParallelRejectsMismatchedInputs(t *testing.T) {
+	ds := testDataset(t, 10)
+	topo := testTopology(t, ds, 2)
+	small, err := datagen.Generate(datagen.Config{
+		Name: "small", Nodes: 300, Communities: 6, AvgDegree: 10, IntraFrac: 0.8, FeatureDim: 12,
+		FeatureSignal: 0.5, FeatureNoise: 1.0, TrainFrac: 0.6, ValFrac: 0.2, Seed: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ParallelConfig{Model: testModelConfig(), P: 1}
+	par, err := NewParallelTrainer(ds, topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evaluate := func(mask []bool) error {
+		_, err := par.Ranks[0].Evaluate(par.Cluster.Worker(0), mask)
+		return err
+	}
+	for _, c := range []struct {
+		name string
+		err  error
+		want string
+	}{
+		{"rank trainer, dataset smaller than topology", second(NewRankTrainer(small, topo, cfg, 1)), "core: dataset has 300 nodes, topology 600"},
+		{"parallel trainer, dataset smaller than topology", second(NewParallelTrainerOver(small, topo, cfg, comm.New(2, 0))), "core: dataset has 300 nodes, topology 600"},
+		{"parallel trainer, dataset larger than topology", second(NewParallelTrainer(ds, testTopology(t, small, 2), cfg)), "core: dataset has 600 nodes, topology 300"},
+		{"evaluation mask too short", evaluate(ds.TestMask[:599]), "core: evaluation mask has 599 entries, the graph 600 nodes"},
+		{"evaluation mask too long", evaluate(append(ds.TestMask, true)), "core: evaluation mask has 601 entries, the graph 600 nodes"},
+	} {
+		if c.err == nil || c.err.Error() != c.want {
+			t.Errorf("%s: got error %v, want %q", c.name, c.err, c.want)
+		}
+	}
+}
+
+func second[T any](_ T, err error) error { return err }
 
 func TestGATParallelRuns(t *testing.T) {
 	ds := testDataset(t, 11)

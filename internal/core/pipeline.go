@@ -28,6 +28,11 @@ import (
 //	  fold            stage peer gradients as they land, fold in rank order
 //	reduce        gradient AllReduce + optimizer step
 //
+// Evaluation (RankTrainer.Evaluate) is the plan and forward stages and nothing
+// after them, over the engine's own plan — every row active at rate 1, the
+// strategy not asked — with dropout an identity pass (epochState.eval): each
+// rank's logits are the full graph's for its inner rows.
+//
 // The epoch trains on the sampled subgraph (Section 3.2): its node space is
 // the NIn inner rows followed by one row per boundary slot the plan sampled,
 // in ascending slot order (LocalPartition.epochGraph), and every stage below
@@ -92,6 +97,10 @@ import (
 type epochState struct {
 	w  *comm.Worker
 	st RankStats
+	// eval marks an inference pass (RankTrainer.Evaluate): the plan is every
+	// row at rate 1 and not the strategy's, dropout is an identity pass, and
+	// the pass ends with the last layer's forward.
+	eval bool
 
 	eg     *graph.Graph // the epoch subgraph
 	invDeg []float32    // mean-aggregation normalizer per inner row
@@ -144,21 +153,8 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 
 	rt.planEpoch()
 
-	// --- Forward (lines 8–11) ---
-	h := rt.LP.Features // inner activations entering the current layer
-	for l := range layers {
-		nPend := rt.postForward(l, h)
-		span := rt.openSpan()
-		if serialized {
-			rt.awaitHalo(nPend)
-		}
-		x := rt.LP.ws.Get(rt.ep.eg.N, layers[l].InputDim())
-		h = rt.forwardFree(l, x, h)
-		rt.closeSpan(span, rt.drainForward(l, x, nPend))
-	}
-
-	// --- Loss (line 12) ---
-	d := rt.lossGrad(h)
+	// --- Forward (lines 8–11), loss (line 12) ---
+	d := rt.lossGrad(rt.forward())
 
 	// --- Backward (line 13) ---
 	for l := len(layers) - 1; l > 0; l-- {
@@ -182,6 +178,35 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 	return rt.ep.st
 }
 
+// forward runs every layer's forward stages (lines 8–11) over the planned
+// node space and returns the last layer's output, a row per inner node. It is
+// the whole of an evaluation after its plan, and the first half of an epoch.
+func (rt *RankTrainer) forward() *tensor.Matrix {
+	layers := rt.Model.LayersL
+	serialized := rt.Cfg.Schedule == ScheduleSerialized
+	h := rt.LP.Features // inner activations entering the current layer
+	for l := range layers {
+		nPend := rt.postForward(l, h)
+		span := rt.openSpan()
+		if serialized {
+			rt.awaitHalo(nPend)
+		}
+		x := rt.LP.ws.Get(rt.ep.eg.N, layers[l].InputDim())
+		h = rt.forwardFree(l, x, h)
+		rt.closeSpan(span, rt.drainForward(l, x, nPend))
+		if rt.ep.eval {
+			// No backward will read this layer's input, and once every rank
+			// has drained the layer its halo payloads are consumed (on the
+			// channel transport a peer reads them where they lie): the next
+			// layer reuses their storage, so an evaluation holds one layer's
+			// halo at rate 1 and not the stack's. h is the layer's own buffer.
+			rt.ep.w.Barrier()
+			rt.LP.ws.Reset()
+		}
+	}
+	return h
+}
+
 // planEpoch is the sampling phase (lines 4–7): the strategy decides the
 // epoch, ranks exchange their selections, and everything derivable from the
 // local sample — the epoch node space, its subgraph and aggregation plan, the
@@ -193,15 +218,24 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 func (rt *RankTrainer) planEpoch() {
 	start := time.Now()
 	ep := &rt.ep
-	rank, lp, k, w := rt.Rank, rt.LP, rt.Topo.K, rt.ep.w
+	rank, lp, k, w := rt.Rank, rt.LP, rt.k, rt.ep.w
 	plan := &rt.plan
-	rt.strat.PlanEpoch(plan)
-	rt.checkPlan(plan)
+	if ep.eval {
+		// Inference is over the whole graph: the engine fills the plan and the
+		// strategy, whose stream an evaluation must not advance, is not asked.
+		for i := range plan.Active {
+			plan.Active[i] = true
+		}
+		plan.InvP, plan.HaloScale, plan.DropsInner = 1, nil, false
+	} else {
+		rt.strat.PlanEpoch(plan)
+		rt.checkPlan(plan)
+	}
 	// What to request of each peer follows from the active set alone: every
 	// boundary slot sits in exactly one peer's receive list, so the active
 	// positions of list j, ascending, are this epoch's demand on j.
 	myPos := lp.myPos
-	for j, full := range rt.Topo.Recv[rank] {
+	for j, full := range rt.recv {
 		pos := myPos[j][:0]
 		for x, slot := range full {
 			if plan.Active[lp.NIn+int(slot)] {
@@ -265,7 +299,7 @@ func (rt *RankTrainer) planEpoch() {
 			if j == rank {
 				continue
 			}
-			full := rt.Topo.Recv[rank][j]
+			full := rt.recv[j]
 			slots := recvSlots[j][:len(myPos[j])]
 			for x, posIdx := range myPos[j] {
 				slots[x] = lp.slotRow[full[posIdx]]
@@ -291,7 +325,7 @@ func (rt *RankTrainer) planEpoch() {
 		if j == rank {
 			continue
 		}
-		full := rt.Topo.Send[rank][j]
+		full := rt.send[j]
 		rows := sendRows[j][:len(theirPos[j])]
 		for x, posIdx := range theirPos[j] {
 			rows[x] = full[posIdx]
@@ -462,13 +496,14 @@ func (rt *RankTrainer) awaitHalo(nPend int) {
 // any arrival order: each sampled slot draws at the stream offset it has in
 // a single pass over the inner rows and then all NBd slots, and the stream is
 // left where that pass ends — the masks and the checkpointed stream position
-// do not depend on which other slots an epoch sampled. Returns the layer's
-// output matrix; its halo-dependent rows are valid after the drain.
+// do not depend on which other slots an epoch sampled (an evaluation's pass is
+// the identity and draws nothing). Returns the layer's output matrix; its
+// halo-dependent rows are valid after the drain.
 func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
 	ps := time.Now()
 	lp, ep := rt.LP, &rt.ep
 	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
-	drop.ForwardBegin(x, h, true)
+	drop.ForwardBegin(x, h, !ep.eval)
 	drop.ForwardRows(0, lp.NIn)
 	// Rows the restricted split excluded from compute carry stale scratch in
 	// h; zero them so the SAGE parameter-gradient kernels — which read every
@@ -546,7 +581,7 @@ func (rt *RankTrainer) lossGrad(logits *tensor.Matrix) *tensor.Matrix {
 	ls := time.Now()
 	lp, st := rt.LP, &rt.ep.st
 	d := lp.ws.Get(logits.Rows, logits.Cols)
-	st.Loss = LossInto(d, rt.DS, logits, lp.Labels, lp.LabelMatrix, rt.ep.lossMask, rt.globalTrainCount)
+	st.Loss = LossInto(d, rt.multiLabel, logits, lp.Labels, lp.LabelMatrix, rt.ep.lossMask, rt.globalTrainCount)
 	rt.Model.ZeroGrad()
 	st.Compute += time.Since(ls)
 	return d

@@ -17,14 +17,12 @@ import "repro/internal/tensor"
 // partition that a Strategy samples against. All slices alias trainer
 // state and must not be mutated.
 type PartitionView struct {
-	Rank int
-	K    int
-	NIn  int // inner nodes, local rows [0, NIn)
-	NBd  int // boundary slots, local rows [NIn, NIn+NBd)
+	NIn int // inner nodes, local rows [0, NIn)
+	NBd int // boundary slots, local rows [NIn, NIn+NBd)
 
 	// RecvLists[j] lists, per peer j, the boundary-slot indices (offsets
 	// into [0, NBd)) this rank would receive from j at p=1, in the canonical
-	// position order the wire protocol aligns on. RecvLists[Rank] is nil.
+	// position order the wire protocol aligns on; this rank's own entry is nil.
 	RecvLists [][]int32
 	// Indptr/Indices are the full local adjacency over inner ∪ boundary
 	// rows (only inner rows have neighbors), the p=1 epoch graph.

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 )
 
@@ -82,7 +83,7 @@ func TestElasticMPHelper(t *testing.T) {
 		// Stream epoch progress so the parent can time the SIGKILL; Printf
 		// hits the stdout fd directly, no buffering to defeat. The printed
 		// rank is the slot, which on a shrunken world differs from rt.Rank.
-		OnEpoch: func(rt *core.RankTrainer, _ core.RankStats) {
+		OnEpoch: func(rt *core.RankTrainer, _ *comm.Worker, _ core.RankStats) error {
 			fmt.Printf("EMP-EPOCH rank=%d epoch=%d\n", rank, rt.Epoch())
 			if dieAt > 0 && rt.Epoch() == dieAt {
 				os.Exit(17) // scripted death, as abrupt as a SIGKILL to the peers
@@ -90,6 +91,7 @@ func TestElasticMPHelper(t *testing.T) {
 			if ms, _ := strconv.Atoi(os.Getenv(empEnvSlowMS)); ms > 0 {
 				time.Sleep(time.Duration(ms) * time.Millisecond)
 			}
+			return nil
 		},
 	})
 	if err != nil {

@@ -281,7 +281,7 @@ func TestRunnerResizeGrowBack(t *testing.T) {
 	}
 	mkSurvivor := func(r int) RunnerConfig {
 		rc := resizeRunner(fx, r, world, epochs, every, dir, cands)
-		rc.OnEpoch = func(rt *core.RankTrainer, _ core.RankStats) {
+		rc.OnEpoch = func(rt *core.RankTrainer, _ *comm.Worker, _ core.RankStats) error {
 			if rt.Epoch() == holdEpoch {
 				select {
 				case held <- r:
@@ -289,6 +289,7 @@ func TestRunnerResizeGrowBack(t *testing.T) {
 				}
 				<-release
 			}
+			return nil
 		}
 		return rc
 	}
@@ -512,12 +513,13 @@ func TestSupervisorResizeShrinkGrowMatrix(t *testing.T) {
 			// RankStats.Loss is each rank's contribution to the global loss;
 			// summing the final epoch's contributions across ranks yields the
 			// global training loss the reference reports.
-			OnEpoch: func(rt *core.RankTrainer, st core.RankStats) {
+			OnEpoch: func(rt *core.RankTrainer, _ *comm.Worker, st core.RankStats) error {
 				if rt.Epoch() == epochs {
 					mu.Lock()
 					lossSum += st.Loss
 					mu.Unlock()
 				}
+				return nil
 			},
 		}
 		trainers, rep, err := sup.Run()

@@ -47,8 +47,8 @@ type RunnerConfig struct {
 	// full-strength world members is simply [0, World).
 	NewTrainer func(members []int, slot int) (*core.RankTrainer, error)
 	// OnEpoch, when set, observes every completed epoch (progress logging,
-	// test instrumentation).
-	OnEpoch func(rt *core.RankTrainer, st core.RankStats)
+	// evaluation, test instrumentation).
+	OnEpoch EpochHook
 }
 
 // Run executes this rank's elastic training loop: bootstrap (elect a
@@ -189,7 +189,7 @@ func runGeneration(cfg *RunnerConfig) (*core.RankTrainer, int, []int, error) {
 		return nil, tbl.startGen, tbl.members, err
 	}
 	// Drain in lockstep so no rank tears down while a peer still trains.
-	if err := barrier(w); err != nil {
+	if err := collective("final barrier", func() error { w.Barrier(); return nil }); err != nil {
 		tp.Close()
 		return nil, tbl.startGen, tbl.members, err
 	}
@@ -224,21 +224,5 @@ func verifyDeadShards(cfg *RunnerConfig, members []int, gen int, rt *core.RankTr
 			return fmt.Errorf("elastic: rank %d: dead slot %d's shard of generation %d disagrees with the cohort's weights (max param diff %g): checkpoint directory %s is skewed; refusing to train on absorbed rows", cfg.Rank, slot, gen, d, cfg.Dir)
 		}
 	}
-	return nil
-}
-
-// barrier runs the final synchronization, converting the transport panic a
-// dying peer causes into an error the recovery loop can absorb.
-func barrier(w *comm.Worker) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if e, ok := r.(error); ok {
-				err = fmt.Errorf("elastic: final barrier: %w", e)
-			} else {
-				err = fmt.Errorf("elastic: final barrier: %v", r)
-			}
-		}
-	}()
-	w.Barrier()
 	return nil
 }

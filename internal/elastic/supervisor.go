@@ -86,6 +86,15 @@ type Report struct {
 	Failures []error
 }
 
+// EpochHook observes a completed epoch on the rank that ran it, before the
+// epoch's checkpoint is saved. It is handed the rank's worker, so a hook every
+// rank runs alike may call collectives over the live transport — score the
+// model with RankTrainer.Evaluate, all-reduce a display loss. Its error ends
+// the generation like an epoch's: one carrying a *comm.TransportError (a peer
+// died under the hook's collective) is absorbed as a recovery, and the epoch
+// and its hook are replayed from the last generation.
+type EpochHook func(rt *core.RankTrainer, w *comm.Worker, st core.RankStats) error
+
 // recoverable reports whether err is a peer/transport death the elastic
 // loop should absorb — anything carrying a *comm.TransportError, which
 // includes injected faults and epoch failures wrapping one. Everything else
@@ -104,7 +113,7 @@ func recoverable(err error) bool {
 // future recovery's consensus can fall back to it. slot is the rank's
 // stable launch-time identity; checkpoints are keyed by it, while rt.Rank
 // is the compact mesh rank (they differ only on a shrunken world).
-func trainRank(cfg *Config, rt *core.RankTrainer, w *comm.Worker, startGen, slot int, onEpoch func(*core.RankTrainer, core.RankStats)) error {
+func trainRank(cfg *Config, rt *core.RankTrainer, w *comm.Worker, startGen, slot int, onEpoch EpochHook) error {
 	for rt.Epoch() < cfg.Epochs {
 		if err := comm.MarkEpoch(w.Transport(), rt.Epoch()); err != nil {
 			return fmt.Errorf("elastic: rank %d: %w", slot, err)
@@ -114,7 +123,9 @@ func trainRank(cfg *Config, rt *core.RankTrainer, w *comm.Worker, startGen, slot
 			return err
 		}
 		if onEpoch != nil {
-			onEpoch(rt, st)
+			if err := collective("epoch hook", func() error { return onEpoch(rt, w, st) }); err != nil {
+				return err
+			}
 		}
 		if rt.Epoch()%cfg.Every == 0 {
 			if err := SaveGenerationAs(cfg.Dir, rt.Epoch()/cfg.Every, slot, rt); err != nil {
@@ -126,6 +137,22 @@ func trainRank(cfg *Config, rt *core.RankTrainer, w *comm.Worker, startGen, slot
 		}
 	}
 	return nil
+}
+
+// collective runs a step that talks to the peers outside TrainEpoch and
+// Evaluate — the epoch hook, the final barrier — converting the transport
+// panic a dying peer causes there into an error the recovery loop can absorb.
+func collective(what string, step func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			if e, ok := r.(error); ok {
+				err = fmt.Errorf("elastic: %s: %w", what, e)
+			} else {
+				err = fmt.Errorf("elastic: %s: %v", what, r)
+			}
+		}
+	}()
+	return step()
 }
 
 // resume builds slot's trainer for the agreed member set and brings it to
@@ -199,7 +226,7 @@ type Supervisor struct {
 	// chaos tests use it to pin exactly which generations run shrunken.
 	Members func(gen int) []int
 	// OnEpoch, when set, observes every completed epoch on every rank.
-	OnEpoch func(rt *core.RankTrainer, st core.RankStats)
+	OnEpoch EpochHook
 }
 
 // Run executes the elastic loop to completion and returns the final

@@ -317,6 +317,76 @@ func TestSupervisorSurvivesRandomSeededKills(t *testing.T) {
 	}
 }
 
+// TestSupervisorAbsorbsEvaluationFailure: an epoch hook that scores the model
+// on every rank is part of the protocol the elastic loop protects. A rank
+// killed between two halo sends of the evaluation after epoch 3 costs one
+// recovery — every rank's hook returns an error carrying the transport
+// failure, none panics or hangs — and the run resumes from generation 1 to
+// the uninterrupted run's weights and test score, bit for bit.
+func TestSupervisorAbsorbsEvaluationFailure(t *testing.T) {
+	const k, epochs, every, victim = 3, 6, 2, 1
+	before := goroutineStacks()
+	ds, topo, cfg := testFixture(t, k)
+
+	// The uninterrupted run, evaluating where the hook does; it also says
+	// where in the victim's send sequence the third evaluation lies.
+	ref, err := core.NewParallelTrainer(ds, topo, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var killAt int
+	var wantScore float64
+	for e := 1; e <= epochs; e++ {
+		ref.TrainEpoch()
+		sent := ref.Cluster.MessagesSent(victim)
+		wantScore = ref.Evaluate(ds.TestMask)
+		if e == 3 {
+			killAt = int(sent + (ref.Cluster.MessagesSent(victim)-sent)/2)
+		}
+	}
+
+	scores := make([]float64, k) // each rank's last evaluation
+	sup := &Supervisor{
+		Cfg: Config{Dir: t.TempDir(), Every: every, Epochs: epochs, MaxRecoveries: 1},
+		NewTrainer: func(_ []int, rank int) (*core.RankTrainer, error) {
+			return core.NewRankTrainer(ds, topo, cfg, rank)
+		},
+		NewGroup: func(gen int) (*comm.Group, error) {
+			g := comm.New(k, 0)
+			if gen == 0 {
+				g = comm.WithFaults(g, comm.KillAtMessage(victim, killAt))
+			}
+			return g, nil
+		},
+		OnEpoch: func(rt *core.RankTrainer, w *comm.Worker, _ core.RankStats) (err error) {
+			scores[rt.Rank], err = rt.Evaluate(w, ds.TestMask)
+			return err
+		},
+	}
+	trainers, rep, err := sup.Run()
+	if err != nil {
+		t.Fatalf("supervisor did not recover: %v (report %+v)", err, rep)
+	}
+	var inj *comm.InjectedFault
+	if rep.Recoveries != 1 || !errors.As(rep.Failures[0], &inj) || inj.Message != killAt ||
+		!strings.Contains(rep.Failures[0].Error(), "evaluation after epoch 3") {
+		t.Fatalf("want one recovery, from the fault injected at message %d of the evaluation after epoch 3; got %d: %v", killAt, rep.Recoveries, rep.Failures)
+	}
+	if len(rep.StartGens) != 2 || rep.StartGens[1] != 1 {
+		t.Fatalf("start generations %v: want a fresh start, then generation 1", rep.StartGens)
+	}
+	want := paramHash(ref.Models[0])
+	for r, rt := range trainers {
+		if got := paramHash(rt.Model); rt.Epoch() != epochs || got != want {
+			t.Errorf("rank %d: at epoch %d with weights %s, want epoch %d and the uninterrupted run's %s", r, rt.Epoch(), got, epochs, want)
+		}
+		if scores[r] != wantScore {
+			t.Errorf("rank %d: final test score %v, the uninterrupted run's %v", r, scores[r], wantScore)
+		}
+	}
+	waitNoLeaks(t, before)
+}
+
 // TestSupervisorGivesUpAfterMaxRecoveries: a fault that re-fires every
 // generation exhausts the budget and surfaces the underlying error instead
 // of looping forever.

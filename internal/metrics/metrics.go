@@ -16,10 +16,17 @@ import (
 // 0: a diverged model must read as 0 accuracy, not ~1/nClasses. Returns 0
 // when the mask is empty.
 func Accuracy(logits *tensor.Matrix, labels []int32, mask []bool) float64 {
+	return AccuracyOf(AccuracyCounts(logits, labels, mask))
+}
+
+// AccuracyCounts is Accuracy's scoring loop: the number of masked rows
+// predicted correctly and the number of masked rows. Counts over disjoint row
+// blocks add, which is how partition-parallel evaluation scores the whole
+// graph without any rank holding it.
+func AccuracyCounts(logits *tensor.Matrix, labels []int32, mask []bool) (correct, total int64) {
 	if len(labels) < logits.Rows || len(mask) < logits.Rows {
 		panic(fmt.Sprintf("metrics: need %d labels/mask, have %d/%d", logits.Rows, len(labels), len(mask)))
 	}
-	correct, total := 0, 0
 	for i := 0; i < logits.Rows; i++ {
 		if !mask[i] {
 			continue
@@ -39,6 +46,11 @@ func Accuracy(logits *tensor.Matrix, labels []int32, mask []bool) float64 {
 			correct++
 		}
 	}
+	return correct, total
+}
+
+// AccuracyOf turns (summed) AccuracyCounts into the score.
+func AccuracyOf(correct, total int64) float64 {
 	if total == 0 {
 		return 0
 	}
@@ -49,10 +61,16 @@ func Accuracy(logits *tensor.Matrix, labels []int32, mask []bool) float64 {
 // multi-label problem: a label is predicted positive when its logit > 0
 // (sigmoid > 0.5). Returns 0 when there are no positives at all.
 func MicroF1(logits, targets *tensor.Matrix, mask []bool) float64 {
+	return MicroF1Of(MicroF1Counts(logits, targets, mask))
+}
+
+// MicroF1Counts is MicroF1's scoring loop: true positives, false positives
+// and false negatives over the masked rows. Like AccuracyCounts, they add
+// over disjoint row blocks.
+func MicroF1Counts(logits, targets *tensor.Matrix, mask []bool) (tp, fp, fn int64) {
 	if logits.Rows != targets.Rows || logits.Cols != targets.Cols {
 		panic(fmt.Sprintf("metrics: shape mismatch %dx%d vs %dx%d", logits.Rows, logits.Cols, targets.Rows, targets.Cols))
 	}
-	var tp, fp, fn float64
 	for i := 0; i < logits.Rows; i++ {
 		if !mask[i] {
 			continue
@@ -71,11 +89,16 @@ func MicroF1(logits, targets *tensor.Matrix, mask []bool) float64 {
 			}
 		}
 	}
+	return tp, fp, fn
+}
+
+// MicroF1Of turns (summed) MicroF1Counts into the score.
+func MicroF1Of(tp, fp, fn int64) float64 {
 	denom := 2*tp + fp + fn
 	if denom == 0 {
 		return 0
 	}
-	return 2 * tp / denom
+	return float64(2*tp) / float64(denom)
 }
 
 // Curve records a score per epoch for convergence plots.

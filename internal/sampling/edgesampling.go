@@ -122,7 +122,7 @@ func (t *EdgeDropTrainer) TrainEpoch() float64 {
 	t.agg.Build(g)
 	t.Model.SetAgg(&t.agg)
 	h := t.Model.Forward(g, t.DS.Features, g.N, invDeg, true)
-	loss, d := core.Loss(t.DS, h, t.DS.Labels, t.DS.LabelMatrix, t.DS.TrainMask, 0)
+	loss, d := core.Loss(t.DS.MultiLabel, h, t.DS.Labels, t.DS.LabelMatrix, t.DS.TrainMask, 0)
 	t.Model.ZeroGrad()
 	t.Model.Backward(d)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())

@@ -82,7 +82,7 @@ func (t *MinibatchTrainer) TrainStep() float64 {
 
 	h := t.Model.Forward(batch.G, feats, batch.G.N, invDeg, true)
 	d := tensor.EnsureMat(&t.gradBuf, h.Rows, h.Cols)
-	loss := core.LossInto(d, t.DS, h, labels, labelMatrix, batch.TargetMask, 0)
+	loss := core.LossInto(d, t.DS.MultiLabel, h, labels, labelMatrix, batch.TargetMask, 0)
 	t.Model.ZeroGrad()
 	t.Model.Backward(d)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
