@@ -10,14 +10,6 @@
 //	bnsgcn -dataset reddit -k 8 -p 0.1 -epochs 100
 //	bnsgcn -dataset yelp -k 10 -p 0.01 -arch sage -layers 4 -hidden 32
 //
-// The overlapped epoch schedule is the default: halo exchange runs behind
-// inner-node compute and each peer's boundary rows complete as that peer's
-// data lands. -overlap=false runs the same stages with every halo wait
-// hoisted ahead of compute — identical results, nothing hidden; the
-// baseline for measuring what the overlap buys:
-//
-//	bnsgcn -dataset reddit -k 8 -p 0.1 -overlap=false
-//
 //	# multi-process on one machine: spawn 4 workers over loopback
 //	bnsgcn -dataset reddit -p 0.1 -world 4 -rendezvous 127.0.0.1:29500 -spawn
 //
@@ -75,7 +67,7 @@ const tagLoss = 5000
 func main() {
 	var (
 		dsName = flag.String("dataset", "reddit", "dataset: reddit, products, yelp")
-		k      = flag.Int("k", 4, "number of partitions (simulated GPUs); ignored when -world is set")
+		k      = flag.Int("k", 4, "number of partitions (simulated GPUs) of an in-process run; a multi-process run has -world")
 		p      = flag.Float64("p", 0.1, "boundary node sampling rate in [0,1] (bns sampler)")
 
 		samplerName   = flag.String("sampler", "bns", "epoch sampling strategy: bns (paper's boundary-node sampling at rate -p), ladies (partition-local layer-wise importance sampling, see -sampler-budget), saint (GraphSAINT-style subgraph sampling, see -sampler-frac)")
@@ -91,7 +83,6 @@ func main() {
 		scale         = flag.Int("scale", 1, "dataset scale multiplier")
 		seed          = flag.Uint64("seed", 1, "master seed")
 		every         = flag.Int("eval-every", 10, "evaluate test score every N epochs (0 = end only)")
-		overlap       = flag.Bool("overlap", true, "overlap halo communication with inner-node compute (bit-identical results; -overlap=false waits for every halo payload before computing, the serialized baseline)")
 
 		rank  = flag.Int("rank", -1, "this process's rank in a multi-process run (requires -rendezvous or -checkpoint-dir)")
 		world = flag.Int("world", 0, "ranks in a multi-process run = partition count (requires -rendezvous or -checkpoint-dir)")
@@ -111,14 +102,15 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := checkModeFlags(*rank, *world, *spawn, *join, *rdv, *ckptDir); err != nil {
+	// set holds the flags the command line named, as opposed to defaults.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkModeFlags(*rank, *world, *spawn, *join, *rdv, *ckptDir, set); err != nil {
 		fatal(err)
 	}
 	// The strategy is rebuilt from flags on every process, so distributed and
 	// elastic ranks (including -join replacements) agree on it by
 	// construction, exactly like the dataset and partitioning.
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	strategy, samplerDesc, err := samplerFromFlags(*samplerName, set, *p, *samplerBudget, *samplerFrac, *seed+1)
 	if err != nil {
 		fatal(err)
@@ -198,11 +190,7 @@ func main() {
 		Arch: core.Arch(*arch), Layers: *layers, Hidden: *hidden,
 		Dropout: float32(*dropout), LR: float32(*lr), Seed: *seed,
 	}
-	sched := core.ScheduleOverlap
-	if !*overlap {
-		sched = core.ScheduleSerialized
-	}
-	pcfg := core.ParallelConfig{Model: mc, P: *p, SampleSeed: *seed + 1, Schedule: sched, Strategy: strategy}
+	pcfg := core.ParallelConfig{Model: mc, P: *p, SampleSeed: *seed + 1, Strategy: strategy}
 
 	if distributed {
 		prog := progress{rank: *rank, every: *every, epochs: *epochs, valMask: ds.ValMask, testMask: ds.TestMask}
@@ -309,16 +297,37 @@ func (p *progress) printFinal() {
 // checkModeFlags validates the flags that choose between in-process training
 // (-k partitions over the channel transport) and a multi-process run (-world
 // ranks over TCP, selected by -rendezvous, or elastic, selected by
-// -checkpoint-dir). A multi-process flag without its selector is rejected
-// rather than ignored: `bnsgcn -world 8` would otherwise train in-process at
-// the -k default.
-func checkModeFlags(rank, world int, spawn, join bool, rdv, ckptDir string) error {
+// -checkpoint-dir). A flag the chosen mode never reads is rejected rather than
+// ignored: `bnsgcn -world 8` would otherwise train in-process at the -k
+// default. set holds the flags the command line named, so a default is never
+// mistaken for a request.
+func checkModeFlags(rank, world int, spawn, join bool, rdv, ckptDir string, set map[string]bool) error {
 	elasticMode := ckptDir != ""
 	if join && !elasticMode {
 		return fmt.Errorf("-join requires -checkpoint-dir: a replacement resumes from the cohort's shared checkpoints")
 	}
 	if elasticMode && rdv != "" {
 		return fmt.Errorf("-checkpoint-dir and -rendezvous are mutually exclusive: elastic runs use the per-rank candidate rendezvous (-hosts), which survives rank 0's death")
+	}
+	mode := "an in-process run"
+	switch {
+	case elasticMode:
+		mode = "an elastic run"
+	case rdv != "":
+		mode = "a -rendezvous run"
+	}
+	if !elasticMode {
+		for _, f := range []string{"checkpoint-every", "checkpoint-keep", "hosts", "heartbeat-interval", "heartbeat-timeout", "max-recoveries", "resize-after"} {
+			if set[f] {
+				return fmt.Errorf("-%s is set but %s never reads it, so it would be ignored: it configures elastic training, which -checkpoint-dir selects", f, mode)
+			}
+		}
+	}
+	if set["listen-host"] && !elasticMode && rdv == "" {
+		return fmt.Errorf("-listen-host is set but %s never reads it, so it would be ignored: it is the address a multi-process rank listens on (-rendezvous or -checkpoint-dir)", mode)
+	}
+	if set["k"] && (elasticMode || rdv != "") {
+		return fmt.Errorf("-k is set but %s never reads it, so it would be ignored: a multi-process run has one partition per rank, -world of them; drop -k", mode)
 	}
 	if !elasticMode && rdv == "" {
 		given := ""

@@ -117,6 +117,7 @@ func TestCheckModeFlags(t *testing.T) {
 		rank, world int
 		spawn, join bool
 		rdv, ckpt   string
+		set         []string // flags the command line named
 		want        []string // substrings of the error; nil = accepted
 	}{
 		{name: "in-process", rank: -1},
@@ -132,10 +133,29 @@ func TestCheckModeFlags(t *testing.T) {
 		{name: "no world", rank: 0, rdv: "h:1", want: []string{"-world >= 1"}},
 		{name: "rank out of range", rank: 4, world: 4, ckpt: "/c", want: []string{"-rank 4 outside [0,4)"}},
 		{name: "rank missing", rank: -1, world: 4, rdv: "h:1", want: []string{"-rank -1 outside", "-spawn"}},
+		// Flags the chosen mode never reads used to be dropped on the floor.
+		{name: "elastic flags", rank: 1, world: 4, ckpt: "/c", set: []string{"checkpoint-every", "checkpoint-keep", "hosts", "heartbeat-interval", "heartbeat-timeout", "max-recoveries", "resize-after", "listen-host"}},
+		{name: "tcp listen-host", rank: 1, world: 4, rdv: "h:1", set: []string{"listen-host"}},
+		{name: "in-process k", rank: -1, set: []string{"k"}},
+		{name: "checkpoint-every in-process", rank: -1, set: []string{"checkpoint-every"}, want: []string{"-checkpoint-every is set", "an in-process run never reads it", "-checkpoint-dir"}},
+		{name: "checkpoint-keep in-process", rank: -1, set: []string{"checkpoint-keep"}, want: []string{"-checkpoint-keep is set", "an in-process run never reads it"}},
+		{name: "heartbeat-interval over tcp", rank: 1, world: 4, rdv: "h:1", set: []string{"heartbeat-interval"}, want: []string{"-heartbeat-interval is set", "a -rendezvous run never reads it", "-checkpoint-dir"}},
+		{name: "heartbeat-timeout over tcp", rank: 1, world: 4, rdv: "h:1", set: []string{"heartbeat-timeout"}, want: []string{"-heartbeat-timeout is set", "a -rendezvous run never reads it"}},
+		{name: "max-recoveries in-process", rank: -1, set: []string{"max-recoveries"}, want: []string{"-max-recoveries is set", "an in-process run never reads it"}},
+		{name: "resize-after over tcp", rank: 1, world: 4, rdv: "h:1", set: []string{"resize-after"}, want: []string{"-resize-after is set", "a -rendezvous run never reads it"}},
+		{name: "hosts over tcp", rank: 0, world: 4, rdv: "h:1", set: []string{"hosts"}, want: []string{"-hosts is set", "a -rendezvous run never reads it", "-checkpoint-dir"}},
+		{name: "hosts in-process", rank: -1, set: []string{"hosts"}, want: []string{"-hosts is set", "an in-process run never reads it"}},
+		{name: "listen-host in-process", rank: -1, set: []string{"listen-host"}, want: []string{"-listen-host is set", "an in-process run never reads it"}},
+		{name: "k over tcp", rank: 0, world: 4, rdv: "h:1", set: []string{"k"}, want: []string{"-k is set", "a -rendezvous run never reads it", "-world"}},
+		{name: "k elastic", rank: -1, world: 4, spawn: true, ckpt: "/c", set: []string{"k"}, want: []string{"-k is set", "an elastic run never reads it", "-world"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			err := checkModeFlags(tc.rank, tc.world, tc.spawn, tc.join, tc.rdv, tc.ckpt)
+			set := map[string]bool{}
+			for _, f := range tc.set {
+				set[f] = true
+			}
+			err := checkModeFlags(tc.rank, tc.world, tc.spawn, tc.join, tc.rdv, tc.ckpt, set)
 			if tc.want == nil {
 				if err != nil {
 					t.Fatalf("valid flags rejected: %v", err)

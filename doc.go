@@ -26,11 +26,9 @@
 // asynchronously, rows whose aggregation needs no boundary data compute
 // while the exchange is in flight, and each peer's boundary-dependent rows
 // complete as that peer's payload lands, via the transports' completion
-// notifications. The serialized schedule (-overlap=false) runs the same
-// stages with every halo wait hoisted ahead of compute, bit-identical and
-// hiding nothing — the measurement baseline. EpochStats reports
-// communication as raw span vs exposed (unoverlapped) time; see
-// PERFORMANCE.md "Overlapped halo exchange".
+// notifications. EpochStats reports communication as raw span — what the
+// exchange would cost if nothing hid it — vs exposed (unoverlapped) time;
+// see PERFORMANCE.md "Overlapped halo exchange".
 //
 // A rank (core.RankTrainer) holds its partition — local adjacency, the
 // features, labels and train mask of its inner rows, its send and receive

@@ -15,41 +15,38 @@ func TestTCPTrainEpochSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc budgets only hold without -race")
 	}
-	for _, sched := range []Schedule{ScheduleSerialized, ScheduleOverlap} {
-		ds := testDataset(t, 55)
-		const k = 2
-		topo := testTopology(t, ds, k)
-		cfg := ParallelConfig{Model: testModelConfig(), P: 0.5, SampleSeed: 3, Schedule: sched}
-		tr, err := NewParallelTrainerOver(ds, topo, cfg, tcpLoopbackGroup(t, k))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			tr.TrainEpoch() // warm up layer scratch, workspaces, and transport pools
-		}
-		tr.Evaluate(ds.TestMask) // as in TestTrainEpochSteadyStateAllocs
-		// The fixed overhead mirrors the channel-backend budget in
-		// TestTrainEpochSteadyStateAllocs, plus a small per-message term for
-		// the position exchanges and scheduler churn of the four demux/writer
-		// goroutines. The important property is that the budget is
-		// independent of payload sizes, of layer count × message volume and
-		// of the kernel pool width: measured 25 allocs/epoch at GOMAXPROCS 1,
-		// 25–31 at 2, 25–28 at 4 (before the dW reductions moved onto the
-		// dispatcher: 25 / 46–51 / 66–68).
-		const budget = 80
-		allocs, bytes := maxEpochAllocs(func() { tr.TrainEpoch() })
-		if allocs > budget {
-			t.Errorf("%s: a steady-state TCP TrainEpoch allocates %d objects, budget %d",
-				sched, allocs, budget)
-		}
-		// The byte bound holds at every pool width: how many frames of one
-		// size are in flight at once moves with the interleaving of the rank,
-		// writer and demux goroutines, but the transport's free lists
-		// pre-size a small size class on its first miss (comm.bufPool), so no
-		// late epoch with one more frame in flight than any before it
-		// allocates a frame buffer. Measured 2448 bytes at GOMAXPROCS 1, 2
-		// and 4, in fifty runs each.
-		checkSteadyBytes(t, sched.String(), bytes)
-		t.Logf("%s: steady-state TCP max allocs/epoch = %d (%d bytes)", sched, allocs, bytes)
+	ds := testDataset(t, 55)
+	const k = 2
+	topo := testTopology(t, ds, k)
+	cfg := ParallelConfig{Model: testModelConfig(), P: 0.5, SampleSeed: 3}
+	tr, err := NewParallelTrainerOver(ds, topo, cfg, tcpLoopbackGroup(t, k))
+	if err != nil {
+		t.Fatal(err)
 	}
+	for i := 0; i < 3; i++ {
+		tr.TrainEpoch() // warm up layer scratch, workspaces, and transport pools
+	}
+	tr.Evaluate(ds.TestMask) // as in TestTrainEpochSteadyStateAllocs
+	// The fixed overhead mirrors the channel-backend budget in
+	// TestTrainEpochSteadyStateAllocs, plus a small per-message term for
+	// the position exchanges and scheduler churn of the four demux/writer
+	// goroutines. The important property is that the budget is
+	// independent of payload sizes, of layer count × message volume and
+	// of the kernel pool width: measured 25 allocs/epoch at GOMAXPROCS 1,
+	// 25–31 at 2, 25–28 at 4 (before the dW reductions moved onto the
+	// dispatcher: 25 / 46–51 / 66–68).
+	const budget = 80
+	allocs, bytes := maxEpochAllocs(func() { tr.TrainEpoch() })
+	if allocs > budget {
+		t.Errorf("a steady-state TCP TrainEpoch allocates %d objects, budget %d", allocs, budget)
+	}
+	// The byte bound holds at every pool width: how many frames of one
+	// size are in flight at once moves with the interleaving of the rank,
+	// writer and demux goroutines, but the transport's free lists
+	// pre-size a small size class on its first miss (comm.bufPool), so no
+	// late epoch with one more frame in flight than any before it
+	// allocates a frame buffer. Measured 2448 bytes at GOMAXPROCS 1, 2
+	// and 4, in fifty runs each.
+	checkSteadyBytes(t, "tcp", bytes)
+	t.Logf("steady-state TCP max allocs/epoch = %d (%d bytes)", allocs, bytes)
 }

@@ -48,43 +48,56 @@ func tcpLoopbackGroup(t testing.TB, k int) *comm.Group {
 // backend and over real loopback TCP sockets must produce bit-identical
 // weights on every rank, bit-identical losses, and identical per-rank
 // payload byte and message counts — for k ∈ {2, 4} and p < 1 (so boundary
-// sampling, halo exchange, and the ring AllReduce all carry traffic).
+// sampling, halo exchange, and the ring AllReduce all carry traffic). Beside
+// the default test model, both architectures train with dropout on: the mask
+// stream's draw order is part of the contract, and the TCP drain consumes
+// peers in whatever order their frames land.
 func TestTCPBackendBitIdenticalToChan(t *testing.T) {
+	type input struct {
+		name   string
+		dsSeed uint64
+		cfg    ParallelConfig
+	}
 	for _, k := range []int{2, 4} {
-		ds := testDataset(t, uint64(90+k))
-		topo := testTopology(t, ds, k)
-		cfg := ParallelConfig{Model: testModelConfig(), P: 0.5, SampleSeed: 11}
+		inputs := []input{{"default", uint64(90 + k), ParallelConfig{Model: testModelConfig(), P: 0.5, SampleSeed: 11}}}
+		for _, arch := range []Arch{ArchSAGE, ArchGAT} {
+			mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
+			inputs = append(inputs, input{string(arch), uint64(70 + k), ParallelConfig{Model: mc, P: 0.5, SampleSeed: 17}})
+		}
+		for _, in := range inputs {
+			ds := testDataset(t, in.dsSeed)
+			topo := testTopology(t, ds, k)
+			chanTr, err := NewParallelTrainer(ds, topo, in.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tcpTr, err := NewParallelTrainerOver(ds, topo, in.cfg, tcpLoopbackGroup(t, k))
+			if err != nil {
+				t.Fatal(err)
+			}
 
-		chanTr, err := NewParallelTrainer(ds, topo, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tcpTr, err := NewParallelTrainerOver(ds, topo, cfg, tcpLoopbackGroup(t, k))
-		if err != nil {
-			t.Fatal(err)
-		}
-
-		const epochs = 5
-		for e := 0; e < epochs; e++ {
-			a := chanTr.TrainEpoch()
-			b := tcpTr.TrainEpoch()
-			if a.Loss != b.Loss {
-				t.Fatalf("k=%d epoch %d: chan loss %.17g != tcp loss %.17g", k, e, a.Loss, b.Loss)
+			const epochs = 5
+			for e := 0; e < epochs; e++ {
+				a := chanTr.TrainEpoch()
+				b := tcpTr.TrainEpoch()
+				if a.Loss != b.Loss {
+					t.Fatalf("%s k=%d epoch %d: chan loss %.17g != tcp loss %.17g", in.name, k, e, a.Loss, b.Loss)
+				}
+				if a.CommBytes != b.CommBytes || a.ReduceBytes != b.ReduceBytes {
+					t.Fatalf("%s k=%d epoch %d: traffic diverged: chan (%d,%d) vs tcp (%d,%d)",
+						in.name, k, e, a.CommBytes, a.ReduceBytes, b.CommBytes, b.ReduceBytes)
+				}
 			}
-			if a.CommBytes != b.CommBytes || a.ReduceBytes != b.ReduceBytes {
-				t.Fatalf("k=%d epoch %d: traffic diverged: chan (%d,%d) vs tcp (%d,%d)",
-					k, e, a.CommBytes, a.ReduceBytes, b.CommBytes, b.ReduceBytes)
-			}
-		}
-		for r := 0; r < k; r++ {
-			if d := MaxParamDiff(chanTr.Models[r], tcpTr.Models[r]); d != 0 {
-				t.Fatalf("k=%d rank %d: weights diverged across backends by %v", k, r, d)
-			}
-			if cb, tb := chanTr.Cluster.BytesSent(r), tcpTr.Cluster.BytesSent(r); cb != tb {
-				t.Fatalf("k=%d rank %d: chan sent %d payload bytes, tcp sent %d", k, r, cb, tb)
-			}
-			if cm, tm := chanTr.Cluster.MessagesSent(r), tcpTr.Cluster.MessagesSent(r); cm != tm {
-				t.Fatalf("k=%d rank %d: chan sent %d messages, tcp sent %d", k, r, cm, tm)
+			for r := 0; r < k; r++ {
+				if d := MaxParamDiff(chanTr.Models[r], tcpTr.Models[r]); d != 0 {
+					t.Fatalf("%s k=%d rank %d: weights diverged across backends by %v", in.name, k, r, d)
+				}
+				if cb, tb := chanTr.Cluster.BytesSent(r), tcpTr.Cluster.BytesSent(r); cb != tb {
+					t.Fatalf("%s k=%d rank %d: chan sent %d payload bytes, tcp sent %d", in.name, k, r, cb, tb)
+				}
+				if cm, tm := chanTr.Cluster.MessagesSent(r), tcpTr.Cluster.MessagesSent(r); cm != tm {
+					t.Fatalf("%s k=%d rank %d: chan sent %d messages, tcp sent %d", in.name, k, r, cm, tm)
+				}
 			}
 		}
 	}

@@ -4,23 +4,50 @@ import (
 	"fmt"
 	"slices"
 	"testing"
+	"time"
+
+	"repro/internal/comm"
 )
 
+// serializedLinks is a link model under which a rank's halos land one peer
+// at a time: every payload from source rank s takes (s+1)·600µs, so peers
+// become consumable in ascending rank order, each well after the one before.
+func serializedLinks(k int) comm.LinkModel {
+	m := comm.LinkModel{PerLink: map[comm.Link]time.Duration{}}
+	for s := 0; s < k; s++ {
+		for d := 0; d < k; d++ {
+			if s != d {
+				m.PerLink[comm.Link{Src: s, Dst: d}] = time.Duration(s+1) * 600 * time.Microsecond
+			}
+		}
+	}
+	return m
+}
+
 // TestEpochSpaceInvariants trains a few epochs at every sampling rate, under
-// every hosted strategy, both architectures and both schedules, and checks
-// the epoch node space after each epoch (checkEpochSpace): inner rows
+// every hosted strategy, both architectures and two arrival patterns, and
+// checks the epoch node space after each epoch (checkEpochSpace): inner rows
 // plus exactly the sampled boundary slots, receive lists tiling the halo
 // rows, the row split partitioning the inner rows, and the epoch graph equal
 // edge for edge to the full-space graph it replaces. LADIES covers per-slot
 // receive scales, GraphSAINT dropped and promoted inner rows; p=0 and p=1
 // are the empty and the identity slot map, where the plan is also kept from
-// one epoch to the next.
+// one epoch to the next. The leaf names the arrival pattern: "overlap" runs
+// on un-modeled channels, where halos land while the halo-free rows compute;
+// "serialized" runs over serializedLinks, where each rank's halos land one
+// peer at a time, so the drain empties one peer's bucket before the next
+// peer's payload is consumable.
 func TestEpochSpaceInvariants(t *testing.T) {
 	ds := testDataset(t, 8)
-	topo := testTopology(t, ds, 3)
+	const k = 3
+	topo := testTopology(t, ds, k)
 	maxBd := 0
 	for _, b := range topo.Boundary {
 		maxBd = max(maxBd, len(b))
+	}
+	groups := map[string]func() *comm.Group{
+		"overlap":    func() *comm.Group { return comm.New(k, 0) },
+		"serialized": func() *comm.Group { return comm.WithLinkModel(comm.New(k, 0), serializedLinks(k)) },
 	}
 	for _, p := range []float64{0, 0.1, 0.5, 1} {
 		// LADIES takes a budget of kept slots (0 keeps all, so p=0 asks for
@@ -36,12 +63,11 @@ func TestEpochSpaceInvariants(t *testing.T) {
 		}
 		for name, factory := range strategies {
 			for _, arch := range []Arch{ArchSAGE, ArchGAT} {
-				for _, sched := range []Schedule{ScheduleOverlap, ScheduleSerialized} {
-					t.Run(fmt.Sprintf("p=%v/%s/%s/%s", p, name, arch, sched), func(t *testing.T) {
+				for arrival, group := range groups {
+					t.Run(fmt.Sprintf("p=%v/%s/%s/%s", p, name, arch, arrival), func(t *testing.T) {
 						mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
-						tr, err := NewParallelTrainer(ds, topo, ParallelConfig{
-							Model: mc, P: p, SampleSeed: 2, Schedule: sched, Strategy: factory,
-						})
+						cfg := ParallelConfig{Model: mc, P: p, SampleSeed: 2, Strategy: factory}
+						tr, err := NewParallelTrainerOver(ds, topo, cfg, group())
 						if err != nil {
 							t.Fatal(err)
 						}

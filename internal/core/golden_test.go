@@ -58,7 +58,7 @@ func TestBNSStrategyGolden(t *testing.T) {
 			ds := testDataset(t, uint64(70+k))
 			topo := testTopology(t, ds, k)
 			mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
-			cfg := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 17, Schedule: ScheduleSerialized}
+			cfg := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 17}
 			tr, err := NewParallelTrainer(ds, topo, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -99,7 +99,7 @@ func TestLADIESAndSAINTStrategyGolden(t *testing.T) {
 	for name, factory := range stratFactories(17) {
 		for _, arch := range []Arch{ArchSAGE, ArchGAT} {
 			mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
-			cfg := ParallelConfig{Model: mc, P: 1, SampleSeed: 17, Schedule: ScheduleSerialized, Strategy: factory}
+			cfg := ParallelConfig{Model: mc, P: 1, SampleSeed: 17, Strategy: factory}
 			tr, err := NewParallelTrainer(ds, topo, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -156,7 +156,7 @@ func TestExplicitBNSFactoryMatchesDefault(t *testing.T) {
 	ds := testDataset(t, 72)
 	topo := testTopology(t, ds, 2)
 	mc := ModelConfig{Arch: ArchSAGE, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
-	base := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 17, Schedule: ScheduleOverlap}
+	base := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 17}
 	explicit := base
 	explicit.Strategy = func(rank int) Strategy { return NewBNSStrategy(base.P, base.SampleSeed, rank) }
 

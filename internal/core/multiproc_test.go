@@ -27,15 +27,17 @@ import (
 // exchanging frames over real loopback sockets — the deployment shape the
 // TCP transport exists for. Each rank independently regenerates the dataset
 // and partitioning from seeds, trains for mpEpochs, and prints a hash of its
-// final weights plus its per-epoch loss contributions; the parent asserts
-// every rank converged to identical bits and that those bits match an
-// in-process channel-backend run of the same configuration.
+// final weights, its per-epoch loss contributions and its per-epoch raw and
+// exposed comm time; the parent asserts every rank converged to identical
+// bits, that those bits match an in-process channel-backend run of the same
+// configuration, and that every rank's exposed comm stayed inside its raw
+// span.
 
 const (
 	mpEnvRank  = "BNSGCN_MP_RANK"
 	mpEnvWorld = "BNSGCN_MP_WORLD"
 	mpEnvAddr  = "BNSGCN_MP_ADDR"
-	mpEnvSched = "BNSGCN_MP_SCHED"
+	mpEnvArch  = "BNSGCN_MP_ARCH"
 	mpWorld    = 4
 	mpEpochs   = 3
 )
@@ -62,8 +64,23 @@ func mpDataset(t testing.TB) (*datagen.Dataset, *Topology) {
 	return ds, topo
 }
 
-func mpConfig(sched Schedule) ParallelConfig {
-	return ParallelConfig{Model: testModelConfig(), P: 0.5, SampleSeed: 9, Schedule: sched}
+// mpConfig is the smoke test's configuration for one architecture: the
+// default test model for SAGE, GAT with dropout on.
+func mpConfig(arch Arch) ParallelConfig {
+	mc := testModelConfig()
+	if arch == ArchGAT {
+		mc.Arch, mc.Dropout = ArchGAT, 0.3
+	}
+	return ParallelConfig{Model: mc, P: 0.5, SampleSeed: 9}
+}
+
+// durationsCSV formats durations as comma-separated nanosecond counts.
+func durationsCSV(ds []time.Duration) string {
+	s := make([]string, len(ds))
+	for i, d := range ds {
+		s[i] = strconv.FormatInt(int64(d), 10)
+	}
+	return strings.Join(s, ",")
 }
 
 func mpParamHash(m *Model) string {
@@ -75,7 +92,8 @@ func mpParamHash(m *Model) string {
 }
 
 // TestMultiProcessHelper is the per-rank body; it only runs when re-execed
-// by TestMultiProcessLoopback and skips otherwise.
+// by TestMultiProcessLoopback or TestMultiProcessLoopbackOverlap and skips
+// otherwise.
 func TestMultiProcessHelper(t *testing.T) {
 	rankStr := os.Getenv(mpEnvRank)
 	if rankStr == "" {
@@ -85,8 +103,7 @@ func TestMultiProcessHelper(t *testing.T) {
 	world, _ := strconv.Atoi(os.Getenv(mpEnvWorld))
 
 	ds, topo := mpDataset(t)
-	schedNum, _ := strconv.Atoi(os.Getenv(mpEnvSched))
-	rt, err := NewRankTrainer(ds, topo, mpConfig(Schedule(schedNum)), rank)
+	rt, err := NewRankTrainer(ds, topo, mpConfig(Arch(os.Getenv(mpEnvArch))), rank)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,6 +115,7 @@ func TestMultiProcessHelper(t *testing.T) {
 	}
 	w := comm.NewWorker(tp)
 	losses := make([]string, 0, mpEpochs)
+	var raw, exposed []time.Duration
 	for e := 0; e < mpEpochs; e++ {
 		st, err := rt.TrainEpoch(w)
 		if err != nil {
@@ -105,25 +123,29 @@ func TestMultiProcessHelper(t *testing.T) {
 		}
 		// Hex float64 bits: the parent re-sums contributions exactly.
 		losses = append(losses, strconv.FormatUint(math.Float64bits(st.Loss), 16))
+		raw, exposed = append(raw, st.Comm), append(exposed, st.CommExposed)
 	}
 	w.Barrier()
 	if err := tp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fmt.Printf("MP-RESULT rank=%d hash=%s losses=%s\n", rank, mpParamHash(rt.Model), strings.Join(losses, ","))
+	fmt.Printf("MP-RESULT rank=%d hash=%s losses=%s comm=%s exposed=%s\n", rank, mpParamHash(rt.Model),
+		strings.Join(losses, ","), durationsCSV(raw), durationsCSV(exposed))
 }
 
 // TestMultiProcessLoopback is the smoke test CI runs race-enabled: 4 ranks
-// as separate OS processes over real sockets must reproduce the in-process
-// channel backend bit for bit (serialized schedule).
-func TestMultiProcessLoopback(t *testing.T) { mpRun(t, ScheduleSerialized) }
+// as separate OS processes over real sockets — the arrival-order halo drain
+// consuming whichever peer's frames land first — must reproduce the
+// in-process channel backend bit for bit.
+func TestMultiProcessLoopback(t *testing.T) { mpRun(t, ArchSAGE) }
 
-// TestMultiProcessLoopbackOverlap runs the same smoke test with the default
-// overlapped schedule in every rank process — the arrival-order halo drain
-// over real sockets must still reproduce the in-process run bit for bit.
-func TestMultiProcessLoopbackOverlap(t *testing.T) { mpRun(t, ScheduleOverlap) }
+// TestMultiProcessLoopbackOverlap runs the same smoke test on GAT with
+// dropout on: attention reads halo rows per edge and the mask stream draws
+// landed halo rows in the drain, so the arrival-order overlap over real
+// sockets must still reproduce the in-process run bit for bit.
+func TestMultiProcessLoopbackOverlap(t *testing.T) { mpRun(t, ArchGAT) }
 
-func mpRun(t *testing.T, sched Schedule) {
+func mpRun(t *testing.T, arch Arch) {
 	if os.Getenv(mpEnvRank) != "" {
 		t.Skip("already inside a helper process")
 	}
@@ -151,7 +173,7 @@ func mpRun(t *testing.T, sched Schedule) {
 			fmt.Sprintf("%s=%d", mpEnvRank, r),
 			fmt.Sprintf("%s=%d", mpEnvWorld, mpWorld),
 			fmt.Sprintf("%s=%s", mpEnvAddr, addr),
-			fmt.Sprintf("%s=%d", mpEnvSched, int(sched)),
+			fmt.Sprintf("%s=%s", mpEnvArch, arch),
 		)
 		outs[r] = &bytes.Buffer{}
 		cmd.Stdout = outs[r]
@@ -177,8 +199,9 @@ func mpRun(t *testing.T, sched Schedule) {
 				continue
 			}
 			var rank int
-			var hash, lossCSV string
-			if _, err := fmt.Sscanf(line, "MP-RESULT rank=%d hash=%s losses=%s", &rank, &hash, &lossCSV); err != nil {
+			var hash, lossCSV, rawCSV, exposedCSV string
+			if _, err := fmt.Sscanf(line, "MP-RESULT rank=%d hash=%s losses=%s comm=%s exposed=%s",
+				&rank, &hash, &lossCSV, &rawCSV, &exposedCSV); err != nil {
 				t.Fatalf("rank %d: bad result line %q: %v", r, line, err)
 			}
 			hashes[rank] = hash
@@ -188,6 +211,23 @@ func mpRun(t *testing.T, sched Schedule) {
 					t.Fatal(err)
 				}
 				epochLoss[e] += math.Float64frombits(u)
+			}
+			raws, exposeds := strings.Split(rawCSV, ","), strings.Split(exposedCSV, ",")
+			if len(raws) != mpEpochs || len(exposeds) != mpEpochs {
+				t.Fatalf("rank %d: %d raw and %d exposed comm times, want %d each", rank, len(raws), len(exposeds), mpEpochs)
+			}
+			for e := range raws {
+				raw, err1 := strconv.ParseInt(raws[e], 10, 64)
+				exposed, err2 := strconv.ParseInt(exposeds[e], 10, 64)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("rank %d: bad comm times %q / %q", rank, raws[e], exposeds[e])
+				}
+				if raw <= 0 {
+					t.Fatalf("rank %d epoch %d: no comm span recorded", rank, e)
+				}
+				if exposed > raw {
+					t.Fatalf("rank %d epoch %d: exposed %v exceeds raw %v", rank, e, time.Duration(exposed), time.Duration(raw))
+				}
 			}
 		}
 		if hashes[r] == "" {
@@ -202,7 +242,7 @@ func mpRun(t *testing.T, sched Schedule) {
 
 	// Reference run: same configuration, in-process channel backend.
 	ds, topo := mpDataset(t)
-	ref, err := NewParallelTrainer(ds, topo, mpConfig(sched))
+	ref, err := NewParallelTrainer(ds, topo, mpConfig(arch))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,80 +1,70 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/comm"
 )
 
-// TestOverlapBitIdentical is the epoch engine's schedule-equivalence proof:
-// the same seeded dataset trained with the overlapped schedule must produce,
-// epoch for epoch, bit-identical losses, bit-identical weights on every
-// rank, and identical per-rank payload byte/message counts as the serialized
-// schedule — over both transports, for k ∈ {2, 4}, for both architectures,
-// with dropout on (the mask RNG stream order is part of the contract) and
-// p < 1 (so sampling, the row split, and the halo exchange all vary by
-// epoch).
+// TestOverlapBitIdentical: what the engine trains must not depend on how much
+// of an exchange it hides. The reference is the un-modeled channel run, where
+// halos land while the halo-free rows compute; against it, both transports
+// run under a uniform link latency longer than that compute, so every halo
+// lands late, every halo-dependent row waits on it and nothing is hidden.
+// Epoch for epoch the losses, the payload and reduce bytes, and at the end
+// every rank's weights, bytes and message counts must match — for k ∈ {2, 4},
+// both architectures, with dropout on (the mask stream's draw order is part
+// of the contract) and p < 1 (so sampling, the row split and the halo
+// exchange all vary by epoch).
 func TestOverlapBitIdentical(t *testing.T) {
 	for _, arch := range []Arch{ArchSAGE, ArchGAT} {
 		for _, k := range []int{2, 4} {
 			ds := testDataset(t, uint64(70+k))
 			topo := testTopology(t, ds, k)
 			mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
-			base := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 17, Schedule: ScheduleSerialized}
-			overlap := base
-			overlap.Schedule = ScheduleOverlap
+			cfg := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 17}
+			late := comm.LinkModel{Latency: 2 * time.Millisecond}
 
-			type run struct {
-				name string
-				tr   *ParallelTrainer
+			ref, err := NewParallelTrainer(ds, topo, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			mk := func(name string, cfg ParallelConfig, g *comm.Group) run {
-				t.Helper()
-				var tr *ParallelTrainer
-				var err error
-				if g == nil {
-					tr, err = NewParallelTrainer(ds, topo, cfg)
-				} else {
-					tr, err = NewParallelTrainerOver(ds, topo, cfg, g)
-				}
-				if err != nil {
+			runs := map[string]*ParallelTrainer{}
+			for name, g := range map[string]*comm.Group{
+				"chan/late": comm.WithLinkModel(comm.New(k, 0), late),
+				"tcp/late":  comm.WithLinkModel(tcpLoopbackGroup(t, k), late),
+			} {
+				if runs[name], err = NewParallelTrainerOver(ds, topo, cfg, g); err != nil {
 					t.Fatal(err)
 				}
-				return run{name: name, tr: tr}
-			}
-			runs := []run{
-				mk("chan/serialized", base, nil),
-				mk("chan/overlap", overlap, nil),
-				mk("tcp/serialized", base, tcpLoopbackGroup(t, k)),
-				mk("tcp/overlap", overlap, tcpLoopbackGroup(t, k)),
 			}
 
 			const epochs = 4
 			for e := 0; e < epochs; e++ {
-				ref := runs[0].tr.TrainEpoch()
-				for _, r := range runs[1:] {
-					st := r.tr.TrainEpoch()
-					if st.Loss != ref.Loss {
-						t.Fatalf("%s arch=%s k=%d epoch %d: loss %.17g != serialized %.17g",
-							r.name, arch, k, e, st.Loss, ref.Loss)
+				want := ref.TrainEpoch()
+				for name, tr := range runs {
+					st := tr.TrainEpoch()
+					if st.Loss != want.Loss {
+						t.Fatalf("%s arch=%s k=%d epoch %d: loss %.17g != un-modeled %.17g", name, arch, k, e, st.Loss, want.Loss)
 					}
-					if st.CommBytes != ref.CommBytes || st.ReduceBytes != ref.ReduceBytes {
-						t.Fatalf("%s arch=%s k=%d epoch %d: traffic (%d,%d) != serialized (%d,%d)",
-							r.name, arch, k, e, st.CommBytes, st.ReduceBytes, ref.CommBytes, ref.ReduceBytes)
+					if st.CommBytes != want.CommBytes || st.ReduceBytes != want.ReduceBytes {
+						t.Fatalf("%s arch=%s k=%d epoch %d: traffic (%d,%d) != un-modeled (%d,%d)",
+							name, arch, k, e, st.CommBytes, st.ReduceBytes, want.CommBytes, want.ReduceBytes)
 					}
 				}
 			}
 			for r := 0; r < k; r++ {
-				for _, rr := range runs[1:] {
-					if d := MaxParamDiff(runs[0].tr.Models[r], rr.tr.Models[r]); d != 0 {
-						t.Fatalf("%s arch=%s k=%d rank %d: weights diverged by %v", rr.name, arch, k, r, d)
+				for name, tr := range runs {
+					if d := MaxParamDiff(ref.Models[r], tr.Models[r]); d != 0 {
+						t.Fatalf("%s arch=%s k=%d rank %d: weights diverged by %v", name, arch, k, r, d)
 					}
-					if cb, ob := runs[0].tr.Cluster.BytesSent(r), rr.tr.Cluster.BytesSent(r); cb != ob {
-						t.Fatalf("%s arch=%s k=%d rank %d: payload bytes %d != serialized %d", rr.name, arch, k, r, ob, cb)
+					if rb, b := ref.Cluster.BytesSent(r), tr.Cluster.BytesSent(r); rb != b {
+						t.Fatalf("%s arch=%s k=%d rank %d: payload bytes %d != un-modeled %d", name, arch, k, r, b, rb)
 					}
-					if cm, om := runs[0].tr.Cluster.MessagesSent(r), rr.tr.Cluster.MessagesSent(r); cm != om {
-						t.Fatalf("%s arch=%s k=%d rank %d: messages %d != serialized %d", rr.name, arch, k, r, om, cm)
+					if rm, m := ref.Cluster.MessagesSent(r), tr.Cluster.MessagesSent(r); rm != m {
+						t.Fatalf("%s arch=%s k=%d rank %d: messages %d != un-modeled %d", name, arch, k, r, m, rm)
 					}
 				}
 			}
@@ -85,16 +75,16 @@ func TestOverlapBitIdentical(t *testing.T) {
 // TestOverlapArrivalSkewedLinksBitIdentical forces peer completion order to
 // invert — a skewed comm.WithLinkModel makes the lowest-rank peer's payloads
 // the slowest, so the drain consumes peers in descending rank order — and
-// requires the results of both schedules over the skewed links to stay
-// bit-identical to the un-modeled serialized schedule. This is the
-// determinism argument under real out-of-order completion, not just under
-// loopback's near-FIFO timing.
+// requires the results over the skewed links to stay bit-identical to the
+// un-modeled channel run on the same seed, whose completions are near FIFO.
+// This is the determinism argument under real out-of-order completion, not
+// just under loopback's near-FIFO timing.
 func TestOverlapArrivalSkewedLinksBitIdentical(t *testing.T) {
 	for _, k := range []int{2, 4} {
 		ds := testDataset(t, uint64(90+k))
 		topo := testTopology(t, ds, k)
 		mc := ModelConfig{Arch: ArchSAGE, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 8}
-		base := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 29, Schedule: ScheduleSerialized}
+		cfg := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 29}
 
 		// Lower source rank ⇒ slower link, everywhere.
 		model := comm.LinkModel{
@@ -110,117 +100,109 @@ func TestOverlapArrivalSkewedLinksBitIdentical(t *testing.T) {
 			}
 		}
 
-		ref, err := NewParallelTrainer(ds, topo, base)
+		ref, err := NewParallelTrainer(ds, topo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		type skewed struct {
-			name string
-			tr   *ParallelTrainer
-		}
-		var runs []skewed
-		for _, sched := range []Schedule{ScheduleSerialized, ScheduleOverlap} {
-			cfg := base
-			cfg.Schedule = sched
-			tr, err := NewParallelTrainerOver(ds, topo, cfg, comm.WithLinkModel(comm.New(k, 0), model))
-			if err != nil {
-				t.Fatal(err)
-			}
-			runs = append(runs, skewed{name: sched.String(), tr: tr})
+		skewed, err := NewParallelTrainerOver(ds, topo, cfg, comm.WithLinkModel(comm.New(k, 0), model))
+		if err != nil {
+			t.Fatal(err)
 		}
 		const epochs = 3
 		for e := 0; e < epochs; e++ {
-			want := ref.TrainEpoch()
-			for _, r := range runs {
-				got := r.tr.TrainEpoch()
-				if got.Loss != want.Loss {
-					t.Fatalf("k=%d %s epoch %d: loss %.17g != %.17g under skewed links", k, r.name, e, got.Loss, want.Loss)
-				}
+			want, got := ref.TrainEpoch(), skewed.TrainEpoch()
+			if got.Loss != want.Loss {
+				t.Fatalf("k=%d epoch %d: loss %.17g != %.17g under skewed links", k, e, got.Loss, want.Loss)
 			}
 		}
 		for r := 0; r < k; r++ {
-			for _, rr := range runs {
-				if d := MaxParamDiff(ref.Models[r], rr.tr.Models[r]); d != 0 {
-					t.Fatalf("k=%d %s rank %d: weights diverged by %v under skewed links", k, rr.name, r, d)
-				}
+			if d := MaxParamDiff(ref.Models[r], skewed.Models[r]); d != 0 {
+				t.Fatalf("k=%d rank %d: weights diverged by %v under skewed links", k, r, d)
 			}
 		}
 	}
 }
 
-// TestOverlapWorstCaseAllBoundaryDependent pins the degenerate schedule: at
-// p=1 on a topology where every inner node of every partition has a remote
+// TestOverlapWorstCaseAllBoundaryDependent pins the degenerate case: at p=1
+// on a topology where every inner node of every partition has a remote
 // neighbor, the halo-free chunk can be empty (zero overlap available) and
-// the two schedules must still be exactly equivalent.
+// every row waits in the drain. The signature — per-epoch losses and every
+// rank's final weights, stratSignature's hash — and the halo bytes were
+// captured at commit aca8b17 under the serialized schedule, which waited out
+// every payload before computing, and are asserted over both transports.
 func TestOverlapWorstCaseAllBoundaryDependent(t *testing.T) {
+	const (
+		wantHash  = 0x8d8ac802bf0ab0c6
+		wantBytes = 170016
+	)
 	ds := testDataset(t, 31)
 	const k = 2
 	topo := testTopology(t, ds, k)
 	mc := ModelConfig{Arch: ArchSAGE, Layers: 2, Hidden: 16, Dropout: 0.5, LR: 0.01, Seed: 3}
-	base := ParallelConfig{Model: mc, P: 1, SampleSeed: 13, Schedule: ScheduleSerialized}
-
-	cfg := base
-	cfg.Schedule = ScheduleOverlap
-	b, err := NewParallelTrainer(ds, topo, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewParallelTrainer(ds, topo, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := 0; e < 3; e++ {
-		sa, sb := a.TrainEpoch(), b.TrainEpoch()
-		if sa.Loss != sb.Loss {
-			t.Fatalf("epoch %d: loss diverged %.17g vs %.17g", e, sa.Loss, sb.Loss)
+	cfg := ParallelConfig{Model: mc, P: 1, SampleSeed: 13}
+	for _, backend := range []string{"chan", "tcp"} {
+		g := comm.New(k, 0)
+		if backend == "tcp" {
+			g = tcpLoopbackGroup(t, k)
 		}
-	}
-	for r := 0; r < k; r++ {
-		if d := MaxParamDiff(a.Models[r], b.Models[r]); d != 0 {
-			t.Fatalf("rank %d diverged by %v", r, d)
+		tr, err := NewParallelTrainerOver(ds, topo, cfg, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, b := stratSignature(t, tr, 3); h != wantHash || b != wantBytes {
+			t.Errorf("%s: signature (%#x, %d bytes), want (%#x, %d bytes)", backend, h, b, uint64(wantHash), wantBytes)
 		}
 	}
 }
 
 // TestCommAccountingInvariants pins the documented relation between the two
-// comm counters (see EpochStats) on every rank, not just the straggler:
-// under ScheduleSerialized nothing is hidden, so the raw span equals the
-// exposed time exactly; under ScheduleOverlap every exposed interval lies
-// inside its exchange's raw span, so exposed never exceeds raw. Over both
-// transports, k ∈ {2, 4}.
+// comm counters (see EpochStats) on every rank, not just the straggler. With
+// exchanges in flight (p=0.5, k ∈ {2, 4}, both transports) every exposed
+// interval lies inside its exchange's raw span, so a span is recorded and
+// exposed never exceeds raw. With nothing in flight (k=1, and p=0 at k=2)
+// nothing was hidden, so raw equals exposed exactly.
 func TestCommAccountingInvariants(t *testing.T) {
-	for _, backend := range []string{"chan", "tcp"} {
-		for _, k := range []int{2, 4} {
-			for _, sched := range []Schedule{ScheduleSerialized, ScheduleOverlap} {
-				ds := testDataset(t, uint64(60+k))
-				topo := testTopology(t, ds, k)
-				cfg := ParallelConfig{Model: testModelConfig(), P: 0.5, SampleSeed: 11, Schedule: sched}
-				g := comm.New(k, 0)
-				if backend == "tcp" {
-					g = tcpLoopbackGroup(t, k)
-				}
-				tr, err := NewParallelTrainerOver(ds, topo, cfg, g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for e := 0; e < 3; e++ {
-					tr.TrainEpoch()
-					for r, st := range tr.statsBuf {
-						if st.Comm <= 0 {
-							t.Fatalf("%s k=%d %s epoch %d rank %d: no comm span recorded", backend, k, sched, e, r)
-						}
-						if sched == ScheduleSerialized && st.CommExposed != st.Comm {
-							t.Fatalf("%s k=%d serialized epoch %d rank %d: exposed %v != raw %v",
-								backend, k, e, r, st.CommExposed, st.Comm)
-						}
-						if st.CommExposed > st.Comm {
-							t.Fatalf("%s k=%d %s epoch %d rank %d: exposed %v exceeds raw %v",
-								backend, k, sched, e, r, st.CommExposed, st.Comm)
-						}
-					}
-				}
+	run := func(backend string, k int, p float64, check func(name string, st RankStats)) {
+		t.Helper()
+		ds := testDataset(t, uint64(60+k))
+		topo := testTopology(t, ds, k)
+		cfg := ParallelConfig{Model: testModelConfig(), P: p, SampleSeed: 11}
+		g := comm.New(k, 0)
+		if backend == "tcp" {
+			g = tcpLoopbackGroup(t, k)
+		}
+		tr, err := NewParallelTrainerOver(ds, topo, cfg, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < 3; e++ {
+			tr.TrainEpoch()
+			for r, st := range tr.statsBuf {
+				check(fmt.Sprintf("%s k=%d p=%v epoch %d rank %d", backend, k, p, e, r), st)
 			}
 		}
+	}
+	for _, backend := range []string{"chan", "tcp"} {
+		for _, k := range []int{2, 4} {
+			run(backend, k, 0.5, func(name string, st RankStats) {
+				if st.Comm <= 0 {
+					t.Fatalf("%s: no comm span recorded", name)
+				}
+				if st.CommExposed > st.Comm {
+					t.Fatalf("%s: exposed %v exceeds raw %v", name, st.CommExposed, st.Comm)
+				}
+			})
+		}
+	}
+	for _, c := range []struct {
+		k int
+		p float64
+	}{{1, 0.5}, {2, 0}} {
+		run("chan", c.k, c.p, func(name string, st RankStats) {
+			if st.CommExposed != st.Comm {
+				t.Fatalf("%s: nothing in flight, but exposed %v != raw %v", name, st.CommExposed, st.Comm)
+			}
+		})
 	}
 }
 

@@ -356,35 +356,6 @@ const (
 	EstimatorHT
 )
 
-// Schedule selects the epoch engine's stage order (see pipeline.go). The two
-// schedules are bit-identical — same weights, losses, and per-rank payload
-// bytes over every backend; the overlap equivalence tests pin this — they
-// differ only in where the halo wait sits, never in the arithmetic.
-type Schedule int
-
-const (
-	// ScheduleOverlap — the default — posts the halo sends/receives first,
-	// computes the halo-free rows while boundary data is in flight, and
-	// completes each peer's halo-dependent rows the moment that peer's
-	// payload lands (whichever peer that is), so one slow peer stalls only
-	// the rows that need it.
-	ScheduleOverlap Schedule = iota
-	// ScheduleSerialized is the baseline that hides nothing: the same
-	// stages, with the wait for every payload hoisted ahead of all compute.
-	ScheduleSerialized
-)
-
-// String names the schedule for logs and experiment tables.
-func (s Schedule) String() string {
-	switch s {
-	case ScheduleOverlap:
-		return "overlap"
-	case ScheduleSerialized:
-		return "serialized"
-	}
-	return fmt.Sprintf("Schedule(%d)", int(s))
-}
-
 // ParallelConfig configures BNS-GCN training.
 type ParallelConfig struct {
 	Model ModelConfig
@@ -395,10 +366,6 @@ type ParallelConfig struct {
 	SampleSeed uint64
 	// Estimator selects the sampled-aggregation normalizer (SAGE only).
 	Estimator Estimator
-	// Schedule selects the epoch stage order. The zero value is
-	// ScheduleOverlap; ScheduleSerialized is the measurement baseline
-	// (cmd/bnsgcn -overlap=false).
-	Schedule Schedule
 	// Strategy, when non-nil, builds each rank's epoch-sampling strategy
 	// (see strategy.go); nil keeps the paper's boundary-node sampling at
 	// rate P, seeded from SampleSeed exactly as before the strategies
@@ -416,17 +383,17 @@ type EpochStats struct {
 	SampleTime  time.Duration
 	ComputeTime time.Duration
 	// CommTime is the raw halo-exchange span: payload gather/serialize plus
-	// the full post-to-consumed window of every exchange. Under
-	// ScheduleOverlap that window runs concurrently with ComputeTime, so the
-	// two overlap and must not be summed — use ExposedCommTime for
-	// critical-path accounting.
+	// the full post-to-consumed window of every exchange — what the exchange
+	// would cost if nothing hid it. That window runs concurrently with
+	// ComputeTime, so the two overlap and must not be summed — use
+	// ExposedCommTime for critical-path accounting.
 	CommTime time.Duration
 	// ExposedCommTime is the unoverlapped portion of comm: gather/serialize
 	// work plus the time actually spent blocked waiting for boundary data
-	// after overlappable compute has run. Serialized schedule: equals
-	// CommTime on every rank (nothing is hidden). Overlapped: at most
-	// CommTime — the paper's boundary-communication cost appears here only
-	// to the extent it could not be hidden behind inner-node compute.
+	// after overlappable compute has run. At most CommTime, and equal to it in
+	// an epoch with no exchange in flight — the paper's boundary-communication
+	// cost appears here only to the extent it could not be hidden behind
+	// inner-node compute.
 	ExposedCommTime time.Duration
 	ReduceTime      time.Duration
 	CommBytes       int64 // boundary feature + gradient traffic
@@ -436,8 +403,8 @@ type EpochStats struct {
 
 // TotalTime returns the epoch wall-clock estimate: the sum of the phases on
 // the critical path. Only the exposed (unoverlapped) communication time
-// counts — raw CommTime runs concurrently with ComputeTime when overlap is
-// on and would be double-counted.
+// counts — raw CommTime runs concurrently with ComputeTime and would be
+// double-counted.
 func (s *EpochStats) TotalTime() time.Duration {
 	return s.SampleTime + s.ComputeTime + s.ExposedCommTime + s.ReduceTime
 }
@@ -484,10 +451,8 @@ type RankTrainer struct {
 	// arrCh is the halo completion queue: every posted halo receive
 	// delivers its peer's rank here when the payload becomes consumable.
 	// Capacity K covers the at most K−1 notifications outstanding per phase,
-	// so the transport never blocks delivering a token. landed is the
-	// serialized schedule's scratch for the tokens it waits out up front.
-	arrCh  chan int
-	landed []int
+	// so the transport never blocks delivering a token.
+	arrCh chan int
 }
 
 // NewRankTrainer builds the local state for one rank of a k-way training
@@ -522,7 +487,6 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 		multiLabel:  ds.MultiLabel,
 		globalNodes: ds.G.N,
 		arrCh:       make(chan int, topo.K),
-		landed:      make([]int, topo.K),
 	}
 	// The epoch-sampling strategy: BNS by default, or whatever the config's
 	// factory builds. It samples against the static partition view and fills

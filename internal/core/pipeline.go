@@ -70,26 +70,20 @@ import (
 //     order-sensitive, are only staged per peer on arrival and folded in
 //     canonical ascending rank order once all are in.
 //
-// There are two schedules and they share every stage body. ScheduleOverlap
-// (the default) runs the stages in the order above, so the exchange is in
-// flight during compute-free and backward-finish. ScheduleSerialized hoists
-// the wait: right after each post it blocks until every payload has landed
-// (awaitHalo) and only then runs the same stages, none of which can block
-// any more — the baseline that hides nothing. Both issue the same messages
-// and the same per-row arithmetic with the same RNG consumption order, and
-// are bit-identical by construction: weights, losses, and per-rank payload
-// bytes match exactly on every backend (the overlap equivalence tests pin
-// this, including a skewed comm.WithLinkModel case that inverts peer
-// completion order).
+// The stages run in the order above, so each exchange is in flight during
+// compute-free and backward-finish, and a rank waits only inside the drain
+// and the fold, for a payload that has not landed yet. Weights, losses and
+// per-rank payload bytes are the same bits on every backend and under any
+// peer completion order (the cross-backend and skewed comm.WithLinkModel
+// tests pin this).
 //
 // Timing is split into two comm counters (see EpochStats): CommExposed is
 // the critical-path portion (payload gather/serialize plus actual blocked
 // waits and halo fills), Comm the raw span of each exchange from post to
-// last consumption — which under overlap runs concurrently with Compute and
-// measures what the exchange would cost if nothing hid it, and under the
-// serialized schedule is exactly CommExposed. The drain attributes the row
+// last consumption — which runs concurrently with Compute and measures what
+// the exchange would cost if nothing hid it. The drain attributes the row
 // compute it interleaves between waits to Compute, not CommExposed, so the
-// exposed figure stays comparable across schedules.
+// exposed figure counts only time spent on the exchange itself.
 
 // epochState is what one epoch's plan stage decides and the per-layer stages
 // share. It lives inside the RankTrainer and is reset per epoch, so the
@@ -128,14 +122,13 @@ func (rt *RankTrainer) openSpan() commSpan {
 	return commSpan{start: time.Now(), exposed: rt.ep.st.CommExposed}
 }
 
-// closeSpan adds one exchange's raw span to Comm. Overlapped, that is the
-// wall-clock window from flight start to end (the last consumption),
-// whatever compute ran inside it. Serialized — or with nothing in flight —
-// nothing was hidden, so the span is exactly the exposed time the stages
-// since the post accumulated.
+// closeSpan adds one exchange's raw span to Comm: the wall-clock window from
+// flight start to end (the last consumption), whatever compute ran inside
+// it. With nothing in flight nothing was hidden, so the span is exactly the
+// exposed time the stages since the post accumulated.
 func (rt *RankTrainer) closeSpan(s commSpan, end time.Time) {
 	st := &rt.ep.st
-	if rt.ep.exchanging && rt.Cfg.Schedule == ScheduleOverlap {
+	if rt.ep.exchanging {
 		if end.After(s.start) { // a zero end: nothing was pending
 			st.Comm += end.Sub(s.start)
 		}
@@ -149,7 +142,6 @@ func (rt *RankTrainer) closeSpan(s commSpan, end time.Time) {
 func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 	rt.ep = epochState{w: w}
 	layers := rt.Model.LayersL
-	serialized := rt.Cfg.Schedule == ScheduleSerialized
 
 	rt.planEpoch()
 
@@ -161,9 +153,6 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 		dH := rt.backwardHalo(l, d)
 		nPend := rt.postGrad(l, dH)
 		span := rt.openSpan()
-		if serialized {
-			rt.awaitHalo(nPend)
-		}
 		rt.backwardFinish(l)
 		d = rt.foldGrad(dH, nPend)
 		rt.closeSpan(span, time.Now())
@@ -183,14 +172,10 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 // the whole of an evaluation after its plan, and the first half of an epoch.
 func (rt *RankTrainer) forward() *tensor.Matrix {
 	layers := rt.Model.LayersL
-	serialized := rt.Cfg.Schedule == ScheduleSerialized
 	h := rt.LP.Features // inner activations entering the current layer
 	for l := range layers {
 		nPend := rt.postForward(l, h)
 		span := rt.openSpan()
-		if serialized {
-			rt.awaitHalo(nPend)
-		}
 		x := rt.LP.ws.Get(rt.ep.eg.N, layers[l].InputDim())
 		h = rt.forwardFree(l, x, h)
 		rt.closeSpan(span, rt.drainForward(l, x, nPend))
@@ -282,10 +267,9 @@ func (rt *RankTrainer) planEpoch() {
 		}
 	}
 	// Everything derivable from the local sample runs between the position
-	// sends and receives, overlapping the peers' sampling even in the
-	// serialized schedule. An active set that repeats keeps the products
-	// built for it; a row-dropping plan never does — its row split depends
-	// on what the peers request this epoch.
+	// sends and receives, overlapping the peers' sampling. An active set that
+	// repeats keeps the products built for it; a row-dropping plan never
+	// does — its row split depends on what the peers request this epoch.
 	ep.eg = &lp.eg
 	recvSlots := lp.recvSlots // epoch halo rows I fill from j
 	if plan.DropsInner || !lp.planned || !slices.Equal(plan.Active, lp.planActive) {
@@ -469,21 +453,6 @@ func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) (nPend int) {
 	return nPend
 }
 
-// awaitHalo is the serialized schedule's hoisted wait: it blocks until all
-// nPend posted receives have landed, then puts their completion tokens back
-// (arrCh's capacity covers a full phase), so the consuming stage that
-// follows finds every peer ready and never blocks.
-func (rt *RankTrainer) awaitHalo(nPend int) {
-	ds := time.Now()
-	for i := 0; i < nPend; i++ {
-		rt.landed[i] = <-rt.arrCh
-	}
-	for _, j := range rt.landed[:nPend] {
-		rt.arrCh <- j
-	}
-	rt.ep.st.CommExposed += time.Since(ds)
-}
-
 // forwardFree begins layer l's pass over its input x, a matrix over the epoch
 // node space, and computes the halo-free rows — everything that needs no
 // boundary data. x comes from the epoch workspace with undefined contents:
@@ -638,8 +607,7 @@ func (rt *RankTrainer) postGrad(l int, dH *tensor.Matrix) (nPend int) {
 }
 
 // backwardFinish accumulates layer l's parameter gradients and completes the
-// inner rows of its input gradient — under overlap, while the gradient
-// exchange is in flight.
+// inner rows of its input gradient while the gradient exchange is in flight.
 func (rt *RankTrainer) backwardFinish(l int) {
 	ps := time.Now()
 	lp := rt.LP

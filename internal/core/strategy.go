@@ -63,7 +63,7 @@ type Plan struct {
 // Strategy produces the per-epoch local subgraph and halo demand for one
 // rank. Implementations must be deterministic functions of their seed and
 // call sequence: every rank runs its own instance, and bit-identical
-// replicas across schedules and transports rely on PlanEpoch consuming its
+// replicas across transports and arrival orders rely on PlanEpoch consuming its
 // RNG identically regardless of timing. State/SetState expose the RNG
 // position for trainer checkpoints, so resumed runs replan identically.
 type Strategy interface {

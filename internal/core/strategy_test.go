@@ -45,53 +45,36 @@ func stratSignature(t *testing.T, tr *ParallelTrainer, epochs int) (uint64, int6
 	return h.Sum64(), bytes
 }
 
-// TestStrategiesDeterministicAcrossSchedulesAndTransports is the new
-// strategies' end-to-end determinism proof, mirroring the engine's BNS
-// equivalence matrix: for LADIES and SAINT, the same seed must produce
-// bit-identical losses, weights, and traffic under both schedules over the
-// channel transport and under the overlapped schedule over TCP — and a
-// different seed must not.
-func TestStrategiesDeterministicAcrossSchedulesAndTransports(t *testing.T) {
+// TestStrategiesDeterministicAcrossTransports is the new strategies'
+// end-to-end determinism proof, mirroring the engine's BNS cross-backend
+// test: for LADIES and SAINT, the same seed must produce bit-identical
+// losses, weights, and traffic over TCP as over the channel transport — and
+// a different seed must not.
+func TestStrategiesDeterministicAcrossTransports(t *testing.T) {
 	for name, factory := range stratFactories(21) {
 		for _, arch := range []Arch{ArchSAGE, ArchGAT} {
 			ds := testDataset(t, 60)
 			topo := testTopology(t, ds, 3)
 			mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
-			base := ParallelConfig{Model: mc, P: 1, SampleSeed: 17, Schedule: ScheduleSerialized, Strategy: factory}
-
-			mk := func(sched Schedule, g *comm.Group) *ParallelTrainer {
-				t.Helper()
-				cfg := base
-				cfg.Schedule = sched
-				var tr *ParallelTrainer
-				var err error
-				if g == nil {
-					tr, err = NewParallelTrainer(ds, topo, cfg)
-				} else {
-					tr, err = NewParallelTrainerOver(ds, topo, cfg, g)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				return tr
-			}
+			cfg := ParallelConfig{Model: mc, P: 1, SampleSeed: 17, Strategy: factory}
 
 			const epochs = 4
-			refHash, refBytes := stratSignature(t, mk(ScheduleSerialized, nil), epochs)
-			runs := map[string]*ParallelTrainer{
-				"chan/overlap": mk(ScheduleOverlap, nil),
-				"tcp/overlap":  mk(ScheduleOverlap, tcpLoopbackGroup(t, 3)),
+			chanTr, err := NewParallelTrainer(ds, topo, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for rn, tr := range runs {
-				h, b := stratSignature(t, tr, epochs)
-				if h != refHash || b != refBytes {
-					t.Errorf("%s/%s %s: signature (%#x,%d) != serialized (%#x,%d)", name, arch, rn, h, b, refHash, refBytes)
-				}
+			tcpTr, err := NewParallelTrainerOver(ds, topo, cfg, tcpLoopbackGroup(t, 3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			refHash, refBytes := stratSignature(t, chanTr, epochs)
+			if h, b := stratSignature(t, tcpTr, epochs); h != refHash || b != refBytes {
+				t.Errorf("%s/%s tcp: signature (%#x,%d) != chan (%#x,%d)", name, arch, h, b, refHash, refBytes)
 			}
 
-			// Different seed must actually change the run, or the matrix above
-			// proves nothing about the sampler.
-			other := base
+			// Different seed must actually change the run, or the comparison
+			// above proves nothing about the sampler.
+			other := cfg
 			other.Strategy = stratFactories(22)[name]
 			otherTr, err := NewParallelTrainer(ds, topo, other)
 			if err != nil {

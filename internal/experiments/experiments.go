@@ -35,7 +35,7 @@ type Options struct {
 	// Seed is the master seed; all randomness derives from it.
 	Seed uint64
 	// OutPath, when non-empty, asks experiments that produce machine-readable
-	// results (currently "overlap") to also write them as JSON to this path.
+	// results ("samplers", "serve") to also write them as JSON to this path.
 	OutPath string
 }
 

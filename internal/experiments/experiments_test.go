@@ -12,7 +12,7 @@ func TestRegistryComplete(t *testing.T) {
 		"table1", "table2", "table3", "table4", "table5", "table6", "table7",
 		"table8", "table9", "table10", "table11", "table12", "table13",
 		"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"ablation1", "overlap", "serve", "samplers",
+		"ablation1", "serve", "samplers",
 	}
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {

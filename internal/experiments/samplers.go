@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"text/tabwriter"
+	"time"
 
 	"repro/internal/core"
 )
@@ -113,10 +114,7 @@ func runSamplers(w io.Writer, o Options) error {
 				mc := spec.model
 				mc.Arch = arch
 				mc.Seed = o.Seed
-				cfg := core.ParallelConfig{
-					Model: mc, P: p, SampleSeed: o.Seed + 1,
-					Schedule: core.ScheduleOverlap, Strategy: st.factory,
-				}
+				cfg := core.ParallelConfig{Model: mc, P: p, SampleSeed: o.Seed + 1, Strategy: st.factory}
 				tr, err := core.NewParallelTrainer(ds, topo, cfg)
 				if err != nil {
 					return err
@@ -177,3 +175,5 @@ func runSamplers(w io.Writer, o Options) error {
 	}
 	return nil
 }
+
+func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
