@@ -11,7 +11,7 @@ export GOAMD64
 
 GO ?= go
 
-.PHONY: build test race bench bench-spmm bench-fused bench-epoch bench-serve bench-samplers vet release
+.PHONY: build test race bench bench-spmm bench-fused bench-epoch vet release
 
 build:
 	$(GO) build ./...
@@ -38,16 +38,6 @@ bench-epoch:
 	$(GO) test -run=xxx -bench='BenchmarkEpoch' -benchtime=100x ./internal/core/
 
 bench: bench-spmm bench-fused bench-epoch
-
-# The serving load test behind BENCH_serve.json.
-bench-serve:
-	$(GO) run ./cmd/bnsbench -exp serve -out BENCH_serve.json
-
-# The epoch-sampling strategy matrix behind BENCH_samplers.json:
-# BNS vs partition-local LADIES vs GraphSAINT-style subgraphs,
-# over SAGE/GAT and k ∈ {2, 4}.
-bench-samplers:
-	$(GO) run ./cmd/bnsbench -exp samplers -out BENCH_samplers.json
 
 # Release build: the shipped binaries (trainer, partitioner, bench harness,
 # inference server).

@@ -28,9 +28,16 @@ func main() {
 		runs   = flag.Int("runs", 1, "repeated runs for mean±std columns")
 		quick  = flag.Bool("quick", false, "truncate to a few epochs (smoke mode)")
 		seed   = flag.Uint64("seed", 0, "master seed (0 = default)")
-		out    = flag.String("out", "", "also write machine-readable results (JSON) to this path, for experiments that support it")
 	)
 	flag.Parse()
+
+	// set holds the flags the command line named, as opposed to defaults.
+	set := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	if err := checkFlags(*quick, set); err != nil {
+		fmt.Fprintf(os.Stderr, "bnsbench: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, r := range experiments.Registry() {
@@ -42,7 +49,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bnsbench: -exp required (or -list); e.g. -exp table4 or -exp all")
 		os.Exit(2)
 	}
-	o := experiments.Options{Scale: *scale, Epochs: *epochs, Runs: *runs, Quick: *quick, Seed: *seed, OutPath: *out}
+	o := experiments.Options{Scale: *scale, Epochs: *epochs, Runs: *runs, Quick: *quick, Seed: *seed}
 
 	run := func(r experiments.Runner) {
 		fmt.Printf("=== %s: %s ===\n", r.ID, r.Title)
@@ -66,4 +73,15 @@ func main() {
 		os.Exit(2)
 	}
 	run(r)
+}
+
+// checkFlags rejects a flag the run would ignore rather than dropping it:
+// -quick fixes every experiment's epoch count, so `-quick -epochs 50` would
+// otherwise run a few epochs, not 50. set holds the flags the command line
+// named, so a default is never mistaken for a request.
+func checkFlags(quick bool, set map[string]bool) error {
+	if quick && set["epochs"] {
+		return fmt.Errorf("-epochs is set but -quick fixes every experiment's epoch count, so it would be ignored: drop -epochs or -quick")
+	}
+	return nil
 }

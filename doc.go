@@ -5,9 +5,10 @@
 // See ROADMAP.md for the north star and open items, PERFORMANCE.md for how
 // the epoch hot path, the transports, elastic training and serving are
 // built, bench/README.md for the benchmark every change is judged by, and
-// cmd/bnsgcn/README.md and cmd/bnsserve/README.md for the CLIs. The
-// benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation in quick mode; cmd/bnsbench runs them at full size.
+// cmd/bnsgcn/README.md and cmd/bnsserve/README.md for the CLIs. bench/
+// measures performance; cmd/bnsbench prints every table and figure of the
+// paper's evaluation (internal/experiments), whose tests run each one in
+// quick mode.
 //
 // # Communication transports
 //

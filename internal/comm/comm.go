@@ -54,12 +54,8 @@ func (s *chanState) fail(err error) {
 	})
 }
 
-// Cluster is a group of in-process workers connected all-to-all; it predates
-// the Transport abstraction and is now simply a Group over ChanTransports.
-type Cluster = Group
-
-// New creates an in-process cluster of m workers connected all-to-all with
-// Go channels.
+// New creates an in-process group of m workers connected all-to-all with
+// Go channels: a Group over ChanTransports.
 //
 // queueCap bounds the number of outstanding messages per directed (src,dst)
 // pair; 0 selects the default of 256. The bound matters because a send to a
@@ -73,7 +69,7 @@ type Cluster = Group
 // capacity ≥ 2·(2L + 2(m−1) + 1) guarantees senders never stall. The default
 // 256 covers every paper configuration (L ≤ 6, m ≤ 32 needs ≤ 150); larger
 // setups still run correctly, senders just block for backpressure.
-func New(m int, queueCap int) *Cluster {
+func New(m int, queueCap int) *Group {
 	if m <= 0 {
 		panic(fmt.Sprintf("comm: cluster size %d", m))
 	}

@@ -622,7 +622,7 @@ type ParallelTrainer struct {
 	Cfg     ParallelConfig
 	Ranks   []*RankTrainer
 	Locals  []*LocalPartition // aliases Ranks[i].LP
-	Cluster *comm.Cluster
+	Cluster *comm.Group
 	Models  []*Model // aliases Ranks[i].Model
 
 	statsBuf []RankStats

@@ -154,7 +154,11 @@ func runGeneration(cfg *RunnerConfig) (*core.RankTrainer, int, []int, error) {
 
 	// Bootstrap-time GC is scoped to this rank's own files: peers share the
 	// directory and may not have torn down yet.
-	rt, err := resume(&cfg.Config, cfg.NewTrainer, tbl.members, cfg.Rank, tbl.startGen, cfg.Rank)
+	if _, err := CleanupTmp(cfg.Dir, cfg.Rank); err != nil {
+		tp.Close()
+		return nil, tbl.startGen, tbl.members, fmt.Errorf("elastic: rank %d: tmp cleanup: %w", cfg.Rank, err)
+	}
+	rt, err := resume(&cfg.Config, cfg.NewTrainer, tbl.members, cfg.Rank, tbl.startGen)
 	if err == nil && len(tbl.members) < cfg.World && tbl.startGen > 0 {
 		// Shrunken resume: before training on rows absorbed from the dead
 		// slots, cross-check the replica invariant against whatever final

@@ -156,14 +156,14 @@ func collective(what string, step func() error) (err error) {
 }
 
 // resume builds slot's trainer for the agreed member set and brings it to
-// the agreed generation: load startGen (from slot's own shard, or a donor's),
-// sweep the .tmp residue of crashed saves, and prune generations older than
-// the consensus. It runs at bootstrap only, before any rank trains — a live
-// save's .tmp must not be swept. tmpScope is CleanupTmp's rank argument: the
-// Supervisor owns the whole directory (-1); a multi-process rank shares it
-// with peers that may not have torn down yet and sweeps only its own files.
+// the agreed generation: load startGen (from slot's own shard, or a donor's)
+// and prune generations older than the consensus. It runs at bootstrap only,
+// before any rank trains. Its callers sweep the .tmp residue of crashed saves
+// first: the Supervisor owns the whole directory and sweeps it once per
+// generation; a multi-process rank shares it with peers that may not have
+// torn down yet and sweeps only its own files.
 func resume(cfg *Config, newTrainer func(members []int, slot int) (*core.RankTrainer, error),
-	members []int, slot, startGen, tmpScope int) (*core.RankTrainer, error) {
+	members []int, slot, startGen int) (*core.RankTrainer, error) {
 	rt, err := newTrainer(members, slot)
 	if err != nil {
 		return nil, fmt.Errorf("elastic: rank %d: trainer: %w", slot, err)
@@ -174,9 +174,6 @@ func resume(cfg *Config, newTrainer func(members []int, slot int) (*core.RankTra
 	}
 	if donor >= 0 && donor != slot {
 		debugf("rank %d: hydrated gen %d from slot %d's shard", slot, startGen, donor)
-	}
-	if _, err := CleanupTmp(cfg.Dir, tmpScope); err != nil {
-		return nil, fmt.Errorf("elastic: rank %d: tmp cleanup: %w", slot, err)
 	}
 	if _, err := PruneGenerations(cfg.Dir, slot, cfg.KeepGenerations, startGen); err != nil {
 		return nil, fmt.Errorf("elastic: rank %d: checkpoint GC: %w", slot, err)
@@ -291,10 +288,13 @@ func (s *Supervisor) generation(gen int, g *comm.Group, prev []int, rep *Report)
 		}
 	}
 	rep.StartGens = append(rep.StartGens, start)
+	if _, err := CleanupTmp(s.Cfg.Dir, -1); err != nil {
+		return nil, nil, fmt.Errorf("elastic: generation %d: tmp cleanup: %w", gen, err)
+	}
 	trainers := make([]*core.RankTrainer, k)
 	for r, slot := range members {
 		var err error
-		if trainers[r], err = resume(&s.Cfg, s.NewTrainer, members, slot, start, -1); err != nil {
+		if trainers[r], err = resume(&s.Cfg, s.NewTrainer, members, slot, start); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -78,7 +78,7 @@ func runTable9(w io.Writer, o Options) error {
 			fmt.Fprintf(tw, "%s\t%s\t%.1f\t%.3f\t%s\n",
 				ds.Name, m.mode, commMB, epochTime, pct(tr.Evaluate(ds.TestMask)))
 		}
-		res, err := trainBNS(ds, topo, c.spec.model, p, epochs, 0, o.Seed)
+		res, err := trainBNS(ds, topo, c.spec.model, p, epochs, 0, o.Seed, nil)
 		if err != nil {
 			return err
 		}
@@ -129,7 +129,7 @@ func runTable10(w io.Writer, o Options) error {
 	fmt.Fprintf(tw, "p\tepoch time (s)\tspeedup\n")
 	var baseline float64
 	for _, p := range []float64{1.0, 0.1, 0.01, 0.0} {
-		res, err := trainBNS(ds, topo, mc, p, epochs, 0, o.Seed)
+		res, err := trainBNS(ds, topo, mc, p, epochs, 0, o.Seed, nil)
 		if err != nil {
 			return err
 		}
@@ -142,8 +142,27 @@ func runTable10(w io.Writer, o Options) error {
 	return tw.Flush()
 }
 
+// engineStrategy is one of the two epoch samplers the partition-parallel
+// engine hosts beside BNS (core/strategy.go), at the operating point Tables
+// 11 and 12 report it: its sampling runs inside the epoch, so SampleTime and
+// CommBytes price it exactly as they price BNS.
+type engineStrategy struct {
+	name, point string // "LADIES", "budget 256"
+	factory     core.StrategyFactory
+}
+
+func engineStrategies(o Options) []engineStrategy {
+	const budget, frac = 256, 0.5
+	return []engineStrategy{
+		{"LADIES", fmt.Sprintf("budget %d", budget), core.NewLADIESFactory(budget, o.Seed+1)},
+		{"GraphSAINT", fmt.Sprintf("frac %.2g", frac), core.NewSAINTFactory(frac, o.Seed+1)},
+	}
+}
+
 // runTable11 reproduces Table 11 (Appendix C): measured per-epoch train time
-// of the sampling baselines against BNS-GCN on reddit-sim with 8 partitions.
+// of the sampling baselines against BNS-GCN on reddit-sim with 8 partitions,
+// plus the engine-hosted LADIES and GraphSAINT strategies on the same
+// partitions, whose halo traffic sits beside BNS's.
 func runTable11(w io.Writer, o Options) error {
 	o = o.withDefaults()
 	spec := redditSpec()
@@ -153,7 +172,7 @@ func runTable11(w io.Writer, o Options) error {
 	}
 	epochs := o.epochs(8)
 	tw := newTabWriter(w)
-	fmt.Fprintf(tw, "method\ttrain time per epoch (s)\tspeedup vs GraphSAGE\n")
+	fmt.Fprintf(tw, "method\ttrain time per epoch (s)\tspeedup vs GraphSAGE\thalo MB/epoch\n")
 	var sageTime float64
 	for _, b := range []string{"GraphSAGE", "FastGCN", "ClusterGCN"} {
 		s, err := baselineSampler(b, ds, o)
@@ -172,25 +191,39 @@ func runTable11(w io.Writer, o Options) error {
 		if b == "GraphSAGE" {
 			sageTime = per
 		}
-		fmt.Fprintf(tw, "%s\t%.3f\t%.1fx\n", b, per, sageTime/per)
+		fmt.Fprintf(tw, "%s\t%.3f\t%.1fx\t-\n", b, per, sageTime/per)
 	}
 	topo, err := topology(ds, 8, "metis", o.Seed)
 	if err != nil {
 		return err
 	}
+	type row struct {
+		name     string
+		p        float64
+		strategy core.StrategyFactory
+	}
+	var rows []row
 	for _, p := range []float64{1.0, 0.1, 0.01} {
-		res, err := trainBNS(ds, topo, spec.model, p, epochs, 0, o.Seed)
+		rows = append(rows, row{fmt.Sprintf("BNS-GCN (%.2g)", p), p, nil})
+	}
+	for _, s := range engineStrategies(o) {
+		rows = append(rows, row{fmt.Sprintf("%s (engine, %s)", s.name, s.point), 1, s.factory})
+	}
+	for _, r := range rows {
+		res, err := trainBNS(ds, topo, spec.model, r.p, epochs, 0, o.Seed, r.strategy)
 		if err != nil {
 			return err
 		}
 		per := res.AvgStats.TotalTime().Seconds()
-		fmt.Fprintf(tw, "BNS-GCN (%.2g)\t%.3f\t%.1fx\n", p, per, sageTime/per)
+		fmt.Fprintf(tw, "%s\t%.3f\t%.1fx\t%.2f\n", r.name, per, sageTime/per, float64(res.AvgStats.CommBytes)/1e6)
 	}
 	return tw.Flush()
 }
 
 // runTable12 reproduces Table 12 (Appendix D): boundary node sampling costs
-// a few percent of epoch time, against ~20% for whole-graph samplers.
+// a few percent of epoch time, against ~20% for whole-graph samplers. The
+// engine-hosted LADIES and GraphSAINT strategies report the same share at
+// each m, their sampling timed inside the epoch as BNS's is.
 func runTable12(w io.Writer, o Options) error {
 	o = o.withDefaults()
 	spec := redditSpec()
@@ -212,18 +245,31 @@ func runTable12(w io.Writer, o Options) error {
 		}
 		fmt.Fprintf(tw, "%s\t%s\n", s.Name(), pct(tr.OverheadFraction()))
 	}
+	sampleShare := func(topo *core.Topology, p float64, strategy core.StrategyFactory) (string, error) {
+		res, err := trainBNS(ds, topo, spec.model, p, epochs, 0, o.Seed, strategy)
+		if err != nil {
+			return "", err
+		}
+		return pct(float64(res.AvgStats.SampleTime) / float64(res.AvgStats.TotalTime())), nil
+	}
 	for _, k := range []int{2, 4, 8} {
 		topo, err := topology(ds, k, "metis", o.Seed)
 		if err != nil {
 			return err
 		}
 		for _, p := range []float64{0.1, 0.01} {
-			res, err := trainBNS(ds, topo, spec.model, p, epochs, 0, o.Seed)
+			share, err := sampleShare(topo, p, nil)
 			if err != nil {
 				return err
 			}
-			frac := float64(res.AvgStats.SampleTime) / float64(res.AvgStats.TotalTime())
-			fmt.Fprintf(tw, "BNS (m=%d, p=%.2g)\t%s\n", k, p, pct(frac))
+			fmt.Fprintf(tw, "BNS (m=%d, p=%.2g)\t%s\n", k, p, share)
+		}
+		for _, s := range engineStrategies(o) {
+			share, err := sampleShare(topo, 1, s.factory)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(tw, "%s (engine, m=%d, %s)\t%s\n", s.name, k, s.point, share)
 		}
 	}
 	return tw.Flush()

@@ -15,7 +15,7 @@ import (
 // shared aggregation pair, and checks each field came back at exactly the
 // sentinel — a field a future PR adds but forgets in addEpochStats reads 0,
 // one summed but missed in avgEpochStats reads n×sentinel, and either way
-// the test names the field instead of letting BENCH json skew silently.
+// the test names the field instead of letting a table skew silently.
 func TestEpochStatsAggregationCoversAllFields(t *testing.T) {
 	const n = 4
 	const sentinel = 4096 // divisible by n: duration division must be exact

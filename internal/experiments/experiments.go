@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation section (Section 4 and Appendices B–E) on the synthetic
 // datasets, printing rows/series in the same shape the paper reports.
-// cmd/bnsbench dispatches into this package; bench_test.go wraps each
-// experiment in a testing.B benchmark.
+// cmd/bnsbench dispatches into this package, and TestStructuralExperimentsRun
+// runs every registered experiment in quick mode.
 package experiments
 
 import (
@@ -19,8 +19,8 @@ import (
 	"repro/internal/partition"
 )
 
-// Options control experiment size so the same code serves quick benchmark
-// runs and cmd/bnsbench's full-size ones.
+// Options control experiment size so the same code serves quick smoke runs
+// and cmd/bnsbench's full-size ones.
 type Options struct {
 	// Scale multiplies dataset node counts (presets are sized for a 2-core
 	// CPU budget at Scale=1).
@@ -29,14 +29,11 @@ type Options struct {
 	Epochs int
 	// Runs is the number of repeated runs for mean±std columns (default 1).
 	Runs int
-	// Quick truncates every experiment to a few epochs — used by benchmarks
+	// Quick truncates every experiment to a few epochs — used by the tests
 	// to exercise the full code path cheaply.
 	Quick bool
 	// Seed is the master seed; all randomness derives from it.
 	Seed uint64
-	// OutPath, when non-empty, asks experiments that produce machine-readable
-	// results ("samplers", "serve") to also write them as JSON to this path.
-	OutPath string
 }
 
 func (o Options) withDefaults() Options {
@@ -198,11 +195,12 @@ type bnsResult struct {
 	Trainer  *core.ParallelTrainer
 }
 
-// trainBNS runs BNS-GCN end to end and returns the result. evalEvery=0
-// evaluates only at the end.
-func trainBNS(ds *datagen.Dataset, topo *core.Topology, model core.ModelConfig, p float64, epochs, evalEvery int, seed uint64) (*bnsResult, error) {
+// trainBNS runs the partition-parallel engine end to end and returns the
+// result. strategy picks the epoch sampler; nil is BNS at rate p, and any
+// other strategy ignores p. evalEvery=0 evaluates only at the end.
+func trainBNS(ds *datagen.Dataset, topo *core.Topology, model core.ModelConfig, p float64, epochs, evalEvery int, seed uint64, strategy core.StrategyFactory) (*bnsResult, error) {
 	model.Seed = seed
-	tr, err := core.NewParallelTrainer(ds, topo, core.ParallelConfig{Model: model, P: p, SampleSeed: seed + 1})
+	tr, err := core.NewParallelTrainer(ds, topo, core.ParallelConfig{Model: model, P: p, SampleSeed: seed + 1, Strategy: strategy})
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +225,7 @@ func trainBNS(ds *datagen.Dataset, topo *core.Topology, model core.ModelConfig, 
 // TestEpochStatsAggregationCoversAllFields sets every field via reflection
 // and fails when a newly added field is dropped here (it would read 0) or
 // summed but never divided (it would read n× its value), so a new stats
-// field cannot silently skew BENCH json the way ExposedCommTime once
+// field cannot silently skew a table the way ExposedCommTime once
 // threatened to.
 func addEpochStats(agg, st *core.EpochStats) {
 	agg.Loss += st.Loss

@@ -12,7 +12,7 @@ func TestRegistryComplete(t *testing.T) {
 		"table1", "table2", "table3", "table4", "table5", "table6", "table7",
 		"table8", "table9", "table10", "table11", "table12", "table13",
 		"fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
-		"ablation1", "serve", "samplers",
+		"ablation1",
 	}
 	for _, id := range want {
 		if _, ok := Lookup(id); !ok {
@@ -54,31 +54,53 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
-// TestStructuralExperimentsRun runs the no-training experiments end to end
-// in quick mode and sanity-checks their output.
+// TestStructuralExperimentsRun runs every registered experiment end to end
+// in quick mode — what `bnsbench -exp all -quick` runs — and checks that its
+// output carries one row or column it must print. An experiment registered
+// without a case here fails the test, so none can skip it.
 func TestStructuralExperimentsRun(t *testing.T) {
 	cases := map[string]string{
-		"table1": "Ratio",
-		"table3": "reddit-sim",
-		"fig3":   "straggler",
-		"fig8":   "median",
-		"fig5":   "comm share",
-		"fig6":   "p=0.1",
-		"table6": "BNS-GCN",
-		"table8": "partitioner",
+		"ablation1": "estimators coincide",
+		"fig3":      "straggler",
+		"fig4":      "CAGNET",
+		"fig5":      "comm share",
+		"fig6":      "p=0.1",
+		"fig7":      "products-sim, 10 partitions",
+		"fig8":      "median",
+		"fig9":      "yelp-sim, 10 partitions",
+		"table1":    "Ratio",
+		"table2":    "BNS variance",
+		"table3":    "reddit-sim",
+		"table4":    "BNS-GCN (p=0)",
+		"table5":    "ClusterGCN",
+		"table6":    "BNS-GCN",
+		"table7":    "random+BNS",
+		"table8":    "partitioner",
+		"table9":    "BES",
+		"table10":   "speedup",
+		"table11":   "LADIES (engine, budget 256)",
+		"table12":   "GraphSAINT (engine, m=8, frac 0.5)",
+		"table13":   "p=0.8",
 	}
-	for id, needle := range cases {
-		r, ok := Lookup(id)
+	for _, r := range Registry() {
+		needle, ok := cases[r.ID]
 		if !ok {
-			t.Fatalf("missing %s", id)
+			t.Errorf("experiment %q has no case", r.ID)
+			continue
 		}
-		var buf bytes.Buffer
-		if err := r.Run(&buf, Options{Quick: true}); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if !strings.Contains(buf.String(), needle) {
-			t.Fatalf("%s output missing %q:\n%s", id, needle, buf.String())
-		}
+		delete(cases, r.ID)
+		t.Run(r.ID, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := r.Run(&buf, Options{Quick: true}); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(buf.String(), needle) {
+				t.Fatalf("output missing %q:\n%s", needle, buf.String())
+			}
+		})
+	}
+	for id := range cases {
+		t.Errorf("case %q names no registered experiment", id)
 	}
 }
 

@@ -62,7 +62,7 @@ func runFig4(w io.Writer, o Options) error {
 				return err
 			}
 			for _, p := range []float64{1.0, 0.1, 0.01} {
-				res, err := trainBNS(ds, topo, spec.model, p, measureEpochs, 0, o.Seed)
+				res, err := trainBNS(ds, topo, spec.model, p, measureEpochs, 0, o.Seed, nil)
 				if err != nil {
 					return err
 				}
