@@ -6,10 +6,14 @@
 //
 // Backends are pluggable behind the Transport interface. The in-process
 // backend (one goroutine per partition over Go channels, created by New)
-// remains the fast zero-copy default; the TCP backend (one OS process per
-// rank, created by DialTCP) runs the same protocol across real sockets and
-// is proven bit-identical to the channel backend by the cross-backend tests
-// in internal/core.
+// remains the fast default; the TCP backend (one OS process per rank, created
+// by DialTCP) runs the same protocol across real sockets and is proven
+// bit-identical to the channel backend by the cross-backend tests in
+// internal/core. On both, a float32 payload is staged once per side: the
+// sender gathers it into a buffer the transport lends (SendBufF32), and the
+// receiver reads it where it landed until RecycleF32 takes it back — on the
+// channel backend the two are the same buffer, on TCP the outgoing and the
+// incoming frame.
 package comm
 
 import (
@@ -34,7 +38,8 @@ type chanState struct {
 	barrier   *reusableBarrier
 	bytesSent []atomic.Int64 // per source rank
 	msgsSent  []atomic.Int64
-	regs      []notifyReg // per destination rank: completion notifications
+	regs      []notifyReg      // per destination rank: completion notifications
+	bufs      bufPool[float32] // lent payload buffers, refilled by RecycleF32
 
 	failErr error // written once before failCh closes
 	failOn  sync.Once
@@ -101,8 +106,10 @@ func New(m int, queueCap int) *Group {
 const defaultQueueCap = 256
 
 // ChanTransport is one rank's endpoint on the in-process channel backend.
-// Sends pass payload slices by reference (zero-copy), so the sender must not
-// mutate a payload after Send — the same ownership rule real RDMA imposes.
+// A float32 payload travels in a buffer lent from the cluster's pool: the
+// sender gathers into it (or SendF32 copies into it), the message carries it
+// by reference, and the receiver's RecycleF32 returns it to the pool — so a
+// caller's own slice is free when a send returns, as on TCP.
 type ChanTransport struct {
 	s    *chanState
 	rank int
@@ -128,14 +135,9 @@ func (t *ChanTransport) send(dst int, msg message) {
 	}
 }
 
-// SendF32 sends a float32 payload to dst with a tag. The payload is not
-// copied; the sender must not mutate it afterwards. The arrival is stamped
-// into the destination's notification ledger before the enqueue, so a
-// notified consumer's receive can block only on the enqueue itself.
+// SendF32 sends a copy of a float32 payload to dst with a tag.
 func (t *ChanTransport) SendF32(dst, tag int, data []float32) {
-	t.account(4 * len(data))
-	t.s.regs[dst].arrived(t.rank, tag)
-	t.send(dst, message{tag: tag, f32: data})
+	sendCopy(t, dst, tag, data).Wait()
 }
 
 // SendI32 sends an int32 payload to dst with a tag.
@@ -144,12 +146,23 @@ func (t *ChanTransport) SendI32(dst, tag int, data []int32) {
 	t.send(dst, message{tag: tag, i32: data})
 }
 
-// ISendF32 initiates a nonblocking send. On the channel backend a send is
-// complete once the message is on the fabric — which SendF32 achieves
-// without copying — so the returned handle is already done. It blocks only
-// for queue backpressure, exactly like SendF32.
+// ISendF32 sends a copy of data; see ISendBufF32.
 func (t *ChanTransport) ISendF32(dst, tag int, data []float32) PendingSend {
-	t.SendF32(dst, tag, data)
+	return sendCopy(t, dst, tag, data)
+}
+
+// SendBufF32 lends the caller an n-element buffer from the cluster's pool.
+func (t *ChanTransport) SendBufF32(n int) []float32 { return t.s.bufs.get(n) }
+
+// ISendBufF32 puts a lent buffer on the fabric by reference. A send is
+// complete once the message is on the fabric, so the returned handle is
+// already done; it blocks only for queue backpressure. The arrival is stamped
+// into the destination's notification ledger before the enqueue, so a
+// notified consumer's receive can block only on the enqueue itself.
+func (t *ChanTransport) ISendBufF32(dst, tag int, buf []float32) PendingSend {
+	t.account(4 * len(buf))
+	t.s.regs[dst].arrived(t.rank, tag)
+	t.send(dst, message{tag: tag, f32: buf})
 	return PendingSend{}
 }
 
@@ -164,9 +177,8 @@ func (t *ChanTransport) IRecvF32Notify(src, tag int, notify chan<- int, token in
 	return PendingRecvF32{t: t, src: src, tag: tag}
 }
 
-// RecycleF32 is a no-op: received slices belong to their sender (zero-copy
-// delivery), so there is nothing to pool.
-func (t *ChanTransport) RecycleF32([]float32) {}
+// RecycleF32 returns a received payload's buffer to the cluster's pool.
+func (t *ChanTransport) RecycleF32(data []float32) { t.s.bufs.put(data) }
 
 // recv dequeues the next message from src, preferring queued messages over
 // an abort so in-flight data is never lost.

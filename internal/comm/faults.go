@@ -85,7 +85,8 @@ func WithFaults(g *Group, plans ...FaultPlan) *Group {
 }
 
 // faultTransport decorates one endpoint; only sends and epoch marks are
-// intercepted (receives need no counting).
+// intercepted (receives need no counting). Every float32 send is counted in
+// ISendBufF32, the one path they all take.
 type faultTransport struct {
 	Transport
 	plans []*FaultPlan // plans targeting this rank
@@ -125,8 +126,7 @@ func (t *faultTransport) beforeSend() {
 }
 
 func (t *faultTransport) SendF32(dst, tag int, data []float32) {
-	t.beforeSend()
-	t.Transport.SendF32(dst, tag, data)
+	sendCopy(t, dst, tag, data).Wait()
 }
 
 func (t *faultTransport) SendI32(dst, tag int, data []int32) {
@@ -135,8 +135,12 @@ func (t *faultTransport) SendI32(dst, tag int, data []int32) {
 }
 
 func (t *faultTransport) ISendF32(dst, tag int, data []float32) PendingSend {
+	return sendCopy(t, dst, tag, data)
+}
+
+func (t *faultTransport) ISendBufF32(dst, tag int, buf []float32) PendingSend {
 	t.beforeSend()
-	return t.Transport.ISendF32(dst, tag, data)
+	return t.Transport.ISendBufF32(dst, tag, buf)
 }
 
 // epochMarker is the optional interface MarkEpoch dispatches on.

@@ -90,13 +90,14 @@ func TestWithFaultsKillAtMessageDeterministic(t *testing.T) {
 	}
 }
 
-// TestWithFaultsISendCounted: async sends count toward the message ordinal
-// like synchronous ones (the pipelined schedule uses ISendF32 exclusively).
+// TestWithFaultsISendCounted: async sends, copied or in a lent buffer, count
+// toward the message ordinal like synchronous ones (the pipelined schedule
+// sends only lent buffers).
 func TestWithFaultsISendCounted(t *testing.T) {
 	g := WithFaults(New(2, 0), KillAtMessage(0, 2))
 	w := g.Worker(0)
 	w.Transport().ISendF32(1, 1, []float32{1}) // msg 0
-	w.Transport().ISendF32(1, 2, []float32{2}) // msg 1
+	w.ISendBufF32(1, 2, w.SendBufF32(1))       // msg 1
 	defer func() {
 		p := recover()
 		te, ok := p.(*TransportError)

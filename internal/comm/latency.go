@@ -223,15 +223,15 @@ func (s *linkState) prepay(src, dst, tag int) {
 }
 
 // latencyTransport decorates one endpoint; everything not overridden
-// (Barrier, counters, Abort, Close, RecycleF32) passes through.
+// (Barrier, counters, Abort, Close, SendBufF32, RecycleF32) passes through.
+// Every float32 send is stamped in ISendBufF32, the one path they all take.
 type latencyTransport struct {
 	Transport
 	s *linkState
 }
 
 func (t *latencyTransport) SendF32(dst, tag int, data []float32) {
-	t.s.stampMsg(t.Rank(), dst, tag, 4*len(data))
-	t.Transport.SendF32(dst, tag, data)
+	sendCopy(t, dst, tag, data).Wait()
 }
 
 func (t *latencyTransport) SendI32(dst, tag int, data []int32) {
@@ -240,8 +240,12 @@ func (t *latencyTransport) SendI32(dst, tag int, data []int32) {
 }
 
 func (t *latencyTransport) ISendF32(dst, tag int, data []float32) PendingSend {
-	t.s.stampMsg(t.Rank(), dst, tag, 4*len(data))
-	return t.Transport.ISendF32(dst, tag, data)
+	return sendCopy(t, dst, tag, data)
+}
+
+func (t *latencyTransport) ISendBufF32(dst, tag int, buf []float32) PendingSend {
+	t.s.stampMsg(t.Rank(), dst, tag, 4*len(buf))
+	return t.Transport.ISendBufF32(dst, tag, buf)
 }
 
 func (t *latencyTransport) RecvF32(src, tag int) []float32 {

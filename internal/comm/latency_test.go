@@ -15,7 +15,9 @@ func TestLatencyGroupDelaysDelivery(t *testing.T) {
 	g.Run(func(w *Worker) {
 		switch w.Rank() {
 		case 0:
-			w.ISendF32(1, 1, []float32{1, 2, 3})
+			buf := w.SendBufF32(3) // the engine's lent-buffer send is delayed too
+			copy(buf, []float32{1, 2, 3})
+			w.ISendBufF32(1, 1, buf)
 			w.ISendF32(1, 1, []float32{4})
 		case 1:
 			start := time.Now()

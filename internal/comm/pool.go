@@ -6,22 +6,29 @@ import (
 	"unsafe"
 )
 
-// Workspace-style free lists for the TCP transport's steady-state buffers
-// (see tensor.Workspace for the pattern): buckets by power-of-two capacity,
-// so the repeating frame sizes of a training epoch hit the free list every
-// time after one warm-up epoch. Three pools exist per transport:
+// Workspace-style free lists for the transports' steady-state buffers (see
+// tensor.Workspace for the pattern): buckets by power-of-two capacity, so the
+// repeating payload sizes of a training epoch hit the free list every time
+// after one warm-up epoch. A float32 payload is staged once per side, in a
+// buffer the transport lends and takes back. Two pools exist per TCP
+// transport:
 //
-//   - wireBufs ([]byte): serialized outgoing frames; filled by ISend/Send,
-//     returned by the per-peer writer goroutine after the socket write.
-//   - recvBufs ([]byte): incoming frame payloads; drawn by the demux
-//     goroutines in readLoop, returned by RecvF32/RecvI32/Barrier after the
-//     payload is decoded.
-//   - f32Bufs ([]float32): decoded receive payloads; returned by the
-//     consumer via RecycleF32 once the data has been used.
+//   - wireBufs ([]byte): outgoing frames. SendBufF32 lends the payload region
+//     of one as a float32 view (ISendBufF32 writes the header in front of
+//     it); SendI32 and the control frames serialize into one. The per-peer
+//     writer goroutine returns it after the socket write.
+//   - recvBufs ([]byte): incoming frame payloads, drawn by the demux
+//     goroutines in readLoop. RecvF32 lends one to the consumer as a float32
+//     view, which RecycleF32 returns; RecvI32 and the barrier return theirs
+//     after decoding.
 //
-// Unlike tensor.Workspace these pools are mutex-guarded: the demux goroutine
-// of every peer and the rank goroutine share them. Buffers lost at teardown
-// (frames never consumed after a failure) are simply garbage collected.
+// The channel cluster has one bufPool[float32] for all its ranks: SendBufF32
+// draws from it, and the receiver's RecycleF32 refills it.
+//
+// Unlike tensor.Workspace these pools are mutex-guarded: the demux and writer
+// goroutines of every peer and the rank goroutines share them. Buffers lost at
+// teardown (frames never consumed after a failure) and payloads nobody
+// recycles are simply garbage collected.
 //
 // How many buffers of one size are out at once is not the protocol's to say:
 // it is one or two per peer, and now and then three, by how far the writer
@@ -33,6 +40,14 @@ import (
 // that, which the first epoch's traffic settles for good. Larger classes —
 // the halo payloads of a big partition, where four spares would cost
 // megabytes of resident memory per peer — keep growing one buffer per miss.
+//
+// Where a payload's size follows an epoch's sample, one message moves from
+// class to class between epochs, and a late epoch can put one more of them
+// in a class than any epoch before — most of all in the channel cluster's
+// pool, which every rank's payloads share. So before it allocates, a get
+// borrows the smallest idle buffer of any larger class for as long as the
+// payload lives; put files a buffer by its capacity, so the loan goes back
+// where it came from.
 const (
 	spareMaxBytes = 64 << 10
 	minSmallBufs  = 4
@@ -63,11 +78,13 @@ type bufPool[E any] struct {
 func (p *bufPool[E]) get(n int) []E {
 	c := poolGetClass(n)
 	p.mu.Lock()
-	if bucket := p.free[c]; len(bucket) > 0 {
-		buf := bucket[len(bucket)-1]
-		p.free[c] = bucket[:len(bucket)-1]
-		p.mu.Unlock()
-		return buf[:n]
+	for cc := c; cc < len(p.free); cc++ {
+		if bucket := p.free[cc]; len(bucket) > 0 {
+			buf := bucket[len(bucket)-1]
+			p.free[cc] = bucket[:len(bucket)-1]
+			p.mu.Unlock()
+			return buf[:n]
+		}
 	}
 	// A miss: one buffer for the caller, and for a small class the spares
 	// that bring it to minSmallBufs or twice its size.

@@ -46,3 +46,26 @@ func TestBufPoolPresizesSmallClasses(t *testing.T) {
 		t.Fatalf("the largest small float32 class made %d buffers on its first miss, want %d", made, minSmallBufs)
 	}
 }
+
+// TestBufPoolBorrowsFromLargerClasses: a get whose class is dry takes the
+// smallest idle buffer of a larger class before it allocates, and put files
+// the loan back under its own class.
+func TestBufPoolBorrowsFromLargerClasses(t *testing.T) {
+	var p bufPool[float32]
+	big, bigger := p.get(3000), p.get(9000) // classes 12 and 14
+	p.put(bigger)
+	p.put(big)
+	madeBefore := p.made
+	loan := p.get(600) // class 10: never made, so it borrows
+	if cap(loan) != cap(big) || len(loan) != 600 {
+		t.Fatalf("get(600) lent len %d cap %d, want the idle %d-element buffer", len(loan), cap(loan), cap(big))
+	}
+	if p.made != madeBefore {
+		t.Fatal("a get with an idle larger buffer allocated")
+	}
+	p.put(loan)
+	if c := poolGetClass(3000); len(p.free[c]) != minSmallBufs || len(p.free[poolGetClass(600)]) != 0 {
+		t.Fatalf("the loan went back to the wrong class: %d free in class %d, %d in the borrower's",
+			len(p.free[c]), c, len(p.free[poolGetClass(600)]))
+	}
+}

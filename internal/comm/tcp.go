@@ -79,7 +79,7 @@ type TCPConfig struct {
 	RendezvousListener net.Listener
 }
 
-// outMsg is one serialized frame queued for a peer's writer goroutine.
+// outMsg is one whole frame queued for a peer's writer goroutine.
 type outMsg struct {
 	buf []byte // pooled wire bytes, returned to wireBufs after the write
 	seq uint64 // monotone per peer; writtenSeq reaches it after the write
@@ -97,8 +97,8 @@ type tcpPeer struct {
 	br   *bufio.Reader
 
 	// Outgoing frames flow through a writer goroutine so ISend takes the
-	// socket write off the caller's critical path: senders serialize into a
-	// pooled buffer (so their payload is free immediately), assign the next
+	// socket write off the caller's critical path: senders fill a pooled
+	// frame buffer (so their own slice is free immediately), assign the next
 	// seq, and enqueue; the writer performs the conn.Write and advances
 	// writtenSeq under wmu. Blocking sends and PendingSend.Wait park on
 	// wcond until their seq is written or the transport fails. All frames —
@@ -149,11 +149,10 @@ type TCPTransport struct {
 	msgsSent  atomic.Int64
 	wireSent  atomic.Int64
 
-	// Steady-state buffer pools (see pool.go): serialized outgoing frames,
-	// incoming frame payloads, and decoded float32 receive payloads.
+	// Steady-state buffer pools (see pool.go): outgoing frames and incoming
+	// frame payloads.
 	wireBufs bufPool[byte]
 	recvBufs bufPool[byte]
-	f32Bufs  bufPool[float32]
 
 	// nreg matches consumable f32 frames (stamped by the demux goroutines)
 	// against notify-posted receives; see IRecvF32Notify.
@@ -624,7 +623,7 @@ func (t *TCPTransport) Abort() {
 }
 
 // readFramePooled reads one frame, drawing the payload buffer from the
-// transport's receive pool; the consumer returns it after decoding.
+// transport's receive pool; the consumer returns it once done with it.
 func (t *TCPTransport) readFramePooled(r io.Reader) (frame, error) {
 	var h [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
@@ -715,23 +714,18 @@ func (p *tcpPeer) queue(tag, capacity int) chan frame {
 	return q
 }
 
-// isend serializes one frame into a pooled buffer and enqueues it to the
-// peer's writer goroutine, returning a completion handle. The payload is
-// fully serialized before isend returns, so the caller's data slice is free
-// immediately; the socket write happens off the caller's critical path.
+// isend enqueues one whole frame, drawn from wireBufs, to the peer's writer
+// goroutine and returns a completion handle; the writer returns the buffer to
+// the pool after the socket write, which happens off the caller's critical
+// path. err is the error of building the frame, which fails the transport.
 // payloadBytes < 0 marks control traffic excluded from accounting.
-func (t *TCPTransport) isend(dst int, payloadBytes int, encode func([]byte) ([]byte, error)) PendingSend {
+func (t *TCPTransport) isend(dst int, payloadBytes int, buf []byte, err error) PendingSend {
 	select {
 	case <-t.failCh:
 		panic(t.failure())
 	default:
 	}
 	p := t.peer(dst)
-	hint := frameHeaderSize
-	if payloadBytes > 0 {
-		hint += payloadBytes
-	}
-	buf, err := encode(t.wireBufs.get(hint)[:0])
 	if err != nil {
 		t.fail(fmt.Errorf("send to peer %d: %w", dst, err))
 		panic(t.failure())
@@ -812,25 +806,36 @@ func checkAppTag(tag int) {
 }
 
 // SendF32 sends a float32 payload to dst with a tag, blocking until the
-// frame is on the socket. Unlike the channel backend the payload is
-// serialized before Send returns, so the caller's buffer is free immediately
-// — but callers must still follow the stricter channel-backend ownership
-// rule to stay backend-portable.
+// frame is on the socket. The payload is copied into a lent frame buffer, so
+// the caller's slice is free on return.
 func (t *TCPTransport) SendF32(dst, tag int, data []float32) {
-	t.ISendF32(dst, tag, data).Wait()
+	sendCopy(t, dst, tag, data).Wait()
 }
 
-// ISendF32 initiates a nonblocking send: the payload is serialized into a
-// pooled buffer (freeing the caller's slice) and handed to the peer's writer
-// goroutine, which performs the socket write concurrently with whatever the
-// caller does next. The returned handle's Wait blocks until the write
-// completes; the epoch protocol never waits — message delivery is confirmed
-// by the protocol being fully matched.
+// ISendF32 initiates a nonblocking send of a copy of data; see ISendBufF32.
 func (t *TCPTransport) ISendF32(dst, tag int, data []float32) PendingSend {
+	return sendCopy(t, dst, tag, data)
+}
+
+// SendBufF32 lends the caller an n-element buffer: a float32 view of the
+// payload region of a pooled outgoing frame, so what the caller gathers there
+// is what goes on the wire, with no encode pass.
+func (t *TCPTransport) SendBufF32(n int) []float32 {
+	return f32View(t.wireBufs.get(frameHeaderSize + 4*n)[frameHeaderSize:])
+}
+
+// ISendBufF32 sends a buffer SendBufF32 lent, taking it back: the 12-byte
+// header is written in place in front of the payload and the frame is handed
+// to the peer's writer goroutine, which performs the socket write
+// concurrently with whatever the caller does next. The returned handle's Wait
+// blocks until the write completes; the epoch protocol never waits — message
+// delivery is confirmed by the protocol being fully matched.
+func (t *TCPTransport) ISendBufF32(dst, tag int, buf []float32) PendingSend {
 	checkAppTag(tag)
-	return t.isend(dst, 4*len(data), func(b []byte) ([]byte, error) {
-		return appendFrameF32(b, tag, data)
-	})
+	fr := frameOfF32(buf)
+	_, err := encodeFrameHeader(fr[:0], tag, dtypeF32, len(buf))
+	swapF32LE(fr[frameHeaderSize:])
+	return t.isend(dst, 4*len(buf), fr, err)
 }
 
 // IRecvF32Notify posts a nonblocking receive with a completion
@@ -845,18 +850,18 @@ func (t *TCPTransport) IRecvF32Notify(src, tag int, notify chan<- int, token int
 	return PendingRecvF32{t: t, src: src, tag: tag}
 }
 
-// RecycleF32 returns a payload obtained from RecvF32 to the decode pool.
+// RecycleF32 returns the frame under a payload RecvF32 lent to the receive
+// pool.
 func (t *TCPTransport) RecycleF32(data []float32) {
-	t.f32Bufs.put(data)
+	t.recvBufs.put(bytesOfF32(data))
 }
 
 // SendI32 sends an int32 payload to dst with a tag, blocking until the frame
 // is on the socket.
 func (t *TCPTransport) SendI32(dst, tag int, data []int32) {
 	checkAppTag(tag)
-	t.isend(dst, 4*len(data), func(b []byte) ([]byte, error) {
-		return appendFrameI32(b, tag, data)
-	}).Wait()
+	buf, err := appendFrameI32(t.wireBufs.get(frameHeaderSize + 4*len(data))[:0], tag, data)
+	t.isend(dst, 4*len(data), buf, err).Wait()
 }
 
 // recv blocks until a frame with the given tag arrives from src, the peer
@@ -896,15 +901,14 @@ func (t *TCPTransport) recv(src, tag int, want byte) frame {
 }
 
 // RecvF32 receives the next float32 message from src with the given tag.
-// The returned slice comes from the transport's decode pool; hand it back
-// with RecycleF32 once consumed to keep steady-state epochs allocation-free.
+// The returned slice is a view of the pooled frame payload the demux read
+// the message into, with no decode pass; hand it back with RecycleF32 once
+// consumed to keep steady-state epochs allocation-free.
 func (t *TCPTransport) RecvF32(src, tag int) []float32 {
 	checkAppTag(tag)
 	fr := t.recv(src, tag, dtypeF32)
-	out := t.f32Bufs.get(len(fr.payload) / 4)
-	decodeF32Into(out, fr.payload)
-	t.recvBufs.put(fr.payload)
-	return out
+	swapF32LE(fr.payload)
+	return f32View(fr.payload)
 }
 
 // RecvI32 receives the next int32 message from src with the given tag.
@@ -937,9 +941,8 @@ func (t *TCPTransport) Barrier() {
 }
 
 func (t *TCPTransport) sendCtrl(dst, tag int) {
-	t.isend(dst, -1, func(b []byte) ([]byte, error) {
-		return appendFrameBytes(b, tag, dtypeCtrl, nil)
-	}).Wait()
+	buf, err := appendFrameBytes(t.wireBufs.get(frameHeaderSize)[:0], tag, dtypeCtrl, nil)
+	t.isend(dst, -1, buf, err).Wait()
 }
 
 // BytesSent returns the payload bytes this rank has sent since the last

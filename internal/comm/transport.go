@@ -9,8 +9,8 @@ import (
 // point-to-point sends and receives of float32/int32 payloads among k ranks,
 // a barrier, and exact payload-byte accounting. Two backends exist:
 //
-//   - ChanTransport: k goroutines in one process over Go channels (zero-copy,
-//     allocation-free); created in bulk by New.
+//   - ChanTransport: k goroutines in one process over Go channels
+//     (allocation-free); created in bulk by New.
 //   - TCPTransport: one OS process per rank over persistent TCP connections;
 //     created by DialTCP with a rendezvous address.
 //
@@ -28,11 +28,15 @@ import (
 //     (no headers, no barrier traffic), so byte accounting is
 //     backend-independent and feeds the cost model unchanged.
 //
-// The payload passed to Send is owned by the transport until delivery: the
-// sender must not mutate it afterwards (ChanTransport passes the slice by
-// reference, matching RDMA semantics; TCPTransport serializes it before
-// returning, which is strictly safer). Backends need not support sending to
-// the local rank; the training protocol never does.
+// One ownership rule holds on every backend. A caller's slice is free when
+// SendF32 or ISendF32 returns: the transport has copied it into a buffer of
+// its own. A buffer from SendBufF32 is the caller's to fill until
+// ISendBufF32, which takes it back. A received payload is the transport's,
+// lent to the receiver until RecycleF32 — which is how a payload is staged
+// once per side: the sender gathers straight into the buffer that travels
+// (the outgoing frame on TCP), and the receiver reads straight out of the one
+// that arrived. Backends need not support sending to the local rank; the
+// training protocol never does.
 type Transport interface {
 	Rank() int
 	Size() int
@@ -40,12 +44,19 @@ type Transport interface {
 	SendI32(dst, tag int, data []int32)
 	RecvF32(src, tag int) []float32
 	RecvI32(src, tag int) []int32
-	// ISendF32 initiates a nonblocking tagged send and returns a completion
-	// handle. Ordering with blocking sends is preserved (one FIFO per pair).
-	// Payload ownership matches SendF32 per backend: the TCP backend
-	// serializes before returning, so the caller's slice is free immediately;
-	// the channel backend holds the slice until delivery.
+	// ISendF32 initiates a nonblocking tagged send of a copy of data and
+	// returns a completion handle; it is SendBufF32, a copy, and ISendBufF32.
+	// Ordering with blocking sends is preserved (one FIFO per pair).
 	ISendF32(dst, tag int, data []float32) PendingSend
+	// SendBufF32 lends the caller a buffer of n float32s (contents undefined)
+	// to gather a payload into: on TCP a view of a pooled outgoing frame's
+	// payload region, on the channel backend a buffer from the cluster's
+	// pool.
+	SendBufF32(n int) []float32
+	// ISendBufF32 initiates a nonblocking tagged send of a buffer SendBufF32
+	// lent, and takes the buffer back: the caller must not touch it
+	// afterwards. Every float32 send of a backend goes through here.
+	ISendBufF32(dst, tag int, buf []float32) PendingSend
 	// IRecvF32Notify posts a nonblocking receive for the next float32
 	// message with the given tag from src, and arranges for token to be sent
 	// on notify exactly once when that message becomes consumable — the
@@ -67,9 +78,9 @@ type Transport interface {
 	// through RecvF32; mixing strands arrival credits (see notifyReg).
 	IRecvF32Notify(src, tag int, notify chan<- int, token int) PendingRecvF32
 	// RecycleF32 hands a slice previously returned by RecvF32 (or a recv
-	// handle's Wait) back to the transport for reuse. Optional, and a no-op
-	// on the channel backend — whose received slices belong to the sender —
-	// but on the TCP backend it feeds the receive-payload pool that keeps
+	// handle's Wait) back to the transport for reuse: on TCP the incoming
+	// frame under it, on the channel backend the lent buffer it travelled in.
+	// Optional — an unrecycled payload is garbage collected — but it keeps
 	// steady-state epochs allocation-free. The caller must not touch data
 	// afterwards.
 	RecycleF32(data []float32)
@@ -91,9 +102,8 @@ type Transport interface {
 // sends complete once the message is on the fabric). For the TCP backend,
 // Wait blocks until the frame has been handed to the OS by the peer's writer
 // goroutine, panicking with a *TransportError if the transport fails first.
-// Waiting is optional — the epoch protocol never does; the payload is free
-// as soon as ISendF32 returns (TCP serializes eagerly, and the channel
-// backend's ownership rule already forbids mutating a sent slice).
+// Waiting is optional — the epoch protocol never does; the caller's slice is
+// free as soon as ISendF32 returns, and a lent buffer is the transport's.
 //
 // The handle is a concrete struct rather than an interface on purpose: the
 // engine creates one per halo message per epoch, and an interface value
@@ -124,28 +134,14 @@ type PendingRecvF32 struct {
 // Wait dequeues the posted receive's payload (see type doc).
 func (r PendingRecvF32) Wait() []float32 { return r.t.RecvF32(r.src, r.tag) }
 
-// ringScratch holds the per-rank send buffer for the ring AllReduce's first
-// reduce-scatter step (the only message whose payload cannot alias the
-// caller's data). Two buffers alternate by call parity: before a rank can be
-// two collectives ahead, its successor must have drained every message of
-// the collective two back (each send in the ring transitively requires the
-// whole ring to have progressed), so the buffer being rewritten is never
-// still queued.
-type ringScratch struct {
-	bufs  [2][]float32
-	calls uint64
-}
-
 // Worker is one rank's handle: the transport primitives plus the collectives
 // built on top of them (ring AllReduce, variable AllGather). Methods on a
 // Worker must be called only from the goroutine driving that rank.
 type Worker struct {
-	t    Transport
-	ring ringScratch
+	t Transport
 }
 
-// NewWorker wraps a transport endpoint. Collective scratch state lives in
-// the Worker, so one rank must keep using the same Worker across epochs.
+// NewWorker wraps a transport endpoint.
 func NewWorker(t Transport) *Worker { return &Worker{t: t} }
 
 // Transport returns the underlying backend endpoint.
@@ -157,8 +153,8 @@ func (w *Worker) Rank() int { return w.t.Rank() }
 // Size returns the cluster size.
 func (w *Worker) Size() int { return w.t.Size() }
 
-// SendF32 sends a float32 payload to dst with a tag. The payload is owned by
-// the transport until delivery; the sender must not mutate it afterwards.
+// SendF32 sends a copy of a float32 payload to dst with a tag, blocking until
+// it is handed off.
 func (w *Worker) SendF32(dst, tag int, data []float32) { w.t.SendF32(dst, tag, data) }
 
 // SendI32 sends an int32 payload to dst with a tag.
@@ -174,6 +170,23 @@ func (w *Worker) RecvI32(src, tag int) []int32 { return w.t.RecvI32(src, tag) }
 // ISendF32 initiates a nonblocking send; see Transport.ISendF32.
 func (w *Worker) ISendF32(dst, tag int, data []float32) PendingSend {
 	return w.t.ISendF32(dst, tag, data)
+}
+
+// SendBufF32 lends a payload buffer; see Transport.SendBufF32.
+func (w *Worker) SendBufF32(n int) []float32 { return w.t.SendBufF32(n) }
+
+// ISendBufF32 sends a lent buffer; see Transport.ISendBufF32.
+func (w *Worker) ISendBufF32(dst, tag int, buf []float32) PendingSend {
+	return w.t.ISendBufF32(dst, tag, buf)
+}
+
+// sendCopy is SendF32 and ISendF32 on every backend and decorator: copy the
+// caller's slice into a lent buffer and send that, so one send path carries
+// every float32 payload.
+func sendCopy(t Transport, dst, tag int, data []float32) PendingSend {
+	buf := t.SendBufF32(len(data))
+	copy(buf, data)
+	return t.ISendBufF32(dst, tag, buf)
 }
 
 // IRecvF32Notify posts a nonblocking receive with a completion
@@ -214,28 +227,13 @@ func (w *Worker) AllReduceSum(data []float32, tag int) {
 	next := (rank + 1) % m
 	prev := (rank + m - 1) % m
 
-	// Step-0 send must not alias data (the chunk is overwritten by the
-	// all-gather before the message is necessarily consumed); copy it into
-	// the parity-alternating scratch buffer. Every later send forwards a
-	// received buffer, whose ownership travels with the message.
-	rs := &w.ring
-	scratch := rs.bufs[rs.calls&1]
-	rs.calls++
-	sz := hi(rank) - lo(rank)
-	if cap(scratch) < sz {
-		scratch = make([]float32, sz)
-		rs.bufs[(rs.calls-1)&1] = scratch
-	}
-	scratch = scratch[:sz]
-	copy(scratch, data[lo(rank):hi(rank)])
-	w.SendF32(next, tag, scratch)
+	// Every send copies its payload, so a chunk of data may go out as it
+	// stands and be overwritten by the all-gather before it is consumed.
+	w.SendF32(next, tag, data[lo(rank):hi(rank)])
 
 	// Reduce-scatter: accumulate the incoming chunk into the received
 	// buffer (data stays untouched until the final values arrive) and pass
-	// it on. Forwarded and fully consumed buffers are recycled into the
-	// transport's pool — safe on both backends, because the TCP backend
-	// serializes a payload before Send returns and the channel backend's
-	// RecycleF32 is a no-op (its slices belong to the sender).
+	// it on. Forwarded and fully consumed buffers go back to the transport.
 	var part []float32
 	for s := 0; s < m-1; s++ {
 		c := (rank - s - 1 + m) % m

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // Wire codec for the TCP transport. Every frame is a fixed 12-byte
@@ -22,6 +23,13 @@ import (
 // cannot make the reader allocate unboundedly. Decoding rejects truncated
 // input, oversized lengths, unknown dtypes, and non-zero reserved bytes
 // with errors — never panics — which FuzzFrameRoundTrip exercises.
+//
+// A float32 payload is never encoded or decoded element by element: the
+// sender gathers its rows straight into a float32 view of the outgoing
+// frame's payload region (TCPTransport.SendBufF32), and the receiver reads a
+// view of the incoming frame's payload (RecvF32). The views hold host-order
+// floats over little-endian wire bytes — the same bytes on a little-endian
+// host; swapF32LE converts them in place on any other.
 
 const (
 	frameHeaderSize = 12
@@ -69,20 +77,6 @@ func appendFrameBytes(dst []byte, tag int, dtype byte, payload []byte) ([]byte, 
 		return dst, err
 	}
 	return append(dst, payload...), nil
-}
-
-// appendFrameF32 serializes a float32 payload frame.
-func appendFrameF32(dst []byte, tag int, data []float32) ([]byte, error) {
-	dst, err := encodeFrameHeader(dst, tag, dtypeF32, len(data))
-	if err != nil {
-		return dst, err
-	}
-	n := len(dst)
-	dst = slices.Grow(dst, 4*len(data))[:n+4*len(data)]
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(dst[n+4*i:], math.Float32bits(v))
-	}
-	return dst, nil
 }
 
 // appendFrameI32 serializes an int32 payload frame.
@@ -158,22 +152,6 @@ func readFrame(r io.Reader) (frame, error) {
 	return frame{tag: tag, dtype: dtype, payload: payload}, nil
 }
 
-// payloadF32 decodes a frame payload into float32s (exact bit round-trip).
-func payloadF32(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	decodeF32Into(out, b)
-	return out
-}
-
-// decodeF32Into decodes a frame payload into a caller-owned slice of length
-// len(b)/4 (exact bit round-trip); the receive path pairs it with pooled
-// buffers so steady-state epochs allocate nothing.
-func decodeF32Into(dst []float32, b []byte) {
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-}
-
 // payloadI32 decodes a frame payload into int32s.
 func payloadI32(b []byte) []int32 {
 	out := make([]int32, len(b)/4)
@@ -181,4 +159,58 @@ func payloadI32(b []byte) []int32 {
 		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
 	}
 	return out
+}
+
+// nativeLittleEndian reports whether host-order float32s are already the
+// wire's little-endian bytes.
+var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// swapF32LE converts a float32 payload in place between host order and the
+// wire's little-endian order — one byte swap per element, which is its own
+// inverse, so senders and receivers call the same helper. A no-op on
+// little-endian hosts.
+func swapF32LE(b []byte) {
+	if nativeLittleEndian {
+		return
+	}
+	for i := 0; i+4 <= len(b); i += 4 {
+		b[i], b[i+1], b[i+2], b[i+3] = b[i+3], b[i+2], b[i+1], b[i]
+	}
+}
+
+// f32View reinterprets a payload's bytes as float32s without copying: the
+// view has len(b)/4 elements and cap(b)/4 capacity, so bytesOfF32 recovers
+// the whole buffer from it. A buffer too small to hold one element views as
+// nil. A payload that is not 4-byte aligned, or not a whole number of
+// elements, panics rather than being read as garbage: pooled frame buffers
+// never are, so it is a bug in whoever built the slice.
+func f32View(b []byte) []float32 {
+	if cap(b) < 4 {
+		return nil
+	}
+	p := unsafe.Pointer(unsafe.SliceData(b))
+	if uintptr(p)%4 != 0 || len(b)%4 != 0 {
+		panic(fmt.Sprintf("comm: a %d-byte payload at %p is not a 4-byte-aligned run of float32s", len(b), p))
+	}
+	return unsafe.Slice((*float32)(p), cap(b)/4)[:len(b)/4]
+}
+
+// bytesOfF32 is f32View's inverse: the bytes under a view, with its length
+// and capacity in bytes; nil for a view with no capacity.
+func bytesOfF32(f []float32) []byte {
+	if cap(f) == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(f))), 4*cap(f))[:4*len(f)]
+}
+
+// frameOfF32 returns the whole outgoing frame — header room and payload —
+// under a view TCPTransport.SendBufF32 lent, which starts frameHeaderSize
+// bytes into its buffer. Only such a view may be passed.
+func frameOfF32(buf []float32) []byte {
+	if cap(buf) == 0 {
+		panic("comm: ISendBufF32 was handed a buffer SendBufF32 did not lend")
+	}
+	p := unsafe.Add(unsafe.Pointer(unsafe.SliceData(buf)), -frameHeaderSize)
+	return unsafe.Slice((*byte)(p), frameHeaderSize+4*cap(buf))[:frameHeaderSize+4*len(buf)]
 }

@@ -8,6 +8,30 @@ import (
 	"testing"
 )
 
+// appendFrameF32 is the reference float32 frame encoder: the header, then
+// every element's bits little-endian, one at a time. The transport never
+// encodes this way (it gathers into the frame's payload region); the tests
+// hold what it sends against this.
+func appendFrameF32(dst []byte, tag int, data []float32) ([]byte, error) {
+	dst, err := encodeFrameHeader(dst, tag, dtypeF32, len(data))
+	if err != nil {
+		return dst, err
+	}
+	for _, v := range data {
+		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
+	}
+	return dst, nil
+}
+
+// payloadF32 is the reference float32 payload decoder, element by element.
+func payloadF32(b []byte) []float32 {
+	out := make([]float32, len(b)/4)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return out
+}
+
 func TestFrameF32BitExactRoundTrip(t *testing.T) {
 	in := []float32{0, -0, 1.5, float32(math.Inf(1)), float32(math.NaN()), math.SmallestNonzeroFloat32}
 	enc, err := appendFrameF32(nil, 123, in)

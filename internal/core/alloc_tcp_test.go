@@ -2,15 +2,15 @@ package core
 
 import "testing"
 
-// TestTCPTrainEpochSteadyStateAllocs pins the recv-buffer pooling on the TCP
-// path (ROADMAP open item): after warm-up, a k=2 loopback epoch must run off
-// the transport's pooled buffers — serialized outgoing frames, incoming
-// frame payloads, and decoded float32 payloads are all recycled — leaving
-// only the small fixed overhead of the per-epoch goroutine fan-out, the
-// position messages (one int32 slice per peer), and the kernel-pool
-// hand-off. Before pooling, every frame allocated its payload twice (socket
-// read + decode) and every send serialized into a growing buffer under a
-// lock, which scaled with message count and payload size.
+// TestTCPTrainEpochSteadyStateAllocs pins the frame pooling on the TCP path:
+// after warm-up, a k=2 loopback epoch must run off the transport's two pools
+// — the outgoing frames a rank gathers its halo rows into, and the incoming
+// frame payloads it reads them out of, both recycled — leaving only the small
+// fixed overhead of the per-epoch goroutine fan-out, the position messages
+// (one int32 slice per peer), and the kernel-pool hand-off. Before pooling,
+// every frame allocated its payload twice (socket read + decode) and every
+// send serialized into a growing buffer under a lock, which scaled with
+// message count and payload size.
 func TestTCPTrainEpochSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; alloc budgets only hold without -race")
@@ -32,8 +32,8 @@ func TestTCPTrainEpochSteadyStateAllocs(t *testing.T) {
 	// the position exchanges and scheduler churn of the four demux/writer
 	// goroutines. The important property is that the budget is
 	// independent of payload sizes, of layer count × message volume and
-	// of the kernel pool width: measured 25 allocs/epoch at GOMAXPROCS 1,
-	// 25–31 at 2, 25–28 at 4 (before the dW reductions moved onto the
+	// of the kernel pool width: measured 24 allocs/epoch at GOMAXPROCS 1,
+	// 24–29 at 2, 24–26 at 4 (before the dW reductions moved onto the
 	// dispatcher: 25 / 46–51 / 66–68).
 	const budget = 80
 	allocs, bytes := maxEpochAllocs(func() { tr.TrainEpoch() })
@@ -43,10 +43,10 @@ func TestTCPTrainEpochSteadyStateAllocs(t *testing.T) {
 	// The byte bound holds at every pool width: how many frames of one
 	// size are in flight at once moves with the interleaving of the rank,
 	// writer and demux goroutines, but the transport's free lists
-	// pre-size a small size class on its first miss (comm.bufPool), so no
-	// late epoch with one more frame in flight than any before it
-	// allocates a frame buffer. Measured 2448 bytes at GOMAXPROCS 1, 2
-	// and 4, in fifty runs each.
+	// pre-size a small size class on its first miss and lend a larger idle
+	// buffer when a class runs dry (comm.bufPool), so no late epoch with
+	// one more frame in flight than any before it allocates a frame buffer. Measured 1424–1840 bytes at GOMAXPROCS 1,
+	// 2 and 4.
 	checkSteadyBytes(t, "tcp", bytes)
 	t.Logf("steady-state TCP max allocs/epoch = %d (%d bytes)", allocs, bytes)
 }

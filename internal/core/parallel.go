@@ -58,12 +58,12 @@ type LocalPartition struct {
 
 	// Per-epoch scratch, reused to avoid allocation churn. The fixed-shape
 	// buffers are allocated once in NewLocalPartition; the model-dimension-
-	// dependent matrices (layer inputs, halo payloads, gradients) come from
+	// dependent matrices (the layer inputs and the loss gradient) come from
 	// ws, an arena that reaches steady state after the first epoch. ws is
 	// Reset at the end of every epoch: all buffers drawn from it are dead by
-	// then (sent payloads are consumed within the epoch because the halo
-	// protocol is fully matched, and activations/gradients are not referenced
-	// across epochs).
+	// then (activations and gradients are not referenced across epochs). Halo
+	// payloads are not drawn here: they are gathered into, and read out of,
+	// buffers the transport lends.
 	epochIndptr  []int64
 	epochIndices []int32
 	active       []bool          // the plan's active set, static ids (Plan.Active)
@@ -96,6 +96,7 @@ type LocalPartition struct {
 	haloDep  []int32
 	pendRecv []comm.PendingRecvF32 // per peer: posted halo receives
 	recvData [][]float32           // per peer: drained payloads (staged fold)
+	dNext    tensor.Matrix         // the fold's view of a layer's input-gradient inner rows
 
 	// Strategy-mode scratch (see strategy.go): lossMask is the per-epoch
 	// intersection of TrainMask with the strategy's active inner rows, and
@@ -382,13 +383,13 @@ type EpochStats struct {
 	Loss        float64
 	SampleTime  time.Duration
 	ComputeTime time.Duration
-	// CommTime is the raw halo-exchange span: payload gather/serialize plus
+	// CommTime is the raw halo-exchange span: payload gather plus
 	// the full post-to-consumed window of every exchange — what the exchange
 	// would cost if nothing hid it. That window runs concurrently with
 	// ComputeTime, so the two overlap and must not be summed — use
 	// ExposedCommTime for critical-path accounting.
 	CommTime time.Duration
-	// ExposedCommTime is the unoverlapped portion of comm: gather/serialize
+	// ExposedCommTime is the unoverlapped portion of comm: payload gather
 	// work plus the time actually spent blocked waiting for boundary data
 	// after overlappable compute has run. At most CommTime, and equal to it in
 	// an epoch with no exchange in flight — the paper's boundary-communication

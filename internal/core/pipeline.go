@@ -78,7 +78,7 @@ import (
 // tests pin this).
 //
 // Timing is split into two comm counters (see EpochStats): CommExposed is
-// the critical-path portion (payload gather/serialize plus actual blocked
+// the critical-path portion (payload gather plus actual blocked
 // waits and halo fills), Comm the raw span of each exchange from post to
 // last consumption — which runs concurrently with Compute and measures what
 // the exchange would cost if nothing hid it. The drain attributes the row
@@ -180,10 +180,10 @@ func (rt *RankTrainer) forward() *tensor.Matrix {
 		h = rt.forwardFree(l, x, h)
 		rt.closeSpan(span, rt.drainForward(l, x, nPend))
 		if rt.ep.eval {
-			// No backward will read this layer's input, and once every rank
-			// has drained the layer its halo payloads are consumed (on the
-			// channel transport a peer reads them where they lie): the next
-			// layer reuses their storage, so an evaluation holds one layer's
+			// No backward will read this layer's input, so the next layer
+			// reuses its storage; and once every rank has drained the layer,
+			// its halo payloads are back in the transport's pools, where the
+			// next layer's draw them again. An evaluation holds one layer's
 			// halo at rate 1 and not the stack's. h is the layer's own buffer.
 			rt.ep.w.Barrier()
 			rt.LP.ws.Reset()
@@ -421,23 +421,22 @@ func (rt *RankTrainer) haloRescale(row int32) float32 {
 
 // postForward posts layer l's halo exchange — the boundary rows of h each
 // peer sampled, and one notify-receive per peer I sampled from — and returns
-// the number of receives pending. Payload buffers alias the epoch workspace;
-// receivers consume them within this epoch.
+// the number of receives pending. The rows are gathered straight into a
+// payload buffer the transport lends (on TCP, the outgoing frame itself) and
+// sent in it.
 func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) (nPend int) {
 	cs := time.Now()
 	lp, st, w := rt.LP, &rt.ep.st, rt.ep.w
 	dim := h.Cols
 	for j, rows := range lp.sendRows {
-		// The workspace hands out buffers by position: every peer draws its
-		// payload, rows or none, so the epoch's draw sequence never shifts.
-		payload := lp.ws.Get(len(rows), dim).Data
 		if len(rows) == 0 {
 			continue
 		}
+		payload := w.SendBufF32(len(rows) * dim)
 		for x, row := range rows {
 			copy(payload[x*dim:(x+1)*dim], h.Row(int(row)))
 		}
-		w.ISendF32(j, tagForward+l, payload)
+		w.ISendBufF32(j, tagForward+l, payload)
 		st.CommBytes += int64(4 * len(payload))
 	}
 	for j, slots := range lp.recvSlots {
@@ -573,16 +572,17 @@ func (rt *RankTrainer) backwardHalo(l int, d *tensor.Matrix) *tensor.Matrix {
 
 // postGrad posts layer l's gradient exchange: the halo rows of dH go back
 // to the peers that own them, scaled by the chain rule through the receive
-// rescale, and one notify-receive is posted per peer I sent features to.
+// rescale as they are gathered into a lent payload buffer, and one
+// notify-receive is posted per peer I sent features to.
 func (rt *RankTrainer) postGrad(l int, dH *tensor.Matrix) (nPend int) {
 	cs := time.Now()
 	lp, ep := rt.LP, &rt.ep
 	dim := dH.Cols
 	for j, slots := range lp.recvSlots {
-		payload := lp.ws.Get(len(slots), dim).Data // drawn even when empty: see postForward
 		if len(slots) == 0 {
 			continue
 		}
+		payload := ep.w.SendBufF32(len(slots) * dim)
 		for x, slot := range slots {
 			dst := payload[x*dim : (x+1)*dim]
 			s := rt.haloRescale(slot)
@@ -590,7 +590,7 @@ func (rt *RankTrainer) postGrad(l int, dH *tensor.Matrix) (nPend int) {
 				dst[c] = v * s
 			}
 		}
-		ep.w.ISendF32(j, tagBackward+l, payload)
+		ep.w.ISendBufF32(j, tagBackward+l, payload)
 		ep.st.CommBytes += int64(4 * len(payload))
 	}
 	for j, rows := range lp.sendRows {
@@ -616,13 +616,17 @@ func (rt *RankTrainer) backwardFinish(l int) {
 	rt.ep.st.Compute += time.Since(ps)
 }
 
-// foldGrad assembles the next layer down's output gradient: my inner rows of dH
-// plus the halo gradients the peers computed for them. Peer gradients +=
-// into shared destination rows, so the fold itself must stay in ascending
-// rank order (the accumulation order is part of bit-identity) — each peer's
-// payload is therefore only *staged* as it lands (the receive, and under a
-// modeled link its latency, completes in arrival order) and folded once all
-// are in.
+// foldGrad assembles the next layer down's output gradient in place, in the
+// inner rows of layer l's input gradient dH: the halo gradients the peers
+// computed for my rows are added into them. Peer gradients += into shared
+// destination rows, so the fold itself must stay in ascending rank order
+// (the accumulation order is part of bit-identity) — each peer's payload is
+// therefore only *staged* as it lands (the receive, and under a modeled link
+// its latency, completes in arrival order) and folded once all are in.
+// Returns lp.dNext, a view of dH's first NIn rows: nothing reads dH after
+// the fold but the layer below, whose backward copies the view in its first
+// step (the layer's pre-activation gradient), and dH is next written by
+// layer l's backward in the next epoch.
 func (rt *RankTrainer) foldGrad(dH *tensor.Matrix, nPend int) *tensor.Matrix {
 	as := time.Now()
 	lp := rt.LP
@@ -631,14 +635,12 @@ func (rt *RankTrainer) foldGrad(dH *tensor.Matrix, nPend int) *tensor.Matrix {
 		j := <-rt.arrCh
 		lp.recvData[j] = lp.pendRecv[j].Wait()
 	}
-	dNext := lp.ws.Get(lp.NIn, dim)
-	copy(dNext.Data, dH.Data[:lp.NIn*dim])
 	// Skipped rows' input-gradient rows are stale scratch (no split write
 	// covers them, and no gather reaches an edgeless row); the layer below
 	// multiplies its parameter grads by these rows' dPre, so they must be
 	// exact zeros.
 	for _, v := range lp.skipRows {
-		clear(dNext.Row(int(v)))
+		clear(dH.Row(int(v)))
 	}
 	for j, rows := range lp.sendRows {
 		if len(rows) == 0 {
@@ -647,12 +649,13 @@ func (rt *RankTrainer) foldGrad(dH *tensor.Matrix, nPend int) *tensor.Matrix {
 		data := lp.recvData[j]
 		lp.recvData[j] = nil
 		for x, row := range rows {
-			tensor.AddTo(dNext.Row(int(row)), data[x*dim:(x+1)*dim])
+			tensor.AddTo(dH.Row(int(row)), data[x*dim:(x+1)*dim])
 		}
 		rt.ep.w.RecycleF32(data)
 	}
+	lp.dNext = tensor.Matrix{Rows: lp.NIn, Cols: dim, Data: dH.Data[:lp.NIn*dim]}
 	rt.ep.st.CommExposed += time.Since(as)
-	return dNext
+	return &lp.dNext
 }
 
 // backwardInput runs the first layer's backward. Input features need no
