@@ -9,71 +9,63 @@
 // remains the fast default; the TCP backend (one OS process per rank, created
 // by DialTCP) runs the same protocol across real sockets and is proven
 // bit-identical to the channel backend by the cross-backend tests in
-// internal/core. On both, a float32 payload is staged once per side: the
-// sender gathers it into a buffer the transport lends (SendBufF32), and the
-// receiver reads it where it landed until RecycleF32 takes it back — on the
-// channel backend the two are the same buffer, on TCP the outgoing and the
-// incoming frame.
+// internal/core.
+//
+// The two backends differ only in how a message travels. A send is complete
+// once its message is queued — in the destination's inbox on the channel
+// backend, for the peer's writer goroutine on TCP — so nothing ever waits
+// on one. Both receive through the same inbox: one bounded FIFO per
+// (src, tag) stream, which a channel-cluster sender pushes into directly
+// and a TCP demux goroutine fills from the socket. On both, a float32
+// payload is staged once per side: the sender gathers it into a buffer the
+// transport lends (SendBufF32), and the receiver reads it where it landed
+// until RecycleF32 takes it back — on the channel backend the two are the
+// same buffer, on TCP the outgoing and the incoming frame.
 package comm
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
-// message is one tagged payload between a (src,dst) pair. Exactly one of
-// F32/I32 is non-nil.
-type message struct {
-	tag int
-	f32 []float32
-	i32 []int32
-}
-
-// chanState is the shared fabric of one in-process cluster: the all-to-all
-// channel matrix, the barrier, and the per-rank counters.
+// chanState is the shared fabric of one in-process cluster: every rank's
+// inbox, the barrier, the per-rank counters, the payload pool and the one
+// failure all ranks share.
 type chanState struct {
-	m         int
-	chans     [][]chan message // chans[src][dst]
+	in        []*inbox // per destination rank
 	barrier   *reusableBarrier
 	bytesSent []atomic.Int64 // per source rank
 	msgsSent  []atomic.Int64
-	regs      []notifyReg      // per destination rank: completion notifications
 	bufs      bufPool[float32] // lent payload buffers, refilled by RecycleF32
-
-	failErr error // written once before failCh closes
-	failOn  sync.Once
-	failCh  chan struct{}
+	failed    *failure
 }
 
-// fail records the first failure and wakes every blocked send and receive
-// on the shared fabric.
+// fail records the first failure and wakes every blocked send, receive,
+// notification and barrier on the shared fabric.
 func (s *chanState) fail(err error) {
-	s.failOn.Do(func() {
-		s.failErr = err
-		close(s.failCh)
+	if s.failed.set(err) {
 		s.barrier.abort()
-		for r := range s.regs {
-			s.regs[r].flush()
+		for _, in := range s.in {
+			in.reg.flush()
 		}
-	})
+	}
 }
 
-// New creates an in-process group of m workers connected all-to-all with
-// Go channels: a Group over ChanTransports.
+// New creates an in-process group of m workers connected all-to-all, each
+// sending straight into the others' inboxes: a Group over ChanTransports.
 //
-// queueCap bounds the number of outstanding messages per directed (src,dst)
-// pair; 0 selects the default of 256. The bound matters because a send to a
-// full pair queue blocks until the receiver drains it — messages are never
-// dropped — so queueCap only has to cover the maximum number of messages one
-// rank can have in flight toward a single peer. For the training protocol
-// that is 1 position message + L forward + L−1 backward halo messages per
-// epoch toward any one peer, plus 2(m−1) ring AllReduce messages toward the
+// queueCap bounds the number of queued messages per directed (src, tag)
+// stream; 0 selects the default of 256. The bound matters because a send to
+// a full stream blocks until the receiver drains it — messages are never
+// dropped — so queueCap only has to cover the most messages one rank can
+// have queued on a single stream toward a peer. For the training protocol a
+// halo or position stream carries one message per epoch, and each of the
+// ring AllReduce's two tags carries m−1 messages per collective toward the
 // ring successor; since the ring lets no rank run more than two collectives
 // ahead of its successor, at most two epochs' worth can ever be queued, so
-// capacity ≥ 2·(2L + 2(m−1) + 1) guarantees senders never stall. The default
-// 256 covers every paper configuration (L ≤ 6, m ≤ 32 needs ≤ 150); larger
-// setups still run correctly, senders just block for backpressure.
+// capacity ≥ 2(m−1) guarantees senders never stall. The default 256 covers
+// every paper configuration (m ≤ 32 needs ≤ 62); larger setups still run
+// correctly, senders just block for backpressure.
 func New(m int, queueCap int) *Group {
 	if m <= 0 {
 		panic(fmt.Sprintf("comm: cluster size %d", m))
@@ -82,155 +74,68 @@ func New(m int, queueCap int) *Group {
 		queueCap = defaultQueueCap
 	}
 	s := &chanState{
-		m:         m,
-		chans:     make([][]chan message, m),
+		in:        make([]*inbox, m),
 		barrier:   newBarrier(m),
 		bytesSent: make([]atomic.Int64, m),
 		msgsSent:  make([]atomic.Int64, m),
-		regs:      make([]notifyReg, m),
-		failCh:    make(chan struct{}),
+		failed:    newFailure(),
 	}
 	ts := make([]Transport, m)
 	for r := 0; r < m; r++ {
-		s.chans[r] = make([]chan message, m)
-		for d := 0; d < m; d++ {
-			s.chans[r][d] = make(chan message, queueCap)
-		}
-		ts[r] = &ChanTransport{s: s, rank: r}
+		s.in[r] = newInbox(r, m, queueCap, s.failed)
+		ts[r] = &ChanTransport{inbox: s.in[r], s: s}
 	}
 	return NewGroup(ts)
 }
 
-// defaultQueueCap is the per-pair queue depth both backends use when the
+// defaultQueueCap is the per-stream queue depth both backends use when the
 // caller passes 0; see New for the derivation of the bound.
 const defaultQueueCap = 256
 
 // ChanTransport is one rank's endpoint on the in-process channel backend.
-// A float32 payload travels in a buffer lent from the cluster's pool: the
-// sender gathers into it (or SendF32 copies into it), the message carries it
-// by reference, and the receiver's RecycleF32 returns it to the pool — so a
-// caller's own slice is free when a send returns, as on TCP.
+// Its receive side is its inbox, into which the other ranks' sends push
+// directly. A float32 payload travels in a buffer lent from the cluster's
+// pool: the sender gathers into it, the message carries it by reference,
+// and the receiver's RecycleF32 returns it to the pool.
 type ChanTransport struct {
-	s    *chanState
-	rank int
+	*inbox
+	s *chanState
 }
 
-// Rank returns this endpoint's id in [0, Size).
-func (t *ChanTransport) Rank() int { return t.rank }
-
-// Size returns the cluster size.
-func (t *ChanTransport) Size() int { return t.s.m }
-
-// send enqueues one message, blocking for backpressure but waking with a
-// panic if the cluster is aborted while blocked.
-func (t *ChanTransport) send(dst int, msg message) {
-	select {
-	case t.s.chans[t.rank][dst] <- msg:
-	default:
-		select {
-		case t.s.chans[t.rank][dst] <- msg:
-		case <-t.s.failCh:
-			panic(&TransportError{Rank: t.rank, Err: t.s.failErr})
-		}
+// send pushes one message into dst's inbox, blocking for backpressure but
+// waking with a panic if the cluster is aborted while blocked. The send is
+// complete once it returns.
+func (t *ChanTransport) send(dst, tag, bytes int, msg message) {
+	t.s.bytesSent[t.rank].Add(int64(bytes))
+	t.s.msgsSent[t.rank].Add(1)
+	if !t.s.in[dst].push(t.rank, tag, msg, nil) {
+		panic(t.failure())
 	}
-}
-
-// SendF32 sends a copy of a float32 payload to dst with a tag.
-func (t *ChanTransport) SendF32(dst, tag int, data []float32) {
-	sendCopy(t, dst, tag, data).Wait()
 }
 
 // SendI32 sends an int32 payload to dst with a tag.
 func (t *ChanTransport) SendI32(dst, tag int, data []int32) {
-	t.account(4 * len(data))
-	t.send(dst, message{tag: tag, i32: data})
-}
-
-// ISendF32 sends a copy of data; see ISendBufF32.
-func (t *ChanTransport) ISendF32(dst, tag int, data []float32) PendingSend {
-	return sendCopy(t, dst, tag, data)
+	t.send(dst, tag, 4*len(data), message{dtype: dtypeI32, i32: data})
 }
 
 // SendBufF32 lends the caller an n-element buffer from the cluster's pool.
 func (t *ChanTransport) SendBufF32(n int) []float32 { return t.s.bufs.get(n) }
 
-// ISendBufF32 puts a lent buffer on the fabric by reference. A send is
-// complete once the message is on the fabric, so the returned handle is
-// already done; it blocks only for queue backpressure. The arrival is stamped
-// into the destination's notification ledger before the enqueue, so a
-// notified consumer's receive can block only on the enqueue itself.
-func (t *ChanTransport) ISendBufF32(dst, tag int, buf []float32) PendingSend {
-	t.account(4 * len(buf))
-	t.s.regs[dst].arrived(t.rank, tag)
-	t.send(dst, message{tag: tag, f32: buf})
-	return PendingSend{}
-}
-
-// IRecvF32Notify posts a nonblocking receive with a completion
-// notification; see Transport.IRecvF32Notify. The fabric is push-based (the
-// sender enqueues directly into the per-pair channel), so the message makes
-// progress regardless of when Wait runs; senders stamp the destination's
-// ledger before enqueuing, so the token fires no earlier than the send that
-// satisfies it.
-func (t *ChanTransport) IRecvF32Notify(src, tag int, notify chan<- int, token int) PendingRecvF32 {
-	t.s.regs[t.rank].register(src, tag, notify, token)
-	return PendingRecvF32{t: t, src: src, tag: tag}
+// ISendBufF32 puts a lent buffer on the fabric by reference: it lands in
+// dst's inbox as it stands, so there is nothing left to complete.
+func (t *ChanTransport) ISendBufF32(dst, tag int, buf []float32) {
+	t.send(dst, tag, 4*len(buf), message{dtype: dtypeF32, f32: buf})
 }
 
 // RecycleF32 returns a received payload's buffer to the cluster's pool.
 func (t *ChanTransport) RecycleF32(data []float32) { t.s.bufs.put(data) }
-
-// recv dequeues the next message from src, preferring queued messages over
-// an abort so in-flight data is never lost.
-func (t *ChanTransport) recv(src int) message {
-	select {
-	case msg := <-t.s.chans[src][t.rank]:
-		return msg
-	default:
-	}
-	select {
-	case msg := <-t.s.chans[src][t.rank]:
-		return msg
-	case <-t.s.failCh:
-		select {
-		case msg := <-t.s.chans[src][t.rank]:
-			return msg
-		default:
-			panic(&TransportError{Rank: t.rank, Err: t.s.failErr})
-		}
-	}
-}
-
-// RecvF32 receives the next float32 message from src, which must carry the
-// expected tag; a tag mismatch means a protocol bug and panics.
-func (t *ChanTransport) RecvF32(src, tag int) []float32 {
-	msg := t.recv(src)
-	if msg.tag != tag || msg.f32 == nil && len(msg.i32) > 0 {
-		panic(fmt.Sprintf("comm: rank %d expected f32 tag %d from %d, got tag %d", t.rank, tag, src, msg.tag))
-	}
-	return msg.f32
-}
-
-// RecvI32 receives the next int32 message from src with the expected tag.
-func (t *ChanTransport) RecvI32(src, tag int) []int32 {
-	msg := t.recv(src)
-	if msg.tag != tag || msg.i32 == nil && len(msg.f32) > 0 {
-		panic(fmt.Sprintf("comm: rank %d expected i32 tag %d from %d, got tag %d", t.rank, tag, src, msg.tag))
-	}
-	return msg.i32
-}
-
-func (t *ChanTransport) account(bytes int) {
-	t.s.bytesSent[t.rank].Add(int64(bytes))
-	t.s.msgsSent[t.rank].Add(1)
-}
 
 // Barrier blocks until every rank has entered it, or panics with a
 // *TransportError if the cluster is aborted while waiting (matching the TCP
 // backend, whose barrier rides on fail-aware sends and receives).
 func (t *ChanTransport) Barrier() {
 	if t.s.barrier.wait() {
-		panic(&TransportError{Rank: t.rank, Err: t.s.failErr})
+		panic(t.failure())
 	}
 }
 

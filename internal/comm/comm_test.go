@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -20,20 +21,36 @@ func TestPointToPoint(t *testing.T) {
 	})
 }
 
-func TestTagMismatchPanics(t *testing.T) {
-	c := New(2, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on tag mismatch")
-		}
-	}()
-	c.Run(func(w *Worker) {
-		if w.Rank() == 0 {
-			w.SendF32(1, 1, []float32{1})
-		} else {
-			w.RecvF32(0, 2)
-		}
-	})
+// TestDtypeMismatchPanics: a receive that finds a message of the other dtype
+// at the head of its stream — an empty one included — is a protocol bug and
+// panics on both backends, rather than handing back a nil payload.
+func TestDtypeMismatchPanics(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			g := b.mk(t, 2, 0)
+			w0, w1 := g.Worker(0), g.Worker(1)
+			w0.SendI32(1, 1, []int32{7})
+			w0.SendI32(1, 2, []int32{})
+			w0.SendF32(1, 3, nil)
+			for _, c := range []struct {
+				what string
+				recv func()
+			}{
+				{"RecvF32 of an int32 message", func() { w1.RecvF32(0, 1) }},
+				{"RecvF32 of an empty int32 message", func() { w1.RecvF32(0, 2) }},
+				{"RecvI32 of an empty float32 message", func() { w1.RecvI32(0, 3) }},
+			} {
+				func() {
+					defer func() {
+						if msg, _ := recover().(string); !strings.Contains(msg, "protocol bug") {
+							t.Errorf("%s panicked with %q, want a protocol-bug panic", c.what, msg)
+						}
+					}()
+					c.recv()
+				}()
+			}
+		})
+	}
 }
 
 func TestI32RoundTrip(t *testing.T) {

@@ -125,22 +125,14 @@ func (t *faultTransport) beforeSend() {
 	}
 }
 
-func (t *faultTransport) SendF32(dst, tag int, data []float32) {
-	sendCopy(t, dst, tag, data).Wait()
-}
-
 func (t *faultTransport) SendI32(dst, tag int, data []int32) {
 	t.beforeSend()
 	t.Transport.SendI32(dst, tag, data)
 }
 
-func (t *faultTransport) ISendF32(dst, tag int, data []float32) PendingSend {
-	return sendCopy(t, dst, tag, data)
-}
-
-func (t *faultTransport) ISendBufF32(dst, tag int, buf []float32) PendingSend {
+func (t *faultTransport) ISendBufF32(dst, tag int, buf []float32) {
 	t.beforeSend()
-	return t.Transport.ISendBufF32(dst, tag, buf)
+	t.Transport.ISendBufF32(dst, tag, buf)
 }
 
 // epochMarker is the optional interface MarkEpoch dispatches on.

@@ -96,8 +96,8 @@ func TestWithFaultsKillAtMessageDeterministic(t *testing.T) {
 func TestWithFaultsISendCounted(t *testing.T) {
 	g := WithFaults(New(2, 0), KillAtMessage(0, 2))
 	w := g.Worker(0)
-	w.Transport().ISendF32(1, 1, []float32{1}) // msg 0
-	w.ISendBufF32(1, 2, w.SendBufF32(1))       // msg 1
+	w.ISendF32(1, 1, []float32{1})       // msg 0
+	w.ISendBufF32(1, 2, w.SendBufF32(1)) // msg 1
 	defer func() {
 		p := recover()
 		te, ok := p.(*TransportError)
@@ -109,7 +109,7 @@ func TestWithFaultsISendCounted(t *testing.T) {
 			t.Fatalf("expected injected fault at message 2, got %v", te)
 		}
 	}()
-	w.Transport().ISendF32(1, 3, []float32{3}) // msg 2: boom
+	w.ISendF32(1, 3, []float32{3}) // msg 2: boom
 	t.Fatal("third ISendF32 did not fire the fault")
 }
 

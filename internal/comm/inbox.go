@@ -1,0 +1,257 @@
+package comm
+
+import (
+	"fmt"
+	"sync"
+)
+
+// message is one typed payload on an inbox stream. dtype says which of f32
+// and i32 it carries, so an empty payload still has a type; a control
+// message (the TCP barrier's) carries neither.
+type message struct {
+	dtype byte
+	f32   []float32
+	i32   []int32
+}
+
+// failure records the first error that brings a transport down; ch closes
+// when it is set, waking everything blocked on the transport. A channel
+// cluster shares one among all its ranks, a TCP endpoint has its own.
+type failure struct {
+	err  error // written once before ch closes
+	once sync.Once
+	ch   chan struct{}
+}
+
+func newFailure() *failure { return &failure{ch: make(chan struct{})} }
+
+// set records err unless a failure was recorded before, and reports whether
+// this call was the first.
+func (f *failure) set(err error) (first bool) {
+	f.once.Do(func() {
+		f.err = err
+		close(f.ch)
+		first = true
+	})
+	return first
+}
+
+// ring is a FIFO over a circular buffer that doubles only when full, so its
+// memory stays bounded by the most elements ever queued at once rather than
+// by a capacity reserved up front or by how many ever passed through.
+type ring[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+func (q *ring[T]) push(v T) {
+	if q.n == len(q.buf) {
+		grown := make([]T, max(4, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)%len(q.buf)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = v
+	q.n++
+}
+
+func (q *ring[T]) pop() (T, bool) {
+	var zero T
+	if q.n == 0 {
+		return zero, false
+	}
+	v := q.buf[q.head]
+	q.buf[q.head] = zero
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return v, true
+}
+
+// stream is one (src, tag) FIFO of an inbox, guarded by the inbox's mutex.
+// ready and room each hold at most one wakeup token: a push leaves one in
+// ready, a pop one in room, and whoever is blocked on the stream takes it
+// and re-checks. A taker that leaves work behind (messages, or room) passes
+// the token on, so several parties on one stream never strand each other.
+type stream struct {
+	ring[message]
+	ready chan struct{}
+	room  chan struct{}
+}
+
+func wake(c chan struct{}) {
+	select {
+	case c <- struct{}{}:
+	default:
+	}
+}
+
+// inbox is one endpoint's receive side, the same on both backends: a bounded
+// FIFO per (src, tag) stream of typed messages, the notification ledger every
+// float32 push stamps, and the wakeups a blocked receive needs when the
+// transport fails or a peer leaves. A ChanTransport sender pushes straight
+// into the destination's inbox; a TCP demux goroutine pushes each frame it
+// reads. Its exported methods are the backends' Rank, Size, RecvF32, RecvI32
+// and IRecvF32Notify.
+type inbox struct {
+	rank     int
+	queueCap int
+	failed   *failure
+	// gone[src] closes once src has said goodbye: every message it sent is
+	// already pushed, and no more will come. Only the TCP backend's peers
+	// leave.
+	gone []chan struct{}
+	reg  notifyReg
+
+	mu      sync.Mutex
+	streams map[streamKey]*stream
+}
+
+func newInbox(rank, world, queueCap int, f *failure) *inbox {
+	in := &inbox{
+		rank:     rank,
+		queueCap: queueCap,
+		failed:   f,
+		gone:     make([]chan struct{}, world),
+		streams:  make(map[streamKey]*stream),
+	}
+	for src := range in.gone {
+		in.gone[src] = make(chan struct{})
+	}
+	return in
+}
+
+// Rank returns this endpoint's id in [0, Size).
+func (in *inbox) Rank() int { return in.rank }
+
+// Size returns the number of ranks.
+func (in *inbox) Size() int { return len(in.gone) }
+
+// failure returns the panic value for the recorded transport failure.
+func (in *inbox) failure() *TransportError {
+	return &TransportError{Rank: in.rank, Err: in.failed.err}
+}
+
+// stream returns the (src, tag) stream, creating it on first use.
+func (in *inbox) stream(src, tag int) *stream {
+	if src < 0 || src >= in.Size() || src == in.rank {
+		panic(fmt.Sprintf("comm: rank %d: no peer %d", in.rank, src))
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	s := in.streams[streamKey{src, tag}]
+	if s == nil {
+		s = &stream{ready: make(chan struct{}, 1), room: make(chan struct{}, 1)}
+		in.streams[streamKey{src, tag}] = s
+	}
+	return s
+}
+
+// push appends msg to the (src, tag) stream. A full stream blocks the caller
+// — backpressure, never a drop — until the receiver drains it; push returns
+// false instead if the transport fails or stop closes first. A float32
+// message is stamped into the notification ledger before it is enqueued, so
+// a notified consumer's receive can block only until this push lands.
+func (in *inbox) push(src, tag int, msg message, stop <-chan struct{}) bool {
+	s := in.stream(src, tag)
+	if msg.dtype == dtypeF32 {
+		in.reg.arrived(src, tag)
+	}
+	in.mu.Lock()
+	for s.n == in.queueCap {
+		in.mu.Unlock()
+		select {
+		case <-s.room:
+		case <-in.failed.ch:
+			return false
+		case <-stop:
+			return false
+		}
+		in.mu.Lock()
+	}
+	s.push(msg)
+	if s.n < in.queueCap {
+		wake(s.room)
+	}
+	in.mu.Unlock()
+	wake(s.ready)
+	return true
+}
+
+// depart marks src as gone (a graceful goodbye): receives from it that find
+// their stream empty panic with a pointed error, and notifications posted
+// against it fire so the matching receive can report that.
+func (in *inbox) depart(src int) {
+	close(in.gone[src])
+	in.reg.flushSrc(src)
+}
+
+// recv dequeues the next message of the (src, tag) stream, blocking until one
+// arrives. It prefers a queued message over a failure or a departure, so data
+// that arrived is never lost; with none queued those panic with a
+// *TransportError instead of deadlocking. A message of another dtype is a
+// protocol bug and panics.
+func (in *inbox) recv(src, tag int, dtype byte) message {
+	s := in.stream(src, tag)
+	in.mu.Lock()
+	for s.n == 0 {
+		in.mu.Unlock()
+		var err *TransportError
+		select {
+		case <-s.ready:
+		case <-in.failed.ch:
+			err = in.failure()
+		case <-in.gone[src]:
+			err = &TransportError{Rank: in.rank, Err: fmt.Errorf(
+				"peer %d closed its transport while rank %d still expected tag %d", src, in.rank, tag)}
+		}
+		in.mu.Lock()
+		if err != nil && s.n == 0 {
+			in.mu.Unlock()
+			panic(err)
+		}
+	}
+	msg, _ := s.pop()
+	if s.n > 0 {
+		wake(s.ready)
+	}
+	in.mu.Unlock()
+	wake(s.room)
+	if msg.dtype != dtype {
+		panic(fmt.Sprintf("comm: rank %d: protocol bug: expected dtype %d on tag %d from %d, got %d",
+			in.rank, dtype, tag, src, msg.dtype))
+	}
+	return msg
+}
+
+// RecvF32 receives the next float32 message from src with the given tag. The
+// payload is lent: on TCP a view of the frame it arrived in, on the channel
+// backend the buffer the sender filled. Hand it back with RecycleF32 once
+// consumed to keep steady-state epochs allocation-free.
+func (in *inbox) RecvF32(src, tag int) []float32 {
+	checkAppTag(tag)
+	return in.recv(src, tag, dtypeF32).f32
+}
+
+// RecvI32 receives the next int32 message from src with the given tag.
+func (in *inbox) RecvI32(src, tag int) []int32 {
+	checkAppTag(tag)
+	return in.recv(src, tag, dtypeI32).i32
+}
+
+// IRecvF32Notify posts a completion notification for the next float32
+// message from src with the given tag; see Transport.IRecvF32Notify. Pushes
+// stamp the ledger before they enqueue, so the token fires no earlier than
+// the message is (about to be) consumable.
+func (in *inbox) IRecvF32Notify(src, tag int, notify chan<- int, token int) {
+	checkAppTag(tag)
+	in.stream(src, tag) // validate src early, like the receive would
+	in.reg.register(src, tag, notify, token)
+}
+
+func checkAppTag(tag int) {
+	if tag < 0 || tag >= tagReservedBase {
+		panic(fmt.Sprintf("comm: application tag %d outside [0,%d)", tag, tagReservedBase))
+	}
+}

@@ -1,51 +1,39 @@
 package comm
 
 import (
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestISendIRecvRoundTrip: the nonblocking primitives must deliver the same
 // payloads as the blocking ones, on both backends, including mixed blocking
-// and nonblocking traffic on one (pair, tag) FIFO.
+// and nonblocking traffic on one (pair, tag) stream.
 func TestISendIRecvRoundTrip(t *testing.T) {
-	backends := []struct {
-		name string
-		mk   func() *Group
-	}{
-		{"chan", func() *Group { return New(2, 0) }},
-		{"tcp", func() *Group { return tcpGroup(t, 2) }},
-	}
 	for _, b := range backends {
-		g := b.mk()
+		g := b.mk(t, 2, 0)
 		const tag = 7
 		const msgs = 16
 		g.Run(func(w *Worker) {
 			if w.Rank() == 0 {
-				var pending []PendingSend
 				for i := 0; i < msgs; i++ {
 					payload := []float32{float32(i), float32(2 * i)}
 					if i%3 == 0 {
 						w.SendF32(1, tag, payload) // blocking interleaved with async
 					} else {
-						pending = append(pending, w.ISendF32(1, tag, payload))
+						w.ISendF32(1, tag, payload)
 					}
 				}
-				for _, p := range pending {
-					p.Wait()
-				}
 			} else {
-				// Post all receives first, then wait in order — the demux
-				// progresses regardless of when Wait runs.
+				// Post every notification first, then receive in order — the
+				// messages progress regardless of when the receives run.
 				arrived := make(chan int, msgs)
-				var handles []PendingRecvF32
 				for i := 0; i < msgs; i++ {
-					handles = append(handles, w.IRecvF32Notify(0, tag, arrived, i))
+					w.IRecvF32Notify(0, tag, arrived, i)
 				}
-				for i, h := range handles {
+				for i := 0; i < msgs; i++ {
 					<-arrived
-					got := h.Wait()
+					got := w.RecvF32(0, tag)
 					if len(got) != 2 || got[0] != float32(i) || got[1] != float32(2*i) {
 						t.Errorf("%s: message %d = %v, want [%d %d]", b.name, i, got, i, 2*i)
 					}
@@ -92,39 +80,45 @@ func TestRecycledBuffersAreReused(t *testing.T) {
 	}
 }
 
-// TestPendingSendWaitUnblocksOnAbort: a Wait parked on a dead transport must
-// panic with a *TransportError instead of hanging.
-func TestPendingSendWaitUnblocksOnAbort(t *testing.T) {
-	ts := loopbackTransports(t, 2)
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		defer close(done)
-		defer func() {
-			if r := recover(); r == nil {
-				t.Error("Wait on an aborted transport did not panic")
-			} else if _, ok := r.(*TransportError); !ok {
-				t.Errorf("Wait panicked with %T, want *TransportError", r)
+// TestSendParkedOnFullQueuePanicsOnAbort: a send is complete once queued, so
+// the one place it can block is a full queue — and a send parked there must
+// panic with a *TransportError when the transport is aborted, not hang. The
+// receiver never reads: on the channel backend the sender parks on the
+// receiver's full stream, on TCP (once the stream, the socket buffers and the
+// writer's queue are full) on its own send queue.
+func TestSendParkedOnFullQueuePanicsOnAbort(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			g := b.mk(t, 2, 2)
+			w := g.Worker(0)
+			var sent atomic.Int64
+			done := make(chan any, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				for {
+					w.SendF32(1, 1, make([]float32, 4096))
+					sent.Add(1)
+				}
+			}()
+			// Abort once the sender has stopped making progress: it is parked.
+			deadline := time.Now().Add(10 * time.Second)
+			for last := int64(-1); sent.Load() != last; time.Sleep(100 * time.Millisecond) {
+				if time.Now().After(deadline) {
+					w.Transport().Abort()
+					t.Fatal("sends to a receiver that never reads did not block")
+				}
+				last = sent.Load()
 			}
-		}()
-		for i := 0; ; i++ {
-			// Rank 1 never reads; eventually the socket and queue fill and
-			// either the enqueue or the Wait parks until the abort fires.
-			h := ts[0].ISendF32(1, 1, make([]float32, 4096))
-			once.Do(func() {
-				go func() {
-					time.Sleep(50 * time.Millisecond)
-					ts[0].Abort()
-				}()
-			})
-			h.Wait()
-		}
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("aborted send deadlocked")
+			w.Transport().Abort()
+			select {
+			case p := <-done:
+				if _, ok := p.(*TransportError); !ok {
+					t.Fatalf("the parked send panicked with %v (%T), want a *TransportError", p, p)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("a send parked on a full queue deadlocked through Abort")
+			}
+			g.Close()
+		})
 	}
-	ts[1].Close()
-	ts[0].Close()
 }

@@ -121,33 +121,8 @@ type stamp struct {
 // forever (the bug the old pop-by-reslice ledger had). seq counts every
 // message ever pushed, feeding the deterministic jitter stream.
 type stampQueue struct {
-	buf  []stamp
-	head int
-	n    int
-	seq  uint64
-}
-
-func (q *stampQueue) push(s stamp) {
-	if q.n == len(q.buf) {
-		grown := make([]stamp, max(4, 2*len(q.buf)))
-		for i := 0; i < q.n; i++ {
-			grown[i] = q.buf[(q.head+i)%len(q.buf)]
-		}
-		q.buf, q.head = grown, 0
-	}
-	q.buf[(q.head+q.n)%len(q.buf)] = s
-	q.n++
-}
-
-func (q *stampQueue) pop() (stamp, bool) {
-	if q.n == 0 {
-		return stamp{}, false
-	}
-	s := q.buf[q.head]
-	q.buf[q.head] = stamp{}
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	return s, true
+	ring[stamp]
+	seq uint64
 }
 
 // linkState is the shared send-stamp ledger of one wrapped group.
@@ -230,22 +205,14 @@ type latencyTransport struct {
 	s *linkState
 }
 
-func (t *latencyTransport) SendF32(dst, tag int, data []float32) {
-	sendCopy(t, dst, tag, data).Wait()
-}
-
 func (t *latencyTransport) SendI32(dst, tag int, data []int32) {
 	t.s.stampMsg(t.Rank(), dst, tag, 4*len(data))
 	t.Transport.SendI32(dst, tag, data)
 }
 
-func (t *latencyTransport) ISendF32(dst, tag int, data []float32) PendingSend {
-	return sendCopy(t, dst, tag, data)
-}
-
-func (t *latencyTransport) ISendBufF32(dst, tag int, buf []float32) PendingSend {
+func (t *latencyTransport) ISendBufF32(dst, tag int, buf []float32) {
 	t.s.stampMsg(t.Rank(), dst, tag, 4*len(buf))
-	return t.Transport.ISendBufF32(dst, tag, buf)
+	t.Transport.ISendBufF32(dst, tag, buf)
 }
 
 func (t *latencyTransport) RecvF32(src, tag int) []float32 {
@@ -266,7 +233,7 @@ func (t *latencyTransport) RecvI32(src, tag int) []int32 {
 // sleep again), and only then passes the token on. An arrival-order drain
 // therefore observes the modeled completion order — a skewed LinkModel can
 // invert it relative to the backend's delivery order.
-func (t *latencyTransport) IRecvF32Notify(src, tag int, notify chan<- int, token int) PendingRecvF32 {
+func (t *latencyTransport) IRecvF32Notify(src, tag int, notify chan<- int, token int) {
 	inner := make(chan int, 1)
 	t.Transport.IRecvF32Notify(src, tag, inner, 0)
 	rank := t.Rank()
@@ -275,5 +242,4 @@ func (t *latencyTransport) IRecvF32Notify(src, tag int, notify chan<- int, token
 		t.s.prepay(src, rank, tag)
 		notify <- token
 	}()
-	return PendingRecvF32{t: t, src: src, tag: tag}
 }

@@ -64,7 +64,8 @@ func rawPeer(t *testing.T) (tr *TCPTransport, far net.Conn) {
 // TestLentSendWireBytesMatchReference: a payload gathered into a buffer
 // SendBufF32 lent goes on the socket as exactly the bytes the
 // element-by-element reference encoder produces, header included — at every
-// length from empty to all of specials, and through ISendF32's copy too.
+// length from empty to all of specials, and through a Worker's copying
+// ISendF32 and SendF32 too.
 func TestLentSendWireBytesMatchReference(t *testing.T) {
 	tr, far := rawPeer(t)
 	check := func(what string, tag int, payload []float32, send func()) {
@@ -90,8 +91,8 @@ func TestLentSendWireBytesMatchReference(t *testing.T) {
 			tr.ISendBufF32(1, 40+n, buf)
 		})
 	}
-	check("ISendF32", 99, specials, func() { tr.ISendF32(1, 99, specials) })
-	check("SendF32", 98, specials, func() { tr.SendF32(1, 98, specials) })
+	check("ISendF32", 99, specials, func() { NewWorker(tr).ISendF32(1, 99, specials) })
+	check("SendF32", 98, specials, func() { NewWorker(tr).SendF32(1, 98, specials) })
 }
 
 // TestRecvF32ViewMatchesReference: the payload RecvF32 lends is, bit for bit,
@@ -161,11 +162,11 @@ func TestRecycledPayloadIsLentAgain(t *testing.T) {
 	same := func(a, b []float32) bool { return unsafe.SliceData(a) == unsafe.SliceData(b) }
 
 	g := New(2, 0)
-	t0, t1 := g.Worker(0).Transport(), g.Worker(1).Transport()
-	t0.SendF32(1, 1, specials)
-	got := t1.RecvF32(0, 1)
-	t1.RecycleF32(got)
-	if buf := t0.SendBufF32(len(specials)); !same(buf, got) {
+	w0, w1 := g.Worker(0), g.Worker(1)
+	w0.SendF32(1, 1, specials)
+	got := w1.RecvF32(0, 1)
+	w1.RecycleF32(got)
+	if buf := w0.SendBufF32(len(specials)); !same(buf, got) {
 		t.Error("chan: the recycled payload was not the next buffer lent")
 	}
 

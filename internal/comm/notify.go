@@ -2,29 +2,28 @@ package comm
 
 import "sync"
 
-// Completion notifications for posted receives — the select-any primitive
+// Completion notifications for receives — the select-any primitive
 // behind the arrival-order halo drain (see Transport.IRecvF32Notify). Each
-// endpoint owns one notifyReg: a ledger that matches, per (src, tag) stream,
-// consumable messages against posted notification requests in FIFO order.
+// endpoint's inbox owns one notifyReg: a ledger that matches, per (src, tag)
+// stream, consumable messages against posted notification requests in FIFO
+// order.
 //
-// Backends feed the ledger from their delivery path: the channel backend
-// stamps an arrival immediately before enqueuing a float32 payload onto the
-// destination's pair queue, and the TCP backend stamps from the demux
-// goroutine immediately before routing a decoded f32 frame into its
-// per-(peer,tag) queue. Stamping strictly before enqueue means a notified
-// consumer's receive can block only momentarily (until the in-flight enqueue
-// lands), never spuriously.
+// The inbox stamps an arrival immediately before it enqueues a float32
+// message on its stream, whichever backend pushes it (a channel-cluster
+// sender or a TCP demux goroutine). Stamping strictly before enqueue means a
+// notified consumer's receive can block only momentarily (until the
+// in-flight enqueue lands), never spuriously.
 //
-// Contract: within one transport's lifetime, a given (src, tag) float32
-// stream must be consumed either always through notify-posted receives or
-// always through plain receives. Mixing the two on one stream would strand
-// arrival credits (a plain receive does not consume a stamp) and fire a
-// later notification before its message exists. The training protocol obeys
-// this naturally — a trainer's schedule is fixed at construction, and the
+// Contract: within one transport's lifetime, either every receive of a given
+// (src, tag) float32 stream follows a notification posted for it, or none
+// does. Mixing the two on one stream would strand arrival credits (a receive
+// with no notification does not consume a stamp) and fire a later
+// notification before its message exists. The training protocol obeys this
+// naturally — a trainer's schedule is fixed at construction, and the
 // collectives' tags never use notifications.
 
-// notifyKey identifies one directed (src, tag) message stream at an endpoint.
-type notifyKey struct{ src, tag int }
+// streamKey identifies one directed (src, tag) message stream at an endpoint.
+type streamKey struct{ src, tag int }
 
 // notifyWaiter is one posted notification: token is sent on ch when a
 // message on the stream becomes consumable.
@@ -47,7 +46,7 @@ type notifyEntry struct {
 // delivery path).
 type notifyReg struct {
 	mu      sync.Mutex
-	m       map[notifyKey]*notifyEntry
+	m       map[streamKey]*notifyEntry
 	flushed bool
 	// departed marks peers that said goodbye: registrations against them
 	// fire immediately (their read loop is gone, so nobody would ever wake
@@ -55,9 +54,9 @@ type notifyReg struct {
 	departed map[int]bool
 }
 
-func (r *notifyReg) entry(k notifyKey) *notifyEntry {
+func (r *notifyReg) entry(k streamKey) *notifyEntry {
 	if r.m == nil {
-		r.m = make(map[notifyKey]*notifyEntry)
+		r.m = make(map[streamKey]*notifyEntry)
 	}
 	e := r.m[k]
 	if e == nil {
@@ -72,7 +71,7 @@ func (r *notifyReg) entry(k notifyKey) *notifyEntry {
 // before the message is enqueued.
 func (r *notifyReg) arrived(src, tag int) {
 	r.mu.Lock()
-	e := r.entry(notifyKey{src, tag})
+	e := r.entry(streamKey{src, tag})
 	if len(e.waiters) > 0 {
 		w := e.waiters[0]
 		copy(e.waiters, e.waiters[1:])
@@ -96,7 +95,7 @@ func (r *notifyReg) register(src, tag int, ch chan<- int, token int) {
 		ch <- token
 		return
 	}
-	e := r.entry(notifyKey{src, tag})
+	e := r.entry(streamKey{src, tag})
 	if e.pending > 0 {
 		e.pending--
 		r.mu.Unlock()
@@ -129,7 +128,7 @@ func (r *notifyReg) flush() {
 // messages will come from it, and the matching receives will panic with a
 // descriptive error). A message the peer delivered before leaving is still
 // consumed normally — its arrival credit was stamped first, and the recv
-// path prefers queued frames over the departure.
+// path prefers queued messages over the departure.
 func (r *notifyReg) flushSrc(src int) {
 	r.mu.Lock()
 	if r.departed == nil {

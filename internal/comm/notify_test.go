@@ -1,52 +1,15 @@
 package comm
 
 import (
-	"net"
 	"sync"
 	"testing"
 	"time"
 )
 
-// notifyPairTCP bootstraps a k-rank loopback TCP mesh for notification
-// tests.
-func notifyMeshTCP(t *testing.T, k int) []*TCPTransport {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := make([]*TCPTransport, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for r := 0; r < k; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			cfg := TCPConfig{Rank: r, World: k, Rendezvous: ln.Addr().String(), Timeout: 10 * time.Second}
-			if r == 0 {
-				cfg.RendezvousListener = ln
-			}
-			ts[r], errs[r] = DialTCP(cfg)
-		}(r)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, tp := range ts {
-			tp.Close()
-		}
-	})
-	return ts
-}
-
 // TestNotifyRecvBothBackends: the select-any primitive must deliver one
 // token per notified message on both backends, whether the message arrives
-// before or after the registration, and the matching Wait must return the
-// payload.
+// before or after the registration, and the receive after it must return
+// the payload.
 func TestNotifyRecvBothBackends(t *testing.T) {
 	run := func(t *testing.T, send func(dst, tag int, data []float32), recvEnd Transport) {
 		notify := make(chan int, 4)
@@ -54,7 +17,7 @@ func TestNotifyRecvBothBackends(t *testing.T) {
 		// Message before registration.
 		send(recvEnd.Rank(), 7, []float32{1, 2})
 		time.Sleep(20 * time.Millisecond) // let the TCP demux route it
-		h := recvEnd.IRecvF32Notify(0, 7, notify, 42)
+		recvEnd.IRecvF32Notify(0, 7, notify, 42)
 		select {
 		case tok := <-notify:
 			if tok != 42 {
@@ -63,12 +26,12 @@ func TestNotifyRecvBothBackends(t *testing.T) {
 		case <-time.After(2 * time.Second):
 			t.Fatal("no notification for an already-arrived message")
 		}
-		if got := h.Wait(); len(got) != 2 || got[0] != 1 {
+		if got := recvEnd.RecvF32(0, 7); len(got) != 2 || got[0] != 1 {
 			t.Fatalf("payload corrupted: %v", got)
 		}
 
 		// Registration before message.
-		h = recvEnd.IRecvF32Notify(0, 7, notify, 43)
+		recvEnd.IRecvF32Notify(0, 7, notify, 43)
 		select {
 		case tok := <-notify:
 			t.Fatalf("spurious token %d before any message", tok)
@@ -83,7 +46,7 @@ func TestNotifyRecvBothBackends(t *testing.T) {
 		case <-time.After(2 * time.Second):
 			t.Fatal("no notification after send")
 		}
-		if got := h.Wait(); len(got) != 1 || got[0] != 9 {
+		if got := recvEnd.RecvF32(0, 7); len(got) != 1 || got[0] != 9 {
 			t.Fatalf("payload corrupted: %v", got)
 		}
 	}
@@ -96,7 +59,7 @@ func TestNotifyRecvBothBackends(t *testing.T) {
 		}, g.Worker(1).Transport())
 	})
 	t.Run("tcp", func(t *testing.T) {
-		ts := notifyMeshTCP(t, 2)
+		ts := loopbackTransports(t, 2)
 		run(t, func(dst, tag int, data []float32) {
 			ts[0].SendF32(dst, tag, data)
 		}, ts[1])
@@ -123,15 +86,14 @@ func TestNotifyArrivalOrder(t *testing.T) {
 	}
 	notify := make(chan int, k)
 	recv := g.Worker(0)
-	hs := make(map[int]PendingRecvF32)
 	for src := 1; src < k; src++ {
-		hs[src] = recv.IRecvF32Notify(src, 5, notify, src)
+		recv.IRecvF32Notify(src, 5, notify, src)
 	}
 	var order []int
 	for i := 0; i < k-1; i++ {
 		select {
 		case src := <-notify:
-			if got := hs[src].Wait(); len(got) != 1 || got[0] != float32(src) {
+			if got := recv.RecvF32(src, 5); len(got) != 1 || got[0] != float32(src) {
 				t.Fatalf("payload from %d corrupted: %v", src, got)
 			}
 			order = append(order, src)
@@ -151,7 +113,7 @@ func TestNotifyArrivalOrder(t *testing.T) {
 func TestNotifyFlushOnAbort(t *testing.T) {
 	g := New(2, 0)
 	notify := make(chan int, 1)
-	h := g.Worker(1).Transport().IRecvF32Notify(0, 9, notify, 1)
+	g.Worker(1).IRecvF32Notify(0, 9, notify, 1)
 	go g.Worker(0).Transport().Abort()
 	select {
 	case <-notify:
@@ -160,18 +122,18 @@ func TestNotifyFlushOnAbort(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Wait after abort must panic with a transport error")
+			t.Fatal("RecvF32 after abort must panic with a transport error")
 		}
 	}()
-	h.Wait()
+	g.Worker(1).RecvF32(0, 9)
 }
 
 // TestNotifyFlushOnPeerClose (TCP): a peer's graceful goodbye must wake
 // notifications posted against it.
 func TestNotifyFlushOnPeerClose(t *testing.T) {
-	ts := notifyMeshTCP(t, 2)
+	ts := loopbackTransports(t, 2)
 	notify := make(chan int, 1)
-	h := ts[1].IRecvF32Notify(0, 9, notify, 1)
+	ts[1].IRecvF32Notify(0, 9, notify, 1)
 	go ts[0].Close()
 	select {
 	case <-notify:
@@ -180,10 +142,10 @@ func TestNotifyFlushOnPeerClose(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Wait after peer close must panic")
+			t.Fatal("RecvF32 after peer close must panic")
 		}
 	}()
-	h.Wait()
+	ts[1].RecvF32(0, 9)
 }
 
 // TestNotifyAfterPeerClose (TCP): a notification posted AFTER the peer's
@@ -191,7 +153,7 @@ func TestNotifyFlushOnPeerClose(t *testing.T) {
 // loop is gone, so nobody else could ever wake the waiter — and the
 // matching receive reports the departure.
 func TestNotifyAfterPeerClose(t *testing.T) {
-	ts := notifyMeshTCP(t, 2)
+	ts := loopbackTransports(t, 2)
 	if err := ts[0].Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -199,12 +161,12 @@ func TestNotifyAfterPeerClose(t *testing.T) {
 	// the "registration races ahead of the departure marker" window closed
 	// and the post-departure path the one actually exercised.
 	select {
-	case <-ts[1].peers[0].gone:
+	case <-ts[1].gone[0]:
 	case <-time.After(5 * time.Second):
 		t.Fatal("rank 1 never observed the goodbye")
 	}
 	notify := make(chan int, 1)
-	h := ts[1].IRecvF32Notify(0, 9, notify, 7)
+	ts[1].IRecvF32Notify(0, 9, notify, 7)
 	select {
 	case tok := <-notify:
 		if tok != 7 {
@@ -215,10 +177,10 @@ func TestNotifyAfterPeerClose(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Wait after departed-peer notification must panic")
+			t.Fatal("RecvF32 after departed-peer notification must panic")
 		}
 	}()
-	h.Wait()
+	ts[1].RecvF32(0, 9)
 }
 
 // TestNotifyLatencyOrderInversion: under a skewed LinkModel, notification
@@ -244,17 +206,17 @@ func TestNotifyLatencyOrderInversion(t *testing.T) {
 			w.SendF32(0, 3, []float32{2})
 		case 0:
 			notify := make(chan int, k)
-			h1 := w.IRecvF32Notify(1, 3, notify, 1)
-			h2 := w.IRecvF32Notify(2, 3, notify, 2)
+			w.IRecvF32Notify(1, 3, notify, 1)
+			w.IRecvF32Notify(2, 3, notify, 2)
 			first := <-notify
 			second := <-notify
 			if first != 2 || second != 1 {
 				t.Errorf("completion order (%d,%d), want fast link first (2,1)", first, second)
 			}
-			if got := h2.Wait(); got[0] != 2 {
+			if got := w.RecvF32(2, 3); got[0] != 2 {
 				t.Errorf("fast payload corrupted: %v", got)
 			}
-			if got := h1.Wait(); got[0] != 1 {
+			if got := w.RecvF32(1, 3); got[0] != 1 {
 				t.Errorf("slow payload corrupted: %v", got)
 			}
 		}

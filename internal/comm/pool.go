@@ -18,9 +18,9 @@ import (
 //     it); SendI32 and the control frames serialize into one. The per-peer
 //     writer goroutine returns it after the socket write.
 //   - recvBufs ([]byte): incoming frame payloads, drawn by the demux
-//     goroutines in readLoop. RecvF32 lends one to the consumer as a float32
-//     view, which RecycleF32 returns; RecvI32 and the barrier return theirs
-//     after decoding.
+//     goroutines in readLoop. RecvF32 lends a float32 frame's to the consumer
+//     as a float32 view, which RecycleF32 returns; the demux returns an int32
+//     or control frame's itself after decoding it.
 //
 // The channel cluster has one bufPool[float32] for all its ranks: SendBufF32
 // draws from it, and the receiver's RecycleF32 refills it.

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"strings"
@@ -374,15 +375,32 @@ func TestDialTCPMeshFromAgreedTable(t *testing.T) {
 }
 
 // TestDialTCPMeshRejectsBadTable: a table whose size disagrees with the
-// world must be rejected up front.
+// world, or a rank outside it, must be rejected up front — and the listener
+// DialTCPMesh was handed is closed on those paths too, as its doc promises
+// (the elastic runner relies on it).
 func TestDialTCPMeshRejectsBadTable(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	if _, err := DialTCPMesh(TCPConfig{Rank: 0, World: 3}, ln, []string{"a", "b"}); err == nil {
-		t.Fatal("short address table must be rejected")
+	for _, c := range []struct {
+		what  string
+		cfg   TCPConfig
+		addrs []string
+	}{
+		{"short address table", TCPConfig{Rank: 0, World: 3}, []string{"a", "b"}},
+		{"rank outside the world", TCPConfig{Rank: 3, World: 3}, []string{"a", "b", "c"}},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DialTCPMesh(c.cfg, ln, c.addrs); err == nil {
+			t.Errorf("%s must be rejected", c.what)
+		}
+		if c, err := net.Dial("tcp", ln.Addr().String()); err == nil {
+			c.Close() // a leaked listener accepts this, so Accept cannot hang
+		}
+		if _, err := ln.Accept(); !errors.Is(err, net.ErrClosed) {
+			t.Errorf("%s: the listener is still open after the rejection (Accept: %v)", c.what, err)
+		}
+		ln.Close()
 	}
 }
 

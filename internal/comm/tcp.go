@@ -3,7 +3,6 @@ package comm
 import (
 	"bufio"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -79,15 +78,9 @@ type TCPConfig struct {
 	RendezvousListener net.Listener
 }
 
-// outMsg is one whole frame queued for a peer's writer goroutine.
-type outMsg struct {
-	buf []byte // pooled wire bytes, returned to wireBufs after the write
-	seq uint64 // monotone per peer; writtenSeq reaches it after the write
-}
-
 // sendQueueCap bounds the frames queued toward one peer's writer goroutine;
 // a full queue blocks the sender (backpressure, never drops), matching the
-// bounded per-pair queues on the receive side.
+// bounded per-stream queues on the receive side.
 const sendQueueCap = 128
 
 // tcpPeer is one established connection to another rank.
@@ -96,32 +89,20 @@ type tcpPeer struct {
 	conn *net.TCPConn
 	br   *bufio.Reader
 
-	// Outgoing frames flow through a writer goroutine so ISend takes the
+	// Outgoing frames flow through a writer goroutine so a send takes the
 	// socket write off the caller's critical path: senders fill a pooled
-	// frame buffer (so their own slice is free immediately), assign the next
-	// seq, and enqueue; the writer performs the conn.Write and advances
-	// writtenSeq under wmu. Blocking sends and PendingSend.Wait park on
-	// wcond until their seq is written or the transport fails. All frames —
-	// data and control — use the queue, so the per-pair FIFO order callers
-	// observe is exactly the enqueue order.
-	sendQ      chan outMsg
-	wmu        sync.Mutex
-	wcond      *sync.Cond
-	writtenSeq uint64
-	enqSeq     uint64 // touched only by the rank's goroutine
-
-	qmu    sync.Mutex
-	queues map[int]chan frame
-	// gone is closed by the read loop after the peer's goodbye frame has
-	// been demuxed: every frame the peer sent is already queued, and no
-	// more will come.
-	gone chan struct{}
+	// frame buffer and enqueue it, and a send is complete once queued; the
+	// writer performs the conn.Write and returns the buffer to the pool. All
+	// frames — data and control — use the queue, so the per-stream FIFO order
+	// callers observe is exactly the enqueue order.
+	sendQ chan []byte
 }
 
 // TCPTransport is one rank's endpoint on the socket backend: one persistent
 // duplex TCP connection per peer pair, a demux goroutine per connection
-// routing frames into per-(peer,tag) queues, and rank bootstrap through a
-// rendezvous address. Created by DialTCP.
+// pushing frames into the endpoint's inbox (one queue per (peer, tag)
+// stream), and rank bootstrap through a rendezvous address. Created by
+// DialTCP.
 //
 // Error handling is fail-fast: any connection error (a peer process died,
 // was killed, or called Abort) fails the whole transport — every blocked
@@ -130,9 +111,8 @@ type tcpPeer struct {
 // rank's death is observed by every survivor without timeouts or
 // heartbeats.
 type TCPTransport struct {
-	rank, world int
-	queueCap    int
-	peers       []*tcpPeer // indexed by rank; nil at own slot
+	*inbox
+	peers []*tcpPeer // indexed by rank; nil at own slot
 
 	// Heartbeat machinery (zero when disabled): hbInterval drives the
 	// sender goroutine, hbTimeout arms the per-connection read deadline
@@ -154,20 +134,13 @@ type TCPTransport struct {
 	wireBufs bufPool[byte]
 	recvBufs bufPool[byte]
 
-	// nreg matches consumable f32 frames (stamped by the demux goroutines)
-	// against notify-posted receives; see IRecvF32Notify.
-	nreg notifyReg
-
 	closed atomic.Bool
 	// closeCh is closed by Close so demux goroutines blocked on a full
-	// per-(peer,tag) queue can exit: a closing endpoint will never drain
-	// those queues (Recv is no longer called), and without the signal a
-	// graceful Close of an endpoint with backpressured queues would
-	// deadlock in readers.Wait.
+	// inbox stream can exit: a closing endpoint will never drain those
+	// streams (Recv is no longer called), and without the signal a graceful
+	// Close of an endpoint with backpressured streams would deadlock in
+	// readers.Wait.
 	closeCh chan struct{}
-	failErr error // written once before failCh closes
-	failOn  sync.Once
-	failCh  chan struct{}
 	readers sync.WaitGroup
 	writers sync.WaitGroup
 }
@@ -178,14 +151,12 @@ type TCPTransport struct {
 // and then each pair establishes one duplex connection (the higher rank
 // dials the lower). DialTCP returns once all world−1 connections are up.
 func DialTCP(cfg TCPConfig) (*TCPTransport, error) {
+	if cfg.RendezvousListener != nil {
+		defer cfg.RendezvousListener.Close() // only rank 0 serves on it, and only during bootstrap
+	}
 	t, err := newTCPTransport(&cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.World == 1 || cfg.Rank != 0 {
-		if cfg.RendezvousListener != nil {
-			cfg.RendezvousListener.Close() // only rank 0 serves the rendezvous
-		}
 	}
 	if cfg.World == 1 {
 		return t, nil // a lone rank needs no sockets
@@ -211,8 +182,9 @@ func DialTCP(cfg TCPConfig) (*TCPTransport, error) {
 // addrs[cfg.Rank]. It is the re-admission entry point the elastic recovery
 // loop uses — after a generation-bumped rendezvous has produced a fresh
 // table, every participant (survivor or replacement) meshes through here.
-// The listener is closed before returning, like DialTCP's.
+// The listener is closed before returning on every path, like DialTCP's.
 func DialTCPMesh(cfg TCPConfig, dataLn net.Listener, addrs []string) (*TCPTransport, error) {
+	defer dataLn.Close()
 	t, err := newTCPTransport(&cfg)
 	if err != nil {
 		return nil, err
@@ -221,7 +193,6 @@ func DialTCPMesh(cfg TCPConfig, dataLn net.Listener, addrs []string) (*TCPTransp
 		return nil, fmt.Errorf("comm: rank %d: address table has %d entries, world is %d",
 			cfg.Rank, len(addrs), cfg.World)
 	}
-	defer dataLn.Close()
 	if cfg.World == 1 {
 		return t, nil
 	}
@@ -249,15 +220,12 @@ func newTCPTransport(cfg *TCPConfig) (*TCPTransport, error) {
 		cfg.HeartbeatTimeout = 4 * cfg.HeartbeatInterval
 	}
 	return &TCPTransport{
-		rank:       cfg.Rank,
-		world:      cfg.World,
-		queueCap:   cfg.QueueCap,
+		inbox:      newInbox(cfg.Rank, cfg.World, cfg.QueueCap, newFailure()),
 		peers:      make([]*tcpPeer, cfg.World),
 		hbInterval: cfg.HeartbeatInterval,
 		hbTimeout:  cfg.HeartbeatTimeout,
 		hbStop:     make(chan struct{}),
 		closeCh:    make(chan struct{}),
-		failCh:     make(chan struct{}),
 	}, nil
 }
 
@@ -289,8 +257,7 @@ func (t *TCPTransport) finishDial(cfg TCPConfig, dataLn net.Listener, addrs []st
 
 // heartbeatLoop emits a control heartbeat to every peer each interval so
 // idle links still carry traffic for the wedged-peer detector on the other
-// side. It exits on Close (hbStop) or transport failure; isend's failure
-// panic is absorbed, since the failure is already recorded.
+// side. It exits on Close (hbStop) or transport failure.
 func (t *TCPTransport) heartbeatLoop() {
 	defer t.hbWG.Done()
 	tick := time.NewTicker(t.hbInterval)
@@ -300,17 +267,15 @@ func (t *TCPTransport) heartbeatLoop() {
 		case <-tick.C:
 		case <-t.hbStop:
 			return
-		case <-t.failCh:
+		case <-t.failed.ch:
 			return
 		}
 		for _, p := range t.peers {
 			if p == nil {
 				continue
 			}
-			// Heartbeats bypass isend: the per-peer enqSeq is owned by the
-			// rank's goroutine, so the sender enqueues an untracked frame
-			// (seq 0 — the writer skips completion bookkeeping for it). A
-			// full send queue means data is already flowing, which is all a
+			// Heartbeats bypass isend, which blocks on a full send queue: a
+			// full queue means data is already flowing, which is all a
 			// heartbeat would prove; skip rather than block.
 			buf, err := appendFrameBytes(t.wireBufs.get(frameHeaderSize)[:0], tagHeartbeat, dtypeCtrl, nil)
 			if err != nil {
@@ -318,7 +283,8 @@ func (t *TCPTransport) heartbeatLoop() {
 				continue
 			}
 			select {
-			case p.sendQ <- outMsg{buf: buf}:
+			case p.sendQ <- buf:
+				t.wireSent.Add(int64(len(buf)))
 			default:
 				t.wireBufs.put(buf)
 			}
@@ -555,59 +521,37 @@ func (t *TCPTransport) connectMesh(cfg TCPConfig, dataLn net.Listener, addrs []s
 		}
 		p.conn.SetDeadline(time.Time{})
 		p.conn.SetNoDelay(true)
-		p.queues = make(map[int]chan frame)
-		p.gone = make(chan struct{})
-		p.sendQ = make(chan outMsg, sendQueueCap)
-		p.wcond = sync.NewCond(&p.wmu)
+		p.sendQ = make(chan []byte, sendQueueCap)
 		t.peers[p.rank] = p
 	}
 	return nil
 }
 
-// Rank returns this endpoint's id in [0, Size).
-func (t *TCPTransport) Rank() int { return t.rank }
-
-// Size returns the world size.
-func (t *TCPTransport) Size() int { return t.world }
-
 func (t *TCPTransport) peer(r int) *tcpPeer {
-	if r < 0 || r >= t.world || r == t.rank {
+	if r < 0 || r >= len(t.peers) || r == t.rank {
 		panic(fmt.Sprintf("comm: rank %d: no connection to rank %d", t.rank, r))
 	}
 	return t.peers[r]
 }
 
-// failure returns the panic value for the recorded transport failure.
-func (t *TCPTransport) failure() *TransportError {
-	return &TransportError{Rank: t.rank, Err: t.failErr}
-}
-
-// fail records the first failure, wakes every blocked operation — including
-// senders parked on a writer's completion cond — and tears down all
-// connections so peers observe the failure too.
+// fail records the first failure, wakes every blocked operation and tears
+// down all connections so peers observe the failure too.
 func (t *TCPTransport) fail(err error) {
-	t.failOn.Do(func() {
-		t.failErr = err
-		close(t.failCh)
-		t.nreg.flush()
+	if t.failed.set(err) {
+		t.reg.flush()
 		for _, p := range t.peers {
 			if p != nil {
 				p.conn.Close()
-				if p.wcond != nil {
-					p.wmu.Lock()
-					p.wcond.Broadcast()
-					p.wmu.Unlock()
-				}
 			}
 		}
-	})
+	}
 }
 
 // Err reports the failure that brought the transport down, or nil.
 func (t *TCPTransport) Err() error {
 	select {
-	case <-t.failCh:
-		return t.failErr
+	case <-t.failed.ch:
+		return t.failed.err
 	default:
 		return nil
 	}
@@ -622,29 +566,7 @@ func (t *TCPTransport) Abort() {
 	t.fail(fmt.Errorf("transport aborted"))
 }
 
-// readFramePooled reads one frame, drawing the payload buffer from the
-// transport's receive pool; the consumer returns it once done with it.
-func (t *TCPTransport) readFramePooled(r io.Reader) (frame, error) {
-	var h [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return frame{}, err
-	}
-	tag, dtype, nelems, err := parseFrameHeader(h[:])
-	if err != nil {
-		return frame{}, err
-	}
-	payload := t.recvBufs.get(4 * nelems)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		t.recvBufs.put(payload)
-		return frame{}, err
-	}
-	return frame{tag: tag, dtype: dtype, payload: payload}, nil
-}
-
-// readLoop demultiplexes one peer connection into per-tag queues. With the
+// readLoop demultiplexes one peer connection into the inbox. With the
 // wedged-peer detector armed (hbTimeout > 0) every frame read carries a
 // read deadline: a peer that stays connected but silent — no data, no
 // heartbeats — for hbTimeout is declared dead with a pointed error, the
@@ -655,7 +577,7 @@ func (t *TCPTransport) readLoop(p *tcpPeer) {
 		if t.hbTimeout > 0 {
 			p.conn.SetReadDeadline(time.Now().Add(t.hbTimeout))
 		}
-		fr, err := t.readFramePooled(p.br)
+		fr, err := readFrame(p.br, &t.recvBufs)
 		if err != nil {
 			if t.closed.Load() {
 				return // local Close is tearing the connection down
@@ -668,60 +590,44 @@ func (t *TCPTransport) readLoop(p *tcpPeer) {
 			t.fail(fmt.Errorf("peer %d is gone: %v (process died or connection lost mid-epoch)", p.rank, err))
 			return
 		}
-		if fr.dtype == dtypeCtrl && fr.tag == tagHeartbeat {
+		msg := message{dtype: fr.dtype}
+		switch {
+		case fr.dtype == dtypeF32:
+			// The payload stays in its frame buffer, lent to the consumer
+			// until RecycleF32.
+			swapF32LE(fr.payload)
+			msg.f32 = f32View(fr.payload)
+		case fr.dtype == dtypeI32:
+			msg.i32 = payloadI32(fr.payload)
+			t.recvBufs.put(fr.payload)
+		case fr.tag == tagHeartbeat:
 			t.recvBufs.put(fr.payload) // liveness only; the deadline reset above is the point
 			continue
-		}
-		if fr.dtype == dtypeCtrl && fr.tag == tagBye {
+		case fr.tag == tagBye:
 			t.recvBufs.put(fr.payload)
-			close(p.gone)
-			t.nreg.flushSrc(p.rank)
+			t.depart(p.rank)
+			return
+		default:
+			t.recvBufs.put(fr.payload)
+		}
+		// A full stream blocks here — backpressuring the connection, the
+		// same never-drop semantics as the channel backend — but stays
+		// responsive to transport failure and to a local Close (which
+		// abandons undrained streams; nothing will ever Recv them).
+		if !t.push(p.rank, fr.tag, msg, t.closeCh) {
 			return
 		}
-		if fr.dtype == dtypeF32 {
-			// Stamp before enqueue: a notified consumer's dequeue below can
-			// block only until this push lands (and the consumer is what
-			// drains a backpressured queue).
-			t.nreg.arrived(p.rank, fr.tag)
-		}
-		q := p.queue(fr.tag, t.queueCap)
-		select {
-		case q <- fr:
-		default:
-			// Queue full: block — backpressuring the connection, the same
-			// never-drop semantics as the channel backend — but stay
-			// responsive to transport failure and to a local Close (which
-			// abandons undrained queues; nothing will ever Recv them).
-			select {
-			case q <- fr:
-			case <-t.failCh:
-				return
-			case <-t.closeCh:
-				return
-			}
-		}
 	}
 }
 
-func (p *tcpPeer) queue(tag, capacity int) chan frame {
-	p.qmu.Lock()
-	q := p.queues[tag]
-	if q == nil {
-		q = make(chan frame, capacity)
-		p.queues[tag] = q
-	}
-	p.qmu.Unlock()
-	return q
-}
-
-// isend enqueues one whole frame, drawn from wireBufs, to the peer's writer
-// goroutine and returns a completion handle; the writer returns the buffer to
-// the pool after the socket write, which happens off the caller's critical
-// path. err is the error of building the frame, which fails the transport.
-// payloadBytes < 0 marks control traffic excluded from accounting.
-func (t *TCPTransport) isend(dst int, payloadBytes int, buf []byte, err error) PendingSend {
+// isend queues one whole frame, drawn from wireBufs, for the peer's writer
+// goroutine, which writes it and returns the buffer to the pool; the send is
+// complete once queued. err is the error of building the frame, which fails
+// the transport. payloadBytes < 0 marks control traffic excluded from
+// payload accounting; the wire counter counts every frame.
+func (t *TCPTransport) isend(dst int, payloadBytes int, buf []byte, err error) {
 	select {
-	case <-t.failCh:
+	case <-t.failed.ch:
 		panic(t.failure())
 	default:
 	}
@@ -730,91 +636,47 @@ func (t *TCPTransport) isend(dst int, payloadBytes int, buf []byte, err error) P
 		t.fail(fmt.Errorf("send to peer %d: %w", dst, err))
 		panic(t.failure())
 	}
-	p.enqSeq++
-	msg := outMsg{buf: buf, seq: p.enqSeq}
 	select {
-	case p.sendQ <- msg:
+	case p.sendQ <- buf:
 	default:
 		select {
-		case p.sendQ <- msg: // backpressure: block, never drop
-		case <-t.failCh:
+		case p.sendQ <- buf: // backpressure: block, never drop
+		case <-t.failed.ch:
 			panic(t.failure())
 		}
 	}
+	t.wireSent.Add(int64(len(buf)))
 	if payloadBytes >= 0 {
 		t.bytesSent.Add(int64(payloadBytes))
 		t.msgsSent.Add(1)
 	}
-	return PendingSend{t: t, p: p, seq: msg.seq}
 }
 
-// writeLoop drains one peer's send queue onto the socket, advancing
-// writtenSeq and waking waiters after every successful write.
+// writeLoop drains one peer's send queue onto the socket. It exits once Close
+// has closed the queue and every frame queued before is written, or when the
+// transport fails.
 func (t *TCPTransport) writeLoop(p *tcpPeer) {
 	defer t.writers.Done()
 	for {
-		var msg outMsg
+		var buf []byte
 		var ok bool
 		select {
-		case msg, ok = <-p.sendQ:
+		case buf, ok = <-p.sendQ:
 			if !ok {
 				return
 			}
-		case <-t.failCh:
+		case <-t.failed.ch:
 			return
 		}
-		_, err := p.conn.Write(msg.buf)
-		if err == nil {
-			t.wireSent.Add(int64(len(msg.buf)))
-		}
-		if err != nil {
+		if _, err := p.conn.Write(buf); err != nil {
 			// Close drains the queues (writers.Wait) before touching the
 			// connections, so a write error always means the peer side went
-			// away — record it, which also wakes every parked waiter.
+			// away — record it, which also wakes every blocked sender.
 			t.fail(fmt.Errorf("send to peer %d: %w", p.rank, err))
 			return
 		}
-		t.wireBufs.put(msg.buf)
-		if msg.seq == 0 {
-			continue // untracked control frame (heartbeat): no waiter to wake
-		}
-		p.wmu.Lock()
-		p.writtenSeq = msg.seq
-		p.wcond.Broadcast()
-		p.wmu.Unlock()
+		t.wireBufs.put(buf)
 	}
-}
-
-// waitWritten blocks until the peer's writer has put seq on the socket,
-// panicking with the transport failure if it goes down first.
-func (t *TCPTransport) waitWritten(p *tcpPeer, seq uint64) {
-	p.wmu.Lock()
-	for p.writtenSeq < seq {
-		if t.Err() != nil {
-			p.wmu.Unlock()
-			panic(t.failure())
-		}
-		p.wcond.Wait()
-	}
-	p.wmu.Unlock()
-}
-
-func checkAppTag(tag int) {
-	if tag < 0 || tag >= tagReservedBase {
-		panic(fmt.Sprintf("comm: application tag %d outside [0,%d)", tag, tagReservedBase))
-	}
-}
-
-// SendF32 sends a float32 payload to dst with a tag, blocking until the
-// frame is on the socket. The payload is copied into a lent frame buffer, so
-// the caller's slice is free on return.
-func (t *TCPTransport) SendF32(dst, tag int, data []float32) {
-	sendCopy(t, dst, tag, data).Wait()
-}
-
-// ISendF32 initiates a nonblocking send of a copy of data; see ISendBufF32.
-func (t *TCPTransport) ISendF32(dst, tag int, data []float32) PendingSend {
-	return sendCopy(t, dst, tag, data)
 }
 
 // SendBufF32 lends the caller an n-element buffer: a float32 view of the
@@ -825,29 +687,15 @@ func (t *TCPTransport) SendBufF32(n int) []float32 {
 }
 
 // ISendBufF32 sends a buffer SendBufF32 lent, taking it back: the 12-byte
-// header is written in place in front of the payload and the frame is handed
-// to the peer's writer goroutine, which performs the socket write
-// concurrently with whatever the caller does next. The returned handle's Wait
-// blocks until the write completes; the epoch protocol never waits — message
-// delivery is confirmed by the protocol being fully matched.
-func (t *TCPTransport) ISendBufF32(dst, tag int, buf []float32) PendingSend {
+// header is written in place in front of the payload and the frame is queued
+// for the peer's writer goroutine, which performs the socket write
+// concurrently with whatever the caller does next.
+func (t *TCPTransport) ISendBufF32(dst, tag int, buf []float32) {
 	checkAppTag(tag)
 	fr := frameOfF32(buf)
 	_, err := encodeFrameHeader(fr[:0], tag, dtypeF32, len(buf))
 	swapF32LE(fr[frameHeaderSize:])
-	return t.isend(dst, 4*len(buf), fr, err)
-}
-
-// IRecvF32Notify posts a nonblocking receive with a completion
-// notification; see Transport.IRecvF32Notify. The demux goroutines drain the
-// sockets in the background, so the frame makes progress while the caller
-// computes, and stamp the ledger as they route f32 frames, so the token
-// fires when the frame is (about to be) queued for consumption.
-func (t *TCPTransport) IRecvF32Notify(src, tag int, notify chan<- int, token int) PendingRecvF32 {
-	checkAppTag(tag)
-	t.peer(src) // validate src early, like recv would
-	t.nreg.register(src, tag, notify, token)
-	return PendingRecvF32{t: t, src: src, tag: tag}
+	t.isend(dst, 4*len(buf), fr, err)
 }
 
 // RecycleF32 returns the frame under a payload RecvF32 lent to the receive
@@ -856,93 +704,36 @@ func (t *TCPTransport) RecycleF32(data []float32) {
 	t.recvBufs.put(bytesOfF32(data))
 }
 
-// SendI32 sends an int32 payload to dst with a tag, blocking until the frame
-// is on the socket.
+// SendI32 sends an int32 payload to dst with a tag.
 func (t *TCPTransport) SendI32(dst, tag int, data []int32) {
 	checkAppTag(tag)
 	buf, err := appendFrameI32(t.wireBufs.get(frameHeaderSize + 4*len(data))[:0], tag, data)
-	t.isend(dst, 4*len(data), buf, err).Wait()
-}
-
-// recv blocks until a frame with the given tag arrives from src, the peer
-// says goodbye, or the transport fails (the latter two panic with a
-// descriptive error instead of deadlocking).
-func (t *TCPTransport) recv(src, tag int, want byte) frame {
-	p := t.peer(src)
-	q := p.queue(tag, t.queueCap)
-	var fr frame
-	select {
-	case fr = <-q:
-	default:
-		select {
-		case fr = <-q:
-		case <-t.failCh:
-			// A frame may have been queued between the poll above and the
-			// failure; prefer delivering it.
-			select {
-			case fr = <-q:
-			default:
-				panic(t.failure())
-			}
-		case <-p.gone:
-			select {
-			case fr = <-q:
-			default:
-				panic(&TransportError{Rank: t.rank, Err: fmt.Errorf(
-					"peer %d closed its transport while rank %d still expected tag %d", src, t.rank, tag)})
-			}
-		}
-	}
-	if fr.dtype != want {
-		panic(&TransportError{Rank: t.rank, Err: fmt.Errorf(
-			"protocol bug: expected dtype %d on tag %d from peer %d, got %d", want, tag, src, fr.dtype)})
-	}
-	return fr
-}
-
-// RecvF32 receives the next float32 message from src with the given tag.
-// The returned slice is a view of the pooled frame payload the demux read
-// the message into, with no decode pass; hand it back with RecycleF32 once
-// consumed to keep steady-state epochs allocation-free.
-func (t *TCPTransport) RecvF32(src, tag int) []float32 {
-	checkAppTag(tag)
-	fr := t.recv(src, tag, dtypeF32)
-	swapF32LE(fr.payload)
-	return f32View(fr.payload)
-}
-
-// RecvI32 receives the next int32 message from src with the given tag.
-func (t *TCPTransport) RecvI32(src, tag int) []int32 {
-	checkAppTag(tag)
-	fr := t.recv(src, tag, dtypeI32)
-	out := payloadI32(fr.payload)
-	t.recvBufs.put(fr.payload)
-	return out
+	t.isend(dst, 4*len(data), buf, err)
 }
 
 // Barrier blocks until every rank has entered it. Implemented as gather-to-
 // rank-0 plus release fan-out over control frames, which are excluded from
 // byte accounting (the channel backend's barrier moves no bytes either).
 func (t *TCPTransport) Barrier() {
-	if t.world == 1 {
+	if t.Size() == 1 {
 		return
 	}
 	if t.rank == 0 {
-		for r := 1; r < t.world; r++ {
-			t.recvBufs.put(t.recv(r, tagBarrierEnter, dtypeCtrl).payload)
+		for r := 1; r < t.Size(); r++ {
+			t.recv(r, tagBarrierEnter, dtypeCtrl)
 		}
-		for r := 1; r < t.world; r++ {
+		for r := 1; r < t.Size(); r++ {
 			t.sendCtrl(r, tagBarrierLeave)
 		}
 	} else {
 		t.sendCtrl(0, tagBarrierEnter)
-		t.recvBufs.put(t.recv(0, tagBarrierLeave, dtypeCtrl).payload)
+		t.recv(0, tagBarrierLeave, dtypeCtrl)
 	}
 }
 
 func (t *TCPTransport) sendCtrl(dst, tag int) {
 	buf, err := appendFrameBytes(t.wireBufs.get(frameHeaderSize)[:0], tag, dtypeCtrl, nil)
-	t.isend(dst, -1, buf, err).Wait()
+	t.isend(dst, -1, buf, err)
 }
 
 // BytesSent returns the payload bytes this rank has sent since the last
@@ -953,9 +744,9 @@ func (t *TCPTransport) BytesSent() int64 { return t.bytesSent.Load() }
 // MessagesSent returns the number of payload messages sent.
 func (t *TCPTransport) MessagesSent() int64 { return t.msgsSent.Load() }
 
-// WireBytesSent returns the total bytes written to sockets, including the
-// 12-byte frame headers and control frames; WireBytesSent−BytesSent is the
-// transport's framing overhead.
+// WireBytesSent returns the total bytes of the frames queued for the sockets,
+// including the 12-byte frame headers and control frames;
+// WireBytesSent−BytesSent is the transport's framing overhead.
 func (t *TCPTransport) WireBytesSent() int64 { return t.wireSent.Load() }
 
 // ResetCounters zeroes the payload byte and message counters (wire bytes
@@ -968,9 +759,9 @@ func (t *TCPTransport) ResetCounters() {
 
 // Close shuts the endpoint down gracefully: a goodbye frame tells each peer
 // that no more data is coming (so their pending receives fail with a
-// "closed" error rather than a connection error), the writer goroutines are
-// drained and stopped, then connections are closed and the demux goroutines
-// reaped. Close after a failure returns the recorded error.
+// "closed" error rather than a connection error), the writer goroutines
+// write out everything queued and stop, then connections are closed and the
+// demux goroutines reaped. Close after a failure returns the recorded error.
 func (t *TCPTransport) Close() error {
 	if t.closed.Swap(true) {
 		t.stopHeartbeats()
@@ -992,9 +783,9 @@ func (t *TCPTransport) Close() error {
 			}()
 		}
 	}
-	// The goodbyes were waited for, so the send queues are drained; closing
-	// them stops the writers before the connections go away. closeCh frees
-	// any demux goroutine parked on a full receive queue.
+	// A writer drains its closed queue before it exits, so every frame sent
+	// so far and the goodbye reach the socket before the connections go
+	// away. closeCh frees any demux goroutine parked on a full inbox stream.
 	close(t.closeCh)
 	for _, p := range t.peers {
 		if p != nil {

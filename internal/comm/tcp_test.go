@@ -1,7 +1,7 @@
 package comm
 
 import (
-	"net"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,49 +15,58 @@ import (
 // races on a free port.
 func loopbackTransports(t testing.TB, k int) []*TCPTransport {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr := ln.Addr().String()
-	ts := make([]*TCPTransport, k)
-	errs := make([]error, k)
-	var wg sync.WaitGroup
-	for r := 0; r < k; r++ {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			cfg := TCPConfig{Rank: r, World: k, Rendezvous: addr, Timeout: 10 * time.Second}
-			if r == 0 {
-				cfg.RendezvousListener = ln
-			}
-			ts[r], errs[r] = DialTCP(cfg)
-		}(r)
-	}
-	wg.Wait()
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	t.Cleanup(func() {
-		for _, tp := range ts {
-			tp.Close()
-		}
-	})
-	return ts
+	return loopbackTransportsCfg(t, k, nil)
 }
 
 // tcpGroup wraps loopback transports in a Group so tests can reuse the
 // in-process Run driver over real sockets.
 func tcpGroup(t testing.TB, k int) *Group {
 	t.Helper()
-	ts := loopbackTransports(t, k)
-	generic := make([]Transport, k)
+	return groupOf(loopbackTransports(t, k))
+}
+
+func groupOf(ts []*TCPTransport) *Group {
+	generic := make([]Transport, len(ts))
 	for i, tp := range ts {
 		generic[i] = tp
 	}
 	return NewGroup(generic)
+}
+
+// SendF32 lets a test that holds a bare TCP endpoint send a copy of a float32
+// payload the way a Worker does; endpoints themselves have no SendF32.
+func (t *TCPTransport) SendF32(dst, tag int, data []float32) { NewWorker(t).SendF32(dst, tag, data) }
+
+// backends lists both transports for tests that pin one contract on each:
+// mk builds a k-rank group whose per-stream queues hold queueCap messages (0
+// for the default).
+var backends = []struct {
+	name string
+	mk   func(t testing.TB, k, queueCap int) *Group
+}{
+	{"chan", func(t testing.TB, k, queueCap int) *Group { return New(k, queueCap) }},
+	{"tcp", func(t testing.TB, k, queueCap int) *Group {
+		return groupOf(loopbackTransportsCfg(t, k, func(r int, cfg *TCPConfig) { cfg.QueueCap = queueCap }))
+	}},
+}
+
+// inboxOf returns a backend endpoint's receive side.
+func inboxOf(tr Transport) *inbox {
+	switch e := tr.(type) {
+	case *ChanTransport:
+		return e.inbox
+	case *TCPTransport:
+		return e.inbox
+	}
+	panic(fmt.Sprintf("no inbox in a %T", tr))
+}
+
+// queued returns how many messages the (src, tag) stream holds.
+func (in *inbox) queued(src, tag int) int {
+	s := in.stream(src, tag)
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return s.n
 }
 
 func TestTCPPointToPointAndOrdering(t *testing.T) {
@@ -81,27 +90,31 @@ func TestTCPPointToPointAndOrdering(t *testing.T) {
 	})
 }
 
-func TestTCPInterleavedTagsDemuxed(t *testing.T) {
-	// Frames for different tags share one connection; the demux must route
-	// them into independent queues so receives can happen in any tag order.
-	g := tcpGroup(t, 2)
-	g.Run(func(w *Worker) {
-		if w.Rank() == 0 {
-			w.SendF32(1, 1, []float32{1})
-			w.SendF32(1, 2, []float32{2})
-			w.SendF32(1, 3, []float32{3})
-		} else {
-			if got := w.RecvF32(0, 3); got[0] != 3 {
-				t.Errorf("tag 3: %v", got)
-			}
-			if got := w.RecvF32(0, 1); got[0] != 1 {
-				t.Errorf("tag 1: %v", got)
-			}
-			if got := w.RecvF32(0, 2); got[0] != 2 {
-				t.Errorf("tag 2: %v", got)
-			}
-		}
-	})
+// TestInterleavedTagsDemuxed: every (src, tag) stream is its own queue, so
+// receives can name tags in any order on both backends — over TCP, where the
+// frames for different tags share one connection, as over channels.
+func TestInterleavedTagsDemuxed(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			b.mk(t, 2, 0).Run(func(w *Worker) {
+				if w.Rank() == 0 {
+					w.SendF32(1, 1, []float32{1})
+					w.SendF32(1, 2, []float32{2})
+					w.SendF32(1, 3, []float32{3})
+				} else {
+					if got := w.RecvF32(0, 3); got[0] != 3 {
+						t.Errorf("tag 3: %v", got)
+					}
+					if got := w.RecvF32(0, 1); got[0] != 1 {
+						t.Errorf("tag 1: %v", got)
+					}
+					if got := w.RecvF32(0, 2); got[0] != 2 {
+						t.Errorf("tag 2: %v", got)
+					}
+				}
+			})
+		})
+	}
 }
 
 func TestTCPBarrierSynchronizes(t *testing.T) {

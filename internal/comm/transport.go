@@ -14,125 +14,85 @@ import (
 //   - TCPTransport: one OS process per rank over persistent TCP connections;
 //     created by DialTCP with a rendezvous address.
 //
-// Semantics every backend must provide — the training protocol and the
+// Both receive through the same inbox (RecvF32, RecvI32 and IRecvF32Notify
+// are written once), so they differ only in how a message reaches it.
+// Semantics every backend provides — the training protocol and the
 // collectives in Worker rely on all four:
 //
-//   - messages between a (src,dst) pair with the same tag arrive in send
-//     order (per-pair FIFO);
-//   - Send blocks only for backpressure (bounded queues) and never drops;
-//   - Recv blocks until a matching message arrives or the transport fails,
-//     in which case it panics with a descriptive error (converted to an
-//     ordinary error at the epoch boundary by RankTrainer.TrainEpoch)
-//     rather than deadlocking;
+//   - messages of one (src, tag) stream arrive in send order, and streams
+//     are independent: receives may name tags in any order;
+//   - a send is complete once its message is queued, and blocks only for
+//     backpressure (a bounded per-stream queue) — never to wait for the
+//     receiver, and it never drops;
+//   - a receive blocks until a message of its stream arrives or the
+//     transport fails, in which case it panics with a *TransportError
+//     (converted to an ordinary error at the epoch boundary by
+//     RankTrainer.TrainEpoch) rather than deadlocking; a message of the
+//     wrong dtype is a protocol bug and panics;
 //   - BytesSent counts exactly 4 bytes per payload element and nothing else
 //     (no headers, no barrier traffic), so byte accounting is
 //     backend-independent and feeds the cost model unchanged.
 //
-// One ownership rule holds on every backend. A caller's slice is free when
-// SendF32 or ISendF32 returns: the transport has copied it into a buffer of
-// its own. A buffer from SendBufF32 is the caller's to fill until
-// ISendBufF32, which takes it back. A received payload is the transport's,
-// lent to the receiver until RecycleF32 — which is how a payload is staged
-// once per side: the sender gathers straight into the buffer that travels
-// (the outgoing frame on TCP), and the receiver reads straight out of the one
-// that arrived. Backends need not support sending to the local rank; the
-// training protocol never does.
+// One ownership rule holds on every backend. A buffer from SendBufF32 is the
+// caller's to fill until ISendBufF32, which takes it back. A received payload
+// is the transport's, lent to the receiver until RecycleF32 — which is how a
+// payload is staged once per side: the sender gathers straight into the
+// buffer that travels (the outgoing frame on TCP), and the receiver reads
+// straight out of the one that arrived. (Worker.SendF32 copies a caller's
+// slice into a lent buffer, so that slice is free on return.) Backends need
+// not support sending to the local rank; the training protocol never does.
 type Transport interface {
 	Rank() int
 	Size() int
-	SendF32(dst, tag int, data []float32)
 	SendI32(dst, tag int, data []int32)
 	RecvF32(src, tag int) []float32
 	RecvI32(src, tag int) []int32
-	// ISendF32 initiates a nonblocking tagged send of a copy of data and
-	// returns a completion handle; it is SendBufF32, a copy, and ISendBufF32.
-	// Ordering with blocking sends is preserved (one FIFO per pair).
-	ISendF32(dst, tag int, data []float32) PendingSend
 	// SendBufF32 lends the caller a buffer of n float32s (contents undefined)
 	// to gather a payload into: on TCP a view of a pooled outgoing frame's
 	// payload region, on the channel backend a buffer from the cluster's
 	// pool.
 	SendBufF32(n int) []float32
-	// ISendBufF32 initiates a nonblocking tagged send of a buffer SendBufF32
-	// lent, and takes the buffer back: the caller must not touch it
-	// afterwards. Every float32 send of a backend goes through here.
-	ISendBufF32(dst, tag int, buf []float32) PendingSend
-	// IRecvF32Notify posts a nonblocking receive for the next float32
-	// message with the given tag from src, and arranges for token to be sent
-	// on notify exactly once when that message becomes consumable — the
-	// select-any primitive: a caller with several posted receives blocks on
-	// one channel and consumes whichever peer's payload lands first. Both
-	// backends progress in the background — the channel fabric is push-based
-	// and the TCP demux goroutines drain the sockets — so the payload arrives
-	// while the caller computes; the handle's Wait only dequeues it (or
-	// blocks until arrival). Wait exactly once.
+	// ISendBufF32 sends a buffer SendBufF32 lent, and takes the buffer back:
+	// the caller must not touch it afterwards. Every float32 send of a
+	// backend goes through here.
+	ISendBufF32(dst, tag int, buf []float32)
+	// IRecvF32Notify arranges for token to be sent on notify exactly once,
+	// when the next float32 message with the given tag from src becomes
+	// consumable; the caller then takes it with RecvF32(src, tag). It is the
+	// select-any primitive: a caller with several posted notifications blocks
+	// on one channel and consumes whichever peer's payload lands first. Both
+	// backends progress in the background — a channel-cluster sender pushes
+	// into the inbox itself and the TCP demux goroutines drain the sockets —
+	// so the payload arrives while the caller computes.
 	//
 	// notify must have spare capacity for every outstanding notification
 	// posted on it (the transport sends without selecting). If the transport
 	// fails or the peer leaves before the message arrives, the token is
-	// still delivered and the matching Wait panics with the descriptive
+	// still delivered and the matching RecvF32 panics with the descriptive
 	// error, so a drain never deadlocks on a notification.
 	//
-	// Within a transport's lifetime a given (src, tag) stream must be
-	// consumed either always through notify-posted receives or always
-	// through RecvF32; mixing strands arrival credits (see notifyReg).
-	IRecvF32Notify(src, tag int, notify chan<- int, token int) PendingRecvF32
-	// RecycleF32 hands a slice previously returned by RecvF32 (or a recv
-	// handle's Wait) back to the transport for reuse: on TCP the incoming
-	// frame under it, on the channel backend the lent buffer it travelled in.
-	// Optional — an unrecycled payload is garbage collected — but it keeps
-	// steady-state epochs allocation-free. The caller must not touch data
-	// afterwards.
+	// Within a transport's lifetime, either every receive of a (src, tag)
+	// stream follows a notification posted for it or none does; mixing
+	// strands arrival credits (see notifyReg).
+	IRecvF32Notify(src, tag int, notify chan<- int, token int)
+	// RecycleF32 hands a slice previously returned by RecvF32 back to the
+	// transport for reuse: on TCP the incoming frame under it, on the channel
+	// backend the lent buffer it travelled in. Optional — an unrecycled
+	// payload is garbage collected — but it keeps steady-state epochs
+	// allocation-free. The caller must not touch data afterwards.
 	RecycleF32(data []float32)
 	Barrier()
 	BytesSent() int64
 	MessagesSent() int64
 	ResetCounters()
-	// Abort fails the transport: every blocked and subsequent Send/Recv —
-	// on this rank and, transitively, on every peer — panics with a
-	// descriptive error instead of waiting forever. Called when an epoch
+	// Abort fails the transport: every blocked and subsequent send and
+	// receive — on this rank and, transitively, on every peer — panics with
+	// a descriptive error instead of waiting forever. Called when an epoch
 	// dies mid-protocol so the other ranks are not left deadlocked on
 	// messages that will never arrive.
 	Abort()
 	Close() error
 }
-
-// PendingSend is the completion handle of a nonblocking ISendF32. The zero
-// value is an already-completed send (what the channel backend returns: its
-// sends complete once the message is on the fabric). For the TCP backend,
-// Wait blocks until the frame has been handed to the OS by the peer's writer
-// goroutine, panicking with a *TransportError if the transport fails first.
-// Waiting is optional — the epoch protocol never does; the caller's slice is
-// free as soon as ISendF32 returns, and a lent buffer is the transport's.
-//
-// The handle is a concrete struct rather than an interface on purpose: the
-// engine creates one per halo message per epoch, and an interface value
-// would heap-allocate on the hot path. A future backend with its own async
-// completion story should generalize the fields (or swap in a small
-// completion closure) rather than bolt on a parallel handle type.
-type PendingSend struct {
-	t   *TCPTransport
-	p   *tcpPeer
-	seq uint64
-}
-
-// Wait blocks until the send has completed (see type doc).
-func (s PendingSend) Wait() {
-	if s.t != nil {
-		s.t.waitWritten(s.p, s.seq)
-	}
-}
-
-// PendingRecvF32 is the handle of a posted nonblocking receive; Wait returns
-// the payload, blocking until it arrives or the transport fails (panic with
-// a descriptive error, like RecvF32). Wait must be called exactly once.
-type PendingRecvF32 struct {
-	t        Transport
-	src, tag int
-}
-
-// Wait dequeues the posted receive's payload (see type doc).
-func (r PendingRecvF32) Wait() []float32 { return r.t.RecvF32(r.src, r.tag) }
 
 // Worker is one rank's handle: the transport primitives plus the collectives
 // built on top of them (ring AllReduce, variable AllGather). Methods on a
@@ -153,46 +113,38 @@ func (w *Worker) Rank() int { return w.t.Rank() }
 // Size returns the cluster size.
 func (w *Worker) Size() int { return w.t.Size() }
 
-// SendF32 sends a copy of a float32 payload to dst with a tag, blocking until
-// it is handed off.
-func (w *Worker) SendF32(dst, tag int, data []float32) { w.t.SendF32(dst, tag, data) }
+// SendF32 sends a copy of a float32 payload to dst with a tag: it copies
+// data into a buffer the transport lends and sends that, so one send path
+// carries every float32 payload and the caller's slice is free on return.
+func (w *Worker) SendF32(dst, tag int, data []float32) {
+	buf := w.t.SendBufF32(len(data))
+	copy(buf, data)
+	w.t.ISendBufF32(dst, tag, buf)
+}
+
+// ISendF32 is SendF32: every send is complete once queued.
+func (w *Worker) ISendF32(dst, tag int, data []float32) { w.SendF32(dst, tag, data) }
 
 // SendI32 sends an int32 payload to dst with a tag.
 func (w *Worker) SendI32(dst, tag int, data []int32) { w.t.SendI32(dst, tag, data) }
 
-// RecvF32 receives the next float32 message from src, which must carry the
-// expected tag; a tag mismatch means a protocol bug and panics.
+// RecvF32 receives the next float32 message of the (src, tag) stream; see
+// Transport.
 func (w *Worker) RecvF32(src, tag int) []float32 { return w.t.RecvF32(src, tag) }
 
-// RecvI32 receives the next int32 message from src with the expected tag.
+// RecvI32 receives the next int32 message of the (src, tag) stream.
 func (w *Worker) RecvI32(src, tag int) []int32 { return w.t.RecvI32(src, tag) }
-
-// ISendF32 initiates a nonblocking send; see Transport.ISendF32.
-func (w *Worker) ISendF32(dst, tag int, data []float32) PendingSend {
-	return w.t.ISendF32(dst, tag, data)
-}
 
 // SendBufF32 lends a payload buffer; see Transport.SendBufF32.
 func (w *Worker) SendBufF32(n int) []float32 { return w.t.SendBufF32(n) }
 
 // ISendBufF32 sends a lent buffer; see Transport.ISendBufF32.
-func (w *Worker) ISendBufF32(dst, tag int, buf []float32) PendingSend {
-	return w.t.ISendBufF32(dst, tag, buf)
-}
+func (w *Worker) ISendBufF32(dst, tag int, buf []float32) { w.t.ISendBufF32(dst, tag, buf) }
 
-// sendCopy is SendF32 and ISendF32 on every backend and decorator: copy the
-// caller's slice into a lent buffer and send that, so one send path carries
-// every float32 payload.
-func sendCopy(t Transport, dst, tag int, data []float32) PendingSend {
-	buf := t.SendBufF32(len(data))
-	copy(buf, data)
-	return t.ISendBufF32(dst, tag, buf)
-}
-
-// IRecvF32Notify posts a nonblocking receive with a completion
-// notification; see Transport.IRecvF32Notify.
-func (w *Worker) IRecvF32Notify(src, tag int, notify chan<- int, token int) PendingRecvF32 {
-	return w.t.IRecvF32Notify(src, tag, notify, token)
+// IRecvF32Notify posts a completion notification for the next float32
+// message of the (src, tag) stream; see Transport.IRecvF32Notify.
+func (w *Worker) IRecvF32Notify(src, tag int, notify chan<- int, token int) {
+	w.t.IRecvF32Notify(src, tag, notify, token)
 }
 
 // RecycleF32 returns a received payload to the transport's buffer pool; see

@@ -41,7 +41,7 @@ const (
 )
 
 // frame is one decoded wire message. payload holds the raw little-endian
-// element bytes (len = 4·nelems) and is owned by the frame.
+// element bytes (len = 4·nelems).
 type frame struct {
 	tag     int
 	dtype   byte
@@ -131,9 +131,10 @@ func decodeFrame(b []byte) (frame, int, error) {
 	return frame{tag: tag, dtype: dtype, payload: b[frameHeaderSize:need]}, need, nil
 }
 
-// readFrame reads one frame from r, allocating the payload (its ownership
-// passes to the eventual receiver).
-func readFrame(r io.Reader) (frame, error) {
+// readFrame reads one frame from r, drawing the payload buffer from pool; the
+// frame's consumer returns it once done with it. A frame rejected after its
+// buffer was drawn (a truncated payload) puts the buffer straight back.
+func readFrame(r io.Reader, pool *bufPool[byte]) (frame, error) {
 	var h [frameHeaderSize]byte
 	if _, err := io.ReadFull(r, h[:]); err != nil {
 		return frame{}, err
@@ -142,11 +143,12 @@ func readFrame(r io.Reader) (frame, error) {
 	if err != nil {
 		return frame{}, err
 	}
-	payload := make([]byte, 4*nelems)
+	payload := pool.get(4 * nelems)
 	if _, err := io.ReadFull(r, payload); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
+		pool.put(payload)
 		return frame{}, err
 	}
 	return frame{tag: tag, dtype: dtype, payload: payload}, nil

@@ -68,12 +68,33 @@ func TestFrameI32RoundTrip(t *testing.T) {
 	}
 }
 
+// allIdle reports whether every buffer pool has made is back on its free
+// lists.
+func allIdle(pool *bufPool[byte]) bool {
+	made, idle := 0, 0
+	for c := range pool.free {
+		made += pool.made[c]
+		idle += len(pool.free[c])
+	}
+	return made == idle
+}
+
+// TestReadFrameMatchesDecodeFrame: the socket reader and the slice decoder
+// agree, and a frame the reader rejects after drawing its payload buffer — a
+// truncated payload — hands the buffer back to the pool.
 func TestReadFrameMatchesDecodeFrame(t *testing.T) {
 	enc, err := appendFrameI32(nil, 9, []int32{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fr, err := readFrame(bytes.NewReader(enc))
+	var pool bufPool[byte]
+	if _, err := readFrame(bytes.NewReader(enc[:len(enc)-1]), &pool); err == nil {
+		t.Fatal("readFrame accepted a truncated payload")
+	}
+	if !allIdle(&pool) || pool.made == [33]int{} {
+		t.Fatal("the rejected frame's payload buffer did not go back to the pool")
+	}
+	fr, err := readFrame(bytes.NewReader(enc), &pool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +161,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			if _, _, err := decodeFrame(enc[:cut]); err == nil {
 				t.Fatalf("truncation to %d of %d bytes accepted", cut, len(enc))
 			}
-			if _, err := readFrame(bytes.NewReader(enc[:cut])); err == nil {
+			var pool bufPool[byte]
+			if _, err := readFrame(bytes.NewReader(enc[:cut]), &pool); err == nil {
 				t.Fatalf("readFrame accepted truncation to %d bytes", cut)
+			}
+			if !allIdle(&pool) {
+				t.Fatalf("readFrame kept the payload buffer of a frame truncated to %d bytes", cut)
 			}
 		}
 
@@ -153,8 +178,16 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatal("oversized length accepted")
 		}
 
-		// Raw fuzz bytes interpreted as a frame: any outcome but a panic.
+		// Raw fuzz bytes interpreted as a frame: any outcome but a panic, and
+		// a payload buffer is either returned with the frame or back in the
+		// pool.
 		decodeFrame(raw)
-		readFrame(bytes.NewReader(raw))
+		var pool bufPool[byte]
+		if fr, err := readFrame(bytes.NewReader(raw), &pool); err == nil {
+			pool.put(fr.payload)
+		}
+		if !allIdle(&pool) {
+			t.Fatal("readFrame lost a payload buffer")
+		}
 	})
 }

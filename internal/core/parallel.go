@@ -14,7 +14,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// Message tags for the per-epoch protocol. Channels are FIFO per pair and
+// Message tags for the per-epoch protocol. Each (src, tag) stream is FIFO and
 // the protocol is fully ordered, so constant per-phase tags suffice.
 const (
 	tagPositions = 1   // sampled boundary positions (Algorithm 1 line 6)
@@ -94,9 +94,8 @@ type LocalPartition struct {
 	// with at least one halo neighbor — both ascending.
 	haloFree []int32
 	haloDep  []int32
-	pendRecv []comm.PendingRecvF32 // per peer: posted halo receives
-	recvData [][]float32           // per peer: drained payloads (staged fold)
-	dNext    tensor.Matrix         // the fold's view of a layer's input-gradient inner rows
+	recvData [][]float32   // per peer: drained payloads (staged fold)
+	dNext    tensor.Matrix // the fold's view of a layer's input-gradient inner rows
 
 	// Strategy-mode scratch (see strategy.go): lossMask is the per-epoch
 	// intersection of TrainMask with the strategy's active inner rows, and
@@ -220,7 +219,6 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 	lp.slotRow = make([]int32, lp.NBd)
 	lp.rowSlot = make([]int32, 0, lp.NBd)
 	lp.planActive = make([]bool, n)
-	lp.pendRecv = make([]comm.PendingRecvF32, k)
 	lp.recvData = make([][]float32, k)
 	lp.slotOwner = make([]int32, lp.NBd)
 	for x, u := range boundary {

@@ -53,10 +53,10 @@ import (
 // row passes are bit-identical per row to the one-shot layer passes (see
 // nn's layer tests), whatever order the chunks run in.
 //
-// Halo receives are always posted with a completion notification
-// (comm.Transport.IRecvF32Notify): every posted receive reports its peer on
-// RankTrainer.arrCh the moment the payload is consumable, and the drain
-// consumes whichever lands first — so one slow peer stalls only the rows
+// Every halo receive is preceded by a completion notification
+// (comm.Transport.IRecvF32Notify): each posted notification reports its peer
+// on RankTrainer.arrCh the moment the payload is consumable, and the drain
+// receives whichever lands first — so one slow peer stalls only the rows
 // that genuinely need it. Determinism survives the nondeterministic
 // consumption order because nothing in it is order-sensitive:
 //
@@ -154,7 +154,7 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 		nPend := rt.postGrad(l, dH)
 		span := rt.openSpan()
 		rt.backwardFinish(l)
-		d = rt.foldGrad(dH, nPend)
+		d = rt.foldGrad(l, dH, nPend)
 		rt.closeSpan(span, time.Now())
 	}
 	rt.backwardInput(d)
@@ -420,10 +420,10 @@ func (rt *RankTrainer) haloRescale(row int32) float32 {
 }
 
 // postForward posts layer l's halo exchange — the boundary rows of h each
-// peer sampled, and one notify-receive per peer I sampled from — and returns
-// the number of receives pending. The rows are gathered straight into a
-// payload buffer the transport lends (on TCP, the outgoing frame itself) and
-// sent in it.
+// peer sampled, and one receive notification per peer I sampled from — and
+// returns the number of receives pending. The rows are gathered straight into
+// a payload buffer the transport lends (on TCP, the outgoing frame itself)
+// and sent in it.
 func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) (nPend int) {
 	cs := time.Now()
 	lp, st, w := rt.LP, &rt.ep.st, rt.ep.w
@@ -443,7 +443,7 @@ func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) (nPend int) {
 		if len(slots) == 0 {
 			continue
 		}
-		lp.pendRecv[j] = w.IRecvF32Notify(j, tagForward+l, rt.arrCh, j)
+		w.IRecvF32Notify(j, tagForward+l, rt.arrCh, j)
 		nPend++
 	}
 	post := time.Since(cs)
@@ -510,7 +510,7 @@ func (rt *RankTrainer) drainForward(l int, x *tensor.Matrix, nPend int) (lastCon
 		cs := time.Now()
 		j := <-rt.arrCh
 		slots := lp.recvSlots[j]
-		data := lp.pendRecv[j].Wait()
+		data := ep.w.RecvF32(j, tagForward+l)
 		if len(data) != len(slots)*dim {
 			panic(fmt.Sprintf("core: rank %d layer %d: got %d floats from %d, want %d",
 				rt.Rank, l, len(data), j, len(slots)*dim))
@@ -573,7 +573,7 @@ func (rt *RankTrainer) backwardHalo(l int, d *tensor.Matrix) *tensor.Matrix {
 // postGrad posts layer l's gradient exchange: the halo rows of dH go back
 // to the peers that own them, scaled by the chain rule through the receive
 // rescale as they are gathered into a lent payload buffer, and one
-// notify-receive is posted per peer I sent features to.
+// receive notification is posted per peer I sent features to.
 func (rt *RankTrainer) postGrad(l int, dH *tensor.Matrix) (nPend int) {
 	cs := time.Now()
 	lp, ep := rt.LP, &rt.ep
@@ -597,7 +597,7 @@ func (rt *RankTrainer) postGrad(l int, dH *tensor.Matrix) (nPend int) {
 		if len(rows) == 0 {
 			continue
 		}
-		lp.pendRecv[j] = ep.w.IRecvF32Notify(j, tagBackward+l, rt.arrCh, j)
+		ep.w.IRecvF32Notify(j, tagBackward+l, rt.arrCh, j)
 		nPend++
 	}
 	post := time.Since(cs)
@@ -627,13 +627,13 @@ func (rt *RankTrainer) backwardFinish(l int) {
 // the fold but the layer below, whose backward copies the view in its first
 // step (the layer's pre-activation gradient), and dH is next written by
 // layer l's backward in the next epoch.
-func (rt *RankTrainer) foldGrad(dH *tensor.Matrix, nPend int) *tensor.Matrix {
+func (rt *RankTrainer) foldGrad(l int, dH *tensor.Matrix, nPend int) *tensor.Matrix {
 	as := time.Now()
 	lp := rt.LP
 	dim := dH.Cols
 	for i := 0; i < nPend; i++ {
 		j := <-rt.arrCh
-		lp.recvData[j] = lp.pendRecv[j].Wait()
+		lp.recvData[j] = rt.ep.w.RecvF32(j, tagBackward+l)
 	}
 	// Skipped rows' input-gradient rows are stale scratch (no split write
 	// covers them, and no gather reaches an edgeless row); the layer below
