@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/datagen"
 	"repro/internal/partition"
-	"repro/internal/tensor"
 )
 
 // allocTrainer builds a small 4-partition trainer for allocation tests.
@@ -100,30 +99,18 @@ func TestTrainEpochSteadyStateAllocs(t *testing.T) {
 			// Measured steady state over the four p: 14–22 allocs/epoch at
 			// GOMAXPROCS=1, 14–26 at 2, 14–24 at 4 (seed: ~380). Every
 			// kernel, the dW reductions included, runs on the one dispatcher,
-			// which builds no closures and spawns no goroutines, so the pool
-			// width adds nothing; with the reductions on their own per-call
-			// fan-out it was 14–22 / 56–67 / 89–96.
-			//
-			// One allocation is left, under -race only: there sync.Pool.Put
-			// drops a quarter of its objects at random, so a pooled kernel
-			// call allocates the dispatcher's rowTask again every so often
-			// (27–43 objects and 3.3–6.9 KB at GOMAXPROCS 2 and at 4; before,
-			// 81–101 and 131–153 objects, 30–140 KB). A -race run with pool
-			// workers keeps the bound it had, 50 objects per core on top and
-			// no byte bound; at width 1 the kernels run inline, take no task,
-			// and the constants hold under -race too (15–21 objects, at most
-			// 1696 bytes).
-			budget, byteBound := uint64(40), true
-			if w := tensor.Parallelism(); raceEnabled && w > 1 {
-				budget, byteBound = 40+50*uint64(w), false
-			}
+			// which builds no closures, spawns no goroutines and keeps its
+			// tasks on a free list of its own, so neither the pool width nor
+			// -race adds anything; with the reductions on their own per-call
+			// fan-out it was 14–22 / 56–67 / 89–96, and with the tasks in a
+			// sync.Pool, which drops objects under -race, a -race run with
+			// pool workers needed 40 + 50·procs and no byte bound.
+			const budget = 40
 			allocs, bytes := maxEpochAllocs(func() { tr.TrainEpoch() })
 			if allocs > budget {
 				t.Errorf("%s p=%v: a steady-state TrainEpoch allocates %d objects, budget %d", arch, p, allocs, budget)
 			}
-			if byteBound {
-				checkSteadyBytes(t, fmt.Sprintf("%s p=%v", arch, p), bytes)
-			}
+			checkSteadyBytes(t, fmt.Sprintf("%s p=%v", arch, p), bytes)
 			t.Logf("%s p=%v: steady-state max allocs/epoch = %d (%d bytes)", arch, p, allocs, bytes)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/datagen"
 	"repro/internal/tensor"
 )
 
@@ -107,6 +108,46 @@ func TestLADIESAndSAINTStrategyGolden(t *testing.T) {
 			hash, bytes := trainingSignature(t, tr)
 			if want := golden[name][arch]; hash != want.hash || bytes != want.commBytes {
 				t.Errorf("%s %s: signature (%#x, %d bytes), want (%#x, %d bytes)", name, arch, hash, bytes, want.hash, want.commBytes)
+			}
+		}
+	}
+}
+
+// TestWideModelGolden pins the widths the benchmark times, which the Hidden-16
+// goldens above never reach: SAGE and GAT at 3×64 on reddit-sim features (48
+// wide, 32 classes), so the projection, dW and both gathers run 48-, 64- and
+// 32-wide rows. Signatures captured before the dense and sparse kernels held
+// their output rows in registers; re-capture only for an intentional numerics
+// change.
+func TestWideModelGolden(t *testing.T) {
+	golden := map[Arch]map[int]struct {
+		hash      uint64
+		commBytes int64
+	}{
+		ArchSAGE: {
+			1: {hash: 0x2db44d8389e02dd8, commBytes: 0},
+			4: {hash: 0x40d655ce95ae75fc, commBytes: 14430272},
+		},
+		ArchGAT: {
+			1: {hash: 0x2d3ecdfb75ad3b7c, commBytes: 0},
+			4: {hash: 0x5cdb19e7661d017e, commBytes: 14430272},
+		},
+	}
+	ds, err := datagen.Generate(datagen.RedditSim(1, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []int{1, 4} {
+		topo := testTopology(t, ds, k)
+		for _, arch := range []Arch{ArchSAGE, ArchGAT} {
+			mc := ModelConfig{Arch: arch, Layers: 3, Hidden: 64, Dropout: 0.2, LR: 0.01, Seed: 42}
+			tr, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: mc, P: 0.5, SampleSeed: 17})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hash, bytes := trainingSignature(t, tr)
+			if want := golden[arch][k]; hash != want.hash || bytes != want.commBytes {
+				t.Errorf("%s k=%d: signature (%#x, %d bytes), want (%#x, %d bytes)", arch, k, hash, bytes, want.hash, want.commBytes)
 			}
 		}
 	}

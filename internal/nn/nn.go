@@ -43,12 +43,16 @@ func activationRow(dst []float32, a Activation, pre []float32) {
 	case NoAct:
 		copy(dst, pre)
 	case ReLUAct:
+		// On the bits, so the select is a conditional move: a sign-dependent
+		// branch mispredicts on every other element. −0 and NaN pass through
+		// as before (neither is < 0).
+		dst = dst[:len(pre)]
 		for j, x := range pre {
+			b := math.Float32bits(x)
 			if x < 0 {
-				dst[j] = 0
-			} else {
-				dst[j] = x
+				b = 0
 			}
+			dst[j] = math.Float32frombits(b)
 		}
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", a))
@@ -60,10 +64,13 @@ func activationGrad(a Activation, dOut, pre *tensor.Matrix) {
 	switch a {
 	case NoAct:
 	case ReLUAct:
+		d := dOut.Data[:len(pre.Data)]
 		for i, v := range pre.Data {
+			b := math.Float32bits(d[i])
 			if v <= 0 {
-				dOut.Data[i] = 0
+				b = 0
 			}
+			d[i] = math.Float32frombits(b)
 		}
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", a))

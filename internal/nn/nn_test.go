@@ -45,6 +45,50 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
+// TestReLUBranchlessMatchesBranchy: the bit-select ReLU and its gradient give
+// the bits of the branchy forms they replaced, on −0, ±NaN (payloads too),
+// ±Inf, denormals and random data.
+func TestReLUBranchlessMatchesBranchy(t *testing.T) {
+	special := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7fc00001), math.Float32frombits(0xffc00002), math.Float32frombits(0x7f800003),
+		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, math.MaxFloat32, -math.MaxFloat32}
+	rng := tensor.NewRNG(29)
+	pre := tensor.New(1, 4096)
+	for i := range pre.Data {
+		pre.Data[i] = 2*rng.Float32() - 1
+		if i < len(special)*len(special) {
+			pre.Data[i] = special[i/len(special)]
+		}
+	}
+	dOut := tensor.New(1, len(pre.Data))
+	for i := range dOut.Data {
+		dOut.Data[i] = 2*rng.Float32() - 1
+		if i < len(special)*len(special) {
+			dOut.Data[i] = special[i%len(special)]
+		}
+	}
+	out := make([]float32, len(pre.Data))
+	activationRow(out, ReLUAct, pre.Data)
+	grad := dOut.Clone()
+	activationGrad(ReLUAct, grad, pre)
+	for i, x := range pre.Data {
+		wantOut, wantGrad := x, dOut.Data[i]
+		if x < 0 {
+			wantOut = 0
+		}
+		if x <= 0 {
+			wantGrad = 0
+		}
+		if math.Float32bits(out[i]) != math.Float32bits(wantOut) {
+			t.Fatalf("relu(%#x) = %#x, want %#x", math.Float32bits(x), math.Float32bits(out[i]), math.Float32bits(wantOut))
+		}
+		if math.Float32bits(grad.Data[i]) != math.Float32bits(wantGrad) {
+			t.Fatalf("relu grad at %#x of %#x = %#x, want %#x", math.Float32bits(x), math.Float32bits(dOut.Data[i]),
+				math.Float32bits(grad.Data[i]), math.Float32bits(wantGrad))
+		}
+	}
+}
+
 func TestDropoutTrainEval(t *testing.T) {
 	rng := tensor.NewRNG(1)
 	d := NewDropout(0.5, rng)

@@ -1,6 +1,9 @@
 package tensor
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func benchMatrices(n, k, m int) (*Matrix, *Matrix, *Matrix) {
 	rng := NewRNG(1)
@@ -228,3 +231,79 @@ func benchBackwardSplit(b *testing.B, n, in, out int, fused bool) {
 
 func BenchmarkBackwardSplitUnfused(b *testing.B) { benchBackwardSplit(b, 2048, 64, 64, false) }
 func BenchmarkBackwardSplitFused(b *testing.B)   { benchBackwardSplit(b, 2048, 64, 64, true) }
+
+// Workload-shape kernel benchmarks: the row counts, widths and degrees the
+// repository benchmark's SAGE 3×64 and GAT 2×32 workloads run on reddit-sim
+// features (48 wide, 32 classes) — about 4,000 rows per rank, degree 24 (the
+// k=4 graphs) and 96 (k1-dense). Each SAGE layer is one (in, out) pair.
+var workloadLayers = []struct{ in, out int }{{48, 64}, {64, 64}, {64, 32}}
+
+const workloadRows = 4000
+
+// BenchmarkMatMulTransAWorkload: SAGE's dW = [z|h]ᵀ·dPre per layer, and
+// GAT's hᵀ·dWh at its two layers.
+func BenchmarkMatMulTransAWorkload(b *testing.B) {
+	rng := NewRNG(46)
+	for _, l := range workloadLayers {
+		z, h := randomMatrix(rng, workloadRows, l.in), randomMatrix(rng, workloadRows, l.in)
+		dPre := randomMatrix(rng, workloadRows, l.out)
+		out := New(2*l.in, l.out)
+		b.Run(fmt.Sprintf("split/in=%d/out=%d", l.in, l.out), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulTransASplit(out, z, h, dPre)
+			}
+		})
+	}
+	for _, in := range []int{48, 32} {
+		h, dWh := randomMatrix(rng, workloadRows, in), randomMatrix(rng, workloadRows, 32)
+		out := New(in, 32)
+		b.Run(fmt.Sprintf("gat/in=%d/out=32", in), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulTransA(out, h, dWh)
+			}
+		})
+	}
+}
+
+// BenchmarkSpMMWorkload: the forward gather (SpMM) and the scaled backward
+// gather (SpMMTrans) at both degrees and both input widths.
+func BenchmarkSpMMWorkload(b *testing.B) {
+	for _, deg := range []int{24, 96} {
+		rng := NewRNG(47)
+		indptr, indices := benchCSR(rng, workloadRows, deg)
+		tIndptr, tSrc := transposeCSR(workloadRows, indptr, indices, workloadRows)
+		scale := make([]float32, workloadRows)
+		for i := range scale {
+			scale[i] = 1 / float32(deg)
+		}
+		for _, dim := range []int{48, 64} {
+			x := randomMatrix(rng, workloadRows, dim)
+			out := New(workloadRows, dim)
+			b.Run(fmt.Sprintf("fwd/deg=%d/dim=%d", deg, dim), func(b *testing.B) {
+				b.SetBytes(int64(workloadRows) * int64(deg) * int64(dim) * 4)
+				for i := 0; i < b.N; i++ {
+					SpMM(out, x, indptr, indices, scale, nil)
+				}
+			})
+			b.Run(fmt.Sprintf("trans/deg=%d/dim=%d", deg, dim), func(b *testing.B) {
+				b.SetBytes(int64(workloadRows) * int64(deg) * int64(dim) * 4)
+				for i := 0; i < b.N; i++ {
+					out.Zero()
+					SpMMTrans(out, x, tIndptr, tSrc, scale, nil)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkAggProjWorkload: the fused SAGE forward (SpMMMatMul) per layer at
+// both degrees.
+func BenchmarkAggProjWorkload(b *testing.B) {
+	for _, deg := range []int{24, 96} {
+		for _, l := range workloadLayers {
+			b.Run(fmt.Sprintf("deg=%d/in=%d/out=%d", deg, l.in, l.out), func(b *testing.B) {
+				benchAggProj(b, workloadRows, deg, l.in, l.out, true)
+			})
+		}
+	}
+}

@@ -19,11 +19,11 @@ import "fmt"
 // Bit-identity. Per output row the projection performs the EXACT operation
 // sequence of matMulBlock over the virtual concat row [z_v | h_v]: the same
 // kk-panel walk over the full 2·in width — panels are never restarted at the
-// z/h boundary, so axpy4 groupings are unchanged even when in % 4 != 0 — the
-// same all-four-zero coefficient skip, and the same scalar-tail Axpy with
-// zero skip. The aggregation into z is spmmBlock itself. Rows are independent,
-// so every partition of the row space (chunks, grains, row lists) is
-// bit-identical in any execution order, exactly like SpMM/MatMul. The fused
+// z/h boundary, so the four-term groupings are unchanged even when in % 4 != 0
+// — the same all-four-zero coefficient skip, and the same scalar tail. The
+// aggregation into z is spmmBlock itself. Rows are independent, so every
+// partition of the row space (chunks, grains, row lists) is bit-identical in
+// any execution order, exactly like SpMM/MatMul. The fused
 // property tests pin fused ≡ SpMM+copy+MatMul bitwise on odd/prime widths,
 // zero/mega-degree rows, random row partitions, and the forced-parallel path.
 //
@@ -87,77 +87,34 @@ func SpMMMatMulRows(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale
 
 // spmmMatMulBlock runs the fused pass over the listed rows (at most
 // rowBlock): they are aggregated into z, then projected while still
-// cache-hot, reusing each four-row w panel across the whole block.
+// cache-hot, w shared by the whole block.
 func spmmMatMulBlock(pre, z, h, w *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
 	spmmBlock(z, h, indptr, indices, scale, rows)
 	fusedProject(pre, z, h, w, rows)
 }
 
 // fusedProject computes the listed pre rows over the virtual concat [z|h]
-// with matMulBlock's exact per-row operation sequence: kk panels of four over
-// the FULL 2·in width (never restarted at the z/h boundary), the identical
-// all-four-zero skip, and the identical scalar tail. Coefficient kk of row i
-// reads z when kk < in, h when kk ≥ in; the choice is made once per panel, not
-// per coefficient, except for the one panel that straddles the boundary when
-// in % 4 != 0.
+// with matMulBlock's exact per-row operation sequence: each row's concat
+// coefficients [z_i | h_i] are gathered once into scratch and the row is one
+// reduction over w's 2·in rows — panels of four over the full width, never
+// restarted at the z/h boundary, the same all-four-zero skip and the same
+// scalar tail.
 func fusedProject(pre, z, h, w *Matrix, rows []int32) {
 	in := z.Cols
 	k, m := 2*in, w.Cols
-	wd, zd, hd := w.Data, z.Data, h.Data
-	pd := pre.Data
+	var cat [coefPiece]float32
 	for _, v := range rows {
-		clear(pd[int(v)*m : int(v)*m+m])
-	}
-	kk := 0
-	for ; kk+4 <= k; kk += 4 {
-		b0 := wd[kk*m : kk*m+m]
-		b1 := wd[(kk+1)*m : (kk+1)*m+m]
-		b2 := wd[(kk+2)*m : (kk+2)*m+m]
-		b3 := wd[(kk+3)*m : (kk+3)*m+m]
-		// The panel's coefficients are four consecutive floats of z (the
-		// aggregation half) or of h (the self half).
-		cd, off := zd, kk
-		if kk >= in {
-			cd, off = hd, kk-in
-		}
-		straddles := kk < in && kk+4 > in
-		for _, v := range rows {
-			i := int(v)
-			var a0, a1, a2, a3 float32
-			if straddles {
-				a0 = concatCoef(zd, hd, in, i, kk)
-				a1 = concatCoef(zd, hd, in, i, kk+1)
-				a2 = concatCoef(zd, hd, in, i, kk+2)
-				a3 = concatCoef(zd, hd, in, i, kk+3)
-			} else {
-				arow := cd[i*in+off : i*in+off+4]
-				a0, a1, a2, a3 = arow[0], arow[1], arow[2], arow[3]
-			}
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue // zero-degree row or dropout-sparse input panel
-			}
-			axpy4(pd[i*m:i*m+m], b0, b1, b2, b3, a0, a1, a2, a3)
+		i := int(v)
+		dst := pre.Data[i*m : i*m+m]
+		clear(dst)
+		zi, hi := z.Data[i*in:i*in+in], h.Data[i*in:i*in+in]
+		for k0 := 0; k0 < k; k0 += coefPiece {
+			k1 := min(k0+coefPiece, k)
+			nz := copy(cat[:], zi[min(k0, in):min(k1, in)])
+			copy(cat[nz:], hi[max(k0, in)-in:max(k1, in)-in])
+			panelRows(dst, w.Data[k0*m:], m, rowRange(0, k1-k0), cat[:k1-k0], 1)
 		}
 	}
-	for ; kk < k; kk++ {
-		brow := wd[kk*m : kk*m+m]
-		for _, v := range rows {
-			i := int(v)
-			av := concatCoef(zd, hd, in, i, kk)
-			if av == 0 {
-				continue
-			}
-			Axpy(pd[i*m:i*m+m], brow, av)
-		}
-	}
-}
-
-// concatCoef reads element kk of the virtual concat row [z_i | h_i].
-func concatCoef(zd, hd []float32, in, i, kk int) float32 {
-	if kk < in {
-		return zd[i*in+kk]
-	}
-	return hd[i*in+kk-in]
 }
 
 // checkSplitB validates the fused backward-sweep contract.

@@ -28,9 +28,8 @@ import (
 // to fold and the result does not depend on the pool width.
 
 // rowBlock is the most rows a row-independent kernel body is handed at once,
-// and the dense kernels' claim size. It is the row-tile height: a four-row
-// b-panel (the L1-resident operand) is reused across all rows of one block
-// before the next panel loads, while the block's output rows stay in L2.
+// and the dense kernels' claim size: the rows of a block share the operand
+// they all read (b, or the projection's w) while it is in cache.
 const rowBlock = 64
 
 // spmmGrain is the claim size (in rows) of the sparse kernels when the
@@ -205,10 +204,36 @@ func (t *rowTask) run() {
 }
 
 var (
-	taskPool   = sync.Pool{New: func() any { return new(rowTask) }}
 	workerOnce sync.Once
 	workQueue  chan *rowTask
 )
+
+// freeTasks is the dispatcher's free list of rowTasks: one per concurrent
+// parallel call, kept for the process lifetime. (A sync.Pool would drop
+// them — under -race a quarter of every Put — and a steady-state kernel call
+// would allocate its task again.)
+var freeTasks struct {
+	sync.Mutex
+	list []*rowTask
+}
+
+func getTask() *rowTask {
+	freeTasks.Lock()
+	defer freeTasks.Unlock()
+	n := len(freeTasks.list)
+	if n == 0 {
+		return new(rowTask)
+	}
+	t := freeTasks.list[n-1]
+	freeTasks.list = freeTasks.list[:n-1]
+	return t
+}
+
+func putTask(t *rowTask) {
+	freeTasks.Lock()
+	freeTasks.list = append(freeTasks.list, t)
+	freeTasks.Unlock()
+}
 
 // startWorkers launches the persistent kernel worker pool. Workers block on
 // the queue between tasks; they are started lazily on the first parallel
@@ -249,7 +274,7 @@ func dispatch(call rowCall, rows []int32, grain int, chunks []int32) {
 		return
 	}
 	workerOnce.Do(startWorkers)
-	t := taskPool.Get().(*rowTask)
+	t := getTask()
 	t.rowCall, t.rows, t.grain, t.chunks, t.units = call, rows, grain, chunks, units
 	if t.base = 0; chunks != nil && len(rows) > 0 {
 		t.base = int(rows[0])
@@ -263,7 +288,7 @@ func dispatch(call rowCall, rows []int32, grain int, chunks []int32) {
 	t.run()
 	t.wg.Wait()
 	t.rowCall, t.rows, t.chunks = rowCall{}, nil, nil
-	taskPool.Put(t)
+	putTask(t)
 }
 
 // ForRows runs fn over rows in pieces of at most rowBlock rows on the kernel
@@ -340,23 +365,6 @@ func Dot(a, b []float32) float32 {
 	return s
 }
 
-// axpy4 computes dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j].
-// All slices have len(dst) elements.
-func axpy4(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
-	n := len(dst)
-	j := 0
-	if useAVX2 && n >= 8 {
-		n8 := n &^ 7
-		a := [4]float32{a0, a1, a2, a3}
-		axpy4AVX2(&dst[0], &b0[0], &b1[0], &b2[0], &b3[0], n8, &a)
-		j = n8
-	}
-	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
-	for ; j < n; j++ {
-		dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
-	}
-}
-
 // dot4 returns the four dot products of a with b0..b3 (all len(a) long).
 func dot4(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
 	n := len(a)
@@ -393,8 +401,8 @@ func checkMatMul(name string, out, a, b *Matrix) {
 
 // MatMul computes out = a·b where a is n×k and b is k×m. out must be n×m and
 // is overwritten. Row blocks of rowBlock rows are distributed across workers;
-// within a block the kernel walks four-row b panels so each panel stays hot in
-// L1 while the block of out accumulates in L2.
+// each output row is held in registers across its whole reduction over b's
+// rows, four at a time, skipping four-wide zero panels of a (dropout).
 func MatMul(out, a, b *Matrix) {
 	checkMatMul("MatMul", out, a, b)
 	dispatch(rowCall{kernel: kernelMatMul, out: out, a: a, b: b}, rowRange(0, a.Rows), rowBlock, nil)
@@ -418,39 +426,16 @@ func MatMulRows(out, a, b *Matrix, rows []int32) {
 	dispatch(rowCall{kernel: kernelMatMul, out: out, a: a, b: b}, rows, rowBlock, nil)
 }
 
-// matMulBlock computes the listed rows of out = a·b.
+// matMulBlock computes the listed rows of out = a·b: each row is one
+// reduction over the k rows of b, held in registers from start to end.
 func matMulBlock(out, a, b *Matrix, rows []int32) {
 	k, m := a.Cols, b.Cols
-	bd := b.Data
+	ks := rowRange(0, k)
 	for _, v := range rows {
-		clear(out.Data[int(v)*m : int(v)*m+m])
-	}
-	kk := 0
-	for ; kk+4 <= k; kk += 4 {
-		b0 := bd[kk*m : kk*m+m]
-		b1 := bd[(kk+1)*m : (kk+1)*m+m]
-		b2 := bd[(kk+2)*m : (kk+2)*m+m]
-		b3 := bd[(kk+3)*m : (kk+3)*m+m]
-		for _, v := range rows {
-			i := int(v)
-			arow := a.Data[i*k : i*k+k]
-			a0, a1, a2, a3 := arow[kk], arow[kk+1], arow[kk+2], arow[kk+3]
-			if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
-				continue // dropout-sparse input panel
-			}
-			axpy4(out.Data[i*m:i*m+m], b0, b1, b2, b3, a0, a1, a2, a3)
-		}
-	}
-	for ; kk < k; kk++ {
-		brow := bd[kk*m : kk*m+m]
-		for _, v := range rows {
-			i := int(v)
-			av := a.Data[i*k+kk]
-			if av == 0 {
-				continue
-			}
-			Axpy(out.Data[i*m:i*m+m], brow, av)
-		}
+		i := int(v)
+		dst := out.Data[i*m : i*m+m]
+		clear(dst)
+		panelRows(dst, b.Data, m, ks, a.Data[i*k:i*k+k], 1)
 	}
 }
 
@@ -554,23 +539,37 @@ func MatMulTransAAt(out, a, b *Matrix, at []int32, n int) {
 // 64 output rows by 64 columns.
 const reduceTile = 4096
 
+// reduceSlab is how many reduction terms (virtual rows of a and b) one pass
+// of a dW reduction takes, and reduceCols how many output rows share one
+// pass: the slab's 64 rows of b stay in L1 while the output rows walk them,
+// and its coefficients are one 16 KB scratch.
+const (
+	reduceSlab = 64
+	reduceCols = 64
+)
+
 // matMulTransABlock computes rows [c0,c1) of aᵀ·b — the sums over columns
 // [c0,c1) of a — into od, whose row c holds m = b.Cols floats at c·m. The
 // reduction runs over b's rows (a may be taller) placed at their virtual
 // rows (see MatMulTransAAt; at == nil means every row is stored), four
-// virtual rows per pass from row 0 and the remainder row by row. A virtual
-// row that is not stored is a zero row: it takes its lane of a block with a
-// zero coefficient, and a block or tail row with nothing stored is skipped.
+// virtual rows per panel from row 0 and the remainder row by row. A virtual
+// row that is not stored is a zero row: it takes its lane of a panel with a
+// zero coefficient and a stored row's b, and a panel or tail row with
+// nothing stored is skipped.
+//
+// The terms go by in slabs of reduceSlab. A slab's coefficients are its
+// stored rows of a, cut to the output rows' columns and copied into scratch
+// (a zero lane's row cleared), so output row c walks its column of the
+// scratch at a fixed stride and is held in registers across the whole slab
+// (panelRows).
 //
 // A piece of at most reduceTile floats is summed in a local tile and stored
 // once at the end. Neighbouring units' pieces are adjacent in od and every
-// pass sweeps a piece from end to end; summed in place, two cores on two 8 KB
-// pieces took 1.35× the time they take with 8 KB or more between the pieces
-// (1.15× with 64 B to 4 KB between them), as if each core's prefetchers ran
-// past the end of its piece into the lines the other is writing. A larger
-// piece amortises that over its longer sweep. The tile starts on a cache
-// line, as the allocator starts a Matrix: from an unaligned one every other
-// 32-byte access of axpy4 straddles two lines, which cost 8 % at one core.
+// slab sweeps a piece from end to end; summed in place, two cores on two 8 KB
+// pieces took 1.35× the time they take with 8 KB or more between the pieces,
+// as if each core's prefetchers ran past the end of its piece into the lines
+// the other is writing. The tile starts on a cache line, as the allocator
+// starts a Matrix, so no 32-byte row access straddles two lines.
 func matMulTransABlock(od []float32, a, b *Matrix, at []int32, n, c0, c1 int) {
 	w, m := a.Cols, b.Cols
 	ad, bd := a.Data, b.Data
@@ -589,54 +588,42 @@ func matMulTransABlock(od []float32, a, b *Matrix, at []int32, n, c0, c1 int) {
 		acc = tile[off : off+len(acc)]
 	}
 	clear(acc)
+	var (
+		src  [reduceSlab]int32 // the stored row a term's coefficients come from; −1 for a zero lane
+		rows [reduceSlab]int32 // the row of b a term reads
+		coef [reduceCols * reduceSlab]float32
+	)
 	tail := (r0 + n) / 4 * 4 // virtual rows from here on are reduced one by one
-	i := 0
-	for i < end && virt(i) < tail {
-		kk := virt(i) / 4 * 4
-		if i+4 <= end && virt(i+3) == kk+3 { // all four rows stored
-			a0, a1, a2, a3 := ad[i*w+c0:i*w+c1], ad[(i+1)*w+c0:(i+1)*w+c1], ad[(i+2)*w+c0:(i+2)*w+c1], ad[(i+3)*w+c0:(i+3)*w+c1]
-			b0, b1, b2, b3 := bd[i*m:i*m+m], bd[(i+1)*m:(i+1)*m+m], bd[(i+2)*m:(i+2)*m+m], bd[(i+3)*m:(i+3)*m+m]
-			for c, v0 := range a0 {
-				v1, v2, v3 := a1[c], a2[c], a3[c]
-				if v0 == 0 && v1 == 0 && v2 == 0 && v3 == 0 {
-					continue
+	for i := 0; i < end; {
+		s := 0
+		for s+4 <= reduceSlab && i < end && virt(i) < tail {
+			kk, first := virt(i)/4*4, int32(i)
+			for t := kk; t < kk+4; t++ {
+				src[s], rows[s] = -1, first
+				if i < end && virt(i) == t {
+					src[s], rows[s] = int32(i), int32(i)
+					i++
 				}
-				axpy4(acc[c*m:c*m+m], b0, b1, b2, b3, v0, v1, v2, v3)
-			}
-			i += 4
-			continue
-		}
-		// A block with gaps: a lane whose row is not stored reads a stored
-		// row's b under a zero coefficient.
-		var al, bl [4][]float32
-		first := i
-		for t := range al {
-			bl[t] = bd[first*m : first*m+m]
-			if i < end && virt(i) == kk+t {
-				al[t], bl[t] = ad[i*w+c0:i*w+c1], bd[i*m:i*m+m]
-				i++
+				s++
 			}
 		}
-		for c := 0; c < c1-c0; c++ {
-			var v [4]float32
-			for t, row := range al {
-				if row != nil {
-					v[t] = row[c]
+		for ; s < reduceSlab && i < end && virt(i) >= tail; i++ {
+			src[s], rows[s] = int32(i), int32(i)
+			s++
+		}
+		for cb0 := c0; cb0 < c1; cb0 += reduceCols {
+			cb1 := min(cb0+reduceCols, c1)
+			cw := cb1 - cb0 // term t's coefficient for row c at coef[t·cw + c−cb0]
+			for t, r := range src[:s] {
+				if r < 0 {
+					clear(coef[t*cw : t*cw+cw])
+				} else {
+					copy(coef[t*cw:t*cw+cw], ad[int(r)*w+cb0:int(r)*w+cb1])
 				}
 			}
-			if v[0] == 0 && v[1] == 0 && v[2] == 0 && v[3] == 0 {
-				continue
+			for c := cb0; c < cb1; c++ {
+				panelRows(acc[(c-c0)*m:(c-c0+1)*m], bd, m, rows[:s], coef[c-cb0:], cw)
 			}
-			axpy4(acc[c*m:c*m+m], bl[0], bl[1], bl[2], bl[3], v[0], v[1], v[2], v[3])
-		}
-	}
-	for ; i < end; i++ {
-		brow := bd[i*m : i*m+m]
-		for c, av := range ad[i*w+c0 : i*w+c1] {
-			if av == 0 {
-				continue
-			}
-			Axpy(acc[c*m:c*m+m], brow, av)
 		}
 	}
 	copy(od[c0*m:c1*m], acc)

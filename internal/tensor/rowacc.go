@@ -1,0 +1,77 @@
+package tensor
+
+// Row-accumulate kernels: the one inner loop of the projection, the dW
+// reductions and the sparse gathers. Each computes
+//
+//	dst += Σ_t coef[t] · x.Row(idx[t])
+//
+// for one output row, in term order, four terms (a panel) at a time and the
+// last len(idx)%4 one by one. On AVX2 the row's 8-aligned prefix is held in
+// YMM registers for the whole sum — in strips of at most rowStrip floats,
+// eight accumulators — and loaded and stored once; the <8-float tail is the
+// scalar loop beside it, which without AVX2 covers the whole row and is the
+// reference. panelRows is the dense form (the projection and dW); GatherAdd
+// and GatherAxpy (spmm.go) are the gathers.
+//
+// Every output element keeps the exact operation chain of the per-panel
+// kernels these replaced: per panel the four FMAs a0, a1, a2, a3 into the
+// accumulator in that order (fma(1, x, acc) ≡ acc + x for the unit sum), a
+// single term one FMA (one add), panels in order. Only the loads and stores
+// of the row between panels are gone, and they were exact, so the result has
+// the same bits. The scalar tails keep the expressions of those kernels too:
+// panelRows the fused four-term sum of the dense kernels, the gathers one
+// term at a time like AddTo and Axpy.
+
+// rowStrip is the widest piece of an output row one kernel call holds in
+// registers: eight YMM accumulators of eight floats.
+const rowStrip = 64
+
+// coefPiece is the most coefficients a caller gathers onto its stack for one
+// row kernel call (fusedProject's concat row, SpMMTrans's per-source scales).
+// A longer list goes in pieces of whole panels; a piece boundary only stores
+// and reloads the row, which changes no bit.
+const coefPiece = 256
+
+// panelRows accumulates dst += Σ_t coef[t·cs]·x[idx[t]·ldx:][:len(dst)],
+// passing over every panel whose four coefficients are all ±0 and every
+// single term whose coefficient is — the dense kernels' dropout skip. The
+// caller guarantees that coef holds every term's coefficient and that every
+// row it names lies inside x.
+func panelRows(dst, x []float32, ldx int, idx []int32, coef []float32, cs int) {
+	n := len(dst)
+	n8 := 0
+	if useAVX2 && len(idx) > 0 {
+		_ = coef[(len(idx)-1)*cs] // the last term's coefficient is in coef
+		n8 = n &^ 7
+		for s := 0; s < n8; s += rowStrip {
+			axpyRowsAVX2(&dst[s], min(n8-s, rowStrip)/8, &idx[0], len(idx), &x[s], ldx, &coef[0], cs, 1)
+		}
+	}
+	if n8 == n {
+		return
+	}
+	t := 0
+	for ; t+4 <= len(idx); t += 4 {
+		a0, a1, a2, a3 := coef[t*cs], coef[(t+1)*cs], coef[(t+2)*cs], coef[(t+3)*cs]
+		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
+			continue
+		}
+		b0 := x[int(idx[t])*ldx:][:n]
+		b1 := x[int(idx[t+1])*ldx:][:n]
+		b2 := x[int(idx[t+2])*ldx:][:n]
+		b3 := x[int(idx[t+3])*ldx:][:n]
+		for j := n8; j < n; j++ {
+			dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
+		}
+	}
+	for ; t < len(idx); t++ {
+		a := coef[t*cs]
+		if a == 0 {
+			continue
+		}
+		src := x[int(idx[t])*ldx:][:n]
+		for j := n8; j < n; j++ {
+			dst[j] += a * src[j]
+		}
+	}
+}

@@ -18,11 +18,28 @@ func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // axpy4AVX2 computes dst[j] += a[0]*b0[j] + a[1]*b1[j] + a[2]*b2[j] +
-// a[3]*b3[j] for j in [0,n). n must be a multiple of 8; callers handle the
-// scalar tail.
+// a[3]*b3[j] for j in [0,n). n must be a multiple of 8. The row kernels
+// replaced its per-panel calls; it stays as the tests' reference for their
+// bits.
 //
 //go:noescape
 func axpy4AVX2(dst, b0, b1, b2, b3 *float32, n int, a *[4]float32)
+
+//go:generate go run gen_rowacc.go
+
+// sumRowsAVX2 computes dst[j] += Σ_t x[idx[t]·ldx + j] over the terms t <
+// terms and j < 8·lanes (lanes in [1,8]), holding the row in registers (see
+// rowacc.go and rowacc_amd64.s).
+//
+//go:noescape
+func sumRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx int)
+
+// axpyRowsAVX2 computes dst[j] += Σ_t coef[t·cstride]·x[idx[t]·ldx + j] over
+// the terms t < terms and j < 8·lanes (lanes in [1,8]), holding the row in
+// registers; skip != 0 passes over all-±0 panels and ±0 single terms.
+//
+//go:noescape
+func axpyRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx int, coef *float32, cstride, skip int)
 
 // dot4AVX2 writes the four dot products a·b0, a·b1, a·b2, a·b3 over the
 // first n elements into out. n must be a multiple of 8.

@@ -10,6 +10,14 @@ func axpy4AVX2(dst, b0, b1, b2, b3 *float32, n int, a *[4]float32) {
 	panic("tensor: axpy4AVX2 unavailable on this platform")
 }
 
+func sumRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx int) {
+	panic("tensor: sumRowsAVX2 unavailable on this platform")
+}
+
+func axpyRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx int, coef *float32, cstride, skip int) {
+	panic("tensor: axpyRowsAVX2 unavailable on this platform")
+}
+
 func dot4AVX2(a, b0, b1, b2, b3 *float32, n int, out *[4]float32) {
 	panic("tensor: dot4AVX2 unavailable on this platform")
 }

@@ -15,15 +15,15 @@ import "fmt"
 //	                  scale[v_e])        (dst is NOT zeroed: the caller owns
 //	                  the initialization — zero, or a self term)
 //
-// The kernels below walk edges four at a time through axpy4 instead, and that
-// is bit-identical to the sequential walk: the assembly chains its four FMAs
-// into one accumulator in source order (dst, then +b0, +b1, +b2, +b3 — and
-// fma(1,x,acc) ≡ acc+x exactly, so the unit-coefficient case reproduces
-// AddTo), and addTo4/axpySeq4 use sequential mul-then-add scalar tails that
-// match Axpy's own tail step for step. Accumulation order per *element* only
-// depends on per-element operation order, which edge-blocking preserves.
-// The property tests pin kernel ≡ reference on odd/prime shapes, zero-degree
-// rows, and random row partitions.
+// The kernels below sum a row's edges with the row kernels (rowacc.go,
+// GatherAdd and GatherAxpy) instead, and that is bit-identical to the sequential walk: the row is held
+// in registers across all its edges, four FMAs chained into one accumulator
+// per four edges in source order (fma(1,x,acc) ≡ acc+x exactly, so the unit
+// case reproduces AddTo), and the scalar tails add one term at a time like
+// AddTo and Axpy. Accumulation order per *element* only depends on
+// per-element operation order, which neither the blocking nor the registers
+// change. The property tests pin kernel ≡ reference on odd/prime shapes,
+// zero-degree rows, and random row partitions.
 //
 // Parallelism. Rows are fully independent (each output row reads only its
 // own CSR segment and writes only itself), so any duplicate-free partition of
@@ -36,57 +36,8 @@ import "fmt"
 // spmmGrain at a time, which load-balances everything except a single mega
 // row.
 
-// unitCoef feeds axpy4AVX2 for the unscaled gather: fma(1,x,acc) ≡ acc+x
-// bitwise, so the blocked sum reproduces sequential AddTo exactly.
-var unitCoef = [4]float32{1, 1, 1, 1}
-
-// addTo4 computes dst += b0 + b1 + b2 + b3 with, per element, the exact
-// accumulation order of four sequential AddTo calls.
-func addTo4(dst, b0, b1, b2, b3 []float32) {
-	n := len(dst)
-	j := 0
-	if useAVX2 && n >= 8 {
-		n8 := n &^ 7
-		axpy4AVX2(&dst[0], &b0[0], &b1[0], &b2[0], &b3[0], n8, &unitCoef)
-		j = n8
-	}
-	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
-	for ; j < n; j++ {
-		v := dst[j]
-		v += b0[j]
-		v += b1[j]
-		v += b2[j]
-		v += b3[j]
-		dst[j] = v
-	}
-}
-
-// axpySeq4 computes dst += a0*b0 + a1*b1 + a2*b2 + a3*b3 with, per element,
-// the exact accumulation order of four sequential Axpy calls (the assembly
-// chains the four FMAs; the scalar tail multiplies-then-adds one term at a
-// time, unlike axpy4's fused four-term tail).
-func axpySeq4(dst, b0, b1, b2, b3 []float32, a0, a1, a2, a3 float32) {
-	n := len(dst)
-	j := 0
-	if useAVX2 && n >= 8 {
-		n8 := n &^ 7
-		a := [4]float32{a0, a1, a2, a3}
-		axpy4AVX2(&dst[0], &b0[0], &b1[0], &b2[0], &b3[0], n8, &a)
-		j = n8
-	}
-	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
-	for ; j < n; j++ {
-		v := dst[j]
-		v += a0 * b0[j]
-		v += a1 * b1[j]
-		v += a2 * b2[j]
-		v += a3 * b3[j]
-		dst[j] = v
-	}
-}
-
 // GatherSum computes dst = Σ_i x.Row(nbrs[i]), walking the rows in order
-// with the edge-blocked accumulation (bit-identical to sequential AddTo).
+// (bit-identical to sequential AddTo).
 // len(dst) must equal x.Cols.
 func GatherSum(dst []float32, x *Matrix, nbrs []int32) {
 	for j := range dst {
@@ -95,38 +46,65 @@ func GatherSum(dst []float32, x *Matrix, nbrs []int32) {
 	GatherAdd(dst, x, nbrs)
 }
 
-// GatherAdd computes dst += Σ_i x.Row(nbrs[i]) in list order.
-func GatherAdd(dst []float32, x *Matrix, nbrs []int32) {
-	w := len(dst)
-	xd := x.Data
-	xw := x.Cols
-	i := 0
-	for ; i+4 <= len(nbrs); i += 4 {
-		u0, u1, u2, u3 := int(nbrs[i])*xw, int(nbrs[i+1])*xw, int(nbrs[i+2])*xw, int(nbrs[i+3])*xw
-		addTo4(dst, xd[u0:u0+w], xd[u1:u1+w], xd[u2:u2+w], xd[u3:u3+w])
+// checkGather rejects a gather that would read outside x: a row id out of
+// range, or a destination wider than x's rows.
+func checkGather(dst []float32, x *Matrix, idx []int32) {
+	if len(dst) > x.Cols {
+		panic(fmt.Sprintf("tensor: gather destination width %d > source width %d", len(dst), x.Cols))
 	}
-	for ; i < len(nbrs); i++ {
-		u := int(nbrs[i]) * xw
-		AddTo(dst, xd[u:u+w])
+	for _, u := range idx {
+		if uint32(u) >= uint32(x.Rows) {
+			panic(fmt.Sprintf("tensor: gather row %d outside [0,%d)", u, x.Rows))
+		}
+	}
+}
+
+// GatherAdd computes dst += Σ_i x.Row(nbrs[i])[:len(dst)] in list order, with
+// per element the chain of sequential AddTo calls (see rowacc.go).
+func GatherAdd(dst []float32, x *Matrix, nbrs []int32) {
+	checkGather(dst, x, nbrs)
+	n, xd, ldx := len(dst), x.Data, x.Cols
+	n8 := 0
+	if useAVX2 && len(nbrs) > 0 {
+		n8 = n &^ 7
+		for s := 0; s < n8; s += rowStrip {
+			sumRowsAVX2(&dst[s], min(n8-s, rowStrip)/8, &nbrs[0], len(nbrs), &xd[s], ldx)
+		}
+	}
+	if n8 == n {
+		return
+	}
+	for _, u := range nbrs {
+		src := xd[int(u)*ldx:][:n]
+		for j := n8; j < n; j++ {
+			dst[j] += src[j]
+		}
 	}
 }
 
 // GatherAxpy computes dst += Σ_i coef[i]·x.Row(nbrs[i]) in list order
-// (bit-identical to sequential Axpy calls). len(coef) must be ≥ len(nbrs);
-// len(dst) must be ≤ x.Cols (a prefix of each source row is gathered).
+// (bit-identical to sequential Axpy calls; no zero skip). len(coef) must be
+// ≥ len(nbrs); len(dst) must be ≤ x.Cols (a prefix of each source row is
+// gathered).
 func GatherAxpy(dst []float32, x *Matrix, nbrs []int32, coef []float32) {
-	w := len(dst)
-	xd := x.Data
-	xw := x.Cols
-	i := 0
-	for ; i+4 <= len(nbrs); i += 4 {
-		u0, u1, u2, u3 := int(nbrs[i])*xw, int(nbrs[i+1])*xw, int(nbrs[i+2])*xw, int(nbrs[i+3])*xw
-		axpySeq4(dst, xd[u0:u0+w], xd[u1:u1+w], xd[u2:u2+w], xd[u3:u3+w],
-			coef[i], coef[i+1], coef[i+2], coef[i+3])
+	checkGather(dst, x, nbrs)
+	n, xd, ldx := len(dst), x.Data, x.Cols
+	coef = coef[:len(nbrs)]
+	n8 := 0
+	if useAVX2 && len(nbrs) > 0 {
+		n8 = n &^ 7
+		for s := 0; s < n8; s += rowStrip {
+			axpyRowsAVX2(&dst[s], min(n8-s, rowStrip)/8, &nbrs[0], len(nbrs), &xd[s], ldx, &coef[0], 1, 0)
+		}
 	}
-	for ; i < len(nbrs); i++ {
-		u := int(nbrs[i]) * xw
-		Axpy(dst, xd[u:u+w], coef[i])
+	if n8 == n {
+		return
+	}
+	for t, u := range nbrs {
+		a, src := coef[t], xd[int(u)*ldx:][:n]
+		for j := n8; j < n; j++ {
+			dst[j] += a * src[j]
+		}
 	}
 }
 
@@ -245,8 +223,7 @@ func SpMMTransRange(dst, src *Matrix, indptr []int64, indices []int32, scale []f
 // initialization.
 func spmmTransBlock(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
 	w := dst.Cols
-	sd := src.Data
-	sw := src.Cols
+	var coef [coefPiece]float32
 	for _, r := range rows {
 		drow := dst.Data[int(r)*w : int(r)*w+w]
 		srcs := indices[indptr[r]:indptr[r+1]]
@@ -254,17 +231,13 @@ func spmmTransBlock(dst, src *Matrix, indptr []int64, indices []int32, scale []f
 			GatherAdd(drow, src, srcs)
 			continue
 		}
-		i := 0
-		for ; i+4 <= len(srcs); i += 4 {
-			v0, v1, v2, v3 := srcs[i], srcs[i+1], srcs[i+2], srcs[i+3]
-			axpySeq4(drow,
-				sd[int(v0)*sw:int(v0)*sw+w], sd[int(v1)*sw:int(v1)*sw+w],
-				sd[int(v2)*sw:int(v2)*sw+w], sd[int(v3)*sw:int(v3)*sw+w],
-				scale[v0], scale[v1], scale[v2], scale[v3])
-		}
-		for ; i < len(srcs); i++ {
-			v := srcs[i]
-			Axpy(drow, sd[int(v)*sw:int(v)*sw+w], scale[v])
+		for len(srcs) > 0 {
+			piece := srcs[:min(len(srcs), coefPiece)]
+			for t, v := range piece {
+				coef[t] = scale[v]
+			}
+			GatherAxpy(drow, src, piece, coef[:])
+			srcs = srcs[len(piece):]
 		}
 	}
 }
