@@ -50,7 +50,6 @@ import (
 	"os/exec"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/comm"
@@ -92,7 +91,7 @@ func main() {
 		ckptDir     = flag.String("checkpoint-dir", "", "checkpoint directory; enables elastic fault-tolerant training (requires -world; every rank and any -join replacement must see the same directory)")
 		ckptEvery   = flag.Int("checkpoint-every", 5, "checkpoint cadence in epochs for elastic training")
 		ckptKeep    = flag.Int("checkpoint-keep", 3, "checkpoint generations retained per rank (older ones are pruned after each save; the cohort's agreed resume generation is always kept; 0 = keep everything)")
-		join        = flag.Bool("join", false, "re-admit this process into a dead rank's slot: resume the -rank given from the shared -checkpoint-dir (the training loop is identical; the flag documents intent and is validated)")
+		join        = flag.Bool("join", false, "re-admit this process into a dead rank's slot of a running cohort: the replacement probes every rendezvous candidate (a shrunken cohort answers on its lowest live slot) and reports the newest generation any slot holds in the shared -checkpoint-dir, since its own shards are stale; then it resumes the -rank given like any survivor")
 		hostsFile   = flag.String("hosts", "", "file with one rendezvous candidate per rank, host or host:port per line (# comments ok); default: loopback ports 29500+rank")
 		listenHost  = flag.String("listen-host", "", "interface data listeners bind and advertise (default 127.0.0.1; multi-host runs must set this rank's reachable address)")
 		hbEvery     = flag.Duration("heartbeat-interval", 2*time.Second, "TCP heartbeat cadence for wedged-peer detection in elastic runs (0 disables; only closed connections are then detected)")
@@ -440,17 +439,14 @@ func rendezvousCandidates(hostsFile string, world int) ([]string, error) {
 
 // trainElastic runs this process's single rank under the elastic recovery
 // loop: periodic atomic checkpoints, peer-death detection, re-rendezvous,
-// and resume — bit-identical to an uninterrupted run. With -resize-after,
-// a permanently lost peer shrinks the world instead of wedging it: the
-// members-aware trainer factory folds the dead slots' nodes into the
-// survivors' partitions (partition.ShrinkToMembers) and rebuilds the
-// topology at k', with this process's mesh rank compacted to its index
-// among the members; a -join replacement later grows the world back and the
-// same factory sheds the absorbed rows to their original owners.
+// and resume — bit-identical to an uninterrupted run. With -resize-after, a
+// permanently lost peer shrinks the world instead of wedging it, and a -join
+// replacement later grows it back; elastic.MemberTrainerFactory lays out the
+// partitions of either world.
 func trainElastic(ds *datagen.Dataset, parts []int32, topo *core.Topology, pcfg core.ParallelConfig,
 	rc elastic.RunnerConfig, prog progress) {
 	rank := rc.Rank
-	rc.NewTrainer = memberTrainerFactory(ds, parts, topo, pcfg, rc.World)
+	rc.NewTrainer = elastic.MemberTrainerFactory(ds, parts, topo, pcfg, rc.World)
 	rc.OnEpoch = prog.afterEpoch
 	_, rep, err := elastic.Run(rc)
 	if err != nil {
@@ -466,53 +462,6 @@ func trainElastic(ds *datagen.Dataset, parts []int32, topo *core.Topology, pcfg 
 		}
 	}
 	prog.printFinal()
-}
-
-// memberTrainerFactory builds the per-generation trainer factory for the
-// elastic loop. The full member set reuses the launch-time topology; a
-// shrunken set derives its k'-way layout with partition.ShrinkToMembers and
-// rebuilds the topology, memoized per member set — every recovery of the
-// same membership must agree bit-for-bit, and the multilevel rebuild is too
-// expensive to redo per bootstrap.
-func memberTrainerFactory(ds *datagen.Dataset, parts []int32, topo *core.Topology,
-	pcfg core.ParallelConfig, world int) func(members []int, slot int) (*core.RankTrainer, error) {
-	type layout struct {
-		topo *core.Topology
-		err  error
-	}
-	cache := map[string]*layout{}
-	var mu sync.Mutex
-	return func(members []int, slot int) (*core.RankTrainer, error) {
-		idx := -1
-		for i, m := range members {
-			if m == slot {
-				idx = i
-			}
-		}
-		if idx < 0 {
-			return nil, fmt.Errorf("rank %d is not in the member set %v", slot, members)
-		}
-		if len(members) == world {
-			return core.NewRankTrainer(ds, topo, pcfg, slot)
-		}
-		key := fmt.Sprint(members)
-		mu.Lock()
-		lo, ok := cache[key]
-		if !ok {
-			lo = &layout{}
-			if shrunk, err := partition.ShrinkToMembers(ds.G, parts, world, members); err != nil {
-				lo.err = err
-			} else {
-				lo.topo, lo.err = core.BuildTopology(ds.G, shrunk, len(members))
-			}
-			cache[key] = lo
-		}
-		mu.Unlock()
-		if lo.err != nil {
-			return nil, fmt.Errorf("shrinking partition layout to members %v: %w", members, lo.err)
-		}
-		return core.NewRankTrainer(ds, lo.topo, pcfg, idx)
-	}
 }
 
 // trainDistributed runs this process's single rank over the TCP transport.

@@ -82,7 +82,7 @@ type bootConfig struct {
 	// resizeAfter, when positive, lets a serving rank complete a round with
 	// a PARTIAL cohort (at least two members) after that many consecutive
 	// rounds timed out with the same stable roster — the permanent-loss
-	// path. Zero keeps the PR-6 behavior: wait for the full world forever.
+	// path. Zero waits for the full world forever.
 	resizeAfter int
 	deadline    time.Time
 }

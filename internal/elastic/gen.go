@@ -10,10 +10,14 @@
 // picks up that rank's checkpoint from the shared checkpoint directory, so
 // the final weights are bit-identical to an uninterrupted run.
 //
-// Two entry points: Supervisor drives k ranks in one process (the form the
-// bit-exactness and fault-injection tests use, over either backend), and
-// Run drives the single rank of a real multi-process deployment
-// (cmd/bnsgcn's elastic mode).
+// Two entry points share one generation body. Run drives the single rank of a
+// real multi-process deployment (cmd/bnsgcn's elastic mode): it elects,
+// meshes and watches for growth, then hands its slot to trainSlot — sweep,
+// resume, dead-shard check, train, drain. Supervisor drives k ranks in one
+// process over either backend (the form the bit-exactness and chaos tests
+// use): it scripts the member set and takes the consensus as a directory
+// read, then runs every rank through that same trainSlot. Both build
+// trainers with MemberTrainerFactory.
 package elastic
 
 import (
@@ -89,13 +93,12 @@ func LatestValidGen(dir string, rank int) int {
 	return 0
 }
 
-// CleanupTmp removes orphan checkpoint .tmp files — the residue of saves
-// that crashed between writing the temporary and renaming it into place.
-// Without this sweep every crash leaks a full-sized file forever. rank < 0
-// sweeps all ranks (the in-process Supervisor owns the whole directory);
-// a multi-process rank passes its own number so a peer's in-flight save is
-// never swept out from under its rename. Call it at bootstrap only, before
-// any training resumes — a live save's .tmp must not be removed.
+// CleanupTmp removes rank's orphan checkpoint .tmp files — the residue of
+// saves that crashed between writing the temporary and renaming it into
+// place. Without this sweep every crash leaks a full-sized file forever.
+// Only rank's own files are swept, so a peer's in-flight save is never
+// removed from under its rename. Call it at bootstrap only, before rank
+// resumes training — a live save's .tmp must not be removed.
 func CleanupTmp(dir string, rank int) (int, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -104,10 +107,7 @@ func CleanupTmp(dir string, rank int) (int, error) {
 		}
 		return 0, err
 	}
-	prefix := "ckpt-r"
-	if rank >= 0 {
-		prefix = fmt.Sprintf("ckpt-r%03d-g", rank)
-	}
+	prefix := fmt.Sprintf("ckpt-r%03d-g", rank)
 	removed := 0
 	for _, e := range ents {
 		name := e.Name()

@@ -79,7 +79,7 @@ func TestElasticMPHelper(t *testing.T) {
 		Candidates: strings.Split(os.Getenv(empEnvCands), ","),
 		Timeout:    60 * time.Second,
 		Rejoin:     os.Getenv(empEnvJoin) == "1",
-		NewTrainer: memberFactory(ds, parts, topo, cfg, world),
+		NewTrainer: MemberTrainerFactory(ds, parts, topo, cfg, world),
 		// Stream epoch progress so the parent can time the SIGKILL; Printf
 		// hits the stdout fd directly, no buffering to defeat. The printed
 		// rank is the slot, which on a shrunken world differs from rt.Rank.

@@ -194,7 +194,7 @@ func TestRunnerResizeShrinkDeterminism(t *testing.T) {
 
 	run := func() (hashes [2]string, reps [2]Report) {
 		ds, parts, topo, cfg := testFixtureParts(t, world)
-		fx := &coreDataset{factory: memberFactory(ds, parts, topo, cfg, world)}
+		fx := &coreDataset{factory: MemberTrainerFactory(ds, parts, topo, cfg, world)}
 		dir := t.TempDir()
 		cands := freeCandidates(t, world)
 
@@ -257,7 +257,7 @@ func TestRunnerResizeGrowBack(t *testing.T) {
 	const world, epochs, every, stopAfter, holdEpoch = 3, 8, 2, 3, 5
 	before := goroutineStacks()
 	ds, parts, topo, cfg := testFixtureParts(t, world)
-	fx := &coreDataset{factory: memberFactory(ds, parts, topo, cfg, world)}
+	fx := &coreDataset{factory: MemberTrainerFactory(ds, parts, topo, cfg, world)}
 	dir := t.TempDir()
 	cands := freeCandidates(t, world)
 
@@ -366,7 +366,7 @@ func TestRunnerResizeDoubleDeathShrinksToTwo(t *testing.T) {
 	const world, epochs, every, stopAfter = 4, 8, 2, 3
 	before := goroutineStacks()
 	ds, parts, topo, cfg := testFixtureParts(t, world)
-	fx := &coreDataset{factory: memberFactory(ds, parts, topo, cfg, world)}
+	fx := &coreDataset{factory: MemberTrainerFactory(ds, parts, topo, cfg, world)}
 	dir := t.TempDir()
 	cands := freeCandidates(t, world)
 
@@ -428,7 +428,7 @@ func TestRunnerResizeLoneSurvivorFailsPointedly(t *testing.T) {
 	const world, epochs, every, stopAfter = 2, 8, 2, 3
 	before := goroutineStacks()
 	ds, parts, topo, cfg := testFixtureParts(t, world)
-	fx := &coreDataset{factory: memberFactory(ds, parts, topo, cfg, world)}
+	fx := &coreDataset{factory: MemberTrainerFactory(ds, parts, topo, cfg, world)}
 	dir := t.TempDir()
 	cands := freeCandidates(t, world)
 
@@ -486,7 +486,7 @@ func TestSupervisorResizeShrinkGrowMatrix(t *testing.T) {
 				}
 				return nil
 			},
-			NewTrainer: memberFactory(ds, parts, topo, cfg, k),
+			NewTrainer: MemberTrainerFactory(ds, parts, topo, cfg, k),
 			NewGroup: func(gen int) (*comm.Group, error) {
 				size := k
 				if gen == 1 {
@@ -619,7 +619,7 @@ func TestSupervisorResizeDoubleFault(t *testing.T) {
 					}
 					return nil
 				},
-				NewTrainer: memberFactory(ds, parts, topo, cfg, k),
+				NewTrainer: MemberTrainerFactory(ds, parts, topo, cfg, k),
 				NewGroup: func(gen int) (*comm.Group, error) {
 					size := k
 					if m, ok := members[gen]; ok {
@@ -674,6 +674,70 @@ func TestSupervisorResizeDoubleFault(t *testing.T) {
 			}
 			if !reflect.DeepEqual(sizes, []int{4, 3, 2}) {
 				t.Fatalf("world sizes %v, want [4 3 2]", sizes)
+			}
+			waitNoLeaks(t, before)
+		})
+	}
+}
+
+// TestSupervisorRefusesSkewedDeadShard: a shrunken resume must cross-check
+// the dead slot's shard against the cohort's weights, in process exactly as
+// across processes. Slot k−1 dies at the epoch-3 boundary; before the k−1
+// generation bootstraps, its shard of resume generation 1 is overwritten
+// with another run's weights. Every survivor must refuse to train on the
+// absorbed rows with the skewed-directory error, over both transports, and
+// leave no goroutine behind.
+func TestSupervisorRefusesSkewedDeadShard(t *testing.T) {
+	const k, epochs, every = 3, 8, 2
+	for _, backend := range []string{"chan", "tcp"} {
+		t.Run(backend, func(t *testing.T) {
+			before := goroutineStacks()
+			ds, parts, topo, cfg := testFixtureParts(t, k)
+			other := cfg
+			other.Model.Seed++
+			stranger, err := core.NewRankTrainer(ds, topo, other, k-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			sup := &Supervisor{
+				Cfg: Config{Dir: dir, Every: every, Epochs: epochs, MaxRecoveries: 2},
+				Members: func(gen int) []int {
+					if gen >= 1 {
+						return fullMembers(k)[:k-1]
+					}
+					return nil
+				},
+				NewTrainer: MemberTrainerFactory(ds, parts, topo, cfg, k),
+				NewGroup: func(gen int) (*comm.Group, error) {
+					size := k
+					if gen >= 1 {
+						size = k - 1
+						if err := SaveGenerationAs(dir, 1, k-1, stranger); err != nil {
+							return nil, err
+						}
+					}
+					var g *comm.Group
+					if backend == "tcp" {
+						var err error
+						if g, err = tcpGroup(t, size); err != nil {
+							return nil, err
+						}
+					} else {
+						g = comm.New(size, 0)
+					}
+					if gen == 0 {
+						g = comm.WithFaults(g, comm.KillAtEpoch(k-1, 3))
+					}
+					return g, nil
+				},
+			}
+			_, rep, err := sup.Run()
+			if err == nil || !strings.Contains(err.Error(), "is skewed") {
+				t.Fatalf("want the skewed-directory refusal, got %v (report %+v)", err, rep)
+			}
+			if rep.Recoveries != 1 || !reflect.DeepEqual(rep.StartGens, []int{0, 1}) {
+				t.Fatalf("want one recovery, then a refused resume of generation 1; got %d recoveries, start generations %v", rep.Recoveries, rep.StartGens)
 			}
 			waitNoLeaks(t, before)
 		})

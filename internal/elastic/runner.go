@@ -41,11 +41,9 @@ type RunnerConfig struct {
 	// may be above ours — and reports the newest generation ANY slot holds,
 	// since its own shard files are stale.
 	Rejoin bool
-	// NewTrainer constructs this slot's trainer for the given member set
-	// (k' = len(members), compact mesh rank = index of slot in members);
-	// called afresh on every bootstrap, like the Supervisor's. On a
-	// full-strength world members is simply [0, World).
-	NewTrainer func(members []int, slot int) (*core.RankTrainer, error)
+	// NewTrainer constructs this slot's trainer for the given member set;
+	// see TrainerFactory. MemberTrainerFactory is the members-aware one.
+	NewTrainer TrainerFactory
 	// OnEpoch, when set, observes every completed epoch (progress logging,
 	// evaluation, test instrumentation).
 	OnEpoch EpochHook
@@ -73,56 +71,38 @@ func Run(cfg RunnerConfig) (*core.RankTrainer, Report, error) {
 	if cfg.ListenHost == "" {
 		cfg.ListenHost = "127.0.0.1"
 	}
-	for {
-		rt, startGen, members, err := runGeneration(&cfg)
-		if members != nil {
-			rep.Worlds = append(rep.Worlds, members)
-		}
-		if startGen >= 0 {
-			rep.StartGens = append(rep.StartGens, startGen)
-		}
-		if err == nil {
-			return rt, rep, nil
-		}
-		if err := rep.absorb(err, cfg.MaxRecoveries, fmt.Sprintf("elastic: rank %d", cfg.Rank)); err != nil {
-			return nil, rep, err
-		}
+	var rt *core.RankTrainer
+	err := rep.retry(cfg.MaxRecoveries, fmt.Sprintf("elastic: rank %d", cfg.Rank), func(int) (members []int, startGen int, err error) {
+		rt, members, startGen, err = runGeneration(&cfg)
+		return members, startGen, err
+	})
+	if err != nil {
+		return nil, rep, err
 	}
+	return rt, rep, nil
 }
 
-// meshError marks bootstrap/mesh failures that are worth retrying — the
-// cohort may simply not have reassembled yet (a replacement still starting,
-// a peer tearing down its old listener). It satisfies recoverable() by
-// carrying a *comm.TransportError.
-func meshError(rank int, err error) error {
-	return &comm.TransportError{Rank: rank, Err: err}
-}
-
-// runGeneration runs one bootstrap-train cycle. The returned generation is
-// the one the cohort agreed to resume from (-1 if the failure happened
-// before agreement), and members is the slot set the cohort agreed to train
-// as (nil before agreement).
-func runGeneration(cfg *RunnerConfig) (*core.RankTrainer, int, []int, error) {
+// runGeneration runs one bootstrap-train cycle: what is per-process by
+// nature — the data listener, the rendezvous, the seat check, the mesh and
+// the grow watcher — then this slot's trainSlot, the generation body the
+// Supervisor runs every rank through too. members is the slot set the cohort
+// agreed to train as and startGen the generation it agreed to resume from
+// (nil and -1 if the failure happened before agreement).
+func runGeneration(cfg *RunnerConfig) (rt *core.RankTrainer, members []int, startGen int, err error) {
 	deadline := time.Now().Add(cfg.Timeout)
 
 	// The data listener binds before rendezvous — its address is what we
 	// advertise in the registration.
 	dataLn, err := net.Listen("tcp", net.JoinHostPort(cfg.ListenHost, "0"))
 	if err != nil {
-		return nil, -1, nil, fmt.Errorf("elastic: rank %d: data listener: %w", cfg.Rank, err)
-	}
-	myGen := LatestValidGen(cfg.Dir, cfg.Rank)
-	if cfg.Rejoin {
-		if a := LatestValidGenAny(cfg.Dir); a > myGen {
-			myGen = a
-		}
+		return nil, nil, -1, fmt.Errorf("elastic: rank %d: data listener: %w", cfg.Rank, err)
 	}
 	tbl, err := bootstrap(bootConfig{
 		rank:        cfg.Rank,
 		world:       cfg.World,
 		cands:       cfg.Candidates,
 		dataAddr:    dataLn.Addr().String(),
-		myGen:       myGen,
+		myGen:       reportedGen(cfg.Dir, cfg.Rank, cfg.Rejoin),
 		rejoin:      cfg.Rejoin,
 		stagger:     cfg.ElectionStagger,
 		round:       cfg.RendezvousRound,
@@ -131,12 +111,12 @@ func runGeneration(cfg *RunnerConfig) (*core.RankTrainer, int, []int, error) {
 	})
 	if err != nil {
 		dataLn.Close()
-		return nil, -1, nil, err
+		return nil, nil, -1, err
 	}
 	myIdx := indexOf(tbl.members, cfg.Rank)
 	if myIdx < 0 {
 		dataLn.Close()
-		return nil, tbl.startGen, tbl.members, fmt.Errorf("elastic: rank %d: agreed member set %v has no seat for this rank", cfg.Rank, tbl.members)
+		return nil, tbl.members, tbl.startGen, fmt.Errorf("elastic: rank %d: agreed member set %v has no seat for this rank", cfg.Rank, tbl.members)
 	}
 	tp, err := comm.DialTCPMesh(comm.TCPConfig{
 		Rank:              myIdx,
@@ -148,26 +128,10 @@ func runGeneration(cfg *RunnerConfig) (*core.RankTrainer, int, []int, error) {
 	}, dataLn, tbl.addrs) // DialTCPMesh closes dataLn
 	if err != nil {
 		// The table went stale between agreement and mesh (another rank died
-		// in the window, or a partial broadcast) — retry the bootstrap.
-		return nil, tbl.startGen, tbl.members, meshError(cfg.Rank, fmt.Errorf("mesh dial failed: %w", err))
-	}
-
-	// Bootstrap-time GC is scoped to this rank's own files: peers share the
-	// directory and may not have torn down yet.
-	if _, err := CleanupTmp(cfg.Dir, cfg.Rank); err != nil {
-		tp.Close()
-		return nil, tbl.startGen, tbl.members, fmt.Errorf("elastic: rank %d: tmp cleanup: %w", cfg.Rank, err)
-	}
-	rt, err := resume(&cfg.Config, cfg.NewTrainer, tbl.members, cfg.Rank, tbl.startGen)
-	if err == nil && len(tbl.members) < cfg.World && tbl.startGen > 0 {
-		// Shrunken resume: before training on rows absorbed from the dead
-		// slots, cross-check the replica invariant against whatever final
-		// shards the dead slots left behind.
-		err = verifyDeadShards(cfg, tbl.members, tbl.startGen, rt)
-	}
-	if err != nil {
-		tp.Close()
-		return nil, tbl.startGen, tbl.members, err
+		// in the window, or a partial broadcast), or the cohort has not
+		// reassembled yet: carrying a *comm.TransportError makes the loop
+		// retry the bootstrap.
+		return nil, tbl.members, tbl.startGen, &comm.TransportError{Rank: cfg.Rank, Err: fmt.Errorf("mesh dial failed: %w", err)}
 	}
 
 	// While the world is shrunken, the lowest live slot keeps the door open
@@ -187,46 +151,6 @@ func runGeneration(cfg *RunnerConfig) (*core.RankTrainer, int, []int, error) {
 		}
 	}
 
-	w := comm.NewWorker(tp)
-	if err := trainRank(&cfg.Config, rt, w, tbl.startGen, cfg.Rank, cfg.OnEpoch); err != nil {
-		tp.Close()
-		return nil, tbl.startGen, tbl.members, err
-	}
-	// Drain in lockstep so no rank tears down while a peer still trains.
-	if err := collective("final barrier", func() error { w.Barrier(); return nil }); err != nil {
-		tp.Close()
-		return nil, tbl.startGen, tbl.members, err
-	}
-	if err := tp.Close(); err != nil {
-		return nil, tbl.startGen, tbl.members, err
-	}
-	return rt, tbl.startGen, tbl.members, nil
-}
-
-// verifyDeadShards cross-checks the shrink-time replica invariant: the rows
-// this rank absorbed carry model state that the dead slots last checkpointed
-// too, because every shard of a generation stores the same replica weights.
-// A mismatch means the shared checkpoint directory is skewed (mixed runs,
-// partial copies) and training on it would silently diverge — a hard error,
-// not a recovery. Dead slots that never wrote a verifying shard of this
-// generation are skipped; there is nothing to check against. Each shard is
-// decoded once and compared in place.
-func verifyDeadShards(cfg *RunnerConfig, members []int, gen int, rt *core.RankTrainer) error {
-	for slot := 0; slot < cfg.World; slot++ {
-		if indexOf(members, slot) >= 0 {
-			continue
-		}
-		ck, err := core.ReadCheckpointFile(CheckpointPath(cfg.Dir, slot, gen))
-		if err != nil {
-			continue
-		}
-		d, err := ck.MaxParamDiff(rt.Model)
-		if err != nil {
-			return fmt.Errorf("elastic: rank %d: dead slot %d's shard of generation %d has a different model shape (%v): checkpoint directory %s mixes runs; refusing to train on absorbed rows", cfg.Rank, slot, gen, err, cfg.Dir)
-		}
-		if d != 0 {
-			return fmt.Errorf("elastic: rank %d: dead slot %d's shard of generation %d disagrees with the cohort's weights (max param diff %g): checkpoint directory %s is skewed; refusing to train on absorbed rows", cfg.Rank, slot, gen, d, cfg.Dir)
-		}
-	}
-	return nil
+	rt, err = trainSlot(&cfg.Config, cfg.NewTrainer, cfg.OnEpoch, cfg.World, tbl.members, tbl.startGen, cfg.Rank, comm.NewWorker(tp))
+	return rt, tbl.members, tbl.startGen, err
 }

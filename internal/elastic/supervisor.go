@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/core"
+	"repro/internal/datagen"
+	"repro/internal/partition"
 )
 
 // Config holds the knobs shared by the in-process Supervisor and the
@@ -37,8 +39,8 @@ type Config struct {
 	// rounds keep timing out with the same stable partial cohort (at least
 	// two live ranks) completes after that many consecutive rounds with just
 	// the survivors, who repartition the dead ranks' rows among themselves
-	// and train on at the smaller world. Zero (the default) keeps the PR-6
-	// behavior: wait for a replacement forever.
+	// and train on at the smaller world. Zero (the default) waits for a
+	// replacement forever.
 	ResizeAfter int
 	// ElectionStagger is the per-rank delay unit before a rank gives up
 	// probing lower candidates and serves its own rendezvous round (rank r
@@ -155,15 +157,108 @@ func collective(what string, step func() error) (err error) {
 	return step()
 }
 
+// TrainerFactory constructs slot's trainer within the given member set
+// (compact mesh rank = index of slot in members, k' = len(members); on a
+// full-strength world members is [0, world) and slot the rank). Both loops
+// call it afresh on every bootstrap — recovery never reuses a trainer that
+// observed the failure, exactly like a restarted process wouldn't.
+type TrainerFactory func(members []int, slot int) (*core.RankTrainer, error)
+
+// MemberTrainerFactory is the members-aware factory of an elastic run over
+// one launch-time partitioning. The full member set reuses topo; a shrunken
+// set folds the dead slots' rows into the survivors
+// (partition.ShrinkToMembers) and rebuilds the k' topology, memoized per
+// member set under a mutex: every recovery of one membership must agree bit
+// for bit, the multilevel rebuild is too expensive to redo per bootstrap, and
+// the Supervisor builds all of a generation's trainers at once. A slot that
+// has no seat in members is an error.
+func MemberTrainerFactory(ds *datagen.Dataset, parts []int32, topo *core.Topology, pcfg core.ParallelConfig, world int) TrainerFactory {
+	type layout struct {
+		topo *core.Topology
+		err  error
+	}
+	cache := map[string]*layout{}
+	var mu sync.Mutex
+	return func(members []int, slot int) (*core.RankTrainer, error) {
+		idx := indexOf(members, slot)
+		if idx < 0 {
+			return nil, fmt.Errorf("rank %d is not in the member set %v", slot, members)
+		}
+		if len(members) == world {
+			return core.NewRankTrainer(ds, topo, pcfg, slot)
+		}
+		key := fmt.Sprint(members)
+		mu.Lock()
+		lo, ok := cache[key]
+		if !ok {
+			lo = &layout{}
+			if shrunk, err := partition.ShrinkToMembers(ds.G, parts, world, members); err != nil {
+				lo.err = err
+			} else {
+				lo.topo, lo.err = core.BuildTopology(ds.G, shrunk, len(members))
+			}
+			cache[key] = lo
+		}
+		mu.Unlock()
+		if lo.err != nil {
+			return nil, fmt.Errorf("shrinking partition layout to members %v: %w", members, lo.err)
+		}
+		return core.NewRankTrainer(ds, lo.topo, pcfg, idx)
+	}
+}
+
+// reportedGen is the generation slot brings to the resume consensus: the
+// newest one it holds or, for a slot re-admitted after sitting generations
+// out (a -join replacement, a slot missing from the last member set), the
+// newest one ANY slot holds — its own files are stale and donor hydration
+// covers the gap, so its staleness must not drag the whole cohort back.
+func reportedGen(dir string, slot int, readmitted bool) int {
+	if readmitted {
+		return LatestValidGenAny(dir)
+	}
+	return LatestValidGen(dir, slot)
+}
+
+// trainSlot is one slot's share of a generation once the cohort has agreed on
+// members and startGen; both loops run every rank through it. It resumes
+// the trainer, cross-checks the dead slots' shards on a shrunken resume,
+// trains to cfg.Epochs, drains in lockstep so no rank tears down while a peer
+// still trains, and closes w's transport. world is the launch-time world. On
+// failure it aborts the transport first, so no peer is left waiting on this
+// rank.
+func trainSlot(cfg *Config, newTrainer TrainerFactory, onEpoch EpochHook, world int,
+	members []int, startGen, slot int, w *comm.Worker) (*core.RankTrainer, error) {
+	rt, err := resume(cfg, newTrainer, members, slot, startGen)
+	if err == nil && len(members) < world && startGen > 0 {
+		err = verifyDeadShards(cfg.Dir, world, members, startGen, rt)
+	}
+	if err == nil {
+		err = trainRank(cfg, rt, w, startGen, slot, onEpoch)
+	}
+	if err == nil {
+		err = collective("final barrier", func() error { w.Barrier(); return nil })
+	}
+	tp := w.Transport()
+	if err != nil {
+		tp.Abort()
+		tp.Close()
+		return nil, err
+	}
+	if err := tp.Close(); err != nil {
+		return nil, err
+	}
+	return rt, nil
+}
+
 // resume builds slot's trainer for the agreed member set and brings it to
-// the agreed generation: load startGen (from slot's own shard, or a donor's)
-// and prune generations older than the consensus. It runs at bootstrap only,
-// before any rank trains. Its callers sweep the .tmp residue of crashed saves
-// first: the Supervisor owns the whole directory and sweeps it once per
-// generation; a multi-process rank shares it with peers that may not have
-// torn down yet and sweeps only its own files.
-func resume(cfg *Config, newTrainer func(members []int, slot int) (*core.RankTrainer, error),
-	members []int, slot, startGen int) (*core.RankTrainer, error) {
+// the agreed generation: sweep the .tmp residue of slot's crashed saves (only
+// slot's own — peers share the directory and may be saving), load startGen
+// (from slot's own shard, or a donor's) and prune generations older than the
+// consensus.
+func resume(cfg *Config, newTrainer TrainerFactory, members []int, slot, startGen int) (*core.RankTrainer, error) {
+	if _, err := CleanupTmp(cfg.Dir, slot); err != nil {
+		return nil, fmt.Errorf("elastic: rank %d: tmp cleanup: %w", slot, err)
+	}
 	rt, err := newTrainer(members, slot)
 	if err != nil {
 		return nil, fmt.Errorf("elastic: rank %d: trainer: %w", slot, err)
@@ -181,41 +276,80 @@ func resume(cfg *Config, newTrainer func(members []int, slot int) (*core.RankTra
 	return rt, nil
 }
 
-// absorb books a failed generation: a peer or transport death within the
-// recovery budget returns nil — go round again — and anything else returns
-// the error the loop gives up with. who prefixes the give-up message.
-func (rep *Report) absorb(failed error, maxRecoveries int, who string) error {
-	if !recoverable(failed) {
-		return failed
-	}
-	rep.Recoveries++
-	rep.Failures = append(rep.Failures, failed)
-	if rep.Recoveries > maxRecoveries {
-		return fmt.Errorf("%s: giving up after %d recoveries: %w", who, rep.Recoveries-1, failed)
+// verifyDeadShards cross-checks the shrink-time replica invariant: the rows
+// rt absorbed carry model state that the dead slots of the launch-time world
+// last checkpointed too, because every shard of a generation stores the same
+// replica weights. A mismatch means the shared checkpoint directory is skewed
+// (mixed runs, partial copies) and training on it would silently diverge — a
+// hard error, not a recovery. Dead slots that never wrote a verifying shard
+// of this generation are skipped; there is nothing to check against. Each
+// shard is decoded once and compared in place.
+func verifyDeadShards(dir string, world int, members []int, gen int, rt *core.RankTrainer) error {
+	slot := members[rt.Rank]
+	for dead := 0; dead < world; dead++ {
+		if indexOf(members, dead) >= 0 {
+			continue
+		}
+		ck, err := core.ReadCheckpointFile(CheckpointPath(dir, dead, gen))
+		if err != nil {
+			continue
+		}
+		d, err := ck.MaxParamDiff(rt.Model)
+		if err != nil {
+			return fmt.Errorf("elastic: rank %d: dead slot %d's shard of generation %d has a different model shape (%v): checkpoint directory %s mixes runs; refusing to train on absorbed rows", slot, dead, gen, err, dir)
+		}
+		if d != 0 {
+			return fmt.Errorf("elastic: rank %d: dead slot %d's shard of generation %d disagrees with the cohort's weights (max param diff %g): checkpoint directory %s is skewed; refusing to train on absorbed rows", slot, dead, gen, d, dir)
+		}
 	}
 	return nil
 }
 
+// retry runs generations 0, 1, … until one succeeds, booking the member set
+// and resume generation each one agreed on (nil and -1: it failed before
+// agreement). A peer or transport death within the recovery budget goes
+// round again; anything else is the error the loop gives up with, prefixed
+// by who once the budget is spent.
+func (rep *Report) retry(maxRecoveries int, who string, generation func(gen int) (members []int, startGen int, err error)) error {
+	for gen := 0; ; gen++ {
+		members, startGen, failed := generation(gen)
+		if members != nil {
+			rep.Worlds = append(rep.Worlds, members)
+		}
+		if startGen >= 0 {
+			rep.StartGens = append(rep.StartGens, startGen)
+		}
+		if failed == nil || !recoverable(failed) {
+			return failed
+		}
+		rep.Recoveries++
+		rep.Failures = append(rep.Failures, failed)
+		if rep.Recoveries > maxRecoveries {
+			return fmt.Errorf("%s: giving up after %d recoveries: %w", who, rep.Recoveries-1, failed)
+		}
+	}
+}
+
 // Supervisor drives all k ranks of an elastic training run inside one
-// process: the in-process twin of the multi-process Run loop, and the
-// harness the recovery bit-exactness tests are built on. It owns the full
-// loop — train, checkpoint every N epochs, and on any rank's death tear the
-// group down, rebuild it through NewGroup, agree on the newest generation
-// every rank holds, reload, and resume.
+// process, the harness the recovery bit-exactness and chaos tests are built
+// on. Only what is in-process by nature is its own: a scripted member set
+// instead of the rendezvous election, the min-generation consensus as a plain
+// directory read, a fresh NewGroup fabric per generation, and one goroutine
+// per member. Every rank then runs the generation body the multi-process Run
+// ships — sweep, resume, dead-shard check, train, drain — and on any rank's
+// death the group is torn down and the loop goes round again.
 type Supervisor struct {
 	Cfg Config
-	// NewTrainer constructs slot's trainer within the given member set
-	// (compact rank = index of slot in members, k' = len(members); on a
-	// full-strength world members is [0, k) and slot the rank). It is called
-	// afresh on every bootstrap — recovery never reuses a trainer that
-	// observed the failure, exactly like a restarted process wouldn't.
-	NewTrainer func(members []int, slot int) (*core.RankTrainer, error)
+	// NewTrainer constructs slot's trainer within the given member set; see
+	// TrainerFactory. MemberTrainerFactory is the members-aware one.
+	NewTrainer TrainerFactory
 	// NewGroup builds the communication fabric for rendezvous generation
 	// gen (0 for the initial bootstrap, bumped on every recovery). Tests
 	// inject faults by wrapping the returned group in comm.WithFaults for
 	// the generation the fault should fire in; a fresh group per generation
 	// is what guarantees a one-shot fault cannot re-fire after recovery.
 	// When Members is set, the group's size must equal len(Members(gen)).
+	// The launch-time world is generation 0's group size.
 	NewGroup func(gen int) (*comm.Group, error)
 	// Members, when set, scripts world resizing: it returns the live slots
 	// of rendezvous generation gen (nil means the full world). This is the
@@ -233,99 +367,80 @@ func (s *Supervisor) Run() ([]*core.RankTrainer, Report, error) {
 	if err := s.Cfg.validate(); err != nil {
 		return nil, rep, err
 	}
+	var trainers []*core.RankTrainer
 	var prev []int
-	for gen := 0; ; gen++ {
+	world := 0
+	err := rep.retry(s.Cfg.MaxRecoveries, "elastic", func(gen int) (members []int, start int, err error) {
 		g, err := s.NewGroup(gen)
 		if err != nil {
-			return nil, rep, fmt.Errorf("elastic: generation %d: group: %w", gen, err)
+			return nil, -1, fmt.Errorf("elastic: generation %d: group: %w", gen, err)
 		}
-		trainers, members, err := s.generation(gen, g, prev, &rep)
-		g.Close()
-		if err == nil {
-			return trainers, rep, nil
+		defer g.Close()
+		if gen == 0 {
+			world = g.Size()
 		}
-		if err := rep.absorb(err, s.Cfg.MaxRecoveries, "elastic"); err != nil {
-			return nil, rep, err
-		}
+		trainers, members, start, err = s.generation(gen, world, g, prev)
 		prev = members
+		return members, start, err
+	})
+	if err != nil {
+		return nil, rep, err
 	}
+	return trainers, rep, nil
 }
 
 // generation runs one bootstrap-train cycle over g: agree on the member set
-// and the resume generation, resume every slot, train to Cfg.Epochs. prev is
-// the member set of the generation before. The error is the bootstrap's, or
-// the most informative of the ranks' training failures.
-func (s *Supervisor) generation(gen int, g *comm.Group, prev []int, rep *Report) ([]*core.RankTrainer, []int, error) {
+// and the resume generation, then run every member through trainSlot. prev
+// is the member set of the generation before. The error is the bootstrap's,
+// or the most informative of the ranks' failures.
+func (s *Supervisor) generation(gen, world int, g *comm.Group, prev []int) ([]*core.RankTrainer, []int, int, error) {
 	k := g.Size()
 	members := fullMembers(k)
 	if s.Members != nil {
 		if m := s.Members(gen); m != nil {
-			members = m
+			members = append([]int(nil), m...)
 		}
 		if len(members) != k {
-			return nil, nil, fmt.Errorf("elastic: generation %d: Members lists %d slots but the group has %d endpoints", gen, len(members), k)
+			return nil, nil, -1, fmt.Errorf("elastic: generation %d: Members lists %d slots but the group has %d endpoints", gen, len(members), k)
 		}
 	}
-	rep.Worlds = append(rep.Worlds, append([]int(nil), members...))
 	// Generation consensus, the in-process degenerate case: every rank's
-	// scan is a local directory read, the agreement is a plain min. The
+	// report is a local directory read, the agreement a plain min. The
 	// multi-process loop exchanges the same numbers through the elastic
-	// rendezvous (see bootstrap.go). A slot re-admitted after sitting a
-	// generation out (a -join replacement in the multi-process world)
-	// reports the newest generation held by ANY slot: its own files are
-	// stale, and donor hydration covers the gap, so its staleness must not
-	// drag the whole cohort back.
-	start := 0
-	for i, slot := range members {
-		lg := LatestValidGen(s.Cfg.Dir, slot)
-		if gen > 0 && prev != nil && indexOf(prev, slot) < 0 {
-			if a := LatestValidGenAny(s.Cfg.Dir); a > lg {
-				lg = a
-			}
-		}
-		if i == 0 || lg < start {
+	// rendezvous (see bootstrap.go).
+	start := -1
+	for _, slot := range members {
+		if lg := reportedGen(s.Cfg.Dir, slot, prev != nil && indexOf(prev, slot) < 0); start < 0 || lg < start {
 			start = lg
 		}
 	}
-	rep.StartGens = append(rep.StartGens, start)
-	if _, err := CleanupTmp(s.Cfg.Dir, -1); err != nil {
-		return nil, nil, fmt.Errorf("elastic: generation %d: tmp cleanup: %w", gen, err)
-	}
-	trainers := make([]*core.RankTrainer, k)
-	for r, slot := range members {
-		var err error
-		if trainers[r], err = resume(&s.Cfg, s.NewTrainer, members, slot, start); err != nil {
-			return nil, nil, err
-		}
-	}
 
+	trainers := make([]*core.RankTrainer, k)
 	errs := make([]error, k)
 	var wg sync.WaitGroup
-	for r := 0; r < k; r++ {
+	for r, slot := range members {
 		wg.Add(1)
-		go func(r int) {
+		go func(r, slot int) {
 			defer wg.Done()
-			errs[r] = trainRank(&s.Cfg, trainers[r], g.Worker(r), start, members[r], s.OnEpoch)
-		}(r)
+			trainers[r], errs[r] = trainSlot(&s.Cfg, s.NewTrainer, s.OnEpoch, world, members, start, slot, g.Worker(r))
+		}(r, slot)
 	}
 	wg.Wait()
 
 	// Pick the most informative failure for the report: the victim's own
-	// error names the root cause (e.g. an injected fault), while the
-	// survivors only see "transport aborted by rank r".
+	// error names the root cause (e.g. an injected fault, a skewed
+	// checkpoint directory), while the survivors only see "transport aborted
+	// by rank r".
 	var failed error
 	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if failed == nil {
-			failed = err
-		}
 		var inj *comm.InjectedFault
-		if errors.As(err, &inj) {
+		switch {
+		case err == nil:
+		case errors.As(err, &inj):
+			return trainers, members, start, err
+		case failed == nil || recoverable(failed) && !recoverable(err):
 			failed = err
-			break
 		}
 	}
-	return trainers, members, failed
+	return trainers, members, start, failed
 }

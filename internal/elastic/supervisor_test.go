@@ -58,27 +58,6 @@ func testFixtureParts(t testing.TB, k int) (*datagen.Dataset, []int32, *core.Top
 	return ds, parts, topo, core.ParallelConfig{Model: mc, P: 0.5, SampleSeed: 11}
 }
 
-// memberFactory builds a members-aware trainer factory over the fixture: on
-// the full member set it reuses the full topology; on a shrunken set it folds
-// the dead slots' rows into the survivors (partition.ShrinkToMembers) and
-// rebuilds the k' topology — the same layout rule cmd/bnsgcn uses.
-func memberFactory(ds *datagen.Dataset, parts []int32, topo *core.Topology, cfg core.ParallelConfig, world int) func(members []int, slot int) (*core.RankTrainer, error) {
-	return func(members []int, slot int) (*core.RankTrainer, error) {
-		if len(members) == world {
-			return core.NewRankTrainer(ds, topo, cfg, slot)
-		}
-		shrunk, err := partition.ShrinkToMembers(ds.G, parts, world, members)
-		if err != nil {
-			return nil, err
-		}
-		st, err := core.BuildTopology(ds.G, shrunk, len(members))
-		if err != nil {
-			return nil, err
-		}
-		return core.NewRankTrainer(ds, st, cfg, indexOf(members, slot))
-	}
-}
-
 func paramHash(m *core.Model) string {
 	h := sha256.New()
 	for _, v := range m.ParamVector() {

@@ -140,3 +140,25 @@ func TestTable2OrderingHolds(t *testing.T) {
 func fmtSscan(line string, args ...any) (int, error) {
 	return sscan(line, args...)
 }
+
+// TestTable2DomainVarianceDeterministic: the LADIES- and FastGCN-style
+// estimates are a function of their seed — two calls with one seed return the
+// same float, so Table 2 prints the same numbers on every run.
+func TestTable2DomainVarianceDeterministic(t *testing.T) {
+	o := Options{Quick: true}.withDefaults()
+	ds, err := dataset(redditSpec(), o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := topology(ds, 8, "metis", o.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, global := range []bool{false, true} {
+		a := measureDomainVariance(topo, ds.Features, 0.3, 2, 7, global)
+		b := measureDomainVariance(topo, ds.Features, 0.3, 2, 7, global)
+		if a != b {
+			t.Fatalf("global=%v: one seed gave %v then %v", global, a, b)
+		}
+	}
+}

@@ -62,40 +62,29 @@ func measureDomainVariance(t *core.Topology, feats *tensor.Matrix, p float64, tr
 	g := t.G
 	var sumSq float64
 	keep := make([]bool, g.N)
+	inDomain := make([]bool, g.N)
 	for trial := 0; trial < trials; trial++ {
 		for i := 0; i < t.K; i++ {
 			// Domain and budget for partition i.
-			inDomain := make(map[int32]bool)
+			clear(inDomain)
+			domainSize := 0
 			for _, v := range t.Inner[i] {
 				for _, u := range g.Neighbors(v) {
-					inDomain[u] = true
+					if !inDomain[u] {
+						inDomain[u] = true
+						domainSize++
+					}
 				}
+			}
+			if global {
+				domainSize = g.N
 			}
 			budget := p * float64(len(t.Boundary[i]))
-			domainSize := float64(len(inDomain))
-			if global {
-				domainSize = float64(g.N)
-			}
-			q := budget / domainSize
-			if q > 1 {
-				q = 1
-			}
-			// Draw the keep mask over the domain.
-			for j := range keep {
-				keep[j] = false
-			}
-			if global {
-				for u := 0; u < g.N; u++ {
-					if rng.Float64() < q {
-						keep[u] = true
-					}
-				}
-			} else {
-				for u := range inDomain {
-					if rng.Float64() < q {
-						keep[u] = true
-					}
-				}
+			q := min(budget/float64(domainSize), 1)
+			// Draw the keep mask over the domain in ascending node id, so one
+			// seed gives one mask.
+			for u := range keep {
+				keep[u] = (global || inDomain[u]) && rng.Float64() < q
 			}
 			invQ := float32(1 / q)
 			// Accumulate ‖Z̃−Z‖² over partition i's inner nodes.
