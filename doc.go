@@ -23,11 +23,10 @@
 // transport section of PERFORMANCE.md.
 //
 // The per-epoch protocol itself runs as a short sequence of named stages
-// (internal/core/pipeline.go): halo sends and receives are posted
-// asynchronously, rows whose aggregation needs no boundary data compute
-// while the exchange is in flight, and each peer's boundary-dependent rows
-// complete as that peer's payload lands, via the transports' completion
-// notifications. EpochStats reports communication as raw span — what the
+// (internal/core/pipeline.go): halo sends are posted first, rows whose
+// aggregation needs no boundary data compute while the exchange is in
+// flight, and the drain then receives the peers in ascending rank and
+// computes the boundary-dependent rows in one pass. EpochStats reports communication as raw span — what the
 // exchange would cost if nothing hid it — vs exposed (unoverlapped) time;
 // see PERFORMANCE.md "Overlapped halo exchange".
 //

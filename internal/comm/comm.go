@@ -16,11 +16,13 @@
 // backend, for the peer's writer goroutine on TCP — so nothing ever waits
 // on one. Both receive through the same inbox: one bounded FIFO per
 // (src, tag) stream, which a channel-cluster sender pushes into directly
-// and a TCP demux goroutine fills from the socket. On both, a float32
-// payload is staged once per side: the sender gathers it into a buffer the
-// transport lends (SendBufF32), and the receiver reads it where it landed
-// until RecycleF32 takes it back — on the channel backend the two are the
-// same buffer, on TCP the outgoing and the incoming frame.
+// and a TCP demux goroutine fills from the socket. A receive names its
+// stream: there is no receive-any, and a caller waiting on several peers
+// takes them in an order it chooses (the training engine: ascending rank).
+// On both, a float32 payload is staged once per side: the sender gathers it
+// into a buffer the transport lends (SendBufF32), and the receiver reads it
+// where it landed until RecycleF32 takes it back — on the channel backend
+// the two are the same buffer, on TCP the outgoing and the incoming frame.
 package comm
 
 import (
@@ -40,14 +42,11 @@ type chanState struct {
 	failed    *failure
 }
 
-// fail records the first failure and wakes every blocked send, receive,
-// notification and barrier on the shared fabric.
+// fail records the first failure and wakes every blocked send, receive and
+// barrier on the shared fabric.
 func (s *chanState) fail(err error) {
 	if s.failed.set(err) {
 		s.barrier.abort()
-		for _, in := range s.in {
-			in.reg.flush()
-		}
 	}
 }
 

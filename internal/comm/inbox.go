@@ -69,6 +69,9 @@ func (q *ring[T]) pop() (T, bool) {
 	return v, true
 }
 
+// streamKey identifies one directed (src, tag) message stream at an endpoint.
+type streamKey struct{ src, tag int }
+
 // stream is one (src, tag) FIFO of an inbox, guarded by the inbox's mutex.
 // ready and room each hold at most one wakeup token: a push leaves one in
 // ready, a pop one in room, and whoever is blocked on the stream takes it
@@ -88,12 +91,11 @@ func wake(c chan struct{}) {
 }
 
 // inbox is one endpoint's receive side, the same on both backends: a bounded
-// FIFO per (src, tag) stream of typed messages, the notification ledger every
-// float32 push stamps, and the wakeups a blocked receive needs when the
-// transport fails or a peer leaves. A ChanTransport sender pushes straight
-// into the destination's inbox; a TCP demux goroutine pushes each frame it
-// reads. Its exported methods are the backends' Rank, Size, RecvF32, RecvI32
-// and IRecvF32Notify.
+// FIFO per (src, tag) stream of typed messages, and the wakeups a blocked
+// receive needs when the transport fails or a peer leaves. A ChanTransport
+// sender pushes straight into the destination's inbox; a TCP demux goroutine
+// pushes each frame it reads. Its exported methods are the backends' Rank,
+// Size, RecvF32 and RecvI32.
 type inbox struct {
 	rank     int
 	queueCap int
@@ -102,7 +104,6 @@ type inbox struct {
 	// already pushed, and no more will come. Only the TCP backend's peers
 	// leave.
 	gone []chan struct{}
-	reg  notifyReg
 
 	mu      sync.Mutex
 	streams map[streamKey]*stream
@@ -150,14 +151,9 @@ func (in *inbox) stream(src, tag int) *stream {
 
 // push appends msg to the (src, tag) stream. A full stream blocks the caller
 // — backpressure, never a drop — until the receiver drains it; push returns
-// false instead if the transport fails or stop closes first. A float32
-// message is stamped into the notification ledger before it is enqueued, so
-// a notified consumer's receive can block only until this push lands.
+// false instead if the transport fails or stop closes first.
 func (in *inbox) push(src, tag int, msg message, stop <-chan struct{}) bool {
 	s := in.stream(src, tag)
-	if msg.dtype == dtypeF32 {
-		in.reg.arrived(src, tag)
-	}
 	in.mu.Lock()
 	for s.n == in.queueCap {
 		in.mu.Unlock()
@@ -180,12 +176,8 @@ func (in *inbox) push(src, tag int, msg message, stop <-chan struct{}) bool {
 }
 
 // depart marks src as gone (a graceful goodbye): receives from it that find
-// their stream empty panic with a pointed error, and notifications posted
-// against it fire so the matching receive can report that.
-func (in *inbox) depart(src int) {
-	close(in.gone[src])
-	in.reg.flushSrc(src)
-}
+// their stream empty panic with a pointed error.
+func (in *inbox) depart(src int) { close(in.gone[src]) }
 
 // recv dequeues the next message of the (src, tag) stream, blocking until one
 // arrives. It prefers a queued message over a failure or a departure, so data
@@ -238,16 +230,6 @@ func (in *inbox) RecvF32(src, tag int) []float32 {
 func (in *inbox) RecvI32(src, tag int) []int32 {
 	checkAppTag(tag)
 	return in.recv(src, tag, dtypeI32).i32
-}
-
-// IRecvF32Notify posts a completion notification for the next float32
-// message from src with the given tag; see Transport.IRecvF32Notify. Pushes
-// stamp the ledger before they enqueue, so the token fires no earlier than
-// the message is (about to be) consumable.
-func (in *inbox) IRecvF32Notify(src, tag int, notify chan<- int, token int) {
-	checkAppTag(tag)
-	in.stream(src, tag) // validate src early, like the receive would
-	in.reg.register(src, tag, notify, token)
 }
 
 func checkAppTag(tag int) {

@@ -32,7 +32,7 @@ type LinkModel struct {
 	// PerLink override.
 	Latency time.Duration
 	// PerLink overrides the base latency of individual directed links —
-	// skewed links let a benchmark force peer-completion order to invert.
+	// skewed links let a test invert the order in which peers' payloads land.
 	PerLink map[Link]time.Duration
 	// BytesPerSecond is the link bandwidth applied to payload bytes;
 	// 0 means infinite.
@@ -86,11 +86,6 @@ func jitterHash(seed uint64, src, dst, tag int, seq uint64) uint64 {
 // nothing): the injected delay sleeps instead of burning cycles, so overlap
 // can genuinely reclaim it.
 //
-// Completion notifications (IRecvF32Notify) are delayed the same way: the
-// token is forwarded only once the message is due, so an arrival-order
-// drain over a skewed model observes the modeled completion order, not the
-// backend's.
-//
 // Payload bytes, message counts, and delivered bits are untouched — training
 // over a wrapped group is bit-identical to the bare group. Control traffic
 // (Barrier) is not delayed. The decorator needs a shared clock ledger
@@ -98,7 +93,7 @@ func jitterHash(seed uint64, src, dst, tag int, seq uint64) uint64 {
 // live in one process (the channel cluster or a loopback TCP mesh); it is a
 // measurement and simulation tool, not a deployment feature.
 func WithLinkModel(g *Group, m LinkModel) *Group {
-	s := &linkState{model: m, due: map[linkKey]*stampQueue{}, prepaid: map[linkKey]int{}}
+	s := &linkState{model: m, due: map[linkKey]*stampQueue{}}
 	ts := make([]Transport, g.Size())
 	for i := range ts {
 		ts[i] = &latencyTransport{Transport: g.workers[i].t, s: s}
@@ -130,10 +125,6 @@ type linkState struct {
 	model LinkModel
 	mu    sync.Mutex
 	due   map[linkKey]*stampQueue
-	// prepaid counts messages whose delay was already served by a
-	// notification forwarder (see latencyTransport.IRecvF32Notify); the
-	// matching receive must not pop a stamp or sleep again.
-	prepaid map[linkKey]int
 }
 
 func (s *linkState) queue(k linkKey) *stampQueue {
@@ -157,44 +148,18 @@ func (s *linkState) stampMsg(src, dst, tag, payloadBytes int) {
 }
 
 // arrive pops the oldest stamp for the key and parks until the message is
-// due — unless a notification forwarder already served the delay (prepaid).
-// The pop happens after the backend receive completed, so the stamp is
+// due. The pop happens after the backend receive completed, so the stamp is
 // guaranteed to be there (stamping happens before the backend send, which
 // happens before delivery).
 func (s *linkState) arrive(src, dst, tag int) {
-	k := linkKey{src, dst, tag}
 	s.mu.Lock()
-	if s.prepaid[k] > 0 {
-		s.prepaid[k]--
-		s.mu.Unlock()
-		return
-	}
-	st, ok := s.queue(k).pop()
+	st, ok := s.queue(linkKey{src, dst, tag}).pop()
 	s.mu.Unlock()
 	if ok {
 		if wait := time.Until(st.at.Add(st.delay)); wait > 0 {
 			time.Sleep(wait)
 		}
 	}
-}
-
-// prepay pops the oldest stamp for the key, parks until the message is due,
-// and marks the delay as served so the matching receive returns immediately.
-// Called by the notification forwarder goroutine before the token is passed
-// on.
-func (s *linkState) prepay(src, dst, tag int) {
-	k := linkKey{src, dst, tag}
-	s.mu.Lock()
-	st, ok := s.queue(k).pop()
-	s.mu.Unlock()
-	if ok {
-		if wait := time.Until(st.at.Add(st.delay)); wait > 0 {
-			time.Sleep(wait)
-		}
-	}
-	s.mu.Lock()
-	s.prepaid[k]++
-	s.mu.Unlock()
 }
 
 // latencyTransport decorates one endpoint; everything not overridden
@@ -225,21 +190,4 @@ func (t *latencyTransport) RecvI32(src, tag int) []int32 {
 	out := t.Transport.RecvI32(src, tag)
 	t.s.arrive(src, t.Rank(), tag)
 	return out
-}
-
-// IRecvF32Notify interposes a forwarder between the backend's notification
-// and the caller's channel: the forwarder waits for the backend arrival,
-// serves the modeled delay (prepaying it so the matching receive does not
-// sleep again), and only then passes the token on. An arrival-order drain
-// therefore observes the modeled completion order — a skewed LinkModel can
-// invert it relative to the backend's delivery order.
-func (t *latencyTransport) IRecvF32Notify(src, tag int, notify chan<- int, token int) {
-	inner := make(chan int, 1)
-	t.Transport.IRecvF32Notify(src, tag, inner, 0)
-	rank := t.Rank()
-	go func() {
-		<-inner
-		t.s.prepay(src, rank, tag)
-		notify <- token
-	}()
 }

@@ -538,7 +538,6 @@ func (t *TCPTransport) peer(r int) *tcpPeer {
 // down all connections so peers observe the failure too.
 func (t *TCPTransport) fail(err error) {
 	if t.failed.set(err) {
-		t.reg.flush()
 		for _, p := range t.peers {
 			if p != nil {
 				p.conn.Close()

@@ -260,7 +260,9 @@ func TestTCPPeerDeathFailsSurvivors(t *testing.T) {
 
 // TestTCPGracefulCloseUnblocksPendingRecv: a clean Close by a peer must not
 // strand ranks still waiting on it — their Recv fails with a "closed" error
-// — but messages sent before the goodbye must still be delivered.
+// — but messages sent before the goodbye must still be delivered. A Recv
+// issued only after the goodbye has been demuxed fails the same way instead
+// of hanging.
 func TestTCPGracefulCloseUnblocksPendingRecv(t *testing.T) {
 	ts := loopbackTransports(t, 2)
 	ts[1].SendF32(0, 5, []float32{42})
@@ -269,19 +271,29 @@ func TestTCPGracefulCloseUnblocksPendingRecv(t *testing.T) {
 	if got := ts[0].RecvF32(1, 5); got[0] != 42 { // queued before the goodbye
 		t.Fatalf("pre-close message lost: %v", got)
 	}
-	panicked := make(chan any, 1)
-	go func() {
-		defer func() { panicked <- recover() }()
-		ts[0].RecvF32(1, 6) // nothing more is coming
-	}()
-	select {
-	case p := <-panicked:
-		if p == nil || !strings.Contains(p.(*TransportError).Error(), "closed its transport") {
-			t.Fatalf("expected closed-peer error, got %v", p)
+	expectClosed := func(tag int) {
+		t.Helper()
+		panicked := make(chan any, 1)
+		go func() {
+			defer func() { panicked <- recover() }()
+			ts[0].RecvF32(1, tag) // nothing more is coming
+		}()
+		select {
+		case p := <-panicked:
+			if p == nil || !strings.Contains(p.(*TransportError).Error(), "closed its transport") {
+				t.Fatalf("tag %d: expected closed-peer error, got %v", tag, p)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("tag %d: Recv from a closed peer deadlocked", tag)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Recv from a closed peer deadlocked")
 	}
+	expectClosed(6)
+	select {
+	case <-ts[0].gone[1]:
+	case <-time.After(5 * time.Second):
+		t.Fatal("rank 0 never observed the goodbye")
+	}
+	expectClosed(7)
 }
 
 // TestChanAbortUnblocksPeers: Abort must work on the channel backend too —

@@ -14,8 +14,12 @@ import (
 //   - TCPTransport: one OS process per rank over persistent TCP connections;
 //     created by DialTCP with a rendezvous address.
 //
-// Both receive through the same inbox (RecvF32, RecvI32 and IRecvF32Notify
-// are written once), so they differ only in how a message reaches it.
+// Both receive through the same inbox (RecvF32 and RecvI32 are written
+// once), so they differ only in how a message reaches it. A message lands
+// there without its receiver's help — a channel-cluster sender pushes it in
+// itself, a TCP demux goroutine drains the socket into it — so it arrives
+// while the receiver computes, and a receive issued after that compute finds
+// it waiting.
 // Semantics every backend provides — the training protocol and the
 // collectives in Worker rely on all four:
 //
@@ -56,25 +60,6 @@ type Transport interface {
 	// the caller must not touch it afterwards. Every float32 send of a
 	// backend goes through here.
 	ISendBufF32(dst, tag int, buf []float32)
-	// IRecvF32Notify arranges for token to be sent on notify exactly once,
-	// when the next float32 message with the given tag from src becomes
-	// consumable; the caller then takes it with RecvF32(src, tag). It is the
-	// select-any primitive: a caller with several posted notifications blocks
-	// on one channel and consumes whichever peer's payload lands first. Both
-	// backends progress in the background — a channel-cluster sender pushes
-	// into the inbox itself and the TCP demux goroutines drain the sockets —
-	// so the payload arrives while the caller computes.
-	//
-	// notify must have spare capacity for every outstanding notification
-	// posted on it (the transport sends without selecting). If the transport
-	// fails or the peer leaves before the message arrives, the token is
-	// still delivered and the matching RecvF32 panics with the descriptive
-	// error, so a drain never deadlocks on a notification.
-	//
-	// Within a transport's lifetime, either every receive of a (src, tag)
-	// stream follows a notification posted for it or none does; mixing
-	// strands arrival credits (see notifyReg).
-	IRecvF32Notify(src, tag int, notify chan<- int, token int)
 	// RecycleF32 hands a slice previously returned by RecvF32 back to the
 	// transport for reuse: on TCP the incoming frame under it, on the channel
 	// backend the lent buffer it travelled in. Optional — an unrecycled
@@ -140,12 +125,6 @@ func (w *Worker) SendBufF32(n int) []float32 { return w.t.SendBufF32(n) }
 
 // ISendBufF32 sends a lent buffer; see Transport.ISendBufF32.
 func (w *Worker) ISendBufF32(dst, tag int, buf []float32) { w.t.ISendBufF32(dst, tag, buf) }
-
-// IRecvF32Notify posts a completion notification for the next float32
-// message of the (src, tag) stream; see Transport.IRecvF32Notify.
-func (w *Worker) IRecvF32Notify(src, tag int, notify chan<- int, token int) {
-	w.t.IRecvF32Notify(src, tag, notify, token)
-}
 
 // RecycleF32 returns a received payload to the transport's buffer pool; see
 // Transport.RecycleF32.

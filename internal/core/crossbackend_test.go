@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -204,6 +206,78 @@ func TestEpochFailureSurfacesAsError(t *testing.T) {
 		if got == nil {
 			t.Fatalf("%s: rank 0 trained through a dead peer without error", backend.name)
 		}
+	}
+}
+
+// resizeOnce is a comm.Transport whose first float32 send on tag goes out
+// delta floats longer or shorter than the payload the engine gathered; every
+// other send passes through. sent records the gathered length.
+type resizeOnce struct {
+	comm.Transport
+	tag, delta int
+	sent       int
+}
+
+func (t *resizeOnce) ISendBufF32(dst, tag int, buf []float32) {
+	if tag == t.tag && t.sent == 0 {
+		t.sent = len(buf)
+		resized := t.Transport.SendBufF32(len(buf) + t.delta)
+		copy(resized, buf)
+		buf = resized
+	}
+	t.Transport.ISendBufF32(dst, tag, buf)
+}
+
+// TestHaloPayloadLengthChecked: a halo payload of the wrong length, one float
+// short or one too many, must stop the receiving rank's epoch with an error
+// naming the rank, layer and peer — in the forward drain and in the backward
+// fold alike — rather than a bare slice-bounds panic or silently accepted
+// rows. Rank 0 sends the bad payload on layer 1's exchange, rank 1 receives
+// it.
+func TestHaloPayloadLengthChecked(t *testing.T) {
+	ds := testDataset(t, 97)
+	const k, l = 2, 1
+	topo := testTopology(t, ds, k)
+	cfg := ParallelConfig{Model: testModelConfig(), P: 1, SampleSeed: 1}
+	for _, c := range []struct {
+		name       string
+		tag, delta int
+	}{
+		{"forward/short", tagForward + l, -1},
+		{"forward/long", tagForward + l, 1},
+		{"backward/short", tagBackward + l, -1},
+		{"backward/long", tagBackward + l, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ranks := make([]*RankTrainer, k)
+			for r := range ranks {
+				var err error
+				if ranks[r], err = NewRankTrainer(ds, topo, cfg, r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			inner := comm.New(k, 0)
+			bad := &resizeOnce{Transport: inner.Worker(0).Transport(), tag: c.tag, delta: c.delta}
+			g := comm.NewGroup([]comm.Transport{bad, inner.Worker(1).Transport()})
+			errs := make([]error, k)
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				g.Run(func(w *comm.Worker) { _, errs[w.Rank()] = ranks[w.Rank()].TrainEpoch(w) })
+			}()
+			select {
+			case <-done:
+			case <-time.After(20 * time.Second):
+				t.Fatal("a wrong-length halo payload deadlocked the epoch")
+			}
+			if bad.sent == 0 {
+				t.Fatalf("rank 0 sent nothing on tag %d", c.tag)
+			}
+			want := fmt.Sprintf("core: rank 1 layer %d: got %d floats from 0, want %d", l, bad.sent+c.delta, bad.sent)
+			if errs[1] == nil || !strings.Contains(errs[1].Error(), want) {
+				t.Fatalf("rank 1's epoch returned %v, want an error containing %q", errs[1], want)
+			}
+		})
 	}
 }
 

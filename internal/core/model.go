@@ -92,8 +92,8 @@ func (lo *Layout) Build(g *graph.Graph) *Layout {
 //
 //   - ForwardBegin → ForwardPrep/ForwardRows: rows whose aggregation reads no
 //     halo slot can run while boundary features are in flight; the remaining
-//     rows run on arrival. Any duplicate-free row partition is bit-identical
-//     to the one-shot Forward.
+//     rows run once they are in. Any duplicate-free row partition is
+//     bit-identical to the one-shot Forward.
 //   - BackwardBegin → BackwardHalo → BackwardFinish: halo-row input gradients
 //     complete first (so they can be sent), then parameter gradients and the
 //     inner rows while the peer gradients are in flight. The staged schedule

@@ -134,15 +134,15 @@ func TestMultiProcessHelper(t *testing.T) {
 }
 
 // TestMultiProcessLoopback is the smoke test CI runs race-enabled: 4 ranks
-// as separate OS processes over real sockets — the arrival-order halo drain
-// consuming whichever peer's frames land first — must reproduce the
-// in-process channel backend bit for bit.
+// as separate OS processes over real sockets — each peer's frames landing
+// whenever its process sends them, the halo drain taking peers in rank
+// order — must reproduce the in-process channel backend bit for bit.
 func TestMultiProcessLoopback(t *testing.T) { mpRun(t, ArchSAGE) }
 
 // TestMultiProcessLoopbackOverlap runs the same smoke test on GAT with
-// dropout on: attention reads halo rows per edge and the mask stream draws
-// landed halo rows in the drain, so the arrival-order overlap over real
-// sockets must still reproduce the in-process run bit for bit.
+// dropout on: attention reads halo rows per edge and the drain masks halo
+// rows as each peer's payload is received, so the overlap over real sockets
+// must still reproduce the in-process run bit for bit.
 func TestMultiProcessLoopbackOverlap(t *testing.T) { mpRun(t, ArchGAT) }
 
 func mpRun(t *testing.T, arch Arch) {

@@ -72,18 +72,22 @@ func TestOverlapBitIdentical(t *testing.T) {
 	}
 }
 
-// TestOverlapArrivalSkewedLinksBitIdentical forces peer completion order to
-// invert — a skewed comm.WithLinkModel makes the lowest-rank peer's payloads
-// the slowest, so the drain consumes peers in descending rank order — and
-// requires the results over the skewed links to stay bit-identical to the
-// un-modeled channel run on the same seed, whose completions are near FIFO.
-// This is the determinism argument under real out-of-order completion, not
-// just under loopback's near-FIFO timing.
+// TestOverlapArrivalSkewedLinksBitIdentical inverts delivery order — a
+// skewed comm.WithLinkModel makes the lowest-rank peer's payloads the
+// slowest, so the links deliver peers in descending rank order while the
+// drain and the fold consume them in ascending rank — and requires the
+// results over the skewed links to stay bit-identical to the un-modeled
+// channel run on the same seed, for both architectures. The drain then waits
+// on its first peer with every later payload already landed.
 func TestOverlapArrivalSkewedLinksBitIdentical(t *testing.T) {
-	for _, k := range []int{2, 4} {
+	for _, c := range []struct {
+		arch Arch
+		k    int
+	}{{ArchSAGE, 2}, {ArchSAGE, 4}, {ArchGAT, 2}, {ArchGAT, 4}} {
+		arch, k := c.arch, c.k
 		ds := testDataset(t, uint64(90+k))
 		topo := testTopology(t, ds, k)
-		mc := ModelConfig{Arch: ArchSAGE, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 8}
+		mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 8}
 		cfg := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 29}
 
 		// Lower source rank ⇒ slower link, everywhere.
@@ -112,12 +116,12 @@ func TestOverlapArrivalSkewedLinksBitIdentical(t *testing.T) {
 		for e := 0; e < epochs; e++ {
 			want, got := ref.TrainEpoch(), skewed.TrainEpoch()
 			if got.Loss != want.Loss {
-				t.Fatalf("k=%d epoch %d: loss %.17g != %.17g under skewed links", k, e, got.Loss, want.Loss)
+				t.Fatalf("%s k=%d epoch %d: loss %.17g != %.17g under skewed links", arch, k, e, got.Loss, want.Loss)
 			}
 		}
 		for r := 0; r < k; r++ {
 			if d := MaxParamDiff(ref.Models[r], skewed.Models[r]); d != 0 {
-				t.Fatalf("k=%d rank %d: weights diverged by %v under skewed links", k, r, d)
+				t.Fatalf("%s k=%d rank %d: weights diverged by %v under skewed links", arch, k, r, d)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -94,7 +95,6 @@ type LocalPartition struct {
 	// with at least one halo neighbor — both ascending.
 	haloFree []int32
 	haloDep  []int32
-	recvData [][]float32   // per peer: drained payloads (staged fold)
 	dNext    tensor.Matrix // the fold's view of a layer's input-gradient inner rows
 
 	// Strategy-mode scratch (see strategy.go): lossMask is the per-epoch
@@ -106,21 +106,6 @@ type LocalPartition struct {
 	// engine, skipRows empty).
 	lossMask []bool
 	skipRows []int32
-
-	// Drain state (see pipeline.go): the owner rank of every boundary slot
-	// (static, by slot), and the per-epoch row buckets splitRows derives from
-	// it — peerRows[j] lists (ascending) the halo-dependent rows with at least
-	// one halo neighbor owned by j, rowWaitInit[v] the number of distinct peers
-	// row v awaits (rowWait is the per-layer working countdown, re-armed from
-	// rowWaitInit at the start of every layer's drain), readyRows the scratch
-	// for rows unlocked by one peer's arrival, peerMark the dedup marker used
-	// while bucketing.
-	slotOwner   []int32
-	peerRows    [][]int32
-	rowWaitInit []int32
-	rowWait     []int32
-	readyRows   []int32
-	peerMark    []int32
 }
 
 // NewLocalPartition extracts partition i's local view from the dataset and
@@ -221,16 +206,6 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 	lp.slotRow = make([]int32, lp.NBd)
 	lp.rowSlot = make([]int32, 0, lp.NBd)
 	lp.planActive = make([]bool, n)
-	lp.recvData = make([][]float32, k)
-	lp.slotOwner = make([]int32, lp.NBd)
-	for x, u := range boundary {
-		lp.slotOwner[x] = t.Parts[u]
-	}
-	lp.peerRows = make([][]int32, k)
-	lp.rowWaitInit = make([]int32, lp.NIn)
-	lp.rowWait = make([]int32, lp.NIn)
-	lp.readyRows = make([]int32, 0, lp.NIn)
-	lp.peerMark = make([]int32, k)
 	return lp
 }
 
@@ -239,11 +214,6 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 // features are in flight) and the halo-dependent remainder. Both lists are
 // ascending, which the staged backward relies on for bit-identical
 // accumulation order.
-//
-// The halo-dependent rows are also bucketed by awaited peer: peerRows[j]
-// lists every row with a halo neighbor owned by rank j, and
-// rowWaitInit[v] counts row v's distinct awaited peers — the countdown that
-// unlocks a row the moment its last peer's payload lands.
 //
 // With restrict set (a row-dropping strategy under SAGE), inner rows with
 // lp.active[v] false are excluded from both compute lists and collected in
@@ -256,32 +226,14 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 // one self-attention, and contributes exactly zero gradient).
 func (lp *LocalPartition) splitRows(eg *graph.Graph, restrict bool) {
 	free, dep, skip := lp.haloFree[:0], lp.haloDep[:0], lp.skipRows[:0]
-	for j := range lp.peerRows {
-		lp.peerRows[j] = lp.peerRows[j][:0]
-		lp.peerMark[j] = -1
-	}
 	nIn := int32(lp.NIn)
 	for v := int32(0); v < nIn; v++ {
-		if restrict && !lp.active[v] {
+		switch {
+		case restrict && !lp.active[v]:
 			skip = append(skip, v)
-			lp.rowWaitInit[v] = 0
-			continue
-		}
-		waits := int32(0)
-		for _, u := range eg.Neighbors(v) {
-			if u >= nIn {
-				o := lp.slotOwner[lp.rowSlot[u-nIn]]
-				if lp.peerMark[o] != v {
-					lp.peerMark[o] = v
-					lp.peerRows[o] = append(lp.peerRows[o], v)
-					waits++
-				}
-			}
-		}
-		lp.rowWaitInit[v] = waits
-		if waits > 0 {
+		case slices.ContainsFunc(eg.Neighbors(v), func(u int32) bool { return u >= nIn }):
 			dep = append(dep, v)
-		} else {
+		default:
 			free = append(free, v)
 		}
 	}
@@ -449,11 +401,6 @@ type RankTrainer struct {
 	epoch            int
 	flatGrad         []float32  // reusable gradient AllReduce buffer
 	ep               epochState // the running pass's shared stage state
-	// arrCh is the halo completion queue: every posted halo receive
-	// delivers its peer's rank here when the payload becomes consumable.
-	// Capacity K covers the at most K−1 notifications outstanding per phase,
-	// so the transport never blocks delivering a token.
-	arrCh chan int
 }
 
 // NewRankTrainer builds the local state for one rank of a k-way training
@@ -487,7 +434,6 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 		send:        topo.Send[rank],
 		multiLabel:  ds.MultiLabel,
 		globalNodes: ds.G.N,
-		arrCh:       make(chan int, topo.K),
 	}
 	// The epoch-sampling strategy: BNS by default, or whatever the config's
 	// factory builds. It samples against the static partition view and fills

@@ -16,15 +16,15 @@ import (
 //	plan          sample, exchange positions, build the epoch node space,
 //	              its graph and the row split
 //	per layer, forward:
-//	  post          gather + send boundary rows, post the halo receives
+//	  post          gather + send boundary rows
 //	  compute-free  rows whose aggregation reads no sampled boundary slot
-//	  drain         consume peers as they land; compute the rows each unlocks
+//	  drain         receive peers in ascending rank, then the halo-dependent rows
 //	loss
 //	per layer, backward:
 //	  backward-halo   halo rows of the input gradient (what the peers await)
-//	  post-grad       send them, post the peer-gradient receives
+//	  post-grad       send them
 //	  backward-finish parameter gradients + inner rows
-//	  fold            stage peer gradients as they land, fold in rank order
+//	  fold            receive peer gradients in ascending rank, add each in
 //	reduce        gradient AllReduce + optimizer step
 //
 // Evaluation (RankTrainer.Evaluate) is the plan and forward stages and nothing
@@ -48,40 +48,36 @@ import (
 //
 // Every layer pass runs in compute chunks over a per-epoch row partition
 // (LocalPartition.splitRows): the halo-free rows and the halo-dependent
-// remainder, the latter bucketed by the peers each row awaits. The chunked
-// row passes are bit-identical per row to the one-shot layer passes (see
-// nn's layer tests), whatever order the chunks run in.
+// remainder. The chunked row passes are bit-identical per row to the
+// one-shot layer passes (see nn's layer tests).
 //
-// Every halo receive is preceded by a completion notification
-// (comm.Transport.IRecvF32Notify): each posted notification reports its peer
-// on RankTrainer.arrCh the moment the payload is consumable, and the drain
-// receives whichever lands first — so one slow peer stalls only the rows
-// that genuinely need it. Determinism survives the nondeterministic
-// consumption order because nothing in it is order-sensitive:
+// Every halo receive is a plain receive, taken in ascending peer rank. Both
+// transports land a payload without its receiver's help, so it arrives while
+// compute-free or backward-finish runs, and the receive after them finds it
+// waiting unless the peer is late. Nothing an epoch computes depends on when
+// a payload landed:
 //
 //   - the forward scatter writes each peer's rows into disjoint halo rows;
 //   - dropout masks for all halo rows are drawn up front, each from the
 //     stream offset its slot has in a pass over every boundary slot
-//     (nn.Dropout.MaskRowsAt), and only *applied* per peer on arrival;
-//   - a halo-dependent row is computed exactly once, when its last awaited
-//     peer lands (splitRows' per-peer buckets + rowWait countdown);
-//   - backward peer gradients, whose += folds into shared rows ARE
-//     order-sensitive, are only staged per peer on arrival and folded in
-//     canonical ascending rank order once all are in.
+//     (nn.Dropout.MaskRowsAt), and applied per peer as it is received;
+//   - a halo-dependent row is computed exactly once, after the last peer;
+//   - backward peer gradients, whose += into shared rows is
+//     order-sensitive, are added in ascending rank order.
 //
 // The stages run in the order above, so each exchange is in flight during
 // compute-free and backward-finish, and a rank waits only inside the drain
 // and the fold, for a payload that has not landed yet. Weights, losses and
 // per-rank payload bytes are the same bits on every backend and under any
-// peer completion order (the cross-backend and skewed comm.WithLinkModel
-// tests pin this).
+// delivery order (the cross-backend and skewed comm.WithLinkModel tests pin
+// this).
 //
 // Timing is split into two comm counters (see EpochStats): CommExposed is
 // the critical-path portion (payload gather plus actual blocked
 // waits and halo fills), Comm the raw span of each exchange from post to
 // last consumption — which runs concurrently with Compute and measures what
 // the exchange would cost if nothing hid it. The drain attributes the row
-// compute it interleaves between waits to Compute, not CommExposed, so the
+// compute it runs between receives to Compute, not CommExposed, so the
 // exposed figure counts only time spent on the exchange itself.
 
 // epochState is what one epoch's plan stage decides and the per-layer stages
@@ -148,10 +144,10 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 	// --- Backward (line 13) ---
 	for l := len(layers) - 1; l > 0; l-- {
 		dH := rt.backwardHalo(l, d)
-		nPend := rt.postGrad(l, dH)
+		rt.postGrad(l, dH)
 		span := rt.openSpan()
 		rt.backwardFinish(l)
-		d = rt.foldGrad(l, dH, nPend)
+		d = rt.foldGrad(l, dH)
 		rt.closeSpan(span, time.Now())
 	}
 	rt.backwardInput(d)
@@ -171,11 +167,11 @@ func (rt *RankTrainer) forward() *tensor.Matrix {
 	layers := rt.Model.LayersL
 	h := rt.LP.Features // inner activations entering the current layer
 	for l := range layers {
-		nPend := rt.postForward(l, h)
+		rt.postForward(l, h)
 		span := rt.openSpan()
 		x := rt.LP.ws.Get(rt.LP.eg.N, layers[l].InputDim())
 		h = rt.forwardFree(l, x, h)
-		rt.closeSpan(span, rt.drainForward(l, x, nPend))
+		rt.closeSpan(span, rt.drainForward(l, x))
 		if rt.ep.eval {
 			// No backward will read this layer's input, so the next layer
 			// reuses its storage; and once every rank has drained the layer,
@@ -411,12 +407,10 @@ func (rt *RankTrainer) haloRescale(row int32) float32 {
 	return rt.ep.invP
 }
 
-// postForward posts layer l's halo exchange — the boundary rows of h each
-// peer sampled, and one receive notification per peer I sampled from — and
-// returns the number of receives pending. The rows are gathered straight into
-// a payload buffer the transport lends (on TCP, the outgoing frame itself)
-// and sent in it.
-func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) (nPend int) {
+// postForward posts layer l's halo exchange: the boundary rows of h each
+// peer sampled, gathered straight into a payload buffer the transport lends
+// (on TCP, the outgoing frame itself) and sent in it.
+func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) {
 	cs := time.Now()
 	lp, st, w := rt.LP, &rt.ep.st, rt.ep.w
 	dim := h.Cols
@@ -431,17 +425,9 @@ func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) (nPend int) {
 		w.ISendBufF32(j, tagForward+l, payload)
 		st.CommBytes += int64(4 * len(payload))
 	}
-	for j, slots := range lp.recvSlots {
-		if len(slots) == 0 {
-			continue
-		}
-		w.IRecvF32Notify(j, tagForward+l, rt.arrCh, j)
-		nPend++
-	}
 	post := time.Since(cs)
 	st.CommExposed += post
 	st.Comm += post
-	return nPend
 }
 
 // forwardFree begins layer l's pass over its input x, a matrix over the epoch
@@ -452,10 +438,10 @@ func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) (nPend int) {
 // in place
 // — the epoch space has a row only for a sampled slot, and each of those is
 // in exactly one peer's receive list. The halo rows' dropout masks are drawn
-// here, right after the inner rows', so the drain can apply them per peer in
-// any arrival order: each sampled slot draws at the stream offset it has in
-// a single pass over the inner rows and then all NBd slots, and the stream is
-// left where that pass ends — the masks and the checkpointed stream position
+// here, right after the inner rows', so the drain can apply them per peer:
+// each sampled slot draws at the stream offset it has in a single pass over
+// the inner rows and then all NBd slots, and the stream is left where that
+// pass ends — the masks and the checkpointed stream position
 // do not depend on which other slots an epoch sampled (an evaluation's pass is
 // the identity and draws nothing). Returns the layer's output matrix; its
 // halo-dependent rows are valid after the drain.
@@ -479,34 +465,26 @@ func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// drainForward consumes layer l's boundary feature rows in peer-arrival
-// order: it blocks on the completion queue, and whichever peer's payload
-// becomes consumable first is scattered into that peer's halo rows of x
+// drainForward receives layer l's boundary feature rows peer by peer in
+// ascending rank: each payload is scattered into that peer's halo rows of x
 // with the strategy's receive rescale (the unbiased 1/p of Section 3.2 for
-// BNS; rows are disjoint per peer, so arrival order cannot change the
-// bits), the rows are masked in place with their pre-drawn dropout masks and
-// their per-node precomputations run, and every halo-dependent row whose last
-// awaited peer just landed is computed immediately (splitRows' rowWait
-// countdown). Rows unlocked by one peer are ascending (peerRows is built by
-// an ascending row scan) and each row runs exactly once.
+// BNS), and the rows are masked in place with their pre-drawn dropout masks
+// and their per-node precomputations run. After the last peer every
+// halo-dependent row is computed in one pass.
 //
-// Blocked waits and halo fills are attributed to CommExposed, the unlocked
-// row compute to Compute; the returned time of the last consumption ends the
-// exchange's raw span (zero when nothing was pending).
-func (rt *RankTrainer) drainForward(l int, x *tensor.Matrix, nPend int) (lastConsume time.Time) {
+// Receives and halo fills are attributed to CommExposed, the row compute to
+// Compute; the returned time of the last consumption ends the exchange's raw
+// span (zero when nothing was pending).
+func (rt *RankTrainer) drainForward(l int, x *tensor.Matrix) (lastConsume time.Time) {
 	lp, ep := rt.LP, &rt.ep
 	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
 	dim := x.Cols
-	copy(lp.rowWait, lp.rowWaitInit) // re-arm the countdown for this layer's drain
-	for i := 0; i < nPend; i++ {
-		cs := time.Now()
-		j := <-rt.arrCh
-		slots := lp.recvSlots[j]
-		data := ep.w.RecvF32(j, tagForward+l)
-		if len(data) != len(slots)*dim {
-			panic(fmt.Sprintf("core: rank %d layer %d: got %d floats from %d, want %d",
-				rt.Rank, l, len(data), j, len(slots)*dim))
+	for j, slots := range lp.recvSlots {
+		if len(slots) == 0 {
+			continue
 		}
+		cs := time.Now()
+		data := rt.recvHalo(j, tagForward, l, len(slots)*dim)
 		for r, slot := range slots {
 			dst := x.Row(int(slot))
 			s := rt.haloRescale(slot)
@@ -521,18 +499,24 @@ func (rt *RankTrainer) drainForward(l int, x *tensor.Matrix, nPend int) (lastCon
 		ps := time.Now()
 		drop.ApplyMaskedRows(slots)
 		layer.ForwardPrepRows(slots)
-		ready := lp.readyRows[:0]
-		for _, v := range lp.peerRows[j] {
-			lp.rowWait[v]--
-			if lp.rowWait[v] == 0 {
-				ready = append(ready, v)
-			}
-		}
-		lp.readyRows = ready
-		layer.ForwardRows(ready)
 		ep.st.Compute += time.Since(ps)
 	}
+	ps := time.Now()
+	layer.ForwardRows(lp.haloDep)
+	ep.st.Compute += time.Since(ps)
 	return lastConsume
+}
+
+// recvHalo receives layer l's next halo payload from peer j on the exchange
+// base tag, and stops one of the wrong length where it lands, naming the
+// rank, layer and peer.
+func (rt *RankTrainer) recvHalo(j, base, l, want int) []float32 {
+	data := rt.ep.w.RecvF32(j, base+l)
+	if len(data) != want {
+		panic(fmt.Sprintf("core: rank %d layer %d: got %d floats from %d, want %d",
+			rt.Rank, l, len(data), j, want))
+	}
+	return data
 }
 
 // lossGrad computes this rank's loss contribution (line 12) and returns the
@@ -564,9 +548,8 @@ func (rt *RankTrainer) backwardHalo(l int, d *tensor.Matrix) *tensor.Matrix {
 
 // postGrad posts layer l's gradient exchange: the halo rows of dH go back
 // to the peers that own them, scaled by the chain rule through the receive
-// rescale as they are gathered into a lent payload buffer, and one
-// receive notification is posted per peer I sent features to.
-func (rt *RankTrainer) postGrad(l int, dH *tensor.Matrix) (nPend int) {
+// rescale as they are gathered into a lent payload buffer.
+func (rt *RankTrainer) postGrad(l int, dH *tensor.Matrix) {
 	cs := time.Now()
 	lp, ep := rt.LP, &rt.ep
 	dim := dH.Cols
@@ -585,17 +568,9 @@ func (rt *RankTrainer) postGrad(l int, dH *tensor.Matrix) (nPend int) {
 		ep.w.ISendBufF32(j, tagBackward+l, payload)
 		ep.st.CommBytes += int64(4 * len(payload))
 	}
-	for j, rows := range lp.sendRows {
-		if len(rows) == 0 {
-			continue
-		}
-		ep.w.IRecvF32Notify(j, tagBackward+l, rt.arrCh, j)
-		nPend++
-	}
 	post := time.Since(cs)
 	ep.st.CommExposed += post
 	ep.st.Comm += post
-	return nPend
 }
 
 // backwardFinish accumulates layer l's parameter gradients and completes the
@@ -610,23 +585,17 @@ func (rt *RankTrainer) backwardFinish(l int) {
 
 // foldGrad assembles the next layer down's output gradient in place, in the
 // inner rows of layer l's input gradient dH: the halo gradients the peers
-// computed for my rows are added into them. Peer gradients += into shared
-// destination rows, so the fold itself must stay in ascending rank order
-// (the accumulation order is part of bit-identity) — each peer's payload is
-// therefore only *staged* as it lands (the receive, and under a modeled link
-// its latency, completes in arrival order) and folded once all are in.
+// computed for my rows are received in ascending rank and each is added into
+// them as it is received. Peer gradients += into shared destination rows, so
+// that rank order is the accumulation order bit-identity rests on.
 // Returns lp.dNext, a view of dH's first NIn rows: nothing reads dH after
 // the fold but the layer below, whose backward copies the view in its first
 // step (the layer's pre-activation gradient), and dH is next written by
 // layer l's backward in the next epoch.
-func (rt *RankTrainer) foldGrad(l int, dH *tensor.Matrix, nPend int) *tensor.Matrix {
+func (rt *RankTrainer) foldGrad(l int, dH *tensor.Matrix) *tensor.Matrix {
 	as := time.Now()
 	lp := rt.LP
 	dim := dH.Cols
-	for i := 0; i < nPend; i++ {
-		j := <-rt.arrCh
-		lp.recvData[j] = rt.ep.w.RecvF32(j, tagBackward+l)
-	}
 	// Skipped rows' input-gradient rows are stale scratch (no split write
 	// covers them, and no gather reaches an edgeless row); the layer below
 	// multiplies its parameter grads by these rows' dPre, so they must be
@@ -638,8 +607,7 @@ func (rt *RankTrainer) foldGrad(l int, dH *tensor.Matrix, nPend int) *tensor.Mat
 		if len(rows) == 0 {
 			continue
 		}
-		data := lp.recvData[j]
-		lp.recvData[j] = nil
+		data := rt.recvHalo(j, tagBackward, l, len(rows)*dim)
 		for x, row := range rows {
 			tensor.AddTo(dH.Row(int(row)), data[x*dim:(x+1)*dim])
 		}

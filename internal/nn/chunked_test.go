@@ -200,7 +200,7 @@ func TestDropoutChunkedMatchesOneShot(t *testing.T) {
 // (MaskRows, the RNG-stream-ordered half) and applying them later in
 // arbitrary per-peer row batches (ApplyMaskedRows, the value-dependent half)
 // must reproduce a plain ascending ForwardRows pass bit for bit — the
-// contract the arrival-order halo drain rests on.
+// contract the halo drain rests on when it masks one peer's rows at a time.
 func TestDropoutMaskApplySplitMatchesForwardRows(t *testing.T) {
 	const rows, cols, cut = 23, 7, 9
 	x := randMat(tensor.NewRNG(3), rows, cols)
@@ -401,8 +401,8 @@ func TestGATHaloLayoutMatchesDenseSpace(t *testing.T) {
 }
 
 // TestGATForwardPrepRowsMatchesRange: per-row-list prep must reproduce the
-// range form bit for bit in any duplicate-free cover order, so the
-// arrival-order drain can prep one peer's halo slots as they land.
+// range form bit for bit in any duplicate-free cover order, so the drain can
+// prep one peer's halo slots as each payload is received.
 func TestGATForwardPrepRowsMatchesRange(t *testing.T) {
 	for _, tc := range chunkedCases {
 		rng := tensor.NewRNG(77)
@@ -421,8 +421,8 @@ func TestGATForwardPrepRowsMatchesRange(t *testing.T) {
 		got := chk.ForwardBegin(g, h, tc.nIn)
 		chk.ForwardPrep(0, tc.nIn)
 		chk.ForwardRows(free)
-		// Prep the referenced halo slots in reversed per-row batches (the
-		// arrival order is arbitrary), then complete the dependent rows.
+		// Prep the referenced halo slots in reversed per-row batches (any
+		// cover order must do), then complete the dependent rows.
 		for i := len(slots) - 1; i >= 0; i-- {
 			chk.ForwardPrepRows(slots[i : i+1])
 		}
