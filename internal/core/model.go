@@ -127,7 +127,8 @@ type GraphLayer interface {
 	// resets the pass accumulators.
 	BackwardBegin(dOut *tensor.Matrix)
 	// BackwardHalo completes the halo rows [nIn, g.N) of the input gradient:
-	// haloSrc lists (ascending) every output row with a neighbor ≥ nIn.
+	// haloSrc lists (ascending) every output row with a neighbor ≥ nIn. The
+	// halo rows are input rows only: nIn ≥ NOut.
 	// Rows < nIn of the returned matrix are valid only after BackwardFinish.
 	BackwardHalo(haloSrc []int32, nIn int) *tensor.Matrix
 	// BackwardFinish accumulates parameter gradients and completes rows
@@ -153,9 +154,10 @@ func (l sageLayer) take(lo *Layout) *graph.Graph { l.SetAgg(&lo.Agg); return lo.
 func (l sageLayer) InputDim() int                { return l.SAGEConv.InDim }
 func (l sageLayer) OutputDim() int               { return l.SAGEConv.OutDim }
 
-// gatLayer adapts nn.GATConv to GraphLayer: attention needs no plan and no
-// normalizer, but its dW — a reduction over input rows — is summed where the
-// layout's halo rows stand in their dense block.
+// gatLayer adapts nn.GATConv to GraphLayer: attention needs no normalizer,
+// but its backward gathers over the layout's plan, and its dW — a reduction
+// over input rows — is summed where the layout's halo rows stand in their
+// dense block.
 type gatLayer struct{ *nn.GATConv }
 
 func (l gatLayer) Forward(lo *Layout, h *tensor.Matrix) *tensor.Matrix {
@@ -164,9 +166,13 @@ func (l gatLayer) Forward(lo *Layout, h *tensor.Matrix) *tensor.Matrix {
 func (l gatLayer) ForwardBegin(lo *Layout, h *tensor.Matrix) *tensor.Matrix {
 	return l.GATConv.ForwardBegin(l.take(lo), h, lo.NOut)
 }
-func (l gatLayer) take(lo *Layout) *graph.Graph { l.SetHaloLayout(lo.HaloAt, lo.HaloN); return lo.G }
-func (l gatLayer) InputDim() int                { return l.GATConv.InDim }
-func (l gatLayer) OutputDim() int               { return l.GATConv.OutDim }
+func (l gatLayer) take(lo *Layout) *graph.Graph {
+	l.SetAgg(&lo.Agg)
+	l.SetHaloLayout(lo.HaloAt, lo.HaloN)
+	return lo.G
+}
+func (l gatLayer) InputDim() int  { return l.GATConv.InDim }
+func (l gatLayer) OutputDim() int { return l.GATConv.OutDim }
 
 // Model is a stack of graph layers with per-layer dropout, replicated on
 // every partition during parallel training.

@@ -30,6 +30,12 @@ type AggIndex struct {
 	// an ascending-source scatter.
 	IncIndptr []int64
 	IncSrc    []int32
+	// IncEdge is, per incoming entry, the position in the outgoing CSR's
+	// Indices of the edge it transposes: IncSrc[j] = v and
+	// Indices[IncEdge[j]] = u for the entry j of destination u. A per-edge
+	// value the forward wrote at an edge's position (GAT's attention) is
+	// read by the backward gather through it.
+	IncEdge []int32
 	// IncChunks is the edge-balanced boundary list over the transposed index.
 	IncChunks []int32
 
@@ -80,9 +86,13 @@ func (ai *AggIndex) Build(g *Graph) {
 		cnt[u] = 0
 	}
 	tensor.EnsureLen(&ai.IncSrc, e)
+	tensor.EnsureLen(&ai.IncEdge, e)
 	for v := 0; v < n; v++ {
-		for _, u := range g.Indices[g.Indptr[v]:g.Indptr[v+1]] {
-			ai.IncSrc[ai.IncIndptr[u]+cnt[u]] = int32(v)
+		lo := g.Indptr[v]
+		for i, u := range g.Indices[lo:g.Indptr[v+1]] {
+			j := ai.IncIndptr[u] + cnt[u]
+			ai.IncSrc[j] = int32(v)
+			ai.IncEdge[j] = int32(lo) + int32(i)
 			cnt[u]++
 		}
 	}

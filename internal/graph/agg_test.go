@@ -30,15 +30,20 @@ func randAggGraph(t *testing.T, n int, seed int64) *Graph {
 }
 
 // TestAggIndexTranspose pins the incoming index: for every destination u,
-// IncSrc lists exactly the sources v with u ∈ N(v), ascending.
+// IncSrc lists exactly the sources v with u ∈ N(v), ascending, and IncEdge
+// the position of each such edge in v's outgoing row.
 func TestAggIndexTranspose(t *testing.T) {
 	g := randAggGraph(t, 40, 1)
 	ai := NewAggIndex(g)
 	if len(ai.IncIndptr) != g.N+1 || int(ai.IncIndptr[g.N]) != len(g.Indices) {
 		t.Fatalf("incoming index covers %d of %d arcs", ai.IncIndptr[g.N], len(g.Indices))
 	}
+	if len(ai.IncEdge) != len(ai.IncSrc) {
+		t.Fatalf("%d incoming edge positions for %d incoming entries", len(ai.IncEdge), len(ai.IncSrc))
+	}
 	for u := int32(0); u < int32(g.N); u++ {
 		incoming := ai.IncSrc[ai.IncIndptr[u]:ai.IncIndptr[u+1]]
+		checkIncEdges(t, g, ai, u)
 		var want []int32
 		for v := int32(0); v < int32(g.N); v++ {
 			for _, w := range g.Neighbors(v) {
@@ -58,6 +63,21 @@ func TestAggIndexTranspose(t *testing.T) {
 	}
 }
 
+// checkIncEdges requires every incoming entry j of destination u to name an
+// edge to u (Indices[IncEdge[j]] == u) that lies in source row IncSrc[j].
+func checkIncEdges(t *testing.T, g *Graph, ai *AggIndex, u int32) {
+	t.Helper()
+	for j := ai.IncIndptr[u]; j < ai.IncIndptr[u+1]; j++ {
+		e, v := int64(ai.IncEdge[j]), ai.IncSrc[j]
+		if e < 0 || e >= int64(len(g.Indices)) || g.Indices[e] != u {
+			t.Fatalf("node %d: incoming entry %d names edge %d, which does not point to it", u, j, e)
+		}
+		if e < g.Indptr[v] || e >= g.Indptr[v+1] {
+			t.Fatalf("node %d: incoming entry %d names edge %d, outside source %d's row [%d,%d)", u, j, e, v, g.Indptr[v], g.Indptr[v+1])
+		}
+	}
+}
+
 // TestAggIndexRebuildInPlace pins the epoch-loop contract: rebuilding on a
 // different graph reuses storage (no allocation once capacities warmed) and
 // fully replaces the contents.
@@ -73,8 +93,12 @@ func TestAggIndexRebuildInPlace(t *testing.T) {
 		t.Fatalf("steady-state rebuild allocates %v objects", allocs)
 	}
 	ai.Build(small)
-	if len(ai.IncIndptr) != small.N+1 || int(ai.IncIndptr[small.N]) != len(small.Indices) {
+	if len(ai.IncIndptr) != small.N+1 || int(ai.IncIndptr[small.N]) != len(small.Indices) ||
+		len(ai.IncEdge) != len(small.Indices) {
 		t.Fatal("rebuild did not replace contents")
+	}
+	for u := int32(0); u < int32(small.N); u++ {
+		checkIncEdges(t, small, ai, u)
 	}
 }
 

@@ -328,6 +328,7 @@ func TestGATZeroDegreeNodesFullPass(t *testing.T) {
 	}
 
 	l := NewGATConv(inDim, outDim, ReLUAct, tensor.NewRNG(11))
+	l.SetAgg(graph.NewAggIndex(g))
 	out := l.Forward(g, h, nIn)
 	for _, v := range []int{0, 5} {
 		for j := 0; j < outDim; j++ {

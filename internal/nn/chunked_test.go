@@ -114,11 +114,12 @@ var chunkedCases = []chunkedCase{
 
 // TestGATChunkedMatchesOneShot: ForwardBegin/ForwardRows over the halo split
 // and the staged backward must reproduce Forward/Backward exactly for the
-// attention layer, whose backward sweeps are destination-filtered rather
-// than source-split. (SAGE's same contract is pinned against the concat
-// reference in TestSAGEFusedMatchesConcatReference.) The one-shot pass also
-// runs with the kernel pool forced wide — no plan installed, its sweep
-// claimed block by block — and must match the inline pass bit for bit.
+// attention layer, whose staged backward splits its edge pass by source and
+// its pull by destination. (SAGE's same contract is pinned against the concat
+// reference in TestSAGEFusedMatchesConcatReference; GAT's against the serial
+// sweep in TestGATBackwardMatchesSerialSweep.) The one-shot pass also runs
+// with the kernel pool forced wide — its sweeps claimed block by block — and
+// must match the inline pass bit for bit.
 func TestGATChunkedMatchesOneShot(t *testing.T) {
 	for _, tc := range chunkedCases {
 		rng := tensor.NewRNG(202)
@@ -129,6 +130,8 @@ func TestGATChunkedMatchesOneShot(t *testing.T) {
 
 		ref := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
 		chk := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
+		ref.SetAgg(graph.NewAggIndex(g))
+		chk.SetAgg(graph.NewAggIndex(g))
 
 		wantOut := ref.Forward(g, h, tc.nIn)
 		wantDH := ref.Backward(dOut)
@@ -149,6 +152,7 @@ func TestGATChunkedMatchesOneShot(t *testing.T) {
 		sameBits(t, tc.name+"/DA2", chk.DA2.Data, ref.DA2.Data)
 
 		par := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
+		par.SetAgg(graph.NewAggIndex(g))
 		restore := tensor.ForceParallelism(4)
 		parOut := par.Forward(g, h, tc.nIn)
 		parDH := par.Backward(dOut)
@@ -362,15 +366,18 @@ func TestGATHaloLayoutMatchesDenseSpace(t *testing.T) {
 
 			restore := tensor.ForceParallelism(width)
 			ref := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
+			ref.SetAgg(graph.NewAggIndex(dense))
 			wantOut := ref.Forward(dense, hDense, tc.nIn)
 			wantDH := ref.Backward(dOut)
 
 			one := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
+			one.SetAgg(graph.NewAggIndex(compact))
 			one.SetHaloLayout(at, tc.nBd)
 			oneOut := one.Forward(compact, hCompact, tc.nIn)
 			oneDH := one.Backward(dOut)
 
 			stg := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
+			stg.SetAgg(graph.NewAggIndex(compact))
 			stg.SetHaloLayout(at, tc.nBd)
 			stgOut := stg.ForwardBegin(compact, hCompact, tc.nIn)
 			stg.ForwardPrep(0, compact.N)
@@ -412,6 +419,8 @@ func TestGATForwardPrepRowsMatchesRange(t *testing.T) {
 
 		ref := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
 		chk := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(5))
+		ref.SetAgg(graph.NewAggIndex(g))
+		chk.SetAgg(graph.NewAggIndex(g))
 
 		want := ref.ForwardBegin(g, h, tc.nIn)
 		ref.ForwardPrep(0, g.N)

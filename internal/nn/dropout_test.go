@@ -265,6 +265,8 @@ func TestGATBackwardParamsMatchesBackward(t *testing.T) {
 	h := randMat(rng, g.N, inDim)
 	full := NewGATConv(inDim, outDim, ReLUAct, tensor.NewRNG(6))
 	only := NewGATConv(inDim, outDim, ReLUAct, tensor.NewRNG(6))
+	full.SetAgg(graph.NewAggIndex(g))
+	only.SetAgg(graph.NewAggIndex(g))
 	for pass := 0; pass < 2; pass++ {
 		dOut := randMat(rng, nIn, outDim)
 		full.Forward(g, h, nIn)

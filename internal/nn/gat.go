@@ -29,6 +29,11 @@ type GATConv struct {
 	DA1 *tensor.Matrix
 	DA2 *tensor.Matrix
 
+	// agg is the aggregation plan of the pass graph: the backward builds
+	// each dWh row by a gather over its transposed index. Every pass checks
+	// it against the graph it is handed.
+	agg *graph.AggIndex
+
 	// Caches.
 	g     *graph.Graph
 	nOut  int
@@ -36,24 +41,28 @@ type GATConv struct {
 	h     *tensor.Matrix
 	wh    *tensor.Matrix // nAll × OutDim
 	alpha [][]float32    // per output node: attention over (self + neighbors)
-	eRaw  [][]float32    // pre-LeakyReLU attention logits
 	pre   *tensor.Matrix
 
-	// Layer-owned scratch: alpha/eRaw subslice the flat alphaBuf/rawBuf
-	// (one segment per output node), and the per-node e/raw allocations of
-	// the unoptimized layer are gone. Reused across calls; capacity grows
-	// to the largest epoch subgraph seen.
-	alphaBuf, rawBuf, s1, s2, dAlpha, da1, da2 []float32
-	out, dPre, dWh, dWScratch, dH              *tensor.Matrix
+	// Layer-owned scratch: alpha subslices the flat alphaBuf (one segment
+	// per output node). deBuf holds the backward's attention-logit gradients
+	// in the same segments, so the forward's alphaBuf stays intact and
+	// Backward can repeat after one Forward. The backward recomputes a
+	// logit's sign from s1 and s2 rather than keeping the logits. dPre is
+	// the pre-activation gradient with a1 and a2 stacked under it: the rows
+	// the dWh gather reads. Reused across calls; capacity grows to the
+	// largest epoch subgraph seen.
+	alphaBuf, deBuf, s1, s2, da1, da2 []float32
+	out, dPre, dWh, dWScratch, dH     *tensor.Matrix
 
 	// haloAt/haloN place the pass's trailing input rows in a dense block of
 	// haloN rows (SetHaloLayout); nil/0 means the input is dense as it is.
 	haloAt []int32
 	haloN  int
 
-	// sweep is forwardBlock bound once at construction: binding it per pass
-	// would allocate a closure per call.
-	sweep func(rows []int32)
+	// sweep, edgeSweep and pullSweep are forwardBlock, edgeBlock and
+	// pullBlock bound once at construction: binding them per pass would
+	// allocate a closure per call.
+	sweep, edgeSweep, pullSweep func(rows []int32)
 }
 
 // NewGATConv creates a single-head GAT layer with Xavier initialization.
@@ -73,7 +82,7 @@ func NewGATConv(inDim, outDim int, act Activation, rng *tensor.RNG) *GATConv {
 	tensor.XavierInit(l.W, inDim, outDim, rng)
 	tensor.XavierInit(l.A1, outDim, 1, rng)
 	tensor.XavierInit(l.A2, outDim, 1, rng)
-	l.sweep = l.forwardBlock
+	l.sweep, l.edgeSweep, l.pullSweep = l.forwardBlock, l.edgeBlock, l.pullBlock
 	return l
 }
 
@@ -86,10 +95,13 @@ func (l *GATConv) Grads() []*tensor.Matrix { return []*tensor.Matrix{l.DW, l.DA1
 // ZeroGrad implements Layer.
 func (l *GATConv) ZeroGrad() { zeroGradAll(l.Grads()) }
 
-// SetAgg ignores the plan, so a caller can drive SAGE and GAT layers alike.
-// Attention needs no aggregation plan: its forward sweep claims fixed-size
-// row blocks and its backward is node-serial.
-func (l *GATConv) SetAgg(*graph.AggIndex) {}
+// SetAgg installs the aggregation plan for subsequent passes, as SAGEConv's
+// does: ai must be built from the graph the passes receive (core's layer
+// adapter installs its layout's plan as every pass begins). The forward
+// sweep does not read it; the backward gathers each dWh row over its
+// transposed index. A layer without a plan, or with one whose size does not
+// match the pass's graph, panics at pass entry.
+func (l *GATConv) SetAgg(ai *graph.AggIndex) { l.agg = ai }
 
 // SetHaloLayout tells the layer that the last len(at) input rows of its
 // passes are a selection from a dense block of n rows — input row
@@ -127,6 +139,7 @@ func (l *GATConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int) *tens
 	if g.N != h.Rows || nOut > h.Rows {
 		panic(fmt.Sprintf("nn: GATConv graph %d nodes, features %d rows, nOut %d", g.N, h.Rows, nOut))
 	}
+	checkPlan("GATConv", l.agg, g)
 	l.g, l.nOut, l.nAll, l.h = g, nOut, h.Rows, h
 	tensor.EnsureMat(&l.wh, h.Rows, l.OutDim)
 	tensor.EnsureF32(&l.s1, h.Rows)
@@ -134,13 +147,10 @@ func (l *GATConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int) *tens
 	// One attention entry per (node, self∪neighbor) pair, packed flat.
 	total := nOut + int(g.Indptr[nOut]-g.Indptr[0])
 	tensor.EnsureF32(&l.alphaBuf, total)
-	tensor.EnsureF32(&l.rawBuf, total)
 	if cap(l.alpha) < nOut {
 		l.alpha = make([][]float32, nOut)
-		l.eRaw = make([][]float32, nOut)
 	}
 	l.alpha = l.alpha[:nOut]
-	l.eRaw = l.eRaw[:nOut]
 	tensor.EnsureMat(&l.pre, nOut, l.OutDim)
 	return tensor.EnsureMat(&l.out, nOut, l.OutDim)
 }
@@ -182,7 +192,7 @@ func (l *GATConv) ForwardRows(rows []int32) {
 }
 
 // forwardBlock is the forward sweep's body. forwardNode writes only
-// node-owned state (the node's flat alpha/raw segment and its pre/out rows)
+// node-owned state (the node's flat alpha segment and its pre/out rows)
 // and reads only the shared prep arrays, so blocks may run concurrently and
 // in any order without changing a bit.
 func (l *GATConv) forwardBlock(rows []int32) {
@@ -192,7 +202,7 @@ func (l *GATConv) forwardBlock(rows []int32) {
 }
 
 // forwardNode computes attention and the activated output for node v. Its
-// alpha/raw segment lives at the deterministic flat offset
+// alpha segment lives at the deterministic flat offset
 // v + Indptr[v]−Indptr[0] — the packing a sequential full pass produces — so
 // chunk order cannot move entries.
 func (l *GATConv) forwardNode(v int) {
@@ -201,7 +211,6 @@ func (l *GATConv) forwardNode(v int) {
 	k := len(nbrs) + 1 // self first, then neighbors
 	off := v + int(g.Indptr[v]-g.Indptr[0])
 	e := l.alphaBuf[off : off+k]
-	raw := l.rawBuf[off : off+k]
 	s1, s2 := l.s1, l.s2
 	// Per-edge coefficient fill: e_i = s1[v] + s2[u_i], self first.
 	e[0] = s1[v] + s2[v]
@@ -210,8 +219,6 @@ func (l *GATConv) forwardNode(v int) {
 	for i, u := range nbrs {
 		en[i] = s1v + s2[u]
 	}
-	copy(raw, e)
-	l.eRaw[v] = raw
 	for i, x := range e {
 		if x < 0 {
 			e[i] = x * l.NegSlope
@@ -247,6 +254,17 @@ func (l *GATConv) forwardNode(v int) {
 	activationRow(l.out.Row(v), l.Act, row)
 }
 
+// The backward runs in two row-parallel passes over the kernel pool. The
+// edge pass (edgeBlock) computes, per output row v, the attention gradient
+// dα and from it the logit gradient de into v's deBuf segment. The pull pass
+// (pullBlock) then builds each row of dWh as one chain of terms, gathered over
+// the plan's transposed index: the rows of dPre (α·dz), a1 and a2 (de·a),
+// added in the order a node-serial sweep over v ascending adds them (see
+// pullRow; the tests keep that sweep as refGATBackward). Each term is one
+// FMA per element whether it runs as an Axpy or inside a GatherAxpy, so the
+// bits are the sweep's at every pool width. Only da1 and da2, one
+// accumulator each across every edge, stay serial (attnGrads).
+
 // Backward accumulates parameter gradients and returns the gradient with
 // respect to the full input matrix (nAll × InDim).
 func (l *GATConv) Backward(dOut *tensor.Matrix) *tensor.Matrix {
@@ -257,137 +275,249 @@ func (l *GATConv) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 }
 
 // BackwardParams is the backward of a layer whose input needs no gradient —
-// the first of a stack, fed the dataset's features: the node sweep and the
-// fold into DW/DA1/DA2, the bits Backward accumulates, without the input
-// gradient dWh·Wᵀ (which it never allocates).
+// the first of a stack, fed the dataset's features: the edge and pull passes
+// and the fold into DW/DA1/DA2, the bits Backward accumulates, without the
+// input gradient dWh·Wᵀ (which it never allocates).
 func (l *GATConv) BackwardParams(dOut *tensor.Matrix) {
 	l.preGrad(dOut)
-	for v := 0; v < l.nOut; v++ {
-		l.backwardNode(v, 0, l.nAll, true)
-	}
+	tensor.ForRange(0, l.nOut, l.edgeSweep)
+	tensor.ForRange(0, l.nAll, l.pullSweep)
 	l.backwardParams()
 }
 
 // preGrad checks dOut's shape, computes the pre-activation gradient for every
-// output row and zeroes the Wh-gradient and attention-vector accumulators.
+// output row, stacks a1 and a2 under it, and zeroes the attention-vector
+// accumulators. dWh needs no zeroing: the pull pass clears each row it builds.
 func (l *GATConv) preGrad(dOut *tensor.Matrix) {
 	if dOut.Rows != l.nOut || dOut.Cols != l.OutDim {
 		panic(fmt.Sprintf("nn: GATConv backward shape %dx%d, want %dx%d", dOut.Rows, dOut.Cols, l.nOut, l.OutDim))
 	}
-	dPre := tensor.EnsureMat(&l.dPre, dOut.Rows, dOut.Cols)
+	dPre := tensor.EnsureMat(&l.dPre, l.nOut+2, l.OutDim)
 	copy(dPre.Data, dOut.Data)
 	activationGrad(l.Act, dPre, l.pre)
-	dWh := tensor.EnsureMat(&l.dWh, l.nAll, l.OutDim)
-	dWh.Zero()
-	da1 := tensor.EnsureF32(&l.da1, l.OutDim)
-	da2 := tensor.EnsureF32(&l.da2, l.OutDim)
-	for j := range da1 {
-		da1[j] = 0
-		da2[j] = 0
-	}
+	copy(dPre.Row(l.nOut), l.A1.Row(0))
+	copy(dPre.Row(l.nOut+1), l.A2.Row(0))
+	tensor.EnsureF32(&l.deBuf, len(l.alphaBuf))
+	tensor.EnsureMat(&l.dWh, l.nAll, l.OutDim)
+	clear(tensor.EnsureF32(&l.da1, l.OutDim))
+	clear(tensor.EnsureF32(&l.da2, l.OutDim))
 }
 
 // BackwardBegin starts a staged backward pass: the pre-activation gradient,
 // cleared accumulators, and the input-gradient matrix. The staged schedule
 // (BackwardBegin → BackwardHalo → BackwardFinish) reproduces the one-shot
-// Backward bit for bit: halo rows of dWh receive contributions only from
-// outputs with a halo neighbor, sweeps are destination-filtered so every +=
-// lands on each destination row (and on da1/da2) in exactly the order of the
-// unsplit sweep, and the dH matmuls are per-row stable.
+// Backward bit for bit: every output row's edge pass runs exactly once, in
+// one stage or the other, and a dWh row's chain is the same whichever stage
+// builds it — a halo row's sources are all halo-dependent rows, whose edge
+// pass BackwardHalo runs first. The dH matmuls are per-row stable.
 func (l *GATConv) BackwardBegin(dOut *tensor.Matrix) {
 	l.preGrad(dOut)
 	tensor.EnsureMat(&l.dH, l.nAll, l.InDim) // rows computed stage by stage
 }
 
 // BackwardHalo completes the halo rows [nIn, nAll) of the input gradient so
-// they can be sent while the rest of the backward pass runs. haloSrc must
-// list, in ascending order, every output row with at least one neighbor
-// ≥ nIn. The returned matrix is the shared input-gradient accumulator: its
-// rows ≥ nIn are final, rows < nIn complete only after BackwardFinish.
+// they can be sent while the rest of the backward pass runs. The halo rows
+// are input rows only (nIn ≥ nOut), and haloSrc must list every output row
+// with at least one neighbor ≥ nIn; their edge pass runs here, and only here.
+// The returned matrix is the shared input-gradient accumulator: its rows
+// ≥ nIn are final, rows < nIn complete only after BackwardFinish.
 func (l *GATConv) BackwardHalo(haloSrc []int32, nIn int) *tensor.Matrix {
-	for _, v := range haloSrc {
-		l.backwardNode(int(v), nIn, l.nAll, false)
+	if nIn < l.nOut {
+		panic(fmt.Sprintf("nn: GATConv.BackwardHalo with nIn %d < nOut %d: halo rows must be input-only", nIn, l.nOut))
 	}
+	tensor.ForRows(haloSrc, l.edgeSweep)
+	tensor.ForRange(nIn, l.nAll, l.pullSweep)
 	tensor.MatMulTransBRange(l.dH, l.dWh, l.W, nIn, l.nAll)
 	return l.dH
 }
 
-// BackwardFinish accumulates DW/DA1/DA2 and completes the inner rows
-// [0, nIn) of the input gradient. The sweep revisits every output row (the
-// attention backward of a halo-dependent row also feeds inner destinations),
-// so freeSrc is unused by GAT — SAGE needs it.
+// BackwardFinish runs the edge pass of freeSrc — every output row not in
+// BackwardHalo's haloSrc; together they cover [0, nOut) exactly once —
+// builds the inner rows [0, nIn) of dWh, accumulates DW/DA1/DA2 and completes
+// the inner rows of the input gradient.
 func (l *GATConv) BackwardFinish(freeSrc []int32, nIn int) *tensor.Matrix {
-	for v := 0; v < l.nOut; v++ {
-		l.backwardNode(v, 0, nIn, true)
-	}
+	tensor.ForRows(freeSrc, l.edgeSweep)
+	tensor.ForRange(0, nIn, l.pullSweep)
 	l.backwardParams()
 	tensor.MatMulTransBRange(l.dH, l.dWh, l.W, 0, nIn)
 	return l.dH
 }
 
-// backwardNode runs the attention backward for output node v, applying
-// gradient writes only to dWh destination rows u with destLo ≤ u < destHi
-// and accumulating da1/da2 only when accumA is set. Splitting one sweep into
-// destination-filtered sweeps preserves, for every destination row and for
-// da1/da2, the exact += order of the unfiltered sweep (the staged schedule
-// recomputes dα for halo-dependent rows, which is pure recomputation of the
-// same values). The inner loops run on the engine primitives: dα is a
-// four-blocked gather of dots (dz loaded once per four neighbor rows), and
-// every accumulation row op is a SIMD Axpy.
-func (l *GATConv) backwardNode(v, destLo, destHi int, accumA bool) {
-	nbrs := l.g.Neighbors(int32(v))
-	alpha := l.alpha[v]
-	raw := l.eRaw[v]
-	dz := l.dPre.Row(v)
-	k := len(alpha)
-
-	// dα_i = dz · Wh_{u_i} (self first), then dWh_{u_i} += α_i dz in the
-	// same self-then-ascending-i order as the fused sweep it replaces.
-	dAlpha := tensor.EnsureF32(&l.dAlpha, k)
-	dAlpha[0] = tensor.Dot(dz, l.wh.Row(v))
-	tensor.GatherDots(dAlpha[1:], dz, l.wh, nbrs)
-	if v >= destLo && v < destHi {
-		tensor.Axpy(l.dWh.Row(v), dz, alpha[0])
-	}
-	for i, u32 := range nbrs {
-		if u := int(u32); u >= destLo && u < destHi {
-			tensor.Axpy(l.dWh.Row(u), dz, alpha[i+1])
-		}
-	}
-	// Softmax backward: de_i = α_i (dα_i − Σ_j α_j dα_j). The inner product
-	// is a per-edge dot over the attention row; every computation of it goes
-	// through the same SIMD Dot, so the staged recomputation for
-	// halo-dependent rows reproduces identical bits.
-	inner := tensor.Dot(alpha, dAlpha)
-	a1 := l.A1.Row(0)
-	a2 := l.A2.Row(0)
-	whv := l.wh.Row(v)
-	for i := 0; i < k; i++ {
-		de := alpha[i] * (dAlpha[i] - inner)
-		// LeakyReLU backward.
-		if raw[i] < 0 {
-			de *= l.NegSlope
-		}
-		// e_i = a1·Wh_v + a2·Wh_{u_i}.
-		u := v
-		if i > 0 {
-			u = int(nbrs[i-1])
-		}
-		if accumA {
-			tensor.Axpy(l.da1, whv, de)
-			tensor.Axpy(l.da2, l.wh.Row(u), de)
-		}
-		if v >= destLo && v < destHi {
-			tensor.Axpy(l.dWh.Row(v), a1, de)
-		}
-		if u >= destLo && u < destHi {
-			tensor.Axpy(l.dWh.Row(u), a2, de)
+// edgeBlock is the edge pass's body: per listed output row v, over v's flat
+// segment (self first, then neighbors u_i), dα_i = dz_v·Wh_{u_i} and then the
+// softmax and LeakyReLU backward
+//
+//	de_i = α_i (dα_i − Σ_j α_j dα_j),  × NegSlope where s1[v]+s2[u_i] < 0,
+//
+// the forward's raw logit, recomputed to the same bits. dα is written into
+// the de segment and overwritten in place. It writes only v's segment, so
+// blocks may run concurrently and in any order.
+func (l *GATConv) edgeBlock(rows []int32) {
+	g, s2 := l.g, l.s2
+	for _, v32 := range rows {
+		v := int(v32)
+		nbrs := g.Neighbors(v32)
+		alpha := l.alpha[v]
+		off := v + int(g.Indptr[v]-g.Indptr[0])
+		de := l.deBuf[off : off+len(alpha)]
+		dz := l.dPre.Row(v)
+		de[0] = tensor.Dot(dz, l.wh.Row(v))
+		tensor.GatherDots(de[1:], dz, l.wh, nbrs)
+		inner := tensor.Dot(alpha, de)
+		s1v := l.s1[v]
+		for i := range de {
+			u := v32
+			if i > 0 {
+				u = nbrs[i-1]
+			}
+			d := alpha[i] * (de[i] - inner)
+			if s1v+s2[u] < 0 {
+				d *= l.NegSlope
+			}
+			de[i] = d
 		}
 	}
 }
 
-// backwardParams folds the per-pass accumulators into DA1/DA2 and DW.
+// pullBlock is the pull pass's body: it builds each listed row of dWh (see
+// pullRow). A row reads the edge pass's segments and writes only itself, so
+// blocks may run concurrently and in any order.
+func (l *GATConv) pullBlock(rows []int32) {
+	var c chain
+	c.src = l.dPre
+	for _, r := range rows {
+		l.pullRow(&c, int(r))
+	}
+}
+
+// pullRow builds dWh row r from zero as one chain over the stacked rows of
+// dPre (dz_v at row v, a1 at row nOut, a2 at row nOut+1), in the sweep's
+// order: sources v ascending, each output row v adding
+//
+//   - if v ≠ r, for each edge v→r: α·dz_v, then for each edge v→r: de·a2;
+//   - if v = r (r's own block): α_self·dz_r, α·dz_r per self-loop edge,
+//     de_self·a1, de_self·a2, then per neighbor edge de·a1 (and de·a2 when the
+//     neighbor is r itself).
+//
+// Input rows ≥ nOut are not swept, so only sources < nOut contribute.
+func (l *GATConv) pullRow(c *chain, r int) {
+	ai, nOut := l.agg, int32(l.nOut)
+	lo, hi := ai.IncIndptr[r], ai.IncIndptr[r+1]
+	srcs, edges := ai.IncSrc[lo:hi], ai.IncEdge[lo:hi]
+	c.dst = l.dWh.Row(r)
+	clear(c.dst)
+	mid, before := 0, min(int32(r), nOut)
+	for mid < len(srcs) && srcs[mid] < before {
+		mid++
+	}
+	l.pullSources(c, srcs[:mid], edges[:mid])
+	if r < l.nOut {
+		mid = l.pullOwn(c, r, srcs, edges, mid)
+	}
+	end := mid
+	for end < len(srcs) && srcs[end] < nOut {
+		end++
+	}
+	l.pullSources(c, srcs[mid:end], edges[mid:end])
+	c.flush()
+}
+
+// runEnd returns the end of the run of entries equal to srcs[i] (the
+// transposed index keeps a source's duplicate edges adjacent, in edge order).
+func runEnd(srcs []int32, i int) int {
+	t := i
+	for t < len(srcs) && srcs[t] == srcs[i] {
+		t++
+	}
+	return t
+}
+
+// pullSources adds the terms of every listed source v ≠ r: per source, α·dz_v
+// for each of its edges to r, then de·a2 for each. A source's edges are one
+// run of entries (see runEnd), so each entry adds its α term and the run's
+// last entry adds the run's de terms. Edge e of row v has flat slot
+// v+1+e−Indptr[0].
+func (l *GATConv) pullSources(c *chain, srcs, edges []int32) {
+	a2, base := int32(l.nOut)+1, 1-int(l.g.Indptr[0])
+	start := 0
+	for j, v := range srcs {
+		c.room(1)
+		c.put(v, l.alphaBuf[int(v)+base+int(edges[j])])
+		if j+1 < len(srcs) && srcs[j+1] == v {
+			continue
+		}
+		for _, e := range edges[start : j+1] {
+			c.room(1)
+			c.put(a2, l.deBuf[int(v)+base+int(e)])
+		}
+		start = j + 1
+	}
+}
+
+// pullOwn adds row r's own block. Entries [i, t) are r's self-loop edges, if
+// any; it returns t.
+func (l *GATConv) pullOwn(c *chain, r int, srcs, edges []int32, i int) int {
+	t := i
+	if i < len(srcs) && int(srcs[i]) == r {
+		t = runEnd(srcs, i)
+	}
+	g, r32 := l.g, int32(r)
+	off := r + int(g.Indptr[r]-g.Indptr[0])
+	alpha := l.alpha[r]
+	de := l.deBuf[off : off+len(alpha)]
+	a1, a2 := int32(l.nOut), int32(l.nOut)+1
+	c.room(1)
+	c.put(r32, alpha[0])
+	base := r + 1 - int(g.Indptr[0])
+	for _, e := range edges[i:t] {
+		c.room(1)
+		c.put(r32, l.alphaBuf[base+int(e)])
+	}
+	c.room(2)
+	c.put(a1, de[0])
+	c.put(a2, de[0])
+	for q, u := range g.Neighbors(r32) {
+		c.room(2)
+		c.put(a1, de[q+1])
+		if u == r32 {
+			c.put(a2, de[q+1])
+		}
+	}
+	return t
+}
+
+// attnGrads accumulates da1 and da2 over every output row v ascending, the
+// sweep's order: per entry of v's segment (self first), de·Wh_v
+// into da1 and de·Wh_u into da2. Each is one chain across the pass.
+func (l *GATConv) attnGrads() {
+	g := l.g
+	var c1, c2 chain
+	c1.dst, c1.src = l.da1, l.wh
+	c2.dst, c2.src = l.da2, l.wh
+	for v := 0; v < l.nOut; v++ {
+		v32 := int32(v)
+		off := v + int(g.Indptr[v]-g.Indptr[0])
+		nbrs := g.Neighbors(v32)
+		de := l.deBuf[off : off+len(nbrs)+1]
+		for _, d := range de {
+			c1.room(1)
+			c1.put(v32, d)
+		}
+		c2.room(1)
+		c2.put(v32, de[0])
+		for q, u := range nbrs {
+			c2.room(1)
+			c2.put(u, de[q+1])
+		}
+	}
+	c1.flush()
+	c2.flush()
+}
+
+// backwardParams folds the pass's attention-vector gradients into DA1/DA2 and
+// dW into DW.
 func (l *GATConv) backwardParams() {
+	l.attnGrads()
 	for j := 0; j < l.OutDim; j++ {
 		l.DA1.Data[j] += l.da1[j]
 		l.DA2.Data[j] += l.da2[j]
@@ -395,4 +525,37 @@ func (l *GATConv) backwardParams() {
 	dW := tensor.EnsureMat(&l.dWScratch, l.InDim, l.OutDim)
 	tensor.MatMulTransAAt(dW, l.h, l.dWh, l.haloAt, l.haloN)
 	l.DW.Add(dW)
+}
+
+// chain accumulates dst += Σ coef·src.Row(idx), one term at a time in the
+// order put appends them, handing the terms to tensor.GatherAxpy in pieces of
+// at most tensor.CoefPiece. GatherAxpy holds the row in registers across a
+// piece and a piece boundary only stores and reloads it, so the bits are
+// those of one Axpy per term in the same order.
+type chain struct {
+	dst  []float32
+	src  *tensor.Matrix
+	n    int
+	idx  [tensor.CoefPiece]int32
+	coef [tensor.CoefPiece]float32
+}
+
+// room flushes the chain unless m more terms fit in its piece (m ≤
+// tensor.CoefPiece); put then appends them without a check.
+func (c *chain) room(m int) {
+	if c.n+m > tensor.CoefPiece {
+		c.flush()
+	}
+}
+
+func (c *chain) put(row int32, a float32) {
+	c.idx[c.n], c.coef[c.n] = row, a
+	c.n++
+}
+
+func (c *chain) flush() {
+	if c.n > 0 {
+		tensor.GatherAxpy(c.dst, c.src, c.idx[:c.n], c.coef[:c.n])
+		c.n = 0
+	}
 }

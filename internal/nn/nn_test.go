@@ -345,6 +345,7 @@ func TestGATConvGradientCheck(t *testing.T) {
 	h := tensor.New(7, 3)
 	tensor.GaussianInit(h, 1, rng)
 	l := NewGATConv(3, 4, ReLUAct, rng)
+	l.SetAgg(graph.NewAggIndex(g))
 	nOut := 5
 	labels := []int32{0, 1, 2, 3, 0}
 	mask := []bool{true, true, false, true, true}
@@ -381,6 +382,7 @@ func TestGATAttentionSumsToOne(t *testing.T) {
 	h := tensor.New(10, 4)
 	tensor.GaussianInit(h, 1, rng)
 	l := NewGATConv(4, 4, NoAct, rng)
+	l.SetAgg(graph.NewAggIndex(g))
 	l.Forward(g, h, 10)
 	for v, alpha := range l.alpha {
 		var s float64

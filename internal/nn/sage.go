@@ -96,19 +96,19 @@ func (l *SAGEConv) ZeroGrad() { zeroGradAll(l.Grads()) }
 // entry.
 func (l *SAGEConv) SetAgg(ai *graph.AggIndex) { l.agg = ai }
 
-// checkPlan rejects a missing aggregation plan, and one that was not built
-// from g: a stale plan would gather over the wrong transposed index and
-// silently corrupt gradients. Node and edge counts are an O(1) proxy that
-// catches the real failure modes (a plan never rebuilt for this epoch's or
-// batch's graph).
-func checkPlan(ai *graph.AggIndex, g *graph.Graph) {
+// checkPlan rejects a missing aggregation plan for layer's pass, and one that
+// was not built from g: a stale plan would gather over the wrong transposed
+// index and silently corrupt gradients. Node and edge counts are an O(1)
+// proxy that catches the real failure modes (a plan never rebuilt for this
+// epoch's or batch's graph).
+func checkPlan(layer string, ai *graph.AggIndex, g *graph.Graph) {
 	if ai == nil {
-		panic(fmt.Sprintf("nn: SAGEConv has no aggregation plan for the pass graph (%d nodes / %d edges): SetAgg one built from it",
-			g.N, len(g.Indices)))
+		panic(fmt.Sprintf("nn: %s has no aggregation plan for the pass graph (%d nodes / %d edges): SetAgg one built from it",
+			layer, g.N, len(g.Indices)))
 	}
 	if n, e := len(ai.IncIndptr)-1, len(ai.IncSrc); n != g.N || e != len(g.Indices) {
-		panic(fmt.Sprintf("nn: SAGEConv aggregation plan covers %d nodes / %d edges, the pass graph has %d nodes / %d edges (stale plan: rebuild it with the graph)",
-			n, e, g.N, len(g.Indices)))
+		panic(fmt.Sprintf("nn: %s aggregation plan covers %d nodes / %d edges, the pass graph has %d nodes / %d edges (stale plan: rebuild it with the graph)",
+			layer, n, e, g.N, len(g.Indices)))
 	}
 }
 
@@ -129,7 +129,7 @@ func (l *SAGEConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int, invD
 	if nOut > h.Rows || len(invDeg) < nOut {
 		panic(fmt.Sprintf("nn: SAGEConv nOut=%d rows=%d invDeg=%d", nOut, h.Rows, len(invDeg)))
 	}
-	checkPlan(l.agg, g)
+	checkPlan("SAGEConv", l.agg, g)
 	if int(g.Indptr[nOut]) != len(g.Indices) {
 		// The backward gathers dz rows through the transposed index, and dz
 		// has only nOut rows: a source beyond them has no gradient to give.

@@ -135,6 +135,7 @@ func TestGATConvRejectsBadShapes(t *testing.T) {
 	rng := tensor.NewRNG(26)
 	g := randGraph(rng, 4, 6)
 	l := NewGATConv(3, 2, NoAct, rng)
+	l.SetAgg(graph.NewAggIndex(g))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")

@@ -102,14 +102,14 @@ func spmmMatMulBlock(pre, z, h, w *Matrix, indptr []int64, indices []int32, scal
 func fusedProject(pre, z, h, w *Matrix, rows []int32) {
 	in := z.Cols
 	k, m := 2*in, w.Cols
-	var cat [coefPiece]float32
+	var cat [CoefPiece]float32
 	for _, v := range rows {
 		i := int(v)
 		dst := pre.Data[i*m : i*m+m]
 		clear(dst)
 		zi, hi := z.Data[i*in:i*in+in], h.Data[i*in:i*in+in]
-		for k0 := 0; k0 < k; k0 += coefPiece {
-			k1 := min(k0+coefPiece, k)
+		for k0 := 0; k0 < k; k0 += CoefPiece {
+			k1 := min(k0+CoefPiece, k)
 			nz := copy(cat[:], zi[min(k0, in):min(k1, in)])
 			copy(cat[nz:], hi[max(k0, in)-in:max(k1, in)-in])
 			panelRows(dst, w.Data[k0*m:], m, rowRange(0, k1-k0), cat[:k1-k0], 1)

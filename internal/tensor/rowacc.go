@@ -26,11 +26,12 @@ package tensor
 // registers: eight YMM accumulators of eight floats.
 const rowStrip = 64
 
-// coefPiece is the most coefficients a caller gathers onto its stack for one
-// row kernel call (fusedProject's concat row, SpMMTrans's per-source scales).
+// CoefPiece is the most coefficients a caller gathers onto its stack for one
+// row kernel call (fusedProject's concat row, SpMMTrans's per-source scales,
+// the GAT backward's GatherAxpy chains).
 // A longer list goes in pieces of whole panels; a piece boundary only stores
 // and reloads the row, which changes no bit.
-const coefPiece = 256
+const CoefPiece = 256
 
 // panelRows accumulates dst += Σ_t coef[t·cs]·x[idx[t]·ldx:][:len(dst)],
 // passing over every panel whose four coefficients are all ±0 and every

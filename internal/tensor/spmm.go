@@ -223,7 +223,7 @@ func SpMMTransRange(dst, src *Matrix, indptr []int64, indices []int32, scale []f
 // initialization.
 func spmmTransBlock(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
 	w := dst.Cols
-	var coef [coefPiece]float32
+	var coef [CoefPiece]float32
 	for _, r := range rows {
 		drow := dst.Data[int(r)*w : int(r)*w+w]
 		srcs := indices[indptr[r]:indptr[r+1]]
@@ -232,7 +232,7 @@ func spmmTransBlock(dst, src *Matrix, indptr []int64, indices []int32, scale []f
 			continue
 		}
 		for len(srcs) > 0 {
-			piece := srcs[:min(len(srcs), coefPiece)]
+			piece := srcs[:min(len(srcs), CoefPiece)]
 			for t, v := range piece {
 				coef[t] = scale[v]
 			}
