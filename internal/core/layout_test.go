@@ -107,7 +107,7 @@ func TestLayoutBuild(t *testing.T) {
 					d := tensor.New(out.Rows, out.Cols)
 					d.CopyFrom(out)
 					m.Backward(d)
-					return slices.Clone(out.Data), nn.FlattenMats(m.Grads(), nil)
+					return slices.Clone(out.Data), slices.Clone(m.GradSlab())
 				}
 				m := model()
 				var logits [3][]float32

@@ -100,7 +100,9 @@ func (lo *Layout) Build(g *graph.Graph) *Layout {
 //     is bit-identical to the one-shot Backward.
 //
 // A pass's backward runs over the layout its forward began with, which must
-// stay unchanged until the backward is done.
+// stay unchanged until the backward is done. Every backward form overwrites
+// its dOut with the pre-activation gradient (dOut ⊙ act′), so a caller hands
+// it a gradient it no longer needs; the layer reads dOut until the pass ends.
 type GraphLayer interface {
 	nn.Layer
 	Forward(lo *Layout, h *tensor.Matrix) *tensor.Matrix
@@ -123,8 +125,8 @@ type GraphLayer interface {
 	// must be covered exactly once per pass.
 	ForwardRows(rows []int32)
 
-	// BackwardBegin computes the pre-activation gradients for dOut and
-	// resets the pass accumulators.
+	// BackwardBegin turns dOut in place into the pre-activation gradients
+	// and resets the pass accumulators.
 	BackwardBegin(dOut *tensor.Matrix)
 	// BackwardHalo completes the halo rows [nIn, g.N) of the input gradient:
 	// haloSrc lists (ascending) every output row with a neighbor ≥ nIn. The
@@ -188,6 +190,10 @@ type Model struct {
 	layersCache []nn.Layer
 	paramsCache []*tensor.Matrix
 	gradsCache  []*tensor.Matrix
+
+	// gradSlab is the storage of every gradient matrix, laid end to end in
+	// Grads order.
+	gradSlab []float32
 }
 
 // NewModel builds a model with deterministic initialization from cfg.Seed.
@@ -219,6 +225,13 @@ func NewModel(cfg ModelConfig, inDim, outDim int) (*Model, error) {
 		m.paramsCache = append(m.paramsCache, l.Params()...)
 		m.gradsCache = append(m.gradsCache, l.Grads()...)
 	}
+	m.gradSlab = make([]float32, nn.ParamCount(m.layersCache))
+	off := 0
+	for _, g := range m.gradsCache {
+		n := copy(m.gradSlab[off:], g.Data)
+		g.Data = m.gradSlab[off : off+n : off+n]
+		off += n
+	}
 	return m, nil
 }
 
@@ -235,8 +248,8 @@ func layerDims(l, layers, hidden, inDim, outDim int) (in, out int) {
 	return in, out
 }
 
-// Layers returns the stack as nn.Layer values for optimizers and grad
-// flattening. The returned slice is shared; callers must not mutate it.
+// Layers returns the stack as nn.Layer values, for parameter counts. The
+// returned slice is shared; callers must not mutate it.
 func (m *Model) Layers() []nn.Layer { return m.layersCache }
 
 // Forward runs the whole stack one-shot — dropout, then the layer, per layer
@@ -256,8 +269,10 @@ func (m *Model) Forward(lo *Layout, x *tensor.Matrix, train bool) *tensor.Matrix
 }
 
 // Backward propagates d, the gradient of the last Forward's output, down the
-// stack, accumulating every layer's parameter gradients. The first layer's
-// input is data: it gets no input gradient, and its dropout no backward.
+// stack, accumulating every layer's parameter gradients. d is overwritten, and
+// so is each layer's input gradient as the layer below consumes it. The first
+// layer's input is data: it gets no input gradient, and its dropout no
+// backward.
 func (m *Model) Backward(d *tensor.Matrix) {
 	for l := len(m.LayersL) - 1; l > 0; l-- {
 		d = m.LayersL[l].Backward(d)
@@ -290,6 +305,11 @@ func (m *Model) Params() []*tensor.Matrix { return m.paramsCache }
 // Grads returns all gradients aligned with Params. The returned slice is
 // shared; callers must not mutate it.
 func (m *Model) Grads() []*tensor.Matrix { return m.gradsCache }
+
+// GradSlab returns the storage of every gradient matrix, in Grads order and
+// element order within each: one slice a collective can sum in place, so
+// writing it writes the gradients.
+func (m *Model) GradSlab() []float32 { return m.gradSlab }
 
 // CopyWeightsFrom copies parameters from src (same architecture).
 func (m *Model) CopyWeightsFrom(src *Model) {

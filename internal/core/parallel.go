@@ -10,7 +10,6 @@ import (
 	"repro/internal/comm"
 	"repro/internal/datagen"
 	"repro/internal/graph"
-	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/tensor"
 )
@@ -399,7 +398,6 @@ type RankTrainer struct {
 	globalNodes      int  // nodes in the whole graph: the length of an evaluation mask
 	globalTrainCount int
 	epoch            int
-	flatGrad         []float32  // reusable gradient AllReduce buffer
 	ep               epochState // the running pass's shared stage state
 }
 
@@ -464,7 +462,6 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 	// The loss normalizer is the global number of training nodes, which is a
 	// property of the dataset alone — no cross-rank exchange needed.
 	rt.globalTrainCount = datagen.CountMask(ds.TrainMask)
-	rt.flatGrad = make([]float32, 0, nn.ParamCount(model.Layers()))
 	return rt, nil
 }
 

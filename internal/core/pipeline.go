@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/comm"
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -589,17 +588,17 @@ func (rt *RankTrainer) backwardFinish(l int) {
 // them as it is received. Peer gradients += into shared destination rows, so
 // that rank order is the accumulation order bit-identity rests on.
 // Returns lp.dNext, a view of dH's first NIn rows: nothing reads dH after
-// the fold but the layer below, whose backward copies the view in its first
-// step (the layer's pre-activation gradient), and dH is next written by
-// layer l's backward in the next epoch.
+// the fold but the layer below, whose backward differentiates the view in
+// place into its pre-activation gradient and reads it until its pass ends,
+// and dH is next written by layer l's backward in the next epoch.
 func (rt *RankTrainer) foldGrad(l int, dH *tensor.Matrix) *tensor.Matrix {
 	as := time.Now()
 	lp := rt.LP
 	dim := dH.Cols
 	// Skipped rows' input-gradient rows are stale scratch (no split write
 	// covers them, and no gather reaches an edgeless row); the layer below
-	// multiplies its parameter grads by these rows' dPre, so they must be
-	// exact zeros.
+	// multiplies its parameter grads by these rows' pre-activation gradient,
+	// so they must be exact zeros.
 	for _, v := range lp.skipRows {
 		clear(dH.Row(int(v)))
 	}
@@ -632,11 +631,9 @@ func (rt *RankTrainer) backwardInput(d *tensor.Matrix) {
 func (rt *RankTrainer) reduce() {
 	rs := time.Now()
 	model, st := rt.Model, &rt.ep.st
-	flat := nn.FlattenMats(model.Grads(), rt.flatGrad)
-	rt.flatGrad = flat
-	rt.ep.w.AllReduceSum(flat, tagReduce)
-	nn.UnflattenMats(model.Grads(), flat)
-	st.ReduceBytes = int64(4 * len(flat))
+	grads := model.GradSlab()
+	rt.ep.w.AllReduceSum(grads, tagReduce)
+	st.ReduceBytes = int64(4 * len(grads))
 	rt.opt.Step(model.Params(), model.Grads())
 	st.Reduce = time.Since(rs)
 }

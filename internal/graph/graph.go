@@ -196,47 +196,3 @@ func InducedSubgraph(g *Graph, nodes []int32) *Graph {
 	}
 	return b.Build()
 }
-
-// DegreeHistogram returns counts of nodes per degree, up to maxDeg (the last
-// bucket collects all degrees >= maxDeg).
-func DegreeHistogram(g *Graph, maxDeg int) []int {
-	h := make([]int, maxDeg+1)
-	for v := int32(0); v < int32(g.N); v++ {
-		d := g.Degree(v)
-		if d >= maxDeg {
-			d = maxDeg
-		}
-		h[d]++
-	}
-	return h
-}
-
-// ConnectedComponents returns a component label per node and the number of
-// components (BFS).
-func ConnectedComponents(g *Graph) ([]int32, int) {
-	label := make([]int32, g.N)
-	for i := range label {
-		label[i] = -1
-	}
-	var queue []int32
-	next := int32(0)
-	for s := int32(0); s < int32(g.N); s++ {
-		if label[s] != -1 {
-			continue
-		}
-		label[s] = next
-		queue = append(queue[:0], s)
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, u := range g.Neighbors(v) {
-				if label[u] == -1 {
-					label[u] = next
-					queue = append(queue, u)
-				}
-			}
-		}
-		next++
-	}
-	return label, int(next)
-}

@@ -172,25 +172,6 @@ func TestDegreeStats(t *testing.T) {
 	if g.AvgDegree() != 2 || g.MaxDegree() != 2 {
 		t.Fatalf("avg=%v max=%d", g.AvgDegree(), g.MaxDegree())
 	}
-	h := DegreeHistogram(g, 5)
-	if h[2] != 3 {
-		t.Fatalf("histogram: %v", h)
-	}
-}
-
-func TestConnectedComponents(t *testing.T) {
-	b := NewBuilder(6)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(3, 4)
-	g := b.Build()
-	label, n := ConnectedComponents(g)
-	if n != 3 {
-		t.Fatalf("components = %d, want 3", n)
-	}
-	if label[0] != label[2] || label[3] != label[4] || label[0] == label[3] || label[5] == label[0] {
-		t.Fatalf("labels = %v", label)
-	}
 }
 
 func TestIORoundTrip(t *testing.T) {

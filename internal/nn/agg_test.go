@@ -48,8 +48,8 @@ func sageConcatReference(l *SAGEConv, g *graph.Graph, h *tensor.Matrix, nOut int
 	for v := 0; v < nOut; v++ {
 		tensor.AddTo(pre.Row(v), l.B.Row(0))
 	}
-	out = tensor.New(nOut, l.OutDim)
-	activationRow(out.Data, l.Act, pre.Data)
+	out = pre.Clone()
+	activate(out.Data, l.Act)
 
 	dPre := dOut.Clone()
 	activationGrad(l.Act, dPre, pre)
@@ -78,7 +78,10 @@ func sageConcatReference(l *SAGEConv, g *graph.Graph, h *tensor.Matrix, nOut int
 // order, and the staged backward must all reproduce the concat reference bit
 // for bit — on odd/prime shapes, with every row or no row halo-dependent,
 // and on a graph with zero-degree inner rows (invDeg = 0, aggregate half
-// exactly zero).
+// exactly zero). The backward differentiates dOut in place: afterwards dOut
+// is the original masked by ReLU′ of the output, and a second one-shot
+// Backward after the one Forward, reading it, gives the same dH bits and adds
+// the same DW/DB increment as a first Backward from the same accumulators.
 func TestSAGEFusedMatchesConcatReference(t *testing.T) {
 	type fixture struct {
 		name          string
@@ -113,12 +116,35 @@ func TestSAGEFusedMatchesConcatReference(t *testing.T) {
 		tensor.GaussianInit(one.B, 1, tensor.NewRNG(6)) // a zero bias would hide a missed add
 		wantOut, wantDH, wantDW, wantDB := sageConcatReference(one, g, h, nIn, invDeg, dOut)
 
+		dOrig := dOut.Clone()
 		gotOut := one.Forward(g, h, nIn, invDeg)
 		gotDH := one.Backward(dOut)
 		sameBits(t, fx.name+"/one-shot/forward", gotOut.Data, wantOut.Data)
 		sameBits(t, fx.name+"/one-shot/backward", gotDH.Data, wantDH.Data)
 		sameBits(t, fx.name+"/one-shot/DW", one.DW.Data, wantDW.Data)
 		sameBits(t, fx.name+"/one-shot/DB", one.DB.Data, wantDB.Data)
+
+		// dOut now holds dOut ⊙ ReLU′(out): the original where the output
+		// is positive, +0 where the ReLU clipped it.
+		wantDPre := dOrig.Clone()
+		for i, o := range gotOut.Data {
+			if !(o > 0) {
+				wantDPre.Data[i] = 0
+			}
+		}
+		sameBits(t, fx.name+"/one-shot/dOut", dOut.Data, wantDPre.Data)
+		// A second Backward after the one Forward, against a first Backward
+		// of a twin layer whose accumulators start where one's stand now.
+		twin := newSAGE(g, fx.inDim, fx.outDim, ReLUAct, tensor.NewRNG(5))
+		twin.B.CopyFrom(one.B)
+		twin.DW.CopyFrom(one.DW)
+		twin.DB.CopyFrom(one.DB)
+		twin.Forward(g, h, nIn, invDeg)
+		twin.Backward(dOrig)
+		sameBits(t, fx.name+"/second-backward/backward", one.Backward(dOut).Data, wantDH.Data)
+		sameBits(t, fx.name+"/second-backward/dOut", dOut.Data, wantDPre.Data)
+		sameBits(t, fx.name+"/second-backward/DW", one.DW.Data, twin.DW.Data)
+		sameBits(t, fx.name+"/second-backward/DB", one.DB.Data, twin.DB.Data)
 
 		// Chunked forward over the halo split, staged backward.
 		stg := newSAGE(g, fx.inDim, fx.outDim, ReLUAct, tensor.NewRNG(5))

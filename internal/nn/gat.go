@@ -35,22 +35,22 @@ type GATConv struct {
 	agg *graph.AggIndex
 
 	// Caches.
-	g     *graph.Graph
-	nOut  int
-	nAll  int
-	h     *tensor.Matrix
-	wh    *tensor.Matrix // nAll × OutDim
-	alpha [][]float32    // per output node: attention over (self + neighbors)
-	pre   *tensor.Matrix
+	g    *graph.Graph
+	nOut int
+	nAll int
+	h    *tensor.Matrix
+	wh   *tensor.Matrix // nAll × OutDim
 
-	// Layer-owned scratch: alpha subslices the flat alphaBuf (one segment
-	// per output node). deBuf holds the backward's attention-logit gradients
-	// in the same segments, so the forward's alphaBuf stays intact and
-	// Backward can repeat after one Forward. The backward recomputes a
-	// logit's sign from s1 and s2 rather than keeping the logits. dPre is
-	// the pre-activation gradient with a1 and a2 stacked under it: the rows
-	// the dWh gather reads. Reused across calls; capacity grows to the
-	// largest epoch subgraph seen.
+	// Layer-owned scratch. alphaBuf holds every output row's attention over
+	// (self + neighbors), one flat segment per row (segment). deBuf holds the
+	// backward's attention-logit gradients in the same segments, so the
+	// forward's alphaBuf stays intact and Backward can repeat after one
+	// Forward. The backward recomputes a logit's sign from s1 and s2 rather
+	// than keeping the logits. out is also the pre-activation: the
+	// activation is applied in place and act′ read back from it. dPre is the
+	// pre-activation gradient — the caller's dOut, differentiated in place —
+	// copied with a1 and a2 stacked under it: the rows the dWh gather reads.
+	// Reused across calls; capacity grows to the largest epoch subgraph seen.
 	alphaBuf, deBuf, s1, s2, da1, da2 []float32
 	out, dPre, dWh, dWScratch, dH     *tensor.Matrix
 
@@ -145,13 +145,7 @@ func (l *GATConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int) *tens
 	tensor.EnsureF32(&l.s1, h.Rows)
 	tensor.EnsureF32(&l.s2, h.Rows)
 	// One attention entry per (node, self∪neighbor) pair, packed flat.
-	total := nOut + int(g.Indptr[nOut]-g.Indptr[0])
-	tensor.EnsureF32(&l.alphaBuf, total)
-	if cap(l.alpha) < nOut {
-		l.alpha = make([][]float32, nOut)
-	}
-	l.alpha = l.alpha[:nOut]
-	tensor.EnsureMat(&l.pre, nOut, l.OutDim)
+	tensor.EnsureF32(&l.alphaBuf, nOut+int(g.Indptr[nOut]-g.Indptr[0]))
 	return tensor.EnsureMat(&l.out, nOut, l.OutDim)
 }
 
@@ -192,7 +186,7 @@ func (l *GATConv) ForwardRows(rows []int32) {
 }
 
 // forwardBlock is the forward sweep's body. forwardNode writes only
-// node-owned state (the node's flat alpha segment and its pre/out rows)
+// node-owned state (the node's alpha segment and its out row)
 // and reads only the shared prep arrays, so blocks may run concurrently and
 // in any order without changing a bit.
 func (l *GATConv) forwardBlock(rows []int32) {
@@ -201,16 +195,21 @@ func (l *GATConv) forwardBlock(rows []int32) {
 	}
 }
 
-// forwardNode computes attention and the activated output for node v. Its
-// alpha segment lives at the deterministic flat offset
-// v + Indptr[v]−Indptr[0] — the packing a sequential full pass produces — so
-// chunk order cannot move entries.
+// segment returns the bounds of row v's segment of the flat per-edge buffers
+// alphaBuf and deBuf: self first, then one entry per edge of v in edge order,
+// at the offset v + Indptr[v]−Indptr[0] — the packing a sequential full pass
+// produces — so chunk order cannot move entries.
+func (l *GATConv) segment(v int) (lo, hi int) {
+	ip := l.g.Indptr
+	lo = v + int(ip[v]-ip[0])
+	return lo, lo + 1 + int(ip[v+1]-ip[v])
+}
+
+// forwardNode computes attention and the activated output for node v.
 func (l *GATConv) forwardNode(v int) {
-	g := l.g
-	nbrs := g.Neighbors(int32(v))
-	k := len(nbrs) + 1 // self first, then neighbors
-	off := v + int(g.Indptr[v]-g.Indptr[0])
-	e := l.alphaBuf[off : off+k]
+	nbrs := l.g.Neighbors(int32(v))
+	lo, hi := l.segment(v)
+	e := l.alphaBuf[lo:hi]
 	s1, s2 := l.s1, l.s2
 	// Per-edge coefficient fill: e_i = s1[v] + s2[u_i], self first.
 	e[0] = s1[v] + s2[v]
@@ -241,17 +240,16 @@ func (l *GATConv) forwardNode(v int) {
 	for i := range e {
 		e[i] *= inv
 	}
-	l.alpha[v] = e
 	// z_v = Σ α · Wh: self term, then the attention-weighted neighbor
 	// gather on the engine's blocked axpy (bit-identical to sequential
-	// per-edge Axpy).
-	row := l.pre.Row(v)
+	// per-edge Axpy), then the activation in place.
+	row := l.out.Row(v)
 	self := l.wh.Row(v)
 	for j, x := range self {
 		row[j] = e[0] * x
 	}
 	tensor.GatherAxpy(row, l.wh, nbrs, e[1:])
-	activationRow(l.out.Row(v), l.Act, row)
+	activate(row, l.Act)
 }
 
 // The backward runs in two row-parallel passes over the kernel pool. The
@@ -266,7 +264,8 @@ func (l *GATConv) forwardNode(v int) {
 // accumulator each across every edge, stay serial (attnGrads).
 
 // Backward accumulates parameter gradients and returns the gradient with
-// respect to the full input matrix (nAll × InDim).
+// respect to the full input matrix (nAll × InDim). dOut is overwritten with
+// the pre-activation gradient (dOut ⊙ act′).
 func (l *GATConv) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 	l.BackwardParams(dOut)
 	dH := tensor.EnsureMat(&l.dH, l.nAll, l.InDim)
@@ -277,7 +276,8 @@ func (l *GATConv) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 // BackwardParams is the backward of a layer whose input needs no gradient —
 // the first of a stack, fed the dataset's features: the edge and pull passes
 // and the fold into DW/DA1/DA2, the bits Backward accumulates, without the
-// input gradient dWh·Wᵀ (which it never allocates).
+// input gradient dWh·Wᵀ (which it never allocates). Like Backward, it
+// overwrites dOut with the pre-activation gradient.
 func (l *GATConv) BackwardParams(dOut *tensor.Matrix) {
 	l.preGrad(dOut)
 	tensor.ForRange(0, l.nOut, l.edgeSweep)
@@ -285,16 +285,17 @@ func (l *GATConv) BackwardParams(dOut *tensor.Matrix) {
 	l.backwardParams()
 }
 
-// preGrad checks dOut's shape, computes the pre-activation gradient for every
-// output row, stacks a1 and a2 under it, and zeroes the attention-vector
-// accumulators. dWh needs no zeroing: the pull pass clears each row it builds.
+// preGrad checks dOut's shape, turns it in place into the pre-activation
+// gradient of every output row, copies that into dPre with a1 and a2 stacked
+// under it, and zeroes the attention-vector accumulators. dWh needs no
+// zeroing: the pull pass clears each row it builds.
 func (l *GATConv) preGrad(dOut *tensor.Matrix) {
 	if dOut.Rows != l.nOut || dOut.Cols != l.OutDim {
 		panic(fmt.Sprintf("nn: GATConv backward shape %dx%d, want %dx%d", dOut.Rows, dOut.Cols, l.nOut, l.OutDim))
 	}
+	activationGrad(l.Act, dOut, l.out)
 	dPre := tensor.EnsureMat(&l.dPre, l.nOut+2, l.OutDim)
 	copy(dPre.Data, dOut.Data)
-	activationGrad(l.Act, dPre, l.pre)
 	copy(dPre.Row(l.nOut), l.A1.Row(0))
 	copy(dPre.Row(l.nOut+1), l.A2.Row(0))
 	tensor.EnsureF32(&l.deBuf, len(l.alphaBuf))
@@ -303,13 +304,14 @@ func (l *GATConv) preGrad(dOut *tensor.Matrix) {
 	clear(tensor.EnsureF32(&l.da2, l.OutDim))
 }
 
-// BackwardBegin starts a staged backward pass: the pre-activation gradient,
-// cleared accumulators, and the input-gradient matrix. The staged schedule
-// (BackwardBegin → BackwardHalo → BackwardFinish) reproduces the one-shot
-// Backward bit for bit: every output row's edge pass runs exactly once, in
-// one stage or the other, and a dWh row's chain is the same whichever stage
-// builds it — a halo row's sources are all halo-dependent rows, whose edge
-// pass BackwardHalo runs first. The dH matmuls are per-row stable.
+// BackwardBegin starts a staged backward pass: the pre-activation gradient
+// (in dOut, which it overwrites), cleared accumulators, and the
+// input-gradient matrix. The staged schedule (BackwardBegin → BackwardHalo →
+// BackwardFinish) reproduces the one-shot Backward bit for bit: every output
+// row's edge pass runs exactly once, in one stage or the other, and a dWh
+// row's chain is the same whichever stage builds it — a halo row's sources
+// are all halo-dependent rows, whose edge pass BackwardHalo runs first. The
+// dH matmuls are per-row stable.
 func (l *GATConv) BackwardBegin(dOut *tensor.Matrix) {
 	l.preGrad(dOut)
 	tensor.EnsureMat(&l.dH, l.nAll, l.InDim) // rows computed stage by stage
@@ -357,9 +359,8 @@ func (l *GATConv) edgeBlock(rows []int32) {
 	for _, v32 := range rows {
 		v := int(v32)
 		nbrs := g.Neighbors(v32)
-		alpha := l.alpha[v]
-		off := v + int(g.Indptr[v]-g.Indptr[0])
-		de := l.deBuf[off : off+len(alpha)]
+		lo, hi := l.segment(v)
+		alpha, de := l.alphaBuf[lo:hi], l.deBuf[lo:hi]
 		dz := l.dPre.Row(v)
 		de[0] = tensor.Dot(dz, l.wh.Row(v))
 		tensor.GatherDots(de[1:], dz, l.wh, nbrs)
@@ -462,16 +463,14 @@ func (l *GATConv) pullOwn(c *chain, r int, srcs, edges []int32, i int) int {
 		t = runEnd(srcs, i)
 	}
 	g, r32 := l.g, int32(r)
-	off := r + int(g.Indptr[r]-g.Indptr[0])
-	alpha := l.alpha[r]
-	de := l.deBuf[off : off+len(alpha)]
+	lo, hi := l.segment(r)
+	alpha, de := l.alphaBuf[lo:hi], l.deBuf[lo:hi]
 	a1, a2 := int32(l.nOut), int32(l.nOut)+1
 	c.room(1)
 	c.put(r32, alpha[0])
-	base := r + 1 - int(g.Indptr[0])
 	for _, e := range edges[i:t] {
 		c.room(1)
-		c.put(r32, l.alphaBuf[base+int(e)])
+		c.put(r32, alpha[1+int(int64(e)-g.Indptr[r])])
 	}
 	c.room(2)
 	c.put(a1, de[0])
@@ -490,22 +489,20 @@ func (l *GATConv) pullOwn(c *chain, r int, srcs, edges []int32, i int) int {
 // sweep's order: per entry of v's segment (self first), de·Wh_v
 // into da1 and de·Wh_u into da2. Each is one chain across the pass.
 func (l *GATConv) attnGrads() {
-	g := l.g
 	var c1, c2 chain
 	c1.dst, c1.src = l.da1, l.wh
 	c2.dst, c2.src = l.da2, l.wh
 	for v := 0; v < l.nOut; v++ {
 		v32 := int32(v)
-		off := v + int(g.Indptr[v]-g.Indptr[0])
-		nbrs := g.Neighbors(v32)
-		de := l.deBuf[off : off+len(nbrs)+1]
+		lo, hi := l.segment(v)
+		de := l.deBuf[lo:hi]
 		for _, d := range de {
 			c1.room(1)
 			c1.put(v32, d)
 		}
 		c2.room(1)
 		c2.put(v32, de[0])
-		for q, u := range nbrs {
+		for q, u := range l.g.Neighbors(v32) {
 			c2.room(1)
 			c2.put(u, de[q+1])
 		}

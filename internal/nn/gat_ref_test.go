@@ -33,7 +33,7 @@ type gatGrads struct {
 func refGATBackward(l *GATConv, dOut *tensor.Matrix) gatGrads {
 	r := &refGAT{GATConv: l, dPre: dOut.Clone(), dWh: tensor.New(l.nAll, l.OutDim),
 		da1: make([]float32, l.OutDim), da2: make([]float32, l.OutDim)}
-	activationGrad(l.Act, r.dPre, l.pre)
+	activationGrad(l.Act, r.dPre, l.out)
 	for v := 0; v < l.nOut; v++ {
 		nbrs := l.g.Neighbors(int32(v))
 		raw := []float32{l.s1[v] + l.s2[v]}
@@ -69,7 +69,8 @@ func refGATBackward(l *GATConv, dOut *tensor.Matrix) gatGrads {
 // every accumulation row op is a SIMD Axpy.
 func (l *refGAT) backwardNode(v, destLo, destHi int, accumA bool) {
 	nbrs := l.g.Neighbors(int32(v))
-	alpha := l.alpha[v]
+	lo, hi := l.segment(v)
+	alpha := l.alphaBuf[lo:hi]
 	raw := l.eRaw[v]
 	dz := l.dPre.Row(v)
 	k := len(alpha)

@@ -37,35 +37,36 @@ const (
 	ReLUAct
 )
 
-// activationRow writes act(pre) into one row slice.
-func activationRow(dst []float32, a Activation, pre []float32) {
+// activate applies act to one row in place.
+func activate(row []float32, a Activation) {
 	switch a {
 	case NoAct:
-		copy(dst, pre)
 	case ReLUAct:
 		// On the bits, so the select is a conditional move: a sign-dependent
 		// branch mispredicts on every other element. −0 and NaN pass through
 		// as before (neither is < 0).
-		dst = dst[:len(pre)]
-		for j, x := range pre {
+		for j, x := range row {
 			b := math.Float32bits(x)
 			if x < 0 {
 				b = 0
 			}
-			dst[j] = math.Float32frombits(b)
+			row[j] = math.Float32frombits(b)
 		}
 	default:
 		panic(fmt.Sprintf("nn: unknown activation %d", a))
 	}
 }
 
-// activationGrad multiplies dOut in place by act'(pre).
-func activationGrad(a Activation, dOut, pre *tensor.Matrix) {
+// activationGrad multiplies dOut in place by act′ of the pre-activation,
+// read from out = act(pre): for ReLU out ≤ 0 exactly where pre ≤ 0 (a −0 or
+// a NaN comes out as itself, a negative as +0), so the layers keep only
+// their activated outputs.
+func activationGrad(a Activation, dOut, out *tensor.Matrix) {
 	switch a {
 	case NoAct:
 	case ReLUAct:
-		d := dOut.Data[:len(pre.Data)]
-		for i, v := range pre.Data {
+		d := dOut.Data[:len(out.Data)]
+		for i, v := range out.Data {
 			b := math.Float32bits(d[i])
 			if v <= 0 {
 				b = 0
@@ -103,30 +104,6 @@ func ParamCount(layers []Layer) int {
 		}
 	}
 	return n
-}
-
-// FlattenMats copies the elements of each matrix into out (reset to length
-// zero first) and returns it, in a deterministic order, for AllReduce. With a
-// pre-cached matrix slice (a model's Grads) and sufficient capacity it
-// allocates nothing.
-func FlattenMats(mats []*tensor.Matrix, out []float32) []float32 {
-	out = out[:0]
-	for _, g := range mats {
-		out = append(out, g.Data...)
-	}
-	return out
-}
-
-// UnflattenMats copies flat back into the matrices, inverting FlattenMats.
-func UnflattenMats(mats []*tensor.Matrix, flat []float32) {
-	i := 0
-	for _, g := range mats {
-		copy(g.Data, flat[i:i+len(g.Data)])
-		i += len(g.Data)
-	}
-	if i != len(flat) {
-		panic(fmt.Sprintf("nn: UnflattenMats consumed %d of %d", i, len(flat)))
-	}
 }
 
 // Dropout zeroes each element with probability Rate during training and

@@ -24,13 +24,16 @@ import (
 // each aggregated row z_v and feeds it to the projection FMAs while still
 // cache-hot — the nOut × 2·InDim concat matrix of the textbook formulation
 // is never materialized, eliminating its three DRAM round-trips (SpMM write,
-// self-copy write, MatMul read) from the epoch hot path. Only z (needed by
-// the backward's dW) is kept. The backward is fused symmetrically: one sweep
-// produces the aggregation gradient dz AND writes the self term straight
-// into the input-gradient rows, and dW reads [z|h] in place. The backward
-// gather runs over the TRANSPOSED index of the aggregation plan (SetAgg —
-// mandatory), so everything parallelizes over edge-balanced chunks with no
-// scatter races; chunk weights include the per-row projection cost
+// self-copy write, MatMul read) from the epoch hot path. Of the forward's
+// intermediates only z (needed by the backward's dW) is kept: the bias and
+// the activation are applied in the output rows themselves, act′ is read back
+// from them, and the backward differentiates the activation in the caller's
+// dOut. The backward is fused symmetrically: one sweep produces the
+// aggregation gradient dz AND writes the self term straight into the
+// input-gradient rows, and dW reads [z|h] in place. The backward gather runs
+// over the TRANSPOSED index of the aggregation plan (SetAgg — mandatory), so
+// everything parallelizes over edge-balanced chunks with no scatter races;
+// chunk weights include the per-row projection cost
 // (graph.AggIndex.ChunksFor) so wide layers stay balanced. The
 // per-destination accumulation order is fixed by construction: the self term
 // first (an overwrite), then the incoming neighbor contributions in
@@ -58,11 +61,13 @@ type SAGEConv struct {
 	invDeg []float32
 	hIn    *tensor.Matrix // input features of the pass
 	z      *tensor.Matrix // nOut × InDim aggregated half
-	pre    *tensor.Matrix // nOut × OutDim
+	dOut   *tensor.Matrix // the backward's output gradient, act′ applied
 
 	// Layer-owned scratch, reused across calls so steady-state training
 	// allocates nothing. All are fully rewritten (or zeroed) before use.
-	out, dPre, dz, dH, dWScratch *tensor.Matrix
+	// out is also the pass's pre-activation: the bias and the activation
+	// are applied in place, and act′ is read back from the activated row.
+	out, dz, dH, dWScratch *tensor.Matrix
 }
 
 // NewSAGEConv creates a SAGE layer with Xavier-initialized weights.
@@ -138,7 +143,6 @@ func (l *SAGEConv) ForwardBegin(g *graph.Graph, h *tensor.Matrix, nOut int, invD
 	}
 	l.g, l.nOut, l.nAll, l.invDeg, l.hIn = g, nOut, h.Rows, invDeg, h
 	tensor.EnsureMat(&l.z, nOut, l.InDim)
-	tensor.EnsureMat(&l.pre, nOut, l.OutDim)
 	return tensor.EnsureMat(&l.out, nOut, l.OutDim)
 }
 
@@ -151,7 +155,7 @@ func (l *SAGEConv) Forward(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []
 	// One edge gather is an InDim-wide add and the projection 2·InDim·OutDim
 	// FLOPs per row, so a row weighs ≈ 2·OutDim edge-equivalents on top of
 	// its degree.
-	tensor.SpMMMatMul(l.pre, l.z, h, l.W, g.Indptr, g.Indices, invDeg, l.agg.ChunksFor(int64(2*l.OutDim)))
+	tensor.SpMMMatMul(out, l.z, h, l.W, g.Indptr, g.Indices, invDeg, l.agg.ChunksFor(int64(2*l.OutDim)))
 	for v := 0; v < nOut; v++ {
 		l.finishRow(v)
 	}
@@ -172,20 +176,20 @@ func (l *SAGEConv) ForwardPrepRows(rows []int32) {}
 // pipelined engine runs halo-independent rows while boundary features are
 // still in flight.
 func (l *SAGEConv) ForwardRows(rows []int32) {
-	tensor.SpMMMatMulRows(l.pre, l.z, l.hIn, l.W, l.g.Indptr, l.g.Indices, l.invDeg, rows)
+	tensor.SpMMMatMulRows(l.out, l.z, l.hIn, l.W, l.g.Indptr, l.g.Indices, l.invDeg, rows)
 	for _, v := range rows {
 		l.finishRow(int(v))
 	}
 }
 
-// finishRow turns row v's projection into its output: pre_v += b, then
-// out_v = σ(pre_v).
+// finishRow turns row v's projection into its output in place: out_v += b,
+// then out_v = σ(out_v).
 func (l *SAGEConv) finishRow(v int) {
-	row := l.pre.Row(v)
+	row := l.out.Row(v)
 	for j, b := range l.B.Row(0) {
 		row[j] += b
 	}
-	activationRow(l.out.Row(v), l.Act, row)
+	activate(row, l.Act)
 }
 
 // addNeighborGrads accumulates the neighbor term of the input gradient for
@@ -198,15 +202,16 @@ func (l *SAGEConv) addNeighborGrads(destLo, destHi int) {
 
 // Backward consumes dOut (nOut × OutDim), accumulates DW/DB, and returns the
 // gradient with respect to the full input feature matrix (nAll × InDim),
-// including halo rows. The returned matrix is layer-owned scratch, valid
-// until the next Backward. It is BackwardBegin plus the full-range form of
-// the staged sweeps.
+// including halo rows. dOut is overwritten with the pre-activation gradient
+// (dOut ⊙ act′). The returned matrix is layer-owned scratch, valid until the
+// next Backward. It is BackwardBegin plus the full-range form of the staged
+// sweeps.
 func (l *SAGEConv) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 	l.BackwardBegin(dOut)
 	l.backwardParams()
 	// dz and the self terms for every output row in one sweep, then the
 	// neighbor gather in ascending source order.
-	tensor.MatMulTransBSplit(l.dz, l.dH, l.dPre, l.W)
+	tensor.MatMulTransBSplit(l.dz, l.dH, l.dOut, l.W)
 	l.addNeighborGrads(0, l.nAll)
 	return l.dH
 }
@@ -214,25 +219,26 @@ func (l *SAGEConv) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 // BackwardParams is the backward of a layer whose input needs no gradient —
 // the first of a stack, fed the dataset's features: it consumes dOut and
 // accumulates DW/DB, the bits Backward accumulates, and computes no dz and no
-// input gradient (and never allocates them).
+// input gradient (and never allocates them). Like Backward, it overwrites dOut
+// with the pre-activation gradient.
 func (l *SAGEConv) BackwardParams(dOut *tensor.Matrix) {
 	l.preGrad(dOut)
 	l.backwardParams()
 }
 
-// preGrad checks dOut's shape and computes the pre-activation gradient for
-// every output row.
+// preGrad checks dOut's shape and turns it, in place, into the
+// pre-activation gradient of every output row, which the pass then reads.
 func (l *SAGEConv) preGrad(dOut *tensor.Matrix) {
 	if dOut.Rows != l.nOut || dOut.Cols != l.OutDim {
 		panic(fmt.Sprintf("nn: SAGEConv backward shape %dx%d, want %dx%d", dOut.Rows, dOut.Cols, l.nOut, l.OutDim))
 	}
-	dPre := tensor.EnsureMat(&l.dPre, dOut.Rows, dOut.Cols)
-	copy(dPre.Data, dOut.Data)
-	activationGrad(l.Act, dPre, l.pre)
+	activationGrad(l.Act, dOut, l.out)
+	l.dOut = dOut
 }
 
-// BackwardBegin starts a backward pass: it computes the pre-activation
-// gradient for every output row and prepares the input-gradient accumulator.
+// BackwardBegin starts a backward pass: it turns dOut in place into the
+// pre-activation gradient for every output row and prepares the
+// input-gradient accumulator.
 // The staged schedule (BackwardBegin → BackwardHalo → BackwardFinish)
 // reproduces the one-shot Backward bit for bit: a halo row of the input
 // gradient receives contributions only from outputs with a halo neighbor
@@ -250,14 +256,14 @@ func (l *SAGEConv) BackwardBegin(dOut *tensor.Matrix) {
 	clear(dH.Data[l.nOut*l.InDim:])
 }
 
-// backwardParams accumulates DW/DB from the pass's dPre. dW reads the concat
-// operand's halves in place ([z|h]).
+// backwardParams accumulates DW/DB from the pass's pre-activation gradient.
+// dW reads the concat operand's halves in place ([z|h]).
 func (l *SAGEConv) backwardParams() {
 	dW := tensor.EnsureMat(&l.dWScratch, 2*l.InDim, l.OutDim)
-	tensor.MatMulTransASplit(dW, l.z, l.hIn, l.dPre)
+	tensor.MatMulTransASplit(dW, l.z, l.hIn, l.dOut)
 	l.DW.Add(dW)
 	for v := 0; v < l.nOut; v++ {
-		tensor.AddTo(l.DB.Row(0), l.dPre.Row(v))
+		tensor.AddTo(l.DB.Row(0), l.dOut.Row(v))
 	}
 }
 
@@ -272,7 +278,7 @@ func (l *SAGEConv) BackwardHalo(haloSrc []int32, nIn int) *tensor.Matrix {
 	// destination has a halo neighbor, i.e. is in haloSrc — its dz row was
 	// just computed — so the row gather over the transposed index is
 	// complete and in ascending order.
-	tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dPre, l.W, haloSrc)
+	tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dOut, l.W, haloSrc)
 	l.addNeighborGrads(nIn, l.nAll)
 	return l.dH
 }
@@ -282,7 +288,7 @@ func (l *SAGEConv) BackwardHalo(haloSrc []int32, nIn int) *tensor.Matrix {
 // BackwardHalo's haloSrc; together they cover [0, nOut) exactly once.
 func (l *SAGEConv) BackwardFinish(freeSrc []int32, nIn int) *tensor.Matrix {
 	l.backwardParams()
-	tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dPre, l.W, freeSrc)
+	tensor.MatMulTransBSplitRows(l.dz, l.dH, l.dOut, l.W, freeSrc)
 	l.addNeighborGrads(0, nIn)
 	return l.dH
 }

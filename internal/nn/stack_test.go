@@ -143,14 +143,3 @@ func TestGATConvRejectsBadShapes(t *testing.T) {
 	}()
 	l.Forward(g, tensor.New(4, 5), 4)
 }
-
-func TestUnflattenRejectsWrongLength(t *testing.T) {
-	rng := tensor.NewRNG(27)
-	l := NewSAGEConv(2, 2, NoAct, rng)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	UnflattenMats(l.Grads(), make([]float32, 3))
-}

@@ -54,11 +54,6 @@ type Engine struct {
 	// begun once, so no pass ever re-points a buffer.
 	acts []*tensor.Matrix
 
-	// Reverse CSR: revIndices[revIndptr[u]:revIndptr[u+1]] lists the nodes
-	// whose aggregation reads u — the one-hop spread of a feature change.
-	revIndptr  []int64
-	revIndices []int32
-
 	cache *lruCache
 	// mark/stamp implement O(frontier) set membership without clearing.
 	mark  []int64
@@ -96,23 +91,6 @@ func NewEngine(model *core.Model, g *graph.Graph, feats *tensor.Matrix, cacheSiz
 		mark:  make([]int64, g.N),
 	}
 	e.lay.Build(g)
-
-	// Reverse adjacency by counting sort over the edge list.
-	e.revIndptr = make([]int64, g.N+1)
-	for _, u := range g.Indices {
-		e.revIndptr[u+1]++
-	}
-	for v := 0; v < g.N; v++ {
-		e.revIndptr[v+1] += e.revIndptr[v]
-	}
-	e.revIndices = make([]int32, len(g.Indices))
-	fill := make([]int64, g.N)
-	for v := 0; v < g.N; v++ {
-		for _, u := range g.Indices[g.Indptr[v]:g.Indptr[v+1]] {
-			e.revIndices[e.revIndptr[u]+fill[u]] = int32(v)
-			fill[u]++
-		}
-	}
 
 	// Startup pass: exactly FullTrainer.Forward(false) — dropout is identity
 	// at inference, so the stack reduces to the layer forwards. Hidden
@@ -201,8 +179,10 @@ func (e *Engine) Predict(nodes []int32) ([][]float32, error) {
 // affected expands a set of changed input rows by one aggregation hop: the
 // rows themselves (every layer reads its own row — SAGE's self-concat,
 // GAT's self-attention slot) plus every node whose neighborhood contains
-// one. Returns a sorted, duplicate-free list.
+// one — the layout plan's transposed index lists them, for each u, as the
+// sources of u's incoming entries. Returns a sorted, duplicate-free list.
 func (e *Engine) affected(changed []int32) []int32 {
+	ai := &e.lay.Agg
 	e.stamp++
 	var out []int32
 	add := func(v int32) {
@@ -213,7 +193,7 @@ func (e *Engine) affected(changed []int32) []int32 {
 	}
 	for _, u := range changed {
 		add(u)
-		for _, v := range e.revIndices[e.revIndptr[u]:e.revIndptr[u+1]] {
+		for _, v := range ai.IncSrc[ai.IncIndptr[u]:ai.IncIndptr[u+1]] {
 			add(v)
 		}
 	}
