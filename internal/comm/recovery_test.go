@@ -172,7 +172,7 @@ func TestDialRetryConnectsToLateServer(t *testing.T) {
 }
 
 // TestRendezvousRejectsBadRegistrations: a misconfigured client (rank out
-// of range, malformed hello) gets a pointed ERR reply and its connection
+// of range, malformed join line) gets a pointed EERR reply and its connection
 // closed, and — critically — the correctly configured cohort still
 // bootstraps; one bad process must not wedge the whole round.
 func TestRendezvousRejectsBadRegistrations(t *testing.T) {
@@ -195,7 +195,7 @@ func TestRendezvousRejectsBadRegistrations(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		// Two bad clients first; the server must reject both and keep serving.
-		for _, hello := range []string{"HELLO 7 1.2.3.4:1\n", "GARBAGE\n"} {
+		for _, hello := range []string{"EJOIN 7 1.2.3.4:1 0\n", "GARBAGE\n"} {
 			conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 			if err != nil {
 				errs[1] = err
@@ -208,8 +208,8 @@ func TestRendezvousRejectsBadRegistrations(t *testing.T) {
 				errs[1] = fmt.Errorf("bad client got no reply: %w", err)
 				return
 			}
-			if !strings.HasPrefix(line, "ERR ") {
-				errs[1] = fmt.Errorf("bad hello %q got %q, want ERR", hello, line)
+			if !strings.HasPrefix(line, "EERR ") {
+				errs[1] = fmt.Errorf("bad hello %q got %q, want EERR", hello, line)
 				return
 			}
 		}
@@ -230,26 +230,30 @@ func TestRendezvousRejectsBadRegistrations(t *testing.T) {
 }
 
 // TestRendezvousOutOfRangeErrorIsPointed: the rejected client's own DialTCP
-// surfaces the server's explanation, not a bare EOF.
+// surfaces the server's explanation, not a bare EOF, and the server whose
+// round times out names the ranks still missing.
 func TestRendezvousOutOfRangeErrorIsPointed(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := ln.Addr().String()
-	serverDone := make(chan struct{})
+	serverErr := make(chan error, 1)
 	go func() {
-		defer close(serverDone)
 		// World=3 server: expects ranks 1,2; the test sends it a rank-5 client
 		// (claiming world 3 on its own side would be rejected locally, so the
 		// client lies about world size — exactly the misconfiguration case).
-		DialTCP(TCPConfig{Rank: 0, World: 3, Rendezvous: addr, RendezvousListener: ln, Timeout: 3 * time.Second})
+		_, err := DialTCP(TCPConfig{Rank: 0, World: 3, Rendezvous: addr, RendezvousListener: ln, Timeout: 3 * time.Second})
+		serverErr <- err
 	}()
 	_, err = DialTCP(TCPConfig{Rank: 5, World: 9, Rendezvous: addr, Timeout: 5 * time.Second})
-	if err == nil || !strings.Contains(err.Error(), "rejected registration") || !strings.Contains(err.Error(), "outside [1,3)") {
+	if err == nil || !strings.Contains(err.Error(), "rejected registration") || !strings.Contains(err.Error(), "outside [0,3)") {
 		t.Fatalf("expected pointed rejection, got %v", err)
 	}
-	<-serverDone // server times out (cohort never completes) — just don't leak it
+	// The server times out: the cohort never completes.
+	if err := <-serverErr; err == nil || !strings.Contains(err.Error(), "ranks [0] registered, ranks [1 2] missing") {
+		t.Fatalf("expected the timed-out round to name missing ranks 1 and 2, got %v", err)
+	}
 }
 
 // TestRendezvousDuplicateRegistrationLatestWins: a rank that re-registers
@@ -284,7 +288,7 @@ func TestRendezvousDuplicateRegistrationLatestWins(t *testing.T) {
 			errs[1] = err
 			return
 		}
-		fmt.Fprint(stale, "HELLO 1 127.0.0.1:1\n")
+		fmt.Fprint(stale, "EJOIN 1 127.0.0.1:1 0\n")
 		go func() { // the server must close the stale conn when rank 1 re-registers
 			_, err := bufio.NewReader(stale).ReadString('\n')
 			staleClosed <- err

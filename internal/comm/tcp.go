@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -189,10 +188,6 @@ func DialTCPMesh(cfg TCPConfig, dataLn net.Listener, addrs []string) (*TCPTransp
 	if err != nil {
 		return nil, err
 	}
-	if len(addrs) != cfg.World {
-		return nil, fmt.Errorf("comm: rank %d: address table has %d entries, world is %d",
-			cfg.Rank, len(addrs), cfg.World)
-	}
 	if cfg.World == 1 {
 		return t, nil
 	}
@@ -232,6 +227,9 @@ func newTCPTransport(cfg *TCPConfig) (*TCPTransport, error) {
 // finishDial connects the mesh over an agreed address table and starts the
 // per-peer service goroutines plus the heartbeat sender.
 func (t *TCPTransport) finishDial(cfg TCPConfig, dataLn net.Listener, addrs []string, deadline time.Time) error {
+	if len(addrs) != cfg.World {
+		return fmt.Errorf("comm: rank %d: address table has %d entries, world is %d", cfg.Rank, len(addrs), cfg.World)
+	}
 	if err := t.connectMesh(cfg, dataLn, addrs, deadline); err != nil {
 		for _, p := range t.peers {
 			if p != nil {
@@ -297,142 +295,6 @@ func (t *TCPTransport) heartbeatLoop() {
 func (t *TCPTransport) stopHeartbeats() {
 	t.hbStopOn.Do(func() { close(t.hbStop) })
 	t.hbWG.Wait()
-}
-
-// rendezvous exchanges (rank, dataAddr) registrations for the full address
-// table. Rank 0 serves; other ranks dial with capped exponential backoff
-// until rank 0 is up or the deadline expires.
-//
-// The server is hardened against misconfigured clients: an out-of-range
-// rank gets a pointed "ERR ..." reply and its connection closed, without
-// aborting the round — the correctly configured cohort still bootstraps. A
-// re-registration of a rank whose earlier connection is still held (a
-// client that timed out and redialed, or a recovering rank rejoining across
-// generations) replaces the stale registration instead of wedging.
-func rendezvous(cfg TCPConfig, myAddr string, deadline time.Time) ([]string, error) {
-	if cfg.Rank == 0 {
-		ln := cfg.RendezvousListener
-		if ln == nil {
-			var err error
-			ln, err = net.Listen("tcp", cfg.Rendezvous)
-			if err != nil {
-				return nil, fmt.Errorf("comm: rank 0: rendezvous listener %s: %w", cfg.Rendezvous, err)
-			}
-		}
-		defer ln.Close()
-		if tl, ok := ln.(*net.TCPListener); ok {
-			tl.SetDeadline(deadline)
-		}
-		addrs := make([]string, cfg.World)
-		addrs[0] = myAddr
-		conns := make([]net.Conn, cfg.World) // live registration conn per rank
-		registered := 0
-		defer func() {
-			for _, c := range conns {
-				if c != nil {
-					c.Close()
-				}
-			}
-		}()
-		for registered < cfg.World-1 {
-			conn, err := ln.Accept()
-			if err != nil {
-				return nil, fmt.Errorf("comm: rank 0: rendezvous accept (%d of %d ranks registered): %w",
-					registered, cfg.World-1, err)
-			}
-			conn.SetDeadline(deadline)
-			var r int
-			var addr string
-			if _, err := fmt.Fscanf(bufio.NewReader(conn), "HELLO %d %s\n", &r, &addr); err != nil {
-				fmt.Fprintf(conn, "ERR malformed rendezvous hello: %v\n", err)
-				conn.Close()
-				continue
-			}
-			if r <= 0 || r >= cfg.World {
-				fmt.Fprintf(conn, "ERR rank %d outside [1,%d) — check -rank/-world against the cohort\n", r, cfg.World)
-				conn.Close()
-				continue
-			}
-			if conns[r] != nil {
-				// Replace the stale registration: the old connection belongs
-				// to a client that gave up or died; the latest dialer wins.
-				conns[r].Close()
-				registered--
-			}
-			conns[r] = conn
-			addrs[r] = addr
-			registered++
-		}
-		table := "ADDRS " + strings.Join(addrs, " ") + "\n"
-		for _, c := range conns {
-			if c == nil {
-				continue
-			}
-			if _, err := c.Write([]byte(table)); err != nil {
-				return nil, fmt.Errorf("comm: rank 0: rendezvous broadcast: %w", err)
-			}
-		}
-		return addrs, nil
-	}
-
-	conn, err := dialRetry(cfg.Rendezvous, cfg.Rank, deadline)
-	if err != nil {
-		return nil, fmt.Errorf("comm: rank %d: rendezvous %s unreachable: %w", cfg.Rank, cfg.Rendezvous, err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(deadline)
-	if _, err := fmt.Fprintf(conn, "HELLO %d %s\n", cfg.Rank, myAddr); err != nil {
-		return nil, fmt.Errorf("comm: rank %d: rendezvous register: %w", cfg.Rank, err)
-	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return nil, fmt.Errorf("comm: rank %d: rendezvous table: %w", cfg.Rank, err)
-	}
-	if msg, ok := strings.CutPrefix(line, "ERR "); ok {
-		return nil, fmt.Errorf("comm: rank %d: rendezvous rejected registration: %s", cfg.Rank, strings.TrimSpace(msg))
-	}
-	fields := strings.Fields(strings.TrimSpace(line))
-	if len(fields) != cfg.World+1 || fields[0] != "ADDRS" {
-		return nil, fmt.Errorf("comm: rank %d: malformed rendezvous table %q", cfg.Rank, line)
-	}
-	return fields[1:], nil
-}
-
-// dialRetry dials addr with capped exponential backoff plus deterministic
-// jitter until the overall deadline: the first attempts are near-immediate
-// (rank 0 is usually a few milliseconds behind), later ones spread out so a
-// large cohort hammering a not-yet-up rendezvous backs off instead of
-// spinning. The per-rank jitter stream keeps retries from synchronizing
-// without making bootstrap timing nondeterministic across runs.
-func dialRetry(addr string, rank int, deadline time.Time) (net.Conn, error) {
-	const (
-		baseDelay = 10 * time.Millisecond
-		maxDelay  = 640 * time.Millisecond
-	)
-	delay := baseDelay
-	jseq := uint64(0)
-	for {
-		conn, err := net.DialTimeout("tcp", addr, time.Until(deadline))
-		if err == nil {
-			return conn, nil
-		}
-		if time.Now().After(deadline) {
-			return nil, err
-		}
-		// Sleep delay/2 + jitter in [0, delay/2): full backoff spread, never
-		// past the deadline.
-		jseq++
-		sleep := delay/2 + time.Duration(jitterHash(uint64(rank), rank, 0, 0, jseq)%uint64(delay/2+1))
-		if until := time.Until(deadline); sleep > until {
-			sleep = until
-		}
-		if sleep > 0 {
-			time.Sleep(sleep)
-		}
-		if delay *= 2; delay > maxDelay {
-			delay = maxDelay
-		}
-	}
 }
 
 // connectMesh establishes one duplex connection per peer pair: this rank

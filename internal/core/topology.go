@@ -137,19 +137,21 @@ func (t *Topology) BoundaryRatios() []float64 {
 //     layers above the first, its gradient dz. The folded gradient handed to
 //     the layer below is no buffer of its own: the fold adds the peers' rows
 //     into dH's inner rows and hands down a view of them;
-//   - with a row per inner node, as wide as the layer's output: the
-//     pre-activation, the output and the output gradient.
+//   - with a row per inner node, as wide as the layer's output: the output
+//     (the activation is applied in place, so it is also the
+//     pre-activation) and the output gradient (differentiated in place).
 //
 // That is 4·nIn + 2·nBd input-wide rows (2·nIn + nBd for the first layer)
-// and 3·nIn output-wide ones where Eq. 4 counts 3·nIn + nBd. (Attention also
+// and 2·nIn output-wide ones where Eq. 4 counts 3·nIn + nBd. (Attention also
 // keeps Wh and its gradient, a row per inner and sampled boundary node and
 // as wide as the output.) The halo payloads in flight — a frame per peer
 // received and sent, which the transport lends and pools — and the
 // partition's static arrays come on top. Measured on a boundary-heavy
-// partition, the trainers' heap is 2.59× Eq. 4 at p=1 and 2.78× at p=0.1
-// over the channel cluster, and 3.06× and 3.00× over loopback TCP, whose
-// frame pools hold more; TestTrainerMemoryScalesWithP (…OverTCP) gates both
-// and bnsbench -exp fig6 prints the channel figures. With nBd the boundary
+// partition, the trainers' heap is 2.25–2.26× Eq. 4 at p=1 and 2.22× at
+// p=0.1 over the channel cluster, and 2.59–2.80× and 2.40–2.50× over
+// loopback TCP, whose frame pools hold more (GOMAXPROCS 1, 2 and 4);
+// TestTrainerMemoryScalesWithP (…OverTCP) gates both and bnsbench -exp fig6
+// prints the channel figures. With nBd the boundary
 // sampled at rate p both shrink with p, the runtime's boundary term weighing
 // twice Eq. 4's against a larger inner term, so the measured reduction lands
 // within a few points of Eq. 4's either side.

@@ -1,46 +1,32 @@
 package elastic
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
-	"strings"
 	"time"
+
+	"repro/internal/comm"
 )
 
-// The elastic rendezvous. Classic DialTCP bootstrap assumes rank 0 is
-// alive and serves exactly once; an elastic cohort can lose any rank —
-// including rank 0 — and must re-rendezvous after every death. The protocol
-// here adds three things on top: a deterministic successor election (every
-// rank has a well-known candidate address; a rank serves on its own
-// candidate only if no lower-ranked candidate answers, so the
-// lowest-ranked live rank always ends up serving), a generation consensus
-// (each registrant reports the newest checkpoint generation it holds; the
-// server answers with the minimum, which is the newest state EVERY rank can
-// actually load), and — when resizing is enabled — a world-shrink election:
-// a server whose rounds keep timing out with the same stable partial cohort
-// eventually completes the round with just those members, electing the
-// smaller world that trains on without the dead ranks.
+// The elastic rendezvous runs comm's rendezvous rounds (comm.ServeRound,
+// comm.Register) under elastic's policies. An elastic cohort can lose any
+// rank, rank 0 included, and must re-rendezvous after every death, so the
+// server is elected: every rank has a well-known candidate address, and a
+// rank serves on its own only if no lower-ranked candidate answers. A
+// server whose round times out tells its registrants to retry and goes back
+// to probing, so when a lower-ranked candidate (a replacement rank 0) comes
+// up late, the interim server and its registrants converge onto it instead
+// of wedging in two partial rendezvous. With resizing enabled, a round may
+// settle for a stable partial cohort (resizeState.settle): the smaller
+// world that trains on without the dead ranks.
 //
-// Wire protocol, one line each way:
-//
-//	client → server: "EJOIN <slot> <dataAddr> <latestGen>\n"
-//	server → client: "ETAB <startGen> <m> <slot0> <addr0> ... <slot_{m-1}> <addr_{m-1}>\n"
-//	                 "ERETRY\n"  (round timed out incomplete; re-probe)
-//	                 "EERR <reason>\n"  (misconfigured client; give up)
-//
-// Ranks in this protocol are SLOTS: the stable launch-time identities that
-// name candidate addresses and checkpoint shards. The ETAB member list maps
-// slots to data addresses; a shrunken world's mesh then runs on compact
-// ranks 0..m-1 in member order, while slots keep naming files and
-// candidates so a replacement can grow the world back.
-//
-// A server whose round times out before the cohort completes tells its
-// registrants to retry and goes back to probing — so when a lower-ranked
-// candidate (a replacement rank 0) comes up late, the interim server and
-// its registrants all converge onto it instead of wedging in two partial
-// rendezvous.
+// Ranks here are SLOTS: the stable launch-time identities that name
+// candidate addresses and checkpoint shards. A shrunken world's mesh runs
+// on compact ranks 0..m-1 in member order, while slots keep naming files
+// and candidates so a replacement can grow the world back.
 const (
 	probeTimeout = 300 * time.Millisecond
 	// defaultRoundTimeout and defaultStagger are the Config defaults for
@@ -106,12 +92,36 @@ func fullMembers(world int) []int {
 }
 
 // resizeState tracks roster stability across consecutive incomplete serve
-// rounds. It lives in bootstrap (not serveRound) so the count survives
-// round boundaries, and resets whenever we stop serving to probe — a
-// deferral means the cohort is reshaping and no stability has been shown.
+// rounds. It resets whenever we stop serving to probe — a deferral means the
+// cohort is reshaping and no stability has been shown — and whenever a
+// round completes, which breaks the run of timed-out ones.
 type resizeState struct {
-	roster string // canonical slot list of the last incomplete round
-	stable int    // consecutive incomplete rounds with that roster
+	roster []int // slots of the last incomplete round
+	stable int   // consecutive incomplete rounds with that roster
+}
+
+// settle is the world-shrink election, the Round.Settle of every round this
+// rank serves: a roster that has held stable through resizeAfter
+// consecutive timed-out rounds IS the new world — the missing slots are
+// dead, not slow. A lone rank never self-elects: a net split that isolates
+// one survivor must not fork a one-rank "cohort" that trains on alone.
+func (rs *resizeState) settle(bc *bootConfig, roster []int) bool {
+	if bc.resizeAfter <= 0 || len(roster) < 2 {
+		rs.roster, rs.stable = roster, 0
+		return false
+	}
+	if slices.Equal(roster, rs.roster) {
+		rs.stable++
+	} else {
+		rs.roster, rs.stable = roster, 1
+	}
+	debugf("rank %d: incomplete round, roster %v stable for %d/%d", bc.rank, roster, rs.stable, bc.resizeAfter)
+	if rs.stable < bc.resizeAfter {
+		return false
+	}
+	*rs = resizeState{}
+	debugf("rank %d: elected shrunken world %v", bc.rank, roster)
+	return true
 }
 
 // LoopbackCandidates returns the default candidate set for a single-host
@@ -134,6 +144,7 @@ func bootstrap(bc bootConfig) (*table, error) {
 	if bc.world == 1 {
 		return &table{startGen: bc.myGen, members: []int{0}, addrs: []string{bc.dataAddr}}, nil
 	}
+	me := comm.Join{Slot: bc.rank, Addr: bc.dataAddr, Gen: bc.myGen}
 	begin := time.Now()
 	// ln is our candidate listener. It stays open across consecutive serve
 	// rounds — closing it between rounds opens a gap that probing peers can
@@ -176,15 +187,24 @@ func bootstrap(bc bootConfig) (*table, error) {
 			// servers — the registrants swap at synchronized round boundaries
 			// and no round ever completes.
 			for time.Now().Before(bc.deadline) {
-				tbl, alive, err := register(&bc, bc.cands[c])
-				if tbl != nil {
-					return tbl, nil
-				}
+				conn, err := net.DialTimeout("tcp", bc.cands[c], probeTimeout)
 				if err != nil {
-					return nil, err // EERR: misconfiguration, retrying won't help
+					break // not serving (yet)
 				}
-				if !alive {
-					break
+				// The server holds registrations until its round completes or
+				// times out, so allow a full round plus slack before declaring
+				// it wedged.
+				conn.SetDeadline(time.Now().Add(bc.round + 2*time.Second))
+				tbl, retry, err := comm.Register(conn, me, bc.world)
+				conn.Close()
+				if tbl != nil {
+					return &table{startGen: tbl.StartGen, members: tbl.Members, addrs: tbl.Addrs}, nil
+				}
+				if errors.Is(err, comm.ErrRejected) {
+					return nil, fmt.Errorf("elastic: rank %d: rendezvous %s: %w", bc.rank, bc.cands[c], err)
+				}
+				if !retry {
+					break // the server died or dropped us mid-round; re-probe
 				}
 				debugf("rank %d: cand %d is alive but round incomplete; re-registering", bc.rank, c)
 			}
@@ -206,10 +226,22 @@ func bootstrap(bc bootConfig) (*table, error) {
 				rs = resizeState{}
 			}
 			debugf("rank %d: serving round on %s", bc.rank, bc.cands[bc.rank])
-			tbl := serveRound(ln, &bc, &rs, bc.deadline)
-			debugf("rank %d: round done tbl=%v", bc.rank, tbl != nil)
+			roundDL := time.Now().Add(bc.round)
+			if roundDL.After(bc.deadline) {
+				roundDL = bc.deadline
+			}
+			tbl, err := comm.ServeRound(ln, comm.Round{
+				World:    bc.world,
+				Self:     me,
+				Deadline: roundDL,
+				Settle:   func(roster []int) bool { return rs.settle(&bc, roster) },
+			})
 			if tbl != nil {
-				return tbl, nil
+				return &table{startGen: tbl.StartGen, members: tbl.Members, addrs: tbl.Addrs}, nil
+			}
+			debugf("rank %d: round done: %v", bc.rank, err)
+			if !errors.Is(err, comm.ErrIncomplete) {
+				rs = resizeState{} // the round completed, but a registrant died mid-broadcast
 			}
 		} else {
 			time.Sleep(probeTimeout / 3)
@@ -223,76 +255,6 @@ func bootstrap(bc bootConfig) (*table, error) {
 		bc.rank, time.Since(begin).Round(time.Millisecond), bc.world, bc.cands)
 }
 
-// register dials a candidate and tries to join its round. Returns a table
-// on success. alive reports whether a live server answered ERETRY (the
-// caller should re-register with it rather than serve its own round); it is
-// false when the candidate is unreachable or died mid-round. A non-nil
-// error is a permanent EERR rejection — retrying won't help.
-func register(bc *bootConfig, cand string) (tbl *table, alive bool, err error) {
-	conn, err := net.DialTimeout("tcp", cand, probeTimeout)
-	if err != nil {
-		return nil, false, nil // not serving (yet) — caller moves on
-	}
-	defer conn.Close()
-	// The server holds registrations until its round completes or times
-	// out, so allow a full round plus slack before declaring it wedged.
-	conn.SetDeadline(time.Now().Add(bc.round + 2*time.Second))
-	if _, err := fmt.Fprintf(conn, "EJOIN %d %s %d\n", bc.rank, bc.dataAddr, bc.myGen); err != nil {
-		return nil, false, nil
-	}
-	line, err := bufio.NewReader(conn).ReadString('\n')
-	if err != nil {
-		return nil, false, nil // server died or timed us out mid-round; re-probe
-	}
-	line = strings.TrimSpace(line)
-	switch {
-	case line == "ERETRY":
-		return nil, true, nil
-	case strings.HasPrefix(line, "EERR "):
-		return nil, false, fmt.Errorf("elastic: rank %d: rendezvous %s rejected registration: %s", bc.rank, cand, line[len("EERR "):])
-	}
-	tbl, err = parseTable(line, bc.world)
-	if err != nil {
-		return nil, false, fmt.Errorf("elastic: rank %d: %v", bc.rank, err)
-	}
-	if indexOf(tbl.members, bc.rank) < 0 {
-		// Cannot happen with a well-behaved server (we registered in this
-		// round), but a table that excludes us is unusable — fail loudly
-		// rather than dial a mesh we have no seat in.
-		return nil, false, fmt.Errorf("elastic: rank %d: rendezvous table %v excludes this rank", bc.rank, tbl.members)
-	}
-	return tbl, true, nil
-}
-
-// parseTable decodes an ETAB line into a table.
-func parseTable(line string, world int) (*table, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 3 || fields[0] != "ETAB" {
-		return nil, fmt.Errorf("malformed rendezvous table %q", line)
-	}
-	start, err := strconv.Atoi(fields[1])
-	if err != nil {
-		return nil, fmt.Errorf("malformed start generation in %q", line)
-	}
-	m, err := strconv.Atoi(fields[2])
-	if err != nil || m < 1 || m > world || len(fields) != 3+2*m {
-		return nil, fmt.Errorf("malformed member list in %q", line)
-	}
-	tbl := &table{startGen: start, members: make([]int, m), addrs: make([]string, m)}
-	for i := 0; i < m; i++ {
-		slot, err := strconv.Atoi(fields[3+2*i])
-		if err != nil || slot < 0 || slot >= world {
-			return nil, fmt.Errorf("malformed member slot in %q", line)
-		}
-		if i > 0 && tbl.members[i-1] >= slot {
-			return nil, fmt.Errorf("member slots not ascending in %q", line)
-		}
-		tbl.members[i] = slot
-		tbl.addrs[i] = fields[4+2*i]
-	}
-	return tbl, nil
-}
-
 // indexOf returns the position of slot in members, or -1.
 func indexOf(members []int, slot int) int {
 	for i, m := range members {
@@ -301,145 +263,4 @@ func indexOf(members []int, slot int) int {
 		}
 	}
 	return -1
-}
-
-// serveRound serves one rendezvous round on the caller's candidate
-// listener: collect a registration from every other rank, agree on
-// min(gen), broadcast the table. If the round times out incomplete,
-// registrants get ERETRY and the caller decides whether to probe or serve
-// another round; the listener stays open either way (see bootstrap). When
-// resizing is enabled and the same partial roster (≥2 members) has timed
-// out resizeAfter consecutive rounds, the round completes with just those
-// members — the survivors elect the smaller world. Returns nil for a round
-// that did not complete.
-func serveRound(ln net.Listener, bc *bootConfig, rs *resizeState, overall time.Time) *table {
-	roundDL := time.Now().Add(bc.round)
-	if roundDL.After(overall) {
-		roundDL = overall
-	}
-	if tl, ok := ln.(*net.TCPListener); ok {
-		tl.SetDeadline(roundDL)
-	}
-	addrs := make([]string, bc.world)
-	gens := make([]int, bc.world)
-	conns := make([]net.Conn, bc.world)
-	defer func() {
-		for _, c := range conns {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
-	addrs[bc.rank], gens[bc.rank] = bc.dataAddr, bc.myGen
-	have := 1
-	for have < bc.world {
-		conn, err := ln.Accept()
-		if err != nil {
-			// Round timed out incomplete. With resizing enabled, a roster
-			// that has held stable through enough consecutive rounds IS the
-			// new world: the missing slots are dead, not slow. A lone rank
-			// never self-elects — a net split that isolates one survivor
-			// must not fork a one-rank "cohort" that trains on alone.
-			roster := rosterKey(bc.rank, conns)
-			if bc.resizeAfter > 0 && have >= 2 {
-				if roster == rs.roster {
-					rs.stable++
-				} else {
-					rs.roster, rs.stable = roster, 1
-				}
-				debugf("rank %d: incomplete round, roster %s stable for %d/%d", bc.rank, roster, rs.stable, bc.resizeAfter)
-				if rs.stable >= bc.resizeAfter {
-					rs.roster, rs.stable = "", 0
-					return finishRound(bc, conns, addrs, gens)
-				}
-			} else {
-				rs.roster, rs.stable = roster, 0
-			}
-			for _, c := range conns {
-				if c != nil {
-					fmt.Fprint(c, "ERETRY\n")
-				}
-			}
-			return nil
-		}
-		conn.SetDeadline(roundDL.Add(time.Second))
-		var r, gen int
-		var addr string
-		if _, err := fmt.Fscanf(bufio.NewReader(conn), "EJOIN %d %s %d\n", &r, &addr, &gen); err != nil {
-			fmt.Fprintf(conn, "EERR malformed elastic hello: %v\n", err)
-			conn.Close()
-			continue
-		}
-		if r < 0 || r >= bc.world {
-			fmt.Fprintf(conn, "EERR rank %d outside [0,%d) — check -rank/-world against the cohort\n", r, bc.world)
-			conn.Close()
-			continue
-		}
-		if r == bc.rank {
-			fmt.Fprintf(conn, "EERR rank %d is already serving this rendezvous — two processes claim the same rank\n", r)
-			conn.Close()
-			continue
-		}
-		if conns[r] != nil {
-			// Latest registration wins: the old connection belongs to a
-			// client that gave up, died, or redialed across generations.
-			conns[r].Close()
-			have--
-		}
-		conns[r], addrs[r], gens[r] = conn, addr, gen
-		have++
-	}
-	rs.roster, rs.stable = "", 0
-	return finishRound(bc, conns, addrs, gens)
-}
-
-// rosterKey canonicalizes the current registrant set (plus the server
-// itself) for stability comparison across rounds.
-func rosterKey(rank int, conns []net.Conn) string {
-	var b strings.Builder
-	for r := range conns {
-		if r == rank || conns[r] != nil {
-			fmt.Fprintf(&b, "%d,", r)
-		}
-	}
-	return b.String()
-}
-
-// finishRound computes the member table from whoever is registered (the
-// full world on the normal path, the stable survivors on the resize path),
-// broadcasts it, and returns it. Returns nil if a registrant died
-// mid-broadcast — the cohort has changed and the round must rerun.
-func finishRound(bc *bootConfig, conns []net.Conn, addrs []string, gens []int) *table {
-	var members []int
-	for r := 0; r < bc.world; r++ {
-		if r == bc.rank || conns[r] != nil {
-			members = append(members, r)
-		}
-	}
-	start := gens[members[0]]
-	for _, m := range members[1:] {
-		if gens[m] < start {
-			start = gens[m]
-		}
-	}
-	maddrs := make([]string, len(members))
-	parts := make([]string, 0, 3+2*len(members))
-	parts = append(parts, "ETAB", strconv.Itoa(start), strconv.Itoa(len(members)))
-	for i, m := range members {
-		maddrs[i] = addrs[m]
-		parts = append(parts, strconv.Itoa(m), addrs[m])
-	}
-	line := strings.Join(parts, " ") + "\n"
-	for _, c := range conns {
-		if c == nil {
-			continue
-		}
-		if _, err := c.Write([]byte(line)); err != nil {
-			return nil // a registrant died mid-broadcast; rerun the round
-		}
-	}
-	if len(members) < bc.world {
-		debugf("rank %d: elected shrunken world %v at gen %d", bc.rank, members, start)
-	}
-	return &table{startGen: start, members: members, addrs: maddrs}
 }

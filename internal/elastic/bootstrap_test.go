@@ -138,3 +138,51 @@ func TestBootstrapDeadlineSurfacesPointedError(t *testing.T) {
 		t.Fatal("lone rank completed a world-2 rendezvous")
 	}
 }
+
+// TestBootstrapIgnoresSilentConnection: a connection that reaches the
+// serving candidate first and never sends a line is refused once the
+// join-line timeout passes; it does not hold the round until the round
+// times out. A world-2 bootstrap completes in under 2 s.
+func TestBootstrapIgnoresSilentConnection(t *testing.T) {
+	cands := freeCandidates(t, 2)
+	deadline := time.Now().Add(20 * time.Second)
+	begin := time.Now()
+	tables := make([]*table, 2)
+	errs := make([]error, 2)
+	var wg sync.WaitGroup
+	boot := func(r int) {
+		defer wg.Done()
+		tables[r], errs[r] = bootstrap(bootConfig{rank: r, world: 2, cands: cands, dataAddr: fmt.Sprintf("addr-%d:1", r), deadline: deadline})
+	}
+	wg.Add(2)
+	go boot(0)
+	// Rank 0 serves on its candidate at once; the silent connection reaches
+	// its round before rank 1 starts.
+	var silent net.Conn
+	for {
+		c, err := net.Dial("tcp", cands[0])
+		if err == nil {
+			silent = c
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rank 0 never listened on %s: %v", cands[0], err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	defer silent.Close()
+	go boot(1)
+	wg.Wait()
+	elapsed := time.Since(begin)
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	if !reflect.DeepEqual(tables[0].addrs, []string{"addr-0:1", "addr-1:1"}) || !reflect.DeepEqual(tables[1].addrs, tables[0].addrs) {
+		t.Fatalf("tables %v and %v, want both [addr-0:1 addr-1:1]", tables[0].addrs, tables[1].addrs)
+	}
+	if elapsed > 2*time.Second {
+		t.Fatalf("bootstrap took %v with a silent connection at the serving candidate, want under 2s", elapsed)
+	}
+}

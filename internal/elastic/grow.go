@@ -1,12 +1,13 @@
 package elastic
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/comm"
 )
 
 // growWatcher is a shrunken cohort's open door back to full strength. While
@@ -77,36 +78,31 @@ func (g *growWatcher) loop() {
 
 func (g *growWatcher) handle(conn net.Conn) {
 	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(2 * time.Second))
-	var slot, gen int
-	var addr string
-	if _, err := fmt.Fscanf(bufio.NewReader(conn), "EJOIN %d %s %d\n", &slot, &addr, &gen); err != nil {
-		return
+	j, err := comm.ReadJoin(conn, g.world, g.owner)
+	if err != nil {
+		return // refused with the reason
 	}
-	switch {
-	case slot < 0 || slot >= g.world:
-		fmt.Fprintf(conn, "EERR rank %d outside [0,%d) — check -rank/-world against the cohort\n", slot, g.world)
-	case g.member[slot]:
-		if g.fired.Load() {
-			// The world is already re-forming; this is a survivor's bootstrap
-			// probe landing on the watcher before it closes, not an impostor.
-			fmt.Fprint(conn, "ERETRY\n")
-			return
-		}
-		fmt.Fprintf(conn, "EERR rank %d is already a live member of the running cohort — two processes claim the same rank\n", slot)
-	default:
+	if !g.member[j.Slot] {
 		g.once.Do(func() {
 			// fired is set before onGrow aborts the mesh: any member probe the
 			// abort provokes is guaranteed to see it.
 			g.fired.Store(true)
-			debugf("rank %d: slot %d knocked to rejoin; growing the world back", g.owner, slot)
+			debugf("rank %d: slot %d knocked to rejoin; growing the world back", g.owner, j.Slot)
 			if h := growSignal; h != nil {
-				h(g.owner, slot)
+				h(g.owner, j.Slot)
 			}
-			g.onGrow(slot)
+			g.onGrow(j.Slot)
 		})
-		fmt.Fprint(conn, "ERETRY\n")
+		comm.Retry(conn)
+		return
 	}
+	if g.fired.Load() {
+		// The world is already re-forming; this is a survivor's bootstrap
+		// probe landing on the watcher before it closes, not an impostor.
+		comm.Retry(conn)
+		return
+	}
+	comm.Refuse(conn, fmt.Sprintf("rank %d is already a live member of the running cohort — two processes claim the same rank", j.Slot))
 }
 
 // Close shuts the listener and waits for the accept loop to drain.

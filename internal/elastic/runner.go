@@ -83,7 +83,7 @@ func Run(cfg RunnerConfig) (*core.RankTrainer, Report, error) {
 }
 
 // runGeneration runs one bootstrap-train cycle: what is per-process by
-// nature — the data listener, the rendezvous, the seat check, the mesh and
+// nature — the data listener, the rendezvous, the mesh and
 // the grow watcher — then this slot's trainSlot, the generation body the
 // Supervisor runs every rank through too. members is the slot set the cohort
 // agreed to train as and startGen the generation it agreed to resume from
@@ -113,13 +113,8 @@ func runGeneration(cfg *RunnerConfig) (rt *core.RankTrainer, members []int, star
 		dataLn.Close()
 		return nil, nil, -1, err
 	}
-	myIdx := indexOf(tbl.members, cfg.Rank)
-	if myIdx < 0 {
-		dataLn.Close()
-		return nil, tbl.members, tbl.startGen, fmt.Errorf("elastic: rank %d: agreed member set %v has no seat for this rank", cfg.Rank, tbl.members)
-	}
 	tp, err := comm.DialTCPMesh(comm.TCPConfig{
-		Rank:              myIdx,
+		Rank:              indexOf(tbl.members, cfg.Rank), // every agreed table seats us: comm.Register refuses one that doesn't
 		World:             len(tbl.members),
 		ListenHost:        cfg.ListenHost,
 		Timeout:           time.Until(deadline),
