@@ -40,7 +40,7 @@ func (c *ModelConfig) Validate() error {
 	if c.Hidden < 1 {
 		return fmt.Errorf("core: hidden dim %d", c.Hidden)
 	}
-	if c.Dropout < 0 || c.Dropout >= 1 {
+	if !(c.Dropout >= 0 && c.Dropout < 1) {
 		return fmt.Errorf("core: dropout %v", c.Dropout)
 	}
 	return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -263,6 +264,24 @@ func TestParallelRejectsBadP(t *testing.T) {
 	}
 	if _, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: testModelConfig(), P: -0.1}); err == nil {
 		t.Fatal("p<0 must be rejected")
+	}
+}
+
+// TestModelConfigRejectsBadDropout: a dropout rate outside [0,1) is a
+// configuration error — NaN too, which every comparison lets through and
+// which would drop every activation.
+func TestModelConfigRejectsBadDropout(t *testing.T) {
+	for _, rate := range []float32{-0.1, 1, 1.5, float32(math.NaN())} {
+		cfg := testModelConfig()
+		cfg.Dropout = rate
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "core: dropout") {
+			t.Fatalf("dropout %v: Validate() = %v, want a dropout error", rate, err)
+		}
+	}
+	cfg := testModelConfig()
+	cfg.Dropout = 0.5
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("dropout 0.5: %v", err)
 	}
 }
 

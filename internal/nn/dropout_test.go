@@ -199,6 +199,16 @@ func TestDropoutRejectsContractViolations(t *testing.T) {
 			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(0, 10); d.BackwardRows(tensor.New(9, 5), 0, 9) }},
 		{"backward cols", "dropout layer 2: backward over a 10x4 gradient, the forward pass drew a 10x5 mask",
 			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(0, 10); d.Backward(tensor.New(10, 4)) }},
+		{"selection descending", "dropout layer 2: selection at[1] = 1, want rows ascending within [0,8)",
+			func(d *Dropout, _ *tensor.Matrix) { d.MaskRowsAt(0, []int32{3, 1}, 8) }},
+		{"selection repeated", "dropout layer 2: selection at[1] = 2, want rows ascending within [0,8)",
+			func(d *Dropout, _ *tensor.Matrix) { d.MaskRowsAt(0, []int32{2, 2}, 8) }},
+		{"selection past block", "dropout layer 2: selection at[1] = 9, want rows ascending within [0,8)",
+			func(d *Dropout, _ *tensor.Matrix) { d.MaskRowsAt(0, []int32{1, 9}, 8) }},
+		{"selection at block end", "dropout layer 2: selection at[2] = 8, want rows ascending within [0,8)",
+			func(d *Dropout, _ *tensor.Matrix) { d.MaskRowsAt(0, []int32{6, 7, 8}, 8) }},
+		{"selection negative", "dropout layer 2: selection at[0] = -1, want rows ascending within [0,8)",
+			func(d *Dropout, _ *tensor.Matrix) { d.MaskRowsAt(0, []int32{-1, 2}, 8) }},
 	} {
 		d, x := begin()
 		panicsWith(t, tc.name, tc.want, func() { tc.pass(d, x) })
@@ -208,6 +218,17 @@ func TestDropoutRejectsContractViolations(t *testing.T) {
 	d, x := begin()
 	d.ForwardBegin(x, x, false)
 	panicsWith(t, "identity overlap", "rows from 4 on expected", func() { d.ForwardRows(0, 4); d.MaskRows(2, 5) })
+	d, x = begin()
+	d.ForwardBegin(x, x, false)
+	panicsWith(t, "identity selection", "dropout layer 2: selection at[2] = 4, want rows ascending within [0,8)",
+		func() { d.MaskRowsAt(0, []int32{1, 5, 4}, 8) })
+
+	// A rate outside [0,1) — NaN among them, which no comparison rejects —
+	// has no layer.
+	for _, rate := range []float32{-0.1, 1, float32(math.NaN()), float32(math.Inf(1))} {
+		panicsWith(t, fmt.Sprintf("rate %v", rate), fmt.Sprintf("nn: dropout rate %v out of [0,1)", rate),
+			func() { NewDropout(rate, tensor.NewRNG(9)) })
+	}
 }
 
 // paramsOnlyGraph is a partition-shaped graph with halo rows and a
@@ -282,4 +303,51 @@ func TestGATBackwardParamsMatchesBackward(t *testing.T) {
 	}
 	panicsWith(t, "gat/shape", fmt.Sprintf("GATConv backward shape %dx%d, want %dx%d", nIn-1, outDim, nIn, outDim),
 		func() { only.BackwardParams(tensor.New(nIn-1, outDim)) })
+}
+
+// BenchmarkDropoutWorkload times one dropout layer at the shape of one rank
+// of the k4-full-tcp benchmark workload — 4,000 inner rows and 9,800 halo
+// rows, at the input (48) and hidden (64) widths, rate 0.2: the forward over
+// every row, the halo masks drawn by MaskRowsAt over a selection at p = 1 and
+// p = 0.1, those rows' apply, and the backward over every row.
+func BenchmarkDropoutWorkload(b *testing.B) {
+	const nIn, nBd = 4000, 9800
+	rng := tensor.NewRNG(36)
+	sel := map[string][]int32{"1": rowList(0, nBd)}
+	for r := int32(0); r < nBd; r++ {
+		if rng.Float32() < 0.1 {
+			sel["0.1"] = append(sel["0.1"], r)
+		}
+	}
+	for _, cols := range []int{48, 64} {
+		x := randMat(rng, nIn+nBd, cols)
+		out := tensor.New(nIn+nBd, cols)
+		g := randMat(rng, nIn+nBd, cols)
+		d := NewDropout(0.2, rng)
+		b.Run(fmt.Sprintf("forward/cols=%d", cols), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d.ForwardBegin(out, x, true)
+				d.ForwardRows(0, nIn+nBd)
+			}
+		})
+		for _, p := range []string{"1", "0.1"} {
+			b.Run(fmt.Sprintf("mask-at/p=%s/cols=%d", p, cols), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					d.ForwardBegin(out, x, true)
+					d.MaskRowsAt(nIn, sel[p], nBd)
+				}
+			})
+		}
+		halo := rowList(nIn, nIn+nBd)
+		b.Run(fmt.Sprintf("apply/cols=%d", cols), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d.ApplyMaskedRows(halo)
+			}
+		})
+		b.Run(fmt.Sprintf("backward/cols=%d", cols), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d.BackwardRows(g, 0, nIn+nBd)
+			}
+		})
+	}
 }

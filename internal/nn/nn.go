@@ -122,6 +122,10 @@ func ParamCount(layers []Layer) int {
 // (ForwardRows, MaskRows, MaskRowsAt) must cover ascending, disjoint row
 // ranges — then chunking draws exactly the masks a single full pass would,
 // and results are bit-identical. A range that goes backwards panics.
+//
+// The per-element work is in tensor's kernels: the mask is drawn by
+// tensor.RNG.KeepBits and read by tensor.MaskScale (forward) and
+// tensor.MaskMul (backward).
 type Dropout struct {
 	Rate float32
 	// Layer is the layer's index in its stack, named in panic messages.
@@ -145,7 +149,7 @@ type Dropout struct {
 
 // NewDropout returns a dropout layer with its own RNG stream.
 func NewDropout(rate float32, rng *tensor.RNG) *Dropout {
-	if rate < 0 || rate >= 1 {
+	if !(rate >= 0 && rate < 1) {
 		panic(fmt.Sprintf("nn: dropout rate %v out of [0,1)", rate))
 	}
 	return &Dropout{Rate: rate, rng: rng.Split()}
@@ -233,44 +237,15 @@ func (d *Dropout) MaskRows(r0, r1 int) {
 	}
 }
 
-// draw is the one mask-drawing loop: it draws the keep bits of elements
-// [lo, hi) from the stream, in order. lo's word keeps the bits below lo —
-// drawn earlier in this pass — and hi's word is cleared above hi: those
-// elements belong to rows the ascending pass has not reached.
-func (d *Dropout) draw(lo, hi int) {
-	keep := 1 - d.Rate
-	rng := *d.rng // the stream state stays in a register across the run
-	for i := lo; i < hi; {
-		end := min(hi, i|63+1) // one mask word at a time
-		b := uint(i) & 63
-		word := d.bits[i>>6] & (1<<b - 1)
-		for j := b; j < b+uint(end-i); j++ {
-			if rng.Float32() < keep {
-				word |= 1 << j
-			}
-		}
-		d.bits[i>>6] = word
-		i = end
-	}
-	*d.rng = rng
-}
+// draw draws the keep bits of elements [lo, hi) from the stream, in order
+// (tensor.RNG.KeepBits: lo's word keeps the bits below lo, drawn earlier in
+// this pass, and hi's word is cleared above hi).
+func (d *Dropout) draw(lo, hi int) { d.rng.KeepBits(d.bits, lo, hi, 1-d.Rate) }
 
 // apply writes elements [lo, hi) of the destination from the same elements of
-// src: v·scale where the keep bit is set, a literal +0 where it is clear —
-// the product's bits ANDed with all ones or none, so no branch follows the
-// random bit.
+// src: v·scale where the keep bit is set, a literal +0 where it is clear.
 func (d *Dropout) apply(src []float32, lo, hi int) {
-	scale := 1 / (1 - d.Rate)
-	for i := lo; i < hi; {
-		end := min(hi, i|63+1) // one mask word at a time
-		word := d.bits[i>>6] >> (uint(i) & 63)
-		out := d.dst.Data[i:end]
-		for j, v := range src[i:end] {
-			out[j] = math.Float32frombits(math.Float32bits(v*scale) & -uint32(word&1))
-			word >>= 1
-		}
-		i = end
-	}
+	tensor.MaskScale(d.dst.Data, src, d.bits, lo, hi, 1/(1-d.Rate))
 }
 
 // MaskRowsAt draws the masks of rows [r0, r0+len(at)) of the pass as a
@@ -284,12 +259,10 @@ func (d *Dropout) apply(src []float32, lo, hi int) {
 // The epoch engine draws its halo masks this way: its node space holds only
 // the sampled boundary slots, and each keeps the masks (and the layer's
 // stream keeps the position) that training over every slot would give it.
-// Draws and skips nothing when the pass is identity.
+// Draws and skips nothing when the pass is identity. A selection that is not
+// strictly ascending within [0, n) panics in either mode: a row drawn twice,
+// or a negative skip, would silently hand out masks already drawn.
 func (d *Dropout) MaskRowsAt(r0 int, at []int32, n int) {
-	if !d.active {
-		d.claim(r0, r0+len(at))
-		return
-	}
 	cols := uint64(d.cols)
 	next := 0 // first virtual row not yet drawn or skipped
 	for i := 0; i < len(at); {
@@ -297,12 +270,29 @@ func (d *Dropout) MaskRowsAt(r0 int, at []int32, n int) {
 		for j < len(at) && at[j] == at[j-1]+1 {
 			j++
 		}
-		d.rng.Skip(uint64(int(at[i])-next) * cols)
+		if int(at[i]) < next {
+			d.badSelection(at, i, n)
+		}
+		if int(at[j-1]) >= n {
+			d.badSelection(at, j-1, n)
+		}
+		if d.active {
+			d.rng.Skip(uint64(int(at[i])-next) * cols)
+		}
 		d.MaskRows(r0+i, r0+j)
 		next = int(at[j-1]) + 1
 		i = j
 	}
-	d.rng.Skip(uint64(n-next) * cols)
+	if d.active {
+		d.rng.Skip(uint64(n-next) * cols)
+	}
+}
+
+// badSelection panics on at[i], a MaskRowsAt selection entry that breaks the
+// ascending order or leaves [0, n).
+func (d *Dropout) badSelection(at []int32, i, n int) {
+	panic(fmt.Sprintf("nn: dropout layer %d: selection at[%d] = %d, want rows ascending within [0,%d): each row of the block is drawn once, in order",
+		d.Layer, i, at[i], n))
 }
 
 // ApplyMaskedRows masks the listed rows of the destination in place, with
@@ -315,8 +305,13 @@ func (d *Dropout) ApplyMaskedRows(rows []int32) {
 	if !d.active {
 		return
 	}
-	for _, r := range rows {
-		d.apply(d.dst.Data, int(r)*d.cols, (int(r)+1)*d.cols)
+	for i := 0; i < len(rows); { // consecutive rows in one call
+		j := i + 1
+		for j < len(rows) && rows[j] == rows[j-1]+1 {
+			j++
+		}
+		d.apply(d.dst.Data, int(rows[i])*d.cols, (int(rows[j-1])+1)*d.cols)
+		i = j
 	}
 }
 
@@ -339,17 +334,7 @@ func (d *Dropout) BackwardRows(g *tensor.Matrix, r0, r1 int) {
 		panic(fmt.Sprintf("nn: dropout layer %d: backward over a %dx%d gradient, the forward pass drew a %dx%d mask",
 			d.Layer, g.Rows, g.Cols, d.rows, d.cols))
 	}
-	mul := [2]float32{0, 1 / (1 - d.Rate)}
-	for i, hi := r0*g.Cols, r1*g.Cols; i < hi; {
-		end := min(hi, i|63+1) // one mask word at a time
-		word := d.bits[i>>6] >> (uint(i) & 63)
-		row := g.Data[i:end]
-		for j := range row {
-			row[j] *= mul[word&1]
-			word >>= 1
-		}
-		i = end
-	}
+	tensor.MaskMul(g.Data, d.bits, r0*g.Cols, r1*g.Cols, 1/(1-d.Rate))
 }
 
 // SoftmaxCrossEntropy computes mean softmax cross-entropy over the rows of

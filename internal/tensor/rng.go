@@ -9,6 +9,13 @@ type RNG struct {
 	state uint64
 }
 
+// SplitMix64's state increment and its output mix's two multipliers.
+const (
+	splitmixGamma = 0x9e3779b97f4a7c15
+	splitmixMul1  = 0xbf58476d1ce4e5b9
+	splitmixMul2  = 0x94d049bb133111eb
+)
+
 // NewRNG returns a generator seeded with seed.
 func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 
@@ -22,17 +29,17 @@ func (r *RNG) SetState(s uint64) { r.state = s }
 
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
+	r.state += splitmixGamma
 	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	z = (z ^ (z >> 30)) * splitmixMul1
+	z = (z ^ (z >> 27)) * splitmixMul2
 	return z ^ (z >> 31)
 }
 
 // Skip advances the stream past the next n Uint64 draws without computing
 // them: splitmix64's state is a counter, so n discarded draws are one
 // multiply-add. Every Float32/Float64/Intn draw consumes exactly one Uint64.
-func (r *RNG) Skip(n uint64) { r.state += n * 0x9e3779b97f4a7c15 }
+func (r *RNG) Skip(n uint64) { r.state += n * splitmixGamma }
 
 // Intn returns a uniform int in [0, n). n must be positive.
 func (r *RNG) Intn(n int) int {
@@ -47,7 +54,10 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Float32 returns a uniform float32 in [0, 1).
+// Float32 returns a uniform float32 in [0, 1): m/2²⁴ for the top 24 bits m
+// = u>>40 of the next Uint64 u. Both m and keep·2²⁴ are exact in float32, so
+// the draw is below keep exactly when u>>40 < ⌈keep·2²⁴⌉ — the integer
+// compare KeepBits draws dropout masks with, over the same stream.
 func (r *RNG) Float32() float32 {
 	return float32(r.Uint64()>>40) / (1 << 24)
 }

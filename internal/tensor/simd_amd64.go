@@ -89,3 +89,23 @@ func detectAVX2FMA() bool {
 	_, b7, _, _ := cpuid(7, 0)
 	return b7&(1<<5) != 0 // AVX2
 }
+
+// keepBytesAVX2 writes bytes [from, from+n) of the bitset at bits with the
+// keep bits of 8n SplitMix64 draws; lanes holds the states of byte from's
+// even draws, then its odd ones (see dropout_amd64.s).
+//
+//go:noescape
+func keepBytesAVX2(bits *uint64, from, n int, lanes *[8]uint64, t uint64)
+
+// maskScaleAVX2 writes the 8n floats at dst from those at src, scaled where
+// the bit of bytes [from, from+n) of the bitset at bits is set and +0 where it
+// is clear.
+//
+//go:noescape
+func maskScaleAVX2(dst, src *float32, bits *uint64, from, n int, scale float32)
+
+// maskMulAVX2 multiplies the 8n floats at grad by scale where the bit of bytes
+// [from, from+n) of the bitset at bits is set and by +0 where it is clear.
+//
+//go:noescape
+func maskMulAVX2(grad *float32, bits *uint64, from, n int, scale float32)

@@ -33,3 +33,15 @@ func addAVX2(dst, src *float32, n int) {
 func axpyAVX2(dst, src *float32, n int, a float32) {
 	panic("tensor: axpyAVX2 unavailable on this platform")
 }
+
+func keepBytesAVX2(bits *uint64, from, n int, lanes *[8]uint64, t uint64) {
+	panic("tensor: keepBytesAVX2 unavailable on this platform")
+}
+
+func maskScaleAVX2(dst, src *float32, bits *uint64, from, n int, scale float32) {
+	panic("tensor: maskScaleAVX2 unavailable on this platform")
+}
+
+func maskMulAVX2(grad *float32, bits *uint64, from, n int, scale float32) {
+	panic("tensor: maskMulAVX2 unavailable on this platform")
+}
