@@ -307,3 +307,37 @@ func BenchmarkAggProjWorkload(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMatMulTransBWorkload: the input-gradient dots. SAGE's split
+// backward [dz | dSelf] = dPre·wᵀ at the two layers that have one (layer 0
+// takes no input gradient), GAT's dH = dWh·Wᵀ over a k2-gat-chan rank's
+// 12,000 rows, and GAT's edge pass, one GatherDots row of degree 24.
+func BenchmarkMatMulTransBWorkload(b *testing.B) {
+	rng := NewRNG(48)
+	for _, l := range workloadLayers[1:] {
+		dPre, w := randomMatrix(rng, workloadRows, l.out), randomMatrix(rng, 2*l.in, l.out)
+		dz, dSelf := New(workloadRows, l.in), New(workloadRows, l.in)
+		b.Run(fmt.Sprintf("split/in=%d/out=%d", l.in, l.out), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				MatMulTransBSplit(dz, dSelf, dPre, w)
+			}
+		})
+	}
+	dWh, w := randomMatrix(rng, 12000, 32), randomMatrix(rng, 32, 32)
+	dH := New(12000, 32)
+	b.Run("gat/rows=12000/in=32/out=32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			MatMulTransB(dH, dWh, w)
+		}
+	})
+	wh, dz := randomMatrix(rng, workloadRows, 32), randomMatrix(rng, 1, 32).Data
+	nbrs, dots := make([]int32, 24), make([]float32, 24)
+	for i := range nbrs {
+		nbrs[i] = int32(rng.Intn(workloadRows))
+	}
+	b.Run("gatherdots/deg=24/dim=32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			GatherDots(dots, dz, wh, nbrs)
+		}
+	})
+}

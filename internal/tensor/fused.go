@@ -31,7 +31,9 @@ import "fmt"
 //
 //	MatMulTransBSplit  — dConcat = dPre·wᵀ with the left half written to dz
 //	                     and the right half (the self term) written straight
-//	                     into the input-gradient rows, one sweep, no dConcat.
+//	                     into the input-gradient rows, one sweep, no dConcat:
+//	                     one dotRows call per half, every element one dot
+//	                     with Dot's bits.
 //	MatMulTransASplit  — dW = [z|h]ᵀ·dPre reading the two operand halves in
 //	                     place.
 
@@ -137,10 +139,10 @@ func checkSplitB(name string, dz, dSelf, dPre, w *Matrix) {
 // dPre.Row(v)·wᵀ of the concat gradient — writing its left half (the
 // aggregation gradient dz_v) to dz.Row(v) and its right half (the self term)
 // straight into dSelf.Row(v), which it OVERWRITES. One sweep replaces the
-// unfused MatMulTransB-into-dConcat plus the self-copy pass; the j-blocked
-// dot4 walk runs over the full 2·in width so every dot is grouped exactly as
-// matMulTransBBlock groups it — bit-identical to computing the dConcat row and
-// splitting it afterwards. Rows are independent.
+// unfused MatMulTransB-into-dConcat plus the self-copy pass. Every element
+// is one dot with Dot's bits wherever the row is cut, so this is
+// bit-identical to computing the dConcat row and splitting it afterwards.
+// Rows are independent.
 func MatMulTransBSplit(dz, dSelf, dPre, w *Matrix) {
 	checkSplitB("MatMulTransBSplit", dz, dSelf, dPre, w)
 	dispatch(rowCall{kernel: kernelMatMulTransBSplit, out: dz, out2: dSelf, a: dPre, b: w}, rowRange(0, dPre.Rows), rowBlock, nil)
@@ -154,56 +156,16 @@ func MatMulTransBSplitRows(dz, dSelf, dPre, w *Matrix, rows []int32) {
 	dispatch(rowCall{kernel: kernelMatMulTransBSplit, out: dz, out2: dSelf, a: dPre, b: w}, rows, rowBlock, nil)
 }
 
-// matMulTransBSplitBlock computes the listed rows of MatMulTransBSplit.
+// matMulTransBSplitBlock computes the listed rows of MatMulTransBSplit: per
+// row, the dots with w's rows [0,in) into dz and with [in,2·in) into dSelf.
 func matMulTransBSplitBlock(dz, dSelf, dPre, w *Matrix, rows []int32) {
-	in := dz.Cols
-	k, m := dPre.Cols, w.Rows
-	wd := w.Data
-	j := 0
-	for ; j+4 <= m; j += 4 {
-		b0 := wd[j*k : j*k+k]
-		b1 := wd[(j+1)*k : (j+1)*k+k]
-		b2 := wd[(j+2)*k : (j+2)*k+k]
-		b3 := wd[(j+3)*k : (j+3)*k+k]
-		for _, v := range rows {
-			i := int(v)
-			s0, s1, s2, s3 := dot4(dPre.Data[i*k:i*k+k], b0, b1, b2, b3)
-			splitWrite4(dz, dSelf, in, i, j, s0, s1, s2, s3)
-		}
-	}
-	for ; j < m; j++ {
-		brow := wd[j*k : j*k+k]
-		for _, v := range rows {
-			i := int(v)
-			splitWrite(dz, dSelf, in, i, j, Dot(dPre.Data[i*k:i*k+k], brow))
-		}
-	}
-}
-
-// splitWrite4 stores four consecutive concat-gradient elements j..j+3 of row
-// i across the dz/dSelf boundary at column `in`.
-func splitWrite4(dz, dSelf *Matrix, in, i, j int, s0, s1, s2, s3 float32) {
-	switch {
-	case j+4 <= in:
-		o := dz.Data[i*in+j : i*in+j+4]
-		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
-	case j >= in:
-		sc := dSelf.Cols
-		o := dSelf.Data[i*sc+j-in : i*sc+j-in+4]
-		o[0], o[1], o[2], o[3] = s0, s1, s2, s3
-	default:
-		splitWrite(dz, dSelf, in, i, j, s0)
-		splitWrite(dz, dSelf, in, i, j+1, s1)
-		splitWrite(dz, dSelf, in, i, j+2, s2)
-		splitWrite(dz, dSelf, in, i, j+3, s3)
-	}
-}
-
-func splitWrite(dz, dSelf *Matrix, in, i, j int, s float32) {
-	if j < in {
-		dz.Data[i*in+j] = s
-	} else {
-		dSelf.Data[i*dSelf.Cols+j-in] = s
+	in, k := dz.Cols, dPre.Cols
+	zs, ss := rowRange(0, in), rowRange(in, 2*in)
+	for _, v := range rows {
+		i := int(v)
+		g := dPre.Data[i*k : i*k+k]
+		dotRows(dz.Data[i*in:i*in+in], g, w.Data, k, zs)
+		dotRows(dSelf.Data[i*in:i*in+in], g, w.Data, k, ss)
 	}
 }
 

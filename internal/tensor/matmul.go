@@ -343,10 +343,10 @@ func Axpy(dst, src []float32, a float32) {
 	}
 }
 
-// Dot returns the dot product of a and b. Lengths must match. The AVX2 lane
-// reduction differs from sequential scalar accumulation in the low bits;
-// every bit-identity contract in the repo is within-build, so every path
-// computing a given value goes through this same function either way.
+// Dot returns the dot product of a and b. Lengths must match. Every dot of
+// the package — MatMulTransB's, the split backward's and GatherDots' — has
+// these bits (see dotRows), so a value computed by Dot and by a kernel is
+// the same float.
 func Dot(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("tensor: Dot length mismatch %d vs %d", len(a), len(b)))
@@ -363,28 +363,6 @@ func Dot(a, b []float32) float32 {
 		s += a[j] * b[j]
 	}
 	return s
-}
-
-// dot4 returns the four dot products of a with b0..b3 (all len(a) long).
-func dot4(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
-	n := len(a)
-	i := 0
-	if useAVX2 && n >= 8 {
-		n8 := n &^ 7
-		var out [4]float32
-		dot4AVX2(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], n8, &out)
-		s0, s1, s2, s3 = out[0], out[1], out[2], out[3]
-		i = n8
-	}
-	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
-	for ; i < n; i++ {
-		av := a[i]
-		s0 += av * b0[i]
-		s1 += av * b1[i]
-		s2 += av * b2[i]
-		s3 += av * b3[i]
-	}
-	return
 }
 
 // ---- matrix kernels ----
@@ -450,9 +428,10 @@ func checkMatMulTransB(name string, out, a, b *Matrix) {
 }
 
 // MatMulTransB computes out = a·bᵀ where a is n×k and b is m×k. out must be
-// n×m and is overwritten. Both operands are walked along contiguous rows;
-// four b rows are dotted against each a row at once so the 4×k b panel is
-// reused across the whole row block.
+// n×m and is overwritten. Both operands are walked along contiguous rows:
+// each out element is one dot of an a row with a b row, with Dot's bits, and
+// a row block's a rows are dotted with rowBlock b rows at a time so those b
+// rows stay in cache across the block.
 func MatMulTransB(out, a, b *Matrix) {
 	checkMatMulTransB("MatMulTransB", out, a, b)
 	dispatch(rowCall{kernel: kernelMatMulTransB, out: out, a: a, b: b}, rowRange(0, a.Rows), rowBlock, nil)
@@ -466,28 +445,16 @@ func MatMulTransBRange(out, a, b *Matrix, lo, hi int) {
 	dispatch(rowCall{kernel: kernelMatMulTransB, out: out, a: a, b: b}, rowRange(lo, hi), rowBlock, nil)
 }
 
-// matMulTransBBlock computes the listed rows of out = a·bᵀ.
+// matMulTransBBlock computes the listed rows of out = a·bᵀ, one dotRows call
+// per output row and chunk of rowBlock b rows.
 func matMulTransBBlock(out, a, b *Matrix, rows []int32) {
 	k, m := a.Cols, b.Rows
-	bd := b.Data
-	j := 0
-	for ; j+4 <= m; j += 4 {
-		b0 := bd[j*k : j*k+k]
-		b1 := bd[(j+1)*k : (j+1)*k+k]
-		b2 := bd[(j+2)*k : (j+2)*k+k]
-		b3 := bd[(j+3)*k : (j+3)*k+k]
+	for j0 := 0; j0 < m; j0 += rowBlock {
+		j1 := min(j0+rowBlock, m)
+		cols := rowRange(j0, j1)
 		for _, v := range rows {
 			i := int(v)
-			s0, s1, s2, s3 := dot4(a.Data[i*k:i*k+k], b0, b1, b2, b3)
-			o := out.Data[i*m+j : i*m+j+4]
-			o[0], o[1], o[2], o[3] = s0, s1, s2, s3
-		}
-	}
-	for ; j < m; j++ {
-		brow := bd[j*k : j*k+k]
-		for _, v := range rows {
-			i := int(v)
-			out.Data[i*m+j] = Dot(a.Data[i*k:i*k+k], brow)
+			dotRows(out.Data[i*m+j0:i*m+j1], a.Data[i*k:i*k+k], b.Data, k, cols)
 		}
 	}
 }

@@ -76,3 +76,36 @@ func panelRows(dst, x []float32, ldx int, idx []int32, coef []float32, cs int) {
 		}
 	}
 }
+
+// dotRows writes out[t] = a·x[idx[t]·ldx:][:len(a)] for every term t — the
+// row kernel of out = a·bᵀ (MatMulTransB, the split backward) and of
+// GatherDots. On AVX2 the 8-aligned prefix of every dot is one
+// dotRowsAVX2 call over the whole list, four dots at a time with
+// dot4AVX2's chain and the rest with dotAVX2's, which is one lane of the
+// same chain; the scalar tail (without AVX2 the whole dot) then adds one
+// element at a time as Dot does. So every dot has Dot's bits, whatever
+// list or position it is computed in. The caller guarantees len(out) ≥
+// len(idx) and that every row it names lies inside x.
+func dotRows(out, a, x []float32, ldx int, idx []int32) {
+	n := len(a)
+	n8 := 0
+	if useAVX2 && n >= 8 && len(idx) > 0 {
+		_ = out[len(idx)-1]
+		n8 = n &^ 7
+		dotRowsAVX2(&out[0], &a[0], n8, &idx[0], len(idx), &x[0], ldx)
+		if n8 == n {
+			return
+		}
+	}
+	for t, u := range idx {
+		var s float32
+		if n8 > 0 {
+			s = out[t]
+		}
+		row := x[int(u)*ldx:][:n]
+		for j := n8; j < n; j++ {
+			s += a[j] * row[j]
+		}
+		out[t] = s
+	}
+}

@@ -314,3 +314,135 @@ func TestRowKernelsMatchPerPanelReference(t *testing.T) {
 		}
 	}
 }
+
+// dot4 is the per-four-column walk dotRows replaced, kept as the reference
+// for its bits: one dot4AVX2 call per four dots over the 8-aligned prefix,
+// then the four scalar tails side by side.
+func dot4(a, b0, b1, b2, b3 []float32) (s0, s1, s2, s3 float32) {
+	n := len(a)
+	i := 0
+	if useAVX2 && n >= 8 {
+		n8 := n &^ 7
+		var out [4]float32
+		dot4AVX2(&a[0], &b0[0], &b1[0], &b2[0], &b3[0], n8, &out)
+		s0, s1, s2, s3 = out[0], out[1], out[2], out[3]
+		i = n8
+	}
+	b0, b1, b2, b3 = b0[:n], b1[:n], b2[:n], b3[:n]
+	for ; i < n; i++ {
+		av := a[i]
+		s0 += av * b0[i]
+		s1 += av * b1[i]
+		s2 += av * b2[i]
+		s3 += av * b3[i]
+	}
+	return
+}
+
+// refMatMulTransB is out = a·bᵀ by the old walk: four b rows per dot4 call,
+// the last m%4 by Dot.
+func refMatMulTransB(out, a, b *Matrix) {
+	k, m := a.Cols, b.Rows
+	bd := b.Data
+	j := 0
+	for ; j+4 <= m; j += 4 {
+		b0, b1, b2, b3 := bd[j*k:j*k+k], bd[(j+1)*k:(j+1)*k+k], bd[(j+2)*k:(j+2)*k+k], bd[(j+3)*k:(j+3)*k+k]
+		for i := 0; i < a.Rows; i++ {
+			o := out.Row(i)[j : j+4]
+			o[0], o[1], o[2], o[3] = dot4(a.Row(i), b0, b1, b2, b3)
+		}
+	}
+	for ; j < m; j++ {
+		for i := 0; i < a.Rows; i++ {
+			out.Row(i)[j] = Dot(a.Row(i), bd[j*k:j*k+k])
+		}
+	}
+}
+
+// refGatherDots is GatherDots by the old walk: four rows per dot4 call, the
+// rest by Dot.
+func refGatherDots(out, a []float32, x *Matrix, nbrs []int32) {
+	w := len(a)
+	i := 0
+	for ; i+4 <= len(nbrs); i += 4 {
+		out[i], out[i+1], out[i+2], out[i+3] = dot4(a, x.Row(int(nbrs[i]))[:w], x.Row(int(nbrs[i+1]))[:w],
+			x.Row(int(nbrs[i+2]))[:w], x.Row(int(nbrs[i+3]))[:w])
+	}
+	for ; i < len(nbrs); i++ {
+		out[i] = Dot(a, x.Row(int(nbrs[i]))[:w])
+	}
+}
+
+// sameDotBits compares dots of length k bit for bit, except where the dots
+// took a Go scalar step (k%8 != 0, or no AVX2): there, as in sameRowBits'
+// tails, a NaN need only meet a NaN.
+func sameDotBits(t *testing.T, name string, got, want []float32, k int) {
+	t.Helper()
+	scalar := !useAVX2 || k%8 != 0
+	for i := range want {
+		g, w := got[i], want[i]
+		if scalar && g != g && w != w {
+			continue
+		}
+		if math.Float32bits(g) != math.Float32bits(w) {
+			t.Fatalf("%s: dot %d = %#x, want %#x", name, i, math.Float32bits(g), math.Float32bits(w))
+		}
+	}
+}
+
+// TestDotRowsMatchDot4Reference: every dot the row kernel computes —
+// MatMulTransB and its Range, the split backward at every in (in%4 != 0
+// included) and its row lists, GatherDots — has, bit for bit, what the
+// dot4/Dot walk it replaced gives, on ±0, NaN, ±Inf and denormals, at every
+// dot length around the 8- and 16-float steps and every m%4.
+func TestDotRowsMatchDot4Reference(t *testing.T) {
+	rng := NewRNG(37)
+	const rows = 23
+	list := []int32{22, 3, 7, 0, 15, 16}
+	for _, k := range []int{1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 48, 64, 65, 130} {
+		for _, m := range []int{1, 2, 3, 4, 5, 6, 7, 8, 13, 30, 64, 65, 66, 67, 127, 128} {
+			name := fmt.Sprintf("k=%d m=%d", k, m)
+			a, b := specialMatrix(rng, rows, k), specialMatrix(rng, m, k)
+			got, want := New(rows, m), New(rows, m)
+			refMatMulTransB(want, a, b)
+			MatMulTransB(got, a, b)
+			sameDotBits(t, "MatMulTransB "+name, got.Data, want.Data, k)
+
+			got.Zero()
+			MatMulTransBRange(got, a, b, 5, 17)
+			sameDotBits(t, "MatMulTransBRange "+name, got.Data[5*m:17*m], want.Data[5*m:17*m], k)
+
+			if m%2 != 0 {
+				continue
+			}
+			in := m / 2 // b is the split's w: [0,in) into dz, [in,2·in) into dSelf
+			dz, dSelf := New(rows, in), New(rows, in)
+			MatMulTransBSplit(dz, dSelf, a, b)
+			for i := 0; i < rows; i++ {
+				sameDotBits(t, "MatMulTransBSplit dz "+name, dz.Row(i), want.Row(i)[:in], k)
+				sameDotBits(t, "MatMulTransBSplit dSelf "+name, dSelf.Row(i), want.Row(i)[in:], k)
+			}
+			dz.Zero()
+			dSelf.Zero()
+			MatMulTransBSplitRows(dz, dSelf, a, b, list)
+			for _, v := range list {
+				i := int(v)
+				sameDotBits(t, "MatMulTransBSplitRows dz "+name, dz.Row(i), want.Row(i)[:in], k)
+				sameDotBits(t, "MatMulTransBSplitRows dSelf "+name, dSelf.Row(i), want.Row(i)[in:], k)
+			}
+		}
+
+		x := specialMatrix(rng, 41, k+3) // a prefix of each row is dotted
+		a := specialMatrix(rng, 1, k).Data
+		for _, deg := range []int{0, 1, 3, 4, 5, 7, 24, 300} {
+			nbrs := make([]int32, deg)
+			for i := range nbrs {
+				nbrs[i] = int32(rng.Intn(41))
+			}
+			got, want := make([]float32, deg), make([]float32, deg)
+			GatherDots(got, a, x, nbrs)
+			refGatherDots(want, a, x, nbrs)
+			sameDotBits(t, fmt.Sprintf("GatherDots k=%d deg=%d", k, deg), got, want, k)
+		}
+	}
+}

@@ -41,18 +41,23 @@ func sumRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx
 //go:noescape
 func axpyRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx int, coef *float32, cstride, skip int)
 
+// dotRowsAVX2 writes out[t] = Σ_j a[j]·x[idx[t]·ldx + j] over j < n (n a
+// multiple of 8) for the terms t < terms, each dot with dot4AVX2's and
+// dotAVX2's chain (see rowacc.go and simd_amd64.s).
+//
+//go:noescape
+func dotRowsAVX2(out, a *float32, n int, idx *int32, terms int, x *float32, ldx int)
+
 // dot4AVX2 writes the four dot products a·b0, a·b1, a·b2, a·b3 over the
-// first n elements into out. n must be a multiple of 8.
+// first n elements into out. n must be a multiple of 8. dotRowsAVX2 replaced
+// its per-four-column calls; it stays as the tests' reference for their bits.
 //
 //go:noescape
 func dot4AVX2(a, b0, b1, b2, b3 *float32, n int, out *[4]float32)
 
 // dotAVX2 returns the dot product of a and b over the first n elements.
-// n must be a multiple of 8; callers handle the scalar tail. The lane
-// reduction differs from a sequential scalar accumulation (like dot4AVX2's),
-// so callers needing bit-stability must route every computation of a value
-// through the same Dot path — all the repo's bit-identity contracts are
-// within-build, which makes that automatic.
+// n must be a multiple of 8; callers handle the scalar tail. Its lane
+// reduction is one lane of dot4AVX2's, so it gives the same bits.
 //
 //go:noescape
 func dotAVX2(a, b *float32, n int) float32

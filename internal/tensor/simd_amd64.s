@@ -186,6 +186,134 @@ dotreduce:
 	VZEROUPPER
 	RET
 
+// func dotRowsAVX2(out, a *float32, n int, idx *int32, terms int, x *float32, ldx int)
+//
+// out[t] = sum_j a[j]*x[idx[t]*ldx + j] over j in [0,n) for t in [0,terms);
+// n must be a multiple of 8. Four terms at a time run dot4AVX2's loop and
+// tail unchanged, then reduce the four dots in one tree: per dot odd into
+// even and high half into low, then hadd(d0,d1), hadd(d2,d3) and hadd of
+// those two. Lane t of the tree adds the same operands in the same source
+// positions as dot4AVX2's per-dot hadd;hadd, so every bit (NaN payloads
+// too) is dot4AVX2's, and the four results are stored with one move. The
+// last terms%4 are dotAVX2's sequence.
+TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-56
+	MOVQ out+0(FP), DI
+	MOVQ a+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ idx+24(FP), R12
+	MOVQ terms+32(FP), R13
+	MOVQ x+40(FP), AX
+	MOVQ CX, DX
+	ANDQ $-16, DX
+	SUBQ $4, R13
+	JLT  dotRowsSingles
+dotRowsQuad:
+	MOVLQSX 0(R12), R8
+	IMULQ ldx+48(FP), R8
+	LEAQ (AX)(R8*4), R8
+	MOVLQSX 4(R12), R9
+	IMULQ ldx+48(FP), R9
+	LEAQ (AX)(R9*4), R9
+	MOVLQSX 8(R12), R10
+	IMULQ ldx+48(FP), R10
+	LEAQ (AX)(R10*4), R10
+	MOVLQSX 12(R12), R11
+	IMULQ ldx+48(FP), R11
+	LEAQ (AX)(R11*4), R11
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
+	VXORPS Y8, Y8, Y8
+	VXORPS Y9, Y9, Y9
+	VXORPS Y10, Y10, Y10
+	VXORPS Y11, Y11, Y11
+	XORQ BX, BX
+	CMPQ DX, $0
+	JE   dotRowsQuadTail
+dotRowsQuadLoop:
+	VMOVUPS (SI)(BX*4), Y0
+	VMOVUPS 32(SI)(BX*4), Y1
+	VFMADD231PS (R8)(BX*4), Y0, Y4
+	VFMADD231PS 32(R8)(BX*4), Y1, Y5
+	VFMADD231PS (R9)(BX*4), Y0, Y6
+	VFMADD231PS 32(R9)(BX*4), Y1, Y7
+	VFMADD231PS (R10)(BX*4), Y0, Y8
+	VFMADD231PS 32(R10)(BX*4), Y1, Y9
+	VFMADD231PS (R11)(BX*4), Y0, Y10
+	VFMADD231PS 32(R11)(BX*4), Y1, Y11
+	ADDQ $16, BX
+	CMPQ BX, DX
+	JLT  dotRowsQuadLoop
+dotRowsQuadTail:
+	CMPQ BX, CX
+	JGE  dotRowsQuadReduce
+	VMOVUPS (SI)(BX*4), Y0
+	VFMADD231PS (R8)(BX*4), Y0, Y4
+	VFMADD231PS (R9)(BX*4), Y0, Y6
+	VFMADD231PS (R10)(BX*4), Y0, Y8
+	VFMADD231PS (R11)(BX*4), Y0, Y10
+dotRowsQuadReduce:
+	VADDPS Y5, Y4, Y4
+	VADDPS Y7, Y6, Y6
+	VADDPS Y9, Y8, Y8
+	VADDPS Y11, Y10, Y10
+	VEXTRACTF128 $1, Y4, X5
+	VADDPS X5, X4, X4
+	VEXTRACTF128 $1, Y6, X7
+	VADDPS X7, X6, X6
+	VEXTRACTF128 $1, Y8, X9
+	VADDPS X9, X8, X8
+	VEXTRACTF128 $1, Y10, X11
+	VADDPS X11, X10, X10
+	VHADDPS X6, X4, X4
+	VHADDPS X10, X8, X8
+	VHADDPS X8, X4, X4
+	VMOVUPS X4, 0(DI)
+	ADDQ $16, DI
+	ADDQ $16, R12
+	SUBQ $4, R13
+	JGE  dotRowsQuad
+dotRowsSingles:
+	ADDQ $4, R13
+	JE   dotRowsDone
+dotRowsSingle:
+	MOVLQSX 0(R12), R8
+	IMULQ ldx+48(FP), R8
+	LEAQ (AX)(R8*4), R8
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	XORQ BX, BX
+	CMPQ DX, $0
+	JE   dotRowsSingleTail
+dotRowsSingleLoop:
+	VMOVUPS (SI)(BX*4), Y0
+	VMOVUPS 32(SI)(BX*4), Y1
+	VFMADD231PS (R8)(BX*4), Y0, Y4
+	VFMADD231PS 32(R8)(BX*4), Y1, Y5
+	ADDQ $16, BX
+	CMPQ BX, DX
+	JLT  dotRowsSingleLoop
+dotRowsSingleTail:
+	CMPQ BX, CX
+	JGE  dotRowsSingleReduce
+	VMOVUPS (SI)(BX*4), Y0
+	VFMADD231PS (R8)(BX*4), Y0, Y4
+dotRowsSingleReduce:
+	VADDPS Y5, Y4, Y4
+	VEXTRACTF128 $1, Y4, X5
+	VADDPS X5, X4, X4
+	VHADDPS X4, X4, X4
+	VHADDPS X4, X4, X4
+	VMOVSS X4, 0(DI)
+	ADDQ $4, DI
+	ADDQ $4, R12
+	DECQ R13
+	JNE  dotRowsSingle
+dotRowsDone:
+	VZEROUPPER
+	RET
+
 // func addAVX2(dst, src *float32, n int)
 //
 // dst[j] += src[j] for j in [0,n); n must be a multiple of 8.

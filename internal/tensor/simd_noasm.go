@@ -18,6 +18,10 @@ func axpyRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ld
 	panic("tensor: axpyRowsAVX2 unavailable on this platform")
 }
 
+func dotRowsAVX2(out, a *float32, n int, idx *int32, terms int, x *float32, ldx int) {
+	panic("tensor: dotRowsAVX2 unavailable on this platform")
+}
+
 func dot4AVX2(a, b0, b1, b2, b3 *float32, n int, out *[4]float32) {
 	panic("tensor: dot4AVX2 unavailable on this platform")
 }

@@ -47,10 +47,11 @@ func GatherSum(dst []float32, x *Matrix, nbrs []int32) {
 }
 
 // checkGather rejects a gather that would read outside x: a row id out of
-// range, or a destination wider than x's rows.
-func checkGather(dst []float32, x *Matrix, idx []int32) {
-	if len(dst) > x.Cols {
-		panic(fmt.Sprintf("tensor: gather destination width %d > source width %d", len(dst), x.Cols))
+// range, or a row vector (the destination, or GatherDots' a) wider than x's
+// rows.
+func checkGather(vec []float32, x *Matrix, idx []int32) {
+	if len(vec) > x.Cols {
+		panic(fmt.Sprintf("tensor: gather width %d > source width %d", len(vec), x.Cols))
 	}
 	for _, u := range idx {
 		if uint32(u) >= uint32(x.Rows) {
@@ -108,25 +109,15 @@ func GatherAxpy(dst []float32, x *Matrix, nbrs []int32, coef []float32) {
 	}
 }
 
-// GatherDots computes out[i] = Σ_j a[j]·x.Row(nbrs[i])[j] for every i, four
-// rows per dot4 pass (the shared a vector is loaded once per four rows).
-// Each dot is independent, so the blocking affects no other entry; within a
-// dot the dot4 lane reduction differs from the scalar Dot — callers that
-// need bit-stability must route every computation of a value through this
-// one function, which the GAT backward does.
+// GatherDots computes out[i] = Σ_j a[j]·x.Row(nbrs[i])[j] for every i, each
+// dot with Dot's bits (see dotRows). len(out) must be ≥ len(nbrs) and len(a)
+// ≤ x.Cols (a prefix of each row is dotted).
 func GatherDots(out []float32, a []float32, x *Matrix, nbrs []int32) {
-	w := len(a)
-	xd := x.Data
-	xw := x.Cols
-	i := 0
-	for ; i+4 <= len(nbrs); i += 4 {
-		u0, u1, u2, u3 := int(nbrs[i])*xw, int(nbrs[i+1])*xw, int(nbrs[i+2])*xw, int(nbrs[i+3])*xw
-		out[i], out[i+1], out[i+2], out[i+3] = dot4(a, xd[u0:u0+w], xd[u1:u1+w], xd[u2:u2+w], xd[u3:u3+w])
+	checkGather(a, x, nbrs)
+	if len(out) < len(nbrs) {
+		panic(fmt.Sprintf("tensor: GatherDots out len %d < %d rows", len(out), len(nbrs)))
 	}
-	for ; i < len(nbrs); i++ {
-		u := int(nbrs[i]) * xw
-		out[i] = Dot(a, xd[u:u+w])
-	}
+	dotRows(out, a, x.Data, x.Cols, nbrs)
 }
 
 // checkSpMM validates the shared SpMM shape contract: one CSR row per output

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -286,21 +287,59 @@ func TestGatherPrimitives(t *testing.T) {
 		for j := range a {
 			a[j] = rng.Float32() - 0.5
 		}
-		dots := make([]float32, len(nbrs))
+		dots, want := make([]float32, len(nbrs)), make([]float32, len(nbrs))
 		GatherDots(dots, a, x, nbrs)
 		for i, u := range nbrs {
-			// dot4's lane reduction legitimately differs from the scalar
-			// Dot in the low bits; check against a float64 accumulation
-			// with a loose tolerance instead.
-			var s float64
-			for j := 0; j < dim; j++ {
-				s += float64(a[j]) * float64(x.Row(int(u))[j])
-			}
-			if d := float64(dots[i]) - s; d > 1e-4 || d < -1e-4 {
-				t.Fatalf("GatherDots dim=%d i=%d: got %v want %v", dim, i, dots[i], s)
+			want[i] = Dot(a, x.Row(int(u))) // every dot has Dot's bits
+		}
+		sameDotBits(t, fmt.Sprintf("GatherDots dim=%d", dim), dots, want, dim)
+	}
+}
+
+// TestGatherRejectsOutOfRange: every gather names the row id or width that
+// would read outside its source — row −1, row x.Rows, a destination (or
+// GatherDots' a) wider than x's rows, and a GatherDots output shorter than
+// its row list — before any kernel runs.
+func TestGatherRejectsOutOfRange(t *testing.T) {
+	x := New(3, 4)
+	gathers := map[string]func(vec []float32, nbrs []int32){
+		"GatherAdd":  func(vec []float32, nbrs []int32) { GatherAdd(vec, x, nbrs) },
+		"GatherAxpy": func(vec []float32, nbrs []int32) { GatherAxpy(vec, x, nbrs, make([]float32, len(nbrs))) },
+		"GatherDots": func(vec []float32, nbrs []int32) { GatherDots(make([]float32, len(nbrs)), vec, x, nbrs) },
+	}
+	cases := []struct {
+		name string
+		vec  []float32
+		nbrs []int32
+		want string
+	}{
+		{"row -1", make([]float32, 4), []int32{0, -1}, "tensor: gather row -1 outside [0,3)"},
+		{"row x.Rows", make([]float32, 4), []int32{3}, "tensor: gather row 3 outside [0,3)"},
+		{"wider than x", make([]float32, 8), []int32{0, 1}, "tensor: gather width 8 > source width 4"},
+	}
+	for g, fn := range gathers {
+		for _, c := range cases {
+			if got := panicMessage(func() { fn(c.vec, c.nbrs) }); got != c.want {
+				t.Errorf("%s %s: panic %q, want %q", g, c.name, got, c.want)
 			}
 		}
 	}
+	short := func() { GatherDots(make([]float32, 1), make([]float32, 4), x, []int32{0, 1}) }
+	if got, want := panicMessage(short), "tensor: GatherDots out len 1 < 2 rows"; got != want {
+		t.Errorf("GatherDots short out: panic %q, want %q", got, want)
+	}
+}
+
+// panicMessage runs fn and returns what it panicked with, formatted, or ""
+// if it returned.
+func panicMessage(fn func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	fn()
+	return ""
 }
 
 // TestSpMMParallelPathMatchesSerial forces the worker-pool branch (the
