@@ -1,8 +1,8 @@
 // Package comm provides the message-passing substrate that stands in for
 // Gloo/NCCL in the paper's setup: tagged point-to-point sends and receives,
 // AllReduce, variable AllGather, barriers, and per-rank byte accounting. The
-// byte counters are exact and feed the cost model that projects wall-clock
-// times onto the paper's hardware profiles.
+// byte counters are exact: the halo and reduce bytes every epoch reports
+// come from them.
 //
 // Backends are pluggable behind the Transport interface. The in-process
 // backend (one goroutine per partition over Go channels, created by New)

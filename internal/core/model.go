@@ -197,10 +197,16 @@ type Model struct {
 }
 
 // NewModel builds a model with deterministic initialization from cfg.Seed.
-// All replicas built with the same seed hold bit-identical weights.
+// All replicas built with the same seed hold bit-identical weights. Every
+// trainer and the checkpoint loader build their model here, so a dataset
+// without feature columns or classes (datagen's StructureOnly) is refused
+// here, before any pass can run on it.
 func NewModel(cfg ModelConfig, inDim, outDim int) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	if inDim < 1 || outDim < 1 {
+		return nil, fmt.Errorf("core: model needs input and output widths >= 1, got %d -> %d (a structure-only dataset has no features to train on)", inDim, outDim)
 	}
 	rng := tensor.NewRNG(cfg.Seed)
 	m := &Model{Config: cfg, InDim: inDim, OutDim: outDim}

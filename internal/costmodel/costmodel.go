@@ -1,77 +1,42 @@
-// Package costmodel projects epoch times onto the paper's hardware from the
-// exact operation and byte counts our runtime produces. The Go substrate
-// measures *what* is computed and communicated (FLOPs, feature bytes,
-// message counts); this package converts those counts into seconds under a
-// device profile calibrated to the paper's testbeds (RTX 2080 Ti + PCIe3x16
-// single machine; V100 clusters for ogbn-papers100M).
+// Package costmodel prices one BNS-GCN epoch from the exact operation and
+// byte counts of a partitioned workload: the straggler partition's
+// forward+backward FLOPs, its boundary feature traffic at rate p, and the
+// gradient AllReduce, each divided by a Profile's rate.
 //
-// It also models the two full-graph baselines of Figure 4 from first
-// principles: ROC's CPU↔GPU partition swapping and CAGNET's c-way broadcast
-// parallelism. The paper's comparisons are between communication regimes;
-// reproducing the regimes from counts reproduces who wins and by what
-// factor, which is the reproduction target (absolute numbers depend on the
-// authors' exact testbed).
+// The only caller is the benchmark (bench/layers.go), which fills the
+// Profile with rates it measured on the same box and reports the projection
+// beside the measured epoch (costmodel.epoch_ms_pred and pred_err_frac).
+// Nothing else prints a projection: the paper-table experiments report the
+// engine's measured epoch stats.
 package costmodel
 
-import (
-	"fmt"
+import "repro/internal/core"
 
-	"repro/internal/core"
-)
-
-// Profile describes one hardware configuration.
+// Profile is the set of rates an epoch is priced at.
 type Profile struct {
+	// Name labels the profile; the benchmark sets it, nothing reads it.
 	Name string
-	// GPUFlops is the effective FP32 throughput per device (FLOP/s),
-	// discounted for sparse-aggregation inefficiency.
+	// GPUFlops is the effective FP32 throughput per device (FLOP/s).
 	GPUFlops float64
 	// LinkBandwidth is point-to-point inter-device bandwidth (bytes/s).
 	LinkBandwidth float64
 	// LinkLatency is the fixed per-message cost (seconds).
 	LinkLatency float64
-	// SwapBandwidth is host↔device bandwidth for ROC-style swapping.
+	// SwapBandwidth is unused by EstimateBNS. It stays only because
+	// bench/layers.go sets it, and goes with the benchmark's next change.
 	SwapBandwidth float64
 }
 
-// SingleMachineRTX approximates the paper's main rig: 10× RTX 2080 Ti on
-// PCIe3 x16. Effective GEMM throughput is discounted to ~25% of peak
-// (13.4 TFLOPS) for the small, irregular GCN kernels; PCIe3 x16 moves
-// ~12 GB/s with the bus shared pairwise.
-var SingleMachineRTX = Profile{
-	Name:          "rtx2080ti-pcie3",
-	GPUFlops:      3.3e12,
-	LinkBandwidth: 6.0e9,
-	LinkLatency:   20e-6,
-	SwapBandwidth: 6.0e9,
-}
-
-// MultiMachineV100 approximates the papers100M setup: 32 machines × 6 V100.
-// The inter-machine network is the bottleneck; per-GPU effective bandwidth
-// is calibrated so that vanilla partition parallelism is communication-bound
-// by roughly the paper's Table 6 ratio (comm ≈ 100× compute at p = 1).
-var MultiMachineV100 = Profile{
-	Name:          "v100-cluster",
-	GPUFlops:      7e12,
-	LinkBandwidth: 0.15e9,
-	LinkLatency:   50e-6,
-	SwapBandwidth: 10e9,
-}
-
-// Workload summarizes one partitioned training configuration: straggler and
-// total counts (the straggler sets the synchronous epoch time; totals set
-// aggregate volumes).
+// Workload summarizes one partitioned training configuration by its
+// straggler counts: the synchronous epoch waits for the largest partition.
 type Workload struct {
 	K int
 	// MaxInner / MaxBoundary are the largest per-partition counts.
 	MaxInner    int
 	MaxBoundary int
-	// TotalBoundary is Eq. 3's communication volume.
-	TotalBoundary int64
 	// MaxLocalEdges is the largest per-partition directed edge count
 	// (inner-node adjacency, including halo edges).
 	MaxLocalEdges int64
-	// TotalNodes is |V| of the full graph.
-	TotalNodes int
 	// LayerIn / LayerOut are the per-layer feature dimensions.
 	LayerIn  []int
 	LayerOut []int
@@ -81,11 +46,7 @@ type Workload struct {
 
 // FromTopology derives a Workload from a concrete topology and model shape.
 func FromTopology(t *core.Topology, layerIn, layerOut []int, params int) Workload {
-	w := Workload{
-		K: t.K, TotalNodes: t.G.N,
-		LayerIn: layerIn, LayerOut: layerOut, Params: params,
-		TotalBoundary: t.CommVolume(),
-	}
+	w := Workload{K: t.K, LayerIn: layerIn, LayerOut: layerOut, Params: params}
 	for i := 0; i < t.K; i++ {
 		if len(t.Inner[i]) > w.MaxInner {
 			w.MaxInner = len(t.Inner[i])
@@ -104,32 +65,15 @@ func FromTopology(t *core.Topology, layerIn, layerOut []int, params int) Workloa
 	return w
 }
 
-// Breakdown is a projected epoch time split, in seconds, matching the
-// paper's Figure 5 / Table 6 categories.
+// Breakdown is a projected epoch time split, in seconds.
 type Breakdown struct {
-	Method  string
 	Compute float64
 	Comm    float64
 	Reduce  float64
-	Swap    float64
 }
 
 // Total returns the epoch time (phases are synchronous and serialized).
-func (b Breakdown) Total() float64 { return b.Compute + b.Comm + b.Reduce + b.Swap }
-
-// Throughput returns epochs per second.
-func (b Breakdown) Throughput() float64 {
-	t := b.Total()
-	if t == 0 {
-		return 0
-	}
-	return 1 / t
-}
-
-func (b Breakdown) String() string {
-	return fmt.Sprintf("%s: total=%.4fs comp=%.4fs comm=%.4fs reduce=%.4fs swap=%.4fs",
-		b.Method, b.Total(), b.Compute, b.Comm, b.Reduce, b.Swap)
-}
+func (b Breakdown) Total() float64 { return b.Compute + b.Comm + b.Reduce }
 
 // computeSeconds estimates the straggler partition's forward+backward FLOPs
 // for a SAGE stack: aggregation touches every local edge per layer
@@ -176,75 +120,8 @@ func reduceSeconds(w Workload, prof Profile) float64 {
 // partition parallelism).
 func EstimateBNS(w Workload, p float64, prof Profile) Breakdown {
 	return Breakdown{
-		Method:  fmt.Sprintf("BNS-GCN(p=%g)", p),
 		Compute: computeSeconds(w, p, prof),
 		Comm:    commSeconds(float64(w.MaxBoundary)*p, w, prof),
 		Reduce:  reduceSeconds(w, prof),
 	}
-}
-
-// EstimateROC projects a ROC-style epoch: partitions live in host memory and
-// every layer's features are swapped across PCIe in both directions, in
-// addition to the boundary exchange.
-func EstimateROC(w Workload, prof Profile) Breakdown {
-	var swapBytes float64
-	rows := float64(w.MaxInner + w.MaxBoundary)
-	for _, d := range w.LayerIn {
-		swapBytes += rows * float64(d) * 4 * 2 // in and out per layer
-	}
-	return Breakdown{
-		Method:  "ROC",
-		Compute: computeSeconds(w, 1, prof),
-		Comm:    commSeconds(float64(w.MaxBoundary), w, prof),
-		Reduce:  reduceSeconds(w, prof),
-		Swap:    swapBytes / prof.SwapBandwidth,
-	}
-}
-
-// EstimateCAGNET projects a CAGNET(c)-style epoch (1D for c=1, 1.5D for
-// c>1): node features are broadcast in slices among K/c process columns each
-// layer, so traffic scales with the full feature matrix rather than the
-// boundary set. For c>1 the replication that divides the broadcast also
-// requires reducing partial aggregates across each replication group of c
-// GPUs every layer, which is why c=2 does not come for free (and why the
-// paper's Figure 4 shows CAGNET below BNS at every c).
-func EstimateCAGNET(w Workload, c int, prof Profile) Breakdown {
-	if c < 1 {
-		c = 1
-	}
-	groups := float64(w.K) / float64(c)
-	if groups < 1 {
-		groups = 1
-	}
-	var bcastBytes, replBytes float64
-	rowsPerGPU := float64(w.TotalNodes) / float64(w.K)
-	for i, d := range w.LayerIn {
-		// Broadcast of input-feature slices along the process column,
-		// forward and backward.
-		bcastBytes += rowsPerGPU * float64(d) * 4 * (groups - 1) * 2
-		// 1.5D replication: partial aggregates reduced across the c replicas
-		// (ring allreduce volume), forward and backward.
-		if c > 1 {
-			dout := float64(w.LayerOut[i])
-			replBytes += rowsPerGPU * dout * 4 * 2 * 2 * float64(c-1) / float64(c)
-		}
-	}
-	msgs := float64(2*len(w.LayerIn)) * (groups - 1 + 2*float64(c-1))
-	return Breakdown{
-		Method:  fmt.Sprintf("CAGNET(c=%d)", c),
-		Compute: computeSeconds(w, 1, prof) / float64(c),
-		Comm:    (bcastBytes+replBytes)/prof.LinkBandwidth + msgs*prof.LinkLatency,
-		Reduce:  reduceSeconds(w, prof),
-	}
-}
-
-// MemoryReduction returns 1 − Mem(p)/Mem(1) for the straggler partition
-// under Eq. 4, the quantity Figure 6 plots. Eq. 4 counts only the per-layer
-// feature rows; what does not shrink with p (the paper notes the reduction is
-// sublinear for this reason) is measured, not modeled — see the experiments'
-// fig6, which prints the runtime's live-heap reduction beside this one.
-func MemoryReduction(w Workload, p float64) float64 {
-	full := float64(core.MemoryCost(w.MaxInner, w.MaxBoundary, w.LayerIn))
-	sampled := float64(core.MemoryCost(w.MaxInner, int(float64(w.MaxBoundary)*p), w.LayerIn))
-	return 1 - sampled/full
 }

@@ -92,7 +92,6 @@ func Lookup(id string) (Runner, bool) {
 // dataSpec couples a dataset generator with the paper's per-dataset model
 // hyperparameters (Section 4 "Models"), scaled down in width.
 type dataSpec struct {
-	key    string
 	gen    func(scale int, seed uint64) datagen.Config
 	model  core.ModelConfig
 	epochs int
@@ -101,7 +100,7 @@ type dataSpec struct {
 
 func redditSpec() dataSpec {
 	return dataSpec{
-		key: "reddit", gen: datagen.RedditSim,
+		gen:    datagen.RedditSim,
 		model:  core.ModelConfig{Arch: core.ArchSAGE, Layers: 4, Hidden: 32, Dropout: 0.2, LR: 0.01, Seed: 1},
 		epochs: 120,
 		parts:  []int{2, 4, 8},
@@ -110,7 +109,7 @@ func redditSpec() dataSpec {
 
 func productsSpec() dataSpec {
 	return dataSpec{
-		key: "products", gen: datagen.ProductsSim,
+		gen:    datagen.ProductsSim,
 		model:  core.ModelConfig{Arch: core.ArchSAGE, Layers: 3, Hidden: 32, Dropout: 0.15, LR: 0.005, Seed: 1},
 		epochs: 150,
 		parts:  []int{5, 8, 10},
@@ -119,7 +118,7 @@ func productsSpec() dataSpec {
 
 func yelpSpec() dataSpec {
 	return dataSpec{
-		key: "yelp", gen: datagen.YelpSim,
+		gen:    datagen.YelpSim,
 		model:  core.ModelConfig{Arch: core.ArchSAGE, Layers: 4, Hidden: 32, Dropout: 0.1, LR: 0.003, Seed: 1},
 		epochs: 120,
 		parts:  []int{3, 6, 10},
@@ -128,26 +127,31 @@ func yelpSpec() dataSpec {
 
 func allSpecs() []dataSpec { return []dataSpec{redditSpec(), productsSpec(), yelpSpec()} }
 
-// Dataset cache: experiments within one process share generated datasets and
-// partitions.
+// Dataset cache: experiments within one process share generated datasets
+// (keyed on the whole generator config) and partitions (keyed on the graph:
+// Generate draws the graph before the features, so a config that differs
+// only in its features shares its partitions).
 var (
 	dsMu    sync.Mutex
-	dsCache = map[string]*datagen.Dataset{}
+	dsCache = map[datagen.Config]*datagen.Dataset{}
 	ptCache = map[string][]int32{}
 )
 
 func dataset(spec dataSpec, o Options) (*datagen.Dataset, error) {
+	return datasetByCfg(spec.gen(o.Scale, o.Seed))
+}
+
+func datasetByCfg(cfg datagen.Config) (*datagen.Dataset, error) {
 	dsMu.Lock()
 	defer dsMu.Unlock()
-	key := fmt.Sprintf("%s/%d/%d", spec.key, o.Scale, o.Seed)
-	if ds, ok := dsCache[key]; ok {
+	if ds, ok := dsCache[cfg]; ok {
 		return ds, nil
 	}
-	ds, err := datagen.Generate(spec.gen(o.Scale, o.Seed))
+	ds, err := datagen.Generate(cfg)
 	if err != nil {
 		return nil, err
 	}
-	dsCache[key] = ds
+	dsCache[cfg] = ds
 	return ds, nil
 }
 

@@ -62,7 +62,7 @@ func TestStructuralExperimentsRun(t *testing.T) {
 	cases := map[string]string{
 		"ablation1": "estimators coincide",
 		"fig3":      "straggler",
-		"fig4":      "CAGNET",
+		"fig4":      "speedup vs p=1",
 		"fig5":      "comm share",
 		"fig6":      "p=0.1",
 		"fig7":      "products-sim, 10 partitions",
@@ -73,7 +73,7 @@ func TestStructuralExperimentsRun(t *testing.T) {
 		"table3":    "reddit-sim",
 		"table4":    "BNS-GCN (p=0)",
 		"table5":    "ClusterGCN",
-		"table6":    "BNS-GCN",
+		"table6":    "halo MB",
 		"table7":    "random+BNS",
 		"table8":    "partitioner",
 		"table9":    "BES",
@@ -160,5 +160,36 @@ func TestTable2DomainVarianceDeterministic(t *testing.T) {
 		if a != b {
 			t.Fatalf("global=%v: one seed gave %v then %v", global, a, b)
 		}
+	}
+}
+
+// TestMeasureEpochCommFallsWithP: the measuring helper's halo bytes on
+// reddit-sim at 4 partitions fall strictly as p goes 1 → 0.1 → 0.01, and
+// p=0.1 sends at most a fifth of p=1. Bytes are a function of the seed, so
+// this cannot pass or fail by timing.
+func TestMeasureEpochCommFallsWithP(t *testing.T) {
+	o := Options{Quick: true}.withDefaults()
+	spec := redditSpec()
+	ds, err := dataset(spec, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := topology(ds, 4, "metis", o.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bytes []int64
+	for _, p := range []float64{1, 0.1, 0.01} {
+		st, err := measureEpoch(ds, topo, spec.model, p, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bytes = append(bytes, st.CommBytes)
+	}
+	if !(bytes[0] > bytes[1] && bytes[1] > bytes[2]) {
+		t.Fatalf("halo bytes at p=1, 0.1, 0.01: %v, want strictly falling", bytes)
+	}
+	if float64(bytes[1]) > 0.2*float64(bytes[0]) {
+		t.Fatalf("p=0.1 sent %d bytes, more than 0.2x p=1's %d", bytes[1], bytes[0])
 	}
 }

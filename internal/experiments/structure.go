@@ -66,9 +66,12 @@ func runTable3(w io.Writer, o Options) error {
 }
 
 // papersTopo builds the papers100M-analogue topology (192 parts in full
-// mode, 24 in quick mode to keep benchmarks fast).
-func papersTopo(o Options) (*datagen.Dataset, *core.Topology, int, error) {
-	ds, err := datasetByCfg(datagen.Papers100MSim(o.Scale, o.Seed))
+// mode, 24 in quick mode to keep benchmarks fast). The partition statistics
+// need only the graph; features asks for the feature columns training needs.
+func papersTopo(o Options, features bool) (*datagen.Dataset, *core.Topology, int, error) {
+	cfg := datagen.Papers100MSim(o.Scale, o.Seed)
+	cfg.StructureOnly = !features
+	ds, err := datasetByCfg(cfg)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -83,26 +86,11 @@ func papersTopo(o Options) (*datagen.Dataset, *core.Topology, int, error) {
 	return ds, topo, k, nil
 }
 
-func datasetByCfg(cfg datagen.Config) (*datagen.Dataset, error) {
-	dsMu.Lock()
-	defer dsMu.Unlock()
-	key := fmt.Sprintf("%s/%d/%d", cfg.Name, cfg.Nodes, cfg.Seed)
-	if ds, ok := dsCache[key]; ok {
-		return ds, nil
-	}
-	ds, err := datagen.Generate(cfg)
-	if err != nil {
-		return nil, err
-	}
-	dsCache[key] = ds
-	return ds, nil
-}
-
 // runFig3 reproduces Figure 3: the skewed distribution of boundary-to-inner
 // ratios at 192 partitions, with a long straggler tail.
 func runFig3(w io.Writer, o Options) error {
 	o = o.withDefaults()
-	_, topo, k, err := papersTopo(o)
+	_, topo, k, err := papersTopo(o, false)
 	if err != nil {
 		return err
 	}
@@ -120,7 +108,7 @@ func runFig3(w io.Writer, o Options) error {
 // the straggler, for p ∈ {1, 0.1, 0.01}: sampling restores balance.
 func runFig8(w io.Writer, o Options) error {
 	o = o.withDefaults()
-	_, topo, k, err := papersTopo(o)
+	_, topo, k, err := papersTopo(o, false)
 	if err != nil {
 		return err
 	}

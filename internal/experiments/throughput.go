@@ -6,47 +6,48 @@ import (
 	"runtime"
 
 	"repro/internal/core"
-	"repro/internal/costmodel"
 	"repro/internal/datagen"
-	"repro/internal/nn"
 )
 
 func init() {
-	register("fig4", "Throughput vs ROC and CAGNET across partition counts", runFig4)
+	register("fig4", "Measured throughput vs sampling rate across partition counts", runFig4)
 	register("fig5", "Epoch time breakdown (compute / communicate / reduce)", runFig5)
 	register("fig6", "Memory usage reduction vs p=1", runFig6)
-	register("table6", "Epoch time breakdown projection for papers100M-sim (192 parts)", runTable6)
+	register("table6", "Epoch time breakdown on papers100M-sim (192 parts)", runTable6)
 	register("table8", "Training efficiency of BNS on METIS vs random partitions", runTable8)
 }
 
-// workloadFor derives the cost-model workload for a dataset/topology/model
-// combination.
-func workloadFor(ds *datagen.Dataset, topo *core.Topology, mc core.ModelConfig) (costmodel.Workload, error) {
-	model, err := core.NewModel(mc, ds.FeatureDim(), ds.NumClasses)
+// measureEpoch builds the engine at sampling rate p, runs one untimed
+// warm-up epoch (the first sizes every scratch buffer) and returns the
+// epoch stats averaged over o.epochs(3) timed epochs: the slowest rank's
+// phase times and the bytes all ranks sent. It first collects what earlier
+// measurements left, so their trainers neither sit beside this one in memory
+// nor get collected inside its timed epochs.
+func measureEpoch(ds *datagen.Dataset, topo *core.Topology, model core.ModelConfig, p float64, o Options) (core.EpochStats, error) {
+	runtime.GC()
+	model.Seed = o.Seed
+	tr, err := core.NewParallelTrainer(ds, topo, core.ParallelConfig{Model: model, P: p, SampleSeed: o.Seed + 1})
 	if err != nil {
-		return costmodel.Workload{}, err
+		return core.EpochStats{}, err
 	}
-	layerIn := model.LayerInputDims()
-	layerOut := make([]int, len(model.LayersL))
-	for i, l := range model.LayersL {
-		layerOut[i] = l.OutputDim()
+	tr.TrainEpoch()
+	var avg core.EpochStats
+	n := o.epochs(3)
+	for e := 0; e < n; e++ {
+		addEpochStats(&avg, tr.TrainEpoch())
 	}
-	return costmodel.FromTopology(topo, layerIn, layerOut, nn.ParamCount(model.Layers())), nil
+	avgEpochStats(&avg, n)
+	return avg, nil
 }
 
-// runFig4 reproduces Figure 4: projected epochs/s of BNS-GCN at several
-// sampling rates against ROC- and CAGNET-style baselines, across partition
-// counts, on the single-machine profile. A real measured column (this Go
-// runtime's wall clock) is included as a sanity check of the same ordering.
+// runFig4 reproduces Figure 4: measured epochs/s of BNS-GCN at each sampling
+// rate across partition counts, and the speedup over p=1 (vanilla partition
+// parallelism). The paper's ROC and CAGNET baselines do not exist in this
+// runtime, so they have no rows.
 func runFig4(w io.Writer, o Options) error {
 	o = o.withDefaults()
-	prof := costmodel.SingleMachineRTX
-	measureEpochs := 3
-	if o.Quick {
-		measureEpochs = 1
-	}
 	tw := newTabWriter(w)
-	fmt.Fprintf(tw, "dataset\tm\tmethod\tprojected epochs/s\tmeasured epochs/s (Go)\n")
+	fmt.Fprintf(tw, "dataset\tm\tp\tepochs/s\tspeedup vs p=1\n")
 	for _, spec := range allSpecs() {
 		ds, err := dataset(spec, o)
 		if err != nil {
@@ -57,38 +58,42 @@ func runFig4(w io.Writer, o Options) error {
 			if err != nil {
 				return err
 			}
-			wl, err := workloadFor(ds, topo, spec.model)
-			if err != nil {
-				return err
-			}
+			var full float64
 			for _, p := range []float64{1.0, 0.1, 0.01} {
-				res, err := trainBNS(ds, topo, spec.model, p, measureEpochs, 0, o.Seed, nil)
+				st, err := measureEpoch(ds, topo, spec.model, p, o)
 				if err != nil {
 					return err
 				}
-				proj := costmodel.EstimateBNS(wl, p, prof)
-				measured := 1.0 / res.AvgStats.TotalTime().Seconds()
-				fmt.Fprintf(tw, "%s\t%d\tBNS-GCN (p=%.2g)\t%.2f\t%.2f\n",
-					ds.Name, k, p, proj.Throughput(), measured)
-			}
-			roc := costmodel.EstimateROC(wl, prof)
-			fmt.Fprintf(tw, "%s\t%d\tROC\t%.2f\t-\n", ds.Name, k, roc.Throughput())
-			for _, c := range []int{1, 2} {
-				cg := costmodel.EstimateCAGNET(wl, c, prof)
-				fmt.Fprintf(tw, "%s\t%d\tCAGNET (c=%d)\t%.2f\t-\n", ds.Name, k, c, cg.Throughput())
+				secs := st.TotalTime().Seconds()
+				if p == 1 {
+					full = secs
+				}
+				fmt.Fprintf(tw, "%s\t%d\t%.2g\t%.2f\t%.2fx\n", ds.Name, k, p, 1/secs, full/secs)
 			}
 		}
 	}
 	return tw.Flush()
 }
 
-// runFig5 reproduces Figure 5: the per-epoch time breakdown. Communication
-// dominates at p=1 and is sharply cut by sampling.
+// breakdownHeader and breakdownRow print one measured epoch the way Figure 5
+// and Table 6 split it: the slowest rank's phase times, the halo bytes all
+// ranks sent, and exposed communication's share of the epoch.
+const breakdownHeader = "epoch(s)\tcompute(s)\texposed comm(s)\treduce(s)\tsample(s)\thalo MB\tcomm share"
+
+func breakdownRow(st core.EpochStats) string {
+	total := st.TotalTime()
+	return fmt.Sprintf("%.4f\t%.4f\t%.4f\t%.4f\t%.4f\t%.2f\t%s",
+		total.Seconds(), st.ComputeTime.Seconds(), st.ExposedCommTime.Seconds(),
+		st.ReduceTime.Seconds(), st.SampleTime.Seconds(), float64(st.CommBytes)/1e6,
+		pct(float64(st.ExposedCommTime)/float64(total)))
+}
+
+// runFig5 reproduces Figure 5: the measured per-epoch time breakdown.
+// Communication dominates at p=1 and is cut by sampling.
 func runFig5(w io.Writer, o Options) error {
 	o = o.withDefaults()
-	prof := costmodel.SingleMachineRTX
 	tw := newTabWriter(w)
-	fmt.Fprintf(tw, "dataset\tm\tp\tcompute(s)\tcomm(s)\treduce(s)\tcomm share\n")
+	fmt.Fprintf(tw, "dataset\tm\tp\t%s\n", breakdownHeader)
 	for _, spec := range []dataSpec{redditSpec(), productsSpec()} {
 		ds, err := dataset(spec, o)
 		if err != nil {
@@ -99,14 +104,12 @@ func runFig5(w io.Writer, o Options) error {
 			if err != nil {
 				return err
 			}
-			wl, err := workloadFor(ds, topo, spec.model)
-			if err != nil {
-				return err
-			}
 			for _, p := range []float64{1.0, 0.1, 0.01} {
-				b := costmodel.EstimateBNS(wl, p, prof)
-				fmt.Fprintf(tw, "%s\t%d\t%.2g\t%.5f\t%.5f\t%.5f\t%s\n",
-					ds.Name, k, p, b.Compute, b.Comm, b.Reduce, pct(b.Comm/b.Total()))
+				st, err := measureEpoch(ds, topo, spec.model, p, o)
+				if err != nil {
+					return err
+				}
+				fmt.Fprintf(tw, "%s\t%d\t%.2g\t%s\n", ds.Name, k, p, breakdownRow(st))
 			}
 		}
 	}
@@ -114,9 +117,10 @@ func runFig5(w io.Writer, o Options) error {
 }
 
 // runFig6 reproduces Figure 6: memory reduction against unsampled training,
-// per partition count and sampling rate — Eq. 4's projection for the
-// straggler partition, and beside it what this runtime measures: the live
-// heap the k rank trainers hold at rate p against the same trainers at p=1.
+// per partition count and sampling rate — Eq. 4's projection summed over the
+// k partitions, and beside it what this runtime measures on the same
+// all-rank basis: the live heap the k rank trainers hold at rate p against
+// the same trainers at p=1.
 // The two differ both ways, so no overhead constant stands between them: the
 // measurement includes what Eq. 4 leaves out and p cannot shrink (features,
 // adjacency, weights, optimizer state), which pulls it down, and this runtime
@@ -143,7 +147,7 @@ func runFig6(w io.Writer, o Options) error {
 			if err != nil {
 				return err
 			}
-			wl, err := workloadFor(ds, topo, spec.model)
+			model, err := core.NewModel(spec.model, ds.FeatureDim(), ds.NumClasses)
 			if err != nil {
 				return err
 			}
@@ -152,7 +156,7 @@ func runFig6(w io.Writer, o Options) error {
 				return err
 			}
 			eq4 := func(p float64) (sum float64) {
-				for _, c := range topo.MemoryCosts(wl.LayerIn, p) {
+				for _, c := range topo.MemoryCosts(model.LayerInputDims(), p) {
 					sum += float64(c)
 				}
 				return sum
@@ -163,7 +167,7 @@ func runFig6(w io.Writer, o Options) error {
 				if err != nil {
 					return err
 				}
-				fmt.Fprintf(tw, "\t%s\t%s\t%.2f×", pct(costmodel.MemoryReduction(wl, p)), pct(1-sampled/full), sampled/eq4(p))
+				fmt.Fprintf(tw, "\t%s\t%s\t%.2f×", pct(1-eq4(p)/eq4(1)), pct(1-sampled/full), sampled/eq4(p))
 			}
 			fmt.Fprintf(tw, "\n")
 		}
@@ -193,54 +197,34 @@ func trainerHeap(ds *datagen.Dataset, topo *core.Topology, model core.ModelConfi
 	return float64(after.HeapAlloc) - float64(before.HeapAlloc), nil
 }
 
-// runTable6 reproduces Table 6: the epoch-time breakdown of the hyper-scale
-// run, projected onto the multi-machine profile with counts scaled from the
-// generated analogue up to ogbn-papers100M's 111M nodes.
+// runTable6 reproduces Table 6: the measured epoch-time breakdown of the
+// hyper-scale run, the paper's 3-layer 128-hidden GraphSAGE trained on the
+// papers100M analogue (with features) at 192 partitions.
 func runTable6(w io.Writer, o Options) error {
 	o = o.withDefaults()
-	ds, topo, k, err := papersTopo(o)
+	ds, topo, k, err := papersTopo(o, true)
 	if err != nil {
 		return err
 	}
-	mc := core.ModelConfig{Arch: core.ArchSAGE, Layers: 3, Hidden: 128, Dropout: 0.5, LR: 0.01, Seed: 1}
-	wl := costmodel.Workload{
-		K: k, TotalNodes: ds.G.N,
-		LayerIn:  []int{128, 128, 128},
-		LayerOut: []int{128, 128, 172},
-		Params:   128*2*128 + 128*2*128 + 128*2*172,
-	}
-	wl2, err := workloadFor(ds, topo, mc)
-	if err != nil {
-		return err
-	}
-	wl.MaxInner, wl.MaxBoundary = wl2.MaxInner, wl2.MaxBoundary
-	wl.TotalBoundary, wl.MaxLocalEdges = wl2.TotalBoundary, wl2.MaxLocalEdges
-
-	// Scale counts from the analogue to the real graph's 111M nodes.
-	scale := 111_000_000.0 / float64(ds.G.N)
-	wl.MaxInner = int(float64(wl.MaxInner) * scale)
-	wl.MaxBoundary = int(float64(wl.MaxBoundary) * scale)
-	wl.TotalBoundary = int64(float64(wl.TotalBoundary) * scale)
-	wl.MaxLocalEdges = int64(float64(wl.MaxLocalEdges) * scale * 14.4) // papers100M is denser (avg deg ~29 vs our analogue)
-	wl.TotalNodes = 111_000_000
-
-	prof := costmodel.MultiMachineV100
+	mc := core.ModelConfig{Arch: core.ArchSAGE, Layers: 3, Hidden: 128, Dropout: 0.5, LR: 0.01}
 	tw := newTabWriter(w)
-	fmt.Fprintf(tw, "method\ttotal(s)\tcomp(s)\tcomm(s)\treduce(s)\n")
+	fmt.Fprintf(tw, "m\tp\t%s\n", breakdownHeader)
 	for _, p := range []float64{1.0, 0.1, 0.01} {
-		b := costmodel.EstimateBNS(wl, p, prof)
-		fmt.Fprintf(tw, "BNS-GCN (p=%.2g)\t%.1f\t%.1f\t%.1f\t%.1f\n",
-			p, b.Total(), b.Compute, b.Comm, b.Reduce)
+		st, err := measureEpoch(ds, topo, mc, p, o)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(tw, "%d\t%.2g\t%s\n", k, p, breakdownRow(st))
 	}
 	return tw.Flush()
 }
 
 // runTable8 reproduces Table 8: BNS (p=0.1) efficiency gains on top of METIS
-// vs random partitions — random has far more boundary nodes, so it gains
-// more from sampling.
+// vs random partitions, measured — the epoch-time ratio and the trainers'
+// heap ratio against p=1. Random partitions carry more boundary nodes where
+// the graph has structure for METIS to find, so they gain more from sampling.
 func runTable8(w io.Writer, o Options) error {
 	o = o.withDefaults()
-	prof := costmodel.SingleMachineRTX
 	tw := newTabWriter(w)
 	fmt.Fprintf(tw, "dataset\tm\tpartitioner\t#boundary\tthroughput gain (p=0.1 vs 1)\tmemory (p=0.1 / p=1)\n")
 	for _, spec := range allSpecs() {
@@ -254,18 +238,19 @@ func runTable8(w io.Writer, o Options) error {
 			if err != nil {
 				return err
 			}
-			wl, err := workloadFor(ds, topo, spec.model)
-			if err != nil {
-				return err
+			var secs, heap [2]float64
+			for i, p := range []float64{1, 0.1} {
+				st, err := measureEpoch(ds, topo, spec.model, p, o)
+				if err != nil {
+					return err
+				}
+				secs[i] = st.TotalTime().Seconds()
+				if heap[i], err = trainerHeap(ds, topo, spec.model, p, o.Seed); err != nil {
+					return err
+				}
 			}
-			full := costmodel.EstimateBNS(wl, 1.0, prof)
-			sampled := costmodel.EstimateBNS(wl, 0.1, prof)
-			memFull := core.MemoryCost(wl.MaxInner, wl.MaxBoundary, wl.LayerIn)
-			memSampled := core.MemoryCost(wl.MaxInner, wl.MaxBoundary/10, wl.LayerIn)
 			fmt.Fprintf(tw, "%s\t%d\t%s\t%d\t%.1fx\t%.2fx\n",
-				ds.Name, k, method, topo.CommVolume(),
-				sampled.Throughput()/full.Throughput(),
-				float64(memSampled)/float64(memFull))
+				ds.Name, k, method, topo.CommVolume(), secs[0]/secs[1], heap[1]/heap[0])
 		}
 	}
 	return tw.Flush()

@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -173,9 +175,14 @@ func coarsen(wg *wgraph, rng *tensor.RNG) (*wgraph, []int32) {
 		}
 		nc++
 	}
-	// Build coarse graph.
+	// Build coarse graph. pos holds each coarse neighbour's index in buf
+	// while one coarse node's row is merged there, and -1 otherwise.
 	coarse := &wgraph{n: int(nc), vwgt: make([]int64, nc), adj: make([][]wedge, nc)}
-	acc := make(map[int32]int64)
+	pos := make([]int32, nc)
+	for i := range pos {
+		pos[i] = -1
+	}
+	var buf []wedge
 	done := make([]bool, wg.n)
 	for v := 0; v < wg.n; v++ {
 		cv := cmap[v]
@@ -191,21 +198,26 @@ func coarsen(wg *wgraph, rng *tensor.RNG) (*wgraph, []int32) {
 		for _, gv := range group {
 			done[gv] = true
 		}
-		clear(acc)
+		buf = buf[:0]
 		for _, gv := range group {
 			for _, e := range wg.adj[gv] {
 				ct := cmap[e.to]
 				if ct == cv {
 					continue
 				}
-				acc[ct] += e.w
+				if i := pos[ct]; i >= 0 {
+					buf[i].w += e.w
+					continue
+				}
+				pos[ct] = int32(len(buf))
+				buf = append(buf, wedge{to: ct, w: e.w})
 			}
 		}
-		row := make([]wedge, 0, len(acc))
-		for to, w := range acc {
-			row = append(row, wedge{to: to, w: w})
+		row := slices.Clone(buf)
+		for _, e := range row {
+			pos[e.to] = -1
 		}
-		sort.Slice(row, func(i, j int) bool { return row[i].to < row[j].to })
+		slices.SortFunc(row, func(a, b wedge) int { return cmp.Compare(a.to, b.to) })
 		coarse.adj[cv] = row
 	}
 	return coarse, cmap

@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -319,5 +320,47 @@ func TestEdgeDropCommVolumeExceedsBNS(t *testing.T) {
 	bnsVol := float64(topo.CommVolume()) * p
 	if float64(tr.LastCommVolume) < 2*bnsVol {
 		t.Fatalf("BES residual volume %d not well above BNS %v", tr.LastCommVolume, bnsVol)
+	}
+}
+
+// TestStructureOnlyDatasetRefused: a dataset generated without features
+// (datagen's StructureOnly) is refused with an error by every trainer
+// constructor; before, the full-graph and partition-parallel trainers took
+// it and panicked in their first pass.
+func TestStructureOnlyDatasetRefused(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Config{
+		Name: "structure-only", Nodes: 400, Communities: 4, AvgDegree: 8,
+		IntraFrac: 0.8, FeatureDim: 12, TrainFrac: 0.6, ValFrac: 0.2, Seed: 1,
+		StructureOnly: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := (&partition.Metis{Seed: 1}).Partition(ds.G, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := core.BuildTopology(ds.G, parts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := modelCfg()
+	build := map[string]func() error{
+		"NewFullTrainer": func() error { _, err := core.NewFullTrainer(ds, cfg); return err },
+		"NewParallelTrainer": func() error {
+			_, err := core.NewParallelTrainer(ds, topo, core.ParallelConfig{Model: cfg, P: 0.5})
+			return err
+		},
+		"NewMinibatchTrainer": func() error {
+			_, err := NewMinibatchTrainer(ds, cfg, NewNeighborSampler(ds.G, ds.TrainMask, 32, 4, 2, 1))
+			return err
+		},
+	}
+	for name, f := range build {
+		t.Run(name, func(t *testing.T) {
+			if err := f(); err == nil || !strings.Contains(err.Error(), "structure-only") {
+				t.Fatalf("err = %v, want a structure-only refusal", err)
+			}
+		})
 	}
 }
