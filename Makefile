@@ -22,8 +22,10 @@ vet:
 test:
 	$(GO) test ./...
 
+# The whole suite under the race detector, as CI runs it at every width
+# (internal/experiments alone takes minutes under -race; hence the deadline).
 race:
-	$(GO) test -race ./internal/tensor/ ./internal/comm/ ./internal/core/ ./internal/nn/ ./internal/graph/
+	$(GO) test -race -timeout 20m ./...
 
 # Kernel + aggregation microbenchmarks.
 bench-spmm:

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
 	"os"
 
@@ -42,7 +41,7 @@ import (
 // In memory: a shard is ~110 KB, the CRC has to see every byte before any is
 // used, and a decoded Checkpoint that is not yet live state is what lets a
 // load validate everything against the trainer and only then commit. The
-// io.Reader and io.Writer entry points read and write that one buffer.
+// file entry points read and write that one buffer.
 
 const (
 	ckptMagic   = uint32(0x424E5354) // "BNST"
@@ -392,49 +391,6 @@ func (c *Checkpoint) Restore(rt *RankTrainer) error {
 	}
 	rt.opt.SetStepCount(rs.AdamStep)
 	return nil
-}
-
-// readCheckpoint decodes a checkpoint from r.
-func readCheckpoint(r io.Reader) (*Checkpoint, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("core: read checkpoint: %w", err)
-	}
-	return DecodeCheckpoint(b)
-}
-
-// SaveCheckpoint writes m's configuration and parameters to w: weights only,
-// the artifact for inference and evaluation.
-func SaveCheckpoint(w io.Writer, m *Model) error {
-	_, err := w.Write(snapshotModel(m).Encode())
-	return err
-}
-
-// LoadCheckpoint reads the weights of a checkpoint of either kind into m,
-// which must have the same architecture and dimensions.
-func LoadCheckpoint(r io.Reader, m *Model) error {
-	c, err := readCheckpoint(r)
-	if err != nil {
-		return err
-	}
-	return c.LoadWeights(m)
-}
-
-// SaveTrainerCheckpoint writes rank rt's full resumable training state. In a
-// k-rank run every rank saves its own.
-func SaveTrainerCheckpoint(w io.Writer, rt *RankTrainer) error {
-	_, err := w.Write(snapshotTrainer(rt).Encode())
-	return err
-}
-
-// LoadTrainerCheckpoint restores state written by SaveTrainerCheckpoint into
-// rt: decode, validate against rt, commit (see Checkpoint.Restore).
-func LoadTrainerCheckpoint(r io.Reader, rt *RankTrainer) error {
-	c, err := readCheckpoint(r)
-	if err != nil {
-		return err
-	}
-	return c.Restore(rt)
 }
 
 // ReadCheckpointFile decodes the checkpoint at path, reading the file once.

@@ -20,10 +20,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, m1); err != nil {
-		t.Fatal(err)
-	}
+	buf := snapshotModel(m1).Encode()
 	cfg2 := testModelConfig()
 	cfg2.Seed = 999 // different init, must be overwritten by load
 	m2, err := NewModel(cfg2, 12, 6)
@@ -33,7 +30,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if MaxParamDiff(m1, m2) == 0 {
 		t.Fatal("different seeds should differ before load")
 	}
-	if err := LoadCheckpoint(&buf, m2); err != nil {
+	if err := loadWeights(buf, m2); err != nil {
 		t.Fatal(err)
 	}
 	if d := MaxParamDiff(m1, m2); d != 0 {
@@ -43,32 +40,26 @@ func TestCheckpointRoundTrip(t *testing.T) {
 
 func TestCheckpointRejectsArchMismatch(t *testing.T) {
 	m1, _ := NewModel(testModelConfig(), 12, 6)
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, m1); err != nil {
-		t.Fatal(err)
-	}
+	buf := snapshotModel(m1).Encode()
 	gatCfg := ModelConfig{Arch: ArchGAT, Layers: 2, Hidden: 16, LR: 0.01, Seed: 1}
 	m2, _ := NewModel(gatCfg, 12, 6)
-	if err := LoadCheckpoint(&buf, m2); err == nil {
+	if err := loadWeights(buf, m2); err == nil {
 		t.Fatal("arch mismatch must error")
 	}
 }
 
 func TestCheckpointRejectsDimMismatch(t *testing.T) {
 	m1, _ := NewModel(testModelConfig(), 12, 6)
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, m1); err != nil {
-		t.Fatal(err)
-	}
+	buf := snapshotModel(m1).Encode()
 	m2, _ := NewModel(testModelConfig(), 14, 6) // different input dim
-	if err := LoadCheckpoint(&buf, m2); err == nil {
+	if err := loadWeights(buf, m2); err == nil {
 		t.Fatal("dim mismatch must error")
 	}
 }
 
 func TestCheckpointRejectsGarbage(t *testing.T) {
 	m, _ := NewModel(testModelConfig(), 12, 6)
-	if err := LoadCheckpoint(bytes.NewReader([]byte{1, 2, 3, 4, 5, 6, 7, 8}), m); err == nil {
+	if err := loadWeights([]byte{1, 2, 3, 4, 5, 6, 7, 8}, m); err == nil {
 		t.Fatal("garbage must error")
 	}
 }
@@ -105,15 +96,12 @@ func TestCheckpointPreservesTrainedModel(t *testing.T) {
 	for e := 0; e < 10; e++ {
 		full.TrainEpoch()
 	}
-	var buf bytes.Buffer
-	if err := SaveCheckpoint(&buf, full.Model); err != nil {
-		t.Fatal(err)
-	}
+	buf := snapshotModel(full.Model).Encode()
 	restored, err := NewFullTrainer(ds, testModelConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadCheckpoint(&buf, restored.Model); err != nil {
+	if err := loadWeights(buf, restored.Model); err != nil {
 		t.Fatal(err)
 	}
 	a := full.Evaluate(ds.TestMask)
@@ -190,18 +178,16 @@ func TestTrainerCheckpointResumeEquivalence(t *testing.T) {
 				}
 			}
 		})
-		bufs := make([]bytes.Buffer, k)
+		bufs := make([][]byte, k)
 		for r := 0; r < k; r++ {
-			if err := SaveTrainerCheckpoint(&bufs[r], interrupted.Ranks[r]); err != nil {
-				t.Fatal(err)
-			}
+			bufs[r] = snapshotTrainer(interrupted.Ranks[r]).Encode()
 		}
 		resumed, err := NewParallelTrainer(ds, topo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for r := 0; r < k; r++ {
-			if err := LoadTrainerCheckpoint(&bufs[r], resumed.Ranks[r]); err != nil {
+			if err := restoreBytes(bufs[r], resumed.Ranks[r]); err != nil {
 				t.Fatal(err)
 			}
 			if got := resumed.Ranks[r].Epoch(); got != pre {
@@ -233,11 +219,8 @@ func TestTrainerCheckpointResumeEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for r := 0; r < k; r++ {
-		var wb bytes.Buffer
-		if err := SaveCheckpoint(&wb, interrupted.Models[r]); err != nil {
-			t.Fatal(err)
-		}
-		if err := LoadCheckpoint(bytes.NewReader(wb.Bytes()), weightsOnly.Models[r]); err != nil {
+		wb := snapshotModel(interrupted.Models[r]).Encode()
+		if err := loadWeights(wb, weightsOnly.Models[r]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -263,10 +246,7 @@ func TestTrainerCheckpointRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var trainerBuf bytes.Buffer
-	if err := SaveTrainerCheckpoint(&trainerBuf, rt); err != nil {
-		t.Fatal(err)
-	}
+	trainerBuf := snapshotTrainer(rt).Encode()
 	// One container: the model loader takes the weights out of either kind.
 	cfg2 := cfg.Model
 	cfg2.Seed = 999
@@ -274,18 +254,15 @@ func TestTrainerCheckpointRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadCheckpoint(bytes.NewReader(trainerBuf.Bytes()), m2); err != nil {
+	if err := loadWeights(trainerBuf, m2); err != nil {
 		t.Fatalf("model loader rejected a trainer checkpoint's weights: %v", err)
 	}
 	if d := MaxParamDiff(rt.Model, m2); d != 0 {
 		t.Fatalf("weights loaded from a trainer checkpoint differ by %v", d)
 	}
 
-	var modelBuf bytes.Buffer
-	if err := SaveCheckpoint(&modelBuf, rt.Model); err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadTrainerCheckpoint(bytes.NewReader(modelBuf.Bytes()), rt); err == nil {
+	modelBuf := snapshotModel(rt.Model).Encode()
+	if err := restoreBytes(modelBuf, rt); err == nil {
 		t.Fatal("trainer loader must reject a weights-only checkpoint")
 	}
 
@@ -295,11 +272,11 @@ func TestTrainerCheckpointRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadTrainerCheckpoint(bytes.NewReader(trainerBuf.Bytes()), gatRT); err == nil {
+	if err := restoreBytes(trainerBuf, gatRT); err == nil {
 		t.Fatal("trainer loader must reject an architecture mismatch")
 	}
 
-	if err := LoadTrainerCheckpoint(bytes.NewReader([]byte{1, 2, 3}), rt); err == nil {
+	if err := restoreBytes([]byte{1, 2, 3}, rt); err == nil {
 		t.Fatal("trainer loader must reject garbage")
 	}
 
@@ -323,13 +300,13 @@ func TestTrainerCheckpointRejects(t *testing.T) {
 		t.Fatalf("the skewed checkpoint must get past the decoder: %v", err)
 	}
 	rejected := map[string][]byte{
-		"truncated":                  trainerBuf.Bytes()[:trainerBuf.Len()-7],
+		"truncated":                  trainerBuf[:len(trainerBuf)-7],
 		"transposed last adam.v mat": skewed.Encode(),
 	}
 	for what, b := range rejected {
 		before := rt.Model.ParamVector()
 		rngBefore := rt.strat.State()
-		if err := LoadTrainerCheckpoint(bytes.NewReader(b), rt); err == nil {
+		if err := restoreBytes(b, rt); err == nil {
 			t.Fatalf("trainer loader must reject a %s checkpoint", what)
 		}
 		after := rt.Model.ParamVector()
@@ -344,7 +321,27 @@ func TestTrainerCheckpointRejects(t *testing.T) {
 	}
 }
 
-// restoreFile is the file form of LoadTrainerCheckpoint, spelled the way
+// loadWeights decodes checkpoint bytes of either kind and copies their
+// weights into m.
+func loadWeights(b []byte, m *Model) error {
+	c, err := DecodeCheckpoint(b)
+	if err != nil {
+		return err
+	}
+	return c.LoadWeights(m)
+}
+
+// restoreBytes decodes trainer checkpoint bytes and restores rt from them:
+// validate against rt, then commit (see Checkpoint.Restore).
+func restoreBytes(b []byte, rt *RankTrainer) error {
+	c, err := DecodeCheckpoint(b)
+	if err != nil {
+		return err
+	}
+	return c.Restore(rt)
+}
+
+// restoreFile is the file form of restoreBytes, spelled the way
 // elastic.LoadGenerationAs spells it: one read, decode, restore.
 func restoreFile(path string, rt *RankTrainer) error {
 	c, err := ReadCheckpointFile(path)
@@ -416,12 +413,11 @@ func TestTrainerCheckpointCorruptionRejected(t *testing.T) {
 		{"weights-only", func(p string) error { return SaveCheckpointFile(p, rt.Model) }, map[string]func(string) error{
 			"hydrate": func(p string) error { _, err := LoadModelFile(p); return err },
 			"load": func(p string) error {
-				f, err := os.Open(p)
+				b, err := os.ReadFile(p)
 				if err != nil {
 					return err
 				}
-				defer f.Close()
-				return LoadCheckpoint(f, fresh().Model)
+				return loadWeights(b, fresh().Model)
 			},
 		}},
 	}
@@ -727,7 +723,7 @@ func TestCheckpointRejectsForgedHeader(t *testing.T) {
 				t.Fatalf("%s %s: rejecting a %d-byte file allocated %d bytes (limit %d)", kind, name, len(b), grew, limit)
 			}
 			if kind == "trainer" {
-				if err := LoadTrainerCheckpoint(bytes.NewReader(b), rt); err == nil {
+				if err := restoreBytes(b, rt); err == nil {
 					t.Fatalf("%s: resume accepted a forged header", name)
 				}
 			}

@@ -13,7 +13,7 @@ import (
 type FullTrainer struct {
 	DS    *datagen.Dataset
 	Model *Model
-	Opt   optim.Optimizer
+	Opt   *optim.Adam
 	lay   Layout
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -120,18 +119,16 @@ func TestStrategyCheckpointResumeEquivalence(t *testing.T) {
 				t.Fatalf("%s pre-save epoch %d: loss %.17g != reference %.17g", name, e, got, refLoss[e])
 			}
 		}
-		bufs := make([]bytes.Buffer, k)
+		bufs := make([][]byte, k)
 		for r := 0; r < k; r++ {
-			if err := SaveTrainerCheckpoint(&bufs[r], interrupted.Ranks[r]); err != nil {
-				t.Fatal(err)
-			}
+			bufs[r] = snapshotTrainer(interrupted.Ranks[r]).Encode()
 		}
 		resumed, err := NewParallelTrainer(ds, topo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for r := 0; r < k; r++ {
-			if err := LoadTrainerCheckpoint(&bufs[r], resumed.Ranks[r]); err != nil {
+			if err := restoreBytes(bufs[r], resumed.Ranks[r]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -167,11 +164,7 @@ func TestCheckpointRejectsStrategyMismatch(t *testing.T) {
 		return rt
 	}
 
-	var buf bytes.Buffer
-	if err := SaveTrainerCheckpoint(&buf, mkRank(NewLADIESFactory(12, 3))); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := snapshotTrainer(mkRank(NewLADIESFactory(12, 3))).Encode()
 
 	for _, wrong := range []struct {
 		name    string
@@ -180,7 +173,7 @@ func TestCheckpointRejectsStrategyMismatch(t *testing.T) {
 		{"bns", nil}, // nil factory = engine default BNS
 		{"saint", NewSAINTFactory(0.6, 3)},
 	} {
-		err := LoadTrainerCheckpoint(bytes.NewReader(raw), mkRank(wrong.factory))
+		err := restoreBytes(raw, mkRank(wrong.factory))
 		if err == nil {
 			t.Fatalf("loading a ladies checkpoint into a %s trainer must fail", wrong.name)
 		}
@@ -190,7 +183,7 @@ func TestCheckpointRejectsStrategyMismatch(t *testing.T) {
 	}
 
 	// Same strategy still loads.
-	if err := LoadTrainerCheckpoint(bytes.NewReader(raw), mkRank(NewLADIESFactory(12, 3))); err != nil {
+	if err := restoreBytes(raw, mkRank(NewLADIESFactory(12, 3))); err != nil {
 		t.Fatalf("matching strategy failed to load: %v", err)
 	}
 }

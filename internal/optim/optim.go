@@ -1,7 +1,6 @@
-// Package optim provides the optimizers used in the paper's experiments:
-// Adam (all four datasets use Adam per Section 4) and plain SGD for
-// ablations. Optimizers update parameter matrices in place from gradient
-// matrices of identical shape.
+// Package optim provides the optimizer used in the paper's experiments:
+// Adam (all four datasets use Adam per Section 4). It updates parameter
+// matrices in place from gradient matrices of identical shape.
 package optim
 
 import (
@@ -10,44 +9,6 @@ import (
 
 	"repro/internal/tensor"
 )
-
-// Optimizer updates parameters from gradients.
-type Optimizer interface {
-	// Step applies one update. params[i] and grads[i] must have equal shape
-	// and identity must be stable across calls (state is keyed by index).
-	Step(params, grads []*tensor.Matrix)
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float32
-	Momentum float32
-	vel      []*tensor.Matrix
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr float32) *SGD { return &SGD{LR: lr} }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params, grads []*tensor.Matrix) {
-	checkAligned(params, grads)
-	if s.Momentum == 0 {
-		for i, p := range params {
-			p.AddScaled(grads[i], -s.LR)
-		}
-		return
-	}
-	if s.vel == nil {
-		s.vel = zerosLike(params)
-	}
-	for i, p := range params {
-		v := s.vel[i]
-		for j := range v.Data {
-			v.Data[j] = s.Momentum*v.Data[j] + grads[i].Data[j]
-			p.Data[j] -= s.LR * v.Data[j]
-		}
-	}
-}
 
 // Adam is the Adam optimizer (Kingma & Ba) with bias correction.
 type Adam struct {
@@ -64,7 +25,8 @@ func NewAdam(lr float32) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Epsilon: 1e-8}
 }
 
-// Step implements Optimizer.
+// Step applies one update. params[i] and grads[i] must have equal shape and
+// identity must be stable across calls (state is keyed by index).
 func (a *Adam) Step(params, grads []*tensor.Matrix) {
 	checkAligned(params, grads)
 	if a.m == nil {

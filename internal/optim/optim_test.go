@@ -7,33 +7,11 @@ import (
 	"repro/internal/tensor"
 )
 
-// quadratic f(x) = Σ x², gradient 2x — both optimizers must drive x to 0.
+// quadratic f(x) = Σ x², gradient 2x — Adam must drive x to 0.
 func gradOf(p *tensor.Matrix) *tensor.Matrix {
 	g := p.Clone()
 	g.Scale(2)
 	return g
-}
-
-func TestSGDConvergesOnQuadratic(t *testing.T) {
-	p := tensor.NewFrom(1, 3, []float32{1, -2, 3})
-	opt := NewSGD(0.1)
-	for i := 0; i < 200; i++ {
-		opt.Step([]*tensor.Matrix{p}, []*tensor.Matrix{gradOf(p)})
-	}
-	if p.MaxAbs() > 1e-4 {
-		t.Fatalf("SGD did not converge: %v", p.Data)
-	}
-}
-
-func TestSGDMomentumConverges(t *testing.T) {
-	p := tensor.NewFrom(1, 3, []float32{1, -2, 3})
-	opt := &SGD{LR: 0.05, Momentum: 0.9}
-	for i := 0; i < 300; i++ {
-		opt.Step([]*tensor.Matrix{p}, []*tensor.Matrix{gradOf(p)})
-	}
-	if p.MaxAbs() > 1e-3 {
-		t.Fatalf("momentum SGD did not converge: %v", p.Data)
-	}
 }
 
 func TestAdamConvergesOnQuadratic(t *testing.T) {
@@ -93,7 +71,7 @@ func TestStepCountMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewSGD(0.1).Step([]*tensor.Matrix{tensor.New(1, 2)}, nil)
+	NewAdam(0.1).Step([]*tensor.Matrix{tensor.New(1, 2)}, nil)
 }
 
 // TestAdamStateRoundTrip: copying one Adam's moments and step count into a

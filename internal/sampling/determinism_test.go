@@ -138,47 +138,3 @@ func buildTopo(t *testing.T, ds *datagen.Dataset, k int) *core.Topology {
 	}
 	return topo
 }
-
-// TestSamplerStateMidEpochResume: capturing State() mid-epoch and installing
-// it on a freshly built sampler must reproduce the original's remaining
-// batch stream exactly — including the rest of the current epoch's shuffle
-// order for the reshuffling samplers, not just the next epoch.
-func TestSamplerStateMidEpochResume(t *testing.T) {
-	ds := testDataset(t, 63)
-	parts := make([]int32, ds.G.N)
-	for v := range parts {
-		parts[v] = int32(v % 8)
-	}
-	build := func() []Sampler {
-		cs, err := NewClusterGCNSampler(ds.G, ds.TrainMask, parts, 8, 2, 9)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return []Sampler{
-			NewNeighborSampler(ds.G, ds.TrainMask, 32, 5, 2, 9),
-			NewFastGCNSampler(ds.G, ds.TrainMask, 32, 64, 9),
-			NewLADIESSampler(ds.G, ds.TrainMask, 32, 64, 2, 9),
-			cs,
-			NewGraphSAINTSampler(ds.G, ds.TrainMask, SAINTWalk, 100, 4, 9),
-		}
-	}
-	orig := build()
-	for i, s := range orig {
-		// Advance into the middle of an epoch (and past one reshuffle).
-		steps := s.BatchesPerEpoch() + s.BatchesPerEpoch()/2
-		if steps < 3 {
-			steps = 3
-		}
-		for j := 0; j < steps; j++ {
-			s.Sample()
-		}
-		st := s.State()
-		clone := build()[i]
-		clone.SetState(st)
-		for j := 0; j < s.BatchesPerEpoch()+2; j++ {
-			if !sameBatch(s.Sample(), clone.Sample()) {
-				t.Fatalf("%s: resumed sampler diverged at post-resume step %d", s.Name(), j)
-			}
-		}
-	}
-}

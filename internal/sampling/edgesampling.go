@@ -42,7 +42,7 @@ type EdgeDropTrainer struct {
 	KeepProb float64
 
 	Model *core.Model
-	Opt   optim.Optimizer
+	Opt   *optim.Adam
 	rng   *tensor.RNG
 
 	SampleTime  time.Duration

@@ -12,7 +12,7 @@
 // through the same core.Model the engine trains, so timing and accuracy
 // comparisons are apples-to-apples. What the samplers have in common exists
 // once: epochOrder is the per-epoch shuffle of the train nodes with its
-// resumable cursor, degreePrefix the degree-proportional draw; a sampler is
+// cursor, degreePrefix the degree-proportional draw; a sampler is
 // its constructor, its name and the body of Sample that is its algorithm.
 package sampling
 
@@ -31,19 +31,6 @@ type Batch struct {
 	TargetMask []bool       // local rows contributing to the loss
 }
 
-// SamplerState is a sampler's resumable position: the current RNG state,
-// and — for samplers that shuffle their target list per epoch — the RNG
-// state the running epoch's shuffle was drawn from plus the cursor into it.
-// Restoring replays the shuffle from EpochRNG, repositions the cursor, then
-// restores the exact current stream position, so a resumed sampler produces
-// the same batch sequence an uninterrupted one would, even mid-epoch.
-// Samplers without an epoch order leave EpochRNG/Cursor zero.
-type SamplerState struct {
-	RNG      uint64
-	EpochRNG uint64
-	Cursor   int
-}
-
 // Sampler produces training batches. Implementations must be deterministic
 // given the RNG passed at construction.
 type Sampler interface {
@@ -53,10 +40,6 @@ type Sampler interface {
 	Sample() *Batch
 	// BatchesPerEpoch is how many batches constitute one epoch.
 	BatchesPerEpoch() int
-	// State and SetState round-trip the sampler's resumable position (the
-	// minibatch analogue of the trainer checkpoint's strategy state).
-	State() SamplerState
-	SetState(SamplerState)
 }
 
 // trainNodeList extracts the global ids with mask set.
@@ -104,15 +87,13 @@ func induceBatch(g *graph.Graph, targets []int32, context map[int32]bool) *Batch
 }
 
 // epochOrder walks the train nodes in a fresh random order every epoch, one
-// batch at a time, and is the resumable position of the samplers that embed
-// it.
+// batch at a time.
 type epochOrder struct {
-	Train    []int32
-	Batch    int
-	rng      *tensor.RNG
-	epochRNG uint64 // rng position the running epoch's shuffle was drawn from
-	cursor   int
-	order    []int32
+	Train  []int32
+	Batch  int
+	rng    *tensor.RNG
+	cursor int
+	order  []int32
 }
 
 func newEpochOrder(trainMask []bool, batch int, seed uint64) epochOrder {
@@ -122,7 +103,6 @@ func newEpochOrder(trainMask []bool, batch int, seed uint64) epochOrder {
 }
 
 func (o *epochOrder) reshuffle() {
-	o.epochRNG = o.rng.State()
 	perm := o.rng.Perm(len(o.Train))
 	o.order = make([]int32, len(o.Train))
 	for i, p := range perm {
@@ -141,19 +121,6 @@ func (o *epochOrder) next() []int32 {
 	targets := o.order[o.cursor:end]
 	o.cursor = end
 	return targets
-}
-
-// State implements Sampler.
-func (o *epochOrder) State() SamplerState {
-	return SamplerState{RNG: o.rng.State(), EpochRNG: o.epochRNG, Cursor: o.cursor}
-}
-
-// SetState implements Sampler.
-func (o *epochOrder) SetState(st SamplerState) {
-	o.rng.SetState(st.EpochRNG)
-	o.reshuffle()
-	o.cursor = st.Cursor
-	o.rng.SetState(st.RNG)
 }
 
 // BatchesPerEpoch implements Sampler.
@@ -350,14 +317,6 @@ func NewClusterGCNSampler(g *graph.Graph, trainMask []bool, parts []int32, nclus
 // Name implements Sampler.
 func (s *ClusterGCNSampler) Name() string { return "ClusterGCN" }
 
-// State implements Sampler (no epoch order: the RNG is the whole state).
-func (s *ClusterGCNSampler) State() SamplerState {
-	return SamplerState{RNG: s.rng.State()}
-}
-
-// SetState implements Sampler.
-func (s *ClusterGCNSampler) SetState(st SamplerState) { s.rng.SetState(st.RNG) }
-
 // BatchesPerEpoch implements Sampler.
 func (s *ClusterGCNSampler) BatchesPerEpoch() int {
 	n := len(s.members) / s.BlocksPerStep
@@ -438,14 +397,6 @@ func NewGraphSAINTSampler(g *graph.Graph, trainMask []bool, mode SAINTMode, budg
 
 // Name implements Sampler.
 func (s *GraphSAINTSampler) Name() string { return s.Mode.String() }
-
-// State implements Sampler (no epoch order: the RNG is the whole state).
-func (s *GraphSAINTSampler) State() SamplerState {
-	return SamplerState{RNG: s.rng.State()}
-}
-
-// SetState implements Sampler.
-func (s *GraphSAINTSampler) SetState(st SamplerState) { s.rng.SetState(st.RNG) }
 
 // BatchesPerEpoch implements Sampler.
 func (s *GraphSAINTSampler) BatchesPerEpoch() int {

@@ -17,7 +17,7 @@ import (
 type MinibatchTrainer struct {
 	DS      *datagen.Dataset
 	Model   *core.Model
-	Opt     optim.Optimizer
+	Opt     *optim.Adam
 	Sampler Sampler
 
 	SampleTime  time.Duration
