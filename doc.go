@@ -26,8 +26,11 @@
 // (internal/core/pipeline.go): halo sends are posted first, rows whose
 // aggregation needs no boundary data compute while the exchange is in
 // flight, and the drain then receives the peers in ascending rank and
-// computes the boundary-dependent rows in one pass. EpochStats reports communication as raw span — what the
-// exchange would cost if nothing hid it — vs exposed (unoverlapped) time;
+// computes the boundary-dependent rows in one pass. Each stage switches a
+// per-rank phase clock, so sampling, compute, exposed communication and
+// reduce tile the epoch; EpochStats reports communication both as that
+// exposed time and as raw span — exposed plus the compute that ran while an
+// exchange was in flight, what the exchange would cost if nothing hid it;
 // see PERFORMANCE.md "Overlapped halo exchange".
 //
 // A rank (core.RankTrainer) holds its partition — local adjacency, the

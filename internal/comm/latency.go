@@ -5,25 +5,15 @@ import (
 	"time"
 )
 
-// WithLatency wraps every endpoint of a co-located group so that each
-// payload message becomes *consumable* only `delay` after it was sent,
-// modelling the propagation latency of a real link on top of whatever the
-// underlying backend costs. It is shorthand for WithLinkModel with a uniform
-// base latency; see LinkModel for the richer per-link form.
-func WithLatency(g *Group, delay time.Duration) *Group {
-	return WithLinkModel(g, LinkModel{Latency: delay})
-}
-
 // Link identifies one directed (src, dst) rank pair.
 type Link struct{ Src, Dst int }
 
 // LinkModel describes a simulated network for WithLinkModel. The delay of a
-// message of n payload bytes on link (s→d) is
+// message on link (s→d) is
 //
-//	base(s→d) + n/BytesPerSecond + jitter
+//	base(s→d) + jitter
 //
-// where base is PerLink[{s,d}] when present and Latency otherwise, the
-// bandwidth term is skipped when BytesPerSecond is 0 (infinite link), and
+// where base is PerLink[{s,d}] when present and Latency otherwise, and
 // jitter is drawn uniformly from [0, Jitter) by a deterministic per-message
 // hash of (Seed, src, dst, tag, per-stream sequence number) — so two runs of
 // the same protocol see identical delays and remain reproducible.
@@ -34,9 +24,6 @@ type LinkModel struct {
 	// PerLink overrides the base latency of individual directed links —
 	// skewed links let a test invert the order in which peers' payloads land.
 	PerLink map[Link]time.Duration
-	// BytesPerSecond is the link bandwidth applied to payload bytes;
-	// 0 means infinite.
-	BytesPerSecond float64
 	// Jitter is the exclusive upper bound of the per-message jitter term;
 	// 0 disables jitter.
 	Jitter time.Duration
@@ -53,12 +40,9 @@ func (m *LinkModel) baseOf(src, dst int) time.Duration {
 }
 
 // delayOf computes the full modeled delay of the seq'th message on a
-// directed (src, dst, tag) stream carrying payloadBytes.
-func (m *LinkModel) delayOf(src, dst, tag int, payloadBytes int, seq uint64) time.Duration {
+// directed (src, dst, tag) stream.
+func (m *LinkModel) delayOf(src, dst, tag int, seq uint64) time.Duration {
 	d := m.baseOf(src, dst)
-	if m.BytesPerSecond > 0 {
-		d += time.Duration(float64(payloadBytes) / m.BytesPerSecond * float64(time.Second))
-	}
 	if m.Jitter > 0 {
 		d += time.Duration(jitterHash(m.Seed, src, dst, tag, seq) % uint64(m.Jitter))
 	}
@@ -138,10 +122,10 @@ func (s *linkState) queue(k linkKey) *stampQueue {
 
 // stampMsg records a message's send time and modeled delay; streams are FIFO
 // per key, matching the transport ordering contract.
-func (s *linkState) stampMsg(src, dst, tag, payloadBytes int) {
+func (s *linkState) stampMsg(src, dst, tag int) {
 	s.mu.Lock()
 	q := s.queue(linkKey{src, dst, tag})
-	delay := s.model.delayOf(src, dst, tag, payloadBytes, q.seq)
+	delay := s.model.delayOf(src, dst, tag, q.seq)
 	q.seq++
 	q.push(stamp{at: time.Now(), delay: delay})
 	s.mu.Unlock()
@@ -171,12 +155,12 @@ type latencyTransport struct {
 }
 
 func (t *latencyTransport) SendI32(dst, tag int, data []int32) {
-	t.s.stampMsg(t.Rank(), dst, tag, 4*len(data))
+	t.s.stampMsg(t.Rank(), dst, tag)
 	t.Transport.SendI32(dst, tag, data)
 }
 
 func (t *latencyTransport) ISendBufF32(dst, tag int, buf []float32) {
-	t.s.stampMsg(t.Rank(), dst, tag, 4*len(buf))
+	t.s.stampMsg(t.Rank(), dst, tag)
 	t.Transport.ISendBufF32(dst, tag, buf)
 }
 

@@ -11,7 +11,7 @@ import (
 // the delay.
 func TestLatencyGroupDelaysDelivery(t *testing.T) {
 	const delay = 30 * time.Millisecond
-	g := WithLatency(New(2, 0), delay)
+	g := WithLinkModel(New(2, 0), LinkModel{Latency: delay})
 	g.Run(func(w *Worker) {
 		switch w.Rank() {
 		case 0:
@@ -49,7 +49,7 @@ func TestLatencyGroupDelaysDelivery(t *testing.T) {
 // sums of the bare group.
 func TestLatencyGroupCollectivesUnchanged(t *testing.T) {
 	const k, n = 3, 17
-	g := WithLatency(New(k, 0), time.Millisecond)
+	g := WithLinkModel(New(k, 0), LinkModel{Latency: time.Millisecond})
 	g.Run(func(w *Worker) {
 		data := make([]float32, n)
 		for i := range data {
@@ -76,7 +76,7 @@ func TestLatencyGroupCollectivesUnchanged(t *testing.T) {
 // one slot per message, so a long run with bounded in-flight messages keeps
 // bounded ledger memory.
 func TestLatencyLedgerBounded(t *testing.T) {
-	g := WithLatency(New(2, 0), 0) // zero delay: exercise bookkeeping only
+	g := WithLinkModel(New(2, 0), LinkModel{}) // zero delay: exercise bookkeeping only
 	const tag, rounds = 7, 20000
 	// Lockstep rounds (the receiver acks each pair) keep at most two
 	// messages in flight per stream, so any ring growth beyond a few slots
@@ -146,36 +146,34 @@ func TestStampQueueRing(t *testing.T) {
 	}
 }
 
-// TestLinkModelDelayComposition: per-link bases override the default, the
-// bandwidth term scales with payload bytes, and the jitter draw is
-// deterministic in the model seed and per-message identity.
+// TestLinkModelDelayComposition: per-link bases override the default, and the
+// jitter draw is deterministic in the model seed and per-message identity.
 func TestLinkModelDelayComposition(t *testing.T) {
 	m := LinkModel{
-		Latency:        2 * time.Millisecond,
-		PerLink:        map[Link]time.Duration{{Src: 1, Dst: 0}: 9 * time.Millisecond},
-		BytesPerSecond: 1e6, // 1 MB/s → 1µs per byte
+		Latency: 2 * time.Millisecond,
+		PerLink: map[Link]time.Duration{{Src: 1, Dst: 0}: 9 * time.Millisecond},
 	}
-	if d := m.delayOf(0, 1, 5, 1000, 0); d != 2*time.Millisecond+time.Millisecond {
-		t.Errorf("default link delay %v, want 3ms", d)
+	if d := m.delayOf(0, 1, 5, 0); d != 2*time.Millisecond {
+		t.Errorf("default link delay %v, want 2ms", d)
 	}
-	if d := m.delayOf(1, 0, 5, 0, 0); d != 9*time.Millisecond {
+	if d := m.delayOf(1, 0, 5, 0); d != 9*time.Millisecond {
 		t.Errorf("per-link override delay %v, want 9ms", d)
 	}
 
 	j := LinkModel{Jitter: time.Millisecond, Seed: 42}
-	d1 := j.delayOf(0, 1, 5, 0, 3)
-	d2 := j.delayOf(0, 1, 5, 0, 3)
+	d1 := j.delayOf(0, 1, 5, 3)
+	d2 := j.delayOf(0, 1, 5, 3)
 	if d1 != d2 {
 		t.Errorf("jitter not deterministic: %v vs %v", d1, d2)
 	}
 	if d1 < 0 || d1 >= time.Millisecond {
 		t.Errorf("jitter %v outside [0, 1ms)", d1)
 	}
-	if j.delayOf(0, 1, 5, 0, 4) == d1 && j.delayOf(0, 1, 5, 0, 5) == d1 {
+	if j.delayOf(0, 1, 5, 4) == d1 && j.delayOf(0, 1, 5, 5) == d1 {
 		t.Error("jitter constant across sequence numbers")
 	}
 	j2 := LinkModel{Jitter: time.Millisecond, Seed: 43}
-	if j2.delayOf(0, 1, 5, 0, 3) == d1 && j2.delayOf(0, 1, 5, 0, 4) == j.delayOf(0, 1, 5, 0, 4) {
+	if j2.delayOf(0, 1, 5, 3) == d1 && j2.delayOf(0, 1, 5, 4) == j.delayOf(0, 1, 5, 4) {
 		t.Error("jitter ignores the seed")
 	}
 }

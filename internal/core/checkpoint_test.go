@@ -166,8 +166,8 @@ func TestTrainerCheckpointResumeEquivalence(t *testing.T) {
 		if interrupted, err = NewParallelTrainer(ds, topo, cfg); err != nil {
 			t.Fatal(err)
 		}
-		for _, lp := range interrupted.Locals {
-			if lp.NIn <= 256 {
+		for _, rt := range interrupted.Ranks {
+			if lp := rt.LP; lp.NIn <= 256 {
 				t.Fatalf("fixture has a rank of only %d inner rows", lp.NIn)
 			}
 		}

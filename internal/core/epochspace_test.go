@@ -93,7 +93,8 @@ func TestEpochSpaceInvariants(t *testing.T) {
 // active set — the full-space epoch graph this runtime used to train on.
 func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 	t.Helper()
-	for r, lp := range tr.Locals {
+	for r, rt := range tr.Ranks {
+		lp := rt.LP
 		nIn := int32(lp.NIn)
 		eg := &lp.eg
 
@@ -192,8 +193,8 @@ func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 			if !slices.Equal(lp.myPos[j], want) {
 				t.Fatalf("rank %d: requested positions %v of peer %d, the active set names %v", r, lp.myPos[j], j, want)
 			}
-			if j != r && !slices.Equal(tr.Locals[j].theirPos[r], want) {
-				t.Fatalf("rank %d: peer %d holds positions %v of mine, the active set names %v", r, j, tr.Locals[j].theirPos[r], want)
+			if j != r && !slices.Equal(tr.Ranks[j].LP.theirPos[r], want) {
+				t.Fatalf("rank %d: peer %d holds positions %v of mine, the active set names %v", r, j, tr.Ranks[j].LP.theirPos[r], want)
 			}
 		}
 		for slot, c := range requested {

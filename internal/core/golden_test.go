@@ -172,8 +172,8 @@ func TestWeightsIndependentOfPoolWidth(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, lp := range tr.Locals {
-					if lp.NIn <= 256 {
+				for _, rt := range tr.Ranks {
+					if lp := rt.LP; lp.NIn <= 256 {
 						t.Fatalf("fixture has a rank of only %d inner rows", lp.NIn)
 					}
 				}

@@ -210,6 +210,42 @@ func TestCommAccountingInvariants(t *testing.T) {
 	}
 }
 
+// TestEpochPhasesTileTheEpoch pins the phase clock's two structural
+// properties on every rank: the four critical-path phases sum to the clock's
+// own first-to-last reading to the nanosecond, and the raw span exceeds the
+// exposed comm by at most the compute it hid, never by a negative amount.
+func TestEpochPhasesTileTheEpoch(t *testing.T) {
+	for _, backend := range []string{"chan", "tcp"} {
+		for _, k := range []int{1, 2, 4} {
+			for _, p := range []float64{0.1, 1} {
+				ds := testDataset(t, uint64(70+k))
+				topo := testTopology(t, ds, k)
+				g := comm.New(k, 0)
+				if backend == "tcp" {
+					g = tcpLoopbackGroup(t, k)
+				}
+				tr, err := NewParallelTrainerOver(ds, topo, ParallelConfig{Model: testModelConfig(), P: p, SampleSeed: 5}, g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for e := 0; e < 2; e++ {
+					tr.TrainEpoch()
+					for r, st := range tr.statsBuf {
+						name := fmt.Sprintf("%s k=%d p=%v epoch %d rank %d", backend, k, p, e, r)
+						clk := &tr.Ranks[r].ep.clk
+						if sum, span := st.Sample+st.Compute+st.CommExposed+st.Reduce, clk.last.Sub(clk.first); sum != span {
+							t.Fatalf("%s: phases sum to %v, the clock read %v", name, sum, span)
+						}
+						if hidden := st.Comm - st.CommExposed; hidden < 0 || hidden > st.Compute {
+							t.Fatalf("%s: raw %v − exposed %v outside [0, compute %v]", name, st.Comm, st.CommExposed, st.Compute)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // rowDroppingBNS is BNS at p=1 that reports DropsInner: the same active set
 // every epoch, under a plan shape the engine must never keep.
 type rowDroppingBNS struct{ Strategy }
@@ -245,12 +281,12 @@ func TestPlanKeptWhileActiveSetRepeats(t *testing.T) {
 		}
 		tr.TrainEpoch()
 		const sentinel = -7
-		for _, lp := range tr.Locals {
-			lp.slotRow[0] = sentinel
+		for _, rt := range tr.Ranks {
+			rt.LP.slotRow[0] = sentinel
 		}
 		tr.TrainEpoch()
-		for r, lp := range tr.Locals {
-			if kept := lp.slotRow[0] == sentinel; kept != tc.kept {
+		for r, rt := range tr.Ranks {
+			if kept := rt.LP.slotRow[0] == sentinel; kept != tc.kept {
 				t.Errorf("%s rank %d: plan kept = %v, want %v", tc.name, r, kept, tc.kept)
 			}
 		}

@@ -334,18 +334,18 @@ type EpochStats struct {
 	Loss        float64
 	SampleTime  time.Duration
 	ComputeTime time.Duration
-	// CommTime is the raw halo-exchange span: payload gather plus
-	// the full post-to-consumed window of every exchange — what the exchange
-	// would cost if nothing hid it. That window runs concurrently with
-	// ComputeTime, so the two overlap and must not be summed — use
-	// ExposedCommTime for critical-path accounting.
+	// CommTime is the raw halo-exchange span: ExposedCommTime plus the
+	// compute that ran while an exchange was in flight, from its post to its
+	// last receive — what the exchanges would cost if nothing hid them. Its
+	// hidden part is also in ComputeTime, so the two must not be summed —
+	// use ExposedCommTime for critical-path accounting.
 	CommTime time.Duration
-	// ExposedCommTime is the unoverlapped portion of comm: payload gather
-	// work plus the time actually spent blocked waiting for boundary data
-	// after overlappable compute has run. At most CommTime, and equal to it in
-	// an epoch with no exchange in flight — the paper's boundary-communication
-	// cost appears here only to the extent it could not be hidden behind
-	// inner-node compute.
+	// ExposedCommTime is the unoverlapped portion of comm: payload gathers,
+	// halo fills, the gradient fold and the time actually spent blocked
+	// waiting for boundary data after overlappable compute has run. At most
+	// CommTime, and equal to it in an epoch with no exchange in flight — the
+	// paper's boundary-communication cost appears here only to the extent it
+	// could not be hidden behind inner-node compute.
 	ExposedCommTime time.Duration
 	ReduceTime      time.Duration
 	CommBytes       int64 // boundary feature + gradient traffic
@@ -560,7 +560,6 @@ type ParallelTrainer struct {
 	Topo    *Topology
 	Cfg     ParallelConfig
 	Ranks   []*RankTrainer
-	Locals  []*LocalPartition // aliases Ranks[i].LP
 	Cluster *comm.Group
 	Models  []*Model // aliases Ranks[i].Model
 
@@ -594,7 +593,6 @@ func NewParallelTrainerOver(ds *datagen.Dataset, topo *Topology, cfg ParallelCon
 			return nil, err
 		}
 		t.Ranks = append(t.Ranks, rt)
-		t.Locals = append(t.Locals, rt.LP)
 		t.Models = append(t.Models, rt.Model)
 	}
 	t.statsBuf = make([]RankStats, k)
@@ -604,8 +602,9 @@ func NewParallelTrainerOver(ds *datagen.Dataset, topo *Topology, cfg ParallelCon
 // RankStats collects one rank's per-epoch timing and byte counters. Loss is
 // the rank's contribution to the global loss (the per-node losses of its
 // inner training nodes over the global normalizer), so summing across ranks
-// yields the global training loss. Comm is the raw exchange span,
-// CommExposed its unoverlapped portion (see EpochStats).
+// yields the global training loss. Sample, Compute, CommExposed and Reduce
+// tile the rank's epoch (they are read off its phase clock); Comm is the raw
+// exchange span, CommExposed its unoverlapped portion (see EpochStats).
 type RankStats struct {
 	Loss                          float64
 	Sample, Compute, Comm, Reduce time.Duration

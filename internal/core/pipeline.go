@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"repro/internal/comm"
 	"repro/internal/tensor"
@@ -71,20 +70,22 @@ import (
 // delivery order (the cross-backend and skewed comm.WithLinkModel tests pin
 // this).
 //
-// Timing is split into two comm counters (see EpochStats): CommExposed is
-// the critical-path portion (payload gather plus actual blocked
-// waits and halo fills), Comm the raw span of each exchange from post to
-// last consumption — which runs concurrently with Compute and measures what
-// the exchange would cost if nothing hid it. The drain attributes the row
-// compute it runs between receives to Compute, not CommExposed, so the
-// exposed figure counts only time spent on the exchange itself.
+// Time is booked by one phase clock per rank (epochState.clk): each stage
+// switches it to the phase its work belongs to — sample, compute, exposed
+// comm or reduce — so the four tile the epoch. Exposed comm is what a rank
+// spends on the exchanges itself: payload gathers, blocked receives, halo
+// fills and the fold; the drain books the row compute it runs between
+// receives to compute. The raw span Comm adds to it the compute booked while
+// an exchange was in flight, from its post to its last receive — what the
+// exchanges would cost if nothing hid them (see EpochStats).
 
 // epochState is what one epoch's plan stage decides and the per-layer stages
 // share. It lives inside the RankTrainer and is reset per epoch, so the
 // stages are plain methods: no closures, no per-epoch allocation.
 type epochState struct {
-	w  *comm.Worker
-	st RankStats
+	w   *comm.Worker
+	st  RankStats
+	clk phaseClock
 	// eval marks an inference pass (RankTrainer.Evaluate): the plan is every
 	// row at rate 1 and not the strategy's, dropout is an identity pass, and
 	// the pass ends with the last layer's forward.
@@ -96,37 +97,6 @@ type epochState struct {
 	invP      float32
 	haloScale []float32
 	lossMask  []bool
-	// exchanging: does this epoch move any halo traffic at all? (False for
-	// k=1, p=0, or an epoch that sampled nothing.) Gates the raw comm-span
-	// accounting so halo-free compute is not misreported as comm span when
-	// there is no exchange in flight.
-	exchanging bool
-}
-
-// commSpan marks one posted exchange: when its flight began, and the exposed
-// comm total at that moment.
-type commSpan struct {
-	start   time.Time
-	exposed time.Duration
-}
-
-func (rt *RankTrainer) openSpan() commSpan {
-	return commSpan{start: time.Now(), exposed: rt.ep.st.CommExposed}
-}
-
-// closeSpan adds one exchange's raw span to Comm: the wall-clock window from
-// flight start to end (the last consumption), whatever compute ran inside
-// it. With nothing in flight nothing was hidden, so the span is exactly the
-// exposed time the stages since the post accumulated.
-func (rt *RankTrainer) closeSpan(s commSpan, end time.Time) {
-	st := &rt.ep.st
-	if rt.ep.exchanging {
-		if end.After(s.start) { // a zero end: nothing was pending
-			st.Comm += end.Sub(s.start)
-		}
-	} else {
-		st.Comm += st.CommExposed - s.exposed
-	}
 }
 
 // runEpoch executes one epoch of strategy-sampled partition-parallel
@@ -144,15 +114,14 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 	for l := len(layers) - 1; l > 0; l-- {
 		dH := rt.backwardHalo(l, d)
 		rt.postGrad(l, dH)
-		span := rt.openSpan()
 		rt.backwardFinish(l)
 		d = rt.foldGrad(l, dH)
-		rt.closeSpan(span, time.Now())
 	}
 	rt.backwardInput(d)
 
 	// --- Gradient AllReduce + update (lines 14–15) ---
 	rt.reduce()
+	rt.ep.clk.read(&rt.ep.st)
 
 	// Everything drawn from the epoch workspace is dead now; recycle it.
 	rt.LP.ws.Reset()
@@ -167,10 +136,9 @@ func (rt *RankTrainer) forward() *tensor.Matrix {
 	h := rt.LP.Features // inner activations entering the current layer
 	for l := range layers {
 		rt.postForward(l, h)
-		span := rt.openSpan()
 		x := rt.LP.ws.Get(rt.LP.eg.N, layers[l].InputDim())
 		h = rt.forwardFree(l, x, h)
-		rt.closeSpan(span, rt.drainForward(l, x))
+		rt.drainForward(l, x)
 		if rt.ep.eval {
 			// No backward will read this layer's input, so the next layer
 			// reuses its storage; and once every rank has drained the layer,
@@ -192,9 +160,9 @@ func (rt *RankTrainer) forward() *tensor.Matrix {
 // whose plan activates exactly the rows the last one did (every epoch at k=1,
 // p=1 or p=0) keeps the products in place instead of rebuilding identical
 // ones; what the strategy draws and what the ranks exchange is the same
-// either way.
+// either way. It starts the pass's clock.
 func (rt *RankTrainer) planEpoch() {
-	start := time.Now()
+	rt.ep.clk.start()
 	ep := &rt.ep
 	rank, lp, k, w := rt.Rank, rt.LP, rt.k, rt.ep.w
 	plan := &rt.plan
@@ -323,12 +291,6 @@ func (rt *RankTrainer) planEpoch() {
 		}
 		lp.splitRows(&lp.eg, rt.Cfg.Model.Arch == ArchSAGE)
 	}
-	ep.st.Sample = time.Since(start)
-	for j := 0; j < k; j++ {
-		if j != rank && (len(sendRows[j]) > 0 || len(recvSlots[j]) > 0) {
-			ep.exchanging = true
-		}
-	}
 }
 
 // checkPlan stops a malformed plan where it was made, naming its strategy: a
@@ -410,7 +372,7 @@ func (rt *RankTrainer) haloRescale(row int32) float32 {
 // peer sampled, gathered straight into a payload buffer the transport lends
 // (on TCP, the outgoing frame itself) and sent in it.
 func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) {
-	cs := time.Now()
+	rt.ep.clk.post()
 	lp, st, w := rt.LP, &rt.ep.st, rt.ep.w
 	dim := h.Cols
 	for j, rows := range lp.sendRows {
@@ -424,9 +386,6 @@ func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) {
 		w.ISendBufF32(j, tagForward+l, payload)
 		st.CommBytes += int64(4 * len(payload))
 	}
-	post := time.Since(cs)
-	st.CommExposed += post
-	st.Comm += post
 }
 
 // forwardFree begins layer l's pass over its input x, a matrix over the epoch
@@ -445,7 +404,7 @@ func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) {
 // the identity and draws nothing). Returns the layer's output matrix; its
 // halo-dependent rows are valid after the drain.
 func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
-	ps := time.Now()
+	rt.ep.clk.to(phaseCompute)
 	lp, ep := rt.LP, &rt.ep
 	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
 	drop.ForwardBegin(x, h, !ep.eval)
@@ -460,7 +419,6 @@ func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
 	layer.ForwardPrep(0, lp.NIn)
 	drop.MaskRowsAt(lp.NIn, lp.rowSlot, lp.NBd)
 	layer.ForwardRows(lp.haloFree)
-	ep.st.Compute += time.Since(ps)
 	return out
 }
 
@@ -469,12 +427,9 @@ func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
 // with the strategy's receive rescale (the unbiased 1/p of Section 3.2 for
 // BNS), and the rows are masked in place with their pre-drawn dropout masks
 // and their per-node precomputations run. After the last peer every
-// halo-dependent row is computed in one pass.
-//
-// Receives and halo fills are attributed to CommExposed, the row compute to
-// Compute; the returned time of the last consumption ends the exchange's raw
-// span (zero when nothing was pending).
-func (rt *RankTrainer) drainForward(l int, x *tensor.Matrix) (lastConsume time.Time) {
+// halo-dependent row is computed in one pass. Receives and halo fills are
+// exposed comm, the row passes compute.
+func (rt *RankTrainer) drainForward(l int, x *tensor.Matrix) {
 	lp, ep := rt.LP, &rt.ep
 	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
 	dim := x.Cols
@@ -482,7 +437,6 @@ func (rt *RankTrainer) drainForward(l int, x *tensor.Matrix) (lastConsume time.T
 		if len(slots) == 0 {
 			continue
 		}
-		cs := time.Now()
 		data := rt.recvHalo(j, tagForward, l, len(slots)*dim)
 		for r, slot := range slots {
 			dst := x.Row(int(slot))
@@ -492,24 +446,20 @@ func (rt *RankTrainer) drainForward(l int, x *tensor.Matrix) (lastConsume time.T
 			}
 		}
 		ep.w.RecycleF32(data)
-		lastConsume = time.Now()
-		ep.st.CommExposed += lastConsume.Sub(cs)
 
-		ps := time.Now()
+		ep.clk.to(phaseCompute)
 		drop.ApplyMaskedRows(slots)
 		layer.ForwardPrepRows(slots)
-		ep.st.Compute += time.Since(ps)
 	}
-	ps := time.Now()
+	ep.clk.to(phaseCompute)
 	layer.ForwardRows(lp.haloDep)
-	ep.st.Compute += time.Since(ps)
-	return lastConsume
 }
 
 // recvHalo receives layer l's next halo payload from peer j on the exchange
 // base tag, and stops one of the wrong length where it lands, naming the
 // rank, layer and peer.
 func (rt *RankTrainer) recvHalo(j, base, l, want int) []float32 {
+	rt.ep.clk.receive()
 	data := rt.ep.w.RecvF32(j, base+l)
 	if len(data) != want {
 		panic(fmt.Sprintf("core: rank %d layer %d: got %d floats from %d, want %d",
@@ -521,12 +471,11 @@ func (rt *RankTrainer) recvHalo(j, base, l, want int) []float32 {
 // lossGrad computes this rank's loss contribution (line 12) and returns the
 // logit gradient the backward stages start from.
 func (rt *RankTrainer) lossGrad(logits *tensor.Matrix) *tensor.Matrix {
-	ls := time.Now()
+	rt.ep.clk.to(phaseCompute)
 	lp, st := rt.LP, &rt.ep.st
 	d := lp.ws.Get(logits.Rows, logits.Cols)
 	st.Loss = LossInto(d, rt.multiLabel, logits, lp.Labels, lp.LabelMatrix, rt.ep.lossMask, rt.globalTrainCount)
 	rt.Model.ZeroGrad()
-	st.Compute += time.Since(ls)
 	return d
 }
 
@@ -535,13 +484,12 @@ func (rt *RankTrainer) lossGrad(logits *tensor.Matrix) *tensor.Matrix {
 // are waiting for — through the layer and, in place, its dropout. Returns the
 // layer's input gradient; its inner rows are valid after backwardFinish.
 func (rt *RankTrainer) backwardHalo(l int, d *tensor.Matrix) *tensor.Matrix {
-	bs := time.Now()
+	rt.ep.clk.to(phaseCompute)
 	lp := rt.LP
 	layer := rt.Model.LayersL[l]
 	layer.BackwardBegin(d)
 	dH := layer.BackwardHalo(lp.haloDep, lp.NIn)
 	rt.Model.Dropouts[l].BackwardRows(dH, lp.NIn, lp.eg.N)
-	rt.ep.st.Compute += time.Since(bs)
 	return dH
 }
 
@@ -549,7 +497,7 @@ func (rt *RankTrainer) backwardHalo(l int, d *tensor.Matrix) *tensor.Matrix {
 // to the peers that own them, scaled by the chain rule through the receive
 // rescale as they are gathered into a lent payload buffer.
 func (rt *RankTrainer) postGrad(l int, dH *tensor.Matrix) {
-	cs := time.Now()
+	rt.ep.clk.post()
 	lp, ep := rt.LP, &rt.ep
 	dim := dH.Cols
 	for j, slots := range lp.recvSlots {
@@ -567,19 +515,15 @@ func (rt *RankTrainer) postGrad(l int, dH *tensor.Matrix) {
 		ep.w.ISendBufF32(j, tagBackward+l, payload)
 		ep.st.CommBytes += int64(4 * len(payload))
 	}
-	post := time.Since(cs)
-	ep.st.CommExposed += post
-	ep.st.Comm += post
 }
 
 // backwardFinish accumulates layer l's parameter gradients and completes the
 // inner rows of its input gradient while the gradient exchange is in flight.
 func (rt *RankTrainer) backwardFinish(l int) {
-	ps := time.Now()
+	rt.ep.clk.to(phaseCompute)
 	lp := rt.LP
 	dH := rt.Model.LayersL[l].BackwardFinish(lp.haloFree, lp.NIn)
 	rt.Model.Dropouts[l].BackwardRows(dH, 0, lp.NIn)
-	rt.ep.st.Compute += time.Since(ps)
 }
 
 // foldGrad assembles the next layer down's output gradient in place, in the
@@ -590,9 +534,10 @@ func (rt *RankTrainer) backwardFinish(l int) {
 // Returns lp.dNext, a view of dH's first NIn rows: nothing reads dH after
 // the fold but the layer below, whose backward differentiates the view in
 // place into its pre-activation gradient and reads it until its pass ends,
-// and dH is next written by layer l's backward in the next epoch.
+// and dH is next written by layer l's backward in the next epoch. The whole
+// fold is exposed comm.
 func (rt *RankTrainer) foldGrad(l int, dH *tensor.Matrix) *tensor.Matrix {
-	as := time.Now()
+	rt.ep.clk.to(phaseComm)
 	lp := rt.LP
 	dim := dH.Cols
 	// Skipped rows' input-gradient rows are stale scratch (no split write
@@ -613,7 +558,6 @@ func (rt *RankTrainer) foldGrad(l int, dH *tensor.Matrix) *tensor.Matrix {
 		rt.ep.w.RecycleF32(data)
 	}
 	lp.dNext = tensor.Matrix{Rows: lp.NIn, Cols: dim, Data: dH.Data[:lp.NIn*dim]}
-	rt.ep.st.CommExposed += time.Since(as)
 	return &lp.dNext
 }
 
@@ -621,19 +565,17 @@ func (rt *RankTrainer) foldGrad(l int, dH *tensor.Matrix) *tensor.Matrix {
 // gradient: no halo exchange, no dropout backward, no input-gradient matrix
 // — only the parameter gradients.
 func (rt *RankTrainer) backwardInput(d *tensor.Matrix) {
-	bs := time.Now()
+	rt.ep.clk.to(phaseCompute)
 	rt.Model.LayersL[0].BackwardParams(d)
-	rt.ep.st.Compute += time.Since(bs)
 }
 
 // reduce sums the weight gradients across ranks and applies the optimizer
 // step (lines 14–15).
 func (rt *RankTrainer) reduce() {
-	rs := time.Now()
+	rt.ep.clk.to(phaseReduce)
 	model, st := rt.Model, &rt.ep.st
 	grads := model.GradSlab()
 	rt.ep.w.AllReduceSum(grads, tagReduce)
 	st.ReduceBytes = int64(4 * len(grads))
 	rt.opt.Step(model.Params(), model.Grads())
-	st.Reduce = time.Since(rs)
 }

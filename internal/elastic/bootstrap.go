@@ -30,7 +30,7 @@ import (
 const (
 	probeTimeout = 300 * time.Millisecond
 	// defaultRoundTimeout and defaultStagger are the Config defaults for
-	// RendezvousRound and ElectionStagger (see supervisor.go).
+	// rendezvousRound and electionStagger (see supervisor.go).
 	defaultRoundTimeout = 3 * time.Second
 	defaultStagger      = 300 * time.Millisecond
 )

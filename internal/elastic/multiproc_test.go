@@ -71,8 +71,8 @@ func TestElasticMPHelper(t *testing.T) {
 		Config: Config{
 			Dir: os.Getenv(empEnvDir), Every: every, Epochs: epochs, MaxRecoveries: 3,
 			ResizeAfter:     resize,
-			ElectionStagger: time.Duration(stagMS) * time.Millisecond,
-			RendezvousRound: time.Duration(roundMS) * time.Millisecond,
+			electionStagger: time.Duration(stagMS) * time.Millisecond,
+			rendezvousRound: time.Duration(roundMS) * time.Millisecond,
 		},
 		Rank:       rank,
 		World:      world,

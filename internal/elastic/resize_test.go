@@ -166,7 +166,7 @@ func resizeRunner(ds *coreDataset, rank, world, epochs, every int, dir string, c
 	return RunnerConfig{
 		Config: Config{
 			Dir: dir, Every: every, Epochs: epochs, MaxRecoveries: 4,
-			ResizeAfter: tResize, ElectionStagger: tStagger, RendezvousRound: tRound,
+			ResizeAfter: tResize, electionStagger: tStagger, rendezvousRound: tRound,
 		},
 		Rank:       rank,
 		World:      world,

@@ -104,8 +104,8 @@ func runGeneration(cfg *RunnerConfig) (rt *core.RankTrainer, members []int, star
 		dataAddr:    dataLn.Addr().String(),
 		myGen:       reportedGen(cfg.Dir, cfg.Rank, cfg.Rejoin),
 		rejoin:      cfg.Rejoin,
-		stagger:     cfg.ElectionStagger,
-		round:       cfg.RendezvousRound,
+		stagger:     cfg.electionStagger,
+		round:       cfg.rendezvousRound,
 		resizeAfter: cfg.ResizeAfter,
 		deadline:    deadline,
 	})

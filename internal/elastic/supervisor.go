@@ -40,18 +40,15 @@ type Config struct {
 	// two live ranks) completes after that many consecutive rounds with just
 	// the survivors, who repartition the dead ranks' rows among themselves
 	// and train on at the smaller world. Zero (the default) waits for a
-	// replacement forever.
+	// replacement forever. A round's window is 3s, so the time from last
+	// heartbeat to a shrink decision is roughly 3s*ResizeAfter.
 	ResizeAfter int
-	// ElectionStagger is the per-rank delay unit before a rank gives up
-	// probing lower candidates and serves its own rendezvous round (rank r
-	// waits r*ElectionStagger). Zero means the 300ms default; chaos tests
-	// shrink it to keep elections off the wall clock.
-	ElectionStagger time.Duration
-	// RendezvousRound is the collection window of one rendezvous round.
-	// Zero means the 3s default. ResizeAfter is counted in these rounds, so
-	// the time from last heartbeat to a shrink decision is roughly
-	// ResizeAfter*RendezvousRound.
-	RendezvousRound time.Duration
+
+	// electionStagger (rank r waits r*electionStagger before serving its own
+	// rendezvous round) and rendezvousRound (one round's collection window)
+	// are the tests' hooks for keeping elections off the wall clock; zero
+	// means the 300ms and 3s defaults.
+	electionStagger, rendezvousRound time.Duration
 }
 
 func (c *Config) validate() error {
@@ -66,9 +63,6 @@ func (c *Config) validate() error {
 	}
 	if c.ResizeAfter < 0 {
 		return fmt.Errorf("elastic: negative ResizeAfter %d", c.ResizeAfter)
-	}
-	if c.ElectionStagger < 0 || c.RendezvousRound < 0 {
-		return fmt.Errorf("elastic: negative rendezvous timing (stagger %v, round %v)", c.ElectionStagger, c.RendezvousRound)
 	}
 	return nil
 }

@@ -155,8 +155,8 @@ func TestTable2DomainVarianceDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, global := range []bool{false, true} {
-		a := measureDomainVariance(topo, ds.Features, 0.3, 2, 7, global)
-		b := measureDomainVariance(topo, ds.Features, 0.3, 2, 7, global)
+		a := featureVariance(topo, ds.Features, layerRates(topo, 0.3, global), 2, 7)
+		b := featureVariance(topo, ds.Features, layerRates(topo, 0.3, global), 2, 7)
 		if a != b {
 			t.Fatalf("global=%v: one seed gave %v then %v", global, a, b)
 		}

@@ -235,16 +235,12 @@ func EdgeChunksCost(indptr []int64, target, rowCost int64, into []int32) []int32
 	return into
 }
 
-// DegreeSkewHistogram counts nodes per log2 degree bucket: bucket 0 holds
-// the isolated nodes, bucket b ≥ 1 the nodes with degree in [2^(b-1), 2^b).
-// The compact fixed-size summary is what the chunk sizing reads — a heavy
-// tail shows up as occupied high buckets regardless of graph size.
-func DegreeSkewHistogram(g *Graph) [32]int {
-	return DegreeSkewHistogramFromIndptr(g.Indptr)
-}
-
-// DegreeSkewHistogramFromIndptr is DegreeSkewHistogram over a raw CSR
-// indptr (the AggIndex build uses it on the transposed index too).
+// DegreeSkewHistogramFromIndptr counts the nodes of a raw CSR indptr per
+// log2 degree bucket: bucket 0 holds the isolated nodes, bucket b ≥ 1 the
+// nodes with degree in [2^(b-1), 2^b). The compact fixed-size summary is
+// what the chunk sizing reads — a heavy tail shows up as occupied high
+// buckets regardless of graph size (the AggIndex build reads it on the
+// transposed index too).
 func DegreeSkewHistogramFromIndptr(indptr []int64) [32]int {
 	var h [32]int
 	for v := 0; v+1 < len(indptr); v++ {

@@ -278,7 +278,7 @@ func TestDegreeSkewHistogram(t *testing.T) {
 	b.AddEdge(0, 3)
 	b.AddEdge(0, 4)
 	g := b.Build() // deg: 0→4, 1..4→1, 5→0
-	h := DegreeSkewHistogram(g)
+	h := DegreeSkewHistogramFromIndptr(g.Indptr)
 	if h[0] != 1 { // the isolated node
 		t.Fatalf("bucket 0 = %d, want 1", h[0])
 	}

@@ -97,16 +97,6 @@ func (m *Matrix) Add(other *Matrix) {
 	}
 }
 
-// AddScaled accumulates a*other into m elementwise.
-func (m *Matrix) AddScaled(other *Matrix, a float32) {
-	if m.Rows != other.Rows || m.Cols != other.Cols {
-		panic(fmt.Sprintf("tensor: AddScaled shape mismatch %dx%d vs %dx%d", m.Rows, m.Cols, other.Rows, other.Cols))
-	}
-	for i, v := range other.Data {
-		m.Data[i] += a * v
-	}
-}
-
 // Sub subtracts other from m elementwise.
 func (m *Matrix) Sub(other *Matrix) {
 	if m.Rows != other.Rows || m.Cols != other.Cols {

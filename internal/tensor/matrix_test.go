@@ -90,10 +90,6 @@ func TestElementwiseOps(t *testing.T) {
 	if a.At(1, 1) != 8 {
 		t.Fatalf("Scale: %v", a.At(1, 1))
 	}
-	a.AddScaled(b, 0.5)
-	if a.At(0, 0) != 2+5 {
-		t.Fatalf("AddScaled: %v", a.At(0, 0))
-	}
 }
 
 func TestAddShapeMismatchPanics(t *testing.T) {
