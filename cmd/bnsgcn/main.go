@@ -69,9 +69,8 @@ func main() {
 		k      = flag.Int("k", 4, "number of partitions (simulated GPUs) of an in-process run; a multi-process run has -world")
 		p      = flag.Float64("p", 0.1, "boundary node sampling rate in [0,1] (bns sampler)")
 
-		samplerName   = flag.String("sampler", "bns", "epoch sampling strategy: bns (paper's boundary-node sampling at rate -p), ladies (partition-local layer-wise importance sampling, see -sampler-budget), saint (GraphSAINT-style subgraph sampling, see -sampler-frac)")
+		samplerName   = flag.String("sampler", "bns", "epoch sampling strategy: bns (paper's boundary-node sampling at rate -p) or ladies (partition-local layer-wise importance sampling, see -sampler-budget)")
 		samplerBudget = flag.Int("sampler-budget", 64, "ladies: expected boundary slots kept per rank per epoch (0 = keep all)")
-		samplerFrac   = flag.Float64("sampler-frac", 0.5, "saint: expected fraction of each rank's inner nodes kept per epoch")
 		method        = flag.String("partitioner", "metis", "metis or random")
 		arch          = flag.String("arch", "sage", "model: sage or gat")
 		layers        = flag.Int("layers", 0, "model depth (0 = paper default for dataset)")
@@ -110,7 +109,7 @@ func main() {
 	// The strategy is rebuilt from flags on every process, so distributed and
 	// elastic ranks (including -join replacements) agree on it by
 	// construction, exactly like the dataset and partitioning.
-	strategy, samplerDesc, err := samplerFromFlags(*samplerName, set, *p, *samplerBudget, *samplerFrac, *seed+1)
+	strategy, samplerDesc, err := samplerFromFlags(*samplerName, set, *p, *samplerBudget, *seed+1)
 	if err != nil {
 		fatal(err)
 	}
@@ -354,33 +353,27 @@ func checkModeFlags(rank, world int, spawn, join bool, rdv, ckptDir string, set 
 
 // samplerFromFlags maps -sampler and the parameter flags to the engine's
 // strategy factory (nil: the engine's default, BNS at rate -p) and the banner's
-// description of what runs. Each sampler reads exactly one of -p,
-// -sampler-budget and -sampler-frac; one of the other two given explicitly
-// (set holds the flags the command line named) is rejected rather than
-// ignored, and the sampler's own parameter must be in range.
-func samplerFromFlags(name string, set map[string]bool, p float64, budget int, frac float64, seed uint64) (core.StrategyFactory, string, error) {
-	params := map[string]string{"bns": "p", "ladies": "sampler-budget", "saint": "sampler-frac"}
+// description of what runs. Each sampler reads exactly one of -p and
+// -sampler-budget; the other given explicitly (set holds the flags the
+// command line named) is rejected rather than ignored, and the sampler's own
+// parameter must be in range.
+func samplerFromFlags(name string, set map[string]bool, p float64, budget int, seed uint64) (core.StrategyFactory, string, error) {
+	params := map[string]string{"bns": "p", "ladies": "sampler-budget"}
 	own, ok := params[name]
 	if !ok {
-		return nil, "", fmt.Errorf("unknown -sampler %q (want bns, ladies, or saint)", name)
+		return nil, "", fmt.Errorf("unknown -sampler %q (want bns or ladies)", name)
 	}
-	for _, sampler := range []string{"bns", "ladies", "saint"} {
-		if other := params[sampler]; other != own && set[other] {
+	for sampler, other := range params {
+		if other != own && set[other] {
 			return nil, "", fmt.Errorf("-%s is set but -sampler %s never reads it, so it would be ignored: %s is parameterised by -%s; drop -%s, or run the sampler it belongs to (-sampler %s)",
 				other, name, name, own, other, sampler)
 		}
 	}
-	switch name {
-	case "ladies":
+	if name == "ladies" {
 		if budget < 0 {
 			return nil, "", fmt.Errorf("-sampler-budget %d is negative: give the expected number of boundary slots kept per rank per epoch (0 keeps all)", budget)
 		}
 		return core.NewLADIESFactory(budget, seed), fmt.Sprintf("under partition-local LADIES at an expected budget of %d boundary slots per rank", budget), nil
-	case "saint":
-		if !(frac > 0 && frac <= 1) {
-			return nil, "", fmt.Errorf("-sampler-frac %v outside (0,1]: give the expected fraction of each rank's inner nodes kept per epoch (1 keeps all)", frac)
-		}
-		return core.NewSAINTFactory(frac, seed), fmt.Sprintf("on GraphSAINT-style subgraphs of an expected %.2g of each rank's inner nodes", frac), nil
 	}
 	return nil, fmt.Sprintf("at p=%.2g", p), nil
 }

@@ -180,7 +180,6 @@ func TestSamplerFromFlags(t *testing.T) {
 		sampler string
 		set     []string // flags the command line named
 		budget  int
-		frac    float64
 		banner  string   // substring of the description when accepted
 		want    []string // substrings of the error; nil = accepted
 	}{
@@ -188,20 +187,14 @@ func TestSamplerFromFlags(t *testing.T) {
 		{name: "bns -p", sampler: "bns", set: []string{"p"}, banner: "at p=0.1"},
 		{name: "ladies", sampler: "ladies", set: []string{"sampler-budget"}, budget: 128, banner: "budget of 128"},
 		{name: "ladies keep all", sampler: "ladies", budget: 0, banner: "budget of 0"},
-		{name: "saint", sampler: "saint", set: []string{"sampler-frac"}, frac: 0.3, banner: "expected 0.3 of"},
-		{name: "saint keep all", sampler: "saint", frac: 1, banner: "expected 1 of"},
 		// A parameter of a sampler that is not running used to be dropped on the floor.
 		{name: "bns with budget", sampler: "bns", set: []string{"sampler-budget"}, budget: 128, want: []string{"-sampler-budget", "-sampler bns never reads it", "-sampler ladies"}},
-		{name: "bns with frac", sampler: "bns", set: []string{"sampler-frac"}, frac: 0.3, want: []string{"-sampler-frac", "-sampler bns never reads it", "-sampler saint"}},
-		{name: "saint with budget", sampler: "saint", set: []string{"sampler-budget"}, frac: 0.5, want: []string{"-sampler-budget", "-sampler saint never reads it", "parameterised by -sampler-frac"}},
-		{name: "ladies with frac", sampler: "ladies", set: []string{"sampler-frac"}, budget: 64, want: []string{"-sampler-frac", "-sampler ladies never reads it", "parameterised by -sampler-budget"}},
 		{name: "ladies with p", sampler: "ladies", set: []string{"p"}, budget: 64, want: []string{"-p is set", "-sampler ladies never reads it", "-sampler bns"}},
-		{name: "saint with p", sampler: "saint", set: []string{"p"}, frac: 0.5, want: []string{"-p is set", "-sampler saint never reads it"}},
 		// Out-of-range parameters used to mean "keep everything".
 		{name: "negative budget", sampler: "ladies", budget: -1, want: []string{"-sampler-budget -1 is negative"}},
-		{name: "zero frac", sampler: "saint", frac: 0, want: []string{"-sampler-frac 0 outside (0,1]"}},
-		{name: "frac above one", sampler: "saint", frac: 1.5, want: []string{"-sampler-frac 1.5 outside (0,1]"}},
 		{name: "unknown", sampler: "fastgcn", want: []string{`unknown -sampler "fastgcn"`}},
+		// GraphSAINT runs only as a minibatch sampler, so the engine does not know it.
+		{name: "saint", sampler: "saint", want: []string{`unknown -sampler "saint" (want bns or ladies)`}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -209,7 +202,7 @@ func TestSamplerFromFlags(t *testing.T) {
 			for _, f := range tc.set {
 				set[f] = true
 			}
-			factory, banner, err := samplerFromFlags(tc.sampler, set, 0.1, tc.budget, tc.frac, 2)
+			factory, banner, err := samplerFromFlags(tc.sampler, set, 0.1, tc.budget, 2)
 			if tc.want == nil {
 				if err != nil {
 					t.Fatalf("valid flags rejected: %v", err)

@@ -30,8 +30,7 @@ func serializedLinks(k int) comm.LinkModel {
 // plus exactly the sampled boundary slots, receive lists tiling the halo
 // rows, the row split partitioning the inner rows, and the epoch graph equal
 // edge for edge to the full-space graph it replaces. LADIES covers per-slot
-// receive scales, GraphSAINT dropped and promoted inner rows; p=0 and p=1
-// are the empty and the identity slot map, where the plan is also kept from
+// receive scales; p=0 and p=1 are the empty and the identity slot map, where the plan is also kept from
 // one epoch to the next. The leaf names the arrival pattern: "overlap" runs
 // on un-modeled channels, where halos land while the halo-free rows compute;
 // "serialized" runs over serializedLinks, where each rank's halos land one
@@ -50,7 +49,7 @@ func TestEpochSpaceInvariants(t *testing.T) {
 	}
 	for _, p := range []float64{0, 0.1, 0.5, 1} {
 		// LADIES takes a budget of kept slots (0 keeps all, so p=0 asks for
-		// one), GraphSAINT a kept fraction of inner rows (0 and 1 keep all).
+		// one).
 		budget := int(p * float64(maxBd))
 		if p == 0 {
 			budget = 1
@@ -58,7 +57,6 @@ func TestEpochSpaceInvariants(t *testing.T) {
 		strategies := map[string]StrategyFactory{
 			"bns":    nil,
 			"ladies": NewLADIESFactory(budget, 5),
-			"saint":  NewSAINTFactory(p, 5),
 		}
 		for name, factory := range strategies {
 			for _, arch := range []Arch{ArchSAGE, ArchGAT} {
@@ -89,8 +87,8 @@ func TestEpochSpaceInvariants(t *testing.T) {
 // positions requested of each peer are the active slots of its receive list;
 // the row split partitions the inner rows, a row halo-dependent exactly when
 // it has a halo neighbor; and mapping epoch ids back through the slot map
-// reproduces, edge for edge, the static adjacency filtered by the plan's
-// active set — the full-space epoch graph this runtime used to train on.
+// reproduces, edge for edge, the static adjacency with the unsampled slots
+// struck out — the full-space epoch graph this runtime used to train on.
 func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 	t.Helper()
 	for r, rt := range tr.Ranks {
@@ -100,7 +98,7 @@ func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 
 		// Node space and slot map.
 		nSampled := 0
-		for s, on := range lp.planActive[lp.NIn:] {
+		for s, on := range lp.planActive {
 			if on {
 				if want := nIn + int32(nSampled); lp.slotRow[s] != want {
 					t.Fatalf("rank %d: sampled slot %d has epoch row %d, want %d", r, s, lp.slotRow[s], want)
@@ -125,26 +123,24 @@ func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 		for v := int32(0); v < nIn; v++ {
 			got := eg.Neighbors(v)
 			x := 0
-			if lp.planActive[v] {
-				for _, u := range lp.fullIndices[lp.fullIndptr[v]:lp.fullIndptr[v+1]] {
-					if !lp.planActive[u] {
-						continue
-					}
-					if x == len(got) {
-						t.Fatalf("rank %d: row %d is missing active neighbor %d", r, v, u)
-					}
-					g := got[x]
-					if g < 0 || int(g) >= eg.N {
-						t.Fatalf("rank %d: row %d has neighbor %d outside the %d-row epoch space", r, v, g, eg.N)
-					}
-					if g >= nIn {
-						g = nIn + lp.rowSlot[g-nIn]
-					}
-					if g != u {
-						t.Fatalf("rank %d: row %d neighbor %d maps back to %d, the full-space graph has %d", r, v, x, g, u)
-					}
-					x++
+			for _, u := range lp.fullIndices[lp.fullIndptr[v]:lp.fullIndptr[v+1]] {
+				if u >= nIn && !lp.planActive[u-nIn] {
+					continue
 				}
+				if x == len(got) {
+					t.Fatalf("rank %d: row %d is missing active neighbor %d", r, v, u)
+				}
+				g := got[x]
+				if g < 0 || int(g) >= eg.N {
+					t.Fatalf("rank %d: row %d has neighbor %d outside the %d-row epoch space", r, v, g, eg.N)
+				}
+				if g >= nIn {
+					g = nIn + lp.rowSlot[g-nIn]
+				}
+				if g != u {
+					t.Fatalf("rank %d: row %d neighbor %d maps back to %d, the full-space graph has %d", r, v, x, g, u)
+				}
+				x++
 			}
 			if x != len(got) {
 				t.Fatalf("rank %d: row %d has %d epoch edges, the full-space graph has %d", r, v, len(got), x)
@@ -185,7 +181,7 @@ func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 		for j, full := range tr.Topo.Recv[r] {
 			var want []int32
 			for x, slot := range full {
-				if lp.active[lp.NIn+int(slot)] {
+				if lp.active[slot] {
 					want = append(want, int32(x))
 					requested[slot]++
 				}
@@ -198,14 +194,14 @@ func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 			}
 		}
 		for slot, c := range requested {
-			if lp.active[lp.NIn+slot] && c != 1 {
+			if lp.active[slot] && c != 1 {
 				t.Fatalf("rank %d: active slot %d is requested from %d peers", r, slot, c)
 			}
 		}
 
 		// Row split.
 		seen := make([]int, lp.NIn)
-		for _, list := range [][]int32{lp.haloFree, lp.haloDep, lp.skipRows} {
+		for _, list := range [][]int32{lp.haloFree, lp.haloDep} {
 			last := int32(-1)
 			for _, v := range list {
 				if v <= last {
@@ -217,7 +213,7 @@ func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 		}
 		for v, c := range seen {
 			if c != 1 {
-				t.Fatalf("rank %d: inner row %d covered %d times by haloFree ∪ haloDep ∪ skipRows", r, v, c)
+				t.Fatalf("rank %d: inner row %d covered %d times by haloFree ∪ haloDep", r, v, c)
 			}
 		}
 		isDep := make([]bool, lp.NIn)

@@ -76,12 +76,12 @@ func TestBNSStrategyGolden(t *testing.T) {
 	}
 }
 
-// TestLADIESAndSAINTStrategyGolden gives the two other hosted strategies the
-// absolute pin BNS has above: signatures captured at commit d1685e5, when each
-// strategy still wrote its own per-peer position lists, so a change of draw
-// order, inclusion probability or derived halo demand fails here and not only
+// TestLADIESStrategyGolden gives the other hosted strategy the absolute pin
+// BNS has above: signatures captured at commit d1685e5, when each strategy
+// still wrote its own per-peer position lists, so a change of draw order,
+// inclusion probability or derived halo demand fails here and not only
 // against itself. Re-capture only for an intentional numerics change.
-func TestLADIESAndSAINTStrategyGolden(t *testing.T) {
+func TestLADIESStrategyGolden(t *testing.T) {
 	golden := map[string]map[Arch]struct {
 		hash      uint64
 		commBytes int64
@@ -89,10 +89,6 @@ func TestLADIESAndSAINTStrategyGolden(t *testing.T) {
 		"ladies": {
 			ArchSAGE: {hash: 0xc32c1f2279cd8c0, commBytes: 34320},
 			ArchGAT:  {hash: 0x405147d46083d744, commBytes: 34320},
-		},
-		"saint": {
-			ArchSAGE: {hash: 0x937c90c051e8c10a, commBytes: 385616},
-			ArchGAT:  {hash: 0x1a04b6b6d5def383, commBytes: 385616},
 		},
 	}
 	ds := testDataset(t, 74)

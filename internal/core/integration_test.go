@@ -89,8 +89,8 @@ func TestEffectiveDegreeNormalizerAtP1(t *testing.T) {
 	ds := testDataset(t, 43)
 	topo := testTopology(t, ds, 3)
 	lp := NewLocalPartition(ds, topo, 0)
-	for i := range lp.active {
-		lp.active[i] = true
+	for s := range lp.active {
+		lp.active[s] = true
 	}
 	eg := lp.epochGraph()
 	for v := 0; v < lp.NIn; v++ {

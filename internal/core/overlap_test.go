@@ -246,36 +246,24 @@ func TestEpochPhasesTileTheEpoch(t *testing.T) {
 	}
 }
 
-// rowDroppingBNS is BNS at p=1 that reports DropsInner: the same active set
-// every epoch, under a plan shape the engine must never keep.
-type rowDroppingBNS struct{ Strategy }
-
-func (s rowDroppingBNS) PlanEpoch(p *Plan) {
-	s.Strategy.PlanEpoch(p)
-	p.DropsInner = true
-}
-
 // TestPlanKeptWhileActiveSetRepeats: an epoch that plans exactly the active
 // set of the one before (p=1, p=0) keeps the plan products — the slot map,
 // epoch graph, aggregation plan, row split and receive lists — and an epoch
-// that plans anything else, or a row-dropping plan, rebuilds them. The probe
-// is a sentinel in the slot map, which only a rebuild writes and only a
-// rebuild reads.
+// that plans anything else rebuilds them. The probe is a sentinel in the
+// slot map, which only a rebuild writes and only a rebuild reads.
 func TestPlanKeptWhileActiveSetRepeats(t *testing.T) {
 	ds := testDataset(t, 8)
 	topo := testTopology(t, ds, 3)
 	for _, tc := range []struct {
-		name     string
-		p        float64
-		strategy StrategyFactory
-		kept     bool
+		name string
+		p    float64
+		kept bool
 	}{
-		{"p=1", 1, nil, true},
-		{"p=0", 0, nil, true},
-		{"p=0.5", 0.5, nil, false},
-		{"p=1 row-dropping", 1, func(rank int) Strategy { return rowDroppingBNS{NewBNSStrategy(1, 2, rank)} }, false},
+		{"p=1", 1, true},
+		{"p=0", 0, true},
+		{"p=0.5", 0.5, false},
 	} {
-		tr, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: testModelConfig(), P: tc.p, SampleSeed: 2, Strategy: tc.strategy})
+		tr, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: testModelConfig(), P: tc.p, SampleSeed: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

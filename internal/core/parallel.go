@@ -28,14 +28,14 @@ const (
 // dataset, the static local adjacency over the inner + boundary-slot space,
 // and the per-epoch node space and scratch the engine trains on.
 //
-// Two node spaces meet here. The static one — what the partition is, and
-// what a Strategy samples against — has NIn inner rows and NBd boundary
-// slots, slot s sitting at id NIn+s. The epoch one — what the layers, the
-// dropout buffers and every per-epoch list below see — keeps the inner rows
-// at [0, NIn) and gives only the slots sampled this epoch a row, renumbered
-// NIn, NIn+1, … in ascending slot order (slotRow/rowSlot translate). The
-// rename is monotone, so each row's neighbor order is the static one with
-// the unsampled slots struck out.
+// Two node spaces meet here. The static one — what the partition is — has
+// NIn inner rows and NBd boundary slots, slot s sitting at id NIn+s; a
+// Strategy samples the slots, and every inner row trains. The epoch one —
+// what the layers, the dropout buffers and every per-epoch list below see —
+// keeps the inner rows at [0, NIn) and gives only the slots sampled this
+// epoch a row, renumbered NIn, NIn+1, … in ascending slot order
+// (slotRow/rowSlot translate). The rename is monotone, so each row's
+// neighbor order is the static one with the unsampled slots struck out.
 type LocalPartition struct {
 	ID  int
 	NIn int // inner nodes (static and epoch ids [0, NIn))
@@ -66,7 +66,7 @@ type LocalPartition struct {
 	// buffers the transport lends.
 	epochIndptr  []int64
 	epochIndices []int32
-	active       []bool      // the plan's active set, static ids (Plan.Active)
+	active       []bool      // the plan's sampled boundary slots (Plan.Active)
 	eg           graph.Graph // epoch subgraph header (epoch ids), rebuilt in place
 	lay          Layout      // the layers' layout of eg, its plan rebuilt with it
 	ws           *tensor.Workspace
@@ -80,8 +80,8 @@ type LocalPartition struct {
 	// boundary slot s, -1 when the epoch did not sample it; rowSlot[r-NIn] is
 	// the slot behind epoch halo row r, ascending — so the epoch has
 	// NIn+len(rowSlot) rows.
-	// planActive is the active set the plan products in place (eg, its plan, the
-	// row split, recvSlots) were built from, planned whether it may be
+	// planActive is the slot set the plan products in place (eg, its plan,
+	// the row split, recvSlots) were built from, planned whether it may be
 	// trusted: an epoch that plans the same set again keeps them.
 	slotRow    []int32
 	rowSlot    []int32
@@ -95,16 +95,7 @@ type LocalPartition struct {
 	haloFree []int32
 	haloDep  []int32
 	dNext    tensor.Matrix // the fold's view of a layer's input-gradient inner rows
-
-	// Strategy-mode scratch (see strategy.go): lossMask is the per-epoch
-	// intersection of TrainMask with the strategy's active inner rows, and
-	// skipRows lists the inner rows excluded from compute entirely — only a
-	// row-dropping strategy under an architecture whose staged backward
-	// tolerates uncomputed rows (SAGE) populates it. For BNS both stay in
-	// their pass-through state (lossMask aliases TrainMask semantics via the
-	// engine, skipRows empty).
-	lossMask []bool
-	skipRows []int32
+	evalMask []bool        // Evaluate's scratch: the scored mask over the inner rows
 }
 
 // NewLocalPartition extracts partition i's local view from the dataset and
@@ -179,7 +170,7 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 
 	lp.epochIndptr = make([]int64, n+1)
 	lp.epochIndices = make([]int32, len(lp.fullIndices))
-	lp.active = make([]bool, n)
+	lp.active = make([]bool, lp.NBd)
 	// The epoch layout: every pass computes the inner rows over eg, and the
 	// epoch's halo rows stand at rowSlot among the NBd slots.
 	lp.lay.G, lp.lay.NOut, lp.lay.HaloN = &lp.eg, lp.NIn, lp.NBd
@@ -198,13 +189,12 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 		lp.sendRows[j] = make([]int32, 0, len(t.Send[i][j]))
 	}
 	lp.epochInvDeg = make([]float32, lp.NIn)
-	lp.lossMask = make([]bool, lp.NIn)
-	lp.skipRows = make([]int32, 0, lp.NIn)
+	lp.evalMask = make([]bool, lp.NIn)
 	lp.haloFree = make([]int32, 0, lp.NIn)
 	lp.haloDep = make([]int32, 0, lp.NIn)
 	lp.slotRow = make([]int32, lp.NBd)
 	lp.rowSlot = make([]int32, 0, lp.NBd)
-	lp.planActive = make([]bool, n)
+	lp.planActive = make([]bool, lp.NBd)
 	return lp
 }
 
@@ -213,41 +203,26 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 // features are in flight) and the halo-dependent remainder. Both lists are
 // ascending, which the staged backward relies on for bit-identical
 // accumulation order.
-//
-// With restrict set (a row-dropping strategy under SAGE), inner rows with
-// lp.active[v] false are excluded from both compute lists and collected in
-// lp.skipRows instead: their projections are skipped outright and the
-// engine zeroes their rows of the layer inputs and folded gradients so the
-// staged SAGE backward — whose parameter-gradient kernels read every row —
-// sees exact zeros rather than stale scratch. Without restrict every inner
-// row is listed (an inactive row under GAT computes as an isolated node:
-// its epoch-graph edges are gone, so it lands in the halo-free list, costs
-// one self-attention, and contributes exactly zero gradient).
-func (lp *LocalPartition) splitRows(eg *graph.Graph, restrict bool) {
-	free, dep, skip := lp.haloFree[:0], lp.haloDep[:0], lp.skipRows[:0]
+func (lp *LocalPartition) splitRows() {
+	free, dep := lp.haloFree[:0], lp.haloDep[:0]
 	nIn := int32(lp.NIn)
 	for v := int32(0); v < nIn; v++ {
-		switch {
-		case restrict && !lp.active[v]:
-			skip = append(skip, v)
-		case slices.ContainsFunc(eg.Neighbors(v), func(u int32) bool { return u >= nIn }):
+		if slices.ContainsFunc(lp.eg.Neighbors(v), func(u int32) bool { return u >= nIn }) {
 			dep = append(dep, v)
-		default:
+		} else {
 			free = append(free, v)
 		}
 	}
-	lp.haloFree, lp.haloDep, lp.skipRows = free, dep, skip
+	lp.haloFree, lp.haloDep = free, dep
 }
 
-// epochGraph rebuilds the epoch node space and the node-induced local
-// subgraph on the plan's active rows (Algorithm 1 line 5 for BNS). The active
-// boundary slots are given epoch rows NIn, NIn+1, … in ascending slot order;
-// edges into inactive rows are dropped, and an inactive inner row also drops
-// its outgoing edges — node-induced semantics, which row-dropping strategies
-// rely on so no kernel ever reads or gathers through an uncomputed row. The
-// graph has NIn + (sampled slots) nodes, so everything sized from it — layer
-// inputs, dropout buffers, the layers' input gradients, the aggregation plan
-// — holds no row for a slot the epoch did not sample.
+// epochGraph rebuilds the epoch node space and the local subgraph on the
+// inner rows and the plan's sampled slots (Algorithm 1 line 5). The sampled
+// boundary slots are given epoch rows NIn, NIn+1, … in ascending slot order,
+// and edges into unsampled slots are dropped. The graph has NIn + (sampled
+// slots) nodes, so everything sized from it — layer inputs, dropout buffers,
+// the layers' input gradients, the aggregation plan — holds no row for a
+// slot the epoch did not sample.
 // The layout's aggregation plan (the SpMM engine's transposed index and
 // edge-balanced chunks) and halo placement are rebuilt in the same breath, so
 // the layers always aggregate over the plan of the graph they are handed. The
@@ -256,7 +231,7 @@ func (lp *LocalPartition) splitRows(eg *graph.Graph, restrict bool) {
 func (lp *LocalPartition) epochGraph() *graph.Graph {
 	nIn := int32(lp.NIn)
 	rowSlot := lp.rowSlot[:0]
-	for s, on := range lp.active[lp.NIn:] {
+	for s, on := range lp.active {
 		lp.slotRow[s] = -1
 		if on {
 			lp.slotRow[s] = nIn + int32(len(rowSlot))
@@ -268,14 +243,9 @@ func (lp *LocalPartition) epochGraph() *graph.Graph {
 	pos := int64(0)
 	for v := 0; v < lp.NIn; v++ {
 		lp.epochIndptr[v] = pos
-		if !lp.active[v] {
-			continue // inactive inner row: node-induced drop of all its edges
-		}
 		for _, u := range lp.fullIndices[lp.fullIndptr[v]:lp.fullIndptr[v+1]] {
 			if u >= nIn {
 				u = lp.slotRow[u-nIn]
-			} else if !lp.active[u] {
-				u = -1
 			}
 			if u >= 0 {
 				lp.epochIndices[pos] = u
@@ -443,17 +413,7 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 		rt.strat = NewBNSStrategy(cfg.P, cfg.SampleSeed, rank)
 	}
 	lp := rt.LP
-	rt.view = PartitionView{
-		NIn: lp.NIn, NBd: lp.NBd,
-		RecvLists: rt.recv,
-		Indptr:    lp.fullIndptr,
-		Indices:   lp.fullIndices,
-		InnerDeg:  make([]int32, lp.NIn),
-		SlotDeg:   make([]int32, lp.NBd),
-	}
-	for li, v := range lp.GlobalInner {
-		rt.view.InnerDeg[li] = int32(topo.G.Degree(v))
-	}
+	rt.view = PartitionView{NBd: lp.NBd, RecvLists: rt.recv, SlotDeg: make([]int32, lp.NBd)}
 	for si, u := range lp.GlobalBoundary {
 		rt.view.SlotDeg[si] = int32(topo.G.Degree(u))
 	}
@@ -504,7 +464,7 @@ func (rt *RankTrainer) failPass(w *comm.Worker, what string, err *error) {
 // inference (the paper reports full-graph test accuracy). It is a collective:
 // every rank calls it with the same mask between the same two epochs and gets
 // the same score. Each runs the epoch's own plan and forward stages over the
-// plan the engine fills for inference — every row active, nothing rescaled,
+// plan the engine fills for inference — every slot sampled, nothing rescaled,
 // dropout an identity pass — so the logits of its inner rows are, bit for
 // bit, the single-process full-graph forward's; it scores those rows and the
 // ranks exchange the integer counts behind the metric. No strategy or dropout
@@ -523,11 +483,10 @@ func (rt *RankTrainer) Evaluate(w *comm.Worker, mask []bool) (score float64, err
 	defer rt.failPass(w, "evaluation after epoch", &err)
 	lp := rt.LP
 	logits := rt.infer(w)
-	// lossMask is free scratch here: an epoch that reads it rewrites it first.
 	for li, v := range lp.GlobalInner {
-		lp.lossMask[li] = mask[v]
+		lp.evalMask[li] = mask[v]
 	}
-	local := scoreCounts(rt.multiLabel, logits, lp.Labels, lp.LabelMatrix, lp.lossMask)
+	local := scoreCounts(rt.multiLabel, logits, lp.Labels, lp.LabelMatrix, lp.evalMask)
 	var wire [len(local)]int32
 	for i, c := range local {
 		if c > math.MaxInt32 {

@@ -216,16 +216,14 @@ func TestEpochGraphFiltersInactive(t *testing.T) {
 	ds := testDataset(t, 8)
 	topo := testTopology(t, ds, 2)
 	lp := NewLocalPartition(ds, topo, 0)
-	// All active: full degree.
-	for i := range lp.active {
-		lp.active[i] = true
+	// All slots sampled: full degree.
+	for s := range lp.active {
+		lp.active[s] = true
 	}
 	gFull := lp.epochGraph()
 	fullEdges := gFull.NumDirectedEdges()
-	// Only inner active: no halo edges remain.
-	for i := range lp.active {
-		lp.active[i] = i < lp.NIn
-	}
+	// No slot sampled: no halo edges remain.
+	clear(lp.active)
 	gInner := lp.epochGraph()
 	if gInner.NumDirectedEdges() >= fullEdges {
 		t.Fatal("filtering inactive halos did not drop edges")

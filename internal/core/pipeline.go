@@ -26,7 +26,7 @@ import (
 //	reduce        gradient AllReduce + optimizer step
 //
 // Evaluation (RankTrainer.Evaluate) is the plan and forward stages and nothing
-// after them, over the engine's own plan — every row active at rate 1, the
+// after them, over the engine's own plan — every boundary slot at rate 1, the
 // strategy not asked — with dropout an identity pass (epochState.eval): each
 // rank's logits are the full graph's for its inner rows.
 //
@@ -87,7 +87,7 @@ type epochState struct {
 	st  RankStats
 	clk phaseClock
 	// eval marks an inference pass (RankTrainer.Evaluate): the plan is every
-	// row at rate 1 and not the strategy's, dropout is an identity pass, and
+	// slot at rate 1 and not the strategy's, dropout is an identity pass, and
 	// the pass ends with the last layer's forward.
 	eval bool
 
@@ -96,7 +96,6 @@ type epochState struct {
 	// gradients sent back.
 	invP      float32
 	haloScale []float32
-	lossMask  []bool
 }
 
 // runEpoch executes one epoch of strategy-sampled partition-parallel
@@ -157,7 +156,7 @@ func (rt *RankTrainer) forward() *tensor.Matrix {
 // local sample — the epoch node space and the layers' layout of it (subgraph,
 // aggregation plan, effective-degree normalizer, halo placement), the row
 // split, the send/receive row lists — is built for the layer stages. An epoch
-// whose plan activates exactly the rows the last one did (every epoch at k=1,
+// whose plan samples exactly the slots the last one did (every epoch at k=1,
 // p=1 or p=0) keeps the products in place instead of rebuilding identical
 // ones; what the strategy draws and what the ranks exchange is the same
 // either way. It starts the pass's clock.
@@ -172,7 +171,7 @@ func (rt *RankTrainer) planEpoch() {
 		for i := range plan.Active {
 			plan.Active[i] = true
 		}
-		plan.InvP, plan.HaloScale, plan.DropsInner = 1, nil, false
+		plan.InvP, plan.HaloScale = 1, nil
 	} else {
 		rt.strat.PlanEpoch(plan)
 		rt.checkPlan(plan)
@@ -184,7 +183,7 @@ func (rt *RankTrainer) planEpoch() {
 	for j, full := range rt.recv {
 		pos := myPos[j][:0]
 		for x, slot := range full {
-			if plan.Active[lp.NIn+int(slot)] {
+			if plan.Active[slot] {
 				pos = append(pos, int32(x))
 			}
 		}
@@ -203,18 +202,6 @@ func (rt *RankTrainer) planEpoch() {
 			ep.invP = plan.InvP
 		}
 	}
-	// A row-dropping strategy shrinks the loss to the inner rows it kept; the
-	// mask is captured now, before peer demand promotes extra rows back into
-	// compute. The normalizer stays the global train count — a property of
-	// the dataset alone — so the sampled loss is a fixed-expected-fraction
-	// estimate of the full one and ranks need no extra agreement round.
-	ep.lossMask = lp.TrainMask
-	if plan.DropsInner {
-		ep.lossMask = lp.lossMask
-		for v := 0; v < lp.NIn; v++ {
-			lp.lossMask[v] = lp.TrainMask[v] && lp.active[v]
-		}
-	}
 	// Broadcast selections. The sent position slices alias lp.myPos scratch:
 	// the receiver holds them for the rest of the epoch, and the next
 	// epoch's rewrite is safe because TrainEpoch joins all workers in
@@ -229,16 +216,13 @@ func (rt *RankTrainer) planEpoch() {
 	}
 	// Everything derivable from the local sample runs between the position
 	// sends and receives, overlapping the peers' sampling. An active set that
-	// repeats keeps the products built for it; a row-dropping plan never
-	// does — its row split depends on what the peers request this epoch.
+	// repeats keeps the products built for it.
 	recvSlots := lp.recvSlots // epoch halo rows I fill from j
-	if plan.DropsInner || !lp.planned || !slices.Equal(plan.Active, lp.planActive) {
+	if !lp.planned || !slices.Equal(plan.Active, lp.planActive) {
 		copy(lp.planActive, plan.Active)
-		lp.planned = !plan.DropsInner
+		lp.planned = true
 		lp.epochGraph()
-		if !plan.DropsInner {
-			lp.splitRows(&lp.eg, false)
-		}
+		lp.splitRows()
 		for j := 0; j < k; j++ {
 			if j == rank {
 				continue
@@ -251,7 +235,7 @@ func (rt *RankTrainer) planEpoch() {
 			recvSlots[j] = slots
 		}
 	}
-	lp.lay.InvDeg = rt.epochInvDeg(plan)
+	lp.lay.InvDeg = rt.epochInvDeg()
 	if k > 1 {
 		for j := 0; j < k; j++ {
 			if j != rank {
@@ -271,40 +255,15 @@ func (rt *RankTrainer) planEpoch() {
 		}
 		sendRows[j] = rows
 	}
-	if plan.DropsInner {
-		// Peers may request inner rows the strategy dropped: promote them
-		// back into compute so the features they receive are freshly
-		// computed. The epoch graph was built before promotion, so a
-		// promoted row keeps an empty neighborhood — it self-projects
-		// (the loss mask, also captured pre-promotion, never sees it).
-		// The row split must wait for this: it runs on the post-promotion
-		// active set, restricted (SAGE only — its staged backward tolerates
-		// uncomputed rows; GAT computes inactive rows as isolated nodes,
-		// which contribute exactly zero gradient).
-		for j := 0; j < k; j++ {
-			if j == rank {
-				continue
-			}
-			for _, row := range sendRows[j] {
-				lp.active[row] = true
-			}
-		}
-		lp.splitRows(&lp.eg, rt.Cfg.Model.Arch == ArchSAGE)
-	}
 }
 
 // checkPlan stops a malformed plan where it was made, naming its strategy: a
 // per-slot scale of the wrong length would otherwise index out of range
-// inside the drain, and an inner row left inactive without DropsInner would
-// silently stay in the loss.
+// inside the drain.
 func (rt *RankTrainer) checkPlan(plan *Plan) {
 	if plan.HaloScale != nil && len(plan.HaloScale) != rt.LP.NBd {
 		panic(fmt.Sprintf("core: rank %d: strategy %q planned %d halo scales for %d boundary slots",
 			rt.Rank, rt.strat.Name(), len(plan.HaloScale), rt.LP.NBd))
-	}
-	if v := slices.Index(plan.Active[:rt.LP.NIn], false); v >= 0 && !plan.DropsInner {
-		panic(fmt.Sprintf("core: rank %d: strategy %q left inner row %d inactive without DropsInner",
-			rt.Rank, rt.strat.Name(), v))
 	}
 }
 
@@ -315,18 +274,17 @@ func (rt *RankTrainer) checkPlan(plan *Plan) {
 // |local| + (1/p)·|sampled remote| — at p=1 exactly the full degree; for p<1
 // the estimate is a convex combination of neighbor features, so sampling
 // noise cannot blow up activations the way the unnormalized 1/p estimator
-// does on low-degree nodes. Plans with per-slot scales or dropped inner rows
-// take the generic per-edge walk; the BNS-shaped plan keeps the historical
-// closed-form expression, whose float evaluation order the bit-identity
-// goldens pin.
-func (rt *RankTrainer) epochInvDeg(plan *Plan) []float32 {
+// does on low-degree nodes. Plans with per-slot scales take the per-edge
+// walk; a uniform rescale keeps the historical closed-form expression, whose
+// float evaluation order the bit-identity goldens pin.
+func (rt *RankTrainer) epochInvDeg() []float32 {
 	lp, eg := rt.LP, &rt.LP.eg
 	invP, haloScale := rt.ep.invP, rt.ep.haloScale
 	if rt.Cfg.Estimator != EstimatorSelfNorm {
 		return lp.InvDeg
 	}
 	invDeg := lp.epochInvDeg
-	if haloScale == nil && !plan.DropsInner {
+	if haloScale == nil {
 		for v := 0; v < lp.NIn; v++ {
 			row := eg.Neighbors(int32(v))
 			remote := float32(len(row) - int(lp.localNbrs[v]))
@@ -342,19 +300,16 @@ func (rt *RankTrainer) epochInvDeg(plan *Plan) []float32 {
 	for v := 0; v < lp.NIn; v++ {
 		var eff float32
 		for _, u := range eg.Neighbors(int32(v)) {
-			switch {
-			case int(u) < lp.NIn:
+			if int(u) < lp.NIn {
 				eff++
-			case haloScale != nil:
+			} else {
 				eff += haloScale[lp.rowSlot[int(u)-lp.NIn]]
-			default:
-				eff += invP
 			}
 		}
 		if eff > 0 {
 			invDeg[v] = 1 / eff
 		} else {
-			invDeg[v] = 0 // dropped or isolated row
+			invDeg[v] = 0 // isolated row
 		}
 	}
 	return invDeg
@@ -409,12 +364,6 @@ func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
 	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
 	drop.ForwardBegin(x, h, !ep.eval)
 	drop.ForwardRows(0, lp.NIn)
-	// Rows the restricted split excluded from compute carry stale scratch in
-	// h; zero them so the SAGE parameter-gradient kernels — which read every
-	// row — see exact zeros.
-	for _, v := range lp.skipRows {
-		clear(x.Row(int(v)))
-	}
 	out := layer.ForwardBegin(&lp.lay, x)
 	layer.ForwardPrep(0, lp.NIn)
 	drop.MaskRowsAt(lp.NIn, lp.rowSlot, lp.NBd)
@@ -474,7 +423,7 @@ func (rt *RankTrainer) lossGrad(logits *tensor.Matrix) *tensor.Matrix {
 	rt.ep.clk.to(phaseCompute)
 	lp, st := rt.LP, &rt.ep.st
 	d := lp.ws.Get(logits.Rows, logits.Cols)
-	st.Loss = LossInto(d, rt.multiLabel, logits, lp.Labels, lp.LabelMatrix, rt.ep.lossMask, rt.globalTrainCount)
+	st.Loss = LossInto(d, rt.multiLabel, logits, lp.Labels, lp.LabelMatrix, lp.TrainMask, rt.globalTrainCount)
 	rt.Model.ZeroGrad()
 	return d
 }
@@ -540,13 +489,6 @@ func (rt *RankTrainer) foldGrad(l int, dH *tensor.Matrix) *tensor.Matrix {
 	rt.ep.clk.to(phaseComm)
 	lp := rt.LP
 	dim := dH.Cols
-	// Skipped rows' input-gradient rows are stale scratch (no split write
-	// covers them, and no gather reaches an edgeless row); the layer below
-	// multiplies its parameter grads by these rows' pre-activation gradient,
-	// so they must be exact zeros.
-	for _, v := range lp.skipRows {
-		clear(dH.Row(int(v)))
-	}
 	for j, rows := range lp.sendRows {
 		if len(rows) == 0 {
 			continue

@@ -3,46 +3,41 @@ package core
 import "repro/internal/tensor"
 
 // This file is the partition-parallel half of the repo's one sampler
-// vocabulary: a Strategy decides which local rows an epoch trains on and how
-// received halo features are rescaled, and the engine derives everything else
-// — which positions to request from each peer, the epoch node space, the row
-// split. Boundary-node sampling (the paper's Algorithm 1) is one such policy;
-// LADIES-style layer-wise importance sampling and GraphSAINT-style subgraph
-// sampling are the other two, so all three ride the same pipelined halo
-// overlap, fused kernels and checkpoint/resume and a comparison between them
-// measures the samplers, not the plumbing. Their single-machine minibatch
-// cousins (internal/sampling) feed the same Model through MinibatchTrainer.
+// vocabulary: a Strategy decides which boundary slots an epoch samples and
+// how received halo features are rescaled, and the engine derives everything
+// else — which positions to request from each peer, the epoch node space, the
+// row split. Every inner row trains every epoch (the paper's Algorithm 1
+// samples boundary nodes only), so a plan is a mask over the NBd boundary
+// slots. Boundary-node sampling is one such policy and LADIES-style
+// layer-wise importance sampling the other; both ride the same pipelined
+// halo overlap, fused kernels and checkpoint/resume, so a comparison between
+// them measures the samplers, not the plumbing. The single-machine minibatch
+// samplers, GraphSAINT among them, live in internal/sampling and feed the
+// same Model through MinibatchTrainer.
 
 // PartitionView is the static, read-only description of one rank's
 // partition that a Strategy samples against. All slices alias trainer
 // state and must not be mutated.
 type PartitionView struct {
-	NIn int // inner nodes, local rows [0, NIn)
-	NBd int // boundary slots, local rows [NIn, NIn+NBd)
+	NBd int // boundary slots [0, NBd)
 
-	// RecvLists[j] lists, per peer j, the boundary-slot indices (offsets
-	// into [0, NBd)) this rank would receive from j at p=1, in the canonical
-	// position order the wire protocol aligns on; this rank's own entry is nil.
+	// RecvLists[j] lists, per peer j, the boundary slots this rank would
+	// receive from j at p=1, in the canonical position order the wire
+	// protocol aligns on; this rank's own entry is nil. Every slot is in
+	// exactly one list.
 	RecvLists [][]int32
-	// Indptr/Indices are the full local adjacency over inner ∪ boundary
-	// rows (only inner rows have neighbors), the p=1 epoch graph.
-	Indptr  []int64
-	Indices []int32
-	// InnerDeg and SlotDeg are global degrees — the importance weights
+	// SlotDeg holds the slots' global degrees — the importance weights
 	// degree-proportional strategies sample with.
-	InnerDeg []int32
-	SlotDeg  []int32
+	SlotDeg []int32
 }
 
 // Plan is one epoch's sampling decision. The engine allocates it once per
 // trainer and hands it to the Strategy to fill; every slice keeps its
 // capacity across epochs so a steady-state epoch plans without allocating.
 type Plan struct {
-	// Active[v] marks the local rows (inner and boundary-slot space,
-	// length NIn+NBd) participating in this epoch's subgraph. Edges into
-	// inactive rows are dropped; inactive inner rows also drop their
-	// outgoing edges and leave the loss. The engine requests from each peer
-	// exactly the active slots of that peer's receive list.
+	// Active[s] marks the boundary slots (length NBd) sampled this epoch.
+	// Edges into unsampled slots are dropped, and the engine requests from
+	// each peer exactly the active slots of that peer's receive list.
 	Active []bool
 	// InvP is the uniform Horvitz–Thompson rescale applied to every
 	// received boundary feature (and the matching backward payloads).
@@ -54,13 +49,9 @@ type Plan struct {
 	// (length NBd, indexed by slot) that replaces InvP — how an importance
 	// sampler expresses per-node inclusion probabilities. nil = uniform.
 	HaloScale []float32
-	// DropsInner reports that some inner rows are inactive this epoch
-	// (subgraph strategies). The engine then intersects the loss mask with
-	// Active and keeps peer-requested rows computable.
-	DropsInner bool
 }
 
-// Strategy produces the per-epoch local subgraph and halo demand for one
+// Strategy produces each epoch's boundary sample and receive rescale for one
 // rank. Implementations must be deterministic functions of their seed and
 // call sequence: every rank runs its own instance, and bit-identical
 // replicas across transports and arrival orders rely on PlanEpoch consuming its
@@ -74,7 +65,8 @@ type Strategy interface {
 	// Called exactly once, before the first PlanEpoch.
 	Bind(view *PartitionView)
 	// PlanEpoch fills p (whose slices arrive with stale previous-epoch
-	// contents) with this epoch's decision.
+	// contents, so every slot of Active is written) with this epoch's
+	// decision.
 	PlanEpoch(p *Plan)
 	// State and SetState round-trip the sampling RNG position.
 	State() uint64
@@ -149,20 +141,15 @@ func NewBNSStrategy(p float64, sampleSeed uint64, rank int) Strategy {
 // Name implements Strategy.
 func (s *bnsStrategy) Name() string { return "bns" }
 
-// PlanEpoch implements Strategy: Algorithm 1 lines 4–6. Every inner row is
-// active; each boundary position is kept independently with probability p,
-// drawing one Float32 per position with peers visited in ascending rank
-// order — the exact RNG consumption order of the legacy engine, which drew
-// nothing at p=1 and p=0.
+// PlanEpoch implements Strategy: Algorithm 1 lines 4–6. Each boundary
+// position is kept independently with probability p, drawing one Float32 per
+// position with peers visited in ascending rank order — the exact RNG
+// consumption order of the legacy engine, which drew nothing at p=1 and p=0.
 func (s *bnsStrategy) PlanEpoch(plan *Plan) {
-	v := s.view
 	p32 := float32(s.p)
-	for i := range plan.Active {
-		plan.Active[i] = i < v.NIn
-	}
-	for _, full := range v.RecvLists {
+	for _, full := range s.view.RecvLists {
 		for _, slot := range full {
-			plan.Active[v.NIn+int(slot)] = s.p >= 1 || (s.p > 0 && s.rng.Float32() < p32)
+			plan.Active[slot] = s.p >= 1 || (s.p > 0 && s.rng.Float32() < p32)
 		}
 	}
 	plan.InvP = 1
@@ -170,14 +157,7 @@ func (s *bnsStrategy) PlanEpoch(plan *Plan) {
 		plan.InvP = 1 / float32(s.p)
 	}
 	plan.HaloScale = nil
-	plan.DropsInner = false
 }
-
-// LADIES and GraphSAINT below are partition-local adaptations: each rank
-// samples against its own boundary set (LADIES) or inner set (SAINT), and the
-// engine's position exchange reconciles the demands exactly as it does for
-// BNS, with no engine-side special case beyond what the Plan expresses
-// (per-slot receive scales, dropped inner rows).
 
 // ladiesStrategy is partition-local LADIES-style layer-wise importance
 // sampling (Zou et al., 2019) hosted on the partition-parallel engine: the
@@ -185,9 +165,9 @@ func (s *bnsStrategy) PlanEpoch(plan *Plan) {
 // static degree-proportional inclusion probability scaled to an expected
 // Budget slots per epoch, and kept features arrive rescaled by the inverse
 // inclusion probability (per-slot Horvitz–Thompson, Plan.HaloScale) so the
-// mean aggregation stays unbiased. Inner rows always participate — like
-// BNS, the strategy only modulates the halo, so the loss and the compute
-// row set match the full partition every epoch.
+// mean aggregation stays unbiased. Like BNS it samples against this rank's
+// own boundary set, and the engine's position exchange reconciles the
+// demands exactly as it does for BNS.
 type ladiesStrategy struct {
 	stratBase
 	budget int
@@ -218,81 +198,9 @@ func (s *ladiesStrategy) Bind(view *PartitionView) {
 // slot order — a peer-structure-independent RNG stream, so the plan is a
 // pure function of (seed, epoch) regardless of schedule or transport.
 func (s *ladiesStrategy) PlanEpoch(plan *Plan) {
-	nIn := s.view.NIn
-	for i := range plan.Active[:nIn] {
-		plan.Active[i] = true
-	}
 	for si, p := range s.prob {
-		plan.Active[nIn+si] = s.rng.Float32() < p
+		plan.Active[si] = s.rng.Float32() < p
 	}
 	plan.InvP = 1
 	plan.HaloScale = s.scale
-	plan.DropsInner = false
-}
-
-// saintStrategy is GraphSAINT-style subgraph sampling (Zeng et al., 2020)
-// hosted on the partition-parallel engine: each epoch every rank keeps a
-// degree-proportional random subset of its inner nodes (expected fraction
-// Frac) and trains on the node-induced subgraph over the kept rows plus the
-// halo slots they touch. Dropped rows leave the compute lists (SAGE) or
-// become isolated zero-gradient nodes (GAT), and leave the loss either way;
-// rows a peer still requests are promoted back to compute with an empty
-// neighborhood (they self-project), so the wire protocol never ships stale
-// features. Aggregations renormalize over the present neighbors (the
-// self-normalized estimator's generic walk), so no receive rescale applies.
-type saintStrategy struct {
-	stratBase
-	frac float64
-	prob []float32 // per-inner-row keep probability
-}
-
-// NewSAINTFactory returns a factory for GraphSAINT-style node-budget
-// subgraph sampling keeping an expected frac of each rank's inner nodes per
-// epoch. frac >= 1 (or <= 0) keeps every node.
-func NewSAINTFactory(frac float64, seed uint64) StrategyFactory {
-	return func(rank int) Strategy {
-		return &saintStrategy{stratBase: newStratBase(seed, rank), frac: frac}
-	}
-}
-
-// Name implements Strategy.
-func (s *saintStrategy) Name() string { return "saint" }
-
-// Bind implements Strategy: per-row keep probabilities proportional to
-// degree+1, normalized so the expected kept count is frac·NIn (capped at 1
-// per row, which skews mass toward low-degree rows exactly like GraphSAINT's
-// clipped node sampler).
-func (s *saintStrategy) Bind(view *PartitionView) {
-	s.view = view
-	expected := 0.0 // keep all, as does a frac <= 0
-	if s.frac < 1 {
-		expected = s.frac * float64(view.NIn)
-	}
-	s.prob, _ = inclusionProbs(view.InnerDeg, expected)
-}
-
-// PlanEpoch implements Strategy: one draw per inner row in ascending row
-// order, then the halo demand is exactly the set of slots adjacent to a
-// kept row — nothing else is requested, so comm volume shrinks with the
-// subgraph.
-func (s *saintStrategy) PlanEpoch(plan *Plan) {
-	v := s.view
-	clear(plan.Active[v.NIn:])
-	for r, p := range s.prob {
-		plan.Active[r] = s.rng.Float32() < p
-	}
-	nIn := int32(v.NIn)
-	for r := 0; r < v.NIn; r++ {
-		if !plan.Active[r] {
-			continue
-		}
-		for _, u := range v.Indices[v.Indptr[r]:v.Indptr[r+1]] {
-			if u >= nIn {
-				plan.Active[u] = true
-			}
-		}
-	}
-	plan.InvP = 1
-	plan.HaloScale = nil
-	plan.DropsInner = true
 }

@@ -16,7 +16,6 @@ import (
 func stratFactories(seed uint64) map[string]StrategyFactory {
 	return map[string]StrategyFactory{
 		"ladies": NewLADIESFactory(12, seed),
-		"saint":  NewSAINTFactory(0.6, seed),
 	}
 }
 
@@ -46,7 +45,7 @@ func stratSignature(t *testing.T, tr *ParallelTrainer, epochs int) (uint64, int6
 
 // TestStrategiesDeterministicAcrossTransports is the new strategies'
 // end-to-end determinism proof, mirroring the engine's BNS cross-backend
-// test: for LADIES and SAINT, the same seed must produce bit-identical
+// test: for LADIES, the same seed must produce bit-identical
 // losses, weights, and traffic over TCP as over the channel transport — and
 // a different seed must not.
 func TestStrategiesDeterministicAcrossTransports(t *testing.T) {
@@ -148,7 +147,10 @@ func TestStrategyCheckpointResumeEquivalence(t *testing.T) {
 // TestCheckpointRejectsStrategyMismatch: a trainer checkpoint written under
 // one sampling strategy must refuse to load into a trainer running another,
 // and the error must name both strategies so the operator knows which side
-// to change. Silently resuming would switch estimators mid-run.
+// to change. Silently resuming would switch estimators mid-run. The same holds
+// for a strategy this build no longer has: the GraphSAINT checkpoints in
+// testdata/parent, written when the engine hosted it, are refused by a BNS
+// and a LADIES rank alike, naming "saint".
 func TestCheckpointRejectsStrategyMismatch(t *testing.T) {
 	ds := testDataset(t, 62)
 	topo := testTopology(t, ds, 2)
@@ -166,25 +168,49 @@ func TestCheckpointRejectsStrategyMismatch(t *testing.T) {
 
 	raw := snapshotTrainer(mkRank(NewLADIESFactory(12, 3))).Encode()
 
-	for _, wrong := range []struct {
-		name    string
-		factory StrategyFactory
-	}{
-		{"bns", nil}, // nil factory = engine default BNS
-		{"saint", NewSAINTFactory(0.6, 3)},
-	} {
-		err := restoreBytes(raw, mkRank(wrong.factory))
-		if err == nil {
-			t.Fatalf("loading a ladies checkpoint into a %s trainer must fail", wrong.name)
-		}
-		if !strings.Contains(err.Error(), "ladies") || !strings.Contains(err.Error(), wrong.name) {
-			t.Fatalf("mismatch error should name both strategies, got: %v", err)
-		}
+	err := restoreBytes(raw, mkRank(nil)) // nil factory = engine default BNS
+	if err == nil {
+		t.Fatal("loading a ladies checkpoint into a bns trainer must fail")
+	}
+	if !strings.Contains(err.Error(), "ladies") || !strings.Contains(err.Error(), "bns") {
+		t.Fatalf("mismatch error should name both strategies, got: %v", err)
 	}
 
 	// Same strategy still loads.
 	if err := restoreBytes(raw, mkRank(NewLADIESFactory(12, 3))); err != nil {
 		t.Fatalf("matching strategy failed to load: %v", err)
+	}
+
+	// The saint fixtures share TestParentCheckpointsResume's dataset and
+	// partition and model, so nothing but the strategy can refuse them.
+	pmc := ModelConfig{Arch: ArchSAGE, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 5}
+	pds := testDataset(t, 75)
+	parts := make([]int32, pds.G.N)
+	for v := range parts {
+		parts[v] = int32(v % 2)
+	}
+	ptopo, err := BuildTopology(pds.G, parts, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, running := range []struct {
+		name    string
+		factory StrategyFactory
+	}{{"bns", nil}, {"ladies", NewLADIESFactory(12, 31)}} {
+		for r := 0; r < 2; r++ {
+			cfg := ParallelConfig{Model: pmc, P: 0.5, SampleSeed: 11, Strategy: running.factory}
+			rt, err := NewRankTrainer(pds, ptopo, cfg, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = restoreFile(fmt.Sprintf("testdata/parent/parent-saint-r%d.bnst", r), rt)
+			if err == nil {
+				t.Fatalf("a %s rank %d restored a saint checkpoint", running.name, r)
+			}
+			if !strings.Contains(err.Error(), "sampling strategy") || !strings.Contains(err.Error(), `"saint"`) || !strings.Contains(err.Error(), running.name) {
+				t.Fatalf("%s rank %d: want the strategy-mismatch error naming \"saint\" and %q, got: %v", running.name, r, running.name, err)
+			}
+		}
 	}
 }
 
@@ -252,10 +278,8 @@ func (s malformedPlan) PlanEpoch(p *Plan) {
 }
 
 // TestMalformedPlanFailsAtThePlan: a strategy that hands back a per-slot scale
-// of the wrong length, or drops an inner row without saying so, fails the
-// epoch at the plan with its rank, its name and the offending number — not as
-// an index panic inside the drain, and not by silently keeping the row in the
-// loss.
+// of the wrong length fails the epoch at the plan with its rank, its name and
+// the offending number — not as an index panic inside the drain.
 func TestMalformedPlanFailsAtThePlan(t *testing.T) {
 	ds := testDataset(t, 8)
 	topo := testTopology(t, ds, 2)
@@ -265,7 +289,6 @@ func TestMalformedPlanFailsAtThePlan(t *testing.T) {
 		want  string
 	}{
 		{"short halo scale", func(p *Plan) { p.HaloScale = make([]float32, 3) }, `strategy "bns" planned 3 halo scales for`},
-		{"undeclared dropped row", func(p *Plan) { p.Active[5] = false }, `strategy "bns" left inner row 5 inactive without DropsInner`},
 	} {
 		tr, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: testModelConfig(), P: 0.5, SampleSeed: 2,
 			Strategy: func(rank int) Strategy { return malformedPlan{NewBNSStrategy(0.5, 2, rank), tc.spoil} }})

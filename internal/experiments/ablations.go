@@ -9,6 +9,10 @@ import (
 	"repro/internal/sampling"
 )
 
+// ladiesBudget is the expected boundary slots per rank per epoch the
+// engine-hosted LADIES rows of Tables 11 and 12 keep.
+const ladiesBudget = 256
+
 func init() {
 	register("table9", "BNS vs DropEdge vs Boundary Edge Sampling (equal edge budget)", runTable9)
 	register("table10", "Epoch time speedup of BNS on GAT", runTable10)
@@ -65,7 +69,8 @@ func runTable9(w io.Writer, o Options) error {
 			mode sampling.EdgeDropMode
 			keep float64
 		}{{sampling.DropEdgeGlobal, keepGlobal}, {sampling.DropEdgeBoundary, keepCross}} {
-			tr, err := sampling.NewEdgeDropTrainer(ds, topo, c.spec.model, m.mode, m.keep, o.Seed)
+			s := sampling.NewEdgeDropSampler(topo, ds.TrainMask, m.mode, m.keep, o.Seed)
+			tr, err := sampling.NewMinibatchTrainer(ds, c.spec.model, s)
 			if err != nil {
 				return err
 			}
@@ -74,7 +79,7 @@ func runTable9(w io.Writer, o Options) error {
 				tr.TrainEpoch()
 			}
 			epochTime := time.Since(start).Seconds() / float64(epochs)
-			commMB := float64(tr.LastCommVolume) * float64(dimsSum) * 4 / 1e6
+			commMB := float64(s.LastCommVolume) * float64(dimsSum) * 4 / 1e6
 			fmt.Fprintf(tw, "%s\t%s\t%.1f\t%.3f\t%s\n",
 				ds.Name, m.mode, commMB, epochTime, pct(tr.Evaluate(ds.TestMask)))
 		}
@@ -142,27 +147,11 @@ func runTable10(w io.Writer, o Options) error {
 	return tw.Flush()
 }
 
-// engineStrategy is one of the two epoch samplers the partition-parallel
-// engine hosts beside BNS (core/strategy.go), at the operating point Tables
-// 11 and 12 report it: its sampling runs inside the epoch, so SampleTime and
-// CommBytes price it exactly as they price BNS.
-type engineStrategy struct {
-	name, point string // "LADIES", "budget 256"
-	factory     core.StrategyFactory
-}
-
-func engineStrategies(o Options) []engineStrategy {
-	const budget, frac = 256, 0.5
-	return []engineStrategy{
-		{"LADIES", fmt.Sprintf("budget %d", budget), core.NewLADIESFactory(budget, o.Seed+1)},
-		{"GraphSAINT", fmt.Sprintf("frac %.2g", frac), core.NewSAINTFactory(frac, o.Seed+1)},
-	}
-}
-
 // runTable11 reproduces Table 11 (Appendix C): measured per-epoch train time
 // of the sampling baselines against BNS-GCN on reddit-sim with 8 partitions,
-// plus the engine-hosted LADIES and GraphSAINT strategies on the same
-// partitions, whose halo traffic sits beside BNS's.
+// plus the engine-hosted LADIES strategy on the same partitions, whose halo
+// traffic sits beside BNS's. LADIES runs on the engine, so SampleTime and
+// CommBytes price it exactly as they price BNS.
 func runTable11(w io.Writer, o Options) error {
 	o = o.withDefaults()
 	spec := redditSpec()
@@ -206,9 +195,7 @@ func runTable11(w io.Writer, o Options) error {
 	for _, p := range []float64{1.0, 0.1, 0.01} {
 		rows = append(rows, row{fmt.Sprintf("BNS-GCN (%.2g)", p), p, nil})
 	}
-	for _, s := range engineStrategies(o) {
-		rows = append(rows, row{fmt.Sprintf("%s (engine, %s)", s.name, s.point), 1, s.factory})
-	}
+	rows = append(rows, row{fmt.Sprintf("LADIES (engine, budget %d)", ladiesBudget), 1, core.NewLADIESFactory(ladiesBudget, o.Seed+1)})
 	for _, r := range rows {
 		res, err := trainBNS(ds, topo, spec.model, r.p, epochs, 0, o.Seed, r.strategy)
 		if err != nil {
@@ -221,9 +208,10 @@ func runTable11(w io.Writer, o Options) error {
 }
 
 // runTable12 reproduces Table 12 (Appendix D): boundary node sampling costs
-// a few percent of epoch time, against ~20% for whole-graph samplers. The
-// engine-hosted LADIES and GraphSAINT strategies report the same share at
-// each m, their sampling timed inside the epoch as BNS's is.
+// a few percent of epoch time, against ~20% for whole-graph samplers (the
+// three single-machine GraphSAINT variants). The engine-hosted LADIES
+// strategy reports the same share at each m, its sampling timed inside the
+// epoch as BNS's is.
 func runTable12(w io.Writer, o Options) error {
 	o = o.withDefaults()
 	spec := redditSpec()
@@ -264,13 +252,11 @@ func runTable12(w io.Writer, o Options) error {
 			}
 			fmt.Fprintf(tw, "BNS (m=%d, p=%.2g)\t%s\n", k, p, share)
 		}
-		for _, s := range engineStrategies(o) {
-			share, err := sampleShare(topo, 1, s.factory)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(tw, "%s (engine, m=%d, %s)\t%s\n", s.name, k, s.point, share)
+		share, err := sampleShare(topo, 1, core.NewLADIESFactory(ladiesBudget, o.Seed+1))
+		if err != nil {
+			return err
 		}
+		fmt.Fprintf(tw, "LADIES (engine, m=%d, budget %d)\t%s\n", k, ladiesBudget, share)
 	}
 	return tw.Flush()
 }

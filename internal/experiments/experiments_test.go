@@ -79,7 +79,7 @@ func TestStructuralExperimentsRun(t *testing.T) {
 		"table9":    "BES",
 		"table10":   "speedup",
 		"table11":   "LADIES (engine, budget 256)",
-		"table12":   "GraphSAINT (engine, m=8, frac 0.5)",
+		"table12":   "LADIES (engine, m=8, budget 256)",
 		"table13":   "p=0.8",
 	}
 	for _, r := range Registry() {

@@ -128,3 +128,39 @@ func TestReadEmptyGraph(t *testing.T) {
 		t.Fatalf("edgeless graph loaded as N=%d nnz=%d", g.N, len(g.Indices))
 	}
 }
+
+// FuzzGraphRead feeds arbitrary bytes to Read. It may refuse them; what it
+// accepts is a graph the kernels can index without bounds checks — indptr
+// monotone from 0 to nnz, every index in [0, N) — and Write of it gives back
+// the bytes it was read from: Read consumes a prefix of its input, and the
+// format has one encoding per graph. The committed corpus holds
+// TestReadRejectsCorruptGraphs' cases and a valid round trip.
+func FuzzGraphRead(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if len(g.Indptr) != g.N+1 || g.Indptr[0] != 0 || g.Indptr[g.N] != int64(len(g.Indices)) {
+			t.Fatalf("accepted N=%d with %d indptr entries running %d..%d over %d indices",
+				g.N, len(g.Indptr), g.Indptr[0], g.Indptr[len(g.Indptr)-1], len(g.Indices))
+		}
+		for v := 1; v <= g.N; v++ {
+			if g.Indptr[v] < g.Indptr[v-1] {
+				t.Fatalf("accepted indptr decreasing at node %d (%d < %d)", v, g.Indptr[v], g.Indptr[v-1])
+			}
+		}
+		for i, u := range g.Indices {
+			if u < 0 || int(u) >= g.N {
+				t.Fatalf("accepted indices[%d] = %d outside [0,%d)", i, u, g.N)
+			}
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, buf.Bytes()) {
+			t.Fatalf("Write of the accepted graph (%d bytes) is not a prefix of the %d input bytes", buf.Len(), len(data))
+		}
+	})
+}

@@ -1,16 +1,12 @@
 package sampling
 
 import (
-	"time"
-
 	"repro/internal/core"
-	"repro/internal/datagen"
 	"repro/internal/graph"
-	"repro/internal/optim"
 	"repro/internal/tensor"
 )
 
-// EdgeDropMode selects which edges an EdgeDropTrainer may drop.
+// EdgeDropMode selects which edges an EdgeDropSampler may drop.
 type EdgeDropMode int
 
 const (
@@ -28,27 +24,22 @@ func (m EdgeDropMode) String() string {
 	return "DropEdge"
 }
 
-// EdgeDropTrainer performs full-graph training on a per-epoch edge-sampled
-// graph, used for the Table 9 ablation. It also reports the partition-
-// parallel communication volume each epoch's surviving edges would require:
-// a boundary node must still be communicated if at least one of its
-// cross-partition edges survives — the paper's core argument for why edge
-// sampling cannot match boundary-node sampling.
-type EdgeDropTrainer struct {
-	DS   *datagen.Dataset
+// EdgeDropSampler drives full-graph training on a per-epoch edge-sampled
+// graph, the Table 9 ablation: each epoch is one batch holding every node,
+// the graph with this epoch's dropped edges struck out, and the train mask
+// as its targets. It also reports the partition-parallel communication
+// volume each epoch's surviving edges would require: a boundary node must
+// still be communicated if at least one of its cross-partition edges
+// survives — the paper's core argument for why edge sampling cannot match
+// boundary-node sampling.
+type EdgeDropSampler struct {
 	Topo *core.Topology
 	Mode EdgeDropMode
 	// KeepProb is the survival probability of a droppable edge.
 	KeepProb float64
 
-	Model *core.Model
-	Opt   *optim.Adam
 	rng   *tensor.RNG
-
-	SampleTime  time.Duration
-	ComputeTime time.Duration
-	lay         core.Layout // the epoch graph's layout
-	eval        fullEval
+	batch Batch
 
 	// LastCommVolume is the boundary-node communication volume implied by
 	// the surviving cross-partition edges of the last sampled epoch graph.
@@ -57,27 +48,30 @@ type EdgeDropTrainer struct {
 	LastDroppedEdges int64
 }
 
-// NewEdgeDropTrainer builds the trainer.
-func NewEdgeDropTrainer(ds *datagen.Dataset, topo *core.Topology, cfg core.ModelConfig, mode EdgeDropMode, keepProb float64, seed uint64) (*EdgeDropTrainer, error) {
-	model, err := core.NewModel(cfg, ds.FeatureDim(), ds.NumClasses)
-	if err != nil {
-		return nil, err
+// NewEdgeDropSampler builds the sampler over the topology's graph and
+// partition; trainMask (one entry per node) marks the loss rows.
+func NewEdgeDropSampler(topo *core.Topology, trainMask []bool, mode EdgeDropMode, keepProb float64, seed uint64) *EdgeDropSampler {
+	return &EdgeDropSampler{
+		Topo: topo, Mode: mode, KeepProb: keepProb, rng: tensor.NewRNG(seed),
+		batch: Batch{Nodes: allNodes(topo.G), TargetMask: trainMask},
 	}
-	return &EdgeDropTrainer{
-		DS: ds, Topo: topo, Mode: mode, KeepProb: keepProb,
-		Model: model, Opt: optim.NewAdam(cfg.LR), rng: tensor.NewRNG(seed),
-	}, nil
 }
 
-// sampleGraph draws the epoch's edge-sampled graph and records the implied
-// partition-parallel communication volume.
-func (t *EdgeDropTrainer) sampleGraph() *graph.Graph {
-	g := t.DS.G
-	parts := t.Topo.Parts
+// Name implements Sampler.
+func (s *EdgeDropSampler) Name() string { return s.Mode.String() }
+
+// BatchesPerEpoch implements Sampler: the whole graph is one batch.
+func (s *EdgeDropSampler) BatchesPerEpoch() int { return 1 }
+
+// Sample implements Sampler: it draws the epoch's edge-sampled graph and
+// records the implied partition-parallel communication volume.
+func (s *EdgeDropSampler) Sample() *Batch {
+	g := s.Topo.G
+	parts := s.Topo.Parts
 	b := graph.NewBuilder(g.N)
 	var dropped int64
 	// needed[i] tracks which remote nodes partition i still needs.
-	needed := make([]map[int32]bool, t.Topo.K)
+	needed := make([]map[int32]bool, s.Topo.K)
 	for i := range needed {
 		needed[i] = make(map[int32]bool)
 	}
@@ -87,8 +81,8 @@ func (t *EdgeDropTrainer) sampleGraph() *graph.Graph {
 				continue
 			}
 			cross := parts[v] != parts[u]
-			droppable := t.Mode == DropEdgeGlobal || cross
-			if droppable && t.rng.Float64() >= t.KeepProb {
+			droppable := s.Mode == DropEdgeGlobal || cross
+			if droppable && s.rng.Float64() >= s.KeepProb {
 				dropped++
 				continue
 			}
@@ -99,35 +93,13 @@ func (t *EdgeDropTrainer) sampleGraph() *graph.Graph {
 			}
 		}
 	}
-	t.LastDroppedEdges = dropped
-	t.LastCommVolume = 0
+	s.LastDroppedEdges = dropped
+	s.LastCommVolume = 0
 	for _, m := range needed {
-		t.LastCommVolume += int64(len(m))
+		s.LastCommVolume += int64(len(m))
 	}
-	return b.Build()
-}
-
-// TrainEpoch samples an edge-dropped graph and runs one full-graph training
-// step on it.
-func (t *EdgeDropTrainer) TrainEpoch() float64 {
-	ss := time.Now()
-	g := t.sampleGraph()
-	t.SampleTime += time.Since(ss)
-
-	cs := time.Now()
-	defer func() { t.ComputeTime += time.Since(cs) }()
-
-	h := t.Model.Forward(t.lay.Build(g), t.DS.Features, true)
-	loss, d := core.Loss(t.DS.MultiLabel, h, t.DS.Labels, t.DS.LabelMatrix, t.DS.TrainMask, 0)
-	t.Model.ZeroGrad()
-	t.Model.Backward(d)
-	t.Opt.Step(t.Model.Params(), t.Model.Grads())
-	return loss
-}
-
-// Evaluate scores the model with exact full-graph inference.
-func (t *EdgeDropTrainer) Evaluate(mask []bool) float64 {
-	return t.eval.score(t.DS, t.Model, mask)
+	s.batch.G = b.Build()
+	return &s.batch
 }
 
 // BNSDroppedEdges returns the expected number of undirected cross-partition

@@ -3,17 +3,19 @@
 // compares against (Tables 4, 5, 9, 11, 12) — GraphSAGE neighbor sampling,
 // FastGCN and LADIES layer sampling, ClusterGCN and GraphSAINT subgraph
 // sampling — plus the edge-sampling ablations DropEdge and Boundary Edge
-// Sampling (BES). The partition-parallel half, the BNS, LADIES and GraphSAINT
-// epoch strategies hosted on the engine, is core.Strategy.
+// Sampling (BES), whose one batch per epoch is the whole edge-sampled graph.
+// The partition-parallel half, the BNS and LADIES boundary-slot strategies
+// hosted on the engine, is core.Strategy; GraphSAINT lives only here, as the
+// paper measures it.
 //
-// All subgraph-producing samplers share the Batch abstraction: a set of
-// global nodes, the induced subgraph over them, and a target mask marking
-// the rows where loss is computed. A MinibatchTrainer runs any such sampler
-// through the same core.Model the engine trains, so timing and accuracy
-// comparisons are apples-to-apples. What the samplers have in common exists
-// once: epochOrder is the per-epoch shuffle of the train nodes with its
-// cursor, degreePrefix the degree-proportional draw; a sampler is
-// its constructor, its name and the body of Sample that is its algorithm.
+// All samplers share the Batch abstraction: a set of global nodes, a
+// subgraph over them, and a target mask marking the rows where loss
+// is computed. A MinibatchTrainer runs any such sampler through the same
+// core.Model the engine trains, so timing and accuracy comparisons are
+// apples-to-apples. What the samplers have in common exists once: epochOrder
+// is the per-epoch shuffle of the train nodes with its cursor, degreePrefix
+// the degree-proportional draw; a sampler is its constructor, its name and
+// the body of Sample that is its algorithm.
 package sampling
 
 import (

@@ -220,16 +220,17 @@ func TestEdgeDropTrainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewEdgeDropTrainer(ds, topo, modelCfg(), DropEdgeGlobal, 0.7, 12)
+	s := NewEdgeDropSampler(topo, ds.TrainMask, DropEdgeGlobal, 0.7, 12)
+	tr, err := NewMinibatchTrainer(ds, modelCfg(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	first := tr.TrainEpoch()
-	if tr.LastDroppedEdges == 0 {
+	if s.LastDroppedEdges == 0 {
 		t.Fatal("DropEdge dropped nothing")
 	}
 	// Roughly 30% of edges dropped.
-	frac := float64(tr.LastDroppedEdges) / float64(ds.G.NumEdges())
+	frac := float64(s.LastDroppedEdges) / float64(ds.G.NumEdges())
 	if math.Abs(frac-0.3) > 0.05 {
 		t.Fatalf("dropped fraction %v, want ~0.3", frac)
 	}
@@ -260,15 +261,16 @@ func TestBESOnlyDropsCrossEdges(t *testing.T) {
 			}
 		}
 	}
-	tr, err := NewEdgeDropTrainer(ds, topo, modelCfg(), DropEdgeBoundary, 0.5, 14)
+	s := NewEdgeDropSampler(topo, ds.TrainMask, DropEdgeBoundary, 0.5, 14)
+	tr, err := NewMinibatchTrainer(ds, modelCfg(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.TrainEpoch()
-	if tr.LastDroppedEdges > cross {
-		t.Fatalf("BES dropped %d > %d cross edges", tr.LastDroppedEdges, cross)
+	if s.LastDroppedEdges > cross {
+		t.Fatalf("BES dropped %d > %d cross edges", s.LastDroppedEdges, cross)
 	}
-	if tr.LastDroppedEdges == 0 {
+	if s.LastDroppedEdges == 0 {
 		t.Fatal("BES dropped nothing")
 	}
 }
@@ -312,14 +314,15 @@ func TestEdgeDropCommVolumeExceedsBNS(t *testing.T) {
 	if keep < 0 {
 		keep = 0
 	}
-	tr, err := NewEdgeDropTrainer(ds, topo, modelCfg(), DropEdgeBoundary, keep, 16)
+	s := NewEdgeDropSampler(topo, ds.TrainMask, DropEdgeBoundary, keep, 16)
+	tr, err := NewMinibatchTrainer(ds, modelCfg(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tr.TrainEpoch()
 	bnsVol := float64(topo.CommVolume()) * p
-	if float64(tr.LastCommVolume) < 2*bnsVol {
-		t.Fatalf("BES residual volume %d not well above BNS %v", tr.LastCommVolume, bnsVol)
+	if float64(s.LastCommVolume) < 2*bnsVol {
+		t.Fatalf("BES residual volume %d not well above BNS %v", s.LastCommVolume, bnsVol)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // MinibatchTrainer trains a model with any subgraph Sampler, mirroring how
 // the OGB reference implementations run the sampling baselines the paper
-// compares against in Tables 4, 5 and 11. Sampling time is measured
+// compares against in Tables 4, 5, 9 and 11. Sampling time is measured
 // separately from compute time so Table 12's overhead percentages can be
 // reproduced.
 type MinibatchTrainer struct {
