@@ -109,7 +109,7 @@ func main() {
 	// The strategy is rebuilt from flags on every process, so distributed and
 	// elastic ranks (including -join replacements) agree on it by
 	// construction, exactly like the dataset and partitioning.
-	strategy, samplerDesc, err := samplerFromFlags(*samplerName, set, *p, *samplerBudget, *seed+1)
+	strategy, samplerDesc, err := samplerFromFlags(*samplerName, set, *p, *samplerBudget)
 	if err != nil {
 		fatal(err)
 	}
@@ -188,7 +188,7 @@ func main() {
 		Arch: core.Arch(*arch), Layers: *layers, Hidden: *hidden,
 		Dropout: float32(*dropout), LR: float32(*lr), Seed: *seed,
 	}
-	pcfg := core.ParallelConfig{Model: mc, P: *p, SampleSeed: *seed + 1, Strategy: strategy}
+	pcfg := core.ParallelConfig{Model: mc, P: *p, SampleSeed: *seed + 1, Strategy: strategy, Budget: *samplerBudget}
 
 	if distributed {
 		prog := progress{rank: *rank, every: *every, epochs: *epochs, valMask: ds.ValMask, testMask: ds.TestMask}
@@ -352,30 +352,29 @@ func checkModeFlags(rank, world int, spawn, join bool, rdv, ckptDir string, set 
 }
 
 // samplerFromFlags maps -sampler and the parameter flags to the engine's
-// strategy factory (nil: the engine's default, BNS at rate -p) and the banner's
-// description of what runs. Each sampler reads exactly one of -p and
+// strategy and the banner's description of what runs. Each sampler reads exactly one of -p and
 // -sampler-budget; the other given explicitly (set holds the flags the
 // command line named) is rejected rather than ignored, and the sampler's own
 // parameter must be in range.
-func samplerFromFlags(name string, set map[string]bool, p float64, budget int, seed uint64) (core.StrategyFactory, string, error) {
+func samplerFromFlags(name string, set map[string]bool, p float64, budget int) (core.Strategy, string, error) {
 	params := map[string]string{"bns": "p", "ladies": "sampler-budget"}
 	own, ok := params[name]
 	if !ok {
-		return nil, "", fmt.Errorf("unknown -sampler %q (want bns or ladies)", name)
+		return 0, "", fmt.Errorf("unknown -sampler %q (want bns or ladies)", name)
 	}
 	for sampler, other := range params {
 		if other != own && set[other] {
-			return nil, "", fmt.Errorf("-%s is set but -sampler %s never reads it, so it would be ignored: %s is parameterised by -%s; drop -%s, or run the sampler it belongs to (-sampler %s)",
+			return 0, "", fmt.Errorf("-%s is set but -sampler %s never reads it, so it would be ignored: %s is parameterised by -%s; drop -%s, or run the sampler it belongs to (-sampler %s)",
 				other, name, name, own, other, sampler)
 		}
 	}
 	if name == "ladies" {
 		if budget < 0 {
-			return nil, "", fmt.Errorf("-sampler-budget %d is negative: give the expected number of boundary slots kept per rank per epoch (0 keeps all)", budget)
+			return 0, "", fmt.Errorf("-sampler-budget %d is negative: give the expected number of boundary slots kept per rank per epoch (0 keeps all)", budget)
 		}
-		return core.NewLADIESFactory(budget, seed), fmt.Sprintf("under partition-local LADIES at an expected budget of %d boundary slots per rank", budget), nil
+		return core.LADIES, fmt.Sprintf("under partition-local LADIES at an expected budget of %d boundary slots per rank", budget), nil
 	}
-	return nil, fmt.Sprintf("at p=%.2g", p), nil
+	return core.BNS, fmt.Sprintf("at p=%.2g", p), nil
 }
 
 // rendezvousCandidates builds the per-rank elastic rendezvous candidate

@@ -202,7 +202,7 @@ func TestSamplerFromFlags(t *testing.T) {
 			for _, f := range tc.set {
 				set[f] = true
 			}
-			factory, banner, err := samplerFromFlags(tc.sampler, set, 0.1, tc.budget, 2)
+			strategy, banner, err := samplerFromFlags(tc.sampler, set, 0.1, tc.budget)
 			if tc.want == nil {
 				if err != nil {
 					t.Fatalf("valid flags rejected: %v", err)
@@ -210,8 +210,8 @@ func TestSamplerFromFlags(t *testing.T) {
 				if !strings.Contains(banner, tc.banner) {
 					t.Fatalf("banner %q does not carry the sampler's own parameter %q", banner, tc.banner)
 				}
-				if (factory == nil) != (tc.sampler == "bns") {
-					t.Fatalf("factory nil = %v under -sampler %s", factory == nil, tc.sampler)
+				if strategy.String() != tc.sampler {
+					t.Fatalf("-sampler %s selected strategy %v", tc.sampler, strategy)
 				}
 				return
 			}

@@ -94,8 +94,8 @@ func snapshotTrainer(rt *RankTrainer) *Checkpoint {
 	c := snapshotModel(rt.Model)
 	rs := &ResumeState{
 		Epoch:         rt.epoch,
-		Strategy:      rt.strat.Name(),
-		StrategyState: rt.strat.State(),
+		Strategy:      rt.Cfg.Strategy.String(),
+		StrategyState: rt.samp.rng.State(),
 		AdamStep:      rt.opt.StepCount(),
 	}
 	for _, d := range rt.Model.Dropouts {
@@ -365,8 +365,8 @@ func (c *Checkpoint) Restore(rt *RankTrainer) error {
 	if err := c.matches(rt.Model); err != nil {
 		return err
 	}
-	if rs.Strategy != rt.strat.Name() {
-		return fmt.Errorf("core: trainer checkpoint was written by sampling strategy %q, this trainer runs %q — resuming would silently switch estimators; restart with the original strategy (or train fresh)", rs.Strategy, rt.strat.Name())
+	if name := rt.Cfg.Strategy.String(); rs.Strategy != name {
+		return fmt.Errorf("core: trainer checkpoint was written by sampling strategy %q, this trainer runs %q — resuming would silently switch estimators; restart with the original strategy (or train fresh)", rs.Strategy, name)
 	}
 	drops := rt.Model.Dropouts
 	if len(rs.Dropouts) != len(drops) {
@@ -385,7 +385,7 @@ func (c *Checkpoint) Restore(rt *RankTrainer) error {
 	copyMats(m, rs.AdamM)
 	copyMats(v, rs.AdamV)
 	rt.epoch = rs.Epoch
-	rt.strat.SetState(rs.StrategyState)
+	rt.samp.rng.SetState(rs.StrategyState)
 	for i, d := range drops {
 		d.SetRNGState(rs.Dropouts[i])
 	}

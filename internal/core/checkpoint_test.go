@@ -305,7 +305,7 @@ func TestTrainerCheckpointRejects(t *testing.T) {
 	}
 	for what, b := range rejected {
 		before := rt.Model.ParamVector()
-		rngBefore := rt.strat.State()
+		rngBefore := rt.samp.rng.State()
 		if err := restoreBytes(b, rt); err == nil {
 			t.Fatalf("trainer loader must reject a %s checkpoint", what)
 		}
@@ -315,7 +315,7 @@ func TestTrainerCheckpointRejects(t *testing.T) {
 				t.Fatalf("%s load mutated weight %d: %v -> %v", what, i, before[i], after[i])
 			}
 		}
-		if rt.strat.State() != rngBefore {
+		if rt.samp.rng.State() != rngBefore {
 			t.Fatalf("%s load mutated the sampler RNG state", what)
 		}
 	}
@@ -368,11 +368,11 @@ func TestTrainerCheckpointFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt2.strat.SetState(999)
+	rt2.samp.rng.SetState(999)
 	if err := restoreFile(path, rt2); err != nil {
 		t.Fatal(err)
 	}
-	if rt2.strat.State() != rt.strat.State() {
+	if rt2.samp.rng.State() != rt.samp.rng.State() {
 		t.Fatal("file round trip lost the sampler RNG state")
 	}
 	if d := MaxParamDiff(rt.Model, rt2.Model); d != 0 {

@@ -54,16 +54,12 @@ func TestEpochSpaceInvariants(t *testing.T) {
 		if p == 0 {
 			budget = 1
 		}
-		strategies := map[string]StrategyFactory{
-			"bns":    nil,
-			"ladies": NewLADIESFactory(budget, 5),
-		}
-		for name, factory := range strategies {
+		for name, strategy := range map[string]Strategy{"bns": BNS, "ladies": LADIES} {
 			for _, arch := range []Arch{ArchSAGE, ArchGAT} {
 				for arrival, group := range groups {
 					t.Run(fmt.Sprintf("p=%v/%s/%s/%s", p, name, arch, arrival), func(t *testing.T) {
 						mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
-						cfg := ParallelConfig{Model: mc, P: p, SampleSeed: 2, Strategy: factory}
+						cfg := ParallelConfig{Model: mc, P: p, SampleSeed: 2, Strategy: strategy, Budget: budget}
 						tr, err := NewParallelTrainerOver(ds, topo, cfg, group())
 						if err != nil {
 							t.Fatal(err)

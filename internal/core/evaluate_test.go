@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -92,19 +93,18 @@ func TestEvaluateMatchesFullGraphBits(t *testing.T) {
 // TestEvaluateLeavesTrainingUntouched: a trainer that evaluates before the
 // first epoch and after every one ends where a twin that never evaluates
 // does — losses, halo bytes and sampled counts per epoch, weights, and the
-// position of every strategy and dropout stream — under a strategy of each
-// plan shape (BNS; per-slot scales; dropped inner rows, whose plan products
-// are never reused and must not meet the all-active ones). What evaluation
-// moves shows on the transport's counters and only there.
+// position of every sampling and dropout stream — under each sampler (BNS's
+// uniform rescale, LADIES' per-slot scales). What evaluation moves shows on
+// the transport's counters and only there.
 func TestEvaluateLeavesTrainingUntouched(t *testing.T) {
-	factories := stratFactories(21)
-	factories["bns"] = nil
-	for name, factory := range factories {
+	samplers := maps.Clone(stratConfigs)
+	samplers["bns"] = ParallelConfig{}
+	for name, sc := range samplers {
 		for _, arch := range []Arch{ArchSAGE, ArchGAT} {
 			ds := testDataset(t, 72)
 			topo := testTopology(t, ds, 3)
 			mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
-			cfg := ParallelConfig{Model: mc, P: 0.3, SampleSeed: 9, Strategy: factory}
+			cfg := ParallelConfig{Model: mc, P: 0.3, SampleSeed: 9, Strategy: sc.Strategy, Budget: sc.Budget}
 			a, err := NewParallelTrainer(ds, topo, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -127,8 +127,8 @@ func TestEvaluateLeavesTrainingUntouched(t *testing.T) {
 				if d := MaxParamDiff(ra.Model, rb.Model); d != 0 {
 					t.Errorf("%s/%s rank %d: weights differ by %v", name, arch, r, d)
 				}
-				if ra.strat.State() != rb.strat.State() {
-					t.Errorf("%s/%s rank %d: evaluation advanced the strategy's stream", name, arch, r)
+				if ra.samp.rng.State() != rb.samp.rng.State() {
+					t.Errorf("%s/%s rank %d: evaluation advanced the sampling stream", name, arch, r)
 				}
 				for l, d := range ra.Model.Dropouts {
 					if d.RNGState() != rb.Model.Dropouts[l].RNGState() {

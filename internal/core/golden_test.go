@@ -93,10 +93,10 @@ func TestLADIESStrategyGolden(t *testing.T) {
 	}
 	ds := testDataset(t, 74)
 	topo := testTopology(t, ds, 4)
-	for name, factory := range stratFactories(17) {
+	for name, sc := range stratConfigs {
 		for _, arch := range []Arch{ArchSAGE, ArchGAT} {
 			mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
-			cfg := ParallelConfig{Model: mc, P: 1, SampleSeed: 17, Strategy: factory}
+			cfg := ParallelConfig{Model: mc, P: 1, SampleSeed: 17, Strategy: sc.Strategy, Budget: sc.Budget}
 			tr, err := NewParallelTrainer(ds, topo, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -183,31 +183,5 @@ func TestWeightsIndependentOfPoolWidth(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestExplicitBNSFactoryMatchesDefault checks that wiring BNS through
-// ParallelConfig.Strategy (as cmd/bnsgcn's -sampler=bns does) is the same
-// engine as leaving Strategy nil: same losses, same weights, same traffic.
-func TestExplicitBNSFactoryMatchesDefault(t *testing.T) {
-	ds := testDataset(t, 72)
-	topo := testTopology(t, ds, 2)
-	mc := ModelConfig{Arch: ArchSAGE, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
-	base := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 17}
-	explicit := base
-	explicit.Strategy = func(rank int) Strategy { return NewBNSStrategy(base.P, base.SampleSeed, rank) }
-
-	trDefault, err := NewParallelTrainer(ds, topo, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trExplicit, err := NewParallelTrainer(ds, topo, explicit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hd, bd := trainingSignature(t, trDefault)
-	he, be := trainingSignature(t, trExplicit)
-	if hd != he || bd != be {
-		t.Fatalf("explicit BNS factory diverged from default: (%#x,%d) vs (%#x,%d)", he, be, hd, bd)
 	}
 }

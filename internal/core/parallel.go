@@ -29,8 +29,8 @@ const (
 // and the per-epoch node space and scratch the engine trains on.
 //
 // Two node spaces meet here. The static one — what the partition is — has
-// NIn inner rows and NBd boundary slots, slot s sitting at id NIn+s; a
-// Strategy samples the slots, and every inner row trains. The epoch one —
+// NIn inner rows and NBd boundary slots, slot s sitting at id NIn+s; the
+// rank's sampler samples the slots, and every inner row trains. The epoch one —
 // what the layers, the dropout buffers and every per-epoch list below see —
 // keeps the inner rows at [0, NIn) and gives only the slots sampled this
 // epoch a row, renumbered NIn, NIn+1, … in ascending slot order
@@ -66,7 +66,7 @@ type LocalPartition struct {
 	// buffers the transport lends.
 	epochIndptr  []int64
 	epochIndices []int32
-	active       []bool      // the plan's sampled boundary slots (Plan.Active)
+	active       []bool      // the boundary slots sampled this epoch
 	eg           graph.Graph // epoch subgraph header (epoch ids), rebuilt in place
 	lay          Layout      // the layers' layout of eg, its plan rebuilt with it
 	ws           *tensor.Workspace
@@ -288,13 +288,15 @@ type ParallelConfig struct {
 	SampleSeed uint64
 	// Estimator selects the sampled-aggregation normalizer (SAGE only).
 	Estimator Estimator
-	// Strategy, when non-nil, builds each rank's epoch-sampling strategy
-	// (see strategy.go); nil keeps the paper's boundary-node sampling at
-	// rate P, seeded from SampleSeed exactly as before the strategies
-	// existed. Every rank of a run — including independently bootstrapped
-	// processes — must use the same factory for replicas to stay
-	// consistent.
-	Strategy StrategyFactory
+	// Strategy picks the boundary sampler (see strategy.go): BNS, the zero
+	// value, at rate P, or LADIES at an expected Budget kept slots per rank
+	// per epoch. Each reads only its own parameter, and both draw from
+	// SampleSeed. Every rank of a run — including independently bootstrapped
+	// processes — must use the same values for replicas to stay consistent.
+	Strategy Strategy
+	// Budget is LADIES' expected number of boundary slots kept per rank per
+	// epoch; 0 keeps every slot.
+	Budget int
 }
 
 // EpochStats reports one epoch of parallel training. Durations are the
@@ -353,10 +355,8 @@ type RankTrainer struct {
 	LP    *LocalPartition
 	Model *Model
 
-	opt   *optim.Adam
-	strat Strategy
-	view  PartitionView
-	plan  Plan
+	opt  *optim.Adam
+	samp slotSampler // the epoch's boundary sample, drawn by planEpoch
 
 	// This rank's slice of the topology: the world size and its own
 	// Topology.Recv[rank] and Topology.Send[rank], per peer.
@@ -377,8 +377,14 @@ type RankTrainer struct {
 // needs: nothing reachable from it refers to ds, topo.G or topo.Parts once
 // this returns.
 func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, rank int) (*RankTrainer, error) {
-	if cfg.P < 0 || cfg.P > 1 {
+	if !(cfg.P >= 0 && cfg.P <= 1) {
 		return nil, fmt.Errorf("core: sampling rate p=%v outside [0,1]", cfg.P)
+	}
+	if cfg.Strategy != BNS && cfg.Strategy != LADIES {
+		return nil, fmt.Errorf("core: unknown sampling strategy %v (want BNS or LADIES)", cfg.Strategy)
+	}
+	if cfg.Budget < 0 {
+		return nil, fmt.Errorf("core: sampling budget %d is negative (0 keeps every boundary slot)", cfg.Budget)
 	}
 	if rank < 0 || rank >= topo.K {
 		return nil, fmt.Errorf("core: rank %d out of [0,%d)", rank, topo.K)
@@ -403,22 +409,11 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 		multiLabel:  ds.MultiLabel,
 		globalNodes: ds.G.N,
 	}
-	// The epoch-sampling strategy: BNS by default, or whatever the config's
-	// factory builds. It samples against the static partition view and fills
-	// the per-epoch plan, whose Active slice aliases the partition scratch the
-	// engine already owns — planning an epoch allocates nothing.
-	if cfg.Strategy != nil {
-		rt.strat = cfg.Strategy(rank)
-	} else {
-		rt.strat = NewBNSStrategy(cfg.P, cfg.SampleSeed, rank)
+	slotDeg := make([]int32, rt.LP.NBd)
+	for si, u := range rt.LP.GlobalBoundary {
+		slotDeg[si] = int32(topo.G.Degree(u))
 	}
-	lp := rt.LP
-	rt.view = PartitionView{NBd: lp.NBd, RecvLists: rt.recv, SlotDeg: make([]int32, lp.NBd)}
-	for si, u := range lp.GlobalBoundary {
-		rt.view.SlotDeg[si] = int32(topo.G.Degree(u))
-	}
-	rt.strat.Bind(&rt.view)
-	rt.plan = Plan{Active: lp.active}
+	rt.samp = newSlotSampler(cfg, rank, rt.recv, slotDeg)
 	// The loss normalizer is the global number of training nodes, which is a
 	// property of the dataset alone — no cross-rank exchange needed.
 	rt.globalTrainCount = datagen.CountMask(ds.TrainMask)
@@ -467,7 +462,7 @@ func (rt *RankTrainer) failPass(w *comm.Worker, what string, err *error) {
 // plan the engine fills for inference — every slot sampled, nothing rescaled,
 // dropout an identity pass — so the logits of its inner rows are, bit for
 // bit, the single-process full-graph forward's; it scores those rows and the
-// ranks exchange the integer counts behind the metric. No strategy or dropout
+// ranks exchange the integer counts behind the metric. No sampling or dropout
 // stream is drawn from: a run that evaluates trains exactly as one that does
 // not.
 //

@@ -26,9 +26,9 @@ import (
 //	reduce        gradient AllReduce + optimizer step
 //
 // Evaluation (RankTrainer.Evaluate) is the plan and forward stages and nothing
-// after them, over the engine's own plan — every boundary slot at rate 1, the
-// strategy not asked — with dropout an identity pass (epochState.eval): each
-// rank's logits are the full graph's for its inner rows.
+// after them, over every boundary slot at rate 1 — the sampler not drawn —
+// with dropout an identity pass (epochState.eval): each rank's logits are the
+// full graph's for its inner rows.
 //
 // The epoch trains on the sampled subgraph (Section 3.2): its node space is
 // the NIn inner rows followed by one row per boundary slot the plan sampled,
@@ -87,7 +87,7 @@ type epochState struct {
 	st  RankStats
 	clk phaseClock
 	// eval marks an inference pass (RankTrainer.Evaluate): the plan is every
-	// slot at rate 1 and not the strategy's, dropout is an identity pass, and
+	// slot at rate 1 and not the sampler's, dropout is an identity pass, and
 	// the pass ends with the last layer's forward.
 	eval bool
 
@@ -98,7 +98,7 @@ type epochState struct {
 	haloScale []float32
 }
 
-// runEpoch executes one epoch of strategy-sampled partition-parallel
+// runEpoch executes one epoch of boundary-sampled partition-parallel
 // training for this rank over the worker's transport.
 func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 	rt.ep = epochState{w: w}
@@ -151,30 +151,36 @@ func (rt *RankTrainer) forward() *tensor.Matrix {
 	return h
 }
 
-// planEpoch is the sampling phase (lines 4–7): the strategy decides the
+// planEpoch is the sampling phase (lines 4–7): the rank's sampler draws the
 // epoch, ranks exchange their selections, and everything derivable from the
 // local sample — the epoch node space and the layers' layout of it (subgraph,
 // aggregation plan, effective-degree normalizer, halo placement), the row
 // split, the send/receive row lists — is built for the layer stages. An epoch
-// whose plan samples exactly the slots the last one did (every epoch at k=1,
+// whose sample is exactly the slots the last one's was (every epoch at k=1,
 // p=1 or p=0) keeps the products in place instead of rebuilding identical
-// ones; what the strategy draws and what the ranks exchange is the same
+// ones; what the sampler draws and what the ranks exchange is the same
 // either way. It starts the pass's clock.
 func (rt *RankTrainer) planEpoch() {
 	rt.ep.clk.start()
 	ep := &rt.ep
 	rank, lp, k, w := rt.Rank, rt.LP, rt.k, rt.ep.w
-	plan := &rt.plan
+	// The receive rescale (the unbiased 1/p of Section 3.2 for BNS) makes the
+	// *mean aggregator's* neighbor sum unbiased. Attention models normalize
+	// per-neighborhood via softmax, so the rescale would only distort the
+	// attention logits — GAT runs unscaled whatever the sampler, matching the
+	// official code.
+	ep.invP = 1
 	if ep.eval {
-		// Inference is over the whole graph: the engine fills the plan and the
-		// strategy, whose stream an evaluation must not advance, is not asked.
-		for i := range plan.Active {
-			plan.Active[i] = true
+		// Inference is over the whole graph, unscaled, and draws nothing: an
+		// evaluation must not advance the sampling stream.
+		for i := range lp.active {
+			lp.active[i] = true
 		}
-		plan.InvP, plan.HaloScale = 1, nil
 	} else {
-		rt.strat.PlanEpoch(plan)
-		rt.checkPlan(plan)
+		rt.samp.draw(lp.active)
+		if rt.Cfg.Model.Arch == ArchSAGE {
+			ep.invP, ep.haloScale = rt.samp.invP, rt.samp.haloScale
+		}
 	}
 	// What to request of each peer follows from the active set alone: every
 	// boundary slot sits in exactly one peer's receive list, so the active
@@ -183,24 +189,12 @@ func (rt *RankTrainer) planEpoch() {
 	for j, full := range rt.recv {
 		pos := myPos[j][:0]
 		for x, slot := range full {
-			if plan.Active[slot] {
+			if lp.active[slot] {
 				pos = append(pos, int32(x))
 			}
 		}
 		myPos[j] = pos
 		ep.st.SampledBd += len(pos)
-	}
-	// The strategy's 1/p rescaling of received features (Section 3.2 for BNS)
-	// makes the *mean aggregator's* neighbor sum unbiased. Attention models
-	// normalize per-neighborhood via softmax, so the rescale would only
-	// distort the attention logits — GAT runs unscaled whatever the strategy
-	// reports, matching the official code.
-	ep.invP = 1
-	if rt.Cfg.Model.Arch == ArchSAGE {
-		ep.haloScale = plan.HaloScale
-		if plan.InvP > 0 {
-			ep.invP = plan.InvP
-		}
 	}
 	// Broadcast selections. The sent position slices alias lp.myPos scratch:
 	// the receiver holds them for the rest of the epoch, and the next
@@ -218,8 +212,8 @@ func (rt *RankTrainer) planEpoch() {
 	// sends and receives, overlapping the peers' sampling. An active set that
 	// repeats keeps the products built for it.
 	recvSlots := lp.recvSlots // epoch halo rows I fill from j
-	if !lp.planned || !slices.Equal(plan.Active, lp.planActive) {
-		copy(lp.planActive, plan.Active)
+	if !lp.planned || !slices.Equal(lp.active, lp.planActive) {
+		copy(lp.planActive, lp.active)
 		lp.planned = true
 		lp.epochGraph()
 		lp.splitRows()
@@ -257,16 +251,6 @@ func (rt *RankTrainer) planEpoch() {
 	}
 }
 
-// checkPlan stops a malformed plan where it was made, naming its strategy: a
-// per-slot scale of the wrong length would otherwise index out of range
-// inside the drain.
-func (rt *RankTrainer) checkPlan(plan *Plan) {
-	if plan.HaloScale != nil && len(plan.HaloScale) != rt.LP.NBd {
-		panic(fmt.Sprintf("core: rank %d: strategy %q planned %d halo scales for %d boundary slots",
-			rt.Rank, rt.strat.Name(), len(plan.HaloScale), rt.LP.NBd))
-	}
-}
-
 // epochInvDeg returns the mean-aggregation normalizer for the epoch graph.
 // EstimatorHT keeps the full global degree. The self-normalized estimator
 // pairs the receive rescale in the numerator (received features arrive
@@ -274,7 +258,7 @@ func (rt *RankTrainer) checkPlan(plan *Plan) {
 // |local| + (1/p)·|sampled remote| — at p=1 exactly the full degree; for p<1
 // the estimate is a convex combination of neighbor features, so sampling
 // noise cannot blow up activations the way the unnormalized 1/p estimator
-// does on low-degree nodes. Plans with per-slot scales take the per-edge
+// does on low-degree nodes. A sampler with per-slot scales takes the per-edge
 // walk; a uniform rescale keeps the historical closed-form expression, whose
 // float evaluation order the bit-identity goldens pin.
 func (rt *RankTrainer) epochInvDeg() []float32 {
@@ -373,7 +357,7 @@ func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
 
 // drainForward receives layer l's boundary feature rows peer by peer in
 // ascending rank: each payload is scattered into that peer's halo rows of x
-// with the strategy's receive rescale (the unbiased 1/p of Section 3.2 for
+// with the sampler's receive rescale (the unbiased 1/p of Section 3.2 for
 // BNS), and the rows are masked in place with their pre-drawn dropout masks
 // and their per-node precomputations run. After the last peer every
 // halo-dependent row is computed in one pass. Receives and halo fills are

@@ -8,15 +8,14 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/comm"
+	"repro/internal/tensor"
 )
 
-// stratFactories enumerates the non-default strategies under test with
-// sub-unity sampling (so plans genuinely vary by epoch).
-func stratFactories(seed uint64) map[string]StrategyFactory {
-	return map[string]StrategyFactory{
-		"ladies": NewLADIESFactory(12, seed),
-	}
+// stratConfigs enumerates the non-default samplers under test, as the config
+// fields that select them, with sub-unity sampling (so plans genuinely vary
+// by epoch).
+var stratConfigs = map[string]ParallelConfig{
+	"ladies": {Strategy: LADIES, Budget: 12},
 }
 
 // stratSignature folds per-epoch losses and every rank's final weights into
@@ -49,12 +48,12 @@ func stratSignature(t *testing.T, tr *ParallelTrainer, epochs int) (uint64, int6
 // losses, weights, and traffic over TCP as over the channel transport — and
 // a different seed must not.
 func TestStrategiesDeterministicAcrossTransports(t *testing.T) {
-	for name, factory := range stratFactories(21) {
+	for name, sc := range stratConfigs {
 		for _, arch := range []Arch{ArchSAGE, ArchGAT} {
 			ds := testDataset(t, 60)
 			topo := testTopology(t, ds, 3)
 			mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
-			cfg := ParallelConfig{Model: mc, P: 1, SampleSeed: 17, Strategy: factory}
+			cfg := ParallelConfig{Model: mc, P: 1, SampleSeed: 21, Strategy: sc.Strategy, Budget: sc.Budget}
 
 			const epochs = 4
 			chanTr, err := NewParallelTrainer(ds, topo, cfg)
@@ -73,7 +72,7 @@ func TestStrategiesDeterministicAcrossTransports(t *testing.T) {
 			// Different seed must actually change the run, or the comparison
 			// above proves nothing about the sampler.
 			other := cfg
-			other.Strategy = stratFactories(22)[name]
+			other.SampleSeed = 22
 			otherTr, err := NewParallelTrainer(ds, topo, other)
 			if err != nil {
 				t.Fatal(err)
@@ -92,13 +91,13 @@ func TestStrategiesDeterministicAcrossTransports(t *testing.T) {
 // remaining three — the strategy state word in the v3 trainer checkpoint is
 // what carries the sampler RNG across.
 func TestStrategyCheckpointResumeEquivalence(t *testing.T) {
-	for name, factory := range stratFactories(31) {
+	for name, sc := range stratConfigs {
 		ds := testDataset(t, 61)
 		const k = 2
 		const total, pre = 6, 3
 		topo := testTopology(t, ds, k)
 		mc := ModelConfig{Arch: ArchSAGE, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 5}
-		cfg := ParallelConfig{Model: mc, P: 1, SampleSeed: 11, Strategy: factory}
+		cfg := ParallelConfig{Model: mc, P: 1, SampleSeed: 31, Strategy: sc.Strategy, Budget: sc.Budget}
 
 		ref, err := NewParallelTrainer(ds, topo, cfg)
 		if err != nil {
@@ -156,9 +155,9 @@ func TestCheckpointRejectsStrategyMismatch(t *testing.T) {
 	topo := testTopology(t, ds, 2)
 	mc := ModelConfig{Arch: ArchSAGE, Layers: 2, Hidden: 16, Dropout: 0, LR: 0.01, Seed: 5}
 
-	mkRank := func(factory StrategyFactory) *RankTrainer {
+	mkRank := func(strategy Strategy) *RankTrainer {
 		t.Helper()
-		cfg := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 9, Strategy: factory}
+		cfg := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 9, Strategy: strategy, Budget: 12}
 		rt, err := NewRankTrainer(ds, topo, cfg, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -166,9 +165,9 @@ func TestCheckpointRejectsStrategyMismatch(t *testing.T) {
 		return rt
 	}
 
-	raw := snapshotTrainer(mkRank(NewLADIESFactory(12, 3))).Encode()
+	raw := snapshotTrainer(mkRank(LADIES)).Encode()
 
-	err := restoreBytes(raw, mkRank(nil)) // nil factory = engine default BNS
+	err := restoreBytes(raw, mkRank(BNS))
 	if err == nil {
 		t.Fatal("loading a ladies checkpoint into a bns trainer must fail")
 	}
@@ -177,7 +176,7 @@ func TestCheckpointRejectsStrategyMismatch(t *testing.T) {
 	}
 
 	// Same strategy still loads.
-	if err := restoreBytes(raw, mkRank(NewLADIESFactory(12, 3))); err != nil {
+	if err := restoreBytes(raw, mkRank(LADIES)); err != nil {
 		t.Fatalf("matching strategy failed to load: %v", err)
 	}
 
@@ -193,22 +192,19 @@ func TestCheckpointRejectsStrategyMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, running := range []struct {
-		name    string
-		factory StrategyFactory
-	}{{"bns", nil}, {"ladies", NewLADIESFactory(12, 31)}} {
+	for _, running := range []Strategy{BNS, LADIES} {
 		for r := 0; r < 2; r++ {
-			cfg := ParallelConfig{Model: pmc, P: 0.5, SampleSeed: 11, Strategy: running.factory}
+			cfg := ParallelConfig{Model: pmc, P: 0.5, SampleSeed: 11, Strategy: running, Budget: 12}
 			rt, err := NewRankTrainer(pds, ptopo, cfg, r)
 			if err != nil {
 				t.Fatal(err)
 			}
 			err = restoreFile(fmt.Sprintf("testdata/parent/parent-saint-r%d.bnst", r), rt)
 			if err == nil {
-				t.Fatalf("a %s rank %d restored a saint checkpoint", running.name, r)
+				t.Fatalf("a %s rank %d restored a saint checkpoint", running, r)
 			}
-			if !strings.Contains(err.Error(), "sampling strategy") || !strings.Contains(err.Error(), `"saint"`) || !strings.Contains(err.Error(), running.name) {
-				t.Fatalf("%s rank %d: want the strategy-mismatch error naming \"saint\" and %q, got: %v", running.name, r, running.name, err)
+			if !strings.Contains(err.Error(), "sampling strategy") || !strings.Contains(err.Error(), `"saint"`) || !strings.Contains(err.Error(), running.String()) {
+				t.Fatalf("%s rank %d: want the strategy-mismatch error naming \"saint\" and %q, got: %v", running, r, running, err)
 			}
 		}
 	}
@@ -217,9 +213,10 @@ func TestCheckpointRejectsStrategyMismatch(t *testing.T) {
 // TestParentCheckpointsResume: the strategy names and the single RNG state
 // word are the on-disk contract. testdata/parent holds both ranks' trainer
 // checkpoints after two epochs under each strategy, written by commit d1685e5
-// — before the strategies shared a base and stopped writing positions;
-// restored here, two more epochs must give the losses and weights of a run
-// that never stopped.
+// — before the strategies shared a base and stopped writing positions, when
+// LADIES had a seed of its own (31, which the LADIES case passes as
+// SampleSeed); restored here, two more epochs must give the losses and
+// weights of a run that never stopped.
 func TestParentCheckpointsResume(t *testing.T) {
 	ds := testDataset(t, 75)
 	const k = 2
@@ -231,11 +228,12 @@ func TestParentCheckpointsResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	factories := stratFactories(31)
-	factories["bns"] = nil
-	for name, factory := range factories {
-		mc := ModelConfig{Arch: ArchSAGE, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 5}
-		cfg := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 11, Strategy: factory}
+	for name, sampler := range map[string]ParallelConfig{
+		"bns":    {P: 0.5, SampleSeed: 11},
+		"ladies": {P: 0.5, SampleSeed: 31, Strategy: LADIES, Budget: 12},
+	} {
+		cfg := sampler
+		cfg.Model = ModelConfig{Arch: ArchSAGE, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 5}
 		ref, err := NewParallelTrainer(ds, topo, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -266,43 +264,74 @@ func TestParentCheckpointsResume(t *testing.T) {
 	}
 }
 
-// malformedPlan wraps a strategy and breaks its plan after the fact.
-type malformedPlan struct {
-	Strategy
-	spoil func(*Plan)
-}
-
-func (s malformedPlan) PlanEpoch(p *Plan) {
-	s.Strategy.PlanEpoch(p)
-	s.spoil(p)
-}
-
-// TestMalformedPlanFailsAtThePlan: a strategy that hands back a per-slot scale
-// of the wrong length fails the epoch at the plan with its rank, its name and
-// the offending number — not as an index panic inside the drain.
-func TestMalformedPlanFailsAtThePlan(t *testing.T) {
-	ds := testDataset(t, 8)
-	topo := testTopology(t, ds, 2)
+// TestSamplerDrawsPerEpoch pins how far an epoch moves each rank's sampling
+// stream: one draw per boundary slot whenever anything is drawn (BNS at
+// 0 < p < 1, LADIES at any budget, 0 included), none for BNS at p=0 and p=1,
+// and none for an evaluation. After e epochs the stream must stand where a
+// fresh one of the rank's seed stands after e·draws steps, so the stream
+// state of any rank at any epoch is known without running it.
+func TestSamplerDrawsPerEpoch(t *testing.T) {
+	ds := testDataset(t, 64)
+	topo := testTopology(t, ds, 3)
 	for _, tc := range []struct {
-		name  string
-		spoil func(*Plan)
-		want  string
+		name     string
+		cfg      ParallelConfig
+		drawsAll bool // NBd draws per epoch, else none
 	}{
-		{"short halo scale", func(p *Plan) { p.HaloScale = make([]float32, 3) }, `strategy "bns" planned 3 halo scales for`},
+		{"bns p=0.5", ParallelConfig{P: 0.5}, true},
+		{"bns p=0", ParallelConfig{P: 0}, false},
+		{"bns p=1", ParallelConfig{P: 1}, false},
+		{"ladies budget 12", ParallelConfig{Strategy: LADIES, Budget: 12}, true},
+		{"ladies budget 0", ParallelConfig{Strategy: LADIES}, true},
 	} {
-		tr, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: testModelConfig(), P: 0.5, SampleSeed: 2,
-			Strategy: func(rank int) Strategy { return malformedPlan{NewBNSStrategy(0.5, 2, rank), tc.spoil} }})
+		cfg := tc.cfg
+		cfg.Model, cfg.SampleSeed = testModelConfig(), 23
+		tr, err := NewParallelTrainer(ds, topo, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		errs := make([]error, topo.K)
-		tr.Cluster.Run(func(w *comm.Worker) {
-			_, errs[w.Rank()] = tr.Ranks[w.Rank()].TrainEpoch(w)
-		})
-		for r, err := range errs {
-			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), fmt.Sprintf("rank %d:", r)) {
-				t.Errorf("%s rank %d: got error %v, want one naming the rank and %q", tc.name, r, err, tc.want)
+		for e := 1; e <= 3; e++ {
+			tr.TrainEpoch()
+			tr.Evaluate(ds.ValMask)
+			for r, rt := range tr.Ranks {
+				if rt.LP.NBd == 0 {
+					t.Fatalf("fixture rank %d has no boundary slots", r)
+				}
+				draws := 0
+				if tc.drawsAll {
+					draws = rt.LP.NBd
+				}
+				want := tensor.NewRNG(cfg.SampleSeed + uint64(r)*0x9e3779b9)
+				want.Skip(uint64(e * draws))
+				if got := rt.samp.rng.State(); got != want.State() {
+					t.Fatalf("%s rank %d after epoch %d: stream at %#x, want %#x (%d draws per epoch)", tc.name, r, e, got, want.State(), draws)
+				}
 			}
+		}
+	}
+}
+
+// TestNewRankTrainerRejectsBadSampler: a sampler the config cannot name, a
+// negative budget and a rate outside [0,1] (NaN included, which every
+// comparison lets through) are configuration errors, reported by the
+// constructor rather than trained as something else.
+func TestNewRankTrainerRejectsBadSampler(t *testing.T) {
+	ds := testDataset(t, 10)
+	topo := testTopology(t, ds, 2)
+	for _, tc := range []struct {
+		name string
+		cfg  ParallelConfig
+		want string
+	}{
+		{"unknown strategy", ParallelConfig{P: 0.5, Strategy: LADIES + 1}, "unknown sampling strategy Strategy(2)"},
+		{"negative strategy", ParallelConfig{P: 0.5, Strategy: -1}, "unknown sampling strategy Strategy(-1)"},
+		{"negative budget", ParallelConfig{Strategy: LADIES, Budget: -1}, "sampling budget -1 is negative"},
+		{"negative budget under bns", ParallelConfig{P: 0.5, Budget: -3}, "sampling budget -3 is negative"},
+		{"nan rate", ParallelConfig{P: math.NaN()}, "sampling rate p=NaN outside [0,1]"},
+	} {
+		tc.cfg.Model = testModelConfig()
+		if _, err := NewRankTrainer(ds, topo, tc.cfg, 0); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got error %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
 }

@@ -83,7 +83,7 @@ func runTable9(w io.Writer, o Options) error {
 			fmt.Fprintf(tw, "%s\t%s\t%.1f\t%.3f\t%s\n",
 				ds.Name, m.mode, commMB, epochTime, pct(tr.Evaluate(ds.TestMask)))
 		}
-		res, err := trainBNS(ds, topo, c.spec.model, p, epochs, 0, o.Seed, nil)
+		res, err := trainBNS(ds, topo, c.spec.model, p, epochs, 0, o.Seed, core.BNS)
 		if err != nil {
 			return err
 		}
@@ -134,7 +134,7 @@ func runTable10(w io.Writer, o Options) error {
 	fmt.Fprintf(tw, "p\tepoch time (s)\tspeedup\n")
 	var baseline float64
 	for _, p := range []float64{1.0, 0.1, 0.01, 0.0} {
-		res, err := trainBNS(ds, topo, mc, p, epochs, 0, o.Seed, nil)
+		res, err := trainBNS(ds, topo, mc, p, epochs, 0, o.Seed, core.BNS)
 		if err != nil {
 			return err
 		}
@@ -189,13 +189,13 @@ func runTable11(w io.Writer, o Options) error {
 	type row struct {
 		name     string
 		p        float64
-		strategy core.StrategyFactory
+		strategy core.Strategy
 	}
 	var rows []row
 	for _, p := range []float64{1.0, 0.1, 0.01} {
-		rows = append(rows, row{fmt.Sprintf("BNS-GCN (%.2g)", p), p, nil})
+		rows = append(rows, row{fmt.Sprintf("BNS-GCN (%.2g)", p), p, core.BNS})
 	}
-	rows = append(rows, row{fmt.Sprintf("LADIES (engine, budget %d)", ladiesBudget), 1, core.NewLADIESFactory(ladiesBudget, o.Seed+1)})
+	rows = append(rows, row{fmt.Sprintf("LADIES (engine, budget %d)", ladiesBudget), 1, core.LADIES})
 	for _, r := range rows {
 		res, err := trainBNS(ds, topo, spec.model, r.p, epochs, 0, o.Seed, r.strategy)
 		if err != nil {
@@ -233,7 +233,7 @@ func runTable12(w io.Writer, o Options) error {
 		}
 		fmt.Fprintf(tw, "%s\t%s\n", s.Name(), pct(tr.OverheadFraction()))
 	}
-	sampleShare := func(topo *core.Topology, p float64, strategy core.StrategyFactory) (string, error) {
+	sampleShare := func(topo *core.Topology, p float64, strategy core.Strategy) (string, error) {
 		res, err := trainBNS(ds, topo, spec.model, p, epochs, 0, o.Seed, strategy)
 		if err != nil {
 			return "", err
@@ -246,13 +246,13 @@ func runTable12(w io.Writer, o Options) error {
 			return err
 		}
 		for _, p := range []float64{0.1, 0.01} {
-			share, err := sampleShare(topo, p, nil)
+			share, err := sampleShare(topo, p, core.BNS)
 			if err != nil {
 				return err
 			}
 			fmt.Fprintf(tw, "BNS (m=%d, p=%.2g)\t%s\n", k, p, share)
 		}
-		share, err := sampleShare(topo, 1, core.NewLADIESFactory(ladiesBudget, o.Seed+1))
+		share, err := sampleShare(topo, 1, core.LADIES)
 		if err != nil {
 			return err
 		}

@@ -92,7 +92,7 @@ func runTable4(w io.Writer, o Options) error {
 				}
 				var agg stats.MeanStd
 				for r := 0; r < o.Runs; r++ {
-					res, err := trainBNS(ds, topo, spec.model, p, epochs, 0, o.Seed+uint64(r)*101, nil)
+					res, err := trainBNS(ds, topo, spec.model, p, epochs, 0, o.Seed+uint64(r)*101, core.BNS)
 					if err != nil {
 						return err
 					}
@@ -131,7 +131,7 @@ func runTable5(w io.Writer, o Options) error {
 		return err
 	}
 	for _, p := range []float64{1.0, 0.1, 0.01} {
-		res, err := trainBNS(ds, topo, spec.model, p, epochs, 0, o.Seed, nil)
+		res, err := trainBNS(ds, topo, spec.model, p, epochs, 0, o.Seed, core.BNS)
 		if err != nil {
 			return err
 		}
@@ -184,7 +184,7 @@ func runFig7(w io.Writer, o Options) error {
 		}
 		curves := map[float64]*bnsResult{}
 		for _, p := range order {
-			res, err := trainBNS(ds, topo, spec.model, p, epochs, every, o.Seed, nil)
+			res, err := trainBNS(ds, topo, spec.model, p, epochs, every, o.Seed, core.BNS)
 			if err != nil {
 				return err
 			}
@@ -217,7 +217,7 @@ func runFig9(w io.Writer, o Options) error {
 		}
 		curves := map[float64]*bnsResult{}
 		for _, p := range order {
-			res, err := trainBNS(ds, topo, spec.model, p, epochs, every, o.Seed, nil)
+			res, err := trainBNS(ds, topo, spec.model, p, epochs, every, o.Seed, core.BNS)
 			if err != nil {
 				return err
 			}
@@ -251,7 +251,7 @@ func runTable7(w io.Writer, o Options) error {
 				if err != nil {
 					return err
 				}
-				res, err := trainBNS(ds, topo, spec.model, p, epochs, 0, o.Seed, nil)
+				res, err := trainBNS(ds, topo, spec.model, p, epochs, 0, o.Seed, core.BNS)
 				if err != nil {
 					return err
 				}
@@ -291,7 +291,7 @@ func runTable13(w io.Writer, o Options) error {
 		}
 		fmt.Fprintf(tw, "%s\t%d", ds.Name, c.k)
 		for _, p := range []float64{0.1, 0.3, 0.5, 0.8, 1.0} {
-			res, err := trainBNS(ds, topo, c.spec.model, p, epochs, 0, o.Seed, nil)
+			res, err := trainBNS(ds, topo, c.spec.model, p, epochs, 0, o.Seed, core.BNS)
 			if err != nil {
 				return err
 			}

@@ -200,11 +200,12 @@ type bnsResult struct {
 }
 
 // trainBNS runs the partition-parallel engine end to end and returns the
-// result. strategy picks the epoch sampler; nil is BNS at rate p, and any
-// other strategy ignores p. evalEvery=0 evaluates only at the end.
-func trainBNS(ds *datagen.Dataset, topo *core.Topology, model core.ModelConfig, p float64, epochs, evalEvery int, seed uint64, strategy core.StrategyFactory) (*bnsResult, error) {
+// result. strategy picks the epoch sampler: BNS at rate p, or LADIES at an
+// expected ladiesBudget slots, which ignores p. evalEvery=0 evaluates only at
+// the end.
+func trainBNS(ds *datagen.Dataset, topo *core.Topology, model core.ModelConfig, p float64, epochs, evalEvery int, seed uint64, strategy core.Strategy) (*bnsResult, error) {
 	model.Seed = seed
-	tr, err := core.NewParallelTrainer(ds, topo, core.ParallelConfig{Model: model, P: p, SampleSeed: seed + 1, Strategy: strategy})
+	tr, err := core.NewParallelTrainer(ds, topo, core.ParallelConfig{Model: model, P: p, SampleSeed: seed + 1, Strategy: strategy, Budget: ladiesBudget})
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,8 @@
 package sampling
 
 import (
+	"slices"
+
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -41,6 +43,17 @@ type EdgeDropSampler struct {
 	rng   *tensor.RNG
 	batch Batch
 
+	// The epoch graph is the topology's canonical CSR filtered in place:
+	// rev[e] is the arc opposite arc e, kept[e] whether arc e survives this
+	// epoch, and g, over indptr and indices, the surviving arcs. seen[i] is
+	// the last node counted as needed by partition i.
+	rev     []int64
+	kept    []bool
+	indptr  []int64
+	indices []int32
+	g       graph.Graph
+	seen    []int32
+
 	// LastCommVolume is the boundary-node communication volume implied by
 	// the surviving cross-partition edges of the last sampled epoch graph.
 	LastCommVolume int64
@@ -51,10 +64,28 @@ type EdgeDropSampler struct {
 // NewEdgeDropSampler builds the sampler over the topology's graph and
 // partition; trainMask (one entry per node) marks the loss rows.
 func NewEdgeDropSampler(topo *core.Topology, trainMask []bool, mode EdgeDropMode, keepProb float64, seed uint64) *EdgeDropSampler {
-	return &EdgeDropSampler{
+	g := topo.G
+	s := &EdgeDropSampler{
 		Topo: topo, Mode: mode, KeepProb: keepProb, rng: tensor.NewRNG(seed),
-		batch: Batch{Nodes: allNodes(topo.G), TargetMask: trainMask},
+		batch:   Batch{Nodes: allNodes(g), TargetMask: trainMask},
+		rev:     make([]int64, len(g.Indices)),
+		kept:    make([]bool, len(g.Indices)),
+		indptr:  make([]int64, g.N+1),
+		indices: make([]int32, len(g.Indices)),
+		seen:    make([]int32, topo.K),
 	}
+	// Rows are sorted, so the arcs into u from below arrive in u's row order
+	// as v ascends: a cursor per row pairs each arc with its reverse.
+	next := slices.Clone(g.Indptr[:g.N])
+	for v := int32(0); v < int32(g.N); v++ {
+		for e := g.Indptr[v]; e < g.Indptr[v+1]; e++ {
+			if u := g.Indices[e]; u > v {
+				s.rev[e], s.rev[next[u]] = next[u], e
+				next[u]++
+			}
+		}
+	}
+	return s
 }
 
 // Name implements Sampler.
@@ -64,41 +95,47 @@ func (s *EdgeDropSampler) Name() string { return s.Mode.String() }
 func (s *EdgeDropSampler) BatchesPerEpoch() int { return 1 }
 
 // Sample implements Sampler: it draws the epoch's edge-sampled graph and
-// records the implied partition-parallel communication volume.
+// records the implied partition-parallel communication volume. Each
+// undirected edge gets one keep decision, drawn with v ascending and, within
+// v's row, u > v ascending; a row is complete once v is reached, since its
+// arcs to lower nodes were decided with them. The graph is valid until the
+// next Sample.
 func (s *EdgeDropSampler) Sample() *Batch {
-	g := s.Topo.G
-	parts := s.Topo.Parts
-	b := graph.NewBuilder(g.N)
-	var dropped int64
-	// needed[i] tracks which remote nodes partition i still needs.
-	needed := make([]map[int32]bool, s.Topo.K)
-	for i := range needed {
-		needed[i] = make(map[int32]bool)
+	g, parts := s.Topo.G, s.Topo.Parts
+	for i := range s.seen {
+		s.seen[i] = -1
 	}
+	var dropped, volume int64
+	pos := int64(0)
 	for v := int32(0); v < int32(g.N); v++ {
-		for _, u := range g.Neighbors(v) {
-			if u <= v {
+		s.indptr[v] = pos
+		for e := g.Indptr[v]; e < g.Indptr[v+1]; e++ {
+			u := g.Indices[e]
+			if u > v {
+				droppable := s.Mode == DropEdgeGlobal || parts[v] != parts[u]
+				s.kept[e] = !droppable || s.rng.Float64() < s.KeepProb
+				s.kept[s.rev[e]] = s.kept[e]
+				if !s.kept[e] {
+					dropped++
+				}
+			}
+			if !s.kept[e] {
 				continue
 			}
-			cross := parts[v] != parts[u]
-			droppable := s.Mode == DropEdgeGlobal || cross
-			if droppable && s.rng.Float64() >= s.KeepProb {
-				dropped++
-				continue
-			}
-			b.AddEdge(v, u)
-			if cross {
-				needed[parts[v]][u] = true
-				needed[parts[u]][v] = true
+			s.indices[pos] = u
+			pos++
+			// v is communicated once to every other partition that keeps an
+			// edge to it.
+			if i := parts[u]; i != parts[v] && s.seen[i] != v {
+				s.seen[i] = v
+				volume++
 			}
 		}
 	}
-	s.LastDroppedEdges = dropped
-	s.LastCommVolume = 0
-	for _, m := range needed {
-		s.LastCommVolume += int64(len(m))
-	}
-	s.batch.G = b.Build()
+	s.indptr[g.N] = pos
+	s.g = graph.Graph{N: g.N, Indptr: s.indptr, Indices: s.indices[:pos]}
+	s.LastDroppedEdges, s.LastCommVolume = dropped, volume
+	s.batch.G = &s.g
 	return &s.batch
 }
 

@@ -4,11 +4,15 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // streamHash folds every batch of two epochs and one batch more — so a
 // reshuffling sampler crosses two epoch boundaries — into one FNV-64a: the
-// nodes, the target mask and the induced CSR, each length-prefixed.
+// nodes, the target mask and the induced CSR, each length-prefixed, and for
+// an EdgeDropSampler the communication volume and dropped-edge count it
+// reports for the batch.
 func streamHash(s Sampler) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -37,6 +41,10 @@ func streamHash(s Sampler) uint64 {
 		for _, u := range b.G.Indices {
 			word(uint64(u))
 		}
+		if e, ok := s.(*EdgeDropSampler); ok {
+			word(uint64(e.LastCommVolume))
+			word(uint64(e.LastDroppedEdges))
+		}
 	}
 	return h.Sum64()
 }
@@ -57,6 +65,10 @@ func TestSamplerStreamGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	topo, err := core.BuildTopology(ds.G, parts, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		s    Sampler
 		want uint64
@@ -68,6 +80,8 @@ func TestSamplerStreamGolden(t *testing.T) {
 		{NewGraphSAINTSampler(ds.G, ds.TrainMask, SAINTNode, 100, 4, 9), 0xae5a9b8f3b835cf},
 		{NewGraphSAINTSampler(ds.G, ds.TrainMask, SAINTEdge, 100, 4, 9), 0xe443a733f1bc9f81},
 		{NewGraphSAINTSampler(ds.G, ds.TrainMask, SAINTWalk, 100, 4, 9), 0x254040d53ee296b9},
+		{NewEdgeDropSampler(topo, ds.TrainMask, DropEdgeGlobal, 0.7, 9), 0xde554df8c78d2f0a},
+		{NewEdgeDropSampler(topo, ds.TrainMask, DropEdgeBoundary, 0.5, 9), 0x5db567f7dcdf5a86},
 	} {
 		if got := streamHash(tc.s); got != tc.want {
 			t.Errorf("%s: stream hash %#x, want %#x", tc.s.Name(), got, tc.want)

@@ -4,9 +4,9 @@
 // FastGCN and LADIES layer sampling, ClusterGCN and GraphSAINT subgraph
 // sampling — plus the edge-sampling ablations DropEdge and Boundary Edge
 // Sampling (BES), whose one batch per epoch is the whole edge-sampled graph.
-// The partition-parallel half, the BNS and LADIES boundary-slot strategies
-// hosted on the engine, is core.Strategy; GraphSAINT lives only here, as the
-// paper measures it.
+// The partition-parallel half, the BNS and LADIES boundary-slot samplers
+// hosted on the engine, is core.Strategy, a per-slot keep probability the
+// engine draws from; GraphSAINT lives only here, as the paper measures it.
 //
 // All samplers share the Batch abstraction: a set of global nodes, a
 // subgraph over them, and a target mask marking the rows where loss
