@@ -20,6 +20,9 @@ type FullTrainer struct {
 // NewFullTrainer builds the reference trainer with an Adam optimizer. The
 // full graph is static, so its layout is built once, here.
 func NewFullTrainer(ds *datagen.Dataset, cfg ModelConfig) (*FullTrainer, error) {
+	if err := ds.CheckTrainLabels(); err != nil {
+		return nil, err
+	}
 	model, err := NewModel(cfg, ds.FeatureDim(), ds.NumClasses)
 	if err != nil {
 		return nil, err

@@ -185,3 +185,31 @@ func TestWeightsIndependentOfPoolWidth(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiLabelGolden pins the sigmoid-BCE path, which the softmax goldens
+// above never reach: 4 epochs on the multi-label fixture, SAGE and GAT at
+// k=3 with boundary sampling and dropout on. Signatures captured before the
+// loss staged its exps through tensor.ExpInPlace; re-capture only for an
+// intentional numerics change.
+func TestMultiLabelGolden(t *testing.T) {
+	golden := map[Arch]struct {
+		hash      uint64
+		commBytes int64
+	}{
+		ArchSAGE: {hash: 0x73a6e7da9fb2183a, commBytes: 152064},
+		ArchGAT:  {hash: 0x69a8cec8c8ff303a, commBytes: 152064},
+	}
+	ds := multiLabelDataset(t)
+	topo := testTopology(t, ds, 3)
+	for _, arch := range []Arch{ArchSAGE, ArchGAT} {
+		mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
+		tr, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: mc, P: 0.3, SampleSeed: 6})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hash, bytes := trainingSignature(t, tr)
+		if want := golden[arch]; hash != want.hash || bytes != want.commBytes {
+			t.Errorf("%s: signature (%#x, %d bytes), want (%#x, %d bytes)", arch, hash, bytes, want.hash, want.commBytes)
+		}
+	}
+}

@@ -373,13 +373,14 @@ func maxMatDiff(pa, pb []*tensor.Matrix) float32 {
 // the local count itself.
 func Loss(multiLabel bool, logits *tensor.Matrix, labels []int32, labelMatrix *tensor.Matrix, mask []bool, denom int) (float64, *tensor.Matrix) {
 	grad := tensor.New(logits.Rows, logits.Cols)
-	loss := LossInto(grad, multiLabel, logits, labels, labelMatrix, mask, denom)
+	loss := LossInto(new(nn.SoftmaxLoss), grad, multiLabel, logits, labels, labelMatrix, mask, denom)
 	return loss, grad
 }
 
 // LossInto is Loss writing the gradient into a caller-owned matrix
-// (overwritten), for allocation-free training loops.
-func LossInto(grad *tensor.Matrix, multiLabel bool, logits *tensor.Matrix, labels []int32, labelMatrix *tensor.Matrix, mask []bool, denom int) float64 {
+// (overwritten) and running the softmax head on the caller's sl, for
+// allocation-free training loops.
+func LossInto(sl *nn.SoftmaxLoss, grad *tensor.Matrix, multiLabel bool, logits *tensor.Matrix, labels []int32, labelMatrix *tensor.Matrix, mask []bool, denom int) float64 {
 	local := 0
 	for i := 0; i < logits.Rows; i++ {
 		if mask[i] {
@@ -390,7 +391,7 @@ func LossInto(grad *tensor.Matrix, multiLabel bool, logits *tensor.Matrix, label
 	if multiLabel {
 		loss = nn.SigmoidBCEInto(grad, logits, labelMatrix, mask)
 	} else {
-		loss = nn.SoftmaxCrossEntropyInto(grad, logits, labels, mask)
+		loss = sl.Into(grad, logits, labels, mask)
 	}
 	if denom > 0 && local != denom {
 		scale := float64(local) / float64(denom)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/datagen"
 	"repro/internal/graph"
+	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/tensor"
 )
@@ -368,7 +369,8 @@ type RankTrainer struct {
 	globalNodes      int  // nodes in the whole graph: the length of an evaluation mask
 	globalTrainCount int
 	epoch            int
-	ep               epochState // the running pass's shared stage state
+	ep               epochState     // the running pass's shared stage state
+	loss             nn.SoftmaxLoss // the softmax head's slots, reused every epoch
 }
 
 // NewRankTrainer builds the local state for one rank of a k-way training
@@ -392,6 +394,9 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 	// The partition is cut out of ds by the topology's global ids.
 	if ds.G.N != topo.G.N {
 		return nil, fmt.Errorf("core: dataset has %d nodes, topology %d", ds.G.N, topo.G.N)
+	}
+	if err := ds.CheckTrainLabels(); err != nil {
+		return nil, err
 	}
 	model, err := NewModel(cfg.Model, ds.FeatureDim(), ds.NumClasses)
 	if err != nil {

@@ -407,7 +407,7 @@ func (rt *RankTrainer) lossGrad(logits *tensor.Matrix) *tensor.Matrix {
 	rt.ep.clk.to(phaseCompute)
 	lp, st := rt.LP, &rt.ep.st
 	d := lp.ws.Get(logits.Rows, logits.Cols)
-	st.Loss = LossInto(d, rt.multiLabel, logits, lp.Labels, lp.LabelMatrix, lp.TrainMask, rt.globalTrainCount)
+	st.Loss = LossInto(&rt.loss, d, rt.multiLabel, logits, lp.Labels, lp.LabelMatrix, lp.TrainMask, rt.globalTrainCount)
 	rt.Model.ZeroGrad()
 	return d
 }

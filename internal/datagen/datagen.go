@@ -38,6 +38,25 @@ type Dataset struct {
 // FeatureDim returns the node feature dimensionality.
 func (d *Dataset) FeatureDim() int { return d.Features.Cols }
 
+// CheckTrainLabels rejects a single-label dataset with a training node whose
+// label is outside [0, NumClasses): the softmax loss indexes a row of logits
+// by it. The error names the first such node and its label. A multi-label
+// dataset trains on LabelMatrix and passes.
+func (d *Dataset) CheckTrainLabels() error {
+	if d.MultiLabel {
+		return nil
+	}
+	if len(d.Labels) < len(d.TrainMask) {
+		return fmt.Errorf("datagen: %s has %d labels for %d training-mask entries", d.Name, len(d.Labels), len(d.TrainMask))
+	}
+	for v, train := range d.TrainMask {
+		if y := d.Labels[v]; train && (y < 0 || int(y) >= d.NumClasses) {
+			return fmt.Errorf("datagen: %s: training node %d has label %d, outside [0,%d)", d.Name, v, y, d.NumClasses)
+		}
+	}
+	return nil
+}
+
 // CountMask returns the number of true entries in mask.
 func CountMask(mask []bool) int {
 	n := 0

@@ -162,12 +162,14 @@ func TestMultiProcessResizeShrinkDeterminism(t *testing.T) {
 
 // TestMultiProcessResizeGrowBack is the full lifecycle under real SIGKILL:
 // rank 3 is killed mid-training with no replacement waiting; the survivors
-// shrink to k'=3 and keep training (slowed per epoch so the window is wide);
-// once a survivor is provably training on the shrunken world, the parent
-// starts a -join replacement, whose knock on the growth listener makes the
-// cohort re-rendezvous at full strength. All four processes must finish at
-// the target epoch with identical replicas, and every reassigned row goes
-// home: the final generation trains at k=4.
+// shrink to k'=3 and keep training until the shrunken world's owner reaches
+// epoch 8, where it holds (empEnvHoldAt) until a replacement knocks. Once it
+// reports holding, the parent starts a -join replacement, whose knock on the
+// growth listener makes the cohort re-rendezvous at full strength — however
+// long the replacement takes to start, the k'=3 world cannot finish first.
+// All four processes must finish at the target epoch with identical
+// replicas, and every reassigned row goes home: the final generation trains
+// at k=4. Epochs are slowed so the kill lands mid-run.
 //
 // The parent watches progress by polling the children's (mutex-guarded)
 // output buffers rather than piping stdout: exec.Cmd.Wait closes a
@@ -186,12 +188,13 @@ func TestMultiProcessResizeGrowBack(t *testing.T) {
 	cands := strings.Join(freeCandidates(t, world), ",")
 	ctx, cancel := context.WithTimeout(context.Background(), 4*time.Minute)
 	defer cancel()
-	slow := empEnvSlowMS + "=150"
+	const holdAt = 8
+	knobs := append(mpResizeEnv(), empEnvSlowMS+"=150", fmt.Sprintf("%s=%d", empEnvHoldAt, holdAt))
 
 	outs := make(map[int]*safeBuf, world)
 	start := func(rank int, extra ...string) *exec.Cmd {
 		cmd := empCommand(ctx, exe, dir, cands, world, rank, epochs,
-			append(append(mpResizeEnv(), slow), extra...)...)
+			append(append([]string(nil), knobs...), extra...)...)
 		outs[rank] = &safeBuf{}
 		cmd.Stdout, cmd.Stderr = outs[rank], outs[rank]
 		if err := cmd.Start(); err != nil {
@@ -206,29 +209,28 @@ func TestMultiProcessResizeGrowBack(t *testing.T) {
 		survivors[r] = start(r)
 	}
 
-	// waitEpoch polls a child's output until it has reported reaching epoch e.
-	waitEpoch := func(rank, e int, why string) {
-		for maxEpoch(outs[rank], rank) < e {
+	// waitFor polls a child's output until ready holds of it.
+	waitFor := func(rank int, ready func(out string) bool, why string) {
+		for !ready(outs[rank].String()) {
 			select {
 			case <-ctx.Done():
-				t.Fatalf("%s (rank %d never reached epoch %d):\n%s", why, rank, e, outs[rank].String())
+				t.Fatalf("%s:\n%s", why, outs[rank].String())
 			case <-time.After(50 * time.Millisecond):
 			}
 		}
 	}
 
 	// Kill the victim once it has trained (and checkpointed) past epoch 3.
-	waitEpoch(3, 3, "victim made no progress")
+	waitFor(3, func(string) bool { return maxEpoch(outs[3], 3) >= 3 }, "victim never reached epoch 3")
 	if err := victim.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	victim.Wait() // SIGKILL: non-zero exit is the point
 
-	// Wait until a survivor is provably training at k'=3 — any epoch past 5
-	// can only happen on the shrunken world, since the full cohort died during
-	// epoch 4 and no replacement exists yet — then start the replacement: the
-	// -join path, probing every candidate for the growth listener.
-	waitEpoch(0, 8, "survivors never trained on the shrunken world")
+	// Wait until the shrunken world's owner holds at k'=3 (it prints EMP-HOLD
+	// only on a world smaller than 4), then start the replacement: the -join
+	// path, probing every candidate for the growth listener.
+	waitFor(0, func(out string) bool { return strings.Contains(out, "EMP-HOLD rank=0") }, "rank 0 never held on the shrunken world")
 	replacement := start(3, empEnvJoin+"=1")
 
 	for r := 0; r < world-1; r++ {

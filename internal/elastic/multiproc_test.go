@@ -46,6 +46,12 @@ const (
 	// empEnvSlowMS stretches every epoch by a sleep, widening the window in
 	// which a late replacement can knock while the shrunken world trains.
 	empEnvSlowMS = "BNSGCN_EMP_SLOW_MS"
+	// empEnvHoldAt makes the owner of a shrunken world (its lowest live
+	// slot, the one running the growth listener) hold in the epoch hook
+	// from that epoch on, after printing an EMP-HOLD line, until a
+	// replacement's knock fires growSignal or a minute passes: the shrunken
+	// world cannot finish before the replacement is in.
+	empEnvHoldAt = "BNSGCN_EMP_HOLD_AT"
 	empWorld     = 3
 	empEpochs    = 8
 	empEvery     = 2
@@ -65,6 +71,13 @@ func TestElasticMPHelper(t *testing.T) {
 	stagMS, _ := strconv.Atoi(os.Getenv(empEnvStagMS))
 	roundMS, _ := strconv.Atoi(os.Getenv(empEnvRoundMS))
 	dieAt, _ := strconv.Atoi(os.Getenv(empEnvDieAt))
+	holdAt, _ := strconv.Atoi(os.Getenv(empEnvHoldAt))
+	grown := make(chan struct{})
+	if holdAt > 0 {
+		var once sync.Once
+		growSignal = func(owner, joiner int) { once.Do(func() { close(grown) }) }
+	}
+	held := false
 
 	ds, parts, topo, cfg := testFixtureParts(t, world)
 	rt, rep, err := Run(RunnerConfig{
@@ -83,10 +96,19 @@ func TestElasticMPHelper(t *testing.T) {
 		// Stream epoch progress so the parent can time the SIGKILL; Printf
 		// hits the stdout fd directly, no buffering to defeat. The printed
 		// rank is the slot, which on a shrunken world differs from rt.Rank.
-		OnEpoch: func(rt *core.RankTrainer, _ *comm.Worker, _ core.RankStats) error {
+		OnEpoch: func(rt *core.RankTrainer, w *comm.Worker, _ core.RankStats) error {
 			fmt.Printf("EMP-EPOCH rank=%d epoch=%d\n", rank, rt.Epoch())
 			if dieAt > 0 && rt.Epoch() == dieAt {
 				os.Exit(17) // scripted death, as abrupt as a SIGKILL to the peers
+			}
+			if holdAt > 0 && !held && rt.Epoch() >= holdAt && w.Size() < world && w.Rank() == 0 {
+				held = true
+				fmt.Printf("EMP-HOLD rank=%d epoch=%d world=%d\n", rank, rt.Epoch(), w.Size())
+				select {
+				case <-grown:
+				case <-time.After(time.Minute):
+					fmt.Printf("EMP-HOLD-TIMEOUT rank=%d: no replacement knocked\n", rank)
+				}
 			}
 			if ms, _ := strconv.Atoi(os.Getenv(empEnvSlowMS)); ms > 0 {
 				time.Sleep(time.Duration(ms) * time.Millisecond)

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/tensor"
@@ -190,8 +189,9 @@ func (l *GATConv) ForwardRows(rows []int32) {
 // and reads only the shared prep arrays, so blocks may run concurrently and
 // in any order without changing a bit.
 func (l *GATConv) forwardBlock(rows []int32) {
+	var buf [expBlock]float64
 	for _, v := range rows {
-		l.forwardNode(int(v))
+		l.forwardNode(int(v), &buf)
 	}
 }
 
@@ -205,8 +205,9 @@ func (l *GATConv) segment(v int) (lo, hi int) {
 	return lo, lo + 1 + int(ip[v+1]-ip[v])
 }
 
-// forwardNode computes attention and the activated output for node v.
-func (l *GATConv) forwardNode(v int) {
+// forwardNode computes attention and the activated output for node v; buf
+// is scratch for the softmax's exps.
+func (l *GATConv) forwardNode(v int, buf *[expBlock]float64) {
 	nbrs := l.g.Neighbors(int32(v))
 	lo, hi := l.segment(v)
 	e := l.alphaBuf[lo:hi]
@@ -231,10 +232,17 @@ func (l *GATConv) forwardNode(v int) {
 		}
 	}
 	var sum float64
-	for i, x := range e {
-		ex := math.Exp(float64(x - mx))
-		e[i] = float32(ex)
-		sum += ex
+	for i0 := 0; i0 < len(e); i0 += expBlock {
+		part := e[i0:min(i0+expBlock, len(e))]
+		ex := buf[:len(part)]
+		for i, x := range part {
+			ex[i] = float64(x - mx)
+		}
+		tensor.ExpInPlace(ex)
+		for i, x := range ex {
+			part[i] = float32(x)
+			sum += x
+		}
 	}
 	inv := float32(1 / sum)
 	for i := range e {

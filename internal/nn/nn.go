@@ -342,56 +342,125 @@ func (d *Dropout) BackwardRows(g *tensor.Matrix, r0, r1 int) {
 // Rows outside the mask contribute zero loss and zero gradient.
 func SoftmaxCrossEntropy(logits *tensor.Matrix, labels []int32, mask []bool) (float64, *tensor.Matrix) {
 	grad := tensor.New(logits.Rows, logits.Cols)
-	return SoftmaxCrossEntropyInto(grad, logits, labels, mask), grad
+	return new(SoftmaxLoss).Into(grad, logits, labels, mask), grad
 }
 
-// SoftmaxCrossEntropyInto is SoftmaxCrossEntropy writing the gradient into a
-// caller-owned matrix (overwritten), for allocation-free training loops.
-func SoftmaxCrossEntropyInto(grad, logits *tensor.Matrix, labels []int32, mask []bool) float64 {
+// SoftmaxLoss is softmax cross-entropy's reusable state: a per-row slot and
+// the row body, bound once on first use (binding it per call would allocate
+// a closure per call). A training loop keeps one and calls Into, which then
+// allocates nothing; the zero value is ready. It is not safe for concurrent
+// use.
+type SoftmaxLoss struct {
+	// The call in progress, for body.
+	grad, logits *tensor.Matrix
+	labels       []int32
+	mask         []bool
+	inv          float64
+	d            []float64 // d[i] = logZ − row[y] for masked row i
+	body         func(rows []int32)
+}
+
+// Into is SoftmaxCrossEntropy writing the gradient into a caller-owned matrix
+// (overwritten). A masked row's label must lie in [0, logits.Cols); one
+// outside panics before any row is computed.
+//
+// Rows run on the tensor row dispatcher: each writes its gradient row and its
+// logZ − row[y] into its slot, and the loss is folded from the slots
+// afterwards in row order, with the serial loop's expression, so it is the
+// same float at every pool width.
+func (s *SoftmaxLoss) Into(grad, logits *tensor.Matrix, labels []int32, mask []bool) float64 {
 	if len(labels) < logits.Rows || len(mask) < logits.Rows {
 		panic(fmt.Sprintf("nn: loss needs %d labels/mask, have %d/%d", logits.Rows, len(labels), len(mask)))
 	}
 	if grad.Rows != logits.Rows || grad.Cols != logits.Cols {
 		panic(fmt.Sprintf("nn: loss grad shape %dx%d, want %dx%d", grad.Rows, grad.Cols, logits.Rows, logits.Cols))
 	}
-	grad.Zero()
 	count := 0
 	for i := 0; i < logits.Rows; i++ {
 		if mask[i] {
+			if y := labels[i]; y < 0 || int(y) >= logits.Cols {
+				panic(fmt.Sprintf("nn: loss row %d has label %d, outside [0,%d)", i, y, logits.Cols))
+			}
 			count++
 		}
 	}
 	if count == 0 {
+		grad.Zero()
 		return 0
 	}
 	inv := 1 / float64(count)
+	if s.body == nil {
+		s.body = s.block
+	}
+	s.grad, s.logits, s.labels, s.mask, s.inv = grad, logits, labels, mask, inv
+	slots := tensor.EnsureLen(&s.d, logits.Rows)
+	tensor.ForRange(0, logits.Rows, s.body)
+	s.grad, s.logits, s.labels, s.mask = nil, nil, nil, nil
 	var loss float64
-	for i := 0; i < logits.Rows; i++ {
-		if !mask[i] {
-			continue
+	for i, d := range slots {
+		if mask[i] {
+			loss += d * inv
 		}
-		row := logits.Row(i)
-		mx := row[0]
-		for _, v := range row {
-			if v > mx {
-				mx = v
-			}
-		}
-		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v - mx))
-		}
-		logZ := math.Log(sum) + float64(mx)
-		y := labels[i]
-		loss += (logZ - float64(row[y])) * inv
-		g := grad.Row(i)
-		for j, v := range row {
-			p := math.Exp(float64(v) - logZ)
-			g[j] = float32(p * inv)
-		}
-		g[y] -= float32(inv)
 	}
 	return loss
+}
+
+// expBlock is the length of the stack buffers the loss and the attention
+// softmax stage their exp arguments through, for tensor.ExpInPlace.
+const expBlock = 64
+
+// block is the loss's row body: a masked row gets its gradient row and its
+// slot, any other row a zero gradient row.
+func (s *SoftmaxLoss) block(rows []int32) {
+	var buf [expBlock]float64
+	for _, r := range rows {
+		i := int(r)
+		g := s.grad.Row(i)
+		if !s.mask[i] {
+			clear(g)
+			continue
+		}
+		s.d[i] = softmaxRow(g, s.logits.Row(i), int(s.labels[i]), s.inv, &buf)
+	}
+}
+
+// softmaxRow writes g = softmax(row)·inv less inv at the label y and returns
+// logZ − row[y]. The exps run through buf in blocks, and the sum adds the
+// same values in the same order as one math.Exp at a time would.
+func softmaxRow(g, row []float32, y int, inv float64, buf *[expBlock]float64) float64 {
+	mx := row[0]
+	for _, v := range row {
+		if v > mx {
+			mx = v
+		}
+	}
+	var sum float64
+	for j0 := 0; j0 < len(row); j0 += expBlock {
+		part := row[j0:min(j0+expBlock, len(row))]
+		e := buf[:len(part)]
+		for j, v := range part {
+			e[j] = float64(v - mx)
+		}
+		tensor.ExpInPlace(e)
+		for _, x := range e {
+			sum += x
+		}
+	}
+	logZ := math.Log(sum) + float64(mx)
+	for j0 := 0; j0 < len(row); j0 += expBlock {
+		part := row[j0:min(j0+expBlock, len(row))]
+		e := buf[:len(part)]
+		for j, v := range part {
+			e[j] = float64(v) - logZ
+		}
+		tensor.ExpInPlace(e)
+		gp := g[j0 : j0+len(e)]
+		for j, p := range e {
+			gp[j] = float32(p * inv)
+		}
+	}
+	g[y] -= float32(inv)
+	return logZ - float64(row[y])
 }
 
 // SigmoidBCE computes mean binary cross-entropy with logits over masked rows
@@ -423,18 +492,33 @@ func SigmoidBCEInto(grad, logits, targets *tensor.Matrix, mask []bool) float64 {
 	}
 	inv := 1 / (float64(count) * float64(logits.Cols))
 	var loss float64
+	// The two exps of an element, exp(−|x|) and exp(−x), are staged through
+	// ea and eb in blocks of a row; the loss adds the same terms in the same
+	// order as one math.Exp at a time would.
+	var ea, eb [expBlock]float64
 	for i := 0; i < logits.Rows; i++ {
 		if !mask[i] {
 			continue
 		}
 		lrow, trow, grow := logits.Row(i), targets.Row(i), grad.Row(i)
-		for j, x := range lrow {
-			t := float64(trow[j])
-			fx := float64(x)
-			// log(1+exp(-|x|)) formulation for stability.
-			loss += (math.Max(fx, 0) - fx*t + math.Log1p(math.Exp(-math.Abs(fx)))) * inv
-			sig := 1 / (1 + math.Exp(-fx))
-			grow[j] = float32((sig - t) * inv)
+		for j0 := 0; j0 < len(lrow); j0 += expBlock {
+			part := lrow[j0:min(j0+expBlock, len(lrow))]
+			a, b := ea[:len(part)], eb[:len(part)]
+			for j, x := range part {
+				fx := float64(x)
+				a[j], b[j] = -math.Abs(fx), -fx
+			}
+			tensor.ExpInPlace(a)
+			tensor.ExpInPlace(b)
+			tp, gp := trow[j0:j0+len(part)], grow[j0:j0+len(part)]
+			for j, x := range part {
+				t := float64(tp[j])
+				fx := float64(x)
+				// log(1+exp(-|x|)) formulation for stability.
+				loss += (math.Max(fx, 0) - fx*t + math.Log1p(a[j])) * inv
+				sig := 1 / (1 + b[j])
+				gp[j] = float32((sig - t) * inv)
+			}
 		}
 	}
 	return loss

@@ -1,6 +1,8 @@
 package sampling
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -137,4 +139,33 @@ func buildTopo(t *testing.T, ds *datagen.Dataset, k int) *core.Topology {
 		t.Fatal(err)
 	}
 	return topo
+}
+
+// TestMinibatchTrainerRejectsOutOfRangeLabels: the minibatch trainer refuses
+// a training label outside [0, NumClasses) at construction, naming the node
+// and the label, and accepts an out-of-range label off the training mask.
+func TestMinibatchTrainerRejectsOutOfRangeLabels(t *testing.T) {
+	ds := testDataset(t, 5)
+	for _, tc := range []struct {
+		y     int32
+		train bool
+		want  string
+	}{
+		{-1, true, "training node 7 has label -1"},
+		{int32(ds.NumClasses), true, fmt.Sprintf("training node 7 has label %d", ds.NumClasses)},
+		{-1, false, ""},
+	} {
+		c := *ds
+		c.Labels = append([]int32(nil), ds.Labels...)
+		c.TrainMask = append([]bool(nil), ds.TrainMask...)
+		c.Labels[7], c.TrainMask[7] = tc.y, tc.train
+		s := NewGraphSAINTSampler(c.G, c.TrainMask, SAINTNode, 150, 4, 4)
+		_, err := NewMinibatchTrainer(&c, modelCfg(), s)
+		if tc.want == "" && err != nil {
+			t.Errorf("label %d train=%v: %v, want accepted", tc.y, tc.train, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("label %d train=%v: error %v, want one containing %q", tc.y, tc.train, err, tc.want)
+		}
+	}
 }

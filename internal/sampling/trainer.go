@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/tensor"
 )
@@ -28,16 +29,20 @@ type MinibatchTrainer struct {
 	// reused — the same layer-owned-scratch discipline RankTrainer's epoch
 	// engine runs with, so a steady-state TrainStep's only allocations are
 	// the sampler's own batch assembly. lay is the batch graph's layout,
-	// rebuilt in place per batch.
+	// rebuilt in place per batch; loss holds the softmax head's row slots.
 	lay         core.Layout
 	featsBuf    *tensor.Matrix
 	labelMatBuf *tensor.Matrix
 	gradBuf     *tensor.Matrix
 	labelsBuf   []int32
+	loss        nn.SoftmaxLoss
 }
 
 // NewMinibatchTrainer builds a trainer around the given sampler.
 func NewMinibatchTrainer(ds *datagen.Dataset, cfg core.ModelConfig, s Sampler) (*MinibatchTrainer, error) {
+	if err := ds.CheckTrainLabels(); err != nil {
+		return nil, err
+	}
 	model, err := core.NewModel(cfg, ds.FeatureDim(), ds.NumClasses)
 	if err != nil {
 		return nil, err
@@ -75,7 +80,7 @@ func (t *MinibatchTrainer) TrainStep() float64 {
 	}
 	h := t.Model.Forward(t.lay.Build(batch.G), feats, true)
 	d := tensor.EnsureMat(&t.gradBuf, h.Rows, h.Cols)
-	loss := core.LossInto(d, t.DS.MultiLabel, h, labels, labelMatrix, batch.TargetMask, 0)
+	loss := core.LossInto(&t.loss, d, t.DS.MultiLabel, h, labels, labelMatrix, batch.TargetMask, 0)
 	t.Model.ZeroGrad()
 	t.Model.Backward(d)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())

@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -340,4 +341,34 @@ func BenchmarkMatMulTransBWorkload(b *testing.B) {
 			GatherDots(dots, dz, wh, nbrs)
 		}
 	})
+}
+
+// BenchmarkExp times math.Exp one element at a time against ExpInPlace on
+// the lengths the training path stages: a 32-class loss row and a 25-entry
+// attention segment (degree 24 plus self, the GAT workload's average),
+// softmax-shaped arguments in (−20, 0].
+func BenchmarkExp(b *testing.B) {
+	for _, n := range []int{32, 25} {
+		rng := NewRNG(13)
+		src := make([]float64, n)
+		for i := range src {
+			src[i] = -20 * rng.Float64()
+		}
+		x := make([]float64, n)
+		b.Run(fmt.Sprintf("math.Exp/%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for j, v := range src {
+					x[j] = math.Exp(v)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("ExpInPlace/%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				copy(x, src)
+				ExpInPlace(x)
+			}
+		})
+	}
 }

@@ -11,10 +11,11 @@ import (
 // Row-kernel dispatch. Every kernel of the package (MatMul, MatMulTransB,
 // MatMulTransBSplit, SpMM, SpMMTrans, SpMMMatMul, the dW reductions
 // MatMulTransAAt and MatMulTransASplit, and the caller-supplied body of
-// ForRows) is one body that computes a list of output rows, and one
-// dispatcher — dispatch — that cuts the call's row set into units, hands the
-// units to the worker pool, and walks each unit in blocks of rowBlock rows,
-// or of the call's grain where that is larger (a reduction's whole unit). A
+// ForRows: nn's GAT forward and backward sweeps and its softmax loss) is one
+// body that computes a list of output rows, and one dispatcher — dispatch —
+// that cuts the call's row set into units, hands the units to the worker
+// pool, and walks each unit in blocks of rowBlock rows, or of the call's
+// grain where that is larger (a reduction's whole unit). A
 // contiguous range is just another row list (rowRange), so the full, Range
 // and Rows entry points of a kernel differ only in the list they pass. Rows
 // are independent and every row is computed by the same body with the same
@@ -293,7 +294,8 @@ func dispatch(call rowCall, rows []int32, grain int, chunks []int32) {
 
 // ForRows runs fn over rows in pieces of at most rowBlock rows on the kernel
 // worker pool — the dispatcher the package's own kernels run on, for
-// per-row sweeps that live outside it (the GAT attention pass). Pieces run
+// per-row sweeps that live outside it (the GAT attention passes, the
+// softmax loss). Pieces run
 // concurrently, so fn must write only state owned by the rows it is handed,
 // and it must not modify or retain the slice.
 func ForRows(rows []int32, fn func(rows []int32)) {

@@ -114,3 +114,10 @@ func maskScaleAVX2(dst, src *float32, bits *uint64, from, n int, scale float32)
 //
 //go:noescape
 func maskMulAVX2(grad *float32, bits *uint64, from, n int, scale float32)
+
+// expAVX2 sets x[i] = math.Exp(x[i]) for i < done, four lanes at a time, and
+// returns done: n (a multiple of 4), or the start of the first group with a
+// lane outside [−708, 709], which it leaves untouched (see exp_amd64.s).
+//
+//go:noescape
+func expAVX2(x *float64, n int) int

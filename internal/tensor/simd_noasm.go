@@ -49,3 +49,7 @@ func maskScaleAVX2(dst, src *float32, bits *uint64, from, n int, scale float32) 
 func maskMulAVX2(grad *float32, bits *uint64, from, n int, scale float32) {
 	panic("tensor: maskMulAVX2 unavailable on this platform")
 }
+
+func expAVX2(x *float64, n int) int {
+	panic("tensor: expAVX2 unavailable on this platform")
+}
