@@ -105,6 +105,7 @@ func fusedProject(pre, z, h, w *Matrix, rows []int32) {
 	in := z.Cols
 	k, m := 2*in, w.Cols
 	var cat [CoefPiece]float32
+	ks := rowRange(0, k) // w's rows, one atomic load per block
 	for _, v := range rows {
 		i := int(v)
 		dst := pre.Data[i*m : i*m+m]
@@ -114,7 +115,7 @@ func fusedProject(pre, z, h, w *Matrix, rows []int32) {
 			k1 := min(k0+CoefPiece, k)
 			nz := copy(cat[:], zi[min(k0, in):min(k1, in)])
 			copy(cat[nz:], hi[max(k0, in)-in:max(k1, in)-in])
-			panelRows(dst, w.Data[k0*m:], m, rowRange(0, k1-k0), cat[:k1-k0], 1)
+			panelRows(dst, w, ks[k0:k1], cat[:k1-k0], 1)
 		}
 	}
 }
@@ -164,8 +165,8 @@ func matMulTransBSplitBlock(dz, dSelf, dPre, w *Matrix, rows []int32) {
 	for _, v := range rows {
 		i := int(v)
 		g := dPre.Data[i*k : i*k+k]
-		dotRows(dz.Data[i*in:i*in+in], g, w.Data, k, zs)
-		dotRows(dSelf.Data[i*in:i*in+in], g, w.Data, k, ss)
+		dotRows(dz.Data[i*in:i*in+in], g, w, zs)
+		dotRows(dSelf.Data[i*in:i*in+in], g, w, ss)
 	}
 }
 

@@ -3,7 +3,9 @@
 // gen_rowacc writes rowacc_amd64.s, the register-resident row-accumulate
 // kernels: one body per accumulator count (1–8 YMM registers, an output strip
 // of 8–64 floats), which the kernel's entry selects from its lanes argument.
-// Run it with `go generate ./internal/tensor/`.
+// Every body compares each row id with the source's row count as it loads it
+// and reports a bad one instead of storing. Run it with
+// `go generate ./internal/tensor/`.
 package main
 
 import (
@@ -20,7 +22,7 @@ func main() {
 	p("//go:build amd64")
 	p("")
 	p("#include \"textflag.h\"")
-	for _, k := range []kernel{sumKernel, axpyKernel} {
+	for _, k := range []kernel{sumKernel, axpyKernel, scaledKernel} {
 		k.emit(p)
 	}
 	if err := os.WriteFile("rowacc_amd64.s", b.Bytes(), 0o644); err != nil {
@@ -29,47 +31,77 @@ func main() {
 	}
 }
 
+// coefMode is where a kernel's term coefficients come from.
+type coefMode int
+
+const (
+	unit    coefMode = iota // every coefficient is 1: a single is an add
+	list                    // coef[t·cstride], with an optional all-±0 skip
+	indexed                 // scale[idx[t]], no skip
+)
+
 type kernel struct {
 	name string // Go name and label prefix
 	doc  []string
 	args string // the frame's argument size
-	// coef is true for the coefficient kernel: four broadcasts per panel
-	// from the coefficient list, an optional all-±0 panel skip, and FMA
-	// singles; otherwise every coefficient is 1 and a single is an add.
-	coef bool
+	coef coefMode
+	ok   int // the result's frame offset
 }
 
 var sumKernel = kernel{
 	name: "sumRowsAVX2",
 	doc: []string{
-		"// func sumRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx int)",
+		"// func sumRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx, xrows int) (ok bool)",
 		"//",
 		"// dst[j] += x[idx[t]·ldx + j] for t in [0,terms), j in [0, 8·lanes), with the",
 		"// row held in lanes YMM registers across the whole sum. Four terms at a",
 		"// time chain fma(1, x, acc) — axpy4AVX2 with unit coefficients, which is",
 		"// acc+x exactly — and the last terms%4 are single adds, as addAVX2.",
+		"// A row id outside [0,xrows) returns false before anything is stored.",
 	},
-	args: "$0-48",
+	args: "$0-57",
+	coef: unit,
+	ok:   56,
 }
 
 var axpyKernel = kernel{
 	name: "axpyRowsAVX2",
 	doc: []string{
-		"// func axpyRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx int, coef *float32, cstride int, skip int)",
+		"// func axpyRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx, xrows int, coef *float32, cstride, skip int) (ok bool)",
 		"//",
 		"// dst[j] += coef[t·cstride]·x[idx[t]·ldx + j] for t in [0,terms), j in [0, 8·lanes),",
 		"// with the row held in lanes YMM registers across the whole sum. Four terms",
 		"// at a time chain their FMAs in term order, as axpy4AVX2 does; the last",
 		"// terms%4 are single FMAs, as axpyAVX2. skip != 0 passes over a panel whose",
-		"// four coefficients are all ±0, and a single whose coefficient is.",
+		"// four coefficients are all ±0, and a single whose coefficient is, without",
+		"// reading their rows. A row id it reads outside [0,xrows) returns false",
+		"// before anything is stored.",
 	},
-	args: "$0-72",
-	coef: true,
+	args: "$0-81",
+	coef: list,
+	ok:   80,
 }
 
-// Registers: DI dst, SI idx, DX x, R8 ldx in bytes, R9 coef, R13 cstride in
-// bytes, R12 skip, CX the panel and single counters, AX BX R10 R11 the four
-// terms' rows, Y0–Y7 the accumulators, Y12–Y15 the coefficients.
+var scaledKernel = kernel{
+	name: "scaledRowsAVX2",
+	doc: []string{
+		"// func scaledRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx, xrows int, scale *float32) (ok bool)",
+		"//",
+		"// dst[j] += scale[idx[t]]·x[idx[t]·ldx + j] for t in [0,terms), j in [0, 8·lanes):",
+		"// axpyRowsAVX2 without skip, each term's coefficient broadcast from the",
+		"// scale entry of the row it reads (SpMMTrans's per-source scale). A row id",
+		"// outside [0,xrows) returns false before its scale entry is read or",
+		"// anything is stored.",
+	},
+	args: "$0-65",
+	coef: indexed,
+	ok:   64,
+}
+
+// Registers: DI dst, SI idx, DX x, R8 ldx in bytes, R12 xrows, R9 coef or
+// scale, R13 cstride in bytes, CX the panel and single counters, AX BX R10
+// R11 the four terms' rows, Y0–Y7 the accumulators, Y12–Y15 the
+// coefficients.
 var rows = []string{"AX", "BX", "R10", "R11"}
 
 func (k kernel) emit(p func(string, ...any)) {
@@ -84,15 +116,18 @@ func (k kernel) emit(p func(string, ...any)) {
 	p("\tMOVQ x+32(FP), DX")
 	p("\tMOVQ ldx+40(FP), R8")
 	p("\tSHLQ $2, R8")
-	if k.coef {
-		p("\tMOVQ coef+48(FP), R9")
-		p("\tMOVQ cstride+56(FP), R13")
-		p("\tSHLQ $2, R13")
-		p("\tMOVQ skip+64(FP), R12")
-	} else {
+	p("\tMOVQ xrows+48(FP), R12")
+	switch k.coef {
+	case unit:
 		p("\tMOVL $0x3f800000, AX // 1.0")
 		p("\tVMOVD AX, X12")
 		p("\tVBROADCASTSS X12, Y12")
+	case list:
+		p("\tMOVQ coef+56(FP), R9")
+		p("\tMOVQ cstride+64(FP), R13")
+		p("\tSHLQ $2, R13")
+	case indexed:
+		p("\tMOVQ scale+56(FP), R9")
 	}
 	for l := 8; l > 1; l-- {
 		p("\tCMPQ CX, $%d", l)
@@ -102,6 +137,25 @@ func (k kernel) emit(p func(string, ...any)) {
 	for l := 8; l >= 1; l-- {
 		k.body(p, l)
 	}
+	p("%sbad:", k.name)
+	p("\tVZEROUPPER")
+	p("\tMOVB $0, ok+%d(FP)", k.ok)
+	p("\tRET")
+}
+
+// loadRow loads term t's row id from off(SI) into r, leaves for the bad
+// label if it is outside [0,xrows) (a negative id is a huge unsigned one),
+// and turns it into the row's address. An indexed kernel broadcasts the
+// id's scale entry into Y(coef) first.
+func (k kernel) loadRow(p func(string, ...any), off int, r string, coef int) {
+	p("\tMOVLQSX %d(SI), %s", off, r)
+	p("\tCMPQ %s, R12", r)
+	p("\tJAE  %sbad", k.name)
+	if k.coef == indexed {
+		p("\tVBROADCASTSS (R9)(%s*4), Y%d", r, coef)
+	}
+	p("\tIMULQ R8, %s", r)
+	p("\tADDQ DX, %s", r)
 }
 
 func (k kernel) body(p func(string, ...any), lanes int) {
@@ -114,8 +168,9 @@ func (k kernel) body(p func(string, ...any), lanes int) {
 	p("\tSHRQ $2, CX")
 	p("\tJEQ  %ssingles", lb)
 	p("%spanel:", lb)
-	if k.coef {
-		p("\tTESTQ R12, R12")
+	coef := func(t int) int { return 12 }
+	if k.coef == list {
+		p("\tCMPQ skip+72(FP), $0")
 		p("\tJEQ  %snoskip", lb)
 		p("\tLEAQ (R9)(R13*2), BX")
 		p("\tMOVL (R9), AX")
@@ -125,27 +180,24 @@ func (k kernel) body(p func(string, ...any), lanes int) {
 		p("\tADDL AX, AX // drops the sign bits: zero iff all four are ±0")
 		p("\tJEQ  %snext", lb)
 		p("%snoskip:", lb)
-	}
-	coef := func(t int) int { return 12 }
-	if k.coef {
 		p("\tLEAQ (R9)(R13*2), BX")
 		p("\tVBROADCASTSS (R9), Y12")
 		p("\tVBROADCASTSS (R9)(R13*1), Y13")
 		p("\tVBROADCASTSS (BX), Y14")
 		p("\tVBROADCASTSS (BX)(R13*1), Y15")
+	}
+	if k.coef != unit {
 		coef = func(t int) int { return 12 + t }
 	}
 	for t, r := range rows {
-		p("\tMOVLQSX %d(SI), %s", 4*t, r)
-		p("\tIMULQ R8, %s", r)
-		p("\tADDQ DX, %s", r)
+		k.loadRow(p, 4*t, r, coef(t))
 	}
 	for t, r := range rows {
 		for l := 0; l < lanes; l++ {
 			p("\tVFMADD231PS %d(%s), Y%d, Y%d", 32*l, r, coef(t), l)
 		}
 	}
-	if k.coef {
+	if k.coef == list {
 		p("%snext:", lb)
 		p("\tLEAQ (R9)(R13*4), R9")
 	}
@@ -157,28 +209,28 @@ func (k kernel) body(p func(string, ...any), lanes int) {
 	p("\tANDQ $3, CX")
 	p("\tJEQ  %sstore", lb)
 	p("%ssingle:", lb)
-	if k.coef {
-		p("\tTESTQ R12, R12")
+	if k.coef == list {
+		p("\tCMPQ skip+72(FP), $0")
 		p("\tJEQ  %ssnoskip", lb)
 		p("\tMOVL 0(R9), AX")
 		p("\tADDL AX, AX")
 		p("\tJEQ  %ssnext", lb)
 		p("%ssnoskip:", lb)
-	}
-	p("\tMOVLQSX 0(SI), AX")
-	p("\tIMULQ R8, AX")
-	p("\tADDQ DX, AX")
-	if k.coef {
 		p("\tVBROADCASTSS 0(R9), Y12")
-		for l := 0; l < lanes; l++ {
-			p("\tVFMADD231PS %d(AX), Y12, Y%d", 32*l, l)
-		}
-		p("%ssnext:", lb)
-		p("\tADDQ R13, R9")
-	} else {
+	}
+	k.loadRow(p, 0, "AX", 12)
+	if k.coef == unit {
 		for l := 0; l < lanes; l++ {
 			p("\tVADDPS %d(AX), Y%d, Y%d", 32*l, l, l)
 		}
+	} else {
+		for l := 0; l < lanes; l++ {
+			p("\tVFMADD231PS %d(AX), Y12, Y%d", 32*l, l)
+		}
+	}
+	if k.coef == list {
+		p("%ssnext:", lb)
+		p("\tADDQ R13, R9")
 	}
 	p("\tADDQ $4, SI")
 	p("\tDECQ CX")
@@ -188,5 +240,6 @@ func (k kernel) body(p func(string, ...any), lanes int) {
 		p("\tVMOVUPS Y%d, %d(DI)", l, 32*l)
 	}
 	p("\tVZEROUPPER")
+	p("\tMOVB $1, ok+%d(FP)", k.ok)
 	p("\tRET")
 }

@@ -1,9 +1,14 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // propShapes are deliberately awkward: 1 exercises degenerate loops, 3 and 7
@@ -258,6 +263,88 @@ func TestDispatchCoversAllRows(t *testing.T) {
 			check("chunks/subrange", n/3, n)
 		}
 	}
+}
+
+// goroutineID returns the running goroutine's id, read off its stack header
+// ("goroutine 7 [running]:").
+func goroutineID() string {
+	b := make([]byte, 64)
+	return strings.Fields(string(b[:runtime.Stack(b, false)]))[1]
+}
+
+// TestPooledPanicReachesCaller: a body that panics on a pool worker hands its
+// value to the goroutine that called the kernel instead of killing the
+// process, and the pool runs the next call over every row.
+func TestPooledPanicReachesCaller(t *testing.T) {
+	forcePool(t, 4)
+	caller := goroutineID()
+	claimed := make(chan struct{})
+	var once sync.Once
+	body := func(rows []int32) {
+		if goroutineID() == caller {
+			// Hold the caller's unit until a worker has claimed the other,
+			// so the panic is a worker's.
+			select {
+			case <-claimed:
+			case <-time.After(10 * time.Second):
+			}
+			return
+		}
+		once.Do(func() { close(claimed) })
+		panic(fmt.Sprintf("fault at row %d", rows[0]))
+	}
+	got := panicMessage(func() { ForRange(0, 2*rowBlock, body) })
+	if got != "fault at row 0" && got != fmt.Sprintf("fault at row %d", rowBlock) {
+		t.Fatalf("caller recovered %q, want the worker's panic", got)
+	}
+
+	const n = 10*rowBlock + 3
+	counts := make([]int32, n)
+	ForRange(0, n, func(rows []int32) {
+		for _, r := range rows {
+			atomic.AddInt32(&counts[r], 1)
+		}
+	})
+	for r, c := range counts {
+		if c != 1 {
+			t.Fatalf("after the fault: row %d covered %d times, want 1", r, c)
+		}
+	}
+}
+
+// TestPooledGatherFaultReachesCaller: a 64-wide SpMM on the pooled path with
+// one bad row id — in each claim unit in turn — panics on the caller with
+// the gather's message, with and without AVX2, and the next SpMM gives the
+// reference bits.
+func TestPooledGatherFaultReachesCaller(t *testing.T) {
+	forcePool(t, 4)
+	rng := NewRNG(44)
+	const n, nSrc, w = 12 * spmmGrain, 50, 64
+	indptr, indices := randCSR(rng, n, nSrc, 9)
+	x := randomMatrix(rng, nSrc, w)
+	out := New(n, w)
+	want := fmt.Sprintf("tensor: gather row %d outside [0,%d)", nSrc, nSrc)
+	for r := 0; r < n; r += spmmGrain / 2 {
+		e := indptr[r]
+		if e == indptr[r+1] {
+			continue
+		}
+		saved := indices[e]
+		indices[e] = nSrc
+		if got := panicMessage(func() { SpMM(out, x, indptr, indices, nil, nil) }); got != want {
+			t.Errorf("bad id in row %d: panic %q, want %q", r, got, want)
+		}
+		withoutAVX2(func() {
+			if got := panicMessage(func() { SpMM(out, x, indptr, indices, nil, nil) }); got != want {
+				t.Errorf("bad id in row %d without AVX2: panic %q, want %q", r, got, want)
+			}
+		})
+		indices[e] = saved
+	}
+	ref := New(n, w)
+	refSpMM(ref, x, indptr, indices, nil)
+	SpMM(out, x, indptr, indices, nil, nil)
+	sameBitsF32(t, "after the faults", out.Data, ref.Data)
 }
 
 // TestContiguousCallsWalkBlocksInline pins the path a contiguous call of

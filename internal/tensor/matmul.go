@@ -186,6 +186,10 @@ type rowTask struct {
 	units  int
 	next   atomic.Int64
 	wg     sync.WaitGroup
+	// failed is set by the first unit to panic, which keeps its value in
+	// fault; dispatch re-panics it on the caller once every unit is done.
+	failed atomic.Bool
+	fault  any
 }
 
 func (t *rowTask) run() {
@@ -202,6 +206,21 @@ func (t *rowTask) run() {
 			t.walk(t.rows[lo:hi], max(t.grain, rowBlock))
 		}
 	}
+}
+
+// runCatching is run, holding a panic for the caller (see dispatch): the
+// first unit to panic records its value and stops further claims; units
+// already claimed finish.
+func (t *rowTask) runCatching() {
+	defer func() {
+		if r := recover(); r != nil {
+			if t.failed.CompareAndSwap(false, true) {
+				t.fault = r
+			}
+			t.next.Store(int64(t.units))
+		}
+	}()
+	t.run()
 }
 
 var (
@@ -244,7 +263,7 @@ func startWorkers() {
 	for i := 0; i < maxProcs; i++ {
 		go func() {
 			for t := range workQueue {
-				t.run()
+				t.runCatching()
 				t.wg.Done()
 			}
 		}()
@@ -265,6 +284,13 @@ func startWorkers() {
 // caller itself, so progress never depends on a worker being free and every
 // unit runs exactly once. A single unit, or a single-CPU process, runs
 // inline.
+//
+// A panic in the body — a row kernel's refused row id, a short operand —
+// reaches the caller wherever the unit ran: inline it unwinds as usual; on
+// the pool the unit that panicked stops further claims, dispatch waits for
+// the units already claimed and re-panics the first value on the calling
+// goroutine, so a deferred recover there (RankTrainer.failPass) sees it and
+// no worker dies with the process. The task goes back to the free list clean.
 func dispatch(call rowCall, rows []int32, grain int, chunks []int32) {
 	units := (len(rows) + grain - 1) / grain
 	if chunks != nil {
@@ -286,10 +312,15 @@ func dispatch(call rowCall, rows []int32, grain int, chunks []int32) {
 	for i := 0; i < helpers; i++ {
 		workQueue <- t
 	}
-	t.run()
+	t.runCatching()
 	t.wg.Wait()
-	t.rowCall, t.rows, t.chunks = rowCall{}, nil, nil
+	fault, failed := t.fault, t.failed.Load()
+	t.rowCall, t.rows, t.chunks, t.fault = rowCall{}, nil, nil, nil
+	t.failed.Store(false)
 	putTask(t)
+	if failed {
+		panic(fault)
+	}
 }
 
 // ForRows runs fn over rows in pieces of at most rowBlock rows on the kernel
@@ -297,7 +328,8 @@ func dispatch(call rowCall, rows []int32, grain int, chunks []int32) {
 // per-row sweeps that live outside it (the GAT attention passes, the
 // softmax loss). Pieces run
 // concurrently, so fn must write only state owned by the rows it is handed,
-// and it must not modify or retain the slice.
+// and it must not modify or retain the slice. A panic in fn reaches the
+// caller of ForRows, on whichever goroutine the piece ran (see dispatch).
 func ForRows(rows []int32, fn func(rows []int32)) {
 	dispatch(rowCall{kernel: kernelFunc, fn: fn}, rows, rowBlock, nil)
 }
@@ -415,7 +447,7 @@ func matMulBlock(out, a, b *Matrix, rows []int32) {
 		i := int(v)
 		dst := out.Data[i*m : i*m+m]
 		clear(dst)
-		panelRows(dst, b.Data, m, ks, a.Data[i*k:i*k+k], 1)
+		panelRows(dst, b, ks, a.Data[i*k:i*k+k], 1)
 	}
 }
 
@@ -456,7 +488,7 @@ func matMulTransBBlock(out, a, b *Matrix, rows []int32) {
 		cols := rowRange(j0, j1)
 		for _, v := range rows {
 			i := int(v)
-			dotRows(out.Data[i*m+j0:i*m+j1], a.Data[i*k:i*k+k], b.Data, k, cols)
+			dotRows(out.Data[i*m+j0:i*m+j1], a.Data[i*k:i*k+k], b, cols)
 		}
 	}
 }
@@ -541,7 +573,7 @@ const (
 // starts a Matrix, so no 32-byte row access straddles two lines.
 func matMulTransABlock(od []float32, a, b *Matrix, at []int32, n, c0, c1 int) {
 	w, m := a.Cols, b.Cols
-	ad, bd := a.Data, b.Data
+	ad := a.Data
 	end := b.Rows
 	r0 := end - len(at)
 	virt := func(i int) int { // the virtual row of stored row i
@@ -591,7 +623,7 @@ func matMulTransABlock(od []float32, a, b *Matrix, at []int32, n, c0, c1 int) {
 				}
 			}
 			for c := cb0; c < cb1; c++ {
-				panelRows(acc[(c-c0)*m:(c-c0+1)*m], bd, m, rows[:s], coef[c-cb0:], cw)
+				panelRows(acc[(c-c0)*m:(c-c0+1)*m], b, rows[:s], coef[c-cb0:], cw)
 			}
 		}
 	}

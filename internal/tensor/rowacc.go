@@ -10,8 +10,15 @@ package tensor
 // YMM registers for the whole sum — in strips of at most rowStrip floats,
 // eight accumulators — and loaded and stored once; the <8-float tail is the
 // scalar loop beside it, which without AVX2 covers the whole row and is the
-// reference. panelRows is the dense form (the projection and dW); GatherAdd
-// and GatherAxpy (spmm.go) are the gathers.
+// reference. panelRows is the dense form (the projection and dW); GatherAdd,
+// GatherAxpy and SpMMTrans's gatherScaled (spmm.go) are the gathers.
+//
+// Every kernel takes its source's row count and compares each row id with it
+// as it loads the id — one unsigned compare, so a negative id fails too. On a
+// bad id it returns false without storing, and the Go wrapper panics naming
+// the id (rowFault, with checkGather's message). So every row a kernel reads
+// is checked on every call without a Go pass over the index list; that pass
+// (checkGather) runs only where no kernel does.
 //
 // Every output element keeps the exact operation chain of the per-panel
 // kernels these replaced: per panel the four FMAs a0, a1, a2, a3 into the
@@ -27,25 +34,28 @@ package tensor
 const rowStrip = 64
 
 // CoefPiece is the most coefficients a caller gathers onto its stack for one
-// row kernel call (fusedProject's concat row, SpMMTrans's per-source scales,
-// the GAT backward's GatherAxpy chains).
-// A longer list goes in pieces of whole panels; a piece boundary only stores
-// and reloads the row, which changes no bit.
+// row kernel call (fusedProject's concat row, the GAT backward's GatherAxpy
+// chains). SpMMTrans gathers none: its kernel reads each term's scale at the
+// term's row id. A longer list goes in pieces of whole panels; a piece
+// boundary only stores and reloads the row, which changes no bit.
 const CoefPiece = 256
 
-// panelRows accumulates dst += Σ_t coef[t·cs]·x[idx[t]·ldx:][:len(dst)],
+// panelRows accumulates dst += Σ_t coef[t·cs]·x.Row(idx[t])[:len(dst)],
 // passing over every panel whose four coefficients are all ±0 and every
 // single term whose coefficient is — the dense kernels' dropout skip. The
 // caller guarantees that coef holds every term's coefficient and that every
-// row it names lies inside x.
-func panelRows(dst, x []float32, ldx int, idx []int32, coef []float32, cs int) {
-	n := len(dst)
+// row it names lies inside x; the kernel checks every row it reads all the
+// same, and the scalar loops index x.Data with Go's bounds checks.
+func panelRows(dst []float32, x *Matrix, idx []int32, coef []float32, cs int) {
+	n, xd, ldx := len(dst), x.Data, x.Cols
 	n8 := 0
 	if useAVX2 && len(idx) > 0 {
 		_ = coef[(len(idx)-1)*cs] // the last term's coefficient is in coef
 		n8 = n &^ 7
 		for s := 0; s < n8; s += rowStrip {
-			axpyRowsAVX2(&dst[s], min(n8-s, rowStrip)/8, &idx[0], len(idx), &x[s], ldx, &coef[0], cs, 1)
+			if !axpyRowsAVX2(&dst[s], min(n8-s, rowStrip)/8, &idx[0], len(idx), &xd[s], ldx, x.Rows, &coef[0], cs, 1) {
+				rowFault(x, idx)
+			}
 		}
 	}
 	if n8 == n {
@@ -57,10 +67,10 @@ func panelRows(dst, x []float32, ldx int, idx []int32, coef []float32, cs int) {
 		if a0 == 0 && a1 == 0 && a2 == 0 && a3 == 0 {
 			continue
 		}
-		b0 := x[int(idx[t])*ldx:][:n]
-		b1 := x[int(idx[t+1])*ldx:][:n]
-		b2 := x[int(idx[t+2])*ldx:][:n]
-		b3 := x[int(idx[t+3])*ldx:][:n]
+		b0 := xd[int(idx[t])*ldx:][:n]
+		b1 := xd[int(idx[t+1])*ldx:][:n]
+		b2 := xd[int(idx[t+2])*ldx:][:n]
+		b3 := xd[int(idx[t+3])*ldx:][:n]
 		for j := n8; j < n; j++ {
 			dst[j] += a0*b0[j] + a1*b1[j] + a2*b2[j] + a3*b3[j]
 		}
@@ -70,14 +80,14 @@ func panelRows(dst, x []float32, ldx int, idx []int32, coef []float32, cs int) {
 		if a == 0 {
 			continue
 		}
-		src := x[int(idx[t])*ldx:][:n]
+		src := xd[int(idx[t])*ldx:][:n]
 		for j := n8; j < n; j++ {
 			dst[j] += a * src[j]
 		}
 	}
 }
 
-// dotRows writes out[t] = a·x[idx[t]·ldx:][:len(a)] for every term t — the
+// dotRows writes out[t] = a·x.Row(idx[t])[:len(a)] for every term t — the
 // row kernel of out = a·bᵀ (MatMulTransB, the split backward) and of
 // GatherDots. On AVX2 the 8-aligned prefix of every dot is one
 // dotRowsAVX2 call over the whole list, four dots at a time with
@@ -85,14 +95,17 @@ func panelRows(dst, x []float32, ldx int, idx []int32, coef []float32, cs int) {
 // same chain; the scalar tail (without AVX2 the whole dot) then adds one
 // element at a time as Dot does. So every dot has Dot's bits, whatever
 // list or position it is computed in. The caller guarantees len(out) ≥
-// len(idx) and that every row it names lies inside x.
-func dotRows(out, a, x []float32, ldx int, idx []int32) {
-	n := len(a)
+// len(idx) and len(a) ≤ x.Cols; the kernel checks every row id, and the
+// scalar loop indexes x.Data with Go's bounds checks.
+func dotRows(out, a []float32, x *Matrix, idx []int32) {
+	n, xd, ldx := len(a), x.Data, x.Cols
 	n8 := 0
 	if useAVX2 && n >= 8 && len(idx) > 0 {
 		_ = out[len(idx)-1]
 		n8 = n &^ 7
-		dotRowsAVX2(&out[0], &a[0], n8, &idx[0], len(idx), &x[0], ldx)
+		if !dotRowsAVX2(&out[0], &a[0], n8, &idx[0], len(idx), &xd[0], ldx, x.Rows) {
+			rowFault(x, idx)
+		}
 		if n8 == n {
 			return
 		}
@@ -102,10 +115,17 @@ func dotRows(out, a, x []float32, ldx int, idx []int32) {
 		if n8 > 0 {
 			s = out[t]
 		}
-		row := x[int(u)*ldx:][:n]
+		row := xd[int(u)*ldx:][:n]
 		for j := n8; j < n; j++ {
 			s += a[j] * row[j]
 		}
 		out[t] = s
 	}
+}
+
+// rowFault panics naming the row id of idx that a row kernel refused (see
+// checkGather).
+func rowFault(x *Matrix, idx []int32) {
+	checkGather(x, idx)
+	panic("tensor: row kernel refused an in-range row list")
 }

@@ -29,24 +29,38 @@ func axpy4AVX2(dst, b0, b1, b2, b3 *float32, n int, a *[4]float32)
 
 // sumRowsAVX2 computes dst[j] += Σ_t x[idx[t]·ldx + j] over the terms t <
 // terms and j < 8·lanes (lanes in [1,8]), holding the row in registers (see
-// rowacc.go and rowacc_amd64.s).
+// rowacc.go and rowacc_amd64.s). It returns false, having stored nothing, if
+// a row id is outside [0,xrows).
 //
 //go:noescape
-func sumRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx int)
+func sumRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx, xrows int) (ok bool)
 
 // axpyRowsAVX2 computes dst[j] += Σ_t coef[t·cstride]·x[idx[t]·ldx + j] over
 // the terms t < terms and j < 8·lanes (lanes in [1,8]), holding the row in
-// registers; skip != 0 passes over all-±0 panels and ±0 single terms.
+// registers; skip != 0 passes over all-±0 panels and ±0 single terms. It
+// returns false, having stored nothing, if a row id it reads is outside
+// [0,xrows).
 //
 //go:noescape
-func axpyRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx int, coef *float32, cstride, skip int)
+func axpyRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx, xrows int, coef *float32, cstride, skip int) (ok bool)
+
+// scaledRowsAVX2 computes dst[j] += Σ_t scale[idx[t]]·x[idx[t]·ldx + j] over
+// the terms t < terms and j < 8·lanes (lanes in [1,8]): axpyRowsAVX2 without
+// skip, each coefficient read at its row's id. It returns false, having
+// stored nothing, if a row id is outside [0,xrows); scale must hold xrows
+// entries.
+//
+//go:noescape
+func scaledRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx, xrows int, scale *float32) (ok bool)
 
 // dotRowsAVX2 writes out[t] = Σ_j a[j]·x[idx[t]·ldx + j] over j < n (n a
 // multiple of 8) for the terms t < terms, each dot with dot4AVX2's and
-// dotAVX2's chain (see rowacc.go and simd_amd64.s).
+// dotAVX2's chain (see rowacc.go and simd_amd64.s). It returns false at the
+// first four (or single) terms holding a row id outside [0,xrows), before
+// storing their dots.
 //
 //go:noescape
-func dotRowsAVX2(out, a *float32, n int, idx *int32, terms int, x *float32, ldx int)
+func dotRowsAVX2(out, a *float32, n int, idx *int32, terms int, x *float32, ldx, xrows int) (ok bool)
 
 // dot4AVX2 writes the four dot products a·b0, a·b1, a·b2, a·b3 over the
 // first n elements into out. n must be a multiple of 8. dotRowsAVX2 replaced

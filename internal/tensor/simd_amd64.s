@@ -186,7 +186,7 @@ dotreduce:
 	VZEROUPPER
 	RET
 
-// func dotRowsAVX2(out, a *float32, n int, idx *int32, terms int, x *float32, ldx int)
+// func dotRowsAVX2(out, a *float32, n int, idx *int32, terms int, x *float32, ldx, xrows int) (ok bool)
 //
 // out[t] = sum_j a[j]*x[idx[t]*ldx + j] over j in [0,n) for t in [0,terms);
 // n must be a multiple of 8. Four terms at a time run dot4AVX2's loop and
@@ -195,8 +195,10 @@ dotreduce:
 // those two. Lane t of the tree adds the same operands in the same source
 // positions as dot4AVX2's per-dot hadd;hadd, so every bit (NaN payloads
 // too) is dot4AVX2's, and the four results are stored with one move. The
-// last terms%4 are dotAVX2's sequence.
-TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-56
+// last terms%4 are dotAVX2's sequence. Each row id is compared with xrows as
+// it is loaded (a negative one is a huge unsigned one); the first outside
+// [0,xrows) returns false before its four (or single) dots are stored.
+TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-65
 	MOVQ out+0(FP), DI
 	MOVQ a+8(FP), SI
 	MOVQ n+16(FP), CX
@@ -209,15 +211,23 @@ TEXT ·dotRowsAVX2(SB), NOSPLIT, $0-56
 	JLT  dotRowsSingles
 dotRowsQuad:
 	MOVLQSX 0(R12), R8
+	CMPQ R8, xrows+56(FP)
+	JAE  dotRowsBad
 	IMULQ ldx+48(FP), R8
 	LEAQ (AX)(R8*4), R8
 	MOVLQSX 4(R12), R9
+	CMPQ R9, xrows+56(FP)
+	JAE  dotRowsBad
 	IMULQ ldx+48(FP), R9
 	LEAQ (AX)(R9*4), R9
 	MOVLQSX 8(R12), R10
+	CMPQ R10, xrows+56(FP)
+	JAE  dotRowsBad
 	IMULQ ldx+48(FP), R10
 	LEAQ (AX)(R10*4), R10
 	MOVLQSX 12(R12), R11
+	CMPQ R11, xrows+56(FP)
+	JAE  dotRowsBad
 	IMULQ ldx+48(FP), R11
 	LEAQ (AX)(R11*4), R11
 	VXORPS Y4, Y4, Y4
@@ -279,6 +289,8 @@ dotRowsSingles:
 	JE   dotRowsDone
 dotRowsSingle:
 	MOVLQSX 0(R12), R8
+	CMPQ R8, xrows+56(FP)
+	JAE  dotRowsBad
 	IMULQ ldx+48(FP), R8
 	LEAQ (AX)(R8*4), R8
 	VXORPS Y4, Y4, Y4
@@ -312,6 +324,11 @@ dotRowsSingleReduce:
 	JNE  dotRowsSingle
 dotRowsDone:
 	VZEROUPPER
+	MOVB $1, ok+64(FP)
+	RET
+dotRowsBad:
+	VZEROUPPER
+	MOVB $0, ok+64(FP)
 	RET
 
 // func addAVX2(dst, src *float32, n int)

@@ -10,15 +10,19 @@ func axpy4AVX2(dst, b0, b1, b2, b3 *float32, n int, a *[4]float32) {
 	panic("tensor: axpy4AVX2 unavailable on this platform")
 }
 
-func sumRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx int) {
+func sumRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx, xrows int) bool {
 	panic("tensor: sumRowsAVX2 unavailable on this platform")
 }
 
-func axpyRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx int, coef *float32, cstride, skip int) {
+func axpyRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx, xrows int, coef *float32, cstride, skip int) bool {
 	panic("tensor: axpyRowsAVX2 unavailable on this platform")
 }
 
-func dotRowsAVX2(out, a *float32, n int, idx *int32, terms int, x *float32, ldx int) {
+func scaledRowsAVX2(dst *float32, lanes int, idx *int32, terms int, x *float32, ldx, xrows int, scale *float32) bool {
+	panic("tensor: scaledRowsAVX2 unavailable on this platform")
+}
+
+func dotRowsAVX2(out, a *float32, n int, idx *int32, terms int, x *float32, ldx, xrows int) bool {
 	panic("tensor: dotRowsAVX2 unavailable on this platform")
 }
 

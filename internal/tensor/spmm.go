@@ -15,8 +15,9 @@ import "fmt"
 //	                  scale[v_e])        (dst is NOT zeroed: the caller owns
 //	                  the initialization — zero, or a self term)
 //
-// The kernels below sum a row's edges with the row kernels (rowacc.go,
-// GatherAdd and GatherAxpy) instead, and that is bit-identical to the sequential walk: the row is held
+// The kernels below sum a row's edges with the row kernels (rowacc.go:
+// GatherAdd, and gatherScaled, which reads scale[v] at each source's id)
+// instead, and that is bit-identical to the sequential walk: the row is held
 // in registers across all its edges, four FMAs chained into one accumulator
 // per four edges in source order (fma(1,x,acc) ≡ acc+x exactly, so the unit
 // case reproduces AddTo), and the scalar tails add one term at a time like
@@ -46,13 +47,13 @@ func GatherSum(dst []float32, x *Matrix, nbrs []int32) {
 	GatherAdd(dst, x, nbrs)
 }
 
-// checkGather rejects a gather that would read outside x: a row id out of
-// range, or a row vector (the destination, or GatherDots' a) wider than x's
-// rows.
-func checkGather(vec []float32, x *Matrix, idx []int32) {
-	if len(vec) > x.Cols {
-		panic(fmt.Sprintf("tensor: gather width %d > source width %d", len(vec), x.Cols))
-	}
+// checkGather panics naming the first row id of idx outside [0, x.Rows) —
+// the message every gather fails with. It is the fallback and the namer of a
+// failure: the row kernels compare each id with x.Rows as they load it, so
+// where one runs this walk runs only after the kernel refused an id
+// (rowFault), and it checks a list itself only where no kernel runs —
+// without AVX2, or for a row narrower than 8 floats (see gatherPrefix).
+func checkGather(x *Matrix, idx []int32) {
 	for _, u := range idx {
 		if uint32(u) >= uint32(x.Rows) {
 			panic(fmt.Sprintf("tensor: gather row %d outside [0,%d)", u, x.Rows))
@@ -60,16 +61,29 @@ func checkGather(vec []float32, x *Matrix, idx []int32) {
 	}
 }
 
+// gatherPrefix rejects a row vector (the destination, or GatherDots' a)
+// wider than x's rows, and returns the 8-aligned prefix of it that the row
+// kernels compute; they check every row id of idx as they load it. Where
+// that prefix is empty no kernel runs, and gatherPrefix checks the ids.
+func gatherPrefix(vec []float32, x *Matrix, idx []int32) (n8 int) {
+	if len(vec) > x.Cols {
+		panic(fmt.Sprintf("tensor: gather width %d > source width %d", len(vec), x.Cols))
+	}
+	if useAVX2 && len(idx) > 0 && x.Rows > 0 && len(vec) >= 8 {
+		return len(vec) &^ 7
+	}
+	checkGather(x, idx)
+	return 0
+}
+
 // GatherAdd computes dst += Σ_i x.Row(nbrs[i])[:len(dst)] in list order, with
 // per element the chain of sequential AddTo calls (see rowacc.go).
 func GatherAdd(dst []float32, x *Matrix, nbrs []int32) {
-	checkGather(dst, x, nbrs)
 	n, xd, ldx := len(dst), x.Data, x.Cols
-	n8 := 0
-	if useAVX2 && len(nbrs) > 0 {
-		n8 = n &^ 7
-		for s := 0; s < n8; s += rowStrip {
-			sumRowsAVX2(&dst[s], min(n8-s, rowStrip)/8, &nbrs[0], len(nbrs), &xd[s], ldx)
+	n8 := gatherPrefix(dst, x, nbrs)
+	for s := 0; s < n8; s += rowStrip {
+		if !sumRowsAVX2(&dst[s], min(n8-s, rowStrip)/8, &nbrs[0], len(nbrs), &xd[s], ldx, x.Rows) {
+			rowFault(x, nbrs)
 		}
 	}
 	if n8 == n {
@@ -88,14 +102,12 @@ func GatherAdd(dst []float32, x *Matrix, nbrs []int32) {
 // ≥ len(nbrs); len(dst) must be ≤ x.Cols (a prefix of each source row is
 // gathered).
 func GatherAxpy(dst []float32, x *Matrix, nbrs []int32, coef []float32) {
-	checkGather(dst, x, nbrs)
 	n, xd, ldx := len(dst), x.Data, x.Cols
 	coef = coef[:len(nbrs)]
-	n8 := 0
-	if useAVX2 && len(nbrs) > 0 {
-		n8 = n &^ 7
-		for s := 0; s < n8; s += rowStrip {
-			axpyRowsAVX2(&dst[s], min(n8-s, rowStrip)/8, &nbrs[0], len(nbrs), &xd[s], ldx, &coef[0], 1, 0)
+	n8 := gatherPrefix(dst, x, nbrs)
+	for s := 0; s < n8; s += rowStrip {
+		if !axpyRowsAVX2(&dst[s], min(n8-s, rowStrip)/8, &nbrs[0], len(nbrs), &xd[s], ldx, x.Rows, &coef[0], 1, 0) {
+			rowFault(x, nbrs)
 		}
 	}
 	if n8 == n {
@@ -109,15 +121,41 @@ func GatherAxpy(dst []float32, x *Matrix, nbrs []int32, coef []float32) {
 	}
 }
 
+// gatherScaled computes dst += Σ_i scale[nbrs[i]]·x.Row(nbrs[i])[:len(dst)]
+// in list order: GatherAxpy with each coefficient read at its row's id, so
+// with GatherAxpy's bits and no coefficient list. len(scale) must be ≥
+// x.Rows.
+func gatherScaled(dst []float32, x *Matrix, nbrs []int32, scale []float32) {
+	n, xd, ldx := len(dst), x.Data, x.Cols
+	n8 := gatherPrefix(dst, x, nbrs)
+	if n8 > 0 {
+		_ = scale[x.Rows-1] // every id the kernel passes has its scale entry
+	}
+	for s := 0; s < n8; s += rowStrip {
+		if !scaledRowsAVX2(&dst[s], min(n8-s, rowStrip)/8, &nbrs[0], len(nbrs), &xd[s], ldx, x.Rows, &scale[0]) {
+			rowFault(x, nbrs)
+		}
+	}
+	if n8 == n {
+		return
+	}
+	for _, u := range nbrs {
+		a, src := scale[u], xd[int(u)*ldx:][:n]
+		for j := n8; j < n; j++ {
+			dst[j] += a * src[j]
+		}
+	}
+}
+
 // GatherDots computes out[i] = Σ_j a[j]·x.Row(nbrs[i])[j] for every i, each
 // dot with Dot's bits (see dotRows). len(out) must be ≥ len(nbrs) and len(a)
 // ≤ x.Cols (a prefix of each row is dotted).
 func GatherDots(out []float32, a []float32, x *Matrix, nbrs []int32) {
-	checkGather(a, x, nbrs)
+	gatherPrefix(a, x, nbrs)
 	if len(out) < len(nbrs) {
 		panic(fmt.Sprintf("tensor: GatherDots out len %d < %d rows", len(out), len(nbrs)))
 	}
-	dotRows(out, a, x.Data, x.Cols, nbrs)
+	dotRows(out, a, x, nbrs)
 }
 
 // checkSpMM validates the shared SpMM shape contract: one CSR row per output
@@ -170,13 +208,18 @@ func spmmBlock(out, x *Matrix, indptr []int64, indices []int32, scale []float32,
 }
 
 // checkSpMMTrans validates the transposed contract: per-destination incoming
-// lists, source matrix at least as wide as the destination, per-SOURCE scale.
-func checkSpMMTrans(name string, dst, src *Matrix, indptr []int64) {
+// lists, source matrix at least as wide as the destination, and a per-SOURCE
+// scale with an entry for every source row (the kernel reads it at each row
+// id it gathers).
+func checkSpMMTrans(name string, dst, src *Matrix, indptr []int64, scale []float32) {
 	if src.Cols < dst.Cols {
 		panic(fmt.Sprintf("tensor: %s src width %d < dst width %d", name, src.Cols, dst.Cols))
 	}
 	if len(indptr) < dst.Rows+1 {
 		panic(fmt.Sprintf("tensor: %s indptr len %d, need %d", name, len(indptr), dst.Rows+1))
+	}
+	if scale != nil && len(scale) < src.Rows {
+		panic(fmt.Sprintf("tensor: %s scale len %d < src rows %d", name, len(scale), src.Rows))
 	}
 }
 
@@ -202,7 +245,7 @@ func SpMMTrans(dst, src *Matrix, indptr []int64, indices []int32, scale []float3
 // completes the inner rows [0,nIn) while the halo rows' gradients are
 // already in flight.
 func SpMMTransRange(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, chunks []int32, lo, hi int) {
-	checkSpMMTrans("SpMMTransRange", dst, src, indptr)
+	checkSpMMTrans("SpMMTransRange", dst, src, indptr, scale)
 	checkRange("SpMMTransRange", lo, hi, dst.Rows)
 	dispatch(rowCall{kernel: kernelSpMMTrans, out: dst, a: src, indptr: indptr, indices: indices, scale: scale},
 		rowRange(lo, hi), spmmGrain, chunks)
@@ -210,25 +253,17 @@ func SpMMTransRange(dst, src *Matrix, indptr []int64, indices []int32, scale []f
 
 // spmmTransBlock accumulates the listed destination rows of the transposed
 // product: dst.Row(r) += Σ scale[v]·src.Row(v)[:w] over the transposed CSR
-// row's sources, in stored (ascending-source) order. The caller owns dst's
-// initialization.
+// row's sources, in stored (ascending-source) order, one gather per row. The
+// caller owns dst's initialization.
 func spmmTransBlock(dst, src *Matrix, indptr []int64, indices []int32, scale []float32, rows []int32) {
 	w := dst.Cols
-	var coef [CoefPiece]float32
 	for _, r := range rows {
 		drow := dst.Data[int(r)*w : int(r)*w+w]
 		srcs := indices[indptr[r]:indptr[r+1]]
 		if scale == nil {
 			GatherAdd(drow, src, srcs)
-			continue
-		}
-		for len(srcs) > 0 {
-			piece := srcs[:min(len(srcs), CoefPiece)]
-			for t, v := range piece {
-				coef[t] = scale[v]
-			}
-			GatherAxpy(drow, src, piece, coef[:])
-			srcs = srcs[len(piece):]
+		} else {
+			gatherScaled(drow, src, srcs, scale)
 		}
 	}
 }

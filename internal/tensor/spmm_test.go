@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -297,36 +298,105 @@ func TestGatherPrimitives(t *testing.T) {
 }
 
 // TestGatherRejectsOutOfRange: every gather names the row id or width that
-// would read outside its source — row −1, row x.Rows, a destination (or
-// GatherDots' a) wider than x's rows, and a GatherDots output shorter than
-// its row list — before any kernel runs.
+// would read outside its source — a destination (or GatherDots' a) wider
+// than x's rows, and a GatherDots output shorter than its row list, before
+// any kernel runs; and row −1, row x.Rows and row MaxInt32 at every term
+// position (the four lanes of a panel and a single), through every entry
+// point, at widths no row kernel runs (4) and where one runs with 1, 2 and 8
+// lanes, 8+1 lanes and a scalar tail — with the same message as the scalar
+// fallback's.
 func TestGatherRejectsOutOfRange(t *testing.T) {
-	x := New(3, 4)
-	gathers := map[string]func(vec []float32, nbrs []int32){
-		"GatherAdd":  func(vec []float32, nbrs []int32) { GatherAdd(vec, x, nbrs) },
-		"GatherAxpy": func(vec []float32, nbrs []int32) { GatherAxpy(vec, x, nbrs, make([]float32, len(nbrs))) },
-		"GatherDots": func(vec []float32, nbrs []int32) { GatherDots(make([]float32, len(nbrs)), vec, x, nbrs) },
-	}
-	cases := []struct {
-		name string
-		vec  []float32
-		nbrs []int32
-		want string
-	}{
-		{"row -1", make([]float32, 4), []int32{0, -1}, "tensor: gather row -1 outside [0,3)"},
-		{"row x.Rows", make([]float32, 4), []int32{3}, "tensor: gather row 3 outside [0,3)"},
-		{"wider than x", make([]float32, 8), []int32{0, 1}, "tensor: gather width 8 > source width 4"},
-	}
-	for g, fn := range gathers {
-		for _, c := range cases {
-			if got := panicMessage(func() { fn(c.vec, c.nbrs) }); got != c.want {
-				t.Errorf("%s %s: panic %q, want %q", g, c.name, got, c.want)
+	const rows = 3
+	for _, w := range []int{4, 8, 16, 64, 67, 72} {
+		x := New(rows, w)
+		proj := New(2*w, 8) // SpMMMatMul's w: the gathered half, then the self half
+		entries := map[string]func(nbrs []int32){
+			"GatherAdd":  func(nbrs []int32) { GatherAdd(make([]float32, w), x, nbrs) },
+			"GatherAxpy": func(nbrs []int32) { GatherAxpy(make([]float32, w), x, nbrs, make([]float32, len(nbrs))) },
+			"GatherDots": func(nbrs []int32) { GatherDots(make([]float32, len(nbrs)), make([]float32, w), x, nbrs) },
+			"SpMM": func(nbrs []int32) {
+				SpMM(New(1, w), x, []int64{0, int64(len(nbrs))}, nbrs, []float32{0.5}, nil)
+			},
+			"SpMMTrans": func(nbrs []int32) {
+				SpMMTrans(New(1, w), x, []int64{0, int64(len(nbrs))}, nbrs, make([]float32, rows), nil)
+			},
+			"SpMMTrans unscaled": func(nbrs []int32) {
+				SpMMTrans(New(1, w), x, []int64{0, int64(len(nbrs))}, nbrs, nil, nil)
+			},
+			"SpMMMatMul": func(nbrs []int32) {
+				SpMMMatMul(New(1, 8), New(1, w), x, proj, []int64{0, int64(len(nbrs))}, nbrs, nil, nil)
+			},
+		}
+		for name, fn := range entries {
+			for _, bad := range []int32{-1, rows, math.MaxInt32} {
+				for pos := 0; pos < 5; pos++ {
+					nbrs := []int32{0, 1, 2, 1, 0}
+					nbrs[pos] = bad
+					want := fmt.Sprintf("tensor: gather row %d outside [0,%d)", bad, rows)
+					if got := panicMessage(func() { fn(nbrs) }); got != want {
+						t.Errorf("w=%d %s row %d at term %d: panic %q, want %q", w, name, bad, pos, got, want)
+					}
+					withoutAVX2(func() {
+						if got := panicMessage(func() { fn(nbrs) }); got != want {
+							t.Errorf("w=%d %s row %d at term %d without AVX2: panic %q, want %q", w, name, bad, pos, got, want)
+						}
+					})
+				}
 			}
+			if got := panicMessage(func() { fn([]int32{0, 1, 2, 1, 0}) }); got != "" {
+				t.Errorf("w=%d %s in-range rows: panic %q", w, name, got)
+			}
+		}
+	}
+
+	x := New(3, 4)
+	wide := map[string]func(vec []float32){
+		"GatherAdd":  func(vec []float32) { GatherAdd(vec, x, []int32{0, 1}) },
+		"GatherAxpy": func(vec []float32) { GatherAxpy(vec, x, []int32{0, 1}, make([]float32, 2)) },
+		"GatherDots": func(vec []float32) { GatherDots(make([]float32, 2), vec, x, []int32{0, 1}) },
+	}
+	for g, fn := range wide {
+		if got, want := panicMessage(func() { fn(make([]float32, 8)) }), "tensor: gather width 8 > source width 4"; got != want {
+			t.Errorf("%s wider than x: panic %q, want %q", g, got, want)
 		}
 	}
 	short := func() { GatherDots(make([]float32, 1), make([]float32, 4), x, []int32{0, 1}) }
 	if got, want := panicMessage(short), "tensor: GatherDots out len 1 < 2 rows"; got != want {
 		t.Errorf("GatherDots short out: panic %q, want %q", got, want)
+	}
+}
+
+// TestSparseShapePanics: each sparse entry point names the operand whose
+// shape would make it read or write outside a matrix, and both lengths,
+// before any row runs — SpMMTrans's per-source scale included, which its
+// kernel reads at every source row id.
+func TestSparseShapePanics(t *testing.T) {
+	x, out := New(5, 8), New(4, 8)
+	indptr, indices := []int64{0, 1, 2, 3, 4, 5}, []int32{0, 1, 2, 3, 4}
+	cases := []struct {
+		name string
+		fn   func()
+		want string
+	}{
+		{"SpMM narrow out", func() { SpMM(New(4, 4), x, indptr, indices, nil, nil) },
+			"tensor: SpMM out width 4 < x width 8"},
+		{"SpMM short indptr", func() { SpMM(out, x, indptr[:3], indices, nil, nil) },
+			"tensor: SpMM indptr len 3, need 5"},
+		{"SpMM short scale", func() { SpMM(out, x, indptr, indices, make([]float32, 3), nil) },
+			"tensor: SpMM scale len 3, need 4"},
+		{"SpMMTrans narrow src", func() { SpMMTrans(out, New(5, 4), indptr, indices, nil, nil) },
+			"tensor: SpMMTransRange src width 4 < dst width 8"},
+		{"SpMMTrans short indptr", func() { SpMMTrans(out, x, indptr[:4], indices, nil, nil) },
+			"tensor: SpMMTransRange indptr len 4, need 5"},
+		{"SpMMTrans short scale", func() { SpMMTrans(out, x, indptr, indices, make([]float32, 4), nil) },
+			"tensor: SpMMTransRange scale len 4 < src rows 5"},
+		{"SpMMTransRange rows", func() { SpMMTransRange(out, x, indptr, indices, nil, nil, 2, 5) },
+			"tensor: SpMMTransRange rows [2,5) outside [0,4)"},
+	}
+	for _, c := range cases {
+		if got := panicMessage(c.fn); got != c.want {
+			t.Errorf("%s: panic %q, want %q", c.name, got, c.want)
+		}
 	}
 }
 
