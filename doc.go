@@ -12,8 +12,9 @@
 //
 // # Communication transports
 //
-// The partition-parallel protocol (boundary-position exchange, per-layer
-// halo forward/backward, ring AllReduce) runs over a pluggable transport
+// The partition-parallel protocol (per-layer halo forward/backward, ring
+// AllReduce; no rank tells another what it sampled, since each owner computes
+// its peers' samples of its rows) runs over a pluggable transport
 // (internal/comm.Transport). The in-process channel backend simulates k
 // devices as goroutines; the TCP backend runs one OS process per partition
 // over real sockets, bootstrapped from a rendezvous address, and is proven

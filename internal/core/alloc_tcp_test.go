@@ -6,8 +6,8 @@ import "testing"
 // after warm-up, a k=2 loopback epoch must run off the transport's two pools
 // — the outgoing frames a rank gathers its halo rows into, and the incoming
 // frame payloads it reads them out of, both recycled — leaving only the small
-// fixed overhead of the per-epoch goroutine fan-out, the position messages
-// (one int32 slice per peer), and the kernel-pool hand-off. Before pooling,
+// fixed overhead of the per-epoch goroutine fan-out and the kernel-pool
+// hand-off. Before pooling,
 // every frame allocated its payload twice (socket read + decode) and every
 // send serialized into a growing buffer under a lock, which scaled with
 // message count and payload size.
@@ -29,12 +29,12 @@ func TestTCPTrainEpochSteadyStateAllocs(t *testing.T) {
 	tr.Evaluate(ds.TestMask) // as in TestTrainEpochSteadyStateAllocs
 	// The fixed overhead mirrors the channel-backend budget in
 	// TestTrainEpochSteadyStateAllocs, plus a small per-message term for
-	// the position exchanges and scheduler churn of the four demux/writer
-	// goroutines. The important property is that the budget is
-	// independent of payload sizes, of layer count × message volume and
-	// of the kernel pool width: measured 24 allocs/epoch at GOMAXPROCS 1,
-	// 24–29 at 2, 24–26 at 4 (before the dW reductions moved onto the
-	// dispatcher: 25 / 46–51 / 66–68).
+	// the scheduler churn of the four demux/writer goroutines. The
+	// important property is that the budget is independent of payload
+	// sizes, of layer count × message volume and of the kernel pool width: measured 20 allocs/epoch at GOMAXPROCS 1,
+	// 27 at 2, 23 at 4 (24 / 24–29 / 24–26 while ranks still sent each
+	// other their sampled positions; 25 / 46–51 / 66–68 before the dW
+	// reductions moved onto the dispatcher).
 	const budget = 80
 	allocs, bytes := maxEpochAllocs(func() { tr.TrainEpoch() })
 	if allocs > budget {
@@ -45,8 +45,8 @@ func TestTCPTrainEpochSteadyStateAllocs(t *testing.T) {
 	// writer and demux goroutines, but the transport's free lists
 	// pre-size a small size class on its first miss and lend a larger idle
 	// buffer when a class runs dry (comm.bufPool), so no late epoch with
-	// one more frame in flight than any before it allocates a frame buffer. Measured 1424–1840 bytes at GOMAXPROCS 1,
-	// 2 and 4.
+	// one more frame in flight than any before it allocates a frame buffer.
+	// Measured 624–1296 bytes at GOMAXPROCS 1, 2 and 4.
 	checkSteadyBytes(t, "tcp", bytes)
 	t.Logf("steady-state TCP max allocs/epoch = %d (%d bytes)", allocs, bytes)
 }

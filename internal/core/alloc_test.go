@@ -63,8 +63,7 @@ func maxEpochAllocs(epoch func()) (objs, bytes uint64) {
 }
 
 // steadyBytes bounds what one steady-state epoch may allocate, at every pool
-// width: the per-epoch fan-out, stats and position messages are a few
-// hundred bytes, the smallest epoch-sized scratch of these fixtures (the
+// width: the per-epoch fan-out and stats are a few hundred bytes, the smallest epoch-sized scratch of these fixtures (the
 // aggregation plan's per-node arrays) several kilobytes and a layer or
 // dropout matrix tens, so a single scratch regrow inside the window fails.
 // Measured at GOMAXPROCS 1, 2 and 4: at most 1680 bytes at each. While the dW

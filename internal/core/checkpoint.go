@@ -72,8 +72,12 @@ type Checkpoint struct {
 // save + load + train(N−k) needs, bit for bit. It differs per rank: sampling
 // streams are rank-seeded, dropout streams advance with local row counts.
 type ResumeState struct {
-	Epoch         int
-	Strategy      string
+	Epoch    int
+	Strategy string
+	// StrategyState is the rank's sampling stream where the next epoch's
+	// draws begin. It is written but not read back: it is derived from
+	// (SampleSeed, rank, Epoch), and a restored rank samples as its own rank
+	// at the restored epoch, whichever shard it was restored from.
 	StrategyState uint64
 	Dropouts      []uint64 // per layer: mask RNG position
 	AdamStep      int
@@ -92,10 +96,11 @@ func snapshotModel(m *Model) *Checkpoint {
 // snapshotTrainer describes rank rt's full resumable state, aliased likewise.
 func snapshotTrainer(rt *RankTrainer) *Checkpoint {
 	c := snapshotModel(rt.Model)
+	stream := rt.samp.stream(rt.epoch)
 	rs := &ResumeState{
 		Epoch:         rt.epoch,
 		Strategy:      rt.Cfg.Strategy.String(),
-		StrategyState: rt.samp.rng.State(),
+		StrategyState: stream.State(),
 		AdamStep:      rt.opt.StepCount(),
 	}
 	for _, d := range rt.Model.Dropouts {
@@ -385,7 +390,6 @@ func (c *Checkpoint) Restore(rt *RankTrainer) error {
 	copyMats(m, rs.AdamM)
 	copyMats(v, rs.AdamV)
 	rt.epoch = rs.Epoch
-	rt.samp.rng.SetState(rs.StrategyState)
 	for i, d := range drops {
 		d.SetRNGState(rs.Dropouts[i])
 	}

@@ -7,7 +7,7 @@ import "time"
 type phase uint8
 
 const (
-	phaseSample  phase = iota // the plan: strategy, position exchange, epoch graph
+	phaseSample  phase = iota // the plan: the samples, the epoch graph
 	phaseCompute              // layer passes, dropout, loss
 	phaseComm                 // exposed comm: payload gathers, receives, halo fills, folds
 	phaseReduce               // gradient AllReduce and optimizer step

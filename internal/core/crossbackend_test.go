@@ -352,3 +352,61 @@ func TestEvaluateFailureSurfacesAsError(t *testing.T) {
 		}
 	}
 }
+
+// TestMessagesPerPass pins every message a pass sends, per rank, over both
+// backends: a training epoch sends one forward payload per layer to each peer
+// it serves rows this epoch, one gradient payload per layer above the first
+// to each peer it received rows from, and the gradient AllReduce's 2(k−1);
+// an evaluation sends the forward payloads and the score AllGather's k−1.
+// Nothing else rides along — in particular no word about what a rank
+// sampled, which each owner computes instead (slotSampler) — so a per-epoch
+// control message cannot come back unnoticed. p=0 moves no halo at all.
+func TestMessagesPerPass(t *testing.T) {
+	ds := testDataset(t, 8)
+	const k = 3
+	topo := testTopology(t, ds, k)
+	nonEmpty := func(lists [][]int32) int {
+		n := 0
+		for _, l := range lists {
+			if len(l) > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	for _, backend := range []struct {
+		name  string
+		group func() *comm.Group
+	}{
+		{"chan", func() *comm.Group { return comm.New(k, 0) }},
+		{"tcp", func() *comm.Group { return tcpLoopbackGroup(t, k) }},
+	} {
+		for _, p := range []float64{0, 0.5, 1} {
+			cfg := ParallelConfig{Model: testModelConfig(), P: p, SampleSeed: 5}
+			tr, err := NewParallelTrainerOver(ds, topo, cfg, backend.group())
+			if err != nil {
+				t.Fatal(err)
+			}
+			layers := cfg.Model.Layers
+			check := func(pass string, e int, want func(lp *LocalPartition) int) {
+				for r, rt := range tr.Ranks {
+					if got, want := tr.Cluster.MessagesSent(r), int64(want(rt.LP)); got != want {
+						t.Errorf("%s p=%v %s %d rank %d: sent %d messages, want %d", backend.name, p, pass, e, r, got, want)
+					}
+				}
+			}
+			for e := 0; e < 3; e++ {
+				tr.Cluster.ResetCounters()
+				tr.TrainEpoch()
+				check("epoch", e, func(lp *LocalPartition) int {
+					return layers*nonEmpty(lp.sendRows) + (layers-1)*nonEmpty(lp.recvSlots) + 2*(k-1)
+				})
+				tr.Cluster.ResetCounters()
+				tr.Evaluate(ds.ValMask)
+				check("evaluation after epoch", e, func(lp *LocalPartition) int {
+					return layers*nonEmpty(lp.sendRows) + k - 1
+				})
+			}
+		}
+	}
+}

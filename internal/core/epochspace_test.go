@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/datagen"
+	"repro/internal/partition"
 )
 
 // serializedLinks is a link model under which a rank's halos land one peer
@@ -25,52 +27,130 @@ func serializedLinks(k int) comm.LinkModel {
 }
 
 // TestEpochSpaceInvariants trains a few epochs at every sampling rate, under
-// every hosted strategy, both architectures and two arrival patterns, and
-// checks the epoch node space after each epoch (checkEpochSpace): inner rows
-// plus exactly the sampled boundary slots, receive lists tiling the halo
-// rows, the row split partitioning the inner rows, and the epoch graph equal
-// edge for edge to the full-space graph it replaces. LADIES covers per-slot
-// receive scales; p=0 and p=1 are the empty and the identity slot map, where the plan is also kept from
-// one epoch to the next. The leaf names the arrival pattern: "overlap" runs
-// on un-modeled channels, where halos land while the halo-free rows compute;
-// "serialized" runs over serializedLinks, where each rank's halos land one
-// peer at a time, so the drain waits on every peer in turn.
+// every hosted strategy, both architectures, two arrival patterns and k = 2,
+// 3 and 4 ranks, and checks the epoch node space after each epoch and after
+// an evaluation (checkEpochSpace): inner rows plus exactly the sampled
+// boundary slots, receive lists tiling the halo rows, each owner sending
+// exactly what its peer sampled, the row split partitioning the inner rows,
+// and the epoch graph equal edge for edge to the full-space graph it
+// replaces. LADIES covers per-slot receive scales; p=0 and p=1 are the empty
+// and the identity slot map, where the plan is also kept from one epoch to
+// the next. The leaf names the arrival pattern: "overlap" runs on un-modeled
+// channels, where halos land while the halo-free rows compute; "serialized"
+// runs over serializedLinks, where each rank's halos land one peer at a time,
+// so the drain waits on every peer in turn. k=3 runs unprefixed. At k=4 the
+// same checks run on ranks restored from checkpoints (replayAfterRestore).
 func TestEpochSpaceInvariants(t *testing.T) {
 	ds := testDataset(t, 8)
-	const k = 3
-	topo := testTopology(t, ds, k)
+	for _, k := range []int{2, 3, 4} {
+		topo := testTopology(t, ds, k)
+		groups := map[string]func() *comm.Group{
+			"overlap":    func() *comm.Group { return comm.New(k, 0) },
+			"serialized": func() *comm.Group { return comm.WithLinkModel(comm.New(k, 0), serializedLinks(k)) },
+		}
+		prefix := fmt.Sprintf("k=%d/", k)
+		if k == 3 {
+			prefix = ""
+		}
+		for _, p := range []float64{0, 0.1, 0.5, 1} {
+			for name, strategy := range map[string]Strategy{"bns": BNS, "ladies": LADIES} {
+				for _, arch := range []Arch{ArchSAGE, ArchGAT} {
+					for arrival, group := range groups {
+						t.Run(fmt.Sprintf("%sp=%v/%s/%s/%s", prefix, p, name, arch, arrival), func(t *testing.T) {
+							tr, err := NewParallelTrainerOver(ds, topo, spaceConfig(topo, p, strategy, arch), group())
+							if err != nil {
+								t.Fatal(err)
+							}
+							for e := 0; e < 3; e++ {
+								tr.TrainEpoch()
+								checkEpochSpace(t, tr)
+							}
+							tr.Evaluate(ds.ValMask)
+							checkEpochSpace(t, tr)
+						})
+					}
+				}
+			}
+		}
+		if k == 4 {
+			replayAfterRestore(t, ds, topo, prefix)
+		}
+	}
+}
+
+// spaceConfig is the run TestEpochSpaceInvariants trains on topo: BNS at
+// rate p, or LADIES at a budget of p of the largest boundary (0 keeps all,
+// so p=0 asks for one slot).
+func spaceConfig(topo *Topology, p float64, strategy Strategy, arch Arch) ParallelConfig {
 	maxBd := 0
 	for _, b := range topo.Boundary {
 		maxBd = max(maxBd, len(b))
 	}
-	groups := map[string]func() *comm.Group{
-		"overlap":    func() *comm.Group { return comm.New(k, 0) },
-		"serialized": func() *comm.Group { return comm.WithLinkModel(comm.New(k, 0), serializedLinks(k)) },
+	budget := int(p * float64(maxBd))
+	if p == 0 {
+		budget = 1
 	}
-	for _, p := range []float64{0, 0.1, 0.5, 1} {
-		// LADIES takes a budget of kept slots (0 keeps all, so p=0 asks for
-		// one).
-		budget := int(p * float64(maxBd))
-		if p == 0 {
-			budget = 1
+	mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
+	return ParallelConfig{Model: mc, P: p, SampleSeed: 2, Strategy: strategy, Budget: budget}
+}
+
+// replayAfterRestore checks the owners' replay where a rank's sample does
+// not come from running its own epochs: after every rank is restored from a
+// checkpoint of topo's k-rank run — rank r from slot (r+1) mod k's shard, a
+// donor's — and on the layout partition.ShrinkToMembers derives when slot 1
+// leaves, each rank restored from its slot's shard as a resize replay is.
+// Each later epoch must pass checkEpochSpace, whose send check is the
+// owner's computation of its peer's sample against the peer's own.
+func replayAfterRestore(t *testing.T, ds *datagen.Dataset, topo *Topology, prefix string) {
+	k := topo.K
+	members := []int{0}
+	for r := 2; r < k; r++ {
+		members = append(members, r)
+	}
+	shrunk, err := partition.ShrinkToMembers(ds.G, topo.Parts, k, members)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := BuildTopology(ds.G, shrunk, len(members))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, strategy := range []Strategy{BNS, LADIES} {
+		cfg := spaceConfig(topo, 0.5, strategy, ArchSAGE)
+		src, err := NewParallelTrainer(ds, topo, cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for name, strategy := range map[string]Strategy{"bns": BNS, "ladies": LADIES} {
-			for _, arch := range []Arch{ArchSAGE, ArchGAT} {
-				for arrival, group := range groups {
-					t.Run(fmt.Sprintf("p=%v/%s/%s/%s", p, name, arch, arrival), func(t *testing.T) {
-						mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
-						cfg := ParallelConfig{Model: mc, P: p, SampleSeed: 2, Strategy: strategy, Budget: budget}
-						tr, err := NewParallelTrainerOver(ds, topo, cfg, group())
-						if err != nil {
-							t.Fatal(err)
-						}
-						for e := 0; e < 3; e++ {
-							tr.TrainEpoch()
-							checkEpochSpace(t, tr)
-						}
-					})
+		for e := 0; e < 2; e++ {
+			src.TrainEpoch()
+		}
+		shard := make([][]byte, k)
+		for r, rt := range src.Ranks {
+			shard[r] = snapshotTrainer(rt).Encode()
+		}
+		for _, tc := range []struct {
+			name  string
+			topo  *Topology
+			donor func(r int) int
+		}{
+			{"donor", topo, func(r int) int { return (r + 1) % k }},
+			{"shrunk", small, func(r int) int { return members[r] }},
+		} {
+			t.Run(fmt.Sprintf("%srestored/%v/%s", prefix, strategy, tc.name), func(t *testing.T) {
+				tr, err := NewParallelTrainer(ds, tc.topo, cfg)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
+				for r, rt := range tr.Ranks {
+					if err := restoreBytes(shard[tc.donor(r)], rt); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for e := 0; e < 3; e++ {
+					tr.TrainEpoch()
+					checkEpochSpace(t, tr)
+				}
+			})
 		}
 	}
 }
@@ -79,9 +159,10 @@ func TestEpochSpaceInvariants(t *testing.T) {
 // an epoch, the invariants of the epoch node space the engine's stages rely
 // on: the space holds the inner rows and exactly the sampled boundary slots;
 // the slot map is a monotone bijection onto the halo rows; no edge leaves the
-// space; the receive lists tile the halo rows, per peer ascending; the
-// positions requested of each peer are the active slots of its receive list;
-// the row split partitions the inner rows, a row halo-dependent exactly when
+// space; the receive lists tile the halo rows, per peer the active slots of
+// its receive list in wire order; what each peer sends is, row for row, what
+// this rank's sample asks of it — the owner's replay equals the requester's
+// draw; the row split partitions the inner rows, a row halo-dependent exactly when
 // it has a halo neighbor; and mapping epoch ids back through the slot map
 // reproduces, edge for edge, the static adjacency with the unsampled slots
 // struck out — the full-space epoch graph this runtime used to train on.
@@ -143,9 +224,19 @@ func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 			}
 		}
 
-		// Receive lists tile [NIn, eg.N).
+		// Receive lists tile [NIn, eg.N): list j holds the rows of the slots
+		// of Recv[r][j] the active set names, in wire order.
 		filled := make([]int, nSampled)
 		for j, rows := range lp.recvSlots {
+			var wantSlots []int32
+			for _, slot := range tr.Topo.Recv[r][j] {
+				if lp.active[slot] {
+					wantSlots = append(wantSlots, slot)
+				}
+			}
+			if len(rows) != len(wantSlots) {
+				t.Fatalf("rank %d: recvSlots[%d] has %d rows, the active set names %d slots of peer %d", r, j, len(rows), len(wantSlots), j)
+			}
 			last := int32(-1)
 			for x, row := range rows {
 				if row <= last {
@@ -156,10 +247,8 @@ func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 					t.Fatalf("rank %d: recvSlots[%d] holds row %d outside the halo rows [%d,%d)", r, j, row, nIn, eg.N)
 				}
 				filled[row-nIn]++
-				slot := lp.rowSlot[row-nIn]
-				owner := tr.Topo.Parts[tr.Topo.Boundary[r][slot]]
-				if want := tr.Topo.Recv[r][j][lp.myPos[j][x]]; slot != want || owner != int32(j) {
-					t.Fatalf("rank %d: recvSlots[%d][%d] is slot %d (owner %d), the position names slot %d", r, j, x, slot, owner, want)
+				if slot := lp.rowSlot[row-nIn]; slot != wantSlots[x] {
+					t.Fatalf("rank %d: recvSlots[%d][%d] is slot %d, the active set names slot %d", r, j, x, slot, wantSlots[x])
 				}
 			}
 		}
@@ -169,29 +258,22 @@ func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 			}
 		}
 
-		// The demand on each peer is the active set read through that peer's
-		// receive list: the positions sent to j — and what j holds as received
-		// — are exactly the active slots of Recv[r][j], ascending, and every
-		// active slot is asked of exactly one peer.
-		requested := make([]int, lp.NBd)
+		// Each owner's replay of my sample is my sample: peer j sends me
+		// exactly Send[j][r] at the positions of Recv[r][j] my active set
+		// names, in wire order, so every sampled slot is filled and nothing
+		// else moves.
 		for j, full := range tr.Topo.Recv[r] {
+			if j == r {
+				continue
+			}
 			var want []int32
 			for x, slot := range full {
 				if lp.active[slot] {
-					want = append(want, int32(x))
-					requested[slot]++
+					want = append(want, tr.Topo.Send[j][r][x])
 				}
 			}
-			if !slices.Equal(lp.myPos[j], want) {
-				t.Fatalf("rank %d: requested positions %v of peer %d, the active set names %v", r, lp.myPos[j], j, want)
-			}
-			if j != r && !slices.Equal(tr.Ranks[j].LP.theirPos[r], want) {
-				t.Fatalf("rank %d: peer %d holds positions %v of mine, the active set names %v", r, j, tr.Ranks[j].LP.theirPos[r], want)
-			}
-		}
-		for slot, c := range requested {
-			if lp.active[slot] && c != 1 {
-				t.Fatalf("rank %d: active slot %d is requested from %d peers", r, slot, c)
+			if got := tr.Ranks[j].LP.sendRows[r]; !slices.Equal(got, want) {
+				t.Fatalf("rank %d: peer %d sends rows %v, my sample names %v", r, j, got, want)
 			}
 		}
 

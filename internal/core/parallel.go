@@ -18,11 +18,10 @@ import (
 // Message tags for the per-epoch protocol. Each (src, tag) stream is FIFO and
 // the protocol is fully ordered, so constant per-phase tags suffice.
 const (
-	tagPositions = 1   // sampled boundary positions (Algorithm 1 line 6)
-	tagEval      = 2   // evaluation's score counts (RankTrainer.Evaluate)
-	tagForward   = 10  // + layer index: feature rows (line 9)
-	tagBackward  = 200 // + layer index: feature gradient rows (line 13)
-	tagReduce    = 900 // AllReduce of weight gradients (line 14)
+	tagEval     = 2   // evaluation's score counts (RankTrainer.Evaluate)
+	tagForward  = 10  // + layer index: feature rows (line 9)
+	tagBackward = 200 // + layer index: feature gradient rows (line 13)
+	tagReduce   = 900 // AllReduce of weight gradients (line 14)
 )
 
 // LocalPartition holds everything one worker owns: its inner slice of the
@@ -71,8 +70,6 @@ type LocalPartition struct {
 	eg           graph.Graph // epoch subgraph header (epoch ids), rebuilt in place
 	lay          Layout      // the layers' layout of eg, its plan rebuilt with it
 	ws           *tensor.Workspace
-	myPos        [][]int32 // per peer: positions I sampled (cap: full recv list)
-	theirPos     [][]int32 // per peer: received position slices (epoch-lived)
 	sendRows     [][]int32 // per peer: inner rows to send (cap: full send list)
 	recvSlots    [][]int32 // per peer: epoch halo rows I fill (cap: full recv list)
 	epochInvDeg  []float32 // effective-degree normalizer (EstimatorSelfNorm)
@@ -177,15 +174,12 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 	lp.lay.G, lp.lay.NOut, lp.lay.HaloN = &lp.eg, lp.NIn, lp.NBd
 	lp.ws = tensor.NewWorkspace()
 	k := t.K
-	lp.myPos = make([][]int32, k)
-	lp.theirPos = make([][]int32, k)
 	lp.sendRows = make([][]int32, k)
 	lp.recvSlots = make([][]int32, k)
 	for j := 0; j < k; j++ {
 		if j == i {
 			continue
 		}
-		lp.myPos[j] = make([]int32, 0, len(t.Recv[i][j]))
 		lp.recvSlots[j] = make([]int32, 0, len(t.Recv[i][j]))
 		lp.sendRows[j] = make([]int32, 0, len(t.Send[i][j]))
 	}
@@ -336,7 +330,7 @@ func (s *EpochStats) TotalTime() time.Duration {
 
 // RankTrainer owns everything one rank needs to participate in BNS-GCN
 // training and evaluation: its local partition, its model replica, optimizer
-// and sampling stream, and the per-epoch protocol. It is the unit of
+// and sampler, and the per-epoch protocol. It is the unit of
 // distribution — the in-process ParallelTrainer drives k of them on
 // goroutines over a channel cluster, while a multi-process deployment runs
 // exactly one per OS process over a TCP transport (see cmd/bnsgcn's
@@ -347,8 +341,9 @@ func (s *EpochStats) TotalTime() time.Duration {
 // A rank holds its row block and nothing global (the distributed-memory
 // contract): the partition's local adjacency, the features, labels and train
 // mask of its inner rows, the global ids of its inner and boundary nodes, its
-// own send and receive lists, and three numbers about the whole — world size,
-// node count, train count. The dataset and the topology are read during
+// own send and receive lists, the sampler tables of its own slots and of the
+// peer slots it serves, and three numbers about the whole — world size, node
+// count, train count. The dataset and the topology are read during
 // construction and not kept; full-graph scores come from Evaluate.
 type RankTrainer struct {
 	Cfg   ParallelConfig
@@ -356,12 +351,14 @@ type RankTrainer struct {
 	LP    *LocalPartition
 	Model *Model
 
-	opt  *optim.Adam
-	samp slotSampler // the epoch's boundary sample, drawn by planEpoch
+	opt *optim.Adam
+	// samp is this rank's boundary sample, served[j] peer j's over the rows
+	// of send[j]; planEpoch evaluates both.
+	samp   slotSampler
+	served []slotSampler
 
-	// This rank's slice of the topology: the world size and its own
-	// Topology.Recv[rank] and Topology.Send[rank], per peer.
-	k    int
+	// This rank's slice of the topology: its own Topology.Recv[rank] and
+	// Topology.Send[rank], one list per rank of the world.
 	recv [][]int32
 	send [][]int32
 
@@ -408,17 +405,18 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 		LP:          NewLocalPartition(ds, topo, rank),
 		Model:       model,
 		opt:         optim.NewAdam(cfg.Model.LR),
-		k:           topo.K,
 		recv:        topo.Recv[rank],
 		send:        topo.Send[rank],
 		multiLabel:  ds.MultiLabel,
 		globalNodes: ds.G.N,
 	}
-	slotDeg := make([]int32, rt.LP.NBd)
-	for si, u := range rt.LP.GlobalBoundary {
-		slotDeg[si] = int32(topo.G.Degree(u))
+	rt.samp = newSlotSampler(cfg, topo, rank, rank)
+	rt.served = make([]slotSampler, topo.K)
+	for j, rows := range rt.send {
+		if len(rows) > 0 {
+			rt.served[j] = newSlotSampler(cfg, topo, j, rank)
+		}
 	}
-	rt.samp = newSlotSampler(cfg, rank, rt.recv, slotDeg)
 	// The loss normalizer is the global number of training nodes, which is a
 	// property of the dataset alone — no cross-rank exchange needed.
 	rt.globalTrainCount = datagen.CountMask(ds.TrainMask)
@@ -467,9 +465,10 @@ func (rt *RankTrainer) failPass(w *comm.Worker, what string, err *error) {
 // plan the engine fills for inference — every slot sampled, nothing rescaled,
 // dropout an identity pass — so the logits of its inner rows are, bit for
 // bit, the single-process full-graph forward's; it scores those rows and the
-// ranks exchange the integer counts behind the metric. No sampling or dropout
-// stream is drawn from: a run that evaluates trains exactly as one that does
-// not.
+// ranks exchange the integer counts behind the metric. No dropout stream is
+// drawn from and the sample is a function of the epoch count, which an
+// evaluation does not move: a run that evaluates trains exactly as one that
+// does not.
 //
 // The halo rows an evaluation moves are real traffic, every boundary row once
 // per layer whatever rate the run trains at: they show in the transport's

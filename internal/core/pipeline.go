@@ -11,8 +11,8 @@ import (
 // This file is the epoch engine: Algorithm 1's loop body from one
 // partition's view, executed as a short sequence of named per-layer stages.
 //
-//	plan          sample, exchange positions, build the epoch node space,
-//	              its graph and the row split
+//	plan          evaluate my sample and my peers' samples of my rows, build
+//	              the epoch node space, its graph and the row split
 //	per layer, forward:
 //	  post          gather + send boundary rows
 //	  compute-free  rows whose aggregation reads no sampled boundary slot
@@ -26,7 +26,7 @@ import (
 //	reduce        gradient AllReduce + optimizer step
 //
 // Evaluation (RankTrainer.Evaluate) is the plan and forward stages and nothing
-// after them, over every boundary slot at rate 1 — the sampler not drawn —
+// after them, over every boundary slot at rate 1 — no sampler evaluated —
 // with dropout an identity pass (epochState.eval): each rank's logits are the
 // full graph's for its inner rows.
 //
@@ -151,103 +151,58 @@ func (rt *RankTrainer) forward() *tensor.Matrix {
 	return h
 }
 
-// planEpoch is the sampling phase (lines 4–7): the rank's sampler draws the
-// epoch, ranks exchange their selections, and everything derivable from the
-// local sample — the epoch node space and the layers' layout of it (subgraph,
-// aggregation plan, effective-degree normalizer, halo placement), the row
-// split, the send/receive row lists — is built for the layer stages. An epoch
-// whose sample is exactly the slots the last one's was (every epoch at k=1,
-// p=1 or p=0) keeps the products in place instead of rebuilding identical
-// ones; what the sampler draws and what the ranks exchange is the same
-// either way. It starts the pass's clock.
+// planEpoch is the sampling phase (lines 4–7): the rank evaluates its own
+// sample and, for each peer it serves, that peer's sample of the rows it
+// owns — a sample is a function of (SampleSeed, rank, epoch, slot), so line
+// 6's broadcast is computed where it is needed rather than sent — and builds
+// everything derivable from them for the layer stages: the epoch node space
+// and the layers' layout of it (subgraph, aggregation plan, effective-degree
+// normalizer, halo placement), the row split, the send/receive row lists. An
+// epoch whose sample is exactly the slots the last one's was (every epoch at
+// k=1, p=1 or p=0) keeps the products in place instead of rebuilding
+// identical ones. It starts the pass's clock.
 func (rt *RankTrainer) planEpoch() {
 	rt.ep.clk.start()
-	ep := &rt.ep
-	rank, lp, k, w := rt.Rank, rt.LP, rt.k, rt.ep.w
+	ep, lp := &rt.ep, rt.LP
 	// The receive rescale (the unbiased 1/p of Section 3.2 for BNS) makes the
 	// *mean aggregator's* neighbor sum unbiased. Attention models normalize
 	// per-neighborhood via softmax, so the rescale would only distort the
 	// attention logits — GAT runs unscaled whatever the sampler, matching the
-	// official code.
+	// official code. Inference is over the whole graph, unscaled.
 	ep.invP = 1
-	if ep.eval {
-		// Inference is over the whole graph, unscaled, and draws nothing: an
-		// evaluation must not advance the sampling stream.
-		for i := range lp.active {
-			lp.active[i] = true
-		}
-	} else {
-		rt.samp.draw(lp.active)
-		if rt.Cfg.Model.Arch == ArchSAGE {
-			ep.invP, ep.haloScale = rt.samp.invP, rt.samp.haloScale
-		}
+	if !ep.eval && rt.Cfg.Model.Arch == ArchSAGE {
+		ep.invP, ep.haloScale = rt.samp.invP, rt.samp.haloScale
 	}
-	// What to request of each peer follows from the active set alone: every
-	// boundary slot sits in exactly one peer's receive list, so the active
-	// positions of list j, ascending, are this epoch's demand on j.
-	myPos := lp.myPos
-	for j, full := range rt.recv {
-		pos := myPos[j][:0]
-		for x, slot := range full {
-			if lp.active[slot] {
-				pos = append(pos, int32(x))
-			}
-		}
-		myPos[j] = pos
-		ep.st.SampledBd += len(pos)
+	for i := range lp.active {
+		lp.active[i] = ep.eval || rt.samp.kept(rt.epoch, i)
 	}
-	// Broadcast selections. The sent position slices alias lp.myPos scratch:
-	// the receiver holds them for the rest of the epoch, and the next
-	// epoch's rewrite is safe because TrainEpoch joins all workers in
-	// between.
-	theirPos := lp.theirPos
-	if k > 1 {
-		for j := 0; j < k; j++ {
-			if j != rank {
-				w.SendI32(j, tagPositions, myPos[j])
-			}
-		}
-	}
-	// Everything derivable from the local sample runs between the position
-	// sends and receives, overlapping the peers' sampling. An active set that
-	// repeats keeps the products built for it.
-	recvSlots := lp.recvSlots // epoch halo rows I fill from j
 	if !lp.planned || !slices.Equal(lp.active, lp.planActive) {
 		copy(lp.planActive, lp.active)
 		lp.planned = true
 		lp.epochGraph()
 		lp.splitRows()
-		for j := 0; j < k; j++ {
-			if j == rank {
-				continue
+		// Every boundary slot sits in exactly one peer's receive list, so the
+		// active slots of list j, in wire order, are the halo rows j fills.
+		for j, full := range rt.recv {
+			slots := lp.recvSlots[j][:0]
+			for _, slot := range full {
+				if lp.active[slot] {
+					slots = append(slots, lp.slotRow[slot])
+				}
 			}
-			full := rt.recv[j]
-			slots := recvSlots[j][:len(myPos[j])]
-			for x, posIdx := range myPos[j] {
-				slots[x] = lp.slotRow[full[posIdx]]
-			}
-			recvSlots[j] = slots
+			lp.recvSlots[j] = slots
 		}
 	}
+	ep.st.SampledBd = len(lp.rowSlot)
 	lp.lay.InvDeg = rt.epochInvDeg()
-	if k > 1 {
-		for j := 0; j < k; j++ {
-			if j != rank {
-				theirPos[j] = w.RecvI32(j, tagPositions)
+	for j, full := range rt.send {
+		rows := lp.sendRows[j][:0]
+		for x, row := range full {
+			if ep.eval || rt.served[j].kept(rt.epoch, x) {
+				rows = append(rows, row)
 			}
 		}
-	}
-	sendRows := lp.sendRows // inner local ids to send to j, per layer
-	for j := 0; j < k; j++ {
-		if j == rank {
-			continue
-		}
-		full := rt.send[j]
-		rows := sendRows[j][:len(theirPos[j])]
-		for x, posIdx := range theirPos[j] {
-			rows[x] = full[posIdx]
-		}
-		sendRows[j] = rows
+		lp.sendRows[j] = rows
 	}
 }
 

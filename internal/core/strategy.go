@@ -11,11 +11,14 @@ import (
 // samples boundary nodes only), so an epoch's sample is a mask over the NBd
 // boundary slots, and both samplers the engine hosts draw it the same way:
 // one independent Bernoulli draw per slot. A sampler is therefore data, fixed
-// when the rank is built — a keep probability per slot, the order the slots
-// draw from the sampling stream, and the receive rescale of a kept slot — and
-// the engine evaluates it (slotSampler.draw); it derives everything else —
-// which positions to request from each peer, the epoch node space, the row
-// split. Boundary-node sampling is one such table and LADIES-style layer-wise
+// when the rank is built — a keep probability per slot, each slot's index
+// among an epoch's draws from the rank's stream, and the receive rescale of a
+// kept slot — and a rank's sample is a pure function of (SampleSeed, rank,
+// epoch, slot) that the engine evaluates (slotSampler.kept). The owner of a
+// slot evaluates the same function for the rank that needs it, so no rank
+// tells another what it sampled; the engine derives everything else — which
+// rows to send each peer, the epoch node space, the row split.
+// Boundary-node sampling is one such table and LADIES-style layer-wise
 // importance sampling the other; both ride the same pipelined halo overlap,
 // fused kernels and checkpoint/resume, so a comparison between them measures
 // the samplers, not the plumbing. The single-machine minibatch samplers,
@@ -52,87 +55,114 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
-// slotSampler is one rank's boundary sampler as data. Each epoch it keeps
-// slot s with probability keep[s], drawing one Float32 per slot of drawOrder
-// from rng; an empty drawOrder draws nothing and keeps exactly the slots with
-// keep[s] >= 1. A non-empty drawOrder holds every slot once. Each rank draws
-// from its own stream of the one configured seed, and that stream's position
-// is the whole resumable state — the single word a trainer checkpoint stores
-// beside the strategy's name.
+// slotSampler is one rank's boundary sample as a function of the epoch: a
+// table over some of that rank's boundary slots — the requester's — and the
+// stream the requester draws from. In epoch e, entry i is kept iff the
+// Float32 at draw e·per + at[i] of the stream seeded with seed is below
+// keep[i]; a nil at draws nothing and keeps exactly the entries with
+// keep[i] >= 1. SplitMix64's state is a counter (tensor.RNG.Skip), so any
+// draw of any epoch is one multiply-add away, and a sample needs no state
+// beyond the epoch count. A rank evaluates its own table, whose entries are
+// its slots, to know what it receives; and for each peer it serves, that
+// peer's table over the positions of the peer's receive list it owns, to
+// know what to send (Algorithm 1 line 6, computed instead of broadcast). The
+// stream's position at the start of an epoch is the word a trainer
+// checkpoint stores beside the strategy's name.
 type slotSampler struct {
-	keep      []float32
-	drawOrder []int32
+	keep []float32
+	at   []int32 // entry i's index among one epoch's draws
+	seed uint64  // the requester's stream: SampleSeed + rank·0x9e3779b9
+	per  uint64  // draws per epoch: the requester's NBd, or 0 when at is nil
 	// invP is the uniform receive rescale of a kept slot's features (and, by
 	// the chain rule, of the gradients sent back); haloScale, when non-nil,
-	// replaces it per slot.
+	// replaces it per slot. Only a rank's own table has them.
 	invP      float32
 	haloScale []float32
-	rng       *tensor.RNG
 }
 
-// newSlotSampler builds rank's sampler for cfg. recv is the rank's receive
-// lists at p=1 (per peer, the slots in wire position order; every slot is in
-// exactly one), slotDeg the slots' global degrees.
-func newSlotSampler(cfg ParallelConfig, rank int, recv [][]int32, slotDeg []int32) slotSampler {
-	nbd := len(slotDeg)
-	s := slotSampler{invP: 1, rng: tensor.NewRNG(cfg.SampleSeed + uint64(rank)*0x9e3779b9)}
-	switch cfg.Strategy {
-	case BNS:
-		// One Float32 per slot, peers in ascending rank and each receive list
-		// in position order, drawn only at 0 < p < 1.
-		s.keep = make([]float32, nbd)
-		for i := range s.keep {
-			s.keep[i] = float32(cfg.P)
+// newSlotSampler builds rank i's sampler as rank view evaluates it: over
+// every slot of i when view is i, else over the positions of
+// topo.Recv[i][view] in wire order. BNS draws one Float32 per slot at
+// 0 < p < 1, peers in ascending rank and each receive list in position
+// order; LADIES one per slot in slot order, whatever the probabilities. A
+// peer's table holds only the positions view serves; LADIES' degree-weight
+// sum still runs over all of i's slots in slot order, so both sides hold the
+// same float32s.
+func newSlotSampler(cfg ParallelConfig, topo *Topology, i, view int) slotSampler {
+	bd, own := topo.Boundary[i], view == i
+	s := slotSampler{invP: 1, seed: cfg.SampleSeed + uint64(i)*0x9e3779b9}
+	n := len(bd)
+	if !own {
+		n = len(topo.Recv[i][view])
+	}
+	s.keep = make([]float32, n)
+	if cfg.Strategy == LADIES || cfg.P > 0 && cfg.P < 1 {
+		s.at, s.per = make([]int32, n), uint64(len(bd))
+	}
+	var sum float64
+	if cfg.Strategy == LADIES {
+		for _, u := range bd {
+			sum += float64(topo.G.Degree(u)) + 1
 		}
-		if cfg.P > 0 && cfg.P < 1 {
-			s.drawOrder = make([]int32, 0, nbd)
-			for _, list := range recv {
-				s.drawOrder = append(s.drawOrder, list...)
+		if own {
+			s.haloScale = make([]float32, n)
+		}
+	} else if cfg.P > 0 && own {
+		s.invP = 1 / float32(cfg.P)
+	}
+	off := 0 // draws before list j's
+	for j, list := range topo.Recv[i] {
+		if own || j == view {
+			for x, slot := range list {
+				e := x
+				if own {
+					e = int(slot)
+				}
+				if cfg.Strategy == BNS {
+					s.keep[e] = float32(cfg.P)
+					if s.at != nil {
+						s.at[e] = int32(off + x)
+					}
+					continue
+				}
+				p := inclusionProb(topo.G.Degree(bd[slot]), float64(cfg.Budget), sum)
+				s.keep[e], s.at[e] = float32(p), slot
+				if own {
+					s.haloScale[e] = float32(1 / p)
+				}
 			}
 		}
-		if cfg.P > 0 {
-			s.invP = 1 / float32(cfg.P)
-		}
-	case LADIES:
-		// One Float32 per slot in slot order, whatever the probabilities.
-		s.keep, s.haloScale = inclusionProbs(slotDeg, float64(cfg.Budget))
-		s.drawOrder = make([]int32, nbd)
-		for i := range s.drawOrder {
-			s.drawOrder[i] = int32(i)
-		}
+		off += len(list)
 	}
 	return s
 }
 
-// draw fills active (one entry per slot) with this epoch's sample.
-func (s *slotSampler) draw(active []bool) {
-	if len(s.drawOrder) == 0 {
-		for slot, q := range s.keep {
-			active[slot] = q >= 1
-		}
-		return
-	}
-	for _, slot := range s.drawOrder {
-		active[slot] = s.rng.Float32() < s.keep[slot]
-	}
+// stream returns the requester's sampling stream where epoch e's draws
+// begin.
+func (s *slotSampler) stream(e int) tensor.RNG {
+	var r tensor.RNG
+	r.SetState(s.seed)
+	r.Skip(uint64(e) * s.per)
+	return r
 }
 
-// inclusionProbs returns degree-proportional inclusion probabilities
-// (weight degree+1, each capped at 1) scaled to an expected `expected` kept
-// nodes, and their inverses — the Horvitz–Thompson rescale of a kept node.
-// expected <= 0 keeps every node.
-func inclusionProbs(deg []int32, expected float64) (prob, inv []float32) {
-	prob, inv = make([]float32, len(deg)), make([]float32, len(deg))
-	var sum float64
-	for _, d := range deg {
-		sum += float64(d) + 1
+// kept reports whether epoch e's sample keeps entry i.
+func (s *slotSampler) kept(e, i int) bool {
+	if s.at == nil {
+		return s.keep[i] >= 1
 	}
-	for i, d := range deg {
-		p := 1.0
-		if expected > 0 && sum > 0 {
-			p = min(1, expected*(float64(d)+1)/sum)
-		}
-		prob[i], inv[i] = float32(p), float32(1/p)
+	r := s.stream(e)
+	r.Skip(uint64(s.at[i]))
+	return r.Float32() < s.keep[i]
+}
+
+// inclusionProb returns the degree-proportional inclusion probability of a
+// node of degree d (weight degree+1, capped at 1) among nodes whose weights
+// sum to sum, scaled to an expected `expected` kept nodes; its inverse is the
+// Horvitz–Thompson rescale of a kept node. expected <= 0 keeps every node.
+func inclusionProb(d int, expected, sum float64) float64 {
+	if expected > 0 && sum > 0 {
+		return min(1, expected*(float64(d)+1)/sum)
 	}
-	return prob, inv
+	return 1
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,8 +89,8 @@ func TestStrategiesDeterministicAcrossTransports(t *testing.T) {
 // TestStrategyCheckpointResumeEquivalence: for each new strategy, training
 // six epochs straight through must be bit-identical to training three,
 // checkpointing every rank, loading into fresh trainers, and training the
-// remaining three — the strategy state word in the v3 trainer checkpoint is
-// what carries the sampler RNG across.
+// remaining three — the restored epoch count is what carries the sample
+// across (the stream word beside it is derived from it).
 func TestStrategyCheckpointResumeEquivalence(t *testing.T) {
 	for name, sc := range stratConfigs {
 		ds := testDataset(t, 61)
@@ -267,9 +268,10 @@ func TestParentCheckpointsResume(t *testing.T) {
 // TestSamplerDrawsPerEpoch pins how far an epoch moves each rank's sampling
 // stream: one draw per boundary slot whenever anything is drawn (BNS at
 // 0 < p < 1, LADIES at any budget, 0 included), none for BNS at p=0 and p=1,
-// and none for an evaluation. After e epochs the stream must stand where a
-// fresh one of the rank's seed stands after e·draws steps, so the stream
-// state of any rank at any epoch is known without running it.
+// and none for an evaluation. After e epochs the stream word a checkpoint
+// stores — the on-disk contract — must be where a fresh stream of the rank's
+// seed stands after e·draws steps, so the stream state of any rank at any
+// epoch is known without running it.
 func TestSamplerDrawsPerEpoch(t *testing.T) {
 	ds := testDataset(t, 64)
 	topo := testTopology(t, ds, 3)
@@ -303,8 +305,58 @@ func TestSamplerDrawsPerEpoch(t *testing.T) {
 				}
 				want := tensor.NewRNG(cfg.SampleSeed + uint64(r)*0x9e3779b9)
 				want.Skip(uint64(e * draws))
-				if got := rt.samp.rng.State(); got != want.State() {
+				if got := snapshotTrainer(rt).Resume.StrategyState; got != want.State() {
 					t.Fatalf("%s rank %d after epoch %d: stream at %#x, want %#x (%d draws per epoch)", tc.name, r, e, got, want.State(), draws)
+				}
+			}
+		}
+	}
+}
+
+// TestRestoredRankSamplesItsOwnSlots: a rank's sample is a function of its
+// rank and the epoch, so a rank restored from another slot's shard — whose
+// stream word names the donor's stream — samples, at every later epoch,
+// exactly the slots the same rank of an uninterrupted run samples.
+func TestRestoredRankSamplesItsOwnSlots(t *testing.T) {
+	ds := testDataset(t, 64)
+	const k, pre, total = 3, 2, 6
+	topo := testTopology(t, ds, k)
+	for name, sc := range map[string]ParallelConfig{"bns": {P: 0.5}, "ladies": {Strategy: LADIES, Budget: 12}} {
+		cfg := sc
+		cfg.Model, cfg.SampleSeed = testModelConfig(), 23
+		ref, err := NewParallelTrainer(ds, topo, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var refActive [][][]bool // per epoch, per rank
+		shard := make([][]byte, k)
+		for e := 0; e < total; e++ {
+			if e == pre {
+				for r, rt := range ref.Ranks {
+					shard[r] = snapshotTrainer(rt).Encode()
+				}
+			}
+			ref.TrainEpoch()
+			var act [][]bool
+			for _, rt := range ref.Ranks {
+				act = append(act, slices.Clone(rt.LP.active))
+			}
+			refActive = append(refActive, act)
+		}
+		resumed, err := NewParallelTrainer(ds, topo, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, rt := range resumed.Ranks {
+			if err := restoreBytes(shard[(r+1)%k], rt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for e := pre; e < total; e++ {
+			resumed.TrainEpoch()
+			for r, rt := range resumed.Ranks {
+				if !slices.Equal(rt.LP.active, refActive[e][r]) {
+					t.Fatalf("%s rank %d epoch %d: restored from slot %d's shard, it sampled other slots than the uninterrupted run", name, r, e, (r+1)%k)
 				}
 			}
 		}

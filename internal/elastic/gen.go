@@ -205,10 +205,12 @@ func LatestValidGenAny(dir string) int {
 // and a shard that fails to decode has touched nothing in rt. Donor hydration
 // is how a re-admitted replacement (or a survivor absorbing a dead slot's
 // rows) catches up past its own stale files: the model and Adam state in
-// every shard of a generation are replica-identical, and the donor's
-// sampling/dropout RNG positions are adopted wholesale, which keeps the
-// resumed run deterministic (the streams are applied to this rank's own
-// partition, so the draws decorrelate immediately). Returns the slot actually
+// every shard of a generation are replica-identical, and the donor's dropout
+// RNG positions are adopted wholesale, which keeps the resumed run
+// deterministic (the streams are applied to this rank's own partition, so
+// the draws decorrelate immediately). Only the dropout streams come from
+// the donor: a rank's boundary sample is a function of its rank in the
+// trainer's layout and the restored epoch, whichever shard it came from. Returns the slot actually
 // loaded — slot itself on the normal path, -1 for gen 0.
 func LoadGenerationAs(dir string, gen, slot int, rt *core.RankTrainer) (int, error) {
 	if gen == 0 {

@@ -47,18 +47,6 @@ func BenchmarkMatMulTransB(b *testing.B) {
 	}
 }
 
-func BenchmarkTranspose(b *testing.B) {
-	rng := NewRNG(5)
-	a := randomMatrix(rng, 2048, 2048)
-	out := New(2048, 2048)
-	b.SetBytes(2048 * 2048 * 4)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TransposeInto(out, a)
-	}
-}
-
 func BenchmarkMatMulTall(b *testing.B) {
 	// GCN shape: many nodes × small feature dims.
 	out, x, y := benchMatrices(4096, 64, 32)

@@ -73,7 +73,7 @@ func TestMatMulTransBPropertyOddShapes(t *testing.T) {
 				b := randomMatrix(rng, m, k)
 				got := New(n, m)
 				MatMulTransB(got, a, b)
-				want := refMatMul(a, Transpose(b))
+				want := refMatMul(a, transposed(b))
 				if e := maxRelErr(got, want); e > 1e-5 {
 					t.Fatalf("MatMulTransB %dx%dx%d: max rel err %g", n, k, m, e)
 				}
@@ -91,7 +91,7 @@ func TestMatMulTransAPropertyOddShapes(t *testing.T) {
 				b := randomMatrix(rng, k, m)
 				got := New(n, m)
 				MatMulTransA(got, a, b)
-				want := refMatMul(Transpose(a), b)
+				want := refMatMul(transposed(a), b)
 				if e := maxRelErr(got, want); e > 1e-5 {
 					t.Fatalf("MatMulTransA %dx%dx%d: max rel err %g", n, k, m, e)
 				}
@@ -142,33 +142,6 @@ func TestVectorPrimitives(t *testing.T) {
 			}
 		}
 	}
-}
-
-func TestTransposeIntoOddShapes(t *testing.T) {
-	rng := NewRNG(106)
-	for _, r := range []int{1, 5, 31, 32, 33, 100} {
-		for _, c := range []int{1, 7, 32, 65} {
-			a := randomMatrix(rng, r, c)
-			out := New(c, r)
-			TransposeInto(out, a)
-			for i := 0; i < r; i++ {
-				for j := 0; j < c; j++ {
-					if out.At(j, i) != a.At(i, j) {
-						t.Fatalf("transpose %dx%d mismatch at (%d,%d)", r, c, i, j)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestTransposeIntoRejectsBadShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	TransposeInto(New(3, 3), New(3, 4))
 }
 
 func TestWorkspaceReusesSteadyState(t *testing.T) {

@@ -629,42 +629,3 @@ func matMulTransABlock(od []float32, a, b *Matrix, at []int32, n, c0, c1 int) {
 	}
 	copy(od[c0*m:c1*m], acc)
 }
-
-// transposeBlock is the square tile edge for the blocked transpose; a
-// 32×32 float32 tile (4KB read + 4KB written) fits L1 comfortably.
-const transposeBlock = 32
-
-// TransposeInto writes aᵀ into out, which must be a.Cols×a.Rows and must not
-// alias a. Tiles are copied block-wise so both the reads and the writes stay
-// within cache lines instead of striding a full column apart.
-func TransposeInto(out, a *Matrix) {
-	if out.Rows != a.Cols || out.Cols != a.Rows {
-		panic(fmt.Sprintf("tensor: TransposeInto out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, a.Rows))
-	}
-	rows, cols := a.Rows, a.Cols
-	for ii := 0; ii < rows; ii += transposeBlock {
-		ihi := ii + transposeBlock
-		if ihi > rows {
-			ihi = rows
-		}
-		for jj := 0; jj < cols; jj += transposeBlock {
-			jhi := jj + transposeBlock
-			if jhi > cols {
-				jhi = cols
-			}
-			for i := ii; i < ihi; i++ {
-				row := a.Data[i*cols : i*cols+cols]
-				for j := jj; j < jhi; j++ {
-					out.Data[j*rows+i] = row[j]
-				}
-			}
-		}
-	}
-}
-
-// Transpose returns aᵀ as a new matrix.
-func Transpose(a *Matrix) *Matrix {
-	out := New(a.Cols, a.Rows)
-	TransposeInto(out, a)
-	return out
-}
