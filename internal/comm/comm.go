@@ -1,8 +1,8 @@
 // Package comm provides the message-passing substrate that stands in for
-// Gloo/NCCL in the paper's setup: tagged point-to-point sends and receives,
-// AllReduce, variable AllGather, barriers, and per-rank byte accounting. The
-// byte counters are exact: the halo and reduce bytes every epoch reports
-// come from them.
+// Gloo/NCCL in the paper's setup: tagged point-to-point sends and receives of
+// float32 rows, AllReduce, barriers, and per-rank byte accounting. The byte
+// counters are exact: the halo and reduce bytes every epoch reports come from
+// them.
 //
 // Backends are pluggable behind the Transport interface. The in-process
 // backend (one goroutine per partition over Go channels, created by New)
@@ -58,9 +58,9 @@ func (s *chanState) fail(err error) {
 // a full stream blocks until the receiver drains it — messages are never
 // dropped — so queueCap only has to cover the most messages one rank can
 // have queued on a single stream toward a peer. For the training protocol a
-// halo or position stream carries one message per epoch, and each of the
-// ring AllReduce's two tags carries m−1 messages per collective toward the
-// ring successor; since the ring lets no rank run more than two collectives
+// halo stream carries one message per epoch, and each of the ring
+// AllReduce's two tags carries m−1 messages per collective toward the ring
+// successor; since the ring lets no rank run more than two collectives
 // ahead of its successor, at most two epochs' worth can ever be queued, so
 // capacity ≥ 2(m−1) guarantees senders never stall. The default 256 covers
 // every paper configuration (m ≤ 32 needs ≤ 62); larger setups still run
@@ -101,29 +101,18 @@ type ChanTransport struct {
 	s *chanState
 }
 
-// send pushes one message into dst's inbox, blocking for backpressure but
-// waking with a panic if the cluster is aborted while blocked. The send is
-// complete once it returns.
-func (t *ChanTransport) send(dst, tag, bytes int, msg message) {
-	t.s.bytesSent[t.rank].Add(int64(bytes))
-	t.s.msgsSent[t.rank].Add(1)
-	if !t.s.in[dst].push(t.rank, tag, msg, nil) {
-		panic(t.failure())
-	}
-}
-
-// SendI32 sends an int32 payload to dst with a tag.
-func (t *ChanTransport) SendI32(dst, tag int, data []int32) {
-	t.send(dst, tag, 4*len(data), message{dtype: dtypeI32, i32: data})
-}
-
 // SendBufF32 lends the caller an n-element buffer from the cluster's pool.
 func (t *ChanTransport) SendBufF32(n int) []float32 { return t.s.bufs.get(n) }
 
 // ISendBufF32 puts a lent buffer on the fabric by reference: it lands in
-// dst's inbox as it stands, so there is nothing left to complete.
+// dst's inbox as it stands, so the send is complete once it returns. A full
+// stream blocks for backpressure, and a cluster aborted meanwhile panics.
 func (t *ChanTransport) ISendBufF32(dst, tag int, buf []float32) {
-	t.send(dst, tag, 4*len(buf), message{dtype: dtypeF32, f32: buf})
+	t.s.bytesSent[t.rank].Add(int64(4 * len(buf)))
+	t.s.msgsSent[t.rank].Add(1)
+	if !t.s.in[dst].push(t.rank, tag, buf, nil) {
+		panic(t.failure())
+	}
 }
 
 // RecycleF32 returns a received payload's buffer to the cluster's pool.
@@ -138,18 +127,11 @@ func (t *ChanTransport) Barrier() {
 	}
 }
 
-// BytesSent returns the payload bytes this rank has sent since the last
-// ResetCounters.
+// BytesSent returns the payload bytes this rank has sent.
 func (t *ChanTransport) BytesSent() int64 { return t.s.bytesSent[t.rank].Load() }
 
 // MessagesSent returns the number of messages this rank has sent.
 func (t *ChanTransport) MessagesSent() int64 { return t.s.msgsSent[t.rank].Load() }
-
-// ResetCounters zeroes this rank's byte and message counters.
-func (t *ChanTransport) ResetCounters() {
-	t.s.bytesSent[t.rank].Store(0)
-	t.s.msgsSent[t.rank].Store(0)
-}
 
 // Abort poisons the shared fabric: every blocked and subsequent Send/Recv
 // on any rank of this cluster panics with a *TransportError. (The fabric is

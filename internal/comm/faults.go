@@ -85,7 +85,7 @@ func WithFaults(g *Group, plans ...FaultPlan) *Group {
 }
 
 // faultTransport decorates one endpoint; only sends and epoch marks are
-// intercepted (receives need no counting). Every float32 send is counted in
+// intercepted (receives need no counting). Every send is counted in
 // ISendBufF32, the one path they all take.
 type faultTransport struct {
 	Transport
@@ -123,11 +123,6 @@ func (t *faultTransport) beforeSend() {
 			panic(t.kill(&InjectedFault{Rank: t.Rank(), Epoch: -1, Message: int(n)}))
 		}
 	}
-}
-
-func (t *faultTransport) SendI32(dst, tag int, data []int32) {
-	t.beforeSend()
-	t.Transport.SendI32(dst, tag, data)
 }
 
 func (t *faultTransport) ISendBufF32(dst, tag int, buf []float32) {

@@ -5,15 +5,6 @@ import (
 	"sync"
 )
 
-// message is one typed payload on an inbox stream. dtype says which of f32
-// and i32 it carries, so an empty payload still has a type; a control
-// message (the TCP barrier's) carries neither.
-type message struct {
-	dtype byte
-	f32   []float32
-	i32   []int32
-}
-
 // failure records the first error that brings a transport down; ch closes
 // when it is set, waking everything blocked on the transport. A channel
 // cluster shares one among all its ranks, a TCP endpoint has its own.
@@ -72,13 +63,14 @@ func (q *ring[T]) pop() (T, bool) {
 // streamKey identifies one directed (src, tag) message stream at an endpoint.
 type streamKey struct{ src, tag int }
 
-// stream is one (src, tag) FIFO of an inbox, guarded by the inbox's mutex.
+// stream is one (src, tag) FIFO of an inbox's payloads, guarded by the
+// inbox's mutex.
 // ready and room each hold at most one wakeup token: a push leaves one in
 // ready, a pop one in room, and whoever is blocked on the stream takes it
 // and re-checks. A taker that leaves work behind (messages, or room) passes
 // the token on, so several parties on one stream never strand each other.
 type stream struct {
-	ring[message]
+	ring[[]float32]
 	ready chan struct{}
 	room  chan struct{}
 }
@@ -91,11 +83,12 @@ func wake(c chan struct{}) {
 }
 
 // inbox is one endpoint's receive side, the same on both backends: a bounded
-// FIFO per (src, tag) stream of typed messages, and the wakeups a blocked
+// FIFO per (src, tag) stream of float32 payloads, and the wakeups a blocked
 // receive needs when the transport fails or a peer leaves. A ChanTransport
 // sender pushes straight into the destination's inbox; a TCP demux goroutine
-// pushes each frame it reads. Its exported methods are the backends' Rank,
-// Size, RecvF32 and RecvI32.
+// pushes each frame it has checked (a barrier's control message as a nil
+// payload on its reserved tag). Its exported methods are the backends' Rank,
+// Size and RecvF32.
 type inbox struct {
 	rank     int
 	queueCap int
@@ -149,10 +142,10 @@ func (in *inbox) stream(src, tag int) *stream {
 	return s
 }
 
-// push appends msg to the (src, tag) stream. A full stream blocks the caller
+// push appends data to the (src, tag) stream. A full stream blocks the caller
 // — backpressure, never a drop — until the receiver drains it; push returns
 // false instead if the transport fails or stop closes first.
-func (in *inbox) push(src, tag int, msg message, stop <-chan struct{}) bool {
+func (in *inbox) push(src, tag int, data []float32, stop <-chan struct{}) bool {
 	s := in.stream(src, tag)
 	in.mu.Lock()
 	for s.n == in.queueCap {
@@ -166,7 +159,7 @@ func (in *inbox) push(src, tag int, msg message, stop <-chan struct{}) bool {
 		}
 		in.mu.Lock()
 	}
-	s.push(msg)
+	s.push(data)
 	if s.n < in.queueCap {
 		wake(s.room)
 	}
@@ -182,9 +175,8 @@ func (in *inbox) depart(src int) { close(in.gone[src]) }
 // recv dequeues the next message of the (src, tag) stream, blocking until one
 // arrives. It prefers a queued message over a failure or a departure, so data
 // that arrived is never lost; with none queued those panic with a
-// *TransportError instead of deadlocking. A message of another dtype is a
-// protocol bug and panics.
-func (in *inbox) recv(src, tag int, dtype byte) message {
+// *TransportError instead of deadlocking.
+func (in *inbox) recv(src, tag int) []float32 {
 	s := in.stream(src, tag)
 	in.mu.Lock()
 	for s.n == 0 {
@@ -204,17 +196,13 @@ func (in *inbox) recv(src, tag int, dtype byte) message {
 			panic(err)
 		}
 	}
-	msg, _ := s.pop()
+	data, _ := s.pop()
 	if s.n > 0 {
 		wake(s.ready)
 	}
 	in.mu.Unlock()
 	wake(s.room)
-	if msg.dtype != dtype {
-		panic(fmt.Sprintf("comm: rank %d: protocol bug: expected dtype %d on tag %d from %d, got %d",
-			in.rank, dtype, tag, src, msg.dtype))
-	}
-	return msg
+	return data
 }
 
 // RecvF32 receives the next float32 message from src with the given tag. The
@@ -223,13 +211,7 @@ func (in *inbox) recv(src, tag int, dtype byte) message {
 // consumed to keep steady-state epochs allocation-free.
 func (in *inbox) RecvF32(src, tag int) []float32 {
 	checkAppTag(tag)
-	return in.recv(src, tag, dtypeF32).f32
-}
-
-// RecvI32 receives the next int32 message from src with the given tag.
-func (in *inbox) RecvI32(src, tag int) []int32 {
-	checkAppTag(tag)
-	return in.recv(src, tag, dtypeI32).i32
+	return in.recv(src, tag)
 }
 
 func checkAppTag(tag int) {

@@ -148,15 +148,10 @@ func (s *linkState) arrive(src, dst, tag int) {
 
 // latencyTransport decorates one endpoint; everything not overridden
 // (Barrier, counters, Abort, Close, SendBufF32, RecycleF32) passes through.
-// Every float32 send is stamped in ISendBufF32, the one path they all take.
+// Every send is stamped in ISendBufF32, the one path they all take.
 type latencyTransport struct {
 	Transport
 	s *linkState
-}
-
-func (t *latencyTransport) SendI32(dst, tag int, data []int32) {
-	t.s.stampMsg(t.Rank(), dst, tag)
-	t.Transport.SendI32(dst, tag, data)
 }
 
 func (t *latencyTransport) ISendBufF32(dst, tag int, buf []float32) {
@@ -166,12 +161,6 @@ func (t *latencyTransport) ISendBufF32(dst, tag int, buf []float32) {
 
 func (t *latencyTransport) RecvF32(src, tag int) []float32 {
 	out := t.Transport.RecvF32(src, tag)
-	t.s.arrive(src, t.Rank(), tag)
-	return out
-}
-
-func (t *latencyTransport) RecvI32(src, tag int) []int32 {
-	out := t.Transport.RecvI32(src, tag)
 	t.s.arrive(src, t.Rank(), tag)
 	return out
 }

@@ -205,3 +205,60 @@ func TestMisalignedViewPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestDemuxRefusesFramesOffProtocol: a float32 frame belongs on an
+// application tag and a control frame on a reserved one, and dtype 1 (the
+// int32 frames of older builds) no longer exists. A peer that sends anything
+// else — here over a real socket — fails the transport with a
+// *TransportError naming that peer: a RecvF32 blocked on it panics with the
+// error instead of hanging, and the demux goroutine records the failure
+// rather than panicking itself.
+func TestDemuxRefusesFramesOffProtocol(t *testing.T) {
+	int32Frame := []byte{2, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 7, 0, 0, 0} // tag 2, dtype 1, one element
+	ctrlOnApp, err := appendFrameBytes(nil, 5, dtypeCtrl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f32OnReserved, err := appendFrameF32(nil, tagBarrierEnter, []float32{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		cause string
+	}{
+		{"int32 frame", int32Frame, "unknown frame dtype 1"},
+		{"control frame on an application tag", ctrlOnApp, "dtype 2 on tag 5"},
+		{"float32 frame on a reserved tag", f32OnReserved, fmt.Sprintf("dtype 0 on tag %d", tagBarrierEnter)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr, far := rawPeer(t)
+			got := make(chan any, 1)
+			go func() {
+				defer func() { got <- recover() }()
+				tr.RecvF32(1, 5)
+			}()
+			if _, err := far.Write(c.frame); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case p := <-got:
+				te, ok := p.(*TransportError)
+				if !ok {
+					t.Fatalf("RecvF32 panicked with %v (%T), want a *TransportError", p, p)
+				}
+				for _, want := range []string{"peer 1 broke the protocol", c.cause} {
+					if !strings.Contains(te.Error(), want) {
+						t.Errorf("transport error %q does not say %q", te, want)
+					}
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("RecvF32 hung after the peer broke the protocol")
+			}
+			if err := tr.Err(); err == nil || !strings.Contains(err.Error(), "peer 1") {
+				t.Fatalf("the transport recorded %v, want the failure naming peer 1", err)
+			}
+		})
+	}
+}

@@ -15,12 +15,12 @@ import (
 //
 //   - wireBufs ([]byte): outgoing frames. SendBufF32 lends the payload region
 //     of one as a float32 view (ISendBufF32 writes the header in front of
-//     it); SendI32 and the control frames serialize into one. The per-peer
-//     writer goroutine returns it after the socket write.
+//     it); a control frame is serialized into one. The per-peer writer
+//     goroutine returns it after the socket write.
 //   - recvBufs ([]byte): incoming frame payloads, drawn by the demux
 //     goroutines in readLoop. RecvF32 lends a float32 frame's to the consumer
-//     as a float32 view, which RecycleF32 returns; the demux returns an int32
-//     or control frame's itself after decoding it.
+//     as a float32 view, which RecycleF32 returns; the demux returns a
+//     control frame's itself once it has read the frame's tag.
 //
 // The channel cluster has one bufPool[float32] for all its ranks: SendBufF32
 // draws from it, and the receiver's RecycleF32 refills it.

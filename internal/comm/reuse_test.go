@@ -26,23 +26,6 @@ func TestClusterReusedAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestAllGatherEmptySlices(t *testing.T) {
-	c := New(3, 0)
-	c.Run(func(w *Worker) {
-		var own []int32
-		if w.Rank() == 1 {
-			own = []int32{42}
-		}
-		got := w.AllGatherI32(own, 0)
-		if len(got[0]) != 0 || len(got[2]) != 0 {
-			t.Errorf("rank %d: empty slices not preserved: %v", w.Rank(), got)
-		}
-		if len(got[1]) != 1 || got[1][0] != 42 {
-			t.Errorf("rank %d: lost rank 1 payload: %v", w.Rank(), got)
-		}
-	})
-}
-
 func TestAllReduceEmptyVector(t *testing.T) {
 	c := New(2, 0)
 	c.Run(func(w *Worker) {

@@ -2,7 +2,9 @@ package comm
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -443,39 +445,45 @@ func (t *TCPTransport) readLoop(p *tcpPeer) {
 			if t.closed.Load() {
 				return // local Close is tearing the connection down
 			}
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			var ne net.Error
+			switch {
+			case errors.As(err, &ne) && ne.Timeout():
 				t.fail(fmt.Errorf("peer %d is wedged: no frames or heartbeats for %v (process alive but stuck, or network partitioned)",
 					p.rank, t.hbTimeout))
-				return
+			case ne != nil || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF):
+				t.fail(fmt.Errorf("peer %d is gone: %v (process died or connection lost mid-epoch)", p.rank, err))
+			default: // the frame arrived whole but does not decode
+				t.fail(fmt.Errorf("peer %d broke the protocol: %v", p.rank, err))
 			}
-			t.fail(fmt.Errorf("peer %d is gone: %v (process died or connection lost mid-epoch)", p.rank, err))
 			return
 		}
-		msg := message{dtype: fr.dtype}
-		switch {
-		case fr.dtype == dtypeF32:
-			// The payload stays in its frame buffer, lent to the consumer
-			// until RecycleF32.
+		// Each message kind keeps to its own tags, checked here where a
+		// peer's bytes enter: float32 rows on application tags, control
+		// frames on the reserved ones. A float32 payload stays in its frame
+		// buffer, lent to the consumer until RecycleF32; a barrier's control
+		// message is a nil payload on its tag.
+		var data []float32
+		if fr.dtype == dtypeF32 && fr.tag < tagReservedBase {
 			swapF32LE(fr.payload)
-			msg.f32 = f32View(fr.payload)
-		case fr.dtype == dtypeI32:
-			msg.i32 = payloadI32(fr.payload)
+			data = f32View(fr.payload)
+		} else {
 			t.recvBufs.put(fr.payload)
-		case fr.tag == tagHeartbeat:
-			t.recvBufs.put(fr.payload) // liveness only; the deadline reset above is the point
-			continue
-		case fr.tag == tagBye:
-			t.recvBufs.put(fr.payload)
-			t.depart(p.rank)
-			return
-		default:
-			t.recvBufs.put(fr.payload)
+			switch {
+			case fr.dtype == dtypeCtrl && fr.tag == tagHeartbeat:
+				continue // liveness only; the deadline reset above is the point
+			case fr.dtype == dtypeCtrl && fr.tag == tagBye:
+				t.depart(p.rank)
+				return
+			case fr.dtype != dtypeCtrl || fr.tag != tagBarrierEnter && fr.tag != tagBarrierLeave:
+				t.fail(fmt.Errorf("peer %d broke the protocol: a frame of dtype %d on tag %d", p.rank, fr.dtype, fr.tag))
+				return
+			}
 		}
 		// A full stream blocks here — backpressuring the connection, the
 		// same never-drop semantics as the channel backend — but stays
 		// responsive to transport failure and to a local Close (which
 		// abandons undrained streams; nothing will ever Recv them).
-		if !t.push(p.rank, fr.tag, msg, t.closeCh) {
+		if !t.push(p.rank, fr.tag, data, t.closeCh) {
 			return
 		}
 	}
@@ -565,13 +573,6 @@ func (t *TCPTransport) RecycleF32(data []float32) {
 	t.recvBufs.put(bytesOfF32(data))
 }
 
-// SendI32 sends an int32 payload to dst with a tag.
-func (t *TCPTransport) SendI32(dst, tag int, data []int32) {
-	checkAppTag(tag)
-	buf, err := appendFrameI32(t.wireBufs.get(frameHeaderSize + 4*len(data))[:0], tag, data)
-	t.isend(dst, 4*len(data), buf, err)
-}
-
 // Barrier blocks until every rank has entered it. Implemented as gather-to-
 // rank-0 plus release fan-out over control frames, which are excluded from
 // byte accounting (the channel backend's barrier moves no bytes either).
@@ -581,14 +582,14 @@ func (t *TCPTransport) Barrier() {
 	}
 	if t.rank == 0 {
 		for r := 1; r < t.Size(); r++ {
-			t.recv(r, tagBarrierEnter, dtypeCtrl)
+			t.recv(r, tagBarrierEnter)
 		}
 		for r := 1; r < t.Size(); r++ {
 			t.sendCtrl(r, tagBarrierLeave)
 		}
 	} else {
 		t.sendCtrl(0, tagBarrierEnter)
-		t.recv(0, tagBarrierLeave, dtypeCtrl)
+		t.recv(0, tagBarrierLeave)
 	}
 }
 
@@ -597,9 +598,9 @@ func (t *TCPTransport) sendCtrl(dst, tag int) {
 	t.isend(dst, -1, buf, err)
 }
 
-// BytesSent returns the payload bytes this rank has sent since the last
-// ResetCounters — headers and control traffic excluded, so the figure is
-// comparable across backends and feeds the cost model unchanged.
+// BytesSent returns the payload bytes this rank has sent — headers and
+// control traffic excluded, so the figure is comparable across backends and
+// feeds the cost model unchanged.
 func (t *TCPTransport) BytesSent() int64 { return t.bytesSent.Load() }
 
 // MessagesSent returns the number of payload messages sent.
@@ -609,14 +610,6 @@ func (t *TCPTransport) MessagesSent() int64 { return t.msgsSent.Load() }
 // including the 12-byte frame headers and control frames;
 // WireBytesSent−BytesSent is the transport's framing overhead.
 func (t *TCPTransport) WireBytesSent() int64 { return t.wireSent.Load() }
-
-// ResetCounters zeroes the payload byte and message counters (wire bytes
-// included).
-func (t *TCPTransport) ResetCounters() {
-	t.bytesSent.Store(0)
-	t.msgsSent.Store(0)
-	t.wireSent.Store(0)
-}
 
 // Close shuts the endpoint down gracefully: a goodbye frame tells each peer
 // that no more data is coming (so their pending receives fail with a

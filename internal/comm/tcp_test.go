@@ -76,15 +76,11 @@ func TestTCPPointToPointAndOrdering(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				w.SendF32(1, 7, []float32{float32(i)})
 			}
-			w.SendI32(1, 8, []int32{-3, 1 << 30})
 		} else {
 			for i := 0; i < 50; i++ {
 				if got := w.RecvF32(0, 7); got[0] != float32(i) {
 					t.Errorf("out of order: got %v at %d", got[0], i)
 				}
-			}
-			if got := w.RecvI32(0, 8); got[0] != -3 || got[1] != 1<<30 {
-				t.Errorf("i32 payload corrupted: %v", got)
 			}
 		}
 	})
@@ -149,13 +145,6 @@ func TestTCPMatchesChanBackend(t *testing.T) {
 			data[i] = float32(1.0/3.0) * float32(w.Rank()+1) * float32(i%13+1) * 1e-3
 		}
 		w.AllReduceSum(data, 40)
-		own := []int32{int32(w.Rank() * 11)}
-		gathered := w.AllGatherI32(own, 60)
-		for r := 0; r < k; r++ {
-			if gathered[r][0] != int32(r*11) {
-				t.Errorf("rank %d: allgather[%d] = %v", w.Rank(), r, gathered[r])
-			}
-		}
 		w.Barrier()
 		out[w.Rank()] = data
 	}
@@ -183,19 +172,21 @@ func TestTCPMatchesChanBackend(t *testing.T) {
 	}
 }
 
+// TestTCPWireOverheadAccounted: a payload counts its 4 bytes per element, the
+// wire its frame header on top; the counters only grow, so each send reads
+// as a delta.
 func TestTCPWireOverheadAccounted(t *testing.T) {
 	ts := loopbackTransports(t, 2)
-	ts[0].SendF32(1, 1, make([]float32, 10))
-	if got := ts[0].BytesSent(); got != 40 {
-		t.Fatalf("payload bytes %d, want 40", got)
-	}
-	if got := ts[0].WireBytesSent(); got != 40+frameHeaderSize {
-		t.Fatalf("wire bytes %d, want %d", got, 40+frameHeaderSize)
-	}
-	ts[1].RecvF32(0, 1)
-	ts[0].ResetCounters()
-	if ts[0].BytesSent() != 0 || ts[0].WireBytesSent() != 0 {
-		t.Fatal("ResetCounters did not zero")
+	for round := 0; round < 2; round++ {
+		payload, wire := ts[0].BytesSent(), ts[0].WireBytesSent()
+		ts[0].SendF32(1, 1, make([]float32, 10))
+		if got := ts[0].BytesSent() - payload; got != 40 {
+			t.Fatalf("round %d: payload bytes grew by %d, want 40", round, got)
+		}
+		if got := ts[0].WireBytesSent() - wire; got != 40+frameHeaderSize {
+			t.Fatalf("round %d: wire bytes grew by %d, want %d", round, got, 40+frameHeaderSize)
+		}
+		ts[1].RecvF32(0, 1)
 	}
 }
 

@@ -6,20 +6,19 @@ import (
 )
 
 // Transport is one rank's endpoint on a communication backend: tagged
-// point-to-point sends and receives of float32/int32 payloads among k ranks,
-// a barrier, and exact payload-byte accounting. Two backends exist:
+// point-to-point sends and receives of float32 payloads among k ranks, a
+// barrier, and exact payload-byte accounting. Two backends exist:
 //
 //   - ChanTransport: k goroutines in one process over Go channels
 //     (allocation-free); created in bulk by New.
 //   - TCPTransport: one OS process per rank over persistent TCP connections;
 //     created by DialTCP with a rendezvous address.
 //
-// Both receive through the same inbox (RecvF32 and RecvI32 are written
-// once), so they differ only in how a message reaches it. A message lands
-// there without its receiver's help — a channel-cluster sender pushes it in
-// itself, a TCP demux goroutine drains the socket into it — so it arrives
-// while the receiver computes, and a receive issued after that compute finds
-// it waiting.
+// Both receive through the same inbox (RecvF32 is written once), so they
+// differ only in how a message reaches it. A message lands there without its
+// receiver's help — a channel-cluster sender pushes it in itself, a TCP demux
+// goroutine drains the socket into it — so it arrives while the receiver
+// computes, and a receive issued after that compute finds it waiting.
 // Semantics every backend provides — the training protocol and the
 // collectives in Worker rely on all four:
 //
@@ -31,11 +30,12 @@ import (
 //   - a receive blocks until a message of its stream arrives or the
 //     transport fails, in which case it panics with a *TransportError
 //     (converted to an ordinary error at the epoch boundary by
-//     RankTrainer.TrainEpoch) rather than deadlocking; a message of the
-//     wrong dtype is a protocol bug and panics;
+//     RankTrainer.TrainEpoch) rather than deadlocking;
 //   - BytesSent counts exactly 4 bytes per payload element and nothing else
 //     (no headers, no barrier traffic), so byte accounting is
-//     backend-independent and feeds the cost model unchanged.
+//     backend-independent and feeds the cost model unchanged; it and
+//     MessagesSent only grow, so a stretch of traffic is the difference of
+//     two readings.
 //
 // One ownership rule holds on every backend. A buffer from SendBufF32 is the
 // caller's to fill until ISendBufF32, which takes it back. A received payload
@@ -48,9 +48,7 @@ import (
 type Transport interface {
 	Rank() int
 	Size() int
-	SendI32(dst, tag int, data []int32)
 	RecvF32(src, tag int) []float32
-	RecvI32(src, tag int) []int32
 	// SendBufF32 lends the caller a buffer of n float32s (contents undefined)
 	// to gather a payload into: on TCP a view of a pooled outgoing frame's
 	// payload region, on the channel backend a buffer from the cluster's
@@ -69,7 +67,6 @@ type Transport interface {
 	Barrier()
 	BytesSent() int64
 	MessagesSent() int64
-	ResetCounters()
 	// Abort fails the transport: every blocked and subsequent send and
 	// receive — on this rank and, transitively, on every peer — panics with
 	// a descriptive error instead of waiting forever. Called when an epoch
@@ -80,7 +77,7 @@ type Transport interface {
 }
 
 // Worker is one rank's handle: the transport primitives plus the collectives
-// built on top of them (ring AllReduce, variable AllGather). Methods on a
+// built on top of them (the ring AllReduce). Methods on a
 // Worker must be called only from the goroutine driving that rank.
 type Worker struct {
 	t Transport
@@ -110,15 +107,9 @@ func (w *Worker) SendF32(dst, tag int, data []float32) {
 // ISendF32 is SendF32: every send is complete once queued.
 func (w *Worker) ISendF32(dst, tag int, data []float32) { w.SendF32(dst, tag, data) }
 
-// SendI32 sends an int32 payload to dst with a tag.
-func (w *Worker) SendI32(dst, tag int, data []int32) { w.t.SendI32(dst, tag, data) }
-
 // RecvF32 receives the next float32 message of the (src, tag) stream; see
 // Transport.
 func (w *Worker) RecvF32(src, tag int) []float32 { return w.t.RecvF32(src, tag) }
-
-// RecvI32 receives the next int32 message of the (src, tag) stream.
-func (w *Worker) RecvI32(src, tag int) []int32 { return w.t.RecvI32(src, tag) }
 
 // SendBufF32 lends a payload buffer; see Transport.SendBufF32.
 func (w *Worker) SendBufF32(n int) []float32 { return w.t.SendBufF32(n) }
@@ -200,27 +191,6 @@ func (w *Worker) AllReduceSum(data []float32, tag int) {
 	}
 }
 
-// AllGatherI32 gathers each worker's variable-length int32 slice; the result
-// is indexed by rank and identical on every worker.
-func (w *Worker) AllGatherI32(data []int32, tag int) [][]int32 {
-	m := w.Size()
-	out := make([][]int32, m)
-	own := make([]int32, len(data))
-	copy(own, data)
-	out[w.Rank()] = own
-	for dst := 0; dst < m; dst++ {
-		if dst != w.Rank() {
-			w.SendI32(dst, tag, own)
-		}
-	}
-	for src := 0; src < m; src++ {
-		if src != w.Rank() {
-			out[src] = w.RecvI32(src, tag)
-		}
-	}
-	return out
-}
-
 // Group drives k co-located transport endpoints from one process: one
 // persistent Worker per rank plus the Run fan-out the in-process trainer
 // uses. The endpoints can belong to any backend — k ChanTransports of one
@@ -285,28 +255,11 @@ func (g *Group) Run(fn func(w *Worker)) {
 	}
 }
 
-// BytesSent returns the total payload bytes sent by rank since the last
-// ResetCounters.
+// BytesSent returns the total payload bytes rank has sent.
 func (g *Group) BytesSent(rank int) int64 { return g.workers[rank].t.BytesSent() }
-
-// TotalBytesSent sums BytesSent over all workers.
-func (g *Group) TotalBytesSent() int64 {
-	var t int64
-	for r := range g.workers {
-		t += g.workers[r].t.BytesSent()
-	}
-	return t
-}
 
 // MessagesSent returns the number of messages sent by rank.
 func (g *Group) MessagesSent(rank int) int64 { return g.workers[rank].t.MessagesSent() }
-
-// ResetCounters zeroes all byte and message counters.
-func (g *Group) ResetCounters() {
-	for r := range g.workers {
-		g.workers[r].t.ResetCounters()
-	}
-}
 
 // Close closes every endpoint in the group and returns the first error.
 func (g *Group) Close() error {

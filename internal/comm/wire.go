@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"unsafe"
 )
 
@@ -13,7 +12,7 @@ import (
 // little-endian header followed by the payload:
 //
 //	offset 0: uint32 tag
-//	offset 4: uint8  dtype (dtypeF32, dtypeI32, dtypeCtrl)
+//	offset 4: uint8  dtype (dtypeF32 or dtypeCtrl)
 //	offset 5: three reserved bytes, must be zero
 //	offset 8: uint32 nelems — number of 4-byte payload elements
 //
@@ -22,7 +21,9 @@ import (
 // and nelems is capped at maxFrameElems so a corrupt or hostile header
 // cannot make the reader allocate unboundedly. Decoding rejects truncated
 // input, oversized lengths, unknown dtypes, and non-zero reserved bytes
-// with errors — never panics — which FuzzFrameRoundTrip exercises.
+// with errors — never panics — which FuzzFrameRoundTrip exercises. Every
+// payload is float32 rows: dtype 1, the int32 payloads of older builds, is
+// unknown. Which tags each dtype may use is the demux's check (readLoop).
 //
 // A float32 payload is never encoded or decoded element by element: the
 // sender gathers its rows straight into a float32 view of the outgoing
@@ -36,8 +37,7 @@ const (
 	maxFrameElems   = 1 << 28 // 1 GiB of payload
 
 	dtypeF32  byte = 0
-	dtypeI32  byte = 1
-	dtypeCtrl byte = 2 // transport-internal: barrier, goodbye, handshake
+	dtypeCtrl byte = 2 // transport-internal: barrier, goodbye, heartbeat
 )
 
 // frame is one decoded wire message. payload holds the raw little-endian
@@ -53,7 +53,7 @@ func encodeFrameHeader(dst []byte, tag int, dtype byte, nelems int) ([]byte, err
 	if tag < 0 || int64(tag) > math.MaxUint32 {
 		return dst, fmt.Errorf("comm: frame tag %d outside uint32", tag)
 	}
-	if dtype > dtypeCtrl {
+	if dtype != dtypeF32 && dtype != dtypeCtrl {
 		return dst, fmt.Errorf("comm: unknown frame dtype %d", dtype)
 	}
 	if nelems < 0 || nelems > maxFrameElems {
@@ -79,20 +79,6 @@ func appendFrameBytes(dst []byte, tag int, dtype byte, payload []byte) ([]byte, 
 	return append(dst, payload...), nil
 }
 
-// appendFrameI32 serializes an int32 payload frame.
-func appendFrameI32(dst []byte, tag int, data []int32) ([]byte, error) {
-	dst, err := encodeFrameHeader(dst, tag, dtypeI32, len(data))
-	if err != nil {
-		return dst, err
-	}
-	n := len(dst)
-	dst = slices.Grow(dst, 4*len(data))[:n+4*len(data)]
-	for i, v := range data {
-		binary.LittleEndian.PutUint32(dst[n+4*i:], uint32(v))
-	}
-	return dst, nil
-}
-
 // parseFrameHeader validates a 12-byte header and returns (tag, dtype,
 // nelems).
 func parseFrameHeader(h []byte) (int, byte, int, error) {
@@ -101,7 +87,7 @@ func parseFrameHeader(h []byte) (int, byte, int, error) {
 	}
 	tag := int(binary.LittleEndian.Uint32(h[0:]))
 	dtype := h[4]
-	if dtype > dtypeCtrl {
+	if dtype != dtypeF32 && dtype != dtypeCtrl {
 		return 0, 0, 0, fmt.Errorf("comm: unknown frame dtype %d", dtype)
 	}
 	if h[5] != 0 || h[6] != 0 || h[7] != 0 {
@@ -152,15 +138,6 @@ func readFrame(r io.Reader, pool *bufPool[byte]) (frame, error) {
 		return frame{}, err
 	}
 	return frame{tag: tag, dtype: dtype, payload: payload}, nil
-}
-
-// payloadI32 decodes a frame payload into int32s.
-func payloadI32(b []byte) []int32 {
-	out := make([]int32, len(b)/4)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
 }
 
 // nativeLittleEndian reports whether host-order float32s are already the

@@ -3,8 +3,10 @@ package comm
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -53,21 +55,6 @@ func TestFrameF32BitExactRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFrameI32RoundTrip(t *testing.T) {
-	in := []int32{0, -1, math.MinInt32, math.MaxInt32, 7}
-	enc, err := appendFrameI32(nil, 0, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fr, _, err := decodeFrame(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out := payloadI32(fr.payload); !slices.Equal(in, out) {
-		t.Fatalf("%v != %v", in, out)
-	}
-}
-
 // allIdle reports whether every buffer pool has made is back on its free
 // lists.
 func allIdle(pool *bufPool[byte]) bool {
@@ -83,7 +70,7 @@ func allIdle(pool *bufPool[byte]) bool {
 // agree, and a frame the reader rejects after drawing its payload buffer — a
 // truncated payload — hands the buffer back to the pool.
 func TestReadFrameMatchesDecodeFrame(t *testing.T) {
-	enc, err := appendFrameI32(nil, 9, []int32{1, 2, 3})
+	enc, err := appendFrameBytes(nil, 9, dtypeF32, []byte{1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,16 +119,22 @@ func TestFrameRejectsMalformedInput(t *testing.T) {
 
 // FuzzFrameRoundTrip asserts the codec's two contracts under arbitrary
 // input: every encodable frame decodes back to identical bits, and every
-// byte string — truncated frames, oversized lengths, garbage — is rejected
-// with an error, never a panic or an over-read.
+// byte string — truncated frames, oversized lengths, garbage, a dtype no
+// frame carries — is rejected with an error, never a panic or an over-read.
+// The dtype argument's low bit picks one of the two dtypes a frame may carry;
+// the whole byte, written into a valid header, must decode exactly when it
+// is one of them. The last seed is an evaluation count frame of the int32
+// dtype (1) older builds sent, which must be refused as unknown.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint32(0), byte(0), []byte{})
 	f.Add(uint32(910), byte(1), []byte{1, 2, 3, 4})
 	f.Add(uint32(tagBye), byte(2), make([]byte, 64))
 	f.Add(uint32(math.MaxUint32), byte(0), []byte{0xff, 0xff, 0xff, 0xff})
+	f.Add(uint32(2), byte(1), []byte{7, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, tag uint32, dtype byte, raw []byte) {
 		payload := raw[:len(raw)/4*4]
-		enc, err := appendFrameBytes(nil, int(tag), dtype%3, payload)
+		kind := []byte{dtypeF32, dtypeCtrl}[dtype%2]
+		enc, err := appendFrameBytes(nil, int(tag), kind, payload)
 		if err != nil {
 			t.Fatalf("encoding a valid frame failed: %v", err)
 		}
@@ -149,8 +142,26 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round-trip decode failed: %v", err)
 		}
-		if n != len(enc) || fr.tag != int(tag) || fr.dtype != dtype%3 || !bytes.Equal(fr.payload, payload) {
+		if n != len(enc) || fr.tag != int(tag) || fr.dtype != kind || !bytes.Equal(fr.payload, payload) {
 			t.Fatalf("round trip mismatch: consumed %d of %d, got %+v", n, len(enc), fr)
+		}
+
+		// The raw dtype byte in an otherwise valid header: the decoder and
+		// the encoder take exactly the two dtypes, and refuse any other as
+		// unknown.
+		other := slices.Clone(enc)
+		other[4] = dtype
+		_, _, decErr := decodeFrame(other)
+		_, encErr := appendFrameBytes(nil, int(tag), dtype, payload)
+		unknown := fmt.Sprintf("unknown frame dtype %d", dtype)
+		for _, err := range []error{decErr, encErr} {
+			if dtype == dtypeF32 || dtype == dtypeCtrl {
+				if err != nil {
+					t.Fatalf("dtype %d refused: %v", dtype, err)
+				}
+			} else if err == nil || !strings.Contains(err.Error(), unknown) {
+				t.Fatalf("dtype %d: got error %v, want %q", dtype, err, unknown)
+			}
 		}
 
 		// Any strict prefix is truncated and must be rejected, not panic.

@@ -357,7 +357,8 @@ func TestEvaluateFailureSurfacesAsError(t *testing.T) {
 // backends: a training epoch sends one forward payload per layer to each peer
 // it serves rows this epoch, one gradient payload per layer above the first
 // to each peer it received rows from, and the gradient AllReduce's 2(k−1);
-// an evaluation sends the forward payloads and the score AllGather's k−1.
+// an evaluation sends the forward payloads and one score-count message to
+// each of its k−1 peers.
 // Nothing else rides along — in particular no word about what a rank
 // sampled, which each owner computes instead (slotSampler) — so a per-epoch
 // control message cannot come back unnoticed. p=0 moves no halo at all.
@@ -388,20 +389,26 @@ func TestMessagesPerPass(t *testing.T) {
 				t.Fatal(err)
 			}
 			layers := cfg.Model.Layers
+			before := make([]int64, k) // each rank's count when the pass began
+			mark := func() {
+				for r := range before {
+					before[r] = tr.Cluster.MessagesSent(r)
+				}
+			}
 			check := func(pass string, e int, want func(lp *LocalPartition) int) {
 				for r, rt := range tr.Ranks {
-					if got, want := tr.Cluster.MessagesSent(r), int64(want(rt.LP)); got != want {
+					if got, want := tr.Cluster.MessagesSent(r)-before[r], int64(want(rt.LP)); got != want {
 						t.Errorf("%s p=%v %s %d rank %d: sent %d messages, want %d", backend.name, p, pass, e, r, got, want)
 					}
 				}
 			}
 			for e := 0; e < 3; e++ {
-				tr.Cluster.ResetCounters()
+				mark()
 				tr.TrainEpoch()
 				check("epoch", e, func(lp *LocalPartition) int {
 					return layers*nonEmpty(lp.sendRows) + (layers-1)*nonEmpty(lp.recvSlots) + 2*(k-1)
 				})
-				tr.Cluster.ResetCounters()
+				mark()
 				tr.Evaluate(ds.ValMask)
 				check("evaluation after epoch", e, func(lp *LocalPartition) int {
 					return layers*nonEmpty(lp.sendRows) + k - 1

@@ -136,7 +136,13 @@ func TestEvaluateLeavesTrainingUntouched(t *testing.T) {
 					}
 				}
 			}
-			if ea, eb := a.Cluster.TotalBytesSent(), b.Cluster.TotalBytesSent(); ea <= eb {
+			total := func(g *comm.Group) (n int64) {
+				for r := range g.Size() {
+					n += g.BytesSent(r)
+				}
+				return n
+			}
+			if ea, eb := total(a.Cluster), total(b.Cluster); ea <= eb {
 				t.Errorf("%s/%s: transport counted %d bytes with six evaluations and %d without: evaluation halo traffic is not on the counters", name, arch, ea, eb)
 			}
 		}
@@ -198,4 +204,46 @@ func TestRankTrainerDoesNotRetainDataset(t *testing.T) {
 			t.Errorf("rank %d: evaluation without the dataset: score %v, error %v", w.Rank(), s, err)
 		}
 	})
+}
+
+// TestSumCountsIsExact: Evaluate's count exchange sums int64 counts exactly
+// over both backends — counts past MaxInt32, and counts whose low or high
+// float32 word reads as a quiet (0x7fc00001) or a signalling (0x7f800001)
+// NaN — and every rank decodes the same sums.
+func TestSumCountsIsExact(t *testing.T) {
+	const k = 3
+	const qnan, snan = 0x7fc00001, 0x7f800001
+	counts := [k][3]int64{
+		{1 << 40, qnan, snan << 32},
+		{5, snan<<32 | qnan, 1<<40 + 3},
+		{qnan << 32, snan, math.MaxInt32 + 1},
+	}
+	var want [3]int64
+	for _, c := range counts {
+		for i := range want {
+			want[i] += c[i]
+			if want[i] < c[i] {
+				t.Fatalf("the test's counts overflow int64 in column %d", i)
+			}
+		}
+	}
+	for _, backend := range []struct {
+		name  string
+		group func() *comm.Group
+	}{
+		{"chan", func() *comm.Group { return comm.New(k, 0) }},
+		{"tcp", func() *comm.Group { return tcpLoopbackGroup(t, k) }},
+	} {
+		g := backend.group()
+		got := make([][3]int64, k)
+		g.Run(func(w *comm.Worker) { got[w.Rank()] = sumCounts(w, counts[w.Rank()]) })
+		for r := range got {
+			if got[r] != want {
+				t.Errorf("%s: rank %d decoded sums %#x, want %#x", backend.name, r, got[r], want)
+			}
+			if m := g.MessagesSent(r); m != k-1 {
+				t.Errorf("%s: rank %d sent %d messages, want one to each of its %d peers", backend.name, r, m, k-1)
+			}
+		}
+	}
 }

@@ -463,10 +463,10 @@ func (rt *RankTrainer) failPass(w *comm.Worker, what string, err *error) {
 // every rank calls it with the same mask between the same two epochs and gets
 // the same score. Each runs the epoch's own plan and forward stages over the
 // plan the engine fills for inference — every slot sampled, nothing rescaled,
-// dropout an identity pass — so the logits of its inner rows are, bit for
-// bit, the single-process full-graph forward's; it scores those rows and the
-// ranks exchange the integer counts behind the metric. No dropout stream is
-// drawn from and the sample is a function of the epoch count, which an
+// dropout an identity pass — so the logits of its inner rows are, bit for bit,
+// the single-process full-graph forward's; it scores those rows and the ranks
+// exchange the integer counts behind the metric (sumCounts). No dropout stream
+// is drawn from and the sample is a function of the epoch count, which an
 // evaluation does not move: a run that evaluates trains exactly as one that
 // does not.
 //
@@ -486,20 +486,39 @@ func (rt *RankTrainer) Evaluate(w *comm.Worker, mask []bool) (score float64, err
 		lp.evalMask[li] = mask[v]
 	}
 	local := scoreCounts(rt.multiLabel, logits, lp.Labels, lp.LabelMatrix, lp.evalMask)
-	var wire [len(local)]int32
+	return scoreOf(rt.multiLabel, sumCounts(w, local)), nil
+}
+
+// sumCounts returns, on every rank, the exact sums of all ranks' score
+// counts. A count travels to each peer as two float32 words, its low and high
+// 32 bits, which are only copied and byte-swapped, never added as floats, so
+// a word that reads as a NaN arrives intact.
+func sumCounts(w *comm.Worker, local [3]int64) [3]int64 {
+	var words [2 * len(local)]float32
 	for i, c := range local {
-		if c > math.MaxInt32 {
-			panic(fmt.Sprintf("core: rank %d: evaluation count %d overflows the int32 exchange", rt.Rank, c))
-		}
-		wire[i] = int32(c)
+		words[2*i] = math.Float32frombits(uint32(c))
+		words[2*i+1] = math.Float32frombits(uint32(uint64(c) >> 32))
 	}
-	var sum [len(local)]int64
-	for _, counts := range w.AllGatherI32(wire[:], tagEval) {
-		for i, c := range counts {
-			sum[i] += int64(c)
+	for j := 0; j < w.Size(); j++ {
+		if j != w.Rank() {
+			w.SendF32(j, tagEval, words[:])
 		}
 	}
-	return scoreOf(rt.multiLabel, sum), nil
+	sum := local
+	for j := 0; j < w.Size(); j++ {
+		if j == w.Rank() {
+			continue
+		}
+		got := w.RecvF32(j, tagEval)
+		if len(got) != len(words) {
+			panic(fmt.Sprintf("core: rank %d: got %d count words from %d, want %d", w.Rank(), len(got), j, len(words)))
+		}
+		for i := range sum {
+			sum[i] += int64(uint64(math.Float32bits(got[2*i])) | uint64(math.Float32bits(got[2*i+1]))<<32)
+		}
+		w.RecycleF32(got)
+	}
+	return sum
 }
 
 // infer is Evaluate's forward pass: the logits of the inner rows, valid until

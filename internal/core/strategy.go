@@ -57,22 +57,24 @@ func (s Strategy) String() string {
 
 // slotSampler is one rank's boundary sample as a function of the epoch: a
 // table over some of that rank's boundary slots — the requester's — and the
-// stream the requester draws from. In epoch e, entry i is kept iff the
-// Float32 at draw e·per + at[i] of the stream seeded with seed is below
-// keep[i]; a nil at draws nothing and keeps exactly the entries with
-// keep[i] >= 1. SplitMix64's state is a counter (tensor.RNG.Skip), so any
-// draw of any epoch is one multiply-add away, and a sample needs no state
-// beyond the epoch count. A rank evaluates its own table, whose entries are
-// its slots, to know what it receives; and for each peer it serves, that
-// peer's table over the positions of the peer's receive list it owns, to
-// know what to send (Algorithm 1 line 6, computed instead of broadcast). The
-// stream's position at the start of an epoch is the word a trainer
-// checkpoint stores beside the strategy's name.
+// stream the requester draws from. In epoch e, entry i is kept iff the Float32
+// at draw e·per + at[i] of the stream seeded with seed is below its keep
+// probability — keep[i], or p for every entry of a table with no keep column
+// (BNS's uniform rate, held once); a nil at draws nothing and keeps exactly
+// the entries whose probability is >= 1. SplitMix64's state is a counter
+// (tensor.RNG.Skip), so any draw of any epoch is one multiply-add away, and a
+// sample needs no state beyond the epoch count. A rank evaluates its own
+// table, whose entries are its slots, to know what it receives; and for each
+// peer it serves, that peer's table over the positions of the peer's receive
+// list it owns, to know what to send (Algorithm 1 line 6, computed instead of
+// broadcast). The stream's position at the start of an epoch is the word a
+// trainer checkpoint stores beside the strategy's name.
 type slotSampler struct {
-	keep []float32
-	at   []int32 // entry i's index among one epoch's draws
-	seed uint64  // the requester's stream: SampleSeed + rank·0x9e3779b9
-	per  uint64  // draws per epoch: the requester's NBd, or 0 when at is nil
+	p    float32   // every entry's keep probability when keep is nil
+	keep []float32 // entry i's keep probability (LADIES)
+	at   []int32   // entry i's index among one epoch's draws
+	seed uint64    // the requester's stream: SampleSeed + rank·0x9e3779b9
+	per  uint64    // draws per epoch: the requester's NBd, or 0 when at is nil
 	// invP is the uniform receive rescale of a kept slot's features (and, by
 	// the chain rule, of the gradients sent back); haloScale, when non-nil,
 	// replaces it per slot. Only a rank's own table has them.
@@ -90,17 +92,17 @@ type slotSampler struct {
 // same float32s.
 func newSlotSampler(cfg ParallelConfig, topo *Topology, i, view int) slotSampler {
 	bd, own := topo.Boundary[i], view == i
-	s := slotSampler{invP: 1, seed: cfg.SampleSeed + uint64(i)*0x9e3779b9}
+	s := slotSampler{p: float32(cfg.P), invP: 1, seed: cfg.SampleSeed + uint64(i)*0x9e3779b9}
 	n := len(bd)
 	if !own {
 		n = len(topo.Recv[i][view])
 	}
-	s.keep = make([]float32, n)
 	if cfg.Strategy == LADIES || cfg.P > 0 && cfg.P < 1 {
 		s.at, s.per = make([]int32, n), uint64(len(bd))
 	}
 	var sum float64
 	if cfg.Strategy == LADIES {
+		s.keep = make([]float32, n)
 		for _, u := range bd {
 			sum += float64(topo.G.Degree(u)) + 1
 		}
@@ -119,7 +121,6 @@ func newSlotSampler(cfg ParallelConfig, topo *Topology, i, view int) slotSampler
 					e = int(slot)
 				}
 				if cfg.Strategy == BNS {
-					s.keep[e] = float32(cfg.P)
 					if s.at != nil {
 						s.at[e] = int32(off + x)
 					}
@@ -148,12 +149,16 @@ func (s *slotSampler) stream(e int) tensor.RNG {
 
 // kept reports whether epoch e's sample keeps entry i.
 func (s *slotSampler) kept(e, i int) bool {
+	p := s.p
+	if s.keep != nil {
+		p = s.keep[i]
+	}
 	if s.at == nil {
-		return s.keep[i] >= 1
+		return p >= 1
 	}
 	r := s.stream(e)
 	r.Skip(uint64(s.at[i]))
-	return r.Float32() < s.keep[i]
+	return r.Float32() < p
 }
 
 // inclusionProb returns the degree-proportional inclusion probability of a
