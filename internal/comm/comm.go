@@ -11,12 +11,14 @@
 // bit-identical to the channel backend by the cross-backend tests in
 // internal/core.
 //
-// The two backends differ only in how a message travels. A send is complete
-// once its message is queued — in the destination's inbox on the channel
-// backend, for the peer's writer goroutine on TCP — so nothing ever waits
-// on one. Both receive through the same inbox: one bounded FIFO per
-// (src, tag) stream, which a channel-cluster sender pushes into directly
-// and a TCP demux goroutine fills from the socket. A receive names its
+// The two backends differ only in how a message reaches a peer's inbox. A
+// send is complete once its message is queued — in the destination's inbox
+// on the channel backend, for the peer's writer goroutine on TCP — so
+// nothing ever waits on one. Everything else is written once, in the inbox
+// both share: one bounded FIFO per (src, tag) stream, which a channel-cluster
+// sender pushes into directly and a TCP demux goroutine fills from the
+// socket; the barrier, which is enter and leave control messages through
+// those streams; and the payload counters. A receive names its
 // stream: there is no receive-any, and a caller waiting on several peers
 // takes them in an order it chooses (the training engine: ascending rank).
 // On both, a float32 payload is staged once per side: the sender gathers it
@@ -25,29 +27,13 @@
 // the two are the same buffer, on TCP the outgoing and the incoming frame.
 package comm
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // chanState is the shared fabric of one in-process cluster: every rank's
-// inbox, the barrier, the per-rank counters, the payload pool and the one
-// failure all ranks share.
+// inbox and the payload pool. The ranks' inboxes share one failure.
 type chanState struct {
-	in        []*inbox // per destination rank
-	barrier   *reusableBarrier
-	bytesSent []atomic.Int64 // per source rank
-	msgsSent  []atomic.Int64
-	bufs      bufPool[float32] // lent payload buffers, refilled by RecycleF32
-	failed    *failure
-}
-
-// fail records the first failure and wakes every blocked send, receive and
-// barrier on the shared fabric.
-func (s *chanState) fail(err error) {
-	if s.failed.set(err) {
-		s.barrier.abort()
-	}
+	in   []*inbox         // per destination rank
+	bufs bufPool[float32] // lent payload buffers, refilled by RecycleF32
 }
 
 // New creates an in-process group of m workers connected all-to-all, each
@@ -72,17 +58,14 @@ func New(m int, queueCap int) *Group {
 	if queueCap <= 0 {
 		queueCap = defaultQueueCap
 	}
-	s := &chanState{
-		in:        make([]*inbox, m),
-		barrier:   newBarrier(m),
-		bytesSent: make([]atomic.Int64, m),
-		msgsSent:  make([]atomic.Int64, m),
-		failed:    newFailure(),
-	}
+	s := &chanState{in: make([]*inbox, m)}
+	failed := newFailure()
 	ts := make([]Transport, m)
 	for r := 0; r < m; r++ {
-		s.in[r] = newInbox(r, m, queueCap, s.failed)
-		ts[r] = &ChanTransport{inbox: s.in[r], s: s}
+		t := &ChanTransport{s: s}
+		t.inbox = newInbox(r, m, queueCap, failed, t.deliverCtrl)
+		s.in[r] = t.inbox
+		ts[r] = t
 	}
 	return NewGroup(ts)
 }
@@ -105,12 +88,21 @@ type ChanTransport struct {
 func (t *ChanTransport) SendBufF32(n int) []float32 { return t.s.bufs.get(n) }
 
 // ISendBufF32 puts a lent buffer on the fabric by reference: it lands in
-// dst's inbox as it stands, so the send is complete once it returns. A full
-// stream blocks for backpressure, and a cluster aborted meanwhile panics.
+// dst's inbox as it stands, so the send is complete once it returns.
 func (t *ChanTransport) ISendBufF32(dst, tag int, buf []float32) {
-	t.s.bytesSent[t.rank].Add(int64(4 * len(buf)))
-	t.s.msgsSent[t.rank].Add(1)
-	if !t.s.in[dst].push(t.rank, tag, buf, nil) {
+	checkAppTag(tag)
+	t.sent(len(buf))
+	t.deliver(dst, tag, buf)
+}
+
+// deliverCtrl delivers a control message the way the TCP demux does: a nil
+// payload on its reserved tag.
+func (t *ChanTransport) deliverCtrl(dst, tag int) { t.deliver(dst, tag, nil) }
+
+// deliver pushes a message into dst's inbox. A full stream blocks for
+// backpressure, and a cluster aborted meanwhile panics.
+func (t *ChanTransport) deliver(dst, tag int, data []float32) {
+	if !t.s.in[dst].push(t.rank, tag, data, nil) {
 		panic(t.failure())
 	}
 }
@@ -118,27 +110,12 @@ func (t *ChanTransport) ISendBufF32(dst, tag int, buf []float32) {
 // RecycleF32 returns a received payload's buffer to the cluster's pool.
 func (t *ChanTransport) RecycleF32(data []float32) { t.s.bufs.put(data) }
 
-// Barrier blocks until every rank has entered it, or panics with a
-// *TransportError if the cluster is aborted while waiting (matching the TCP
-// backend, whose barrier rides on fail-aware sends and receives).
-func (t *ChanTransport) Barrier() {
-	if t.s.barrier.wait() {
-		panic(t.failure())
-	}
-}
-
-// BytesSent returns the payload bytes this rank has sent.
-func (t *ChanTransport) BytesSent() int64 { return t.s.bytesSent[t.rank].Load() }
-
-// MessagesSent returns the number of messages this rank has sent.
-func (t *ChanTransport) MessagesSent() int64 { return t.s.msgsSent[t.rank].Load() }
-
 // Abort poisons the shared fabric: every blocked and subsequent Send/Recv
 // on any rank of this cluster panics with a *TransportError. (The fabric is
 // shared state, so unlike the TCP backend one rank's abort fails the whole
 // in-process cluster directly.)
 func (t *ChanTransport) Abort() {
-	t.s.fail(fmt.Errorf("transport aborted by rank %d", t.rank))
+	t.failed.set(fmt.Errorf("transport aborted by rank %d", t.rank))
 }
 
 // Close is a no-op: channel endpoints hold no OS resources.

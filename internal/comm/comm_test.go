@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -58,23 +59,84 @@ func TestAllReduceMatchesSerialSum(t *testing.T) {
 	})
 }
 
+// TestBarrierSynchronizes: no rank leaves a barrier before every rank has
+// entered it, round after round, and a barrier moves no payload: it adds
+// nothing to any rank's BytesSent or MessagesSent.
 func TestBarrierSynchronizes(t *testing.T) {
-	const m = 6
-	c := New(m, 0)
-	var phase atomic.Int32
-	var violations atomic.Int32
-	c.Run(func(w *Worker) {
-		for round := int32(1); round <= 5; round++ {
-			phase.Store(round)
-			w.Barrier()
-			if phase.Load() != round {
-				violations.Add(1)
+	const k = 6
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			g := b.mk(t, k, 0)
+			var phase atomic.Int32
+			var violations atomic.Int32
+			g.Run(func(w *Worker) {
+				for round := int32(1); round <= 5; round++ {
+					phase.Store(round)
+					w.Barrier()
+					if phase.Load() != round {
+						violations.Add(1)
+					}
+					w.Barrier()
+				}
+			})
+			if violations.Load() > 0 {
+				t.Fatalf("%d barrier violations", violations.Load())
 			}
-			w.Barrier()
-		}
-	})
-	if violations.Load() > 0 {
-		t.Fatalf("%d barrier violations", violations.Load())
+			for r := 0; r < k; r++ {
+				if bytes, msgs := g.BytesSent(r), g.MessagesSent(r); bytes != 0 || msgs != 0 {
+					t.Fatalf("rank %d: barriers counted %d bytes and %d messages, want 0 and 0", r, bytes, msgs)
+				}
+			}
+		})
+	}
+}
+
+// TestAbortUnblocksBarrier: a rank waiting in a barrier on a peer that
+// aborted fails with a *TransportError instead of blocking forever.
+func TestAbortUnblocksBarrier(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			g := b.mk(t, 2, 0)
+			done := make(chan any, 1)
+			go func() {
+				defer func() { done <- recover() }()
+				g.Run(func(w *Worker) {
+					if w.Rank() == 0 {
+						w.Transport().Abort()
+						return
+					}
+					w.Barrier() // rank 0 will never arrive
+				})
+			}()
+			select {
+			case p := <-done:
+				if _, ok := p.(*TransportError); !ok {
+					t.Fatalf("expected *TransportError panic from Run, got %v", p)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("barrier wait on an aborted transport deadlocked")
+			}
+		})
+	}
+}
+
+// TestSendOnReservedTagPanics: the reserved tags carry the transport's own
+// control messages, so a payload send on one is refused on every backend.
+func TestSendOnReservedTagPanics(t *testing.T) {
+	for _, b := range backends {
+		t.Run(b.name, func(t *testing.T) {
+			g := b.mk(t, 2, 0)
+			defer func() {
+				p := recover()
+				if msg, ok := p.(string); !ok || !strings.Contains(msg, "outside [0,") {
+					t.Fatalf("send on tag %d: want the application-tag panic, got %v", tagReservedBase, p)
+				}
+				if got := g.MessagesSent(0); got != 0 {
+					t.Fatalf("refused send counted %d messages", got)
+				}
+			}()
+			g.Worker(0).SendF32(1, tagReservedBase, []float32{1})
+		})
 	}
 }
 

@@ -3,7 +3,34 @@ package comm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
+
+// Reserved tag space at the top of the uint32 range, used for
+// transport-internal control messages. Application tags must stay below
+// tagReservedBase; the training protocol's tags are all small integers.
+const (
+	tagReservedBase = 1 << 31
+	tagBarrierEnter = tagReservedBase + 0
+	tagBarrierLeave = tagReservedBase + 1
+	tagBye          = tagReservedBase + 2
+	tagHeartbeat    = tagReservedBase + 3
+)
+
+// TransportError is the panic value a transport's operations raise once it
+// has failed (a peer died, a connection broke, or Abort was called).
+// RankTrainer.TrainEpoch converts it into an ordinary error at the epoch
+// boundary.
+type TransportError struct {
+	Rank int
+	Err  error
+}
+
+func (e *TransportError) Error() string {
+	return fmt.Sprintf("comm: rank %d: %v", e.Rank, e.Err)
+}
+
+func (e *TransportError) Unwrap() error { return e.Err }
 
 // failure records the first error that brings a transport down; ch closes
 // when it is set, waking everything blocked on the transport. A channel
@@ -82,13 +109,15 @@ func wake(c chan struct{}) {
 	}
 }
 
-// inbox is one endpoint's receive side, the same on both backends: a bounded
-// FIFO per (src, tag) stream of float32 payloads, and the wakeups a blocked
-// receive needs when the transport fails or a peer leaves. A ChanTransport
-// sender pushes straight into the destination's inbox; a TCP demux goroutine
-// pushes each frame it has checked (a barrier's control message as a nil
-// payload on its reserved tag). Its exported methods are the backends' Rank,
-// Size and RecvF32.
+// inbox is what both backends share of one endpoint: its receive side, its
+// barrier and its payload counters. The receive side is a bounded FIFO per
+// (src, tag) stream of float32 payloads, and the wakeups a blocked receive
+// needs when the transport fails or a peer leaves. A ChanTransport sender
+// pushes straight into the destination's inbox; a TCP demux goroutine pushes
+// each frame it has checked. A control message is a nil payload on its
+// reserved tag, which ctrl — the one part a backend supplies — delivers to a
+// peer's inbox. Its exported methods are the backends' Rank, Size, RecvF32,
+// Barrier, BytesSent and MessagesSent.
 type inbox struct {
 	rank     int
 	queueCap int
@@ -97,17 +126,22 @@ type inbox struct {
 	// already pushed, and no more will come. Only the TCP backend's peers
 	// leave.
 	gone []chan struct{}
+	ctrl func(dst, tag int)
+
+	bytesSent atomic.Int64
+	msgsSent  atomic.Int64
 
 	mu      sync.Mutex
 	streams map[streamKey]*stream
 }
 
-func newInbox(rank, world, queueCap int, f *failure) *inbox {
+func newInbox(rank, world, queueCap int, f *failure, ctrl func(dst, tag int)) *inbox {
 	in := &inbox{
 		rank:     rank,
 		queueCap: queueCap,
 		failed:   f,
 		gone:     make([]chan struct{}, world),
+		ctrl:     ctrl,
 		streams:  make(map[streamKey]*stream),
 	}
 	for src := range in.gone {
@@ -213,6 +247,41 @@ func (in *inbox) RecvF32(src, tag int) []float32 {
 	checkAppTag(tag)
 	return in.recv(src, tag)
 }
+
+// Barrier blocks until every rank has entered it. Each rank other than 0
+// sends rank 0 an enter message and waits for its leave message; rank 0
+// takes every enter before it sends any leave. The messages are control
+// messages, so a barrier moves no payload bytes and counts no message. A
+// failed transport wakes the blocked receive, which panics with a
+// *TransportError.
+func (in *inbox) Barrier() {
+	if in.rank != 0 {
+		in.ctrl(0, tagBarrierEnter)
+		in.recv(0, tagBarrierLeave)
+		return
+	}
+	for r := 1; r < in.Size(); r++ {
+		in.recv(r, tagBarrierEnter)
+	}
+	for r := 1; r < in.Size(); r++ {
+		in.ctrl(r, tagBarrierLeave)
+	}
+}
+
+// sent counts one payload message of n float32s; control messages are
+// never counted.
+func (in *inbox) sent(n int) {
+	in.bytesSent.Add(int64(4 * n))
+	in.msgsSent.Add(1)
+}
+
+// BytesSent returns the payload bytes this rank has sent: 4 per element,
+// with no frame headers or control messages, so the figure is the same on
+// every backend and feeds the cost model unchanged.
+func (in *inbox) BytesSent() int64 { return in.bytesSent.Load() }
+
+// MessagesSent returns the number of payload messages this rank has sent.
+func (in *inbox) MessagesSent() int64 { return in.msgsSent.Load() }
 
 func checkAppTag(tag int) {
 	if tag < 0 || tag >= tagReservedBase {

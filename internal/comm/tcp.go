@@ -11,32 +11,6 @@ import (
 	"time"
 )
 
-// Reserved tag space at the top of the uint32 range, used for
-// transport-internal control frames. Application tags must stay below
-// tagReservedBase; the training protocol's tags are all small integers.
-const (
-	tagReservedBase = 1 << 31
-	tagBarrierEnter = tagReservedBase + 0
-	tagBarrierLeave = tagReservedBase + 1
-	tagBye          = tagReservedBase + 2
-	tagHeartbeat    = tagReservedBase + 3
-)
-
-// TransportError is the panic value raised by TCPTransport operations once
-// the transport has failed (a peer died, a connection broke, or Abort was
-// called). RankTrainer.TrainEpoch converts it into an ordinary error at the
-// epoch boundary.
-type TransportError struct {
-	Rank int
-	Err  error
-}
-
-func (e *TransportError) Error() string {
-	return fmt.Sprintf("comm: rank %d: %v", e.Rank, e.Err)
-}
-
-func (e *TransportError) Unwrap() error { return e.Err }
-
 // TCPConfig configures DialTCP.
 type TCPConfig struct {
 	Rank  int
@@ -126,9 +100,7 @@ type TCPTransport struct {
 	hbStopOn   sync.Once
 	hbWG       sync.WaitGroup
 
-	bytesSent atomic.Int64
-	msgsSent  atomic.Int64
-	wireSent  atomic.Int64
+	wireSent atomic.Int64
 
 	// Steady-state buffer pools (see pool.go): outgoing frames and incoming
 	// frame payloads.
@@ -216,14 +188,15 @@ func newTCPTransport(cfg *TCPConfig) (*TCPTransport, error) {
 	if cfg.HeartbeatInterval > 0 && cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 4 * cfg.HeartbeatInterval
 	}
-	return &TCPTransport{
-		inbox:      newInbox(cfg.Rank, cfg.World, cfg.QueueCap, newFailure()),
+	t := &TCPTransport{
 		peers:      make([]*tcpPeer, cfg.World),
 		hbInterval: cfg.HeartbeatInterval,
 		hbTimeout:  cfg.HeartbeatTimeout,
 		hbStop:     make(chan struct{}),
 		closeCh:    make(chan struct{}),
-	}, nil
+	}
+	t.inbox = newInbox(cfg.Rank, cfg.World, cfg.QueueCap, newFailure(), t.sendCtrl)
+	return t, nil
 }
 
 // finishDial connects the mesh over an agreed address table and starts the
@@ -492,9 +465,8 @@ func (t *TCPTransport) readLoop(p *tcpPeer) {
 // isend queues one whole frame, drawn from wireBufs, for the peer's writer
 // goroutine, which writes it and returns the buffer to the pool; the send is
 // complete once queued. err is the error of building the frame, which fails
-// the transport. payloadBytes < 0 marks control traffic excluded from
-// payload accounting; the wire counter counts every frame.
-func (t *TCPTransport) isend(dst int, payloadBytes int, buf []byte, err error) {
+// the transport. The wire counter counts every frame.
+func (t *TCPTransport) isend(dst int, buf []byte, err error) {
 	select {
 	case <-t.failed.ch:
 		panic(t.failure())
@@ -515,10 +487,6 @@ func (t *TCPTransport) isend(dst int, payloadBytes int, buf []byte, err error) {
 		}
 	}
 	t.wireSent.Add(int64(len(buf)))
-	if payloadBytes >= 0 {
-		t.bytesSent.Add(int64(payloadBytes))
-		t.msgsSent.Add(1)
-	}
 }
 
 // writeLoop drains one peer's send queue onto the socket. It exits once Close
@@ -564,7 +532,8 @@ func (t *TCPTransport) ISendBufF32(dst, tag int, buf []float32) {
 	fr := frameOfF32(buf)
 	_, err := encodeFrameHeader(fr[:0], tag, dtypeF32, len(buf))
 	swapF32LE(fr[frameHeaderSize:])
-	t.isend(dst, 4*len(buf), fr, err)
+	t.isend(dst, fr, err)
+	t.sent(len(buf))
 }
 
 // RecycleF32 returns the frame under a payload RecvF32 lent to the receive
@@ -573,38 +542,12 @@ func (t *TCPTransport) RecycleF32(data []float32) {
 	t.recvBufs.put(bytesOfF32(data))
 }
 
-// Barrier blocks until every rank has entered it. Implemented as gather-to-
-// rank-0 plus release fan-out over control frames, which are excluded from
-// byte accounting (the channel backend's barrier moves no bytes either).
-func (t *TCPTransport) Barrier() {
-	if t.Size() == 1 {
-		return
-	}
-	if t.rank == 0 {
-		for r := 1; r < t.Size(); r++ {
-			t.recv(r, tagBarrierEnter)
-		}
-		for r := 1; r < t.Size(); r++ {
-			t.sendCtrl(r, tagBarrierLeave)
-		}
-	} else {
-		t.sendCtrl(0, tagBarrierEnter)
-		t.recv(0, tagBarrierLeave)
-	}
-}
-
+// sendCtrl queues a control frame: a header on a reserved tag and no
+// payload, uncounted as payload.
 func (t *TCPTransport) sendCtrl(dst, tag int) {
 	buf, err := appendFrameBytes(t.wireBufs.get(frameHeaderSize)[:0], tag, dtypeCtrl, nil)
-	t.isend(dst, -1, buf, err)
+	t.isend(dst, buf, err)
 }
-
-// BytesSent returns the payload bytes this rank has sent — headers and
-// control traffic excluded, so the figure is comparable across backends and
-// feeds the cost model unchanged.
-func (t *TCPTransport) BytesSent() int64 { return t.bytesSent.Load() }
-
-// MessagesSent returns the number of payload messages sent.
-func (t *TCPTransport) MessagesSent() int64 { return t.msgsSent.Load() }
 
 // WireBytesSent returns the total bytes of the frames queued for the sockets,
 // including the 12-byte frame headers and control frames;

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -110,26 +109,6 @@ func TestInterleavedTagsDemuxed(t *testing.T) {
 				}
 			})
 		})
-	}
-}
-
-func TestTCPBarrierSynchronizes(t *testing.T) {
-	const k = 4
-	g := tcpGroup(t, k)
-	var phase atomic.Int32
-	var violations atomic.Int32
-	g.Run(func(w *Worker) {
-		for round := int32(1); round <= 5; round++ {
-			phase.Store(round)
-			w.Barrier()
-			if phase.Load() != round {
-				violations.Add(1)
-			}
-			w.Barrier()
-		}
-	})
-	if violations.Load() > 0 {
-		t.Fatalf("%d barrier violations", violations.Load())
 	}
 }
 
@@ -310,32 +289,6 @@ func TestChanAbortUnblocksPeers(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("peers of an aborted chan transport deadlocked")
-	}
-}
-
-// TestChanAbortUnblocksBarrier: Barrier is abort-aware on the channel
-// backend too — a rank waiting on a dead peer's barrier entry fails instead
-// of blocking in the condition variable forever.
-func TestChanAbortUnblocksBarrier(t *testing.T) {
-	c := New(2, 0)
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		c.Run(func(w *Worker) {
-			if w.Rank() == 0 {
-				w.Transport().Abort()
-				return
-			}
-			w.Barrier() // rank 0 will never arrive
-		})
-	}()
-	select {
-	case p := <-done:
-		if _, ok := p.(*TransportError); !ok {
-			t.Fatalf("expected *TransportError panic from Run, got %v", p)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("barrier wait on an aborted chan transport deadlocked")
 	}
 }
 

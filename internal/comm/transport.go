@@ -14,11 +14,13 @@ import (
 //   - TCPTransport: one OS process per rank over persistent TCP connections;
 //     created by DialTCP with a rendezvous address.
 //
-// Both receive through the same inbox (RecvF32 is written once), so they
-// differ only in how a message reaches it. A message lands there without its
-// receiver's help — a channel-cluster sender pushes it in itself, a TCP demux
-// goroutine drains the socket into it — so it arrives while the receiver
-// computes, and a receive issued after that compute finds it waiting.
+// Both receive through the same inbox, which also holds the barrier and the
+// payload counters (RecvF32, Barrier, BytesSent and MessagesSent are written
+// once), so they differ only in how a message reaches it. A message lands
+// there without its receiver's help — a channel-cluster sender pushes it in
+// itself, a TCP demux goroutine drains the socket into it — so it arrives
+// while the receiver computes, and a receive issued after that compute finds
+// it waiting.
 // Semantics every backend provides — the training protocol and the
 // collectives in Worker rely on all four:
 //
@@ -32,10 +34,10 @@ import (
 //     (converted to an ordinary error at the epoch boundary by
 //     RankTrainer.TrainEpoch) rather than deadlocking;
 //   - BytesSent counts exactly 4 bytes per payload element and nothing else
-//     (no headers, no barrier traffic), so byte accounting is
-//     backend-independent and feeds the cost model unchanged; it and
-//     MessagesSent only grow, so a stretch of traffic is the difference of
-//     two readings.
+//     (no headers, no barrier or other control messages), so byte
+//     accounting is backend-independent and feeds the cost model unchanged;
+//     it and MessagesSent only grow, so a stretch of traffic is the
+//     difference of two readings.
 //
 // One ownership rule holds on every backend. A buffer from SendBufF32 is the
 // caller's to fill until ISendBufF32, which takes it back. A received payload

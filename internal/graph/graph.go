@@ -131,10 +131,6 @@ func (b *Builder) AddEdge(u, v int32) {
 	b.dst = append(b.dst, v, u)
 }
 
-// EdgeCount returns the number of undirected edges added so far (including
-// any duplicates and self loops that Build will drop).
-func (b *Builder) EdgeCount() int { return len(b.src) / 2 }
-
 // Build produces the canonical CSR graph: symmetric, sorted, deduplicated,
 // self-loop-free. The builder can be reused afterwards.
 func (b *Builder) Build() *Graph {

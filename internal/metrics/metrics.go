@@ -32,21 +32,27 @@ func AccuracyCounts(logits *tensor.Matrix, labels []int32, mask []bool) (correct
 			continue
 		}
 		total++
-		row := logits.Row(i)
-		best := -1
-		for j, v := range row {
-			if v != v { // NaN
-				continue
-			}
-			if best < 0 || v > row[best] {
-				best = j
-			}
-		}
-		if best >= 0 && int32(best) == labels[i] {
+		if best := Argmax(logits.Row(i)); best >= 0 && int32(best) == labels[i] {
 			correct++
 		}
 	}
 	return correct, total
+}
+
+// Argmax is the prediction rule Accuracy scores: the index of the largest
+// logit, where NaN never wins, ties go to the lowest index, and -1 means no
+// logit compares (every one is NaN, or the row is empty).
+func Argmax(row []float32) int {
+	best := -1
+	for j, v := range row {
+		if v != v { // NaN
+			continue
+		}
+		if best < 0 || v > row[best] {
+			best = j
+		}
+	}
+	return best
 }
 
 // AccuracyOf turns (summed) AccuracyCounts into the score.

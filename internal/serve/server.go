@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // The HTTP layer. The engine is single-owner, so instead of wrapping it in
@@ -252,21 +255,6 @@ func (s *Server) Stats() (ServerStats, error) {
 	}
 }
 
-// argmax mirrors metrics.Accuracy's rule: NaN never wins, ties break to the
-// lowest class, -1 when no comparable logit exists.
-func argmax(row []float32) int {
-	best := -1
-	for j, v := range row {
-		if v != v {
-			continue
-		}
-		if best < 0 || v > row[best] {
-			best = j
-		}
-	}
-	return best
-}
-
 // Handler returns the HTTP API:
 //
 //	GET  /v1/healthz              liveness + graph/model shape
@@ -283,10 +271,20 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON encodes v before it writes the header, so a body JSON cannot
+// carry (a NaN or infinite logit) is answered with a 500 naming the cause
+// instead of a 200 with nothing after it.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var body bytes.Buffer
+	if err := json.NewEncoder(&body).Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		body.Reset()
+		json.NewEncoder(&body).Encode(map[string]string{
+			"error": fmt.Sprintf("serve: the response cannot be encoded as JSON: %v", err)})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(v)
+	body.WriteTo(w)
 }
 
 func writeErr(w http.ResponseWriter, code int, err error) {
@@ -363,7 +361,7 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	}
 	classes := make([]int, len(rows))
 	for i, row := range rows {
-		classes[i] = argmax(row)
+		classes[i] = metrics.Argmax(row)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"nodes":   nodes,

@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 )
 
 func testServer(t *testing.T) (*Server, *httptest.Server, *core.FullTrainer) {
@@ -85,8 +87,8 @@ func TestHTTPEndpoints(t *testing.T) {
 		if !rowsEqual(pr.Logits[i], ref.Row(v)) {
 			t.Fatalf("node %d: HTTP logits differ from trainer inference", v)
 		}
-		if pr.Classes[i] != argmax(ref.Row(v)) {
-			t.Fatalf("node %d: class %d, want %d", v, pr.Classes[i], argmax(ref.Row(v)))
+		if pr.Classes[i] != metrics.Argmax(ref.Row(v)) {
+			t.Fatalf("node %d: class %d, want %d", v, pr.Classes[i], metrics.Argmax(ref.Row(v)))
 		}
 	}
 
@@ -263,4 +265,49 @@ func TestServerClose(t *testing.T) {
 		t.Fatal("stats succeeded after Close")
 	}
 	srv.Close() // idempotent
+}
+
+// TestPredictOfNonFiniteLogitsIsAJSONError: features at the edge of float32
+// drive a node's logits to NaN or ±Inf, which JSON cannot carry. The answer
+// must be a non-2xx JSON error naming the cause, not a 200 with an empty body.
+func TestPredictOfNonFiniteLogitsIsAJSONError(t *testing.T) {
+	ds := testDataset(t, 21)
+	ft, _ := trainedModel(t, ds, core.ArchSAGE, 2)
+	eng, err := NewEngine(ft.Model, ds.G, ds.Features, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(eng, ServerConfig{})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+
+	huge := make([]float32, ds.FeatureDim())
+	for j := range huge {
+		huge[j] = 3.4e38
+		if j%2 == 1 {
+			huge[j] = -3.4e38
+		}
+	}
+	const node = 5
+	for _, v := range append([]int32{node}, ds.G.Neighbors(node)...) {
+		var out map[string]any
+		if code := postJSON(t, hs.URL+"/v1/update", map[string]any{"node": v, "features": huge}, &out); code != http.StatusOK {
+			t.Fatalf("update of node %d: status %d, %v", v, code, out)
+		}
+	}
+
+	resp, err := http.Get(fmt.Sprintf("%s/v1/predict?nodes=%d", hs.URL, node))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body bytes.Buffer
+	body.ReadFrom(resp.Body)
+	var out map[string]string
+	if err := json.Unmarshal(body.Bytes(), &out); err != nil {
+		t.Fatalf("status %d, body %q is not a JSON object: %v", resp.StatusCode, body.String(), err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(out["error"], "unsupported value") {
+		t.Fatalf("status %d, body %q: want 500 and an error naming the value JSON cannot encode", resp.StatusCode, body.String())
+	}
 }
