@@ -18,12 +18,13 @@
 //	bnsgcn -dataset reddit -p 0.1 -world 4 -rendezvous host0:29500 -rank 1 &
 //	...
 //
-// With -checkpoint-dir the multi-process run becomes elastic: every rank
-// checkpoints atomically every -checkpoint-every epochs, a SIGKILLed rank's
-// survivors re-rendezvous (any rank can serve, not just rank 0) and resume
-// from the newest generation every rank holds, and a replacement process
-// started with -join in the dead rank's slot is re-admitted. Final weights
-// are bit-identical to an uninterrupted run:
+// With -checkpoint-dir the multi-process run becomes elastic: rank 0 writes
+// one atomic checkpoint file per generation every -checkpoint-every epochs,
+// a SIGKILLed rank's survivors re-rendezvous (any rank can serve, not just
+// rank 0) and resume from the newest generation every rank can see, and a
+// replacement process started with -join in the dead rank's slot is
+// re-admitted and loads the same file. Final weights are bit-identical to an
+// uninterrupted run:
 //
 //	# elastic: 4 local workers, checkpoint every 5 epochs
 //	bnsgcn -dataset reddit -p 0.1 -world 4 -checkpoint-dir /tmp/ckpt -spawn
@@ -89,8 +90,8 @@ func main() {
 
 		ckptDir     = flag.String("checkpoint-dir", "", "checkpoint directory; enables elastic fault-tolerant training (requires -world; every rank and any -join replacement must see the same directory)")
 		ckptEvery   = flag.Int("checkpoint-every", 5, "checkpoint cadence in epochs for elastic training")
-		ckptKeep    = flag.Int("checkpoint-keep", 3, "checkpoint generations retained per rank (older ones are pruned after each save; the cohort's agreed resume generation is always kept; 0 = keep everything)")
-		join        = flag.Bool("join", false, "re-admit this process into a dead rank's slot of a running cohort: the replacement probes every rendezvous candidate (a shrunken cohort answers on its lowest live slot) and reports the newest generation any slot holds in the shared -checkpoint-dir, since its own shards are stale; then it resumes the -rank given like any survivor")
+		ckptKeep    = flag.Int("checkpoint-keep", 3, "checkpoint generations retained, two at the least (older ones are pruned after each save; the cohort's agreed resume generation is always kept; 0 = keep everything)")
+		join        = flag.Bool("join", false, "re-admit this process into a dead rank's slot of a running cohort: the replacement probes every rendezvous candidate (a shrunken cohort answers on its lowest live slot), then resumes the -rank given like any survivor, from the cohort's generation file in the shared -checkpoint-dir")
 		hostsFile   = flag.String("hosts", "", "file with one rendezvous candidate per rank, host or host:port per line (# comments ok); default: loopback ports 29500+rank")
 		listenHost  = flag.String("listen-host", "", "interface data listeners bind and advertise (default 127.0.0.1; multi-host runs must set this rank's reachable address)")
 		hbEvery     = flag.Duration("heartbeat-interval", 2*time.Second, "TCP heartbeat cadence for wedged-peer detection in elastic runs (0 disables; only closed connections are then detected)")

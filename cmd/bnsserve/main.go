@@ -13,7 +13,7 @@
 // FullTrainer evaluation path on the same checkpoint.
 //
 //	# train, checkpoint, then serve:
-//	bnsserve -dataset reddit -checkpoint /tmp/ckpt/ckpt-r000-g00000010.bnst
+//	bnsserve -dataset reddit -checkpoint /tmp/ckpt/ckpt-g00000010.bnst
 //
 //	# smoke/load-test mode (no checkpoint: deterministic fresh weights):
 //	bnsserve -dataset reddit -addr 127.0.0.1:8090

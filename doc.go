@@ -50,7 +50,9 @@
 // version, kind, model section, optional resume section, trailing CRC-32),
 // written by one encoder and read by one decoder that checks the frame
 // before it parses and bounds every length by the bytes that remain.
-// Bit-exact trainer resume, elastic recovery with donor hydration
-// (internal/elastic) and bnsserve's model hydration all start from that
-// decoder's result.
+// Bit-exact trainer resume, elastic recovery (internal/elastic: one file per
+// checkpoint generation, which every rank loads — what a restore reads back
+// is the same on every rank, and each derives its own sampling and dropout
+// positions from the epoch) and bnsserve's model hydration all start from
+// that decoder's result.
 package repro

@@ -31,17 +31,17 @@ import (
 //
 // CRC first: the frame — magic, version, checksum of the whole file — is
 // checked before a single length word is believed, so a torn or bit-rotted
-// file makes elastic recovery fall back a generation (or to a donor's shard)
-// and stops the server at startup, rather than either acting on garbage. A
-// CRC only catches accidents, so the parse trusts nothing either: every
-// count, string length and matrix size is bounded by the bytes that remain
-// before anything is allocated, and the model the header describes must fit
-// in the file — decoding, and building that model, allocate O(len(file)).
+// file makes elastic recovery fall back a generation and stops the server
+// at startup, rather than either acting on garbage. A CRC only catches
+// accidents, so the parse trusts nothing either: every count, string length
+// and matrix size is bounded by the bytes that remain before anything is
+// allocated, and the model the header describes must fit in the file —
+// decoding, and building that model, allocate O(len(file)).
 //
-// In memory: a shard is ~110 KB, the CRC has to see every byte before any is
-// used, and a decoded Checkpoint that is not yet live state is what lets a
-// load validate everything against the trainer and only then commit. The
-// file entry points read and write that one buffer.
+// In memory: a trainer checkpoint is ~110 KB, the CRC has to see every byte
+// before any is used, and a decoded Checkpoint that is not yet live state is
+// what lets a load validate everything against the trainer and only then
+// commit. The file entry points read and write that one buffer.
 
 const (
 	ckptMagic   = uint32(0x424E5354) // "BNST"
@@ -69,17 +69,21 @@ type Checkpoint struct {
 }
 
 // ResumeState is everything beyond the weights that train(N) ≡ train(k) +
-// save + load + train(N−k) needs, bit for bit. It differs per rank: sampling
-// streams are rank-seeded, dropout streams advance with local row counts.
+// save + load + train(N−k) needs, bit for bit. What a restore reads back is
+// the same on every rank — the epoch, the strategy name and the Adam state —
+// so any rank's checkpoint of an epoch resumes every rank of it.
 type ResumeState struct {
 	Epoch    int
 	Strategy string
 	// StrategyState is the rank's sampling stream where the next epoch's
-	// draws begin. It is written but not read back: it is derived from
-	// (SampleSeed, rank, Epoch), and a restored rank samples as its own rank
-	// at the restored epoch, whichever shard it was restored from.
+	// draws begin, and Dropouts each layer's mask stream position. Both are
+	// written but not read back: they are functions of the epoch (the
+	// sample of (SampleSeed, rank, Epoch), a mask stream of its start word
+	// and the rank's row count), so a restored rank draws as its own rank at
+	// the restored epoch, whichever rank wrote the file. Restore checks the
+	// dropout count against the model.
 	StrategyState uint64
-	Dropouts      []uint64 // per layer: mask RNG position
+	Dropouts      []uint64
 	AdamStep      int
 	AdamM, AdamV  []*tensor.Matrix // aligned with Params
 }
@@ -244,7 +248,7 @@ func (c *cursor) mats(n int, what string) []*tensor.Matrix {
 }
 
 // DecodeCheckpoint is the one reader of the container layout: trainer resume,
-// model hydration and the elastic shard checks all start from its result.
+// model hydration and elastic recovery all start from its result.
 func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	kind, body, err := checkFrame(b)
 	if err != nil {
@@ -336,15 +340,6 @@ func (c *Checkpoint) LoadWeights(m *Model) error {
 	return nil
 }
 
-// MaxParamDiff returns the largest absolute elementwise difference between
-// the checkpoint's parameters and m's; an error if they are different models.
-func (c *Checkpoint) MaxParamDiff(m *Model) (float32, error) {
-	if err := c.matches(m); err != nil {
-		return 0, err
-	}
-	return maxMatDiff(c.Params, m.Params()), nil
-}
-
 // Model builds the model the header describes and adopts the checkpoint's
 // weights — how an inference server hydrates without a dataset, optimizer or
 // transport. Dropout is zero and the learning rate a placeholder.
@@ -360,8 +355,10 @@ func (c *Checkpoint) Model() (*Model, error) {
 }
 
 // Restore puts rt exactly where the trainer that wrote the checkpoint
-// stopped. Everything is validated against rt before anything is written, so
-// a rejected checkpoint leaves the trainer untouched.
+// stopped, whichever rank of that run it was: the weights, Adam state and
+// epoch are the file's, and each dropout stream is set where rt's own stands
+// at that epoch (dropoutState). Everything is validated against rt before
+// anything is written, so a rejected checkpoint leaves the trainer untouched.
 func (c *Checkpoint) Restore(rt *RankTrainer) error {
 	rs := c.Resume
 	if rs == nil {
@@ -390,8 +387,8 @@ func (c *Checkpoint) Restore(rt *RankTrainer) error {
 	copyMats(m, rs.AdamM)
 	copyMats(v, rs.AdamV)
 	rt.epoch = rs.Epoch
-	for i, d := range drops {
-		d.SetRNGState(rs.Dropouts[i])
+	for l, d := range drops {
+		d.SetRNGState(rt.dropoutState(l, rs.Epoch))
 	}
 	rt.opt.SetStepCount(rs.AdamStep)
 	return nil

@@ -235,6 +235,125 @@ func TestTrainerCheckpointResumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestDropoutDrawsPerEpoch pins where each layer's dropout stream stands:
+// every rank starts layer l's stream at the word a fresh model of the seed
+// holds, and each training epoch moves it (NIn+NBd)·d_l draws, d_l being the
+// layer's input width; an evaluation moves it not at all, nor does any epoch
+// at rate 0. The checkpointed word must be that position, and a restore must
+// put a fresh trainer there whatever words the file holds, so a rank's
+// dropout state at any epoch is known without running it.
+func TestDropoutDrawsPerEpoch(t *testing.T) {
+	ds := testDataset(t, 64)
+	for _, k := range []int{1, 3} {
+		topo := testTopology(t, ds, k)
+		for _, tc := range []struct {
+			name string
+			cfg  ParallelConfig
+		}{
+			{"bns p=0.5", ParallelConfig{P: 0.5}},
+			{"ladies budget 12", ParallelConfig{Strategy: LADIES, Budget: 12}},
+			{"bns rate 0", ParallelConfig{P: 0.5}},
+		} {
+			cfg := tc.cfg
+			cfg.Model, cfg.SampleSeed = testModelConfig(), 23
+			if tc.name != "bns rate 0" {
+				cfg.Model.Dropout = 0.3
+			}
+			fresh, err := NewModel(cfg.Model, ds.FeatureDim(), ds.NumClasses)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := NewParallelTrainer(ds, topo, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for e := 1; e <= 3; e++ {
+				tr.TrainEpoch()
+				tr.Evaluate(ds.ValMask)
+				for r, rt := range tr.Ranks {
+					if k > 1 && rt.LP.NBd == 0 {
+						t.Fatalf("k=%d fixture rank %d has no boundary slots", k, r)
+					}
+					ck := snapshotTrainer(rt)
+					got := ck.Resume.Dropouts
+					ck.Resume.Dropouts = make([]uint64, len(got)) // not read back
+					restored, err := NewRankTrainer(ds, topo, cfg, r)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := ck.Restore(restored); err != nil {
+						t.Fatal(err)
+					}
+					for l, d := range fresh.Dropouts {
+						want := tensor.NewRNG(d.RNGState())
+						in := fresh.LayersL[l].(sageLayer).InDim
+						if cfg.Model.Dropout != 0 {
+							want.Skip(uint64(e * (rt.LP.NIn + rt.LP.NBd) * in))
+						}
+						if got[l] != want.State() {
+							t.Fatalf("k=%d %s rank %d layer %d after epoch %d: stream at %#x, want %#x", k, tc.name, r, l, e, got[l], want.State())
+						}
+						if rs := restored.Model.Dropouts[l].RNGState(); rs != want.State() {
+							t.Fatalf("k=%d %s rank %d layer %d restored at epoch %d: stream at %#x, want %#x", k, tc.name, r, l, e, rs, want.State())
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRestoredFromAnotherRankTrainsOn: what a restore reads back is the same
+// on every rank, so rank r restored from rank r+1's checkpoint — whose
+// dropout words stand where rank r+1's row count put them — trains on, with
+// evaluations in between, to the losses and weights of a run that never
+// stopped.
+func TestRestoredFromAnotherRankTrainsOn(t *testing.T) {
+	ds := testDataset(t, 64)
+	const k, pre, total = 3, 2, 5
+	topo := testTopology(t, ds, k)
+	for name, sc := range map[string]ParallelConfig{"bns": {P: 0.5}, "ladies": {Strategy: LADIES, Budget: 12}} {
+		cfg := sc
+		cfg.Model, cfg.SampleSeed = testModelConfig(), 23
+		cfg.Model.Dropout = 0.3
+		ref, err := NewParallelTrainer(ds, topo, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refLoss := make([]float64, total)
+		shard := make([][]byte, k)
+		for e := 0; e < total; e++ {
+			if e == pre {
+				for r, rt := range ref.Ranks {
+					shard[r] = snapshotTrainer(rt).Encode()
+				}
+			}
+			refLoss[e] = ref.TrainEpoch().Loss
+			ref.Evaluate(ds.ValMask)
+		}
+		resumed, err := NewParallelTrainer(ds, topo, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, rt := range resumed.Ranks {
+			if err := restoreBytes(shard[(r+1)%k], rt); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for e := pre; e < total; e++ {
+			if got := resumed.TrainEpoch().Loss; got != refLoss[e] {
+				t.Fatalf("%s epoch %d: loss %.17g, the uninterrupted run's %.17g", name, e, got, refLoss[e])
+			}
+			resumed.Evaluate(ds.ValMask)
+		}
+		for r := range resumed.Ranks {
+			if d := MaxParamDiff(ref.Models[r], resumed.Models[r]); d != 0 {
+				t.Fatalf("%s rank %d: restored from rank %d's checkpoint, weights diverged by %v", name, r, (r+1)%k, d)
+			}
+		}
+	}
+}
+
 // TestTrainerCheckpointRejects pins the failure modes: weights-only files
 // fed to the trainer loader, wrong architecture, and garbage.
 func TestTrainerCheckpointRejects(t *testing.T) {
@@ -342,7 +461,7 @@ func restoreBytes(b []byte, rt *RankTrainer) error {
 }
 
 // restoreFile is the file form of restoreBytes, spelled the way
-// elastic.LoadGenerationAs spells it: one read, decode, restore.
+// elastic.LoadGeneration spells it: one read, decode, restore.
 func restoreFile(path string, rt *RankTrainer) error {
 	c, err := ReadCheckpointFile(path)
 	if err != nil {

@@ -96,9 +96,10 @@ func spaceConfig(topo *Topology, p float64, strategy Strategy, arch Arch) Parall
 
 // replayAfterRestore checks the owners' replay where a rank's sample does
 // not come from running its own epochs: after every rank is restored from a
-// checkpoint of topo's k-rank run — rank r from slot (r+1) mod k's shard, a
-// donor's — and on the layout partition.ShrinkToMembers derives when slot 1
-// leaves, each rank restored from its slot's shard as a resize replay is.
+// checkpoint of topo's k-rank run — rank r from slot (r+1) mod k's, another
+// rank's — and on the layout partition.ShrinkToMembers derives when slot 1
+// leaves, each rank restored from its slot's (a resize replay restores every
+// rank from one rank's file; any rank's serves alike).
 // Each later epoch must pass checkEpochSpace, whose send check is the
 // owner's computation of its peer's sample against the peer's own.
 func replayAfterRestore(t *testing.T, ds *datagen.Dataset, topo *Topology, prefix string) {

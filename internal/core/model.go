@@ -342,14 +342,10 @@ func (m *Model) ParamVector() []float32 {
 // MaxParamDiff returns the largest absolute elementwise difference between
 // the parameters of two same-shaped models.
 func MaxParamDiff(a, b *Model) float32 {
-	if len(a.Params()) != len(b.Params()) {
+	pa, pb := a.Params(), b.Params()
+	if len(pa) != len(pb) {
 		panic("core: MaxParamDiff across different architectures")
 	}
-	return maxMatDiff(a.Params(), b.Params())
-}
-
-// maxMatDiff is MaxParamDiff over two aligned, same-shaped matrix lists.
-func maxMatDiff(pa, pb []*tensor.Matrix) float32 {
 	var mx float32
 	for i := range pa {
 		for j := range pa[i].Data {

@@ -368,6 +368,11 @@ type RankTrainer struct {
 	epoch            int
 	ep               epochState     // the running pass's shared stage state
 	loss             nn.SoftmaxLoss // the softmax head's slots, reused every epoch
+
+	// dropStart is each layer's dropout stream word at construction, the
+	// same on every rank; where a stream stands at an epoch is derived from
+	// it (dropoutState).
+	dropStart []uint64
 }
 
 // NewRankTrainer builds the local state for one rank of a k-way training
@@ -410,6 +415,9 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 		multiLabel:  ds.MultiLabel,
 		globalNodes: ds.G.N,
 	}
+	for _, d := range model.Dropouts {
+		rt.dropStart = append(rt.dropStart, d.RNGState())
+	}
 	rt.samp = newSlotSampler(cfg, topo, rank, rank)
 	rt.served = make([]slotSampler, topo.K)
 	for j, rows := range rt.send {
@@ -425,6 +433,20 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 
 // Epoch returns the number of completed training epochs.
 func (rt *RankTrainer) Epoch() int { return rt.epoch }
+
+// dropoutState returns where layer l's dropout stream stands after epoch
+// training epochs. A training pass draws one mask element per input column
+// over all NIn+NBd rows, sampled slots or not (forwardFree), an evaluation
+// draws none, and a layer whose rate is 0 draws nothing.
+func (rt *RankTrainer) dropoutState(l, epoch int) uint64 {
+	r := tensor.NewRNG(rt.dropStart[l])
+	if rt.Model.Dropouts[l].Rate != 0 {
+		m := rt.Model
+		in, _ := layerDims(l, m.Config.Layers, m.Config.Hidden, m.InDim, m.OutDim)
+		r.Skip(uint64(epoch * (rt.LP.NIn + rt.LP.NBd) * in))
+	}
+	return r.State()
+}
 
 // TrainEpoch runs one epoch of this rank's protocol over the worker's
 // transport and reports local statistics. Any panic inside the epoch —

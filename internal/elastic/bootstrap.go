@@ -24,9 +24,9 @@ import (
 // world that trains on without the dead ranks.
 //
 // Ranks here are SLOTS: the stable launch-time identities that name
-// candidate addresses and checkpoint shards. A shrunken world's mesh runs
-// on compact ranks 0..m-1 in member order, while slots keep naming files
-// and candidates so a replacement can grow the world back.
+// candidate addresses. A shrunken world's mesh runs on compact ranks 0..m-1
+// in member order, while slots keep naming candidates so a replacement can
+// grow the world back.
 const (
 	probeTimeout = 300 * time.Millisecond
 	// defaultRoundTimeout and defaultStagger are the Config defaults for
@@ -37,13 +37,6 @@ const (
 
 // debugf is a test hook for tracing rendezvous rounds; a no-op in production.
 var debugf = func(format string, args ...any) {}
-
-// table is what a completed rendezvous agrees on.
-type table struct {
-	startGen int      // newest checkpoint generation every member holds
-	members  []int    // sorted live slots; the full world when nothing shrank
-	addrs    []string // data listener address per member, in member order
-}
 
 // bootConfig parameterizes one rank's rendezvous attempt.
 type bootConfig struct {
@@ -135,14 +128,15 @@ func LoopbackCandidates(host string, basePort, world int) []string {
 }
 
 // bootstrap runs the elastic rendezvous for one rank until it has a
-// complete table or the deadline passes.
-func bootstrap(bc bootConfig) (*table, error) {
+// complete table or the deadline passes. The table's StartGen is the newest
+// checkpoint generation every member can see.
+func bootstrap(bc bootConfig) (*comm.Table, error) {
 	bc.norm()
 	if len(bc.cands) != bc.world {
 		return nil, fmt.Errorf("elastic: rank %d: %d rendezvous candidates for world %d", bc.rank, len(bc.cands), bc.world)
 	}
 	if bc.world == 1 {
-		return &table{startGen: bc.myGen, members: []int{0}, addrs: []string{bc.dataAddr}}, nil
+		return &comm.Table{StartGen: bc.myGen, Members: []int{0}, Addrs: []string{bc.dataAddr}}, nil
 	}
 	me := comm.Join{Slot: bc.rank, Addr: bc.dataAddr, Gen: bc.myGen}
 	begin := time.Now()
@@ -198,7 +192,7 @@ func bootstrap(bc bootConfig) (*table, error) {
 				tbl, retry, err := comm.Register(conn, me, bc.world)
 				conn.Close()
 				if tbl != nil {
-					return &table{startGen: tbl.StartGen, members: tbl.Members, addrs: tbl.Addrs}, nil
+					return tbl, nil
 				}
 				if errors.Is(err, comm.ErrRejected) {
 					return nil, fmt.Errorf("elastic: rank %d: rendezvous %s: %w", bc.rank, bc.cands[c], err)
@@ -237,7 +231,7 @@ func bootstrap(bc bootConfig) (*table, error) {
 				Settle:   func(roster []int) bool { return rs.settle(&bc, roster) },
 			})
 			if tbl != nil {
-				return &table{startGen: tbl.StartGen, members: tbl.Members, addrs: tbl.Addrs}, nil
+				return tbl, nil
 			}
 			debugf("rank %d: round done: %v", bc.rank, err)
 			if !errors.Is(err, comm.ErrIncomplete) {

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/comm"
 )
 
 // freeCandidates reserves world distinct loopback ports and releases them
@@ -35,7 +37,7 @@ func TestBootstrapAgreesOnTableAndMinGen(t *testing.T) {
 	const world = 3
 	cands := freeCandidates(t, world)
 	gens := []int{7, 2, 5}
-	tables := make([]*table, world)
+	tables := make([]*comm.Table, world)
 	errs := make([]error, world)
 	deadline := time.Now().Add(20 * time.Second)
 	var wg sync.WaitGroup
@@ -53,17 +55,17 @@ func TestBootstrapAgreesOnTableAndMinGen(t *testing.T) {
 		}
 	}
 	for r, tbl := range tables {
-		if tbl.startGen != 2 {
-			t.Fatalf("rank %d agreed on gen %d, want min gen 2", r, tbl.startGen)
+		if tbl.StartGen != 2 {
+			t.Fatalf("rank %d agreed on gen %d, want min gen 2", r, tbl.StartGen)
 		}
-		if !reflect.DeepEqual(tbl.members, []int{0, 1, 2}) {
-			t.Fatalf("rank %d members %v, want the full world", r, tbl.members)
+		if !reflect.DeepEqual(tbl.Members, []int{0, 1, 2}) {
+			t.Fatalf("rank %d members %v, want the full world", r, tbl.Members)
 		}
-		if !reflect.DeepEqual(tbl.addrs, tables[0].addrs) {
-			t.Fatalf("tables diverged: rank 0 %v vs rank %d %v", tables[0].addrs, r, tbl.addrs)
+		if !reflect.DeepEqual(tbl.Addrs, tables[0].Addrs) {
+			t.Fatalf("tables diverged: rank 0 %v vs rank %d %v", tables[0].Addrs, r, tbl.Addrs)
 		}
-		if tbl.addrs[r] != fmt.Sprintf("10.0.0.%d:900%d", r, r) {
-			t.Fatalf("rank %d slot holds %q", r, tbl.addrs[r])
+		if tbl.Addrs[r] != fmt.Sprintf("10.0.0.%d:900%d", r, r) {
+			t.Fatalf("rank %d slot holds %q", r, tbl.Addrs[r])
 		}
 	}
 }
@@ -75,7 +77,7 @@ func TestBootstrapAgreesOnTableAndMinGen(t *testing.T) {
 func TestBootstrapElectsSuccessorThenDefersToRankZero(t *testing.T) {
 	const world = 3
 	cands := freeCandidates(t, world)
-	tables := make([]*table, world)
+	tables := make([]*comm.Table, world)
 	errs := make([]error, world)
 	deadline := time.Now().Add(30 * time.Second)
 	var wg sync.WaitGroup
@@ -100,11 +102,11 @@ func TestBootstrapElectsSuccessorThenDefersToRankZero(t *testing.T) {
 		}
 	}
 	for r, tbl := range tables {
-		if tbl.startGen != 0 {
-			t.Fatalf("rank %d agreed on gen %d; the fresh replacement holds nothing, so min is 0", r, tbl.startGen)
+		if tbl.StartGen != 0 {
+			t.Fatalf("rank %d agreed on gen %d; the fresh replacement holds nothing, so min is 0", r, tbl.StartGen)
 		}
-		if !reflect.DeepEqual(tbl.addrs, []string{"addr-0:1", "addr-1:1", "addr-2:1"}) {
-			t.Fatalf("rank %d table %v", r, tbl.addrs)
+		if !reflect.DeepEqual(tbl.Addrs, []string{"addr-0:1", "addr-1:1", "addr-2:1"}) {
+			t.Fatalf("rank %d table %v", r, tbl.Addrs)
 		}
 	}
 }
@@ -115,7 +117,7 @@ func TestBootstrapWorldOfOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.startGen != 4 || len(tbl.addrs) != 1 || tbl.addrs[0] != "me:2" {
+	if tbl.StartGen != 4 || len(tbl.Addrs) != 1 || tbl.Addrs[0] != "me:2" {
 		t.Fatalf("world-of-one table %+v", tbl)
 	}
 }
@@ -147,7 +149,7 @@ func TestBootstrapIgnoresSilentConnection(t *testing.T) {
 	cands := freeCandidates(t, 2)
 	deadline := time.Now().Add(20 * time.Second)
 	begin := time.Now()
-	tables := make([]*table, 2)
+	tables := make([]*comm.Table, 2)
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
 	boot := func(r int) {
@@ -179,8 +181,8 @@ func TestBootstrapIgnoresSilentConnection(t *testing.T) {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	if !reflect.DeepEqual(tables[0].addrs, []string{"addr-0:1", "addr-1:1"}) || !reflect.DeepEqual(tables[1].addrs, tables[0].addrs) {
-		t.Fatalf("tables %v and %v, want both [addr-0:1 addr-1:1]", tables[0].addrs, tables[1].addrs)
+	if !reflect.DeepEqual(tables[0].Addrs, []string{"addr-0:1", "addr-1:1"}) || !reflect.DeepEqual(tables[1].Addrs, tables[0].Addrs) {
+		t.Fatalf("tables %v and %v, want both [addr-0:1 addr-1:1]", tables[0].Addrs, tables[1].Addrs)
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("bootstrap took %v with a silent connection at the serving candidate, want under 2s", elapsed)

@@ -16,8 +16,8 @@ import (
 type RunnerConfig struct {
 	Config
 	// Rank is this process's SLOT: its stable launch-time identity, naming
-	// its rendezvous candidate and its checkpoint shards. On a shrunken
-	// world the mesh rank is the slot's index in the agreed member set.
+	// its rendezvous candidate. On a shrunken world the mesh rank is the
+	// slot's index in the agreed member set.
 	Rank  int
 	World int
 	// Candidates is the rendezvous candidate address per rank (see
@@ -38,8 +38,7 @@ type RunnerConfig struct {
 	// Rejoin marks a replacement re-admitting itself into a possibly
 	// running cohort (cmd/bnsgcn -join): it probes every rendezvous
 	// candidate — a shrunken cohort answers on the lowest LIVE slot, which
-	// may be above ours — and reports the newest generation ANY slot holds,
-	// since its own shard files are stale.
+	// may be above ours.
 	Rejoin bool
 	// NewTrainer constructs this slot's trainer for the given member set;
 	// see TrainerFactory. MemberTrainerFactory is the members-aware one.
@@ -102,7 +101,7 @@ func runGeneration(cfg *RunnerConfig) (rt *core.RankTrainer, members []int, star
 		world:       cfg.World,
 		cands:       cfg.Candidates,
 		dataAddr:    dataLn.Addr().String(),
-		myGen:       reportedGen(cfg.Dir, cfg.Rank, cfg.Rejoin),
+		myGen:       LatestValidGen(cfg.Dir),
 		rejoin:      cfg.Rejoin,
 		stagger:     cfg.electionStagger,
 		round:       cfg.rendezvousRound,
@@ -114,19 +113,19 @@ func runGeneration(cfg *RunnerConfig) (rt *core.RankTrainer, members []int, star
 		return nil, nil, -1, err
 	}
 	tp, err := comm.DialTCPMesh(comm.TCPConfig{
-		Rank:              indexOf(tbl.members, cfg.Rank), // every agreed table seats us: comm.Register refuses one that doesn't
-		World:             len(tbl.members),
+		Rank:              indexOf(tbl.Members, cfg.Rank), // every agreed table seats us: comm.Register refuses one that doesn't
+		World:             len(tbl.Members),
 		ListenHost:        cfg.ListenHost,
 		Timeout:           time.Until(deadline),
 		HeartbeatInterval: cfg.HeartbeatInterval,
 		HeartbeatTimeout:  cfg.HeartbeatTimeout,
-	}, dataLn, tbl.addrs) // DialTCPMesh closes dataLn
+	}, dataLn, tbl.Addrs) // DialTCPMesh closes dataLn
 	if err != nil {
 		// The table went stale between agreement and mesh (another rank died
 		// in the window, or a partial broadcast), or the cohort has not
 		// reassembled yet: carrying a *comm.TransportError makes the loop
 		// retry the bootstrap.
-		return nil, tbl.members, tbl.startGen, &comm.TransportError{Rank: cfg.Rank, Err: fmt.Errorf("mesh dial failed: %w", err)}
+		return nil, tbl.Members, tbl.StartGen, &comm.TransportError{Rank: cfg.Rank, Err: fmt.Errorf("mesh dial failed: %w", err)}
 	}
 
 	// While the world is shrunken, the lowest live slot keeps the door open
@@ -135,8 +134,8 @@ func runGeneration(cfg *RunnerConfig) (rt *core.RankTrainer, members []int, star
 	// goroutine), every survivor recovers, and the next bootstrap sees the
 	// replacement. Failure to open the listener is not fatal — training at
 	// k' proceeds; a replacement then only gets in after an organic failure.
-	if len(tbl.members) < cfg.World && cfg.Rank == tbl.members[0] {
-		gw, gerr := newGrowWatcher(cfg.Candidates[cfg.Rank], cfg.Rank, cfg.World, tbl.members, func(slot int) {
+	if len(tbl.Members) < cfg.World && cfg.Rank == tbl.Members[0] {
+		gw, gerr := newGrowWatcher(cfg.Candidates[cfg.Rank], cfg.Rank, cfg.World, tbl.Members, func(slot int) {
 			tp.Abort()
 		})
 		if gerr != nil {
@@ -146,6 +145,6 @@ func runGeneration(cfg *RunnerConfig) (rt *core.RankTrainer, members []int, star
 		}
 	}
 
-	rt, err = trainSlot(&cfg.Config, cfg.NewTrainer, cfg.OnEpoch, cfg.World, tbl.members, tbl.startGen, cfg.Rank, comm.NewWorker(tp))
-	return rt, tbl.members, tbl.startGen, err
+	rt, err = trainSlot(&cfg.Config, cfg.NewTrainer, cfg.OnEpoch, tbl.Members, tbl.StartGen, cfg.Rank, comm.NewWorker(tp))
+	return rt, tbl.Members, tbl.StartGen, err
 }

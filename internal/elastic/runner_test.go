@@ -2,6 +2,7 @@ package elastic
 
 import (
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -23,7 +24,7 @@ func trainVictim(t *testing.T, ds *datagen.Dataset, topo *core.Topology, cfg cor
 	}
 	tbl, err := bootstrap(bootConfig{
 		rank: rank, world: world, cands: cands, dataAddr: dataLn.Addr().String(),
-		myGen: LatestValidGen(dir, rank), deadline: time.Now().Add(30 * time.Second),
+		myGen: LatestValidGen(dir), deadline: time.Now().Add(30 * time.Second),
 	})
 	if err != nil {
 		dataLn.Close()
@@ -31,31 +32,21 @@ func trainVictim(t *testing.T, ds *datagen.Dataset, topo *core.Topology, cfg cor
 		return nil
 	}
 	tp, err := comm.DialTCPMesh(comm.TCPConfig{
-		Rank: indexOf(tbl.members, rank), World: len(tbl.members), ListenHost: "127.0.0.1", Timeout: 30 * time.Second,
-	}, dataLn, tbl.addrs)
+		Rank: indexOf(tbl.Members, rank), World: len(tbl.Members), ListenHost: "127.0.0.1", Timeout: 30 * time.Second,
+	}, dataLn, tbl.Addrs)
 	if err != nil {
 		t.Errorf("victim mesh: %v", err)
 		return nil
 	}
 	rt, err := core.NewRankTrainer(ds, topo, cfg, rank)
 	if err == nil {
-		_, err = LoadGenerationAs(dir, tbl.startGen, rank, rt)
+		err = LoadGeneration(dir, tbl.StartGen, rt)
+	}
+	if err == nil {
+		err = trainRank(&Config{Dir: dir, Every: every, Epochs: stopAfter}, rt, comm.NewWorker(tp), tbl.StartGen, nil)
 	}
 	if err != nil {
-		t.Error(err)
-		return tp
-	}
-	w := comm.NewWorker(tp)
-	for rt.Epoch() < stopAfter {
-		if _, err := rt.TrainEpoch(w); err != nil {
-			t.Errorf("victim epoch %d: %v", rt.Epoch(), err)
-			break
-		}
-		if rt.Epoch()%every == 0 {
-			if err := SaveGenerationAs(dir, rt.Epoch()/every, rt.Rank, rt); err != nil {
-				t.Error(err)
-			}
-		}
+		t.Errorf("victim rank %d: %v", rank, err)
 	}
 	return tp
 }
@@ -161,12 +152,20 @@ func TestRunnerRecoversAndReadmitsReplacement(t *testing.T) {
 	waitNoLeaks(t, before)
 }
 
-// TestRunnerRejectsBadConfig: config validation fires before any sockets.
+// TestRunnerRejectsBadConfig: config validation fires before any sockets,
+// and a negative count is refused by name rather than read as another
+// setting.
 func TestRunnerRejectsBadConfig(t *testing.T) {
 	if _, _, err := Run(RunnerConfig{Config: Config{Dir: "", Every: 1, Epochs: 1}}); err == nil {
 		t.Fatal("empty checkpoint dir accepted")
 	}
 	if _, _, err := Run(RunnerConfig{Config: Config{Dir: t.TempDir(), Every: 0, Epochs: 1}}); err == nil {
 		t.Fatal("zero checkpoint cadence accepted")
+	}
+	if _, _, err := Run(RunnerConfig{Config: Config{Dir: t.TempDir(), Every: 1, Epochs: 1, KeepGenerations: -1}}); err == nil || !strings.Contains(err.Error(), "negative KeepGenerations -1") {
+		t.Fatalf("negative KeepGenerations: want it refused by name, got %v", err)
+	}
+	if _, _, err := Run(RunnerConfig{Config: Config{Dir: t.TempDir(), Every: 1, Epochs: 1, MaxRecoveries: -1}}); err == nil || !strings.Contains(err.Error(), "negative MaxRecoveries -1") {
+		t.Fatalf("negative MaxRecoveries: want it refused by name, got %v", err)
 	}
 }

@@ -16,9 +16,9 @@ import (
 // per-process Run loop.
 type Config struct {
 	// Dir is the checkpoint directory. In a multi-process deployment every
-	// rank (and any replacement process) must see the same directory — a
-	// replacement re-admitted into a dead rank's slot resumes from the dead
-	// rank's files.
+	// rank (and any replacement process) must see the same directory: the
+	// member at mesh rank 0 writes each generation's one file, and every
+	// member resumes from it.
 	Dir string
 	// Every is the checkpoint cadence in epochs (generation g = state after
 	// g*Every epochs). Smaller values bound the recomputation a recovery
@@ -27,13 +27,13 @@ type Config struct {
 	// Epochs is the training target: ranks train until Epoch() == Epochs.
 	Epochs int
 	// MaxRecoveries bounds how many failures the loop absorbs before giving
-	// up and returning the underlying error.
+	// up and returning the underlying error; zero absorbs none.
 	MaxRecoveries int
 	// KeepGenerations, when positive, bounds on-disk checkpoint growth: after
-	// each save a rank prunes its own generations down to the newest
-	// KeepGenerations, never deleting the generation the cohort last agreed
-	// to resume from (see PruneGenerations). Zero keeps everything — the
-	// prior behavior.
+	// each save the writer prunes the generations down to the newest
+	// KeepGenerations (two at the least), never deleting the generation the
+	// cohort last agreed to resume from (see PruneGenerations). Zero keeps
+	// everything.
 	KeepGenerations int
 	// ResizeAfter, when positive, enables world resizing: a rendezvous whose
 	// rounds keep timing out with the same stable partial cohort (at least
@@ -63,6 +63,12 @@ func (c *Config) validate() error {
 	}
 	if c.ResizeAfter < 0 {
 		return fmt.Errorf("elastic: negative ResizeAfter %d", c.ResizeAfter)
+	}
+	if c.KeepGenerations < 0 {
+		return fmt.Errorf("elastic: negative KeepGenerations %d (0 keeps every generation)", c.KeepGenerations)
+	}
+	if c.MaxRecoveries < 0 {
+		return fmt.Errorf("elastic: negative MaxRecoveries %d (0 absorbs no failure)", c.MaxRecoveries)
 	}
 	return nil
 }
@@ -100,19 +106,17 @@ func recoverable(err error) bool {
 	return errors.As(err, &te)
 }
 
-// trainRank drives one rank from its current epoch to cfg.Epochs, saving a
-// generation checkpoint every cfg.Every epochs. The MarkEpoch call at the
-// top of each epoch is what lets a comm.WithFaults plan kill this rank at a
-// deterministic epoch boundary; on plain transports it is a no-op.
-// startGen is the generation the cohort agreed to resume from at the last
-// bootstrap — the floor the post-save GC must never prune past, since any
-// future recovery's consensus can fall back to it. slot is the rank's
-// stable launch-time identity; checkpoints are keyed by it, while rt.Rank
-// is the compact mesh rank (they differ only on a shrunken world).
-func trainRank(cfg *Config, rt *core.RankTrainer, w *comm.Worker, startGen, slot int, onEpoch EpochHook) error {
+// trainRank drives one rank from its current epoch to cfg.Epochs; every
+// cfg.Every epochs the member at mesh rank 0 writes a generation checkpoint.
+// The MarkEpoch call at the top of each epoch is what lets a comm.WithFaults
+// plan kill this rank at a deterministic epoch boundary; on plain transports
+// it is a no-op. startGen is the generation the cohort agreed to resume from
+// at the last bootstrap — the floor the post-save GC must never prune past,
+// since any future recovery's consensus can fall back to it.
+func trainRank(cfg *Config, rt *core.RankTrainer, w *comm.Worker, startGen int, onEpoch EpochHook) error {
 	for rt.Epoch() < cfg.Epochs {
 		if err := comm.MarkEpoch(w.Transport(), rt.Epoch()); err != nil {
-			return fmt.Errorf("elastic: rank %d: %w", slot, err)
+			return fmt.Errorf("elastic: rank %d: %w", rt.Rank, err)
 		}
 		st, err := rt.TrainEpoch(w)
 		if err != nil {
@@ -123,12 +127,12 @@ func trainRank(cfg *Config, rt *core.RankTrainer, w *comm.Worker, startGen, slot
 				return err
 			}
 		}
-		if rt.Epoch()%cfg.Every == 0 {
-			if err := SaveGenerationAs(cfg.Dir, rt.Epoch()/cfg.Every, slot, rt); err != nil {
-				return fmt.Errorf("elastic: rank %d: checkpoint save: %w", slot, err)
+		if rt.Rank == 0 && rt.Epoch()%cfg.Every == 0 {
+			if err := SaveGeneration(cfg.Dir, rt.Epoch()/cfg.Every, rt); err != nil {
+				return fmt.Errorf("elastic: checkpoint save: %w", err)
 			}
-			if _, err := PruneGenerations(cfg.Dir, slot, cfg.KeepGenerations, startGen); err != nil {
-				return fmt.Errorf("elastic: rank %d: checkpoint GC: %w", slot, err)
+			if _, err := PruneGenerations(cfg.Dir, cfg.KeepGenerations, startGen); err != nil {
+				return fmt.Errorf("elastic: checkpoint GC: %w", err)
 			}
 		}
 	}
@@ -201,33 +205,16 @@ func MemberTrainerFactory(ds *datagen.Dataset, parts []int32, topo *core.Topolog
 	}
 }
 
-// reportedGen is the generation slot brings to the resume consensus: the
-// newest one it holds or, for a slot re-admitted after sitting generations
-// out (a -join replacement, a slot missing from the last member set), the
-// newest one ANY slot holds — its own files are stale and donor hydration
-// covers the gap, so its staleness must not drag the whole cohort back.
-func reportedGen(dir string, slot int, readmitted bool) int {
-	if readmitted {
-		return LatestValidGenAny(dir)
-	}
-	return LatestValidGen(dir, slot)
-}
-
 // trainSlot is one slot's share of a generation once the cohort has agreed on
 // members and startGen; both loops run every rank through it. It resumes
-// the trainer, cross-checks the dead slots' shards on a shrunken resume,
-// trains to cfg.Epochs, drains in lockstep so no rank tears down while a peer
-// still trains, and closes w's transport. world is the launch-time world. On
-// failure it aborts the transport first, so no peer is left waiting on this
-// rank.
-func trainSlot(cfg *Config, newTrainer TrainerFactory, onEpoch EpochHook, world int,
+// the trainer, trains to cfg.Epochs, drains in lockstep so no rank tears down
+// while a peer still trains, and closes w's transport. On failure it aborts
+// the transport first, so no peer is left waiting on this rank.
+func trainSlot(cfg *Config, newTrainer TrainerFactory, onEpoch EpochHook,
 	members []int, startGen, slot int, w *comm.Worker) (*core.RankTrainer, error) {
 	rt, err := resume(cfg, newTrainer, members, slot, startGen)
-	if err == nil && len(members) < world && startGen > 0 {
-		err = verifyDeadShards(cfg.Dir, world, members, startGen, rt)
-	}
 	if err == nil {
-		err = trainRank(cfg, rt, w, startGen, slot, onEpoch)
+		err = trainRank(cfg, rt, w, startGen, onEpoch)
 	}
 	if err == nil {
 		err = collective("final barrier", func() error { w.Barrier(); return nil })
@@ -244,59 +231,27 @@ func trainSlot(cfg *Config, newTrainer TrainerFactory, onEpoch EpochHook, world 
 	return rt, nil
 }
 
-// resume builds slot's trainer for the agreed member set and brings it to
-// the agreed generation: sweep the .tmp residue of slot's crashed saves (only
-// slot's own — peers share the directory and may be saving), load startGen
-// (from slot's own shard, or a donor's) and prune generations older than the
-// consensus.
+// resume builds slot's trainer for the agreed member set and loads the
+// agreed generation into it. The writer — the member at mesh rank 0 — then
+// sweeps the .tmp residue of crashed saves and prunes generations older than
+// the consensus.
 func resume(cfg *Config, newTrainer TrainerFactory, members []int, slot, startGen int) (*core.RankTrainer, error) {
-	if _, err := CleanupTmp(cfg.Dir, slot); err != nil {
-		return nil, fmt.Errorf("elastic: rank %d: tmp cleanup: %w", slot, err)
-	}
 	rt, err := newTrainer(members, slot)
 	if err != nil {
 		return nil, fmt.Errorf("elastic: rank %d: trainer: %w", slot, err)
 	}
-	donor, err := LoadGenerationAs(cfg.Dir, startGen, slot, rt)
-	if err != nil {
+	if err := LoadGeneration(cfg.Dir, startGen, rt); err != nil {
 		return nil, fmt.Errorf("elastic: rank %d: load gen %d: %w", slot, startGen, err)
 	}
-	if donor >= 0 && donor != slot {
-		debugf("rank %d: hydrated gen %d from slot %d's shard", slot, startGen, donor)
-	}
-	if _, err := PruneGenerations(cfg.Dir, slot, cfg.KeepGenerations, startGen); err != nil {
-		return nil, fmt.Errorf("elastic: rank %d: checkpoint GC: %w", slot, err)
+	if rt.Rank == 0 {
+		if _, err := CleanupTmp(cfg.Dir); err != nil {
+			return nil, fmt.Errorf("elastic: rank %d: tmp cleanup: %w", slot, err)
+		}
+		if _, err := PruneGenerations(cfg.Dir, cfg.KeepGenerations, startGen); err != nil {
+			return nil, fmt.Errorf("elastic: rank %d: checkpoint GC: %w", slot, err)
+		}
 	}
 	return rt, nil
-}
-
-// verifyDeadShards cross-checks the shrink-time replica invariant: the rows
-// rt absorbed carry model state that the dead slots of the launch-time world
-// last checkpointed too, because every shard of a generation stores the same
-// replica weights. A mismatch means the shared checkpoint directory is skewed
-// (mixed runs, partial copies) and training on it would silently diverge — a
-// hard error, not a recovery. Dead slots that never wrote a verifying shard
-// of this generation are skipped; there is nothing to check against. Each
-// shard is decoded once and compared in place.
-func verifyDeadShards(dir string, world int, members []int, gen int, rt *core.RankTrainer) error {
-	slot := members[rt.Rank]
-	for dead := 0; dead < world; dead++ {
-		if indexOf(members, dead) >= 0 {
-			continue
-		}
-		ck, err := core.ReadCheckpointFile(CheckpointPath(dir, dead, gen))
-		if err != nil {
-			continue
-		}
-		d, err := ck.MaxParamDiff(rt.Model)
-		if err != nil {
-			return fmt.Errorf("elastic: rank %d: dead slot %d's shard of generation %d has a different model shape (%v): checkpoint directory %s mixes runs; refusing to train on absorbed rows", slot, dead, gen, err, dir)
-		}
-		if d != 0 {
-			return fmt.Errorf("elastic: rank %d: dead slot %d's shard of generation %d disagrees with the cohort's weights (max param diff %g): checkpoint directory %s is skewed; refusing to train on absorbed rows", slot, dead, gen, d, dir)
-		}
-	}
-	return nil
 }
 
 // retry runs generations 0, 1, … until one succeeds, booking the member set
@@ -330,8 +285,8 @@ func (rep *Report) retry(maxRecoveries int, who string, generation func(gen int)
 // instead of the rendezvous election, the min-generation consensus as a plain
 // directory read, a fresh NewGroup fabric per generation, and one goroutine
 // per member. Every rank then runs the generation body the multi-process Run
-// ships — sweep, resume, dead-shard check, train, drain — and on any rank's
-// death the group is torn down and the loop goes round again.
+// ships — resume, train, drain — and on any rank's death the group is torn
+// down and the loop goes round again.
 type Supervisor struct {
 	Cfg Config
 	// NewTrainer constructs slot's trainer within the given member set; see
@@ -343,7 +298,6 @@ type Supervisor struct {
 	// the generation the fault should fire in; a fresh group per generation
 	// is what guarantees a one-shot fault cannot re-fire after recovery.
 	// When Members is set, the group's size must equal len(Members(gen)).
-	// The launch-time world is generation 0's group size.
 	NewGroup func(gen int) (*comm.Group, error)
 	// Members, when set, scripts world resizing: it returns the live slots
 	// of rendezvous generation gen (nil means the full world). This is the
@@ -362,19 +316,13 @@ func (s *Supervisor) Run() ([]*core.RankTrainer, Report, error) {
 		return nil, rep, err
 	}
 	var trainers []*core.RankTrainer
-	var prev []int
-	world := 0
 	err := rep.retry(s.Cfg.MaxRecoveries, "elastic", func(gen int) (members []int, start int, err error) {
 		g, err := s.NewGroup(gen)
 		if err != nil {
 			return nil, -1, fmt.Errorf("elastic: generation %d: group: %w", gen, err)
 		}
 		defer g.Close()
-		if gen == 0 {
-			world = g.Size()
-		}
-		trainers, members, start, err = s.generation(gen, world, g, prev)
-		prev = members
+		trainers, members, start, err = s.generation(gen, g)
 		return members, start, err
 	})
 	if err != nil {
@@ -384,10 +332,9 @@ func (s *Supervisor) Run() ([]*core.RankTrainer, Report, error) {
 }
 
 // generation runs one bootstrap-train cycle over g: agree on the member set
-// and the resume generation, then run every member through trainSlot. prev
-// is the member set of the generation before. The error is the bootstrap's,
-// or the most informative of the ranks' failures.
-func (s *Supervisor) generation(gen, world int, g *comm.Group, prev []int) ([]*core.RankTrainer, []int, int, error) {
+// and the resume generation, then run every member through trainSlot. The
+// error is the bootstrap's, or the most informative of the ranks' failures.
+func (s *Supervisor) generation(gen int, g *comm.Group) ([]*core.RankTrainer, []int, int, error) {
 	k := g.Size()
 	members := fullMembers(k)
 	if s.Members != nil {
@@ -398,16 +345,11 @@ func (s *Supervisor) generation(gen, world int, g *comm.Group, prev []int) ([]*c
 			return nil, nil, -1, fmt.Errorf("elastic: generation %d: Members lists %d slots but the group has %d endpoints", gen, len(members), k)
 		}
 	}
-	// Generation consensus, the in-process degenerate case: every rank's
-	// report is a local directory read, the agreement a plain min. The
-	// multi-process loop exchanges the same numbers through the elastic
-	// rendezvous (see bootstrap.go).
-	start := -1
-	for _, slot := range members {
-		if lg := reportedGen(s.Cfg.Dir, slot, prev != nil && indexOf(prev, slot) < 0); start < 0 || lg < start {
-			start = lg
-		}
-	}
+	// Generation consensus, the in-process degenerate case: every rank would
+	// report the same directory read at the same moment, so the agreement is
+	// that read. The multi-process loop takes the min of the ranks' reports
+	// through the elastic rendezvous (see bootstrap.go).
+	start := LatestValidGen(s.Cfg.Dir)
 
 	trainers := make([]*core.RankTrainer, k)
 	errs := make([]error, k)
@@ -416,14 +358,14 @@ func (s *Supervisor) generation(gen, world int, g *comm.Group, prev []int) ([]*c
 		wg.Add(1)
 		go func(r, slot int) {
 			defer wg.Done()
-			trainers[r], errs[r] = trainSlot(&s.Cfg, s.NewTrainer, s.OnEpoch, world, members, start, slot, g.Worker(r))
+			trainers[r], errs[r] = trainSlot(&s.Cfg, s.NewTrainer, s.OnEpoch, members, start, slot, g.Worker(r))
 		}(r, slot)
 	}
 	wg.Wait()
 
 	// Pick the most informative failure for the report: the victim's own
-	// error names the root cause (e.g. an injected fault, a skewed
-	// checkpoint directory), while the survivors only see "transport aborted
+	// error names the root cause (e.g. an injected fault, a checkpoint that
+	// does not load), while the survivors only see "transport aborted
 	// by rank r".
 	var failed error
 	for _, err := range errs {

@@ -404,19 +404,19 @@ func TestLatestValidGenFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if got := LatestValidGen(dir, 0); got != 0 {
+	if got := LatestValidGen(dir); got != 0 {
 		t.Fatalf("empty dir scanned to gen %d", got)
 	}
 	for g := 1; g <= 3; g++ {
-		if err := SaveGenerationAs(dir, g, rt.Rank, rt); err != nil {
+		if err := SaveGeneration(dir, g, rt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := LatestValidGen(dir, 0); got != 3 {
+	if got := LatestValidGen(dir); got != 3 {
 		t.Fatalf("scan found gen %d, want 3", got)
 	}
 	// Bit-flip the newest generation: the scan must fall back to gen 2.
-	p3 := CheckpointPath(dir, 0, 3)
+	p3 := CheckpointPath(dir, 3)
 	raw, err := os.ReadFile(p3)
 	if err != nil {
 		t.Fatal(err)
@@ -425,18 +425,14 @@ func TestLatestValidGenFallsBack(t *testing.T) {
 	if err := os.WriteFile(p3, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := LatestValidGen(dir, 0); got != 2 {
+	if got := LatestValidGen(dir); got != 2 {
 		t.Fatalf("scan found gen %d after corrupting gen 3, want 2", got)
 	}
 	// A half-renamed gen 4 (.tmp only) must be invisible.
-	if err := os.WriteFile(CheckpointPath(dir, 0, 4)+".tmp", raw, 0o644); err != nil {
+	if err := os.WriteFile(CheckpointPath(dir, 4)+".tmp", raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := LatestValidGen(dir, 0); got != 2 {
+	if got := LatestValidGen(dir); got != 2 {
 		t.Fatalf("scan found gen %d with an orphan .tmp present, want 2", got)
-	}
-	// Other ranks' files are invisible to this rank's scan.
-	if got := LatestValidGen(dir, 1); got != 0 {
-		t.Fatalf("rank 1 scan found rank 0's generation %d", got)
 	}
 }

@@ -9,8 +9,9 @@ import (
 )
 
 // Binary graph format: a small magic header followed by N, the indptr array
-// and the indices array, all little-endian. Used by cmd/bnspart and the
-// benchmark harness to cache generated graphs between runs.
+// and the indices array, all little-endian. cmd/bnspart writes it (-save)
+// and reads it (-load), and cmd/bnsserve serves a graph read from it
+// (-graph).
 
 const magic = uint32(0x42534743) // "BSGC"
 
