@@ -6,11 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// Reserved tag space at the top of the uint32 range, used for
-// transport-internal control messages. Application tags must stay below
-// tagReservedBase; the training protocol's tags are all small integers.
+// A tag lies in [0, 2³¹) on every platform: a frame carries it in 32 bits
+// and a 32-bit int holds no more. The top half, [2³⁰, 2³¹), is reserved for
+// transport-internal control messages; application tags must stay below
+// tagReservedBase, and the training protocol's tags are all small integers.
 const (
-	tagReservedBase = 1 << 31
+	tagReservedBase = 1 << 30
 	tagBarrierEnter = tagReservedBase + 0
 	tagBarrierLeave = tagReservedBase + 1
 	tagBye          = tagReservedBase + 2

@@ -11,7 +11,7 @@ import (
 // Wire codec for the TCP transport. Every frame is a fixed 12-byte
 // little-endian header followed by the payload:
 //
-//	offset 0: uint32 tag
+//	offset 0: uint32 tag, below 2³¹
 //	offset 4: uint8  dtype (dtypeF32 or dtypeCtrl)
 //	offset 5: three reserved bytes, must be zero
 //	offset 8: uint32 nelems — number of 4-byte payload elements
@@ -20,10 +20,11 @@ import (
 // can never describe a payload that is not a multiple of the element size,
 // and nelems is capped at maxFrameElems so a corrupt or hostile header
 // cannot make the reader allocate unboundedly. Decoding rejects truncated
-// input, oversized lengths, unknown dtypes, and non-zero reserved bytes
-// with errors — never panics — which FuzzFrameRoundTrip exercises. Every
-// payload is float32 rows: dtype 1, the int32 payloads of older builds, is
-// unknown. Which tags each dtype may use is the demux's check (readLoop).
+// input, oversized lengths, tags of 2³¹ and above, unknown dtypes, and
+// non-zero reserved bytes with errors — never panics — which
+// FuzzFrameRoundTrip exercises. Every payload is float32 rows: dtype 1, the
+// int32 payloads of older builds, is unknown. Which tags each dtype may use
+// is the demux's check (readLoop).
 //
 // A float32 payload is never encoded or decoded element by element: the
 // sender gathers its rows straight into a float32 view of the outgoing
@@ -50,8 +51,8 @@ type frame struct {
 
 // encodeFrameHeader validates and appends the 12-byte header.
 func encodeFrameHeader(dst []byte, tag int, dtype byte, nelems int) ([]byte, error) {
-	if tag < 0 || int64(tag) > math.MaxUint32 {
-		return dst, fmt.Errorf("comm: frame tag %d outside uint32", tag)
+	if tag < 0 || int64(tag) > math.MaxInt32 {
+		return dst, fmt.Errorf("comm: frame tag %d outside [0,2^31)", tag)
 	}
 	if dtype != dtypeF32 && dtype != dtypeCtrl {
 		return dst, fmt.Errorf("comm: unknown frame dtype %d", dtype)
@@ -85,7 +86,12 @@ func parseFrameHeader(h []byte) (int, byte, int, error) {
 	if len(h) < frameHeaderSize {
 		return 0, 0, 0, fmt.Errorf("comm: truncated frame header: %d of %d bytes", len(h), frameHeaderSize)
 	}
-	tag := int(binary.LittleEndian.Uint32(h[0:]))
+	// A tag ≥ 2³¹ would turn negative as a 32-bit int and pass for an
+	// application tag.
+	tag := binary.LittleEndian.Uint32(h[0:])
+	if tag > math.MaxInt32 {
+		return 0, 0, 0, fmt.Errorf("comm: frame tag %d outside [0,2^31)", tag)
+	}
 	dtype := h[4]
 	if dtype != dtypeF32 && dtype != dtypeCtrl {
 		return 0, 0, 0, fmt.Errorf("comm: unknown frame dtype %d", dtype)
@@ -99,7 +105,7 @@ func parseFrameHeader(h []byte) (int, byte, int, error) {
 	if n > maxFrameElems {
 		return 0, 0, 0, fmt.Errorf("comm: frame length %d elements exceeds cap %d", n, maxFrameElems)
 	}
-	return tag, dtype, int(n), nil
+	return int(tag), dtype, int(n), nil
 }
 
 // decodeFrame parses one frame from the front of b, returning the frame and

@@ -98,6 +98,9 @@ func TestFrameRejectsMalformedInput(t *testing.T) {
 	if _, err := appendFrameBytes(nil, -1, dtypeF32, nil); err == nil {
 		t.Fatal("negative tag accepted")
 	}
+	if _, err := appendFrameBytes(nil, math.MaxInt32, dtypeF32, nil); err != nil {
+		t.Fatalf("tag 2^31-1 refused: %v", err)
+	}
 	if _, err := appendFrameBytes(nil, 0, 99, nil); err == nil {
 		t.Fatal("unknown dtype accepted")
 	}
@@ -109,6 +112,11 @@ func TestFrameRejectsMalformedInput(t *testing.T) {
 	binary.LittleEndian.PutUint32(oversize[8:], maxFrameElems+1)
 	if _, _, err := decodeFrame(oversize); err == nil {
 		t.Fatal("oversized frame length accepted")
+	}
+	wide := slices.Clone(valid)
+	binary.LittleEndian.PutUint32(wide[0:], 1<<31)
+	if _, _, err := decodeFrame(wide); err == nil {
+		t.Fatal("tag 2^31 accepted")
 	}
 	reserved := slices.Clone(valid)
 	reserved[5] = 1
@@ -123,8 +131,11 @@ func TestFrameRejectsMalformedInput(t *testing.T) {
 // frame carries — is rejected with an error, never a panic or an over-read.
 // The dtype argument's low bit picks one of the two dtypes a frame may carry;
 // the whole byte, written into a valid header, must decode exactly when it
-// is one of them. The last seed is an evaluation count frame of the int32
-// dtype (1) older builds sent, which must be refused as unknown.
+// is one of them. A tag of 2³¹ or more (the MaxUint32 seed) is outside the
+// tag domain: the encoder refuses it and so does the decoder, in a header
+// that is otherwise valid; the rest of the run takes the tag's low 31 bits.
+// The last seed is an evaluation count frame of the int32 dtype (1) older
+// builds sent, which must be refused as unknown.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(uint32(0), byte(0), []byte{})
 	f.Add(uint32(910), byte(1), []byte{1, 2, 3, 4})
@@ -134,6 +145,20 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, tag uint32, dtype byte, raw []byte) {
 		payload := raw[:len(raw)/4*4]
 		kind := []byte{dtypeF32, dtypeCtrl}[dtype%2]
+		if tag > math.MaxInt32 {
+			if _, err := appendFrameBytes(nil, int(tag), kind, payload); err == nil {
+				t.Fatalf("tag %d encoded", tag)
+			}
+			hdr, err := appendFrameBytes(nil, 0, kind, payload)
+			if err != nil {
+				t.Fatalf("encoding a valid frame failed: %v", err)
+			}
+			binary.LittleEndian.PutUint32(hdr[0:], tag)
+			if _, _, err := decodeFrame(hdr); err == nil {
+				t.Fatalf("tag %d decoded", tag)
+			}
+			tag &= math.MaxInt32
+		}
 		enc, err := appendFrameBytes(nil, int(tag), kind, payload)
 		if err != nil {
 			t.Fatalf("encoding a valid frame failed: %v", err)

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/datagen"
 	"repro/internal/metrics"
+	"repro/internal/nn"
 	"repro/internal/optim"
 	"repro/internal/tensor"
 )
@@ -15,6 +16,10 @@ type FullTrainer struct {
 	Model *Model
 	Opt   *optim.Adam
 	lay   Layout
+	// The loss's scratch, reused every epoch: the logit gradient and the
+	// softmax head's row slots.
+	grad *tensor.Matrix
+	loss nn.SoftmaxLoss
 }
 
 // NewFullTrainer builds the reference trainer with an Adam optimizer. The
@@ -41,9 +46,10 @@ func (t *FullTrainer) Forward(train bool) *tensor.Matrix {
 // TrainEpoch runs one full-graph training step and returns the train loss.
 func (t *FullTrainer) TrainEpoch() float64 {
 	logits := t.Forward(true)
-	loss, dLogits := Loss(t.DS.MultiLabel, logits, t.DS.Labels, t.DS.LabelMatrix, t.DS.TrainMask, 0)
+	d := tensor.EnsureMat(&t.grad, logits.Rows, logits.Cols)
+	loss := LossInto(&t.loss, d, t.DS.MultiLabel, logits, t.DS.Labels, t.DS.LabelMatrix, t.DS.TrainMask, 0)
 	t.Model.ZeroGrad()
-	t.Model.Backward(dLogits)
+	t.Model.Backward(d)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
 	return loss
 }

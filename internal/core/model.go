@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/nn"
@@ -42,6 +43,9 @@ func (c *ModelConfig) Validate() error {
 	}
 	if !(c.Dropout >= 0 && c.Dropout < 1) {
 		return fmt.Errorf("core: dropout %v", c.Dropout)
+	}
+	if !(c.LR > 0 && !math.IsInf(float64(c.LR), 1)) {
+		return fmt.Errorf("core: learning rate %v, want finite and > 0", c.LR)
 	}
 	return nil
 }
@@ -361,21 +365,13 @@ func MaxParamDiff(a, b *Model) float32 {
 	return mx
 }
 
-// Loss computes the loss — sigmoid BCE against labelMatrix for a multi-label
-// dataset, softmax cross-entropy against labels otherwise — and logit
-// gradient over masked rows, rescaled so that summing across partitions yields the global mean
-// loss: both loss and gradient are multiplied by (local masked count /
-// denom). Pass denom == global masked count; for single-process training use
-// the local count itself.
-func Loss(multiLabel bool, logits *tensor.Matrix, labels []int32, labelMatrix *tensor.Matrix, mask []bool, denom int) (float64, *tensor.Matrix) {
-	grad := tensor.New(logits.Rows, logits.Cols)
-	loss := LossInto(new(nn.SoftmaxLoss), grad, multiLabel, logits, labels, labelMatrix, mask, denom)
-	return loss, grad
-}
-
-// LossInto is Loss writing the gradient into a caller-owned matrix
-// (overwritten) and running the softmax head on the caller's sl, for
-// allocation-free training loops.
+// LossInto computes the loss — sigmoid BCE against labelMatrix for a
+// multi-label dataset, softmax cross-entropy against labels on the caller's
+// sl otherwise — and writes the logit gradient over masked rows into grad
+// (overwritten), both rescaled so that summing across partitions yields the
+// global mean loss: they are multiplied by (local masked count / denom).
+// Pass denom == global masked count; for single-process training use the
+// local count itself, or 0. It allocates nothing.
 func LossInto(sl *nn.SoftmaxLoss, grad *tensor.Matrix, multiLabel bool, logits *tensor.Matrix, labels []int32, labelMatrix *tensor.Matrix, mask []bool, denom int) float64 {
 	local := 0
 	for i := 0; i < logits.Rows; i++ {

@@ -435,9 +435,9 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 func (rt *RankTrainer) Epoch() int { return rt.epoch }
 
 // dropoutState returns where layer l's dropout stream stands after epoch
-// training epochs. A training pass draws one mask element per input column
-// over all NIn+NBd rows, sampled slots or not (forwardFree), an evaluation
-// draws none, and a layer whose rate is 0 draws nothing.
+// training epochs. A training pass moves the stream one draw per input
+// column over all NIn+NBd rows, sampled slots or not (nn.Dropout.ForwardBegin),
+// an evaluation draws none, and a layer whose rate is 0 draws nothing.
 func (rt *RankTrainer) dropoutState(l, epoch int) uint64 {
 	r := tensor.NewRNG(rt.dropStart[l])
 	if rt.Model.Dropouts[l].Rate != 0 {

@@ -267,13 +267,22 @@ func TestParallelRejectsBadP(t *testing.T) {
 
 // TestModelConfigRejectsBadDropout: a dropout rate outside [0,1) is a
 // configuration error — NaN too, which every comparison lets through and
-// which would drop every activation.
+// which would drop every activation. So is a learning rate that is not
+// finite and positive: a negative one trains by gradient ascent, a NaN one
+// turns the weights to NaN.
 func TestModelConfigRejectsBadDropout(t *testing.T) {
 	for _, rate := range []float32{-0.1, 1, 1.5, float32(math.NaN())} {
 		cfg := testModelConfig()
 		cfg.Dropout = rate
 		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "core: dropout") {
 			t.Fatalf("dropout %v: Validate() = %v, want a dropout error", rate, err)
+		}
+	}
+	for _, lr := range []float32{-0.01, 0, float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+		cfg := testModelConfig()
+		cfg.LR = lr
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "core: learning rate") {
+			t.Fatalf("lr %v: Validate() = %v, want a learning-rate error", lr, err)
 		}
 	}
 	cfg := testModelConfig()

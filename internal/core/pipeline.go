@@ -56,9 +56,9 @@ import (
 // a payload landed:
 //
 //   - the forward scatter writes each peer's rows into disjoint halo rows;
-//   - dropout masks for all halo rows are drawn up front, each from the
-//     stream offset its slot has in a pass over every boundary slot
-//     (nn.Dropout.MaskRowsAt), and applied per peer as it is received;
+//   - a dropout mask element is addressed by its position in a pass over
+//     the inner rows and every boundary slot (nn.Dropout), so each peer's
+//     rows are drawn and masked as they are received;
 //   - a halo-dependent row is computed exactly once, after the last peer;
 //   - backward peer gradients, whose += into shared rows is
 //     order-sensitive, are added in ascending rank order.
@@ -287,25 +287,22 @@ func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) {
 // boundary data. x comes from the epoch workspace with undefined contents:
 // the dropout pass that fills its inner rows from the inner activations h is
 // the only copy of them made, and the drain writes and masks every halo row
-// in place
-// — the epoch space has a row only for a sampled slot, and each of those is
-// in exactly one peer's receive list. The halo rows' dropout masks are drawn
-// here, right after the inner rows', so the drain can apply them per peer:
-// each sampled slot draws at the stream offset it has in a single pass over
-// the inner rows and then all NBd slots, and the stream is left where that
-// pass ends — the masks and the checkpointed stream position
-// do not depend on which other slots an epoch sampled (an evaluation's pass is
+// in place — the epoch space has a row only for a sampled slot, and each of
+// those is in exactly one peer's receive list. The dropout pass is placed by
+// the layout's halo placement: each sampled slot takes the masks it has in a
+// pass over the inner rows and then all NBd slots, and the stream is left
+// where that pass ends, so the masks and the checkpointed stream position do
+// not depend on which other slots an epoch sampled (an evaluation's pass is
 // the identity and draws nothing). Returns the layer's output matrix; its
 // halo-dependent rows are valid after the drain.
 func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
 	rt.ep.clk.to(phaseCompute)
 	lp, ep := rt.LP, &rt.ep
 	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
-	drop.ForwardBegin(x, h, !ep.eval)
+	drop.ForwardBegin(x, h, !ep.eval, lp.lay.HaloAt, lp.lay.HaloN)
 	drop.ForwardRows(0, lp.NIn)
 	out := layer.ForwardBegin(&lp.lay, x)
 	layer.ForwardPrep(0, lp.NIn)
-	drop.MaskRowsAt(lp.NIn, lp.rowSlot, lp.NBd)
 	layer.ForwardRows(lp.haloFree)
 	return out
 }
@@ -313,8 +310,8 @@ func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
 // drainForward receives layer l's boundary feature rows peer by peer in
 // ascending rank: each payload is scattered into that peer's halo rows of x
 // with the sampler's receive rescale (the unbiased 1/p of Section 3.2 for
-// BNS), and the rows are masked in place with their pre-drawn dropout masks
-// and their per-node precomputations run. After the last peer every
+// BNS), and the rows' dropout masks are drawn and applied in place and their
+// per-node precomputations run. After the last peer every
 // halo-dependent row is computed in one pass. Receives and halo fills are
 // exposed comm, the row passes compute.
 func (rt *RankTrainer) drainForward(l int, x *tensor.Matrix) {

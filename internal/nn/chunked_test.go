@@ -163,9 +163,9 @@ func TestGATChunkedMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestDropoutChunkedMatchesOneShot: chunked forward must consume the mask
-// RNG stream exactly like a full pass (inner rows before halo rows), and the
-// chunked backward must reproduce the one-shot mask application.
+// TestDropoutChunkedMatchesOneShot: a forward whose row chunks run in any
+// order draws exactly the masks of a full pass, and the chunked backward
+// reproduces the one-shot mask application.
 func TestDropoutChunkedMatchesOneShot(t *testing.T) {
 	const rows, cols, cut = 23, 7, 9
 	x := randMat(tensor.NewRNG(3), rows, cols)
@@ -176,10 +176,13 @@ func TestDropoutChunkedMatchesOneShot(t *testing.T) {
 
 	want := ref.Forward(x, true)
 	got := tensor.New(rows, cols)
-	chk.ForwardBegin(got, x, true)
-	chk.ForwardRows(0, cut)
+	chk.ForwardBegin(got, x, true, nil, 0)
 	chk.ForwardRows(cut, rows)
+	chk.ForwardRows(0, cut)
 	sameBits(t, "dropout/forward", got.Data, want.Data)
+	if chk.RNGState() != ref.RNGState() {
+		t.Fatalf("stream at %#x after the chunked pass, %#x after the one-shot one", chk.RNGState(), ref.RNGState())
+	}
 
 	wantDX := ref.Backward(dOut.Clone())
 	gotDX := dOut.Clone()
@@ -190,7 +193,7 @@ func TestDropoutChunkedMatchesOneShot(t *testing.T) {
 	// Identity pass: the rows pass through unchanged, nothing is drawn, and
 	// the backward leaves the gradient alone.
 	before := chk.RNGState()
-	chk.ForwardBegin(got, x, false)
+	chk.ForwardBegin(got, x, false, nil, 0)
 	chk.ForwardRows(0, rows)
 	sameBits(t, "dropout/identity-forward", got.Data, x.Data)
 	chk.BackwardRows(gotDX, 0, rows)
@@ -200,11 +203,11 @@ func TestDropoutChunkedMatchesOneShot(t *testing.T) {
 	}
 }
 
-// TestDropoutMaskApplySplitMatchesForwardRows: drawing all masks up front
-// (MaskRows, the RNG-stream-ordered half) and applying them later in
-// arbitrary per-peer row batches (ApplyMaskedRows, the value-dependent half)
-// must reproduce a plain ascending ForwardRows pass bit for bit — the
-// contract the halo drain rests on when it masks one peer's rows at a time.
+// TestDropoutMaskApplySplitMatchesForwardRows: rows the caller writes into
+// the destination itself, drawn and masked by ApplyMaskedRows in out-of-order
+// per-peer batches, reproduce a plain ascending ForwardRows pass bit for bit
+// — the contract the halo drain rests on when it masks one peer's rows at a
+// time, as they land.
 func TestDropoutMaskApplySplitMatchesForwardRows(t *testing.T) {
 	const rows, cols, cut = 23, 7, 9
 	x := randMat(tensor.NewRNG(3), rows, cols)
@@ -216,38 +219,38 @@ func TestDropoutMaskApplySplitMatchesForwardRows(t *testing.T) {
 	chk := NewDropout(0.4, tensor.NewRNG(9))
 
 	want := tensor.New(rows, cols)
-	ref.ForwardBegin(want, x, true)
+	ref.ForwardBegin(want, x, true, nil, 0)
 	ref.ForwardRows(0, cut)
 	ref.ForwardRows(cut, rows)
 
 	// The late rows land in the destination itself, as a peer's payload does.
 	got := x.Clone()
-	chk.ForwardBegin(got, x, true)
+	chk.ForwardBegin(got, x, true, nil, 0)
 	chk.ForwardRows(0, cut)
-	chk.MaskRows(cut, rows)
 	// Apply in out-of-order, disjoint batches, as peers landing would.
 	chk.ApplyMaskedRows([]int32{21, 22, 10, 15})
 	chk.ApplyMaskedRows([]int32{9, 20, 11})
 	chk.ApplyMaskedRows([]int32{14, 12, 13, 16, 17, 18, 19})
 	sameBits(t, "dropout/mask-apply", got.Data, want.Data)
 
-	// Identity pass: both halves are no-ops.
+	// Identity pass: the apply is a no-op.
 	got = x.Clone()
-	chk.ForwardBegin(got, x, false)
-	chk.MaskRows(0, rows)
+	chk.ForwardBegin(got, x, false, nil, 0)
 	chk.ApplyMaskedRows([]int32{0, 1})
 	sameBits(t, "dropout/identity-mask-apply", got.Data, x.Data)
 }
 
-// TestDropoutMaskRowsAtMatchesDenseDraw: the seeking draw over an ascending
-// selection of a dense block's rows must give each selected row the masks one
-// dense MaskRows sweep over the whole block gives it, and leave the stream
-// where that sweep ends — for no rows, one row, runs of adjacent rows, a
-// random selection and every row. This is what lets the epoch engine hold
-// rows only for the boundary slots it sampled without moving a mask or a
-// checkpointed stream position. The masks are read back by masking a matrix
-// of ones: 1/(1−rate) where the bit is set, 0 where it is clear.
-func TestDropoutMaskRowsAtMatchesDenseDraw(t *testing.T) {
+// TestDropoutSelectionMatchesDenseDraw: a pass whose halo rows are a
+// selection from a dense block (ForwardBegin's at, n) gives each selected
+// row the masks one dense pass over the inner rows and the whole block gives
+// it, and leaves the stream where that pass ends — for no rows, one row,
+// runs of adjacent rows, a random selection and every row, with the halo
+// rows dealt to peers and applied in shuffled order. This is what lets the
+// epoch engine hold rows only for the boundary slots it sampled without
+// moving a mask or a checkpointed stream position. The masks are read back
+// by masking matrices of ones, forward and backward: 1/(1−rate) where the
+// bit is set, 0 where it is clear.
+func TestDropoutSelectionMatchesDenseDraw(t *testing.T) {
 	const nIn, n = 5, 40
 	rng := tensor.NewRNG(12)
 	var random, all []int32
@@ -274,23 +277,35 @@ func TestDropoutMaskRowsAtMatchesDenseDraw(t *testing.T) {
 		} {
 			dense := NewDropout(0.4, tensor.NewRNG(9))
 			dm := ones(nIn+n, cols)
-			dense.ForwardBegin(dm, dm, true)
-			dense.ForwardRows(0, nIn)
-			dense.MaskRows(nIn, nIn+n)
-			dense.ApplyMaskedRows(rowList(nIn, nIn+n))
+			dense.Forward(dm, true)
 
 			sparse := NewDropout(0.4, tensor.NewRNG(9))
 			sm := ones(nIn+len(at), cols)
-			sparse.ForwardBegin(sm, sm, true)
+			sparse.ForwardBegin(sm, sm, true, at, n)
+			halo := rng.Perm(len(at))
+			for i := range halo {
+				halo[i] += nIn
+			}
+			for _, rows := range peerBatches(rng, halo, 3) {
+				sparse.ApplyMaskedRows(rows)
+			}
 			sparse.ForwardRows(0, nIn)
-			sparse.MaskRowsAt(nIn, at, n)
-			sparse.ApplyMaskedRows(rowList(nIn, nIn+len(at)))
 
-			for i, r := range at {
-				sameBits(t, fmt.Sprintf("dropout/seek/%s/cols=%d", name, cols), sm.Row(nIn+i), dm.Row(nIn+int(r)))
+			// The forward's output, and the masks the backward reads after
+			// every row has been drawn.
+			dg, sg := ones(nIn+n, cols), ones(nIn+len(at), cols)
+			dense.Backward(dg)
+			sparse.Backward(sg)
+			for pass, pair := range [][2]*tensor.Matrix{{sm, dense.outBuf}, {sg, dg}} {
+				got, want := pair[0], pair[1]
+				label := fmt.Sprintf("dropout/selection/%s/cols=%d/pass%d", name, cols, pass)
+				sameBits(t, label+"/inner", got.Data[:nIn*cols], want.Data[:nIn*cols])
+				for i, r := range at {
+					sameBits(t, label, got.Row(nIn+i), want.Row(nIn+int(r)))
+				}
 			}
 			if sparse.RNGState() != dense.RNGState() {
-				t.Fatalf("%s: stream at %#x after the seeking draw, %#x after the dense one", name, sparse.RNGState(), dense.RNGState())
+				t.Fatalf("%s: stream at %#x after the selection, %#x after the dense pass", name, sparse.RNGState(), dense.RNGState())
 			}
 		}
 	}
@@ -299,11 +314,25 @@ func TestDropoutMaskRowsAtMatchesDenseDraw(t *testing.T) {
 	d := NewDropout(0.4, tensor.NewRNG(9))
 	before := d.RNGState()
 	m := randMat(rng, nIn+2, 7)
-	d.ForwardBegin(m, m, false)
-	d.MaskRowsAt(nIn, []int32{1, 5}, n)
+	keep := m.Clone()
+	d.ForwardBegin(m, m, false, []int32{1, 5}, n)
+	d.ForwardRows(0, nIn)
+	d.ApplyMaskedRows([]int32{nIn + 1, nIn})
+	sameBits(t, "dropout/selection/identity", m.Data, keep.Data)
 	if d.RNGState() != before {
 		t.Fatal("identity pass moved the mask stream")
 	}
+}
+
+// peerBatches deals rows out to k peers at random, each peer's in the order
+// given, as a partition's per-peer receive lists interleave its halo rows.
+func peerBatches(rng *tensor.RNG, rows []int32, k int) [][]int32 {
+	peers := make([][]int32, k)
+	for _, r := range rows {
+		j := rng.Intn(k)
+		peers[j] = append(peers[j], r)
+	}
+	return peers
 }
 
 // rowList lists the rows [r0, r1).

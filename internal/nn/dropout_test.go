@@ -80,8 +80,9 @@ func specialMat(rng *tensor.RNG, rows, cols int) *tensor.Matrix {
 
 // TestDropoutBitMaskMatchesReference: the in-place and the
 // destination-beside-source passes over a packed bit mask produce, bit for
-// bit, what the float32-mask dropout did — forward (one range, chunks, and
-// the draw-now-apply-later split the halo drain uses) and backward — on
+// bit, what the float32-mask dropout's one ascending pass did — forward
+// (ForwardRows chunks out of order, then rows the caller wrote applied in
+// shuffled batches, as the halo drain applies each peer's) and backward — on
 // inputs holding ±0, NaN and ±Inf, with column counts that let a mask word
 // straddle rows, and on a bitset reused from a larger pass (stale bits).
 func TestDropoutBitMaskMatchesReference(t *testing.T) {
@@ -102,26 +103,23 @@ func TestDropoutBitMaskMatchesReference(t *testing.T) {
 				x := specialMat(rng, rows, cols)
 				g := specialMat(rng, rows, cols)
 				want := make([]float32, rows*cols)
-				ref.forward(want, x.Data, 0, cut*cols)
-				ref.draw(cut*cols, rows*cols)
-				ref.apply(want, x.Data, cut*cols, rows*cols)
+				ref.forward(want, x.Data, 0, rows*cols)
 				wantDX := ref.backward(g.Data)
 
 				dst, src := tensor.New(rows, cols), x.Clone()
 				if inPlace {
 					dst = src
 				}
-				d.ForwardBegin(dst, src, true)
-				d.ForwardRows(0, cut)
-				d.MaskRows(cut, cut+3)
-				d.MaskRows(cut+3, rows)
+				d.ForwardBegin(dst, src, true, nil, 0)
+				d.ForwardRows(4, cut)
+				d.ForwardRows(0, 4)
 				if !inPlace {
 					// The late rows land in the destination, as halo rows do.
 					copy(dst.Data[cut*cols:], x.Data[cut*cols:])
 				}
 				d.ApplyMaskedRows([]int32{21, 22, 10, 15})
 				d.ApplyMaskedRows([]int32{9, 20, 11})
-				d.ApplyMaskedRows([]int32{14, 12, 13, 16, 17, 18, 19})
+				d.ApplyMaskedRows([]int32{19, 14, 12, 13, 16, 17, 18})
 				sameBits(t, name+"/forward", dst.Data, want)
 				if !inPlace {
 					sameBits(t, name+"/source untouched", src.Data, x.Data)
@@ -164,64 +162,53 @@ func TestDropoutOneShotLeavesSourceAlone(t *testing.T) {
 	sameBits(t, "backward", g.Data, wantDX)
 }
 
-// TestDropoutRejectsContractViolations: the stream-order contract, the
-// destination's extent and the backward's shape are checked, and the panic
-// names the layer, the rows asked and the rows expected.
+// TestDropoutRejectsContractViolations: the destination's extent, the halo
+// placement's size and the backward's shape are checked, and the panic names
+// the layer, the rows asked and the rows there are.
 func TestDropoutRejectsContractViolations(t *testing.T) {
 	begin := func() (*Dropout, *tensor.Matrix) {
 		d := NewDropout(0.4, tensor.NewRNG(9))
 		d.Layer = 2
 		x := randMat(tensor.NewRNG(1), 10, 5)
-		d.ForwardBegin(x, x, true)
+		d.ForwardBegin(x, x, true, nil, 0)
 		return d, x
 	}
 	for _, tc := range []struct {
 		name, want string
 		pass       func(d *Dropout, x *tensor.Matrix)
 	}{
-		{"overlap", "dropout layer 2: forward rows [3,6) asked, rows from 4 on expected",
-			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(0, 4); d.ForwardRows(3, 6) }},
-		{"backwards", "dropout layer 2: forward rows [0,2) asked, rows from 8 on expected",
-			func(d *Dropout, _ *tensor.Matrix) { d.MaskRows(4, 8); d.MaskRows(0, 2) }},
-		{"inverted", "dropout layer 2: forward rows [5,3) asked, rows from 0 on expected",
+		{"inverted", "dropout layer 2: forward rows [5,3) asked, the destination has 10 rows",
 			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(5, 3) }},
-		{"seek after sweep", "dropout layer 2: forward rows [4,5) asked, rows from 6 on expected",
-			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(0, 6); d.MaskRowsAt(4, []int32{1, 3}, 8) }},
 		{"past destination", "dropout layer 2: forward rows [8,11) asked, the destination has 10 rows",
 			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(8, 11) }},
 		{"short destination", "dropout layer 2: forward rows [0,10) asked, the destination has 6 rows",
-			func(d *Dropout, x *tensor.Matrix) { d.ForwardBegin(tensor.New(6, 5), x, true); d.ForwardRows(0, 10) }},
+			func(d *Dropout, x *tensor.Matrix) {
+				d.ForwardBegin(tensor.New(6, 5), x, true, nil, 0)
+				d.ForwardRows(0, 10)
+			}},
 		{"short source", "dropout layer 2: forward rows [0,10) asked, the source has 6 rows",
-			func(d *Dropout, x *tensor.Matrix) { d.ForwardBegin(x, tensor.New(6, 5), true); d.ForwardRows(0, 10) }},
+			func(d *Dropout, x *tensor.Matrix) {
+				d.ForwardBegin(x, tensor.New(6, 5), true, nil, 0)
+				d.ForwardRows(0, 10)
+			}},
 		{"column mismatch", "dropout layer 2: destination has 5 columns, source 4",
-			func(d *Dropout, x *tensor.Matrix) { d.ForwardBegin(x, tensor.New(10, 4), true) }},
+			func(d *Dropout, x *tensor.Matrix) { d.ForwardBegin(x, tensor.New(10, 4), true, nil, 0) }},
+		{"halo past destination", "dropout layer 2: 11 halo rows placed, the destination has 10 rows",
+			func(d *Dropout, x *tensor.Matrix) { d.ForwardBegin(x, x, true, make([]int32, 11), 20) }},
 		{"backward rows", "dropout layer 2: backward over a 9x5 gradient, the forward pass drew a 10x5 mask",
 			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(0, 10); d.BackwardRows(tensor.New(9, 5), 0, 9) }},
 		{"backward cols", "dropout layer 2: backward over a 10x4 gradient, the forward pass drew a 10x5 mask",
 			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(0, 10); d.Backward(tensor.New(10, 4)) }},
-		{"selection descending", "dropout layer 2: selection at[1] = 1, want rows ascending within [0,8)",
-			func(d *Dropout, _ *tensor.Matrix) { d.MaskRowsAt(0, []int32{3, 1}, 8) }},
-		{"selection repeated", "dropout layer 2: selection at[1] = 2, want rows ascending within [0,8)",
-			func(d *Dropout, _ *tensor.Matrix) { d.MaskRowsAt(0, []int32{2, 2}, 8) }},
-		{"selection past block", "dropout layer 2: selection at[1] = 9, want rows ascending within [0,8)",
-			func(d *Dropout, _ *tensor.Matrix) { d.MaskRowsAt(0, []int32{1, 9}, 8) }},
-		{"selection at block end", "dropout layer 2: selection at[2] = 8, want rows ascending within [0,8)",
-			func(d *Dropout, _ *tensor.Matrix) { d.MaskRowsAt(0, []int32{6, 7, 8}, 8) }},
-		{"selection negative", "dropout layer 2: selection at[0] = -1, want rows ascending within [0,8)",
-			func(d *Dropout, _ *tensor.Matrix) { d.MaskRowsAt(0, []int32{-1, 2}, 8) }},
 	} {
 		d, x := begin()
 		panicsWith(t, tc.name, tc.want, func() { tc.pass(d, x) })
 	}
-	// The order contract holds for an identity pass too: a schedule bug must
-	// not wait for training mode to show.
+	// The extent holds for an identity pass too: a schedule bug must not wait
+	// for training mode to show.
 	d, x := begin()
-	d.ForwardBegin(x, x, false)
-	panicsWith(t, "identity overlap", "rows from 4 on expected", func() { d.ForwardRows(0, 4); d.MaskRows(2, 5) })
-	d, x = begin()
-	d.ForwardBegin(x, x, false)
-	panicsWith(t, "identity selection", "dropout layer 2: selection at[2] = 4, want rows ascending within [0,8)",
-		func() { d.MaskRowsAt(0, []int32{1, 5, 4}, 8) })
+	d.ForwardBegin(x, x, false, nil, 0)
+	panicsWith(t, "identity past destination", "forward rows [8,11) asked, the destination has 10 rows",
+		func() { d.ForwardRows(8, 11) })
 
 	// A rate outside [0,1) — NaN among them, which no comparison rejects —
 	// has no layer.
@@ -308,8 +295,10 @@ func TestGATBackwardParamsMatchesBackward(t *testing.T) {
 // BenchmarkDropoutWorkload times one dropout layer at the shape of one rank
 // of the k4-full-tcp benchmark workload — 4,000 inner rows and 9,800 halo
 // rows, at the input (48) and hidden (64) widths, rate 0.2: the forward over
-// every row, the halo masks drawn by MaskRowsAt over a selection at p = 1 and
-// p = 0.1, those rows' apply, and the backward over every row.
+// every row; the halo rows of a selection at p = 1 and p = 0.1, dealt to
+// three peers at random (about 1.5 rows to a run of consecutive rows, as the
+// workload's receive lists hold them) and drawn and masked peer by peer; and
+// the backward over every row.
 func BenchmarkDropoutWorkload(b *testing.B) {
 	const nIn, nBd = 4000, 9800
 	rng := tensor.NewRNG(36)
@@ -326,25 +315,26 @@ func BenchmarkDropoutWorkload(b *testing.B) {
 		d := NewDropout(0.2, rng)
 		b.Run(fmt.Sprintf("forward/cols=%d", cols), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				d.ForwardBegin(out, x, true)
+				d.ForwardBegin(out, x, true, nil, 0)
 				d.ForwardRows(0, nIn+nBd)
 			}
 		})
 		for _, p := range []string{"1", "0.1"} {
-			b.Run(fmt.Sprintf("mask-at/p=%s/cols=%d", p, cols), func(b *testing.B) {
+			at := sel[p]
+			space := &tensor.Matrix{Rows: nIn + len(at), Cols: cols, Data: out.Data[:(nIn+len(at))*cols]}
+			peers := peerBatches(rng, rowList(nIn, nIn+len(at)), 3)
+			b.Run(fmt.Sprintf("halo/p=%s/cols=%d", p, cols), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					d.ForwardBegin(out, x, true)
-					d.MaskRowsAt(nIn, sel[p], nBd)
+					d.ForwardBegin(space, space, true, at, nBd)
+					for _, rows := range peers {
+						d.ApplyMaskedRows(rows)
+					}
 				}
 			})
 		}
-		halo := rowList(nIn, nIn+nBd)
-		b.Run(fmt.Sprintf("apply/cols=%d", cols), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d.ApplyMaskedRows(halo)
-			}
-		})
 		b.Run(fmt.Sprintf("backward/cols=%d", cols), func(b *testing.B) {
+			d.ForwardBegin(out, x, true, nil, 0)
+			d.ForwardRows(0, nIn+nBd)
 			for i := 0; i < b.N; i++ {
 				d.BackwardRows(g, 0, nIn+nBd)
 			}

@@ -17,7 +17,9 @@
 // runs piece by piece, and the one-shot Forward/Backward, which are the same
 // pieces run over every row at once. Rows are computed by the same tensor
 // kernel bodies whichever pass covers them, so every pass shape produces the
-// same bits.
+// same bits. Dropout runs the same way: its mask element for a position is a
+// function of the pass's stream word and that position alone, so its rows
+// may be drawn in any chunks and in any order.
 package nn
 
 import (
@@ -117,11 +119,15 @@ func ParamCount(layers []Layer) int {
 // where it was dropped (so a dropped −1 is −0 and a dropped NaN stays NaN).
 //
 // Both passes run in row chunks so the pipelined epoch engine can drop a
-// partition's inner rows while halo rows are still in flight. The mask
-// stream is consumed in element order, so the forward's drawing calls
-// (ForwardRows, MaskRows, MaskRowsAt) must cover ascending, disjoint row
-// ranges — then chunking draws exactly the masks a single full pass would,
-// and results are bit-identical. A range that goes backwards panics.
+// partition's inner rows while halo rows are still in flight. A mask element
+// is addressed by its position, not by the order of the draws: ForwardBegin
+// takes the stream's word as the pass's base and moves the stream past the
+// whole pass, and element e of row r is the draw base + virt(r)·cols + e,
+// where virt places the pass's rows in a virtual pass (every row itself,
+// unless a halo placement selects the trailing rows from a larger block).
+// The stream is a counter (tensor.RNG.Skip), so any row is drawn where it
+// stands: rows may be drawn in any order and in any chunks, and every
+// schedule draws exactly the masks a single full pass would.
 //
 // The per-element work is in tensor's kernels: the mask is drawn by
 // tensor.RNG.KeepBits and read by tensor.MaskScale (forward) and
@@ -134,14 +140,17 @@ type Dropout struct {
 
 	// The pass in progress, or the last one run: dst (rows×cols) is written,
 	// src read (src needs only the rows ForwardRows covers); active is false
-	// for an identity pass (inference, or Rate 0); next is the first row no
-	// drawing call has reached. bits is the keep mask of an active pass, one
-	// bit per element of dst in element order, packed 64 to a word — a word
-	// may straddle rows.
+	// for an identity pass (inference, or Rate 0). Row r < h0 stands at
+	// virtual row r, row h0+i at virtual row h0+at[i]; base is the stream word
+	// virtual row 0 is drawn from. bits is the keep mask of an active pass,
+	// one bit per element of dst in element order, packed 64 to a word — a
+	// word may straddle rows.
 	dst, src   *tensor.Matrix
 	rows, cols int
 	active     bool
-	next       int
+	at         []int32
+	h0         int
+	base       uint64
 	bits       []uint64
 
 	outBuf *tensor.Matrix // the one-shot Forward's destination
@@ -172,135 +181,63 @@ func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 	if train && d.Rate != 0 {
 		out = tensor.EnsureMat(&d.outBuf, x.Rows, x.Cols)
 	}
-	d.ForwardBegin(out, x, train)
+	d.ForwardBegin(out, x, train, nil, 0)
 	d.ForwardRows(0, x.Rows)
 	return out
 }
 
 // ForwardBegin starts a chunked pass that fills dst: rows from src through
-// ForwardRows, rows the caller writes into dst itself through MaskRows or
-// MaskRowsAt and then ApplyMaskedRows. dst and src may be one matrix. A row
-// of dst is valid once its range, or its apply, has run.
-func (d *Dropout) ForwardBegin(dst, src *tensor.Matrix, train bool) {
+// ForwardRows, rows the caller writes into dst itself through ApplyMaskedRows.
+// dst and src may be one matrix. A row of dst is valid once its range, or its
+// apply, has run.
+//
+// at and n place the pass's last len(at) rows in a dense block of n rows, as
+// in GATConv.SetHaloLayout: row dst.Rows−len(at)+i takes the masks row at[i]
+// of the block would, in a pass over the leading rows and then all n; (nil,
+// 0) is a pass over dst's rows as they are. The epoch engine's node space
+// holds only the sampled boundary slots, and each keeps the masks (and the
+// layer's stream the position) that training over every slot would give it.
+// An active pass moves the stream past that whole virtual pass here.
+func (d *Dropout) ForwardBegin(dst, src *tensor.Matrix, train bool, at []int32, n int) {
 	if dst.Cols != src.Cols {
 		panic(fmt.Sprintf("nn: dropout layer %d: destination has %d columns, source %d", d.Layer, dst.Cols, src.Cols))
 	}
-	d.dst, d.src, d.rows, d.cols, d.next = dst, src, dst.Rows, dst.Cols, 0
+	if len(at) > dst.Rows {
+		panic(fmt.Sprintf("nn: dropout layer %d: %d halo rows placed, the destination has %d rows", d.Layer, len(at), dst.Rows))
+	}
+	d.dst, d.src, d.rows, d.cols = dst, src, dst.Rows, dst.Cols
+	d.at, d.h0 = at, dst.Rows-len(at)
 	d.active = train && d.Rate != 0
 	if d.active {
 		tensor.EnsureBits(&d.bits, d.rows, d.cols)
+		d.base = d.rng.State()
+		d.rng.Skip(uint64(d.h0+n) * uint64(d.cols))
 	}
-}
-
-// claim checks that [r0, r1) continues the pass's ascending row order inside
-// the destination, and moves the pass past it.
-func (d *Dropout) claim(r0, r1 int) {
-	if r0 < d.next || r1 < r0 {
-		panic(fmt.Sprintf("nn: dropout layer %d: forward rows [%d,%d) asked, rows from %d on expected: the mask stream is drawn in row order, so forward ranges must be ascending and disjoint",
-			d.Layer, r0, r1, d.next))
-	}
-	if r1 > d.rows {
-		panic(fmt.Sprintf("nn: dropout layer %d: forward rows [%d,%d) asked, the destination has %d rows", d.Layer, r0, r1, d.rows))
-	}
-	d.next = r1
 }
 
 // ForwardRows draws masks for rows [r0, r1) and writes those rows of the
 // destination from the source's. An identity pass copies them (nothing, when
 // the pass is in place).
 func (d *Dropout) ForwardRows(r0, r1 int) {
-	d.claim(r0, r1)
+	if r0 < 0 || r1 < r0 || r1 > d.rows {
+		panic(fmt.Sprintf("nn: dropout layer %d: forward rows [%d,%d) asked, the destination has %d rows", d.Layer, r0, r1, d.rows))
+	}
 	if r1 > d.src.Rows {
 		panic(fmt.Sprintf("nn: dropout layer %d: forward rows [%d,%d) asked, the source has %d rows", d.Layer, r0, r1, d.src.Rows))
 	}
-	lo, hi := r0*d.cols, r1*d.cols
 	if d.active {
-		d.draw(lo, hi)
-		d.apply(d.src.Data, lo, hi)
+		d.mask(d.src.Data, r0, r1)
 	} else if d.dst != d.src {
+		lo, hi := r0*d.cols, r1*d.cols
 		copy(d.dst.Data[lo:hi], d.src.Data[lo:hi])
 	}
 }
 
-// MaskRows draws the dropout masks for rows [r0, r1) without producing
-// output, consuming the RNG stream exactly as ForwardRows would. This
-// decouples the stream-ordered mask draw from the value-dependent output
-// write: the epoch engine draws the halo rows' masks in ascending row order
-// while the row values are still in flight (through MaskRowsAt), then its
-// drain masks each peer's rows with ApplyMaskedRows as they land —
-// bit-identical to a single ascending ForwardRows pass over the same range.
-// Draws nothing when the pass is identity.
-func (d *Dropout) MaskRows(r0, r1 int) {
-	d.claim(r0, r1)
-	if d.active {
-		d.draw(r0*d.cols, r1*d.cols)
-	}
-}
-
-// draw draws the keep bits of elements [lo, hi) from the stream, in order
-// (tensor.RNG.KeepBits: lo's word keeps the bits below lo, drawn earlier in
-// this pass, and hi's word is cleared above hi).
-func (d *Dropout) draw(lo, hi int) { d.rng.KeepBits(d.bits, lo, hi, 1-d.Rate) }
-
-// apply writes elements [lo, hi) of the destination from the same elements of
-// src: v·scale where the keep bit is set, a literal +0 where it is clear.
-func (d *Dropout) apply(src []float32, lo, hi int) {
-	tensor.MaskScale(d.dst.Data, src, d.bits, lo, hi, 1/(1-d.Rate))
-}
-
-// MaskRowsAt draws the masks of rows [r0, r0+len(at)) of the pass as a
-// selection from a dense block of n virtual rows: row r0+i takes exactly the
-// masks row at[i] of that block would draw in one ascending MaskRows sweep
-// over all n (at ascending, within [0, n)), and the stream ends where that
-// sweep would end. The unselected rows' draws are skipped, not made — the
-// stream is a counter (tensor.RNG.Skip) — and consecutive selections are
-// drawn as one run, so selecting every row is the dense sweep itself.
-//
-// The epoch engine draws its halo masks this way: its node space holds only
-// the sampled boundary slots, and each keeps the masks (and the layer's
-// stream keeps the position) that training over every slot would give it.
-// Draws and skips nothing when the pass is identity. A selection that is not
-// strictly ascending within [0, n) panics in either mode: a row drawn twice,
-// or a negative skip, would silently hand out masks already drawn.
-func (d *Dropout) MaskRowsAt(r0 int, at []int32, n int) {
-	cols := uint64(d.cols)
-	next := 0 // first virtual row not yet drawn or skipped
-	for i := 0; i < len(at); {
-		j := i + 1
-		for j < len(at) && at[j] == at[j-1]+1 {
-			j++
-		}
-		if int(at[i]) < next {
-			d.badSelection(at, i, n)
-		}
-		if int(at[j-1]) >= n {
-			d.badSelection(at, j-1, n)
-		}
-		if d.active {
-			d.rng.Skip(uint64(int(at[i])-next) * cols)
-		}
-		d.MaskRows(r0+i, r0+j)
-		next = int(at[j-1]) + 1
-		i = j
-	}
-	if d.active {
-		d.rng.Skip(uint64(n-next) * cols)
-	}
-}
-
-// badSelection panics on at[i], a MaskRowsAt selection entry that breaks the
-// ascending order or leaves [0, n).
-func (d *Dropout) badSelection(at []int32, i, n int) {
-	panic(fmt.Sprintf("nn: dropout layer %d: selection at[%d] = %d, want rows ascending within [0,%d): each row of the block is drawn once, in order",
-		d.Layer, i, at[i], n))
-}
-
-// ApplyMaskedRows masks the listed rows of the destination in place, with
-// the masks MaskRows drew for them. Elementwise (no RNG), so rows may be
-// applied in any order; each row exactly once per pass, after its values are
-// in place. Writes v·scale for kept elements and 0 for dropped ones — exactly
-// what ForwardRows writes — so the split pass is bit-identical. A no-op when
-// the pass is identity.
+// ApplyMaskedRows draws the masks of the listed rows and masks those rows of
+// the destination in place: the caller has written their values into it, as
+// the epoch engine's drain does with each peer's payload. Rows may come in
+// any order and in any batches, each exactly once per pass; the result is
+// what ForwardRows would write. A no-op when the pass is identity.
 func (d *Dropout) ApplyMaskedRows(rows []int32) {
 	if !d.active {
 		return
@@ -310,8 +247,31 @@ func (d *Dropout) ApplyMaskedRows(rows []int32) {
 		for j < len(rows) && rows[j] == rows[j-1]+1 {
 			j++
 		}
-		d.apply(d.dst.Data, int(rows[i])*d.cols, (int(rows[j-1])+1)*d.cols)
+		d.mask(d.dst.Data, int(rows[i]), int(rows[j-1])+1)
 		i = j
+	}
+}
+
+// mask draws the keep bits of rows [r0, r1) at their virtual positions and
+// writes those rows of the destination from src's: v·scale where the bit is
+// set, a literal +0 where it is clear. Each run of rows that stand
+// consecutively in the virtual pass is one draw.
+func (d *Dropout) mask(src []float32, r0, r1 int) {
+	for r0 < r1 {
+		v, r := r0, min(r1, d.h0) // r0's virtual row, the end of its run
+		if r0 >= d.h0 {
+			at := d.at[r0-d.h0 : r1-d.h0]
+			v, r = d.h0+int(at[0]), r0+1
+			for r < r1 && at[r-r0] == at[r-r0-1]+1 {
+				r++
+			}
+		}
+		lo, hi := r0*d.cols, r*d.cols
+		rng := tensor.NewRNG(d.base)
+		rng.Skip(uint64(v) * uint64(d.cols))
+		rng.KeepBits(d.bits, lo, hi, 1-d.Rate)
+		tensor.MaskScale(d.dst.Data, src, d.bits, lo, hi, 1/(1-d.Rate))
+		r0 = r
 	}
 }
 

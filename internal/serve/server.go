@@ -77,6 +77,7 @@ type updateResp struct {
 // Server owns an Engine and serves it over HTTP.
 type Server struct {
 	eng        *Engine
+	numNodes   int // the engine's node count, fixed once NewEngine returns
 	maxBatch   int
 	retryAfter time.Duration
 
@@ -115,6 +116,7 @@ func newServer(eng *Engine, cfg ServerConfig) *Server {
 	}
 	s := &Server{
 		eng:        eng,
+		numNodes:   eng.NumNodes(),
 		maxBatch:   cfg.MaxBatch,
 		retryAfter: cfg.RetryAfter,
 		reqCh:      make(chan predictReq, cfg.MaxQueue),
@@ -202,10 +204,18 @@ var errClosed = fmt.Errorf("serve: server is shut down")
 // retry; the HTTP layer translates this to 503 with a Retry-After header.
 var ErrOverloaded = fmt.Errorf("serve: predict queue is full, request shed")
 
-// Predict routes one request through the dispatcher. It never blocks on a
-// full queue — load past MaxQueue is shed with ErrOverloaded so the number
-// of parked requests (and the memory holding them) stays bounded.
+// Predict routes one request through the dispatcher. Its nodes are checked
+// before it is queued: the dispatcher hands a whole coalesced batch to one
+// engine pass, which fails as a whole on a bad node, so a request that
+// reached it with one would fail every request batched beside it. It never
+// blocks on a full queue — load past MaxQueue is shed with ErrOverloaded so
+// the number of parked requests (and the memory holding them) stays bounded.
 func (s *Server) Predict(nodes []int32) ([][]float32, error) {
+	for _, v := range nodes {
+		if v < 0 || int(v) >= s.numNodes {
+			return nil, fmt.Errorf("serve: node %d outside [0,%d)", v, s.numNodes)
+		}
+	}
 	resp := make(chan predictResp, 1)
 	select {
 	case s.reqCh <- predictReq{nodes: nodes, resp: resp}:

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -239,6 +240,67 @@ func TestDispatcherCoalescesQueuedRequests(t *testing.T) {
 	// but the pass itself dedups: only the 9 distinct nodes enter the cache.
 	if st.Misses != 11 || st.Hits != 0 || st.CacheLen != 9 {
 		t.Fatalf("coalesced pass dedup: %+v", st)
+	}
+}
+
+// TestBadNodeFailsOnlyItsOwnRequest: a request naming a node outside the
+// graph is refused on its own and never reaches the dispatcher, so a valid
+// request that would have been coalesced with it gets its rows. The valid
+// request is queued first and the dispatcher started only once the invalid
+// one has either been refused or queued beside it.
+func TestBadNodeFailsOnlyItsOwnRequest(t *testing.T) {
+	ds := testDataset(t, 23)
+	ft, _ := trainedModel(t, ds, core.ArchSAGE, 2)
+	ref := ft.Forward(false)
+	eng, err := NewEngine(ft.Model, ds.G, ds.Features, 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(eng, ServerConfig{MaxBatch: 16})
+	type result struct {
+		rows [][]float32
+		err  error
+	}
+	predict := func(nodes []int32) chan result {
+		c := make(chan result, 1)
+		go func() {
+			rows, err := srv.Predict(nodes)
+			c <- result{rows, err}
+		}()
+		return c
+	}
+	good := predict([]int32{3, 4})
+	for len(srv.reqCh) < 1 {
+		runtime.Gosched()
+	}
+	bad := predict([]int32{5, int32(ds.G.N)})
+	var badRes *result
+	for badRes == nil && len(srv.reqCh) < 2 {
+		select {
+		case r := <-bad:
+			badRes = &r
+		default:
+			runtime.Gosched()
+		}
+	}
+	go srv.dispatch()
+	defer srv.Close()
+	if badRes == nil {
+		r := <-bad
+		badRes = &r
+	}
+	want := fmt.Sprintf("serve: node %d outside [0,%d)", ds.G.N, ds.G.N)
+	if badRes.err == nil || badRes.err.Error() != want {
+		t.Fatalf("bad request: error %v, want %q", badRes.err, want)
+	}
+	r := <-good
+	if r.err != nil {
+		t.Fatalf("good request failed beside a bad one: %v", r.err)
+	}
+	for j, v := range []int32{3, 4} {
+		if !rowsEqual(r.rows[j], ref.Row(int(v))) {
+			t.Fatalf("good request node %d: wrong bits", v)
+		}
 	}
 }
 

@@ -28,9 +28,10 @@ func keepThreshold(keep float32) uint64 {
 
 // KeepBits draws the keep bits of elements [lo, hi) of bits, in order, one
 // draw each: bit i is set exactly when that draw's Float32 is below keep, and
-// the stream advances by hi−lo draws. lo's word keeps its bits below lo and
-// hi's word is cleared above hi; no other word is touched. An empty range
-// does nothing.
+// the stream advances by hi−lo draws. Only bits [lo, hi) are written — the
+// bits around them in lo's and hi's words stay — so ranges may be drawn in
+// any order, and a word may hold bits of two ranges. An empty range does
+// nothing.
 func (r *RNG) KeepBits(bits []uint64, lo, hi int, keep float32) {
 	t := keepThreshold(keep)
 	s := r.state
@@ -44,9 +45,6 @@ func (r *RNG) KeepBits(bits []uint64, lo, hi int, keep float32) {
 		}
 		keepBytesAVX2(&bits[0], a>>3, (b-a)>>3, &lanes, t)
 		s += uint64(b-a) * splitmixGamma
-		if b&63 != 0 {
-			bits[b>>6] &= 1<<(uint(b)&63) - 1
-		}
 		lo = b
 	}
 	r.state = keepBitsGo(bits, lo, hi, s, t)
@@ -59,9 +57,9 @@ func (r *RNG) KeepBits(bits []uint64, lo, hi int, keep float32) {
 func keepBitsGo(bits []uint64, lo, hi int, s, t uint64) uint64 {
 	for i := lo; i < hi; {
 		end := min(hi, i|63+1)
-		b := uint(i) & 63
-		word := bits[i>>6] & (1<<b - 1)
-		for j := b; j < b+uint(end-i); j++ {
+		b, n := uint(i)&63, uint(end-i)
+		word := bits[i>>6] &^ ((1<<n - 1) << b)
+		for j := b; j < b+n; j++ {
 			s += splitmixGamma
 			z := (s ^ s>>30) * splitmixMul1
 			z = (z ^ z>>27) * splitmixMul2
