@@ -114,6 +114,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	pl, err := newPlan(*dsName, *method, *scale, core.ParallelConfig{
+		Model: core.ModelConfig{
+			Arch: core.Arch(*arch), Layers: *layers, Hidden: *hidden,
+			Dropout: float32(*dropout), LR: float32(*lr), Seed: *seed,
+		},
+		P: *p, SampleSeed: *seed + 1, Strategy: strategy, Budget: *samplerBudget,
+	})
+	if err != nil {
+		fatal(err)
+	}
+	pcfg, mc := pl.pcfg, pl.pcfg.Model
 	elasticMode := *ckptDir != ""
 	distributed := *rdv != "" || elasticMode
 	if distributed {
@@ -130,51 +141,19 @@ func main() {
 		}
 	}
 
-	var cfg datagen.Config
-	var defLayers int
-	var defLR, defDrop float64
-	switch *dsName {
-	case "reddit":
-		cfg, defLayers, defLR, defDrop = datagen.RedditSim(*scale, *seed), 4, 0.01, 0.5
-	case "products":
-		cfg, defLayers, defLR, defDrop = datagen.ProductsSim(*scale, *seed), 3, 0.003, 0.3
-	case "yelp":
-		cfg, defLayers, defLR, defDrop = datagen.YelpSim(*scale, *seed), 4, 0.001, 0.1
-	default:
-		fatal(fmt.Errorf("unknown dataset %q", *dsName))
-	}
-	if *layers == 0 {
-		*layers = defLayers
-	}
-	if *lr == 0 {
-		*lr = defLR
-	}
-	if *dropout < 0 {
-		*dropout = defDrop
-	}
-
 	logf := func(format string, args ...any) { fmt.Printf(format, args...) }
 	if distributed && *rank != 0 {
 		logf = func(string, ...any) {} // only rank 0 narrates
 	}
 
-	logf("generating %s (scale %d)...\n", cfg.Name, *scale)
-	ds, err := datagen.Generate(cfg)
+	logf("generating %s (scale %d)...\n", pl.data.Name, *scale)
+	ds, err := datagen.Generate(pl.data)
 	if err != nil {
 		fatal(err)
 	}
 	logf("graph: %d nodes, %d edges; %d classes\n", ds.G.N, ds.G.NumEdges(), ds.NumClasses)
 
-	var pt partition.Partitioner
-	switch *method {
-	case "metis":
-		pt = &partition.Metis{Seed: *seed}
-	case "random":
-		pt = &partition.Random{Seed: *seed}
-	default:
-		fatal(fmt.Errorf("unknown partitioner %q", *method))
-	}
-	parts, err := pt.Partition(ds.G, *k)
+	parts, err := pl.pt.Partition(ds.G, *k)
 	if err != nil {
 		fatal(err)
 	}
@@ -183,13 +162,7 @@ func main() {
 		fatal(err)
 	}
 	logf("partitioned with %s into %d parts; communication volume %d boundary nodes\n",
-		pt.Name(), *k, topo.CommVolume())
-
-	mc := core.ModelConfig{
-		Arch: core.Arch(*arch), Layers: *layers, Hidden: *hidden,
-		Dropout: float32(*dropout), LR: float32(*lr), Seed: *seed,
-	}
-	pcfg := core.ParallelConfig{Model: mc, P: *p, SampleSeed: *seed + 1, Strategy: strategy, Budget: *samplerBudget}
+		pl.pt.Name(), *k, topo.CommVolume())
 
 	if distributed {
 		prog := progress{rank: *rank, every: *every, epochs: *epochs, valMask: ds.ValMask, testMask: ds.TestMask}
@@ -198,7 +171,7 @@ func main() {
 				fmt.Printf("rank %d rejoining elastic cohort from %s\n", *rank, *ckptDir)
 			}
 			logf("training %s (%d layers, %d hidden) for %d epochs %s on %d elastic processes over TCP (checkpoints every %d epochs in %s)\n\n",
-				*arch, *layers, *hidden, *epochs, samplerDesc, *world, *ckptEvery, *ckptDir)
+				mc.Arch, mc.Layers, mc.Hidden, *epochs, samplerDesc, *world, *ckptEvery, *ckptDir)
 			trainElastic(ds, parts, topo, pcfg, elastic.RunnerConfig{
 				Config: elastic.Config{
 					Dir: *ckptDir, Every: *ckptEvery, Epochs: *epochs, MaxRecoveries: *maxRecover,
@@ -211,7 +184,7 @@ func main() {
 			return
 		}
 		logf("training %s (%d layers, %d hidden) for %d epochs %s on %d processes over TCP\n\n",
-			*arch, *layers, *hidden, *epochs, samplerDesc, *world)
+			mc.Arch, mc.Layers, mc.Hidden, *epochs, samplerDesc, *world)
 		trainDistributed(ds, topo, pcfg, *world, *rdv, *listenHost, prog)
 		return
 	}
@@ -221,7 +194,7 @@ func main() {
 		fatal(err)
 	}
 	logf("training %s (%d layers, %d hidden) for %d epochs %s on %d workers\n\n",
-		*arch, *layers, *hidden, *epochs, samplerDesc, *k)
+		mc.Arch, mc.Layers, mc.Hidden, *epochs, samplerDesc, *k)
 	for e := 1; e <= *epochs; e++ {
 		st := tr.TrainEpoch()
 		if *every > 0 && e%*every == 0 {
@@ -230,6 +203,59 @@ func main() {
 		}
 	}
 	fmt.Printf("\nfinal: val %.4f  test %.4f\n", tr.Evaluate(ds.ValMask), tr.Evaluate(ds.TestMask))
+}
+
+// plan is what a run is made of, built from the flags before any work: the
+// dataset to generate, the partitioner and the training configuration.
+type plan struct {
+	data datagen.Config
+	pt   partition.Partitioner
+	pcfg core.ParallelConfig
+}
+
+// newPlan builds and checks the plan of a run on dataset dsName at scale,
+// partitioned by method, training with pcfg: a zero pcfg.Model.Layers or LR
+// and a negative Dropout take the dataset's paper defaults, and
+// pcfg.Model.Seed is the master seed. It generates nothing, so a bad value
+// costs no dataset, partition or worker process.
+func newPlan(dsName, method string, scale int, pcfg core.ParallelConfig) (plan, error) {
+	var pl plan
+	var defLayers int
+	var defLR, defDrop float64 // rounded to float32 as the flags' values are
+	seed := pcfg.Model.Seed
+	switch dsName {
+	case "reddit":
+		pl.data, defLayers, defLR, defDrop = datagen.RedditSim(scale, seed), 4, 0.01, 0.5
+	case "products":
+		pl.data, defLayers, defLR, defDrop = datagen.ProductsSim(scale, seed), 3, 0.003, 0.3
+	case "yelp":
+		pl.data, defLayers, defLR, defDrop = datagen.YelpSim(scale, seed), 4, 0.001, 0.1
+	default:
+		return plan{}, fmt.Errorf("unknown dataset %q", dsName)
+	}
+	switch method {
+	case "metis":
+		pl.pt = &partition.Metis{Seed: seed}
+	case "random":
+		pl.pt = &partition.Random{Seed: seed}
+	default:
+		return plan{}, fmt.Errorf("unknown partitioner %q", method)
+	}
+	m := &pcfg.Model
+	if m.Layers == 0 {
+		m.Layers = defLayers
+	}
+	if m.LR == 0 {
+		m.LR = float32(defLR)
+	}
+	if m.Dropout < 0 {
+		m.Dropout = float32(defDrop)
+	}
+	if err := pcfg.Validate(); err != nil {
+		return plan{}, err
+	}
+	pl.pcfg = pcfg
+	return pl, nil
 }
 
 // epochLine prints the progress line of all three modes. In-process the times

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func writeHosts(t *testing.T, content string) string {
@@ -222,6 +224,57 @@ func TestSamplerFromFlags(t *testing.T) {
 				if !strings.Contains(err.Error(), w) {
 					t.Fatalf("error %q does not mention %q", err, w)
 				}
+			}
+		})
+	}
+}
+
+// TestNewPlanRefusesBadValues: every bad dataset, partitioner, model or
+// sampling value is refused by newPlan, which main runs before it generates
+// a dataset, partitions it or spawns a worker — newPlan returns only the
+// configurations, so no dataset exists when the error is reported. A good
+// plan takes the dataset's paper defaults for the values left unset.
+func TestNewPlanRefusesBadValues(t *testing.T) {
+	good := core.ParallelConfig{
+		Model: core.ModelConfig{Arch: core.ArchSAGE, Hidden: 32, Dropout: -1, Seed: 1},
+		P:     0.1, SampleSeed: 2,
+	}
+	cases := []struct {
+		name       string
+		ds, method string
+		edit       func(c *core.ParallelConfig)
+		want       string // substring of the error; "" = accepted
+	}{
+		{name: "good", ds: "reddit", method: "metis"},
+		{name: "dataset", ds: "foo", method: "metis", want: `unknown dataset "foo"`},
+		{name: "partitioner", ds: "reddit", method: "foo", want: `unknown partitioner "foo"`},
+		{name: "arch", ds: "reddit", method: "metis", edit: func(c *core.ParallelConfig) { c.Model.Arch = "gcn" }, want: `unknown arch "gcn"`},
+		{name: "layers", ds: "reddit", method: "metis", edit: func(c *core.ParallelConfig) { c.Model.Layers = -1 }, want: "need >=1 layer"},
+		{name: "hidden", ds: "reddit", method: "metis", edit: func(c *core.ParallelConfig) { c.Model.Hidden = 0 }, want: "hidden dim 0"},
+		{name: "dropout", ds: "reddit", method: "metis", edit: func(c *core.ParallelConfig) { c.Model.Dropout = 1.5 }, want: "dropout 1.5"},
+		{name: "lr", ds: "reddit", method: "metis", edit: func(c *core.ParallelConfig) { c.Model.LR = -0.01 }, want: "learning rate -0.01"},
+		{name: "p", ds: "reddit", method: "metis", edit: func(c *core.ParallelConfig) { c.P = 1.5 }, want: "sampling rate p=1.5 outside [0,1]"},
+		{name: "strategy", ds: "reddit", method: "metis", edit: func(c *core.ParallelConfig) { c.Strategy = 7 }, want: "unknown sampling strategy"},
+		{name: "budget", ds: "reddit", method: "metis", edit: func(c *core.ParallelConfig) { c.Strategy, c.Budget = core.LADIES, -1 }, want: "sampling budget -1 is negative"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := good
+			if tc.edit != nil {
+				tc.edit(&cfg)
+			}
+			pl, err := newPlan(tc.ds, tc.method, 1, cfg)
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("good plan refused: %v", err)
+				}
+				if m := pl.pcfg.Model; m.Layers != 4 || m.LR != float32(0.01) || m.Dropout != float32(0.5) {
+					t.Fatalf("reddit plan trains %d layers at lr %v, dropout %v; want the paper's 4, 0.01, 0.5", m.Layers, m.LR, m.Dropout)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %v, want one naming %q", err, tc.want)
 			}
 		})
 	}

@@ -23,9 +23,11 @@ import (
 // A slot is a rank's launch-time identity. A round's server collects a join
 // from every other slot and broadcasts the members in ascending slot order
 // with their data addresses, and startGen, the smallest generation any
-// member reported: the newest state every member holds. DialTCP serves one
-// round on rank 0; internal/elastic elects its server and may settle a
-// timed-out round for a partial roster.
+// member reported: the newest state every member holds. A scan may lag the
+// writer by one generation; members further apart do not share a checkpoint
+// directory, and their round is refused. DialTCP serves one round on rank 0;
+// internal/elastic elects its server and may settle a timed-out round for a
+// partial roster.
 
 // joinTimeout bounds how long a server waits for one connection's join
 // line: a connection that sends none in that time is refused and dropped,
@@ -151,8 +153,9 @@ var (
 // r.Deadline passes, and broadcasts the table; a slot's newest registration
 // replaces an older one. A round that stops short and is not settled tells
 // each registrant ERETRY and fails with ErrIncomplete, naming who is
-// missing; any other error is a registrant lost since it registered. ln
-// stays open.
+// missing; one whose generations are more than one apart answers EERR and
+// fails with ErrRejected, naming the oldest and newest member. Any other
+// error is a registrant lost since it registered. ln stays open.
 func ServeRound(ln net.Listener, r Round) (*Table, error) {
 	if tl, ok := ln.(*net.TCPListener); ok {
 		tl.SetDeadline(r.Deadline)
@@ -202,12 +205,23 @@ func ServeRound(ln net.Listener, r Round) (*Table, error) {
 		}
 		return nil, fmt.Errorf("%w: ranks %v registered, ranks %v missing (%v)", ErrIncomplete, members, missing, acceptErr)
 	}
-	t := &Table{StartGen: r.Self.Gen, Members: members, Addrs: make([]string, len(members))}
+	t := &Table{Members: members, Addrs: make([]string, len(members))}
+	lo, hi := r.Self.Slot, r.Self.Slot // the members holding the oldest and the newest generation
 	for i, m := range members {
-		t.StartGen = min(t.StartGen, joins[m].Gen)
 		t.Addrs[i] = joins[m].Addr
+		if joins[m].Gen < joins[lo].Gen {
+			lo = m
+		} else if joins[m].Gen > joins[hi].Gen {
+			hi = m
+		}
 	}
-	line := t.line()
+	t.StartGen = joins[lo].Gen
+	line, refused := t.line(), error(nil)
+	if t.StartGen < joins[hi].Gen-1 {
+		reason := fmt.Sprintf("rank %d holds checkpoint generation %d and rank %d generation %d: more than one apart, so they do not see one checkpoint directory",
+			lo, t.StartGen, hi, joins[hi].Gen)
+		line, t, refused = "EERR "+reason+"\n", nil, fmt.Errorf("%w: %s", ErrRejected, reason)
+	}
 	for s, c := range conns {
 		if c == nil {
 			continue
@@ -216,7 +230,7 @@ func ServeRound(ln net.Listener, r Round) (*Table, error) {
 			return nil, fmt.Errorf("rendezvous broadcast to rank %d: %w", s, err)
 		}
 	}
-	return t, nil
+	return t, refused
 }
 
 // Register sends j on conn and reads the answer of a round of world slots:

@@ -159,14 +159,16 @@ func replayAfterRestore(t *testing.T, ds *datagen.Dataset, topo *Topology, prefi
 // checkEpochSpace asserts, on every rank of a trainer that has just finished
 // an epoch, the invariants of the epoch node space the engine's stages rely
 // on: the space holds the inner rows and exactly the sampled boundary slots;
-// the slot map is a monotone bijection onto the halo rows; no edge leaves the
-// space; the receive lists tile the halo rows, per peer the active slots of
-// its receive list in wire order; what each peer sends is, row for row, what
-// this rank's sample asks of it — the owner's replay equals the requester's
-// draw; the row split partitions the inner rows, a row halo-dependent exactly when
-// it has a halo neighbor; and mapping epoch ids back through the slot map
-// reproduces, edge for edge, the static adjacency with the unsampled slots
-// struck out — the full-space epoch graph this runtime used to train on.
+// the slot map and its inverse are a bijection between them and the halo
+// rows; no edge leaves the space; the halo rows are owner-major — each peer's
+// sampled slots one block of rows, in ascending slot order (its wire order),
+// the blocks in ascending peer order, tiling the halo rows; what each peer
+// sends is, row for row, what this rank's sample asks of it — the owner's
+// replay equals the requester's draw; the row split partitions the inner
+// rows, a row halo-dependent exactly when it has a halo neighbor; and mapping
+// epoch ids back through the slot map reproduces, edge for edge, the static
+// adjacency with the unsampled slots struck out — the full-space epoch graph
+// this runtime used to train on.
 func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 	t.Helper()
 	for r, rt := range tr.Ranks {
@@ -174,24 +176,30 @@ func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 		nIn := int32(lp.NIn)
 		eg := &lp.eg
 
-		// Node space and slot map.
+		// Node space: slotRow and rowSlot are inverse maps between the
+		// sampled slots and the halo rows.
 		nSampled := 0
 		for s, on := range lp.planActive {
-			if on {
-				if want := nIn + int32(nSampled); lp.slotRow[s] != want {
-					t.Fatalf("rank %d: sampled slot %d has epoch row %d, want %d", r, s, lp.slotRow[s], want)
+			row := lp.slotRow[s]
+			if !on {
+				if row != -1 {
+					t.Fatalf("rank %d: unsampled slot %d has epoch row %d", r, s, row)
 				}
-				if lp.rowSlot[nSampled] != int32(s) {
-					t.Fatalf("rank %d: epoch halo row %d maps back to slot %d, want %d", r, nSampled, lp.rowSlot[nSampled], s)
-				}
-				nSampled++
-			} else if lp.slotRow[s] != -1 {
-				t.Fatalf("rank %d: unsampled slot %d has epoch row %d", r, s, lp.slotRow[s])
+				continue
 			}
+			if row < nIn || int(row-nIn) >= len(lp.rowSlot) || lp.rowSlot[row-nIn] != int32(s) {
+				t.Fatalf("rank %d: sampled slot %d has epoch row %d, which does not map back to it", r, s, row)
+			}
+			nSampled++
 		}
 		if eg.N != lp.NIn+nSampled || len(eg.Indptr) != eg.N+1 || len(lp.rowSlot) != nSampled {
 			t.Fatalf("rank %d: epoch space has %d rows (%d indptr entries, %d mapped halo rows), want %d inner + %d sampled",
 				r, eg.N, len(eg.Indptr), len(lp.rowSlot), lp.NIn, nSampled)
+		}
+		for x, s := range lp.rowSlot {
+			if lp.slotRow[s] != nIn+int32(x) {
+				t.Fatalf("rank %d: epoch halo row %d maps to slot %d, whose epoch row is %d", r, lp.NIn+x, s, lp.slotRow[s])
+			}
 		}
 		if int(eg.Indptr[lp.NIn]) != len(eg.Indices) {
 			t.Fatalf("rank %d: halo rows have outgoing edges", r)
@@ -225,37 +233,30 @@ func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 			}
 		}
 
-		// Receive lists tile [NIn, eg.N): list j holds the rows of the slots
-		// of Recv[r][j] the active set names, in wire order.
-		filled := make([]int, nSampled)
-		for j, rows := range lp.recvSlots {
-			var wantSlots []int32
-			for _, slot := range tr.Topo.Recv[r][j] {
-				if lp.active[slot] {
-					wantSlots = append(wantSlots, slot)
-				}
-			}
-			if len(rows) != len(wantSlots) {
-				t.Fatalf("rank %d: recvSlots[%d] has %d rows, the active set names %d slots of peer %d", r, j, len(rows), len(wantSlots), j)
-			}
-			last := int32(-1)
-			for x, row := range rows {
-				if row <= last {
-					t.Fatalf("rank %d: recvSlots[%d] not ascending", r, j)
-				}
-				last = row
-				if row < nIn || int(row) >= eg.N {
-					t.Fatalf("rank %d: recvSlots[%d] holds row %d outside the halo rows [%d,%d)", r, j, row, nIn, eg.N)
-				}
-				filled[row-nIn]++
-				if slot := lp.rowSlot[row-nIn]; slot != wantSlots[x] {
-					t.Fatalf("rank %d: recvSlots[%d][%d] is slot %d, the active set names slot %d", r, j, x, slot, wantSlots[x])
-				}
-			}
+		// Owner-major blocks tile [NIn, eg.N): peer j's rows are
+		// [haloPtr[j], haloPtr[j+1]), the blocks in ascending peer order, and
+		// block j holds the sampled slots of Recv[r][j], ascending.
+		k := len(tr.Topo.Recv[r])
+		if len(lp.haloPtr) != k+1 || lp.haloPtr[0] != lp.NIn || lp.haloPtr[k] != eg.N {
+			t.Fatalf("rank %d: peer blocks %v do not tile the halo rows [%d,%d)", r, lp.haloPtr, nIn, eg.N)
 		}
-		for i, c := range filled {
-			if c != 1 {
-				t.Fatalf("rank %d: epoch halo row %d is in %d receive lists", r, lp.NIn+i, c)
+		for j, full := range tr.Topo.Recv[r] {
+			lo, hi := lp.haloPtr[j], lp.haloPtr[j+1]
+			if hi < lo {
+				t.Fatalf("rank %d: peer blocks %v are not in ascending peer order", r, lp.haloPtr)
+			}
+			var want []int32
+			for _, slot := range full {
+				if lp.planActive[slot] {
+					want = append(want, slot)
+				}
+			}
+			got := lp.rowSlot[lo-lp.NIn : hi-lp.NIn]
+			if !slices.Equal(got, want) {
+				t.Fatalf("rank %d: peer %d's block holds slots %v, its sampled slots are %v", r, j, got, want)
+			}
+			if !slices.IsSorted(got) {
+				t.Fatalf("rank %d: peer %d's block %v is not in ascending slot order", r, j, got)
 			}
 		}
 

@@ -52,9 +52,9 @@ func TestLayoutBuild(t *testing.T) {
 				t.Fatal("Build does not return its receiver")
 			}
 			want := graph.NewAggIndex(g)
-			if lo.G != g || lo.NOut != g.N || lo.HaloAt != nil || lo.HaloN != 0 {
-				t.Fatalf("graph %d: layout G=%p NOut=%d HaloAt=%v HaloN=%d, want the dense layout of %p (%d rows)",
-					i, lo.G, lo.NOut, lo.HaloAt, lo.HaloN, g, g.N)
+			if lo.G != g || lo.NOut != g.N || lo.HaloAt != nil || lo.HaloRow != nil {
+				t.Fatalf("graph %d: layout G=%p NOut=%d HaloAt=%v HaloRow=%v, want the dense layout of %p (%d rows)",
+					i, lo.G, lo.NOut, lo.HaloAt, lo.HaloRow, g, g.N)
 			}
 			got := &lo.Agg
 			if !slices.Equal(got.Chunks, want.Chunks) || !slices.Equal(got.IncIndptr, want.IncIndptr) ||

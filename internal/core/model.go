@@ -54,22 +54,24 @@ func (c *ModelConfig) Validate() error {
 // about it: the graph, its sparse-aggregation plan (graph.AggIndex: the
 // transposed index plus edge-balanced chunk boundaries), the mean-aggregation
 // normalizer InvDeg (a row per output row at least; attention ignores it),
-// the NOut leading rows the pass computes outputs for, and where the graph's
-// trailing len(HaloAt) input rows stand in a dense block of HaloN rows (the
-// epoch space's sampled halo rows among the partition's boundary slots; nil/0
-// means the input is dense as it is). A layer takes its layout at the start of
-// every pass, so no pass can run over another graph's plan.
+// the NOut leading rows the pass computes outputs for, and the halo
+// placement, two inverse maps: the graph's trailing input row i stands at row
+// HaloAt[i] of a dense block whose row v is input row HaloRow[v] (−1: not
+// held) — the epoch space's sampled slots, stored peer by peer, among all
+// the partition's slots; nil/nil means the input is dense as it is. A layer
+// takes its layout at the start of every pass, so no pass can run over
+// another graph's plan.
 //
 // Build makes the dense layout of a graph, the one every single-process pass
 // runs over; the epoch engine fills the fields of its own (LocalPartition.lay).
 // A Layout holds its plan by value and rebuilds it in place: do not copy one.
 type Layout struct {
-	G      *graph.Graph
-	Agg    graph.AggIndex
-	InvDeg []float32
-	NOut   int
-	HaloAt []int32
-	HaloN  int
+	G       *graph.Graph
+	Agg     graph.AggIndex
+	InvDeg  []float32
+	NOut    int
+	HaloAt  []int32
+	HaloRow []int32
 
 	deg []float32 // Build's normalizer storage
 }
@@ -78,7 +80,7 @@ type Layout struct {
 // aggregation plan and the 1/degree normalizer in place (allocation-free once
 // capacities have warmed up) and returns lo.
 func (lo *Layout) Build(g *graph.Graph) *Layout {
-	lo.G, lo.NOut, lo.HaloAt, lo.HaloN = g, g.N, nil, 0
+	lo.G, lo.NOut, lo.HaloAt, lo.HaloRow = g, g.N, nil, nil
 	lo.Agg.Build(g)
 	lo.InvDeg = nn.InvDegreesInto(tensor.EnsureF32(&lo.deg, g.N), g)
 	return lo
@@ -122,8 +124,8 @@ type GraphLayer interface {
 	// ForwardPrep runs per-node precomputations for feature rows [r0, r1)
 	// (a no-op for SAGE; Wh and attention scores for GAT).
 	ForwardPrep(r0, r1 int)
-	// ForwardPrepRows is ForwardPrep for an explicit row list — the epoch
-	// drain preps one peer's halo slots as they land.
+	// ForwardPrepRows is ForwardPrep for an explicit row list — the serving
+	// engine preps the rows a feature update changed.
 	ForwardPrepRows(rows []int32)
 	// ForwardRows computes the listed output rows; each row of [0, NOut)
 	// must be covered exactly once per pass.
@@ -174,7 +176,7 @@ func (l gatLayer) ForwardBegin(lo *Layout, h *tensor.Matrix) *tensor.Matrix {
 }
 func (l gatLayer) take(lo *Layout) *graph.Graph {
 	l.SetAgg(&lo.Agg)
-	l.SetHaloLayout(lo.HaloAt, lo.HaloN)
+	l.SetHaloLayout(lo.HaloRow)
 	return lo.G
 }
 func (l gatLayer) InputDim() int  { return l.GATConv.InDim }

@@ -33,9 +33,10 @@ const (
 // rank's sampler samples the slots, and every inner row trains. The epoch one —
 // what the layers, the dropout buffers and every per-epoch list below see —
 // keeps the inner rows at [0, NIn) and gives only the slots sampled this
-// epoch a row, renumbered NIn, NIn+1, … in ascending slot order
-// (slotRow/rowSlot translate). The rename is monotone, so each row's
-// neighbor order is the static one with the unsampled slots struck out.
+// epoch a row, numbered from NIn owner-major, so the rows a peer fills are
+// one block (slotRow/rowSlot translate). The rename maps each row's
+// neighbors in place, so its neighbor order is the static one with the
+// unsampled slots struck out.
 type LocalPartition struct {
 	ID  int
 	NIn int // inner nodes (static and epoch ids [0, NIn))
@@ -71,18 +72,19 @@ type LocalPartition struct {
 	lay          Layout      // the layers' layout of eg, its plan rebuilt with it
 	ws           *tensor.Workspace
 	sendRows     [][]int32 // per peer: inner rows to send (cap: full send list)
-	recvSlots    [][]int32 // per peer: epoch halo rows I fill (cap: full recv list)
+	recv         [][]int32 // per peer: the slots it owns, in wire order (Topology.Recv[ID])
 	epochInvDeg  []float32 // effective-degree normalizer (EstimatorSelfNorm)
 
 	// The epoch node space (epochGraph): slotRow[s] is the epoch row of
 	// boundary slot s, -1 when the epoch did not sample it; rowSlot[r-NIn] is
-	// the slot behind epoch halo row r, ascending — so the epoch has
-	// NIn+len(rowSlot) rows.
+	// the slot behind epoch halo row r — so the epoch has NIn+len(rowSlot)
+	// rows — and peer j's halo rows are [haloPtr[j], haloPtr[j+1]).
 	// planActive is the slot set the plan products in place (eg, its plan,
-	// the row split, recvSlots) were built from, planned whether it may be
-	// trusted: an epoch that plans the same set again keeps them.
+	// the row split) were built from, planned whether it may be trusted: an
+	// epoch that plans the same set again keeps them.
 	slotRow    []int32
 	rowSlot    []int32
+	haloPtr    []int
 	planActive []bool
 	planned    bool
 
@@ -169,19 +171,11 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 	lp.epochIndptr = make([]int64, n+1)
 	lp.epochIndices = make([]int32, len(lp.fullIndices))
 	lp.active = make([]bool, lp.NBd)
-	// The epoch layout: every pass computes the inner rows over eg, and the
-	// epoch's halo rows stand at rowSlot among the NBd slots.
-	lp.lay.G, lp.lay.NOut, lp.lay.HaloN = &lp.eg, lp.NIn, lp.NBd
 	lp.ws = tensor.NewWorkspace()
-	k := t.K
-	lp.sendRows = make([][]int32, k)
-	lp.recvSlots = make([][]int32, k)
-	for j := 0; j < k; j++ {
-		if j == i {
-			continue
-		}
-		lp.recvSlots[j] = make([]int32, 0, len(t.Recv[i][j]))
-		lp.sendRows[j] = make([]int32, 0, len(t.Send[i][j]))
+	lp.recv = t.Recv[i]
+	lp.sendRows = make([][]int32, t.K)
+	for j, rows := range t.Send[i] {
+		lp.sendRows[j] = make([]int32, 0, len(rows))
 	}
 	lp.epochInvDeg = make([]float32, lp.NIn)
 	lp.evalMask = make([]bool, lp.NIn)
@@ -189,7 +183,11 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 	lp.haloDep = make([]int32, 0, lp.NIn)
 	lp.slotRow = make([]int32, lp.NBd)
 	lp.rowSlot = make([]int32, 0, lp.NBd)
+	lp.haloPtr = make([]int, t.K+1)
 	lp.planActive = make([]bool, lp.NBd)
+	// The epoch layout: every pass computes the inner rows over eg, whose
+	// halo rows stand among the NBd slots at rowSlot (HaloAt, set per plan).
+	lp.lay.G, lp.lay.NOut, lp.lay.HaloRow = &lp.eg, lp.NIn, lp.slotRow
 	return lp
 }
 
@@ -213,11 +211,11 @@ func (lp *LocalPartition) splitRows() {
 
 // epochGraph rebuilds the epoch node space and the local subgraph on the
 // inner rows and the plan's sampled slots (Algorithm 1 line 5). The sampled
-// boundary slots are given epoch rows NIn, NIn+1, … in ascending slot order,
-// and edges into unsampled slots are dropped. The graph has NIn + (sampled
-// slots) nodes, so everything sized from it — layer inputs, dropout buffers,
-// the layers' input gradients, the aggregation plan — holds no row for a
-// slot the epoch did not sample.
+// boundary slots are given epoch rows NIn, NIn+1, … owner-major — peer j's in
+// its receive list's (ascending slot) order, as block j — and edges into
+// unsampled slots are dropped. The graph has NIn + (sampled slots) nodes, so
+// everything sized from it — layer inputs, dropout buffers, the layers' input
+// gradients, the aggregation plan — holds no row for an unsampled slot.
 // The layout's aggregation plan (the SpMM engine's transposed index and
 // edge-balanced chunks) and halo placement are rebuilt in the same breath, so
 // the layers always aggregate over the plan of the graph they are handed. The
@@ -226,13 +224,17 @@ func (lp *LocalPartition) splitRows() {
 func (lp *LocalPartition) epochGraph() *graph.Graph {
 	nIn := int32(lp.NIn)
 	rowSlot := lp.rowSlot[:0]
-	for s, on := range lp.active {
-		lp.slotRow[s] = -1
-		if on {
-			lp.slotRow[s] = nIn + int32(len(rowSlot))
-			rowSlot = append(rowSlot, int32(s))
+	for j, slots := range lp.recv { // every slot is in exactly one list
+		lp.haloPtr[j] = lp.NIn + len(rowSlot)
+		for _, s := range slots {
+			lp.slotRow[s] = -1
+			if lp.active[s] {
+				lp.slotRow[s] = nIn + int32(len(rowSlot))
+				rowSlot = append(rowSlot, s)
+			}
 		}
 	}
+	lp.haloPtr[len(lp.recv)] = lp.NIn + len(rowSlot)
 	lp.rowSlot = rowSlot
 	n := lp.NIn + len(rowSlot)
 	pos := int64(0)
@@ -292,6 +294,20 @@ type ParallelConfig struct {
 	// Budget is LADIES' expected number of boundary slots kept per rank per
 	// epoch; 0 keeps every slot.
 	Budget int
+}
+
+// Validate checks the configuration, the model's included; it needs no dataset.
+func (c *ParallelConfig) Validate() error {
+	if !(c.P >= 0 && c.P <= 1) {
+		return fmt.Errorf("core: sampling rate p=%v outside [0,1]", c.P)
+	}
+	if c.Strategy != BNS && c.Strategy != LADIES {
+		return fmt.Errorf("core: unknown sampling strategy %v (want BNS or LADIES)", c.Strategy)
+	}
+	if c.Budget < 0 {
+		return fmt.Errorf("core: sampling budget %d is negative (0 keeps every boundary slot)", c.Budget)
+	}
+	return c.Model.Validate()
 }
 
 // EpochStats reports one epoch of parallel training. Durations are the
@@ -357,10 +373,7 @@ type RankTrainer struct {
 	samp   slotSampler
 	served []slotSampler
 
-	// This rank's slice of the topology: its own Topology.Recv[rank] and
-	// Topology.Send[rank], one list per rank of the world.
-	recv [][]int32
-	send [][]int32
+	send [][]int32 // this rank's Topology.Send[rank], one list per rank of the world
 
 	multiLabel       bool // BCE and micro-F1 against LP.LabelMatrix, not softmax and accuracy
 	globalNodes      int  // nodes in the whole graph: the length of an evaluation mask
@@ -381,14 +394,8 @@ type RankTrainer struct {
 // needs: nothing reachable from it refers to ds, topo.G or topo.Parts once
 // this returns.
 func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, rank int) (*RankTrainer, error) {
-	if !(cfg.P >= 0 && cfg.P <= 1) {
-		return nil, fmt.Errorf("core: sampling rate p=%v outside [0,1]", cfg.P)
-	}
-	if cfg.Strategy != BNS && cfg.Strategy != LADIES {
-		return nil, fmt.Errorf("core: unknown sampling strategy %v (want BNS or LADIES)", cfg.Strategy)
-	}
-	if cfg.Budget < 0 {
-		return nil, fmt.Errorf("core: sampling budget %d is negative (0 keeps every boundary slot)", cfg.Budget)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	if rank < 0 || rank >= topo.K {
 		return nil, fmt.Errorf("core: rank %d out of [0,%d)", rank, topo.K)
@@ -410,7 +417,6 @@ func NewRankTrainer(ds *datagen.Dataset, topo *Topology, cfg ParallelConfig, ran
 		LP:          NewLocalPartition(ds, topo, rank),
 		Model:       model,
 		opt:         optim.NewAdam(cfg.Model.LR),
-		recv:        topo.Recv[rank],
 		send:        topo.Send[rank],
 		multiLabel:  ds.MultiLabel,
 		globalNodes: ds.G.N,

@@ -32,17 +32,18 @@ import (
 //
 // The epoch trains on the sampled subgraph (Section 3.2): its node space is
 // the NIn inner rows followed by one row per boundary slot the plan sampled,
-// in ascending slot order (LocalPartition.epochGraph), and every stage below
-// — layer inputs, dropout masks, the layers' activations and input
-// gradients, the halo scatter and gather lists — is sized and swept by that
-// space, NIn + p·NBd rows in expectation, never by the partition's full
-// boundary. The rename of sampled slots is monotone, so each row's neighbor
-// order, and with it every per-row float accumulation order, is what
-// training over the full slot range with the unsampled slots' edges dropped
-// would give. The one reduction ACROSS input rows — attention's dW — is told
-// where the halo rows stand among all NBd slots (the epoch Layout's HaloAt)
-// and sums them as it would there, so no bit of an epoch depends on the
-// space having been packed.
+// owner-major (LocalPartition.epochGraph): each peer's slots one block of
+// rows in wire order, the blocks in ascending rank. Every stage below —
+// layer inputs, dropout masks, the layers' activations and input gradients,
+// the halo fills and gathers — is sized and swept by that space, NIn + p·NBd
+// rows in expectation, and takes each peer's rows as one range. The rename
+// maps each row's neighbors in place, so each row's neighbor order, and with
+// it every per-row float accumulation order, is what training over the full
+// slot range with the unsampled slots' edges dropped would give. Dropout's
+// masks and the one reduction ACROSS input rows — attention's dW — read
+// where the halo rows stand among all NBd slots (the epoch Layout's halo
+// placement) and draw and sum them as they would there, so no bit of an
+// epoch depends on the space having been packed, or on its order.
 //
 // Every layer pass runs in compute chunks over a per-epoch row partition
 // (LocalPartition.splitRows): the halo-free rows and the halo-dependent
@@ -55,7 +56,8 @@ import (
 // waiting unless the peer is late. Nothing an epoch computes depends on when
 // a payload landed:
 //
-//   - the forward scatter writes each peer's rows into disjoint halo rows;
+//   - the forward fill writes each peer's payload into its own block of halo
+//     rows;
 //   - a dropout mask element is addressed by its position in a pass over
 //     the inner rows and every boundary slot (nn.Dropout), so each peer's
 //     rows are drawn and masked as they are received;
@@ -157,10 +159,10 @@ func (rt *RankTrainer) forward() *tensor.Matrix {
 // 6's broadcast is computed where it is needed rather than sent — and builds
 // everything derivable from them for the layer stages: the epoch node space
 // and the layers' layout of it (subgraph, aggregation plan, effective-degree
-// normalizer, halo placement), the row split, the send/receive row lists. An
-// epoch whose sample is exactly the slots the last one's was (every epoch at
-// k=1, p=1 or p=0) keeps the products in place instead of rebuilding
-// identical ones. It starts the pass's clock.
+// normalizer, halo placement, each peer's block of halo rows), the row split,
+// the send row lists. An epoch whose sample is exactly the slots the last
+// one's was (every epoch at k=1, p=1 or p=0) keeps the products in place
+// instead of rebuilding identical ones. It starts the pass's clock.
 func (rt *RankTrainer) planEpoch() {
 	rt.ep.clk.start()
 	ep, lp := &rt.ep, rt.LP
@@ -181,17 +183,6 @@ func (rt *RankTrainer) planEpoch() {
 		lp.planned = true
 		lp.epochGraph()
 		lp.splitRows()
-		// Every boundary slot sits in exactly one peer's receive list, so the
-		// active slots of list j, in wire order, are the halo rows j fills.
-		for j, full := range rt.recv {
-			slots := lp.recvSlots[j][:0]
-			for _, slot := range full {
-				if lp.active[slot] {
-					slots = append(slots, lp.slotRow[slot])
-				}
-			}
-			lp.recvSlots[j] = slots
-		}
 	}
 	ep.st.SampledBd = len(lp.rowSlot)
 	lp.lay.InvDeg = rt.epochInvDeg()
@@ -254,12 +245,21 @@ func (rt *RankTrainer) epochInvDeg() []float32 {
 	return invDeg
 }
 
-// haloRescale is the receive rescale of one epoch halo row.
-func (rt *RankTrainer) haloRescale(row int32) float32 {
-	if hs := rt.ep.haloScale; hs != nil {
-		return hs[rt.LP.rowSlot[int(row)-rt.LP.NIn]]
+// rescaleHalo writes src, the halo rows from epoch row r0 on, dim floats
+// each, into dst scaled by each row's receive rescale: the drain's fill of a
+// peer's block, and by the chain rule postGrad's gather of the gradient block
+// it sends back.
+func (rt *RankTrainer) rescaleHalo(dst, src []float32, r0, dim int) {
+	hs, s := rt.ep.haloScale, rt.ep.invP
+	for x, slot := range rt.LP.rowSlot[r0-rt.LP.NIn:][:len(src)/dim] {
+		if hs != nil {
+			s = hs[slot]
+		}
+		d := dst[x*dim : (x+1)*dim]
+		for c, v := range src[x*dim : (x+1)*dim] {
+			d[c] = v * s
+		}
 	}
-	return rt.ep.invP
 }
 
 // postForward posts layer l's halo exchange: the boundary rows of h each
@@ -299,7 +299,7 @@ func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
 	rt.ep.clk.to(phaseCompute)
 	lp, ep := rt.LP, &rt.ep
 	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
-	drop.ForwardBegin(x, h, !ep.eval, lp.lay.HaloAt, lp.lay.HaloN)
+	drop.ForwardBegin(x, h, !ep.eval, lp.lay.HaloAt, lp.NBd)
 	drop.ForwardRows(0, lp.NIn)
 	out := layer.ForwardBegin(&lp.lay, x)
 	layer.ForwardPrep(0, lp.NIn)
@@ -308,9 +308,9 @@ func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
 }
 
 // drainForward receives layer l's boundary feature rows peer by peer in
-// ascending rank: each payload is scattered into that peer's halo rows of x
+// ascending rank: each payload fills that peer's block of halo rows of x
 // with the sampler's receive rescale (the unbiased 1/p of Section 3.2 for
-// BNS), and the rows' dropout masks are drawn and applied in place and their
+// BNS), and the block's dropout masks are drawn and applied in place and its
 // per-node precomputations run. After the last peer every
 // halo-dependent row is computed in one pass. Receives and halo fills are
 // exposed comm, the row passes compute.
@@ -318,23 +318,18 @@ func (rt *RankTrainer) drainForward(l int, x *tensor.Matrix) {
 	lp, ep := rt.LP, &rt.ep
 	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
 	dim := x.Cols
-	for j, slots := range lp.recvSlots {
-		if len(slots) == 0 {
+	for j := range lp.recv {
+		r0, r1 := lp.haloPtr[j], lp.haloPtr[j+1]
+		if r0 == r1 {
 			continue
 		}
-		data := rt.recvHalo(j, tagForward, l, len(slots)*dim)
-		for r, slot := range slots {
-			dst := x.Row(int(slot))
-			s := rt.haloRescale(slot)
-			for c, v := range data[r*dim : (r+1)*dim] {
-				dst[c] = v * s
-			}
-		}
+		data := rt.recvHalo(j, tagForward, l, (r1-r0)*dim)
+		rt.rescaleHalo(x.Data[r0*dim:r1*dim], data, r0, dim)
 		ep.w.RecycleF32(data)
 
 		ep.clk.to(phaseCompute)
-		drop.ApplyMaskedRows(slots)
-		layer.ForwardPrepRows(slots)
+		drop.ApplyMaskedRows(r0, r1)
+		layer.ForwardPrep(r0, r1)
 	}
 	ep.clk.to(phaseCompute)
 	layer.ForwardRows(lp.haloDep)
@@ -378,25 +373,20 @@ func (rt *RankTrainer) backwardHalo(l int, d *tensor.Matrix) *tensor.Matrix {
 	return dH
 }
 
-// postGrad posts layer l's gradient exchange: the halo rows of dH go back
-// to the peers that own them, scaled by the chain rule through the receive
-// rescale as they are gathered into a lent payload buffer.
+// postGrad posts layer l's gradient exchange: each peer's block of halo rows
+// of dH goes back to it, scaled by the chain rule through the receive
+// rescale as it is copied into a lent payload buffer.
 func (rt *RankTrainer) postGrad(l int, dH *tensor.Matrix) {
 	rt.ep.clk.post()
 	lp, ep := rt.LP, &rt.ep
 	dim := dH.Cols
-	for j, slots := range lp.recvSlots {
-		if len(slots) == 0 {
+	for j := range lp.recv {
+		r0, r1 := lp.haloPtr[j], lp.haloPtr[j+1]
+		if r0 == r1 {
 			continue
 		}
-		payload := ep.w.SendBufF32(len(slots) * dim)
-		for x, slot := range slots {
-			dst := payload[x*dim : (x+1)*dim]
-			s := rt.haloRescale(slot)
-			for c, v := range dH.Row(int(slot)) {
-				dst[c] = v * s
-			}
-		}
+		payload := ep.w.SendBufF32((r1 - r0) * dim)
+		rt.rescaleHalo(payload, dH.Data[r0*dim:r1*dim], r0, dim)
 		ep.w.ISendBufF32(j, tagBackward+l, payload)
 		ep.st.CommBytes += int64(4 * len(payload))
 	}

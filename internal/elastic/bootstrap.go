@@ -233,6 +233,9 @@ func bootstrap(bc bootConfig) (*comm.Table, error) {
 			if tbl != nil {
 				return tbl, nil
 			}
+			if errors.Is(err, comm.ErrRejected) {
+				return nil, fmt.Errorf("elastic: rank %d: rendezvous round on %s: %w", bc.rank, bc.cands[bc.rank], err)
+			}
 			debugf("rank %d: round done: %v", bc.rank, err)
 			if !errors.Is(err, comm.ErrIncomplete) {
 				rs = resizeState{} // the round completed, but a registrant died mid-broadcast

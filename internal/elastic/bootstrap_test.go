@@ -1,9 +1,11 @@
 package elastic
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -32,11 +34,11 @@ func freeCandidates(t testing.TB, world int) []string {
 
 // TestBootstrapAgreesOnTableAndMinGen: a healthy cohort converges on one
 // table — every rank's address in its slot — and the minimum reported
-// checkpoint generation.
+// checkpoint generation; a member's scan may lag the writer by one.
 func TestBootstrapAgreesOnTableAndMinGen(t *testing.T) {
 	const world = 3
 	cands := freeCandidates(t, world)
-	gens := []int{7, 2, 5}
+	gens := []int{7, 6, 7}
 	tables := make([]*comm.Table, world)
 	errs := make([]error, world)
 	deadline := time.Now().Add(20 * time.Second)
@@ -55,8 +57,8 @@ func TestBootstrapAgreesOnTableAndMinGen(t *testing.T) {
 		}
 	}
 	for r, tbl := range tables {
-		if tbl.StartGen != 2 {
-			t.Fatalf("rank %d agreed on gen %d, want min gen 2", r, tbl.StartGen)
+		if tbl.StartGen != 6 {
+			t.Fatalf("rank %d agreed on gen %d, want min gen 6", r, tbl.StartGen)
 		}
 		if !reflect.DeepEqual(tbl.Members, []int{0, 1, 2}) {
 			t.Fatalf("rank %d members %v, want the full world", r, tbl.Members)
@@ -66,6 +68,40 @@ func TestBootstrapAgreesOnTableAndMinGen(t *testing.T) {
 		}
 		if tbl.Addrs[r] != fmt.Sprintf("10.0.0.%d:900%d", r, r) {
 			t.Fatalf("rank %d slot holds %q", r, tbl.Addrs[r])
+		}
+	}
+}
+
+// TestBootstrapRefusesGenerationSpread: members whose generations are more
+// than one apart do not see one checkpoint directory (a member without it
+// reports 0), so the round is refused on both sides, naming both members'
+// generations, instead of restarting the cohort from generation 0.
+func TestBootstrapRefusesGenerationSpread(t *testing.T) {
+	cands := freeCandidates(t, 2)
+	gens := []int{0, 3}
+	errs := make([]error, 2)
+	deadline := time.Now().Add(20 * time.Second)
+	var wg sync.WaitGroup
+	for r := range gens {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			tbl, err := bootstrap(bootConfig{rank: r, world: 2, cands: cands, dataAddr: fmt.Sprintf("addr-%d:1", r), myGen: gens[r], deadline: deadline})
+			if tbl != nil {
+				err = fmt.Errorf("agreed on generation %d", tbl.StartGen)
+			}
+			errs[r] = err
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if !errors.Is(err, comm.ErrRejected) {
+			t.Fatalf("rank %d: %v, want a refused round", r, err)
+		}
+		for _, want := range []string{"rank 0 holds checkpoint generation 0", "rank 1 generation 3"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("rank %d: error %q does not name %q", r, err, want)
+			}
 		}
 	}
 }
@@ -93,7 +129,7 @@ func TestBootstrapElectsSuccessorThenDefersToRankZero(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		time.Sleep(1500 * time.Millisecond)
-		tables[0], errs[0] = bootstrap(bootConfig{rank: 0, world: world, cands: cands, dataAddr: "addr-0:1", myGen: 0, deadline: deadline})
+		tables[0], errs[0] = bootstrap(bootConfig{rank: 0, world: world, cands: cands, dataAddr: "addr-0:1", myGen: 2, deadline: deadline})
 	}()
 	wg.Wait()
 	for r, err := range errs {
@@ -102,8 +138,8 @@ func TestBootstrapElectsSuccessorThenDefersToRankZero(t *testing.T) {
 		}
 	}
 	for r, tbl := range tables {
-		if tbl.StartGen != 0 {
-			t.Fatalf("rank %d agreed on gen %d; the fresh replacement holds nothing, so min is 0", r, tbl.StartGen)
+		if tbl.StartGen != 2 {
+			t.Fatalf("rank %d agreed on gen %d; the replacement's scan lags the writer by one, so min is 2", r, tbl.StartGen)
 		}
 		if !reflect.DeepEqual(tbl.Addrs, []string{"addr-0:1", "addr-1:1", "addr-2:1"}) {
 			t.Fatalf("rank %d table %v", r, tbl.Addrs)

@@ -38,7 +38,7 @@ func TestBootstrapResizesToStableSurvivors(t *testing.T) {
 	const world = 3
 	cands := freeCandidates(t, world)
 	live := []int{0, 2}
-	gens := map[int]int{0: 7, 2: 5}
+	gens := map[int]int{0: 6, 2: 5}
 	tables := make(map[int]*comm.Table)
 	errs := make(map[int]error)
 	var mu sync.Mutex
@@ -447,8 +447,8 @@ func TestRunnerResizeLoneSurvivorFailsPointedly(t *testing.T) {
 		if err == nil {
 			t.Fatal("lone survivor claims to have finished a world-2 run alone")
 		}
-		if !strings.Contains(err.Error(), "lone survivor") {
-			t.Fatalf("lone survivor's error does not name the situation: %v", err)
+		if !strings.Contains(err.Error(), "lone survivor") || !strings.Contains(err.Error(), dir) {
+			t.Fatalf("lone survivor's error does not name the situation and its checkpoint directory: %v", err)
 		}
 	case <-time.After(90 * time.Second):
 		t.Fatal("lone survivor deadlocked instead of timing out")

@@ -110,7 +110,7 @@ func runGeneration(cfg *RunnerConfig) (rt *core.RankTrainer, members []int, star
 	})
 	if err != nil {
 		dataLn.Close()
-		return nil, nil, -1, err
+		return nil, nil, -1, fmt.Errorf("%w (this rank's checkpoint directory: %s)", err, cfg.Dir)
 	}
 	tp, err := comm.DialTCPMesh(comm.TCPConfig{
 		Rank:              indexOf(tbl.Members, cfg.Rank), // every agreed table seats us: comm.Register refuses one that doesn't

@@ -63,16 +63,11 @@ func AccuracyOf(correct, total int64) float64 {
 	return float64(correct) / float64(total)
 }
 
-// MicroF1 computes the micro-averaged F1 score over masked rows of a
-// multi-label problem: a label is predicted positive when its logit > 0
-// (sigmoid > 0.5). Returns 0 when there are no positives at all.
-func MicroF1(logits, targets *tensor.Matrix, mask []bool) float64 {
-	return MicroF1Of(MicroF1Counts(logits, targets, mask))
-}
-
-// MicroF1Counts is MicroF1's scoring loop: true positives, false positives
-// and false negatives over the masked rows. Like AccuracyCounts, they add
-// over disjoint row blocks.
+// MicroF1Counts is the micro-averaged F1 score's scoring loop over masked
+// rows of a multi-label problem, a label predicted positive when its logit
+// is > 0 (sigmoid > 0.5): true positives, false positives and false
+// negatives over the masked rows. Like AccuracyCounts, they add over
+// disjoint row blocks; MicroF1Of turns their sums into the score.
 func MicroF1Counts(logits, targets *tensor.Matrix, mask []bool) (tp, fp, fn int64) {
 	if logits.Rows != targets.Rows || logits.Cols != targets.Cols {
 		panic(fmt.Sprintf("metrics: shape mismatch %dx%d vs %dx%d", logits.Rows, logits.Cols, targets.Rows, targets.Cols))
@@ -98,7 +93,8 @@ func MicroF1Counts(logits, targets *tensor.Matrix, mask []bool) (tp, fp, fn int6
 	return tp, fp, fn
 }
 
-// MicroF1Of turns (summed) MicroF1Counts into the score.
+// MicroF1Of turns (summed) MicroF1Counts into the micro-averaged F1 score,
+// 0 when there are no positives at all.
 func MicroF1Of(tp, fp, fn int64) float64 {
 	denom := 2*tp + fp + fn
 	if denom == 0 {

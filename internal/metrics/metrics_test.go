@@ -34,7 +34,7 @@ func TestAccuracyRespectsMask(t *testing.T) {
 func TestMicroF1Perfect(t *testing.T) {
 	logits := tensor.NewFrom(2, 3, []float32{5, -5, 5, -5, 5, -5})
 	targets := tensor.NewFrom(2, 3, []float32{1, 0, 1, 0, 1, 0})
-	if got := MicroF1(logits, targets, []bool{true, true}); got != 1 {
+	if got := MicroF1Of(MicroF1Counts(logits, targets, []bool{true, true})); got != 1 {
 		t.Fatalf("perfect F1 = %v", got)
 	}
 }
@@ -43,7 +43,7 @@ func TestMicroF1KnownValue(t *testing.T) {
 	// tp=1 (pred+ actual+), fp=1 (pred+ actual-), fn=1 (pred- actual+).
 	logits := tensor.NewFrom(1, 3, []float32{5, 5, -5})
 	targets := tensor.NewFrom(1, 3, []float32{1, 0, 1})
-	got := MicroF1(logits, targets, []bool{true})
+	got := MicroF1Of(MicroF1Counts(logits, targets, []bool{true}))
 	want := 2.0 * 1 / (2*1 + 1 + 1)
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("F1 = %v, want %v", got, want)
@@ -53,7 +53,7 @@ func TestMicroF1KnownValue(t *testing.T) {
 func TestMicroF1EmptyIsZero(t *testing.T) {
 	logits := tensor.NewFrom(1, 2, []float32{-1, -1})
 	targets := tensor.New(1, 2)
-	if got := MicroF1(logits, targets, []bool{true}); got != 0 {
+	if got := MicroF1Of(MicroF1Counts(logits, targets, []bool{true})); got != 0 {
 		t.Fatalf("no-positive F1 = %v", got)
 	}
 }
@@ -113,7 +113,7 @@ func TestAccuracyNaNRows(t *testing.T) {
 	}
 }
 
-// TestMicroF1EdgeRows covers the mask/NaN edges of MicroF1: masked rows
+// TestMicroF1EdgeRows covers the mask/NaN edges of MicroF1Counts: masked rows
 // contribute nothing, and NaN logits read as not-predicted (NaN > 0 is
 // false) so they land in fn when the label is positive.
 func TestMicroF1EdgeRows(t *testing.T) {
@@ -128,12 +128,12 @@ func TestMicroF1EdgeRows(t *testing.T) {
 		1, 0, // the NaN prediction misses this positive: fn=1
 		1, 0,
 	})
-	got := MicroF1(logits, targets, []bool{false, true, true})
+	got := MicroF1Of(MicroF1Counts(logits, targets, []bool{false, true, true}))
 	want := 2.0 * 1 / (2*1 + 0 + 1) // tp=1, fp=0, fn=1
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("edge-row F1 = %v, want %v", got, want)
 	}
-	if got := MicroF1(logits, targets, []bool{false, false, false}); got != 0 {
+	if got := MicroF1Of(MicroF1Counts(logits, targets, []bool{false, false, false})); got != 0 {
 		t.Fatalf("empty-mask F1 = %v, want 0", got)
 	}
 }

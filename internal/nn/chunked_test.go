@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -204,40 +205,55 @@ func TestDropoutChunkedMatchesOneShot(t *testing.T) {
 }
 
 // TestDropoutMaskApplySplitMatchesForwardRows: rows the caller writes into
-// the destination itself, drawn and masked by ApplyMaskedRows in out-of-order
-// per-peer batches, reproduce a plain ascending ForwardRows pass bit for bit
-// — the contract the halo drain rests on when it masks one peer's rows at a
-// time, as they land.
+// the destination itself, drawn and masked by ApplyMaskedRows one block at a
+// time with the blocks in shuffled order, reproduce a plain ascending
+// ForwardRows pass bit for bit — the contract the halo drain rests on when it
+// masks one peer's block at a time, as it lands. The late rows stand where
+// they are, or in shuffled blocks of a dense block (ForwardBegin's at, n).
 func TestDropoutMaskApplySplitMatchesForwardRows(t *testing.T) {
-	const rows, cols, cut = 23, 7, 9
+	const rows, cols, cut, n = 23, 7, 9, 30
 	x := randMat(tensor.NewRNG(3), rows, cols)
 	// Poison a "late" row with ±0 and extreme values to pin the dropped-
 	// element semantics (a literal 0, not value*0).
 	copy(x.Row(rows-1), []float32{float32(math.Inf(1)), float32(math.Copysign(0, -1)), -1e30, 0, 1, -2, 3})
+	// Three peers' blocks of late rows, applied out of order.
+	blocks := [][2]int{{18, 23}, {cut, 13}, {13, 18}}
+	// The late rows' places in a block of n: each peer's block ascending,
+	// the blocks interleaved among themselves.
+	shuffled := []int32{1, 6, 7, 12, 2, 3, 4, 5, 29, 9, 10, 11, 27, 28}
 
-	ref := NewDropout(0.4, tensor.NewRNG(9))
-	chk := NewDropout(0.4, tensor.NewRNG(9))
+	for name, at := range map[string][]int32{"in-place": nil, "shuffled": shuffled} {
+		place := 0
+		if at != nil {
+			place = n
+		}
+		ref := NewDropout(0.4, tensor.NewRNG(9))
+		chk := NewDropout(0.4, tensor.NewRNG(9))
 
-	want := tensor.New(rows, cols)
-	ref.ForwardBegin(want, x, true, nil, 0)
-	ref.ForwardRows(0, cut)
-	ref.ForwardRows(cut, rows)
+		want := tensor.New(rows, cols)
+		ref.ForwardBegin(want, x, true, at, place)
+		ref.ForwardRows(0, cut)
+		ref.ForwardRows(cut, rows)
 
-	// The late rows land in the destination itself, as a peer's payload does.
-	got := x.Clone()
-	chk.ForwardBegin(got, x, true, nil, 0)
-	chk.ForwardRows(0, cut)
-	// Apply in out-of-order, disjoint batches, as peers landing would.
-	chk.ApplyMaskedRows([]int32{21, 22, 10, 15})
-	chk.ApplyMaskedRows([]int32{9, 20, 11})
-	chk.ApplyMaskedRows([]int32{14, 12, 13, 16, 17, 18, 19})
-	sameBits(t, "dropout/mask-apply", got.Data, want.Data)
+		// The late rows land in the destination itself, as a peer's payload does.
+		got := x.Clone()
+		chk.ForwardBegin(got, x, true, at, place)
+		chk.ForwardRows(0, cut)
+		for _, b := range blocks {
+			chk.ApplyMaskedRows(b[0], b[1])
+		}
+		sameBits(t, "dropout/mask-apply/"+name, got.Data, want.Data)
 
-	// Identity pass: the apply is a no-op.
-	got = x.Clone()
-	chk.ForwardBegin(got, x, false, nil, 0)
-	chk.ApplyMaskedRows([]int32{0, 1})
-	sameBits(t, "dropout/identity-mask-apply", got.Data, x.Data)
+		// Identity pass: the apply is a no-op.
+		got = x.Clone()
+		chk.ForwardBegin(got, x, false, at, place)
+		chk.ApplyMaskedRows(0, 2)
+		sameBits(t, "dropout/identity-mask-apply/"+name, got.Data, x.Data)
+	}
+	d := NewDropout(0.4, tensor.NewRNG(9))
+	d.ForwardBegin(x.Clone(), x, true, nil, 0)
+	panicsWith(t, "dropout/apply-range", "rows [20,24) applied, the destination has 23 rows",
+		func() { d.ApplyMaskedRows(20, 24) })
 }
 
 // TestDropoutSelectionMatchesDenseDraw: a pass whose halo rows are a
@@ -245,7 +261,8 @@ func TestDropoutMaskApplySplitMatchesForwardRows(t *testing.T) {
 // row the masks one dense pass over the inner rows and the whole block gives
 // it, and leaves the stream where that pass ends — for no rows, one row,
 // runs of adjacent rows, a random selection and every row, with the halo
-// rows dealt to peers and applied in shuffled order. This is what lets the
+// rows dealt to peers, stored peer by peer and applied a peer's block at a
+// time in shuffled peer order. This is what lets the
 // epoch engine hold rows only for the boundary slots it sampled without
 // moving a mask or a checkpointed stream position. The masks are read back
 // by masking matrices of ones, forward and backward: 1/(1−rate) where the
@@ -281,13 +298,10 @@ func TestDropoutSelectionMatchesDenseDraw(t *testing.T) {
 
 			sparse := NewDropout(0.4, tensor.NewRNG(9))
 			sm := ones(nIn+len(at), cols)
-			sparse.ForwardBegin(sm, sm, true, at, n)
-			halo := rng.Perm(len(at))
-			for i := range halo {
-				halo[i] += nIn
-			}
-			for _, rows := range peerBatches(rng, halo, 3) {
-				sparse.ApplyMaskedRows(rows)
+			order, ptr := ownerMajor(rng, at, 3)
+			sparse.ForwardBegin(sm, sm, true, order, n)
+			for _, j := range rng.Perm(3) {
+				sparse.ApplyMaskedRows(nIn+ptr[j], nIn+ptr[j+1])
 			}
 			sparse.ForwardRows(0, nIn)
 
@@ -300,7 +314,7 @@ func TestDropoutSelectionMatchesDenseDraw(t *testing.T) {
 				got, want := pair[0], pair[1]
 				label := fmt.Sprintf("dropout/selection/%s/cols=%d/pass%d", name, cols, pass)
 				sameBits(t, label+"/inner", got.Data[:nIn*cols], want.Data[:nIn*cols])
-				for i, r := range at {
+				for i, r := range order {
 					sameBits(t, label, got.Row(nIn+i), want.Row(nIn+int(r)))
 				}
 			}
@@ -317,22 +331,34 @@ func TestDropoutSelectionMatchesDenseDraw(t *testing.T) {
 	keep := m.Clone()
 	d.ForwardBegin(m, m, false, []int32{1, 5}, n)
 	d.ForwardRows(0, nIn)
-	d.ApplyMaskedRows([]int32{nIn + 1, nIn})
+	d.ApplyMaskedRows(nIn, nIn+2)
 	sameBits(t, "dropout/selection/identity", m.Data, keep.Data)
 	if d.RNGState() != before {
 		t.Fatal("identity pass moved the mask stream")
 	}
 }
 
-// peerBatches deals rows out to k peers at random, each peer's in the order
-// given, as a partition's per-peer receive lists interleave its halo rows.
-func peerBatches(rng *tensor.RNG, rows []int32, k int) [][]int32 {
-	peers := make([][]int32, k)
-	for _, r := range rows {
-		j := rng.Intn(k)
-		peers[j] = append(peers[j], r)
+// ownerMajor deals the block rows at out to k peers at random and stores them
+// peer by peer, each peer's in the order given, as the epoch engine stores a
+// partition's halo rows: it returns the stored order, in which peer j holds
+// [ptr[j], ptr[j+1]).
+func ownerMajor(rng *tensor.RNG, at []int32, k int) (order []int32, ptr []int) {
+	peer := make([]int, len(at))
+	ptr = make([]int, k+1)
+	for i := range at {
+		peer[i] = rng.Intn(k)
+		ptr[peer[i]+1]++
 	}
-	return peers
+	for j := 0; j < k; j++ {
+		ptr[j+1] += ptr[j]
+	}
+	order = make([]int32, len(at))
+	next := slices.Clone(ptr[:k])
+	for i, r := range at {
+		order[next[peer[i]]] = r
+		next[peer[i]]++
+	}
+	return order, ptr
 }
 
 // rowList lists the rows [r0, r1).
@@ -345,13 +371,14 @@ func rowList(r0, r1 int) []int32 {
 }
 
 // TestGATHaloLayoutMatchesDenseSpace: a layer trained on a compacted node
-// space — only some halo rows kept, renumbered in order, the dropped ones
-// edgeless — and told where the kept rows stood (SetHaloLayout) reproduces,
-// bit for bit, the layer trained on the dense space with arbitrary values in
-// the dropped rows: outputs, input gradients of the kept rows, and the
-// parameter gradients, dW's reduction over all rows included. One-shot and
-// staged, inline and with the kernel pool forced wide (the reduction's worker
-// split), on widths with a scalar tail.
+// space — only some halo rows kept, stored peer by peer as the epoch engine
+// stores them, the dropped ones edgeless — and told where the kept rows
+// stood (SetHaloLayout) reproduces, bit for bit, the layer trained on the
+// dense space with arbitrary values in the dropped rows: outputs, input
+// gradients of the kept rows, and the parameter gradients, dW's reduction
+// over all rows included. One-shot and staged (the staged pass preps the
+// peers' blocks in shuffled order), inline and with the kernel pool forced
+// wide (the reduction's worker split), on widths with a scalar tail.
 func TestGATHaloLayoutMatchesDenseSpace(t *testing.T) {
 	for _, width := range []int{1, 4} {
 		for _, tc := range []chunkedCase{
@@ -362,22 +389,28 @@ func TestGATHaloLayoutMatchesDenseSpace(t *testing.T) {
 			rng := tensor.NewRNG(404)
 			dense := localGraph(rng, tc.nIn, tc.nBd, tc.deg, tc.haloP)
 			_, _, used := splitHalo(dense, tc.nIn)
-			// Keep every referenced halo row and every fifth other one.
-			rowOf := make([]int32, dense.N)
-			var at, kept []int32
-			for v := range rowOf {
-				rowOf[v] = int32(v)
-			}
+			// Keep every referenced halo row and every fifth other one, and
+			// store them peer by peer: halo row nIn+i of the compact space is
+			// slot order[i].
+			var at []int32
 			for s := tc.nIn; s < dense.N; s++ {
-				rowOf[s] = -1
 				if (len(used) > 0 && used[0] == int32(s)) || s%5 == 0 {
-					rowOf[s] = int32(tc.nIn + len(at))
 					at = append(at, int32(s-tc.nIn))
-					kept = append(kept, int32(s))
 				}
 				if len(used) > 0 && used[0] == int32(s) {
 					used = used[1:]
 				}
+			}
+			order, ptr := ownerMajor(rng, at, 3)
+			rowOf := make([]int32, dense.N) // dense row → compact row, or −1
+			for v := range rowOf {
+				rowOf[v] = int32(v)
+				if v >= tc.nIn {
+					rowOf[v] = -1
+				}
+			}
+			for i, s := range order {
+				rowOf[tc.nIn+int(s)] = int32(tc.nIn + i)
 			}
 			compact := &graph.Graph{N: tc.nIn + len(at), Indptr: dense.Indptr[:tc.nIn+len(at)+1], Indices: make([]int32, len(dense.Indices))}
 			for e, u := range dense.Indices {
@@ -401,15 +434,18 @@ func TestGATHaloLayoutMatchesDenseSpace(t *testing.T) {
 
 			one := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
 			one.SetAgg(graph.NewAggIndex(compact))
-			one.SetHaloLayout(at, tc.nBd)
+			one.SetHaloLayout(rowOf[tc.nIn:])
 			oneOut := one.Forward(compact, hCompact, tc.nIn)
 			oneDH := one.Backward(dOut)
 
 			stg := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
 			stg.SetAgg(graph.NewAggIndex(compact))
-			stg.SetHaloLayout(at, tc.nBd)
+			stg.SetHaloLayout(rowOf[tc.nIn:])
 			stgOut := stg.ForwardBegin(compact, hCompact, tc.nIn)
-			stg.ForwardPrep(0, compact.N)
+			stg.ForwardPrep(0, tc.nIn)
+			for _, j := range rng.Perm(3) {
+				stg.ForwardPrep(tc.nIn+ptr[j], tc.nIn+ptr[j+1])
+			}
 			stg.ForwardRows(free)
 			stg.ForwardRows(dep)
 			stg.BackwardBegin(dOut)
@@ -425,8 +461,8 @@ func TestGATHaloLayoutMatchesDenseSpace(t *testing.T) {
 				name := fmt.Sprintf("width %d/%s/%s", width, tc.name, got.name)
 				sameBits(t, name+"/forward", got.out.Data, wantOut.Data)
 				sameBits(t, name+"/backward-inner", got.dH.Data[:tc.nIn*tc.inDim], wantDH.Data[:tc.nIn*tc.inDim])
-				for i, s := range kept {
-					sameBits(t, name+"/backward-halo", got.dH.Row(tc.nIn+i), wantDH.Row(int(s)))
+				for i, s := range order {
+					sameBits(t, name+"/backward-halo", got.dH.Row(tc.nIn+i), wantDH.Row(tc.nIn+int(s)))
 				}
 				sameBits(t, name+"/DW", got.l.DW.Data, ref.DW.Data)
 				sameBits(t, name+"/DA1", got.l.DA1.Data, ref.DA1.Data)
@@ -437,8 +473,8 @@ func TestGATHaloLayoutMatchesDenseSpace(t *testing.T) {
 }
 
 // TestGATForwardPrepRowsMatchesRange: per-row-list prep must reproduce the
-// range form bit for bit in any duplicate-free cover order, so the drain can
-// prep one peer's halo slots as each payload is received.
+// range form bit for bit in any duplicate-free cover order, so a caller can
+// prep exactly the rows that changed (the serving engine's feature update).
 func TestGATForwardPrepRowsMatchesRange(t *testing.T) {
 	for _, tc := range chunkedCases {
 		rng := tensor.NewRNG(77)

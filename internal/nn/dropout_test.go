@@ -82,7 +82,7 @@ func specialMat(rng *tensor.RNG, rows, cols int) *tensor.Matrix {
 // destination-beside-source passes over a packed bit mask produce, bit for
 // bit, what the float32-mask dropout's one ascending pass did — forward
 // (ForwardRows chunks out of order, then rows the caller wrote applied in
-// shuffled batches, as the halo drain applies each peer's) and backward — on
+// blocks out of order, as the halo drain applies each peer's) and backward — on
 // inputs holding ±0, NaN and ±Inf, with column counts that let a mask word
 // straddle rows, and on a bitset reused from a larger pass (stale bits).
 func TestDropoutBitMaskMatchesReference(t *testing.T) {
@@ -117,9 +117,9 @@ func TestDropoutBitMaskMatchesReference(t *testing.T) {
 					// The late rows land in the destination, as halo rows do.
 					copy(dst.Data[cut*cols:], x.Data[cut*cols:])
 				}
-				d.ApplyMaskedRows([]int32{21, 22, 10, 15})
-				d.ApplyMaskedRows([]int32{9, 20, 11})
-				d.ApplyMaskedRows([]int32{19, 14, 12, 13, 16, 17, 18})
+				d.ApplyMaskedRows(20, rows)
+				d.ApplyMaskedRows(cut, 12)
+				d.ApplyMaskedRows(12, 20)
 				sameBits(t, name+"/forward", dst.Data, want)
 				if !inPlace {
 					sameBits(t, name+"/source untouched", src.Data, x.Data)
@@ -296,8 +296,9 @@ func TestGATBackwardParamsMatchesBackward(t *testing.T) {
 // of the k4-full-tcp benchmark workload — 4,000 inner rows and 9,800 halo
 // rows, at the input (48) and hidden (64) widths, rate 0.2: the forward over
 // every row; the halo rows of a selection at p = 1 and p = 0.1, dealt to
-// three peers at random (about 1.5 rows to a run of consecutive rows, as the
-// workload's receive lists hold them) and drawn and masked peer by peer; and
+// three peers at random and stored peer by peer (about 1.5 rows to a run of
+// consecutive slots, as the workload's receive lists hold them) and drawn and
+// masked a peer's block at a time; and
 // the backward over every row.
 func BenchmarkDropoutWorkload(b *testing.B) {
 	const nIn, nBd = 4000, 9800
@@ -322,12 +323,12 @@ func BenchmarkDropoutWorkload(b *testing.B) {
 		for _, p := range []string{"1", "0.1"} {
 			at := sel[p]
 			space := &tensor.Matrix{Rows: nIn + len(at), Cols: cols, Data: out.Data[:(nIn+len(at))*cols]}
-			peers := peerBatches(rng, rowList(nIn, nIn+len(at)), 3)
+			order, ptr := ownerMajor(rng, at, 3)
 			b.Run(fmt.Sprintf("halo/p=%s/cols=%d", p, cols), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					d.ForwardBegin(space, space, true, at, nBd)
-					for _, rows := range peers {
-						d.ApplyMaskedRows(rows)
+					d.ForwardBegin(space, space, true, order, nBd)
+					for j := 0; j < 3; j++ {
+						d.ApplyMaskedRows(nIn+ptr[j], nIn+ptr[j+1])
 					}
 				}
 			})

@@ -53,10 +53,9 @@ type GATConv struct {
 	alphaBuf, deBuf, s1, s2, da1, da2 []float32
 	out, dPre, dWh, dWScratch, dH     *tensor.Matrix
 
-	// haloAt/haloN place the pass's trailing input rows in a dense block of
-	// haloN rows (SetHaloLayout); nil/0 means the input is dense as it is.
-	haloAt []int32
-	haloN  int
+	// haloRow places the pass's trailing input rows in a dense block
+	// (SetHaloLayout); nil means the input is dense as it is.
+	haloRow []int32
 
 	// sweep, edgeSweep and pullSweep are forwardBlock, edgeBlock and
 	// pullBlock bound once at construction: binding them per pass would
@@ -102,17 +101,17 @@ func (l *GATConv) ZeroGrad() { zeroGradAll(l.Grads()) }
 // match the pass's graph, panics at pass entry.
 func (l *GATConv) SetAgg(ai *graph.AggIndex) { l.agg = ai }
 
-// SetHaloLayout tells the layer that the last len(at) input rows of its
-// passes are a selection from a dense block of n rows — input row
-// h.Rows−len(at)+i stands at row at[i] of the block (at ascending) and the
-// block's other rows, which the pass never sees, are rows without edges. The
-// epoch engine's node space is such a selection of the partition's boundary
-// slots. Everything the layer computes per row is indifferent to it; dW, a
+// SetHaloLayout tells the layer that the trailing input rows of its passes
+// are a selection from a dense block of len(rowOf) rows, stored in any
+// order: row v of the block is input row rowOf[v], or, where rowOf[v] is −1,
+// a row without edges that the pass never sees. The epoch engine's node space
+// is such a selection of the partition's boundary slots, stored peer by
+// peer. Everything the layer computes per row is indifferent to it; dW, a
 // reduction over all input rows, is summed in the order the dense input
-// would be (tensor.MatMulTransAAt), so its bits do not depend on which rows
-// were selected. at is kept, not copied, and holds until the next call;
-// (nil, 0), the initial state, is a dense input.
-func (l *GATConv) SetHaloLayout(at []int32, n int) { l.haloAt, l.haloN = at, n }
+// would be (tensor.MatMulTransAAt), so its bits depend neither on which rows
+// were selected nor on where they are stored. rowOf is kept, not copied, and
+// holds until the next call; nil, the initial state, is a dense input.
+func (l *GATConv) SetHaloLayout(rowOf []int32) { l.haloRow = rowOf }
 
 // Forward computes attention outputs for the first nOut rows of h: the
 // chunked pass (ForwardBegin, ForwardPrep, ForwardRows) run over every row
@@ -528,7 +527,7 @@ func (l *GATConv) backwardParams() {
 		l.DA2.Data[j] += l.da2[j]
 	}
 	dW := tensor.EnsureMat(&l.dWScratch, l.InDim, l.OutDim)
-	tensor.MatMulTransAAt(dW, l.h, l.dWh, l.haloAt, l.haloN)
+	tensor.MatMulTransAAt(dW, l.h, l.dWh, l.haloRow)
 	l.DW.Add(dW)
 }
 

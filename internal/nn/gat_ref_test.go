@@ -51,7 +51,7 @@ func refGATBackward(l *GATConv, dOut *tensor.Matrix) gatGrads {
 		out.DA2.Data[j] += r.da2[j]
 	}
 	dW := tensor.New(l.InDim, l.OutDim)
-	tensor.MatMulTransAAt(dW, l.h, r.dWh, l.haloAt, l.haloN)
+	tensor.MatMulTransAAt(dW, l.h, r.dWh, l.haloRow)
 	out.DW.Add(dW)
 	out.dH = tensor.New(l.nAll, l.InDim)
 	tensor.MatMulTransB(out.dH, r.dWh, l.W)
@@ -138,15 +138,14 @@ func gatRefGraph(nEdged, nAll int, degree func(v int) int, pick func(v int) int3
 }
 
 // gatRefCase is one graph for the serial-sweep comparison: outputs are the
-// first nOut rows, and a non-nil haloAt places the trailing input rows in a
-// dense block of haloN rows.
+// first nOut rows, and a non-nil haloRow places the trailing input rows in a
+// dense block (GATConv.SetHaloLayout).
 type gatRefCase struct {
 	name          string
 	g             *graph.Graph
 	nOut          int
 	inDim, outDim int
-	haloAt        []int32
-	haloN         int
+	haloRow       []int32
 }
 
 func gatRefCases() []gatRefCase {
@@ -164,13 +163,18 @@ func gatRefCases() []gatRefCase {
 				}
 				return int32(rng.Intn(nOut))
 			})
-		var at []int32
+		// Block row 3i+i%3 is stored at row nOut+nBd−1−i: the selection in
+		// reverse.
+		haloRow := make([]int32, 3*nBd)
+		for v := range haloRow {
+			haloRow[v] = -1
+		}
 		for i := 0; i < nBd; i++ {
-			at = append(at, int32(3*i+i%3))
+			haloRow[3*i+i%3] = int32(nOut + nBd - 1 - i)
 		}
 		cases = append(cases,
-			gatRefCase{"halo", g, nOut, 9, 13, nil, 0},
-			gatRefCase{"halo-layout", g, nOut, 9, 32, at, 3 * nBd})
+			gatRefCase{"halo", g, nOut, 9, 13, nil},
+			gatRefCase{"halo-layout", g, nOut, 9, 32, haloRow})
 	}
 	// A hub: row 0 points at more than 256 rows, and every other output row
 	// points at it (some twice), so its chain runs past one piece; halo row
@@ -196,14 +200,14 @@ func gatRefCases() []gatRefCase {
 					return int32(rng.Intn(nOut))
 				}
 			})
-		cases = append(cases, gatRefCase{"hub", g, nOut, 7, 32, nil, 0})
+		cases = append(cases, gatRefCase{"hub", g, nOut, 7, 32, nil})
 	}
 	// Input-only rows with edges of their own, which no output row's sweep
 	// visits.
 	{
 		const nOut, nAll = 20, 29
 		g := gatRefGraph(nAll, nAll, func(v int) int { return v % 5 }, func(int) int32 { return int32(rng.Intn(nAll)) })
-		cases = append(cases, gatRefCase{"input-edges", g, nOut, 5, 8, nil, 0})
+		cases = append(cases, gatRefCase{"input-edges", g, nOut, 5, 8, nil})
 	}
 	return cases
 }
@@ -235,7 +239,7 @@ func checkGATAgainstSerialSweep(t *testing.T, tc gatRefCase) {
 	newLayer := func() *GATConv {
 		l := NewGATConv(tc.inDim, tc.outDim, ReLUAct, tensor.NewRNG(6))
 		l.SetAgg(graph.NewAggIndex(tc.g))
-		l.SetHaloLayout(tc.haloAt, tc.haloN)
+		l.SetHaloLayout(tc.haloRow)
 		tensor.GaussianInit(l.DW, 1, rng) // accumulate onto non-zero gradients
 		return l
 	}

@@ -191,12 +191,13 @@ func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
 // dst and src may be one matrix. A row of dst is valid once its range, or its
 // apply, has run.
 //
-// at and n place the pass's last len(at) rows in a dense block of n rows, as
-// in GATConv.SetHaloLayout: row dst.Rows−len(at)+i takes the masks row at[i]
-// of the block would, in a pass over the leading rows and then all n; (nil,
-// 0) is a pass over dst's rows as they are. The epoch engine's node space
-// holds only the sampled boundary slots, and each keeps the masks (and the
-// layer's stream the position) that training over every slot would give it.
+// at and n place the pass's last len(at) rows, in any order, in a dense
+// block of n rows: row dst.Rows−len(at)+i takes the masks row at[i] of the
+// block would, in a pass over the leading rows and then all n; (nil, 0) is a
+// pass over dst's rows as they are. The epoch engine's node space holds only
+// the sampled boundary slots, stored peer by peer, and each keeps the masks
+// (and the layer's stream the position) that training over every slot would
+// give it.
 // An active pass moves the stream past that whole virtual pass here.
 func (d *Dropout) ForwardBegin(dst, src *tensor.Matrix, train bool, at []int32, n int) {
 	if dst.Cols != src.Cols {
@@ -233,22 +234,17 @@ func (d *Dropout) ForwardRows(r0, r1 int) {
 	}
 }
 
-// ApplyMaskedRows draws the masks of the listed rows and masks those rows of
+// ApplyMaskedRows draws the masks of rows [r0, r1) and masks those rows of
 // the destination in place: the caller has written their values into it, as
-// the epoch engine's drain does with each peer's payload. Rows may come in
-// any order and in any batches, each exactly once per pass; the result is
-// what ForwardRows would write. A no-op when the pass is identity.
-func (d *Dropout) ApplyMaskedRows(rows []int32) {
-	if !d.active {
-		return
+// the epoch engine's drain does with each peer's block. Ranges may come in
+// any order, each row exactly once per pass; the result is what ForwardRows
+// would write. A no-op when the pass is identity.
+func (d *Dropout) ApplyMaskedRows(r0, r1 int) {
+	if r0 < 0 || r1 < r0 || r1 > d.rows {
+		panic(fmt.Sprintf("nn: dropout layer %d: rows [%d,%d) applied, the destination has %d rows", d.Layer, r0, r1, d.rows))
 	}
-	for i := 0; i < len(rows); { // consecutive rows in one call
-		j := i + 1
-		for j < len(rows) && rows[j] == rows[j-1]+1 {
-			j++
-		}
-		d.mask(d.dst.Data, int(rows[i]), int(rows[j-1])+1)
-		i = j
+	if d.active {
+		d.mask(d.dst.Data, r0, r1)
 	}
 }
 

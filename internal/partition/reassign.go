@@ -13,7 +13,8 @@ import (
 // computes the identical new layout without any coordination beyond agreeing
 // on which slots are dead.
 //
-// Reassign is the fold: each dead-partition node moves to the surviving
+// reassignDead is the fold, reached through ShrinkToMembers: each
+// dead-partition node moves to the surviving
 // partition it shares the most boundary edges with (its strongest halo
 // affinity), which is the assignment a greedy one-node-at-a-time pass can
 // reach that least inflates the new edge cut. Survivor nodes never move —
@@ -89,23 +90,6 @@ func reassignDead(g *graph.Graph, parts []int32, k int, dead []bool) ([]int32, e
 		sizes[best]++
 	}
 	return out, nil
-}
-
-// Reassign folds partition dead of an existing k-way assignment into the
-// surviving partitions and returns the new assignment. See reassignDead for
-// the fold rules. Survivor assignments are untouched and the partition id
-// space keeps its original width k; use Compact to renumber onto the member
-// subset.
-func Reassign(g *graph.Graph, parts []int32, k, dead int) ([]int32, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("partition: cannot reassign with k=%d: no surviving partition to absorb the rows", k)
-	}
-	if dead < 0 || dead >= k {
-		return nil, fmt.Errorf("partition: dead partition %d outside [0,%d)", dead, k)
-	}
-	deadSet := make([]bool, k)
-	deadSet[dead] = true
-	return reassignDead(g, parts, k, deadSet)
 }
 
 // Compact renumbers an assignment whose partition ids all lie in the member

@@ -19,7 +19,7 @@ func pathGraph9() (*graph.Graph, []int32) {
 
 func TestReassignFoldsByAffinity(t *testing.T) {
 	g, parts := pathGraph9()
-	out, err := Reassign(g, parts, 3, 1)
+	out, err := reassignDead(g, parts, 3, []bool{false, true, false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestReassignFoldsByAffinity(t *testing.T) {
 	}
 	// Input untouched.
 	if parts[3] != 1 {
-		t.Fatal("Reassign mutated its input")
+		t.Fatal("reassignDead mutated its input")
 	}
 }
 
@@ -47,7 +47,7 @@ func TestReassignPocketGoesToSmallestSurvivor(t *testing.T) {
 	b.AddEdge(3, 5)
 	g := b.Build()
 	parts := []int32{0, 0, 0, 1, 1, 2}
-	out, err := Reassign(g, parts, 3, 1)
+	out, err := reassignDead(g, parts, 3, []bool{false, true, false})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,18 +61,16 @@ func TestReassignPocketGoesToSmallestSurvivor(t *testing.T) {
 
 func TestReassignRejectsBadArgs(t *testing.T) {
 	g, parts := pathGraph9()
-	if _, err := Reassign(g, parts[:5], 3, 1); err == nil {
+	dead := []bool{false, true, false}
+	if _, err := reassignDead(g, parts[:5], 3, dead); err == nil {
 		t.Fatal("short assignment accepted")
 	}
-	if _, err := Reassign(g, parts, 1, 0); err == nil {
-		t.Fatal("k=1 accepted: there is no survivor to absorb the rows")
-	}
-	if _, err := Reassign(g, parts, 3, 3); err == nil {
-		t.Fatal("out-of-range dead partition accepted")
+	if _, err := reassignDead(g, make([]int32, g.N), 1, []bool{true}); err == nil {
+		t.Fatal("every partition dead accepted: there is no survivor to absorb the rows")
 	}
 	bad := append([]int32(nil), parts...)
 	bad[0] = 7
-	if _, err := Reassign(g, bad, 3, 1); err == nil {
+	if _, err := reassignDead(g, bad, 3, dead); err == nil {
 		t.Fatal("invalid partition id accepted")
 	}
 }

@@ -196,9 +196,9 @@ func MatMulTransASplit(out, z, h, dPre *Matrix) {
 func matMulTransASplitBlock(out, z, h, dPre *Matrix, c0, c1 int) {
 	in := z.Cols
 	if c0 < in {
-		matMulTransABlock(out.Data, z, dPre, nil, 0, c0, min(c1, in))
+		matMulTransABlock(out.Data, z, dPre, nil, dPre.Rows, c0, min(c1, in))
 	}
 	if c1 > in {
-		matMulTransABlock(out.Data[in*out.Cols:], h, dPre, nil, 0, max(c0, in)-in, c1-in)
+		matMulTransABlock(out.Data[in*out.Cols:], h, dPre, nil, dPre.Rows, max(c0, in)-in, c1-in)
 	}
 }

@@ -120,9 +120,9 @@ type rowCall struct {
 	// the self half of MatMulTransASplit's left operand) and b read.
 	out, out2, a, a2, b *Matrix
 	indptr              []int64
-	indices             []int32 // CSR columns; MatMulTransAAt's row selection
+	indices             []int32 // CSR columns; MatMulTransAAt's block rows
 	scale               []float32
-	virt                int                // MatMulTransAAt's virtual block height
+	r0                  int                // MatMulTransAAt's first block row
 	fn                  func(rows []int32) // kernelFunc's body
 }
 
@@ -145,7 +145,7 @@ func (c *rowCall) block(rows []int32) {
 		spmmMatMulBlock(c.out, c.out2, c.a, c.b, c.indptr, c.indices, c.scale, rows)
 	case kernelMatMulTransA:
 		c0, c1 := span(rows)
-		matMulTransABlock(c.out.Data, c.a, c.b, c.indices, c.virt, c0, c1)
+		matMulTransABlock(c.out.Data, c.a, c.b, c.indices, c.r0, c0, c1)
 	case kernelMatMulTransASplit:
 		c0, c1 := span(rows)
 		matMulTransASplitBlock(c.out, c.a, c.a2, c.b, c0, c1)
@@ -506,32 +506,39 @@ func reduceGrain(outRows int) int {
 // n×m and is overwritten. The work is cut by output row — a column of a — and
 // every output row reduces over k in order, so the result is the same bits
 // at every pool width.
-func MatMulTransA(out, a, b *Matrix) { MatMulTransAAt(out, a, b, nil, 0) }
+func MatMulTransA(out, a, b *Matrix) { MatMulTransAAt(out, a, b, nil) }
 
-// MatMulTransAAt is MatMulTransA over operands whose last len(at) rows are a
-// selection from a dense block of n virtual rows: with r0 = a.Rows−len(at),
-// stored row r0+i of a and b stands at row r0+at[i] (at ascending, within
-// [0, n)) of the (r0+n)-row operands whose unselected rows are zero. out is
-// reduced in exactly the order MatMulTransA reduces those operands — the
-// same blocks of four rows, aligned to virtual row 0 — so the result has
-// their bits, and the cost that of the stored rows.
+// MatMulTransAAt is MatMulTransA over operands whose trailing rows are a
+// selection, stored in any order, from a dense block of virtual rows: block
+// row v is stored row rowOf[v] of a and b, or a zero row where rowOf[v] is
+// −1, and rowOf names each trailing row once. out is reduced in exactly the
+// order MatMulTransA reduces the dense operands — the same blocks of four
+// rows, aligned to virtual row 0 — so the result has their bits, and the
+// cost that of the stored rows.
 //
 // A reduction over rows is the one kernel whose float grouping depends on
 // where its rows sit. The epoch engine's node space holds only the sampled
-// boundary slots; attention's dW reduces over that space as a selection of
-// the partition's full slot range, so its bits do not depend on which other
-// slots an epoch sampled (or on the space having been compacted at all).
-func MatMulTransAAt(out, a, b *Matrix, at []int32, n int) {
+// boundary slots, in owner-major order; attention's dW reduces over that
+// space as a selection of the partition's full slot range in slot order, so
+// its bits depend neither on which other slots an epoch sampled nor on where
+// the engine stores them.
+func MatMulTransAAt(out, a, b *Matrix, rowOf []int32) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransA inner dim mismatch %d vs %d", a.Rows, b.Rows))
 	}
 	if out.Rows != a.Cols || out.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransA out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, b.Cols))
 	}
-	if len(at) > a.Rows || len(at) > n || (len(at) > 0 && int(at[len(at)-1]) >= n) {
-		panic(fmt.Sprintf("tensor: MatMulTransAAt selects %d of %d virtual rows over %d stored", len(at), n, a.Rows))
+	r0 := a.Rows
+	for v, r := range rowOf {
+		if r < -1 || int(r) >= a.Rows {
+			panic(fmt.Sprintf("tensor: MatMulTransAAt places stored row %d of %d at virtual row %d", r, a.Rows, v))
+		}
+		if r >= 0 {
+			r0--
+		}
 	}
-	dispatch(rowCall{kernel: kernelMatMulTransA, out: out, a: a, b: b, indices: at, virt: n},
+	dispatch(rowCall{kernel: kernelMatMulTransA, out: out, a: a, b: b, indices: rowOf, r0: r0},
 		rowRange(0, out.Rows), reduceGrain(out.Rows), nil)
 }
 
@@ -551,12 +558,12 @@ const (
 
 // matMulTransABlock computes rows [c0,c1) of aᵀ·b — the sums over columns
 // [c0,c1) of a — into od, whose row c holds m = b.Cols floats at c·m. The
-// reduction runs over b's rows (a may be taller) placed at their virtual
-// rows (see MatMulTransAAt; at == nil means every row is stored), four
-// virtual rows per panel from row 0 and the remainder row by row. A virtual
-// row that is not stored is a zero row: it takes its lane of a panel with a
-// zero coefficient and a stored row's b, and a panel or tail row with
-// nothing stored is skipped.
+// reduction runs over the virtual rows of MatMulTransAAt (b's rows before
+// r0, a may be taller, then the block rowOf places), four virtual rows per
+// panel from row 0 and the remainder row by row. A virtual row that is not
+// stored is a zero row: it takes its lane of a panel with a zero coefficient
+// and the b row of the panel's first stored one, and a panel or tail row
+// with nothing stored is skipped.
 //
 // The terms go by in slabs of reduceSlab. A slab's coefficients are its
 // stored rows of a, cut to the output rows' columns and copied into scratch
@@ -571,16 +578,14 @@ const (
 // as if each core's prefetchers ran past the end of its piece into the lines
 // the other is writing. The tile starts on a cache line, as the allocator
 // starts a Matrix, so no 32-byte row access straddles two lines.
-func matMulTransABlock(od []float32, a, b *Matrix, at []int32, n, c0, c1 int) {
+func matMulTransABlock(od []float32, a, b *Matrix, rowOf []int32, r0, c0, c1 int) {
 	w, m := a.Cols, b.Cols
 	ad := a.Data
-	end := b.Rows
-	r0 := end - len(at)
-	virt := func(i int) int { // the virtual row of stored row i
-		if i < r0 {
-			return i
+	stored := func(v int) int32 { // the stored row of virtual row v, or −1
+		if v < r0 {
+			return int32(v)
 		}
-		return r0 + int(at[i-r0])
+		return rowOf[v-r0]
 	}
 	var tile [reduceTile + 15]float32
 	acc := od[c0*m : c1*m] // row c of the piece at (c−c0)·m
@@ -594,23 +599,27 @@ func matMulTransABlock(od []float32, a, b *Matrix, at []int32, n, c0, c1 int) {
 		rows [reduceSlab]int32 // the row of b a term reads
 		coef [reduceCols * reduceSlab]float32
 	)
-	tail := (r0 + n) / 4 * 4 // virtual rows from here on are reduced one by one
-	for i := 0; i < end; {
-		s := 0
-		for s+4 <= reduceSlab && i < end && virt(i) < tail {
-			kk, first := virt(i)/4*4, int32(i)
-			for t := kk; t < kk+4; t++ {
-				src[s], rows[s] = -1, first
-				if i < end && virt(i) == t {
-					src[s], rows[s] = int32(i), int32(i)
-					i++
+	end := r0 + len(rowOf)
+	tail := end / 4 * 4 // virtual rows from here on are reduced one by one
+	for v := 0; v < end; {
+		s := 0 // a multiple of 4 until the tail, so a full slab stops both loops
+		for ; s+4 <= reduceSlab && v < tail; v += 4 {
+			first := int32(-1)
+			for t := v; t < v+4 && first < 0; t++ {
+				first = stored(t)
+			}
+			for t := v; first >= 0 && t < v+4; t++ {
+				if src[s], rows[s] = stored(t), stored(t); rows[s] < 0 {
+					rows[s] = first
 				}
 				s++
 			}
 		}
-		for ; s < reduceSlab && i < end && virt(i) >= tail; i++ {
-			src[s], rows[s] = int32(i), int32(i)
-			s++
+		for ; s < reduceSlab && v < end; v++ {
+			if r := stored(v); r >= 0 {
+				src[s], rows[s] = r, r
+				s++
+			}
 		}
 		for cb0 := c0; cb0 < c1; cb0 += reduceCols {
 			cb1 := min(cb0+reduceCols, c1)

@@ -217,65 +217,88 @@ func TestMatMulTransA(t *testing.T) {
 }
 
 // TestMatMulTransAAtMatchesDenseOperands: reducing a selection of a dense
-// block's rows gives the bits MatMulTransA gives at pool width 1 on the dense
-// operands whose unselected rows are zero (in b alone, or in both) — at every
-// selection shape, at every pool width (the output rows fewer than, equal to
-// and not divisible by it), at widths with and without a scalar tail.
+// block's rows, stored in ascending or shuffled order, gives the bits
+// MatMulTransA gives at pool width 1 on the dense operands whose unselected
+// rows are zero (in b alone, or in both) — at every selection shape, at
+// every pool width (the output rows fewer than, equal to and not divisible
+// by it), at widths with and without a scalar tail.
 func TestMatMulTransAAtMatchesDenseOperands(t *testing.T) {
 	rng := NewRNG(15)
 	for _, tc := range []struct{ r0, n, cols, m int }{
 		{0, 9, 3, 5}, {7, 30, 5, 13}, {40, 300, 6, 7}, {301, 900, 9, 16}, {130, 131, 4, 33},
 	} {
 		for _, sel := range []string{"none", "first", "last", "one", "tenth", "half", "runs", "all"} {
-			var at []int32
+			var on []int
 			for v := 0; v < tc.n; v++ {
-				var on bool
+				var in bool
 				switch sel {
 				case "first":
-					on = v == 0
+					in = v == 0
 				case "last":
-					on = v == tc.n-1
+					in = v == tc.n-1
 				case "one":
-					on = v == tc.n/2
+					in = v == tc.n/2
 				case "tenth":
-					on = rng.Float32() < 0.1
+					in = rng.Float32() < 0.1
 				case "half":
-					on = rng.Float32() < 0.5
+					in = rng.Float32() < 0.5
 				case "runs":
-					on = v/5%2 == 0
+					in = v/5%2 == 0
 				case "all":
-					on = true
+					in = true
 				}
-				if on {
-					at = append(at, int32(v))
+				if in {
+					on = append(on, v)
 				}
 			}
-			rows := tc.r0 + len(at)
-			a, b := randomMatrix(rng, rows, tc.cols), randomMatrix(rng, rows, tc.m)
-			// The dense operands: b zero where unselected; a zero there
-			// in one reference and arbitrary in the other.
-			da, dz, db := randomMatrix(rng, tc.r0+tc.n, tc.cols), New(tc.r0+tc.n, tc.cols), New(tc.r0+tc.n, tc.m)
-			for i := 0; i < rows; i++ {
-				v := i
-				if i >= tc.r0 {
-					v = tc.r0 + int(at[i-tc.r0])
+			for _, order := range []string{"ascending", "shuffled"} {
+				// Selected virtual row on[x] is stored at row r0+pos[x].
+				pos := make([]int, len(on))
+				for x := range pos {
+					pos[x] = x
 				}
-				copy(da.Row(v), a.Row(i))
-				copy(dz.Row(v), a.Row(i))
-				copy(db.Row(v), b.Row(i))
-			}
-			wantZ, wantA := New(tc.cols, tc.m), New(tc.cols, tc.m)
-			restore := ForceParallelism(1)
-			MatMulTransA(wantZ, dz, db)
-			MatMulTransA(wantA, da, db)
-			restore()
-			for _, width := range []int{1, 2, 3, 4, 8} {
-				got := New(tc.cols, tc.m)
-				restore := ForceParallelism(width)
-				MatMulTransAAt(got, a, b, at, tc.n)
+				if order == "shuffled" {
+					for x := len(pos) - 1; x > 0; x-- {
+						y := rng.Intn(x + 1)
+						pos[x], pos[y] = pos[y], pos[x]
+					}
+				}
+				rowOf := make([]int32, tc.n)
+				for v := range rowOf {
+					rowOf[v] = -1
+				}
+				for x, v := range on {
+					rowOf[v] = int32(tc.r0 + pos[x])
+				}
+				rows := tc.r0 + len(on)
+				a, b := randomMatrix(rng, rows, tc.cols), randomMatrix(rng, rows, tc.m)
+				// The dense operands: b zero where unselected; a zero there
+				// in one reference and arbitrary in the other.
+				da, dz, db := randomMatrix(rng, tc.r0+tc.n, tc.cols), New(tc.r0+tc.n, tc.cols), New(tc.r0+tc.n, tc.m)
+				for v := 0; v < tc.r0+tc.n; v++ {
+					i := v
+					if v >= tc.r0 {
+						if i = int(rowOf[v-tc.r0]); i < 0 {
+							continue
+						}
+					}
+					copy(da.Row(v), a.Row(i))
+					copy(dz.Row(v), a.Row(i))
+					copy(db.Row(v), b.Row(i))
+				}
+				wantZ, wantA := New(tc.cols, tc.m), New(tc.cols, tc.m)
+				restore := ForceParallelism(1)
+				MatMulTransA(wantZ, dz, db)
+				MatMulTransA(wantA, da, db)
 				restore()
-				for _, want := range []*Matrix{wantZ, wantA} {
-					sameBitsF32(t, fmt.Sprintf("width %d %+v %s", width, tc, sel), got.Data, want.Data)
+				for _, width := range []int{1, 2, 3, 4, 8} {
+					got := New(tc.cols, tc.m)
+					restore := ForceParallelism(width)
+					MatMulTransAAt(got, a, b, rowOf)
+					restore()
+					for _, want := range []*Matrix{wantZ, wantA} {
+						sameBitsF32(t, fmt.Sprintf("width %d %+v %s %s", width, tc, sel, order), got.Data, want.Data)
+					}
 				}
 			}
 		}

@@ -130,30 +130,42 @@ func refPanelMatMul(out, a, b *Matrix) {
 
 // refMatMulTransAAt is matMulTransABlock over every output row, summed in
 // place.
-func refMatMulTransAAt(out, a, b *Matrix, at []int32, n int) {
+func refMatMulTransAAt(out, a, b *Matrix, rowOf []int32) {
 	w, m := a.Cols, b.Cols
 	ad, bd := a.Data, b.Data
-	end := b.Rows
-	r0 := end - len(at)
-	virt := func(i int) int {
-		if i < r0 {
-			return i
+	r0 := b.Rows
+	for _, r := range rowOf {
+		if r >= 0 {
+			r0--
 		}
-		return r0 + int(at[i-r0])
+	}
+	stored := func(v int) int {
+		if v < r0 {
+			return v
+		}
+		return int(rowOf[v-r0])
 	}
 	acc := out.Data
 	clear(acc)
-	tail := (r0 + n) / 4 * 4
-	i := 0
-	for i < end && virt(i) < tail {
-		kk := virt(i) / 4 * 4
+	end := r0 + len(rowOf)
+	tail := end / 4 * 4
+	for kk := 0; kk < tail; kk += 4 {
 		var al, bl [4][]float32
-		first := i
+		first := -1
 		for t := range al {
-			bl[t] = bd[first*m : first*m+m]
-			if i < end && virt(i) == kk+t {
+			if i := stored(kk + t); i >= 0 {
+				if first < 0 {
+					first = i
+				}
 				al[t], bl[t] = ad[i*w:i*w+w], bd[i*m:i*m+m]
-				i++
+			}
+		}
+		if first < 0 {
+			continue
+		}
+		for t := range bl {
+			if bl[t] == nil {
+				bl[t] = bd[first*m : first*m+m]
 			}
 		}
 		for c := 0; c < w; c++ {
@@ -169,7 +181,11 @@ func refMatMulTransAAt(out, a, b *Matrix, at []int32, n int) {
 			refAxpy4(acc[c*m:c*m+m], bl[0], bl[1], bl[2], bl[3], v[0], v[1], v[2], v[3])
 		}
 	}
-	for ; i < end; i++ {
+	for v := tail; v < end; v++ {
+		i := stored(v)
+		if i < 0 {
+			continue
+		}
 		brow := bd[i*m : i*m+m]
 		for c, av := range ad[i*w : i*w+w] {
 			if av != 0 {
@@ -260,20 +276,28 @@ func TestRowKernelsMatchPerPanelReference(t *testing.T) {
 			fusedProject(got, z, h, w, rowRange(0, 37))
 			sameRowBits(t, "fusedProject "+name, got.Data, want.Data, m)
 
-			// dW = aᵀ·b, dense and over selections with gaps.
+			// dW = aᵀ·b, dense and over selections with gaps, the selected
+			// rows stored in reverse.
 			for _, sel := range []string{"dense", "gaps", "sparse"} {
 				r0, n := 11, 3*k+2
-				var at []int32
+				var on []int
 				for v := 0; v < n; v++ {
 					if sel == "dense" || (sel == "gaps" && v%5 != 2) || (sel == "sparse" && v%4 == 1) {
-						at = append(at, int32(v))
+						on = append(on, v)
 					}
 				}
-				rows := r0 + len(at)
+				rows := r0 + len(on)
+				rowOf := make([]int32, n)
+				for v := range rowOf {
+					rowOf[v] = -1
+				}
+				for x, v := range on {
+					rowOf[v] = int32(rows - 1 - x)
+				}
 				da, db := specialMatrix(rng, rows, k), specialMatrix(rng, rows, m)
 				gotW, wantW := New(k, m), New(k, m)
-				MatMulTransAAt(gotW, da, db, at, n)
-				refMatMulTransAAt(wantW, da, db, at, n)
+				MatMulTransAAt(gotW, da, db, rowOf)
+				refMatMulTransAAt(wantW, da, db, rowOf)
 				sameRowBits(t, "MatMulTransAAt "+sel+" "+name, gotW.Data, wantW.Data, m)
 			}
 		}
