@@ -120,6 +120,9 @@ func main() {
 			Dropout: float32(*dropout), LR: float32(*lr), Seed: *seed,
 		},
 		P: *p, SampleSeed: *seed + 1, Strategy: strategy, Budget: *samplerBudget,
+	}, elastic.Config{
+		Dir: *ckptDir, Every: *ckptEvery, Epochs: *epochs, MaxRecoveries: *maxRecover,
+		KeepGenerations: *ckptKeep, ResizeAfter: *resizeAfter,
 	})
 	if err != nil {
 		fatal(err)
@@ -173,11 +176,7 @@ func main() {
 			logf("training %s (%d layers, %d hidden) for %d epochs %s on %d elastic processes over TCP (checkpoints every %d epochs in %s)\n\n",
 				mc.Arch, mc.Layers, mc.Hidden, *epochs, samplerDesc, *world, *ckptEvery, *ckptDir)
 			trainElastic(ds, parts, topo, pcfg, elastic.RunnerConfig{
-				Config: elastic.Config{
-					Dir: *ckptDir, Every: *ckptEvery, Epochs: *epochs, MaxRecoveries: *maxRecover,
-					KeepGenerations: *ckptKeep, ResizeAfter: *resizeAfter,
-				},
-				Rank: *rank, World: *world, Candidates: cands, ListenHost: *listenHost,
+				Config: pl.elastic, Rank: *rank, World: *world, Candidates: cands, ListenHost: *listenHost,
 				HeartbeatInterval: *hbEvery, HeartbeatTimeout: *hbTimeout,
 				Rejoin: *join,
 			}, prog)
@@ -206,19 +205,22 @@ func main() {
 }
 
 // plan is what a run is made of, built from the flags before any work: the
-// dataset to generate, the partitioner and the training configuration.
+// dataset to generate, the partitioner, the training configuration and, for
+// an elastic run, the elastic one.
 type plan struct {
-	data datagen.Config
-	pt   partition.Partitioner
-	pcfg core.ParallelConfig
+	data    datagen.Config
+	pt      partition.Partitioner
+	pcfg    core.ParallelConfig
+	elastic elastic.Config
 }
 
 // newPlan builds and checks the plan of a run on dataset dsName at scale,
-// partitioned by method, training with pcfg: a zero pcfg.Model.Layers or LR
-// and a negative Dropout take the dataset's paper defaults, and
-// pcfg.Model.Seed is the master seed. It generates nothing, so a bad value
-// costs no dataset, partition or worker process.
-func newPlan(dsName, method string, scale int, pcfg core.ParallelConfig) (plan, error) {
+// partitioned by method, training with pcfg — elastically with ecfg when it
+// names a checkpoint directory: a zero pcfg.Model.Layers or LR and a negative
+// Dropout take the dataset's paper defaults, and pcfg.Model.Seed is the
+// master seed. It generates nothing, so a bad value costs no dataset,
+// partition or worker process.
+func newPlan(dsName, method string, scale int, pcfg core.ParallelConfig, ecfg elastic.Config) (plan, error) {
 	var pl plan
 	var defLayers int
 	var defLR, defDrop float64 // rounded to float32 as the flags' values are
@@ -254,7 +256,12 @@ func newPlan(dsName, method string, scale int, pcfg core.ParallelConfig) (plan, 
 	if err := pcfg.Validate(); err != nil {
 		return plan{}, err
 	}
-	pl.pcfg = pcfg
+	if ecfg.Dir != "" {
+		if err := ecfg.Validate(); err != nil {
+			return plan{}, err
+		}
+	}
+	pl.pcfg, pl.elastic = pcfg, ecfg
 	return pl, nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/elastic"
 )
 
 func writeHosts(t *testing.T, content string) string {
@@ -229,8 +230,8 @@ func TestSamplerFromFlags(t *testing.T) {
 	}
 }
 
-// TestNewPlanRefusesBadValues: every bad dataset, partitioner, model or
-// sampling value is refused by newPlan, which main runs before it generates
+// TestNewPlanRefusesBadValues: every bad dataset, partitioner, model,
+// sampling or elastic value is refused by newPlan, which main runs before it generates
 // a dataset, partitions it or spawns a worker — newPlan returns only the
 // configurations, so no dataset exists when the error is reported. A good
 // plan takes the dataset's paper defaults for the values left unset.
@@ -239,13 +240,17 @@ func TestNewPlanRefusesBadValues(t *testing.T) {
 		Model: core.ModelConfig{Arch: core.ArchSAGE, Hidden: 32, Dropout: -1, Seed: 1},
 		P:     0.1, SampleSeed: 2,
 	}
+	// The flags' defaults of an elastic run.
+	goodElastic := elastic.Config{Dir: "ckpt", Every: 5, Epochs: 100, MaxRecoveries: 5, KeepGenerations: 3}
 	cases := []struct {
 		name       string
 		ds, method string
 		edit       func(c *core.ParallelConfig)
-		want       string // substring of the error; "" = accepted
+		elastic    func(c *elastic.Config) // an elastic run's edit; nil: not elastic
+		want       string                  // substring of the error; "" = accepted
 	}{
 		{name: "good", ds: "reddit", method: "metis"},
+		{name: "good elastic", ds: "reddit", method: "metis", elastic: func(c *elastic.Config) {}},
 		{name: "dataset", ds: "foo", method: "metis", want: `unknown dataset "foo"`},
 		{name: "partitioner", ds: "reddit", method: "foo", want: `unknown partitioner "foo"`},
 		{name: "arch", ds: "reddit", method: "metis", edit: func(c *core.ParallelConfig) { c.Model.Arch = "gcn" }, want: `unknown arch "gcn"`},
@@ -256,6 +261,10 @@ func TestNewPlanRefusesBadValues(t *testing.T) {
 		{name: "p", ds: "reddit", method: "metis", edit: func(c *core.ParallelConfig) { c.P = 1.5 }, want: "sampling rate p=1.5 outside [0,1]"},
 		{name: "strategy", ds: "reddit", method: "metis", edit: func(c *core.ParallelConfig) { c.Strategy = 7 }, want: "unknown sampling strategy"},
 		{name: "budget", ds: "reddit", method: "metis", edit: func(c *core.ParallelConfig) { c.Strategy, c.Budget = core.LADIES, -1 }, want: "sampling budget -1 is negative"},
+		{name: "checkpoint-every", ds: "reddit", method: "metis", elastic: func(c *elastic.Config) { c.Every = 0 }, want: "checkpoint cadence 0 must be positive"},
+		{name: "checkpoint-keep", ds: "reddit", method: "metis", elastic: func(c *elastic.Config) { c.KeepGenerations = -1 }, want: "negative KeepGenerations -1"},
+		{name: "max-recoveries", ds: "reddit", method: "metis", elastic: func(c *elastic.Config) { c.MaxRecoveries = -1 }, want: "negative MaxRecoveries -1"},
+		{name: "resize-after", ds: "reddit", method: "metis", elastic: func(c *elastic.Config) { c.ResizeAfter = -1 }, want: "negative ResizeAfter -1"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -263,7 +272,12 @@ func TestNewPlanRefusesBadValues(t *testing.T) {
 			if tc.edit != nil {
 				tc.edit(&cfg)
 			}
-			pl, err := newPlan(tc.ds, tc.method, 1, cfg)
+			var ecfg elastic.Config
+			if tc.elastic != nil {
+				ecfg = goodElastic
+				tc.elastic(&ecfg)
+			}
+			pl, err := newPlan(tc.ds, tc.method, 1, cfg, ecfg)
 			if tc.want == "" {
 				if err != nil {
 					t.Fatalf("good plan refused: %v", err)

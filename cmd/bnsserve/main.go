@@ -70,48 +70,33 @@ func main() {
 	)
 	flag.Parse()
 
-	var cfg datagen.Config
-	var defLayers int
-	switch *dsName {
-	case "reddit":
-		cfg, defLayers = datagen.RedditSim(*scale, *seed), 4
-	case "products":
-		cfg, defLayers = datagen.ProductsSim(*scale, *seed), 3
-	case "yelp":
-		cfg, defLayers = datagen.YelpSim(*scale, *seed), 4
-	default:
-		fatal(fmt.Errorf("unknown dataset %q", *dsName))
-	}
-	if *layers == 0 {
-		*layers = defLayers
+	su, err := newSetup(*dsName, *scale, core.ModelConfig{
+		Arch: core.Arch(*arch), Layers: *layers, Hidden: *hidden, LR: 0.01, Seed: *seed,
+	}, *ckpt, *graphPath)
+	if err != nil {
+		fatal(err)
 	}
 
-	fmt.Printf("generating %s (scale %d)...\n", cfg.Name, *scale)
-	ds, err := datagen.Generate(cfg)
+	fmt.Printf("generating %s (scale %d)...\n", su.data.Name, *scale)
+	ds, err := datagen.Generate(su.data)
 	if err != nil {
 		fatal(err)
 	}
 	g := ds.G
-	if *graphPath != "" {
-		if g, err = graph.LoadFile(*graphPath); err != nil {
-			fatal(fmt.Errorf("load graph: %w", err))
-		}
+	if su.graph != nil {
+		g = su.graph
 		fmt.Printf("serving adjacency from %s (%d nodes, %d edges)\n", *graphPath, g.N, g.NumEdges())
 	}
 
-	var model *core.Model
-	if *ckpt != "" {
-		if model, err = core.LoadModelFile(*ckpt); err != nil {
-			fatal(fmt.Errorf("load checkpoint: %w", err))
-		}
+	model := su.model
+	if model != nil {
 		fmt.Printf("loaded %s: %s, %d layers, %d hidden, %d -> %d\n",
 			*ckpt, model.Config.Arch, model.Config.Layers, model.Config.Hidden, model.InDim, model.OutDim)
 	} else {
-		mc := core.ModelConfig{Arch: core.Arch(*arch), Layers: *layers, Hidden: *hidden, LR: 0.01, Seed: *seed}
-		if model, err = core.NewModel(mc, ds.FeatureDim(), ds.NumClasses); err != nil {
+		if model, err = core.NewModel(su.mc, ds.FeatureDim(), ds.NumClasses); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("no checkpoint: serving fresh deterministic %s/%d-layer weights (seed %d)\n", *arch, *layers, *seed)
+		fmt.Printf("no checkpoint: serving fresh deterministic %s/%d-layer weights (seed %d)\n", su.mc.Arch, su.mc.Layers, *seed)
 	}
 
 	start := time.Now()
@@ -155,4 +140,52 @@ func main() {
 		out, _ := json.Marshal(st)
 		fmt.Printf("final stats: %s\n", out)
 	}
+}
+
+// setup is what a server is made of, read and checked from the flags before
+// any work: the dataset to generate, and the model — a checkpoint's, or the
+// configuration of fresh weights — and the -graph file's adjacency, if any.
+type setup struct {
+	data  datagen.Config
+	mc    core.ModelConfig
+	model *core.Model
+	graph *graph.Graph
+}
+
+// newSetup builds and checks the setup of a server for dataset dsName at
+// scale: it reads and decodes the checkpoint file ckpt, or else validates mc
+// (a zero mc.Layers takes the dataset's paper default; mc.Seed is the master
+// seed), and loads the graph file graphPath. It generates nothing, so a bad
+// value costs no dataset.
+func newSetup(dsName string, scale int, mc core.ModelConfig, ckpt, graphPath string) (setup, error) {
+	var su setup
+	var defLayers int
+	switch dsName {
+	case "reddit":
+		su.data, defLayers = datagen.RedditSim(scale, mc.Seed), 4
+	case "products":
+		su.data, defLayers = datagen.ProductsSim(scale, mc.Seed), 3
+	case "yelp":
+		su.data, defLayers = datagen.YelpSim(scale, mc.Seed), 4
+	default:
+		return setup{}, fmt.Errorf("unknown dataset %q", dsName)
+	}
+	if mc.Layers == 0 {
+		mc.Layers = defLayers
+	}
+	su.mc = mc
+	var err error
+	if ckpt != "" {
+		if su.model, err = core.LoadModelFile(ckpt); err != nil {
+			return setup{}, fmt.Errorf("load checkpoint: %w", err)
+		}
+	} else if err := mc.Validate(); err != nil {
+		return setup{}, err
+	}
+	if graphPath != "" {
+		if su.graph, err = graph.LoadFile(graphPath); err != nil {
+			return setup{}, fmt.Errorf("load graph: %w", err)
+		}
+	}
+	return su, nil
 }

@@ -70,8 +70,9 @@ func New(m int, queueCap int) *Group {
 	return NewGroup(ts)
 }
 
-// defaultQueueCap is the per-stream queue depth both backends use when the
-// caller passes 0; see New for the derivation of the bound.
+// defaultQueueCap is the per-stream queue depth of every TCP endpoint and of
+// a channel cluster whose caller passes 0; see New for the derivation of the
+// bound.
 const defaultQueueCap = 256
 
 // ChanTransport is one rank's endpoint on the in-process channel backend.

@@ -7,7 +7,7 @@ import (
 )
 
 // TestPairQueueOverflowBlocksNotDrops pins the documented queueCap contract
-// of New and TCPConfig on both backends: each (src, tag) stream holds
+// of the inbox both backends share: each (src, tag) stream holds
 // queueCap messages, a full stream does not hold up another stream of the
 // same pair, pushing into a full stream blocks — backpressure — and no
 // message is ever dropped or reordered once the receiver drains.

@@ -22,11 +22,6 @@ type TCPConfig struct {
 	// (default 127.0.0.1, which covers single-machine multi-process runs;
 	// multi-host deployments must set it to the rank's reachable address).
 	ListenHost string
-	// QueueCap bounds the per-(peer,tag) receive queue depth; 0 selects the
-	// same default (256) and bound derivation as New — a full queue blocks
-	// the demux goroutine, which backpressures the connection; frames are
-	// never dropped.
-	QueueCap int
 	// Timeout bounds the whole bootstrap (rendezvous plus mesh dial);
 	// default 30s. After bootstrap, failure detection is event-driven: a
 	// dying peer resets its TCP connections, which every surviving rank
@@ -176,9 +171,6 @@ func newTCPTransport(cfg *TCPConfig) (*TCPTransport, error) {
 	if cfg.Rank < 0 || cfg.Rank >= cfg.World {
 		return nil, fmt.Errorf("comm: rank %d out of [0,%d)", cfg.Rank, cfg.World)
 	}
-	if cfg.QueueCap <= 0 {
-		cfg.QueueCap = defaultQueueCap
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
 	}
@@ -195,7 +187,7 @@ func newTCPTransport(cfg *TCPConfig) (*TCPTransport, error) {
 		hbStop:     make(chan struct{}),
 		closeCh:    make(chan struct{}),
 	}
-	t.inbox = newInbox(cfg.Rank, cfg.World, cfg.QueueCap, newFailure(), t.sendCtrl)
+	t.inbox = newInbox(cfg.Rank, cfg.World, defaultQueueCap, newFailure(), t.sendCtrl)
 	return t, nil
 }
 

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"strings"
@@ -38,14 +39,21 @@ func (t *TCPTransport) SendF32(dst, tag int, data []float32) { NewWorker(t).Send
 
 // backends lists both transports for tests that pin one contract on each:
 // mk builds a k-rank group whose per-stream queues hold queueCap messages (0
-// for the default).
+// for the default). A TCP endpoint always starts at the default; its queues
+// are narrowed before any message flows.
 var backends = []struct {
 	name string
 	mk   func(t testing.TB, k, queueCap int) *Group
 }{
 	{"chan", func(t testing.TB, k, queueCap int) *Group { return New(k, queueCap) }},
 	{"tcp", func(t testing.TB, k, queueCap int) *Group {
-		return groupOf(loopbackTransportsCfg(t, k, func(r int, cfg *TCPConfig) { cfg.QueueCap = queueCap }))
+		ts := loopbackTransports(t, k)
+		for _, tp := range ts {
+			tp.inbox.mu.Lock()
+			tp.inbox.queueCap = cmp.Or(queueCap, defaultQueueCap)
+			tp.inbox.mu.Unlock()
+		}
+		return groupOf(ts)
 	}},
 }
 

@@ -281,7 +281,7 @@ func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 
 		// Row split.
 		seen := make([]int, lp.NIn)
-		for _, list := range [][]int32{lp.haloFree, lp.haloDep} {
+		for _, list := range [][]int32{lp.lay.Free, lp.lay.Dep} {
 			last := int32(-1)
 			for _, v := range list {
 				if v <= last {
@@ -293,14 +293,14 @@ func checkEpochSpace(t testing.TB, tr *ParallelTrainer) {
 		}
 		for v, c := range seen {
 			if c != 1 {
-				t.Fatalf("rank %d: inner row %d covered %d times by haloFree ∪ haloDep", r, v, c)
+				t.Fatalf("rank %d: inner row %d covered %d times by Free ∪ Dep", r, v, c)
 			}
 		}
 		isDep := make([]bool, lp.NIn)
-		for _, v := range lp.haloDep {
+		for _, v := range lp.lay.Dep {
 			isDep[v] = true
 		}
-		for _, list := range [][]int32{lp.haloFree, lp.haloDep} {
+		for _, list := range [][]int32{lp.lay.Free, lp.lay.Dep} {
 			for _, v := range list {
 				if halo := slices.ContainsFunc(eg.Neighbors(v), func(u int32) bool { return u >= nIn }); halo != isDep[v] {
 					t.Fatalf("rank %d: row %d has a halo neighbor: %v, but is listed halo-dependent: %v", r, v, halo, isDep[v])

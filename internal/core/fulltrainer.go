@@ -9,8 +9,10 @@ import (
 )
 
 // FullTrainer trains a model on the whole graph in a single process — the
-// exact full-graph reference that BNS-GCN with p=1 must match, and the
-// substrate the sampling-based baselines (Tables 4, 5, 11) run on.
+// exact full-graph reference that BNS-GCN with p=1 must match. It runs each
+// layer through the Model's stages over the dense layout, as the
+// sampling-based baselines' MinibatchTrainer (internal/sampling) does over
+// each batch's.
 type FullTrainer struct {
 	DS    *datagen.Dataset
 	Model *Model

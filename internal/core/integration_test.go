@@ -31,32 +31,49 @@ func TestReplicasStayIdentical(t *testing.T) {
 }
 
 // TestSinglePartitionEqualsFullTrainer: k=1 partition-parallel training is
-// the degenerate case with no boundary at all and must match the reference
-// trainer exactly.
+// the degenerate case with no boundary at all, and the engine and FullTrainer
+// run every layer through the same Model stages: every epoch's loss and
+// weights, and the scores after, must be the same bits — both archs, with
+// dropout, on a single-label and a multi-label dataset.
 func TestSinglePartitionEqualsFullTrainer(t *testing.T) {
-	ds := testDataset(t, 41)
-	parts := make([]int32, ds.G.N)
-	topo, err := BuildTopology(ds.G, parts, 1)
+	yelp, err := datagen.Generate(datagen.YelpSim(1, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if topo.CommVolume() != 0 {
-		t.Fatalf("k=1 volume %d", topo.CommVolume())
-	}
-	par, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: testModelConfig(), P: 0.5, SampleSeed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := NewFullTrainer(ds, testModelConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := 0; e < 4; e++ {
-		fLoss := full.TrainEpoch()
-		pLoss := par.TrainEpoch().Loss
-		// Same math modulo node ordering (partition 0 keeps global order).
-		if math.Abs(fLoss-pLoss) > 1e-4*(1+math.Abs(fLoss)) {
-			t.Fatalf("epoch %d: %v vs %v", e, fLoss, pLoss)
+	for _, ds := range []*datagen.Dataset{testDataset(t, 41), yelp} {
+		topo, err := BuildTopology(ds.G, make([]int32, ds.G.N), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if topo.CommVolume() != 0 {
+			t.Fatalf("k=1 volume %d", topo.CommVolume())
+		}
+		for _, arch := range []Arch{ArchSAGE, ArchGAT} {
+			t.Run(ds.Name+"/"+string(arch), func(t *testing.T) {
+				mc := ModelConfig{Arch: arch, Layers: 3, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 42}
+				par, err := NewParallelTrainer(ds, topo, ParallelConfig{Model: mc, P: 0.5, SampleSeed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				full, err := NewFullTrainer(ds, mc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for e := 0; e < 4; e++ {
+					fLoss, pLoss := full.TrainEpoch(), par.TrainEpoch().Loss
+					if fLoss != pLoss {
+						t.Fatalf("epoch %d: loss %v, FullTrainer's %v", e, pLoss, fLoss)
+					}
+					if d := MaxParamDiff(full.Model, par.Models[0]); d != 0 {
+						t.Fatalf("epoch %d: weights differ from FullTrainer's by %v", e, d)
+					}
+				}
+				for _, mask := range [][]bool{ds.ValMask, ds.TestMask} {
+					if f, p := full.Evaluate(mask), par.Evaluate(mask); f != p {
+						t.Fatalf("score %v, FullTrainer's %v", p, f)
+					}
+				}
+			})
 		}
 	}
 }

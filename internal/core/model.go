@@ -54,56 +54,60 @@ func (c *ModelConfig) Validate() error {
 // about it: the graph, its sparse-aggregation plan (graph.AggIndex: the
 // transposed index plus edge-balanced chunk boundaries), the mean-aggregation
 // normalizer InvDeg (a row per output row at least; attention ignores it),
-// the NOut leading rows the pass computes outputs for, and the halo
-// placement, two inverse maps: the graph's trailing input row i stands at row
-// HaloAt[i] of a dense block whose row v is input row HaloRow[v] (−1: not
-// held) — the epoch space's sampled slots, stored peer by peer, among all
-// the partition's slots; nil/nil means the input is dense as it is. A layer
-// takes its layout at the start of every pass, so no pass can run over
-// another graph's plan.
+// the NOut leading rows the pass computes outputs for; the halo placement,
+// two inverse maps: the graph's trailing len(HaloAt) input rows, its halo
+// rows, stand at rows HaloAt[i] of a dense block whose row v is input row
+// HaloRow[v] (−1: not held) — the epoch space's sampled slots, stored peer by
+// peer, among all the partition's slots; nil/nil means the input is dense as
+// it is; and the row split, the output rows whose aggregation reads no halo
+// row (Free) and the rest (Dep), each ascending. A layer takes its layout at
+// the start of every pass, so no pass can run over another graph's plan.
 //
-// Build makes the dense layout of a graph, the one every single-process pass
-// runs over; the epoch engine fills the fields of its own (LocalPartition.lay).
-// A Layout holds its plan by value and rebuilds it in place: do not copy one.
+// Build makes the dense layout of a graph, every row Free, the one every
+// single-process pass runs over; the epoch engine fills the fields of its own
+// (LocalPartition.lay). A Layout holds its plan by value and rebuilds it in
+// place: do not copy one.
 type Layout struct {
-	G       *graph.Graph
-	Agg     graph.AggIndex
-	InvDeg  []float32
-	NOut    int
-	HaloAt  []int32
-	HaloRow []int32
+	G         *graph.Graph
+	Agg       graph.AggIndex
+	InvDeg    []float32
+	NOut      int
+	HaloAt    []int32
+	HaloRow   []int32
+	Free, Dep []int32
 
 	deg []float32 // Build's normalizer storage
 }
 
 // Build makes lo the layout of a pass over every row of g: it rebuilds the
-// aggregation plan and the 1/degree normalizer in place (allocation-free once
-// capacities have warmed up) and returns lo.
+// aggregation plan, the 1/degree normalizer and the row split in place
+// (allocation-free once capacities have warmed up) and returns lo.
 func (lo *Layout) Build(g *graph.Graph) *Layout {
 	lo.G, lo.NOut, lo.HaloAt, lo.HaloRow = g, g.N, nil, nil
 	lo.Agg.Build(g)
 	lo.InvDeg = nn.InvDegreesInto(tensor.EnsureF32(&lo.deg, g.N), g)
+	lo.Free, lo.Dep = tensor.EnsureI32(&lo.Free, g.N), lo.Dep[:0]
+	for v := range lo.Free {
+		lo.Free[v] = int32(v)
+	}
 	return lo
 }
 
-// GraphLayer is the uniform layer interface the trainers drive: forward over
-// a layout producing outputs for its first NOut rows, backward returning
-// input gradients for all rows — or, for the first layer of a stack, whose
-// input is data, the parameter gradients alone.
-//
-// Besides the one-shot Forward/Backward (what Model.Forward/Backward, the
-// single-process trainers' walk of the stack, call), every layer exposes the
-// chunked passes the pipelined epoch engine runs so halo exchange can overlap
-// with halo-independent compute:
+// nIn is where lo's halo rows begin: every row below it is an inner row.
+func (lo *Layout) nIn() int { return lo.G.N - len(lo.HaloAt) }
+
+// GraphLayer is the uniform layer interface the trainers drive, each through
+// the Model's stages: forward over a layout producing outputs for its first
+// NOut rows, backward returning input gradients for all rows — or, for the
+// first layer of a stack, whose input is data, the parameter gradients alone.
 //
 //   - ForwardBegin → ForwardPrep/ForwardRows: rows whose aggregation reads no
-//     halo slot can run while boundary features are in flight; the remaining
-//     rows run once they are in. Any duplicate-free row partition is
-//     bit-identical to the one-shot Forward.
+//     halo row can run while boundary features are in flight; the remaining
+//     rows run once they are in. Any duplicate-free row partition gives the
+//     same bits.
 //   - BackwardBegin → BackwardHalo → BackwardFinish: halo-row input gradients
 //     complete first (so they can be sent), then parameter gradients and the
-//     inner rows while the peer gradients are in flight. The staged schedule
-//     is bit-identical to the one-shot Backward.
+//     inner rows while the peer gradients are in flight.
 //
 // A pass's backward runs over the layout its forward began with, which must
 // stay unchanged until the backward is done. Every backward form overwrites
@@ -111,22 +115,12 @@ func (lo *Layout) Build(g *graph.Graph) *Layout {
 // it a gradient it no longer needs; the layer reads dOut until the pass ends.
 type GraphLayer interface {
 	nn.Layer
-	Forward(lo *Layout, h *tensor.Matrix) *tensor.Matrix
-	Backward(dOut *tensor.Matrix) *tensor.Matrix
-	// BackwardParams is Backward without the input gradient: it accumulates
-	// the same parameter-gradient bits and neither computes nor allocates
-	// anything sized by the input rows that only the input gradient needs.
-	BackwardParams(dOut *tensor.Matrix)
-
-	// ForwardBegin prepares a chunked pass over lo and returns the output
-	// matrix the ForwardRows calls will fill.
+	// ForwardBegin prepares a pass over lo and returns the output matrix the
+	// ForwardRows calls will fill.
 	ForwardBegin(lo *Layout, h *tensor.Matrix) *tensor.Matrix
 	// ForwardPrep runs per-node precomputations for feature rows [r0, r1)
 	// (a no-op for SAGE; Wh and attention scores for GAT).
 	ForwardPrep(r0, r1 int)
-	// ForwardPrepRows is ForwardPrep for an explicit row list — the serving
-	// engine preps the rows a feature update changed.
-	ForwardPrepRows(rows []int32)
 	// ForwardRows computes the listed output rows; each row of [0, NOut)
 	// must be covered exactly once per pass.
 	ForwardRows(rows []int32)
@@ -142,6 +136,11 @@ type GraphLayer interface {
 	// BackwardFinish accumulates parameter gradients and completes rows
 	// [0, nIn); freeSrc lists (ascending) the output rows not in haloSrc.
 	BackwardFinish(freeSrc []int32, nIn int) *tensor.Matrix
+	// BackwardParams is the backward without the input gradient: it
+	// accumulates the same parameter-gradient bits and neither computes nor
+	// allocates anything sized by the input rows that only the input
+	// gradient needs.
+	BackwardParams(dOut *tensor.Matrix)
 
 	InputDim() int
 	OutputDim() int
@@ -152,15 +151,12 @@ type GraphLayer interface {
 // only, so where the halo rows stand does not matter to it.
 type sageLayer struct{ *nn.SAGEConv }
 
-func (l sageLayer) Forward(lo *Layout, h *tensor.Matrix) *tensor.Matrix {
-	return l.SAGEConv.Forward(l.take(lo), h, lo.NOut, lo.InvDeg)
-}
 func (l sageLayer) ForwardBegin(lo *Layout, h *tensor.Matrix) *tensor.Matrix {
-	return l.SAGEConv.ForwardBegin(l.take(lo), h, lo.NOut, lo.InvDeg)
+	l.SetAgg(&lo.Agg)
+	return l.SAGEConv.ForwardBegin(lo.G, h, lo.NOut, lo.InvDeg)
 }
-func (l sageLayer) take(lo *Layout) *graph.Graph { l.SetAgg(&lo.Agg); return lo.G }
-func (l sageLayer) InputDim() int                { return l.SAGEConv.InDim }
-func (l sageLayer) OutputDim() int               { return l.SAGEConv.OutDim }
+func (l sageLayer) InputDim() int  { return l.SAGEConv.InDim }
+func (l sageLayer) OutputDim() int { return l.SAGEConv.OutDim }
 
 // gatLayer adapts nn.GATConv to GraphLayer: attention needs no normalizer,
 // but its backward gathers over the layout's plan, and its dW — a reduction
@@ -168,16 +164,10 @@ func (l sageLayer) OutputDim() int               { return l.SAGEConv.OutDim }
 // dense block.
 type gatLayer struct{ *nn.GATConv }
 
-func (l gatLayer) Forward(lo *Layout, h *tensor.Matrix) *tensor.Matrix {
-	return l.GATConv.Forward(l.take(lo), h, lo.NOut)
-}
 func (l gatLayer) ForwardBegin(lo *Layout, h *tensor.Matrix) *tensor.Matrix {
-	return l.GATConv.ForwardBegin(l.take(lo), h, lo.NOut)
-}
-func (l gatLayer) take(lo *Layout) *graph.Graph {
 	l.SetAgg(&lo.Agg)
 	l.SetHaloLayout(lo.HaloRow)
-	return lo.G
+	return l.GATConv.ForwardBegin(lo.G, h, lo.NOut)
 }
 func (l gatLayer) InputDim() int  { return l.GATConv.InDim }
 func (l gatLayer) OutputDim() int { return l.GATConv.OutDim }
@@ -200,6 +190,11 @@ type Model struct {
 	// gradSlab is the storage of every gradient matrix, laid end to end in
 	// Grads order.
 	gradSlab []float32
+
+	// Forward's state: each layer's input when its dropout pass is active,
+	// and the layout Backward runs over.
+	inputs []*tensor.Matrix
+	lo     *Layout
 }
 
 // NewModel builds a model with deterministic initialization from cfg.Seed.
@@ -237,6 +232,7 @@ func NewModel(cfg ModelConfig, inDim, outDim int) (*Model, error) {
 		m.paramsCache = append(m.paramsCache, l.Params()...)
 		m.gradsCache = append(m.gradsCache, l.Grads()...)
 	}
+	m.inputs = make([]*tensor.Matrix, cfg.Layers)
 	m.gradSlab = make([]float32, nn.ParamCount(m.layersCache))
 	off := 0
 	for _, g := range m.gradsCache {
@@ -264,33 +260,72 @@ func layerDims(l, layers, hidden, inDim, outDim int) (in, out int) {
 // returned slice is shared; callers must not mutate it.
 func (m *Model) Layers() []nn.Layer { return m.layersCache }
 
-// Forward runs the whole stack one-shot — dropout, then the layer, per layer
-// — over the layout lo and input x, and returns the last layer's output for
-// lo's first NOut rows. train enables dropout. This and Backward are the only
-// one-shot walks of the layer stack: every single-process trainer and
-// evaluator calls them, and the partition-parallel engine (pipeline.go) runs
-// the same layers stage by stage instead, for training and for evaluation
-// alike.
+// Forward runs the stack over the dense layout lo (Build's) and input x, each
+// layer through beginLayer, and returns the last layer's output; train
+// enables dropout. An identity dropout pass hands a layer its input itself,
+// so an inference pass leaves every layer's pass open over x and the outputs
+// below it.
 func (m *Model) Forward(lo *Layout, x *tensor.Matrix, train bool) *tensor.Matrix {
+	m.lo = lo
 	h := x
-	for l, layer := range m.LayersL {
-		h = m.Dropouts[l].Forward(h, train)
-		h = layer.Forward(lo, h)
+	for l := range m.LayersL {
+		in := h
+		if train && m.Dropouts[l].Rate != 0 {
+			in = tensor.EnsureMat(&m.inputs[l], h.Rows, h.Cols)
+		}
+		h = m.beginLayer(l, lo, in, h, train)
 	}
 	return h
 }
 
 // Backward propagates d, the gradient of the last Forward's output, down the
-// stack, accumulating every layer's parameter gradients. d is overwritten, and
-// so is each layer's input gradient as the layer below consumes it. The first
-// layer's input is data: it gets no input gradient, and its dropout no
-// backward.
+// stack through the backward stages, accumulating every layer's parameter
+// gradients. d is overwritten, and so is each layer's input gradient as the
+// layer below consumes it. The first layer's input is data: it gets no input
+// gradient, and its dropout no backward.
 func (m *Model) Backward(d *tensor.Matrix) {
 	for l := len(m.LayersL) - 1; l > 0; l-- {
-		d = m.LayersL[l].Backward(d)
-		d = m.Dropouts[l].Backward(d)
+		m.backwardHalo(l, m.lo, d)
+		d = m.backwardFinish(l, m.lo)
 	}
 	m.LayersL[0].BackwardParams(d)
+}
+
+// beginLayer begins layer l's pass over lo: the dropout pass, placed by lo's
+// halo placement, writes the layer's input x from h, the rows in hand (lo's
+// leading h.Rows); the layer begins over x, preps those rows and computes
+// lo.Free. It returns the layer's output, whose lo.Dep rows the caller
+// computes once it has written and masked x's halo rows. x and h may be one
+// matrix when the dropout pass is identity.
+func (m *Model) beginLayer(l int, lo *Layout, x, h *tensor.Matrix, train bool) *tensor.Matrix {
+	layer, drop := m.LayersL[l], m.Dropouts[l]
+	drop.ForwardBegin(x, h, train, lo.HaloAt, len(lo.HaloRow))
+	drop.ForwardRows(0, h.Rows)
+	out := layer.ForwardBegin(lo, x)
+	layer.ForwardPrep(0, h.Rows)
+	layer.ForwardRows(lo.Free)
+	return out
+}
+
+// backwardHalo starts layer l's backward over lo from the output gradient d
+// and completes the halo rows of the input gradient, through the layer and,
+// in place, its dropout. Returns the input gradient; its inner rows are valid
+// after backwardFinish.
+func (m *Model) backwardHalo(l int, lo *Layout, d *tensor.Matrix) *tensor.Matrix {
+	layer, nIn := m.LayersL[l], lo.nIn()
+	layer.BackwardBegin(d)
+	dH := layer.BackwardHalo(lo.Dep, nIn)
+	m.Dropouts[l].BackwardRows(dH, nIn, dH.Rows)
+	return dH
+}
+
+// backwardFinish accumulates layer l's parameter gradients and completes the
+// inner rows of its input gradient, through the layer and its dropout.
+func (m *Model) backwardFinish(l int, lo *Layout) *tensor.Matrix {
+	nIn := lo.nIn()
+	dH := m.LayersL[l].BackwardFinish(lo.Free, nIn)
+	m.Dropouts[l].BackwardRows(dH, 0, nIn)
+	return dH
 }
 
 // LayerInputDims returns the input feature dimension of every layer, the d^(ℓ)

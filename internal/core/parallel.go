@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"time"
 
@@ -88,12 +87,6 @@ type LocalPartition struct {
 	planActive []bool
 	planned    bool
 
-	// Per-epoch row partition for the pipelined engine (see pipeline.go):
-	// haloFree lists the inner rows whose epoch-graph neighbors are all
-	// inner (computable before boundary features arrive), haloDep the rows
-	// with at least one halo neighbor — both ascending.
-	haloFree []int32
-	haloDep  []int32
 	dNext    tensor.Matrix // the fold's view of a layer's input-gradient inner rows
 	evalMask []bool        // Evaluate's scratch: the scored mask over the inner rows
 }
@@ -179,8 +172,6 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 	}
 	lp.epochInvDeg = make([]float32, lp.NIn)
 	lp.evalMask = make([]bool, lp.NIn)
-	lp.haloFree = make([]int32, 0, lp.NIn)
-	lp.haloDep = make([]int32, 0, lp.NIn)
 	lp.slotRow = make([]int32, lp.NBd)
 	lp.rowSlot = make([]int32, 0, lp.NBd)
 	lp.haloPtr = make([]int, t.K+1)
@@ -188,32 +179,17 @@ func NewLocalPartition(ds *datagen.Dataset, t *Topology, i int) *LocalPartition 
 	// The epoch layout: every pass computes the inner rows over eg, whose
 	// halo rows stand among the NBd slots at rowSlot (HaloAt, set per plan).
 	lp.lay.G, lp.lay.NOut, lp.lay.HaloRow = &lp.eg, lp.NIn, lp.slotRow
+	lp.lay.Free, lp.lay.Dep = make([]int32, 0, lp.NIn), make([]int32, 0, lp.NIn)
 	return lp
-}
-
-// splitRows partitions the inner rows of the epoch subgraph into the
-// halo-free set (no halo neighbor — their aggregation can run while halo
-// features are in flight) and the halo-dependent remainder. Both lists are
-// ascending, which the staged backward relies on for bit-identical
-// accumulation order.
-func (lp *LocalPartition) splitRows() {
-	free, dep := lp.haloFree[:0], lp.haloDep[:0]
-	nIn := int32(lp.NIn)
-	for v := int32(0); v < nIn; v++ {
-		if slices.ContainsFunc(lp.eg.Neighbors(v), func(u int32) bool { return u >= nIn }) {
-			dep = append(dep, v)
-		} else {
-			free = append(free, v)
-		}
-	}
-	lp.haloFree, lp.haloDep = free, dep
 }
 
 // epochGraph rebuilds the epoch node space and the local subgraph on the
 // inner rows and the plan's sampled slots (Algorithm 1 line 5). The sampled
 // boundary slots are given epoch rows NIn, NIn+1, … owner-major — peer j's in
 // its receive list's (ascending slot) order, as block j — and edges into
-// unsampled slots are dropped. The graph has NIn + (sampled slots) nodes, so
+// unsampled slots are dropped; each inner row goes to the layout's Free or
+// Dep list as its edges are renamed, by whether one lands on a sampled slot.
+// The graph has NIn + (sampled slots) nodes, so
 // everything sized from it — layer inputs, dropout buffers, the layers' input
 // gradients, the aggregation plan — holds no row for an unsampled slot.
 // The layout's aggregation plan (the SpMM engine's transposed index and
@@ -238,18 +214,27 @@ func (lp *LocalPartition) epochGraph() *graph.Graph {
 	lp.rowSlot = rowSlot
 	n := lp.NIn + len(rowSlot)
 	pos := int64(0)
+	free, dep := lp.lay.Free[:0], lp.lay.Dep[:0]
 	for v := 0; v < lp.NIn; v++ {
 		lp.epochIndptr[v] = pos
+		halo := false
 		for _, u := range lp.fullIndices[lp.fullIndptr[v]:lp.fullIndptr[v+1]] {
 			if u >= nIn {
 				u = lp.slotRow[u-nIn]
+				halo = halo || u >= 0
 			}
 			if u >= 0 {
 				lp.epochIndices[pos] = u
 				pos++
 			}
 		}
+		if halo {
+			dep = append(dep, int32(v))
+		} else {
+			free = append(free, int32(v))
+		}
 	}
+	lp.lay.Free, lp.lay.Dep = free, dep
 	for v := lp.NIn; v <= n; v++ {
 		lp.epochIndptr[v] = pos
 	}

@@ -45,10 +45,10 @@ import (
 // placement) and draw and sum them as they would there, so no bit of an
 // epoch depends on the space having been packed, or on its order.
 //
-// Every layer pass runs in compute chunks over a per-epoch row partition
-// (LocalPartition.splitRows): the halo-free rows and the halo-dependent
-// remainder. The chunked row passes are bit-identical per row to the
-// one-shot layer passes (see nn's layer tests).
+// Every layer runs through the Model's stages, the ones the single-process
+// trainers run (Model.beginLayer, backwardHalo, backwardFinish), over the
+// epoch layout's row split (Layout.Free, Dep): the halo-free rows and the
+// halo-dependent remainder. The engine adds only the exchanges between them.
 //
 // Every halo receive is a plain receive, taken in ascending peer rank. Both
 // transports land a payload without its receiver's help, so it arrives while
@@ -182,7 +182,6 @@ func (rt *RankTrainer) planEpoch() {
 		copy(lp.planActive, lp.active)
 		lp.planned = true
 		lp.epochGraph()
-		lp.splitRows()
 	}
 	ep.st.SampledBd = len(lp.rowSlot)
 	lp.lay.InvDeg = rt.epochInvDeg()
@@ -283,28 +282,17 @@ func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) {
 }
 
 // forwardFree begins layer l's pass over its input x, a matrix over the epoch
-// node space, and computes the halo-free rows — everything that needs no
-// boundary data. x comes from the epoch workspace with undefined contents:
-// the dropout pass that fills its inner rows from the inner activations h is
-// the only copy of them made, and the drain writes and masks every halo row
-// in place — the epoch space has a row only for a sampled slot, and each of
-// those is in exactly one peer's receive list. The dropout pass is placed by
-// the layout's halo placement: each sampled slot takes the masks it has in a
-// pass over the inner rows and then all NBd slots, and the stream is left
-// where that pass ends, so the masks and the checkpointed stream position do
-// not depend on which other slots an epoch sampled (an evaluation's pass is
-// the identity and draws nothing). Returns the layer's output matrix; its
-// halo-dependent rows are valid after the drain.
+// node space, and computes the halo-free rows (Model.beginLayer). x comes
+// from the epoch workspace with undefined contents: the dropout pass fills
+// its inner rows from the inner activations h, the only copy of them made,
+// and the drain writes and masks every halo row in place. Placed by the
+// layout, each sampled slot draws the masks it has in a pass over the inner
+// rows and all NBd slots, so neither the masks nor the checkpointed stream
+// position depend on which other slots an epoch sampled. Returns the layer's
+// output; its halo-dependent rows are valid after the drain.
 func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
 	rt.ep.clk.to(phaseCompute)
-	lp, ep := rt.LP, &rt.ep
-	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
-	drop.ForwardBegin(x, h, !ep.eval, lp.lay.HaloAt, lp.NBd)
-	drop.ForwardRows(0, lp.NIn)
-	out := layer.ForwardBegin(&lp.lay, x)
-	layer.ForwardPrep(0, lp.NIn)
-	layer.ForwardRows(lp.haloFree)
-	return out
+	return rt.Model.beginLayer(l, &rt.LP.lay, x, h, !rt.ep.eval)
 }
 
 // drainForward receives layer l's boundary feature rows peer by peer in
@@ -332,7 +320,7 @@ func (rt *RankTrainer) drainForward(l int, x *tensor.Matrix) {
 		layer.ForwardPrep(r0, r1)
 	}
 	ep.clk.to(phaseCompute)
-	layer.ForwardRows(lp.haloDep)
+	layer.ForwardRows(lp.lay.Dep)
 }
 
 // recvHalo receives layer l's next halo payload from peer j on the exchange
@@ -361,16 +349,11 @@ func (rt *RankTrainer) lossGrad(logits *tensor.Matrix) *tensor.Matrix {
 
 // backwardHalo starts layer l's backward from the output gradient d and
 // completes the halo rows of the input gradient — the only rows the peers
-// are waiting for — through the layer and, in place, its dropout. Returns the
-// layer's input gradient; its inner rows are valid after backwardFinish.
+// are waiting for (Model.backwardHalo). Returns the layer's input gradient;
+// its inner rows are valid after backwardFinish.
 func (rt *RankTrainer) backwardHalo(l int, d *tensor.Matrix) *tensor.Matrix {
 	rt.ep.clk.to(phaseCompute)
-	lp := rt.LP
-	layer := rt.Model.LayersL[l]
-	layer.BackwardBegin(d)
-	dH := layer.BackwardHalo(lp.haloDep, lp.NIn)
-	rt.Model.Dropouts[l].BackwardRows(dH, lp.NIn, lp.eg.N)
-	return dH
+	return rt.Model.backwardHalo(l, &rt.LP.lay, d)
 }
 
 // postGrad posts layer l's gradient exchange: each peer's block of halo rows
@@ -396,9 +379,7 @@ func (rt *RankTrainer) postGrad(l int, dH *tensor.Matrix) {
 // inner rows of its input gradient while the gradient exchange is in flight.
 func (rt *RankTrainer) backwardFinish(l int) {
 	rt.ep.clk.to(phaseCompute)
-	lp := rt.LP
-	dH := rt.Model.LayersL[l].BackwardFinish(lp.haloFree, lp.NIn)
-	rt.Model.Dropouts[l].BackwardRows(dH, 0, lp.NIn)
+	rt.Model.backwardFinish(l, &rt.LP.lay)
 }
 
 // foldGrad assembles the next layer down's output gradient in place, in the

@@ -61,7 +61,7 @@ type RunnerConfig struct {
 // back. Returns the trainer at Cfg.Epochs and the recovery report.
 func Run(cfg RunnerConfig) (*core.RankTrainer, Report, error) {
 	var rep Report
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, rep, err
 	}
 	if cfg.Timeout <= 0 {

@@ -51,7 +51,9 @@ type Config struct {
 	electionStagger, rendezvousRound time.Duration
 }
 
-func (c *Config) validate() error {
+// Validate checks the configuration. Run and Supervisor.Run call it first; a
+// command calls it before it generates or partitions anything.
+func (c *Config) Validate() error {
 	if c.Every <= 0 {
 		return fmt.Errorf("elastic: checkpoint cadence %d must be positive", c.Every)
 	}
@@ -312,7 +314,7 @@ type Supervisor struct {
 // trainers (one per rank, all at Cfg.Epochs) plus the recovery report.
 func (s *Supervisor) Run() ([]*core.RankTrainer, Report, error) {
 	var rep Report
-	if err := s.Cfg.validate(); err != nil {
+	if err := s.Cfg.Validate(); err != nil {
 		return nil, rep, err
 	}
 	var trainers []*core.RankTrainer

@@ -42,8 +42,8 @@ func localGraph(rng *tensor.RNG, nIn, nBd, deg int, haloP float64) *graph.Graph 
 }
 
 // splitHalo partitions the inner rows by halo dependence (ascending) and
-// collects the halo rows actually referenced (ascending), mirroring
-// core.LocalPartition.splitRows.
+// collects the halo rows actually referenced (ascending), mirroring the
+// epoch layout's row split (core.Layout's Free and Dep).
 func splitHalo(g *graph.Graph, nIn int) (free, dep, slots []int32) {
 	used := make([]bool, g.N)
 	for v := int32(0); v < int32(nIn); v++ {
@@ -175,7 +175,7 @@ func TestDropoutChunkedMatchesOneShot(t *testing.T) {
 	ref := NewDropout(0.4, tensor.NewRNG(9))
 	chk := NewDropout(0.4, tensor.NewRNG(9))
 
-	want := ref.Forward(x, true)
+	want := dropForward(ref, x, true)
 	got := tensor.New(rows, cols)
 	chk.ForwardBegin(got, x, true, nil, 0)
 	chk.ForwardRows(cut, rows)
@@ -185,7 +185,7 @@ func TestDropoutChunkedMatchesOneShot(t *testing.T) {
 		t.Fatalf("stream at %#x after the chunked pass, %#x after the one-shot one", chk.RNGState(), ref.RNGState())
 	}
 
-	wantDX := ref.Backward(dOut.Clone())
+	wantDX := dropBackward(ref, dOut.Clone())
 	gotDX := dOut.Clone()
 	chk.BackwardRows(gotDX, cut, rows) // backward chunks may run in any order
 	chk.BackwardRows(gotDX, 0, cut)
@@ -294,7 +294,7 @@ func TestDropoutSelectionMatchesDenseDraw(t *testing.T) {
 		} {
 			dense := NewDropout(0.4, tensor.NewRNG(9))
 			dm := ones(nIn+n, cols)
-			dense.Forward(dm, true)
+			denseOut := dropForward(dense, dm, true)
 
 			sparse := NewDropout(0.4, tensor.NewRNG(9))
 			sm := ones(nIn+len(at), cols)
@@ -308,9 +308,9 @@ func TestDropoutSelectionMatchesDenseDraw(t *testing.T) {
 			// The forward's output, and the masks the backward reads after
 			// every row has been drawn.
 			dg, sg := ones(nIn+n, cols), ones(nIn+len(at), cols)
-			dense.Backward(dg)
-			sparse.Backward(sg)
-			for pass, pair := range [][2]*tensor.Matrix{{sm, dense.outBuf}, {sg, dg}} {
+			dropBackward(dense, dg)
+			dropBackward(sparse, sg)
+			for pass, pair := range [][2]*tensor.Matrix{{sm, denseOut}, {sg, dg}} {
 				got, want := pair[0], pair[1]
 				label := fmt.Sprintf("dropout/selection/%s/cols=%d/pass%d", name, cols, pass)
 				sameBits(t, label+"/inner", got.Data[:nIn*cols], want.Data[:nIn*cols])
@@ -472,9 +472,10 @@ func TestGATHaloLayoutMatchesDenseSpace(t *testing.T) {
 	}
 }
 
-// TestGATForwardPrepRowsMatchesRange: per-row-list prep must reproduce the
-// range form bit for bit in any duplicate-free cover order, so a caller can
-// prep exactly the rows that changed (the serving engine's feature update).
+// TestGATForwardPrepRowsMatchesRange: prep over single-row ranges must
+// reproduce one range over every row bit for bit in any duplicate-free cover
+// order, so a caller can prep exactly the rows that changed (the serving
+// engine's feature update preps each run of them).
 func TestGATForwardPrepRowsMatchesRange(t *testing.T) {
 	for _, tc := range chunkedCases {
 		rng := tensor.NewRNG(77)
@@ -495,10 +496,10 @@ func TestGATForwardPrepRowsMatchesRange(t *testing.T) {
 		got := chk.ForwardBegin(g, h, tc.nIn)
 		chk.ForwardPrep(0, tc.nIn)
 		chk.ForwardRows(free)
-		// Prep the referenced halo slots in reversed per-row batches (any
+		// Prep the referenced halo slots one row at a time in reverse (any
 		// cover order must do), then complete the dependent rows.
 		for i := len(slots) - 1; i >= 0; i-- {
-			chk.ForwardPrepRows(slots[i : i+1])
+			chk.ForwardPrep(int(slots[i]), int(slots[i])+1)
 		}
 		chk.ForwardRows(dep)
 		sameBits(t, tc.name+"/gat-prep-rows", got.Data, want.Data)

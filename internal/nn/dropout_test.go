@@ -62,6 +62,26 @@ func (r *refDropout) backward(dOut []float32) []float32 {
 	return dx
 }
 
+// dropForward is a whole dropout pass in one piece over x's rows, the way a
+// caller without row chunks runs it: a training pass writes a fresh matrix
+// and leaves x alone, an identity pass returns x itself.
+func dropForward(d *Dropout, x *tensor.Matrix, train bool) *tensor.Matrix {
+	out := x
+	if train && d.Rate != 0 {
+		out = tensor.New(x.Rows, x.Cols)
+	}
+	d.ForwardBegin(out, x, train, nil, 0)
+	d.ForwardRows(0, x.Rows)
+	return out
+}
+
+// dropBackward routes g, the gradient of the last pass's destination,
+// through its mask in place over every row, and returns g.
+func dropBackward(d *Dropout, g *tensor.Matrix) *tensor.Matrix {
+	d.BackwardRows(g, 0, g.Rows)
+	return g
+}
+
 // specialMat is a random matrix with every float32 special sprinkled through
 // it, so kept and dropped elements both meet each of them.
 func specialMat(rng *tensor.RNG, rows, cols int) *tensor.Matrix {
@@ -96,7 +116,7 @@ func TestDropoutBitMaskMatchesReference(t *testing.T) {
 
 			// A larger warm-up pass leaves set bits all over the bitset; the
 			// reference skips the draws it made.
-			d.Forward(randMat(rng, rows+5, cols), true)
+			dropForward(d, randMat(rng, rows+5, cols), true)
 			ref.rng.Skip(uint64((rows + 5) * cols))
 
 			for pass := 0; pass < 2; pass++ {
@@ -136,9 +156,10 @@ func TestDropoutBitMaskMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDropoutOneShotLeavesSourceAlone: the one-shot Forward is handed the
-// dataset's features; it must not write them, and its Backward masks the
-// gradient it is given in place.
+// TestDropoutOneShotLeavesSourceAlone: a pass over every row at once that
+// writes beside its source — the first layer's, handed the dataset's
+// features — must not write the source, and its backward masks the gradient
+// it is given in place.
 func TestDropoutOneShotLeavesSourceAlone(t *testing.T) {
 	x := specialMat(tensor.NewRNG(5), 12, 41)
 	keepX := x.Clone()
@@ -147,18 +168,15 @@ func TestDropoutOneShotLeavesSourceAlone(t *testing.T) {
 	want := make([]float32, len(x.Data))
 	ref.forward(want, x.Data, 0, len(x.Data))
 
-	out := d.Forward(x, true)
-	if out == x {
-		t.Fatal("a training pass returned its source")
-	}
+	out := tensor.New(x.Rows, x.Cols)
+	d.ForwardBegin(out, x, true, nil, 0)
+	d.ForwardRows(0, x.Rows)
 	sameBits(t, "forward", out.Data, want)
 	sameBits(t, "source", x.Data, keepX.Data)
 
 	g := specialMat(tensor.NewRNG(6), 12, 41)
 	wantDX := ref.backward(g.Data)
-	if back := d.Backward(g); back != g {
-		t.Fatal("Backward must mask its argument in place")
-	}
+	d.BackwardRows(g, 0, g.Rows)
 	sameBits(t, "backward", g.Data, wantDX)
 }
 
@@ -198,7 +216,7 @@ func TestDropoutRejectsContractViolations(t *testing.T) {
 		{"backward rows", "dropout layer 2: backward over a 9x5 gradient, the forward pass drew a 10x5 mask",
 			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(0, 10); d.BackwardRows(tensor.New(9, 5), 0, 9) }},
 		{"backward cols", "dropout layer 2: backward over a 10x4 gradient, the forward pass drew a 10x5 mask",
-			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(0, 10); d.Backward(tensor.New(10, 4)) }},
+			func(d *Dropout, _ *tensor.Matrix) { d.ForwardRows(0, 10); d.BackwardRows(tensor.New(10, 4), 0, 10) }},
 	} {
 		d, x := begin()
 		panicsWith(t, tc.name, tc.want, func() { tc.pass(d, x) })

@@ -157,17 +157,6 @@ func (l *GATConv) ForwardPrep(r0, r1 int) {
 	}
 }
 
-// ForwardPrepRows is ForwardPrep for an explicit row list: the epoch drain
-// preps exactly one peer's halo slots the moment that peer's payload lands.
-// Per row both forms run the same kernel body and the same scoreRow, so any
-// duplicate-free cover of the rows a pass reads is bit-identical.
-func (l *GATConv) ForwardPrepRows(rows []int32) {
-	tensor.MatMulRows(l.wh, l.h, l.W, rows)
-	for _, u := range rows {
-		l.scoreRow(int(u))
-	}
-}
-
 // scoreRow computes node u's attention scores from its Wh row.
 func (l *GATConv) scoreRow(u int) {
 	whu := l.wh.Row(u)

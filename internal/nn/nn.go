@@ -11,13 +11,16 @@
 // from other partitions). The adjacency used for aggregation is over this
 // local space. In single-process full-graph training nOut == H.Rows.
 //
-// Each graph layer has one forward sweep and one staged backward: the
-// chunked passes (ForwardBegin, ForwardPrep/ForwardPrepRows, ForwardRows;
-// BackwardBegin, BackwardHalo, BackwardFinish) the partition-parallel engine
-// runs piece by piece, and the one-shot Forward/Backward, which are the same
-// pieces run over every row at once. Rows are computed by the same tensor
-// kernel bodies whichever pass covers them, so every pass shape produces the
-// same bits. Dropout runs the same way: its mask element for a position is a
+// Each graph layer's pass is staged: ForwardBegin, ForwardPrep over row
+// ranges and ForwardRows over row lists; BackwardBegin, BackwardHalo and
+// BackwardFinish, or BackwardParams for a layer whose input needs no
+// gradient. Every trainer runs these stages (core's Model), the
+// partition-parallel engine with its halo exchange between them. The
+// one-shot Forward/Backward are the same pieces run over every row at once;
+// the layer tests pin every staged schedule against them and against the
+// textbook reference. Rows are computed by the same tensor kernel bodies
+// whichever call covers them, so every schedule produces the same bits.
+// Dropout is staged the same way: its mask element for a position is a
 // function of the pass's stream word and that position alone, so its rows
 // may be drawn in any chunks and in any order.
 package nn
@@ -152,8 +155,6 @@ type Dropout struct {
 	h0         int
 	base       uint64
 	bits       []uint64
-
-	outBuf *tensor.Matrix // the one-shot Forward's destination
 }
 
 // NewDropout returns a dropout layer with its own RNG stream.
@@ -171,20 +172,6 @@ func (d *Dropout) RNGState() uint64 { return d.rng.State() }
 
 // SetRNGState repositions the mask RNG stream (checkpoint restore).
 func (d *Dropout) SetRNGState(s uint64) { d.rng.SetState(s) }
-
-// Forward applies dropout when train is true; at inference it is identity
-// and returns x itself. x is never written — callers hand it the dataset's
-// features — so a training pass fills layer-owned scratch, valid until the
-// next Forward.
-func (d *Dropout) Forward(x *tensor.Matrix, train bool) *tensor.Matrix {
-	out := x
-	if train && d.Rate != 0 {
-		out = tensor.EnsureMat(&d.outBuf, x.Rows, x.Cols)
-	}
-	d.ForwardBegin(out, x, train, nil, 0)
-	d.ForwardRows(0, x.Rows)
-	return out
-}
 
 // ForwardBegin starts a chunked pass that fills dst: rows from src through
 // ForwardRows, rows the caller writes into dst itself through ApplyMaskedRows.
@@ -269,13 +256,6 @@ func (d *Dropout) mask(src []float32, r0, r1 int) {
 		tensor.MaskScale(d.dst.Data, src, d.bits, lo, hi, 1/(1-d.Rate))
 		r0 = r
 	}
-}
-
-// Backward routes the gradient g of the last Forward's output through its
-// mask, in place, and returns g.
-func (d *Dropout) Backward(g *tensor.Matrix) *tensor.Matrix {
-	d.BackwardRows(g, 0, g.Rows)
-	return g
 }
 
 // BackwardRows multiplies rows [r0, r1) of g, the gradient of the last

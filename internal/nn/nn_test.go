@@ -96,7 +96,7 @@ func TestDropoutTrainEval(t *testing.T) {
 	d := NewDropout(0.5, rng)
 	x := tensor.New(50, 50)
 	x.Fill(1)
-	out := d.Forward(x, true)
+	out := dropForward(d, x, true)
 	zeros, twos := 0, 0
 	for _, v := range out.Data {
 		switch v {
@@ -112,11 +112,11 @@ func TestDropoutTrainEval(t *testing.T) {
 		t.Fatalf("dropout counts off: %d zeros, %d twos", zeros, twos)
 	}
 	// Eval mode is identity (same backing object allowed).
-	ev := d.Forward(x, false)
+	ev := dropForward(d, x, false)
 	if !ev.Equal(x, 0) {
 		t.Fatal("eval dropout must be identity")
 	}
-	if g := d.Backward(x); !g.Equal(x, 0) {
+	if g := dropBackward(d, x); !g.Equal(x, 0) {
 		t.Fatal("eval dropout backward must be identity")
 	}
 }
@@ -126,10 +126,10 @@ func TestDropoutBackwardMatchesMask(t *testing.T) {
 	d := NewDropout(0.3, rng)
 	x := tensor.New(10, 10)
 	x.Fill(1)
-	out := d.Forward(x, true)
+	out := dropForward(d, x, true)
 	g := tensor.New(10, 10)
 	g.Fill(1)
-	back := d.Backward(g)
+	back := dropBackward(d, g)
 	// Gradient must be nonzero exactly where output is nonzero.
 	for i := range out.Data {
 		if (out.Data[i] == 0) != (back.Data[i] == 0) {

@@ -166,10 +166,6 @@ func (l *SAGEConv) Forward(g *graph.Graph, h *tensor.Matrix, nOut int, invDeg []
 // SAGE has none; GAT uses it for Wh and the attention scores.
 func (l *SAGEConv) ForwardPrep(r0, r1 int) {}
 
-// ForwardPrepRows is ForwardPrep for an explicit row list (the epoch drain
-// preps one peer's halo slots as they land). SAGE has none.
-func (l *SAGEConv) ForwardPrepRows(rows []int32) {}
-
 // ForwardRows computes the output rows listed in rows (each row of [0, nOut)
 // must appear exactly once across all calls of one pass). A row may be
 // computed as soon as the feature rows of its neighbors are in place — the

@@ -88,7 +88,7 @@ func TestDropoutZeroRateIsIdentityInTraining(t *testing.T) {
 	d := NewDropout(0, rng)
 	x := tensor.New(4, 4)
 	tensor.GaussianInit(x, 1, rng)
-	out := d.Forward(x, true)
+	out := dropForward(d, x, true)
 	if !out.Equal(x, 0) {
 		t.Fatal("rate-0 dropout must be identity even in training")
 	}

@@ -1,13 +1,13 @@
 // Package serve turns a trained BNS-GCN checkpoint into an online
 // node-classification service. The training side of the repo computes
 // full-graph passes; serving inverts the access pattern — many small queries
-// against a mostly-static graph — so the engine precomputes every hidden
-// layer once at startup, keeps the final layer's chunked pass permanently
-// open, and answers each query batch with one row-subset pass over exactly
-// the requested logit rows, riding the same row-list kernels
-// (tensor.SpMMMatMulRows, MatMulRows) the pipelined trainer uses. Because those row passes are pinned
-// bit-identical to the one-shot Forward, a served logit row equals the
-// FullTrainer.Forward(false) row for the same checkpoint, bit for bit.
+// against a mostly-static graph — so the engine runs the stack once at
+// startup through the stages every trainer runs (core.Model.Forward), keeps
+// every layer's pass open, and answers each query batch with one row-subset
+// pass over exactly the requested logit rows (the final layer's ForwardRows).
+// A row's bits do not depend on which pass computes it, so a served logit row
+// equals the FullTrainer.Forward(false) row for the same checkpoint, bit for
+// bit.
 //
 // Feature updates do not recompute the graph: an incremental pass re-embeds
 // only the changed node's receptive field — the frontier grows one
@@ -48,11 +48,11 @@ type Engine struct {
 	model *core.Model
 	lay   core.Layout // the served graph, and its plan and normalizer
 
-	// acts[0] is the mutable feature copy, and acts[l+1] is layer l's own
-	// output buffer — its ForwardRows fills the rows in place, and layer l+1
-	// reads them there as its input. Each layer of the private model is
-	// begun once, so no pass ever re-points a buffer.
-	acts []*tensor.Matrix
+	// feats is the mutable feature copy, logits the final layer's output.
+	// Every layer reads its input in place — feats, or the layer below's own
+	// output buffer, which its ForwardRows refills — and each layer of the
+	// private model is begun once, so no pass ever re-points a buffer.
+	feats, logits *tensor.Matrix
 
 	cache *lruCache
 	// mark/stamp implement O(frontier) set membership without clearing.
@@ -92,20 +92,11 @@ func NewEngine(model *core.Model, g *graph.Graph, feats *tensor.Matrix, cacheSiz
 	}
 	e.lay.Build(g)
 
-	// Startup pass: exactly FullTrainer.Forward(false) — dropout is identity
-	// at inference, so the stack reduces to the layer forwards. Hidden
-	// layers run one-shot; the final layer's pass is left open (ForwardBegin
-	// + full prep) so ForwardRows can fill any logit row on demand.
-	L := len(model.LayersL)
-	e.acts = make([]*tensor.Matrix, L+1)
-	e.acts[0] = tensor.New(feats.Rows, feats.Cols)
-	e.acts[0].CopyFrom(feats)
-	for l, layer := range model.LayersL[:L-1] {
-		e.acts[l+1] = layer.Forward(&e.lay, e.acts[l])
-	}
-	final := model.LayersL[L-1]
-	e.acts[L] = final.ForwardBegin(&e.lay, e.acts[L-1])
-	final.ForwardPrep(0, g.N)
+	// Startup pass: exactly FullTrainer.Forward(false). Its passes stay
+	// open, so ForwardRows can refill any row of any layer on demand.
+	e.feats = tensor.New(feats.Rows, feats.Cols)
+	e.feats.CopyFrom(feats)
+	e.logits = model.Forward(&e.lay, e.feats, false)
 	return e, nil
 }
 
@@ -162,9 +153,8 @@ func (e *Engine) Predict(nodes []int32) ([][]float32, error) {
 	if len(miss) > 0 {
 		final := e.model.LayersL[len(e.model.LayersL)-1]
 		final.ForwardRows(miss)
-		out := e.acts[len(e.acts)-1]
 		for _, v := range miss {
-			row := append([]float32(nil), out.Row(int(v))...)
+			row := append([]float32(nil), e.logits.Row(int(v))...)
 			rows[v] = row
 			e.cache.put(v, row)
 		}
@@ -215,7 +205,7 @@ func (e *Engine) UpdateFeature(node int32, feat []float32) (int, error) {
 		return 0, fmt.Errorf("serve: %d features for node %d, model wants %d", len(feat), node, e.model.InDim)
 	}
 	e.stats.Updates++
-	copy(e.acts[0].Row(int(node)), feat)
+	copy(e.feats.Row(int(node)), feat)
 
 	touched := 0
 	changed := []int32{node}
@@ -223,9 +213,16 @@ func (e *Engine) UpdateFeature(node int32, feat []float32) (int, error) {
 	for l := 0; l < L; l++ {
 		layer := e.model.LayersL[l]
 		// Refresh per-input-row precomputations for the rows that changed
-		// (GAT's Wh and attention scores; a no-op for SAGE) before any
-		// output row that attends to them is recomputed.
-		layer.ForwardPrepRows(changed)
+		// (GAT's Wh and attention scores; a no-op for SAGE), run by run of
+		// the ascending list, before any output row that attends to them is
+		// recomputed.
+		for i := 0; i < len(changed); {
+			r0, r1 := int(changed[i]), int(changed[i])+1
+			for i++; i < len(changed) && int(changed[i]) == r1; i++ {
+				r1++
+			}
+			layer.ForwardPrep(r0, r1)
+		}
 		rows := e.affected(changed)
 		if l < L-1 {
 			layer.ForwardRows(rows)

@@ -336,7 +336,7 @@ func TestContiguousCallsWalkBlocksInline(t *testing.T) {
 	got, want := New(n, out), New(n, out)
 	MatMul(got, a, b)
 	for r := 0; r < n; r++ {
-		MatMulRows(want, a, b, one(r))
+		MatMulRange(want, a, b, r, r+1)
 	}
 	sameBitsF32(t, "MatMul", got.Data, want.Data)
 

@@ -428,16 +428,6 @@ func MatMulRange(out, a, b *Matrix, lo, hi int) {
 	dispatch(rowCall{kernel: kernelMatMul, out: out, a: a, b: b}, rowRange(lo, hi), rowBlock, nil)
 }
 
-// MatMulRows computes out.Row(v) = a.Row(v)·b for every v in rows, leaving
-// all other rows of out untouched. rows must be in-range and duplicate-free
-// (order is irrelevant: rows are independent). Bit-identical per row to
-// MatMul — the pipelined epoch engine runs a layer pass in row chunks only
-// because chunking cannot change a single output bit.
-func MatMulRows(out, a, b *Matrix, rows []int32) {
-	checkMatMul("MatMulRows", out, a, b)
-	dispatch(rowCall{kernel: kernelMatMul, out: out, a: a, b: b}, rows, rowBlock, nil)
-}
-
 // matMulBlock computes the listed rows of out = a·b: each row is one
 // reduction over the k rows of b, held in registers from start to end.
 func matMulBlock(out, a, b *Matrix, rows []int32) {

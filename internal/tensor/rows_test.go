@@ -23,11 +23,11 @@ func randomSplit(rng *RNG, n int) (a, b []int32) {
 	return a, b
 }
 
-// TestMatMulRowsMatchesFull pins the bit-identity contract of the row-subset
-// kernels: computing any partition of the rows — in two chunks, scattered or
-// contiguous — must reproduce the one-shot kernel exactly, on odd and prime
-// shapes that exercise every tail path.
-func TestMatMulRowsMatchesFull(t *testing.T) {
+// TestMatMulRangeMatchesFull pins the bit-identity contract of the row-range
+// kernel: computing any cut of the rows into ranges, in any order, must
+// reproduce the one-shot kernel exactly, on odd and prime shapes that
+// exercise every tail path.
+func TestMatMulRangeMatchesFull(t *testing.T) {
 	rng := NewRNG(7)
 	shapes := [][3]int{{1, 1, 1}, {3, 5, 2}, {7, 13, 11}, {17, 9, 23}, {65, 31, 19}, {130, 67, 37}}
 	for _, s := range shapes {
@@ -45,23 +45,14 @@ func TestMatMulRowsMatchesFull(t *testing.T) {
 
 		got := New(n, m)
 		fillSentinel(got)
-		rows1, rows2 := randomSplit(rng, n)
-		MatMulRows(got, a, b, rows1)
-		MatMulRows(got, a, b, rows2)
+		cut1 := n / 3
+		cut2 := cut1 + rng.Intn(n-cut1+1)
+		MatMulRange(got, a, b, cut2, n)
+		MatMulRange(got, a, b, 0, cut1)
+		MatMulRange(got, a, b, cut1, cut2)
 		for i := range want.Data {
 			if got.Data[i] != want.Data[i] {
-				t.Fatalf("MatMulRows %dx%dx%d: element %d = %v, want %v", n, k, m, i, got.Data[i], want.Data[i])
-			}
-		}
-
-		got2 := New(n, m)
-		fillSentinel(got2)
-		cut := n / 3
-		MatMulRange(got2, a, b, 0, cut)
-		MatMulRange(got2, a, b, cut, n)
-		for i := range want.Data {
-			if got2.Data[i] != want.Data[i] {
-				t.Fatalf("MatMulRange %dx%dx%d: element %d = %v, want %v", n, k, m, i, got2.Data[i], want.Data[i])
+				t.Fatalf("MatMulRange %dx%dx%d: element %d = %v, want %v", n, k, m, i, got.Data[i], want.Data[i])
 			}
 		}
 	}
@@ -98,10 +89,10 @@ func TestMatMulTransBRangeMatchesFull(t *testing.T) {
 	}
 }
 
-// TestMatMulRowsLeavesOtherRowsUntouched: a row-subset call must not write a
-// single element outside its listed rows (the engine's output matrices hold
-// live chunk-1 results while chunk 2 runs).
-func TestMatMulRowsLeavesOtherRowsUntouched(t *testing.T) {
+// TestMatMulRangeLeavesOtherRowsUntouched: a row-range call must not write a
+// single element outside its rows (the engine's output matrices hold rows
+// computed earlier in the pass while later ones run).
+func TestMatMulRangeLeavesOtherRowsUntouched(t *testing.T) {
 	rng := NewRNG(13)
 	const n, k, m = 19, 7, 5
 	a := New(n, k)
@@ -112,21 +103,21 @@ func TestMatMulRowsLeavesOtherRowsUntouched(t *testing.T) {
 	for i := range b.Data {
 		b.Data[i] = float32(rng.NormFloat64())
 	}
-	rows := []int32{2, 3, 11, 17}
-	listed := map[int32]bool{}
-	for _, v := range rows {
-		listed[v] = true
-	}
-	check := func(name string, got *Matrix) {
-		t.Helper()
-		for i, v := range got.Data {
-			if !listed[int32(i/m)] && v != -12345.5 {
-				t.Fatalf("%s wrote element %d of unlisted row %d", name, i, i/m)
-			}
+	ranges := [][2]int{{2, 4}, {11, 12}, {17, 18}}
+	listed := map[int]bool{}
+	for _, r := range ranges {
+		for v := r[0]; v < r[1]; v++ {
+			listed[v] = true
 		}
 	}
 	got := New(n, m)
 	fillSentinel(got)
-	MatMulRows(got, a, b, rows)
-	check("MatMulRows", got)
+	for _, r := range ranges {
+		MatMulRange(got, a, b, r[0], r[1])
+	}
+	for i, v := range got.Data {
+		if !listed[i/m] && v != -12345.5 {
+			t.Fatalf("MatMulRange wrote element %d of row %d, outside its ranges", i, i/m)
+		}
+	}
 }
