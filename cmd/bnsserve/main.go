@@ -5,12 +5,13 @@
 // At startup it loads the model (either checkpoint kind — one CRC'd
 // container; a trainer checkpoint's resume section is ignored), regenerates the
 // dataset from the shared seed exactly like the training commands do — no
-// feature files need distributing — precomputes all hidden-layer embeddings,
-// and then answers queries with row-subset passes over just the requested
-// logit rows. Concurrent requests are coalesced into one pass per batch, hot
-// rows are served from an LRU cache, and feature updates re-embed only the
-// affected receptive field. Served logits are bit-identical to the
-// FullTrainer evaluation path on the same checkpoint.
+// feature files need distributing — and runs the whole stack once, keeping
+// every layer's output. Queries are answered from the start-up pass's logit
+// rows; a feature update re-embeds only the affected receptive field and
+// marks its logit rows stale, and the next query for a stale row recomputes
+// it in a row-subset pass (concurrent requests are coalesced into one pass
+// per batch). Served logits are bit-identical to the FullTrainer evaluation
+// path on the same checkpoint.
 //
 //	# train, checkpoint, then serve:
 //	bnsserve -dataset reddit -checkpoint /tmp/ckpt/ckpt-g00000010.bnst
@@ -63,7 +64,6 @@ func main() {
 		hidden    = flag.Int("hidden", 32, "hidden units when no checkpoint is given")
 
 		addr       = flag.String("addr", "127.0.0.1:8090", "listen address (host:port; port 0 picks a free port)")
-		cache      = flag.Int("cache", 4096, "LRU embedding-cache capacity in logit rows")
 		maxBatch   = flag.Int("max-batch", 64, "max concurrent predict requests coalesced into one row-subset pass")
 		maxQueue   = flag.Int("max-queue", 0, "max predict requests waiting for the dispatcher before new ones are shed with 503 (0 = 4x max-batch)")
 		retryAfter = flag.Duration("retry-after", time.Second, "backoff hint carried in shed responses' Retry-After header")
@@ -100,12 +100,12 @@ func main() {
 	}
 
 	start := time.Now()
-	eng, err := serve.NewEngine(model, g, ds.Features, *cache)
+	eng, err := serve.NewEngine(model, g, ds.Features, 0)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("precomputed embeddings for %d nodes in %s (cache %d rows, max batch %d)\n",
-		g.N, time.Since(start).Round(time.Millisecond), *cache, *maxBatch)
+	fmt.Printf("precomputed embeddings for %d nodes in %s (max batch %d)\n",
+		g.N, time.Since(start).Round(time.Millisecond), *maxBatch)
 
 	srv := serve.NewServer(eng, serve.ServerConfig{MaxBatch: *maxBatch, MaxQueue: *maxQueue, RetryAfter: *retryAfter})
 	ln, err := net.Listen("tcp", *addr)

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
+	"repro/internal/graph"
 	"repro/internal/tensor"
 )
 
@@ -55,9 +56,36 @@ func rowsEqual(a []float32, b []float32) bool {
 	return true
 }
 
+// updatedReference is FullTrainer.Forward(false) with ft's weights over the
+// features of testDataset(seed) with the rows in upd replaced: the
+// from-scratch pass a served row must equal after those updates.
+func updatedReference(t testing.TB, seed uint64, ft *core.FullTrainer, upd map[int32][]float32) *tensor.Matrix {
+	t.Helper()
+	ds := testDataset(t, seed)
+	for v, feat := range upd {
+		copy(ds.Features.Row(int(v)), feat)
+	}
+	ft2, err := core.NewFullTrainer(ds, ft.Model.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ft2.Model.CopyWeightsFrom(ft.Model)
+	return ft2.Forward(false)
+}
+
+// rampFeatures is a feature row unlike any the dataset generates.
+func rampFeatures(dim int, scale float32) []float32 {
+	f := make([]float32, dim)
+	for j := range f {
+		f[j] = scale * (float32(j)*0.25 - 1)
+	}
+	return f
+}
+
 // TestPredictMatchesFullTrainer is the serving bit-identity contract: every
-// logit row the engine serves — cache miss or hit, any batch split — equals
-// the FullTrainer.Forward(false) row for the same weights, bit for bit.
+// logit row the engine serves — from the start-up pass or recomputed after
+// an update, any batch split — equals the FullTrainer.Forward(false) row for
+// the same weights and features, bit for bit.
 func TestPredictMatchesFullTrainer(t *testing.T) {
 	for _, tc := range []struct {
 		arch   core.Arch
@@ -74,13 +102,8 @@ func TestPredictMatchesFullTrainer(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Uneven batch sizes, repeats within a batch, and re-requests of
-			// cached rows all must produce the reference bits.
-			var nodes []int32
-			for v := 0; v < ds.G.N; v++ {
-				nodes = append(nodes, int32(v))
-			}
-			for _, batch := range [][]int32{nodes[:7], nodes[5:100], {3, 3, 9}, nodes} {
+			check := func(batch []int32, ref *tensor.Matrix) {
+				t.Helper()
 				rows, err := eng.Predict(batch)
 				if err != nil {
 					t.Fatal(err)
@@ -91,9 +114,26 @@ func TestPredictMatchesFullTrainer(t *testing.T) {
 					}
 				}
 			}
+			// Uneven batch sizes, repeats within a batch, and re-requests
+			// all must produce the reference bits.
+			var nodes []int32
+			for v := 0; v < ds.G.N; v++ {
+				nodes = append(nodes, int32(v))
+			}
+			for _, batch := range [][]int32{nodes[:7], nodes[5:100], {3, 3, 9}, nodes} {
+				check(batch, ref)
+			}
+			// After an update, one batch mixes current rows with stale ones
+			// it recomputes.
+			feat := rampFeatures(ds.FeatureDim(), 1)
+			if _, err := eng.UpdateFeature(5, feat); err != nil {
+				t.Fatal(err)
+			}
+			before := eng.Stats()
+			check(nodes, updatedReference(t, 11, ft, map[int32][]float32{5: feat}))
 			st := eng.Stats()
-			if st.Hits == 0 || st.Misses == 0 {
-				t.Fatalf("exercise should produce both hits and misses: %+v", st)
+			if st.Hits == before.Hits || st.Misses == before.Misses {
+				t.Fatalf("the batch after an update should have both hits and misses: %+v, before %+v", st, before)
 			}
 		})
 	}
@@ -145,43 +185,114 @@ func TestEngineFromHydratedCheckpoint(t *testing.T) {
 	}
 }
 
-// TestCacheCountersAndEviction: the LRU must bound itself at capacity, serve
-// repeats from cache, and recompute evicted rows correctly.
+// readerClosure returns, per layer of an L-layer stack, the rows an update
+// of node must reach: layer l's output rows that read, within l+1
+// aggregation hops, the node's input row. Built from the graph's adjacency
+// alone, not from the engine's plan.
+func readerClosure(g *graph.Graph, node int32, L int) [][]int32 {
+	readers := make([][]int32, g.N)
+	for v := int32(0); v < int32(g.N); v++ {
+		for _, u := range g.Neighbors(v) {
+			readers[u] = append(readers[u], v)
+		}
+	}
+	in := map[int32]bool{node: true}
+	var out [][]int32
+	for l := 0; l < L; l++ {
+		next := map[int32]bool{}
+		for u := range in {
+			next[u] = true
+			for _, v := range readers[u] {
+				next[v] = true
+			}
+		}
+		var rows []int32
+		for v := range next {
+			rows = append(rows, v)
+		}
+		out = append(out, rows)
+		in = next
+	}
+	return out
+}
+
+// TestCacheCountersAndEviction: the start-up pass is the cache, so a fresh
+// engine answers every node without a miss. An update marks its receptive
+// field's logit rows stale, and touched counts the distinct hidden rows it
+// recomputed plus the rows it newly marked; each stale row is recomputed
+// once, on its first request, and then served as a hit.
 func TestCacheCountersAndEviction(t *testing.T) {
 	ds := testDataset(t, 13)
-	ft, ref := trainedModel(t, ds, core.ArchSAGE, 2)
+	ft, ref := trainedModel(t, ds, core.ArchSAGE, 3)
 	eng, err := NewEngine(ft.Model, ds.G, ds.Features, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Predict([]int32{0, 1}); err != nil {
+	var nodes []int32
+	for v := 0; v < ds.G.N; v++ {
+		nodes = append(nodes, int32(v))
+	}
+	n := int64(ds.G.N)
+	if _, err := eng.Predict(nodes); err != nil {
 		t.Fatal(err)
 	}
-	st := eng.Stats()
-	if st.Misses != 2 || st.Hits != 0 || st.CacheLen != 2 || st.CacheCap != 2 {
-		t.Fatalf("after first batch: %+v", st)
+	if st := eng.Stats(); st.Misses != 0 || st.Hits != n || st.Stale != 0 {
+		t.Fatalf("a fresh engine should answer every node from its start-up pass: %+v", st)
 	}
-	if _, err := eng.Predict([]int32{0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if st = eng.Stats(); st.Hits != 2 || st.Misses != 2 {
-		t.Fatalf("repeat batch should be all hits: %+v", st)
-	}
-	// Node 2 evicts the LRU entry (node 0); re-requesting 0 is a miss whose
-	// recompute must still produce the reference bits.
-	if _, err := eng.Predict([]int32{2}); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := eng.Predict([]int32{0})
+
+	reach := readerClosure(ds.G, 5, 3)
+	hidden := len(reach[0]) + len(reach[1])
+	feat := rampFeatures(ds.FeatureDim(), 1)
+	touched, err := eng.UpdateFeature(5, feat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rowsEqual(rows[0], ref.Row(0)) {
-		t.Fatal("re-computed evicted row differs from reference")
+	st := eng.Stats()
+	if st.Stale != len(reach[2]) || st.Evicted != int64(len(reach[2])) || st.Recomputed != int64(hidden) {
+		t.Fatalf("update: %+v, want %d stale rows and %d hidden rows recomputed", st, len(reach[2]), hidden)
 	}
-	if st = eng.Stats(); st.Misses != 4 || st.CacheLen != 2 {
-		t.Fatalf("after eviction cycle: %+v", st)
+	if touched != hidden+len(reach[2]) {
+		t.Fatalf("update touched %d rows, want %d hidden + %d stale", touched, hidden, len(reach[2]))
 	}
+	// The same node again: the hidden rows are recomputed again, but every
+	// logit row it reaches is already stale, so none is newly marked.
+	if touched, err = eng.UpdateFeature(5, feat); err != nil {
+		t.Fatal(err)
+	}
+	if st = eng.Stats(); touched != hidden || st.Stale != len(reach[2]) || st.Evicted != int64(len(reach[2])) {
+		t.Fatalf("repeat update touched %d rows (want %d): %+v", touched, hidden, st)
+	}
+
+	want := updatedReference(t, 13, ft, map[int32][]float32{5: feat})
+	for pass := 0; pass < 2; pass++ {
+		rows, err := eng.Predict(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range nodes {
+			if !rowsEqual(rows[i], want.Row(int(v))) {
+				t.Fatalf("pass %d node %d: served logits differ from a full recompute on the updated features", pass, v)
+			}
+		}
+		st = eng.Stats()
+		if st.Misses != int64(len(reach[2])) || st.Hits != int64(pass+2)*n-int64(len(reach[2])) || st.Stale != 0 {
+			t.Fatalf("pass %d: each stale row should miss once, on its first request: %+v", pass, st)
+		}
+	}
+	// The rows the update did not reach are the start-up pass's.
+	stale := map[int32]bool{}
+	for _, v := range reach[2] {
+		stale[v] = true
+	}
+	if !stale[5] || len(stale) == ds.G.N {
+		t.Fatalf("the update reached %d of %d rows", len(stale), ds.G.N)
+	}
+	for _, v := range nodes {
+		if !stale[v] && !rowsEqual(want.Row(int(v)), ref.Row(int(v))) {
+			t.Fatalf("node %d is outside the update's reach but its reference moved", v)
+		}
+	}
+
 	// Out-of-range requests are rejected, not served.
 	if _, err := eng.Predict([]int32{int32(ds.G.N)}); err == nil {
 		t.Fatal("predict accepted an out-of-range node")
@@ -216,17 +327,12 @@ func TestUpdateFeatureMatchesFullRecompute(t *testing.T) {
 			for v := 0; v < ds.G.N; v++ {
 				nodes = append(nodes, int32(v))
 			}
-			// Warm the whole cache so the update's eviction is load-bearing:
-			// stale cached rows would survive a missing eviction and fail below.
-			if _, err := eng.Predict(nodes); err != nil {
-				t.Fatal(err)
-			}
+			// Every logit row is current after start-up, so a row the
+			// update failed to mark stale would be served as it was and
+			// fail below.
 
 			// Mutate two nodes' features (one hub-ish, one arbitrary).
-			newFeat := make([]float32, ds.FeatureDim())
-			for j := range newFeat {
-				newFeat[j] = float32(j)*0.25 - 1
-			}
+			newFeat := rampFeatures(ds.FeatureDim(), 1)
 			touched, err := eng.UpdateFeature(5, newFeat)
 			if err != nil {
 				t.Fatal(err)
@@ -234,26 +340,14 @@ func TestUpdateFeatureMatchesFullRecompute(t *testing.T) {
 			if touched == 0 {
 				t.Fatal("update re-embedded nothing")
 			}
-			neg := make([]float32, ds.FeatureDim())
-			for j := range neg {
-				neg[j] = -newFeat[j]
-			}
+			neg := rampFeatures(ds.FeatureDim(), -1)
 			if _, err := eng.UpdateFeature(200, neg); err != nil {
 				t.Fatal(err)
 			}
 
 			// From-scratch reference over the modified features: a fresh
 			// dataset (same seed), mutated the same way, same weights.
-			ds2 := testDataset(t, 14)
-			copy(ds2.Features.Row(5), newFeat)
-			copy(ds2.Features.Row(200), neg)
-			cfg := ft.Model.Config
-			ft2, err := core.NewFullTrainer(ds2, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ft2.Model.CopyWeightsFrom(ft.Model)
-			ref := ft2.Forward(false)
+			ref := updatedReference(t, 14, ft, map[int32][]float32{5: newFeat, 200: neg})
 
 			rows, err := eng.Predict(nodes)
 			if err != nil {

@@ -199,15 +199,30 @@ func TestConcurrentClientsBatchAndAgree(t *testing.T) {
 func TestDispatcherCoalescesQueuedRequests(t *testing.T) {
 	ds := testDataset(t, 23)
 	ft, _ := trainedModel(t, ds, core.ArchSAGE, 2)
-	ref := ft.Forward(false)
 	eng, err := NewEngine(ft.Model, ds.G, ds.Features, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// An update makes rows stale, so the pass has rows to recompute.
+	feat := rampFeatures(ds.FeatureDim(), 1)
+	if _, err := eng.UpdateFeature(5, feat); err != nil {
+		t.Fatal(err)
+	}
+	ref := updatedReference(t, 23, ft, map[int32][]float32{5: feat})
+	var s []int32
+	for v, stale := range eng.stale {
+		if stale {
+			s = append(s, int32(v))
+		}
+	}
+	if len(s) < 9 {
+		t.Fatalf("the update left %d rows stale, the test needs 9", len(s))
+	}
+	before := eng.Stats()
 	srv := newServer(eng, ServerConfig{MaxBatch: 16})
-	// Stage 8 requests — some multi-node, one duplicating another's node —
-	// in the buffered queue, THEN start the dispatcher.
-	reqs := [][]int32{{0}, {1, 2}, {3}, {1}, {4, 5, 6}, {7}, {8}, {2}}
+	// Stage 8 requests over stale rows — some multi-node, one duplicating
+	// another's node — in the buffered queue, THEN start the dispatcher.
+	reqs := [][]int32{{s[0]}, {s[1], s[2]}, {s[3]}, {s[1]}, {s[4], s[5], s[6]}, {s[7]}, {s[8]}, {s[2]}}
 	resps := make([]chan predictResp, len(reqs))
 	for i, nodes := range reqs {
 		resps[i] = make(chan predictResp, 1)
@@ -236,10 +251,11 @@ func TestDispatcherCoalescesQueuedRequests(t *testing.T) {
 	if st.Batches != 1 || st.Batched != int64(len(reqs)) || st.MaxBatched != len(reqs) {
 		t.Fatalf("staged queue should drain in one pass: %+v", st)
 	}
-	// All 11 lookups are cold (a within-pass duplicate is not a cache hit),
-	// but the pass itself dedups: only the 9 distinct nodes enter the cache.
-	if st.Misses != 11 || st.Hits != 0 || st.CacheLen != 9 {
-		t.Fatalf("coalesced pass dedup: %+v", st)
+	// All 11 lookups are of stale rows (a within-pass duplicate is not a
+	// hit), but the pass itself dedups: each of the 9 distinct rows is
+	// recomputed once, and only those leave the stale set.
+	if st.Misses-before.Misses != 11 || st.Hits != before.Hits || before.Stale-st.Stale != 9 {
+		t.Fatalf("coalesced pass dedup: %+v, before %+v", st, before)
 	}
 }
 
