@@ -12,12 +12,14 @@ import (
 // exact full-graph reference that BNS-GCN with p=1 must match. It runs each
 // layer through the Model's stages over the dense layout, as the
 // sampling-based baselines' MinibatchTrainer (internal/sampling) does over
-// each batch's.
+// each batch's. Its passes run in its own Pass, so the Model it trains keeps
+// nothing of them once a pass has ended.
 type FullTrainer struct {
 	DS    *datagen.Dataset
 	Model *Model
 	Opt   *optim.Adam
 	lay   Layout
+	pass  Pass
 	// The loss's scratch, reused every epoch: the logit gradient and the
 	// softmax head's row slots.
 	grad *tensor.Matrix
@@ -40,9 +42,13 @@ func NewFullTrainer(ds *datagen.Dataset, cfg ModelConfig) (*FullTrainer, error) 
 }
 
 // Forward runs the model over the full graph and returns logits for every
-// node. train enables dropout.
+// node, valid until the trainer's next pass. train enables dropout and
+// leaves the pass open for the backward; an inference pass ends here.
 func (t *FullTrainer) Forward(train bool) *tensor.Matrix {
-	return t.Model.Forward(&t.lay, t.DS.Features, train)
+	if !train {
+		return t.Model.Infer(&t.pass, &t.lay, t.DS.Features)
+	}
+	return t.Model.Forward(&t.pass, &t.lay, t.DS.Features, true)
 }
 
 // TrainEpoch runs one full-graph training step and returns the train loss.
@@ -51,7 +57,7 @@ func (t *FullTrainer) TrainEpoch() float64 {
 	d := tensor.EnsureMat(&t.grad, logits.Rows, logits.Cols)
 	loss := LossInto(&t.loss, d, t.DS.MultiLabel, logits, t.DS.Labels, t.DS.LabelMatrix, t.DS.TrainMask, 0)
 	t.Model.ZeroGrad()
-	t.Model.Backward(d)
+	t.Model.Backward(&t.pass, d)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
 	return loss
 }

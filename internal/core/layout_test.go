@@ -99,21 +99,21 @@ func TestLayoutBuild(t *testing.T) {
 					}
 					return m
 				}
-				// One forward and backward: the logits, and the parameter
-				// gradients, whose backward gathers over the plan.
-				pass := func(m *Model, lo *Layout) (logits, grads []float32) {
+				// One forward and backward in ps: the logits, and the
+				// parameter gradients, whose backward gathers over the plan.
+				pass := func(m *Model, ps *Pass, lo *Layout) (logits, grads []float32) {
 					m.ZeroGrad()
-					out := m.Forward(lo, x, false)
+					out := m.Forward(ps, lo, x, false)
 					d := tensor.New(out.Rows, out.Cols)
 					d.CopyFrom(out)
-					m.Backward(d)
+					m.Backward(ps, d)
 					return slices.Clone(out.Data), slices.Clone(m.GradSlab())
 				}
-				m := model()
+				m, ps := model(), new(Pass)
 				var logits [3][]float32
 				for i, lo := range []*Layout{&la, &lb, &la} {
-					gotLogits, gotGrads := pass(m, lo)
-					wantLogits, wantGrads := pass(model(), lo)
+					gotLogits, gotGrads := pass(m, ps, lo)
+					wantLogits, wantGrads := pass(model(), new(Pass), lo)
 					if !slices.Equal(gotLogits, wantLogits) || !slices.Equal(gotGrads, wantGrads) {
 						t.Fatalf("pass %d (layout %c) differs from a fresh model's pass over the same layout", i, "ABA"[i])
 					}

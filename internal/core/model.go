@@ -144,12 +144,24 @@ type GraphLayer interface {
 
 	InputDim() int
 	OutputDim() int
+
+	// bind makes s's state of the layer the one its passes run in; nil
+	// unbinds it, leaving the layer no reference to any pass.
+	bind(s *layerPass)
 }
 
 // sageLayer adapts nn.SAGEConv to GraphLayer: a pass aggregates over the
 // layout's plan, normalized by its InvDeg. SAGE reduces over output rows
 // only, so where the halo rows stand does not matter to it.
 type sageLayer struct{ *nn.SAGEConv }
+
+func (l sageLayer) bind(s *layerPass) {
+	if s == nil {
+		l.Bind(nil)
+		return
+	}
+	l.Bind(&s.sage)
+}
 
 func (l sageLayer) ForwardBegin(lo *Layout, h *tensor.Matrix) *tensor.Matrix {
 	l.SetAgg(&lo.Agg)
@@ -164,6 +176,14 @@ func (l sageLayer) OutputDim() int { return l.SAGEConv.OutDim }
 // dense block.
 type gatLayer struct{ *nn.GATConv }
 
+func (l gatLayer) bind(s *layerPass) {
+	if s == nil {
+		l.Bind(nil)
+		return
+	}
+	l.Bind(&s.gat)
+}
+
 func (l gatLayer) ForwardBegin(lo *Layout, h *tensor.Matrix) *tensor.Matrix {
 	l.SetAgg(&lo.Agg)
 	l.SetHaloLayout(lo.HaloRow)
@@ -172,8 +192,36 @@ func (l gatLayer) ForwardBegin(lo *Layout, h *tensor.Matrix) *tensor.Matrix {
 func (l gatLayer) InputDim() int  { return l.GATConv.InDim }
 func (l gatLayer) OutputDim() int { return l.GATConv.OutDim }
 
+// Pass is the state a model's passes run in: per layer, everything the
+// layer's pass reads and writes besides the weights — its graph, input,
+// activations, scratch and input gradient, its dropout mask, and the input
+// Forward's dropout writes — and the layout Backward runs over. A Model holds
+// its weights and no pass: whoever runs passes owns a Pass (each trainer, the
+// serving engine) and reuses it, every buffer regrown in place
+// (tensor.EnsureMat) to the largest pass seen. A layer is bound to the Pass
+// as its pass begins and unbound, the Pass kept, when the pass ends: after
+// Backward's last layer, once an inference pass has been read (Infer), or
+// when a rank's pass fails. A model that outlives its trainer therefore pins
+// none of the trainer's passes, graph or features. The zero value is ready;
+// one Pass serves one model.
+type Pass struct {
+	layers []layerPass
+	lo     *Layout
+}
+
+// layerPass is one layer's share of a Pass. A layer binds the state of its
+// own kind; input is the layer's input when Forward's dropout pass is
+// active.
+type layerPass struct {
+	sage  nn.SAGEPass
+	gat   nn.GATPass
+	drop  nn.DropoutPass
+	input *tensor.Matrix
+}
+
 // Model is a stack of graph layers with per-layer dropout, replicated on
-// every partition during parallel training.
+// every partition during parallel training. It holds weights and gradients;
+// its passes run in a Pass their owner holds.
 type Model struct {
 	Config   ModelConfig
 	LayersL  []GraphLayer
@@ -190,11 +238,6 @@ type Model struct {
 	// gradSlab is the storage of every gradient matrix, laid end to end in
 	// Grads order.
 	gradSlab []float32
-
-	// Forward's state: each layer's input when its dropout pass is active,
-	// and the layout Backward runs over.
-	inputs []*tensor.Matrix
-	lo     *Layout
 }
 
 // NewModel builds a model with deterministic initialization from cfg.Seed.
@@ -232,7 +275,6 @@ func NewModel(cfg ModelConfig, inDim, outDim int) (*Model, error) {
 		m.paramsCache = append(m.paramsCache, l.Params()...)
 		m.gradsCache = append(m.gradsCache, l.Grads()...)
 	}
-	m.inputs = make([]*tensor.Matrix, cfg.Layers)
 	m.gradSlab = make([]float32, nn.ParamCount(m.layersCache))
 	off := 0
 	for _, g := range m.gradsCache {
@@ -260,45 +302,77 @@ func layerDims(l, layers, hidden, inDim, outDim int) (in, out int) {
 // returned slice is shared; callers must not mutate it.
 func (m *Model) Layers() []nn.Layer { return m.layersCache }
 
-// Forward runs the stack over the dense layout lo (Build's) and input x, each
-// layer through beginLayer, and returns the last layer's output; train
-// enables dropout. An identity dropout pass hands a layer its input itself,
-// so an inference pass leaves every layer's pass open over x and the outputs
-// below it.
-func (m *Model) Forward(lo *Layout, x *tensor.Matrix, train bool) *tensor.Matrix {
-	m.lo = lo
+// Forward runs the stack in p over the dense layout lo (Build's) and input x,
+// each layer through beginLayer, and returns the last layer's output, which
+// lives in p; train enables dropout. An identity dropout pass hands a layer
+// its input itself, so an inference pass leaves every layer's pass open over
+// x and the outputs below it. The pass stays open, every layer bound to p,
+// until Backward ends it; Infer is a whole inference pass.
+func (m *Model) Forward(p *Pass, lo *Layout, x *tensor.Matrix, train bool) *tensor.Matrix {
+	p.lo = lo
 	h := x
 	for l := range m.LayersL {
 		in := h
 		if train && m.Dropouts[l].Rate != 0 {
-			in = tensor.EnsureMat(&m.inputs[l], h.Rows, h.Cols)
+			in = tensor.EnsureMat(&m.layerState(p, l).input, h.Rows, h.Cols)
 		}
-		h = m.beginLayer(l, lo, in, h, train)
+		h = m.beginLayer(p, l, lo, in, h, train)
 	}
 	return h
 }
 
-// Backward propagates d, the gradient of the last Forward's output, down the
-// stack through the backward stages, accumulating every layer's parameter
-// gradients. d is overwritten, and so is each layer's input gradient as the
-// layer below consumes it. The first layer's input is data: it gets no input
-// gradient, and its dropout no backward.
-func (m *Model) Backward(d *tensor.Matrix) {
-	for l := len(m.LayersL) - 1; l > 0; l-- {
-		m.backwardHalo(l, m.lo, d)
-		d = m.backwardFinish(l, m.lo)
-	}
-	m.LayersL[0].BackwardParams(d)
+// Infer is an inference pass: Forward in p without dropout, ended once it
+// has run, so no layer stays bound to p. The returned logits live in p and
+// hold until p's next pass.
+func (m *Model) Infer(p *Pass, lo *Layout, x *tensor.Matrix) *tensor.Matrix {
+	logits := m.Forward(p, lo, x, false)
+	m.unbind()
+	return logits
 }
 
-// beginLayer begins layer l's pass over lo: the dropout pass, placed by lo's
-// halo placement, writes the layer's input x from h, the rows in hand (lo's
-// leading h.Rows); the layer begins over x, preps those rows and computes
-// lo.Free. It returns the layer's output, whose lo.Dep rows the caller
-// computes once it has written and masked x's halo rows. x and h may be one
-// matrix when the dropout pass is identity.
-func (m *Model) beginLayer(l int, lo *Layout, x, h *tensor.Matrix, train bool) *tensor.Matrix {
+// Backward propagates d, the gradient of the output of p's last Forward, down
+// the stack through the backward stages, accumulating every layer's parameter
+// gradients, and ends the pass. d is overwritten, and so is each layer's
+// input gradient as the layer below consumes it. The first layer's input is
+// data: it gets no input gradient, and its dropout no backward.
+func (m *Model) Backward(p *Pass, d *tensor.Matrix) {
+	for l := len(m.LayersL) - 1; l > 0; l-- {
+		m.backwardHalo(l, p.lo, d)
+		d = m.backwardFinish(l, p.lo)
+	}
+	m.backwardFirst(d)
+}
+
+// layerState returns layer l's state in p, sizing p to the stack on its
+// first use.
+func (m *Model) layerState(p *Pass, l int) *layerPass {
+	if len(p.layers) != len(m.LayersL) {
+		p.layers = make([]layerPass, len(m.LayersL))
+	}
+	return &p.layers[l]
+}
+
+// unbind ends the pass in progress: no layer or dropout is left referring to
+// its state.
+func (m *Model) unbind() {
+	for l, layer := range m.LayersL {
+		layer.bind(nil)
+		m.Dropouts[l].Bind(nil)
+	}
+}
+
+// beginLayer binds layer l and its dropout to their state in p and begins
+// the layer's pass over lo: the dropout pass, placed by lo's halo placement,
+// writes the layer's input x from h, the rows in hand (lo's leading h.Rows);
+// the layer begins over x, preps those rows and computes lo.Free. It returns
+// the layer's output, whose lo.Dep rows the caller computes once it has
+// written and masked x's halo rows. x and h may be one matrix when the
+// dropout pass is identity.
+func (m *Model) beginLayer(p *Pass, l int, lo *Layout, x, h *tensor.Matrix, train bool) *tensor.Matrix {
 	layer, drop := m.LayersL[l], m.Dropouts[l]
+	s := m.layerState(p, l)
+	layer.bind(s)
+	drop.Bind(&s.drop)
 	drop.ForwardBegin(x, h, train, lo.HaloAt, len(lo.HaloRow))
 	drop.ForwardRows(0, h.Rows)
 	out := layer.ForwardBegin(lo, x)
@@ -326,6 +400,14 @@ func (m *Model) backwardFinish(l int, lo *Layout) *tensor.Matrix {
 	dH := m.LayersL[l].BackwardFinish(lo.Free, nIn)
 	m.Dropouts[l].BackwardRows(dH, 0, nIn)
 	return dH
+}
+
+// backwardFirst runs the first layer's backward, which computes no input
+// gradient (its input is data, and its dropout gets no backward), and ends
+// the pass.
+func (m *Model) backwardFirst(d *tensor.Matrix) {
+	m.LayersL[0].BackwardParams(d)
+	m.unbind()
 }
 
 // LayerInputDims returns the input feature dimension of every layer, the d^(ℓ)

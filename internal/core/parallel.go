@@ -365,6 +365,7 @@ type RankTrainer struct {
 	globalTrainCount int
 	epoch            int
 	ep               epochState     // the running pass's shared stage state
+	pass             Pass           // the model's pass state, training and evaluation alike
 	loss             nn.SoftmaxLoss // the softmax head's slots, reused every epoch
 
 	// dropStart is each layer's dropout stream word at construction, the
@@ -453,13 +454,14 @@ func (rt *RankTrainer) TrainEpoch(w *comm.Worker) (st RankStats, err error) {
 }
 
 // failPass is the deferred recover of the two collectives, TrainEpoch and
-// Evaluate: a panic inside the pass becomes *err, and the transport is
-// aborted so the peers fail too.
+// Evaluate: a panic inside the pass becomes *err, the pass ends there, and
+// the transport is aborted so the peers fail too.
 func (rt *RankTrainer) failPass(w *comm.Worker, what string, err *error) {
 	r := recover()
 	if r == nil {
 		return
 	}
+	rt.Model.unbind()
 	w.Transport().Abort()
 	// Wrap error panic values so callers can dispatch on the cause with
 	// errors.As — the elastic supervisor keys recovery on finding a
@@ -499,6 +501,7 @@ func (rt *RankTrainer) Evaluate(w *comm.Worker, mask []bool) (score float64, err
 		lp.evalMask[li] = mask[v]
 	}
 	local := scoreCounts(rt.multiLabel, logits, lp.Labels, lp.LabelMatrix, lp.evalMask)
+	rt.Model.unbind()
 	return scoreOf(rt.multiLabel, sumCounts(w, local)), nil
 }
 

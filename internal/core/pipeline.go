@@ -145,7 +145,8 @@ func (rt *RankTrainer) forward() *tensor.Matrix {
 			// reuses its storage; and once every rank has drained the layer,
 			// its halo payloads are back in the transport's pools, where the
 			// next layer's draw them again. An evaluation holds one layer's
-			// halo at rate 1 and not the stack's. h is the layer's own buffer.
+			// halo at rate 1 and not the stack's. h is the layer's output, in
+			// the rank's pass state, not in the workspace.
 			rt.ep.w.Barrier()
 			rt.LP.ws.Reset()
 		}
@@ -292,7 +293,7 @@ func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) {
 // output; its halo-dependent rows are valid after the drain.
 func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
 	rt.ep.clk.to(phaseCompute)
-	return rt.Model.beginLayer(l, &rt.LP.lay, x, h, !rt.ep.eval)
+	return rt.Model.beginLayer(&rt.pass, l, &rt.LP.lay, x, h, !rt.ep.eval)
 }
 
 // drainForward receives layer l's boundary feature rows peer by peer in
@@ -410,12 +411,12 @@ func (rt *RankTrainer) foldGrad(l int, dH *tensor.Matrix) *tensor.Matrix {
 	return &lp.dNext
 }
 
-// backwardInput runs the first layer's backward. Input features need no
-// gradient: no halo exchange, no dropout backward, no input-gradient matrix
-// — only the parameter gradients.
+// backwardInput runs the first layer's backward and ends the pass. Input
+// features need no gradient: no halo exchange, no dropout backward, no
+// input-gradient matrix — only the parameter gradients.
 func (rt *RankTrainer) backwardInput(d *tensor.Matrix) {
 	rt.ep.clk.to(phaseCompute)
-	rt.Model.LayersL[0].BackwardParams(d)
+	rt.Model.backwardFirst(d)
 }
 
 // reduce sums the weight gradients across ranks and applies the optimizer

@@ -146,15 +146,17 @@ func (t *Topology) BoundaryRatios() []float64 {
 // keeps Wh and its gradient, a row per inner and sampled boundary node and
 // as wide as the output.) The halo payloads in flight — a frame per peer
 // received and sent, which the transport lends and pools — and the
-// partition's static arrays come on top. Measured on a boundary-heavy
-// partition, the trainers' heap is 2.25–2.26× Eq. 4 at p=1 and 2.22× at
-// p=0.1 over the channel cluster, and 2.59–2.80× and 2.40–2.50× over
-// loopback TCP, whose frame pools hold more (GOMAXPROCS 1, 2 and 4);
-// TestTrainerMemoryScalesWithP (…OverTCP) gates both and bnsbench -exp fig6
-// prints the channel figures. With nBd the boundary
-// sampled at rate p both shrink with p, the runtime's boundary term weighing
-// twice Eq. 4's against a larger inner term, so the measured reduction lands
-// within a few points of Eq. 4's either side.
+// partition's static arrays come on top. Every buffer listed is the rank's
+// — its epoch workspace, or the pass state (Pass) its trainer owns — and
+// none the Model's: a model kept after its trainer holds its weights and
+// gradients only. Measured on a boundary-heavy partition, the trainers' heap
+// is 2.25–2.26× Eq. 4 at p=1 and 2.22× at p=0.1 over the channel cluster,
+// and 2.59–2.80× and 2.40–2.50× over loopback TCP, whose frame pools hold
+// more (GOMAXPROCS 1, 2 and 4); TestTrainerMemoryScalesWithP (…OverTCP)
+// gates both and bnsbench -exp fig6 prints the channel figures. With nBd the
+// boundary sampled at rate p both shrink with p, the runtime's boundary term
+// weighing twice Eq. 4's against a larger inner term, so the measured
+// reduction lands within a few points of Eq. 4's either side.
 func MemoryCost(nIn, nBd int, layerInputDims []int) int64 {
 	var floats int64
 	for _, d := range layerInputDims {

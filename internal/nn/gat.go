@@ -16,6 +16,11 @@ import (
 //	z_v  = σ( Σ_u α_vu (W h_u) )
 //
 // Self-attention is always included so isolated nodes still produce output.
+//
+// The layer holds its weights and their gradients. Everything a pass reads
+// and writes besides them — the graph, plan, halo layout and input it runs
+// over, its activations, attention, scratch and input gradient — is a
+// GATPass, the state of whoever runs the pass (see Bind).
 type GATConv struct {
 	InDim, OutDim int
 	Act           Activation
@@ -28,6 +33,21 @@ type GATConv struct {
 	DA1 *tensor.Matrix
 	DA2 *tensor.Matrix
 
+	// The pass state the layer runs in: the one Bind installed, or own.
+	*gatPass
+	own GATPass
+
+	// sweep, edgeSweep and pullSweep are forwardBlock, edgeBlock and
+	// pullBlock bound once at construction: binding them per pass would
+	// allocate a closure per call.
+	sweep, edgeSweep, pullSweep func(rows []int32)
+}
+
+// GATPass is the state of a GATConv pass, the pass in progress or the last
+// one run. Its buffers are reused across passes, their capacity grown to the
+// largest pass graph seen, so a steady-state training loop allocates
+// nothing. The zero value is ready.
+type GATPass struct {
 	// agg is the aggregation plan of the pass graph: the backward builds
 	// each dWh row by a gather over its transposed index. Every pass checks
 	// it against the graph it is handed.
@@ -40,27 +60,21 @@ type GATConv struct {
 	h    *tensor.Matrix
 	wh   *tensor.Matrix // nAll × OutDim
 
-	// Layer-owned scratch. alphaBuf holds every output row's attention over
-	// (self + neighbors), one flat segment per row (segment). deBuf holds the
-	// backward's attention-logit gradients in the same segments, so the
-	// forward's alphaBuf stays intact and Backward can repeat after one
-	// Forward. The backward recomputes a logit's sign from s1 and s2 rather
-	// than keeping the logits. out is also the pre-activation: the
-	// activation is applied in place and act′ read back from it. dPre is the
-	// pre-activation gradient — the caller's dOut, differentiated in place —
-	// copied with a1 and a2 stacked under it: the rows the dWh gather reads.
-	// Reused across calls; capacity grows to the largest epoch subgraph seen.
+	// alphaBuf holds every output row's attention over (self + neighbors),
+	// one flat segment per row (segment). deBuf holds the backward's
+	// attention-logit gradients in the same segments, so the forward's
+	// alphaBuf stays intact and Backward can repeat after one Forward. The
+	// backward recomputes a logit's sign from s1 and s2 rather than keeping
+	// the logits. out is also the pre-activation: the activation is applied
+	// in place and act′ read back from it. dPre is the pre-activation
+	// gradient — the caller's dOut, differentiated in place — copied with a1
+	// and a2 stacked under it: the rows the dWh gather reads.
 	alphaBuf, deBuf, s1, s2, da1, da2 []float32
 	out, dPre, dWh, dWScratch, dH     *tensor.Matrix
 
 	// haloRow places the pass's trailing input rows in a dense block
 	// (SetHaloLayout); nil means the input is dense as it is.
 	haloRow []int32
-
-	// sweep, edgeSweep and pullSweep are forwardBlock, edgeBlock and
-	// pullBlock bound once at construction: binding them per pass would
-	// allocate a closure per call.
-	sweep, edgeSweep, pullSweep func(rows []int32)
 }
 
 // NewGATConv creates a single-head GAT layer with Xavier initialization.
@@ -81,7 +95,18 @@ func NewGATConv(inDim, outDim int, act Activation, rng *tensor.RNG) *GATConv {
 	tensor.XavierInit(l.A1, outDim, 1, rng)
 	tensor.XavierInit(l.A2, outDim, 1, rng)
 	l.sweep, l.edgeSweep, l.pullSweep = l.forwardBlock, l.edgeBlock, l.pullBlock
+	l.gatPass = &l.own
 	return l
+}
+
+// Bind makes p the state the layer's passes run in, as SAGEConv.Bind does:
+// SetAgg, SetHaloLayout and every stage of a pass run in the bound state,
+// and nil binds the one the layer keeps for itself.
+func (l *GATConv) Bind(p *GATPass) {
+	if p == nil {
+		p = &l.own
+	}
+	l.gatPass = p
 }
 
 // Params implements Layer.
@@ -93,12 +118,12 @@ func (l *GATConv) Grads() []*tensor.Matrix { return []*tensor.Matrix{l.DW, l.DA1
 // ZeroGrad implements Layer.
 func (l *GATConv) ZeroGrad() { zeroGradAll(l.Grads()) }
 
-// SetAgg installs the aggregation plan for subsequent passes, as SAGEConv's
-// does: ai must be built from the graph the passes receive (core's layer
-// adapter installs its layout's plan as every pass begins). The forward
-// sweep does not read it; the backward gathers each dWh row over its
-// transposed index. A layer without a plan, or with one whose size does not
-// match the pass's graph, panics at pass entry.
+// SetAgg installs the aggregation plan for subsequent passes in the bound
+// state, as SAGEConv's does: ai must be built from the graph the passes
+// receive (core's layer adapter installs its layout's plan as every pass
+// begins). The forward sweep does not read it; the backward gathers each dWh
+// row over its transposed index. A layer without a plan, or with one whose
+// size does not match the pass's graph, panics at pass entry.
 func (l *GATConv) SetAgg(ai *graph.AggIndex) { l.agg = ai }
 
 // SetHaloLayout tells the layer that the trailing input rows of its passes
@@ -109,8 +134,9 @@ func (l *GATConv) SetAgg(ai *graph.AggIndex) { l.agg = ai }
 // peer. Everything the layer computes per row is indifferent to it; dW, a
 // reduction over all input rows, is summed in the order the dense input
 // would be (tensor.MatMulTransAAt), so its bits depend neither on which rows
-// were selected nor on where they are stored. rowOf is kept, not copied, and
-// holds until the next call; nil, the initial state, is a dense input.
+// were selected nor on where they are stored. rowOf is kept in the bound
+// state, not copied, and holds until the next call; nil, a new state's, is
+// a dense input.
 func (l *GATConv) SetHaloLayout(rowOf []int32) { l.haloRow = rowOf }
 
 // Forward computes attention outputs for the first nOut rows of h: the

@@ -135,19 +135,30 @@ func ParamCount(layers []Layer) int {
 // The per-element work is in tensor's kernels: the mask is drawn by
 // tensor.RNG.KeepBits and read by tensor.MaskScale (forward) and
 // tensor.MaskMul (backward).
+//
+// The layer holds its rate and its stream; the pass — the matrices it reads
+// and writes, and the mask — is a DropoutPass, the state of whoever runs it
+// (see Bind).
 type Dropout struct {
 	Rate float32
 	// Layer is the layer's index in its stack, named in panic messages.
 	Layer int
 	rng   *tensor.RNG
 
-	// The pass in progress, or the last one run: dst (rows×cols) is written,
-	// src read (src needs only the rows ForwardRows covers); active is false
-	// for an identity pass (inference, or Rate 0). Row r < h0 stands at
-	// virtual row r, row h0+i at virtual row h0+at[i]; base is the stream word
-	// virtual row 0 is drawn from. bits is the keep mask of an active pass,
-	// one bit per element of dst in element order, packed 64 to a word — a
-	// word may straddle rows.
+	// The pass state the layer runs in: the one Bind installed, or own.
+	*dropoutPass
+	own DropoutPass
+}
+
+// DropoutPass is the state of a dropout pass, the pass in progress or the
+// last one run: dst (rows×cols) is written, src read (src needs only the rows
+// ForwardRows covers); active is false for an identity pass (inference, or
+// Rate 0). Row r < h0 stands at virtual row r, row h0+i at virtual row
+// h0+at[i]; base is the stream word virtual row 0 is drawn from. bits is the
+// keep mask of an active pass, one bit per element of dst in element order,
+// packed 64 to a word — a word may straddle rows. The zero value is ready;
+// the mask is regrown in place to the largest pass seen.
+type DropoutPass struct {
 	dst, src   *tensor.Matrix
 	rows, cols int
 	active     bool
@@ -157,12 +168,36 @@ type Dropout struct {
 	bits       []uint64
 }
 
+// The layers embed their bound pass state under these unexported names, so
+// a layer method reads a pass field as a field of its own (l.out) and the
+// binding stays unexported.
+type (
+	dropoutPass = DropoutPass
+	sagePass    = SAGEPass
+	gatPass     = GATPass
+)
+
 // NewDropout returns a dropout layer with its own RNG stream.
 func NewDropout(rate float32, rng *tensor.RNG) *Dropout {
 	if !(rate >= 0 && rate < 1) {
 		panic(fmt.Sprintf("nn: dropout rate %v out of [0,1)", rate))
 	}
-	return &Dropout{Rate: rate, rng: rng.Split()}
+	d := &Dropout{Rate: rate, rng: rng.Split()}
+	d.dropoutPass = &d.own
+	return d
+}
+
+// Bind makes p the state the layer's passes run in, from the next
+// ForwardBegin on: every stage of a pass must run in the state its
+// ForwardBegin did, and the backward reads the mask there. nil binds the
+// state the layer keeps for itself, the one a new layer starts in, so a
+// Dropout used on its own needs no Bind. The layer keeps no reference to a
+// state it has been unbound from.
+func (d *Dropout) Bind(p *DropoutPass) {
+	if p == nil {
+		p = &d.own
+	}
+	d.dropoutPass = p
 }
 
 // RNGState returns the mask RNG's stream position. A resumed run must

@@ -40,6 +40,11 @@ import (
 // ascending source order — exactly what the textbook formulation over an
 // explicit concat produces, which the layer tests keep as a straight-line
 // reference and pin every pass shape against bit for bit.
+//
+// The layer holds its weights and their gradients. Everything a pass reads
+// and writes besides them — the graph, plan and input it runs over, its
+// activations, scratch and input gradient — is a SAGEPass, the state of
+// whoever runs the pass (see Bind).
 type SAGEConv struct {
 	InDim, OutDim int
 	Act           Activation
@@ -49,8 +54,18 @@ type SAGEConv struct {
 	DW *tensor.Matrix
 	DB *tensor.Matrix
 
+	// The pass state the layer runs in: the one Bind installed, or own.
+	*sagePass
+	own SAGEPass
+}
+
+// SAGEPass is the state of a SAGEConv pass, the pass in progress or the last
+// one run. Its buffers are reused across passes, regrown in place to the
+// largest one seen, so a steady-state training loop allocates nothing; all
+// are fully rewritten (or zeroed) before use. The zero value is ready.
+type SAGEPass struct {
 	// agg is the aggregation plan (transposed index + edge-balanced chunks)
-	// of the graph the passes run over. Every pass checks it against the
+	// of the graph the pass runs over. Every pass checks it against the
 	// graph it is handed.
 	agg *graph.AggIndex
 
@@ -63,10 +78,8 @@ type SAGEConv struct {
 	z      *tensor.Matrix // nOut × InDim aggregated half
 	dOut   *tensor.Matrix // the backward's output gradient, act′ applied
 
-	// Layer-owned scratch, reused across calls so steady-state training
-	// allocates nothing. All are fully rewritten (or zeroed) before use.
-	// out is also the pass's pre-activation: the bias and the activation
-	// are applied in place, and act′ is read back from the activated row.
+	// out is also the pass's pre-activation: the bias and the activation are
+	// applied in place, and act′ is read back from the activated row.
 	out, dz, dH, dWScratch *tensor.Matrix
 }
 
@@ -82,7 +95,21 @@ func NewSAGEConv(inDim, outDim int, act Activation, rng *tensor.RNG) *SAGEConv {
 		DB:     tensor.New(1, outDim),
 	}
 	tensor.XavierInit(l.W, 2*inDim, outDim, rng)
+	l.sagePass = &l.own
 	return l
+}
+
+// Bind makes p the state the layer's passes run in, from the next pass on:
+// SetAgg and every stage of a pass must run in the state its ForwardBegin
+// did. nil binds the state the layer keeps for itself, the one a new layer
+// starts in, so a layer used on its own (the one-shot Forward and Backward)
+// needs no Bind. The layer keeps no reference to a state it has been unbound
+// from.
+func (l *SAGEConv) Bind(p *SAGEPass) {
+	if p == nil {
+		p = &l.own
+	}
+	l.sagePass = p
 }
 
 // Params implements Layer.
@@ -94,11 +121,11 @@ func (l *SAGEConv) Grads() []*tensor.Matrix { return []*tensor.Matrix{l.DW, l.DB
 // ZeroGrad implements Layer.
 func (l *SAGEConv) ZeroGrad() { zeroGradAll(l.Grads()) }
 
-// SetAgg installs the aggregation plan for subsequent passes. ai must be
-// built from the same graph the passes receive (core's layer adapter
-// installs its layout's plan as every pass begins). A layer without a plan,
-// or with one whose size does not match the pass's graph, panics at pass
-// entry.
+// SetAgg installs the aggregation plan for subsequent passes in the bound
+// state. ai must be built from the same graph the passes receive (core's
+// layer adapter installs its layout's plan as every pass begins). A layer
+// without a plan, or with one whose size does not match the pass's graph,
+// panics at pass entry.
 func (l *SAGEConv) SetAgg(ai *graph.AggIndex) { l.agg = ai }
 
 // checkPlan rejects a missing aggregation plan for layer's pass, and one that
@@ -199,9 +226,9 @@ func (l *SAGEConv) addNeighborGrads(destLo, destHi int) {
 // Backward consumes dOut (nOut × OutDim), accumulates DW/DB, and returns the
 // gradient with respect to the full input feature matrix (nAll × InDim),
 // including halo rows. dOut is overwritten with the pre-activation gradient
-// (dOut ⊙ act′). The returned matrix is layer-owned scratch, valid until the
-// next Backward. It is BackwardBegin plus the full-range form of the staged
-// sweeps.
+// (dOut ⊙ act′). The returned matrix is the bound state's scratch, valid
+// until the next Backward in it. It is BackwardBegin plus the full-range
+// form of the staged sweeps.
 func (l *SAGEConv) Backward(dOut *tensor.Matrix) *tensor.Matrix {
 	l.BackwardBegin(dOut)
 	l.backwardParams()

@@ -23,14 +23,18 @@ type MinibatchTrainer struct {
 
 	SampleTime  time.Duration
 	ComputeTime time.Duration
-	eval        fullEval
 
-	// Trainer-owned batch scratch, sized to the largest batch seen and
-	// reused — the same layer-owned-scratch discipline RankTrainer's epoch
-	// engine runs with, so a steady-state TrainStep's only allocations are
-	// the sampler's own batch assembly. lay is the batch graph's layout,
-	// rebuilt in place per batch; loss holds the softmax head's row slots.
+	// Trainer-owned scratch, sized to the largest batch seen and reused, as
+	// RankTrainer's epoch engine reuses its own, so a steady-state
+	// TrainStep's only allocations are the sampler's own batch assembly.
+	// pass is the model's pass state, one for the batch passes and the
+	// full-graph evaluation alike, so it holds the larger of the two and not
+	// both. lay is the batch graph's layout, rebuilt in place per batch,
+	// evalLay the full graph's, built on the first Evaluate; loss holds the
+	// softmax head's row slots.
+	pass        core.Pass
 	lay         core.Layout
+	evalLay     core.Layout
 	featsBuf    *tensor.Matrix
 	labelMatBuf *tensor.Matrix
 	gradBuf     *tensor.Matrix
@@ -78,11 +82,11 @@ func (t *MinibatchTrainer) TrainStep() float64 {
 			labels[i] = t.DS.Labels[v]
 		}
 	}
-	h := t.Model.Forward(t.lay.Build(batch.G), feats, true)
+	h := t.Model.Forward(&t.pass, t.lay.Build(batch.G), feats, true)
 	d := tensor.EnsureMat(&t.gradBuf, h.Rows, h.Cols)
 	loss := core.LossInto(&t.loss, d, t.DS.MultiLabel, h, labels, labelMatrix, batch.TargetMask, 0)
 	t.Model.ZeroGrad()
-	t.Model.Backward(d)
+	t.Model.Backward(&t.pass, d)
 	t.Opt.Step(t.Model.Params(), t.Model.Grads())
 	return loss
 }
@@ -97,21 +101,13 @@ func (t *MinibatchTrainer) TrainEpoch() float64 {
 	return sum / float64(n)
 }
 
-// Evaluate scores the model with exact full-graph inference on mask.
+// Evaluate scores the model with exact full-graph inference on mask. The
+// full graph is static, so its layout is built once, on first use.
 func (t *MinibatchTrainer) Evaluate(mask []bool) float64 {
-	return t.eval.score(t.DS, t.Model, mask)
-}
-
-// fullEval is exact full-graph inference for a model that trains on
-// per-batch (or per-epoch) graphs: the full graph is static, so its layout is
-// built once, on first use.
-type fullEval struct{ lay core.Layout }
-
-func (e *fullEval) score(ds *datagen.Dataset, m *core.Model, mask []bool) float64 {
-	if e.lay.G != ds.G {
-		e.lay.Build(ds.G)
+	if t.evalLay.G != t.DS.G {
+		t.evalLay.Build(t.DS.G)
 	}
-	return core.Score(ds, m.Forward(&e.lay, ds.Features, false), mask)
+	return core.Score(t.DS, t.Model.Infer(&t.pass, &t.evalLay, t.DS.Features), mask)
 }
 
 // OverheadFraction returns sampling time / (sampling + compute) time, the

@@ -3,12 +3,12 @@
 // full-graph passes; serving inverts the access pattern — many small queries
 // against a mostly-static graph — so the engine runs the stack once at
 // startup through the stages every trainer runs (core.Model.Forward) and
-// keeps every layer's pass open. The start-up pass's logit matrix is the
-// cache: a query batch copies its answers out of it, and only the rows an
-// update made stale are recomputed first, in one row-subset pass of the
-// final layer (ForwardRows). A row's bits do not depend on which pass
-// computes it, so a served logit row equals the FullTrainer.Forward(false)
-// row for the same checkpoint, bit for bit.
+// keeps every layer's pass open, in a pass state of its own (core.Pass). The
+// start-up pass's logit matrix is the cache: a query batch copies its answers
+// out of it, and only the rows an update made stale are recomputed first, in
+// one row-subset pass of the final layer (ForwardRows). A row's bits do not
+// depend on which pass computes it, so a served logit row equals the
+// FullTrainer.Forward(false) row for the same checkpoint, bit for bit.
 //
 // Feature updates do not recompute the graph: an incremental pass re-embeds
 // only the changed node's receptive field — the frontier grows one
@@ -47,10 +47,11 @@ type Stats struct {
 type Engine struct {
 	model *core.Model
 	lay   core.Layout // the served graph, and its plan and normalizer
+	pass  core.Pass   // the open pass: every layer's activations and scratch
 
 	// feats is the mutable feature copy, logits the final layer's output.
-	// Every layer reads its input in place — feats, or the layer below's own
-	// output buffer, which its ForwardRows refills — and each layer of the
+	// Every layer reads its input in place — feats, or the layer below's
+	// output in pass, which its ForwardRows refills — and each layer of the
 	// private model is begun once, so no pass ever re-points a buffer.
 	feats, logits *tensor.Matrix
 
@@ -67,12 +68,14 @@ type Engine struct {
 // NewEngine precomputes all activations for the graph and opens every
 // layer's row pass. feats is copied, and the model's weights are cloned
 // into a private model — the caller keeps ownership of both. Cloning is
-// load-bearing, not defensive copying for style: the engine's permanently
-// open pass and its activations live in the layers' forward state and
-// output buffers, and a shared trainer calling Forward on the same layer
-// objects would silently re-point that state at its own activations and
-// overwrite them. cacheSize is unused: the start-up pass holds every logit
-// row.
+// load-bearing, not defensive copying for style, and it is about the
+// weights: the activations live in the engine's own pass state, but every
+// row the open pass recomputes reads the weights in place, so a caller that
+// went on training a shared model would make rows recomputed after a step
+// disagree with the rows served from before it. (The layers too: each runs
+// in the state of the pass that bound it last, so a caller's own pass over
+// shared layers would take them from the engine's.) cacheSize is unused:
+// the start-up pass holds every logit row.
 func NewEngine(model *core.Model, g *graph.Graph, feats *tensor.Matrix, cacheSize int) (*Engine, error) {
 	if feats.Rows != g.N {
 		return nil, fmt.Errorf("serve: %d feature rows for a %d-node graph", feats.Rows, g.N)
@@ -97,7 +100,7 @@ func NewEngine(model *core.Model, g *graph.Graph, feats *tensor.Matrix, cacheSiz
 	// open, so ForwardRows can refill any row of any layer on demand.
 	e.feats = tensor.New(feats.Rows, feats.Cols)
 	e.feats.CopyFrom(feats)
-	e.logits = model.Forward(&e.lay, e.feats, false)
+	e.logits = model.Forward(&e.pass, &e.lay, e.feats, false)
 	return e, nil
 }
 

@@ -3,7 +3,9 @@ package serve
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"weak"
 
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -135,6 +137,53 @@ func TestPredictMatchesFullTrainer(t *testing.T) {
 			if st.Hits == before.Hits || st.Misses == before.Misses {
 				t.Fatalf("the batch after an update should have both hits and misses: %+v, before %+v", st, before)
 			}
+		})
+	}
+}
+
+// TestEngineOutlivesItsTrainer: a trained model holds its weights and no
+// pass, so an engine built over one whose trainer has been dropped and
+// collected serves what that trainer's Forward(false) computed, bit for bit,
+// and after an update what a fresh pass over the updated features computes.
+func TestEngineOutlivesItsTrainer(t *testing.T) {
+	for _, arch := range []core.Arch{core.ArchSAGE, core.ArchGAT} {
+		t.Run(string(arch), func(t *testing.T) {
+			ds := testDataset(t, 11)
+			m, ref, trainer := func() (*core.Model, *tensor.Matrix, weak.Pointer[core.FullTrainer]) {
+				ft, ref := trainedModel(t, ds, arch, 2)
+				return ft.Model, ref, weak.Make(ft)
+			}()
+			runtime.GC()
+			if trainer.Value() != nil {
+				t.Fatal("the trainer was not collected")
+			}
+			eng, err := NewEngine(m, ds.G, ds.Features, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes := make([]int32, ds.G.N)
+			for v := range nodes {
+				nodes[v] = int32(v)
+			}
+			check := func(ref *tensor.Matrix) {
+				t.Helper()
+				rows, err := eng.Predict(nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, v := range nodes {
+					if !rowsEqual(rows[i], ref.Row(int(v))) {
+						t.Fatalf("node %d: served logits %v != reference %v", v, rows[i], ref.Row(int(v)))
+					}
+				}
+			}
+			check(ref)
+			feat := rampFeatures(ds.FeatureDim(), 1)
+			if _, err := eng.UpdateFeature(5, feat); err != nil {
+				t.Fatal(err)
+			}
+			// updatedReference reads only the trainer's model.
+			check(updatedReference(t, 11, &core.FullTrainer{Model: m}, map[int32][]float32{5: feat}))
 		})
 	}
 }
