@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/comm"
+	"repro/internal/datagen"
 )
 
 // tcpLoopbackGroup bootstraps k TCP transports over 127.0.0.1 and wraps them
@@ -286,9 +287,14 @@ func TestHaloPayloadLengthChecked(t *testing.T) {
 // two of the halo sends of an evaluation gets the injected fault back as an
 // error, and every survivor an error carrying a *comm.TransportError — the
 // type the elastic loop keys recovery on — instead of a deadlock or a panic,
-// on both backends.
+// on both backends. On the wide fixture the kill falls between two frames of
+// one peer's layer-0 block, so the survivors wait in the middle of a block.
 func TestEvaluateFailureSurfacesAsError(t *testing.T) {
-	ds := testDataset(t, 98)
+	checkEvaluateFailure(t, "narrow", testDataset(t, 98), false)
+	checkEvaluateFailure(t, "wide", wideDataset(t, 98), true)
+}
+
+func checkEvaluateFailure(t *testing.T, fixture string, ds *datagen.Dataset, wide bool) {
 	const k, epochs, victim = 3, 2, 2
 	topo := testTopology(t, ds, k)
 	cfg := ParallelConfig{Model: testModelConfig(), P: 0.5, SampleSeed: 1}
@@ -304,7 +310,20 @@ func TestEvaluateFailureSurfacesAsError(t *testing.T) {
 	}
 	before := probe.Cluster.MessagesSent(victim)
 	probe.Evaluate(ds.TestMask)
-	killAt := int(before + (probe.Cluster.MessagesSent(victim)-before)/2)
+	half := int(probe.Cluster.MessagesSent(victim)-before) / 2
+	killAt := int(before) + half
+	if wide {
+		// Layer 0's first round is one frame per peer; the kill must come
+		// at a later layer-0 frame, after the same peer's previous one.
+		n, peers, frames := evalFrameFloats/ds.FeatureDim(), 0, 0
+		for _, rows := range probe.Ranks[victim].LP.sendRows {
+			peers += min(1, len(rows))
+			frames += (len(rows) + n - 1) / n
+		}
+		if half < peers || half >= frames {
+			t.Fatalf("%s: the kill at the victim's evaluation send %d is not a layer-0 frame after the first round [%d, %d)", fixture, half, peers, frames)
+		}
+	}
 
 	for _, backend := range []struct {
 		name  string
@@ -313,6 +332,7 @@ func TestEvaluateFailureSurfacesAsError(t *testing.T) {
 		{"chan", func() *comm.Group { return comm.New(k, 0) }},
 		{"tcp", func() *comm.Group { return tcpLoopbackGroup(t, k) }},
 	} {
+		name := fixture + "/" + backend.name
 		ranks := make([]*RankTrainer, k)
 		for r := range ranks {
 			if ranks[r], err = NewRankTrainer(ds, topo, cfg, r); err != nil {
@@ -328,7 +348,7 @@ func TestEvaluateFailureSurfacesAsError(t *testing.T) {
 				rt := ranks[w.Rank()]
 				for e := 0; e < epochs; e++ {
 					if _, err := rt.TrainEpoch(w); err != nil {
-						t.Errorf("%s: rank %d died in epoch %d, before the evaluation: %v", backend.name, w.Rank(), e, err)
+						t.Errorf("%s: rank %d died in epoch %d, before the evaluation: %v", name, w.Rank(), e, err)
 						return
 					}
 				}
@@ -338,17 +358,17 @@ func TestEvaluateFailureSurfacesAsError(t *testing.T) {
 		select {
 		case <-done:
 		case <-time.After(20 * time.Second):
-			t.Fatalf("%s: the survivors deadlocked on the peer killed mid-evaluation", backend.name)
+			t.Fatalf("%s: the survivors deadlocked on the peer killed mid-evaluation", name)
 		}
 		for r, err := range errs {
 			var te *comm.TransportError
 			if !errors.As(err, &te) {
-				t.Errorf("%s: rank %d: evaluation through a dead peer returned %v, want an error carrying *comm.TransportError", backend.name, r, err)
+				t.Errorf("%s: rank %d: evaluation through a dead peer returned %v, want an error carrying *comm.TransportError", name, r, err)
 			}
 		}
 		var inj *comm.InjectedFault
 		if !errors.As(errs[victim], &inj) || inj.Message != killAt {
-			t.Errorf("%s: the victim's error %v does not carry the fault injected at message %d", backend.name, errs[victim], killAt)
+			t.Errorf("%s: the victim's error %v does not carry the fault injected at message %d", name, errs[victim], killAt)
 		}
 	}
 }
@@ -357,15 +377,16 @@ func TestEvaluateFailureSurfacesAsError(t *testing.T) {
 // backends: a training epoch sends one forward payload per layer to each peer
 // it serves rows this epoch, one gradient payload per layer above the first
 // to each peer it received rows from, and the gradient AllReduce's 2(k−1);
-// an evaluation sends the forward payloads and one score-count message to
-// each of its k−1 peers.
+// an evaluation sends each peer's rows of layer l in ⌈rows / n_l⌉ frames,
+// n_l = evalFrameFloats / (layer l's input width), and one score-count
+// message to each of its k−1 peers. On the 600-node fixture every list fits
+// in one frame, so that is one payload per layer and peer, as in training;
+// the wide fixture's layer-0 lists take several.
 // Nothing else rides along — in particular no word about what a rank
 // sampled, which each owner computes instead (slotSampler) — so a per-epoch
 // control message cannot come back unnoticed. p=0 moves no halo at all.
 func TestMessagesPerPass(t *testing.T) {
-	ds := testDataset(t, 8)
 	const k = 3
-	topo := testTopology(t, ds, k)
 	nonEmpty := func(lists [][]int32) int {
 		n := 0
 		for _, l := range lists {
@@ -375,50 +396,74 @@ func TestMessagesPerPass(t *testing.T) {
 		}
 		return n
 	}
-	for _, backend := range []struct {
-		name  string
-		group func() *comm.Group
-	}{
-		{"chan", func() *comm.Group { return comm.New(k, 0) }},
-		{"tcp", func() *comm.Group { return tcpLoopbackGroup(t, k) }},
-	} {
-		for _, p := range []float64{0, 0.5, 1} {
-			cfg := ParallelConfig{Model: testModelConfig(), P: p, SampleSeed: 5}
-			tr, err := NewParallelTrainerOver(ds, topo, cfg, backend.group())
-			if err != nil {
-				t.Fatal(err)
-			}
-			layers := cfg.Model.Layers
-			before := make([]int64, k) // each rank's count when the pass began
-			mark := func() {
-				for r := range before {
-					before[r] = tr.Cluster.MessagesSent(r)
+	for _, fixture := range []struct {
+		name string
+		wide bool
+	}{{"narrow", false}, {"wide", true}} {
+		ds := testDataset(t, 8)
+		if fixture.wide {
+			ds = wideDataset(t, 8)
+		}
+		topo := testTopology(t, ds, k)
+		for _, backend := range []struct {
+			name  string
+			group func() *comm.Group
+		}{
+			{"chan", func() *comm.Group { return comm.New(k, 0) }},
+			{"tcp", func() *comm.Group { return tcpLoopbackGroup(t, k) }},
+		} {
+			for _, p := range []float64{0, 0.5, 1} {
+				name := fixture.name + "/" + backend.name
+				cfg := ParallelConfig{Model: testModelConfig(), P: p, SampleSeed: 5}
+				tr, err := NewParallelTrainerOver(ds, topo, cfg, backend.group())
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			check := func(pass string, e int, want func(lp *LocalPartition) int) {
-				for r, rt := range tr.Ranks {
-					if got, want := tr.Cluster.MessagesSent(r)-before[r], int64(want(rt.LP)); got != want {
-						t.Errorf("%s p=%v %s %d rank %d: sent %d messages, want %d", backend.name, p, pass, e, r, got, want)
+				layers := cfg.Model.Layers
+				dims := tr.Models[0].LayerInputDims()
+				before := make([]int64, k) // each rank's count when the pass began
+				mark := func() {
+					for r := range before {
+						before[r] = tr.Cluster.MessagesSent(r)
 					}
 				}
-			}
-			for e := 0; e < 3; e++ {
-				mark()
-				tr.TrainEpoch()
-				check("epoch", e, func(lp *LocalPartition) int {
-					blocks := 0 // peers with a non-empty block of halo rows
-					for j := 0; j < k; j++ {
-						if lp.haloPtr[j+1] > lp.haloPtr[j] {
-							blocks++
+				check := func(pass string, e int, want func(lp *LocalPartition) int) {
+					for r, rt := range tr.Ranks {
+						if got, want := tr.Cluster.MessagesSent(r)-before[r], int64(want(rt.LP)); got != want {
+							t.Errorf("%s p=%v %s %d rank %d: sent %d messages, want %d", name, p, pass, e, r, got, want)
 						}
 					}
-					return layers*nonEmpty(lp.sendRows) + (layers-1)*blocks + 2*(k-1)
-				})
-				mark()
-				tr.Evaluate(ds.ValMask)
-				check("evaluation after epoch", e, func(lp *LocalPartition) int {
-					return layers*nonEmpty(lp.sendRows) + k - 1
-				})
+				}
+				sliced := false // an evaluation sent more than a payload per layer and peer
+				for e := 0; e < 3; e++ {
+					mark()
+					tr.TrainEpoch()
+					check("epoch", e, func(lp *LocalPartition) int {
+						blocks := 0 // peers with a non-empty block of halo rows
+						for j := 0; j < k; j++ {
+							if lp.haloPtr[j+1] > lp.haloPtr[j] {
+								blocks++
+							}
+						}
+						return layers*nonEmpty(lp.sendRows) + (layers-1)*blocks + 2*(k-1)
+					})
+					mark()
+					tr.Evaluate(ds.ValMask)
+					check("evaluation after epoch", e, func(lp *LocalPartition) int {
+						frames := 0
+						for _, dim := range dims {
+							n := max(1, evalFrameFloats/dim)
+							for _, rows := range lp.sendRows {
+								frames += (len(rows) + n - 1) / n
+							}
+						}
+						sliced = sliced || frames > layers*nonEmpty(lp.sendRows)
+						return frames + k - 1
+					})
+				}
+				if sliced != fixture.wide {
+					t.Errorf("%s p=%v: an evaluation sliced a peer's rows: %v, want %v", name, p, sliced, fixture.wide)
+				}
 			}
 		}
 	}

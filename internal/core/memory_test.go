@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/comm"
@@ -50,29 +51,8 @@ func checkMemoryScalesWithP(t *testing.T, newGroup func(k int) *comm.Group, gate
 	if raceEnabled {
 		t.Skip("race instrumentation inflates the heap; the gates hold without -race")
 	}
-	ds, err := datagen.Generate(datagen.Config{
-		Name: "mem", Nodes: 4000, Communities: 8, AvgDegree: 24,
-		IntraFrac: 0.65, DegreeSkew: 2.0, FeatureDim: 48,
-		FeatureSignal: 0.5, FeatureNoise: 1.0,
-		TrainFrac: 0.6, ValFrac: 0.2, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const k = 4
-	parts, err := (&partition.Random{Seed: 7}).Partition(ds.G, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topo, err := BuildTopology(ds.G, parts, k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range topo.BoundaryRatios() {
-		if r < 2 {
-			t.Fatalf("partition %d: boundary/inner = %.2f, the fixture is meant to be boundary-heavy (≥ 2)", i, r)
-		}
-	}
+	ds, topo := memFixture(t, k)
 	model, err := NewModel(memModel, ds.FeatureDim(), ds.NumClasses)
 	if err != nil {
 		t.Fatal(err)
@@ -89,6 +69,35 @@ func checkMemoryScalesWithP(t *testing.T, newGroup func(k int) *comm.Group, gate
 				g.p, heap/eq4, heap/(1<<20), eq4/(1<<20), g.gate)
 		}
 	}
+}
+
+// memFixture is the memory gates' graph and partition: 4,000 nodes split k
+// ways at random, ≈2.4 boundary nodes per inner node at k=4.
+func memFixture(t *testing.T, k int) (*datagen.Dataset, *Topology) {
+	t.Helper()
+	ds, err := datagen.Generate(datagen.Config{
+		Name: "mem", Nodes: 4000, Communities: 8, AvgDegree: 24,
+		IntraFrac: 0.65, DegreeSkew: 2.0, FeatureDim: 48,
+		FeatureSignal: 0.5, FeatureNoise: 1.0,
+		TrainFrac: 0.6, ValFrac: 0.2, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := (&partition.Random{Seed: 7}).Partition(ds.G, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := BuildTopology(ds.G, parts, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range topo.BoundaryRatios() {
+		if r < 2 {
+			t.Fatalf("partition %d: boundary/inner = %.2f, the fixture is meant to be boundary-heavy (≥ 2)", i, r)
+		}
+	}
+	return ds, topo
 }
 
 // TestTrainerMemoryScalesWithP gates the trainers over the channel cluster.
@@ -129,4 +138,61 @@ func TestTrainerMemoryScalesWithP(t *testing.T) {
 func TestTrainerMemoryScalesWithPOverTCP(t *testing.T) {
 	checkMemoryScalesWithP(t, func(k int) *comm.Group { return tcpLoopbackGroup(t, k) },
 		[]memGate{{1, 3.08}, {0.1, 2.75}})
+}
+
+// TestEvaluationHeapFollowsTraining bounds what an evaluation adds to the
+// trainers' heap. On the memory gates' fixture, after 4 epochs at p=0.1, the
+// live heap the first Evaluate adds (each reading after a collection) stays
+// within a multiple of what exact inference must hold beyond training: a
+// layer input over the inner rows and every boundary slot, at the widest
+// layer input, summed over the ranks. An evaluation's halo frames hold at most
+// evalFrameFloats floats, so the transports' pools add a few 64 KB buffers per
+// peer on top. Measured over GOMAXPROCS 1, 2 and 4 (some runs beside another
+// test binary): 1.16–1.17× over chan and 1.47–1.92× over TCP, whose pools
+// stage each frame on both sides; each gate is the largest reading plus 10 %.
+// With a peer's whole block in one frame per layer, the pools kept frames
+// the size of the largest block and the same test measured 1.53–1.77× and
+// 2.45–2.67×, failing both gates.
+func TestEvaluationHeapFollowsTraining(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation inflates the heap; the gates hold without -race")
+	}
+	const k = 4
+	ds, topo := memFixture(t, k)
+	for _, backend := range []struct {
+		name  string
+		group func() *comm.Group
+		gate  float64
+	}{
+		{"chan", func() *comm.Group { return comm.New(k, 0) }, 1.29},
+		{"tcp", func() *comm.Group { return tcpLoopbackGroup(t, k) }, 2.11},
+	} {
+		g := backend.group()
+		tr, err := NewParallelTrainerOver(ds, topo, ParallelConfig{Model: memModel, P: 0.1, SampleSeed: 7}, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := 0; e < 4; e++ {
+			tr.TrainEpoch()
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tr.Evaluate(ds.TestMask)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(tr)
+		g.Close()
+
+		input := 0.0 // every rank's p=1 layer input at the widest layer
+		for _, rt := range tr.Ranks {
+			input += float64((rt.LP.NIn + rt.LP.NBd) * slices.Max(rt.Model.LayerInputDims()) * 4)
+		}
+		added, gate := float64(after.HeapAlloc)-float64(before.HeapAlloc), backend.gate
+		t.Logf("%s: evaluation adds %.1f MB, the p=1 layer input is %.1f MB, %.2f× (gate %.2f×)", backend.name, added/(1<<20), input/(1<<20), added/input, gate)
+		if added/input > gate {
+			t.Errorf("%s: the first evaluation adds %.2f× the p=1 layer input to the heap (%.1f of %.1f MB), want at most %.2f×",
+				backend.name, added/input, added/(1<<20), input/(1<<20), gate)
+		}
+	}
 }

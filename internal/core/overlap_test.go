@@ -78,14 +78,21 @@ func TestOverlapBitIdentical(t *testing.T) {
 // drain and the fold consume them in ascending rank — and requires the
 // results over the skewed links to stay bit-identical to the un-modeled
 // channel run on the same seed, for both architectures. The drain then waits
-// on its first peer with every later payload already landed.
+// on its first peer with every later payload already landed. Both runs also
+// evaluate after every epoch, and on the wide fixture an evaluation's layer-0
+// blocks travel in many frames each, so frames of one round land out of step
+// across peers: the logits must be the same bits, and no round may hang.
 func TestOverlapArrivalSkewedLinksBitIdentical(t *testing.T) {
 	for _, c := range []struct {
 		arch Arch
 		k    int
-	}{{ArchSAGE, 2}, {ArchSAGE, 4}, {ArchGAT, 2}, {ArchGAT, 4}} {
+		wide bool
+	}{{ArchSAGE, 2, false}, {ArchSAGE, 4, false}, {ArchGAT, 2, false}, {ArchGAT, 4, false}, {ArchSAGE, 2, true}, {ArchSAGE, 4, true}} {
 		arch, k := c.arch, c.k
 		ds := testDataset(t, uint64(90+k))
+		if c.wide {
+			ds = wideDataset(t, uint64(90+k))
+		}
 		topo := testTopology(t, ds, k)
 		mc := ModelConfig{Arch: arch, Layers: 2, Hidden: 16, Dropout: 0.3, LR: 0.01, Seed: 8}
 		cfg := ParallelConfig{Model: mc, P: 0.5, SampleSeed: 29}
@@ -117,6 +124,9 @@ func TestOverlapArrivalSkewedLinksBitIdentical(t *testing.T) {
 			want, got := ref.TrainEpoch(), skewed.TrainEpoch()
 			if got.Loss != want.Loss {
 				t.Fatalf("%s k=%d epoch %d: loss %.17g != %.17g under skewed links", arch, k, e, got.Loss, want.Loss)
+			}
+			if d := bitsDiffer(inferLogits(ref), inferLogits(skewed)); d > 0 {
+				t.Fatalf("%s k=%d wide=%v epoch %d: %d logits of an evaluation differ in bits under skewed links", arch, k, c.wide, e, d)
 			}
 		}
 		for r := 0; r < k; r++ {

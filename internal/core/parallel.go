@@ -486,9 +486,10 @@ func (rt *RankTrainer) failPass(w *comm.Worker, what string, err *error) {
 // does not.
 //
 // The halo rows an evaluation moves are real traffic, every boundary row once
-// per layer whatever rate the run trains at: they show in the transport's
-// counters (comm.Group.BytesSent) and in no RankStats or EpochStats, which
-// account training epochs only. A failure — a dead peer included — comes back
+// per layer whatever rate the run trains at, a peer's rows of a layer in
+// ⌈rows / n⌉ messages of n = evalFrameFloats / (the layer's input width) rows:
+// they show in the transport's counters (comm.Group.BytesSent, MessagesSent)
+// and in no RankStats or EpochStats, which account training epochs only. A failure — a dead peer included — comes back
 // as an error and aborts the transport, as in TrainEpoch.
 func (rt *RankTrainer) Evaluate(w *comm.Worker, mask []bool) (score float64, err error) {
 	if len(mask) != rt.globalNodes {

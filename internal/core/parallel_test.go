@@ -13,9 +13,23 @@ import (
 // testDataset is a small community graph used across core tests.
 func testDataset(t testing.TB, seed uint64) *datagen.Dataset {
 	t.Helper()
+	return testDatasetDim(t, seed, 12)
+}
+
+// wideDataset is testDataset's shape with 1024 features a node: a layer-0
+// halo frame of an evaluation holds evalFrameFloats/1024 rows, so each peer's
+// block of an evaluation travels in many frames, while the hidden layers'
+// blocks fit in one.
+func wideDataset(t testing.TB, seed uint64) *datagen.Dataset {
+	t.Helper()
+	return testDatasetDim(t, seed, 1024)
+}
+
+func testDatasetDim(t testing.TB, seed uint64, dim int) *datagen.Dataset {
+	t.Helper()
 	ds, err := datagen.Generate(datagen.Config{
 		Name: "core-test", Nodes: 600, Communities: 6, AvgDegree: 10,
-		IntraFrac: 0.8, DegreeSkew: 2.0, FeatureDim: 12,
+		IntraFrac: 0.8, DegreeSkew: 2.0, FeatureDim: dim,
 		FeatureSignal: 0.5, FeatureNoise: 1.0,
 		TrainFrac: 0.6, ValFrac: 0.2, Seed: seed,
 	})

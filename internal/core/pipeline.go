@@ -28,7 +28,14 @@ import (
 // Evaluation (RankTrainer.Evaluate) is the plan and forward stages and nothing
 // after them, over every boundary slot at rate 1 — no sampler evaluated —
 // with dropout an identity pass (epochState.eval): each rank's logits are the
-// full graph's for its inner rows.
+// full graph's for its inner rows. Its halo frames hold at most
+// evalFrameFloats floats (64 KB on TCP), so the transports' pools never keep
+// a frame of a whole p=1 block: a layer's exchange runs in rounds, slice r of
+// each peer's rows in round r, and a rank posts slice r+1 only once it holds
+// every peer's slice r. The rounds cannot deadlock: every rank posts slice 0
+// without waiting, so by induction every slice is posted before anyone waits
+// on it, and at most two slices per peer are in flight. An epoch's exchange
+// is one round of one frame per peer.
 //
 // The epoch trains on the sampled subgraph (Section 3.2): its node space is
 // the NIn inner rows followed by one row per boundary slot the plan sampled,
@@ -129,17 +136,30 @@ func (rt *RankTrainer) runEpoch(w *comm.Worker) RankStats {
 	return rt.ep.st
 }
 
+// evalFrameFloats bounds an evaluation's halo frame: with TCP's 12-byte header
+// it stays in the transports' pre-sized 64 KiB pool class (spareMaxBytes).
+const evalFrameFloats = 16000
+
 // forward runs every layer's forward stages (lines 8–11) over the planned
 // node space and returns the last layer's output, a row per inner node. It is
 // the whole of an evaluation after its plan, and the first half of an epoch.
+// Each layer's exchange runs in rounds of n rows per peer, round r+1 posted
+// once every peer's round r has landed, which cannot deadlock (see the file
+// header). An epoch's n covers every list, one frame per peer; an
+// evaluation's holds a frame to 64 KB.
 func (rt *RankTrainer) forward() *tensor.Matrix {
 	layers := rt.Model.LayersL
 	h := rt.LP.Features // inner activations entering the current layer
 	for l := range layers {
-		rt.postForward(l, h)
+		n := max(1, rt.LP.eg.N)
+		if rt.ep.eval {
+			n = max(1, evalFrameFloats/layers[l].InputDim())
+		}
+		rt.postForward(l, h, 0, n)
 		x := rt.LP.ws.Get(rt.LP.eg.N, layers[l].InputDim())
-		h = rt.forwardFree(l, x, h)
-		rt.drainForward(l, x)
+		in := h
+		h = rt.forwardFree(l, x, in)
+		rt.drainForward(l, x, in, n)
 		if rt.ep.eval {
 			// No backward will read this layer's input, so the next layer
 			// reuses its storage; and once every rank has drained the layer,
@@ -262,17 +282,19 @@ func (rt *RankTrainer) rescaleHalo(dst, src []float32, r0, dim int) {
 	}
 }
 
-// postForward posts layer l's halo exchange: the boundary rows of h each
-// peer sampled, gathered straight into a payload buffer the transport lends
-// (on TCP, the outgoing frame itself) and sent in it.
-func (rt *RankTrainer) postForward(l int, h *tensor.Matrix) {
+// postForward posts slice r of layer l's halo exchange: rows [r·n, (r+1)·n)
+// of the boundary rows of h each peer sampled, gathered straight into a
+// payload buffer the transport lends (on TCP, the outgoing frame itself) and
+// sent in it. A peer whose list ends before the slice gets nothing.
+func (rt *RankTrainer) postForward(l int, h *tensor.Matrix, r, n int) {
 	rt.ep.clk.post()
 	lp, st, w := rt.LP, &rt.ep.st, rt.ep.w
 	dim := h.Cols
 	for j, rows := range lp.sendRows {
-		if len(rows) == 0 {
+		if r*n >= len(rows) {
 			continue
 		}
+		rows = rows[r*n : min((r+1)*n, len(rows))]
 		payload := w.SendBufF32(len(rows) * dim)
 		for x, row := range rows {
 			copy(payload[x*dim:(x+1)*dim], h.Row(int(row)))
@@ -296,29 +318,41 @@ func (rt *RankTrainer) forwardFree(l int, x, h *tensor.Matrix) *tensor.Matrix {
 	return rt.Model.beginLayer(&rt.pass, l, &rt.LP.lay, x, h, !rt.ep.eval)
 }
 
-// drainForward receives layer l's boundary feature rows peer by peer in
-// ascending rank: each payload fills that peer's block of halo rows of x
-// with the sampler's receive rescale (the unbiased 1/p of Section 3.2 for
-// BNS), and the block's dropout masks are drawn and applied in place and its
-// per-node precomputations run. After the last peer every
-// halo-dependent row is computed in one pass. Receives and halo fills are
-// exposed comm, the row passes compute.
-func (rt *RankTrainer) drainForward(l int, x *tensor.Matrix) {
+// drainForward receives layer l's boundary feature rows in rounds of n rows
+// per peer. Round r receives slice r from every peer in ascending rank and
+// fills that slice's rows of the peer's block of x with the sampler's receive
+// rescale (the unbiased 1/p of Section 3.2 for BNS); once a peer's block is
+// complete its dropout masks are drawn and applied in place and its per-node
+// precomputations run. Then the rank posts slice r+1 of its own rows of h.
+// After the last round every halo-dependent row is computed in one pass.
+// Receives and halo fills are exposed comm, the row passes compute.
+func (rt *RankTrainer) drainForward(l int, x, h *tensor.Matrix, n int) {
 	lp, ep := rt.LP, &rt.ep
 	layer, drop := rt.Model.LayersL[l], rt.Model.Dropouts[l]
 	dim := x.Cols
-	for j := range lp.recv {
-		r0, r1 := lp.haloPtr[j], lp.haloPtr[j+1]
-		if r0 == r1 {
-			continue
+	rounds := 0
+	for j, rows := range lp.sendRows {
+		rounds = max(rounds, (len(rows)+n-1)/n, (lp.haloPtr[j+1]-lp.haloPtr[j]+n-1)/n)
+	}
+	for r := range rounds {
+		for j := range lp.recv {
+			b0, b1 := lp.haloPtr[j], lp.haloPtr[j+1]
+			r0, r1 := b0+r*n, min(b0+(r+1)*n, b1)
+			if r0 >= r1 {
+				continue
+			}
+			data := rt.recvHalo(j, tagForward, l, (r1-r0)*dim)
+			rt.rescaleHalo(x.Data[r0*dim:r1*dim], data, r0, dim)
+			ep.w.RecycleF32(data)
+			if r1 == b1 {
+				ep.clk.to(phaseCompute)
+				drop.ApplyMaskedRows(b0, b1)
+				layer.ForwardPrep(b0, b1)
+			}
 		}
-		data := rt.recvHalo(j, tagForward, l, (r1-r0)*dim)
-		rt.rescaleHalo(x.Data[r0*dim:r1*dim], data, r0, dim)
-		ep.w.RecycleF32(data)
-
-		ep.clk.to(phaseCompute)
-		drop.ApplyMaskedRows(r0, r1)
-		layer.ForwardPrep(r0, r1)
+		if r+1 < rounds {
+			rt.postForward(l, h, r+1, n)
+		}
 	}
 	ep.clk.to(phaseCompute)
 	layer.ForwardRows(lp.lay.Dep)
